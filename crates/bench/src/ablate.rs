@@ -9,7 +9,7 @@
 
 use crate::Scale;
 use simt_ir::BlockId;
-use simt_sim::{CacheConfig, MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig};
+use simt_sim::{MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig};
 use specrecon_core::{unroll_self_loop, CompileOptions, DeconflictMode, RepairStrategy};
 use workloads::eval::{self, Engine};
 use workloads::{mummer, registry, rsbench, srad, xsbench, Workload};
@@ -310,7 +310,9 @@ pub fn cache_with(engine: &Engine, scale: Scale) -> Vec<CacheRow> {
         let plain = engine
             .compare_with(w, &CompileOptions::speculative(), &SimConfig::default())
             .unwrap_or_else(|e| panic!("{} plain failed: {e}", w.name));
-        let cfg = SimConfig { cache: Some(CacheConfig::default()), ..SimConfig::default() };
+        // 64 lines of 16 cells (128-byte lines), hits cost 2.
+        let l1 = MemHierarchy::l1(64, 16, 2, &SimConfig::default().latency);
+        let cfg = SimConfig { mem: Some(l1), ..SimConfig::default() };
         let cached = engine
             .compare_with(w, &CompileOptions::speculative(), &cfg)
             .unwrap_or_else(|e| panic!("{} cached failed: {e}", w.name));

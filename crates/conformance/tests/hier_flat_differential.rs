@@ -1,22 +1,21 @@
 //! Differential conformance for the memory-hierarchy cost model's
 //! degenerate configurations.
 //!
-//! The hierarchy ([`SimConfig::mem`]) replaces both legacy global-access
-//! cost paths — the flat coalescing fold and the single-level
-//! [`CacheConfig`] model — and claims two exact degenerate cases:
+//! The hierarchy ([`SimConfig::mem`]) replaces the flat coalescing fold
+//! when set, and has two degenerate configurations:
 //!
-//! - [`MemHierarchy::flat`] (no cache levels) reproduces the flat
-//!   coalescing cost `mem_base + mem_segment * (segments - 1)`;
-//! - [`MemHierarchy::l1`] (one level mirroring a `CacheConfig`)
-//!   reproduces the legacy cache cost and hit/miss counters.
+//! - [`MemHierarchy::flat`] (no cache levels) must reproduce the
+//!   hierarchy-off cost `mem_base + mem_segment * (segments - 1)`;
+//! - [`MemHierarchy::l1`] (one level) is the simulator's single-level
+//!   L1 cache, priced by each engine's own hierarchy walk.
 //!
-//! For random programs from the conformance genome, this test runs the
-//! legacy config and its degenerate hierarchy twin on **all three
-//! engines** (tree-walking reference, decoded hot loop, seed-sweep
-//! cohort) under **every scheduler policy** and asserts bit-identical
-//! results: metrics (with the hierarchy's own per-level counters
-//! stripped — they are new observability, not a cost change), final
-//! global memory, and errors.
+//! For random programs from the conformance genome, this test runs on
+//! **all three engines** (tree-walking reference, decoded hot loop,
+//! seed-sweep cohort) under **every scheduler policy** and asserts
+//! bit-identical metrics, final global memory, and errors: depth 0
+//! against the hierarchy-off config (with the hierarchy's own per-level
+//! counters stripped — they are observability, not a cost change), and
+//! depth 1 across the three engines.
 //!
 //! Case count defaults to 64 and is capped by `CONFORMANCE_CASES`.
 
@@ -25,8 +24,8 @@ use conformance::program::spec_strategy;
 use conformance::{build_module, ProgramSpec};
 use proptest::prelude::*;
 use simt_sim::{
-    run, run_reference, run_sweep, CacheConfig, Launch, MemHierarchy, MemStats, Metrics, SimConfig,
-    SimOutput, SweepLaunch, DEFAULT_SEED,
+    run, run_reference, run_sweep, Launch, MemHierarchy, MemStats, Metrics, SimConfig, SimOutput,
+    SweepLaunch, DEFAULT_SEED,
 };
 
 /// Instances per sweep comparison (small: the sweep engine's own
@@ -37,22 +36,26 @@ const INSTANCES: u64 = 4;
 /// Cycle budget per run (mirrors the oracle's).
 const MAX_CYCLES: u64 = 5_000_000;
 
-/// Metrics with the hierarchy-only counters removed, so a legacy run
-/// (which never populates them) compares equal to its hierarchy twin.
+/// Metrics with the hierarchy-only counters removed, so a
+/// hierarchy-off run (which never populates them) compares equal to its
+/// depth-0 twin.
 fn strip_mem(m: &Metrics) -> Metrics {
     let mut m = m.clone();
     m.mem = MemStats::default();
     m
 }
 
+/// Demands identical observable results; `strip` drops the hierarchy
+/// counters from the `hier` side first.
 fn compare_outputs(
     legacy: &Result<SimOutput, simt_sim::SimError>,
     hier: &Result<SimOutput, simt_sim::SimError>,
+    strip: bool,
     what: &str,
 ) -> Result<(), String> {
     match (legacy, hier) {
         (Ok(l), Ok(h)) => {
-            if l.metrics != strip_mem(&h.metrics) {
+            if l.metrics != if strip { strip_mem(&h.metrics) } else { h.metrics.clone() } {
                 return Err(format!(
                     "{what}: metrics diverge\nlegacy: {:?}\nhier:   {:?}",
                     l.metrics, h.metrics
@@ -87,12 +90,12 @@ fn check_degenerate(
     // Decoded hot loop.
     let l = run(&module, legacy_cfg, &base);
     let h = run(&module, hier_cfg, &base);
-    compare_outputs(&l, &h, &format!("{what}/decoded"))?;
+    compare_outputs(&l, &h, true, &format!("{what}/decoded"))?;
 
     // Tree-walking reference oracle.
     let l = run_reference(&module, legacy_cfg, &base);
     let h = run_reference(&module, hier_cfg, &base);
-    compare_outputs(&l, &h, &format!("{what}/reference"))?;
+    compare_outputs(&l, &h, true, &format!("{what}/reference"))?;
 
     // Seed-sweep cohort, per seed.
     let seed_lo = DEFAULT_SEED.wrapping_add(spec.seed & 0xFFFF);
@@ -102,7 +105,31 @@ fn check_degenerate(
     let hs = run_sweep(&module, hier_cfg, &sweep)
         .map_err(|e| format!("{what}/sweep: hier sweep failed: {e}"))?;
     for (lr, hr) in ls.runs.iter().zip(hs.runs.iter()) {
-        compare_outputs(&lr.result, &hr.result, &format!("{what}/sweep seed {}", lr.seed))?;
+        compare_outputs(&lr.result, &hr.result, true, &format!("{what}/sweep seed {}", lr.seed))?;
+    }
+    Ok(())
+}
+
+/// Runs `cfg` over the spec's program on all three engines and demands
+/// they agree, hierarchy counters included: the reference oracle against
+/// the decoded engine, and each sweep seed against a decoded run of it.
+fn check_engines_agree(spec: &ProgramSpec, cfg: &SimConfig, what: &str) -> Result<(), String> {
+    let module = build_module(spec);
+    let mut base = Launch::new("main", spec.warps);
+    base.global_mem = vec![simt_ir::Value::I64(0); conformance::build::mem_cells(spec)];
+    let decoded = run(&module, cfg, &base);
+    compare_outputs(
+        &decoded,
+        &run_reference(&module, cfg, &base),
+        false,
+        &format!("{what}/reference"),
+    )?;
+    let seed_lo = DEFAULT_SEED.wrapping_add(spec.seed & 0xFFFF);
+    let sweep = SweepLaunch::new(base.clone(), seed_lo, seed_lo + INSTANCES);
+    let out = run_sweep(&module, cfg, &sweep).map_err(|e| format!("{what}/sweep failed: {e}"))?;
+    for r in &out.runs {
+        let scalar = run(&module, cfg, &Launch { seed: r.seed, ..base.clone() });
+        compare_outputs(&scalar, &r.result, false, &format!("{what}/sweep seed {}", r.seed))?;
     }
     Ok(())
 }
@@ -122,14 +149,12 @@ fn check(spec: &ProgramSpec) -> Result<(), String> {
             SimConfig { mem: Some(MemHierarchy::flat(&base_cfg.latency)), ..base_cfg.clone() };
         check_degenerate(spec, &legacy, &hier, &format!("{policy:?}/flat"))?;
 
-        // Depth 1: legacy CacheConfig vs its one-level hierarchy twin.
-        let cache = CacheConfig::default();
-        let legacy = SimConfig { cache: Some(cache.clone()), ..base_cfg.clone() };
-        let hier = SimConfig {
-            mem: Some(MemHierarchy::l1(&cache, &base_cfg.latency)),
+        // Depth 1: the single-level L1, across the three engines.
+        let l1 = SimConfig {
+            mem: Some(MemHierarchy::l1(64, 16, 2, &base_cfg.latency)),
             ..base_cfg.clone()
         };
-        check_degenerate(spec, &legacy, &hier, &format!("{policy:?}/l1"))?;
+        check_engines_agree(spec, &l1, &format!("{policy:?}/l1"))?;
     }
     Ok(())
 }

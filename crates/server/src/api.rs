@@ -513,7 +513,6 @@ pub fn execute(
                 ("peak_subcohorts".into(), Json::u64(u64::from(s.peak_subcohorts))),
                 ("mean_occupancy".into(), Json::num(s.mean_occupancy())),
                 ("detaches".into(), Json::u64(s.detaches)),
-                ("rejoins".into(), Json::u64(s.rejoins)),
                 ("scalar_steps".into(), Json::u64(s.scalar_steps)),
             ]),
         ));

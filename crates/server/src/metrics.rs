@@ -262,7 +262,7 @@ impl ServerMetrics {
             self.sweep_merges.load(Ordering::Relaxed)
         );
         out.push_str(
-            "# HELP specrecon_sweep_scalar_steps_total Rounds sweeps spent on detached scalar machines (escape hatch).\n\
+            "# HELP specrecon_sweep_scalar_steps_total Rounds sweeps spent on standalone scalar re-runs (sub-cohort cap overflow, hardware reconvergence models).\n\
              # TYPE specrecon_sweep_scalar_steps_total counter\n",
         );
         let _ = writeln!(

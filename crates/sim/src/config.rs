@@ -252,29 +252,6 @@ impl LatencyModel {
     }
 }
 
-/// A simple per-warp, direct-mapped L1 cache *cost* model.
-///
-/// The cache never serves data (loads always read the real memory array,
-/// so results are exact); it only decides whether a global access pays
-/// the hit cost or the full memory latency. This is the "caching
-/// behavior" §4.5 says static profitability analysis cannot see — enable
-/// it to study how locality interacts with reconvergence choices.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Number of cache lines per warp.
-    pub lines: usize,
-    /// Memory cells per line (16 cells of 8 bytes = 128-byte lines).
-    pub cells_per_line: usize,
-    /// Issue-cost of an access whose lines all hit.
-    pub hit_cost: u32,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self { lines: 64, cells_per_line: 16, hit_cost: 2 }
-    }
-}
-
 /// Machine shape and execution limits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
@@ -292,13 +269,11 @@ pub struct SimConfig {
     /// Collect a per-block execution profile (cheap; off by default).
     /// Feed the result into the §4.5 detector for profile-guided scoring.
     pub profile: bool,
-    /// Optional L1 cache cost model (off by default; affects timing only,
-    /// never values). Ignored when `mem` is set.
-    pub cache: Option<CacheConfig>,
-    /// Optional multi-level memory-hierarchy cost model (off by
-    /// default; affects timing only, never values). Takes precedence
-    /// over `cache` — [`MemHierarchy::l1`](crate::mem::MemHierarchy::l1)
-    /// reproduces the legacy single-level model exactly.
+    /// Optional memory-hierarchy cost model (off by default; affects
+    /// timing only, never values): cache levels over DRAM, with
+    /// [`MemHierarchy::l1`](crate::mem::MemHierarchy::l1) as the
+    /// single-level L1 — the "caching behavior" §4.5 says static
+    /// profitability analysis cannot see.
     pub mem: Option<crate::mem::MemHierarchy>,
     /// Record a structured divergence-event journal (off by default).
     /// Like tracing, this disables straight-line batching — events carry
@@ -320,7 +295,6 @@ impl Default for SimConfig {
             max_cycles: 500_000_000,
             trace: false,
             profile: false,
-            cache: None,
             mem: None,
             journal: None,
             recon: ReconvergenceModel::default(),

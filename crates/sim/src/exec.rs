@@ -29,9 +29,10 @@
 //!   allocations** in steady state (a counting-allocator test enforces
 //!   this).
 
+use crate::barrier::{CtlEvent, Status, WarpCtl};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
-use crate::error::{BarrierState, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
+use crate::error::{ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
 use crate::journal::{Journal, JournalEvent};
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
@@ -40,15 +41,13 @@ use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, select_group_mask};
 use crate::trace::{Trace, TraceEvent};
-use simt_ir::{
-    BarrierId, BarrierOp, BinOp, BlockId, FuncId, MemSpace, Operand, RngKind, SpecialValue, Value,
-};
+use simt_ir::{BarrierOp, BinOp, BlockId, FuncId, MemSpace, Operand, RngKind, SpecialValue, Value};
 
 #[derive(Clone, Debug)]
 pub(crate) struct Frame {
     /// Saved pc. Authoritative only while the frame is suspended (a call
     /// is in flight above it); the *top* frame's live pc is tracked in
-    /// [`Warp::pcs`] so the scheduler scans a flat array instead of
+    /// [`WarpCtl::pcs`] so the scheduler scans a flat array instead of
     /// chasing `frames.last()` per lane.
     pub(crate) pc: usize,
     pub(crate) regs: Vec<Value>,
@@ -146,19 +145,9 @@ fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Status {
-    Runnable,
-    Waiting(BarrierId),
-    /// Blocked at `__syncthreads` until every live thread arrives.
-    WaitingSync,
-    Exited,
-}
-
 #[derive(Clone, Debug)]
 pub(crate) struct Thread {
     pub(crate) frames: Vec<Frame>,
-    pub(crate) status: Status,
     pub(crate) rng: SplitMix64,
     pub(crate) local: Vec<Value>,
     /// Popped call frames held for reuse: a call pops one here before
@@ -176,30 +165,13 @@ impl Thread {
     }
 }
 
+/// One warp of the decoded engine: the shared control plane plus each
+/// thread's data and this engine's scheduling hints and model state.
 #[derive(Clone, Debug)]
 pub(crate) struct Warp {
+    /// PCs, statuses, barrier registers and scheduler state.
+    pub(crate) ctl: WarpCtl,
     pub(crate) threads: Vec<Thread>,
-    /// Live pc of each lane's top frame (see [`Frame::pc`]): the hot
-    /// loop's grouping scan reads this contiguous array. Stale for
-    /// exited lanes.
-    pub(crate) pcs: Vec<usize>,
-    /// Barrier participation masks, one bit per lane.
-    pub(crate) masks: Vec<u64>,
-    /// All lanes of this warp (`warp_width` low bits set).
-    pub(crate) lane_mask: u64,
-    /// Lanes whose status is [`Status::Runnable`]. The scheduler reads
-    /// only this; every status transition updates it.
-    pub(crate) runnable: u64,
-    /// Lanes blocked on a convergence barrier ([`Status::Waiting`]).
-    pub(crate) waiting: u64,
-    /// Lanes blocked at `__syncthreads` ([`Status::WaitingSync`]).
-    pub(crate) at_sync: u64,
-    /// Lanes that exited ([`Status::Exited`]).
-    pub(crate) exited: u64,
-    pub(crate) busy_until: u64,
-    pub(crate) rr_cursor: usize,
-    /// Lanes of the group issued last (greedy scheduling state).
-    pub(crate) last_lanes: u64,
     /// What the next [`Machine::pick_group`] call would provably return,
     /// recorded when a straight-line batch ends with its group intact
     /// (it broke on a non-batchable instruction, not on a split or a
@@ -213,9 +185,6 @@ pub(crate) struct Warp {
     /// Per-warp — only this warp's own issues can invalidate it, so it
     /// stays valid across a [`Warp::pick_hint`] chain.
     pub(crate) other_pcs: Vec<usize>,
-    /// Direct-mapped L1 tag array (line index -> cached line tag), when
-    /// the cache cost model is on.
-    pub(crate) cache_tags: Vec<Option<i64>>,
     /// Per-level tag arrays of the memory-hierarchy cost model, when
     /// [`SimConfig::mem`] is on (empty otherwise).
     pub(crate) mem_tags: crate::mem::MemTags,
@@ -226,7 +195,6 @@ pub(crate) struct Warp {
     /// Warp splits, used only under [`ReconvergenceModel::WarpSplit`]
     /// (empty otherwise). Splits partition the warp's unexited lanes.
     pub(crate) splits: Vec<Split>,
-    pub(crate) done: bool,
 }
 
 /// Reusable hot-loop buffers owned by the [`Machine`].
@@ -366,22 +334,8 @@ impl<'m> Machine<'m> {
         cfg: &'m SimConfig,
         launch: &Launch,
     ) -> Result<Machine<'m>, SimError> {
-        let kernel = image
-            .func_by_name(&launch.kernel)
-            .ok_or_else(|| SimError::NoSuchKernel(launch.kernel.clone()))?;
-        let kfunc = image.funcs[kernel.index()];
-        if launch.args.len() > kfunc.num_params as usize {
-            return Err(SimError::InvalidModule(format!(
-                "kernel @{} takes {} params, launch provides {}",
-                image.func_names[kernel.index()],
-                kfunc.num_params,
-                launch.args.len()
-            )));
-        }
-
+        let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
         let width = cfg.warp_width;
-        assert!(width <= 64, "warp width above 64 lanes is not supported");
-        let lane_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let mut warps = Vec::with_capacity(launch.num_warps);
         for w in 0..launch.num_warps {
             let mut threads = Vec::with_capacity(width);
@@ -397,7 +351,6 @@ impl<'m> Machine<'m> {
                         regs,
                         ret_regs: PoolRange::EMPTY,
                     }],
-                    status: Status::Runnable,
                     rng: SplitMix64::for_thread(launch.seed, tid),
                     local: vec![Value::default(); launch.local_mem_size],
                     spare: Vec::new(),
@@ -405,27 +358,16 @@ impl<'m> Machine<'m> {
             }
             warps.push(Warp {
                 threads,
-                pcs: vec![kfunc.entry_pc as usize; width],
-                masks: vec![0; image.num_barriers],
-                lane_mask,
-                runnable: lane_mask,
-                waiting: 0,
-                at_sync: 0,
-                exited: 0,
-                busy_until: 0,
-                rr_cursor: 0,
-                last_lanes: 0,
                 pick_hint: None,
                 other_pcs: Vec::new(),
-                cache_tags: cfg.cache.as_ref().map(|c| vec![None; c.lines]).unwrap_or_default(),
                 mem_tags: crate::mem::MemTags::new(cfg.mem.as_ref()),
                 ipdom_stack: Vec::new(),
                 splits: if matches!(cfg.recon, ReconvergenceModel::WarpSplit { .. }) {
-                    vec![Split { mask: lane_mask, busy_until: 0 }]
+                    vec![Split { mask: ctl.lane_mask, busy_until: 0 }]
                 } else {
                     Vec::new()
                 },
-                done: false,
+                ctl: ctl.clone(),
             });
         }
 
@@ -461,12 +403,12 @@ impl<'m> Machine<'m> {
         let mut next_ready = u64::MAX;
         let mut all_done = true;
         for w in 0..self.warps.len() {
-            if self.warps[w].done {
+            if self.warps[w].ctl.done {
                 continue;
             }
             all_done = false;
-            if self.warps[w].busy_until > self.cycle {
-                next_ready = next_ready.min(self.warps[w].busy_until);
+            if self.warps[w].ctl.busy_until > self.cycle {
+                next_ready = next_ready.min(self.warps[w].ctl.busy_until);
                 continue;
             }
             // The warp-split model schedules per split, not per warp:
@@ -484,7 +426,7 @@ impl<'m> Machine<'m> {
             let picked = if let Some(hint) = self.warps[w].pick_hint.take() {
                 if self.cfg.scheduler == SchedulerPolicy::RoundRobin {
                     let warp = &mut self.warps[w];
-                    warp.rr_cursor = warp.rr_cursor.wrapping_add(1);
+                    warp.ctl.rr_cursor = warp.ctl.rr_cursor.wrapping_add(1);
                 }
                 Some(hint)
             } else {
@@ -496,7 +438,7 @@ impl<'m> Machine<'m> {
                     // grew the group issued last — stragglers reached
                     // the same pc and merged back in.
                     if self.journal.is_some() {
-                        let last = self.warps[w].last_lanes;
+                        let last = self.warps[w].ctl.last_lanes;
                         if last != 0 && mask != last && mask & last == last {
                             let o = self.image.origin[pc];
                             self.journal_push(JournalEvent::GroupMerge {
@@ -510,7 +452,7 @@ impl<'m> Machine<'m> {
                             });
                         }
                     }
-                    self.warps[w].last_lanes = mask;
+                    self.warps[w].ctl.last_lanes = mask;
                     let cost = self.issue(w, pc, mask)?;
                     if matches!(self.cfg.recon, ReconvergenceModel::IpdomStack) {
                         self.ipdom_post_issue(w);
@@ -548,7 +490,7 @@ impl<'m> Machine<'m> {
                         && self.journal.is_none()
                         && matches!(self.cfg.recon, ReconvergenceModel::BarrierFile)
                         && keeps_lockstep(&self.image.insts[pc])
-                        && (mask == self.warps[w].runnable
+                        && (mask == self.warps[w].ctl.runnable
                             || self.cfg.scheduler == SchedulerPolicy::Greedy)
                     {
                         let lead = mask.trailing_zeros() as usize;
@@ -559,7 +501,7 @@ impl<'m> Machine<'m> {
                         // stops where the next pick must re-group.
                         let mut intact = true;
                         for _ in 0..BATCH_LIMIT {
-                            let npc = self.warps[w].pcs[lead];
+                            let npc = self.warps[w].ctl.pcs[lead];
                             let inst = &self.image.insts[npc];
                             // Branches batch too — they are warp-local
                             // and infallible — but the group survives
@@ -576,15 +518,15 @@ impl<'m> Machine<'m> {
                                 break;
                             }
                             if round_robin {
-                                let rr = &mut self.warps[w].rr_cursor;
+                                let rr = &mut self.warps[w].ctl.rr_cursor;
                                 *rr = rr.wrapping_add(1);
                             }
                             let c = self.issue(w, npc, mask)?;
                             busy += u64::from(c.max(1));
                             if branch {
                                 let warp = &self.warps[w];
-                                let tpc = warp.pcs[lead];
-                                if lanes(mask).any(|l| warp.pcs[l] != tpc) {
+                                let tpc = warp.ctl.pcs[lead];
+                                if lanes(mask).any(|l| warp.ctl.pcs[l] != tpc) {
                                     // The group split; the next real
                                     // round re-groups and re-picks
                                     // exactly as unbatched execution
@@ -603,7 +545,7 @@ impl<'m> Machine<'m> {
                         // hint and skip that scan.
                         if intact {
                             let warp = &mut self.warps[w];
-                            let npc = warp.pcs[lead];
+                            let npc = warp.ctl.pcs[lead];
                             // Re-checked here because the loop can also
                             // exit at `BATCH_LIMIT`, where the next pc
                             // never went through the merge guard.
@@ -612,7 +554,7 @@ impl<'m> Machine<'m> {
                             }
                         }
                     }
-                    self.warps[w].busy_until = busy;
+                    self.warps[w].ctl.busy_until = busy;
                     next_ready = next_ready.min(busy);
                 }
                 None => {
@@ -620,35 +562,10 @@ impl<'m> Machine<'m> {
                     // every live thread is blocked — since barriers
                     // are warp-local and release checks already ran,
                     // that is a deadlock.
-                    let live = self.warps[w].lane_mask & !self.warps[w].exited;
-                    if live == 0 {
-                        self.warps[w].done = true;
+                    if self.warps[w].ctl.live() == 0 {
+                        self.warps[w].ctl.done = true;
                     } else {
-                        let waiting = lanes(live)
-                            .map(|l| {
-                                let t = &self.warps[w].threads[l];
-                                let b = match t.status {
-                                    Status::Waiting(b) => b,
-                                    // WaitingSync reported as barrier 0
-                                    // (the diagnostic text carries the
-                                    // real story).
-                                    _ => BarrierId(0),
-                                };
-                                (self.location(w, l), b)
-                            })
-                            .collect();
-                        self.journal_push(JournalEvent::DeadlockOnset {
-                            cycle: self.cycle,
-                            warp: w,
-                        });
-                        let barriers = self.barrier_dump(w);
-                        let recon = self.recon_dump(w);
-                        return Err(SimError::Deadlock {
-                            cycle: self.cycle,
-                            waiting,
-                            barriers,
-                            recon,
-                        });
+                        return Err(self.deadlock(w));
                     }
                 }
             }
@@ -682,26 +599,17 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// Snapshot of every barrier register of warp `w` that still has
-    /// live participants or waiters (the deadlock diagnostic dump).
-    fn barrier_dump(&self, w: usize) -> Vec<BarrierState> {
-        let warp = &self.warps[w];
-        let live = warp.lane_mask & !warp.exited;
-        let mut out = Vec::new();
-        for (i, &m) in warp.masks.iter().enumerate() {
-            let b = BarrierId::new(i);
-            let mut waiters = 0u64;
-            for l in lanes(warp.waiting) {
-                if warp.threads[l].status == Status::Waiting(b) {
-                    waiters |= 1 << l;
-                }
-            }
-            let participants = m & live;
-            if participants != 0 || waiters != 0 {
-                out.push(BarrierState { barrier: b, participants, waiters });
-            }
+    /// The deadlock report of warp `w`: every live lane is blocked and
+    /// the release checks already ran.
+    fn deadlock(&mut self, w: usize) -> SimError {
+        self.journal_push(JournalEvent::DeadlockOnset { cycle: self.cycle, warp: w });
+        let ctl = &self.warps[w].ctl;
+        SimError::Deadlock {
+            cycle: self.cycle,
+            waiting: lanes(ctl.live()).map(|l| (self.location(w, l), ctl.blocked_on(l))).collect(),
+            barriers: ctl.barrier_dump(),
+            recon: self.recon_dump(w),
         }
-        out
     }
 
     fn location(&self, warp: usize, lane: usize) -> ThreadLocation {
@@ -709,108 +617,19 @@ impl<'m> Machine<'m> {
         if w.threads[lane].frames.is_empty() {
             return ThreadLocation { warp, lane, func: FuncId(0), block: BlockId(0), inst: 0 };
         }
-        let o = self.image.origin[w.pcs[lane]];
+        let o = self.image.origin[w.ctl.pcs[lane]];
         ThreadLocation { warp, lane, func: o.func, block: o.block, inst: o.inst as usize }
     }
 
-    /// Debug-only invariant: the incremental status masks must agree
-    /// with the per-thread statuses they cache. Runs under every test
-    /// (including the decoded-vs-reference differential proptest), so
-    /// any missed transition point fails loudly.
-    #[cfg(debug_assertions)]
-    fn check_masks(&self, w: usize) {
-        let warp = &self.warps[w];
-        let mut expect = (0u64, 0u64, 0u64, 0u64);
-        for (l, t) in warp.threads.iter().enumerate() {
-            let bit = 1u64 << l;
-            match t.status {
-                Status::Runnable => expect.0 |= bit,
-                Status::Waiting(_) => expect.1 |= bit,
-                Status::WaitingSync => expect.2 |= bit,
-                Status::Exited => expect.3 |= bit,
-            }
-        }
-        assert_eq!(
-            (warp.runnable, warp.waiting, warp.at_sync, warp.exited),
-            expect,
-            "status masks out of sync with thread statuses in warp {w}"
-        );
-    }
-
-    /// Groups runnable lanes by flat PC and applies the scheduler policy.
-    ///
-    /// A converged warp (all runnable lanes at one pc — the common
-    /// case) is detected in the first pass and short-circuits to a
-    /// single group. Divergent warps accumulate `(pc, mask)` groups by
-    /// scanning the group list per lane — divergence produces a handful
-    /// of groups, so the scan beats sorting the lanes — then sort the
-    /// short group list by pc, as [`select_group_mask`] requires.
-    /// Flat-pc order equals the tree-walker's `(func, block, inst)`
-    /// order by construction of the image layout, so every policy picks
-    /// the same group it would have picked there.
+    /// Picks warp `w`'s next group through the shared control plane.
     fn pick_group(&mut self, w: usize) -> Option<(usize, u64)> {
-        #[cfg(debug_assertions)]
-        self.check_masks(w);
+        let Warp { ctl, other_pcs, ipdom_stack, .. } = &mut self.warps[w];
         // Under the IPDOM stack model only the top entry's pending lanes
         // are schedulable (taken-first serialization); parked lanes stay
-        // runnable but invisible until the entry pops. `u64::MAX`
-        // elsewhere keeps this a no-op for the barrier-file model.
-        let eligible = match self.cfg.recon {
-            ReconvergenceModel::IpdomStack => {
-                self.warps[w].ipdom_stack.last().map_or(u64::MAX, |e| e.pending)
-            }
-            _ => u64::MAX,
-        };
-        let runnable = self.warps[w].runnable & eligible;
-        if runnable == 0 {
-            return None;
-        }
-        let pcs = &self.warps[w].pcs;
-        let mut it = lanes(runnable);
-        let first = it.next().expect("runnable mask is non-empty");
-        let pc0 = pcs[first];
-        let mut rest = runnable & (runnable - 1); // lanes after `first`
-        let mut converged = true;
-        for l in lanes(rest) {
-            if pcs[l] != pc0 {
-                converged = false;
-                rest &= !((1u64 << l) - 1); // diverging suffix starts here
-                break;
-            }
-        }
-        if converged {
-            // One group. Every policy picks it; RoundRobin still
-            // consumes an issue slot from its cursor.
-            self.warps[w].other_pcs.clear();
-            if self.cfg.scheduler == SchedulerPolicy::RoundRobin {
-                let warp = &mut self.warps[w];
-                warp.rr_cursor = warp.rr_cursor.wrapping_add(1);
-            }
-            return Some((pc0, runnable));
-        }
-        let groups = &mut self.scratch.groups;
-        groups.clear();
-        // Lanes before the first divergence all sit at pc0. The group
-        // list is kept pc-sorted by insertion — divergence yields a
-        // handful of groups, so the scan-and-insert beats a sort call.
-        groups.push((pc0, runnable & !rest));
-        for l in lanes(rest) {
-            let pc = pcs[l];
-            match groups.iter().position(|&(p, _)| p >= pc) {
-                Some(i) if groups[i].0 == pc => groups[i].1 |= 1 << l,
-                Some(i) => groups.insert(i, (pc, 1 << l)),
-                None => groups.push((pc, 1 << l)),
-            }
-        }
-        let warp = &mut self.warps[w];
-        let last = warp.last_lanes;
-        let picked = select_group_mask(self.cfg.scheduler, groups, last, &mut warp.rr_cursor);
-        let other_pcs = &mut warp.other_pcs;
-        other_pcs.clear();
-        if let Some((pc, _)) = picked {
-            other_pcs.extend(groups.iter().map(|&(p, _)| p).filter(|&p| p != pc));
-        }
-        picked
+        // runnable but invisible until the entry pops. The stack is
+        // empty under every other model, which keeps this a no-op there.
+        let eligible = ipdom_stack.last().map_or(u64::MAX, |e| e.pending);
+        ctl.pick_group(self.cfg.scheduler, eligible, &mut self.scratch.groups, other_pcs)
     }
 
     /// Model-aware reconvergence state of warp `w` for deadlock reports.
@@ -835,9 +654,9 @@ impl<'m> Machine<'m> {
                     .splits
                     .iter()
                     .map(|s| {
-                        let run = s.mask & warp.runnable;
+                        let run = s.mask & warp.ctl.runnable;
                         SplitDump {
-                            pc: (run != 0).then(|| warp.pcs[run.trailing_zeros() as usize]),
+                            pc: (run != 0).then(|| warp.ctl.pcs[run.trailing_zeros() as usize]),
                             mask: s.mask,
                             busy_until: s.busy_until,
                         }
@@ -872,7 +691,7 @@ impl<'m> Machine<'m> {
             }
         }
         let warp = &mut self.warps[w];
-        let ex = warp.exited;
+        let ex = warp.ctl.exited;
         if ex != 0 {
             for e in warp.ipdom_stack.iter_mut() {
                 e.pending &= !ex;
@@ -880,14 +699,14 @@ impl<'m> Machine<'m> {
             }
         }
         loop {
-            let pcs = &warp.pcs;
+            let pcs = &warp.ctl.pcs;
             let threads = &warp.threads;
             let Some(top) = warp.ipdom_stack.last_mut() else { break };
             // A lane arrives when it reaches the reconvergence pc at the
             // push-time call depth while still runnable (a blocked lane
             // has not arrived — its pc has not passed the blocking op).
             let mut arrived = 0u64;
-            for l in lanes(top.pending & warp.runnable) {
+            for l in lanes(top.pending & warp.ctl.runnable) {
                 if pcs[l] == top.rpc as usize && threads[l].frames.len() == top.depth as usize {
                     arrived |= 1 << l;
                 }
@@ -917,7 +736,7 @@ impl<'m> Machine<'m> {
         next_ready: &mut u64,
     ) -> Result<(), SimError> {
         #[cfg(debug_assertions)]
-        self.check_masks(w);
+        self.warps[w].ctl.check_masks();
         self.normalize_splits(w);
         self.fuse_splits(w);
 
@@ -930,7 +749,7 @@ impl<'m> Machine<'m> {
             let cands = &mut self.scratch.split_cands;
             cands.clear();
             for (i, s) in warp.splits.iter().enumerate() {
-                let run = s.mask & warp.runnable;
+                let run = s.mask & warp.ctl.runnable;
                 if run == 0 {
                     continue; // fully blocked; a barrier release revives it
                 }
@@ -940,7 +759,7 @@ impl<'m> Machine<'m> {
                 }
                 // Normalization left every runnable lane of a split at
                 // one pc: the frontier.
-                let pc = warp.pcs[run.trailing_zeros() as usize];
+                let pc = warp.ctl.pcs[run.trailing_zeros() as usize];
                 cands.push((pc, run, i));
             }
             // Re-fusion window: give up this slot when a busy split with
@@ -952,8 +771,8 @@ impl<'m> Machine<'m> {
                     let (pc, _, _) = cands[ci];
                     let wait_for = warp.splits.iter().filter(|s| s.busy_until > cycle).any(|s| {
                         s.busy_until - cycle <= u64::from(window) && {
-                            let run = s.mask & warp.runnable;
-                            run != 0 && warp.pcs[run.trailing_zeros() as usize] == pc
+                            let run = s.mask & warp.ctl.runnable;
+                            run != 0 && warp.ctl.pcs[run.trailing_zeros() as usize] == pc
                         }
                     });
                     if wait_for {
@@ -972,31 +791,17 @@ impl<'m> Machine<'m> {
             if min_busy != u64::MAX {
                 // Everything runnable is busy (or deferring): sleep
                 // until the earliest split wakes.
-                self.warps[w].busy_until = min_busy;
+                self.warps[w].ctl.busy_until = min_busy;
                 *next_ready = (*next_ready).min(min_busy);
                 return Ok(());
             }
-            let live = self.warps[w].lane_mask & !self.warps[w].exited;
-            if live == 0 {
-                self.warps[w].done = true;
+            if self.warps[w].ctl.live() == 0 {
+                self.warps[w].ctl.done = true;
                 return Ok(());
             }
             // Every live lane is blocked and no split can ever issue:
             // deadlock, same report as the warp-level path.
-            let waiting = lanes(live)
-                .map(|l| {
-                    let t = &self.warps[w].threads[l];
-                    let b = match t.status {
-                        Status::Waiting(b) => b,
-                        _ => BarrierId(0),
-                    };
-                    (self.location(w, l), b)
-                })
-                .collect();
-            self.journal_push(JournalEvent::DeadlockOnset { cycle: self.cycle, warp: w });
-            let barriers = self.barrier_dump(w);
-            let recon = self.recon_dump(w);
-            return Err(SimError::Deadlock { cycle: self.cycle, waiting, barriers, recon });
+            return Err(self.deadlock(w));
         }
 
         // Issue. Without compaction one split wins the warp's issue port
@@ -1015,7 +820,7 @@ impl<'m> Machine<'m> {
                 groups.clear();
                 groups.extend(split_cands.iter().map(|&(pc, run, _)| (pc, run)));
                 let picked =
-                    select_group_mask(policy, groups, warp.last_lanes, &mut warp.rr_cursor)
+                    select_group_mask(policy, groups, warp.ctl.last_lanes, &mut warp.ctl.rr_cursor)
                         .expect("non-empty candidate list always yields a pick");
                 let i = split_cands
                     .iter()
@@ -1024,7 +829,7 @@ impl<'m> Machine<'m> {
                 let (pc, _, idx) = split_cands[i];
                 (pc, picked.1, idx)
             };
-            self.warps[w].last_lanes = run;
+            self.warps[w].ctl.last_lanes = run;
             let cost = self.issue(w, pc, run)?;
             self.warps[w].splits[idx].busy_until = cycle + u64::from(cost.max(1));
             if !compact {
@@ -1036,7 +841,7 @@ impl<'m> Machine<'m> {
         let warp = &mut self.warps[w];
         let mut wake = u64::MAX;
         for s in warp.splits.iter() {
-            if s.mask & warp.runnable != 0 {
+            if s.mask & warp.ctl.runnable != 0 {
                 wake = wake.min(s.busy_until.max(cycle + 1));
             }
         }
@@ -1045,7 +850,7 @@ impl<'m> Machine<'m> {
             // warp either finishes, deadlocks, or a release revived it.
             wake = cycle + 1;
         }
-        warp.busy_until = wake;
+        warp.ctl.busy_until = wake;
         *next_ready = (*next_ready).min(wake);
         Ok(())
     }
@@ -1056,7 +861,7 @@ impl<'m> Machine<'m> {
     /// splits (blocked lanes stay with the first frontier group).
     fn normalize_splits(&mut self, w: usize) {
         let warp = &mut self.warps[w];
-        let live = warp.lane_mask & !warp.exited;
+        let live = warp.ctl.lane_mask & !warp.ctl.exited;
         let mut i = 0;
         while i < warp.splits.len() {
             warp.splits[i].mask &= live;
@@ -1064,12 +869,12 @@ impl<'m> Machine<'m> {
                 warp.splits.remove(i);
                 continue;
             }
-            let run = warp.splits[i].mask & warp.runnable;
+            let run = warp.splits[i].mask & warp.ctl.runnable;
             if run != 0 {
-                let lead_pc = warp.pcs[run.trailing_zeros() as usize];
+                let lead_pc = warp.ctl.pcs[run.trailing_zeros() as usize];
                 let mut same = 0u64;
                 for l in lanes(run) {
-                    if warp.pcs[l] == lead_pc {
+                    if warp.ctl.pcs[l] == lead_pc {
                         same |= 1 << l;
                     }
                 }
@@ -1079,10 +884,10 @@ impl<'m> Machine<'m> {
                     let busy = warp.splits[i].busy_until;
                     warp.splits[i].mask &= !rest;
                     while rest != 0 {
-                        let pc = warp.pcs[rest.trailing_zeros() as usize];
+                        let pc = warp.ctl.pcs[rest.trailing_zeros() as usize];
                         let mut m = 0u64;
                         for l in lanes(rest) {
-                            if warp.pcs[l] == pc {
+                            if warp.ctl.pcs[l] == pc {
                                 m |= 1 << l;
                             }
                         }
@@ -1116,18 +921,18 @@ impl<'m> Machine<'m> {
         }
         let mut i = 0;
         while i < warp.splits.len() {
-            let run_i = warp.splits[i].mask & warp.runnable;
+            let run_i = warp.splits[i].mask & warp.ctl.runnable;
             if run_i == 0 || warp.splits[i].busy_until > cycle {
                 i += 1;
                 continue;
             }
-            let pc_i = warp.pcs[run_i.trailing_zeros() as usize];
+            let pc_i = warp.ctl.pcs[run_i.trailing_zeros() as usize];
             let mut j = i + 1;
             while j < warp.splits.len() {
-                let run_j = warp.splits[j].mask & warp.runnable;
+                let run_j = warp.splits[j].mask & warp.ctl.runnable;
                 if run_j != 0
                     && warp.splits[j].busy_until <= cycle
-                    && warp.pcs[run_j.trailing_zeros() as usize] == pc_i
+                    && warp.ctl.pcs[run_j.trailing_zeros() as usize] == pc_i
                 {
                     let absorbed = warp.splits.remove(j);
                     warp.splits[i].mask |= absorbed.mask;
@@ -1146,15 +951,15 @@ impl<'m> Machine<'m> {
         // Stall pressure is sampled before execution, matching the
         // reference engine: lanes parked on a convergence barrier at
         // the moment this group issues.
-        let waiting_lanes = self.warps[w].waiting.count_ones();
+        let waiting_lanes = self.warps[w].ctl.waiting.count_ones();
         if self.journal.is_some() {
             // Split the same sample by barrier for the journal's
             // attribution (which barrier keeps lanes parked).
             let Machine { warps, journal, .. } = &mut *self;
             let warp = &warps[w];
             let j = journal.as_mut().expect("journal is on");
-            for l in lanes(warp.waiting) {
-                if let Status::Waiting(b) = warp.threads[l].status {
+            for l in lanes(warp.ctl.waiting) {
+                if let Status::Waiting(b) = warp.ctl.status[l] {
                     j.note_stall(b, 1);
                 }
             }
@@ -1214,12 +1019,35 @@ impl<'m> Machine<'m> {
         Ok(cost)
     }
 
-    pub(crate) fn set_reg(&mut self, w: usize, lane: usize, r: simt_ir::Reg, v: Value) {
-        self.warps[w].threads[lane].frame_mut().regs[r.index()] = v;
+    /// Executes one barrier operation for the issued lane mask. Under
+    /// the IPDOM stack model — pre-Volta hardware with no barrier
+    /// register file — every compiler soft-barrier is an inert op that
+    /// advances its lanes (the issue cost still accrues: the
+    /// instruction occupies a slot). Registers stay zero there, so
+    /// `arrived` reads 0 and reconvergence is the stack's job;
+    /// `__syncthreads` is a separate instruction and keeps its real
+    /// semantics.
+    fn exec_barrier(&mut self, w: usize, mask: u64, op: BarrierOp) {
+        let Machine { warps, journal, cycle, cfg, .. } = self;
+        let warp = &mut warps[w];
+        if let BarrierOp::ArrivedCount { dst, bar } = op {
+            let n = Value::I64(warp.ctl.arrived(bar));
+            for l in lanes(mask) {
+                warp.threads[l].frame_mut().regs[dst.index()] = n;
+            }
+        }
+        if matches!(cfg.recon, ReconvergenceModel::IpdomStack) {
+            warp.ctl.advance(mask);
+        } else {
+            warp.ctl.barrier(mask, op, &mut |e| journal_ctl(journal, *cycle, w, e));
+        }
     }
 
-    pub(crate) fn advance(&mut self, w: usize, lane: usize) {
-        self.warps[w].pcs[lane] += 1;
+    /// Exits the lanes of `mask` (kernel `exit`, or a return from the
+    /// kernel frame).
+    fn exit_lanes(&mut self, w: usize, mask: u64) {
+        let Machine { warps, journal, cycle, .. } = self;
+        warps[w].ctl.exit(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
     }
 
     fn exec(&mut self, w: usize, pc: usize, mask: u64) -> Result<u32, SimError> {
@@ -1241,7 +1069,7 @@ impl<'m> Machine<'m> {
                     match crate::alu::eval_bin(op, a, b) {
                         Ok(v) => {
                             f.regs[dst.index()] = v;
-                            warp.pcs[l] += 1;
+                            warp.ctl.pcs[l] += 1;
                         }
                         Err(m) => {
                             failed = Some((l, m));
@@ -1262,7 +1090,7 @@ impl<'m> Machine<'m> {
                     match crate::alu::eval_un(op, a) {
                         Ok(v) => {
                             f.regs[dst.index()] = v;
-                            warp.pcs[l] += 1;
+                            warp.ctl.pcs[l] += 1;
                         }
                         Err(m) => {
                             failed = Some((l, m));
@@ -1279,7 +1107,7 @@ impl<'m> Machine<'m> {
                 for l in lanes(mask) {
                     let f = warp.threads[l].frame_mut();
                     f.regs[dst.index()] = eval_in(f, src);
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
@@ -1288,7 +1116,7 @@ impl<'m> Machine<'m> {
                     let f = warp.threads[l].frame_mut();
                     let pick = if eval_in(f, cond).is_truthy() { if_true } else { if_false };
                     f.regs[dst.index()] = eval_in(f, pick);
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Load { dst, space, addr } => {
@@ -1325,7 +1153,7 @@ impl<'m> Machine<'m> {
                     }
                     f.regs[dst.index()] = old;
                     addrs.push(a);
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
                 Self::invalidate_lines(cfg, warps, &scratch.addrs);
                 if let Some(fault) = failed {
@@ -1346,7 +1174,7 @@ impl<'m> Machine<'m> {
                     };
                     let f = warp.threads[l].frame_mut();
                     f.regs[dst.index()] = v;
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Rng { dst, kind } => {
@@ -1359,18 +1187,12 @@ impl<'m> Machine<'m> {
                     };
                     let f = t.frame_mut();
                     f.regs[dst.index()] = v;
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::SyncThreads => {
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    warp.threads[l].status = Status::WaitingSync;
-                }
-                warp.runnable &= !mask;
-                warp.at_sync |= mask;
-                self.journal_push(JournalEvent::SyncArrive { cycle: self.cycle, warp: w, mask });
-                self.sync_release_check(w);
+                let Machine { warps, journal, cycle, .. } = self;
+                warps[w].ctl.sync_arrive(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
             }
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous: counts over the lanes issued together.
@@ -1384,7 +1206,7 @@ impl<'m> Machine<'m> {
                 for l in lanes(mask) {
                     let f = warp.threads[l].frame_mut();
                     f.regs[dst.index()] = Value::I64(count);
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::SeedRng { src } => {
@@ -1394,7 +1216,7 @@ impl<'m> Machine<'m> {
                     let t = &mut warp.threads[l];
                     let v = eval_in(t.frame(), src).as_i64() as u64;
                     t.rng = SplitMix64::for_thread(v ^ launch_mix, v);
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
@@ -1415,7 +1237,7 @@ impl<'m> Machine<'m> {
                         }
                         // Suspend the caller: save its resume point;
                         // the live pc moves to the callee.
-                        f.pc = warp.pcs[l] + 1;
+                        f.pc = warp.ctl.pcs[l] + 1;
                     }
                     let mut frame = t.spare.pop().unwrap_or_else(|| Frame {
                         pc: 0,
@@ -1428,7 +1250,7 @@ impl<'m> Machine<'m> {
                     frame.regs.resize(num_regs as usize, Value::default());
                     frame.regs[..vals.len()].copy_from_slice(vals);
                     t.frames.push(frame);
-                    warp.pcs[l] = entry_pc as usize;
+                    warp.ctl.pcs[l] = entry_pc as usize;
                 }
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1444,13 +1266,13 @@ impl<'m> Machine<'m> {
             DecodedInst::Skip => {
                 let warp = &mut self.warps[w];
                 for l in lanes(mask) {
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Jump { target } => {
                 let warp = &mut self.warps[w];
                 for l in lanes(mask) {
-                    warp.pcs[l] = target as usize;
+                    warp.ctl.pcs[l] = target as usize;
                 }
             }
             DecodedInst::Branch { cond, then_pc, else_pc } => {
@@ -1458,7 +1280,7 @@ impl<'m> Machine<'m> {
                 let mut taken = 0u64;
                 for l in lanes(mask) {
                     let f = warp.threads[l].frame();
-                    warp.pcs[l] = if eval_in(f, cond).is_truthy() {
+                    warp.ctl.pcs[l] = if eval_in(f, cond).is_truthy() {
                         taken |= 1 << l;
                         then_pc as usize
                     } else {
@@ -1506,7 +1328,6 @@ impl<'m> Machine<'m> {
                         // Returning from the kernel frame behaves as exit
                         // (the verifier rejects this statically, but stay
                         // safe at runtime).
-                        t.status = Status::Exited;
                         t.frames.push(frame);
                         exited |= 1 << l;
                         continue;
@@ -1516,20 +1337,14 @@ impl<'m> Machine<'m> {
                     for (r, v) in ret_regs.iter().zip(vals.iter()) {
                         caller.regs[r.index()] = *v;
                     }
-                    warp.pcs[l] = caller.pc;
+                    warp.ctl.pcs[l] = caller.pc;
                     t.spare.push(frame);
                 }
                 if exited != 0 {
-                    self.on_exit_mask(w, exited);
+                    self.exit_lanes(w, exited);
                 }
             }
-            DecodedInst::Exit => {
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    warp.threads[l].status = Status::Exited;
-                }
-                self.on_exit_mask(w, mask);
-            }
+            DecodedInst::Exit => self.exit_lanes(w, mask),
         }
         Ok(cost)
     }
@@ -1574,7 +1389,7 @@ impl<'m> Machine<'m> {
                             }
                         }
                     }
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
             MemSpace::Local => {
@@ -1595,7 +1410,7 @@ impl<'m> Machine<'m> {
                             }
                         }
                     }
-                    warp.pcs[l] += 1;
+                    warp.ctl.pcs[l] += 1;
                 }
             }
         }
@@ -1614,22 +1429,15 @@ impl<'m> Machine<'m> {
                     now,
                 );
                 metrics.mem.record(&out);
-                // The legacy counters mirror L1 so existing consumers
-                // (and the differential proptests) see one source of
-                // truth.
+                // The flat hit/miss counters mirror L1.
                 metrics.cache_hits += u64::from(out.levels[0].hits);
                 metrics.cache_misses += u64::from(out.levels[0].misses);
                 *pending_mem = Some(out);
                 out.cost
             } else {
-                Self::global_access_cost(
-                    cfg,
-                    warp,
-                    metrics,
-                    &mut scratch.lines,
-                    &scratch.addrs,
-                    base_cost,
-                )
+                let lat = &cfg.latency;
+                let segs = lat.segments_in(&scratch.addrs, &mut scratch.lines);
+                base_cost + lat.mem_segment * segs.saturating_sub(1)
             };
             if value.is_some() {
                 // Stores write through: cost like a load, but the
@@ -1657,68 +1465,38 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// Cost of a global access over the given cell addresses: coalescing
-    /// segments, filtered through the optional L1 cache cost model (the
-    /// cache serves no data — values always come from memory).
-    fn global_access_cost(
-        cfg: &SimConfig,
-        warp: &mut Warp,
-        metrics: &mut Metrics,
-        lines: &mut Vec<i64>,
-        addrs: &[i64],
-        base_cost: u32,
-    ) -> u32 {
-        let lat = &cfg.latency;
-        let Some(cache) = &cfg.cache else {
-            return base_cost + lat.mem_segment * lat.segments_in(addrs, lines).saturating_sub(1);
-        };
-        // Unique lines touched by the access.
-        let cells = cache.cells_per_line.max(1) as i64;
-        lines.clear();
-        lines.extend(addrs.iter().map(|a| a.div_euclid(cells)));
-        lines.sort_unstable();
-        lines.dedup();
-        let mut misses = 0u32;
-        for &line in lines.iter() {
-            let slot = (line.rem_euclid(cache.lines as i64)) as usize;
-            if warp.cache_tags[slot] == Some(line) {
-                metrics.cache_hits += 1;
-            } else {
-                warp.cache_tags[slot] = Some(line);
-                metrics.cache_misses += 1;
-                misses += 1;
-            }
-        }
-        if misses == 0 {
-            cache.hit_cost.max(1)
-        } else {
-            // Pay full latency once plus a segment penalty per extra
-            // missing line.
-            lat.mem_base + lat.mem_segment * (misses - 1)
-        }
-    }
-
-    /// Drops the lines covering `addrs` from every warp's cache (stores
-    /// and atomics write through).
+    /// Drops the lines covering `addrs` from every warp's tag state
+    /// (stores and atomics write through).
     fn invalidate_lines(cfg: &SimConfig, warps: &mut [Warp], addrs: &[i64]) {
         if let Some(hier) = &cfg.mem {
             for warp in warps.iter_mut() {
                 crate::mem::invalidate(hier, &mut warp.mem_tags, addrs);
             }
-            return;
-        }
-        let Some(cache) = &cfg.cache else { return };
-        let cells = cache.cells_per_line.max(1) as i64;
-        for warp in warps.iter_mut() {
-            for &a in addrs {
-                let line = a.div_euclid(cells);
-                let slot = (line.rem_euclid(cache.lines as i64)) as usize;
-                if warp.cache_tags[slot] == Some(line) {
-                    warp.cache_tags[slot] = None;
-                }
-            }
         }
     }
+}
+
+/// Stamps a control-plane transition with its cycle and warp and
+/// records it, if journaling is on.
+#[inline]
+fn journal_ctl(journal: &mut Option<Journal>, cycle: u64, warp: usize, e: CtlEvent) {
+    let Some(j) = journal else { return };
+    j.push(match e {
+        CtlEvent::Join { barrier, mask } => {
+            JournalEvent::BarrierJoin { cycle, warp, barrier, mask }
+        }
+        CtlEvent::Cancel { barrier, mask } => {
+            JournalEvent::BarrierCancel { cycle, warp, barrier, mask }
+        }
+        CtlEvent::Wait { barrier, mask } => {
+            JournalEvent::BarrierWait { cycle, warp, barrier, mask }
+        }
+        CtlEvent::Release { barrier, mask } => {
+            JournalEvent::BarrierRelease { cycle, warp, barrier, mask }
+        }
+        CtlEvent::SyncArrive { mask } => JournalEvent::SyncArrive { cycle, warp, mask },
+        CtlEvent::SyncRelease { mask } => JournalEvent::SyncRelease { cycle, warp, mask },
+    });
 }
 
 /// What went wrong inside a hot access loop, recorded so the error (and

@@ -57,7 +57,7 @@ pub mod trace;
 #[global_allocator]
 static COUNTING_ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
 
-pub use config::{CacheConfig, LatencyModel, ReconvergenceModel, SchedulerPolicy, SimConfig};
+pub use config::{LatencyModel, ReconvergenceModel, SchedulerPolicy, SimConfig};
 pub use decode::DecodedImage;
 pub use error::{BarrierState, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
 pub use exec::{run_image, run_image_with, CancelToken};

@@ -2,10 +2,10 @@
 //! over a DRAM segment model, with MSHR-style outstanding-miss
 //! tracking.
 //!
-//! Like the single-level [`CacheConfig`](crate::config::CacheConfig)
-//! model this replaces when enabled, the hierarchy never serves data —
-//! loads always read the real memory array, so kernel *results* are
-//! exact; the model only prices each global access. What it adds:
+//! This is the simulator's only cache model. The hierarchy never serves
+//! data — loads always read the real memory array, so kernel *results*
+//! are exact; the model only prices each global access, on top of the
+//! flat coalescing fold that applies when it is off:
 //!
 //! - **Levels.** An access dedups its cell addresses into L1 lines and
 //!   probes the L1 tag array; missing lines rebase to the next level's
@@ -32,12 +32,13 @@
 //! round's cycle, visiting warps in index order — so the shared MSHR
 //! file sees the identical access sequence in the reference walker,
 //! the decoded hot loop, and each slot of a sweep cohort, and the
-//! differential proptests keep passing. The degenerate constructors
-//! [`MemHierarchy::flat`] and [`MemHierarchy::l1`] reproduce the old
-//! flat-coalescing and single-level cache costs bit-exactly (pinned by
+//! differential proptests keep passing. The depth-0 constructor
+//! [`MemHierarchy::flat`] reproduces the hierarchy-off coalescing cost
+//! bit-exactly and [`MemHierarchy::l1`] is the single-level L1 cache
+//! (both pinned across all three engines by
 //! `crates/conformance/tests/hier_flat_differential.rs`).
 
-use crate::config::{CacheConfig, LatencyModel};
+use crate::config::LatencyModel;
 
 /// Maximum number of cache levels a hierarchy may configure (L1..L3);
 /// DRAM sits below the last configured level.
@@ -63,9 +64,7 @@ pub struct MemLevel {
 /// levels (innermost first) over a DRAM segment model.
 ///
 /// When [`SimConfig::mem`](crate::config::SimConfig::mem) is set it
-/// replaces both the flat coalescing fold and the legacy
-/// [`CacheConfig`](crate::config::CacheConfig) cost model (`cache` is
-/// ignored).
+/// replaces the flat coalescing fold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemHierarchy {
     /// Cache levels, L1 first. May be empty (DRAM only).
@@ -93,24 +92,19 @@ impl MemHierarchy {
         }
     }
 
-    /// The depth-1 degenerate case: one L1 level mirroring a legacy
-    /// [`CacheConfig`], DRAM costs from the flat model. Reproduces the
-    /// legacy cache cost (`hit_cost.max(1)` on all-hit, else
-    /// `mem_base + mem_segment * (misses - 1)`) bit-exactly as long as
-    /// `hit_cost <= mem_base` (true for every sensible config: a hit
-    /// is cheaper than a miss).
-    pub fn l1(cache: &CacheConfig, lat: &LatencyModel) -> Self {
+    /// The single-level cache: one direct-mapped per-warp L1 of `lines`
+    /// lines of `cells_per_line` cells over the flat model's DRAM costs.
+    /// An access whose lines all hit pays `hit_cost.max(1)`, otherwise
+    /// `mem_base + mem_segment * (misses - 1)` (as long as
+    /// `hit_cost <= mem_base`, true for every sensible config: a hit is
+    /// cheaper than a miss).
+    pub fn l1(lines: usize, cells_per_line: usize, hit_cost: u32, lat: &LatencyModel) -> Self {
+        let cells_per_line = cells_per_line.max(1);
         Self {
-            levels: vec![MemLevel {
-                lines: cache.lines,
-                cells_per_line: cache.cells_per_line.max(1),
-                latency: cache.hit_cost,
-                extra: 0,
-                mshrs: 0,
-            }],
+            levels: vec![MemLevel { lines, cells_per_line, latency: hit_cost, extra: 0, mshrs: 0 }],
             mem_latency: lat.mem_base,
             mem_extra: lat.mem_segment,
-            mem_cells_per_segment: cache.cells_per_line.max(1),
+            mem_cells_per_segment: cells_per_line,
         }
     }
 
@@ -259,44 +253,22 @@ impl MemStats {
     /// (e.g. a multi-seed eval response).
     #[must_use]
     pub fn saturating_add(&self, o: &Self) -> Self {
-        let mut r = *self;
-        for (l, ol) in r.levels.iter_mut().zip(o.levels.iter()) {
-            l.hits = l.hits.saturating_add(ol.hits);
-            l.misses = l.misses.saturating_add(ol.misses);
-            l.mshr_merges = l.mshr_merges.saturating_add(ol.mshr_merges);
-            l.mshr_stall_cycles = l.mshr_stall_cycles.saturating_add(ol.mshr_stall_cycles);
-        }
-        r.dram_accesses = r.dram_accesses.saturating_add(o.dram_accesses);
-        r.dram_segments = r.dram_segments.saturating_add(o.dram_segments);
-        r
+        self.combine(o, u64::saturating_add)
     }
 
-    /// Field-wise wrapping sum (the sweep engine's per-slot base
-    /// arithmetic).
-    pub(crate) fn wrapping_add(&self, o: &Self) -> Self {
+    /// Field-wise combination under `f` (the sweep engine's per-slot
+    /// base arithmetic passes `u64::wrapping_add` / `wrapping_sub`).
+    pub(crate) fn combine(&self, o: &Self, f: fn(u64, u64) -> u64) -> Self {
         let mut r = *self;
         for (l, ol) in r.levels.iter_mut().zip(o.levels.iter()) {
-            l.hits = l.hits.wrapping_add(ol.hits);
-            l.misses = l.misses.wrapping_add(ol.misses);
-            l.mshr_merges = l.mshr_merges.wrapping_add(ol.mshr_merges);
-            l.mshr_stall_cycles = l.mshr_stall_cycles.wrapping_add(ol.mshr_stall_cycles);
+            let MemLevelStats { hits, misses, mshr_merges, mshr_stall_cycles } = l;
+            *hits = f(*hits, ol.hits);
+            *misses = f(*misses, ol.misses);
+            *mshr_merges = f(*mshr_merges, ol.mshr_merges);
+            *mshr_stall_cycles = f(*mshr_stall_cycles, ol.mshr_stall_cycles);
         }
-        r.dram_accesses = r.dram_accesses.wrapping_add(o.dram_accesses);
-        r.dram_segments = r.dram_segments.wrapping_add(o.dram_segments);
-        r
-    }
-
-    /// Field-wise wrapping difference (`self - o`).
-    pub(crate) fn wrapping_sub(&self, o: &Self) -> Self {
-        let mut r = *self;
-        for (l, ol) in r.levels.iter_mut().zip(o.levels.iter()) {
-            l.hits = l.hits.wrapping_sub(ol.hits);
-            l.misses = l.misses.wrapping_sub(ol.misses);
-            l.mshr_merges = l.mshr_merges.wrapping_sub(ol.mshr_merges);
-            l.mshr_stall_cycles = l.mshr_stall_cycles.wrapping_sub(ol.mshr_stall_cycles);
-        }
-        r.dram_accesses = r.dram_accesses.wrapping_sub(o.dram_accesses);
-        r.dram_segments = r.dram_segments.wrapping_sub(o.dram_segments);
+        r.dram_accesses = f(r.dram_accesses, o.dram_accesses);
+        r.dram_segments = f(r.dram_segments, o.dram_segments);
         r
     }
 }
@@ -429,8 +401,7 @@ pub(crate) fn commit(
     let release = now + u64::from(out.cost);
     for (k, level) in hier.levels.iter().enumerate() {
         // Tag fills, in line order: a later miss colliding with an
-        // earlier one leaves the last line resident, mirroring the
-        // legacy model's in-order fill.
+        // earlier one leaves the last line resident.
         let cap = level.lines as i64;
         for &line in &scratch.missing[k] {
             tags.levels[k][line.rem_euclid(cap) as usize] = Some(line);
@@ -659,10 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn l1_matches_legacy_cache_costs() {
+    fn l1_prices_hits_and_misses() {
         let l = lat();
-        let cache = CacheConfig::default();
-        let h = MemHierarchy::l1(&cache, &l);
+        let hit_cost = 2;
+        let h = MemHierarchy::l1(64, 16, hit_cost, &l);
         let mut tags = MemTags::new(Some(&h));
         let mut mshrs = MemMshrs::new(Some(&h));
         let mut scratch = MemScratch::default();
@@ -673,7 +644,7 @@ mod tests {
         assert_eq!(out.levels[0].misses, 2);
         // Warm: all hit, cost is the clamped hit cost.
         let out = commit(&h, &mut tags, &mut mshrs, &mut scratch, &addrs, 10);
-        assert_eq!(out.cost, cache.hit_cost.max(1));
+        assert_eq!(out.cost, hit_cost);
         assert_eq!(out.levels[0].hits, 2);
         assert_eq!(out.dram_segments, 0);
     }

@@ -35,11 +35,10 @@ pub struct Metrics {
     pub stall_cycles: u64,
     /// Dynamic count of barrier operations executed (per-lane).
     pub barrier_ops: u64,
-    /// Cache-line hits (when the cache cost model is enabled; with a
-    /// memory hierarchy configured, mirrors the L1 level's hits).
+    /// L1 cache-line hits (mirrors `mem.levels[0].hits`; zero unless a
+    /// memory hierarchy is configured).
     pub cache_hits: u64,
-    /// Cache-line misses (when the cache cost model is enabled; with a
-    /// memory hierarchy configured, mirrors the L1 level's misses).
+    /// L1 cache-line misses (mirrors `mem.levels[0].misses`).
     pub cache_misses: u64,
     /// Per-level memory-hierarchy counters (hits, misses, MSHR merges
     /// and stall cycles per cache level, plus DRAM traffic). All zero
@@ -111,6 +110,53 @@ impl Metrics {
         let pw = &mut self.per_warp[warp];
         pw.0 += cost;
         pw.1 += active * cost;
+    }
+
+    /// Field-wise combination of two snapshots of one launch shape
+    /// under `f` — the sweep engine's per-slot base arithmetic
+    /// (`u64::wrapping_add` to apply a base, `u64::wrapping_sub` to take
+    /// one). `warp_width` is kept from `self`. The destructuring is
+    /// exhaustive on purpose: a field added to [`Metrics`] fails to
+    /// compile here until it is handled.
+    pub(crate) fn combine(&self, o: &Metrics, f: fn(u64, u64) -> u64) -> Metrics {
+        let Metrics {
+            cycles,
+            issues,
+            active_lane_sum,
+            issue_weight,
+            roi_issues,
+            roi_active_lane_sum,
+            stall_cycles,
+            barrier_ops,
+            cache_hits,
+            cache_misses,
+            mem,
+            recon,
+            lane_insts,
+            per_warp,
+            warp_width,
+        } = self;
+        Metrics {
+            cycles: f(*cycles, o.cycles),
+            issues: f(*issues, o.issues),
+            active_lane_sum: f(*active_lane_sum, o.active_lane_sum),
+            issue_weight: f(*issue_weight, o.issue_weight),
+            roi_issues: f(*roi_issues, o.roi_issues),
+            roi_active_lane_sum: f(*roi_active_lane_sum, o.roi_active_lane_sum),
+            stall_cycles: f(*stall_cycles, o.stall_cycles),
+            barrier_ops: f(*barrier_ops, o.barrier_ops),
+            cache_hits: f(*cache_hits, o.cache_hits),
+            cache_misses: f(*cache_misses, o.cache_misses),
+            mem: mem.combine(&o.mem, f),
+            recon: recon.combine(&o.recon, f),
+            lane_insts: f(*lane_insts, o.lane_insts),
+            per_warp: per_warp
+                .iter()
+                .zip(&o.per_warp)
+                .map(|(a, b)| (f(a.0, b.0), f(a.1, b.1)))
+                .collect(),
+            warp_width: *warp_width,
+        }
     }
 
     /// SIMT efficiency of one warp.

@@ -3,7 +3,8 @@
 //!
 //! The engine's default model ([`ReconvergenceModel::BarrierFile`]) needs
 //! nothing from this module — compiler-placed barrier ops drive
-//! reconvergence through `barrier.rs`. The two hardware models do:
+//! reconvergence through the control plane in `barrier.rs`. The two
+//! hardware models do:
 //!
 //! * [`ReconvergenceModel::IpdomStack`] consults an [`IpdomTable`] mapping
 //!   every conditional-branch pc to the flat pc where its arms reconverge —
@@ -52,29 +53,24 @@ impl ReconStats {
         *self == ReconStats::default()
     }
 
-    /// Componentwise wrapping sum (sweep metric bookkeeping).
+    /// Componentwise wrapping sum, for aggregating counters across runs.
     #[must_use]
     pub fn wrapping_add(&self, o: &ReconStats) -> ReconStats {
-        ReconStats {
-            stack_pushes: self.stack_pushes.wrapping_add(o.stack_pushes),
-            stack_pops: self.stack_pops.wrapping_add(o.stack_pops),
-            stack_max_depth: self.stack_max_depth.wrapping_add(o.stack_max_depth),
-            splits: self.splits.wrapping_add(o.splits),
-            fusions: self.fusions.wrapping_add(o.fusions),
-            deferrals: self.deferrals.wrapping_add(o.deferrals),
-        }
+        self.combine(o, u64::wrapping_add)
     }
 
-    /// Componentwise wrapping difference (sweep metric bookkeeping).
-    #[must_use]
-    pub fn wrapping_sub(&self, o: &ReconStats) -> ReconStats {
+    /// Componentwise combination under `f` (the sweep engine's per-slot
+    /// base arithmetic passes `u64::wrapping_add` / `wrapping_sub`).
+    pub(crate) fn combine(&self, o: &ReconStats, f: fn(u64, u64) -> u64) -> ReconStats {
+        let ReconStats { stack_pushes, stack_pops, stack_max_depth, splits, fusions, deferrals } =
+            *self;
         ReconStats {
-            stack_pushes: self.stack_pushes.wrapping_sub(o.stack_pushes),
-            stack_pops: self.stack_pops.wrapping_sub(o.stack_pops),
-            stack_max_depth: self.stack_max_depth.wrapping_sub(o.stack_max_depth),
-            splits: self.splits.wrapping_sub(o.splits),
-            fusions: self.fusions.wrapping_sub(o.fusions),
-            deferrals: self.deferrals.wrapping_sub(o.deferrals),
+            stack_pushes: f(stack_pushes, o.stack_pushes),
+            stack_pops: f(stack_pops, o.stack_pops),
+            stack_max_depth: f(stack_max_depth, o.stack_max_depth),
+            splits: f(splits, o.splits),
+            fusions: f(fusions, o.fusions),
+            deferrals: f(deferrals, o.deferrals),
         }
     }
 }

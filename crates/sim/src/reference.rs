@@ -89,9 +89,6 @@ struct Warp {
     rr_cursor: usize,
     /// Lanes of the group issued last (greedy scheduling state).
     last_lanes: u64,
-    /// Direct-mapped L1 tag array (line index -> cached line tag), when
-    /// the cache cost model is on.
-    cache_tags: Vec<Option<i64>>,
     /// Per-level tag arrays of the memory-hierarchy cost model, when
     /// [`SimConfig::mem`] is on (empty otherwise).
     mem_tags: crate::mem::MemTags,
@@ -181,7 +178,6 @@ pub fn run_reference(
             busy_until: 0,
             rr_cursor: 0,
             last_lanes: 0,
-            cache_tags: cfg.cache.as_ref().map(|c| vec![None; c.lines]).unwrap_or_default(),
             mem_tags: crate::mem::MemTags::new(cfg.mem.as_ref()),
             done: false,
         });
@@ -861,10 +857,9 @@ impl<'m> Machine<'m> {
     /// Drops exited lanes from every barrier and re-checks releases —
     /// the forward-progress rule. Batched over a mask so the releases
     /// (and their journal events) fire in the same order as the decoded
-    /// engine's [`Machine::on_exit_mask`](crate::exec::Machine): releases
-    /// are monotone in removed participants, so clearing the whole
-    /// cohort before one re-check pass releases exactly the barriers
-    /// that per-lane processing would.
+    /// engine's `WarpCtl::exit`: releases are monotone in removed
+    /// participants, so clearing the whole cohort before one re-check
+    /// pass releases exactly the barriers that per-lane processing would.
     fn on_exit_mask(&mut self, w: usize, mask: u64) {
         let nb = self.warps[w].masks.len();
         for b in 0..nb {
@@ -876,9 +871,10 @@ impl<'m> Machine<'m> {
         self.sync_release_check(w);
     }
 
-    /// Cost of a global access over the given cell addresses: coalescing
-    /// segments, filtered through the optional L1 cache cost model (the
-    /// cache serves no data — values always come from memory).
+    /// Cost of a global access over the given cell addresses: the
+    /// memory-hierarchy walk when one is configured, else the flat
+    /// coalescing fold (no model serves data — values always come from
+    /// memory).
     fn global_access_cost(&mut self, w: usize, addrs: &[i64], base_cost: u32) -> u32 {
         let cfg = self.cfg;
         let now = self.cycle;
@@ -895,54 +891,16 @@ impl<'m> Machine<'m> {
             *pending_mem = Some(out);
             return out.cost;
         }
-        let lat = &self.cfg.latency;
-        let Some(cache) = &self.cfg.cache else {
-            return base_cost + lat.mem_segment * lat.segments(addrs).saturating_sub(1);
-        };
-        // Unique lines touched by the access.
-        let cells = cache.cells_per_line.max(1) as i64;
-        let mut lines: Vec<i64> = addrs.iter().map(|a| a.div_euclid(cells)).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        let mut misses = 0u32;
-        let warp = &mut self.warps[w];
-        for &line in &lines {
-            let slot = (line.rem_euclid(cache.lines as i64)) as usize;
-            if warp.cache_tags[slot] == Some(line) {
-                self.metrics.cache_hits += 1;
-            } else {
-                warp.cache_tags[slot] = Some(line);
-                self.metrics.cache_misses += 1;
-                misses += 1;
-            }
-        }
-        if misses == 0 {
-            cache.hit_cost.max(1)
-        } else {
-            // Pay full latency once plus a segment penalty per extra
-            // missing line.
-            self.cfg.latency.mem_base + self.cfg.latency.mem_segment * (misses - 1)
-        }
+        let lat = &cfg.latency;
+        base_cost + lat.mem_segment * lat.segments(addrs).saturating_sub(1)
     }
 
-    /// Drops the lines covering `addrs` from every warp's cache (stores
-    /// and atomics write through).
+    /// Drops the lines covering `addrs` from every warp's tag state
+    /// (stores and atomics write through).
     fn invalidate_lines(&mut self, addrs: &[i64]) {
         if let Some(hier) = &self.cfg.mem {
             for warp in &mut self.warps {
                 crate::mem::invalidate(hier, &mut warp.mem_tags, addrs);
-            }
-            return;
-        }
-        let Some(cache) = &self.cfg.cache else { return };
-        let cells = cache.cells_per_line.max(1) as i64;
-        for warp in &mut self.warps {
-            for &a in addrs {
-                let line = a.div_euclid(cells);
-                let slot = (line.rem_euclid(cache.lines as i64)) as usize;
-                if warp.cache_tags[slot] == Some(line) {
-                    warp.cache_tags[slot] = None;
-                }
             }
         }
     }

@@ -7,11 +7,12 @@
 //! status masks, barrier registers, the scheduler's pick state, the
 //! clock) is stored **once per sub-cohort** and shared by every
 //! instance in it, while data state (register files, local memory, RNG
-//! streams, global memory, cache tags) is stored structure-of-arrays —
-//! flat columns indexed `[cell * nslots + slot]` with no per-instance
-//! pointers. One scheduling decision, one instruction decode, one cost
-//! lookup, and one metrics update then serve every instance of a
-//! sub-cohort; only the raw value compute is paid per `(lane, slot)`.
+//! streams, global memory, memory-hierarchy tags) is stored
+//! structure-of-arrays — flat columns indexed
+//! `[cell * nslots + slot]` with no per-instance pointers. One
+//! scheduling decision, one instruction decode, one cost lookup, and
+//! one metrics update then serve every instance of a sub-cohort; only
+//! the raw value compute is paid per `(lane, slot)`.
 //!
 //! # Fork, masked execution, merge
 //!
@@ -22,10 +23,11 @@
 //! - **branches**: per-slot taken masks are computed first; each class
 //!   of slots that disagrees with the largest group *forks* off as a
 //!   child sub-cohort before the branch applies;
-//! - **global accesses**: the coalescing/cache cost model makes the
-//!   issue cost (and cache-counter deltas) data-dependent, so per-slot
-//!   `(cost, hits, misses)` triples are computed without mutation and
-//!   each mismatching class forks with its pre-access state intact;
+//! - **global accesses**: the coalescing fold (or, when configured, the
+//!   memory-hierarchy walk) makes the issue cost and the hierarchy's
+//!   counters data-dependent, so each slot's cost (or whole walk
+//!   outcome) is computed without mutation and each mismatching class
+//!   forks with its pre-access state intact;
 //! - **faults**: a slot whose lane faults (OOB access, division by
 //!   zero) resolves to that seed's own `Err`, exactly as its scalar run
 //!   would.
@@ -50,13 +52,16 @@
 //! restoring full-width lockstep after reconvergent divergence. The
 //! control-plane comparison is sound because every sub-cohort
 //! schedules through the same pick path (see [`crate::sched`]): equal
-//! control planes pick identically forever after.
+//! control planes pick identically forever after — and both the
+//! cohort and the scalar engine drive one [`WarpCtl`], so there is one
+//! pick path and one set of barrier transitions to agree with.
 //!
-//! The old detach-to-scalar path survives only as a last-resort escape
-//! hatch: when a fork would exceed [`MAX_SUBCOHORTS`], the minority
-//! class detaches into ordinary scalar [`Machine`]s that step
-//! cycle-synchronously and may rejoin a sub-cohort whose control plane
-//! matches (the same comparison as a merge).
+//! When a fork would exceed [`MAX_SUBCOHORTS`], the minority class's
+//! slots are *set aside*: they leave the cohort, and once it drains each
+//! is re-run from cycle 0 as a standalone scalar launch of its seed —
+//! exact by construction, no state projected in either direction. The
+//! same counted loop serves configurations the cohort cannot run at all
+//! (the hardware reconvergence models).
 //!
 //! # Exactness
 //!
@@ -69,32 +74,30 @@
 //! with [`SimError::SweepUnsupported`] instead of emitting misstamped
 //! events.
 
+use crate::barrier::WarpCtl;
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
-use crate::error::{BarrierState, ReconDump, SimError, ThreadLocation};
-use crate::exec::{
-    is_warp_local, keeps_lockstep, run_image_with, CancelToken, Frame, Machine, Scratch, Status,
-    Thread, Warp, BATCH_LIMIT,
-};
+use crate::error::{ReconDump, SimError, ThreadLocation};
+use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, BATCH_LIMIT};
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::rng::SplitMix64;
-use crate::sched::{lanes, mask_runs, select_group_mask};
-use simt_ir::{BarrierId, BarrierOp, BinOp, MemSpace, Operand, RngKind, SpecialValue, Value};
+use crate::sched::{lanes, mask_runs};
+use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, RngKind, SpecialValue, Value};
 
 /// Width of one lockstep cohort: slots are tracked in a `u64` mask,
 /// mirroring the lane-mask machinery one level down.
 pub const COHORT_SLOTS: usize = 64;
 
 /// Cap on concurrently live sub-cohorts. Beyond it, a fork's minority
-/// class detaches to scalar machines instead: with divergence this
-/// pathological, the masked rounds' per-sub control overhead stops
-/// amortizing, and bounding the count keeps the merge scan O(cap²) in
-/// the worst round. The cap leaves headroom above the steady state for
-/// the fork/merge oscillation within one scheduling round: with `k`
-/// independently-diverging warps a sub-cohort can transiently split
-/// into `2^k` classes per branch level before the frontier merge scan
-/// folds the re-agreeing planes back together.
+/// class is set aside for standalone scalar re-runs instead: with
+/// divergence this pathological, the masked rounds' per-sub control
+/// overhead stops amortizing, and bounding the count keeps the merge
+/// scan O(cap²) in the worst round. The cap leaves headroom above the
+/// steady state for the fork/merge oscillation within one scheduling
+/// round: with `k` independently-diverging warps a sub-cohort can
+/// transiently split into `2^k` classes per branch level before the
+/// frontier merge scan folds the re-agreeing planes back together.
 pub const MAX_SUBCOHORTS: usize = 32;
 
 /// Number of buckets in [`SweepStats::occupancy_hist`]: widths 1, 2,
@@ -170,12 +173,12 @@ pub struct SweepStats {
     pub occupancy_hist: [u64; OCCUPANCY_BUCKETS],
     /// Most sub-cohorts ever live at once.
     pub peak_subcohorts: u32,
-    /// Times an instance left for scalar stepping (escape hatch: fork
-    /// past [`MAX_SUBCOHORTS`]).
+    /// Instances set aside for a standalone scalar re-run (a fork past
+    /// [`MAX_SUBCOHORTS`]).
     pub detaches: u64,
-    /// Times a detached instance's control realigned and it rejoined.
-    pub rejoins: u64,
-    /// Scheduling rounds stepped by detached scalar machines.
+    /// Scheduling rounds stepped by standalone scalar machines: the
+    /// set-aside instances' re-runs, and every round of a sweep under a
+    /// hardware reconvergence model.
     pub scalar_steps: u64,
 }
 
@@ -205,7 +208,6 @@ impl SweepStats {
         }
         self.peak_subcohorts = self.peak_subcohorts.max(other.peak_subcohorts);
         self.detaches += other.detaches;
-        self.rejoins += other.rejoins;
         self.scalar_steps += other.scalar_steps;
     }
 }
@@ -279,35 +281,49 @@ pub fn run_sweep_image(
         // Hardware reconvergence models (IPDOM stack, warp splitting)
         // schedule each machine's stack/splits independently, which
         // breaks the lockstep-slot invariant the cohort engine is
-        // built on. Fall back to one scalar machine per seed — exact
-        // by construction — accounting the rounds as scalar steps so
-        // the sweep counters show the fallback path was taken.
+        // built on. Fall back to one standalone scalar run per seed,
+        // its rounds counted as scalar steps so the sweep counters show
+        // the fallback path was taken.
         let mut runs = Vec::with_capacity(n as usize);
         let mut stats = SweepStats { instances: n as usize, ..SweepStats::default() };
         for seed in sweep.seed_lo..sweep.seed_hi {
-            let mut launch = sweep.base.clone();
-            launch.seed = seed;
-            let result = match Machine::new(image, cfg, &launch) {
-                Err(e) => Err(e),
-                Ok(mut m) => loop {
-                    if let Some(t) = cancel {
-                        if t.is_cancelled() {
-                            return Err(SimError::Cancelled { cycle: m.cycle });
-                        }
-                    }
-                    stats.scalar_steps += 1;
-                    match m.step() {
-                        Ok(false) => {}
-                        Ok(true) => break Ok(m.into_output()),
-                        Err(e) => break Err(e),
-                    }
-                },
-            };
+            let result = run_standalone(image, cfg, &sweep.base, seed, cancel, &mut stats)?;
             runs.push(SeedRun { seed, result });
         }
         return Ok(SweepOutput { runs, stats });
     }
     Cohort::new(image, cfg, sweep, n as usize)?.run(cancel)
+}
+
+/// Runs one seed of `base` as a standalone scalar launch — exact by
+/// construction — counting its scheduling rounds into
+/// [`SweepStats::scalar_steps`]. The outer error is cancellation, which
+/// fails the whole sweep; the inner result is the seed's own.
+fn run_standalone(
+    image: &DecodedImage,
+    cfg: &SimConfig,
+    base: &Launch,
+    seed: u64,
+    cancel: Option<&CancelToken>,
+    stats: &mut SweepStats,
+) -> Result<Result<SimOutput, SimError>, SimError> {
+    let mut launch = base.clone();
+    launch.seed = seed;
+    let mut m = match crate::exec::Machine::new(image, cfg, &launch) {
+        Ok(m) => m,
+        Err(e) => return Ok(Err(e)),
+    };
+    loop {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(SimError::Cancelled { cycle: m.cycle });
+        }
+        stats.scalar_steps += 1;
+        match m.step() {
+            Ok(false) => {}
+            Ok(true) => return Ok(Ok(m.into_output())),
+            Err(e) => return Ok(Err(e)),
+        }
+    }
 }
 
 /// [`run_sweep_image`] for callers that have not decoded the module
@@ -330,8 +346,8 @@ pub fn run_sweep(
 /// control, the register *values* inside the window are data.
 #[derive(Clone, Copy, Debug)]
 struct FrameMeta {
-    /// Saved pc; authoritative only while the frame is suspended,
-    /// exactly like [`Frame::pc`].
+    /// Saved pc; authoritative only while the frame is suspended (the
+    /// top frame's live pc is in [`WarpCtl::pcs`]).
     pc: usize,
     /// Caller registers receiving this frame's return values.
     ret_regs: PoolRange,
@@ -341,12 +357,11 @@ struct FrameMeta {
     len: usize,
 }
 
-/// One lane's *control* state, owned per sub-cohort: the frame
-/// structure and thread status every slot of the sub-cohort shares.
+/// One lane's frame structure, owned per sub-cohort and shared by
+/// every slot of it.
 #[derive(Clone, Debug)]
 struct CtlLane {
     frames: Vec<FrameMeta>,
-    status: Status,
     /// Arena high-water offset (== top frame's `base + len`).
     top: usize,
 }
@@ -457,38 +472,21 @@ impl DLane {
     }
 }
 
-/// One warp's control plane, owned per sub-cohort.
+/// One warp's control plane, owned per sub-cohort: the shared
+/// [`WarpCtl`] plus the frame structure of each lane.
 #[derive(Clone, Debug)]
 struct CWarp {
+    ctl: WarpCtl,
     lanes_c: Vec<CtlLane>,
-    /// Live pc of each lane's top frame (shared across the sub-cohort's
-    /// slots).
-    pcs: Vec<usize>,
-    /// Barrier participation masks.
-    masks: Vec<u64>,
-    lane_mask: u64,
-    runnable: u64,
-    waiting: u64,
-    at_sync: u64,
-    exited: u64,
-    busy_until: u64,
-    rr_cursor: usize,
-    last_lanes: u64,
-    done: bool,
 }
 
 /// One warp's data plane, shared by every sub-cohort.
 #[derive(Clone, Debug)]
 struct DWarp {
     lanes_d: Vec<DLane>,
-    /// Direct-mapped L1 tags, `[line_index * nslots + slot]` — cache
-    /// *contents* are per-slot data (global addresses diverge), only
-    /// the resulting cost/hit/miss triple must stay uniform within a
-    /// sub-cohort.
-    cache_tags: Vec<Option<i64>>,
     /// Memory-hierarchy tag state, one [`MemTags`](crate::mem) per
-    /// slot (empty unless [`SimConfig::mem`] is on). Like `cache_tags`,
-    /// tag *contents* are per-slot data; only the whole
+    /// slot (empty unless [`SimConfig::mem`] is on). Tag *contents* are
+    /// per-slot data (global addresses diverge); only the whole
     /// [`AccessOutcome`](crate::mem::AccessOutcome) must stay uniform
     /// within a sub-cohort.
     hier_tags: Vec<crate::mem::MemTags>,
@@ -511,10 +509,9 @@ struct SubCohort {
     warps: Vec<CWarp>,
 }
 
-/// What one issue needs to know to fork a child sub-cohort (or
-/// materialize a scalar machine) mid-round: which warp is issuing and
-/// its pre-pick scheduler fields (the pick already advanced them; the
-/// child must re-run the pick itself).
+/// What one issue needs to know to fork a child sub-cohort mid-round:
+/// which warp is issuing and its pre-pick scheduler fields (the pick
+/// already advanced them; the child must re-run the pick itself).
 #[derive(Clone, Copy)]
 struct IssueCtx {
     w: usize,
@@ -541,12 +538,14 @@ enum SlotFault {
 struct Cohort<'m> {
     image: &'m DecodedImage,
     cfg: &'m SimConfig,
-    /// Per-pc issue costs, shared by sub-cohorts and detached machines.
+    /// Per-pc issue costs, shared by every sub-cohort.
     costs: Vec<u32>,
     /// Cohort width (number of seed instances), fixed for the whole
     /// run: columns keep stride `nslots` even as slots fork and resolve.
     nslots: usize,
     seed_lo: u64,
+    /// The launch every instance shares (set-aside slots re-run it).
+    base: &'m Launch,
     /// Live sub-cohorts, unordered (the run loop picks min-clock).
     subs: Vec<SubCohort>,
     /// The shared data plane, one entry per warp.
@@ -557,34 +556,26 @@ struct Cohort<'m> {
     local_len: usize,
     /// Per-slot metrics deltas (wrapping) relative to the owning
     /// sub-cohort's accumulator: a slot's true metrics are
-    /// `sub.metrics + bases[slot]`. Zero until the slot's first
-    /// fork/merge/rejoin.
+    /// `sub.metrics + bases[slot]`. Zero until the slot's first merge.
     bases: Vec<Metrics>,
-    /// Detached scalar machines (escape hatch), stepped
-    /// cycle-synchronously.
-    detached: Vec<Option<Machine<'m>>>,
-    /// Slots with a machine in `detached` (hot-loop early-out).
-    detached_mask: u64,
+    /// Slots set aside by a fork past [`MAX_SUBCOHORTS`]: out of every
+    /// sub-cohort, re-run standalone once the cohort drains.
+    set_aside: u64,
     /// Final per-seed results, filled as instances resolve.
     results: Vec<Option<Result<SimOutput, SimError>>>,
     stats: SweepStats,
     // Reusable hot-loop buffers.
     groups: Vec<(usize, u64)>,
-    /// Pcs of the groups the last pick did *not* choose — the cohort
-    /// twin of [`Scratch::other_pcs`], consulted by the straight-line
-    /// batcher's merge guard (empty after a converged pick). Per-pick
-    /// scratch: every round's pick rewrites it before the batcher
-    /// reads it, so it is safely shared across sub-cohorts.
+    /// Pcs of the groups the last pick did *not* choose, consulted by
+    /// the straight-line batcher's merge guard (empty after a converged
+    /// pick). Per-pick scratch: every round's pick rewrites it before
+    /// the batcher reads it, so it is safely shared across sub-cohorts.
     other_pcs: Vec<usize>,
     /// Per-slot address staging for global accesses,
     /// `[slot * lanes_in_mask + idx]`.
     addr_buf: Vec<i64>,
-    /// Line/segment ids derived from one slot's addresses.
+    /// Segment ids derived from one slot's addresses.
     lines_buf: Vec<i64>,
-    /// Deduped cache lines of every slot of one access, concatenated
-    /// (indexed by per-slot spans); computed once in the cost phase and
-    /// reused for tag updates and write-through invalidation.
-    lines_all: Vec<i64>,
     /// Staged call arguments / return values, `[idx * nslots + slot]`.
     stage: Vec<Value>,
     /// Per-slot machine-wide MSHR files of the memory-hierarchy model
@@ -597,35 +588,21 @@ struct Cohort<'m> {
 }
 
 impl<'m> Cohort<'m> {
-    /// Validates the launch (identically to [`Machine::new`]) and
-    /// builds the initial SoA state for `nslots` instances: one root
-    /// sub-cohort owning every slot, over one shared data plane.
+    /// Validates the launch (through the same [`WarpCtl::for_launch`]
+    /// as the scalar engine) and builds the initial SoA state for
+    /// `nslots` instances: one root sub-cohort owning every slot, over
+    /// one shared data plane.
     fn new(
         image: &'m DecodedImage,
         cfg: &'m SimConfig,
-        sweep: &SweepLaunch,
+        sweep: &'m SweepLaunch,
         nslots: usize,
     ) -> Result<Cohort<'m>, SimError> {
         let launch = &sweep.base;
-        let kernel = image
-            .func_by_name(&launch.kernel)
-            .ok_or_else(|| SimError::NoSuchKernel(launch.kernel.clone()))?;
-        let kfunc = image.funcs[kernel.index()];
-        if launch.args.len() > kfunc.num_params as usize {
-            return Err(SimError::InvalidModule(format!(
-                "kernel @{} takes {} params, launch provides {}",
-                image.func_names[kernel.index()],
-                kfunc.num_params,
-                launch.args.len()
-            )));
-        }
-
+        let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
         let width = cfg.warp_width;
-        assert!(width <= 64, "warp width above 64 lanes is not supported");
-        let lane_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let num_regs = kfunc.num_regs as usize;
         let entry = kfunc.entry_pc as usize;
-        let cache_lines = cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
 
         let mut warps = Vec::with_capacity(launch.num_warps);
         let mut data = Vec::with_capacity(launch.num_warps);
@@ -647,7 +624,6 @@ impl<'m> Cohort<'m> {
                         base: 0,
                         len: num_regs,
                     }],
-                    status: Status::Runnable,
                     top: num_regs,
                 });
                 lanes_d.push(DLane {
@@ -658,23 +634,9 @@ impl<'m> Cohort<'m> {
                     local: vec![Value::default(); launch.local_mem_size * nslots],
                 });
             }
-            warps.push(CWarp {
-                lanes_c,
-                pcs: vec![entry; width],
-                masks: vec![0; image.num_barriers],
-                lane_mask,
-                runnable: lane_mask,
-                waiting: 0,
-                at_sync: 0,
-                exited: 0,
-                busy_until: 0,
-                rr_cursor: 0,
-                last_lanes: 0,
-                done: false,
-            });
+            warps.push(CWarp { ctl: ctl.clone(), lanes_c });
             data.push(DWarp {
                 lanes_d,
-                cache_tags: vec![None; cache_lines * nslots],
                 hier_tags: (0..nslots)
                     .map(|_| crate::mem::MemTags::new(cfg.mem.as_ref()))
                     .collect(),
@@ -695,6 +657,7 @@ impl<'m> Cohort<'m> {
             costs: image.resolve_costs(&cfg.latency),
             nslots,
             seed_lo: sweep.seed_lo,
+            base: launch,
             subs: vec![SubCohort {
                 slots,
                 cycle: 0,
@@ -706,24 +669,22 @@ impl<'m> Cohort<'m> {
             global_len: launch.global_mem.len(),
             local_len: launch.local_mem_size,
             bases: vec![Metrics::new(launch.num_warps, width); nslots],
-            detached: (0..nslots).map(|_| None).collect(),
-            detached_mask: 0,
+            set_aside: 0,
             results: vec![None; nslots],
             stats: SweepStats { instances: nslots, peak_subcohorts: 1, ..SweepStats::default() },
             groups: Vec::new(),
             other_pcs: Vec::new(),
             addr_buf: Vec::new(),
             lines_buf: Vec::new(),
-            lines_all: Vec::new(),
             stage: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
             mem_scratch: crate::mem::MemScratch::default(),
         })
     }
 
-    /// Drives every sub-cohort and detached machine to completion:
-    /// min-clock-first over the sub-cohorts, with merge and rejoin
-    /// checks at each visited round boundary.
+    /// Drives every sub-cohort to completion, min-clock-first with a
+    /// merge check at each visited round boundary, then re-runs the
+    /// set-aside slots standalone.
     fn run(mut self, cancel: Option<&CancelToken>) -> Result<SweepOutput, SimError> {
         while !self.subs.is_empty() {
             let t = self.subs.iter().map(|sc| sc.cycle).min().expect("subs non-empty");
@@ -732,12 +693,10 @@ impl<'m> Cohort<'m> {
                     return Err(SimError::Cancelled { cycle: t });
                 }
             }
-            // Reconvergence checks happen at the frontier cycle before
-            // anything at it executes: merge sub-cohorts whose control
-            // re-agreed, then catch detached machines up and rejoin any
-            // whose control realigned.
+            // The reconvergence check happens at the frontier cycle
+            // before anything at it executes: merge sub-cohorts whose
+            // control re-agreed.
             self.merge_at(t);
-            self.drive_detached(t);
             let si = self
                 .subs
                 .iter()
@@ -752,7 +711,11 @@ impl<'m> Cohort<'m> {
                 self.subs.push(sub);
             }
         }
-        self.finish_detached(cancel)?;
+        for s in lanes(self.set_aside) {
+            let seed = self.seed_lo.wrapping_add(s as u64);
+            let r = run_standalone(self.image, self.cfg, self.base, seed, cancel, &mut self.stats)?;
+            self.results[s] = Some(r);
+        }
         let runs = self
             .results
             .iter_mut()
@@ -809,9 +772,9 @@ impl<'m> Cohort<'m> {
             while j < self.subs.len() {
                 if self.subs[j].cycle == t && subs_match(&self.subs[i], &self.subs[j]) {
                     let b = self.subs.swap_remove(j);
-                    let d = metrics_delta(&b.metrics, &self.subs[i].metrics);
+                    let d = b.metrics.combine(&self.subs[i].metrics, u64::wrapping_sub);
                     for s in lanes(b.slots) {
-                        self.bases[s] = metrics_sum(&self.bases[s], &d);
+                        self.bases[s] = self.bases[s].combine(&d, u64::wrapping_add);
                     }
                     self.subs[i].slots |= b.slots;
                     self.stats.merges += 1;
@@ -824,43 +787,50 @@ impl<'m> Cohort<'m> {
     }
 
     /// One scheduling round of `sub` over its control plane — the
-    /// cohort mirror of [`Machine::step`], including the straight-line
-    /// batcher (batched and unbatched execution are equivalent in every
-    /// observable; the cohort batches so the per-round scheduling cost
-    /// it amortizes across slots matches the scalar baseline's).
+    /// cohort mirror of the scalar engine's `step`, including the
+    /// straight-line batcher (batched and unbatched execution are
+    /// equivalent in every observable; the cohort batches so the
+    /// per-round scheduling cost it amortizes across slots matches the
+    /// scalar baseline's).
     /// Returns `true` once every warp has finished.
     fn round(&mut self, sub: &mut SubCohort) -> bool {
         // `sub` is popped off `self.subs` while it runs, so a non-empty
-        // `subs` (or any detached machine) means the cohort is split.
-        let split = !self.subs.is_empty() || self.detached_mask != 0;
+        // `subs` means the cohort is split.
+        let split = !self.subs.is_empty();
         let mut next_ready = u64::MAX;
         let mut all_done = true;
         for w in 0..sub.warps.len() {
-            if sub.warps[w].done {
+            if sub.warps[w].ctl.done {
                 continue;
             }
             all_done = false;
-            if sub.warps[w].busy_until > sub.cycle {
-                next_ready = next_ready.min(sub.warps[w].busy_until);
+            if sub.warps[w].ctl.busy_until > sub.cycle {
+                next_ready = next_ready.min(sub.warps[w].ctl.busy_until);
                 continue;
             }
             let ctx = IssueCtx {
                 w,
-                pre_last_lanes: sub.warps[w].last_lanes,
-                pre_rr_cursor: sub.warps[w].rr_cursor,
-                pre_busy_until: sub.warps[w].busy_until,
+                pre_last_lanes: sub.warps[w].ctl.last_lanes,
+                pre_rr_cursor: sub.warps[w].ctl.rr_cursor,
+                pre_busy_until: sub.warps[w].ctl.busy_until,
             };
-            match self.pick_group_c(sub, w) {
+            let picked = sub.warps[w].ctl.pick_group(
+                self.cfg.scheduler,
+                u64::MAX,
+                &mut self.groups,
+                &mut self.other_pcs,
+            );
+            match picked {
                 Some((pc, mask)) => {
-                    sub.warps[w].last_lanes = mask;
+                    sub.warps[w].ctl.last_lanes = mask;
                     // Stall pressure samples before execution, exactly
                     // like the scalar engine's issue path.
-                    let waiting_lanes = sub.warps[w].waiting.count_ones();
+                    let waiting_lanes = sub.warps[w].ctl.waiting.count_ones();
                     let div0 = self.stats.forks + self.stats.detaches;
                     let cost = self.exec_c(sub, pc, mask, ctx);
                     if sub.slots == 0 {
-                        // Every instance of this sub-cohort forked,
-                        // detached, or faulted mid-round; its plane is
+                        // Every instance of this sub-cohort forked, was
+                        // set aside, or faulted mid-round; its plane is
                         // abandoned and the children replay from their
                         // own consistent snapshots.
                         return false;
@@ -870,7 +840,7 @@ impl<'m> Cohort<'m> {
                     self.note_issue(sub.slots.count_ones());
                     let mut busy = sub.cycle + u64::from(cost.max(1));
                     // Straight-line batching, mirroring the scalar
-                    // engine's run-ahead (see [`Machine::step`]): a
+                    // engine's run-ahead (see `step` in [`crate::exec`]): a
                     // group that is provably re-picked unchanged
                     // executes warp-local ops within this slot. The
                     // cohort never carries trace/journal (multi-
@@ -898,13 +868,13 @@ impl<'m> Cohort<'m> {
                     // equivalent to unbatched execution.
                     if self.stats.forks + self.stats.detaches == div0
                         && keeps_lockstep(&self.image.insts[pc])
-                        && (mask == sub.warps[w].runnable
+                        && (mask == sub.warps[w].ctl.runnable
                             || self.cfg.scheduler == SchedulerPolicy::Greedy)
                     {
                         let lead = mask.trailing_zeros() as usize;
                         let round_robin = self.cfg.scheduler == SchedulerPolicy::RoundRobin;
                         for _ in 0..BATCH_LIMIT {
-                            let npc = sub.warps[w].pcs[lead];
+                            let npc = sub.warps[w].ctl.pcs[lead];
                             let inst = &self.image.insts[npc];
                             let branch = matches!(inst, DecodedInst::Branch { .. });
                             if branch && split {
@@ -932,11 +902,11 @@ impl<'m> Cohort<'m> {
                             let bctx = IssueCtx {
                                 w,
                                 pre_last_lanes: mask,
-                                pre_rr_cursor: sub.warps[w].rr_cursor,
+                                pre_rr_cursor: sub.warps[w].ctl.rr_cursor,
                                 pre_busy_until: busy,
                             };
                             if round_robin {
-                                let rr = &mut sub.warps[w].rr_cursor;
+                                let rr = &mut sub.warps[w].ctl.rr_cursor;
                                 *rr = rr.wrapping_add(1);
                             }
                             let divb = self.stats.forks + self.stats.detaches;
@@ -959,8 +929,8 @@ impl<'m> Cohort<'m> {
                             }
                             if branch {
                                 let warp = &sub.warps[w];
-                                let tpc = warp.pcs[lead];
-                                if lanes(mask).any(|l| warp.pcs[l] != tpc) {
+                                let tpc = warp.ctl.pcs[lead];
+                                if lanes(mask).any(|l| warp.ctl.pcs[l] != tpc) {
                                     // The group split; the next round
                                     // re-groups exactly as unbatched
                                     // execution would here.
@@ -969,31 +939,23 @@ impl<'m> Cohort<'m> {
                             }
                         }
                     }
-                    sub.warps[w].busy_until = busy;
+                    sub.warps[w].ctl.busy_until = busy;
                     next_ready = next_ready.min(busy);
                 }
                 None => {
-                    let live_lanes = sub.warps[w].lane_mask & !sub.warps[w].exited;
-                    if live_lanes == 0 {
-                        sub.warps[w].done = true;
+                    let ctl = &sub.warps[w].ctl;
+                    if ctl.live() == 0 {
+                        sub.warps[w].ctl.done = true;
                     } else {
                         // Deadlock is a property of shared control:
                         // every live instance fails with the identical
                         // diagnostic its scalar run would build here.
-                        let waiting = lanes(live_lanes)
-                            .map(|l| {
-                                let b = match sub.warps[w].lanes_c[l].status {
-                                    Status::Waiting(b) => b,
-                                    _ => BarrierId(0),
-                                };
-                                (self.location_at(w, l, sub.warps[w].pcs[l]), b)
-                            })
-                            .collect();
-                        let barriers = Self::barrier_dump(&sub.warps[w]);
                         let e = SimError::Deadlock {
                             cycle: sub.cycle,
-                            waiting,
-                            barriers,
+                            waiting: lanes(ctl.live())
+                                .map(|l| (self.location_at(w, l, ctl.pcs[l]), ctl.blocked_on(l)))
+                                .collect(),
+                            barriers: ctl.barrier_dump(),
                             recon: ReconDump::BarrierFile,
                         };
                         self.resolve_all(sub, &e);
@@ -1021,7 +983,7 @@ impl<'m> Cohort<'m> {
     fn finalize_sub(&mut self, sub: &SubCohort) {
         let ns = self.nslots;
         for s in lanes(sub.slots) {
-            let mut metrics = metrics_sum(&sub.metrics, &self.bases[s]);
+            let mut metrics = sub.metrics.combine(&self.bases[s], u64::wrapping_add);
             metrics.cycles = sub.cycle;
             let global_mem = (0..self.global_len).map(|a| self.global[a * ns + s]).collect();
             self.results[s] = Some(Ok(SimOutput {
@@ -1033,140 +995,6 @@ impl<'m> Cohort<'m> {
             }));
         }
     }
-
-    /// Steps every detached machine up to the frontier cycle `t`,
-    /// resolving the ones that finish or fail, and rejoins any whose
-    /// control plane matches a sub-cohort's at this round boundary.
-    fn drive_detached(&mut self, t: u64) {
-        if self.detached_mask == 0 {
-            return;
-        }
-        for s in lanes(self.detached_mask) {
-            let Some(mut m) = self.detached[s].take() else { continue };
-            let mut finished = false;
-            let mut err = None;
-            while m.cycle < t {
-                self.stats.scalar_steps += 1;
-                match m.step() {
-                    Ok(false) => {}
-                    Ok(true) => {
-                        finished = true;
-                        break;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            if finished {
-                self.results[s] = Some(Ok(m.into_output()));
-                self.detached_mask &= !(1u64 << s);
-            } else if let Some(e) = err {
-                self.results[s] = Some(Err(e));
-                self.detached_mask &= !(1u64 << s);
-            } else if let Some(si) = self
-                .subs
-                .iter()
-                .position(|sc| sc.cycle == t && m.cycle == t && control_matches(sc, &m))
-            {
-                self.absorb(si, s, &m);
-                self.detached_mask &= !(1u64 << s);
-            } else {
-                self.detached[s] = Some(m);
-            }
-        }
-    }
-
-    /// Runs every remaining detached machine to completion (every
-    /// sub-cohort is finished; clock synchrony no longer matters).
-    fn finish_detached(&mut self, cancel: Option<&CancelToken>) -> Result<(), SimError> {
-        for s in 0..self.nslots {
-            let Some(mut m) = self.detached[s].take() else { continue };
-            let r = loop {
-                if let Some(t) = cancel {
-                    if t.is_cancelled() {
-                        return Err(SimError::Cancelled { cycle: m.cycle });
-                    }
-                }
-                self.stats.scalar_steps += 1;
-                match m.step() {
-                    Ok(false) => {}
-                    Ok(true) => break Ok(m.into_output()),
-                    Err(e) => break Err(e),
-                }
-            };
-            self.results[s] = Some(r);
-        }
-        Ok(())
-    }
-}
-
-/// Componentwise wrapping sum of two metrics snapshots (`per_warp`
-/// pairwise; `warp_width` copied from `a`).
-fn metrics_sum(a: &Metrics, b: &Metrics) -> Metrics {
-    let mut m = Metrics::new(a.per_warp.len(), a.warp_width);
-    m.cycles = a.cycles.wrapping_add(b.cycles);
-    m.issues = a.issues.wrapping_add(b.issues);
-    m.active_lane_sum = a.active_lane_sum.wrapping_add(b.active_lane_sum);
-    m.issue_weight = a.issue_weight.wrapping_add(b.issue_weight);
-    m.roi_issues = a.roi_issues.wrapping_add(b.roi_issues);
-    m.roi_active_lane_sum = a.roi_active_lane_sum.wrapping_add(b.roi_active_lane_sum);
-    m.stall_cycles = a.stall_cycles.wrapping_add(b.stall_cycles);
-    m.barrier_ops = a.barrier_ops.wrapping_add(b.barrier_ops);
-    m.cache_hits = a.cache_hits.wrapping_add(b.cache_hits);
-    m.cache_misses = a.cache_misses.wrapping_add(b.cache_misses);
-    m.mem = a.mem.wrapping_add(&b.mem);
-    m.recon = a.recon.wrapping_add(&b.recon);
-    m.lane_insts = a.lane_insts.wrapping_add(b.lane_insts);
-    for (i, slot) in m.per_warp.iter_mut().enumerate() {
-        slot.0 = a.per_warp[i].0.wrapping_add(b.per_warp[i].0);
-        slot.1 = a.per_warp[i].1.wrapping_add(b.per_warp[i].1);
-    }
-    m
-}
-
-/// Componentwise wrapping difference `a - b` (the per-slot base such
-/// that `b + base == a`).
-fn metrics_delta(a: &Metrics, b: &Metrics) -> Metrics {
-    let mut m = Metrics::new(a.per_warp.len(), a.warp_width);
-    m.cycles = a.cycles.wrapping_sub(b.cycles);
-    m.issues = a.issues.wrapping_sub(b.issues);
-    m.active_lane_sum = a.active_lane_sum.wrapping_sub(b.active_lane_sum);
-    m.issue_weight = a.issue_weight.wrapping_sub(b.issue_weight);
-    m.roi_issues = a.roi_issues.wrapping_sub(b.roi_issues);
-    m.roi_active_lane_sum = a.roi_active_lane_sum.wrapping_sub(b.roi_active_lane_sum);
-    m.stall_cycles = a.stall_cycles.wrapping_sub(b.stall_cycles);
-    m.barrier_ops = a.barrier_ops.wrapping_sub(b.barrier_ops);
-    m.cache_hits = a.cache_hits.wrapping_sub(b.cache_hits);
-    m.cache_misses = a.cache_misses.wrapping_sub(b.cache_misses);
-    m.mem = a.mem.wrapping_sub(&b.mem);
-    m.recon = a.recon.wrapping_sub(&b.recon);
-    m.lane_insts = a.lane_insts.wrapping_sub(b.lane_insts);
-    for (i, slot) in m.per_warp.iter_mut().enumerate() {
-        slot.0 = a.per_warp[i].0.wrapping_sub(b.per_warp[i].0);
-        slot.1 = a.per_warp[i].1.wrapping_sub(b.per_warp[i].1);
-    }
-    m
-}
-
-/// Appends the sorted, deduped cache-line ids covering `addrs` to
-/// `lines_out` and returns the span's start offset. Only the new tail is
-/// deduped — a whole-vec pass could merge the first line into an earlier
-/// span across the boundary.
-fn push_line_span(lines_out: &mut Vec<i64>, addrs: &[i64], cells: i64) -> usize {
-    let start = lines_out.len();
-    lines_out.extend(addrs.iter().map(|a| a.div_euclid(cells)));
-    lines_out[start..].sort_unstable();
-    let mut wr = start;
-    for rd in start..lines_out.len() {
-        if wr == start || lines_out[wr - 1] != lines_out[rd] {
-            lines_out[wr] = lines_out[rd];
-            wr += 1;
-        }
-    }
-    lines_out.truncate(wr);
-    start
 }
 
 /// Partitions live slots by a per-slot key: the largest class (ties
@@ -1200,152 +1028,32 @@ fn partition_classes<K: PartialEq + Copy>(live: u64, key: impl Fn(usize) -> K) -
     (winner, minorities)
 }
 
-/// Whether two sub-cohorts' control planes are equal — the merge test.
-///
-/// Compared: per warp — pcs, barrier masks, status masks, per-lane
-/// statuses, frame structure (depth, per-frame register count,
+/// Whether two sub-cohorts' control planes are equal — the merge test:
+/// per warp, [`WarpCtl`] equality (pcs, statuses and their masks,
+/// barrier registers, `busy_until`, `rr_cursor`, `last_lanes`, `done`)
+/// plus the frame shape (depth, per-frame register count,
 /// return-register spans, and the saved pc of *suspended* frames; the
 /// top frame's [`FrameMeta::pc`] is stale by design on both sides and
-/// never read), `busy_until`, `rr_cursor`, `last_lanes`, `done`. Frame
-/// arena offsets (`base`, `top`) are implied by the per-frame lengths
-/// (the arena is a bump allocator), so equal lengths mean both planes
-/// address the same columns.
+/// never read). Frame arena offsets (`base`, `top`) are implied by the
+/// per-frame lengths (the arena is a bump allocator), so equal lengths
+/// mean both planes address the same columns.
 fn subs_match(a: &SubCohort, b: &SubCohort) -> bool {
     a.warps.iter().zip(b.warps.iter()).all(|(aw, bw)| {
-        if aw.done != bw.done
-            || aw.busy_until != bw.busy_until
-            || aw.rr_cursor != bw.rr_cursor
-            || aw.last_lanes != bw.last_lanes
-            || aw.runnable != bw.runnable
-            || aw.waiting != bw.waiting
-            || aw.at_sync != bw.at_sync
-            || aw.exited != bw.exited
-            || aw.pcs != bw.pcs
-            || aw.masks != bw.masks
-        {
-            return false;
-        }
-        aw.lanes_c.iter().zip(bw.lanes_c.iter()).all(|(al, bl)| {
-            if al.status != bl.status || al.frames.len() != bl.frames.len() {
-                return false;
-            }
-            let top = al.frames.len() - 1;
-            al.frames.iter().zip(bl.frames.iter()).enumerate().all(|(i, (af, bf))| {
-                af.len == bf.len && af.ret_regs == bf.ret_regs && (i == top || af.pc == bf.pc)
+        aw.ctl == bw.ctl
+            && aw.lanes_c.iter().zip(bw.lanes_c.iter()).all(|(al, bl)| {
+                let top = al.frames.len() - 1;
+                al.frames.len() == bl.frames.len()
+                    && al.frames.iter().zip(bl.frames.iter()).enumerate().all(|(i, (af, bf))| {
+                        af.len == bf.len
+                            && af.ret_regs == bf.ret_regs
+                            && (i == top || af.pc == bf.pc)
+                    })
             })
-        })
     })
 }
 
-/// Whether a detached machine's control plane equals a sub-cohort's —
-/// the rejoin test, same comparison as [`subs_match`] against the
-/// scalar representation. Ignored: `pick_hint`/`other_pcs` (scheduling
-/// hints are provably behavior-neutral) and cache tags (per-slot data
-/// in the cohort).
-fn control_matches(sub: &SubCohort, m: &Machine<'_>) -> bool {
-    sub.warps.iter().zip(m.warps.iter()).all(|(cw, mw)| {
-        if cw.done != mw.done
-            || cw.busy_until != mw.busy_until
-            || cw.rr_cursor != mw.rr_cursor
-            || cw.last_lanes != mw.last_lanes
-            || cw.runnable != mw.runnable
-            || cw.waiting != mw.waiting
-            || cw.at_sync != mw.at_sync
-            || cw.exited != mw.exited
-            || cw.pcs != mw.pcs
-            || cw.masks != mw.masks
-        {
-            return false;
-        }
-        cw.lanes_c.iter().zip(mw.threads.iter()).all(|(cl, t)| {
-            if cl.status != t.status || cl.frames.len() != t.frames.len() {
-                return false;
-            }
-            let top = cl.frames.len() - 1;
-            cl.frames.iter().zip(t.frames.iter()).enumerate().all(|(i, (fm, f))| {
-                fm.len == f.regs.len() && fm.ret_regs == f.ret_regs && (i == top || fm.pc == f.pc)
-            })
-        })
-    })
-}
-
-// Scheduling, control, and diagnostics over a sub-cohort's plane —
-// mirrors of the scalar engine's methods, operating on `CWarp`.
+// Data-plane reads the scheduler needs, and diagnostics.
 impl Cohort<'_> {
-    /// Debug-only invariant, mirroring [`Machine`]'s `check_masks`.
-    #[cfg(debug_assertions)]
-    fn check_masks(cw: &CWarp, w: usize) {
-        let mut expect = (0u64, 0u64, 0u64, 0u64);
-        for (l, t) in cw.lanes_c.iter().enumerate() {
-            let bit = 1u64 << l;
-            match t.status {
-                Status::Runnable => expect.0 |= bit,
-                Status::Waiting(_) => expect.1 |= bit,
-                Status::WaitingSync => expect.2 |= bit,
-                Status::Exited => expect.3 |= bit,
-            }
-        }
-        assert_eq!(
-            (cw.runnable, cw.waiting, cw.at_sync, cw.exited),
-            expect,
-            "status masks out of sync with lane statuses in warp {w}"
-        );
-    }
-
-    /// Groups runnable lanes by pc and applies the scheduler policy —
-    /// the cohort twin of [`Machine`]'s `pick_group` (identical
-    /// converged fast path, group construction, and policy call, so
-    /// any control plane equal to this one — another sub-cohort's or a
-    /// scalar machine's — picks identically).
-    fn pick_group_c(&mut self, sub: &mut SubCohort, w: usize) -> Option<(usize, u64)> {
-        #[cfg(debug_assertions)]
-        Self::check_masks(&sub.warps[w], w);
-        let runnable = sub.warps[w].runnable;
-        if runnable == 0 {
-            return None;
-        }
-        let pcs = &sub.warps[w].pcs;
-        let mut it = lanes(runnable);
-        let first = it.next().expect("runnable mask is non-empty");
-        let pc0 = pcs[first];
-        let mut rest = runnable & (runnable - 1);
-        let mut converged = true;
-        for l in lanes(rest) {
-            if pcs[l] != pc0 {
-                converged = false;
-                rest &= !((1u64 << l) - 1);
-                break;
-            }
-        }
-        if converged {
-            self.other_pcs.clear();
-            if self.cfg.scheduler == SchedulerPolicy::RoundRobin {
-                let warp = &mut sub.warps[w];
-                warp.rr_cursor = warp.rr_cursor.wrapping_add(1);
-            }
-            return Some((pc0, runnable));
-        }
-        let groups = &mut self.groups;
-        groups.clear();
-        groups.push((pc0, runnable & !rest));
-        for l in lanes(rest) {
-            let pc = pcs[l];
-            match groups.iter().position(|&(p, _)| p >= pc) {
-                Some(i) if groups[i].0 == pc => groups[i].1 |= 1 << l,
-                Some(i) => groups.insert(i, (pc, 1 << l)),
-                None => groups.push((pc, 1 << l)),
-            }
-        }
-        let warp = &mut sub.warps[w];
-        let picked =
-            select_group_mask(self.cfg.scheduler, groups, warp.last_lanes, &mut warp.rr_cursor);
-        self.other_pcs.clear();
-        if let Some((pc, _)) = picked {
-            self.other_pcs.extend(groups.iter().map(|&(p, _)| p).filter(|&p| p != pc));
-        }
-        picked
-    }
-
     /// Whether executing `inst` over `mask` is guaranteed not to fault
     /// in *any* live slot of `sub` — the cohort twin of the scalar
     /// engine's `batch_fault_free`, widened across the seed axis. A
@@ -1390,296 +1098,39 @@ impl Cohort<'_> {
         ThreadLocation { warp, lane, func: o.func, block: o.block, inst: o.inst as usize }
     }
 
-    /// Barrier-register dump of one warp (deadlock diagnostics),
-    /// mirroring the scalar engine's.
-    fn barrier_dump(cw: &CWarp) -> Vec<BarrierState> {
-        let live = cw.lane_mask & !cw.exited;
-        let mut out = Vec::new();
-        for (i, &m) in cw.masks.iter().enumerate() {
-            let b = BarrierId::new(i);
-            let mut waiters = 0u64;
-            for l in lanes(cw.waiting) {
-                if cw.lanes_c[l].status == Status::Waiting(b) {
-                    waiters |= 1 << l;
-                }
-            }
-            let participants = m & live;
-            if participants != 0 || waiters != 0 {
-                out.push(BarrierState { barrier: b, participants, waiters });
-            }
-        }
-        out
-    }
-
-    /// Executes one barrier operation on a sub-cohort's control plane —
-    /// barrier semantics are pure control, so one execution serves the
-    /// whole sub-cohort (only `arrived` writes registers, broadcast to
-    /// every live slot).
-    fn exec_barrier_c(&mut self, sub: &mut SubCohort, w: usize, mask: u64, op: BarrierOp) {
-        match op {
-            BarrierOp::Join(b) | BarrierOp::Rejoin(b) => {
-                let warp = &mut sub.warps[w];
-                warp.masks[b.index()] |= mask;
-                for l in lanes(mask) {
-                    warp.pcs[l] += 1;
-                }
-            }
-            BarrierOp::Cancel(b) => {
-                let warp = &mut sub.warps[w];
-                warp.masks[b.index()] &= !mask;
-                for l in lanes(mask) {
-                    warp.pcs[l] += 1;
-                }
-                Self::release_check_c(warp, b);
-            }
-            BarrierOp::Copy { dst, src } => {
-                let warp = &mut sub.warps[w];
-                warp.masks[dst.index()] = warp.masks[src.index()];
-                for l in lanes(mask) {
-                    warp.pcs[l] += 1;
-                }
-                Self::release_check_c(warp, dst);
-            }
-            BarrierOp::ArrivedCount { dst, bar } => {
-                let ns = self.nslots;
-                let slots = sub.slots;
-                let cw = &mut sub.warps[w];
-                let dw = &mut self.data[w];
-                let n = cw.masks[bar.index()].count_ones() as i64;
-                for l in lanes(mask) {
-                    let base = cw.lanes_c[l].cur_base();
-                    let dl = &mut dw.lanes_d[l];
-                    for (lo, hi) in mask_runs(slots) {
-                        for s in lo..hi {
-                            dl.set(ns, base, dst.index(), s, Value::I64(n));
-                        }
-                    }
-                    cw.pcs[l] += 1;
-                }
-            }
-            BarrierOp::Wait(b) => {
-                let warp = &mut sub.warps[w];
-                for l in lanes(mask) {
-                    warp.lanes_c[l].status = Status::Waiting(b);
-                }
-                warp.runnable &= !mask;
-                warp.waiting |= mask;
-                Self::release_check_c(warp, b);
-            }
-        }
-    }
-
-    /// Releases the `__syncthreads` group once every live thread is at
-    /// one (control-plane twin of the scalar engine's check).
-    fn sync_release_check_c(warp: &mut CWarp) {
-        if warp.runnable != 0 || warp.waiting != 0 || warp.at_sync == 0 {
-            return;
-        }
-        let releasing = warp.at_sync;
-        for l in lanes(releasing) {
-            warp.lanes_c[l].status = Status::Runnable;
-            warp.pcs[l] += 1;
-        }
-        warp.at_sync = 0;
-        warp.runnable |= releasing;
-    }
-
-    /// Releases barrier `b` if every live participant is blocked on it.
-    fn release_check_c(warp: &mut CWarp, b: BarrierId) {
-        let mut waiting_b = 0u64;
-        for l in lanes(warp.waiting) {
-            if warp.lanes_c[l].status == Status::Waiting(b) {
-                waiting_b |= 1 << l;
-            }
-        }
-        if waiting_b == 0 {
-            return;
-        }
-        let live = warp.lane_mask & !warp.exited;
-        let participants = warp.masks[b.index()] & live;
-        if participants & !waiting_b == 0 {
-            warp.masks[b.index()] = 0;
-            for l in lanes(waiting_b) {
-                warp.lanes_c[l].status = Status::Runnable;
-                warp.pcs[l] += 1;
-            }
-            warp.waiting &= !waiting_b;
-            warp.runnable |= waiting_b;
-        }
-    }
-
-    /// Drops exited lanes from every barrier and re-checks releases.
-    fn on_exit_mask_c(warp: &mut CWarp, mask: u64) {
-        warp.runnable &= !mask;
-        warp.waiting &= !mask;
-        warp.at_sync &= !mask;
-        warp.exited |= mask;
-        let nb = warp.masks.len();
-        for b in 0..nb {
-            warp.masks[b] &= !mask;
-        }
-        for b in 0..nb {
-            Self::release_check_c(warp, BarrierId::new(b));
-        }
-        Self::sync_release_check_c(warp);
-    }
-}
-
-// Fork, detach, rejoin: control-plane duplication and the state
-// projection between the SoA plane and scalar machines.
-impl<'m> Cohort<'m> {
     /// Splits `class` off `sub` at a divergent issue: forks a child
-    /// sub-cohort when under the cap, else detaches to scalar machines
-    /// (the escape hatch). Called *before* the divergent instruction
-    /// mutates any state, so the child replays the in-progress round
-    /// from a consistent snapshot: warps earlier in warp order already
-    /// issued (their `busy_until` moved past this cycle), the issuing
-    /// warp's scheduler fields are restored to their pre-pick values
-    /// (`ctx`), and later warps are untouched — exactly the state an
-    /// independent run of those slots would be in when its round
-    /// reaches the issuing warp. The shared SoA data plane is untouched:
-    /// the child simply reads and writes it under its own slot mask.
+    /// sub-cohort when under the cap, else sets the slots aside for a
+    /// standalone scalar re-run once the cohort drains (their columns of
+    /// the data plane are simply never touched again). Called *before*
+    /// the divergent instruction mutates any state, so the child replays
+    /// the in-progress round from a consistent snapshot: warps earlier
+    /// in warp order already issued (their `busy_until` moved past this
+    /// cycle), the issuing warp's scheduler fields are restored to their
+    /// pre-pick values (`ctx`), and later warps are untouched — exactly
+    /// the state an independent run of those slots would be in when its
+    /// round reaches the issuing warp. The shared SoA data plane is
+    /// untouched: the child simply reads and writes it under its own
+    /// slot mask.
     fn split_off(&mut self, sub: &mut SubCohort, class: u64, ctx: IssueCtx) {
+        sub.slots &= !class;
         if self.subs.len() + 2 <= MAX_SUBCOHORTS {
             let mut warps = sub.warps.clone();
-            let cw = &mut warps[ctx.w];
-            cw.last_lanes = ctx.pre_last_lanes;
-            cw.rr_cursor = ctx.pre_rr_cursor;
-            cw.busy_until = ctx.pre_busy_until;
+            let ctl = &mut warps[ctx.w].ctl;
+            ctl.last_lanes = ctx.pre_last_lanes;
+            ctl.rr_cursor = ctx.pre_rr_cursor;
+            ctl.busy_until = ctx.pre_busy_until;
             self.subs.push(SubCohort {
                 slots: class,
                 cycle: sub.cycle,
                 metrics: sub.metrics.clone(),
                 warps,
             });
-            sub.slots &= !class;
             self.stats.forks += 1;
             self.stats.peak_subcohorts = self.stats.peak_subcohorts.max(self.subs.len() as u32 + 1);
         } else {
-            self.detach_slots(sub, class, ctx);
+            self.set_aside |= class;
+            self.stats.detaches += u64::from(class.count_ones());
         }
-    }
-
-    /// Detaches every slot in `mask` into scalar machines built from
-    /// their SoA columns (same pre-application snapshot argument as
-    /// [`Self::split_off`]).
-    fn detach_slots(&mut self, sub: &mut SubCohort, mask: u64, ctx: IssueCtx) {
-        for s in lanes(mask) {
-            let m = self.materialize(sub, s, ctx);
-            self.detached[s] = Some(m);
-            self.detached_mask |= 1u64 << s;
-            sub.slots &= !(1u64 << s);
-            self.stats.detaches += 1;
-        }
-    }
-
-    /// Projects slot `s`'s column of the SoA state under `sub`'s
-    /// control plane into a standalone scalar [`Machine`].
-    fn materialize(&self, sub: &SubCohort, s: usize, ctx: IssueCtx) -> Machine<'m> {
-        let ns = self.nslots;
-        let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
-        let warps = sub
-            .warps
-            .iter()
-            .zip(self.data.iter())
-            .enumerate()
-            .map(|(wi, (cw, dw))| {
-                let threads = cw
-                    .lanes_c
-                    .iter()
-                    .zip(dw.lanes_d.iter())
-                    .map(|(cl, dl)| Thread {
-                        frames: cl
-                            .frames
-                            .iter()
-                            .map(|fm| Frame {
-                                pc: fm.pc,
-                                regs: (0..fm.len)
-                                    .map(|r| dl.vals[(fm.base + r) * ns + s])
-                                    .collect(),
-                                ret_regs: fm.ret_regs,
-                            })
-                            .collect(),
-                        status: cl.status,
-                        rng: dl.rng[s],
-                        local: (0..self.local_len).map(|c| dl.local[c * ns + s]).collect(),
-                        spare: Vec::new(),
-                    })
-                    .collect();
-                Warp {
-                    threads,
-                    pcs: cw.pcs.clone(),
-                    masks: cw.masks.clone(),
-                    lane_mask: cw.lane_mask,
-                    runnable: cw.runnable,
-                    waiting: cw.waiting,
-                    at_sync: cw.at_sync,
-                    exited: cw.exited,
-                    busy_until: if wi == ctx.w { ctx.pre_busy_until } else { cw.busy_until },
-                    rr_cursor: if wi == ctx.w { ctx.pre_rr_cursor } else { cw.rr_cursor },
-                    last_lanes: if wi == ctx.w { ctx.pre_last_lanes } else { cw.last_lanes },
-                    pick_hint: None,
-                    other_pcs: Vec::new(),
-                    ipdom_stack: Vec::new(),
-                    splits: Vec::new(),
-                    cache_tags: (0..cache_lines).map(|ln| dw.cache_tags[ln * ns + s]).collect(),
-                    mem_tags: dw.hier_tags[s].clone(),
-                    done: cw.done,
-                }
-            })
-            .collect();
-        Machine {
-            image: self.image,
-            cfg: self.cfg,
-            costs: self.costs.clone(),
-            warps,
-            global: (0..self.global_len).map(|a| self.global[a * ns + s]).collect(),
-            metrics: metrics_sum(&sub.metrics, &self.bases[s]),
-            trace: None,
-            profile: None,
-            journal: None,
-            scratch: Scratch::default(),
-            mshrs: self.mshrs[s].clone(),
-            pending_mem: None,
-            ipdom: None,
-            pending_split: None,
-            cycle: sub.cycle,
-        }
-    }
-
-    /// Rejoins a detached machine whose control realigned with sub
-    /// `si`: copies its data plane back into slot `s`'s columns and
-    /// records the metrics delta it accumulated while away.
-    fn absorb(&mut self, si: usize, s: usize, m: &Machine<'_>) {
-        let ns = self.nslots;
-        let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
-        let Cohort { subs, bases, global, data, mshrs, .. } = self;
-        let sub = &mut subs[si];
-        bases[s] = metrics_delta(&m.metrics, &sub.metrics);
-        mshrs[s] = m.mshrs.clone();
-        for (a, v) in m.global.iter().enumerate() {
-            global[a * ns + s] = *v;
-        }
-        for ((cw, dw), mw) in sub.warps.iter().zip(data.iter_mut()).zip(m.warps.iter()) {
-            for ln in 0..cache_lines {
-                dw.cache_tags[ln * ns + s] = mw.cache_tags[ln];
-            }
-            dw.hier_tags[s] = mw.mem_tags.clone();
-            for ((cl, dl), t) in cw.lanes_c.iter().zip(dw.lanes_d.iter_mut()).zip(mw.threads.iter())
-            {
-                dl.rng[s] = t.rng;
-                for (c, v) in t.local.iter().enumerate() {
-                    dl.local[c * ns + s] = *v;
-                }
-                for (fm, f) in cl.frames.iter().zip(t.frames.iter()) {
-                    for (r, v) in f.regs.iter().enumerate() {
-                        dl.vals[(fm.base + r) * ns + s] = *v;
-                    }
-                }
-            }
-        }
-        sub.slots |= 1u64 << s;
-        self.stats.rejoins += 1;
     }
 }
 
@@ -1691,7 +1142,7 @@ impl Cohort<'_> {
     /// Executes one decoded instruction for the issued group across
     /// every slot of `sub`; returns the (uniform) issue cost. Slots
     /// whose data would make the issue non-uniform fork (or, past the
-    /// cap, detach) and faulting slots resolve to their own error
+    /// cap, are set aside) and faulting slots resolve to their own error
     /// inside the arm — callers re-check `sub.slots`.
     fn exec_c(&mut self, sub: &mut SubCohort, pc: usize, mask: u64, ctx: IssueCtx) -> u32 {
         let image = self.image;
@@ -1854,18 +1305,10 @@ impl Cohort<'_> {
                             dl.vals[drow + s] = v;
                         }
                     }
-                    cw.pcs[l] += 1;
+                    cw.ctl.pcs[l] += 1;
                 }
             }
-            DecodedInst::SyncThreads => {
-                let warp = &mut sub.warps[w];
-                for l in lanes(mask) {
-                    warp.lanes_c[l].status = Status::WaitingSync;
-                }
-                warp.runnable &= !mask;
-                warp.at_sync |= mask;
-                Self::sync_release_check_c(warp);
-            }
+            DecodedInst::SyncThreads => sub.warps[w].ctl.sync_arrive(mask, &mut |_| {}),
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous count — per slot, over the same
                 // issued mask.
@@ -1907,7 +1350,7 @@ impl Cohort<'_> {
                 let cw = &mut sub.warps[w];
                 let dw = &mut data[w];
                 for l in lanes(mask) {
-                    let ret_pc = cw.pcs[l] + 1;
+                    let ret_pc = cw.ctl.pcs[l] + 1;
                     let cl = &mut cw.lanes_c[l];
                     let dl = &mut dw.lanes_d[l];
                     let base = cl.cur_base();
@@ -1933,7 +1376,7 @@ impl Cohort<'_> {
                             }
                         }
                     }
-                    cw.pcs[l] = entry_pc as usize;
+                    cw.ctl.pcs[l] = entry_pc as usize;
                 }
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1945,19 +1388,24 @@ impl Cohort<'_> {
                 self.resolve_all(sub, &e);
             }
             DecodedInst::Barrier(op) => {
-                self.exec_barrier_c(sub, w, mask, op);
+                // Barrier semantics are pure control, so one execution
+                // serves the whole sub-cohort; only `arrived` writes
+                // registers, broadcast to every live slot.
+                if let BarrierOp::ArrivedCount { dst, bar } = op {
+                    let n = Value::I64(sub.warps[w].ctl.arrived(bar));
+                    self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
+                        dl.set(ns, base, dst.index(), s, n);
+                    });
+                } else {
+                    sub.warps[w].ctl.barrier(mask, op, &mut |_| {});
+                }
                 sub.metrics.barrier_ops += u64::from(mask.count_ones());
             }
-            DecodedInst::Skip => {
-                let warp = &mut sub.warps[w];
-                for l in lanes(mask) {
-                    warp.pcs[l] += 1;
-                }
-            }
+            DecodedInst::Skip => sub.warps[w].ctl.advance(mask),
             DecodedInst::Jump { target } => {
                 let warp = &mut sub.warps[w];
                 for l in lanes(mask) {
-                    warp.pcs[l] = target as usize;
+                    warp.ctl.pcs[l] = target as usize;
                 }
             }
             DecodedInst::Branch { cond, then_pc, else_pc } => {
@@ -1991,7 +1439,7 @@ impl Cohort<'_> {
                 let taken = takens[rep];
                 let cw = &mut sub.warps[w];
                 for l in lanes(mask) {
-                    cw.pcs[l] =
+                    cw.ctl.pcs[l] =
                         if taken & (1 << l) != 0 { then_pc as usize } else { else_pc as usize };
                 }
             }
@@ -2021,7 +1469,6 @@ impl Cohort<'_> {
                         if cl.frames.is_empty() {
                             // Returning from the kernel frame behaves as
                             // exit, like the scalar engine.
-                            cl.status = Status::Exited;
                             cl.top = fm.base + fm.len;
                             cl.frames.push(fm);
                             exited |= 1 << l;
@@ -2039,20 +1486,14 @@ impl Cohort<'_> {
                                 }
                             }
                         }
-                        cw.pcs[l] = cl.frames.last().expect("caller frame").pc;
+                        cw.ctl.pcs[l] = cl.frames.last().expect("caller frame").pc;
                     }
                 }
                 if exited != 0 {
-                    Self::on_exit_mask_c(&mut sub.warps[w], exited);
+                    sub.warps[w].ctl.exit(exited, &mut |_| {});
                 }
             }
-            DecodedInst::Exit => {
-                let warp = &mut sub.warps[w];
-                for l in lanes(mask) {
-                    warp.lanes_c[l].status = Status::Exited;
-                }
-                Self::on_exit_mask_c(warp, mask);
-            }
+            DecodedInst::Exit => sub.warps[w].ctl.exit(mask, &mut |_| {}),
         }
         cost
     }
@@ -2100,7 +1541,7 @@ impl Cohort<'_> {
                         }
                     }
                 }
-                cw.pcs[l] += 1;
+                cw.ctl.pcs[l] += 1;
             }
         }
         for (s, l, message) in faults {
@@ -2129,7 +1570,7 @@ impl Cohort<'_> {
                     f(dl, ns, base, s, l);
                 }
             }
-            cw.pcs[l] += 1;
+            cw.ctl.pcs[l] += 1;
         }
     }
 
@@ -2146,15 +1587,14 @@ impl Cohort<'_> {
     }
 
     /// Global load/store: the issue cost is data-dependent (coalescing
-    /// segments, cache hits), so it runs in three phases.
+    /// segments), so it runs in three phases.
     ///
     /// 1. Per slot, compute the lane addresses, the first fault (if
-    ///    any), and the `(cost, hits, misses)` triple — with **no**
-    ///    mutation, so a diverging slot's pre-access state is intact.
+    ///    any), and the cost — with **no** mutation, so a diverging
+    ///    slot's pre-access state is intact.
     /// 2. Resolve faulted slots to their own errors; partition the rest
-    ///    by triple and fork off the minority classes.
-    /// 3. Apply the access to the surviving slots (value movement,
-    ///    per-slot cache-tag updates, write-through invalidation) and
+    ///    by cost and fork off the minority classes.
+    /// 3. Apply the access to the surviving slots (value movement) and
     ///    return the now-uniform cost.
     #[allow(clippy::too_many_arguments)]
     fn access_global_c(
@@ -2175,12 +1615,11 @@ impl Cohort<'_> {
         let w = ctx.w;
         let k = mask.count_ones() as usize;
         let mut faults: Vec<(usize, SlotFault)> = Vec::new();
-        let mut triples = [(0u32, 0u64, 0u64); COHORT_SLOTS];
-        let mut spans = [(0u32, 0u32); COHORT_SLOTS];
+        let mut costs = [0u32; COHORT_SLOTS];
         {
             let glen = self.global_len;
             let slots = sub.slots;
-            let Cohort { data, addr_buf, lines_buf, lines_all, cfg, .. } = self;
+            let Cohort { data, addr_buf, lines_buf, cfg, .. } = self;
             let cw = &sub.warps[w];
             let dw = &data[w];
             addr_buf.clear();
@@ -2189,7 +1628,7 @@ impl Cohort<'_> {
             // per lane, out-of-range slots are flagged and attributed to
             // their first faulting lane below. Slot-uniform addresses
             // (seed-independent access streams — the common case) are
-            // detected on the fly to share the line dedup below.
+            // detected on the fly to share the segment fold below.
             let mut oob = 0u64;
             let mut uniform = true;
             let rep = if slots == 0 { 0 } else { slots.trailing_zeros() as usize };
@@ -2223,40 +1662,20 @@ impl Cohort<'_> {
                     SlotFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
                 ));
             }
-            lines_all.clear();
+            let lat = &cfg.latency;
+            let mut cost_of = |s: usize| {
+                let segs = lat.segments_in(&addr_buf[s * k..(s + 1) * k], lines_buf);
+                base_cost + lat.mem_segment * segs.saturating_sub(1)
+            };
             if uniform && oob == 0 && slots != 0 {
-                // Every slot touches the same cells: dedup the line set
-                // once and share the span; only the per-slot tag lookups
-                // (histories may differ after forks and rejoins) stay
-                // per slot.
-                let addrs = &addr_buf[rep * k..(rep + 1) * k];
-                match &cfg.cache {
-                    None => {
-                        let segs = cfg.latency.segments_in(addrs, lines_buf);
-                        let t =
-                            (base_cost + cfg.latency.mem_segment * segs.saturating_sub(1), 0, 0);
-                        for s in lanes(slots) {
-                            triples[s] = t;
-                        }
-                    }
-                    Some(cache) => {
-                        let cells = cache.cells_per_line.max(1) as i64;
-                        let start = push_line_span(lines_all, addrs, cells);
-                        let span = (start as u32, (lines_all.len() - start) as u32);
-                        for s in lanes(slots) {
-                            triples[s] =
-                                Self::overlay_triple(cfg, cache, dw, ns, s, &lines_all[start..]);
-                            spans[s] = span;
-                        }
-                    }
+                // Every slot touches the same cells: fold once.
+                let c = cost_of(rep);
+                for s in lanes(slots) {
+                    costs[s] = c;
                 }
             } else {
                 for s in lanes(slots & !oob) {
-                    let addrs = &addr_buf[s * k..(s + 1) * k];
-                    let start = lines_all.len();
-                    triples[s] =
-                        Self::cost_triple(cfg, dw, ns, s, addrs, lines_buf, lines_all, base_cost);
-                    spans[s] = (start as u32, (lines_all.len() - start) as u32);
+                    costs[s] = cost_of(s);
                 }
             }
         }
@@ -2267,15 +1686,13 @@ impl Cohort<'_> {
         if sub.slots == 0 {
             return base_cost;
         }
-        let (_winner, minorities) = partition_classes(sub.slots, |s| triples[s]);
+        let (_winner, minorities) = partition_classes(sub.slots, |s| costs[s]);
         for class in minorities {
             self.split_off(sub, class, ctx);
         }
         let winners = sub.slots;
-        let (cost, hits, misses) = triples[winners.trailing_zeros() as usize];
         {
-            let cfg = self.cfg;
-            let Cohort { data, addr_buf, lines_all, global, .. } = self;
+            let Cohort { data, addr_buf, global, .. } = self;
             let cw = &mut sub.warps[w];
             let dw = &mut data[w];
             for (idx, l) in lanes(mask).enumerate() {
@@ -2298,29 +1715,10 @@ impl Cohort<'_> {
                         }
                     }
                 }
-                cw.pcs[l] += 1;
-            }
-            // Per-slot tag updates over the deduped lines staged in the
-            // cost phase: setting each line's tag in order reproduces
-            // the scalar fill exactly (hits are no-op writes; colliding
-            // lines leave the last one resident).
-            if let Some(cache) = &cfg.cache {
-                let nl = cache.lines as i64;
-                for s in lanes(winners) {
-                    let (start, len) = spans[s];
-                    for &line in &lines_all[start as usize..(start + len) as usize] {
-                        let slot = line.rem_euclid(nl) as usize;
-                        dw.cache_tags[slot * ns + s] = Some(line);
-                    }
-                }
+                cw.ctl.pcs[l] += 1;
             }
         }
-        if value.is_some() {
-            self.invalidate_spans(winners, &spans);
-        }
-        sub.metrics.cache_hits += hits;
-        sub.metrics.cache_misses += misses;
-        cost
+        costs[winners.trailing_zeros() as usize]
     }
 
     /// [`Self::access_global_c`] under the memory-hierarchy cost model:
@@ -2389,7 +1787,7 @@ impl Cohort<'_> {
                 ));
             }
             // Cost phase: pure probes, per slot (tag and MSHR histories
-            // diverge after forks and rejoins even when addresses agree).
+            // diverge after forks even when addresses agree).
             for s in lanes(slots & !oob) {
                 let addrs = &addr_buf[s * k..(s + 1) * k];
                 outs[s] =
@@ -2434,7 +1832,7 @@ impl Cohort<'_> {
                         }
                     }
                 }
-                cw.pcs[l] += 1;
+                cw.ctl.pcs[l] += 1;
             }
             // Apply phase: commit tag fills and MSHR bookkeeping per
             // winner slot.
@@ -2452,16 +1850,7 @@ impl Cohort<'_> {
             }
         }
         if value.is_some() {
-            // Write-through invalidation: drop the touched lines from
-            // every warp's tag state of each winner slot.
-            let Cohort { data, addr_buf, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("hier access without mem configured");
-            for s in lanes(winners) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                for dw in data.iter_mut() {
-                    crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
-                }
-            }
+            self.invalidate_lines_c(winners, k);
         }
         sub.metrics.mem.record(&out);
         sub.metrics.cache_hits += u64::from(out.levels[0].hits);
@@ -2469,126 +1858,16 @@ impl Cohort<'_> {
         out.cost
     }
 
-    /// One slot's `(cost, cache hits, cache misses)` for a global
-    /// access, computed without touching the tag array. An overlay of
-    /// would-be tag writes models intra-access evictions (an earlier
-    /// missing line can evict the line a later one would have hit).
-    ///
-    /// With a cache configured, the slot's deduped line set is appended
-    /// to `lines_out` so the apply phase can replay tag updates and
-    /// write-through invalidation without recomputing it.
-    #[allow(clippy::too_many_arguments)]
-    fn cost_triple(
-        cfg: &SimConfig,
-        dw: &DWarp,
-        ns: usize,
-        s: usize,
-        addrs: &[i64],
-        seg_scratch: &mut Vec<i64>,
-        lines_out: &mut Vec<i64>,
-        base_cost: u32,
-    ) -> (u32, u64, u64) {
-        let lat = &cfg.latency;
-        let Some(cache) = &cfg.cache else {
-            let segs = lat.segments_in(addrs, seg_scratch);
-            return (base_cost + lat.mem_segment * segs.saturating_sub(1), 0, 0);
-        };
-        let cells = cache.cells_per_line.max(1) as i64;
-        let start = push_line_span(lines_out, addrs, cells);
-        Self::overlay_triple(cfg, cache, dw, ns, s, &lines_out[start..])
-    }
-
-    /// The overlay walk of [`Self::cost_triple`] over an already-deduped
-    /// line set: one slot's `(cost, hits, misses)` against its tag
-    /// column, without mutating the tags.
-    fn overlay_triple(
-        cfg: &SimConfig,
-        cache: &crate::config::CacheConfig,
-        dw: &DWarp,
-        ns: usize,
-        s: usize,
-        lines: &[i64],
-    ) -> (u32, u64, u64) {
-        let lat = &cfg.latency;
-        let mut overlay = [(0usize, 0i64); COHORT_SLOTS];
-        let mut overlay_n = 0usize;
-        let mut hits = 0u64;
-        let mut misses = 0u32;
-        for &line in lines {
-            let slot = line.rem_euclid(cache.lines as i64) as usize;
-            let tag = overlay[..overlay_n]
-                .iter()
-                .rev()
-                .find(|&&(sl, _)| sl == slot)
-                .map(|&(_, ln)| Some(ln))
-                .unwrap_or(dw.cache_tags[slot * ns + s]);
-            if tag == Some(line) {
-                hits += 1;
-            } else {
-                overlay[overlay_n] = (slot, line);
-                overlay_n += 1;
-                misses += 1;
-            }
-        }
-        let cost = if misses == 0 {
-            cache.hit_cost.max(1)
-        } else {
-            lat.mem_base + lat.mem_segment * (misses - 1)
-        };
-        (cost, hits, u64::from(misses))
-    }
-
-    /// Write-through invalidation over the deduped line spans staged by
-    /// the cost phase: drops each slot's touched lines from that slot's
-    /// tag column in **every** warp.
-    fn invalidate_spans(&mut self, slots: u64, spans: &[(u32, u32); COHORT_SLOTS]) {
-        let Some(cache) = &self.cfg.cache else { return };
-        let nl = cache.lines as i64;
-        let ns = self.nslots;
-        let Cohort { data, lines_all, .. } = self;
-        for s in lanes(slots) {
-            let (start, len) = spans[s];
-            for &line in &lines_all[start as usize..(start + len) as usize] {
-                let slot = line.rem_euclid(nl) as usize;
-                for dw in data.iter_mut() {
-                    if dw.cache_tags[slot * ns + s] == Some(line) {
-                        dw.cache_tags[slot * ns + s] = None;
-                    }
-                }
-            }
-        }
-    }
-
     /// Write-through invalidation: drops the lines covering each slot's
     /// staged addresses (`addr_buf`, `k` per slot) from that slot's tag
-    /// column in **every** warp (the atomics path, which has no staged
-    /// line spans).
+    /// state in **every** warp.
     fn invalidate_lines_c(&mut self, slots: u64, k: usize) {
-        if self.cfg.mem.is_some() {
-            let Cohort { data, addr_buf, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("checked above");
-            for s in lanes(slots) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                for dw in data.iter_mut() {
-                    crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
-                }
-            }
-            return;
-        }
-        let Some(cache) = &self.cfg.cache else { return };
-        let cells = cache.cells_per_line.max(1) as i64;
-        let nl = cache.lines as i64;
-        let ns = self.nslots;
-        let Cohort { data, addr_buf, .. } = self;
+        let Cohort { data, addr_buf, cfg, .. } = self;
+        let Some(hier) = &cfg.mem else { return };
         for s in lanes(slots) {
-            for idx in 0..k {
-                let line = addr_buf[s * k + idx].div_euclid(cells);
-                let slot = line.rem_euclid(nl) as usize;
-                for dw in data.iter_mut() {
-                    if dw.cache_tags[slot * ns + s] == Some(line) {
-                        dw.cache_tags[slot * ns + s] = None;
-                    }
-                }
+            let addrs = &addr_buf[s * k..(s + 1) * k];
+            for dw in data.iter_mut() {
+                crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
             }
         }
     }
@@ -2637,7 +1916,7 @@ impl Cohort<'_> {
                         dl.vals[dr + s] = dl.local[cell];
                     }
                 }
-                cw.pcs[l] += 1;
+                cw.ctl.pcs[l] += 1;
             }
         }
         for (s, f) in faults {
@@ -2705,7 +1984,7 @@ impl Cohort<'_> {
                 }
             }
             for l in lanes(mask) {
-                cw.pcs[l] += 1;
+                cw.ctl.pcs[l] += 1;
             }
         }
         // Faulted slots' runs discard all state, so only the survivors'
@@ -2721,7 +2000,8 @@ impl Cohort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheConfig;
+    use crate::config::LatencyModel;
+    use crate::mem::MemHierarchy;
     use simt_ir::parse_and_link;
 
     /// Slot-uniform control: every seed takes the same path (branches key
@@ -2795,7 +2075,7 @@ bb3:
     /// seed — far more classes than [`MAX_SUBCOHORTS`], driving the
     /// scalar escape hatch alongside forking. The two arms are
     /// cost-symmetric and reconverge through a barrier wait, so forked
-    /// sub-cohorts merge and detached instances rejoin.
+    /// sub-cohorts merge.
     const LANE_DIVERGE_KERNEL: &str = "\
 kernel @k(params=0, regs=8, barriers=1, entry=bb0) {
 bb0:
@@ -2934,6 +2214,11 @@ bb0:
         out.stats
     }
 
+    /// The single-level L1 the cache cases price against.
+    fn l1() -> MemHierarchy {
+        MemHierarchy::l1(64, 16, 2, &LatencyModel::default())
+    }
+
     fn all_policies() -> [SchedulerPolicy; 5] {
         [
             SchedulerPolicy::Greedy,
@@ -3006,11 +2291,7 @@ bb0:
     #[test]
     fn lockstep_sweep_is_bit_identical_across_policies() {
         for policy in all_policies() {
-            let cfg = SimConfig {
-                scheduler: policy,
-                cache: Some(CacheConfig::default()),
-                ..SimConfig::default()
-            };
+            let cfg = SimConfig { scheduler: policy, mem: Some(l1()), ..SimConfig::default() };
             let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(12)]), 100, 116);
             let stats = assert_matches_scalar(LOCKSTEP_KERNEL, &cfg, &sweep);
             assert!(stats.lockstep_issues > 0, "{policy:?}: cohort never issued");
@@ -3047,10 +2328,7 @@ bb0:
             let sweep = SweepLaunch::new(launch("k", 2, 64, vec![]), 0, 24);
             let stats = assert_matches_scalar(LANE_DIVERGE_KERNEL, &cfg, &sweep);
             assert!(stats.forks > 0, "{policy:?}: taken masks differ per seed: {stats:?}");
-            assert!(
-                stats.merges + stats.rejoins > 0,
-                "{policy:?}: barrier reconvergence realigns: {stats:?}"
-            );
+            assert!(stats.merges > 0, "{policy:?}: barrier reconvergence realigns: {stats:?}");
         }
     }
 
@@ -3078,17 +2356,38 @@ bb0:
     fn class_explosion_past_the_cap_takes_the_scalar_escape_hatch() {
         // 48 seeds × per-lane random taken masks ≈ 48 distinct classes
         // at one branch: far more than MAX_SUBCOHORTS, so the engine
-        // must fork up to the cap and detach the rest — and still be
-        // bit-identical.
+        // must fork up to the cap and set the rest aside for standalone
+        // re-runs — and still be bit-identical, under every policy, with
+        // and without per-slot hierarchy state (tags, MSHR files) that
+        // the set-aside slots leave behind in the data plane.
+        let hier = MemHierarchy::parse(
+            "l1:lines=4,cells=16,lat=2,mshrs=2;dram:lat=24,extra=2",
+            &LatencyModel::default(),
+        )
+        .unwrap();
         let sweep = SweepLaunch::new(launch("k", 2, 64, vec![]), 0, 48);
-        let stats = assert_matches_scalar(LANE_DIVERGE_KERNEL, &SimConfig::default(), &sweep);
-        assert!(stats.forks > 0, "{stats:?}");
-        assert!(stats.detaches > 0, "class count exceeds the cap: {stats:?}");
-        assert!(stats.scalar_steps > 0, "{stats:?}");
-        assert!(
-            stats.peak_subcohorts as usize <= MAX_SUBCOHORTS,
-            "the cap bounds live sub-cohorts: {stats:?}"
-        );
+        for policy in all_policies() {
+            for mem in [None, Some(hier.clone())] {
+                let cfg = SimConfig { scheduler: policy, mem, ..SimConfig::default() };
+                let stats = assert_matches_scalar(LANE_DIVERGE_KERNEL, &cfg, &sweep);
+                assert!(stats.forks > 0, "{cfg:?}: {stats:?}");
+                assert!(stats.detaches > 0, "{cfg:?}: class count exceeds the cap: {stats:?}");
+                assert!(stats.scalar_steps > 0, "{cfg:?}: {stats:?}");
+                assert!(
+                    stats.peak_subcohorts as usize <= MAX_SUBCOHORTS,
+                    "{cfg:?}: the cap bounds live sub-cohorts: {stats:?}"
+                );
+            }
+        }
+        // The standalone re-run polls the token every round: a set-aside
+        // seed cancelled mid-drain fails the whole sweep.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let image = DecodedImage::decode(&parse_and_link(LANE_DIVERGE_KERNEL).unwrap());
+        let cfg = SimConfig::default();
+        let mut stats = SweepStats::default();
+        let err = run_standalone(&image, &cfg, &sweep.base, 7, Some(&cancel), &mut stats);
+        assert!(matches!(err, Err(SimError::Cancelled { .. })), "{err:?}");
     }
 
     #[test]
@@ -3127,7 +2426,7 @@ bb0:
 
     #[test]
     fn faulting_sweep_matches_scalar_with_cache() {
-        let cfg = SimConfig { cache: Some(CacheConfig::default()), ..SimConfig::default() };
+        let cfg = SimConfig { mem: Some(l1()), ..SimConfig::default() };
         let sweep = SweepLaunch::new(launch("k", 1, 32, vec![]), 40, 60);
         assert_matches_scalar(FAULTY_KERNEL, &cfg, &sweep);
     }

@@ -5,7 +5,7 @@ mod common;
 
 use common::cfg_with_cache;
 use simt_ir::{parse_and_link, Value};
-use simt_sim::{run, CacheConfig, Launch, SimConfig};
+use simt_sim::{run, LatencyModel, Launch, MemHierarchy, SimConfig};
 
 #[test]
 fn repeated_loads_hit_and_get_cheaper() {
@@ -53,8 +53,8 @@ fn values_are_unaffected_by_the_cache() {
 fn conflicting_lines_evict() {
     // Two addresses mapping to the same direct-mapped slot, alternated:
     // every access misses.
-    let cache = CacheConfig { lines: 4, cells_per_line: 16, hit_cost: 2 };
-    let cfg = SimConfig { cache: Some(cache), ..SimConfig::default() };
+    let l1 = MemHierarchy::l1(4, 16, 2, &LatencyModel::default());
+    let cfg = SimConfig { mem: Some(l1), ..SimConfig::default() };
     // line(0)=0 -> slot 0; line(64*16=1024)=64 -> slot 0 as well (64 % 4 == 0).
     let m = parse_and_link(
         "kernel @k(params=0, regs=4, barriers=0, entry=bb0) {\n\

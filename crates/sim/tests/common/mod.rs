@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, Module, Value};
-use simt_sim::{CacheConfig, Launch, SchedulerPolicy, SimConfig};
+use simt_sim::{LatencyModel, Launch, MemHierarchy, SchedulerPolicy, SimConfig};
 
 /// Every scheduler policy the simulator offers, for exhaustive sweeps.
 pub const ALL_POLICIES: [SchedulerPolicy; 5] = [
@@ -29,9 +29,15 @@ pub fn launch_with_mem(kernel: &str, warps: usize, mem: usize) -> Launch {
     l
 }
 
+/// The single-level L1 the cache tests price against: 64 lines of 16
+/// cells (128-byte lines), hits cost 2.
+pub fn l1() -> MemHierarchy {
+    MemHierarchy::l1(64, 16, 2, &LatencyModel::default())
+}
+
 /// The default config with the L1 cache cost model enabled.
 pub fn cfg_with_cache() -> SimConfig {
-    SimConfig { cache: Some(CacheConfig::default()), ..SimConfig::default() }
+    SimConfig { mem: Some(l1()), ..SimConfig::default() }
 }
 
 /// Proptest strategy drawing uniformly from [`ALL_POLICIES`].

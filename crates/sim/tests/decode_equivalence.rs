@@ -13,7 +13,7 @@ mod common;
 
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, parse_module, Value};
-use simt_sim::{run, run_reference, CacheConfig, Launch, SchedulerPolicy, SimConfig, SimOutput};
+use simt_sim::{run, run_reference, Launch, SchedulerPolicy, SimConfig, SimOutput};
 
 /// Everything that shapes one random kernel + run.
 #[derive(Clone, Debug)]
@@ -128,7 +128,7 @@ fn config_for(c: &Case) -> SimConfig {
         max_cycles: 50_000_000,
         scheduler: c.policy,
         profile: true,
-        cache: if c.cache { Some(CacheConfig::default()) } else { None },
+        mem: c.cache.then(common::l1),
         ..SimConfig::default()
     }
 }

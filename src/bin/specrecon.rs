@@ -618,8 +618,8 @@ fn sweep_cmd(args: &[String]) -> Result<(), String> {
     );
     if s.detaches > 0 || s.scalar_steps > 0 {
         println!(
-            "  escape hatch: {} detaches, {} rejoins, {} scalar steps",
-            s.detaches, s.rejoins, s.scalar_steps
+            "  escape hatch: {} seeds re-run standalone, {} scalar steps",
+            s.detaches, s.scalar_steps
         );
     }
     match first_err {
