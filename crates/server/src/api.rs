@@ -67,7 +67,6 @@ use simt_sim::{
 };
 use specrecon_core::{CompileOptions, DeconflictMode, DetectOptions, RepairStrategy};
 use workloads::eval::{Engine, EvalError};
-use workloads::{microbench, registry, seedstorm, srad};
 
 /// Sanity bound on seeds per request (count or range form). The sweep
 /// engine chunks arbitrary ranges across the worker pool, so this is a
@@ -247,7 +246,7 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
             return Err(ApiError::bad_request("missing `workload` (name) or `kernel` (source)"))
         }
         (Some(name), None) => {
-            let w = lookup_workload(name).ok_or_else(|| {
+            let w = workloads::by_name(name).ok_or_else(|| {
                 ApiError::bad_request(format!(
                     "unknown workload {name:?} (known: {})",
                     known_workloads().join(", ")
@@ -314,24 +313,7 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
 
 /// The workload names `/v1/eval` accepts.
 pub fn known_workloads() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = registry().iter().map(|w| w.name).collect();
-    names.push("microbench");
-    names.push("seed-storm");
-    names.push("srad");
-    names
-}
-
-fn lookup_workload(name: &str) -> Option<workloads::Workload> {
-    if name == "microbench" {
-        return Some(microbench::build_common_call(&microbench::Params::default()));
-    }
-    if name == "seed-storm" {
-        return Some(seedstorm::build(&seedstorm::Params::default()));
-    }
-    if name == "srad" {
-        return Some(srad::build(&srad::Params::default()));
-    }
-    registry().into_iter().find(|w| w.name == name)
+    workloads::names()
 }
 
 /// Runs a validated request on `engine`, polling `cancel` between

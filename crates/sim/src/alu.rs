@@ -1,122 +1,175 @@
-//! Scalar ALU semantics shared by both interpreters (the decoded engine
-//! in [`crate::exec`] and the tree-walking oracle in [`crate::reference`]).
+//! Scalar ALU semantics shared by every interpreter (the decoded engine
+//! in [`crate::exec`], the lockstep cohort in [`crate::sweep`] and the
+//! tree-walking oracle in [`crate::reference`]).
 //!
 //! Operations are polymorphic over [`Value`]: integer inputs use wrapping
 //! integer semantics, and if either input is a float the operation is
 //! performed in `f64`. Comparisons always produce an integer 0/1.
+//!
+//! The semantics exist once, as small monomorphic per-op *kernels*.
+//! [`with_bin`]/[`with_un`] match the op **once** and hand the kernel to
+//! an [`AluLoop`] — the caller's own loop shape (`exec`: the lanes of one
+//! issue; `sweep`: lanes × slot runs; [`eval_bin`]/[`eval_un`]: a single
+//! element) — so an engine pays the op dispatch per issue, not per
+//! element, and the loop body inlines to the one operation it runs.
 
-use simt_ir::{BinOp, UnOp, Value};
+use crate::decode::DecodedInst;
+use simt_ir::{BinOp, Operand, UnOp, Value};
+
+/// A loop over the elements of one issue, waiting for the kernel it
+/// applies to each `(lhs, rhs)` pair. Unary kernels ignore `rhs`.
+pub(crate) trait AluLoop {
+    type Out;
+    fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) -> Self::Out;
+}
+
+/// Runs `l` with the kernel of binary op `op`.
+#[inline]
+pub(crate) fn with_bin<L: AluLoop>(op: BinOp, l: L) -> L::Out {
+    use BinOp::*;
+    use Value::{F64, I64};
+    macro_rules! arith {
+        ($int:expr, $flt:expr) => {
+            l.run(|a, b| {
+                Ok(match (a, b) {
+                    (I64(x), I64(y)) => I64($int(x, y)),
+                    _ => F64($flt(a.as_f64(), b.as_f64())),
+                })
+            })
+        };
+    }
+    macro_rules! cmp {
+        ($int:expr, $flt:expr) => {
+            l.run(|a, b| {
+                Ok(Value::bool(match (a, b) {
+                    (I64(x), I64(y)) => $int(&x, &y),
+                    _ => $flt(&a.as_f64(), &b.as_f64()),
+                }))
+            })
+        };
+    }
+    // Fallible on integers (`$f`); `$mixed` is what a float operand does.
+    macro_rules! ints {
+        ($f:expr, $mixed:expr) => {
+            l.run(|a, b| match (a, b) {
+                (I64(x), I64(y)) => $f(x, y),
+                _ => $mixed(a.as_f64(), b.as_f64()),
+            })
+        };
+    }
+    macro_rules! bits {
+        ($f:expr) => {
+            ints!(|x: i64, y: i64| Ok(I64($f(x, y))), |_, _| Err(format!(
+                "bitwise `{}` applied to a float",
+                op.mnemonic()
+            )))
+        };
+    }
+    match op {
+        Add => arith!(i64::wrapping_add, |x: f64, y: f64| x + y),
+        Sub => arith!(i64::wrapping_sub, |x: f64, y: f64| x - y),
+        Mul => arith!(i64::wrapping_mul, |x: f64, y: f64| x * y),
+        Min => arith!(i64::min, f64::min),
+        Max => arith!(i64::max, f64::max),
+        Div => ints!(
+            |x: i64, y: i64| match y {
+                0 => Err("integer division by zero".to_string()),
+                _ => Ok(I64(x.wrapping_div(y))),
+            },
+            |x: f64, y: f64| Ok(F64(x / y))
+        ),
+        Rem => ints!(
+            |x: i64, y: i64| match y {
+                0 => Err("integer remainder by zero".to_string()),
+                _ => Ok(I64(x.wrapping_rem(y))),
+            },
+            |x: f64, y: f64| Ok(F64(x % y))
+        ),
+        And => bits!(|x, y| x & y),
+        Or => bits!(|x, y| x | y),
+        Xor => bits!(|x, y| x ^ y),
+        Shl => bits!(|x, y| ((x as u64) << (y as u64 & 63)) as i64),
+        Shr => bits!(|x, y| ((x as u64) >> (y as u64 & 63)) as i64),
+        Eq => cmp!(i64::eq, f64::eq),
+        Ne => cmp!(i64::ne, f64::ne),
+        Lt => cmp!(i64::lt, f64::lt),
+        Le => cmp!(i64::le, f64::le),
+        Gt => cmp!(i64::gt, f64::gt),
+        Ge => cmp!(i64::ge, f64::ge),
+    }
+}
+
+/// Runs `l` with the kernel of unary op `op`.
+#[inline]
+pub(crate) fn with_un<L: AluLoop>(op: UnOp, l: L) -> L::Out {
+    use Value::{F64, I64};
+    match op {
+        UnOp::Not => l.run(|a, _| match a {
+            I64(v) => Ok(I64(!v)),
+            F64(_) => Err("bitwise `not` applied to a float".to_string()),
+        }),
+        UnOp::Neg => l.run(|a, _| {
+            Ok(match a {
+                I64(v) => I64(v.wrapping_neg()),
+                F64(v) => F64(-v),
+            })
+        }),
+        UnOp::Sqrt => l.run(|a, _| Ok(F64(a.as_f64().sqrt()))),
+        UnOp::Exp => l.run(|a, _| Ok(F64(a.as_f64().exp()))),
+        UnOp::Log => l.run(|a, _| Ok(F64(a.as_f64().ln()))),
+        UnOp::Abs => l.run(|a, _| {
+            Ok(match a {
+                I64(v) => I64(v.wrapping_abs()),
+                F64(v) => F64(v.abs()),
+            })
+        }),
+        UnOp::ItoF => l.run(|a, _| Ok(F64(a.as_f64()))),
+        UnOp::FtoI => l.run(|a, _| Ok(I64(a.as_i64()))),
+    }
+}
+
+type FaultFree = fn(Value, Value) -> bool;
+
+/// The straight-line batchers' fault pre-check, kept beside the kernels
+/// whose fault conditions it mirrors: for an instruction that can fault,
+/// its operands and the predicate every `(lhs, rhs)` pair must satisfy
+/// for it not to; `None` for infallible instructions.
+#[inline]
+pub(crate) fn fault_free_when(inst: &DecodedInst) -> Option<(Operand, Operand, FaultFree)> {
+    use BinOp::*;
+    match *inst {
+        DecodedInst::Bin { op: Div | Rem, lhs, rhs, .. } => {
+            Some((lhs, rhs, |a, b| !(a.is_int() && b.is_int() && b.as_i64() == 0)))
+        }
+        DecodedInst::Bin { op: And | Or | Xor | Shl | Shr, lhs, rhs, .. } => {
+            Some((lhs, rhs, |a, b| a.is_int() && b.is_int()))
+        }
+        DecodedInst::Un { op: UnOp::Not, src, .. } => Some((src, src, |a, _| a.is_int())),
+        _ => None,
+    }
+}
+
+/// The one-element loop behind [`eval_bin`] and [`eval_un`].
+struct Once(Value, Value);
+
+impl AluLoop for Once {
+    type Out = Result<Value, String>;
+    #[inline]
+    fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) -> Self::Out {
+        k(self.0, self.1)
+    }
+}
 
 /// Evaluates a binary ALU operation.
 #[inline]
 pub(crate) fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, String> {
-    use BinOp::*;
-    let float = !a.is_int() || !b.is_int();
-    Ok(match op {
-        Add | Sub | Mul | Div | Rem | Min | Max => {
-            if float {
-                let (x, y) = (a.as_f64(), b.as_f64());
-                Value::F64(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    Rem => x % y,
-                    Min => x.min(y),
-                    Max => x.max(y),
-                    _ => unreachable!(),
-                })
-            } else {
-                let (x, y) = (a.as_i64(), b.as_i64());
-                Value::I64(match op {
-                    Add => x.wrapping_add(y),
-                    Sub => x.wrapping_sub(y),
-                    Mul => x.wrapping_mul(y),
-                    Div => {
-                        if y == 0 {
-                            return Err("integer division by zero".into());
-                        }
-                        x.wrapping_div(y)
-                    }
-                    Rem => {
-                        if y == 0 {
-                            return Err("integer remainder by zero".into());
-                        }
-                        x.wrapping_rem(y)
-                    }
-                    Min => x.min(y),
-                    Max => x.max(y),
-                    _ => unreachable!(),
-                })
-            }
-        }
-        And | Or | Xor | Shl | Shr => {
-            if float {
-                return Err(format!("bitwise `{}` applied to a float", op.mnemonic()));
-            }
-            let (x, y) = (a.as_i64(), b.as_i64());
-            Value::I64(match op {
-                And => x & y,
-                Or => x | y,
-                Xor => x ^ y,
-                Shl => ((x as u64) << (y as u64 & 63)) as i64,
-                Shr => ((x as u64) >> (y as u64 & 63)) as i64,
-                _ => unreachable!(),
-            })
-        }
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let r = if float {
-                let (x, y) = (a.as_f64(), b.as_f64());
-                match op {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    _ => unreachable!(),
-                }
-            } else {
-                let (x, y) = (a.as_i64(), b.as_i64());
-                match op {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    _ => unreachable!(),
-                }
-            };
-            Value::bool(r)
-        }
-    })
+    with_bin(op, Once(a, b))
 }
 
 /// Evaluates a unary ALU operation.
 #[inline]
 pub(crate) fn eval_un(op: UnOp, a: Value) -> Result<Value, String> {
-    Ok(match op {
-        UnOp::Not => {
-            if !a.is_int() {
-                return Err("bitwise `not` applied to a float".into());
-            }
-            Value::I64(!a.as_i64())
-        }
-        UnOp::Neg => match a {
-            Value::I64(v) => Value::I64(v.wrapping_neg()),
-            Value::F64(v) => Value::F64(-v),
-        },
-        UnOp::Sqrt => Value::F64(a.as_f64().sqrt()),
-        UnOp::Exp => Value::F64(a.as_f64().exp()),
-        UnOp::Log => Value::F64(a.as_f64().ln()),
-        UnOp::Abs => match a {
-            Value::I64(v) => Value::I64(v.wrapping_abs()),
-            Value::F64(v) => Value::F64(v.abs()),
-        },
-        UnOp::ItoF => Value::F64(a.as_f64()),
-        UnOp::FtoI => Value::I64(a.as_i64()),
-    })
+    with_un(op, Once(a, Value::default()))
 }
 
 #[cfg(test)]

@@ -107,8 +107,8 @@ impl WarpCtl {
                 launch.args.len()
             )));
         }
+        cfg.check_warp_width()?;
         let width = cfg.warp_width;
-        assert!(width <= 64, "warp width above 64 lanes is not supported");
         let lane_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let ctl = WarpCtl {
             pcs: vec![kfunc.entry_pc as usize; width],

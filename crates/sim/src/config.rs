@@ -1,6 +1,7 @@
 //! Simulator configuration: machine shape, scheduler policy, and the
 //! instruction cost model.
 
+use crate::error::SimError;
 use crate::journal::JournalConfig;
 use simt_ir::{BinOp, Inst, UnOp};
 
@@ -70,6 +71,18 @@ pub enum ReconvergenceModel {
         /// instead of one split per warp per round.
         compact: bool,
     },
+}
+
+#[cfg(test)]
+impl SchedulerPolicy {
+    /// Every policy, for the unit tests that must hold under each.
+    pub(crate) const ALL: [SchedulerPolicy; 5] = [
+        SchedulerPolicy::Greedy,
+        SchedulerPolicy::MinPc,
+        SchedulerPolicy::MaxPc,
+        SchedulerPolicy::MostThreads,
+        SchedulerPolicy::RoundRobin,
+    ];
 }
 
 impl ReconvergenceModel {
@@ -255,7 +268,8 @@ impl LatencyModel {
 /// Machine shape and execution limits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
-    /// Lanes per warp (the paper's machine has 32).
+    /// Lanes per warp (the paper's machine has 32); launches reject
+    /// anything outside `1..=64`.
     pub warp_width: usize,
     /// Scheduler policy for divergent warps.
     pub scheduler: SchedulerPolicy,
@@ -284,6 +298,20 @@ pub struct SimConfig {
     /// disable straight-line batching (their scheduling decisions are
     /// per-round) and are timing models only — values never change.
     pub recon: ReconvergenceModel,
+}
+
+impl SimConfig {
+    /// Rejects a warp width no engine can run: lane masks are `u64`s,
+    /// and a warp without lanes would "finish" having run nothing.
+    pub(crate) fn check_warp_width(&self) -> Result<(), SimError> {
+        if (1..=64).contains(&self.warp_width) {
+            return Ok(());
+        }
+        Err(SimError::InvalidModule(format!(
+            "warp width {} is outside the supported 1..=64 lanes",
+            self.warp_width
+        )))
+    }
 }
 
 impl Default for SimConfig {

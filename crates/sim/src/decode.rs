@@ -30,6 +30,7 @@
 //! original runtime error if executed.
 
 use crate::config::LatencyModel;
+use crate::error::ThreadLocation;
 use simt_ir::{
     BarrierOp, BinOp, BlockId, FuncId, FuncRef, Inst, MemSpace, Module, Operand, Reg, RngKind,
     SpecialValue, Terminator, UnOp,
@@ -527,6 +528,14 @@ impl DecodedImage {
     /// Whether the image contains no instructions (empty module).
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
+    }
+
+    /// Where `lane` of `warp` stands when its pc is `pc`. Faults name
+    /// the *issued* pc: the cohort's shared pc array may already have
+    /// advanced past a faulting lane for the surviving slots.
+    pub(crate) fn location(&self, warp: usize, lane: usize, pc: usize) -> ThreadLocation {
+        let o = self.origin[pc];
+        ThreadLocation { warp, lane, func: o.func, block: o.block, inst: o.inst as usize }
     }
 
     pub(crate) fn operands(&self, r: PoolRange) -> &[Operand] {

@@ -1,6 +1,6 @@
 //! Simulator error reporting.
 
-use simt_ir::{BarrierId, BlockId, FuncId};
+use simt_ir::{BarrierId, BlockId, FuncId, MemSpace};
 use std::fmt;
 
 /// Location of a thread inside the program, for diagnostics.
@@ -86,6 +86,26 @@ pub enum ReconDump {
         /// All splits of the warp.
         splits: Vec<SplitDump>,
     },
+}
+
+/// What went wrong for one lane inside a hot execute loop, recorded so
+/// the error (and its location lookup) is built after the loop's
+/// borrows end. Shared by the decoded engine and the cohort.
+pub(crate) enum LaneFault {
+    Oob { lane: usize, addr: i64, size: usize, space: MemSpace },
+    Arith { lane: usize, message: String },
+}
+
+impl LaneFault {
+    /// The error this fault surfaces as, located by `at(lane)`.
+    pub(crate) fn into_error(self, at: impl FnOnce(usize) -> ThreadLocation) -> SimError {
+        match self {
+            LaneFault::Oob { lane, addr, size, space } => {
+                SimError::MemoryFault { at: at(lane), addr, size, space }
+            }
+            LaneFault::Arith { lane, message } => SimError::Arithmetic { at: at(lane), message },
+        }
+    }
 }
 
 /// Errors surfaced by the simulator.

@@ -18,21 +18,27 @@
 //! - each warp carries incremental `runnable`/`waiting`/`at_sync`/
 //!   `exited` masks maintained at the status transition points, so an
 //!   issue slot never scans thread statuses;
-//! - every execute arm resolves a lane's top frame once and works
-//!   through that single borrow (register reads, writes, and the pc
-//!   bump), instead of re-walking `warps[w].threads[l].frames` per
-//!   access;
-//! - every buffer the loop needs (group keys, coalescing addresses,
-//!   staged call/return values) lives in a per-[`Machine`] [`Scratch`]
-//!   arena, and call frames are recycled through a per-thread spare
-//!   pool — after warm-up, [`Machine::step`] performs **zero heap
-//!   allocations** in steady state (a counting-allocator test enforces
-//!   this).
+//! - registers live in one flat warp-major arena per warp
+//!   ([`RegFile`]): register `r` of lane `l`'s live frame is
+//!   `vals[(base + r) * warp_width + l]`, so an execute arm reaches an
+//!   operand with one index off a per-lane base instead of chasing
+//!   `threads[l]` → `frames.last()` → `regs`, and converged lanes read
+//!   one contiguous row; a call bumps the lane's window, a return pops
+//!   it, and [`Frame`] is metadata only;
+//! - `BinOp`/`UnOp` are matched once per issue, outside the lane loop:
+//!   [`crate::alu::with_bin`] hands [`LaneAlu`] the op's monomorphic
+//!   kernel (the same kernels the cohort's slot loops instantiate);
+//! - every buffer the loop needs (group keys, coalescing addresses)
+//!   lives in a per-[`Machine`] [`Scratch`] arena — after warm-up (the
+//!   register arena and frame stacks at the kernel's call depth),
+//!   [`Machine::step`] performs **zero heap allocations** in steady
+//!   state (a counting-allocator test enforces this).
 
+use crate::alu::AluLoop;
 use crate::barrier::{CtlEvent, Status, WarpCtl};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
-use crate::error::{ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
+use crate::error::{LaneFault, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
 use crate::journal::{Journal, JournalEvent};
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
@@ -41,27 +47,131 @@ use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, select_group_mask};
 use crate::trace::{Trace, TraceEvent};
-use simt_ir::{BarrierOp, BinOp, BlockId, FuncId, MemSpace, Operand, RngKind, SpecialValue, Value};
+use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, Reg, RngKind, SpecialValue, Value};
 
-#[derive(Clone, Debug)]
+/// Call-frame metadata; the registers themselves live in the warp's
+/// [`RegFile`].
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Frame {
     /// Saved pc. Authoritative only while the frame is suspended (a call
     /// is in flight above it); the *top* frame's live pc is tracked in
     /// [`WarpCtl::pcs`] so the scheduler scans a flat array instead of
     /// chasing `frames.last()` per lane.
     pub(crate) pc: usize,
-    pub(crate) regs: Vec<Value>,
     /// Caller registers (a [`DecodedImage::reg_pool`] span) that receive
     /// this frame's return values.
     pub(crate) ret_regs: PoolRange,
+    /// First arena row of this frame's register window.
+    pub(crate) base: usize,
 }
 
-/// Evaluates an operand against one frame's register file.
-#[inline]
-fn eval_in(frame: &Frame, op: Operand) -> Value {
-    match op {
-        Operand::Imm(v) => v,
-        Operand::Reg(r) => frame.regs[r.index()],
+/// One warp's registers: a flat warp-major bump arena. Row `r` holds
+/// one register of every lane (`vals[r * width + lane]`); each lane
+/// stacks its frames' windows in its own column, so lanes at different
+/// call depths share rows without sharing cells. Windows are not
+/// bounds-checked against each other: register indices below the
+/// function's `num_regs` are the IR verifier's contract.
+#[derive(Clone, Debug)]
+pub(crate) struct RegFile {
+    vals: Vec<Value>,
+    /// Per lane: index of register 0 of the live frame,
+    /// `frame.base * width + lane`.
+    bases: Vec<usize>,
+    /// Per lane: bump pointer, the first free row above the live frame.
+    tops: Vec<usize>,
+}
+
+impl RegFile {
+    /// `width` lanes, each with a zeroed kernel frame of `num_regs`
+    /// registers whose first ones hold `args`.
+    fn new(width: usize, num_regs: usize, args: &[Value]) -> RegFile {
+        let mut vals = vec![Value::default(); num_regs * width];
+        for (row, a) in vals.chunks_mut(width).zip(args) {
+            row.fill(*a);
+        }
+        RegFile { vals, bases: (0..width).collect(), tops: vec![num_regs; width] }
+    }
+
+    #[inline]
+    fn width(&self) -> usize {
+        self.bases.len()
+    }
+
+    /// Evaluates an operand against the window whose register 0 sits
+    /// at index `at` (a [`RegFile::bases`] entry, live or saved).
+    #[inline]
+    fn read_at(&self, at: usize, op: Operand) -> Value {
+        match op {
+            Operand::Imm(v) => v,
+            Operand::Reg(r) => self.vals[at + r.index() * self.width()],
+        }
+    }
+
+    /// Evaluates an operand against lane `l`'s live frame.
+    #[inline]
+    fn read(&self, l: usize, op: Operand) -> Value {
+        self.read_at(self.bases[l], op)
+    }
+
+    /// Writes a register of lane `l`'s live frame.
+    #[inline]
+    fn write(&mut self, l: usize, dst: Reg, v: Value) {
+        let i = self.bases[l] + dst.index() * self.width();
+        self.vals[i] = v;
+    }
+
+    /// Opens a zeroed window of `num_regs` registers above lane `l`'s
+    /// live frame and makes it live; returns its base row. The caller's
+    /// window stays intact underneath.
+    fn push(&mut self, l: usize, num_regs: usize) -> usize {
+        let width = self.width();
+        let base = self.tops[l];
+        let top = base + num_regs;
+        if self.vals.len() < top * width {
+            self.vals.resize(top * width, Value::default());
+        }
+        for r in base..top {
+            self.vals[r * width + l] = Value::default();
+        }
+        self.tops[l] = top;
+        self.bases[l] = base * width + l;
+        base
+    }
+
+    /// Releases lane `l`'s live window (based at row `base`) and makes
+    /// the caller's, at `caller_base`, live again. The released cells
+    /// keep their values until the next [`RegFile::push`].
+    fn pop(&mut self, l: usize, base: usize, caller_base: usize) {
+        self.tops[l] = base;
+        self.bases[l] = caller_base * self.width() + l;
+    }
+}
+
+/// The decoded engine's loop shape for the ALU arms, handed to
+/// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): applies
+/// the kernel to each lane of the issue in lane order and stops at the
+/// first faulting lane, which it returns.
+struct LaneAlu<'a> {
+    warp: &'a mut Warp,
+    mask: u64,
+    dst: Reg,
+    lhs: Operand,
+    rhs: Operand,
+}
+
+impl AluLoop for LaneAlu<'_> {
+    type Out = Result<(), LaneFault>;
+    #[inline]
+    fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) -> Self::Out {
+        let Warp { regs, ctl, .. } = self.warp;
+        for l in lanes(self.mask) {
+            match k(regs.read(l, self.lhs), regs.read(l, self.rhs)) {
+                Ok(v) => regs.write(l, self.dst, v),
+                Err(message) => return Err(LaneFault::Arith { lane: l, message }),
+            }
+            ctl.pcs[l] += 1;
+        }
+        Ok(())
     }
 }
 
@@ -123,26 +233,9 @@ pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
 /// conditions by *reading* the operands — a faultable lane leaves the
 /// instruction to execute in its own round, where ordering is exact.
 fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
-    match *inst {
-        DecodedInst::Bin { op: BinOp::Div | BinOp::Rem, lhs, rhs, .. } => lanes(mask).all(|l| {
-            let f = warp.threads[l].frame();
-            let (a, b) = (eval_in(f, lhs), eval_in(f, rhs));
-            !(a.is_int() && b.is_int() && b.as_i64() == 0)
-        }),
-        DecodedInst::Bin {
-            op: BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr,
-            lhs,
-            rhs,
-            ..
-        } => lanes(mask).all(|l| {
-            let f = warp.threads[l].frame();
-            eval_in(f, lhs).is_int() && eval_in(f, rhs).is_int()
-        }),
-        DecodedInst::Un { op: simt_ir::UnOp::Not, src, .. } => {
-            lanes(mask).all(|l| eval_in(warp.threads[l].frame(), src).is_int())
-        }
-        _ => true,
-    }
+    crate::alu::fault_free_when(inst).is_none_or(|(lhs, rhs, ok)| {
+        lanes(mask).all(|l| ok(warp.regs.read(l, lhs), warp.regs.read(l, rhs)))
+    })
 }
 
 #[derive(Clone, Debug)]
@@ -150,19 +243,6 @@ pub(crate) struct Thread {
     pub(crate) frames: Vec<Frame>,
     pub(crate) rng: SplitMix64,
     pub(crate) local: Vec<Value>,
-    /// Popped call frames held for reuse: a call pops one here before
-    /// allocating, so call/return cycles stop churning the heap once the
-    /// pool matches the kernel's call depth.
-    pub(crate) spare: Vec<Frame>,
-}
-
-impl Thread {
-    pub(crate) fn frame(&self) -> &Frame {
-        self.frames.last().expect("thread has no frame")
-    }
-    pub(crate) fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("thread has no frame")
-    }
 }
 
 /// One warp of the decoded engine: the shared control plane plus each
@@ -172,6 +252,7 @@ pub(crate) struct Warp {
     /// PCs, statuses, barrier registers and scheduler state.
     pub(crate) ctl: WarpCtl,
     pub(crate) threads: Vec<Thread>,
+    pub(crate) regs: RegFile,
     /// What the next [`Machine::pick_group`] call would provably return,
     /// recorded when a straight-line batch ends with its group intact
     /// (it broke on a non-batchable instruction, not on a split or a
@@ -197,6 +278,23 @@ pub(crate) struct Warp {
     pub(crate) splits: Vec<Split>,
 }
 
+impl Warp {
+    /// Debug-build invariant, checked beside [`WarpCtl::check_masks`]:
+    /// each lane's live window is its top frame's, and the bump pointer
+    /// sits exactly above it (the live pc names the frame's function).
+    #[cfg(debug_assertions)]
+    fn check_frames(&self, image: &DecodedImage) {
+        let width = self.regs.width();
+        for (l, t) in self.threads.iter().enumerate() {
+            let top = t.frames.last().expect("thread has no frame");
+            let func = image.origin[self.ctl.pcs[l]].func;
+            let len = image.funcs[func.index()].num_regs as usize;
+            assert_eq!(self.regs.bases[l], top.base * width + l, "live base of lane {l}");
+            assert_eq!(self.regs.tops[l], top.base + len, "bump pointer of lane {l}");
+        }
+    }
+}
+
 /// Reusable hot-loop buffers owned by the [`Machine`].
 ///
 /// Everything the steady-state loop needs to stage variable-length data
@@ -210,8 +308,6 @@ pub(crate) struct Scratch {
     addrs: Vec<i64>,
     /// Segment/line ids derived from `addrs`.
     lines: Vec<i64>,
-    /// Staged call arguments / return values.
-    vals: Vec<Value>,
     /// Ready-split issue candidates `(pc, issue mask, split index)` of
     /// the warp-split scheduling round.
     split_cands: Vec<(usize, u64, usize)>,
@@ -341,23 +437,19 @@ impl<'m> Machine<'m> {
             let mut threads = Vec::with_capacity(width);
             for lane in 0..width {
                 let tid = (w * width + lane) as u64;
-                let mut regs = vec![Value::default(); kfunc.num_regs as usize];
-                for (i, a) in launch.args.iter().enumerate() {
-                    regs[i] = *a;
-                }
                 threads.push(Thread {
                     frames: vec![Frame {
                         pc: kfunc.entry_pc as usize,
-                        regs,
                         ret_regs: PoolRange::EMPTY,
+                        base: 0,
                     }],
                     rng: SplitMix64::for_thread(launch.seed, tid),
                     local: vec![Value::default(); launch.local_mem_size],
-                    spare: Vec::new(),
                 });
             }
             warps.push(Warp {
                 threads,
+                regs: RegFile::new(width, kfunc.num_regs as usize, &launch.args),
                 pick_hint: None,
                 other_pcs: Vec::new(),
                 mem_tags: crate::mem::MemTags::new(cfg.mem.as_ref()),
@@ -613,16 +705,13 @@ impl<'m> Machine<'m> {
     }
 
     fn location(&self, warp: usize, lane: usize) -> ThreadLocation {
-        let w = &self.warps[warp];
-        if w.threads[lane].frames.is_empty() {
-            return ThreadLocation { warp, lane, func: FuncId(0), block: BlockId(0), inst: 0 };
-        }
-        let o = self.image.origin[w.ctl.pcs[lane]];
-        ThreadLocation { warp, lane, func: o.func, block: o.block, inst: o.inst as usize }
+        self.image.location(warp, lane, self.warps[warp].ctl.pcs[lane])
     }
 
     /// Picks warp `w`'s next group through the shared control plane.
     fn pick_group(&mut self, w: usize) -> Option<(usize, u64)> {
+        #[cfg(debug_assertions)]
+        self.warps[w].check_frames(self.image);
         let Warp { ctl, other_pcs, ipdom_stack, .. } = &mut self.warps[w];
         // Under the IPDOM stack model only the top entry's pending lanes
         // are schedulable (taken-first serialization); parked lanes stay
@@ -736,7 +825,10 @@ impl<'m> Machine<'m> {
         next_ready: &mut u64,
     ) -> Result<(), SimError> {
         #[cfg(debug_assertions)]
-        self.warps[w].ctl.check_masks();
+        {
+            self.warps[w].ctl.check_masks();
+            self.warps[w].check_frames(self.image);
+        }
         self.normalize_splits(w);
         self.fuse_splits(w);
 
@@ -1033,7 +1125,7 @@ impl<'m> Machine<'m> {
         if let BarrierOp::ArrivedCount { dst, bar } = op {
             let n = Value::I64(warp.ctl.arrived(bar));
             for l in lanes(mask) {
-                warp.threads[l].frame_mut().regs[dst.index()] = n;
+                warp.regs.write(l, dst, n);
             }
         }
         if matches!(cfg.recon, ReconvergenceModel::IpdomStack) {
@@ -1060,63 +1152,30 @@ impl<'m> Machine<'m> {
         let mut cost = self.costs[pc];
         match *inst {
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                let warp = &mut self.warps[w];
-                let mut failed: Option<(usize, String)> = None;
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, lhs);
-                    let b = eval_in(f, rhs);
-                    match crate::alu::eval_bin(op, a, b) {
-                        Ok(v) => {
-                            f.regs[dst.index()] = v;
-                            warp.ctl.pcs[l] += 1;
-                        }
-                        Err(m) => {
-                            failed = Some((l, m));
-                            break;
-                        }
-                    }
-                }
-                if let Some((l, message)) = failed {
-                    return Err(SimError::Arithmetic { at: self.location(w, l), message });
-                }
+                let alu = LaneAlu { warp: &mut self.warps[w], mask, dst, lhs, rhs };
+                let done = crate::alu::with_bin(op, alu);
+                done.map_err(|f| f.into_error(|l| self.location(w, l)))?;
             }
             DecodedInst::Un { op, dst, src } => {
-                let warp = &mut self.warps[w];
-                let mut failed: Option<(usize, String)> = None;
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, src);
-                    match crate::alu::eval_un(op, a) {
-                        Ok(v) => {
-                            f.regs[dst.index()] = v;
-                            warp.ctl.pcs[l] += 1;
-                        }
-                        Err(m) => {
-                            failed = Some((l, m));
-                            break;
-                        }
-                    }
-                }
-                if let Some((l, message)) = failed {
-                    return Err(SimError::Arithmetic { at: self.location(w, l), message });
-                }
+                // Unary kernels ignore `rhs`; an immediate costs no read.
+                let rhs = Operand::Imm(Value::default());
+                let alu = LaneAlu { warp: &mut self.warps[w], mask, dst, lhs: src, rhs };
+                let done = crate::alu::with_un(op, alu);
+                done.map_err(|f| f.into_error(|l| self.location(w, l)))?;
             }
             DecodedInst::Mov { dst, src } => {
-                let warp = &mut self.warps[w];
+                let Warp { regs, ctl, .. } = &mut self.warps[w];
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    f.regs[dst.index()] = eval_in(f, src);
-                    warp.ctl.pcs[l] += 1;
+                    regs.write(l, dst, regs.read(l, src));
+                    ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
-                let warp = &mut self.warps[w];
+                let Warp { regs, ctl, .. } = &mut self.warps[w];
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let pick = if eval_in(f, cond).is_truthy() { if_true } else { if_false };
-                    f.regs[dst.index()] = eval_in(f, pick);
-                    warp.ctl.pcs[l] += 1;
+                    let pick = if regs.read(l, cond).is_truthy() { if_true } else { if_false };
+                    regs.write(l, dst, regs.read(l, pick));
+                    ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Load { dst, space, addr } => {
@@ -1134,30 +1193,31 @@ impl<'m> Machine<'m> {
                 let warp = &mut warps[w];
                 let addrs = &mut scratch.addrs;
                 addrs.clear();
-                let mut failed: Option<AccessFault> = None;
+                let mut failed: Option<LaneFault> = None;
+                let space = MemSpace::Global;
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, addr).as_i64();
-                    let v = eval_in(f, value);
+                    let a = warp.regs.read(l, addr).as_i64();
+                    let v = warp.regs.read(l, value);
                     if a < 0 || a as usize >= global.len() {
-                        failed = Some(AccessFault::Oob { lane: l, addr: a, size: global.len() });
+                        failed =
+                            Some(LaneFault::Oob { lane: l, addr: a, size: global.len(), space });
                         break;
                     }
                     let old = global[a as usize];
                     match crate::alu::eval_bin(BinOp::Add, old, v) {
                         Ok(new) => global[a as usize] = new,
                         Err(m) => {
-                            failed = Some(AccessFault::Arith { lane: l, message: m });
+                            failed = Some(LaneFault::Arith { lane: l, message: m });
                             break;
                         }
                     }
-                    f.regs[dst.index()] = old;
+                    warp.regs.write(l, dst, old);
                     addrs.push(a);
                     warp.ctl.pcs[l] += 1;
                 }
                 Self::invalidate_lines(cfg, warps, &scratch.addrs);
                 if let Some(fault) = failed {
-                    return Err(self.fault_error(w, MemSpace::Global, fault));
+                    return Err(fault.into_error(|l| self.location(w, l)));
                 }
             }
             DecodedInst::Special { dst, kind } => {
@@ -1172,21 +1232,19 @@ impl<'m> Machine<'m> {
                         SpecialValue::NumThreads => Value::I64(n_threads),
                         SpecialValue::WarpWidth => Value::I64(width as i64),
                     };
-                    let f = warp.threads[l].frame_mut();
-                    f.regs[dst.index()] = v;
+                    warp.regs.write(l, dst, v);
                     warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Rng { dst, kind } => {
                 let warp = &mut self.warps[w];
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
+                    let rng = &mut warp.threads[l].rng;
                     let v = match kind {
-                        RngKind::U63 => Value::I64(t.rng.next_u63()),
-                        RngKind::Unit => Value::F64(t.rng.next_unit()),
+                        RngKind::U63 => Value::I64(rng.next_u63()),
+                        RngKind::Unit => Value::F64(rng.next_unit()),
                     };
-                    let f = t.frame_mut();
-                    f.regs[dst.index()] = v;
+                    warp.regs.write(l, dst, v);
                     warp.ctl.pcs[l] += 1;
                 }
             }
@@ -1199,13 +1257,12 @@ impl<'m> Machine<'m> {
                 let warp = &mut self.warps[w];
                 let mut count = 0i64;
                 for l in lanes(mask) {
-                    if eval_in(warp.threads[l].frame(), pred).is_truthy() {
+                    if warp.regs.read(l, pred).is_truthy() {
                         count += 1;
                     }
                 }
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    f.regs[dst.index()] = Value::I64(count);
+                    warp.regs.write(l, dst, Value::I64(count));
                     warp.ctl.pcs[l] += 1;
                 }
             }
@@ -1213,44 +1270,29 @@ impl<'m> Machine<'m> {
                 let launch_mix = 0x5EED_u64; // stream domain separator
                 let warp = &mut self.warps[w];
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    let v = eval_in(t.frame(), src).as_i64() as u64;
-                    t.rng = SplitMix64::for_thread(v ^ launch_mix, v);
+                    let v = warp.regs.read(l, src).as_i64() as u64;
+                    warp.threads[l].rng = SplitMix64::for_thread(v ^ launch_mix, v);
                     warp.ctl.pcs[l] += 1;
                 }
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
                 let arg_ops = image.operands(args);
-                let Machine { warps, scratch, .. } = self;
-                let warp = &mut warps[w];
-                let vals = &mut scratch.vals;
+                let Warp { regs, ctl, threads, .. } = &mut self.warps[w];
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    // Arguments evaluate in the caller frame, staged
-                    // before the callee frame is pushed; the caller pc
-                    // advances so the return lands after the call.
-                    vals.clear();
-                    {
-                        let f = t.frame_mut();
-                        for a in arg_ops {
-                            vals.push(eval_in(f, *a));
-                        }
-                        // Suspend the caller: save its resume point;
-                        // the live pc moves to the callee.
-                        f.pc = warp.ctl.pcs[l] + 1;
+                    let frames = &mut threads[l].frames;
+                    // Suspend the caller: save its resume point (the
+                    // return lands after the call); the live pc moves
+                    // to the callee.
+                    frames.last_mut().expect("thread has no frame").pc = ctl.pcs[l] + 1;
+                    // Arguments evaluate in the caller window, which
+                    // stays intact under the callee's.
+                    let caller = regs.bases[l];
+                    let base = regs.push(l, num_regs as usize);
+                    for (i, a) in arg_ops.iter().enumerate() {
+                        regs.write(l, Reg(i as u32), regs.read_at(caller, *a));
                     }
-                    let mut frame = t.spare.pop().unwrap_or_else(|| Frame {
-                        pc: 0,
-                        regs: Vec::new(),
-                        ret_regs: PoolRange::EMPTY,
-                    });
-                    frame.pc = entry_pc as usize;
-                    frame.ret_regs = rets;
-                    frame.regs.clear();
-                    frame.regs.resize(num_regs as usize, Value::default());
-                    frame.regs[..vals.len()].copy_from_slice(vals);
-                    t.frames.push(frame);
-                    warp.ctl.pcs[l] = entry_pc as usize;
+                    frames.push(Frame { pc: entry_pc as usize, ret_regs: rets, base });
+                    ctl.pcs[l] = entry_pc as usize;
                 }
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1279,8 +1321,7 @@ impl<'m> Machine<'m> {
                 let warp = &mut self.warps[w];
                 let mut taken = 0u64;
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame();
-                    warp.ctl.pcs[l] = if eval_in(f, cond).is_truthy() {
+                    warp.ctl.pcs[l] = if warp.regs.read(l, cond).is_truthy() {
                         taken |= 1 << l;
                         then_pc as usize
                     } else {
@@ -1310,35 +1351,27 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Return { values } => {
                 let value_ops = image.operands(values);
-                let Machine { warps, scratch, .. } = self;
-                let warp = &mut warps[w];
-                let vals = &mut scratch.vals;
+                let Warp { regs, ctl, threads, .. } = &mut self.warps[w];
                 let mut exited = 0u64;
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    vals.clear();
-                    {
-                        let f = t.frame();
-                        for v in value_ops {
-                            vals.push(eval_in(f, *v));
-                        }
-                    }
-                    let frame = t.frames.pop().expect("return without frame");
-                    if t.frames.is_empty() {
+                    let frames = &mut threads[l].frames;
+                    if frames.len() == 1 {
                         // Returning from the kernel frame behaves as exit
                         // (the verifier rejects this statically, but stay
                         // safe at runtime).
-                        t.frames.push(frame);
                         exited |= 1 << l;
                         continue;
                     }
-                    let ret_regs = image.regs(frame.ret_regs);
-                    let caller = t.frames.last_mut().expect("caller frame");
-                    for (r, v) in ret_regs.iter().zip(vals.iter()) {
-                        caller.regs[r.index()] = *v;
+                    let frame = frames.pop().expect("return without frame");
+                    let caller = frames.last().expect("caller frame");
+                    // Values evaluate in the callee window, which keeps
+                    // its cells after the pop makes the caller's live.
+                    let callee = regs.bases[l];
+                    regs.pop(l, frame.base, caller.base);
+                    for (r, v) in image.regs(frame.ret_regs).iter().zip(value_ops) {
+                        regs.write(l, *r, regs.read_at(callee, *v));
                     }
-                    warp.ctl.pcs[l] = caller.pc;
-                    t.spare.push(frame);
+                    ctl.pcs[l] = caller.pc;
                 }
                 if exited != 0 {
                     self.exit_lanes(w, exited);
@@ -1349,8 +1382,8 @@ impl<'m> Machine<'m> {
         Ok(cost)
     }
 
-    /// The shared load/store path: evaluates per-lane addresses through
-    /// one frame borrow, performs the access, and (for global space)
+    /// The shared load/store path: evaluates per-lane addresses,
+    /// performs the access, and (for global space)
     /// folds the coalescing/cache cost model over the touched addresses.
     /// `value` selects store semantics, `dst` load semantics.
     #[allow(clippy::too_many_arguments)]
@@ -1367,52 +1400,27 @@ impl<'m> Machine<'m> {
         let cfg = self.cfg;
         let now = self.cycle;
         let Machine { warps, global, scratch, metrics, mshrs, pending_mem, .. } = self;
-        let warp = &mut warps[w];
+        let Warp { regs, ctl, threads, mem_tags, .. } = &mut warps[w];
         let addrs = &mut scratch.addrs;
         addrs.clear();
-        let mut failed: Option<AccessFault> = None;
-        match space {
-            MemSpace::Global => {
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, addr).as_i64();
-                    addrs.push(a);
-                    if a < 0 || a as usize >= global.len() {
-                        failed = Some(AccessFault::Oob { lane: l, addr: a, size: global.len() });
-                        break;
-                    }
-                    match value {
-                        Some(v) => global[a as usize] = eval_in(f, v),
-                        None => {
-                            if let Some(dst) = dst {
-                                f.regs[dst.index()] = global[a as usize];
-                            }
-                        }
-                    }
-                    warp.ctl.pcs[l] += 1;
-                }
+        let mut failed: Option<LaneFault> = None;
+        for l in lanes(mask) {
+            let mem: &mut [Value] = match space {
+                MemSpace::Global => global,
+                MemSpace::Local => &mut threads[l].local,
+            };
+            let a = regs.read(l, addr).as_i64();
+            addrs.push(a);
+            if a < 0 || a as usize >= mem.len() {
+                failed = Some(LaneFault::Oob { lane: l, addr: a, size: mem.len(), space });
+                break;
             }
-            MemSpace::Local => {
-                for l in lanes(mask) {
-                    let Thread { frames, local, .. } = &mut warp.threads[l];
-                    let f = frames.last_mut().expect("thread has no frame");
-                    let a = eval_in(f, addr).as_i64();
-                    addrs.push(a);
-                    if a < 0 || a as usize >= local.len() {
-                        failed = Some(AccessFault::Oob { lane: l, addr: a, size: local.len() });
-                        break;
-                    }
-                    match value {
-                        Some(v) => local[a as usize] = eval_in(f, v),
-                        None => {
-                            if let Some(dst) = dst {
-                                f.regs[dst.index()] = local[a as usize];
-                            }
-                        }
-                    }
-                    warp.ctl.pcs[l] += 1;
-                }
+            match (value, dst) {
+                (Some(v), _) => mem[a as usize] = regs.read(l, v),
+                (None, Some(dst)) => regs.write(l, dst, mem[a as usize]),
+                (None, None) => {}
             }
+            ctl.pcs[l] += 1;
         }
         let mut cost = base_cost;
         if space == MemSpace::Global {
@@ -1422,7 +1430,7 @@ impl<'m> Machine<'m> {
                 // `issue` can attribute the stall once borrows end.
                 let out = crate::mem::commit(
                     hier,
-                    &mut warp.mem_tags,
+                    mem_tags,
                     mshrs,
                     &mut scratch.mem,
                     &scratch.addrs,
@@ -1447,22 +1455,9 @@ impl<'m> Machine<'m> {
             }
         }
         if let Some(fault) = failed {
-            return Err(self.fault_error(w, space, fault));
+            return Err(fault.into_error(|l| self.location(w, l)));
         }
         Ok(cost)
-    }
-
-    /// Builds the terminal error for a failed memory access after the
-    /// hot-loop borrows have been released.
-    fn fault_error(&self, w: usize, space: MemSpace, fault: AccessFault) -> SimError {
-        match fault {
-            AccessFault::Oob { lane, addr, size } => {
-                SimError::MemoryFault { at: self.location(w, lane), addr, size, space }
-            }
-            AccessFault::Arith { lane, message } => {
-                SimError::Arithmetic { at: self.location(w, lane), message }
-            }
-        }
     }
 
     /// Drops the lines covering `addrs` from every warp's tag state
@@ -1499,13 +1494,6 @@ fn journal_ctl(journal: &mut Option<Journal>, cycle: u64, warp: usize, e: CtlEve
     });
 }
 
-/// What went wrong inside a hot access loop, recorded so the error (and
-/// its location lookup) is built after the loop's borrows end.
-enum AccessFault {
-    Oob { lane: usize, addr: i64, size: usize },
-    Arith { lane: usize, message: String },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1514,8 +1502,9 @@ mod tests {
     use simt_ir::parse_and_link;
 
     /// A deliberately busy kernel: divergent branches, a loop, global
-    /// loads/stores, an atomic, a device-function call, RNG, a vote,
-    /// and convergence barriers — every hot-loop shape at once.
+    /// loads/stores, an atomic, a depth-2 device-function call chain,
+    /// RNG, a vote, and convergence barriers — every hot-loop shape at
+    /// once.
     const STEADY_KERNEL: &str = "\
 kernel @k(params=1, regs=8, barriers=1, entry=bb0) {
 bb0:
@@ -1545,8 +1534,13 @@ bb4:
 device @f(params=2, regs=4, barriers=0, entry=bb0) {
 bb0:
   %r2 = add %r0, %r1
-  %r3 = mul %r2, 2
+  call @g(%r2) -> (%r3)
   ret %r3
+}
+device @g(params=1, regs=2, barriers=0, entry=bb0) {
+bb0:
+  %r1 = mul %r0, 2
+  ret %r1
 }
 ";
 
@@ -1558,18 +1552,12 @@ bb0:
         let module = parse_and_link(STEADY_KERNEL).expect("kernel parses");
         let image = DecodedImage::decode(&module);
         let cfg = SimConfig::default();
-        let launch = Launch {
-            kernel: "k".into(),
-            num_warps: 2,
-            args: vec![Value::I64(400)],
-            global_mem: vec![Value::I64(7); 256],
-            local_mem_size: 0,
-            seed: 42,
-        };
+        let launch = steady_launch(400);
         let mut m = Machine::new(&image, &cfg, &launch).expect("machine builds");
 
-        // Warm-up: grow every scratch buffer, frame pool, and the
-        // per-warp busy schedule to their high-water marks.
+        // Warm-up: grow every scratch buffer, the register arena and
+        // frame stacks (to the call chain's depth), and the per-warp
+        // busy schedule to their high-water marks.
         for _ in 0..500 {
             if m.step().expect("warm-up step") {
                 panic!("kernel finished during warm-up; enlarge the loop bound");
@@ -1592,6 +1580,76 @@ bb0:
         while !m.step().expect("tail step") {}
         let out = m.into_output();
         assert!(out.metrics.cycles > 0);
+    }
+
+    /// Odd lanes run a nested call chain (`@f` → `@g`, each returning
+    /// two values into its caller's window) while even lanes stay in the
+    /// kernel frame, then push `@g` over the arena rows the odd lanes
+    /// are using. The sum of every window's values is stored at the end.
+    const ARENA_KERNEL: &str = "\
+kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
+bb0:
+  %r0 = special.tid
+  %r1 = rem %r0, 2
+  %r7 = add %r0, 100
+  brdiv %r1, bb1, bb2
+bb1:
+  call @f(%r0, %r7) -> (%r2, %r3)
+  jmp bb3
+bb2:
+  %r2 = mul %r0, 5
+  %r3 = sub %r7, 1
+  jmp bb3
+bb3:
+  call @g(%r2) -> (%r4, %r5)
+  %r2 = add %r2, %r3
+  %r4 = add %r4, %r5
+  %r2 = add %r2, %r4
+  %r2 = add %r2, %r7
+  store global[%r0], %r2
+  exit
+}
+device @f(params=2, regs=5, barriers=0, entry=bb0) {
+bb0:
+  %r2 = add %r0, %r1
+  call @g(%r2) -> (%r3, %r4)
+  %r2 = add %r2, %r4
+  ret %r3, %r2
+}
+device @g(params=1, regs=3, barriers=0, entry=bb0) {
+bb0:
+  %r1 = mul %r0, 3
+  %r2 = add %r0, 11
+  ret %r1, %r2
+}
+";
+
+    /// Lanes at different call depths reuse the same arena rows without
+    /// clobbering each other, and multi-value returns land in the
+    /// caller's window — at warp widths 1, 5, 32 and 64, under every
+    /// policy (they interleave the two arms differently), bit-identical
+    /// to the tree-walking oracle. Debug builds also run
+    /// `Warp::check_frames` at every pick.
+    #[test]
+    fn divergent_call_depths_share_the_arena_safely() {
+        let module = parse_and_link(ARENA_KERNEL).expect("kernel parses");
+        let image = DecodedImage::decode(&module);
+        for warp_width in [1, 5, 32, 64] {
+            for scheduler in SchedulerPolicy::ALL {
+                let cfg = SimConfig { warp_width, scheduler, ..SimConfig::default() };
+                let mut launch = steady_launch(0);
+                launch.args.clear();
+                launch.global_mem = vec![Value::I64(-1); 2 * warp_width];
+                let got = run_image(&image, &cfg, &launch).expect("decoded run");
+                let want = crate::reference::run_reference(&module, &cfg, &launch).expect("oracle");
+                assert_eq!(got.global_mem, want.global_mem, "width {warp_width} {scheduler:?}");
+                assert_eq!(got.metrics, want.metrics, "width {warp_width} {scheduler:?}");
+                // Thread 1 went through the nested chain: f(1, 101)
+                // calls g(102) -> (306, 113) and returns (306, 215), then
+                // g(306) -> (918, 317): 306 + 215 + 918 + 317 + 101.
+                assert_eq!(got.global_mem[1], Value::I64(1857));
+            }
+        }
     }
 
     /// A divergent branch whose arms reconverge at `bb3`, with a

@@ -148,8 +148,8 @@ pub fn run_reference(
     let num_barriers =
         module.functions.iter().map(|(_, f)| f.num_barriers).max().unwrap_or(0).max(1);
 
+    cfg.check_warp_width()?;
     let width = cfg.warp_width;
-    assert!(width <= 64, "warp width above 64 lanes is not supported");
     let mut warps = Vec::with_capacity(launch.num_warps);
     for w in 0..launch.num_warps {
         let mut threads = Vec::with_capacity(width);

@@ -308,17 +308,9 @@ mod tests {
         out
     }
 
-    const ALL_POLICIES: [SchedulerPolicy; 5] = [
-        SchedulerPolicy::Greedy,
-        SchedulerPolicy::MinPc,
-        SchedulerPolicy::MaxPc,
-        SchedulerPolicy::MostThreads,
-        SchedulerPolicy::RoundRobin,
-    ];
-
     #[test]
     fn mask_selection_matches_vec_selection_on_fixtures() {
-        for policy in ALL_POLICIES {
+        for policy in SchedulerPolicy::ALL {
             for last in [0u64, 1 << 3, (1 << 2) | (1 << 4), u64::MAX] {
                 let mut rr_vec = 5;
                 let mut rr_mask = 5;
@@ -376,7 +368,7 @@ mod tests {
             ) {
                 let vg = vec_groups(&occ);
                 let mg = mask_groups(&vg);
-                for policy in ALL_POLICIES {
+                for policy in SchedulerPolicy::ALL {
                     let mut rr_vec = rr_start;
                     let mut rr_mask = rr_start;
                     let vec_pick = select_group(policy, vg.clone(), last_lanes, &mut rr_vec);

@@ -12,7 +12,9 @@
 //! `[cell * nslots + slot]` with no per-instance pointers. One
 //! scheduling decision, one instruction decode, one cost lookup, and
 //! one metrics update then serve every instance of a sub-cohort; only
-//! the raw value compute is paid per `(lane, slot)`.
+//! the raw value compute is paid per `(lane, slot)` — through the same
+//! per-op kernels ([`crate::alu::with_bin`]) the decoded engine's lane
+//! loop instantiates, under this module's own loop shape (`SlotAlu`).
 //!
 //! # Fork, masked execution, merge
 //!
@@ -74,11 +76,12 @@
 //! with [`SimError::SweepUnsupported`] instead of emitting misstamped
 //! events.
 
+use crate::alu::AluLoop;
 use crate::barrier::WarpCtl;
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
-use crate::error::{ReconDump, SimError, ThreadLocation};
-use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, BATCH_LIMIT};
+use crate::error::{LaneFault, ReconDump, SimError};
+use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, Frame, BATCH_LIMIT};
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::rng::SplitMix64;
@@ -341,28 +344,14 @@ pub fn run_sweep(
     run_sweep_image(&image, cfg, sweep, None)
 }
 
-/// Stack-frame metadata shared by a sub-cohort's slots: structure
-/// (where the frame's register window sits in the SoA arena) is
-/// control, the register *values* inside the window are data.
-#[derive(Clone, Copy, Debug)]
-struct FrameMeta {
-    /// Saved pc; authoritative only while the frame is suspended (the
-    /// top frame's live pc is in [`WarpCtl::pcs`]).
-    pc: usize,
-    /// Caller registers receiving this frame's return values.
-    ret_regs: PoolRange,
-    /// First register offset of this frame in the lane's value arena.
-    base: usize,
-    /// Number of registers in the frame.
-    len: usize,
-}
-
 /// One lane's frame structure, owned per sub-cohort and shared by
-/// every slot of it.
+/// every slot of it: structure (where a frame's register window sits in
+/// the SoA arena — the same [`Frame`] metadata the decoded engine keeps)
+/// is control, the register *values* inside the window are data.
 #[derive(Clone, Debug)]
 struct CtlLane {
-    frames: Vec<FrameMeta>,
-    /// Arena high-water offset (== top frame's `base + len`).
+    frames: Vec<Frame>,
+    /// Arena bump pointer: the first free offset above the top frame.
     top: usize,
 }
 
@@ -426,11 +415,11 @@ impl CtlLane {
                 }
             }
         }
-        self.frames.push(FrameMeta { pc, ret_regs, base, len: num_regs });
+        self.frames.push(Frame { pc, ret_regs, base });
     }
 
     /// Pops the top frame, releasing its arena window.
-    fn pop_frame(&mut self) -> FrameMeta {
+    fn pop_frame(&mut self) -> Frame {
         let m = self.frames.pop().expect("return without frame");
         self.top = m.base;
         m
@@ -465,10 +454,7 @@ impl DLane {
     /// Evaluates an operand against the frame at `base` for one slot.
     #[inline]
     fn eval(&self, ns: usize, base: usize, op: Operand, slot: usize) -> Value {
-        match op {
-            Operand::Imm(v) => v,
-            Operand::Reg(r) => self.vals[(base + r.index()) * ns + slot],
-        }
+        self.get(self.row(ns, base, op), slot)
     }
 }
 
@@ -526,13 +512,6 @@ struct IssueCtx {
     pre_busy_until: u64,
 }
 
-/// Per-access fault captured during a cohort issue, resolved to the
-/// owning seed's `Err` after the hot borrows end.
-enum SlotFault {
-    Oob { lane: usize, addr: i64, size: usize, space: MemSpace },
-    Arith { lane: usize, message: String },
-}
-
 /// The lockstep sweep machine: forked control planes over one SoA data
 /// plane.
 struct Cohort<'m> {
@@ -576,8 +555,6 @@ struct Cohort<'m> {
     addr_buf: Vec<i64>,
     /// Segment ids derived from one slot's addresses.
     lines_buf: Vec<i64>,
-    /// Staged call arguments / return values, `[idx * nslots + slot]`.
-    stage: Vec<Value>,
     /// Per-slot machine-wide MSHR files of the memory-hierarchy model
     /// (each seed instance is its own virtual machine, so "machine-wide"
     /// means per slot here). Empty files unless [`SimConfig::mem`] is on.
@@ -618,12 +595,7 @@ impl<'m> Cohort<'m> {
                     }
                 }
                 lanes_c.push(CtlLane {
-                    frames: vec![FrameMeta {
-                        pc: entry,
-                        ret_regs: PoolRange::EMPTY,
-                        base: 0,
-                        len: num_regs,
-                    }],
+                    frames: vec![Frame { pc: entry, ret_regs: PoolRange::EMPTY, base: 0 }],
                     top: num_regs,
                 });
                 lanes_d.push(DLane {
@@ -676,7 +648,6 @@ impl<'m> Cohort<'m> {
             other_pcs: Vec::new(),
             addr_buf: Vec::new(),
             lines_buf: Vec::new(),
-            stage: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
             mem_scratch: crate::mem::MemScratch::default(),
         })
@@ -953,7 +924,7 @@ impl<'m> Cohort<'m> {
                         let e = SimError::Deadlock {
                             cycle: sub.cycle,
                             waiting: lanes(ctl.live())
-                                .map(|l| (self.location_at(w, l, ctl.pcs[l]), ctl.blocked_on(l)))
+                                .map(|l| (self.image.location(w, l, ctl.pcs[l]), ctl.blocked_on(l)))
                                 .collect(),
                             barriers: ctl.barrier_dump(),
                             recon: ReconDump::BarrierFile,
@@ -1031,20 +1002,20 @@ fn partition_classes<K: PartialEq + Copy>(live: u64, key: impl Fn(usize) -> K) -
 /// Whether two sub-cohorts' control planes are equal — the merge test:
 /// per warp, [`WarpCtl`] equality (pcs, statuses and their masks,
 /// barrier registers, `busy_until`, `rr_cursor`, `last_lanes`, `done`)
-/// plus the frame shape (depth, per-frame register count,
+/// plus the frame shape (depth, each frame's arena window — `base`s and
+/// the bump pointer, so both planes address the same columns —
 /// return-register spans, and the saved pc of *suspended* frames; the
-/// top frame's [`FrameMeta::pc`] is stale by design on both sides and
-/// never read). Frame arena offsets (`base`, `top`) are implied by the
-/// per-frame lengths (the arena is a bump allocator), so equal lengths
-/// mean both planes address the same columns.
+/// top frame's [`Frame::pc`] is stale by design on both sides and never
+/// read).
 fn subs_match(a: &SubCohort, b: &SubCohort) -> bool {
     a.warps.iter().zip(b.warps.iter()).all(|(aw, bw)| {
         aw.ctl == bw.ctl
             && aw.lanes_c.iter().zip(bw.lanes_c.iter()).all(|(al, bl)| {
                 let top = al.frames.len() - 1;
                 al.frames.len() == bl.frames.len()
+                    && al.top == bl.top
                     && al.frames.iter().zip(bl.frames.iter()).enumerate().all(|(i, (af, bf))| {
-                        af.len == bf.len
+                        af.base == bf.base
                             && af.ret_regs == bf.ret_regs
                             && (i == top || af.pc == bf.pc)
                     })
@@ -1063,39 +1034,14 @@ impl Cohort<'_> {
     /// operands leave the instruction to execute in its own round.
     fn batch_fault_free_c(&self, sub: &SubCohort, w: usize, mask: u64, inst: &DecodedInst) -> bool {
         let ns = self.nslots;
-        let slots = sub.slots;
-        let all = |lhs: Operand, rhs: Operand, f: &dyn Fn(Value, Value) -> bool| {
+        crate::alu::fault_free_when(inst).is_none_or(|(lhs, rhs, ok)| {
             lanes(mask).all(|l| {
                 let base = sub.warps[w].lanes_c[l].cur_base();
                 let dl = &self.data[w].lanes_d[l];
                 let (lr, rr) = (dl.row(ns, base, lhs), dl.row(ns, base, rhs));
-                lanes(slots).all(|s| f(dl.get(lr, s), dl.get(rr, s)))
+                lanes(sub.slots).all(|s| ok(dl.get(lr, s), dl.get(rr, s)))
             })
-        };
-        match *inst {
-            DecodedInst::Bin { op: BinOp::Div | BinOp::Rem, lhs, rhs, .. } => {
-                all(lhs, rhs, &|a, b| !(a.is_int() && b.is_int() && b.as_i64() == 0))
-            }
-            DecodedInst::Bin {
-                op: BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr,
-                lhs,
-                rhs,
-                ..
-            } => all(lhs, rhs, &|a, b| a.is_int() && b.is_int()),
-            DecodedInst::Un { op: simt_ir::UnOp::Not, src, .. } => {
-                all(src, src, &|a, _| a.is_int())
-            }
-            _ => true,
-        }
-    }
-
-    /// Thread location for a fault raised while issuing `pc` — the
-    /// shared pc array may already have advanced past the faulting
-    /// lane (the cohort advances once for the surviving slots), so
-    /// faults name the issued pc explicitly.
-    fn location_at(&self, warp: usize, lane: usize, pc: usize) -> ThreadLocation {
-        let o = self.image.origin[pc];
-        ThreadLocation { warp, lane, func: o.func, block: o.block, inst: o.inst as usize }
+        })
     }
 
     /// Splits `class` off `sub` at a divergent issue: forks a child
@@ -1134,6 +1080,64 @@ impl Cohort<'_> {
     }
 }
 
+/// The cohort's loop shape for the fallible ALU arms, handed to
+/// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): a failing
+/// slot resolves to its own `Arithmetic` error at the first faulting
+/// lane in lane order, exactly like its scalar run. Operand and
+/// destination rows are resolved once per lane, and the slot loop walks
+/// contiguous runs of the slot mask so a full (or fragmented-but-runny)
+/// mask takes dense counted inner loops over the column slices — the
+/// shape the autovectorizer wants.
+struct SlotAlu<'a, 'm> {
+    cohort: &'a mut Cohort<'m>,
+    sub: &'a mut SubCohort,
+    pc: usize,
+    mask: u64,
+    w: usize,
+    dst: simt_ir::Reg,
+    lhs: Operand,
+    rhs: Operand,
+}
+
+impl AluLoop for SlotAlu<'_, '_> {
+    type Out = ();
+    #[inline]
+    fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
+        let SlotAlu { cohort, sub, pc, mask, w, dst, lhs, rhs } = self;
+        let ns = cohort.nslots;
+        let slots = sub.slots;
+        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
+        let mut faulted = 0u64;
+        {
+            let cw = &mut sub.warps[w];
+            let dw = &mut cohort.data[w];
+            for l in lanes(mask) {
+                let base = cw.lanes_c[l].cur_base();
+                let dl = &mut dw.lanes_d[l];
+                let lr = dl.row(ns, base, lhs);
+                let rr = dl.row(ns, base, rhs);
+                let drow = (base + dst.index()) * ns;
+                for (lo, hi) in mask_runs(slots & !faulted) {
+                    for s in lo..hi {
+                        match k(dl.get(lr, s), dl.get(rr, s)) {
+                            Ok(v) => dl.vals[drow + s] = v,
+                            Err(message) => {
+                                faulted |= 1 << s;
+                                faults.push((s, LaneFault::Arith { lane: l, message }));
+                            }
+                        }
+                    }
+                }
+                cw.ctl.pcs[l] += 1;
+            }
+        }
+        for (s, f) in faults {
+            let e = f.into_error(|l| cohort.image.location(w, l, pc));
+            cohort.resolve_err(sub, s, e);
+        }
+    }
+}
+
 // The cohort execute path: one instruction over (lane mask × live
 // slots). Control effects (pc updates, status transitions, barrier
 // bookkeeping) happen once per sub-cohort; value effects happen per
@@ -1150,105 +1154,21 @@ impl Cohort<'_> {
         let w = ctx.w;
         let cost = self.costs[pc];
         match *inst {
+            // The op is invariant across the slot columns, so it is
+            // matched once out here: `SlotAlu` gets a tiny monomorphic
+            // kernel its slot-run loop can inline. Unary kernels ignore
+            // `rhs`; an immediate there costs no column read.
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                // The op (and in lockstep practice the operand types)
-                // is invariant across the slot columns, so dispatch it
-                // once out here: every arm instantiates `alu_c` with a
-                // tiny monomorphic kernel the slot-run loop can inline,
-                // instead of re-running `eval_bin`'s full op match per
-                // (lane, slot) element. Each kernel reproduces the
-                // corresponding `eval_bin` arm bit-for-bit, delegating
-                // back to it on the mixed-type/fault paths.
-                use simt_ir::BinOp::*;
-                macro_rules! arith {
-                    ($int:expr, $flt:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, lhs, rhs, |a, b| {
-                            Ok(match (a, b) {
-                                (Value::I64(x), Value::I64(y)) => Value::I64($int(x, y)),
-                                _ => Value::F64($flt(a.as_f64(), b.as_f64())),
-                            })
-                        })
-                    };
-                }
-                macro_rules! cmp {
-                    ($int:expr, $flt:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, lhs, rhs, |a, b| {
-                            Ok(Value::bool(match (a, b) {
-                                (Value::I64(x), Value::I64(y)) => $int(&x, &y),
-                                _ => $flt(&a.as_f64(), &b.as_f64()),
-                            }))
-                        })
-                    };
-                }
-                macro_rules! ints {
-                    ($f:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, lhs, rhs, |a, b| match (a, b) {
-                            (Value::I64(x), Value::I64(y)) => $f(x, y),
-                            _ => crate::alu::eval_bin(op, a, b),
-                        })
-                    };
-                }
-                match op {
-                    Add => arith!(i64::wrapping_add, |x: f64, y: f64| x + y),
-                    Sub => arith!(i64::wrapping_sub, |x: f64, y: f64| x - y),
-                    Mul => arith!(i64::wrapping_mul, |x: f64, y: f64| x * y),
-                    Min => arith!(i64::min, f64::min),
-                    Max => arith!(i64::max, f64::max),
-                    Div => ints!(|x: i64, y: i64| if y == 0 {
-                        Err("integer division by zero".to_string())
-                    } else {
-                        Ok(Value::I64(x.wrapping_div(y)))
-                    }),
-                    Rem => ints!(|x: i64, y: i64| if y == 0 {
-                        Err("integer remainder by zero".to_string())
-                    } else {
-                        Ok(Value::I64(x.wrapping_rem(y)))
-                    }),
-                    And => ints!(|x: i64, y: i64| Ok(Value::I64(x & y))),
-                    Or => ints!(|x: i64, y: i64| Ok(Value::I64(x | y))),
-                    Xor => ints!(|x: i64, y: i64| Ok(Value::I64(x ^ y))),
-                    Shl => ints!(|x: i64, y: i64| Ok(Value::I64(
-                        ((x as u64) << (y as u64 & 63)) as i64
-                    ))),
-                    Shr => ints!(|x: i64, y: i64| Ok(Value::I64(
-                        ((x as u64) >> (y as u64 & 63)) as i64
-                    ))),
-                    Eq => cmp!(i64::eq, f64::eq),
-                    Ne => cmp!(i64::ne, f64::ne),
-                    Lt => cmp!(i64::lt, f64::lt),
-                    Le => cmp!(i64::le, f64::le),
-                    Gt => cmp!(i64::gt, f64::gt),
-                    Ge => cmp!(i64::ge, f64::ge),
-                }
+                crate::alu::with_bin(op, SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs, rhs });
             }
             DecodedInst::Un { op, dst, src } => {
-                let pad = Operand::Imm(Value::default());
-                use simt_ir::UnOp::*;
-                macro_rules! un {
-                    ($f:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, src, pad, $f)
-                    };
-                }
-                match op {
-                    Not => un!(|a, _| crate::alu::eval_un(op, a)),
-                    Neg => un!(|a, _| Ok(match a {
-                        Value::I64(v) => Value::I64(v.wrapping_neg()),
-                        Value::F64(v) => Value::F64(-v),
-                    })),
-                    Sqrt => un!(|a, _| Ok(Value::F64(a.as_f64().sqrt()))),
-                    Exp => un!(|a, _| Ok(Value::F64(a.as_f64().exp()))),
-                    Log => un!(|a, _| Ok(Value::F64(a.as_f64().ln()))),
-                    Abs => un!(|a, _| Ok(match a {
-                        Value::I64(v) => Value::I64(v.wrapping_abs()),
-                        Value::F64(v) => Value::F64(v.abs()),
-                    })),
-                    ItoF => un!(|a, _| Ok(Value::F64(a.as_f64()))),
-                    FtoI => un!(|a, _| Ok(Value::I64(a.as_i64()))),
-                }
+                let rhs = Operand::Imm(Value::default());
+                let alu = SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs: src, rhs };
+                crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
-                let pad = Operand::Imm(Value::default());
-                self.alu_c(sub, pc, mask, w, dst, src, pad, |a, _| Ok(a));
+                let rhs = Operand::Imm(Value::default());
+                SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs: src, rhs }.run(|a, _| Ok(a));
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
                 self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
@@ -1288,25 +1208,13 @@ impl Cohort<'_> {
                 });
             }
             DecodedInst::Rng { dst, kind } => {
-                let ns = self.nslots;
-                let slots = sub.slots;
-                let cw = &mut sub.warps[w];
-                let dw = &mut self.data[w];
-                for l in lanes(mask) {
-                    let base = cw.lanes_c[l].cur_base();
-                    let dl = &mut dw.lanes_d[l];
-                    let drow = (base + dst.index()) * ns;
-                    for (lo, hi) in mask_runs(slots) {
-                        for s in lo..hi {
-                            let v = match kind {
-                                RngKind::U63 => Value::I64(dl.rng[s].next_u63()),
-                                RngKind::Unit => Value::F64(dl.rng[s].next_unit()),
-                            };
-                            dl.vals[drow + s] = v;
-                        }
-                    }
-                    cw.ctl.pcs[l] += 1;
-                }
+                self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
+                    let v = match kind {
+                        RngKind::U63 => Value::I64(dl.rng[s].next_u63()),
+                        RngKind::Unit => Value::F64(dl.rng[s].next_unit()),
+                    };
+                    dl.set(ns, base, dst.index(), s, v);
+                });
             }
             DecodedInst::SyncThreads => sub.warps[w].ctl.sync_arrive(mask, &mut |_| {}),
             DecodedInst::Vote { dst, pred } => {
@@ -1346,33 +1254,24 @@ impl Cohort<'_> {
                 let arg_ops = image.operands(args);
                 let ns = self.nslots;
                 let slots = sub.slots;
-                let Cohort { data, stage, .. } = self;
                 let cw = &mut sub.warps[w];
-                let dw = &mut data[w];
+                let dw = &mut self.data[w];
                 for l in lanes(mask) {
                     let ret_pc = cw.ctl.pcs[l] + 1;
                     let cl = &mut cw.lanes_c[l];
                     let dl = &mut dw.lanes_d[l];
                     let base = cl.cur_base();
-                    // Arguments evaluate in the caller frame, staged
-                    // before the callee frame extends the arena.
-                    stage.clear();
-                    stage.resize(arg_ops.len() * ns, Value::default());
-                    for (i, a) in arg_ops.iter().enumerate() {
-                        for (lo, hi) in mask_runs(slots) {
-                            for s in lo..hi {
-                                stage[i * ns + s] = dl.eval(ns, base, *a, s);
-                            }
-                        }
-                    }
                     // Suspend the caller: save its resume point.
                     cl.frames.last_mut().expect("lane has no frame").pc = ret_pc;
                     cl.push_frame(dl, ns, slots, entry_pc as usize, rets, num_regs as usize);
+                    // Arguments evaluate in the caller window, which
+                    // stays intact under the callee's.
                     let nb = cl.cur_base();
-                    for i in 0..arg_ops.len() {
+                    for (i, a) in arg_ops.iter().enumerate() {
                         for (lo, hi) in mask_runs(slots) {
                             for s in lo..hi {
-                                dl.set(ns, nb, i, s, stage[i * ns + s]);
+                                let v = dl.eval(ns, base, *a, s);
+                                dl.set(ns, nb, i, s, v);
                             }
                         }
                     }
@@ -1380,7 +1279,7 @@ impl Cohort<'_> {
                 }
             }
             DecodedInst::UnresolvedCall { name } => {
-                let at = self.location_at(w, mask.trailing_zeros() as usize, pc);
+                let at = self.image.location(w, mask.trailing_zeros() as usize, pc);
                 let e = SimError::UnresolvedCall {
                     at,
                     callee: image.callee_names[name as usize].clone(),
@@ -1448,106 +1347,38 @@ impl Cohort<'_> {
                 let ns = self.nslots;
                 let slots = sub.slots;
                 let mut exited = 0u64;
-                {
-                    let Cohort { data, stage, .. } = self;
-                    let cw = &mut sub.warps[w];
-                    let dw = &mut data[w];
-                    for l in lanes(mask) {
-                        let cl = &mut cw.lanes_c[l];
-                        let dl = &mut dw.lanes_d[l];
-                        let base = cl.cur_base();
-                        stage.clear();
-                        stage.resize(value_ops.len() * ns, Value::default());
-                        for (i, v) in value_ops.iter().enumerate() {
-                            for (lo, hi) in mask_runs(slots) {
-                                for s in lo..hi {
-                                    stage[i * ns + s] = dl.eval(ns, base, *v, s);
-                                }
-                            }
-                        }
-                        let fm = cl.pop_frame();
-                        if cl.frames.is_empty() {
-                            // Returning from the kernel frame behaves as
-                            // exit, like the scalar engine.
-                            cl.top = fm.base + fm.len;
-                            cl.frames.push(fm);
-                            exited |= 1 << l;
-                            continue;
-                        }
-                        let ret_regs = image.regs(fm.ret_regs);
-                        let cbase = cl.cur_base();
-                        for (i, r) in ret_regs.iter().enumerate() {
-                            if i >= value_ops.len() {
-                                break;
-                            }
-                            for (lo, hi) in mask_runs(slots) {
-                                for s in lo..hi {
-                                    dl.set(ns, cbase, r.index(), s, stage[i * ns + s]);
-                                }
-                            }
-                        }
-                        cw.ctl.pcs[l] = cl.frames.last().expect("caller frame").pc;
+                let cw = &mut sub.warps[w];
+                let dw = &mut self.data[w];
+                for l in lanes(mask) {
+                    let cl = &mut cw.lanes_c[l];
+                    let dl = &mut dw.lanes_d[l];
+                    if cl.frames.len() == 1 {
+                        // Returning from the kernel frame behaves as
+                        // exit, like the scalar engine.
+                        exited |= 1 << l;
+                        continue;
                     }
+                    // Values evaluate in the callee window, which keeps
+                    // its cells after the pop.
+                    let fm = cl.pop_frame();
+                    let cbase = cl.cur_base();
+                    for (r, v) in image.regs(fm.ret_regs).iter().zip(value_ops) {
+                        for (lo, hi) in mask_runs(slots) {
+                            for s in lo..hi {
+                                let v = dl.eval(ns, fm.base, *v, s);
+                                dl.set(ns, cbase, r.index(), s, v);
+                            }
+                        }
+                    }
+                    cw.ctl.pcs[l] = cl.frames.last().expect("caller frame").pc;
                 }
                 if exited != 0 {
-                    sub.warps[w].ctl.exit(exited, &mut |_| {});
+                    cw.ctl.exit(exited, &mut |_| {});
                 }
             }
             DecodedInst::Exit => sub.warps[w].ctl.exit(mask, &mut |_| {}),
         }
         cost
-    }
-
-    /// Shared loop shape for the fallible per-(lane, slot) ALU arms: a
-    /// failing slot resolves to its own `Arithmetic` error at the first
-    /// faulting lane in lane order, exactly like its scalar run. Operand
-    /// and destination rows are resolved once per lane, and the slot
-    /// loop walks contiguous runs of the slot mask so a full (or
-    /// fragmented-but-runny) mask takes dense counted inner loops over
-    /// the column slices — the shape the autovectorizer wants.
-    #[allow(clippy::too_many_arguments)]
-    fn alu_c(
-        &mut self,
-        sub: &mut SubCohort,
-        pc: usize,
-        mask: u64,
-        w: usize,
-        dst: simt_ir::Reg,
-        lhs: Operand,
-        rhs: Operand,
-        f: impl Fn(Value, Value) -> Result<Value, String>,
-    ) {
-        let ns = self.nslots;
-        let slots = sub.slots;
-        let mut faults: Vec<(usize, usize, String)> = Vec::new();
-        let mut faulted = 0u64;
-        {
-            let cw = &mut sub.warps[w];
-            let dw = &mut self.data[w];
-            for l in lanes(mask) {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                let lr = dl.row(ns, base, lhs);
-                let rr = dl.row(ns, base, rhs);
-                let drow = (base + dst.index()) * ns;
-                for (lo, hi) in mask_runs(slots & !faulted) {
-                    for s in lo..hi {
-                        match f(dl.get(lr, s), dl.get(rr, s)) {
-                            Ok(v) => dl.vals[drow + s] = v,
-                            Err(m) => {
-                                faulted |= 1 << s;
-                                faults.push((s, l, m));
-                            }
-                        }
-                    }
-                }
-                cw.ctl.pcs[l] += 1;
-            }
-        }
-        for (s, l, message) in faults {
-            let at = self.location_at(w, l, pc);
-            self.resolve_err(sub, s, SimError::Arithmetic { at, message });
-        }
     }
 
     /// Shared loop shape for the infallible per-(lane, slot) data arms.
@@ -1571,18 +1402,6 @@ impl Cohort<'_> {
                 }
             }
             cw.ctl.pcs[l] += 1;
-        }
-    }
-
-    /// Resolves a per-slot access fault into the owning seed's error.
-    fn fault_to_err(&self, w: usize, pc: usize, f: SlotFault) -> SimError {
-        match f {
-            SlotFault::Oob { lane, addr, size, space } => {
-                SimError::MemoryFault { at: self.location_at(w, lane, pc), addr, size, space }
-            }
-            SlotFault::Arith { lane, message } => {
-                SimError::Arithmetic { at: self.location_at(w, lane, pc), message }
-            }
         }
     }
 
@@ -1614,7 +1433,7 @@ impl Cohort<'_> {
         let ns = self.nslots;
         let w = ctx.w;
         let k = mask.count_ones() as usize;
-        let mut faults: Vec<(usize, SlotFault)> = Vec::new();
+        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
         let mut costs = [0u32; COHORT_SLOTS];
         {
             let glen = self.global_len;
@@ -1659,7 +1478,7 @@ impl Cohort<'_> {
                 let a = addr_buf[s * k + idx];
                 faults.push((
                     s,
-                    SlotFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
+                    LaneFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
                 ));
             }
             let lat = &cfg.latency;
@@ -1680,7 +1499,7 @@ impl Cohort<'_> {
             }
         }
         for (s, f) in faults {
-            let e = self.fault_to_err(w, pc, f);
+            let e = f.into_error(|l| self.image.location(w, l, pc));
             self.resolve_err(sub, s, e);
         }
         if sub.slots == 0 {
@@ -1746,7 +1565,7 @@ impl Cohort<'_> {
         // Global accesses never batch (`is_warp_local` excludes them),
         // so the issue cycle of every engine is its round clock.
         let now = sub.cycle;
-        let mut faults: Vec<(usize, SlotFault)> = Vec::new();
+        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
         let mut outs = [crate::mem::AccessOutcome::default(); COHORT_SLOTS];
         {
             let glen = self.global_len;
@@ -1783,7 +1602,7 @@ impl Cohort<'_> {
                 let a = addr_buf[s * k + idx];
                 faults.push((
                     s,
-                    SlotFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
+                    LaneFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
                 ));
             }
             // Cost phase: pure probes, per slot (tag and MSHR histories
@@ -1795,7 +1614,7 @@ impl Cohort<'_> {
             }
         }
         for (s, f) in faults {
-            let e = self.fault_to_err(w, pc, f);
+            let e = f.into_error(|l| self.image.location(w, l, pc));
             self.resolve_err(sub, s, e);
         }
         if sub.slots == 0 {
@@ -1888,7 +1707,7 @@ impl Cohort<'_> {
         let ns = self.nslots;
         let llen = self.local_len;
         let slots = sub.slots;
-        let mut faults: Vec<(usize, SlotFault)> = Vec::new();
+        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
         let mut faulted = 0u64;
         {
             let cw = &mut sub.warps[w];
@@ -1905,7 +1724,7 @@ impl Cohort<'_> {
                         faulted |= 1 << s;
                         faults.push((
                             s,
-                            SlotFault::Oob { lane: l, addr: a, size: llen, space: MemSpace::Local },
+                            LaneFault::Oob { lane: l, addr: a, size: llen, space: MemSpace::Local },
                         ));
                         continue;
                     }
@@ -1920,7 +1739,7 @@ impl Cohort<'_> {
             }
         }
         for (s, f) in faults {
-            let e = self.fault_to_err(w, pc, f);
+            let e = f.into_error(|l| self.image.location(w, l, pc));
             self.resolve_err(sub, s, e);
         }
     }
@@ -1942,7 +1761,7 @@ impl Cohort<'_> {
         let ns = self.nslots;
         let k = mask.count_ones() as usize;
         let slots = sub.slots;
-        let mut faults: Vec<(usize, SlotFault)> = Vec::new();
+        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
         let mut faulted = 0u64;
         {
             let glen = self.global_len;
@@ -1961,7 +1780,7 @@ impl Cohort<'_> {
                         faulted |= 1 << s;
                         faults.push((
                             s,
-                            SlotFault::Oob {
+                            LaneFault::Oob {
                                 lane: l,
                                 addr: a,
                                 size: glen,
@@ -1975,7 +1794,7 @@ impl Cohort<'_> {
                         Ok(new) => global[(a as usize) * ns + s] = new,
                         Err(m) => {
                             faulted |= 1 << s;
-                            faults.push((s, SlotFault::Arith { lane: l, message: m }));
+                            faults.push((s, LaneFault::Arith { lane: l, message: m }));
                             break;
                         }
                     }
@@ -1991,7 +1810,7 @@ impl Cohort<'_> {
         // write-through invalidation is observable.
         self.invalidate_lines_c(slots & !faulted, k);
         for (s, f) in faults {
-            let e = self.fault_to_err(w, pc, f);
+            let e = f.into_error(|l| self.image.location(w, l, pc));
             self.resolve_err(sub, s, e);
         }
     }
@@ -2219,16 +2038,6 @@ bb0:
         MemHierarchy::l1(64, 16, 2, &LatencyModel::default())
     }
 
-    fn all_policies() -> [SchedulerPolicy; 5] {
-        [
-            SchedulerPolicy::Greedy,
-            SchedulerPolicy::MinPc,
-            SchedulerPolicy::MaxPc,
-            SchedulerPolicy::MostThreads,
-            SchedulerPolicy::RoundRobin,
-        ]
-    }
-
     #[test]
     fn empty_range_yields_empty_output() {
         let module = parse_and_link(VOTE_DIVERGE_KERNEL).unwrap();
@@ -2261,6 +2070,27 @@ bb0:
         assert!(matches!(err, SimError::SweepUnsupported { .. }), "{err}");
     }
 
+    /// The width is validated where it is first used — as the lane-mask
+    /// width and the register arena's stride — with one error from all
+    /// three engines; `0` used to "finish" having run no thread.
+    #[test]
+    fn every_engine_rejects_warp_widths_outside_1_to_64() {
+        let module = parse_and_link(VOTE_DIVERGE_KERNEL).unwrap();
+        let image = DecodedImage::decode(&module);
+        for warp_width in [0, 65] {
+            let cfg = SimConfig { warp_width, ..SimConfig::default() };
+            let base = launch("k", 1, 32, vec![]);
+            let sweep = SweepLaunch::new(base.clone(), 0, 4);
+            let errs = [
+                crate::exec::run_image(&image, &cfg, &base).unwrap_err(),
+                crate::reference::run_reference(&module, &cfg, &base).unwrap_err(),
+                run_sweep_image(&image, &cfg, &sweep, None).unwrap_err(),
+            ];
+            assert!(matches!(errs[0], SimError::InvalidModule(_)), "{}", errs[0]);
+            assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
+        }
+    }
+
     #[test]
     fn rejects_observability_for_multi_instance_sweeps() {
         let module = parse_and_link(VOTE_DIVERGE_KERNEL).unwrap();
@@ -2290,7 +2120,7 @@ bb0:
 
     #[test]
     fn lockstep_sweep_is_bit_identical_across_policies() {
-        for policy in all_policies() {
+        for policy in SchedulerPolicy::ALL {
             let cfg = SimConfig { scheduler: policy, mem: Some(l1()), ..SimConfig::default() };
             let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(12)]), 100, 116);
             let stats = assert_matches_scalar(LOCKSTEP_KERNEL, &cfg, &sweep);
@@ -2323,7 +2153,7 @@ bb0:
 
     #[test]
     fn lane_divergence_forks_and_reconverges_across_policies() {
-        for policy in all_policies() {
+        for policy in SchedulerPolicy::ALL {
             let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
             let sweep = SweepLaunch::new(launch("k", 2, 64, vec![]), 0, 24);
             let stats = assert_matches_scalar(LANE_DIVERGE_KERNEL, &cfg, &sweep);
@@ -2366,7 +2196,7 @@ bb0:
         )
         .unwrap();
         let sweep = SweepLaunch::new(launch("k", 2, 64, vec![]), 0, 48);
-        for policy in all_policies() {
+        for policy in SchedulerPolicy::ALL {
             for mem in [None, Some(hier.clone())] {
                 let cfg = SimConfig { scheduler: policy, mem, ..SimConfig::default() };
                 let stats = assert_matches_scalar(LANE_DIVERGE_KERNEL, &cfg, &sweep);
@@ -2392,7 +2222,7 @@ bb0:
 
     #[test]
     fn divergent_call_depths_share_the_arena_safely() {
-        for policy in all_policies() {
+        for policy in SchedulerPolicy::ALL {
             let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
             let sweep = SweepLaunch::new(launch("k", 1, 64, vec![]), 0, 24);
             let stats = assert_matches_scalar(CALL_DIVERGE_KERNEL, &cfg, &sweep);
@@ -2402,7 +2232,7 @@ bb0:
 
     #[test]
     fn divergent_trip_counts_stay_masked_and_bit_identical() {
-        for policy in all_policies() {
+        for policy in SchedulerPolicy::ALL {
             let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
             let sweep = SweepLaunch::new(launch("k", 1, 64, vec![]), 0, 32);
             let stats = assert_matches_scalar(LOOP_DIVERGE_KERNEL, &cfg, &sweep);

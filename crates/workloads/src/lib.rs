@@ -82,20 +82,41 @@ pub struct Workload {
     pub launch: Launch,
 }
 
+type Builder = fn() -> Workload;
+
+/// Every workload the CLI and `/v1/eval` know by name, each with its
+/// builder at default parameters: the Table-2 nine in the paper's order,
+/// then `microbench` (the common-call shape), `seed-storm` and `srad`.
+const BUILDERS: [(&str, Builder); 12] = [
+    ("rsbench", || rsbench::build(&rsbench::Params::default())),
+    ("xsbench", || xsbench::build(&xsbench::Params::default())),
+    ("mcb", || mcb::build(&mcb::Params::default())),
+    ("pathtracer", || pathtracer::build(&pathtracer::Params::default())),
+    ("mc-gpu", || mcgpu::build(&mcgpu::Params::default())),
+    ("mummer", || mummer::build(&mummer::Params::default())),
+    ("meiyamd5", || meiyamd5::build(&meiyamd5::Params::default())),
+    ("optix", || optix::build(&optix::Params::default())),
+    ("gpu-mcml", || gpumcml::build(&gpumcml::Params::default())),
+    ("microbench", || microbench::build_common_call(&microbench::Params::default())),
+    ("seed-storm", || seedstorm::build(&seedstorm::Params::default())),
+    ("srad", || srad::build(&srad::Params::default())),
+];
+
 /// All Table-2 workloads at their default parameters, in the paper's
 /// order.
 pub fn registry() -> Vec<Workload> {
-    vec![
-        rsbench::build(&rsbench::Params::default()),
-        xsbench::build(&xsbench::Params::default()),
-        mcb::build(&mcb::Params::default()),
-        pathtracer::build(&pathtracer::Params::default()),
-        mcgpu::build(&mcgpu::Params::default()),
-        mummer::build(&mummer::Params::default()),
-        meiyamd5::build(&meiyamd5::Params::default()),
-        optix::build(&optix::Params::default()),
-        gpumcml::build(&gpumcml::Params::default()),
-    ]
+    BUILDERS.iter().take(9).map(|(_, build)| build()).collect()
+}
+
+/// The names [`by_name`] knows, in table order.
+pub fn names() -> Vec<&'static str> {
+    BUILDERS.iter().map(|&(name, _)| name).collect()
+}
+
+/// Builds the one workload called `name` at its default parameters,
+/// without building the others (and their global memories).
+pub fn by_name(name: &str) -> Option<Workload> {
+    BUILDERS.iter().find(|&&(n, _)| n == name).map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -119,6 +140,15 @@ mod tests {
                 "gpu-mcml"
             ]
         );
+        // The table is keyed by the built names; the three extras follow.
+        let known = super::names();
+        assert_eq!(known[..9], names);
+        assert_eq!(known[9..], ["microbench", "seed-storm", "srad"]);
+        for (i, name) in known.into_iter().enumerate() {
+            let w = by_name(name).expect("every listed name builds");
+            assert!(i >= 9 || w.name == name);
+        }
+        assert!(by_name("no-such-workload").is_none());
     }
 
     #[test]

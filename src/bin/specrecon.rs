@@ -537,28 +537,16 @@ fn parse_seed_range(s: &str) -> Result<(u64, u64), String> {
 /// the lockstep sweep engine and report per-seed plus aggregate SIMT
 /// efficiency.
 fn sweep_cmd(args: &[String]) -> Result<(), String> {
-    use specrecon::workloads::{eval, microbench, registry, seedstorm, srad};
+    use specrecon::workloads::{self, eval};
     let name = flag_value(args, "--workload").ok_or("missing --workload NAME")?;
     let (lo, hi) = parse_seed_range(flag_value(args, "--seeds").ok_or("missing --seeds LO..HI")?)?;
     let jobs: usize = match flag_value(args, "--jobs") {
         Some(v) => v.parse().map_err(|_| "--jobs expects a number")?,
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
-    let mut w = if name == "microbench" {
-        microbench::build_common_call(&microbench::Params::default())
-    } else if name == "seed-storm" {
-        seedstorm::build(&seedstorm::Params::default())
-    } else if name == "srad" {
-        srad::build(&srad::Params::default())
-    } else {
-        registry().into_iter().find(|w| w.name == name).ok_or_else(|| {
-            let known: Vec<&str> = registry().iter().map(|w| w.name).collect();
-            format!(
-                "unknown workload `{name}` (known: {}, microbench, seed-storm, srad)",
-                known.join(", ")
-            )
-        })?
-    };
+    let mut w = workloads::by_name(name).ok_or_else(|| {
+        format!("unknown workload `{name}` (known: {})", workloads::names().join(", "))
+    })?;
     if let Some(v) = flag_value(args, "--warps") {
         let warps: usize = v.parse().map_err(|_| "--warps expects a number")?;
         w = w.rebind().warps(warps).done();
