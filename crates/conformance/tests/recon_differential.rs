@@ -1,6 +1,6 @@
 //! Differential conformance for the reconvergence-model axis.
 //!
-//! Two claims, for random programs from the conformance genome:
+//! Three claims, for random programs from the conformance genome:
 //!
 //! 1. **`BarrierFile` is the pre-existing engine.** With the default
 //!    model the decoded engine and the tree-walking reference agree
@@ -17,6 +17,11 @@
 //!    hardware reconvergence, Volta barriers, and speculative
 //!    reconvergence barriers (inert on pre-Volta) are three routes to
 //!    the same architectural result.
+//! 3. **The fast path is the general round.** Under every hardware
+//!    model a traced and journaled run — which takes no pick hint and
+//!    batches nothing — reports the full [`Metrics`] (cycles, issues,
+//!    `recon` splits/fusions/deferrals/pushes/pops, memory counters)
+//!    and the final memory of the plain run, bit for bit.
 //!
 //! Case count defaults to 64 and is capped by `CONFORMANCE_CASES`.
 
@@ -25,7 +30,7 @@ use conformance::program::spec_strategy;
 use conformance::{build_module, ProgramSpec};
 use proptest::prelude::*;
 use simt_ir::{Module, Value};
-use simt_sim::{run, run_reference, Launch, ReconvergenceModel, SimConfig};
+use simt_sim::{run, run_reference, JournalConfig, Launch, ReconvergenceModel, SimConfig};
 use specrecon_core::{compile, CompileOptions, PassError};
 
 /// Cycle budget per run (mirrors the oracle's).
@@ -159,6 +164,28 @@ fn check_models(spec: &ProgramSpec) -> Result<(), String> {
                             "[{name}] {policy:?} seed {ls:#x}: unbalanced ipdom stack: \
                              {} pushes, {} pops",
                             out.metrics.recon.stack_pushes, out.metrics.recon.stack_pops
+                        ));
+                    }
+
+                    // Claim 3: the unhinted, unbatched run agrees exactly.
+                    let traced_cfg = SimConfig {
+                        trace: true,
+                        journal: Some(JournalConfig::default()),
+                        ..cfg(spec, policy, model)
+                    };
+                    let traced = run(&module, &traced_cfg, &l).map_err(|e| {
+                        format!(
+                            "[{name}] {policy:?} seed {ls:#x}: traced run failed under {}: {e}",
+                            model.spec()
+                        )
+                    })?;
+                    if traced.metrics != out.metrics || traced.global_mem != out.global_mem {
+                        return Err(format!(
+                            "[{name}] {policy:?} seed {ls:#x}: traced and plain runs diverge \
+                             under {}\nplain:  {:?}\ntraced: {:?}\nmodule:\n{module}",
+                            model.spec(),
+                            out.metrics,
+                            traced.metrics
                         ));
                     }
                 }

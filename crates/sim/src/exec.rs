@@ -40,7 +40,7 @@ use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
 use crate::error::{LaneFault, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
 use crate::journal::{Journal, JournalEvent};
-use crate::machine::{Launch, SimOutput};
+use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::profile::Profile;
 use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
@@ -232,10 +232,19 @@ pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
 /// warp's earlier fault. The check mirrors [`crate::alu`]'s fault
 /// conditions by *reading* the operands — a faultable lane leaves the
 /// instruction to execute in its own round, where ordering is exact.
+///
+/// Forced inline, with a plain lane loop: the batcher is instantiated
+/// in both round shapes, and with two call sites the compiler otherwise
+/// leaves this check — run before every batched issue — out of line.
+#[inline(always)]
 fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
-    crate::alu::fault_free_when(inst).is_none_or(|(lhs, rhs, ok)| {
-        lanes(mask).all(|l| ok(warp.regs.read(l, lhs), warp.regs.read(l, rhs)))
-    })
+    let Some((lhs, rhs, ok)) = crate::alu::fault_free_when(inst) else { return true };
+    for l in lanes(mask) {
+        if !ok(warp.regs.read(l, lhs), warp.regs.read(l, rhs)) {
+            return false;
+        }
+    }
+    true
 }
 
 #[derive(Clone, Debug)]
@@ -253,13 +262,19 @@ pub(crate) struct Warp {
     pub(crate) ctl: WarpCtl,
     pub(crate) threads: Vec<Thread>,
     pub(crate) regs: RegFile,
-    /// What the next [`Machine::pick_group`] call would provably return,
-    /// recorded when a straight-line batch ends with its group intact
-    /// (it broke on a non-batchable instruction, not on a split or a
-    /// group merge). Nothing outside this warp's own issues can change
-    /// its scheduling state, so the next slot issues directly and skips
-    /// the grouping scan. Consumed (and re-proved) every slot.
+    /// What the next round's pick would provably return — under any
+    /// reconvergence model — recorded when a straight-line batch ends
+    /// with its group intact (it broke on a non-batchable instruction,
+    /// not on a split, a group merge or a moved IPDOM stack). Nothing
+    /// outside this warp's own issues can change its scheduling state,
+    /// so the next slot issues directly and skips the grouping scan
+    /// (warp-split: normalization, fusion and the candidate scan).
+    /// Consumed (and re-proved) every slot.
     pub(crate) pick_hint: Option<(usize, u64)>,
+    /// The split that owns [`Warp::pick_hint`]'s lanes under
+    /// [`ReconvergenceModel::WarpSplit`]. Stable while the hint lives:
+    /// only the general round reorders the split list.
+    pub(crate) hint_split: usize,
     /// After a divergent pick: the pcs of the groups that were *not*
     /// chosen. The straight-line batcher stops before the running
     /// group's pc collides with one (the scheduler would merge them).
@@ -279,6 +294,17 @@ pub(crate) struct Warp {
 }
 
 impl Warp {
+    /// The lanes this round's pick chooses among — what a reconvergence
+    /// model contributes to a round. The IPDOM stack exposes only its
+    /// top entry's pending lanes (taken-first serialization: parked
+    /// lanes stay runnable but invisible until the entry pops); the
+    /// stack is empty under the other models, which expose every
+    /// runnable lane (a warp-split round then arbitrates among splits).
+    #[inline]
+    fn schedulable(&self) -> u64 {
+        self.ctl.runnable & self.ipdom_stack.last().map_or(u64::MAX, |e| e.pending)
+    }
+
     /// Debug-build invariant, checked beside [`WarpCtl::check_masks`]:
     /// each lane's live window is its top frame's, and the bump pointer
     /// sits exactly above it (the live pc names the frame's function).
@@ -343,6 +369,8 @@ pub(crate) struct Machine<'m> {
     /// post-issue IPDOM hook to turn into stack pushes after the hot
     /// borrows end: `(branch pc, taken mask, not-taken mask)`.
     pub(crate) pending_split: Option<(usize, u64, u64)>,
+    /// How the rounds were served; see [`EngineStats`].
+    pub(crate) stats: EngineStats,
     pub(crate) cycle: u64,
 }
 
@@ -451,6 +479,7 @@ impl<'m> Machine<'m> {
                 threads,
                 regs: RegFile::new(width, kfunc.num_regs as usize, &launch.args),
                 pick_hint: None,
+                hint_split: 0,
                 other_pcs: Vec::new(),
                 mem_tags: crate::mem::MemTags::new(cfg.mem.as_ref()),
                 ipdom_stack: Vec::new(),
@@ -479,6 +508,7 @@ impl<'m> Machine<'m> {
             ipdom: matches!(cfg.recon, ReconvergenceModel::IpdomStack)
                 .then(|| IpdomTable::build(image)),
             pending_split: None,
+            stats: EngineStats::default(),
             cycle: 0,
         })
     }
@@ -503,8 +533,10 @@ impl<'m> Machine<'m> {
                 next_ready = next_ready.min(self.warps[w].ctl.busy_until);
                 continue;
             }
+            self.stats.rounds += 1;
             // The warp-split model schedules per split, not per warp:
-            // its own round logic replaces pick/issue/batch below.
+            // its own round logic replaces the pick below (the batcher
+            // and the hints are shared).
             if let ReconvergenceModel::WarpSplit { window, compact } = self.cfg.recon {
                 self.step_warp_split(w, window, compact, &mut next_ready)?;
                 continue;
@@ -515,15 +547,7 @@ impl<'m> Machine<'m> {
             // untouched since), so consuming it is equivalent — down to
             // the RoundRobin cursor slot the skipped pick would have
             // taken.
-            let picked = if let Some(hint) = self.warps[w].pick_hint.take() {
-                if self.cfg.scheduler == SchedulerPolicy::RoundRobin {
-                    let warp = &mut self.warps[w];
-                    warp.ctl.rr_cursor = warp.ctl.rr_cursor.wrapping_add(1);
-                }
-                Some(hint)
-            } else {
-                self.pick_group(w)
-            };
+            let picked = self.take_hint(w).or_else(|| self.pick_group(w));
             match picked {
                 Some((pc, mask)) => {
                     // Reconvergence by pc collision: the pick strictly
@@ -546,105 +570,12 @@ impl<'m> Machine<'m> {
                     }
                     self.warps[w].ctl.last_lanes = mask;
                     let cost = self.issue(w, pc, mask)?;
-                    if matches!(self.cfg.recon, ReconvergenceModel::IpdomStack) {
-                        self.ipdom_post_issue(w);
-                    }
                     let mut busy = self.cycle + u64::from(cost.max(1));
-                    // Straight-line batching: a fully-converged warp
-                    // executing warp-local ops (no memory traffic, no
-                    // control divergence, no status changes) would be
-                    // re-picked unchanged at every following round, so
-                    // run ahead within this slot. Warps only interact
-                    // through global memory, so cross-warp interleaving
-                    // is unobservable for these ops; each issue is still
-                    // recorded individually (same metrics, profile, and
-                    // cost accounting; `last_lanes` re-sticks to the
-                    // same mask; RoundRobin consumes a cursor slot per
-                    // issue exactly as the converged pick would).
-                    // Tracing and journaling disable it — their events
-                    // carry the issue cycle, which batching would
-                    // misstamp.
-                    //
-                    // A *divergent* group batches too, but only under
-                    // Greedy: its full overlap with `last_lanes` beats
-                    // every disjoint group's zero overlap, so Greedy
-                    // provably re-picks it — until its pc lands on
-                    // another group's pc, where the unbatched scheduler
-                    // would merge the two ([`Scratch::other_pcs`] guards
-                    // that; the other groups' lanes are frozen for the
-                    // whole batch, so the pc set is stable). Other
-                    // policies re-rank groups as pcs move, so a
-                    // divergent group only batches when converged.
-                    // The hardware models also disable batching: their
-                    // scheduling state (stack top, split frontiers) can
-                    // change on any issue, so a re-pick is never provable.
-                    if self.trace.is_none()
-                        && self.journal.is_none()
-                        && matches!(self.cfg.recon, ReconvergenceModel::BarrierFile)
-                        && keeps_lockstep(&self.image.insts[pc])
-                        && (mask == self.warps[w].ctl.runnable
-                            || self.cfg.scheduler == SchedulerPolicy::Greedy)
-                    {
-                        let lead = mask.trailing_zeros() as usize;
-                        let round_robin = self.cfg.scheduler == SchedulerPolicy::RoundRobin;
-                        // Whether the group is still (pcs[lead], mask)
-                        // when the loop exits — false only after a
-                        // branch split or a pending merge, the two
-                        // stops where the next pick must re-group.
-                        let mut intact = true;
-                        for _ in 0..BATCH_LIMIT {
-                            let npc = self.warps[w].ctl.pcs[lead];
-                            let inst = &self.image.insts[npc];
-                            // Branches batch too — they are warp-local
-                            // and infallible — but the group survives
-                            // the issue only if every lane took the
-                            // same direction (checked below).
-                            let branch = matches!(inst, DecodedInst::Branch { .. });
-                            if self.warps[w].other_pcs.contains(&npc) {
-                                intact = false;
-                                break;
-                            }
-                            if !(branch || is_warp_local(inst))
-                                || !batch_fault_free(&self.warps[w], mask, inst)
-                            {
-                                break;
-                            }
-                            if round_robin {
-                                let rr = &mut self.warps[w].ctl.rr_cursor;
-                                *rr = rr.wrapping_add(1);
-                            }
-                            let c = self.issue(w, npc, mask)?;
-                            busy += u64::from(c.max(1));
-                            if branch {
-                                let warp = &self.warps[w];
-                                let tpc = warp.ctl.pcs[lead];
-                                if lanes(mask).any(|l| warp.ctl.pcs[l] != tpc) {
-                                    // The group split; the next real
-                                    // round re-groups and re-picks
-                                    // exactly as unbatched execution
-                                    // would at this point.
-                                    intact = false;
-                                    break;
-                                }
-                            }
-                        }
-                        // Batched ops never touch statuses, so an
-                        // intact group is exactly what the next pick
-                        // would return (converged: it is the only
-                        // group; divergent Greedy: full overlap with
-                        // `last_lanes` wins, and the merge guard above
-                        // vetoed the hint otherwise): leave it as a
-                        // hint and skip that scan.
-                        if intact {
-                            let warp = &mut self.warps[w];
-                            let npc = warp.ctl.pcs[lead];
-                            // Re-checked here because the loop can also
-                            // exit at `BATCH_LIMIT`, where the next pc
-                            // never went through the merge guard.
-                            if !warp.other_pcs.contains(&npc) {
-                                warp.pick_hint = Some((npc, mask));
-                            }
-                        }
+                    // A stack that moved (pushed, parked or popped)
+                    // changed what the next pick chooses among.
+                    let stack_moved = self.ipdom.is_some() && self.ipdom_post_issue(w, pc, mask);
+                    if !stack_moved && self.can_run_ahead(w, pc, mask) {
+                        busy = self.run_ahead(w, mask, busy)?;
                     }
                     self.warps[w].ctl.busy_until = busy;
                     next_ready = next_ready.min(busy);
@@ -676,11 +607,154 @@ impl<'m> Machine<'m> {
         Ok(false)
     }
 
+    /// Whether a pick advances the RoundRobin cursor — and so whether a
+    /// hinted round or a batched issue, which stand in for one, must.
+    /// Every pick goes through the policy except under compacting
+    /// warp-split, which issues every ready split without arbitration.
+    #[inline]
+    fn pick_bumps_rr(&self) -> bool {
+        self.cfg.scheduler == SchedulerPolicy::RoundRobin
+            && !matches!(self.cfg.recon, ReconvergenceModel::WarpSplit { compact: true, .. })
+    }
+
+    /// Consumes warp `w`'s pick hint, if the previous round left one:
+    /// the hinted round stands in for the pick it skips, down to the
+    /// RoundRobin cursor slot that pick would have taken.
+    #[inline]
+    fn take_hint(&mut self, w: usize) -> Option<(usize, u64)> {
+        let hint = self.warps[w].pick_hint.take()?;
+        self.stats.hinted_rounds += 1;
+        if self.pick_bumps_rr() {
+            let rr = &mut self.warps[w].ctl.rr_cursor;
+            *rr = rr.wrapping_add(1);
+        }
+        Some(hint)
+    }
+
+    /// Whether, having just issued `pc` for `mask`, the next round of
+    /// warp `w` would provably re-pick the same lanes — the gate of the
+    /// straight-line batcher under every reconvergence model.
+    ///
+    /// The one condition that proves it anywhere: the issue kept its
+    /// lanes in lockstep with statuses untouched, and `mask` is the
+    /// warp's whole [`Warp::schedulable`] set, so there is no second
+    /// path to arbitrate — the barrier file's converged warp, the IPDOM
+    /// top entry's pending lanes at one pc, warp-split's sole split with
+    /// runnable lanes (every other split is fully blocked and stays so:
+    /// nothing that runs a release check batches).
+    ///
+    /// A *divergent* group also qualifies under the barrier file with
+    /// Greedy: its full overlap with `last_lanes` beats every disjoint
+    /// group's zero overlap, so Greedy provably re-picks it — until its
+    /// pc lands on another group's pc, where the unbatched scheduler
+    /// would merge the two ([`Warp::other_pcs`] guards that; the other
+    /// groups' lanes are frozen for the whole batch, so the pc set is
+    /// stable). Other policies re-rank groups as pcs move.
+    ///
+    /// Tracing and journaling disable batching — their events carry the
+    /// issue cycle, which running ahead would misstamp — and with it the
+    /// hints, so a traced run is the unbatched, unhinted reference.
+    #[inline]
+    fn can_run_ahead(&self, w: usize, pc: usize, mask: u64) -> bool {
+        self.trace.is_none()
+            && self.journal.is_none()
+            && keeps_lockstep(&self.image.insts[pc])
+            && (mask == self.warps[w].schedulable()
+                || (self.cfg.scheduler == SchedulerPolicy::Greedy
+                    && matches!(self.cfg.recon, ReconvergenceModel::BarrierFile)))
+    }
+
+    /// Straight-line batching, shared by the three reconvergence models:
+    /// after an issue that passed [`Machine::can_run_ahead`], the same
+    /// lanes would be re-picked unchanged at every following round while
+    /// they execute warp-local ops (no memory traffic, no control
+    /// divergence, no status changes), so run ahead within this slot.
+    /// Warps only interact through global memory, so cross-warp
+    /// interleaving is unobservable for these ops; each issue is still
+    /// recorded individually (same metrics, profile, and cost
+    /// accounting; `last_lanes` re-sticks to the same mask; the
+    /// RoundRobin cursor moves wherever the skipped pick would have
+    /// moved it; under the IPDOM stack the post-issue hook runs after
+    /// every issue and ends the batch the moment the stack moves).
+    ///
+    /// Takes the cycle the slot's first issue completes at and returns
+    /// the accumulated one — the cycle the unbatched rounds would have
+    /// reached, which the caller charges to the warp (warp-split: to the
+    /// owning split, so children of a batched divergent branch inherit
+    /// the clock they would have been forked at). When the batch ends
+    /// with its group intact, leaves [`Warp::pick_hint`] for the next
+    /// round.
+    #[inline(always)]
+    fn run_ahead(&mut self, w: usize, mask: u64, mut busy: u64) -> Result<u64, SimError> {
+        let lead = mask.trailing_zeros() as usize;
+        let bump_rr = self.pick_bumps_rr();
+        let ipdom = self.ipdom.is_some();
+        let mut batched = 0;
+        // Whether the group is still (pcs[lead], mask) when the loop
+        // exits — false only after a branch split, a pending merge or a
+        // moved IPDOM stack, the stops where the next pick must re-group.
+        let mut intact = true;
+        for _ in 0..BATCH_LIMIT {
+            let npc = self.warps[w].ctl.pcs[lead];
+            let inst = &self.image.insts[npc];
+            // Branches batch too — they are warp-local and infallible —
+            // but the group survives the issue only if every lane took
+            // the same direction (checked below).
+            let branch = matches!(inst, DecodedInst::Branch { .. });
+            if self.warps[w].other_pcs.contains(&npc) {
+                intact = false;
+                break;
+            }
+            if !(branch || is_warp_local(inst)) || !batch_fault_free(&self.warps[w], mask, inst) {
+                break;
+            }
+            if bump_rr {
+                let rr = &mut self.warps[w].ctl.rr_cursor;
+                *rr = rr.wrapping_add(1);
+            }
+            let c = self.issue(w, npc, mask)?;
+            busy += u64::from(c.max(1));
+            batched += 1;
+            if ipdom && self.ipdom_post_issue(w, npc, mask) {
+                intact = false;
+                break;
+            }
+            if branch {
+                let warp = &self.warps[w];
+                let tpc = warp.ctl.pcs[lead];
+                if lanes(mask).any(|l| warp.ctl.pcs[l] != tpc) {
+                    // The group split; the next real round re-groups
+                    // (warp-split: re-normalizes) and re-picks exactly
+                    // as unbatched execution would at this point.
+                    intact = false;
+                    break;
+                }
+            }
+        }
+        self.stats.batched_issues += batched;
+        // Batched ops never touch statuses, so an intact group is
+        // exactly what the next pick would return (the only schedulable
+        // group; or divergent Greedy, where full overlap with
+        // `last_lanes` wins and the merge guard above vetoed the hint
+        // otherwise): leave it as a hint and skip that scan.
+        if intact {
+            let warp = &mut self.warps[w];
+            let npc = warp.ctl.pcs[lead];
+            // Re-checked here because the loop can also exit at
+            // `BATCH_LIMIT`, where the next pc never went through the
+            // merge guard.
+            if !warp.other_pcs.contains(&npc) {
+                warp.pick_hint = Some((npc, mask));
+            }
+        }
+        Ok(busy)
+    }
+
     /// Finalizes the run into its output (consumes the machine).
     pub(crate) fn into_output(self) -> SimOutput {
-        let Machine { global, mut metrics, trace, profile, journal, cycle, .. } = self;
+        let Machine { global, mut metrics, trace, profile, journal, stats, cycle, .. } = self;
         metrics.cycles = cycle;
-        SimOutput { metrics, global_mem: global, trace, profile, journal }
+        SimOutput { metrics, engine: stats, global_mem: global, trace, profile, journal }
     }
 
     /// Records one journal event, if journaling is on.
@@ -712,12 +786,8 @@ impl<'m> Machine<'m> {
     fn pick_group(&mut self, w: usize) -> Option<(usize, u64)> {
         #[cfg(debug_assertions)]
         self.warps[w].check_frames(self.image);
-        let Warp { ctl, other_pcs, ipdom_stack, .. } = &mut self.warps[w];
-        // Under the IPDOM stack model only the top entry's pending lanes
-        // are schedulable (taken-first serialization); parked lanes stay
-        // runnable but invisible until the entry pops. The stack is
-        // empty under every other model, which keeps this a no-op there.
-        let eligible = ipdom_stack.last().map_or(u64::MAX, |e| e.pending);
+        let eligible = self.warps[w].schedulable();
+        let Warp { ctl, other_pcs, .. } = &mut self.warps[w];
         ctl.pick_group(self.cfg.scheduler, eligible, &mut self.scratch.groups, other_pcs)
     }
 
@@ -755,38 +825,63 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// IPDOM bookkeeping after one issue of warp `w`: turns a parked
-    /// divergent branch into a pair of stack pushes (not-taken below
-    /// taken, so the taken arm executes first), drops exited lanes from
-    /// every entry, parks lanes that reached the top entry's
+    /// IPDOM bookkeeping after warp `w` issued `pc` for `mask`: turns a
+    /// parked divergent branch into a pair of stack pushes (not-taken
+    /// below taken, so the taken arm executes first), drops exited lanes
+    /// from every entry, parks lanes that reached the top entry's
     /// reconvergence pc, and pops entries whose pending set drained
     /// (cascading, because the freshly exposed entry may already be
-    /// satisfied).
-    fn ipdom_post_issue(&mut self, w: usize) {
-        if let Some((bpc, taken, not_taken)) = self.pending_split.take() {
-            let rpc = self.ipdom.as_ref().expect("ipdom table built at launch").rpc_of(bpc);
-            // When the arms only meet at function exit there is nothing
-            // to push: both groups stay schedulable under the current
-            // entry and the policy arbitrates between them.
-            if rpc != NO_RPC {
+    /// satisfied). Returns whether the stack moved — pushed, parked a
+    /// lane or popped — which is when the next pick's choice changes.
+    ///
+    /// Every call leaves no runnable pending lane of the top entry
+    /// sitting at its reconvergence point, so after an issue that
+    /// [`keeps_lockstep`] only the issued lanes can newly arrive, and
+    /// they moved to one common pc: unless that pc is the top entry's
+    /// `rpc` nothing arrives and the per-lane scan is skipped. Such an
+    /// issue pushes nothing and exits nobody either. Branches, returns
+    /// and blocking ops take the full path, as does every pop.
+    fn ipdom_post_issue(&mut self, w: usize, pc: usize, mask: u64) -> bool {
+        let inst = &self.image.insts[pc];
+        let mut moved = false;
+        if keeps_lockstep(inst) {
+            let warp = &self.warps[w];
+            let at = warp.ctl.pcs[mask.trailing_zeros() as usize];
+            if warp.ipdom_stack.last().is_none_or(|top| top.rpc as usize != at) {
+                return false;
+            }
+        } else {
+            if let Some((bpc, taken, not_taken)) = self.pending_split.take() {
+                let rpc = self.ipdom.as_ref().expect("ipdom table built at launch").rpc_of(bpc);
+                // When the arms only meet at function exit there is
+                // nothing to push: both groups stay schedulable under
+                // the current entry and the policy arbitrates between
+                // them.
+                if rpc != NO_RPC {
+                    let warp = &mut self.warps[w];
+                    let lead = taken.trailing_zeros() as usize;
+                    let depth = warp.threads[lead].frames.len() as u32;
+                    let entry = StackEntry { rpc, depth, pending: not_taken, arrived: 0 };
+                    warp.ipdom_stack.push(entry);
+                    warp.ipdom_stack.push(StackEntry { pending: taken, ..entry });
+                    self.metrics.recon.stack_pushes += 2;
+                    let d = warp.ipdom_stack.len() as u64;
+                    self.metrics.recon.stack_max_depth = self.metrics.recon.stack_max_depth.max(d);
+                    moved = true;
+                }
+            }
+            // Only these two exit lanes (entries pushed later never
+            // hold a lane that exited earlier).
+            if matches!(inst, DecodedInst::Exit | DecodedInst::Return { .. }) {
                 let warp = &mut self.warps[w];
-                let lead = taken.trailing_zeros() as usize;
-                let depth = warp.threads[lead].frames.len() as u32;
-                warp.ipdom_stack.push(StackEntry { rpc, depth, pending: not_taken, arrived: 0 });
-                warp.ipdom_stack.push(StackEntry { rpc, depth, pending: taken, arrived: 0 });
-                self.metrics.recon.stack_pushes += 2;
-                let d = warp.ipdom_stack.len() as u64;
-                self.metrics.recon.stack_max_depth = self.metrics.recon.stack_max_depth.max(d);
+                let ex = warp.ctl.exited;
+                for e in warp.ipdom_stack.iter_mut() {
+                    e.pending &= !ex;
+                    e.arrived &= !ex;
+                }
             }
         }
         let warp = &mut self.warps[w];
-        let ex = warp.ctl.exited;
-        if ex != 0 {
-            for e in warp.ipdom_stack.iter_mut() {
-                e.pending &= !ex;
-                e.arrived &= !ex;
-            }
-        }
         loop {
             let pcs = &warp.ctl.pcs;
             let threads = &warp.threads;
@@ -802,21 +897,36 @@ impl<'m> Machine<'m> {
             }
             top.pending &= !arrived;
             top.arrived |= arrived;
+            moved |= arrived != 0;
             if top.pending != 0 {
                 break;
             }
             warp.ipdom_stack.pop();
             self.metrics.recon.stack_pops += 1;
+            moved = true;
         }
+        moved
     }
 
-    /// One scheduling round of warp `w` under the warp-split model:
-    /// normalize splits (drop exited lanes, fork internally-divergent
-    /// frontiers), re-fuse ready splits whose frontiers re-aligned, then
-    /// issue — one ready split chosen by the scheduler policy, or every
-    /// ready split when subwarp compaction is on. A ready split defers
-    /// its slot when a busy split with the same frontier pc finishes
-    /// within the re-fusion window.
+    /// One scheduling round of warp `w` under the warp-split model.
+    ///
+    /// The general round arbitrates: normalize splits (drop exited
+    /// lanes, fork internally-divergent frontiers), re-fuse ready splits
+    /// whose frontiers re-aligned, then issue — one ready split chosen
+    /// by the scheduler policy, or every ready split when subwarp
+    /// compaction is on. A ready split defers its slot when a busy split
+    /// with the same frontier pc finishes within the re-fusion window.
+    ///
+    /// A round that arrives with a [`Warp::pick_hint`] has nothing to
+    /// arbitrate: one split holds every runnable lane at one pc, so
+    /// normalization, fusion, the window scan and the policy would all
+    /// be no-ops and it issues directly. Exited lanes of other splits
+    /// are dropped by the next general round instead — nothing reads
+    /// them in between.
+    ///
+    /// Kept out of line so that [`Machine::step`] holds only the round
+    /// the barrier file and the IPDOM stack share (a third of the code).
+    #[inline(never)]
     fn step_warp_split(
         &mut self,
         w: usize,
@@ -829,6 +939,74 @@ impl<'m> Machine<'m> {
             self.warps[w].ctl.check_masks();
             self.warps[w].check_frames(self.image);
         }
+        let cycle = self.cycle;
+        if let Some((pc, mask)) = self.take_hint(w) {
+            let idx = self.warps[w].hint_split;
+            #[cfg(debug_assertions)]
+            {
+                let warp = &self.warps[w];
+                let live = warp.ctl.live();
+                assert_eq!(self.split_union(w) & live, live, "splits lost a live lane");
+                assert_eq!(mask, warp.ctl.runnable, "hinted split is not the sole frontier");
+                assert_eq!(mask, warp.splits[idx].mask & warp.ctl.runnable);
+                assert!(lanes(mask).all(|l| warp.ctl.pcs[l] == pc), "hinted split diverged");
+                assert!(warp.splits[idx].busy_until <= cycle, "hinted split is busy");
+            }
+            self.issue_split(w, idx, pc, mask)?;
+        } else if !self.general_split_round(w, window, compact, next_ready)? {
+            return Ok(());
+        }
+
+        // The warp wakes when its earliest-busy runnable split does — a
+        // surviving hint names the only one.
+        let warp = &mut self.warps[w];
+        let mut wake = u64::MAX;
+        if warp.pick_hint.is_some() {
+            wake = warp.splits[warp.hint_split].busy_until;
+        } else {
+            for s in warp.splits.iter() {
+                if s.mask & warp.ctl.runnable != 0 {
+                    wake = wake.min(s.busy_until.max(cycle + 1));
+                }
+            }
+        }
+        if wake == u64::MAX {
+            // No runnable lanes remain; re-examine next round, where the
+            // warp either finishes, deadlocks, or a release revived it.
+            wake = cycle + 1;
+        }
+        warp.ctl.busy_until = wake;
+        *next_ready = (*next_ready).min(wake);
+        Ok(())
+    }
+
+    /// Issues `(pc, run)` for split `idx` of warp `w` and charges the
+    /// split's issue clock — with everything the batcher ran ahead
+    /// through when `run` turned out to be the warp's only frontier.
+    fn issue_split(&mut self, w: usize, idx: usize, pc: usize, run: u64) -> Result<(), SimError> {
+        self.warps[w].ctl.last_lanes = run;
+        let cost = self.issue(w, pc, run)?;
+        let mut busy = self.cycle + u64::from(cost.max(1));
+        if self.can_run_ahead(w, pc, run) {
+            busy = self.run_ahead(w, run, busy)?;
+            self.warps[w].hint_split = idx;
+        }
+        self.warps[w].splits[idx].busy_until = busy;
+        Ok(())
+    }
+
+    /// The arbitrating warp-split round (see
+    /// [`Machine::step_warp_split`]). Returns `false` when nothing
+    /// issued and the warp's wake-up is already settled: it sleeps until
+    /// a busy split wakes, or it finished.
+    fn general_split_round(
+        &mut self,
+        w: usize,
+        window: u32,
+        compact: bool,
+        next_ready: &mut u64,
+    ) -> Result<bool, SimError> {
+        self.stats.general_split_rounds += 1;
         self.normalize_splits(w);
         self.fuse_splits(w);
 
@@ -857,7 +1035,7 @@ impl<'m> Machine<'m> {
             // Re-fusion window: give up this slot when a busy split with
             // the same frontier pc becomes ready within `window` cycles —
             // the fusion pass will merge the two then.
-            if window > 0 && !cands.is_empty() {
+            if window > 0 && min_busy != u64::MAX {
                 let mut kept = 0;
                 for ci in 0..cands.len() {
                     let (pc, _, _) = cands[ci];
@@ -885,11 +1063,11 @@ impl<'m> Machine<'m> {
                 // until the earliest split wakes.
                 self.warps[w].ctl.busy_until = min_busy;
                 *next_ready = (*next_ready).min(min_busy);
-                return Ok(());
+                return Ok(false);
             }
             if self.warps[w].ctl.live() == 0 {
                 self.warps[w].ctl.done = true;
-                return Ok(());
+                return Ok(false);
             }
             // Every live lane is blocked and no split can ever issue:
             // deadlock, same report as the warp-level path.
@@ -921,30 +1099,16 @@ impl<'m> Machine<'m> {
                 let (pc, _, idx) = split_cands[i];
                 (pc, picked.1, idx)
             };
-            self.warps[w].ctl.last_lanes = run;
-            let cost = self.issue(w, pc, run)?;
-            self.warps[w].splits[idx].busy_until = cycle + u64::from(cost.max(1));
+            // A hint is only ever left by the round's last issue: its
+            // lanes were the whole runnable set, so every other
+            // candidate had issued (and blocked or exited) before it.
+            debug_assert!(self.warps[w].pick_hint.is_none());
+            self.issue_split(w, idx, pc, run)?;
             if !compact {
                 break;
             }
         }
-
-        // The warp wakes when its earliest-busy runnable split does.
-        let warp = &mut self.warps[w];
-        let mut wake = u64::MAX;
-        for s in warp.splits.iter() {
-            if s.mask & warp.ctl.runnable != 0 {
-                wake = wake.min(s.busy_until.max(cycle + 1));
-            }
-        }
-        if wake == u64::MAX {
-            // No runnable lanes remain; re-examine next round, where the
-            // warp either finishes, deadlocks, or a release revived it.
-            wake = cycle + 1;
-        }
-        warp.ctl.busy_until = wake;
-        *next_ready = (*next_ready).min(wake);
-        Ok(())
+        Ok(true)
     }
 
     /// Re-establishes the warp-split invariants for warp `w`: exited
@@ -992,15 +1156,20 @@ impl<'m> Machine<'m> {
             i += 1;
         }
         #[cfg(debug_assertions)]
-        {
-            let warp = &self.warps[w];
-            let mut union = 0u64;
-            for s in warp.splits.iter() {
-                assert_eq!(union & s.mask, 0, "splits overlap in warp {w}");
-                union |= s.mask;
-            }
-            assert_eq!(union, live, "splits do not partition live lanes of warp {w}");
+        assert_eq!(self.split_union(w), live, "splits do not partition live lanes of warp {w}");
+    }
+
+    /// Debug-build invariant: the splits of warp `w` are disjoint.
+    /// Returns the lanes they cover — exactly the live ones right after
+    /// normalization, plus lanes that exited since at a hinted round.
+    #[cfg(debug_assertions)]
+    fn split_union(&self, w: usize) -> u64 {
+        let mut union = 0u64;
+        for s in self.warps[w].splits.iter() {
+            assert_eq!(union & s.mask, 0, "splits overlap in warp {w}");
+            union |= s.mask;
         }
+        union
     }
 
     /// Merges ready splits of warp `w` whose runnable frontiers sit at
@@ -1544,42 +1713,64 @@ bb0:
 }
 ";
 
-    /// The tentpole acceptance criterion: after warm-up, `step()` does
-    /// not touch the heap. Counts allocations via the test binary's
-    /// counting global allocator across a window of steady-state steps.
+    /// After warm-up, `step()` does not touch the heap — under the
+    /// barrier file and under the hardware models, whose split list
+    /// (forks push, fusions and exits remove) and reconvergence stack
+    /// must stop allocating at their high-water marks, and whose hinted
+    /// rounds must allocate nothing. Counts allocations via the test
+    /// binary's counting global allocator across a window of
+    /// steady-state steps.
     #[test]
     fn step_is_allocation_free_in_steady_state() {
         let module = parse_and_link(STEADY_KERNEL).expect("kernel parses");
         let image = DecodedImage::decode(&module);
-        let cfg = SimConfig::default();
-        let launch = steady_launch(400);
-        let mut m = Machine::new(&image, &cfg, &launch).expect("machine builds");
+        for recon in [
+            ReconvergenceModel::BarrierFile,
+            ReconvergenceModel::WarpSplit { window: 4, compact: true },
+            ReconvergenceModel::IpdomStack,
+        ] {
+            let cfg = SimConfig { recon, ..SimConfig::default() };
+            let at = recon.spec();
+            let launch = steady_launch(400);
+            let mut m = Machine::new(&image, &cfg, &launch).expect("machine builds");
 
-        // Warm-up: grow every scratch buffer, the register arena and
-        // frame stacks (to the call chain's depth), and the per-warp
-        // busy schedule to their high-water marks.
-        for _ in 0..500 {
-            if m.step().expect("warm-up step") {
-                panic!("kernel finished during warm-up; enlarge the loop bound");
-            }
-        }
-
-        let mut steps = 0u32;
-        let allocs = alloc_count::allocations_during(|| {
-            for _ in 0..2000 {
-                if m.step().expect("steady-state step") {
-                    break;
+            // Warm-up: grow every scratch buffer, the register arena and
+            // frame stacks (to the call chain's depth), the split list or
+            // reconvergence stack, and the per-warp busy schedule to
+            // their high-water marks.
+            for _ in 0..500 {
+                if m.step().expect("warm-up step") {
+                    panic!("kernel finished during warm-up under {at}; enlarge the loop bound");
                 }
-                steps += 1;
             }
-        });
-        assert!(steps >= 1000, "kernel too short to observe steady state ({steps} steps)");
-        assert_eq!(allocs, 0, "Machine::step allocated {allocs} times over {steps} steps");
 
-        // And the run still completes correctly afterwards.
-        while !m.step().expect("tail step") {}
-        let out = m.into_output();
-        assert!(out.metrics.cycles > 0);
+            let mut steps = 0u32;
+            let before = m.stats;
+            let allocs = alloc_count::allocations_during(|| {
+                for _ in 0..2000 {
+                    if m.step().expect("steady-state step") {
+                        break;
+                    }
+                    steps += 1;
+                }
+            });
+            assert!(
+                steps >= 1000,
+                "kernel too short to observe steady state ({steps} steps, {at})"
+            );
+            assert_eq!(allocs, 0, "step allocated {allocs} times over {steps} steps under {at}");
+            assert!(
+                m.stats.hinted_rounds > before.hinted_rounds
+                    && m.stats.batched_issues > before.batched_issues,
+                "the window exercised no hinted round under {at}: {:?}",
+                m.stats
+            );
+
+            // And the run still completes correctly afterwards.
+            while !m.step().expect("tail step") {}
+            let out = m.into_output();
+            assert!(out.metrics.cycles > 0);
+        }
     }
 
     /// Odd lanes run a nested call chain (`@f` → `@g`, each returning

@@ -209,6 +209,7 @@ mod tests {
     fn output_with(trace: Option<Trace>, journal: Option<Journal>) -> SimOutput {
         SimOutput {
             metrics: Metrics::new(2, 4),
+            engine: Default::default(),
             global_mem: Vec::new(),
             trace,
             profile: None,

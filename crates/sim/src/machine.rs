@@ -59,11 +59,35 @@ impl Launch {
     }
 }
 
+/// Host-side work counts of the decoded engine: how its scheduling
+/// rounds were served. They describe the simulator, not the simulated
+/// machine — which is why they sit beside [`Metrics`], never inside it:
+/// the engines are compared on `metrics ==`, and the tree-walking
+/// reference and the sweep cohort (which have no hints or batches)
+/// report zeros. Exact for a given launch and configuration, so a test
+/// can notice the fast path falling off where a timing cannot.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Scheduling rounds: a ready warp was given its issue slot.
+    pub rounds: u64,
+    /// Rounds whose pick came from a hint left by the previous round's
+    /// batch, skipping the model's grouping/normalization work.
+    pub hinted_rounds: u64,
+    /// Issues run ahead inside a round by the straight-line batcher.
+    pub batched_issues: u64,
+    /// Warp-split rounds that went through split normalization, fusion
+    /// and the candidate scan (the rounds with something to arbitrate).
+    pub general_split_rounds: u64,
+}
+
 /// Result of a completed launch.
 #[derive(Clone, Debug)]
 pub struct SimOutput {
     /// Execution metrics.
     pub metrics: Metrics,
+    /// How the decoded engine served its rounds (zeros from the other
+    /// engines).
+    pub engine: EngineStats,
     /// Final global memory contents.
     pub global_mem: Vec<Value>,
     /// Issue trace, when [`SimConfig::trace`] was set.

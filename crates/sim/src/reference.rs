@@ -201,7 +201,14 @@ pub fn run_reference(
 
     let Machine { global, mut metrics, trace, profile, journal, cycle, .. } = machine;
     metrics.cycles = cycle;
-    Ok(SimOutput { metrics, global_mem: global, trace, profile, journal })
+    Ok(SimOutput {
+        metrics,
+        engine: Default::default(),
+        global_mem: global,
+        trace,
+        profile,
+        journal,
+    })
 }
 
 impl<'m> Machine<'m> {

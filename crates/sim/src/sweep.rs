@@ -959,6 +959,7 @@ impl<'m> Cohort<'m> {
             let global_mem = (0..self.global_len).map(|a| self.global[a * ns + s]).collect();
             self.results[s] = Some(Ok(SimOutput {
                 metrics,
+                engine: Default::default(),
                 global_mem,
                 trace: None,
                 profile: None,

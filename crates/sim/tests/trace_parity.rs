@@ -6,9 +6,13 @@
 //!
 //! 1. Toggling `trace`, `profile`, or `journal` (in any combination)
 //!    leaves the decoded engine's metrics, cycle counts, and final
-//!    memory bit-identical. Tracing/journaling disable straight-line
-//!    batching, so this doubles as a batched-vs-unbatched differential
-//!    test of the executor itself.
+//!    memory bit-identical — under the barrier file and under every
+//!    hardware reconvergence model. Tracing/journaling disable
+//!    straight-line batching and pick hints, so this doubles as a
+//!    batched-vs-unbatched, hinted-vs-general-round differential test
+//!    of the executor itself (`Metrics::recon` included: a hinted
+//!    warp-split round must fork, fuse and defer exactly as the general
+//!    round would have).
 //! 2. The decoded engine and the tree-walking reference emit
 //!    *identical* journals (same events in the same order, same
 //!    per-barrier attribution) and identical traces.
@@ -21,8 +25,8 @@ mod common;
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, Value};
 use simt_sim::{
-    run, run_reference, JournalConfig, JournalEvent, JournalWriter, Launch, SchedulerPolicy,
-    SimConfig,
+    run, run_reference, JournalConfig, JournalEvent, JournalWriter, Launch, ReconvergenceModel,
+    SchedulerPolicy, SimConfig,
 };
 use std::sync::{Arc, Mutex};
 
@@ -120,6 +124,17 @@ fn base_config(c: &Case) -> SimConfig {
     SimConfig { max_cycles: 50_000_000, scheduler: c.policy, ..SimConfig::default() }
 }
 
+/// The barrier file plus the hardware models: the IPDOM stack, bare
+/// warp splitting (every pick goes through the policy), and warp
+/// splitting with a re-fusion window plus subwarp compaction (none
+/// does).
+const MODELS: [ReconvergenceModel; 4] = [
+    ReconvergenceModel::BarrierFile,
+    ReconvergenceModel::IpdomStack,
+    ReconvergenceModel::WarpSplit { window: 0, compact: false },
+    ReconvergenceModel::WarpSplit { window: 4, compact: true },
+];
+
 fn launch_for(c: &Case) -> Launch {
     let mut launch = Launch::new("k", c.warps);
     launch.seed = c.seed;
@@ -135,37 +150,47 @@ proptest! {
         let module = parse_and_link(&kernel_src(&case))
             .unwrap_or_else(|e| panic!("generated kernel must parse: {e}"));
         let launch = launch_for(&case);
-        let base = run(&module, &base_config(&case), &launch)
-            .unwrap_or_else(|e| panic!("base run failed on {case:?}: {e}"));
+        // The hardware models cross every policy (where a hint or a
+        // batched issue must move the RoundRobin cursor differs per
+        // model); the barrier file keeps the case's own draw.
+        for recon in MODELS {
+            for &policy in &common::ALL_POLICIES {
+                if recon == ReconvergenceModel::BarrierFile && policy != case.policy {
+                    continue;
+                }
+                let cfg = || SimConfig { recon, scheduler: policy, ..base_config(&case) };
+                let at = format!("{} {policy:?}", recon.spec());
+                let base = run(&module, &cfg(), &launch)
+                    .unwrap_or_else(|e| panic!("base run failed under {at} on {case:?}: {e}"));
 
-        let variants: [(&str, SimConfig); 4] = [
-            ("trace", SimConfig { trace: true, ..base_config(&case) }),
-            ("profile", SimConfig { profile: true, ..base_config(&case) }),
-            (
-                "journal",
-                SimConfig { journal: Some(JournalConfig::default()), ..base_config(&case) },
-            ),
-            (
-                "trace+profile+journal",
-                SimConfig {
-                    trace: true,
-                    profile: true,
-                    journal: Some(JournalConfig::default()),
-                    ..base_config(&case)
-                },
-            ),
-        ];
-        for (name, cfg) in variants {
-            let out = run(&module, &cfg, &launch)
-                .unwrap_or_else(|e| panic!("{name} run failed on {case:?}: {e}"));
-            prop_assert_eq!(
-                &out.metrics, &base.metrics,
-                "metrics changed with {} on {:?}", name, &case
-            );
-            prop_assert_eq!(
-                &out.global_mem, &base.global_mem,
-                "memory changed with {} on {:?}", name, &case
-            );
+                let variants: [(&str, SimConfig); 4] = [
+                    ("trace", SimConfig { trace: true, ..cfg() }),
+                    ("profile", SimConfig { profile: true, ..cfg() }),
+                    ("journal", SimConfig { journal: Some(JournalConfig::default()), ..cfg() }),
+                    (
+                        "trace+profile+journal",
+                        SimConfig {
+                            trace: true,
+                            profile: true,
+                            journal: Some(JournalConfig::default()),
+                            ..cfg()
+                        },
+                    ),
+                ];
+                for (name, cfg) in variants {
+                    let out = run(&module, &cfg, &launch).unwrap_or_else(|e| {
+                        panic!("{name} run failed under {at} on {case:?}: {e}")
+                    });
+                    prop_assert_eq!(
+                        &out.metrics, &base.metrics,
+                        "metrics changed with {} under {} on {:?}", name, &at, &case
+                    );
+                    prop_assert_eq!(
+                        &out.global_mem, &base.global_mem,
+                        "memory changed with {} under {} on {:?}", name, &at, &case
+                    );
+                }
+            }
         }
     }
 

@@ -1,0 +1,48 @@
+//! The hardware reconvergence models must ride the converged fast
+//! path: on the Monte Carlo lookups almost every warp-split round has
+//! one split with runnable lanes, so almost every issue is served by a
+//! pick hint or the straight-line batcher. The counts are exact for a
+//! launch, so this notices the fast path falling off on a host too
+//! noisy to time it.
+
+use simt_sim::{ReconvergenceModel, SimConfig};
+use specrecon_core::RepairStrategy;
+use workloads::eval::Engine;
+
+#[test]
+fn warp_split_issues_are_hinted_or_batched() {
+    let engine = Engine::new(1);
+    let cfg = SimConfig {
+        recon: ReconvergenceModel::WarpSplit { window: 4, compact: true },
+        ..SimConfig::default()
+    };
+    for name in ["rsbench", "xsbench"] {
+        let w = workloads::by_name(name).expect("registry workload");
+        for repair in [RepairStrategy::Pdom, RepairStrategy::Sr] {
+            let out = engine.run_full(&w, &repair.options(), &cfg).expect("runs");
+            let at = format!("{name}/{}", repair.spec());
+            let (e, issues) = (out.engine, out.metrics.issues);
+            // SR's `wait`/`cancel` each end their batch and cost the next
+            // round its hint (they run release checks), which caps the
+            // SR twins lower: 87.3% on rsbench, 93.8% on xsbench, against
+            // 99.3% for both PDOM images.
+            let floor = if repair == RepairStrategy::Pdom { 90 } else { 85 };
+            assert!(
+                (e.hinted_rounds + e.batched_issues) * 100 >= issues * floor,
+                "{at}: fewer than {floor}% of {issues} issues were hinted or batched: {e:?}"
+            );
+            // Every round is one or the other, and a hinted round or a
+            // batched issue is exactly one issue.
+            assert_eq!(e.rounds, e.hinted_rounds + e.general_split_rounds, "{at}: {e:?}");
+            assert!(e.hinted_rounds + e.batched_issues <= issues, "{at}: {e:?}");
+
+            // A traced run is the unhinted reference: same machine-level
+            // result, none of the shortcuts.
+            let traced =
+                engine.run_full(&w, &repair.options(), &SimConfig { trace: true, ..cfg.clone() });
+            let traced = traced.expect("traced run");
+            assert_eq!(traced.metrics, out.metrics, "{at}");
+            assert_eq!((traced.engine.hinted_rounds, traced.engine.batched_issues), (0, 0), "{at}");
+        }
+    }
+}

@@ -45,7 +45,9 @@
 //!                             (`run --trace` defaults to the warps that
 //!                             diverged; `trace` defaults to all)
 //!            --hot            print the hottest blocks plus divergence
-//!                             attribution (per-block profile)
+//!                             attribution (per-block profile), and how
+//!                             the engine served its rounds (hinted,
+//!                             batched, general warp-split rounds)
 //!
 //! trace-only options:
 //!            --format F       lanes (default) | jsonl | chrome
@@ -371,6 +373,11 @@ fn run_cmd(module: &Module, args: &[String]) -> Result<(), String> {
     println!("{}", out.metrics);
 
     if want_hot {
+        let e = &out.engine;
+        println!(
+            "\nengine: {} rounds ({} hinted, {} general split rounds), {} of {} issues batched",
+            e.rounds, e.hinted_rounds, e.general_split_rounds, e.batched_issues, out.metrics.issues
+        );
         if let Some(profile) = &out.profile {
             println!("\nhottest blocks:");
             for ((func, block), stats) in profile.hottest(8) {

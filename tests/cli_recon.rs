@@ -44,6 +44,21 @@ fn hardware_models_report_their_counters() {
     assert!(!text.contains("ipdom stack:") && !text.contains("warp splits:"), "{text}");
 }
 
+/// `run --hot` reports how the engine served its rounds; a hardware
+/// model must show hinted rounds (it rides the converged fast path).
+#[test]
+fn hot_reports_engine_rounds_under_a_hardware_model() {
+    for model in ["ipdom-stack", "warp-split:window=4,compact"] {
+        let out = specrecon(&["run", KERNEL, "--warps", "1", "--hot", "--recon-model", model]);
+        assert!(out.status.success(), "{model}: stderr: {}", stderr(&out));
+        let text = stdout(&out);
+        let line = text.lines().find(|l| l.starts_with("engine: ")).unwrap_or_else(|| {
+            panic!("{model}: no engine line in:\n{text}");
+        });
+        assert!(line.contains(" hinted, ") && !line.contains("(0 hinted"), "{model}: {line}");
+    }
+}
+
 #[test]
 fn run_rejects_unknown_recon_models() {
     for model in ["volta", "warp-split:gap=3", "warp-split:window=x"] {
