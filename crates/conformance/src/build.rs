@@ -16,6 +16,7 @@
 use crate::program::{CalleeSpec, Cond, Escape, PredTarget, ProgramSpec, Stmt};
 use simt_ir::{
     BinOp, BlockId, FuncKind, Function, FunctionBuilder, Inst, Module, Operand, Reg, SpecialValue,
+    UnOp,
 };
 
 /// Scratch cells (for `AtomicBump`) placed after the per-thread cells.
@@ -69,6 +70,17 @@ impl Emitter<'_> {
             Stmt::LoadMix => {
                 let v = self.b.load_global(self.tid);
                 self.b.bin_into(self.acc, BinOp::Add, self.acc, v);
+            }
+            Stmt::TypeMix(p) => {
+                let r = self.b.rng_unit();
+                let c = self.b.bin(BinOp::Lt, r, f64::from(p) / 100.0);
+                let t = self.b.sel(c, 0.5f64, 3i64);
+                let t = self.b.bin(BinOp::Add, t, self.acc);
+                let u = self.b.bin(BinOp::Mul, t, 2i64);
+                let small = self.b.bin(BinOp::Lt, t, 64i64);
+                let i = self.b.un(UnOp::FtoI, u);
+                let i = self.b.bin(BinOp::Add, i, small);
+                self.b.bin_into(self.acc, BinOp::Add, self.acc, i);
             }
             Stmt::AtomicBump(site) => {
                 let a =

@@ -64,6 +64,13 @@ pub enum Stmt {
     StoreAcc,
     /// `acc += global[tid]`.
     LoadMix,
+    /// Folds a value whose *type* is drawn per thread and per launch
+    /// seed into `acc`: `t = sel(rng_unit() < p/100, 0.5, 3)` is a float
+    /// in some threads and an int in the rest, flows through `add`,
+    /// `mul` and `lt`, and comes back as an integer (`ftoi`), so `acc`
+    /// stays an int. Under a seed sweep the operand rows are mixed
+    /// across seeds — the typed columns' per-slot path.
+    TypeMix(u8),
     /// `atomic_add(global[num_threads + site], 1)`, result discarded —
     /// the final cell value is order-independent.
     AtomicBump(u8),
@@ -177,13 +184,14 @@ impl Gen {
     }
 
     fn leaf(&mut self, in_callee: bool) -> Stmt {
-        match self.rng.gen_range(0u32..8) {
+        match self.rng.gen_range(0u32..9) {
             0 | 1 => Stmt::Work(self.rng.gen_range(1u32..48)),
             2 => Stmt::AccAdd(self.rng.gen_range(1i64..100)),
             3 => Stmt::AccXor(self.rng.gen_range(1i64..256)),
             4 => Stmt::AccXorTid,
             5 => Stmt::StoreAcc,
             6 => Stmt::LoadMix,
+            7 => Stmt::TypeMix(self.rng.gen_range(20u32..80) as u8),
             _ => {
                 if in_callee {
                     Stmt::Work(self.rng.gen_range(1u32..24))

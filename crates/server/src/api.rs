@@ -496,6 +496,10 @@ pub fn execute(
                 ("mean_occupancy".into(), Json::num(s.mean_occupancy())),
                 ("detaches".into(), Json::u64(s.detaches)),
                 ("scalar_steps".into(), Json::u64(s.scalar_steps)),
+                ("dense_rows".into(), Json::u64(s.dense_rows)),
+                ("mixed_rows".into(), Json::u64(s.mixed_rows)),
+                ("uniform_accesses".into(), Json::u64(s.uniform_accesses)),
+                ("scattered_accesses".into(), Json::u64(s.scattered_accesses)),
             ]),
         ));
     }

@@ -167,7 +167,17 @@ fn sweep_requests_export_fork_merge_counters() {
     // engine.
     let eval = request(&addr, "POST", "/v1/eval", r#"{"workload":"seed-storm","seeds":[0,16]}"#);
     assert_eq!(eval.status, 200, "sweep eval failed: {}", eval.body);
-    for key in ["\"sweep\"", "\"forks\"", "\"merges\"", "\"mean_occupancy\"", "\"scalar_steps\""] {
+    for key in [
+        "\"sweep\"",
+        "\"forks\"",
+        "\"merges\"",
+        "\"mean_occupancy\"",
+        "\"scalar_steps\"",
+        "\"dense_rows\"",
+        "\"mixed_rows\":0",
+        "\"uniform_accesses\"",
+        "\"scattered_accesses\"",
+    ] {
         assert!(eval.body.contains(key), "missing {key} in {}", eval.body);
     }
 

@@ -128,25 +128,60 @@ pub(crate) fn with_un<L: AluLoop>(op: UnOp, l: L) -> L::Out {
     }
 }
 
-type FaultFree = fn(Value, Value) -> bool;
+/// How a faultable instruction faults — the one statement of the fault
+/// conditions the kernels above implement, for the straight-line
+/// batchers' pre-checks.
+#[derive(Clone, Copy)]
+pub(crate) enum FaultCond {
+    /// `div`/`rem`: an integer pair with a zero divisor.
+    ZeroIntDivisor,
+    /// Bitwise ops and `not`: a float operand.
+    FloatOperand,
+}
 
-/// The straight-line batchers' fault pre-check, kept beside the kernels
-/// whose fault conditions it mirrors: for an instruction that can fault,
-/// its operands and the predicate every `(lhs, rhs)` pair must satisfy
-/// for it not to; `None` for infallible instructions.
+impl FaultCond {
+    /// Whether the pair `(a, b)` is safe. With operand tags the caller
+    /// knows, this folds to the payload test that remains (a zero scan,
+    /// or nothing at all).
+    #[inline(always)]
+    pub(crate) fn ok(self, a: Value, b: Value) -> bool {
+        match self {
+            FaultCond::ZeroIntDivisor => !(a.is_int() && b.is_int() && b.as_i64() == 0),
+            FaultCond::FloatOperand => a.is_int() && b.is_int(),
+        }
+    }
+}
+
+/// For an instruction that can fault, its operands and its
+/// [`FaultCond`]; `None` for infallible instructions.
 #[inline]
-pub(crate) fn fault_free_when(inst: &DecodedInst) -> Option<(Operand, Operand, FaultFree)> {
+pub(crate) fn fault_cond(inst: &DecodedInst) -> Option<(Operand, Operand, FaultCond)> {
     use BinOp::*;
     match *inst {
         DecodedInst::Bin { op: Div | Rem, lhs, rhs, .. } => {
-            Some((lhs, rhs, |a, b| !(a.is_int() && b.is_int() && b.as_i64() == 0)))
+            Some((lhs, rhs, FaultCond::ZeroIntDivisor))
         }
         DecodedInst::Bin { op: And | Or | Xor | Shl | Shr, lhs, rhs, .. } => {
-            Some((lhs, rhs, |a, b| a.is_int() && b.is_int()))
+            Some((lhs, rhs, FaultCond::FloatOperand))
         }
-        DecodedInst::Un { op: UnOp::Not, src, .. } => Some((src, src, |a, _| a.is_int())),
+        DecodedInst::Un { op: UnOp::Not, src, .. } => Some((src, src, FaultCond::FloatOperand)),
         _ => None,
     }
+}
+
+type FaultFree = fn(Value, Value) -> bool;
+
+/// [`fault_cond`] as the predicate every `(lhs, rhs)` pair must satisfy
+/// for the instruction not to fault.
+#[inline]
+pub(crate) fn fault_free_when(inst: &DecodedInst) -> Option<(Operand, Operand, FaultFree)> {
+    fault_cond(inst).map(|(lhs, rhs, cond)| {
+        let ok: FaultFree = match cond {
+            FaultCond::ZeroIntDivisor => |a, b| FaultCond::ZeroIntDivisor.ok(a, b),
+            FaultCond::FloatOperand => |a, b| FaultCond::FloatOperand.ok(a, b),
+        };
+        (lhs, rhs, ok)
+    })
 }
 
 /// The one-element loop behind [`eval_bin`] and [`eval_un`].

@@ -20,8 +20,9 @@
 //! sub-cohort and a last-resort detached scalar machine) whose control
 //! planes are equal are guaranteed to pick identically forever after,
 //! so comparing control planes once at a round boundary is a sound
-//! merge test. The cohort's masked data loops iterate slot columns via
-//! [`mask_runs`], the contiguous-run twin of [`lanes`].
+//! merge test. The cohort's masked row operations take a contiguous
+//! slot mask as one slice ([`mask_runs`], the contiguous-run twin of
+//! [`lanes`]) and walk any other mask slot by slot.
 
 use crate::config::SchedulerPolicy;
 
@@ -59,11 +60,9 @@ impl Iterator for Lanes {
 /// Iterates the maximal runs of consecutive set bits of a mask as
 /// half-open `(start, end)` ranges, ascending.
 ///
-/// The seed-sweep engine's slot loops use this to stay dense under
-/// partial masks: a masked column operation becomes a few counted
-/// loops over contiguous slices of the SoA columns (autovectorizable)
-/// instead of one strided gather per set bit. A full mask yields the
-/// single run `(0, 64)`, reproducing the old dense fast path.
+/// The seed-sweep engine asks whether a slot mask is one run: a masked
+/// row operation over a contiguous mask is one counted loop over slices
+/// of the slot columns. A full mask yields the single run `(0, 64)`.
 pub(crate) fn mask_runs(mask: u64) -> MaskRuns {
     MaskRuns(mask)
 }

@@ -16,6 +16,14 @@
 //! per-op kernels ([`crate::alu::with_bin`]) the decoded engine's lane
 //! loop instantiates, under this module's own loop shape (`SlotAlu`).
 //!
+//! Values are stored untagged (`SlotCols`): a row of `u64` payload
+//! bits per register or memory cell plus one float-mask word per row.
+//! A row whose live slots share a type — every row of a Monte Carlo
+//! sweep — runs a kernel as one dense loop over `&[u64]` with the tags
+//! as loop constants; a row typed differently by seed takes the same
+//! loop reading its mask per slot. A memory access whose address is the
+//! same in every slot is one row copy per lane.
+//!
 //! # Fork, masked execution, merge
 //!
 //! Lockstep is exact while control flow is uniform across a
@@ -183,6 +191,19 @@ pub struct SweepStats {
     /// set-aside instances' re-runs, and every round of a sweep under a
     /// hardware reconvergence model.
     pub scalar_steps: u64,
+    /// Operand-row pairs of lockstep `Bin`/`Un` issues (one per issued
+    /// lane) whose live slots were uniformly typed, evaluated by a dense
+    /// typed loop.
+    pub dense_rows: u64,
+    /// Operand-row pairs with an int in some live slots and a float in
+    /// others, evaluated by the per-slot loop.
+    pub mixed_rows: u64,
+    /// Lockstep global loads/stores whose every lane held one in-range
+    /// integer address across the sub-cohort's slots: priced once, moved
+    /// as one row copy per lane.
+    pub uniform_accesses: u64,
+    /// Lockstep global loads/stores staged, priced and moved per slot.
+    pub scattered_accesses: u64,
 }
 
 impl SweepStats {
@@ -212,6 +233,10 @@ impl SweepStats {
         self.peak_subcohorts = self.peak_subcohorts.max(other.peak_subcohorts);
         self.detaches += other.detaches;
         self.scalar_steps += other.scalar_steps;
+        self.dense_rows += other.dense_rows;
+        self.mixed_rows += other.mixed_rows;
+        self.uniform_accesses += other.uniform_accesses;
+        self.scattered_accesses += other.scattered_accesses;
     }
 }
 
@@ -355,30 +380,379 @@ struct CtlLane {
     top: usize,
 }
 
+/// Typed slot columns — the cohort's one data representation, for
+/// registers, local memory and global memory alike. A *row* is one
+/// register (or memory cell) across every slot: `ns` payload words —
+/// an `i64` reinterpreted, or `f64::to_bits`, so NaN payloads and `-0.0`
+/// round-trip — plus one float-mask word (bit `s` set ⇔ slot `s` holds
+/// an `f64`; [`COHORT_SLOTS`] is 64, so one word always suffices).
+/// [`Value`] exists only at the edges: launch inputs, immediates, fault
+/// messages and the final memory image.
+///
+/// A row is shared by every sub-cohort, each owning a disjoint slot
+/// set: every write commits payload *and* mask bits under the writer's
+/// own slot mask only.
+#[derive(Clone, Debug)]
+struct SlotCols {
+    /// Slots per row (the cohort width).
+    ns: usize,
+    /// Payload bits, `[row * ns + slot]`.
+    bits: Vec<u64>,
+    /// Float masks, `[row]`.
+    floats: Vec<u64>,
+}
+
+/// One row of a [`SlotCols`] (or an immediate broadcast to row shape).
+#[derive(Clone, Copy)]
+struct RowRef<'a> {
+    bits: &'a [u64],
+    floats: u64,
+}
+
+/// An operand resolved against one lane's frame: an immediate, or the
+/// row of a register in the lane's arena.
+#[derive(Clone, Copy)]
+enum Row {
+    Imm(Value),
+    At(usize),
+}
+
+/// Resolves an operand against the frame at `base`.
+#[inline]
+fn resolve(base: usize, op: Operand) -> Row {
+    match op {
+        Operand::Imm(v) => Row::Imm(v),
+        Operand::Reg(r) => Row::At(base + r.index()),
+    }
+}
+
+/// A value as `(payload bits, is-float)`. Bit-exact: floats go through
+/// `to_bits`, never `as`.
+#[inline(always)]
+fn encode(v: Value) -> (u64, bool) {
+    match v {
+        Value::I64(x) => (x as u64, false),
+        Value::F64(x) => (x.to_bits(), true),
+    }
+}
+
+/// The inverse of [`encode`].
+#[inline(always)]
+fn decode(bits: u64, float: bool) -> Value {
+    if float {
+        Value::F64(f64::from_bits(bits))
+    } else {
+        Value::I64(bits as i64)
+    }
+}
+
+/// `live` as one run `lo..hi`, when its set bits are contiguous — a
+/// whole cohort, or a sub-cohort of neighbouring seeds. Masked row
+/// operations take such a mask as one dense slice operation; any other
+/// mask is walked slot by slot, so a fragmented sub-cohort pays for the
+/// slots it owns and not per fragment.
+#[inline(always)]
+fn single_run(live: u64) -> Option<(usize, usize)> {
+    let mut runs = mask_runs(live);
+    match (runs.next(), runs.next()) {
+        (Some(run), None) => Some(run),
+        _ => None,
+    }
+}
+
+/// `dst[s] = src[s]` for every live slot.
+#[inline(always)]
+fn store_live(dst: &mut [u64], src: &[u64], live: u64) {
+    if let Some((lo, hi)) = single_run(live) {
+        dst[lo..hi].copy_from_slice(&src[lo..hi]);
+    } else {
+        for s in lanes(live) {
+            dst[s] = src[s];
+        }
+    }
+}
+
+impl SlotCols {
+    /// `rows` rows of `ns` slots, every cell [`Value::default`] (integer
+    /// zero: zero bits, clear mask).
+    fn new(rows: usize, ns: usize) -> SlotCols {
+        SlotCols { ns, bits: vec![0; rows * ns], floats: vec![0; rows] }
+    }
+
+    /// Grows to at least `rows` rows; never shrinks.
+    fn grow(&mut self, rows: usize) {
+        if self.floats.len() < rows {
+            self.bits.resize(rows * self.ns, 0);
+            self.floats.resize(rows, 0);
+        }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> RowRef<'_> {
+        RowRef { bits: &self.bits[r * self.ns..(r + 1) * self.ns], floats: self.floats[r] }
+    }
+
+    #[inline]
+    fn get(&self, r: usize, s: usize) -> Value {
+        decode(self.bits[r * self.ns + s], self.floats[r] >> s & 1 != 0)
+    }
+
+    #[inline]
+    fn set(&mut self, r: usize, s: usize, v: Value) {
+        let (bits, float) = encode(v);
+        self.bits[r * self.ns + s] = bits;
+        self.floats[r] = self.floats[r] & !(1 << s) | u64::from(float) << s;
+    }
+
+    /// Reads a resolved operand for one slot.
+    #[inline]
+    fn at(&self, row: Row, s: usize) -> Value {
+        match row {
+            Row::Imm(v) => v,
+            Row::At(r) => self.get(r, s),
+        }
+    }
+
+    /// Commits `src` to row `r` under `live`: the payload of the live
+    /// slots plus a masked merge of the float word.
+    #[inline(always)]
+    fn write(&mut self, r: usize, src: RowRef<'_>, live: u64) {
+        store_live(&mut self.bits[r * self.ns..(r + 1) * self.ns], src.bits, live);
+        self.floats[r] = self.floats[r] & !live | src.floats & live;
+    }
+
+    /// Sets the live slots of row `r` to the payloads `bits(slot)`, all
+    /// of one type.
+    #[inline]
+    fn fill_with(&mut self, r: usize, float: bool, live: u64, mut bits: impl FnMut(usize) -> u64) {
+        let dst = &mut self.bits[r * self.ns..(r + 1) * self.ns];
+        if let Some((lo, hi)) = single_run(live) {
+            for (i, d) in dst[lo..hi].iter_mut().enumerate() {
+                *d = bits(lo + i);
+            }
+        } else {
+            for s in lanes(live) {
+                dst[s] = bits(s);
+            }
+        }
+        self.floats[r] = if float { self.floats[r] | live } else { self.floats[r] & !live };
+    }
+
+    /// Sets row `r` to `v` under `live`.
+    #[inline]
+    fn fill(&mut self, r: usize, v: Value, live: u64) {
+        let (bits, float) = encode(v);
+        self.fill_with(r, float, live, |_| bits);
+    }
+
+    /// Row `dst` ← `src` of these same columns, under `live`.
+    #[inline]
+    fn assign(&mut self, dst: usize, src: Row, live: u64) {
+        match src {
+            Row::Imm(v) => self.fill(dst, v, live),
+            Row::At(r) if r == dst => {}
+            Row::At(r) => {
+                // Two distinct rows of one vector, split to borrow both.
+                let ns = self.ns;
+                let (head, tail) = self.bits.split_at_mut(dst.max(r) * ns);
+                let (lower, upper) = (&mut head[dst.min(r) * ns..][..ns], &mut tail[..ns]);
+                if dst < r {
+                    store_live(lower, upper, live);
+                } else {
+                    store_live(upper, lower, live);
+                }
+                self.floats[dst] = self.floats[dst] & !live | self.floats[r] & live;
+            }
+        }
+    }
+
+    /// Row `dst` ← `src` resolved in another column set, under `live`.
+    #[inline]
+    fn assign_from(&mut self, dst: usize, from: &SlotCols, src: Row, live: u64) {
+        match src {
+            Row::Imm(v) => self.fill(dst, v, live),
+            Row::At(r) => self.write(dst, from.row(r), live),
+        }
+    }
+
+    /// The one in-range integer address every live slot of `row` holds,
+    /// if there is one — the precondition of the row-copy memory paths.
+    #[inline]
+    fn uniform_addr(&self, row: Row, live: u64, len: usize) -> Option<usize> {
+        let a = match row {
+            Row::Imm(v) => v.as_i64(),
+            Row::At(_) if live == 0 => return None,
+            Row::At(r) => {
+                let row = self.row(r);
+                let a0 = row.bits[live.trailing_zeros() as usize];
+                let differs = |d, &x| d | (x ^ a0);
+                let diff = match single_run(live) {
+                    Some((lo, hi)) => row.bits[lo..hi].iter().fold(0, differs),
+                    None => lanes(live).map(|s| &row.bits[s]).fold(0, differs),
+                };
+                if diff | (row.floats & live) != 0 {
+                    return None;
+                }
+                a0 as i64
+            }
+        };
+        (a >= 0 && (a as usize) < len).then_some(a as usize)
+    }
+}
+
+/// How a row's live slots are typed.
+enum Class {
+    Int,
+    Float,
+    Mixed,
+}
+
+/// Classifies a float-mask word over the live slots only: a dead slot's
+/// stale type must not demote a row to the mixed loop.
+#[inline]
+fn class(floats: u64, live: u64) -> Class {
+    match floats & live {
+        0 => Class::Int,
+        m if m == live => Class::Float,
+        _ => Class::Mixed,
+    }
+}
+
+// Operand tags of [`map_rows`]: a loop-constant type, or the row's
+// float mask consulted per slot.
+const INT: u8 = 0;
+const FLOAT: u8 = 1;
+const PER_SLOT: u8 = 2;
+
+/// One typed loop over the live slots of two operand rows: calls
+/// `f(slot, a, b)` and, when it returns a value, stores it in `out`;
+/// returns the float mask of the stored results. With `INT`/`FLOAT`
+/// tags the `Value`s handed to `f` carry loop-constant tags, so a kernel
+/// from [`crate::alu`] inlines to its bare `i64`/`f64` operation over
+/// `&[u64]` slices; `PER_SLOT` is the same loop reading each slot's tag
+/// from the row's mask.
+#[inline(always)]
+fn map_rows<const A: u8, const B: u8>(
+    a: RowRef<'_>,
+    b: RowRef<'_>,
+    live: u64,
+    out: &mut [u64],
+    mut f: impl FnMut(usize, Value, Value) -> Option<Value>,
+) -> u64 {
+    #[inline(always)]
+    fn tagged<const T: u8>(bits: u64, floats: u64, s: usize) -> Value {
+        decode(bits, if T == PER_SLOT { floats >> s & 1 != 0 } else { T == FLOAT })
+    }
+    let mut floats = 0u64;
+    let mut cell = |s: usize, o: &mut u64, x: u64, y: u64| {
+        if let Some(v) = f(s, tagged::<A>(x, a.floats, s), tagged::<B>(y, b.floats, s)) {
+            let (bits, float) = encode(v);
+            *o = bits;
+            floats |= u64::from(float) << s;
+        }
+    };
+    if let Some((lo, hi)) = single_run(live) {
+        let cells = out[lo..hi].iter_mut().zip(&a.bits[lo..hi]).zip(&b.bits[lo..hi]);
+        for (i, ((o, &x), &y)) in cells.enumerate() {
+            cell(lo + i, o, x, y);
+        }
+    } else {
+        for s in lanes(live) {
+            cell(s, &mut out[s], a.bits[s], b.bits[s]);
+        }
+    }
+    floats
+}
+
+/// [`map_rows`] under the tags the rows' live slots allow: one of the
+/// four dense instantiations when both rows are uniformly typed, the
+/// per-slot loop for a mixed row (a `sel` between an int and a float on
+/// a seed-dependent predicate, a load of cells whose type differs by
+/// seed). Returns the result mask and whether the dense loop ran.
+#[inline(always)]
+fn map_typed(
+    a: RowRef<'_>,
+    b: RowRef<'_>,
+    live: u64,
+    out: &mut [u64],
+    f: impl FnMut(usize, Value, Value) -> Option<Value>,
+) -> (u64, bool) {
+    use Class::{Float, Int};
+    match (class(a.floats, live), class(b.floats, live)) {
+        (Int, Int) => (map_rows::<INT, INT>(a, b, live, out, f), true),
+        (Int, Float) => (map_rows::<INT, FLOAT>(a, b, live, out, f), true),
+        (Float, Int) => (map_rows::<FLOAT, INT>(a, b, live, out, f), true),
+        (Float, Float) => (map_rows::<FLOAT, FLOAT>(a, b, live, out, f), true),
+        _ => (map_rows::<PER_SLOT, PER_SLOT>(a, b, live, out, f), false),
+    }
+}
+
+/// Slots of `live` where `row` is truthy. Type-aware through
+/// [`Value::is_truthy`]: `-0.0` is false though its bits are not zero.
+#[inline]
+fn truthy(row: RowRef<'_>, live: u64, out: &mut [u64]) -> u64 {
+    let mut t = 0u64;
+    map_typed(row, row, live, out, |s, x, _| {
+        t |= u64::from(x.is_truthy()) << s;
+        None
+    });
+    t
+}
+
+/// Row staging shared by the typed loops, hoisted out of every lane
+/// loop: a result row awaiting its masked commit, and one broadcast row
+/// per immediate operand (filled once per issue, so operands are always
+/// read as rows, registers in place).
+struct RowScratch {
+    out: Vec<u64>,
+    imm: [Vec<u64>; 2],
+}
+
+/// `op` broadcast into `buf` if it is an immediate.
+#[inline]
+fn imm_row(op: Operand, buf: &mut [u64]) -> Option<RowRef<'_>> {
+    let Operand::Imm(v) = op else { return None };
+    let (bits, float) = encode(v);
+    buf.fill(bits);
+    Some(RowRef { bits: buf, floats: if float { u64::MAX } else { 0 } })
+}
+
+/// The row of `op`: its broadcast when an immediate, else the register's
+/// row in the frame at `base`, read in place.
+#[inline]
+fn operand_row<'a>(
+    imm: Option<RowRef<'a>>,
+    regs: &'a SlotCols,
+    base: usize,
+    op: Operand,
+) -> RowRef<'a> {
+    match op {
+        Operand::Reg(r) => regs.row(base + r.index()),
+        Operand::Imm(_) => imm.expect("immediate operands are broadcast before the lane loop"),
+    }
+}
+
+/// A memory instruction's data direction.
+#[derive(Clone, Copy)]
+enum MemOp {
+    Load(simt_ir::Reg),
+    Store(Operand),
+}
+
 /// One lane's *data* columns, shared by every sub-cohort: sub-cohorts
 /// address disjoint slot sets, so masked access needs no locking and a
 /// fork moves nothing.
 #[derive(Clone, Debug)]
 struct DLane {
-    /// Register values, `[reg_offset * nslots + slot]`; a bump arena
-    /// over each sub-cohort's frame stack (frame `i` owns offsets
-    /// `frames[i].base .. frames[i].base + frames[i].len`). Sized to
-    /// the deepest sub-cohort; never shrinks.
-    vals: Vec<Value>,
+    /// Registers, one row per arena offset: a bump arena over each
+    /// sub-cohort's frame stack (frame `i` owns rows `frames[i].base ..
+    /// frames[i].base + frames[i].len`). Sized to the deepest
+    /// sub-cohort; never shrinks.
+    regs: SlotCols,
     /// Per-slot RNG streams.
     rng: Vec<SplitMix64>,
-    /// Local memory, `[cell * nslots + slot]`.
-    local: Vec<Value>,
-}
-
-/// An operand resolved against one lane's frame: either an immediate
-/// broadcast to every slot or the start of a register's slot column in
-/// the value arena. Hoists the `(base + reg) * nslots` arithmetic out of
-/// the slot-inner loops.
-#[derive(Clone, Copy)]
-enum Row {
-    Imm(Value),
-    At(usize),
+    /// Local memory, one row per cell.
+    local: SlotCols,
 }
 
 impl CtlLane {
@@ -388,14 +762,13 @@ impl CtlLane {
         self.frames.last().expect("lane has no frame").base
     }
 
-    /// Pushes a callee frame: extends the arena by `num_regs` offsets,
+    /// Pushes a callee frame: extends the arena by `num_regs` rows,
     /// default-initializing the new window for `slots` only — other
-    /// sub-cohorts share the arena and may hold live values in these
-    /// rows' other columns.
+    /// sub-cohorts share the arena and may hold live values (and float
+    /// mask bits) in these rows' other slots.
     fn push_frame(
         &mut self,
         d: &mut DLane,
-        ns: usize,
         slots: u64,
         pc: usize,
         ret_regs: PoolRange,
@@ -403,17 +776,9 @@ impl CtlLane {
     ) {
         let base = self.top;
         self.top += num_regs;
-        let want = self.top * ns;
-        if d.vals.len() < want {
-            d.vals.resize(want, Value::default());
-        }
+        d.regs.grow(self.top);
         for r in base..self.top {
-            let row = r * ns;
-            for (lo, hi) in mask_runs(slots) {
-                for v in &mut d.vals[row + lo..row + hi] {
-                    *v = Value::default();
-                }
-            }
+            d.regs.fill(r, Value::default(), slots);
         }
         self.frames.push(Frame { pc, ret_regs, base });
     }
@@ -423,38 +788,6 @@ impl CtlLane {
         let m = self.frames.pop().expect("return without frame");
         self.top = m.base;
         m
-    }
-}
-
-impl DLane {
-    /// Resolves an operand to a [`Row`] against the frame at `base`.
-    #[inline]
-    fn row(&self, ns: usize, base: usize, op: Operand) -> Row {
-        match op {
-            Operand::Imm(v) => Row::Imm(v),
-            Operand::Reg(r) => Row::At((base + r.index()) * ns),
-        }
-    }
-
-    /// Reads a resolved operand for one slot.
-    #[inline]
-    fn get(&self, row: Row, slot: usize) -> Value {
-        match row {
-            Row::Imm(v) => v,
-            Row::At(i) => self.vals[i + slot],
-        }
-    }
-
-    /// Writes a register of the frame at `base` for one slot.
-    #[inline]
-    fn set(&mut self, ns: usize, base: usize, r: usize, slot: usize, v: Value) {
-        self.vals[(base + r) * ns + slot] = v;
-    }
-
-    /// Evaluates an operand against the frame at `base` for one slot.
-    #[inline]
-    fn eval(&self, ns: usize, base: usize, op: Operand, slot: usize) -> Value {
-        self.get(self.row(ns, base, op), slot)
     }
 }
 
@@ -529,8 +862,8 @@ struct Cohort<'m> {
     subs: Vec<SubCohort>,
     /// The shared data plane, one entry per warp.
     data: Vec<DWarp>,
-    /// Global memory, `[addr * nslots + slot]`.
-    global: Vec<Value>,
+    /// Global memory, one row per address.
+    global: SlotCols,
     global_len: usize,
     local_len: usize,
     /// Per-slot metrics deltas (wrapping) relative to the owning
@@ -550,9 +883,10 @@ struct Cohort<'m> {
     /// pick). Per-pick scratch: every round's pick rewrites it before
     /// the batcher reads it, so it is safely shared across sub-cohorts.
     other_pcs: Vec<usize>,
-    /// Per-slot address staging for global accesses,
-    /// `[slot * lanes_in_mask + idx]`.
-    addr_buf: Vec<i64>,
+    /// Lane-address staging for global accesses.
+    addrs: AddrStage,
+    /// Row staging for the typed loops.
+    scratch: RowScratch,
     /// Segment ids derived from one slot's addresses.
     lines_buf: Vec<i64>,
     /// Per-slot machine-wide MSHR files of the memory-hierarchy model
@@ -581,6 +915,15 @@ impl<'m> Cohort<'m> {
         let num_regs = kfunc.num_regs as usize;
         let entry = kfunc.entry_pc as usize;
 
+        let slots = if nslots == 64 { u64::MAX } else { (1u64 << nslots) - 1 };
+        // Every lane starts from the same columns: the arguments
+        // broadcast over the kernel frame, zeroed local memory.
+        let mut regs = SlotCols::new(num_regs, nslots);
+        for (i, a) in launch.args.iter().enumerate() {
+            regs.fill(i, *a, slots);
+        }
+        let local = SlotCols::new(launch.local_mem_size, nslots);
+
         let mut warps = Vec::with_capacity(launch.num_warps);
         let mut data = Vec::with_capacity(launch.num_warps);
         for w in 0..launch.num_warps {
@@ -588,22 +931,16 @@ impl<'m> Cohort<'m> {
             let mut lanes_d = Vec::with_capacity(width);
             for lane in 0..width {
                 let tid = (w * width + lane) as u64;
-                let mut vals = vec![Value::default(); num_regs * nslots];
-                for (i, a) in launch.args.iter().enumerate() {
-                    for s in 0..nslots {
-                        vals[i * nslots + s] = *a;
-                    }
-                }
                 lanes_c.push(CtlLane {
                     frames: vec![Frame { pc: entry, ret_regs: PoolRange::EMPTY, base: 0 }],
                     top: num_regs,
                 });
                 lanes_d.push(DLane {
-                    vals,
+                    regs: regs.clone(),
                     rng: (0..nslots)
                         .map(|s| SplitMix64::for_sweep_instance(sweep.seed_lo, s as u64, tid))
                         .collect(),
-                    local: vec![Value::default(); launch.local_mem_size * nslots],
+                    local: local.clone(),
                 });
             }
             warps.push(CWarp { ctl: ctl.clone(), lanes_c });
@@ -615,14 +952,11 @@ impl<'m> Cohort<'m> {
             });
         }
 
-        let mut global = vec![Value::default(); launch.global_mem.len() * nslots];
+        let mut global = SlotCols::new(launch.global_mem.len(), nslots);
         for (a, v) in launch.global_mem.iter().enumerate() {
-            for s in 0..nslots {
-                global[a * nslots + s] = *v;
-            }
+            global.fill(a, *v, slots);
         }
 
-        let slots = if nslots == 64 { u64::MAX } else { (1u64 << nslots) - 1 };
         Ok(Cohort {
             image,
             cfg,
@@ -646,7 +980,8 @@ impl<'m> Cohort<'m> {
             stats: SweepStats { instances: nslots, peak_subcohorts: 1, ..SweepStats::default() },
             groups: Vec::new(),
             other_pcs: Vec::new(),
-            addr_buf: Vec::new(),
+            addrs: AddrStage::default(),
+            scratch: RowScratch { out: vec![0; nslots], imm: [vec![0; nslots], vec![0; nslots]] },
             lines_buf: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
             mem_scratch: crate::mem::MemScratch::default(),
@@ -703,6 +1038,14 @@ impl<'m> Cohort<'m> {
     fn resolve_err(&mut self, sub: &mut SubCohort, s: usize, e: SimError) {
         sub.slots &= !(1u64 << s);
         self.results[s] = Some(Err(e));
+    }
+
+    /// Resolves the slots that faulted in warp `w`'s issue at `pc`.
+    fn resolve_faults(&mut self, sub: &mut SubCohort, w: usize, pc: usize, faults: Faults) {
+        for (s, fault) in faults.list {
+            let e = fault.into_error(|l| self.image.location(w, l, pc));
+            self.resolve_err(sub, s, e);
+        }
     }
 
     /// Resolves every slot of `sub` with one shared error (deadlock,
@@ -952,11 +1295,10 @@ impl<'m> Cohort<'m> {
     /// Finalizes every slot of a finished sub-cohort into its output at
     /// the sub-cohort's finish cycle.
     fn finalize_sub(&mut self, sub: &SubCohort) {
-        let ns = self.nslots;
         for s in lanes(sub.slots) {
             let mut metrics = sub.metrics.combine(&self.bases[s], u64::wrapping_add);
             metrics.cycles = sub.cycle;
-            let global_mem = (0..self.global_len).map(|a| self.global[a * ns + s]).collect();
+            let global_mem = (0..self.global_len).map(|a| self.global.get(a, s)).collect();
             self.results[s] = Some(Ok(SimOutput {
                 metrics,
                 engine: Default::default(),
@@ -969,35 +1311,44 @@ impl<'m> Cohort<'m> {
     }
 }
 
+/// The classes of a slot set under a per-slot key, as slot masks in
+/// lowest-member order. Divergence across seeds is shallow in practice;
+/// a linear scan per class over at most 64 slots is plenty, and it
+/// needs no table.
+struct Classes<F> {
+    rest: u64,
+    key: F,
+}
+
+impl<K: PartialEq, F: Fn(usize) -> K> Iterator for Classes<F> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.rest == 0 {
+            return None;
+        }
+        let k = (self.key)(self.rest.trailing_zeros() as usize);
+        let class = lanes(self.rest).filter(|&s| (self.key)(s) == k).fold(0, |m, s| m | 1u64 << s);
+        self.rest &= !class;
+        Some(class)
+    }
+}
+
 /// Partitions live slots by a per-slot key: the largest class (ties
 /// broken toward the class containing the lowest slot) keeps the
-/// current sub-cohort; every other class is returned to fork off.
-fn partition_classes<K: PartialEq + Copy>(live: u64, key: impl Fn(usize) -> K) -> (u64, Vec<u64>) {
-    // Divergence across seeds is shallow in practice; a linear class
-    // scan over at most 64 slots is plenty.
-    let mut classes: Vec<(K, u64, u32)> = Vec::new();
-    for s in lanes(live) {
-        let k = key(s);
-        match classes.iter_mut().find(|(ck, _, _)| *ck == k) {
-            Some((_, mask, n)) => {
-                *mask |= 1u64 << s;
-                *n += 1;
-            }
-            None => classes.push((k, 1u64 << s, 1)),
-        }
-    }
-    // First insertion order is lowest-slot order, so a plain max scan
-    // with strict `>` implements the tie-break.
+/// current sub-cohort; every other class is returned to fork off. When
+/// every key agrees — every issue of a non-forking cohort — that is one
+/// scan and an empty iterator; nothing here allocates.
+fn partition_classes<K: PartialEq, F: Fn(usize) -> K>(live: u64, key: F) -> Classes<F> {
+    // Classes arrive in lowest-slot order, so a plain max scan with
+    // strict `>` implements the tie-break.
     let mut winner = 0u64;
-    let mut best = 0u32;
-    for &(_, mask, n) in &classes {
-        if n > best {
-            best = n;
-            winner = mask;
+    for class in (Classes { rest: live, key: &key }) {
+        if class.count_ones() > winner.count_ones() {
+            winner = class;
         }
     }
-    let minorities = classes.iter().map(|&(_, mask, _)| mask).filter(|&m| m != winner).collect();
-    (winner, minorities)
+    Classes { rest: live & !winner, key }
 }
 
 /// Whether two sub-cohorts' control planes are equal — the merge test:
@@ -1033,15 +1384,30 @@ impl Cohort<'_> {
     /// slot with the exact error its scalar run would raise, and
     /// look-ahead would misstamp its round. Faultable (lane, slot)
     /// operands leave the instruction to execute in its own round.
-    fn batch_fault_free_c(&self, sub: &SubCohort, w: usize, mask: u64, inst: &DecodedInst) -> bool {
-        let ns = self.nslots;
-        crate::alu::fault_free_when(inst).is_none_or(|(lhs, rhs, ok)| {
-            lanes(mask).all(|l| {
-                let base = sub.warps[w].lanes_c[l].cur_base();
-                let dl = &self.data[w].lanes_d[l];
-                let (lr, rr) = (dl.row(ns, base, lhs), dl.row(ns, base, rhs));
-                lanes(sub.slots).all(|s| ok(dl.get(lr, s), dl.get(rr, s)))
-            })
+    fn batch_fault_free_c(
+        &mut self,
+        sub: &SubCohort,
+        w: usize,
+        mask: u64,
+        inst: &DecodedInst,
+    ) -> bool {
+        let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
+        let live = sub.slots;
+        let Cohort { data, scratch: RowScratch { out, imm: [ia, ib] }, .. } = self;
+        let (ia, ib) = (imm_row(lhs, ia), imm_row(rhs, ib));
+        lanes(mask).all(|l| {
+            let base = sub.warps[w].lanes_c[l].cur_base();
+            let regs = &data[w].lanes_d[l].regs;
+            let (a, b) = (operand_row(ia, regs, base, lhs), operand_row(ib, regs, base, rhs));
+            // On uniformly typed rows the tags are constants and the
+            // condition folds to what is left of it: nothing for the
+            // bitwise ops, a zero scan of the live divisors for div/rem.
+            let mut ok = true;
+            map_typed(a, b, live, out, |_, x, y| {
+                ok &= cond.ok(x, y);
+                None
+            });
+            ok
         })
     }
 
@@ -1081,14 +1447,36 @@ impl Cohort<'_> {
     }
 }
 
-/// The cohort's loop shape for the fallible ALU arms, handed to
+/// The slots that faulted during one issue, each with its first fault in
+/// lane order; resolved once the issue's borrows end
+/// ([`Cohort::resolve_faults`]).
+#[derive(Default)]
+struct Faults {
+    mask: u64,
+    list: Vec<(usize, LaneFault)>,
+}
+
+impl Faults {
+    fn push(&mut self, s: usize, fault: LaneFault) {
+        self.mask |= 1 << s;
+        self.list.push((s, fault));
+    }
+
+    /// A kernel's result for slot `s` at `lane`: its value, or `None`
+    /// with the arithmetic fault recorded.
+    #[inline(always)]
+    fn value(&mut self, s: usize, lane: usize, result: Result<Value, String>) -> Option<Value> {
+        result.map_err(|message| self.push(s, LaneFault::Arith { lane, message })).ok()
+    }
+}
+
+/// The cohort's loop shape for the ALU arms, handed to
 /// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): a failing
 /// slot resolves to its own `Arithmetic` error at the first faulting
-/// lane in lane order, exactly like its scalar run. Operand and
-/// destination rows are resolved once per lane, and the slot loop walks
-/// contiguous runs of the slot mask so a full (or fragmented-but-runny)
-/// mask takes dense counted inner loops over the column slices — the
-/// shape the autovectorizer wants.
+/// lane in lane order, exactly like its scalar run. Per lane, the
+/// operand rows are read in place and classified once over the live
+/// slots; the kernel then runs as one [`map_typed`] loop into the
+/// result row, which commits under the sub-cohort's slot mask.
 struct SlotAlu<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
@@ -1105,44 +1493,55 @@ impl AluLoop for SlotAlu<'_, '_> {
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAlu { cohort, sub, pc, mask, w, dst, lhs, rhs } = self;
-        let ns = cohort.nslots;
-        let slots = sub.slots;
-        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
-        let mut faulted = 0u64;
+        let mut faults = Faults::default();
+        let mut dense_rows = 0u64;
         {
+            let Cohort { data, scratch: RowScratch { out, imm: [ia, ib] }, .. } = &mut *cohort;
+            let (ia, ib) = (imm_row(lhs, ia), imm_row(rhs, ib));
             let cw = &mut sub.warps[w];
-            let dw = &mut cohort.data[w];
+            let mut live = sub.slots;
             for l in lanes(mask) {
                 let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                let lr = dl.row(ns, base, lhs);
-                let rr = dl.row(ns, base, rhs);
-                let drow = (base + dst.index()) * ns;
-                for (lo, hi) in mask_runs(slots & !faulted) {
-                    for s in lo..hi {
-                        match k(dl.get(lr, s), dl.get(rr, s)) {
-                            Ok(v) => dl.vals[drow + s] = v,
-                            Err(message) => {
-                                faulted |= 1 << s;
-                                faults.push((s, LaneFault::Arith { lane: l, message }));
-                            }
-                        }
-                    }
-                }
+                let regs = &mut data[w].lanes_d[l].regs;
+                let (a, b) = (operand_row(ia, regs, base, lhs), operand_row(ib, regs, base, rhs));
+                let (floats, dense) =
+                    map_typed(a, b, live, out, |s, x, y| faults.value(s, l, k(x, y)));
+                dense_rows += u64::from(dense);
+                live &= !faults.mask;
+                regs.write(base + dst.index(), RowRef { bits: out, floats }, live);
                 cw.ctl.pcs[l] += 1;
             }
         }
-        for (s, f) in faults {
-            let e = f.into_error(|l| cohort.image.location(w, l, pc));
-            cohort.resolve_err(sub, s, e);
-        }
+        cohort.stats.dense_rows += dense_rows;
+        cohort.stats.mixed_rows += u64::from(mask.count_ones()) - dense_rows;
+        cohort.resolve_faults(sub, w, pc, faults);
+    }
+}
+
+/// The lane addresses of one global access, staged once: a single list
+/// when every slot agrees on it, else one list per slot.
+#[derive(Default)]
+struct AddrStage {
+    /// `k` addresses when `uniform`, else `[slot * k + idx]`.
+    buf: Vec<i64>,
+    /// Lanes in the issued mask.
+    k: usize,
+    uniform: bool,
+}
+
+impl AddrStage {
+    /// Slot `s`'s lane addresses.
+    #[inline]
+    fn of(&self, s: usize) -> &[i64] {
+        let at = if self.uniform { 0 } else { s * self.k };
+        &self.buf[at..at + self.k]
     }
 }
 
 // The cohort execute path: one instruction over (lane mask × live
 // slots). Control effects (pc updates, status transitions, barrier
 // bookkeeping) happen once per sub-cohort; value effects happen per
-// (lane, slot) over contiguous masked slot runs.
+// lane as row operations over the sub-cohort's slots.
 impl Cohort<'_> {
     /// Executes one decoded instruction for the issued group across
     /// every slot of `sub`; returns the (uniform) issue cost. Slots
@@ -1154,11 +1553,12 @@ impl Cohort<'_> {
         let inst = &image.insts[pc];
         let w = ctx.w;
         let cost = self.costs[pc];
+        let live = sub.slots;
         match *inst {
             // The op is invariant across the slot columns, so it is
             // matched once out here: `SlotAlu` gets a tiny monomorphic
-            // kernel its slot-run loop can inline. Unary kernels ignore
-            // `rhs`; an immediate there costs no column read.
+            // kernel its typed loops can inline. Unary kernels ignore
+            // `rhs`.
             DecodedInst::Bin { op, dst, lhs, rhs } => {
                 crate::alu::with_bin(op, SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs, rhs });
             }
@@ -1168,93 +1568,124 @@ impl Cohort<'_> {
                 crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
-                let rhs = Operand::Imm(Value::default());
-                SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs: src, rhs }.run(|a, _| Ok(a));
+                self.data_c(sub, w, mask, |dl, base, _l| {
+                    dl.regs.assign(base + dst.index(), resolve(base, src), live);
+                });
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
-                self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
-                    let pick =
-                        if dl.eval(ns, base, cond, s).is_truthy() { if_true } else { if_false };
-                    let v = dl.eval(ns, base, pick, s);
-                    dl.set(ns, base, dst.index(), s, v);
-                });
+                let Cohort { data, scratch: RowScratch { out, imm: [it, ie] }, .. } = self;
+                let (it, ie) = (imm_row(if_true, it), imm_row(if_false, ie));
+                let cw = &mut sub.warps[w];
+                for l in lanes(mask) {
+                    let base = cw.lanes_c[l].cur_base();
+                    let regs = &mut data[w].lanes_d[l].regs;
+                    let t = match cond {
+                        Operand::Imm(v) if v.is_truthy() => live,
+                        Operand::Imm(_) => 0,
+                        Operand::Reg(r) => truthy(regs.row(base + r.index()), live, out),
+                    };
+                    let (x, y) = (
+                        operand_row(it, regs, base, if_true),
+                        operand_row(ie, regs, base, if_false),
+                    );
+                    // A select moves payloads and type bits untouched, so
+                    // it blends whole rows; the commit keeps to `live`.
+                    for (s, ((o, &x), &y)) in out.iter_mut().zip(x.bits).zip(y.bits).enumerate() {
+                        *o = if t >> s & 1 != 0 { x } else { y };
+                    }
+                    let floats = x.floats & t | y.floats & !t;
+                    regs.write(base + dst.index(), RowRef { bits: out, floats }, live);
+                    cw.ctl.pcs[l] += 1;
+                }
             }
             DecodedInst::Load { dst, space, addr } => match space {
                 MemSpace::Global => {
-                    return self.access_global_c(sub, pc, mask, ctx, addr, None, Some(dst), cost);
+                    return self.access_global_c(sub, pc, mask, ctx, addr, MemOp::Load(dst), cost);
                 }
-                MemSpace::Local => self.access_local_c(sub, pc, mask, w, addr, None, Some(dst)),
+                MemSpace::Local => self.access_local_c(sub, pc, mask, w, addr, MemOp::Load(dst)),
             },
             DecodedInst::Store { space, addr, value } => match space {
                 MemSpace::Global => {
-                    return self.access_global_c(sub, pc, mask, ctx, addr, Some(value), None, cost);
+                    return self.access_global_c(
+                        sub,
+                        pc,
+                        mask,
+                        ctx,
+                        addr,
+                        MemOp::Store(value),
+                        cost,
+                    );
                 }
-                MemSpace::Local => self.access_local_c(sub, pc, mask, w, addr, Some(value), None),
+                MemSpace::Local => self.access_local_c(sub, pc, mask, w, addr, MemOp::Store(value)),
             },
             DecodedInst::AtomicAdd { dst, addr, value } => {
-                self.atomic_add_c(sub, pc, mask, w, dst, addr, value);
+                let atomic = SlotAtomic { cohort: self, sub, pc, mask, w, dst, addr, value };
+                crate::alu::with_bin(BinOp::Add, atomic);
             }
             DecodedInst::Special { dst, kind } => {
                 let width = self.cfg.warp_width;
                 let n_threads = (self.data.len() * width) as i64;
-                self.data_c(sub, w, mask, |dl, ns, base, s, l| {
+                self.data_c(sub, w, mask, |dl, base, l| {
                     let v = match kind {
-                        SpecialValue::Tid => Value::I64((w * width + l) as i64),
-                        SpecialValue::LaneId => Value::I64(l as i64),
-                        SpecialValue::WarpId => Value::I64(w as i64),
-                        SpecialValue::NumThreads => Value::I64(n_threads),
-                        SpecialValue::WarpWidth => Value::I64(width as i64),
+                        SpecialValue::Tid => (w * width + l) as i64,
+                        SpecialValue::LaneId => l as i64,
+                        SpecialValue::WarpId => w as i64,
+                        SpecialValue::NumThreads => n_threads,
+                        SpecialValue::WarpWidth => width as i64,
                     };
-                    dl.set(ns, base, dst.index(), s, v);
+                    dl.regs.fill(base + dst.index(), Value::I64(v), live);
                 });
             }
             DecodedInst::Rng { dst, kind } => {
-                self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
-                    let v = match kind {
-                        RngKind::U63 => Value::I64(dl.rng[s].next_u63()),
-                        RngKind::Unit => Value::F64(dl.rng[s].next_unit()),
-                    };
-                    dl.set(ns, base, dst.index(), s, v);
+                self.data_c(sub, w, mask, |DLane { regs, rng, .. }, base, _l| {
+                    let row = base + dst.index();
+                    match kind {
+                        RngKind::U63 => {
+                            regs.fill_with(row, false, live, |s| rng[s].next_u63() as u64);
+                        }
+                        RngKind::Unit => {
+                            regs.fill_with(row, true, live, |s| rng[s].next_unit().to_bits());
+                        }
+                    }
                 });
             }
             DecodedInst::SyncThreads => sub.warps[w].ctl.sync_arrive(mask, &mut |_| {}),
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous count — per slot, over the same
                 // issued mask.
-                let ns = self.nslots;
-                let slots = sub.slots;
-                let mut counts = [0i64; COHORT_SLOTS];
+                let mut counts = [0u64; COHORT_SLOTS];
                 {
-                    let cw = &sub.warps[w];
-                    let dw = &self.data[w];
+                    let Cohort { data, scratch: RowScratch { out, imm: [ip, _] }, .. } = &mut *self;
+                    let ip = imm_row(pred, ip);
                     for l in lanes(mask) {
-                        let base = cw.lanes_c[l].cur_base();
-                        let dl = &dw.lanes_d[l];
-                        let row = dl.row(ns, base, pred);
-                        for (lo, hi) in mask_runs(slots) {
-                            for (s, c) in counts.iter_mut().enumerate().take(hi).skip(lo) {
-                                if dl.get(row, s).is_truthy() {
-                                    *c += 1;
-                                }
-                            }
+                        let base = sub.warps[w].lanes_c[l].cur_base();
+                        let t = truthy(
+                            operand_row(ip, &data[w].lanes_d[l].regs, base, pred),
+                            live,
+                            out,
+                        );
+                        for (s, c) in counts.iter_mut().enumerate() {
+                            *c += t >> s & 1;
                         }
                     }
                 }
-                self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
-                    dl.set(ns, base, dst.index(), s, Value::I64(counts[s]));
+                let ns = self.nslots;
+                self.data_c(sub, w, mask, |dl, base, _l| {
+                    let counts = RowRef { bits: &counts[..ns], floats: 0 };
+                    dl.regs.write(base + dst.index(), counts, live);
                 });
             }
             DecodedInst::SeedRng { src } => {
                 let launch_mix = 0x5EED_u64; // stream domain separator
-                self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
-                    let v = dl.eval(ns, base, src, s).as_i64() as u64;
-                    dl.rng[s] = SplitMix64::for_thread(v ^ launch_mix, v);
+                self.data_c(sub, w, mask, |dl, base, _l| {
+                    for s in lanes(live) {
+                        let v = dl.regs.at(resolve(base, src), s).as_i64() as u64;
+                        dl.rng[s] = SplitMix64::for_thread(v ^ launch_mix, v);
+                    }
                 });
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
                 let arg_ops = image.operands(args);
-                let ns = self.nslots;
-                let slots = sub.slots;
                 let cw = &mut sub.warps[w];
                 let dw = &mut self.data[w];
                 for l in lanes(mask) {
@@ -1264,17 +1695,12 @@ impl Cohort<'_> {
                     let base = cl.cur_base();
                     // Suspend the caller: save its resume point.
                     cl.frames.last_mut().expect("lane has no frame").pc = ret_pc;
-                    cl.push_frame(dl, ns, slots, entry_pc as usize, rets, num_regs as usize);
-                    // Arguments evaluate in the caller window, which
-                    // stays intact under the callee's.
+                    cl.push_frame(dl, live, entry_pc as usize, rets, num_regs as usize);
+                    // Arguments are row copies out of the caller window,
+                    // which stays intact under the callee's.
                     let nb = cl.cur_base();
                     for (i, a) in arg_ops.iter().enumerate() {
-                        for (lo, hi) in mask_runs(slots) {
-                            for s in lo..hi {
-                                let v = dl.eval(ns, base, *a, s);
-                                dl.set(ns, nb, i, s, v);
-                            }
-                        }
+                        dl.regs.assign(nb + i, resolve(base, *a), live);
                     }
                     cw.ctl.pcs[l] = entry_pc as usize;
                 }
@@ -1293,8 +1719,8 @@ impl Cohort<'_> {
                 // registers, broadcast to every live slot.
                 if let BarrierOp::ArrivedCount { dst, bar } = op {
                     let n = Value::I64(sub.warps[w].ctl.arrived(bar));
-                    self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
-                        dl.set(ns, base, dst.index(), s, n);
+                    self.data_c(sub, w, mask, |dl, base, _l| {
+                        dl.regs.fill(base + dst.index(), n, live);
                     });
                 } else {
                     sub.warps[w].ctl.barrier(mask, op, &mut |_| {});
@@ -1309,34 +1735,41 @@ impl Cohort<'_> {
                 }
             }
             DecodedInst::Branch { cond, then_pc, else_pc } => {
-                // Per-slot taken masks; each class disagreeing with the
-                // largest one forks off *before* the branch applies.
-                let ns = self.nslots;
-                let slots = sub.slots;
-                let mut takens = [0u64; COHORT_SLOTS];
+                // One truthy slot-mask per lane. A lane whose slots all
+                // agree needs no per-slot state; only when some lane's
+                // slots disagree are the per-slot taken masks built, and
+                // each class disagreeing with the largest one forks off
+                // *before* the branch applies.
+                let mut lane_t = [0u64; 64];
+                let mut taken = 0u64;
+                let mut agree = true;
                 {
-                    let cw = &sub.warps[w];
-                    let dw = &self.data[w];
+                    let Cohort { data, scratch: RowScratch { out, imm: [ic, _] }, .. } = &mut *self;
+                    let ic = imm_row(cond, ic);
                     for l in lanes(mask) {
-                        let base = cw.lanes_c[l].cur_base();
-                        let dl = &dw.lanes_d[l];
-                        let row = dl.row(ns, base, cond);
-                        let bit = 1u64 << l;
-                        for (lo, hi) in mask_runs(slots) {
-                            for (s, t) in takens.iter_mut().enumerate().take(hi).skip(lo) {
-                                if dl.get(row, s).is_truthy() {
-                                    *t |= bit;
-                                }
-                            }
-                        }
+                        let base = sub.warps[w].lanes_c[l].cur_base();
+                        let t = truthy(
+                            operand_row(ic, &data[w].lanes_d[l].regs, base, cond),
+                            live,
+                            out,
+                        );
+                        lane_t[l] = t;
+                        taken |= u64::from(t == live) << l;
+                        agree &= t == live || t == 0;
                     }
                 }
-                let (_winner, minorities) = partition_classes(slots, |s| takens[s]);
-                for class in minorities {
-                    self.split_off(sub, class, ctx);
+                if !agree {
+                    let mut takens = [0u64; COHORT_SLOTS];
+                    for l in lanes(mask) {
+                        for s in lanes(lane_t[l]) {
+                            takens[s] |= 1 << l;
+                        }
+                    }
+                    for class in partition_classes(live, |s| takens[s]) {
+                        self.split_off(sub, class, ctx);
+                    }
+                    taken = takens[sub.slots.trailing_zeros() as usize];
                 }
-                let rep = sub.slots.trailing_zeros() as usize;
-                let taken = takens[rep];
                 let cw = &mut sub.warps[w];
                 for l in lanes(mask) {
                     cw.ctl.pcs[l] =
@@ -1345,8 +1778,6 @@ impl Cohort<'_> {
             }
             DecodedInst::Return { values } => {
                 let value_ops = image.operands(values);
-                let ns = self.nslots;
-                let slots = sub.slots;
                 let mut exited = 0u64;
                 let cw = &mut sub.warps[w];
                 let dw = &mut self.data[w];
@@ -1359,17 +1790,12 @@ impl Cohort<'_> {
                         exited |= 1 << l;
                         continue;
                     }
-                    // Values evaluate in the callee window, which keeps
-                    // its cells after the pop.
+                    // Values are row copies out of the callee window,
+                    // which keeps its cells after the pop.
                     let fm = cl.pop_frame();
                     let cbase = cl.cur_base();
                     for (r, v) in image.regs(fm.ret_regs).iter().zip(value_ops) {
-                        for (lo, hi) in mask_runs(slots) {
-                            for s in lo..hi {
-                                let v = dl.eval(ns, fm.base, *v, s);
-                                dl.set(ns, cbase, r.index(), s, v);
-                            }
-                        }
+                        dl.regs.assign(cbase + r.index(), resolve(fm.base, *v), live);
                     }
                     cw.ctl.pcs[l] = cl.frames.last().expect("caller frame").pc;
                 }
@@ -1382,40 +1808,40 @@ impl Cohort<'_> {
         cost
     }
 
-    /// Shared loop shape for the infallible per-(lane, slot) data arms.
+    /// Shared loop shape for the infallible per-lane data arms: `f` gets
+    /// the lane's data columns, the live frame's base and the lane index.
     fn data_c(
         &mut self,
         sub: &mut SubCohort,
         w: usize,
         mask: u64,
-        mut f: impl FnMut(&mut DLane, usize, usize, usize, usize),
+        mut f: impl FnMut(&mut DLane, usize, usize),
     ) {
-        let ns = self.nslots;
-        let slots = sub.slots;
         let cw = &mut sub.warps[w];
         let dw = &mut self.data[w];
         for l in lanes(mask) {
             let base = cw.lanes_c[l].cur_base();
-            let dl = &mut dw.lanes_d[l];
-            for (lo, hi) in mask_runs(slots) {
-                for s in lo..hi {
-                    f(dl, ns, base, s, l);
-                }
-            }
+            f(&mut dw.lanes_d[l], base, l);
             cw.ctl.pcs[l] += 1;
         }
     }
 
-    /// Global load/store: the issue cost is data-dependent (coalescing
-    /// segments), so it runs in three phases.
+    /// Global load/store. The issue cost is data-dependent — the
+    /// coalescing fold or, when configured, the memory-hierarchy walk —
+    /// so it runs in three phases:
     ///
-    /// 1. Per slot, compute the lane addresses, the first fault (if
-    ///    any), and the cost — with **no** mutation, so a diverging
-    ///    slot's pre-access state is intact.
-    /// 2. Resolve faulted slots to their own errors; partition the rest
-    ///    by cost and fork off the minority classes.
-    /// 3. Apply the access to the surviving slots (value movement) and
-    ///    return the now-uniform cost.
+    /// 1. Stage the lane addresses ([`Self::stage_addrs`]) with **no**
+    ///    mutation, so a diverging slot's pre-access state is intact,
+    ///    and resolve out-of-range slots to their own errors.
+    /// 2. Price the access per slot and fork off the classes that
+    ///    disagree with the largest one.
+    /// 3. Move the data for the surviving slots and return the
+    ///    now-uniform cost.
+    ///
+    /// When every lane's address is one in-range integer across the
+    /// slots — all of them, on seed-independent access streams — there
+    /// is one address list: no slot can fault, the flat fold runs once
+    /// and cannot fork, and phase 3 is one row copy per lane.
     #[allow(clippy::too_many_arguments)]
     fn access_global_c(
         &mut self,
@@ -1424,253 +1850,162 @@ impl Cohort<'_> {
         mask: u64,
         ctx: IssueCtx,
         addr: Operand,
-        value: Option<Operand>,
-        dst: Option<simt_ir::Reg>,
+        op: MemOp,
         base_cost: u32,
     ) -> u32 {
-        if self.cfg.mem.is_some() {
-            return self.access_global_hier_c(sub, pc, mask, ctx, addr, value, dst);
-        }
-        let ns = self.nslots;
         let w = ctx.w;
-        let k = mask.count_ones() as usize;
-        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
-        let mut costs = [0u32; COHORT_SLOTS];
-        {
-            let glen = self.global_len;
-            let slots = sub.slots;
-            let Cohort { data, addr_buf, lines_buf, cfg, .. } = self;
-            let cw = &sub.warps[w];
-            let dw = &data[w];
-            addr_buf.clear();
-            addr_buf.resize(ns * k, 0);
-            // Lane-major address staging: the operand row resolves once
-            // per lane, out-of-range slots are flagged and attributed to
-            // their first faulting lane below. Slot-uniform addresses
-            // (seed-independent access streams — the common case) are
-            // detected on the fly to share the segment fold below.
-            let mut oob = 0u64;
-            let mut uniform = true;
-            let rep = if slots == 0 { 0 } else { slots.trailing_zeros() as usize };
-            for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &dw.lanes_d[l];
-                let row = dl.row(ns, base, addr);
-                let a0 = dl.get(row, rep).as_i64();
-                for (lo, hi) in mask_runs(slots) {
-                    for s in lo..hi {
-                        let a = dl.get(row, s).as_i64();
-                        addr_buf[s * k + idx] = a;
-                        uniform &= a == a0;
-                        if a < 0 || a as usize >= glen {
-                            oob |= 1 << s;
-                        }
-                    }
-                }
-            }
-            for s in lanes(oob) {
-                let (idx, l) = lanes(mask)
-                    .enumerate()
-                    .find(|&(idx, _)| {
-                        let a = addr_buf[s * k + idx];
-                        a < 0 || a as usize >= glen
-                    })
-                    .expect("faulted slot has a faulting lane");
-                let a = addr_buf[s * k + idx];
-                faults.push((
-                    s,
-                    LaneFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
-                ));
-            }
-            let lat = &cfg.latency;
-            let mut cost_of = |s: usize| {
-                let segs = lat.segments_in(&addr_buf[s * k..(s + 1) * k], lines_buf);
-                base_cost + lat.mem_segment * segs.saturating_sub(1)
-            };
-            if uniform && oob == 0 && slots != 0 {
-                // Every slot touches the same cells: fold once.
-                let c = cost_of(rep);
-                for s in lanes(slots) {
-                    costs[s] = c;
-                }
-            } else {
-                for s in lanes(slots & !oob) {
-                    costs[s] = cost_of(s);
-                }
-            }
+        let oob = self.stage_addrs(sub, w, mask, addr);
+        if self.addrs.uniform {
+            self.stats.uniform_accesses += 1;
+        } else {
+            self.stats.scattered_accesses += 1;
         }
-        for (s, f) in faults {
-            let e = f.into_error(|l| self.image.location(w, l, pc));
-            self.resolve_err(sub, s, e);
+        let glen = self.global_len;
+        let mut faults = Faults::default();
+        for s in lanes(oob) {
+            let (lane, &addr) = lanes(mask)
+                .zip(self.addrs.of(s))
+                .find(|&(_, &a)| a < 0 || a as usize >= glen)
+                .expect("faulted slot has a faulting lane");
+            faults.push(s, LaneFault::Oob { lane, addr, size: glen, space: MemSpace::Global });
         }
+        self.resolve_faults(sub, w, pc, faults);
         if sub.slots == 0 {
             return base_cost;
         }
-        let (_winner, minorities) = partition_classes(sub.slots, |s| costs[s]);
-        for class in minorities {
-            self.split_off(sub, class, ctx);
-        }
-        let winners = sub.slots;
-        {
-            let Cohort { data, addr_buf, global, .. } = self;
-            let cw = &mut sub.warps[w];
-            let dw = &mut data[w];
-            for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                if let Some(v) = value {
-                    let row = dl.row(ns, base, v);
-                    for (lo, hi) in mask_runs(winners) {
-                        for s in lo..hi {
-                            let a = addr_buf[s * k + idx] as usize;
-                            global[a * ns + s] = dl.get(row, s);
-                        }
-                    }
-                } else if let Some(dst) = dst {
-                    let drow = (base + dst.index()) * ns;
-                    for (lo, hi) in mask_runs(winners) {
-                        for s in lo..hi {
-                            let a = addr_buf[s * k + idx] as usize;
-                            dl.vals[drow + s] = global[a * ns + s];
-                        }
+        let cost = match &self.cfg.mem {
+            Some(hier) => self.walk_hier_c(sub, ctx, hier, matches!(op, MemOp::Store(_))),
+            None => self.fold_flat_c(sub, ctx, base_cost),
+        };
+        // Phase 3: value movement for the slots that stayed.
+        let live = sub.slots;
+        let Cohort { data, addrs, global, .. } = self;
+        let cw = &mut sub.warps[w];
+        for (idx, l) in lanes(mask).enumerate() {
+            let base = cw.lanes_c[l].cur_base();
+            let regs = &mut data[w].lanes_d[l].regs;
+            if addrs.uniform {
+                let a = addrs.buf[idx] as usize;
+                match op {
+                    MemOp::Load(dst) => regs.write(base + dst.index(), global.row(a), live),
+                    MemOp::Store(v) => global.assign_from(a, regs, resolve(base, v), live),
+                }
+            } else {
+                for s in lanes(live) {
+                    let a = addrs.of(s)[idx] as usize;
+                    match op {
+                        MemOp::Load(dst) => regs.set(base + dst.index(), s, global.get(a, s)),
+                        MemOp::Store(v) => global.set(a, s, regs.at(resolve(base, v), s)),
                     }
                 }
-                cw.ctl.pcs[l] += 1;
             }
+            cw.ctl.pcs[l] += 1;
         }
-        costs[winners.trailing_zeros() as usize]
+        cost
     }
 
-    /// [`Self::access_global_c`] under the memory-hierarchy cost model:
-    /// the same three phases, with the per-slot *walk outcome*
-    /// ([`AccessOutcome`](crate::mem::AccessOutcome) — cost plus every
-    /// per-level counter) as the fork key. Phase 1 uses the pure
-    /// [`probe`](crate::mem::probe) so a diverging slot's tag and MSHR
-    /// state stays intact for its fork to replay; phase 3 re-runs the
-    /// walk as [`commit`](crate::mem::commit) per winner slot, which
-    /// reproduces the probed outcome over the unchanged pre-state.
-    #[allow(clippy::too_many_arguments)]
-    fn access_global_hier_c(
+    /// Phase 1 of a global access: fills [`Cohort::addrs`] with the
+    /// issued lanes' addresses and returns the slots holding an
+    /// out-of-range one (always none when the stage comes out uniform).
+    fn stage_addrs(&mut self, sub: &SubCohort, w: usize, mask: u64, addr: Operand) -> u64 {
+        let (ns, glen, live) = (self.nslots, self.global_len, sub.slots);
+        let k = mask.count_ones() as usize;
+        let Cohort { data, addrs, scratch: RowScratch { out, imm: [ia, _] }, .. } = self;
+        let cw = &sub.warps[w];
+        addrs.k = k;
+        addrs.buf.clear();
+        addrs.uniform = lanes(mask).all(|l| {
+            let base = cw.lanes_c[l].cur_base();
+            let a = data[w].lanes_d[l].regs.uniform_addr(resolve(base, addr), live, glen);
+            addrs.buf.extend(a.map(|a| a as i64));
+            a.is_some()
+        });
+        if addrs.uniform {
+            return 0;
+        }
+        addrs.buf.clear();
+        addrs.buf.resize(ns * k, 0);
+        let ia = imm_row(addr, ia);
+        let mut oob = 0u64;
+        for (idx, l) in lanes(mask).enumerate() {
+            let base = cw.lanes_c[l].cur_base();
+            let row = operand_row(ia, &data[w].lanes_d[l].regs, base, addr);
+            map_typed(row, row, live, out, |s, x, _| {
+                let a = x.as_i64();
+                addrs.buf[s * k + idx] = a;
+                oob |= u64::from(a < 0 || a as usize >= glen) << s;
+                None
+            });
+        }
+        oob
+    }
+
+    /// Phase 2 under the flat model: the coalescing-segment fold per
+    /// slot as the fork key (one fold for a uniform stage).
+    fn fold_flat_c(&mut self, sub: &mut SubCohort, ctx: IssueCtx, base_cost: u32) -> u32 {
+        let Cohort { addrs, lines_buf, cfg, .. } = self;
+        let lat = &cfg.latency;
+        let mut cost_of = |s: usize| {
+            base_cost + lat.mem_segment * lat.segments_in(addrs.of(s), lines_buf).saturating_sub(1)
+        };
+        if addrs.uniform {
+            return cost_of(0);
+        }
+        let mut costs = [0u32; COHORT_SLOTS];
+        for s in lanes(sub.slots) {
+            costs[s] = cost_of(s);
+        }
+        for class in partition_classes(sub.slots, |s| costs[s]) {
+            self.split_off(sub, class, ctx);
+        }
+        costs[sub.slots.trailing_zeros() as usize]
+    }
+
+    /// Phase 2 under the memory-hierarchy model: the per-slot *walk
+    /// outcome* ([`AccessOutcome`](crate::mem::AccessOutcome) — cost
+    /// plus every per-level counter) as the fork key. Tag and MSHR
+    /// histories diverge after forks even when addresses agree, so every
+    /// slot is probed: the pure [`probe`](crate::mem::probe) leaves a
+    /// diverging slot's state intact for its fork to replay, and the
+    /// winners then re-run the walk as [`commit`](crate::mem::commit),
+    /// which reproduces the probed outcome over the unchanged pre-state.
+    fn walk_hier_c(
         &mut self,
         sub: &mut SubCohort,
-        pc: usize,
-        mask: u64,
         ctx: IssueCtx,
-        addr: Operand,
-        value: Option<Operand>,
-        dst: Option<simt_ir::Reg>,
+        hier: &crate::mem::MemHierarchy,
+        store: bool,
     ) -> u32 {
-        let ns = self.nslots;
         let w = ctx.w;
-        let k = mask.count_ones() as usize;
         // Global accesses never batch (`is_warp_local` excludes them),
         // so the issue cycle of every engine is its round clock.
         let now = sub.cycle;
-        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
         let mut outs = [crate::mem::AccessOutcome::default(); COHORT_SLOTS];
-        {
-            let glen = self.global_len;
-            let slots = sub.slots;
-            let Cohort { data, addr_buf, mshrs, mem_scratch, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("hier access without mem configured");
-            let cw = &sub.warps[w];
-            let dw = &data[w];
-            addr_buf.clear();
-            addr_buf.resize(ns * k, 0);
-            let mut oob = 0u64;
-            for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &dw.lanes_d[l];
-                let row = dl.row(ns, base, addr);
-                for (lo, hi) in mask_runs(slots) {
-                    for s in lo..hi {
-                        let a = dl.get(row, s).as_i64();
-                        addr_buf[s * k + idx] = a;
-                        if a < 0 || a as usize >= glen {
-                            oob |= 1 << s;
-                        }
-                    }
-                }
-            }
-            for s in lanes(oob) {
-                let (idx, l) = lanes(mask)
-                    .enumerate()
-                    .find(|&(idx, _)| {
-                        let a = addr_buf[s * k + idx];
-                        a < 0 || a as usize >= glen
-                    })
-                    .expect("faulted slot has a faulting lane");
-                let a = addr_buf[s * k + idx];
-                faults.push((
-                    s,
-                    LaneFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
-                ));
-            }
-            // Cost phase: pure probes, per slot (tag and MSHR histories
-            // diverge after forks even when addresses agree).
-            for s in lanes(slots & !oob) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                outs[s] =
-                    crate::mem::probe(hier, &dw.hier_tags[s], &mshrs[s], mem_scratch, addrs, now);
-            }
+        for s in lanes(sub.slots) {
+            let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
+            outs[s] = crate::mem::probe(
+                hier,
+                &data[w].hier_tags[s],
+                &mshrs[s],
+                mem_scratch,
+                addrs.of(s),
+                now,
+            );
         }
-        for (s, f) in faults {
-            let e = f.into_error(|l| self.image.location(w, l, pc));
-            self.resolve_err(sub, s, e);
-        }
-        if sub.slots == 0 {
-            return self.costs[pc];
-        }
-        let (_winner, minorities) = partition_classes(sub.slots, |s| outs[s]);
-        for class in minorities {
+        for class in partition_classes(sub.slots, |s| outs[s]) {
             self.split_off(sub, class, ctx);
         }
         let winners = sub.slots;
         let out = outs[winners.trailing_zeros() as usize];
-        {
-            let Cohort { data, addr_buf, global, mshrs, mem_scratch, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("hier access without mem configured");
-            let cw = &mut sub.warps[w];
-            let dw = &mut data[w];
-            for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                if let Some(v) = value {
-                    let row = dl.row(ns, base, v);
-                    for (lo, hi) in mask_runs(winners) {
-                        for s in lo..hi {
-                            let a = addr_buf[s * k + idx] as usize;
-                            global[a * ns + s] = dl.get(row, s);
-                        }
-                    }
-                } else if let Some(dst) = dst {
-                    let drow = (base + dst.index()) * ns;
-                    for (lo, hi) in mask_runs(winners) {
-                        for s in lo..hi {
-                            let a = addr_buf[s * k + idx] as usize;
-                            dl.vals[drow + s] = global[a * ns + s];
-                        }
-                    }
-                }
-                cw.ctl.pcs[l] += 1;
-            }
-            // Apply phase: commit tag fills and MSHR bookkeeping per
-            // winner slot.
-            for s in lanes(winners) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                let applied = crate::mem::commit(
-                    hier,
-                    &mut dw.hier_tags[s],
-                    &mut mshrs[s],
-                    mem_scratch,
-                    addrs,
-                    now,
-                );
-                debug_assert_eq!(applied, out, "commit must replay the probed outcome");
-            }
+        for s in lanes(winners) {
+            let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
+            let tags = &mut data[w].hier_tags[s];
+            let applied =
+                crate::mem::commit(hier, tags, &mut mshrs[s], mem_scratch, addrs.of(s), now);
+            debug_assert_eq!(applied, out, "commit must replay the probed outcome");
         }
-        if value.is_some() {
-            self.invalidate_lines_c(winners, k);
+        if store {
+            self.invalidate_lines_c(winners);
         }
         sub.metrics.mem.record(&out);
         sub.metrics.cache_hits += u64::from(out.levels[0].hits);
@@ -1679,22 +2014,20 @@ impl Cohort<'_> {
     }
 
     /// Write-through invalidation: drops the lines covering each slot's
-    /// staged addresses (`addr_buf`, `k` per slot) from that slot's tag
-    /// state in **every** warp.
-    fn invalidate_lines_c(&mut self, slots: u64, k: usize) {
-        let Cohort { data, addr_buf, cfg, .. } = self;
+    /// staged addresses from that slot's tag state in **every** warp.
+    fn invalidate_lines_c(&mut self, slots: u64) {
+        let Cohort { data, addrs, cfg, .. } = self;
         let Some(hier) = &cfg.mem else { return };
         for s in lanes(slots) {
-            let addrs = &addr_buf[s * k..(s + 1) * k];
             for dw in data.iter_mut() {
-                crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
+                crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs.of(s));
             }
         }
     }
 
     /// Local load/store: flat cost, so only per-slot OOB faults can
-    /// split the sub-cohort (and they resolve, not fork).
-    #[allow(clippy::too_many_arguments)]
+    /// split the sub-cohort (and they resolve, not fork). A lane whose
+    /// slots agree on one in-range address moves its row in one copy.
     fn access_local_c(
         &mut self,
         sub: &mut SubCohort,
@@ -1702,118 +2035,137 @@ impl Cohort<'_> {
         mask: u64,
         w: usize,
         addr: Operand,
-        value: Option<Operand>,
-        dst: Option<simt_ir::Reg>,
+        op: MemOp,
     ) {
-        let ns = self.nslots;
         let llen = self.local_len;
-        let slots = sub.slots;
-        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
-        let mut faulted = 0u64;
+        let mut faults = Faults::default();
         {
             let cw = &mut sub.warps[w];
             let dw = &mut self.data[w];
+            let mut live = sub.slots;
             for l in lanes(mask) {
                 let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                let arow = dl.row(ns, base, addr);
-                let vrow = value.map(|v| dl.row(ns, base, v));
-                let drow = dst.map(|d| (base + d.index()) * ns);
-                for s in lanes(slots & !faulted) {
-                    let a = dl.get(arow, s).as_i64();
-                    if a < 0 || a as usize >= llen {
-                        faulted |= 1 << s;
-                        faults.push((
-                            s,
-                            LaneFault::Oob { lane: l, addr: a, size: llen, space: MemSpace::Local },
-                        ));
-                        continue;
+                let DLane { regs, local, .. } = &mut dw.lanes_d[l];
+                let arow = resolve(base, addr);
+                if let Some(a) = regs.uniform_addr(arow, live, llen) {
+                    match op {
+                        MemOp::Load(dst) => regs.write(base + dst.index(), local.row(a), live),
+                        MemOp::Store(v) => local.assign_from(a, regs, resolve(base, v), live),
                     }
-                    let cell = (a as usize) * ns + s;
-                    if let Some(vr) = vrow {
-                        dl.local[cell] = dl.get(vr, s);
-                    } else if let Some(dr) = drow {
-                        dl.vals[dr + s] = dl.local[cell];
+                } else {
+                    for s in lanes(live) {
+                        let a = regs.at(arow, s).as_i64();
+                        if a < 0 || a as usize >= llen {
+                            let space = MemSpace::Local;
+                            faults.push(s, LaneFault::Oob { lane: l, addr: a, size: llen, space });
+                            continue;
+                        }
+                        let a = a as usize;
+                        match op {
+                            MemOp::Load(dst) => regs.set(base + dst.index(), s, local.get(a, s)),
+                            MemOp::Store(v) => local.set(a, s, regs.at(resolve(base, v), s)),
+                        }
                     }
+                    live &= !faults.mask;
                 }
                 cw.ctl.pcs[l] += 1;
             }
         }
-        for (s, f) in faults {
-            let e = f.into_error(|l| self.image.location(w, l, pc));
-            self.resolve_err(sub, s, e);
-        }
+        self.resolve_faults(sub, w, pc, faults);
     }
+}
 
-    /// Atomic add: static cost (no coalescing model), lanes serialized
-    /// in lane order against each slot's own global column, touched
-    /// lines invalidated per slot.
-    #[allow(clippy::too_many_arguments)]
-    fn atomic_add_c(
-        &mut self,
-        sub: &mut SubCohort,
-        pc: usize,
-        mask: u64,
-        w: usize,
-        dst: simt_ir::Reg,
-        addr: Operand,
-        value: Operand,
-    ) {
-        let ns = self.nslots;
-        let k = mask.count_ones() as usize;
-        let slots = sub.slots;
-        let mut faults: Vec<(usize, LaneFault)> = Vec::new();
-        let mut faulted = 0u64;
+/// The cohort's loop shape for `atomic_add`, handed the `add` kernel by
+/// [`crate::alu::with_bin`]. Static cost (no coalescing model), touched
+/// lines invalidated per slot. Walked lane-major: each slot owns its own
+/// global column, so every slot still sees its lanes serialized in lane
+/// order and stops at its first fault. A lane whose slots agree on one
+/// in-range address — a seed-independent tally bin — adds its value row
+/// into that cell's row as one typed row operation; any other lane goes
+/// slot by slot.
+struct SlotAtomic<'a, 'm> {
+    cohort: &'a mut Cohort<'m>,
+    sub: &'a mut SubCohort,
+    pc: usize,
+    mask: u64,
+    w: usize,
+    dst: simt_ir::Reg,
+    addr: Operand,
+    value: Operand,
+}
+
+impl AluLoop for SlotAtomic<'_, '_> {
+    type Out = ();
+    #[inline]
+    fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
+        let SlotAtomic { cohort, sub, pc, mask, w, dst, addr, value } = self;
+        let (ns, glen, slots) = (cohort.nslots, cohort.global_len, sub.slots);
+        let lanes_k = mask.count_ones() as usize;
+        let mut faults = Faults::default();
         {
-            let glen = self.global_len;
-            let Cohort { data, global, addr_buf, .. } = self;
+            let Cohort {
+                data, global, addrs, cfg, scratch: RowScratch { out, imm: [iv, _] }, ..
+            } = &mut *cohort;
+            let iv = imm_row(value, iv);
+            // The addresses are staged for the write-through invalidation
+            // alone, which only a memory hierarchy has.
+            let staged = cfg.mem.is_some();
+            if staged {
+                addrs.k = lanes_k;
+                addrs.uniform = false;
+                addrs.buf.clear();
+                addrs.buf.resize(ns * lanes_k, 0);
+            }
             let cw = &mut sub.warps[w];
-            let dw = &mut data[w];
-            addr_buf.clear();
-            addr_buf.resize(ns * k, 0);
-            for s in lanes(slots) {
-                for (idx, l) in lanes(mask).enumerate() {
-                    let base = cw.lanes_c[l].cur_base();
-                    let dl = &mut dw.lanes_d[l];
-                    let a = dl.eval(ns, base, addr, s).as_i64();
-                    let v = dl.eval(ns, base, value, s);
-                    if a < 0 || a as usize >= glen {
-                        faulted |= 1 << s;
-                        faults.push((
-                            s,
-                            LaneFault::Oob {
-                                lane: l,
-                                addr: a,
-                                size: glen,
-                                space: MemSpace::Global,
-                            },
-                        ));
-                        break;
-                    }
-                    let old = global[(a as usize) * ns + s];
-                    match crate::alu::eval_bin(BinOp::Add, old, v) {
-                        Ok(new) => global[(a as usize) * ns + s] = new,
-                        Err(m) => {
-                            faulted |= 1 << s;
-                            faults.push((s, LaneFault::Arith { lane: l, message: m }));
-                            break;
+            let mut live = slots;
+            for (idx, l) in lanes(mask).enumerate() {
+                let base = cw.lanes_c[l].cur_base();
+                let regs = &mut data[w].lanes_d[l].regs;
+                let (arow, drow) = (resolve(base, addr), base + dst.index());
+                if let Some(a) = regs.uniform_addr(arow, live, glen) {
+                    let v = operand_row(iv, regs, base, value);
+                    let cell = global.row(a);
+                    let (floats, _) =
+                        map_typed(cell, v, live, out, |s, old, v| faults.value(s, l, k(old, v)));
+                    live &= !faults.mask;
+                    regs.write(drow, global.row(a), live);
+                    global.write(a, RowRef { bits: out, floats }, live);
+                    if staged {
+                        for s in lanes(live) {
+                            addrs.buf[s * lanes_k + idx] = a as i64;
                         }
                     }
-                    dl.set(ns, base, dst.index(), s, old);
-                    addr_buf[s * k + idx] = a;
+                } else {
+                    let vrow = resolve(base, value);
+                    for s in lanes(live) {
+                        let a = regs.at(arow, s).as_i64();
+                        let old = match usize::try_from(a) {
+                            Ok(a) if a < glen => global.get(a, s),
+                            _ => {
+                                let space = MemSpace::Global;
+                                let fault = LaneFault::Oob { lane: l, addr: a, size: glen, space };
+                                faults.push(s, fault);
+                                continue;
+                            }
+                        };
+                        let Some(new) = faults.value(s, l, k(old, regs.at(vrow, s))) else {
+                            continue;
+                        };
+                        global.set(a as usize, s, new);
+                        regs.set(drow, s, old);
+                        if staged {
+                            addrs.buf[s * lanes_k + idx] = a;
+                        }
+                    }
+                    live &= !faults.mask;
                 }
-            }
-            for l in lanes(mask) {
                 cw.ctl.pcs[l] += 1;
             }
         }
         // Faulted slots' runs discard all state, so only the survivors'
         // write-through invalidation is observable.
-        self.invalidate_lines_c(slots & !faulted, k);
-        for (s, f) in faults {
-            let e = f.into_error(|l| self.image.location(w, l, pc));
-            self.resolve_err(sub, s, e);
-        }
+        cohort.invalidate_lines_c(slots & !faults.mask);
+        cohort.resolve_faults(sub, w, pc, faults);
     }
 }
 
@@ -1990,6 +2342,174 @@ bb0:
 }
 ";
 
+    /// Seed-dependent operand *types*: `%r4` is a float where the lane's
+    /// RNG draw is odd and an int elsewhere, so every row it reaches is
+    /// mixed across slots — through `add`, `lt`, `div`, a global and a
+    /// local store/load round trip, a call argument and (as `%r11`, a
+    /// float zero or an int) a branch condition.
+    const MIXED_TYPES_KERNEL: &str = "\
+kernel @k(params=0, regs=12, barriers=0, entry=bb0) {
+bb0:
+  %r2 = rng.u63
+  %r3 = rem %r2, 2
+  %r4 = sel %r3, 1.5, 3
+  %r5 = add %r4, 2
+  %r6 = lt %r4, 2
+  %r7 = div %r5, 2
+  %r8 = special.tid
+  store global[%r8], %r7
+  %r9 = load global[%r8]
+  store local[1], %r9
+  %r9 = load local[1]
+  %r9 = add %r9, %r6
+  call @f(%r9) -> (%r10)
+  %r11 = sub %r4, 1.5
+  brdiv %r11, bb1, bb2
+bb1:
+  %r10 = add %r10, 100
+  jmp bb3
+bb2:
+  %r10 = mul %r10, 2
+  jmp bb3
+bb3:
+  %r8 = add %r8, 32
+  store global[%r8], %r10
+  exit
+}
+device @f(params=1, regs=3, barriers=0, entry=bb0) {
+bb0:
+  %r1 = mul %r0, 2
+  %r2 = neg %r1
+  ret %r2
+}
+";
+
+    /// A register that is a float in whole seeds and an int in the
+    /// others (the vote count is warp-uniform and seed-dependent), fed to
+    /// the bitwise op spliced in at `OP`: a seed with a float warp faults
+    /// at that warp's lane 0, the all-int seeds finish.
+    const BITWISE_ON_MIXED_KERNEL: &str = "\
+kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
+bb0:
+  %r0 = rng.u63
+  %r1 = rem %r0, 2
+  %r2 = vote %r1
+  %r3 = rem %r2, 2
+  %r4 = sel %r3, 1.5, 3
+  %r5 = OP
+  %r6 = special.tid
+  store global[%r6], %r5
+  exit
+}
+";
+
+    /// `%r0` is `-0.0` and `%r1` a NaN with a payload: both go to memory
+    /// directly, through a `mov`, a local round trip and a call, and both
+    /// steer a branch (`-0.0` is false though its bits are not zero; a
+    /// NaN is true). `%r7` mixes `-0.0` with integer zero by seed.
+    const SIGNED_ZERO_NAN_KERNEL: &str = "\
+kernel @k(params=2, regs=10, barriers=0, entry=bb0) {
+bb0:
+  %r2 = special.tid
+  %r3 = mov %r1
+  store local[0], %r3
+  %r4 = load local[0]
+  call @id(%r4, %r0) -> (%r5, %r6)
+  store global[%r2], %r5
+  %r2 = add %r2, 32
+  store global[%r2], %r6
+  %r7 = rng.u63
+  %r7 = rem %r7, 2
+  %r7 = sel %r7, %r0, 0
+  %r2 = add %r2, 32
+  store global[%r2], %r7
+  %r2 = add %r2, 32
+  brdiv %r7, bb1, bb2
+bb1:
+  store global[%r2], 1
+  exit
+bb2:
+  brdiv %r0, bb1, bb3
+bb3:
+  brdiv %r5, bb4, bb1
+bb4:
+  store global[%r2], 2
+  exit
+}
+device @id(params=2, regs=2, barriers=0, entry=bb0) {
+bb0:
+  ret %r0, %r1
+}
+";
+
+    /// A seed-dependent uniform branch whose arms load through different
+    /// address rows: `tid` (the same in every slot) on one side, an RNG
+    /// draw (different in every slot) on the other. The arms cost
+    /// differently, so the two sub-cohorts never merge and each global
+    /// path runs in its own sibling.
+    const ADDRESS_SPLIT_KERNEL: &str = "\
+kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
+bb0:
+  %r0 = rng.u63
+  %r1 = rem %r0, 2
+  %r2 = vote %r1
+  %r3 = rem %r2, 2
+  %r6 = special.tid
+  brdiv %r3, bb1, bb2
+bb1:
+  %r5 = load global[%r6]
+  jmp bb3
+bb2:
+  %r4 = rng.u63
+  %r4 = rem %r4, 64
+  %r5 = load global[%r4]
+  %r5 = add %r5, %r4
+  jmp bb3
+bb3:
+  store global[%r6], %r5
+  exit
+}
+";
+
+    /// [`CALL_DIVERGE_KERNEL`] with floats in the callee window: one
+    /// sub-cohort sits inside `@f` (its load ends the straight-line
+    /// batch) holding a float argument and a float temporary while its
+    /// sibling pushes a frame over the same rows. The push may
+    /// default-initialize — payload and float-mask bits — its own slots
+    /// only.
+    const FLOAT_FRAMES_KERNEL: &str = "\
+kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
+bb0:
+  %r0 = rng.u63
+  %r1 = rem %r0, 2
+  %r2 = vote %r1
+  %r3 = rem %r2, 2
+  %r7 = itof %r2
+  %r7 = add %r7, 0.25
+  brdiv %r3, bb1, bb2
+bb1:
+  call @f(%r7) -> (%r4)
+  jmp bb3
+bb2:
+  %r4 = add %r2, 1
+  jmp bb3
+bb3:
+  call @f(%r4) -> (%r5)
+  %r6 = special.tid
+  store global[%r6], %r5
+  exit
+}
+device @f(params=1, regs=4, barriers=0, entry=bb0) {
+bb0:
+  %r1 = mul %r0, 1.5
+  %r2 = load global[0]
+  %r3 = add %r1, %r0
+  %r2 = load global[1]
+  %r3 = add %r3, %r2
+  ret %r3
+}
+";
+
     fn launch(kernel: &str, num_warps: usize, cells: usize, args: Vec<Value>) -> Launch {
         Launch {
             kernel: kernel.into(),
@@ -2024,7 +2544,14 @@ bb0:
             match (&run.result, &scalar) {
                 (Ok(s), Ok(r)) => {
                     assert_eq!(s.metrics, r.metrics, "metrics differ for seed {seed}");
-                    assert_eq!(s.global_mem, r.global_mem, "global memory differs for seed {seed}");
+                    // Bits, not `PartialEq`: a NaN must equal itself and
+                    // `-0.0` must not equal `0.0`.
+                    let bits = |m: &[Value]| m.iter().map(|&v| encode(v)).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&s.global_mem),
+                        bits(&r.global_mem),
+                        "global memory differs for seed {seed}"
+                    );
                     assert!(s.trace.is_none() && s.profile.is_none() && s.journal.is_none());
                 }
                 (Err(a), Err(b)) => assert_eq!(a, b, "errors differ for seed {seed}"),
@@ -2130,6 +2657,12 @@ bb0:
             assert_eq!(stats.detaches, 0, "{policy:?}: {stats:?}");
             assert_eq!(stats.scalar_steps, 0, "{policy:?}: {stats:?}");
             assert_eq!(stats.peak_subcohorts, 1, "{policy:?}: {stats:?}");
+            assert_eq!(stats.mixed_rows, 0, "{policy:?}: no type depends on the seed: {stats:?}");
+            assert!(stats.dense_rows > 0 && stats.uniform_accesses > 0, "{policy:?}: {stats:?}");
+            assert_eq!(
+                stats.scattered_accesses, 0,
+                "{policy:?}: addresses are `tid * 3`: {stats:?}"
+            );
             assert!(
                 (stats.mean_occupancy() - 16.0).abs() < f64::EPSILON,
                 "{policy:?}: 16 instances in lockstep occupy every issue: {stats:?}"
@@ -2279,6 +2812,131 @@ bb0:
         let err =
             run_sweep_image(&image, &SimConfig::default(), &sweep, Some(&cancel)).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { .. }), "{err}");
+    }
+
+    #[test]
+    fn seed_dependent_operand_types_match_scalar() {
+        for policy in SchedulerPolicy::ALL {
+            let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
+            let mut base = launch("k", 1, 64, vec![]);
+            base.local_mem_size = 2;
+            let sweep = SweepLaunch::new(base, 0, 12);
+            let stats = assert_matches_scalar(MIXED_TYPES_KERNEL, &cfg, &sweep);
+            assert!(stats.mixed_rows > 0, "{policy:?}: `%r4` is mixed in every lane: {stats:?}");
+            assert!(stats.dense_rows > 0, "{policy:?}: `rem %r2, 2` is all-int: {stats:?}");
+            assert!(stats.forks > 0, "{policy:?}: the branch condition differs by seed: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn bitwise_ops_fault_exactly_the_float_seeds() {
+        for op in ["and %r4, 1", "shl 1, %r4", "not %r4"] {
+            let src = BITWISE_ON_MIXED_KERNEL.replace("OP", op);
+            let image = DecodedImage::decode(&parse_and_link(&src).unwrap());
+            for policy in SchedulerPolicy::ALL {
+                let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
+                let sweep = SweepLaunch::new(launch("k", 2, 64, vec![]), 0, 24);
+                assert_matches_scalar(&src, &cfg, &sweep);
+                let out = run_sweep_image(&image, &cfg, &sweep, None).unwrap();
+                let faults: Vec<_> =
+                    out.runs.iter().filter_map(|r| r.result.as_ref().err()).collect();
+                assert!(!faults.is_empty() && faults.len() < 24, "{op}: {} faults", faults.len());
+                for e in faults {
+                    let SimError::Arithmetic { at, message } = e else { panic!("{op}: {e}") };
+                    assert_eq!(at.lane, 0, "{op}: the first lane in lane order: {e}");
+                    assert!(message.contains("applied to a float"), "{op}: {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_and_nan_survive_bit_exact() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let args = vec![Value::F64(-0.0), Value::F64(nan)];
+        for policy in SchedulerPolicy::ALL {
+            let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
+            let mut base = launch("k", 1, 128, args.clone());
+            base.local_mem_size = 1;
+            let sweep = SweepLaunch::new(base, 0, 8);
+            assert_matches_scalar(SIGNED_ZERO_NAN_KERNEL, &cfg, &sweep);
+            let image = DecodedImage::decode(&parse_and_link(SIGNED_ZERO_NAN_KERNEL).unwrap());
+            let out = run_sweep_image(&image, &cfg, &sweep, None).unwrap();
+            for run in &out.runs {
+                let mem = &run.result.as_ref().expect("no seed faults").global_mem;
+                for lane in 0..32 {
+                    assert_eq!(encode(mem[lane]), (nan.to_bits(), true), "NaN payload");
+                    assert_eq!(encode(mem[32 + lane]), ((-0.0f64).to_bits(), true), "-0.0");
+                    // `-0.0` and `0` are both false and NaN is true, so
+                    // every lane ends in bb4.
+                    assert_eq!(mem[96 + lane], Value::I64(2), "branch on -0.0 / NaN");
+                }
+                let zeros: Vec<_> = mem[64..96].iter().map(|&v| encode(v)).collect();
+                assert!(
+                    zeros.contains(&(0, false)) && zeros.contains(&((-0.0f64).to_bits(), true))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_and_scattered_address_rows_share_one_sweep() {
+        for mem in [None, Some(l1())] {
+            for policy in SchedulerPolicy::ALL {
+                let cfg = SimConfig { scheduler: policy, mem: mem.clone(), ..SimConfig::default() };
+                let sweep = SweepLaunch::new(launch("k", 1, 64, vec![]), 0, 16);
+                let stats = assert_matches_scalar(ADDRESS_SPLIT_KERNEL, &cfg, &sweep);
+                assert!(stats.forks > 0, "{policy:?}: {stats:?}");
+                assert!(stats.uniform_accesses > 0, "{policy:?}: `tid` rows copy: {stats:?}");
+                assert!(stats.scattered_accesses > 0, "{policy:?}: RNG rows gather: {stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn callee_frames_leave_a_siblings_floats_alone() {
+        for policy in SchedulerPolicy::ALL {
+            let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
+            let sweep = SweepLaunch::new(launch("k", 1, 64, vec![]), 0, 24);
+            let stats = assert_matches_scalar(FLOAT_FRAMES_KERNEL, &cfg, &sweep);
+            assert!(stats.forks > 0, "{policy:?}: call-depth divergence forks: {stats:?}");
+        }
+    }
+
+    /// The cohort twin of `exec`'s steady-state test: once every scratch
+    /// buffer, frame stack and register arena has reached its high-water
+    /// mark, a round of a non-forking cohort — loads, stores, an atomic,
+    /// a call, RNG, barriers — allocates nothing.
+    #[test]
+    fn round_is_allocation_free_in_steady_state() {
+        let image = DecodedImage::decode(&parse_and_link(LOCKSTEP_KERNEL).unwrap());
+        for mem in [None, Some(l1())] {
+            let cfg = SimConfig { mem, ..SimConfig::default() };
+            let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(400)]), 0, 32);
+            let mut cohort = Cohort::new(&image, &cfg, &sweep, 32).expect("cohort builds");
+            let mut sub = cohort.subs.pop().expect("root sub-cohort");
+            for _ in 0..200 {
+                assert!(!cohort.round(&mut sub), "kernel finished during warm-up");
+            }
+            let before = cohort.stats;
+            let mut rounds = 0u32;
+            let allocs = crate::alloc_count::allocations_during(|| {
+                for _ in 0..1000 {
+                    if cohort.round(&mut sub) {
+                        break;
+                    }
+                    rounds += 1;
+                }
+            });
+            assert!(rounds >= 500, "kernel too short to observe steady state ({rounds} rounds)");
+            assert_eq!(allocs, 0, "round allocated {allocs} times over {rounds} rounds");
+            let s = cohort.stats;
+            assert!(
+                s.dense_rows > before.dense_rows && s.uniform_accesses > before.uniform_accesses,
+                "the window exercised no data arm: {s:?}"
+            );
+            assert_eq!((s.forks, sub.slots.count_ones()), (0, 32), "the cohort never split");
+        }
     }
 
     #[test]

@@ -30,11 +30,14 @@
 //! mirrors Table 2 of the paper); it is exposed as a named workload to
 //! the CLI/server the same way the microbenchmark is, and the seed-sweep
 //! perf harness measures it alongside the Monte Carlo registry entries
-//! (`sweep/seed-storm` in `BENCH_4.json`). Measured with identical
-//! probes on the same host, the fork/merge engine runs this kernel at
-//! ~1.5x the detach-to-scalar engine it replaced (which burned ~2k
-//! scalar-machine rounds per 32-seed sweep here; the fork/merge engine
-//! burns none) and ~1.4x the independent per-seed scalar baseline.
+//! (the ledger's `seed-sweep` workload). The fork/merge engine burns no
+//! scalar-machine rounds here (the detach-to-scalar engine it replaced
+//! burned ~2k per 32-seed sweep). Against 32 independent launches of
+//! the decoded engine — re-measured at PR 15, same-process probe, best
+//! of 24 sweeps — the `Vec<Value>` cohort had fallen *behind* (22.5 ms
+//! against 19.8 ms, 0.88x: PR 13 sped up the scalar loop and a sub-cohort
+//! averaging 8.6 of 32 slots amortizes little), and the typed-column
+//! cohort runs it in 11.2 ms, 1.85x the scalar baseline.
 
 use crate::common::{emit_hash, MEM_BASE};
 use crate::{DivergencePattern, Workload};

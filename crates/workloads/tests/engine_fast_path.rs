@@ -1,13 +1,40 @@
 //! The hardware reconvergence models must ride the converged fast
 //! path: on the Monte Carlo lookups almost every warp-split round has
 //! one split with runnable lanes, so almost every issue is served by a
-//! pick hint or the straight-line batcher. The counts are exact for a
-//! launch, so this notices the fast path falling off on a host too
+//! pick hint or the straight-line batcher. Likewise a seed sweep of the
+//! Monte Carlo kernels must ride the cohort's dense paths: no operand
+//! type and no global address depends on the seed. The counts are exact
+//! for a launch, so this notices a fast path falling off on a host too
 //! noisy to time it.
 
-use simt_sim::{ReconvergenceModel, SimConfig};
+use simt_sim::{ReconvergenceModel, SimConfig, DEFAULT_SEED};
 use specrecon_core::RepairStrategy;
 use workloads::eval::Engine;
+
+#[test]
+fn monte_carlo_sweeps_ride_the_dense_rows_and_row_copies() {
+    let engine = Engine::new(1);
+    let cfg = SimConfig::default();
+    let sr = RepairStrategy::Sr.options();
+    let sweep = |w: &workloads::Workload| {
+        engine
+            .run_sweep(w, Some(&sr), &cfg, DEFAULT_SEED, DEFAULT_SEED + 32, None)
+            .expect("sweep runs")
+            .stats
+    };
+    for name in ["rsbench", "xsbench", "mcb", "mc-gpu", "gpu-mcml"] {
+        let s = sweep(&workloads::by_name(name).expect("registry workload"));
+        assert_eq!((s.forks, s.scalar_steps), (0, 0), "{name}: fully lockstep: {s:?}");
+        assert!(s.dense_rows > 0 && s.uniform_accesses > 0, "{name}: {s:?}");
+        assert_eq!(s.mixed_rows, 0, "{name}: an operand type depends on the seed: {s:?}");
+        assert_eq!(s.scattered_accesses, 0, "{name}: an address depends on the seed: {s:?}");
+    }
+    // The stressor forks on every round and re-merges, still without a
+    // seed-dependent type or a scalar step.
+    let s = sweep(&workloads::seedstorm::build(&workloads::seedstorm::Params::default()));
+    assert!(s.forks > 0 && s.forks == s.merges, "seed-storm: {s:?}");
+    assert_eq!((s.mixed_rows, s.scalar_steps), (0, 0), "seed-storm: {s:?}");
+}
 
 #[test]
 fn warp_split_issues_are_hinted_or_batched() {

@@ -611,6 +611,10 @@ fn sweep_cmd(args: &[String]) -> Result<(), String> {
         s.mean_occupancy(),
         s.peak_subcohorts
     );
+    println!(
+        "  data plane: {} dense / {} mixed operand rows, {} uniform / {} scattered global accesses",
+        s.dense_rows, s.mixed_rows, s.uniform_accesses, s.scattered_accesses
+    );
     if s.detaches > 0 || s.scalar_steps > 0 {
         println!(
             "  escape hatch: {} seeds re-run standalone, {} scalar steps",
