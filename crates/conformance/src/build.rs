@@ -28,12 +28,27 @@ pub fn mem_cells(spec: &ProgramSpec) -> usize {
     spec.num_threads() + SCRATCH_CELLS + 4
 }
 
+/// How a recursive callee's depth argument is chosen at each call site.
+/// The genome itself only draws [`DepthBy::Uniform`]; the other arms are
+/// set by differentials that want lanes of one issue at *different* call
+/// depths (the same pc inside `helper`, different frames).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum DepthBy {
+    /// Every thread passes the spec's depth.
+    #[default]
+    Uniform,
+    /// `tid % (depth + 1)`: differs by lane, the same in every seed.
+    Tid,
+    /// `rng.u63 % (depth + 1)`: differs by lane and by seed.
+    Rng,
+}
+
 struct Emitter<'a> {
     b: &'a mut FunctionBuilder,
     acc: Reg,
     tid: Reg,
     nthreads: Reg,
-    call_depth: Option<u32>,
+    call_depth: Option<(u32, DepthBy)>,
 }
 
 impl Emitter<'_> {
@@ -93,8 +108,16 @@ impl Emitter<'_> {
             }
             Stmt::CallShared => {
                 let mut args: Vec<Operand> = vec![self.acc.into()];
-                if let Some(depth) = self.call_depth {
-                    args.push(i64::from(depth).into());
+                if let Some((depth, by)) = self.call_depth {
+                    let span = i64::from(depth) + 1;
+                    args.push(match by {
+                        DepthBy::Uniform => i64::from(depth).into(),
+                        DepthBy::Tid => self.b.bin(BinOp::Rem, self.tid, span).into(),
+                        DepthBy::Rng => {
+                            let r = self.b.rng_u63();
+                            self.b.bin(BinOp::Rem, r, span).into()
+                        }
+                    });
                 }
                 let rets = self.b.call("helper", args, 1);
                 self.b.mov_into(self.acc, rets[0]);
@@ -171,7 +194,7 @@ impl Emitter<'_> {
     }
 }
 
-fn build_kernel(spec: &ProgramSpec) -> Function {
+fn build_kernel(spec: &ProgramSpec, by: DepthBy) -> Function {
     let mut b = FunctionBuilder::new("main", FuncKind::Kernel, 0);
     let tid = b.special(SpecialValue::Tid);
     let nthreads = b.special(SpecialValue::NumThreads);
@@ -184,7 +207,7 @@ fn build_kernel(spec: &ProgramSpec) -> Function {
             PredTarget::Callee => b.predict_function("helper", p.threshold),
         }
     }
-    let call_depth = spec.callee.as_ref().and_then(|c| c.recursion);
+    let call_depth = spec.callee.as_ref().and_then(|c| c.recursion).map(|depth| (depth, by));
     let mut e = Emitter { b: &mut b, acc, tid, nthreads, call_depth };
     e.emit_all(&spec.stmts);
     b.store_global(acc, tid);
@@ -202,8 +225,8 @@ fn build_callee(spec: &CalleeSpec) -> Function {
     let mut e = Emitter { b: &mut b, acc, tid, nthreads, call_depth: None };
     e.emit_all(&spec.stmts);
     if recursive {
-        // Uniform bounded recursion: every call site passes the same
-        // depth, so this branch never diverges.
+        // Bounded recursion: under `DepthBy::Uniform` every call site
+        // passes the same depth, so this branch never diverges.
         let depth = b.param(1);
         let more = b.bin(BinOp::Gt, depth, 0i64);
         let recurse: BlockId = b.anon_block();
@@ -223,8 +246,14 @@ fn build_callee(spec: &CalleeSpec) -> Function {
 /// Builds the IR module for `spec` (kernel `main`, plus device
 /// `helper` when the spec has a callee) with calls resolved.
 pub fn build_module(spec: &ProgramSpec) -> Module {
+    build_module_with(spec, DepthBy::Uniform)
+}
+
+/// [`build_module`] with the recursion depth of every `helper` call
+/// chosen by `by`.
+pub fn build_module_with(spec: &ProgramSpec, by: DepthBy) -> Module {
     let mut m = Module::new();
-    m.add_function(build_kernel(spec));
+    m.add_function(build_kernel(spec, by));
     if let Some(c) = &spec.callee {
         m.add_function(build_callee(c));
     }

@@ -13,8 +13,9 @@
 //! Case count defaults to 96 and is capped by `CONFORMANCE_CASES`,
 //! like the main fuzz loop.
 
+use conformance::build::{build_module_with, DepthBy};
 use conformance::oracle::POLICIES;
-use conformance::program::spec_strategy;
+use conformance::program::{spec_strategy, PredTarget};
 use conformance::{build_module, ProgramSpec};
 use proptest::prelude::*;
 use simt_sim::{run, run_sweep, Launch, ReconvergenceModel, SimConfig, SweepLaunch, DEFAULT_SEED};
@@ -36,7 +37,20 @@ const INSTANCES: u64 = 6;
 const MAX_CYCLES: u64 = 5_000_000;
 
 fn check_sweep(spec: &ProgramSpec) -> Result<(), String> {
-    let module = build_module(spec);
+    check_module(spec, &build_module(spec))
+}
+
+/// `spec` with its callee recursing two deep, when it calls one that may
+/// (a predicted callee stays non-recursive): the programs of the
+/// call-depth arm.
+fn deepened(mut spec: ProgramSpec) -> Option<ProgramSpec> {
+    let predicted = spec.predictions.iter().any(|p| p.target == PredTarget::Callee);
+    let callee = spec.callee.as_mut().filter(|_| !predicted)?;
+    callee.recursion = Some(2);
+    Some(spec)
+}
+
+fn check_module(spec: &ProgramSpec, module: &simt_ir::Module) -> Result<(), String> {
     // Root the range at the shared default seed, displaced per spec so
     // different programs sweep different seed neighborhoods.
     let seed_lo = DEFAULT_SEED.wrapping_add(spec.seed & 0xFFFF);
@@ -53,7 +67,7 @@ fn check_sweep(spec: &ProgramSpec) -> Result<(), String> {
             let mut base = Launch::new("main", spec.warps);
             base.global_mem = vec![simt_ir::Value::I64(0); conformance::build::mem_cells(spec)];
             let sweep = SweepLaunch::new(base.clone(), seed_lo, seed_lo + INSTANCES);
-            let out = run_sweep(&module, &cfg, &sweep)
+            let out = run_sweep(module, &cfg, &sweep)
                 .map_err(|e| format!("{what}: whole sweep failed: {e}"))?;
             if out.runs.len() != INSTANCES as usize {
                 return Err(format!("{what}: {} runs for {INSTANCES} seeds", out.runs.len()));
@@ -77,7 +91,7 @@ fn check_sweep(spec: &ProgramSpec) -> Result<(), String> {
             for run_entry in &out.runs {
                 let mut launch = base.clone();
                 launch.seed = run_entry.seed;
-                let scalar = run(&module, &cfg, &launch);
+                let scalar = run(module, &cfg, &launch);
                 match (&run_entry.result, &scalar) {
                     (Ok(s), Ok(r)) => {
                         if s.metrics != r.metrics {
@@ -138,6 +152,26 @@ proptest! {
             );
         }
     }
+
+    /// The path Monte Carlo traffic never takes: lanes of one issue at
+    /// *different* call depths. The callee's recursion depth is drawn per
+    /// lane from `tid` (the same in every seed) and from the RNG (so
+    /// seeds fork while depths differ and merge once they re-agree);
+    /// lanes at different depths then meet at the same pc inside
+    /// `helper`, each with its own frame base.
+    #[test]
+    fn lanes_at_different_call_depths_stay_bit_identical(spec in spec_strategy()) {
+        let Some(spec) = deepened(spec) else { return Ok(()) };
+        for by in [DepthBy::Tid, DepthBy::Rng] {
+            if let Err(violation) = check_module(&spec, &build_module_with(&spec, by)) {
+                prop_assert!(
+                    false,
+                    "generator seed {:#018x} ({by:?} depths) violated sweep exactness:\n{violation}",
+                    spec.seed
+                );
+            }
+        }
+    }
 }
 
 /// Replays a single genome seed from `CONFORMANCE_SEED` against the
@@ -155,5 +189,11 @@ fn replay_env_seed() {
     let spec = ProgramSpec::generate(seed);
     if let Err(violation) = check_sweep(&spec) {
         panic!("seed {seed:#018x}:\n{violation}");
+    }
+    for by in [DepthBy::Tid, DepthBy::Rng] {
+        let Some(spec) = deepened(spec.clone()) else { break };
+        if let Err(violation) = check_module(&spec, &build_module_with(&spec, by)) {
+            panic!("seed {seed:#018x} ({by:?} depths):\n{violation}");
+        }
     }
 }

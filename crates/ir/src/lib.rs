@@ -52,4 +52,6 @@ pub use inst::{
 };
 pub use parse::{parse_and_link, parse_module, ParseError};
 pub use value::{Value, ValueError};
-pub use verify::{assert_verified, expect_function, verify_module, VerifyError};
+pub use verify::{
+    assert_verified, expect_function, verify_module, VerifyError, MAX_BARRIERS, MAX_REGS,
+};

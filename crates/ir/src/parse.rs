@@ -515,18 +515,17 @@ fn parse_function(p: &mut Parser) -> Result<Function, ParseError> {
         order.push(bb.0);
     }
 
-    // Materialize a dense block table.
-    let max = order.iter().copied().max().map_or(0, |m| m + 1);
-    let mut table: IdVec<BlockId, Block> = IdVec::with_capacity(max as usize);
-    for i in 0..max {
-        match blocks.remove(&i) {
-            Some(b) => {
-                table.push(b);
-            }
-            None => {
-                return Err(ParseError::new(0, format!("function @{name}: block bb{i} is missing")))
-            }
-        }
+    // Materialize a dense block table. Ids are distinct, so they are
+    // dense iff the largest is the count less one — checked before the
+    // table is sized, since the largest id is whatever the text says
+    // (`bb4000000000:`); the first gap then sits at or below the count.
+    if order.iter().any(|&id| id as usize >= order.len()) {
+        let gap = (0..).find(|i| !blocks.contains_key(i)).expect("a gap below the count");
+        return Err(ParseError::new(0, format!("function @{name}: block bb{gap} is missing")));
+    }
+    let mut table: IdVec<BlockId, Block> = IdVec::with_capacity(order.len());
+    for i in 0..order.len() as u32 {
+        table.push(blocks.remove(&i).expect("ids are distinct and below the count"));
     }
     if table.is_empty() {
         return Err(ParseError::new(0, format!("function @{name} has no blocks")));

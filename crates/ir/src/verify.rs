@@ -11,6 +11,18 @@ use crate::ids::{BlockId, FuncId, Reg};
 use crate::inst::{FuncRef, Inst, Operand, Terminator};
 use std::fmt;
 
+/// Most registers a function may declare. Every engine sizes its
+/// register arena (`warps × lanes × regs` cells) from the header, which
+/// is whatever the text says, so the count is bounded here: 65 536 is
+/// more than two orders of magnitude above any registry or corpus kernel
+/// (the largest declares 137). `params` is bounded through `regs`.
+pub const MAX_REGS: usize = 1 << 16;
+
+/// Most barrier registers a function may declare: the barrier analyses
+/// size a bit set per block from it, the simulator a mask per warp. 4 096
+/// is orders of magnitude above what allocation produces (tens).
+pub const MAX_BARRIERS: usize = 1 << 12;
+
 /// A single verifier finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyError {
@@ -138,6 +150,15 @@ fn verify_function(
     }
     if func.num_params > func.num_regs {
         err(None, format!("num_params {} exceeds num_regs {}", func.num_params, func.num_regs));
+    }
+    if func.num_regs > MAX_REGS {
+        err(None, format!("num_regs {} exceeds the limit of {MAX_REGS}", func.num_regs));
+    }
+    if func.num_barriers > MAX_BARRIERS {
+        err(
+            None,
+            format!("num_barriers {} exceeds the limit of {MAX_BARRIERS}", func.num_barriers),
+        );
     }
 
     let check_reg = |r: Reg| r.index() < func.num_regs;
@@ -344,6 +365,31 @@ mod tests {
         let mut m = Module::new();
         m.add_function(b.finish());
         assert!(verify_module(&m).is_ok());
+    }
+
+    /// Headers are outside input and every engine allocates from them: a
+    /// count far beyond any real kernel is a verify error, not a 700 GB
+    /// arena (`exec`) or a 32 GB bit set (the barrier analyses).
+    #[test]
+    fn absurd_register_and_barrier_counts_are_rejected() {
+        let hostile = [
+            ("regs=4000000000000, barriers=0", "num_regs 4000000000000 exceeds the limit"),
+            ("regs=4, barriers=4000000000", "num_barriers 4000000000 exceeds the limit"),
+            ("regs=-1, barriers=0", "exceeds the limit"),
+        ];
+        for (header, needle) in hostile {
+            let src = format!(
+                "kernel @k(params=0, {header}, entry=bb0) {{\nbb0:\n  %r0 = special.tid\n  \
+                 brdiv %r0, bb1, bb1\nbb1:\n  exit\n}}\n"
+            );
+            let module = crate::parse_and_link(&src).expect("the text parses");
+            let errs = verify_module(&module).expect_err(header);
+            assert!(errs.iter().any(|e| e.message.contains(needle)), "{header}: {errs:?}");
+        }
+        let at_limit = format!(
+            "kernel @k(params=0, regs={MAX_REGS}, barriers={MAX_BARRIERS}, entry=bb0) {{\nbb0:\n  exit\n}}\n"
+        );
+        assert!(verify_module(&crate::parse_and_link(&at_limit).unwrap()).is_ok());
     }
 
     #[test]

@@ -89,6 +89,35 @@ fn unknown_block_attribute() {
     );
 }
 
+/// Three-line kernels that used to abort the process — an allocation
+/// failure is not a panic, so nothing upstream can catch it: a block
+/// table sized from the largest `bb<N>` (352 GB; `max + 1` also wrapped at
+/// `bb4294967295`), a register arena from `regs=` (709 GB), the barrier
+/// analyses' bit sets from `barriers=` (32 GB). The first is a parse
+/// error before the table exists; the other two parse and are the
+/// verifier's to refuse.
+#[test]
+fn headers_and_block_ids_cannot_size_an_allocation() {
+    for id in ["4000000000", "4294967295", "2"] {
+        let src = format!(
+            "kernel @k(params=0, regs=0, barriers=0, entry=bb0) {{\nbb0:\n  jmp bb{id}\nbb{id}:\n  exit\n}}\n"
+        );
+        expect_err(&src, "block bb1 is missing");
+    }
+    for (header, needle) in [
+        ("regs=4000000000000, barriers=0", "num_regs 4000000000000 exceeds the limit of 65536"),
+        ("regs=1, barriers=4000000000", "num_barriers 4000000000 exceeds the limit of 4096"),
+    ] {
+        let src = format!(
+            "kernel @k(params=0, {header}, entry=bb0) {{\nbb0:\n  %r0 = special.tid\n  \
+             brdiv %r0, bb1, bb1\nbb1:\n  exit\n}}\n"
+        );
+        let module = parse_and_link(&src).expect("the text itself is well formed");
+        let errs = simt_ir::verify_module(&module).expect_err(header);
+        assert!(errs.iter().any(|e| e.message.contains(needle)), "{header}: {errs:?}");
+    }
+}
+
 #[test]
 fn undefined_entry_block() {
     expect_err(

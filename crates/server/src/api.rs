@@ -73,6 +73,14 @@ use workloads::eval::{Engine, EvalError};
 /// resource guard, not an engine limit.
 pub const MAX_SEEDS: u64 = 400;
 
+/// Register cells (`warps × lanes × regs` of the module's widest
+/// function) an inline kernel's launch may ask for. The simulators size
+/// their register arena from it up front, 16 bytes a cell — 256 MiB here,
+/// far above any launch the registry makes (the largest is ~70 000
+/// cells) and far below what `regs` at the verifier's limit times 4 096
+/// warps would reserve. A resource guard like [`MAX_SEEDS`].
+pub const MAX_ARENA_CELLS: u64 = 1 << 24;
+
 /// A structured failure answering an eval request.
 #[derive(Debug)]
 pub struct ApiError {
@@ -284,6 +292,17 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
 
     if let Some(w) = warps {
         launch.num_warps = w.min(4096);
+    }
+    if inline.is_some() {
+        let regs = module.functions.iter().map(|(_, f)| f.num_regs as u64).max().unwrap_or(0);
+        let cells = (launch.num_warps as u64 * cfg.warp_width as u64).saturating_mul(regs);
+        if cells > MAX_ARENA_CELLS {
+            return Err(ApiError::bad_request(format!(
+                "launch needs {cells} register cells ({} warps x {} lanes x {regs} regs), \
+                 over the limit of {MAX_ARENA_CELLS}",
+                launch.num_warps, cfg.warp_width
+            )));
+        }
     }
     if let Some(s) = seed {
         launch.seed = s;
@@ -500,6 +519,9 @@ pub fn execute(
                 ("mixed_rows".into(), Json::u64(s.mixed_rows)),
                 ("uniform_accesses".into(), Json::u64(s.uniform_accesses)),
                 ("scattered_accesses".into(), Json::u64(s.scattered_accesses)),
+                ("hoisted_issues".into(), Json::u64(s.hoisted_issues)),
+                ("lane_runs".into(), Json::u64(s.lane_runs)),
+                ("per_lane_issues".into(), Json::u64(s.per_lane_issues)),
             ]),
         ));
     }

@@ -33,6 +33,8 @@ pub struct ServerMetrics {
     rejected_draining: AtomicU64,
     /// Requests that hit their deadline (504).
     deadline_expired: AtomicU64,
+    /// Eval jobs that panicked inside a worker and were answered 500.
+    worker_panics: AtomicU64,
     /// Sweep-engine sub-cohort forks across all sweep requests.
     sweep_forks: AtomicU64,
     /// Sweep-engine sub-cohort merges across all sweep requests.
@@ -101,6 +103,11 @@ impl ServerMetrics {
     /// Records a deadline expiry.
     pub fn record_deadline_expired(&self) {
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a job that panicked inside a worker.
+    pub fn record_worker_panic(&self) {
+        self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one completed sweep's engine counters into the registry.
@@ -204,6 +211,16 @@ impl ServerMetrics {
             out,
             "specrecon_deadline_expired_total {}",
             self.deadline_expired.load(Ordering::Relaxed)
+        );
+
+        out.push_str(
+            "# HELP specrecon_worker_panics_total Eval jobs that panicked and were answered 500.\n\
+             # TYPE specrecon_worker_panics_total counter\n",
+        );
+        let _ = writeln!(
+            out,
+            "specrecon_worker_panics_total {}",
+            self.worker_panics.load(Ordering::Relaxed)
         );
 
         out.push_str(

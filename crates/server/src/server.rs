@@ -249,14 +249,36 @@ impl Server {
 /// connections.
 const READ_POLL: Duration = Duration::from_millis(200);
 
+/// Runs one job with a panic contained to it: the worker answers 500,
+/// counts it, and lives to take the next job. What a job shares with the
+/// rest of the server stays usable across the unwind — the metrics are
+/// atomics, the engine's image cache recovers a poisoned lock (every
+/// update leaves it valid) — hence `AssertUnwindSafe`.
+fn isolated<T>(
+    metrics: &ServerMetrics,
+    job: impl FnOnce() -> Result<T, ApiError>,
+) -> Result<T, ApiError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).unwrap_or_else(|panic| {
+        metrics.record_worker_panic();
+        let what = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("no message");
+        Err(ApiError { status: 500, message: format!("internal error: eval panicked: {what}") })
+    })
+}
+
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         let result = if Instant::now() >= job.deadline || job.token.is_cancelled() {
             // Expired while queued: don't burn a worker on it.
             Err(ApiError { status: 504, message: "deadline exceeded while queued".into() })
         } else {
-            api::execute(&shared.engine, &job.request, &job.token, Some(&shared.metrics))
-                .map(|json| json.render())
+            isolated(&shared.metrics, || {
+                api::execute(&shared.engine, &job.request, &job.token, Some(&shared.metrics))
+                    .map(|json| json.render())
+            })
         };
         // The connection thread may have timed out and moved on; a dead
         // receiver is fine (it already answered 504).
@@ -417,5 +439,31 @@ impl RetryAfter for Response {
     /// 503s carry `Retry-After` so well-behaved clients back off.
     fn with_status_headers(self) -> Response {
         self.with_header("Retry-After", "1")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workloads::eval::CacheStats;
+
+    /// A job that panics — an index slip in an engine, say — costs its
+    /// request a 500 and one count, not the worker: the same wrapper runs
+    /// the next job.
+    #[test]
+    fn a_panicking_job_answers_500_and_the_worker_survives() {
+        let metrics = ServerMetrics::default();
+        let slip = |i: usize| vec![1u8; 3][i];
+        let failed = isolated(&metrics, || Ok(slip(7)));
+        let e = failed.expect_err("the job panicked");
+        assert_eq!(e.status, 500);
+        assert!(e.message.contains("index out of bounds"), "{}", e.message);
+        assert_eq!(isolated(&metrics, || Ok(slip(2))).expect("a healthy job"), 1);
+        let refused =
+            isolated(&metrics, || Err::<u8, _>(ApiError { status: 422, message: "x".into() }));
+        assert_eq!(refused.expect_err("errors pass through").status, 422);
+        let empty = CacheStats { hits: 0, misses: 0, evictions: 0, entries: 0 };
+        let text = metrics.render(0, 0, 1, empty);
+        assert!(text.contains("specrecon_worker_panics_total 1"), "{text}");
     }
 }

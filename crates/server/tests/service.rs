@@ -177,6 +177,9 @@ fn sweep_requests_export_fork_merge_counters() {
         "\"mixed_rows\":0",
         "\"uniform_accesses\"",
         "\"scattered_accesses\"",
+        "\"hoisted_issues\"",
+        "\"lane_runs\"",
+        "\"per_lane_issues\":0",
     ] {
         assert!(eval.body.contains(key), "missing {key} in {}", eval.body);
     }
@@ -403,6 +406,43 @@ fn shutdown_mid_flight_drains_accepted_work() {
     let reply = in_flight.join().expect("client thread");
     assert_eq!(reply.status, 200, "drained request failed: {}", reply.body);
     assert_eq!(report.drained, 1, "drain report missed the in-flight job: {report:?}");
+}
+
+/// Inline kernels whose text sizes an allocation — a block table from the
+/// largest `bb<N>`, the register arena from `regs=`, the barrier
+/// analyses' bit sets from `barriers=`, the arena again from `warps` —
+/// used to *abort* the process (an allocation failure is not a panic):
+/// connection reset, every later request refused. Each must answer 400,
+/// and the same connection must then serve a healthy request.
+#[test]
+fn hostile_inline_kernels_answer_400_and_the_connection_lives() {
+    let (addr, handle, runner) = start(local(8, 2));
+    let kernel = |header: &str, body: &str| {
+        format!("kernel @k(params=0, {header}, entry=bb0) {{\nbb0:\n{body}}}\n")
+    };
+    let diverge = "  %r0 = special.tid\n  brdiv %r0, bb1, bb1\nbb1:\n  exit\n";
+    let hostile = [
+        (
+            kernel("regs=0, barriers=0", "  jmp bb4000000000\nbb4000000000:\n  exit\n"),
+            1,
+            "bb1 is missing",
+        ),
+        (kernel("regs=4000000000000, barriers=0", diverge), 1, "num_regs"),
+        (kernel("regs=1, barriers=4000000000", diverge), 1, "num_barriers"),
+        (kernel("regs=65536, barriers=0", diverge), 4096, "register cells"),
+    ];
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    for (src, warps, needle) in hostile {
+        send(&mut stream, "POST", "/v1/eval", &format!(r#"{{"kernel":{src:?},"warps":{warps}}}"#));
+        let reply = read_reply(&mut stream);
+        assert_eq!(reply.status, 400, "{needle}: {}", reply.body);
+        assert!(reply.body.contains(needle), "{needle}: {}", reply.body);
+        send(&mut stream, "POST", "/v1/eval", r#"{"workload":"microbench"}"#);
+        let healthy = read_reply(&mut stream);
+        assert_eq!(healthy.status, 200, "after {needle}: {}", healthy.body);
+    }
+    handle.shutdown();
+    runner.join().unwrap().unwrap();
 }
 
 /// The ISSUE acceptance scenario: `--queue-depth 4`, 32 concurrent

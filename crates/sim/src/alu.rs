@@ -59,10 +59,7 @@ pub(crate) fn with_bin<L: AluLoop>(op: BinOp, l: L) -> L::Out {
     }
     macro_rules! bits {
         ($f:expr) => {
-            ints!(|x: i64, y: i64| Ok(I64($f(x, y))), |_, _| Err(format!(
-                "bitwise `{}` applied to a float",
-                op.mnemonic()
-            )))
+            ints!(|x: i64, y: i64| Ok(I64($f(x, y))), |_, _| Err(bitwise_on_float(op.mnemonic())))
         };
     }
     match op {
@@ -73,14 +70,14 @@ pub(crate) fn with_bin<L: AluLoop>(op: BinOp, l: L) -> L::Out {
         Max => arith!(i64::max, f64::max),
         Div => ints!(
             |x: i64, y: i64| match y {
-                0 => Err("integer division by zero".to_string()),
+                0 => Err(by_zero("division")),
                 _ => Ok(I64(x.wrapping_div(y))),
             },
             |x: f64, y: f64| Ok(F64(x / y))
         ),
         Rem => ints!(
             |x: i64, y: i64| match y {
-                0 => Err("integer remainder by zero".to_string()),
+                0 => Err(by_zero("remainder")),
                 _ => Ok(I64(x.wrapping_rem(y))),
             },
             |x: f64, y: f64| Ok(F64(x % y))
@@ -99,6 +96,18 @@ pub(crate) fn with_bin<L: AluLoop>(op: BinOp, l: L) -> L::Out {
     }
 }
 
+#[cold]
+#[inline(never)]
+fn bitwise_on_float(mnemonic: &str) -> String {
+    format!("bitwise `{mnemonic}` applied to a float")
+}
+
+#[cold]
+#[inline(never)]
+fn by_zero(what: &str) -> String {
+    format!("integer {what} by zero")
+}
+
 /// Runs `l` with the kernel of unary op `op`.
 #[inline]
 pub(crate) fn with_un<L: AluLoop>(op: UnOp, l: L) -> L::Out {
@@ -106,7 +115,7 @@ pub(crate) fn with_un<L: AluLoop>(op: UnOp, l: L) -> L::Out {
     match op {
         UnOp::Not => l.run(|a, _| match a {
             I64(v) => Ok(I64(!v)),
-            F64(_) => Err("bitwise `not` applied to a float".to_string()),
+            F64(_) => Err(bitwise_on_float("not")),
         }),
         UnOp::Neg => l.run(|a, _| {
             Ok(match a {

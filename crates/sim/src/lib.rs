@@ -32,6 +32,7 @@
 mod alloc_count;
 mod alu;
 mod barrier;
+mod cols;
 pub mod config;
 pub mod decode;
 pub mod error;

@@ -92,6 +92,46 @@ impl Iterator for MaskRuns {
     }
 }
 
+/// The runs of adjacent issued lanes that share a key — for the arms
+/// that move whole registers, the frame base, so a span's register is
+/// `n` adjacent rows. Lanes of one issue sit at one call depth on all
+/// measured traffic and the spans are the mask's runs; a run whose lanes
+/// differ breaks down as far as single lanes, which is the same loops at
+/// `n == 1`.
+#[derive(Clone, Copy)]
+pub(crate) struct Spans {
+    /// Issued lanes not yet yielded.
+    mask: u64,
+    /// The lanes among them that start a span.
+    pub(crate) starts: u64,
+}
+
+impl Spans {
+    #[inline]
+    pub(crate) fn by<K: PartialEq>(mask: u64, key: impl Fn(usize) -> K) -> Spans {
+        let runs = mask & !(mask << 1);
+        let breaks = lanes(mask & !runs).filter(|&l| key(l) != key(l - 1));
+        Spans { mask, starts: breaks.fold(runs, |starts, l| starts | 1 << l) }
+    }
+}
+
+impl Iterator for Spans {
+    /// `(first lane, lane count)`, ascending.
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.starts == 0 {
+            return None;
+        }
+        let lo = self.starts.trailing_zeros() as usize;
+        self.starts &= self.starts - 1;
+        // The span ends where its mask run does or the next span starts.
+        let run = (!(self.mask >> lo)).trailing_zeros() as usize;
+        Some((lo, run.min(self.starts.trailing_zeros() as usize - lo)))
+    }
+}
+
 /// Applies `policy` to mask-form candidate groups and returns the chosen
 /// one.
 ///
@@ -276,6 +316,20 @@ mod tests {
         assert_eq!(mask_runs(1 << 63).collect::<Vec<_>>(), vec![(63, 64)]);
         assert_eq!(mask_runs(0b111 << 61).collect::<Vec<_>>(), vec![(61, 64)]);
         assert_eq!(mask_runs(u64::MAX ^ (1 << 32)).collect::<Vec<_>>(), vec![(0, 32), (33, 64)]);
+    }
+
+    #[test]
+    fn spans_are_the_mask_runs_split_where_the_key_changes() {
+        let spans = |mask, key: &dyn Fn(usize) -> usize| Spans::by(mask, key).collect::<Vec<_>>();
+        assert_eq!(spans(0, &|_| 0), vec![]);
+        assert_eq!(spans(0b1011, &|_| 0), vec![(0, 2), (3, 1)]);
+        assert_eq!(spans(u64::MAX, &|_| 7), vec![(0, 64)]);
+        assert_eq!(spans(u64::MAX, &|l| l / 31), vec![(0, 31), (31, 31), (62, 2)]);
+        assert_eq!(spans(0b0111_0110, &|l| l % 2), vec![(1, 1), (2, 1), (4, 1), (5, 1), (6, 1)]);
+        assert_eq!(spans(1 << 63 | 0b11, &|l| usize::from(l == 1)), vec![(0, 1), (1, 1), (63, 1)]);
+        // Hoisted exactly when no run is split.
+        assert_eq!(Spans::by(0b1011, |_| 0).starts, 0b1001);
+        assert_ne!(Spans::by(0b1011, |l| l).starts, 0b1001);
     }
 
     #[test]

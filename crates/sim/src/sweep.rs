@@ -16,13 +16,11 @@
 //! per-op kernels ([`crate::alu::with_bin`]) the decoded engine's lane
 //! loop instantiates, under this module's own loop shape (`SlotAlu`).
 //!
-//! Values are stored untagged (`SlotCols`): a row of `u64` payload
-//! bits per register or memory cell plus one float-mask word per row.
-//! A row whose live slots share a type — every row of a Monte Carlo
-//! sweep — runs a kernel as one dense loop over `&[u64]` with the tags
-//! as loop constants; a row typed differently by seed takes the same
-//! loop reading its mask per slot. A memory access whose address is the
-//! same in every slot is one row copy per lane.
+//! Values are stored untagged, in typed slot columns (`cols.rs`);
+//! registers and local memory are warp-major, so the adjacent lanes of
+//! an issue are adjacent rows and a whole register of theirs is one run
+//! of memory. A memory access whose address is the same in every slot is
+//! one row copy per lane.
 //!
 //! # Fork, masked execution, merge
 //!
@@ -86,6 +84,10 @@
 
 use crate::alu::AluLoop;
 use crate::barrier::WarpCtl;
+use crate::cols::{
+    class, decode, encode, move_cell, move_row, tagged, truthy, typed, uniform_addr, zip_rows,
+    Class, RowRef, SlotCols, Src, FLOAT, INT, PER_SLOT,
+};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
 use crate::error::{LaneFault, ReconDump, SimError};
@@ -93,8 +95,9 @@ use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, Fr
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::rng::SplitMix64;
-use crate::sched::{lanes, mask_runs};
+use crate::sched::{lanes, Spans};
 use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, RngKind, SpecialValue, Value};
+use std::cmp::Ordering;
 
 /// Width of one lockstep cohort: slots are tracked in a `u64` mask,
 /// mirroring the lane-mask machinery one level down.
@@ -204,6 +207,16 @@ pub struct SweepStats {
     pub uniform_accesses: u64,
     /// Lockstep global loads/stores staged, priced and moved per slot.
     pub scattered_accesses: u64,
+    /// Data-arm issues whose every run of adjacent issued lanes moved as
+    /// one span: frame base, operand rows, operand types and the kernel
+    /// resolved once for the issue.
+    pub hoisted_issues: u64,
+    /// Span loops executed by data arms: one per run of adjacent lanes on
+    /// a hoisted issue.
+    pub lane_runs: u64,
+    /// Data-arm issues that broke a lane run because adjacent lanes sat at
+    /// different call depths (the per-lane walk).
+    pub per_lane_issues: u64,
 }
 
 impl SweepStats {
@@ -237,6 +250,9 @@ impl SweepStats {
         self.mixed_rows += other.mixed_rows;
         self.uniform_accesses += other.uniform_accesses;
         self.scattered_accesses += other.scattered_accesses;
+        self.hoisted_issues += other.hoisted_issues;
+        self.lane_runs += other.lane_runs;
+        self.per_lane_issues += other.per_lane_issues;
     }
 }
 
@@ -369,367 +385,13 @@ pub fn run_sweep(
     run_sweep_image(&image, cfg, sweep, None)
 }
 
-/// One lane's frame structure, owned per sub-cohort and shared by
-/// every slot of it: structure (where a frame's register window sits in
-/// the SoA arena — the same [`Frame`] metadata the decoded engine keeps)
-/// is control, the register *values* inside the window are data.
-#[derive(Clone, Debug)]
-struct CtlLane {
-    frames: Vec<Frame>,
-    /// Arena bump pointer: the first free offset above the top frame.
-    top: usize,
-}
-
-/// Typed slot columns — the cohort's one data representation, for
-/// registers, local memory and global memory alike. A *row* is one
-/// register (or memory cell) across every slot: `ns` payload words —
-/// an `i64` reinterpreted, or `f64::to_bits`, so NaN payloads and `-0.0`
-/// round-trip — plus one float-mask word (bit `s` set ⇔ slot `s` holds
-/// an `f64`; [`COHORT_SLOTS`] is 64, so one word always suffices).
-/// [`Value`] exists only at the edges: launch inputs, immediates, fault
-/// messages and the final memory image.
-///
-/// A row is shared by every sub-cohort, each owning a disjoint slot
-/// set: every write commits payload *and* mask bits under the writer's
-/// own slot mask only.
-#[derive(Clone, Debug)]
-struct SlotCols {
-    /// Slots per row (the cohort width).
-    ns: usize,
-    /// Payload bits, `[row * ns + slot]`.
-    bits: Vec<u64>,
-    /// Float masks, `[row]`.
-    floats: Vec<u64>,
-}
-
-/// One row of a [`SlotCols`] (or an immediate broadcast to row shape).
-#[derive(Clone, Copy)]
-struct RowRef<'a> {
-    bits: &'a [u64],
-    floats: u64,
-}
-
-/// An operand resolved against one lane's frame: an immediate, or the
-/// row of a register in the lane's arena.
-#[derive(Clone, Copy)]
-enum Row {
-    Imm(Value),
-    At(usize),
-}
-
-/// Resolves an operand against the frame at `base`.
-#[inline]
-fn resolve(base: usize, op: Operand) -> Row {
-    match op {
-        Operand::Imm(v) => Row::Imm(v),
-        Operand::Reg(r) => Row::At(base + r.index()),
-    }
-}
-
-/// A value as `(payload bits, is-float)`. Bit-exact: floats go through
-/// `to_bits`, never `as`.
-#[inline(always)]
-fn encode(v: Value) -> (u64, bool) {
-    match v {
-        Value::I64(x) => (x as u64, false),
-        Value::F64(x) => (x.to_bits(), true),
-    }
-}
-
-/// The inverse of [`encode`].
-#[inline(always)]
-fn decode(bits: u64, float: bool) -> Value {
-    if float {
-        Value::F64(f64::from_bits(bits))
-    } else {
-        Value::I64(bits as i64)
-    }
-}
-
-/// `live` as one run `lo..hi`, when its set bits are contiguous — a
-/// whole cohort, or a sub-cohort of neighbouring seeds. Masked row
-/// operations take such a mask as one dense slice operation; any other
-/// mask is walked slot by slot, so a fragmented sub-cohort pays for the
-/// slots it owns and not per fragment.
-#[inline(always)]
-fn single_run(live: u64) -> Option<(usize, usize)> {
-    let mut runs = mask_runs(live);
-    match (runs.next(), runs.next()) {
-        (Some(run), None) => Some(run),
-        _ => None,
-    }
-}
-
-/// `dst[s] = src[s]` for every live slot.
-#[inline(always)]
-fn store_live(dst: &mut [u64], src: &[u64], live: u64) {
-    if let Some((lo, hi)) = single_run(live) {
-        dst[lo..hi].copy_from_slice(&src[lo..hi]);
-    } else {
-        for s in lanes(live) {
-            dst[s] = src[s];
-        }
-    }
-}
-
-impl SlotCols {
-    /// `rows` rows of `ns` slots, every cell [`Value::default`] (integer
-    /// zero: zero bits, clear mask).
-    fn new(rows: usize, ns: usize) -> SlotCols {
-        SlotCols { ns, bits: vec![0; rows * ns], floats: vec![0; rows] }
-    }
-
-    /// Grows to at least `rows` rows; never shrinks.
-    fn grow(&mut self, rows: usize) {
-        if self.floats.len() < rows {
-            self.bits.resize(rows * self.ns, 0);
-            self.floats.resize(rows, 0);
-        }
-    }
-
-    #[inline]
-    fn row(&self, r: usize) -> RowRef<'_> {
-        RowRef { bits: &self.bits[r * self.ns..(r + 1) * self.ns], floats: self.floats[r] }
-    }
-
-    #[inline]
-    fn get(&self, r: usize, s: usize) -> Value {
-        decode(self.bits[r * self.ns + s], self.floats[r] >> s & 1 != 0)
-    }
-
-    #[inline]
-    fn set(&mut self, r: usize, s: usize, v: Value) {
-        let (bits, float) = encode(v);
-        self.bits[r * self.ns + s] = bits;
-        self.floats[r] = self.floats[r] & !(1 << s) | u64::from(float) << s;
-    }
-
-    /// Reads a resolved operand for one slot.
-    #[inline]
-    fn at(&self, row: Row, s: usize) -> Value {
-        match row {
-            Row::Imm(v) => v,
-            Row::At(r) => self.get(r, s),
-        }
-    }
-
-    /// Commits `src` to row `r` under `live`: the payload of the live
-    /// slots plus a masked merge of the float word.
-    #[inline(always)]
-    fn write(&mut self, r: usize, src: RowRef<'_>, live: u64) {
-        store_live(&mut self.bits[r * self.ns..(r + 1) * self.ns], src.bits, live);
-        self.floats[r] = self.floats[r] & !live | src.floats & live;
-    }
-
-    /// Sets the live slots of row `r` to the payloads `bits(slot)`, all
-    /// of one type.
-    #[inline]
-    fn fill_with(&mut self, r: usize, float: bool, live: u64, mut bits: impl FnMut(usize) -> u64) {
-        let dst = &mut self.bits[r * self.ns..(r + 1) * self.ns];
-        if let Some((lo, hi)) = single_run(live) {
-            for (i, d) in dst[lo..hi].iter_mut().enumerate() {
-                *d = bits(lo + i);
-            }
-        } else {
-            for s in lanes(live) {
-                dst[s] = bits(s);
-            }
-        }
-        self.floats[r] = if float { self.floats[r] | live } else { self.floats[r] & !live };
-    }
-
-    /// Sets row `r` to `v` under `live`.
-    #[inline]
-    fn fill(&mut self, r: usize, v: Value, live: u64) {
-        let (bits, float) = encode(v);
-        self.fill_with(r, float, live, |_| bits);
-    }
-
-    /// Row `dst` ← `src` of these same columns, under `live`.
-    #[inline]
-    fn assign(&mut self, dst: usize, src: Row, live: u64) {
-        match src {
-            Row::Imm(v) => self.fill(dst, v, live),
-            Row::At(r) if r == dst => {}
-            Row::At(r) => {
-                // Two distinct rows of one vector, split to borrow both.
-                let ns = self.ns;
-                let (head, tail) = self.bits.split_at_mut(dst.max(r) * ns);
-                let (lower, upper) = (&mut head[dst.min(r) * ns..][..ns], &mut tail[..ns]);
-                if dst < r {
-                    store_live(lower, upper, live);
-                } else {
-                    store_live(upper, lower, live);
-                }
-                self.floats[dst] = self.floats[dst] & !live | self.floats[r] & live;
-            }
-        }
-    }
-
-    /// Row `dst` ← `src` resolved in another column set, under `live`.
-    #[inline]
-    fn assign_from(&mut self, dst: usize, from: &SlotCols, src: Row, live: u64) {
-        match src {
-            Row::Imm(v) => self.fill(dst, v, live),
-            Row::At(r) => self.write(dst, from.row(r), live),
-        }
-    }
-
-    /// The one in-range integer address every live slot of `row` holds,
-    /// if there is one — the precondition of the row-copy memory paths.
-    #[inline]
-    fn uniform_addr(&self, row: Row, live: u64, len: usize) -> Option<usize> {
-        let a = match row {
-            Row::Imm(v) => v.as_i64(),
-            Row::At(_) if live == 0 => return None,
-            Row::At(r) => {
-                let row = self.row(r);
-                let a0 = row.bits[live.trailing_zeros() as usize];
-                let differs = |d, &x| d | (x ^ a0);
-                let diff = match single_run(live) {
-                    Some((lo, hi)) => row.bits[lo..hi].iter().fold(0, differs),
-                    None => lanes(live).map(|s| &row.bits[s]).fold(0, differs),
-                };
-                if diff | (row.floats & live) != 0 {
-                    return None;
-                }
-                a0 as i64
-            }
-        };
-        (a >= 0 && (a as usize) < len).then_some(a as usize)
-    }
-}
-
-/// How a row's live slots are typed.
-enum Class {
-    Int,
-    Float,
-    Mixed,
-}
-
-/// Classifies a float-mask word over the live slots only: a dead slot's
-/// stale type must not demote a row to the mixed loop.
-#[inline]
-fn class(floats: u64, live: u64) -> Class {
-    match floats & live {
-        0 => Class::Int,
-        m if m == live => Class::Float,
-        _ => Class::Mixed,
-    }
-}
-
-// Operand tags of [`map_rows`]: a loop-constant type, or the row's
-// float mask consulted per slot.
-const INT: u8 = 0;
-const FLOAT: u8 = 1;
-const PER_SLOT: u8 = 2;
-
-/// One typed loop over the live slots of two operand rows: calls
-/// `f(slot, a, b)` and, when it returns a value, stores it in `out`;
-/// returns the float mask of the stored results. With `INT`/`FLOAT`
-/// tags the `Value`s handed to `f` carry loop-constant tags, so a kernel
-/// from [`crate::alu`] inlines to its bare `i64`/`f64` operation over
-/// `&[u64]` slices; `PER_SLOT` is the same loop reading each slot's tag
-/// from the row's mask.
-#[inline(always)]
-fn map_rows<const A: u8, const B: u8>(
-    a: RowRef<'_>,
-    b: RowRef<'_>,
-    live: u64,
-    out: &mut [u64],
-    mut f: impl FnMut(usize, Value, Value) -> Option<Value>,
-) -> u64 {
-    #[inline(always)]
-    fn tagged<const T: u8>(bits: u64, floats: u64, s: usize) -> Value {
-        decode(bits, if T == PER_SLOT { floats >> s & 1 != 0 } else { T == FLOAT })
-    }
-    let mut floats = 0u64;
-    let mut cell = |s: usize, o: &mut u64, x: u64, y: u64| {
-        if let Some(v) = f(s, tagged::<A>(x, a.floats, s), tagged::<B>(y, b.floats, s)) {
-            let (bits, float) = encode(v);
-            *o = bits;
-            floats |= u64::from(float) << s;
-        }
-    };
-    if let Some((lo, hi)) = single_run(live) {
-        let cells = out[lo..hi].iter_mut().zip(&a.bits[lo..hi]).zip(&b.bits[lo..hi]);
-        for (i, ((o, &x), &y)) in cells.enumerate() {
-            cell(lo + i, o, x, y);
-        }
-    } else {
-        for s in lanes(live) {
-            cell(s, &mut out[s], a.bits[s], b.bits[s]);
-        }
-    }
-    floats
-}
-
-/// [`map_rows`] under the tags the rows' live slots allow: one of the
-/// four dense instantiations when both rows are uniformly typed, the
-/// per-slot loop for a mixed row (a `sel` between an int and a float on
-/// a seed-dependent predicate, a load of cells whose type differs by
-/// seed). Returns the result mask and whether the dense loop ran.
-#[inline(always)]
-fn map_typed(
-    a: RowRef<'_>,
-    b: RowRef<'_>,
-    live: u64,
-    out: &mut [u64],
-    f: impl FnMut(usize, Value, Value) -> Option<Value>,
-) -> (u64, bool) {
-    use Class::{Float, Int};
-    match (class(a.floats, live), class(b.floats, live)) {
-        (Int, Int) => (map_rows::<INT, INT>(a, b, live, out, f), true),
-        (Int, Float) => (map_rows::<INT, FLOAT>(a, b, live, out, f), true),
-        (Float, Int) => (map_rows::<FLOAT, INT>(a, b, live, out, f), true),
-        (Float, Float) => (map_rows::<FLOAT, FLOAT>(a, b, live, out, f), true),
-        _ => (map_rows::<PER_SLOT, PER_SLOT>(a, b, live, out, f), false),
-    }
-}
-
-/// Slots of `live` where `row` is truthy. Type-aware through
-/// [`Value::is_truthy`]: `-0.0` is false though its bits are not zero.
-#[inline]
-fn truthy(row: RowRef<'_>, live: u64, out: &mut [u64]) -> u64 {
-    let mut t = 0u64;
-    map_typed(row, row, live, out, |s, x, _| {
-        t |= u64::from(x.is_truthy()) << s;
-        None
-    });
-    t
-}
-
-/// Row staging shared by the typed loops, hoisted out of every lane
-/// loop: a result row awaiting its masked commit, and one broadcast row
-/// per immediate operand (filled once per issue, so operands are always
-/// read as rows, registers in place).
+/// Staging shared by the row operations: one broadcast row per immediate
+/// operand ([`Src::broadcast`]), and `out` — a result row awaiting its
+/// masked commit (`sel`, atomics; the first `ns` words) or the ALU's copy
+/// of a span's destination rows (`width * ns` words).
 struct RowScratch {
     out: Vec<u64>,
     imm: [Vec<u64>; 2],
-}
-
-/// `op` broadcast into `buf` if it is an immediate.
-#[inline]
-fn imm_row(op: Operand, buf: &mut [u64]) -> Option<RowRef<'_>> {
-    let Operand::Imm(v) = op else { return None };
-    let (bits, float) = encode(v);
-    buf.fill(bits);
-    Some(RowRef { bits: buf, floats: if float { u64::MAX } else { 0 } })
-}
-
-/// The row of `op`: its broadcast when an immediate, else the register's
-/// row in the frame at `base`, read in place.
-#[inline]
-fn operand_row<'a>(
-    imm: Option<RowRef<'a>>,
-    regs: &'a SlotCols,
-    base: usize,
-    op: Operand,
-) -> RowRef<'a> {
-    match op {
-        Operand::Reg(r) => regs.row(base + r.index()),
-        Operand::Imm(_) => imm.expect("immediate operands are broadcast before the lane loop"),
-    }
 }
 
 /// A memory instruction's data direction.
@@ -739,70 +401,100 @@ enum MemOp {
     Store(Operand),
 }
 
-/// One lane's *data* columns, shared by every sub-cohort: sub-cohorts
-/// address disjoint slot sets, so masked access needs no locking and a
-/// fork moves nothing.
-#[derive(Clone, Debug)]
-struct DLane {
-    /// Registers, one row per arena offset: a bump arena over each
-    /// sub-cohort's frame stack (frame `i` owns rows `frames[i].base ..
-    /// frames[i].base + frames[i].len`). Sized to the deepest
-    /// sub-cohort; never shrinks.
-    regs: SlotCols,
-    /// Per-slot RNG streams.
-    rng: Vec<SplitMix64>,
-    /// Local memory, one row per cell.
-    local: SlotCols,
-}
-
-impl CtlLane {
-    /// Register base offset of the top (live) frame.
-    #[inline]
-    fn cur_base(&self) -> usize {
-        self.frames.last().expect("lane has no frame").base
+impl MemOp {
+    fn is_load(self) -> bool {
+        matches!(self, MemOp::Load(_))
     }
 
-    /// Pushes a callee frame: extends the arena by `num_regs` rows,
-    /// default-initializing the new window for `slots` only — other
-    /// sub-cohorts share the arena and may hold live values (and float
-    /// mask bits) in these rows' other slots.
-    fn push_frame(
-        &mut self,
-        d: &mut DLane,
-        slots: u64,
-        pc: usize,
-        ret_regs: PoolRange,
-        num_regs: usize,
-    ) {
-        let base = self.top;
-        self.top += num_regs;
-        d.regs.grow(self.top);
-        for r in base..self.top {
-            d.regs.fill(r, Value::default(), slots);
+    /// The access's register side: a load's destination, a store's value.
+    fn reg(self, width: usize) -> Src {
+        match self {
+            MemOp::Load(dst) => Src::Row(dst.index() * width),
+            MemOp::Store(v) => Src::of(v, width),
         }
-        self.frames.push(Frame { pc, ret_regs, base });
-    }
-
-    /// Pops the top frame, releasing its arena window.
-    fn pop_frame(&mut self) -> Frame {
-        let m = self.frames.pop().expect("return without frame");
-        self.top = m.base;
-        m
     }
 }
 
 /// One warp's control plane, owned per sub-cohort: the shared
-/// [`WarpCtl`] plus the frame structure of each lane.
+/// [`WarpCtl`] plus every lane's frame structure, flat. Structure (where
+/// a frame's register window sits in the arena — the [`Frame`] metadata
+/// the decoded engine keeps) is control and is shared by every slot of
+/// the sub-cohort; the register *values* inside the window are data.
 #[derive(Clone, Debug)]
 struct CWarp {
     ctl: WarpCtl,
-    lanes_c: Vec<CtlLane>,
+    /// Per lane: row of register 0 of the live frame, `base * width +
+    /// lane`.
+    bases: Vec<usize>,
+    /// Per lane: arena bump pointer, the first free base above the live
+    /// frame.
+    tops: Vec<usize>,
+    /// Per lane: index of the live frame (0 = the kernel's).
+    depths: Vec<usize>,
+    /// Frame `d` of lane `l` at `[d * width + l]`, for `d <=
+    /// depths[l]`; entries above a lane's depth are stale.
+    frames: Vec<Frame>,
 }
 
-/// One warp's data plane, shared by every sub-cohort.
+impl CWarp {
+    #[inline]
+    fn width(&self) -> usize {
+        self.bases.len()
+    }
+
+    /// Lane `l`'s live frame.
+    #[inline]
+    fn top(&self, l: usize) -> Frame {
+        self.frames[self.depths[l] * self.width() + l]
+    }
+
+    /// Suspends lane `l`'s frame at `ret_pc` and stacks a callee frame of
+    /// `num_regs` registers at the bump pointer.
+    fn push_frame(
+        &mut self,
+        l: usize,
+        ret_pc: usize,
+        pc: usize,
+        ret_regs: PoolRange,
+        num_regs: usize,
+    ) {
+        let (width, d) = (self.width(), self.depths[l] + 1);
+        if self.frames.len() < (d + 1) * width {
+            self.frames
+                .resize((d + 1) * width, Frame { pc: 0, ret_regs: PoolRange::EMPTY, base: 0 });
+        }
+        self.frames[(d - 1) * width + l].pc = ret_pc;
+        self.frames[d * width + l] = Frame { pc, ret_regs, base: self.tops[l] };
+        self.depths[l] = d;
+        self.bases[l] = self.tops[l] * width + l;
+        self.tops[l] += num_regs;
+        self.ctl.pcs[l] = pc;
+    }
+
+    /// Pops lane `l`'s live frame, releasing its arena window, and
+    /// resumes the caller.
+    fn pop_frame(&mut self, l: usize) {
+        self.tops[l] = self.top(l).base;
+        self.depths[l] -= 1;
+        let caller = self.top(l);
+        self.bases[l] = caller.base * self.width() + l;
+        self.ctl.pcs[l] = caller.pc;
+    }
+}
+
+/// One warp's data plane, shared by every sub-cohort: sub-cohorts
+/// address disjoint slot sets, so masked access needs no locking and a
+/// fork moves nothing.
 #[derive(Clone, Debug)]
 struct DWarp {
-    lanes_d: Vec<DLane>,
+    /// Registers: a warp-major bump arena over every sub-cohort's frame
+    /// stacks, row `(base + reg) * width + lane`. Sized to the deepest
+    /// lane of any sub-cohort; never shrinks.
+    regs: SlotCols,
+    /// RNG streams, `[lane * ns + slot]`.
+    rng: Vec<SplitMix64>,
+    /// Local memory, row `cell * width + lane`.
+    local: SlotCols,
     /// Memory-hierarchy tag state, one [`MemTags`](crate::mem) per
     /// slot (empty unless [`SimConfig::mem`] is on). Tag *contents* are
     /// per-slot data (global addresses diverge); only the whole
@@ -855,6 +547,8 @@ struct Cohort<'m> {
     /// Cohort width (number of seed instances), fixed for the whole
     /// run: columns keep stride `nslots` even as slots fork and resolve.
     nslots: usize,
+    /// Lanes per warp: the row stride of the warp-major columns.
+    width: usize,
     seed_lo: u64,
     /// The launch every instance shares (set-aside slots re-run it).
     base: &'m Launch,
@@ -913,48 +607,41 @@ impl<'m> Cohort<'m> {
         let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
         let width = cfg.warp_width;
         let num_regs = kfunc.num_regs as usize;
-        let entry = kfunc.entry_pc as usize;
+        let kernel = Frame { pc: kfunc.entry_pc as usize, ret_regs: PoolRange::EMPTY, base: 0 };
 
         let slots = if nslots == 64 { u64::MAX } else { (1u64 << nslots) - 1 };
-        // Every lane starts from the same columns: the arguments
+        // Every warp starts from the same columns: the arguments
         // broadcast over the kernel frame, zeroed local memory.
-        let mut regs = SlotCols::new(num_regs, nslots);
+        let mut regs = SlotCols::new(num_regs * width, nslots);
         for (i, a) in launch.args.iter().enumerate() {
-            regs.fill(i, *a, slots);
+            regs.fill_rows(i * width, width, *a, slots);
         }
-        let local = SlotCols::new(launch.local_mem_size, nslots);
+        let local = SlotCols::new(launch.local_mem_size * width, nslots);
 
-        let mut warps = Vec::with_capacity(launch.num_warps);
-        let mut data = Vec::with_capacity(launch.num_warps);
-        for w in 0..launch.num_warps {
-            let mut lanes_c = Vec::with_capacity(width);
-            let mut lanes_d = Vec::with_capacity(width);
-            for lane in 0..width {
-                let tid = (w * width + lane) as u64;
-                lanes_c.push(CtlLane {
-                    frames: vec![Frame { pc: entry, ret_regs: PoolRange::EMPTY, base: 0 }],
-                    top: num_regs,
-                });
-                lanes_d.push(DLane {
-                    regs: regs.clone(),
-                    rng: (0..nslots)
-                        .map(|s| SplitMix64::for_sweep_instance(sweep.seed_lo, s as u64, tid))
-                        .collect(),
-                    local: local.clone(),
-                });
-            }
-            warps.push(CWarp { ctl: ctl.clone(), lanes_c });
-            data.push(DWarp {
-                lanes_d,
+        let warp = CWarp {
+            ctl,
+            bases: (0..width).collect(),
+            tops: vec![num_regs; width],
+            depths: vec![0; width],
+            frames: vec![kernel; width],
+        };
+        let data = (0..launch.num_warps)
+            .map(|w| DWarp {
+                regs: regs.clone(),
+                rng: (w * width..(w + 1) * width)
+                    .flat_map(|tid| (0..nslots).map(move |s| (s as u64, tid as u64)))
+                    .map(|(s, tid)| SplitMix64::for_sweep_instance(sweep.seed_lo, s, tid))
+                    .collect(),
+                local: local.clone(),
                 hier_tags: (0..nslots)
                     .map(|_| crate::mem::MemTags::new(cfg.mem.as_ref()))
                     .collect(),
-            });
-        }
+            })
+            .collect();
 
         let mut global = SlotCols::new(launch.global_mem.len(), nslots);
         for (a, v) in launch.global_mem.iter().enumerate() {
-            global.fill(a, *v, slots);
+            global.fill_rows(a, 1, *v, slots);
         }
 
         Ok(Cohort {
@@ -962,13 +649,14 @@ impl<'m> Cohort<'m> {
             cfg,
             costs: image.resolve_costs(&cfg.latency),
             nslots,
+            width,
             seed_lo: sweep.seed_lo,
             base: launch,
             subs: vec![SubCohort {
                 slots,
                 cycle: 0,
                 metrics: Metrics::new(launch.num_warps, width),
-                warps,
+                warps: vec![warp; launch.num_warps],
             }],
             data,
             global,
@@ -981,7 +669,10 @@ impl<'m> Cohort<'m> {
             groups: Vec::new(),
             other_pcs: Vec::new(),
             addrs: AddrStage::default(),
-            scratch: RowScratch { out: vec![0; nslots], imm: [vec![0; nslots], vec![0; nslots]] },
+            scratch: RowScratch {
+                out: vec![0; width * nslots],
+                imm: [vec![0; nslots], vec![0; nslots]],
+            },
             lines_buf: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
             mem_scratch: crate::mem::MemScratch::default(),
@@ -1354,23 +1045,22 @@ fn partition_classes<K: PartialEq, F: Fn(usize) -> K>(live: u64, key: F) -> Clas
 /// Whether two sub-cohorts' control planes are equal — the merge test:
 /// per warp, [`WarpCtl`] equality (pcs, statuses and their masks,
 /// barrier registers, `busy_until`, `rr_cursor`, `last_lanes`, `done`)
-/// plus the frame shape (depth, each frame's arena window — `base`s and
-/// the bump pointer, so both planes address the same columns —
-/// return-register spans, and the saved pc of *suspended* frames; the
-/// top frame's [`Frame::pc`] is stale by design on both sides and never
-/// read).
+/// plus the frame shape: the live windows and bump pointers (slice
+/// equality of `bases`, `tops` and `depths`, so both planes address the
+/// same rows), then each live frame's window, return-register span and
+/// — for *suspended* frames — saved pc; the top frame's [`Frame::pc`] is
+/// stale by design on both sides and never read.
 fn subs_match(a: &SubCohort, b: &SubCohort) -> bool {
     a.warps.iter().zip(b.warps.iter()).all(|(aw, bw)| {
         aw.ctl == bw.ctl
-            && aw.lanes_c.iter().zip(bw.lanes_c.iter()).all(|(al, bl)| {
-                let top = al.frames.len() - 1;
-                al.frames.len() == bl.frames.len()
-                    && al.top == bl.top
-                    && al.frames.iter().zip(bl.frames.iter()).enumerate().all(|(i, (af, bf))| {
-                        af.base == bf.base
-                            && af.ret_regs == bf.ret_regs
-                            && (i == top || af.pc == bf.pc)
-                    })
+            && aw.bases == bw.bases
+            && aw.tops == bw.tops
+            && aw.depths == bw.depths
+            && aw.depths.iter().enumerate().all(|(l, &top)| {
+                (0..=top).all(|d| {
+                    let (af, bf) = (aw.frames[d * aw.width() + l], bw.frames[d * aw.width() + l]);
+                    af.base == bf.base && af.ret_regs == bf.ret_regs && (d == top || af.pc == bf.pc)
+                })
             })
     })
 }
@@ -1392,23 +1082,43 @@ impl Cohort<'_> {
         inst: &DecodedInst,
     ) -> bool {
         let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
-        let live = sub.slots;
-        let Cohort { data, scratch: RowScratch { out, imm: [ia, ib] }, .. } = self;
-        let (ia, ib) = (imm_row(lhs, ia), imm_row(rhs, ib));
+        let (live, cw) = (sub.slots, &sub.warps[w]);
+        let Cohort { data, scratch: RowScratch { imm: [ia, ib], .. }, width, .. } = self;
+        let (regs, a, b) = (&data[w].regs, Src::of(lhs, *width), Src::of(rhs, *width));
+        a.broadcast(ia);
+        b.broadcast(ib);
         lanes(mask).all(|l| {
-            let base = sub.warps[w].lanes_c[l].cur_base();
-            let regs = &data[w].lanes_d[l].regs;
-            let (a, b) = (operand_row(ia, regs, base, lhs), operand_row(ib, regs, base, rhs));
+            let (x, y) = (a.at(cw.bases[l]).row(regs, ia), b.at(cw.bases[l]).row(regs, ib));
             // On uniformly typed rows the tags are constants and the
             // condition folds to what is left of it: nothing for the
             // bitwise ops, a zero scan of the live divisors for div/rem.
             let mut ok = true;
-            map_typed(a, b, live, out, |_, x, y| {
-                ok &= cond.ok(x, y);
-                None
-            });
+            typed!(
+                class(x.floats, live),
+                class(y.floats, live),
+                zip_rows(x, y, live, |_, x, y| ok &= cond.ok(x, y))
+            );
             ok
         })
+    }
+
+    /// The lane spans of an issue by `key`, counted: hoisted when every
+    /// run of adjacent issued lanes is one span.
+    fn spans_by<K: PartialEq>(&mut self, mask: u64, key: impl Fn(usize) -> K) -> Spans {
+        let spans = Spans::by(mask, key);
+        self.stats.lane_runs += u64::from(spans.starts.count_ones());
+        if spans.starts == mask & !(mask << 1) {
+            self.stats.hoisted_issues += 1;
+        } else {
+            self.stats.per_lane_issues += 1;
+        }
+        spans
+    }
+
+    /// [`Self::spans_by`] the live frame base: a span's registers are
+    /// adjacent rows.
+    fn spans(&mut self, cw: &CWarp, mask: u64) -> Spans {
+        self.spans_by(mask, |l| cw.bases[l] - l)
     }
 
     /// Splits `class` off `sub` at a divergent issue: forks a child
@@ -1457,9 +1167,15 @@ struct Faults {
 }
 
 impl Faults {
+    /// Records slot `s`'s fault unless it already has one: arms walk
+    /// lanes in ascending order and keep computing a faulted slot (its
+    /// state is discarded with it), so the first fault pushed is the one
+    /// its scalar run stops at.
     fn push(&mut self, s: usize, fault: LaneFault) {
-        self.mask |= 1 << s;
-        self.list.push((s, fault));
+        if self.mask >> s & 1 == 0 {
+            self.mask |= 1 << s;
+            self.list.push((s, fault));
+        }
     }
 
     /// A kernel's result for slot `s` at `lane`: its value, or `None`
@@ -1473,10 +1189,10 @@ impl Faults {
 /// The cohort's loop shape for the ALU arms, handed to
 /// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): a failing
 /// slot resolves to its own `Arithmetic` error at the first faulting
-/// lane in lane order, exactly like its scalar run. Per lane, the
-/// operand rows are read in place and classified once over the live
-/// slots; the kernel then runs as one [`map_typed`] loop into the
-/// result row, which commits under the sub-cohort's slot mask.
+/// lane in lane order, exactly like its scalar run. The operands are
+/// resolved once per issue; each span of adjacent lanes at one frame
+/// base then classifies its operand rows over the live slots and runs
+/// the kernel under those tags ([`alu_span`]).
 struct SlotAlu<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
@@ -1488,32 +1204,113 @@ struct SlotAlu<'a, 'm> {
     rhs: Operand,
 }
 
+/// One dense typed loop over the cells of a whole span — `(destination,
+/// lhs payload, rhs payload)`, `n * ns` of them adjacent in memory —
+/// under a whole-cohort mask. `f` gets the cell's index in the span;
+/// returns whether the results are floats (with loop-constant operand
+/// tags every kernel's result type is one).
+#[inline(always)]
+fn map_cells<'d, const A: u8, const B: u8>(
+    cells: impl Iterator<Item = (&'d mut u64, u64, u64)>,
+    mut f: impl FnMut(usize, Value, Value) -> Option<Value>,
+) -> bool {
+    let mut float = false;
+    for (i, (o, x, y)) in cells.enumerate() {
+        if let Some(v) = f(i, decode(x, A == FLOAT), decode(y, B == FLOAT)) {
+            let (bits, is_float) = encode(v);
+            *o = bits;
+            float |= is_float;
+        }
+    }
+    float
+}
+
+/// One ALU span: rows `rd .. rd + n` ← `k(a, b)`, for lanes `lo .. lo +
+/// n`, written in place (a faulting cell keeps its old payload).
+#[inline(always)]
+fn alu_span<const A: u8, const B: u8>(
+    regs: &mut SlotCols,
+    stage: &mut [u64],
+    (rd, a, b): (usize, Src, Src),
+    (lo, n): (usize, usize),
+    live: u64,
+    faults: &mut Faults,
+    k: &impl Fn(Value, Value) -> Result<Value, String>,
+) {
+    let (ns, d) = (regs.ns, regs.span(rd, n));
+    // Under a whole-cohort mask and loop-constant tags the span is one
+    // loop over adjacent memory, written straight into the destination
+    // rows; an operand that *is* the destination is read from a copy.
+    if let (Src::Row(ra), true) = (a, A != PER_SLOT && regs.whole(live)) {
+        let stage = &mut stage[..d.len()];
+        if [a, b].iter().any(|o| matches!(o, Src::Row(r) if *r == rd)) {
+            stage.copy_from_slice(&regs.bits[d.clone()]);
+        }
+        let (below, rest) = regs.bits.split_at_mut(d.start);
+        let (dst, above) = rest.split_at_mut(d.len());
+        let rows = |r: usize| match r.cmp(&rd) {
+            Ordering::Less => &below[r * ns..][..d.len()],
+            Ordering::Equal => &*stage,
+            Ordering::Greater => &above[r * ns - d.end..][..d.len()],
+        };
+        let cell = |i: usize, x, y| {
+            let fault =
+                |message| faults.push(i % ns, LaneFault::Arith { lane: lo + i / ns, message });
+            k(x, y).map_err(fault).ok()
+        };
+        let x = dst.iter_mut().zip(rows(ra));
+        let float = match b {
+            Src::Row(rb) => map_cells::<A, B>(x.zip(rows(rb)).map(|((o, &x), &y)| (o, x, y)), cell),
+            Src::Imm(c, _) => map_cells::<A, B>(x.map(|(o, &x)| (o, x, c)), cell),
+        };
+        return regs.floats[rd..rd + n].fill(if float { live } else { 0 });
+    }
+    // Any other mask or shape: lane by lane over the live slots — listed
+    // once, so a fragmented mask costs no bit scan per cell — each cell
+    // read and written through its index.
+    let mut slots = [0u8; COHORT_SLOTS];
+    let count = lanes(live).zip(&mut slots).map(|(s, slot)| *slot = s as u8).count();
+    for i in 0..n {
+        let ((pa, ca, fa), (pb, cb, fb)) = (a.lane(regs, i), b.lane(regs, i));
+        let (pd, mut floats) = ((rd + i) * ns, 0u64);
+        for s in slots[..count].iter().map(|&s| usize::from(s)) {
+            let x = pa.map_or(ca, |p| regs.bits[p + s]);
+            let y = pb.map_or(cb, |p| regs.bits[p + s]);
+            let v = k(tagged::<A>(x, fa, s), tagged::<B>(y, fb, s));
+            if let Some(v) = faults.value(s, lo + i, v) {
+                let (bits, float) = encode(v);
+                regs.bits[pd + s] = bits;
+                floats |= u64::from(float) << s;
+            }
+        }
+        regs.floats[rd + i] = regs.floats[rd + i] & !live | floats;
+    }
+}
+
 impl AluLoop for SlotAlu<'_, '_> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAlu { cohort, sub, pc, mask, w, dst, lhs, rhs } = self;
         let mut faults = Faults::default();
-        let mut dense_rows = 0u64;
-        {
-            let Cohort { data, scratch: RowScratch { out, imm: [ia, ib] }, .. } = &mut *cohort;
-            let (ia, ib) = (imm_row(lhs, ia), imm_row(rhs, ib));
-            let cw = &mut sub.warps[w];
-            let mut live = sub.slots;
-            for l in lanes(mask) {
-                let base = cw.lanes_c[l].cur_base();
-                let regs = &mut data[w].lanes_d[l].regs;
-                let (a, b) = (operand_row(ia, regs, base, lhs), operand_row(ib, regs, base, rhs));
-                let (floats, dense) =
-                    map_typed(a, b, live, out, |s, x, y| faults.value(s, l, k(x, y)));
-                dense_rows += u64::from(dense);
-                live &= !faults.mask;
-                regs.write(base + dst.index(), RowRef { bits: out, floats }, live);
-                cw.ctl.pcs[l] += 1;
-            }
+        let (live, cw) = (sub.slots, &mut sub.warps[w]);
+        let spans = cohort.spans(cw, mask);
+        let Cohort { data, width, stats, scratch: RowScratch { out, .. }, .. } = &mut *cohort;
+        let regs = &mut data[w].regs;
+        let (a, b, d) = (Src::of(lhs, *width), Src::of(rhs, *width), dst.index() * *width);
+        for (lo, n) in spans {
+            let at = cw.bases[lo];
+            let ops = (at + d, a.at(at), b.at(at));
+            let classes = (ops.1.class(&regs.floats, n, live), ops.2.class(&regs.floats, n, live));
+            let ((), dense) = typed!(
+                classes.0,
+                classes.1,
+                alu_span(regs, out, ops, (lo, n), live, &mut faults, &k)
+            );
+            stats.dense_rows += if dense { n as u64 } else { 0 };
+            stats.mixed_rows += if dense { 0 } else { n as u64 };
         }
-        cohort.stats.dense_rows += dense_rows;
-        cohort.stats.mixed_rows += u64::from(mask.count_ones()) - dense_rows;
+        cw.ctl.advance(mask);
         cohort.resolve_faults(sub, w, pc, faults);
     }
 }
@@ -1540,8 +1337,10 @@ impl AddrStage {
 
 // The cohort execute path: one instruction over (lane mask × live
 // slots). Control effects (pc updates, status transitions, barrier
-// bookkeeping) happen once per sub-cohort; value effects happen per
-// lane as row operations over the sub-cohort's slots.
+// bookkeeping) happen once per sub-cohort; value effects resolve their
+// operands once per issue and then run per span of adjacent lanes (whole
+// registers: ALU, moves, fills, calls) or per lane (`CWarp::bases[lane]`
+// is the lane's frame), as row operations over the sub-cohort's slots.
 impl Cohort<'_> {
     /// Executes one decoded instruction for the issued group across
     /// every slot of `sub`; returns the (uniform) issue cost. Slots
@@ -1553,7 +1352,7 @@ impl Cohort<'_> {
         let inst = &image.insts[pc];
         let w = ctx.w;
         let cost = self.costs[pc];
-        let live = sub.slots;
+        let (live, width, ns) = (sub.slots, self.width, self.nslots);
         match *inst {
             // The op is invariant across the slot columns, so it is
             // matched once out here: `SlotAlu` gets a tiny monomorphic
@@ -1568,141 +1367,129 @@ impl Cohort<'_> {
                 crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
-                self.data_c(sub, w, mask, |dl, base, _l| {
-                    dl.regs.assign(base + dst.index(), resolve(base, src), live);
-                });
+                let (cw, src) = (&mut sub.warps[w], Src::of(src, width));
+                let spans = self.spans(cw, mask);
+                let regs = &mut self.data[w].regs;
+                for (lo, n) in spans {
+                    let at = cw.bases[lo];
+                    regs.assign_rows(at + dst.index() * width, n, src.at(at), live);
+                }
+                cw.ctl.advance(mask);
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
+                let lane_t = self.truthy_c(sub, w, mask, cond);
                 let Cohort { data, scratch: RowScratch { out, imm: [it, ie] }, .. } = self;
-                let (it, ie) = (imm_row(if_true, it), imm_row(if_false, ie));
-                let cw = &mut sub.warps[w];
+                let (regs, cw) = (&mut data[w].regs, &mut sub.warps[w]);
+                let (if_true, if_false) = (Src::of(if_true, width), Src::of(if_false, width));
+                if_true.broadcast(it);
+                if_false.broadcast(ie);
                 for l in lanes(mask) {
-                    let base = cw.lanes_c[l].cur_base();
-                    let regs = &mut data[w].lanes_d[l].regs;
-                    let t = match cond {
-                        Operand::Imm(v) if v.is_truthy() => live,
-                        Operand::Imm(_) => 0,
-                        Operand::Reg(r) => truthy(regs.row(base + r.index()), live, out),
-                    };
-                    let (x, y) = (
-                        operand_row(it, regs, base, if_true),
-                        operand_row(ie, regs, base, if_false),
-                    );
                     // A select moves payloads and type bits untouched, so
                     // it blends whole rows; the commit keeps to `live`.
+                    let (at, t) = (cw.bases[l], lane_t[l]);
+                    let (x, y) = (if_true.at(at).row(regs, it), if_false.at(at).row(regs, ie));
                     for (s, ((o, &x), &y)) in out.iter_mut().zip(x.bits).zip(y.bits).enumerate() {
                         *o = if t >> s & 1 != 0 { x } else { y };
                     }
                     let floats = x.floats & t | y.floats & !t;
-                    regs.write(base + dst.index(), RowRef { bits: out, floats }, live);
-                    cw.ctl.pcs[l] += 1;
+                    regs.put(at + dst.index() * width, RowRef { bits: out, floats }, live);
                 }
+                cw.ctl.advance(mask);
             }
-            DecodedInst::Load { dst, space, addr } => match space {
-                MemSpace::Global => {
-                    return self.access_global_c(sub, pc, mask, ctx, addr, MemOp::Load(dst), cost);
-                }
-                MemSpace::Local => self.access_local_c(sub, pc, mask, w, addr, MemOp::Load(dst)),
-            },
-            DecodedInst::Store { space, addr, value } => match space {
-                MemSpace::Global => {
-                    return self.access_global_c(
-                        sub,
-                        pc,
-                        mask,
-                        ctx,
-                        addr,
-                        MemOp::Store(value),
-                        cost,
-                    );
-                }
-                MemSpace::Local => self.access_local_c(sub, pc, mask, w, addr, MemOp::Store(value)),
-            },
+            DecodedInst::Load { dst, space: MemSpace::Global, addr } => {
+                return self.access_global_c(sub, pc, mask, ctx, addr, MemOp::Load(dst), cost);
+            }
+            DecodedInst::Store { space: MemSpace::Global, addr, value } => {
+                let op = MemOp::Store(value);
+                return self.access_global_c(sub, pc, mask, ctx, addr, op, cost);
+            }
+            DecodedInst::Load { dst, space: MemSpace::Local, addr } => {
+                self.access_local_c(sub, pc, mask, w, addr, MemOp::Load(dst));
+            }
+            DecodedInst::Store { space: MemSpace::Local, addr, value } => {
+                self.access_local_c(sub, pc, mask, w, addr, MemOp::Store(value));
+            }
             DecodedInst::AtomicAdd { dst, addr, value } => {
                 let atomic = SlotAtomic { cohort: self, sub, pc, mask, w, dst, addr, value };
                 crate::alu::with_bin(BinOp::Add, atomic);
             }
             DecodedInst::Special { dst, kind } => {
-                let width = self.cfg.warp_width;
                 let n_threads = (self.data.len() * width) as i64;
-                self.data_c(sub, w, mask, |dl, base, l| {
-                    let v = match kind {
+                self.fill_c(sub, w, mask, dst, false, |_, l, _| {
+                    (match kind {
                         SpecialValue::Tid => (w * width + l) as i64,
                         SpecialValue::LaneId => l as i64,
                         SpecialValue::WarpId => w as i64,
                         SpecialValue::NumThreads => n_threads,
                         SpecialValue::WarpWidth => width as i64,
-                    };
-                    dl.regs.fill(base + dst.index(), Value::I64(v), live);
+                    }) as u64
                 });
             }
-            DecodedInst::Rng { dst, kind } => {
-                self.data_c(sub, w, mask, |DLane { regs, rng, .. }, base, _l| {
-                    let row = base + dst.index();
-                    match kind {
-                        RngKind::U63 => {
-                            regs.fill_with(row, false, live, |s| rng[s].next_u63() as u64);
-                        }
-                        RngKind::Unit => {
-                            regs.fill_with(row, true, live, |s| rng[s].next_unit().to_bits());
-                        }
-                    }
+            DecodedInst::Rng { dst, kind: RngKind::U63 } => {
+                self.fill_c(sub, w, mask, dst, false, |rng, l, s| {
+                    rng[l * ns + s].next_u63() as u64
+                });
+            }
+            DecodedInst::Rng { dst, kind: RngKind::Unit } => {
+                self.fill_c(sub, w, mask, dst, true, |rng, l, s| {
+                    rng[l * ns + s].next_unit().to_bits()
                 });
             }
             DecodedInst::SyncThreads => sub.warps[w].ctl.sync_arrive(mask, &mut |_| {}),
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous count — per slot, over the same
-                // issued mask.
+                // issued mask — written to every issued lane.
+                let lane_t = self.truthy_c(sub, w, mask, pred);
                 let mut counts = [0u64; COHORT_SLOTS];
-                {
-                    let Cohort { data, scratch: RowScratch { out, imm: [ip, _] }, .. } = &mut *self;
-                    let ip = imm_row(pred, ip);
-                    for l in lanes(mask) {
-                        let base = sub.warps[w].lanes_c[l].cur_base();
-                        let t = truthy(
-                            operand_row(ip, &data[w].lanes_d[l].regs, base, pred),
-                            live,
-                            out,
-                        );
-                        for (s, c) in counts.iter_mut().enumerate() {
-                            *c += t >> s & 1;
-                        }
+                for l in lanes(mask) {
+                    for (s, c) in counts.iter_mut().enumerate() {
+                        *c += lane_t[l] >> s & 1;
                     }
                 }
-                let ns = self.nslots;
-                self.data_c(sub, w, mask, |dl, base, _l| {
-                    let counts = RowRef { bits: &counts[..ns], floats: 0 };
-                    dl.regs.write(base + dst.index(), counts, live);
-                });
+                let (counts, cw) = (RowRef { bits: &counts[..ns], floats: 0 }, &mut sub.warps[w]);
+                for l in lanes(mask) {
+                    self.data[w].regs.put(cw.bases[l] + dst.index() * width, counts, live);
+                }
+                cw.ctl.advance(mask);
             }
             DecodedInst::SeedRng { src } => {
                 let launch_mix = 0x5EED_u64; // stream domain separator
-                self.data_c(sub, w, mask, |dl, base, _l| {
+                let (DWarp { regs, rng, .. }, src) = (&mut self.data[w], Src::of(src, width));
+                for l in lanes(mask) {
+                    let (at, imm, floats) = src.at(sub.warps[w].bases[l]).lane(regs, 0);
                     for s in lanes(live) {
-                        let v = dl.regs.at(resolve(base, src), s).as_i64() as u64;
-                        dl.rng[s] = SplitMix64::for_thread(v ^ launch_mix, v);
+                        let bits = at.map_or(imm, |p| regs.bits[p + s]);
+                        let v = tagged::<PER_SLOT>(bits, floats, s).as_i64() as u64;
+                        rng[l * ns + s] = SplitMix64::for_thread(v ^ launch_mix, v);
                     }
-                });
+                }
+                sub.warps[w].ctl.advance(mask);
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
-                let arg_ops = image.operands(args);
+                let (entry_pc, num_regs) = (entry_pc as usize, num_regs as usize);
                 let cw = &mut sub.warps[w];
-                let dw = &mut self.data[w];
-                for l in lanes(mask) {
-                    let ret_pc = cw.ctl.pcs[l] + 1;
-                    let cl = &mut cw.lanes_c[l];
-                    let dl = &mut dw.lanes_d[l];
-                    let base = cl.cur_base();
-                    // Suspend the caller: save its resume point.
-                    cl.frames.last_mut().expect("lane has no frame").pc = ret_pc;
-                    cl.push_frame(dl, live, entry_pc as usize, rets, num_regs as usize);
+                // A span's lanes share the caller's window and bump
+                // pointer, hence the callee's window.
+                let spans = self.spans_by(mask, |l| (cw.bases[l] - l, cw.tops[l]));
+                let regs = &mut self.data[w].regs;
+                for (lo, n) in spans {
+                    // The new window is default-initialized for `live`
+                    // only: other sub-cohorts share the arena and may
+                    // hold live values (and float-mask bits) in these
+                    // rows' other slots.
+                    let (at, callee) = (cw.bases[lo], cw.tops[lo] * width + lo);
+                    regs.grow((cw.tops[lo] + num_regs) * width);
+                    for r in 0..num_regs {
+                        regs.fill_rows(callee + r * width, n, Value::default(), live);
+                    }
                     // Arguments are row copies out of the caller window,
                     // which stays intact under the callee's.
-                    let nb = cl.cur_base();
-                    for (i, a) in arg_ops.iter().enumerate() {
-                        dl.regs.assign(nb + i, resolve(base, *a), live);
+                    for (i, a) in image.operands(args).iter().enumerate() {
+                        regs.assign_rows(callee + i * width, n, Src::of(*a, width).at(at), live);
                     }
-                    cw.ctl.pcs[l] = entry_pc as usize;
+                    for l in lo..lo + n {
+                        cw.push_frame(l, cw.ctl.pcs[l] + 1, entry_pc, rets, num_regs);
+                    }
                 }
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1718,10 +1505,8 @@ impl Cohort<'_> {
                 // serves the whole sub-cohort; only `arrived` writes
                 // registers, broadcast to every live slot.
                 if let BarrierOp::ArrivedCount { dst, bar } = op {
-                    let n = Value::I64(sub.warps[w].ctl.arrived(bar));
-                    self.data_c(sub, w, mask, |dl, base, _l| {
-                        dl.regs.fill(base + dst.index(), n, live);
-                    });
+                    let n = sub.warps[w].ctl.arrived(bar) as u64;
+                    self.fill_c(sub, w, mask, dst, false, |_, _, _| n);
                 } else {
                     sub.warps[w].ctl.barrier(mask, op, &mut |_| {});
                 }
@@ -1740,23 +1525,12 @@ impl Cohort<'_> {
                 // slots disagree are the per-slot taken masks built, and
                 // each class disagreeing with the largest one forks off
                 // *before* the branch applies.
-                let mut lane_t = [0u64; 64];
+                let lane_t = self.truthy_c(sub, w, mask, cond);
                 let mut taken = 0u64;
                 let mut agree = true;
-                {
-                    let Cohort { data, scratch: RowScratch { out, imm: [ic, _] }, .. } = &mut *self;
-                    let ic = imm_row(cond, ic);
-                    for l in lanes(mask) {
-                        let base = sub.warps[w].lanes_c[l].cur_base();
-                        let t = truthy(
-                            operand_row(ic, &data[w].lanes_d[l].regs, base, cond),
-                            live,
-                            out,
-                        );
-                        lane_t[l] = t;
-                        taken |= u64::from(t == live) << l;
-                        agree &= t == live || t == 0;
-                    }
+                for l in lanes(mask) {
+                    taken |= u64::from(lane_t[l] == live) << l;
+                    agree &= lane_t[l] == live || lane_t[l] == 0;
                 }
                 if !agree {
                     let mut takens = [0u64; COHORT_SLOTS];
@@ -1777,27 +1551,30 @@ impl Cohort<'_> {
                 }
             }
             DecodedInst::Return { values } => {
-                let value_ops = image.operands(values);
-                let mut exited = 0u64;
                 let cw = &mut sub.warps[w];
-                let dw = &mut self.data[w];
-                for l in lanes(mask) {
-                    let cl = &mut cw.lanes_c[l];
-                    let dl = &mut dw.lanes_d[l];
-                    if cl.frames.len() == 1 {
+                // A span's lanes share the callee's window, the caller's
+                // and the registers the values land in.
+                let spans = self.spans_by(mask, |l| {
+                    let caller = cw.depths[l].checked_sub(1).map(|d| cw.frames[d * width + l].base);
+                    (cw.bases[l] - l, caller, cw.top(l).ret_regs)
+                });
+                let regs = &mut self.data[w].regs;
+                let mut exited = 0u64;
+                for (lo, n) in spans {
+                    if cw.depths[lo] == 0 {
                         // Returning from the kernel frame behaves as
                         // exit, like the scalar engine.
-                        exited |= 1 << l;
+                        exited |= (u64::MAX >> (64 - n)) << lo;
                         continue;
                     }
                     // Values are row copies out of the callee window,
                     // which keeps its cells after the pop.
-                    let fm = cl.pop_frame();
-                    let cbase = cl.cur_base();
-                    for (r, v) in image.regs(fm.ret_regs).iter().zip(value_ops) {
-                        dl.regs.assign(cbase + r.index(), resolve(fm.base, *v), live);
+                    let (at, ret_regs) = (cw.bases[lo], image.regs(cw.top(lo).ret_regs));
+                    (lo..lo + n).for_each(|l| cw.pop_frame(l));
+                    for (r, v) in ret_regs.iter().zip(image.operands(values)) {
+                        let dst = cw.bases[lo] + r.index() * width;
+                        regs.assign_rows(dst, n, Src::of(*v, width).at(at), live);
                     }
-                    cw.ctl.pcs[l] = cl.frames.last().expect("caller frame").pc;
                 }
                 if exited != 0 {
                     cw.ctl.exit(exited, &mut |_| {});
@@ -1808,22 +1585,43 @@ impl Cohort<'_> {
         cost
     }
 
-    /// Shared loop shape for the infallible per-lane data arms: `f` gets
-    /// the lane's data columns, the live frame's base and the lane index.
-    fn data_c(
+    /// Shared shape of the arms that set `dst` to one type from a
+    /// per-`(lane, slot)` payload: `bits` gets the warp's RNG streams, the
+    /// lane and the slot.
+    fn fill_c(
         &mut self,
         sub: &mut SubCohort,
         w: usize,
         mask: u64,
-        mut f: impl FnMut(&mut DLane, usize, usize),
+        dst: simt_ir::Reg,
+        float: bool,
+        mut bits: impl FnMut(&mut [SplitMix64], usize, usize) -> u64,
     ) {
-        let cw = &mut sub.warps[w];
-        let dw = &mut self.data[w];
-        for l in lanes(mask) {
-            let base = cw.lanes_c[l].cur_base();
-            f(&mut dw.lanes_d[l], base, l);
-            cw.ctl.pcs[l] += 1;
+        let (live, cw) = (sub.slots, &mut sub.warps[w]);
+        let spans = self.spans(cw, mask);
+        let DWarp { regs, rng, .. } = &mut self.data[w];
+        for (lo, n) in spans {
+            let row = cw.bases[lo] + dst.index() * self.width;
+            regs.fill_rows_with(row, n, float, live, |i, s| bits(rng, lo + i, s));
         }
+        cw.ctl.advance(mask);
+    }
+
+    /// Per issued lane, the live slots where `pred` is truthy (`Branch`,
+    /// `Vote`, `Sel`).
+    fn truthy_c(&self, sub: &SubCohort, w: usize, mask: u64, pred: Operand) -> [u64; 64] {
+        let (regs, cw, mut lane_t) = (&self.data[w].regs, &sub.warps[w], [0u64; 64]);
+        match Src::of(pred, self.width) {
+            Src::Imm(c, f) if decode(c, f != 0).is_truthy() => {
+                lanes(mask).for_each(|l| lane_t[l] = sub.slots)
+            }
+            Src::Imm(..) => {}
+            Src::Row(off) => {
+                lanes(mask)
+                    .for_each(|l| lane_t[l] = truthy(regs.row(cw.bases[l] + off), sub.slots));
+            }
+        }
+        lane_t
     }
 
     /// Global load/store. The issue cost is data-dependent — the
@@ -1878,29 +1676,22 @@ impl Cohort<'_> {
             None => self.fold_flat_c(sub, ctx, base_cost),
         };
         // Phase 3: value movement for the slots that stayed.
-        let live = sub.slots;
-        let Cohort { data, addrs, global, .. } = self;
-        let cw = &mut sub.warps[w];
+        let (live, width) = (sub.slots, self.width);
+        let Cohort { data, addrs, global, scratch: RowScratch { imm: [iv, _], .. }, .. } = self;
+        let (regs, cw) = (&mut data[w].regs, &mut sub.warps[w]);
+        let reg = op.reg(width);
+        reg.broadcast(iv);
         for (idx, l) in lanes(mask).enumerate() {
-            let base = cw.lanes_c[l].cur_base();
-            let regs = &mut data[w].lanes_d[l].regs;
+            let reg = reg.at(cw.bases[l]);
             if addrs.uniform {
-                let a = addrs.buf[idx] as usize;
-                match op {
-                    MemOp::Load(dst) => regs.write(base + dst.index(), global.row(a), live),
-                    MemOp::Store(v) => global.assign_from(a, regs, resolve(base, v), live),
-                }
+                move_row(regs, global, op.is_load(), reg, addrs.buf[idx] as usize, iv, live);
             } else {
                 for s in lanes(live) {
-                    let a = addrs.of(s)[idx] as usize;
-                    match op {
-                        MemOp::Load(dst) => regs.set(base + dst.index(), s, global.get(a, s)),
-                        MemOp::Store(v) => global.set(a, s, regs.at(resolve(base, v), s)),
-                    }
+                    move_cell(regs, global, op.is_load(), reg, addrs.of(s)[idx] as usize, s, iv);
                 }
             }
-            cw.ctl.pcs[l] += 1;
         }
+        cw.ctl.advance(mask);
         cost
     }
 
@@ -1910,13 +1701,13 @@ impl Cohort<'_> {
     fn stage_addrs(&mut self, sub: &SubCohort, w: usize, mask: u64, addr: Operand) -> u64 {
         let (ns, glen, live) = (self.nslots, self.global_len, sub.slots);
         let k = mask.count_ones() as usize;
-        let Cohort { data, addrs, scratch: RowScratch { out, imm: [ia, _] }, .. } = self;
-        let cw = &sub.warps[w];
+        let Cohort { data, addrs, scratch: RowScratch { imm: [ia, _], .. }, width, .. } = self;
+        let (regs, cw, addr) = (&data[w].regs, &sub.warps[w], Src::of(addr, *width));
+        addr.broadcast(ia);
         addrs.k = k;
         addrs.buf.clear();
         addrs.uniform = lanes(mask).all(|l| {
-            let base = cw.lanes_c[l].cur_base();
-            let a = data[w].lanes_d[l].regs.uniform_addr(resolve(base, addr), live, glen);
+            let a = uniform_addr(addr.at(cw.bases[l]).row(regs, ia), live, glen);
             addrs.buf.extend(a.map(|a| a as i64));
             a.is_some()
         });
@@ -1925,17 +1716,19 @@ impl Cohort<'_> {
         }
         addrs.buf.clear();
         addrs.buf.resize(ns * k, 0);
-        let ia = imm_row(addr, ia);
         let mut oob = 0u64;
         for (idx, l) in lanes(mask).enumerate() {
-            let base = cw.lanes_c[l].cur_base();
-            let row = operand_row(ia, &data[w].lanes_d[l].regs, base, addr);
-            map_typed(row, row, live, out, |s, x, _| {
-                let a = x.as_i64();
-                addrs.buf[s * k + idx] = a;
-                oob |= u64::from(a < 0 || a as usize >= glen) << s;
-                None
-            });
+            let row = addr.at(cw.bases[l]).row(regs, ia);
+            let c = class(row.floats, live);
+            typed!(
+                c,
+                c,
+                zip_rows(row, row, live, |s, x, _| {
+                    let a = x.as_i64();
+                    addrs.buf[s * k + idx] = a;
+                    oob |= u64::from(a < 0 || a as usize >= glen) << s;
+                })
+            );
         }
         oob
     }
@@ -2037,40 +1830,30 @@ impl Cohort<'_> {
         addr: Operand,
         op: MemOp,
     ) {
-        let llen = self.local_len;
+        let (llen, live, width) = (self.local_len, sub.slots, self.width);
         let mut faults = Faults::default();
-        {
-            let cw = &mut sub.warps[w];
-            let dw = &mut self.data[w];
-            let mut live = sub.slots;
-            for l in lanes(mask) {
-                let base = cw.lanes_c[l].cur_base();
-                let DLane { regs, local, .. } = &mut dw.lanes_d[l];
-                let arow = resolve(base, addr);
-                if let Some(a) = regs.uniform_addr(arow, live, llen) {
-                    match op {
-                        MemOp::Load(dst) => regs.write(base + dst.index(), local.row(a), live),
-                        MemOp::Store(v) => local.assign_from(a, regs, resolve(base, v), live),
-                    }
-                } else {
-                    for s in lanes(live) {
-                        let a = regs.at(arow, s).as_i64();
-                        if a < 0 || a as usize >= llen {
-                            let space = MemSpace::Local;
-                            faults.push(s, LaneFault::Oob { lane: l, addr: a, size: llen, space });
-                            continue;
-                        }
-                        let a = a as usize;
-                        match op {
-                            MemOp::Load(dst) => regs.set(base + dst.index(), s, local.get(a, s)),
-                            MemOp::Store(v) => local.set(a, s, regs.at(resolve(base, v), s)),
-                        }
-                    }
-                    live &= !faults.mask;
+        let Cohort { data, scratch: RowScratch { imm: [ia, iv], .. }, .. } = self;
+        let (DWarp { regs, local, .. }, cw) = (&mut data[w], &mut sub.warps[w]);
+        let (addr, reg) = (Src::of(addr, width), op.reg(width));
+        addr.broadcast(ia);
+        reg.broadcast(iv);
+        for l in lanes(mask) {
+            let (arow, reg) = (addr.at(cw.bases[l]).row(regs, ia), reg.at(cw.bases[l]));
+            if let Some(a) = uniform_addr(arow, live, llen) {
+                move_row(regs, local, op.is_load(), reg, a * width + l, iv, live);
+                continue;
+            }
+            for s in lanes(live) {
+                let a = addr.at(cw.bases[l]).row(regs, ia).get(s).as_i64();
+                if a < 0 || a as usize >= llen {
+                    let space = MemSpace::Local;
+                    faults.push(s, LaneFault::Oob { lane: l, addr: a, size: llen, space });
+                    continue;
                 }
-                cw.ctl.pcs[l] += 1;
+                move_cell(regs, local, op.is_load(), reg, a as usize * width + l, s, iv);
             }
         }
+        cw.ctl.advance(mask);
         self.resolve_faults(sub, w, pc, faults);
     }
 }
@@ -2099,14 +1882,17 @@ impl AluLoop for SlotAtomic<'_, '_> {
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAtomic { cohort, sub, pc, mask, w, dst, addr, value } = self;
-        let (ns, glen, slots) = (cohort.nslots, cohort.global_len, sub.slots);
+        let (ns, glen, live, width) = (cohort.nslots, cohort.global_len, sub.slots, cohort.width);
         let lanes_k = mask.count_ones() as usize;
         let mut faults = Faults::default();
         {
             let Cohort {
-                data, global, addrs, cfg, scratch: RowScratch { out, imm: [iv, _] }, ..
+                data, global, addrs, cfg, scratch: RowScratch { out, imm: [ia, iv] }, ..
             } = &mut *cohort;
-            let iv = imm_row(value, iv);
+            let (regs, cw) = (&mut data[w].regs, &sub.warps[w]);
+            let (addr, value) = (Src::of(addr, width), Src::of(value, width));
+            addr.broadcast(ia);
+            value.broadcast(iv);
             // The addresses are staged for the write-through invalidation
             // alone, which only a memory hierarchy has.
             let staged = cfg.mem.is_some();
@@ -2116,29 +1902,31 @@ impl AluLoop for SlotAtomic<'_, '_> {
                 addrs.buf.clear();
                 addrs.buf.resize(ns * lanes_k, 0);
             }
-            let cw = &mut sub.warps[w];
-            let mut live = slots;
             for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let regs = &mut data[w].lanes_d[l].regs;
-                let (arow, drow) = (resolve(base, addr), base + dst.index());
-                if let Some(a) = regs.uniform_addr(arow, live, glen) {
-                    let v = operand_row(iv, regs, base, value);
-                    let cell = global.row(a);
-                    let (floats, _) =
-                        map_typed(cell, v, live, out, |s, old, v| faults.value(s, l, k(old, v)));
-                    live &= !faults.mask;
-                    regs.write(drow, global.row(a), live);
-                    global.write(a, RowRef { bits: out, floats }, live);
+                let (at, dst) = (cw.bases[l], cw.bases[l] + dst.index() * width);
+                if let Some(a) = uniform_addr(addr.at(at).row(regs, ia), live, glen) {
+                    let (cell, v, mut floats) = (global.row(a), value.at(at).row(regs, iv), 0u64);
+                    typed!(
+                        class(cell.floats, live),
+                        class(v.floats, live),
+                        zip_rows(cell, v, live, |s, old, v| {
+                            if let Some(sum) = faults.value(s, l, k(old, v)) {
+                                let (bits, float) = encode(sum);
+                                out[s] = bits;
+                                floats |= u64::from(float) << s;
+                            }
+                        })
+                    );
+                    regs.put(dst, global.row(a), live);
+                    global.put(a, RowRef { bits: out, floats }, live & !faults.mask);
                     if staged {
                         for s in lanes(live) {
                             addrs.buf[s * lanes_k + idx] = a as i64;
                         }
                     }
                 } else {
-                    let vrow = resolve(base, value);
                     for s in lanes(live) {
-                        let a = regs.at(arow, s).as_i64();
+                        let a = addr.at(at).row(regs, ia).get(s).as_i64();
                         let old = match usize::try_from(a) {
                             Ok(a) if a < glen => global.get(a, s),
                             _ => {
@@ -2148,23 +1936,21 @@ impl AluLoop for SlotAtomic<'_, '_> {
                                 continue;
                             }
                         };
-                        let Some(new) = faults.value(s, l, k(old, regs.at(vrow, s))) else {
-                            continue;
-                        };
+                        let v = value.at(at).row(regs, iv).get(s);
+                        let Some(new) = faults.value(s, l, k(old, v)) else { continue };
                         global.set(a as usize, s, new);
-                        regs.set(drow, s, old);
+                        regs.set(dst, s, old);
                         if staged {
                             addrs.buf[s * lanes_k + idx] = a;
                         }
                     }
-                    live &= !faults.mask;
                 }
-                cw.ctl.pcs[l] += 1;
             }
         }
+        sub.warps[w].ctl.advance(mask);
         // Faulted slots' runs discard all state, so only the survivors'
         // write-through invalidation is observable.
-        cohort.invalidate_lines_c(slots & !faults.mask);
+        cohort.invalidate_lines_c(live & !faults.mask);
         cohort.resolve_faults(sub, w, pc, faults);
     }
 }
@@ -2507,6 +2293,76 @@ bb0:
   %r2 = load global[1]
   %r3 = add %r3, %r2
   ret %r3
+}
+";
+
+    /// Lanes at *different* call depths inside one issue: odd lanes reach
+    /// `@f` through `@g`, even lanes directly, and `wait b0` at its entry
+    /// holds the first group until both run `@f` together, one frame
+    /// apart. There the vote's parity — seed-dependent when `DRAW` is
+    /// `rng.u63` — forks seeds over two arms of equal cost, which merge
+    /// again, all while depths differ; `@r` then recurses to a depth that
+    /// differs by lane and (with the RNG) by seed. `@g` halves the result,
+    /// so return values of both types cross windows. Loops `%r0` times,
+    /// every thread in step at the loop head.
+    const DEPTH_DIVERGE_KERNEL: &str = "\
+kernel @k(params=1, regs=8, barriers=1, entry=bb0) {
+bb0:
+  syncthreads
+  %r7 = special.tid
+  %r1 = rem %r7, 2
+  %r2 = DRAW
+  join b0
+  brdiv %r1, bb1, bb2
+bb1:
+  call @g(%r7, %r2) -> (%r4)
+  jmp bb3
+bb2:
+  call @f(%r7, %r2) -> (%r4)
+  jmp bb3
+bb3:
+  store global[%r7], %r4
+  %r0 = sub %r0, 1
+  brdiv %r0, bb0, bb4
+bb4:
+  exit
+}
+device @g(params=2, regs=4, barriers=0, entry=bb0) {
+bb0:
+  %r2 = add %r0, 1
+  call @f(%r2, %r1) -> (%r3)
+  %r3 = mul %r3, 0.5
+  ret %r3
+}
+device @f(params=2, regs=5, barriers=1, entry=bb0) {
+bb0:
+  wait b0
+  %r2 = mul %r0, 3
+  %r3 = rem %r1, 2
+  %r3 = vote %r3
+  %r3 = rem %r3, 2
+  brdiv %r3, bb1, bb2
+bb1:
+  %r2 = add %r2, 10
+  jmp bb3
+bb2:
+  %r2 = add %r2, 3
+  jmp bb3
+bb3:
+  %r4 = rem %r1, 3
+  call @r(%r4, %r2) -> (%r2)
+  ret %r2
+}
+device @r(params=2, regs=4, barriers=0, entry=bb0) {
+bb0:
+  brdiv %r0, bb1, bb2
+bb1:
+  %r2 = sub %r0, 1
+  call @r(%r2, %r1) -> (%r3)
+  %r1 = add %r3, 1
+  jmp bb2
+bb2:
+  ret %r1
 }
 ";
 
@@ -2904,39 +2760,160 @@ bb0:
     }
 
     /// The cohort twin of `exec`'s steady-state test: once every scratch
-    /// buffer, frame stack and register arena has reached its high-water
+    /// buffer, frame table and register arena has reached its high-water
     /// mark, a round of a non-forking cohort — loads, stores, an atomic,
-    /// a call, RNG, barriers — allocates nothing.
+    /// a call, RNG, barriers; then lanes recursing to different depths —
+    /// allocates nothing.
     #[test]
     fn round_is_allocation_free_in_steady_state() {
-        let image = DecodedImage::decode(&parse_and_link(LOCKSTEP_KERNEL).unwrap());
-        for mem in [None, Some(l1())] {
-            let cfg = SimConfig { mem, ..SimConfig::default() };
-            let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(400)]), 0, 32);
-            let mut cohort = Cohort::new(&image, &cfg, &sweep, 32).expect("cohort builds");
-            let mut sub = cohort.subs.pop().expect("root sub-cohort");
-            for _ in 0..200 {
-                assert!(!cohort.round(&mut sub), "kernel finished during warm-up");
-            }
-            let before = cohort.stats;
-            let mut rounds = 0u32;
-            let allocs = crate::alloc_count::allocations_during(|| {
-                for _ in 0..1000 {
-                    if cohort.round(&mut sub) {
-                        break;
-                    }
-                    rounds += 1;
+        let depths = DEPTH_DIVERGE_KERNEL.replace("DRAW", "mul %r7, 7");
+        for (kernel, per_lane) in [(LOCKSTEP_KERNEL, false), (&depths[..], true)] {
+            let image = DecodedImage::decode(&parse_and_link(kernel).unwrap());
+            for mem in [None, Some(l1())] {
+                let cfg = SimConfig { mem, ..SimConfig::default() };
+                let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(400)]), 0, 32);
+                let mut cohort = Cohort::new(&image, &cfg, &sweep, 32).expect("cohort builds");
+                let mut sub = cohort.subs.pop().expect("root sub-cohort");
+                for _ in 0..200 {
+                    assert!(!cohort.round(&mut sub), "kernel finished during warm-up");
                 }
-            });
-            assert!(rounds >= 500, "kernel too short to observe steady state ({rounds} rounds)");
-            assert_eq!(allocs, 0, "round allocated {allocs} times over {rounds} rounds");
-            let s = cohort.stats;
-            assert!(
-                s.dense_rows > before.dense_rows && s.uniform_accesses > before.uniform_accesses,
-                "the window exercised no data arm: {s:?}"
-            );
-            assert_eq!((s.forks, sub.slots.count_ones()), (0, 32), "the cohort never split");
+                let before = cohort.stats;
+                let mut rounds = 0u32;
+                let allocs = crate::alloc_count::allocations_during(|| {
+                    for _ in 0..1000 {
+                        if cohort.round(&mut sub) {
+                            break;
+                        }
+                        rounds += 1;
+                    }
+                });
+                assert!(
+                    rounds >= 500,
+                    "kernel too short to observe steady state ({rounds} rounds)"
+                );
+                assert_eq!(allocs, 0, "round allocated {allocs} times over {rounds} rounds");
+                let s = cohort.stats;
+                assert!(
+                    s.dense_rows > before.dense_rows
+                        && s.uniform_accesses > before.uniform_accesses,
+                    "the window exercised no data arm: {s:?}"
+                );
+                assert_eq!(s.per_lane_issues > before.per_lane_issues, per_lane, "{s:?}");
+                assert_eq!((s.forks, sub.slots.count_ones()), (0, 32), "the cohort never split");
+            }
         }
+    }
+
+    #[test]
+    fn lanes_at_different_call_depths_match_scalar() {
+        let kernel = DEPTH_DIVERGE_KERNEL.replace("DRAW", "rng.u63");
+        // Run boundaries at lanes 0, 31 and 63; cohorts of one word's
+        // low, middle and full widths.
+        for warp_width in [1, 5, 32, 64] {
+            for seeds in [2, 6, 33, 64] {
+                let cfg = SimConfig { warp_width, ..SimConfig::default() };
+                let sweep =
+                    SweepLaunch::new(launch("k", 1, 128, vec![Value::I64(1)]), 7, 7 + seeds);
+                let stats = assert_matches_scalar(&kernel, &cfg, &sweep);
+                let what = format!("{warp_width} lanes x {seeds} seeds: {stats:?}");
+                assert!(
+                    stats.hoisted_issues > 0 && stats.lane_runs >= stats.hoisted_issues,
+                    "{what}"
+                );
+                if warp_width > 1 {
+                    assert!(stats.per_lane_issues > 0, "adjacent lanes differ in depth: {what}");
+                }
+                if seeds > 2 {
+                    assert!(stats.forks > 0 && stats.merges > 0, "depths differ by seed: {what}");
+                }
+            }
+        }
+        for policy in SchedulerPolicy::ALL {
+            let cfg = SimConfig { scheduler: policy, warp_width: 5, ..SimConfig::default() };
+            let sweep = SweepLaunch::new(launch("k", 3, 128, vec![Value::I64(2)]), 0, 12);
+            assert_matches_scalar(&kernel, &cfg, &sweep);
+        }
+    }
+
+    /// The span loops at `n == 1` — what a run of lanes at different call
+    /// depths breaks down to — leave the rows a multi-lane span leaves,
+    /// bit for bit: NaN payloads, `-0.0`, mixed-type rows, every operand
+    /// shape, whole and fragmented masks.
+    #[test]
+    fn spans_of_one_lane_leave_the_rows_a_lane_run_leaves() {
+        let (ns, width) = (6, 8);
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let mut cols = SlotCols::new(4 * width, ns);
+        for (l, s) in (0..width).flat_map(|l| (0..ns).map(move |s| (l, s))) {
+            let x = (l * ns + s) as i64 - 20;
+            let floats = [Value::F64(-0.0), Value::F64(nan), Value::F64(x as f64)];
+            cols.set(l, s, Value::I64(x));
+            cols.set(width + l, s, floats[s % 3]);
+            cols.set(2 * width + l, s, if (l + s) % 2 == 0 { Value::I64(x) } else { floats[0] });
+        }
+        let rows = |r: usize| Src::Row(r * width);
+        let imm = Src::of(Operand::Imm(Value::F64(nan)), width);
+        let regs =
+            [(3, 0, rows(1)), (3, 2, rows(0)), (0, 0, rows(1)), (1, 0, rows(1)), (2, 2, rows(2))];
+        for live in [0b11_1111u64, 0b00_1110, 0b10_1001] {
+            for (d, a, b) in regs.into_iter().chain([(3, 1, imm), (1, 1, imm)]) {
+                let run = |spans: &[(usize, usize)]| {
+                    let (mut cols, mut stage) = (cols.clone(), vec![0; width * ns]);
+                    let mut faults = Faults::default();
+                    for &(lo, n) in spans {
+                        let ops = (d * width + lo, rows(a).at(lo), b.at(lo));
+                        for op in [BinOp::Add, BinOp::Lt] {
+                            let k = |a, b| crate::alu::eval_bin(op, a, b);
+                            let ca = ops.1.class(&cols.floats, n, live);
+                            let cb = ops.2.class(&cols.floats, n, live);
+                            let span = (lo, n);
+                            typed!(
+                                ca,
+                                cb,
+                                alu_span(&mut cols, &mut stage, ops, span, live, &mut faults, &k)
+                            );
+                        }
+                        cols.assign_rows(3 * width + lo, n, rows(a).at(lo), live);
+                        cols.fill_rows_with(lo, n, true, live, |i, s| ((lo + i) * ns + s) as u64);
+                    }
+                    assert_eq!(faults.mask, 0);
+                    (cols.bits, cols.floats)
+                };
+                let lanes: Vec<_> = (1..width).map(|l| (l, 1)).collect();
+                assert_eq!(
+                    run(&[(1, width - 1)]),
+                    run(&lanes),
+                    "live {live:#b}, r{d} = r{a} op {b:?}"
+                );
+            }
+        }
+    }
+
+    /// A fork copies the control plane — per warp one [`WarpCtl`] and
+    /// four flat per-lane vectors — and no data: the allocation count is
+    /// a small multiple of the warp count, whatever the warp width.
+    #[test]
+    fn fork_allocates_per_warp_not_per_lane() {
+        let image = DecodedImage::decode(&parse_and_link(VOTE_DIVERGE_KERNEL).unwrap());
+        let forks = |warp_width, warps| {
+            let cfg = SimConfig { warp_width, ..SimConfig::default() };
+            let sweep = SweepLaunch::new(launch("k", warps, 32, vec![]), 0, 8);
+            let mut cohort = Cohort::new(&image, &cfg, &sweep, 8).expect("cohort builds");
+            let mut sub = cohort.subs.pop().expect("root sub-cohort");
+            let ctx = IssueCtx { w: 0, pre_last_lanes: 0, pre_rr_cursor: 0, pre_busy_until: 0 };
+            cohort.subs.reserve(2);
+            let allocs =
+                crate::alloc_count::allocations_during(|| cohort.split_off(&mut sub, 0b1100, ctx));
+            assert_eq!(
+                (cohort.stats.forks, cohort.subs[0].slots, sub.slots),
+                (1, 0b1100, 0b1111_0011)
+            );
+            allocs
+        };
+        let (narrow, wide) = (forks(2, 3), forks(64, 3));
+        assert_eq!(narrow, wide, "allocations must not depend on the warp width");
+        assert!(wide <= 3 * 12, "{wide} allocations to fork 3 warps");
+        assert!(forks(64, 1) < wide, "and they scale with the warp count");
     }
 
     #[test]

@@ -235,8 +235,16 @@ impl Engine {
     /// capacity of zero is clamped to one.
     pub fn with_capacity(jobs: usize, capacity: usize) -> Self {
         let engine = Self::new(jobs);
-        engine.cache.lock().expect("engine cache poisoned").capacity = Some(capacity);
+        engine.cache().capacity = Some(capacity);
         engine
+    }
+
+    /// The image cache. A thread that panicked while holding the lock
+    /// (the evaluation service contains a job's panic and keeps serving)
+    /// poisons it, but every update leaves the cache valid at every step
+    /// — counters, a map insert, an eviction — so the guard is recovered.
+    fn cache(&self) -> std::sync::MutexGuard<'_, Cache> {
+        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Creates an engine sized to the machine's available parallelism.
@@ -251,13 +259,13 @@ impl Engine {
 
     /// Number of distinct compiled kernels currently cached.
     pub fn cached_images(&self) -> usize {
-        self.cache.lock().expect("engine cache poisoned").map.len()
+        self.cache().map.len()
     }
 
     /// Hit/miss/eviction counters for the compiled-image cache (the
     /// evaluation service exports these as Prometheus gauges).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("engine cache poisoned").stats()
+        self.cache().stats()
     }
 
     /// Returns the cached decoded image for `(module, opts)`, compiling
@@ -275,7 +283,7 @@ impl Engine {
             None => format!("{module}\u{1}raw"),
         };
         {
-            let mut cache = self.cache.lock().expect("engine cache poisoned");
+            let mut cache = self.cache();
             cache.tick += 1;
             let tick = cache.tick;
             if let Some(entry) = cache.map.get_mut(&key) {
@@ -292,7 +300,7 @@ impl Engine {
         });
         // A concurrent miss may insert first; both images are identical,
         // so last-write-wins is fine.
-        let mut cache = self.cache.lock().expect("engine cache poisoned");
+        let mut cache = self.cache();
         cache.tick += 1;
         let entry = CacheEntry { image: Arc::clone(&img), last_used: cache.tick };
         cache.map.insert(key, entry);
@@ -732,6 +740,27 @@ pub fn with_seed(w: &Workload, seed: u64) -> Workload {
 mod tests {
     use super::*;
     use crate::rsbench;
+
+    /// A panic while the cache lock is held (contained by the service's
+    /// worker isolation) must not take the cache away from every later
+    /// request.
+    #[test]
+    fn a_poisoned_cache_lock_is_recovered() {
+        let engine = Engine::with_capacity(1, 4);
+        let w = rsbench::build(&rsbench::Params::default());
+        engine.decoded(&w.module, None).expect("decodes");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = engine.cache();
+                panic!("poison the cache lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(engine.cache.is_poisoned());
+        assert_eq!(engine.cached_images(), 1);
+        engine.decoded(&w.module, None).expect("still serves hits");
+        assert_eq!(engine.cache_stats().hits, 1);
+    }
 
     #[test]
     fn error_displays_are_informative() {

@@ -3,7 +3,8 @@
 //! one split with runnable lanes, so almost every issue is served by a
 //! pick hint or the straight-line batcher. Likewise a seed sweep of the
 //! Monte Carlo kernels must ride the cohort's dense paths: no operand
-//! type and no global address depends on the seed. The counts are exact
+//! type and no global address depends on the seed, and the lanes of an
+//! issue sit at one call depth, in a few runs. The counts are exact
 //! for a launch, so this notices a fast path falling off on a host too
 //! noisy to time it.
 
@@ -28,12 +29,18 @@ fn monte_carlo_sweeps_ride_the_dense_rows_and_row_copies() {
         assert!(s.dense_rows > 0 && s.uniform_accesses > 0, "{name}: {s:?}");
         assert_eq!(s.mixed_rows, 0, "{name}: an operand type depends on the seed: {s:?}");
         assert_eq!(s.scattered_accesses, 0, "{name}: an address depends on the seed: {s:?}");
+        // Lane masks are fragmented (SIMT efficiency 24-73 %), frame
+        // bases never are: every whole-register issue moves as one span
+        // per run of adjacent lanes, and there are few runs.
+        assert_eq!(s.per_lane_issues, 0, "{name}: a lane run broke on call depth: {s:?}");
+        assert!(s.hoisted_issues > 0 && s.lane_runs <= 5 * s.hoisted_issues, "{name}: {s:?}");
     }
     // The stressor forks on every round and re-merges, still without a
     // seed-dependent type or a scalar step.
     let s = sweep(&workloads::seedstorm::build(&workloads::seedstorm::Params::default()));
     assert!(s.forks > 0 && s.forks == s.merges, "seed-storm: {s:?}");
-    assert_eq!((s.mixed_rows, s.scalar_steps), (0, 0), "seed-storm: {s:?}");
+    assert_eq!((s.mixed_rows, s.scalar_steps, s.per_lane_issues), (0, 0, 0), "seed-storm: {s:?}");
+    assert_eq!(s.lane_runs, s.hoisted_issues, "seed-storm: every lane issues, one run: {s:?}");
 }
 
 #[test]

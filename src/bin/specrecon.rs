@@ -615,6 +615,10 @@ fn sweep_cmd(args: &[String]) -> Result<(), String> {
         "  data plane: {} dense / {} mixed operand rows, {} uniform / {} scattered global accesses",
         s.dense_rows, s.mixed_rows, s.uniform_accesses, s.scattered_accesses
     );
+    println!(
+        "  lane spans: {} hoisted / {} per-lane issues, {} lane runs",
+        s.hoisted_issues, s.per_lane_issues, s.lane_runs
+    );
     if s.detaches > 0 || s.scalar_steps > 0 {
         println!(
             "  escape hatch: {} seeds re-run standalone, {} scalar steps",
