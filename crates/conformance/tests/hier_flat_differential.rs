@@ -19,6 +19,8 @@
 //!
 //! Case count defaults to 64 and is capped by `CONFORMANCE_CASES`.
 
+mod common;
+
 use conformance::oracle::POLICIES;
 use conformance::program::spec_strategy;
 use conformance::{build_module, ProgramSpec};
@@ -61,8 +63,8 @@ fn compare_outputs(
                     l.metrics, h.metrics
                 ));
             }
-            if l.global_mem != h.global_mem {
-                return Err(format!("{what}: global memory diverges"));
+            if let Some(cell) = common::mem_diff(&l.global_mem, &h.global_mem) {
+                return Err(format!("{what}: global memory diverges at cell {cell}"));
             }
             Ok(())
         }

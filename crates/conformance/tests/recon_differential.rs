@@ -25,6 +25,8 @@
 //!
 //! Case count defaults to 64 and is capped by `CONFORMANCE_CASES`.
 
+mod common;
+
 use conformance::oracle::POLICIES;
 use conformance::program::spec_strategy;
 use conformance::{build_module, ProgramSpec};
@@ -105,10 +107,10 @@ fn check_models(spec: &ProgramSpec) -> Result<(), String> {
                                 d.metrics, r.metrics
                             ));
                         }
-                        if d.global_mem != r.global_mem {
+                        if let Some(cell) = common::mem_diff(&d.global_mem, &r.global_mem) {
                             return Err(format!(
                                 "[{name}] {policy:?} seed {ls:#x}: decoded/reference memory \
-                                 diverges under barrier-file"
+                                 diverges under barrier-file at cell {cell}"
                             ));
                         }
                         if !d.metrics.recon.is_zero() {
@@ -144,13 +146,7 @@ fn check_models(spec: &ProgramSpec) -> Result<(), String> {
                             model.spec()
                         )
                     })?;
-                    if out.global_mem != volta.global_mem {
-                        let cell = out
-                            .global_mem
-                            .iter()
-                            .zip(&volta.global_mem)
-                            .position(|(a, b)| a != b)
-                            .unwrap_or(usize::MAX);
+                    if let Some(cell) = common::mem_diff(&out.global_mem, &volta.global_mem) {
                         return Err(format!(
                             "[{name}] {policy:?} seed {ls:#x}: {} memory diverges from \
                              barrier-file at cell {cell}\nmodule:\n{module}",
@@ -179,7 +175,9 @@ fn check_models(spec: &ProgramSpec) -> Result<(), String> {
                             model.spec()
                         )
                     })?;
-                    if traced.metrics != out.metrics || traced.global_mem != out.global_mem {
+                    if traced.metrics != out.metrics
+                        || common::mem_diff(&traced.global_mem, &out.global_mem).is_some()
+                    {
                         return Err(format!(
                             "[{name}] {policy:?} seed {ls:#x}: traced and plain runs diverge \
                              under {}\nplain:  {:?}\ntraced: {:?}\nmodule:\n{module}",

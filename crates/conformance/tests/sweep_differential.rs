@@ -13,6 +13,8 @@
 //! Case count defaults to 96 and is capped by `CONFORMANCE_CASES`,
 //! like the main fuzz loop.
 
+mod common;
+
 use conformance::build::{build_module_with, DepthBy};
 use conformance::oracle::POLICIES;
 use conformance::program::{spec_strategy, PredTarget};
@@ -100,13 +102,7 @@ fn check_module(spec: &ProgramSpec, module: &simt_ir::Module) -> Result<(), Stri
                                 run_entry.seed, s.metrics, r.metrics
                             ));
                         }
-                        if s.global_mem != r.global_mem {
-                            let cell = s
-                                .global_mem
-                                .iter()
-                                .zip(&r.global_mem)
-                                .position(|(a, b)| a != b)
-                                .unwrap_or(usize::MAX);
+                        if let Some(cell) = common::mem_diff(&s.global_mem, &r.global_mem) {
                             return Err(format!(
                                 "{what} seed {}: global memory diverges at cell {cell}",
                                 run_entry.seed

@@ -35,6 +35,8 @@ pub struct ServerMetrics {
     deadline_expired: AtomicU64,
     /// Eval jobs that panicked inside a worker and were answered 500.
     worker_panics: AtomicU64,
+    /// Eval jobs a worker is running right now (a gauge).
+    running: AtomicU64,
     /// Sweep-engine sub-cohort forks across all sweep requests.
     sweep_forks: AtomicU64,
     /// Sweep-engine sub-cohort merges across all sweep requests.
@@ -108,6 +110,15 @@ impl ServerMetrics {
     /// Records a job that panicked inside a worker.
     pub fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Runs `job` counted in the in-flight gauge: from the moment a
+    /// worker takes it until its answer exists.
+    pub fn running<T>(&self, job: impl FnOnce() -> T) -> T {
+        self.running.fetch_add(1, Ordering::Relaxed);
+        let out = job();
+        self.running.fetch_sub(1, Ordering::Relaxed);
+        out
     }
 
     /// Folds one completed sweep's engine counters into the registry.
@@ -223,6 +234,12 @@ impl ServerMetrics {
             self.worker_panics.load(Ordering::Relaxed)
         );
 
+        out.push_str(
+            "# HELP specrecon_inflight_requests Evaluation jobs running in a worker.\n\
+             # TYPE specrecon_inflight_requests gauge\n",
+        );
+        let _ =
+            writeln!(out, "specrecon_inflight_requests {}", self.running.load(Ordering::Relaxed));
         out.push_str(
             "# HELP specrecon_queue_depth Evaluation jobs waiting in the bounded queue.\n\
              # TYPE specrecon_queue_depth gauge\n",
@@ -398,7 +415,11 @@ mod tests {
         m.record_latency(0.003);
         m.record_latency(0.3);
         m.record_latency(30.0); // lands in +Inf
-        let text = m.render(2, 4, 8, CacheStats { hits: 3, misses: 1, evictions: 0, entries: 1 });
+        let cache = CacheStats { hits: 3, misses: 1, evictions: 0, entries: 1 };
+        let inside = m.running(|| m.render(2, 4, 8, cache));
+        assert!(inside.contains("specrecon_inflight_requests 1"), "{inside}");
+        let text = m.render(2, 4, 8, cache);
+        assert!(text.contains("specrecon_inflight_requests 0"), "{text}");
         assert!(text.contains("specrecon_requests_total{code=\"200\"} 2"), "{text}");
         assert!(text.contains("specrecon_requests_total{code=\"503\"} 1"), "{text}");
         assert!(text.contains("specrecon_rejected_total{reason=\"queue_full\"} 1"), "{text}");

@@ -275,9 +275,11 @@ fn worker_loop(shared: &Shared) {
             // Expired while queued: don't burn a worker on it.
             Err(ApiError { status: 504, message: "deadline exceeded while queued".into() })
         } else {
-            isolated(&shared.metrics, || {
-                api::execute(&shared.engine, &job.request, &job.token, Some(&shared.metrics))
-                    .map(|json| json.render())
+            shared.metrics.running(|| {
+                isolated(&shared.metrics, || {
+                    api::execute(&shared.engine, &job.request, &job.token, Some(&shared.metrics))
+                        .map(|json| json.render())
+                })
             })
         };
         // The connection thread may have timed out and moved on; a dead

@@ -178,21 +178,6 @@ pub(crate) fn fault_cond(inst: &DecodedInst) -> Option<(Operand, Operand, FaultC
     }
 }
 
-type FaultFree = fn(Value, Value) -> bool;
-
-/// [`fault_cond`] as the predicate every `(lhs, rhs)` pair must satisfy
-/// for the instruction not to fault.
-#[inline]
-pub(crate) fn fault_free_when(inst: &DecodedInst) -> Option<(Operand, Operand, FaultFree)> {
-    fault_cond(inst).map(|(lhs, rhs, cond)| {
-        let ok: FaultFree = match cond {
-            FaultCond::ZeroIntDivisor => |a, b| FaultCond::ZeroIntDivisor.ok(a, b),
-            FaultCond::FloatOperand => |a, b| FaultCond::FloatOperand.ok(a, b),
-        };
-        (lhs, rhs, ok)
-    })
-}
-
 /// The one-element loop behind [`eval_bin`] and [`eval_un`].
 struct Once(Value, Value);
 

@@ -1,42 +1,50 @@
-//! Typed slot columns: the structure-of-arrays value store of the lockstep
-//! cohort ([`crate::sweep`]) — registers, local memory and global memory
-//! alike — and the typed loops over its rows.
+//! Typed slot columns: the structure-of-arrays value store of both
+//! engines' registers — the lockstep cohort's ([`crate::sweep`]: slots
+//! are seeds; its local and global memory too) and the decoded engine's
+//! ([`crate::exec`]: slots are the lanes of a warp) — and the typed
+//! loops over their rows.
 //!
 //! Values are stored untagged: a row of `u64` payload bits per register
 //! or memory cell plus one float-mask word per row. A row whose live
 //! slots share a type runs a kernel from [`crate::alu`] as one dense loop
 //! over `&[u64]` with the tags as loop constants; a row typed differently
-//! by slot takes the same loop reading its mask per slot. The module is
-//! its own so that the decoded engine can adopt the same columns
-//! (ROADMAP, "Finish the collapse", slice 2).
+//! by slot takes the same loop reading its mask per slot. The float words
+//! also answer the straight-line batchers' fault pre-check
+//! ([`fault_free`]) without reading a payload, except a divisor's.
 
+use crate::alu::FaultCond;
 use crate::sched::{lanes, mask_runs};
 use simt_ir::{Operand, Value};
 use std::ops::Range;
 
 /// Typed slot columns — the cohort's one data representation, for
-/// registers, local memory and global memory alike. A *row* is one
-/// register (or memory cell) of one lane across every slot: `ns` payload
-/// words — an `i64` reinterpreted, or `f64::to_bits`, so NaN payloads and
-/// `-0.0` round-trip — plus one float-mask word (bit `s` set ⇔ slot `s`
-/// holds an `f64`; a cohort has at most
-/// [`COHORT_SLOTS`](crate::sweep::COHORT_SLOTS) = 64 slots, so one word
-/// always suffices). [`Value`] exists only at the edges: launch inputs,
-/// immediates, fault messages and the final memory image.
+/// registers, local memory and global memory alike, and the decoded
+/// engine's registers. A *row* is `ns` payload words — an `i64`
+/// reinterpreted, or `f64::to_bits`, so NaN payloads and `-0.0`
+/// round-trip — plus one float-mask word (bit `s` set ⇔ slot `s` holds
+/// an `f64`; there are at most 64 slots, a cohort's
+/// [`COHORT_SLOTS`](crate::sweep::COHORT_SLOTS) or a warp's lanes, so one
+/// word always suffices). [`Value`] exists only at the edges: launch
+/// inputs, immediates, fault messages and the final memory image.
 ///
-/// Registers and local memory are *warp-major*, one column set per warp:
-/// register `r` of the frame based at arena row `base` sits at row
-/// `(base + r) * width + lane` (the layout of the decoded engine's
-/// register file), local cell `c` at row `c * width + lane` — so a run
-/// of adjacent lanes at one frame base is a run of adjacent rows, `n *
-/// ns` contiguous payload words. Global memory has one row per address.
+/// In the cohort a row is one register (or memory cell) of one lane
+/// across every seed slot. Registers and local memory are *warp-major*,
+/// one column set per warp: register `r` of the frame based at arena row
+/// `base` sits at row `(base + r) * width + lane`, local cell `c` at row
+/// `c * width + lane` — so a run of adjacent lanes at one frame base is a
+/// run of adjacent rows, `n * ns` contiguous payload words. Global memory
+/// has one row per address. A row is shared by every sub-cohort, each
+/// owning a disjoint slot set: every write commits payload *and* mask
+/// bits under the writer's own slot mask only.
 ///
-/// A row is shared by every sub-cohort, each owning a disjoint slot
-/// set: every write commits payload *and* mask bits under the writer's
-/// own slot mask only.
+/// In the decoded engine the slots are a warp's lanes: register `r` of
+/// the frame based at row `base` is row `base + r`, whose payload word
+/// `l` is lane `l`'s — the same warp-major layout with the slot axis
+/// inside the row. Lanes at one frame base share every register row;
+/// each write commits under the issued lanes only.
 #[derive(Clone, Debug)]
 pub(crate) struct SlotCols {
-    /// Slots per row (the cohort width).
+    /// Slots per row (the cohort width, or the warp width).
     pub(crate) ns: usize,
     /// Payload bits, `[row * ns + slot]`.
     pub(crate) bits: Vec<u64>,
@@ -134,6 +142,45 @@ impl Src {
             Src::Imm(bits, floats) => (None, bits, floats),
             Src::Row(r) => (Some((r + i) * cols.ns), 0, cols.floats[r + i]),
         }
+    }
+
+    /// The operand's float word (of its row, when a register).
+    #[inline(always)]
+    pub(crate) fn floats(self, cols: &SlotCols) -> u64 {
+        match self {
+            Src::Imm(_, floats) => floats,
+            Src::Row(r) => cols.floats[r],
+        }
+    }
+
+    /// Slots of `live` where the operand (resolved to a row) is truthy.
+    #[inline]
+    pub(crate) fn truthy(self, cols: &SlotCols, live: u64) -> u64 {
+        match self {
+            Src::Imm(bits, floats) if decode(bits, floats != 0).is_truthy() => live,
+            Src::Imm(..) => 0,
+            Src::Row(r) => truthy(cols.row(r), live),
+        }
+    }
+}
+
+/// Whether `cond`'s instruction is guaranteed not to fault on any slot of
+/// `live`, its operands resolved to rows: the float words settle it — a
+/// float operand for the bitwise ops, an integer pair for `div`/`rem` —
+/// and only `div`/`rem` then read payloads, scanning the divisor of the
+/// integer pairs for a zero.
+#[inline(always)]
+pub(crate) fn fault_free(cols: &SlotCols, cond: FaultCond, a: Src, b: Src, live: u64) -> bool {
+    let floats = (a.floats(cols) | b.floats(cols)) & live;
+    match cond {
+        FaultCond::FloatOperand => floats == 0,
+        FaultCond::ZeroIntDivisor => match b {
+            Src::Imm(bits, _) => bits != 0 || floats == live,
+            Src::Row(r) => {
+                let row = &cols.bits[cols.span(r, 1)];
+                lanes(live & !floats).all(|s| row[s] != 0)
+            }
+        },
     }
 }
 

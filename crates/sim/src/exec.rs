@@ -18,16 +18,23 @@
 //! - each warp carries incremental `runnable`/`waiting`/`at_sync`/
 //!   `exited` masks maintained at the status transition points, so an
 //!   issue slot never scans thread statuses;
-//! - registers live in one flat warp-major arena per warp
-//!   ([`RegFile`]): register `r` of lane `l`'s live frame is
-//!   `vals[(base + r) * warp_width + l]`, so an execute arm reaches an
-//!   operand with one index off a per-lane base instead of chasing
-//!   `threads[l]` → `frames.last()` → `regs`, and converged lanes read
-//!   one contiguous row; a call bumps the lane's window, a return pops
-//!   it, and [`Frame`] is metadata only;
-//! - `BinOp`/`UnOp` are matched once per issue, outside the lane loop:
-//!   [`crate::alu::with_bin`] hands [`LaneAlu`] the op's monomorphic
-//!   kernel (the same kernels the cohort's slot loops instantiate);
+//! - registers live in one warp-major arena of typed columns per warp
+//!   ([`RegFile`], a [`SlotCols`] whose slots are the lanes): register
+//!   `r` of the frame based at row `base` is row `base + r`, lane `l`'s
+//!   payload at `bits[(base + r) * warp_width + l]` and its type in bit
+//!   `l` of the row's float word; a call bumps the lane's window, a
+//!   return pops it, and [`Frame`] is metadata only;
+//! - the data arms (`bin`/`un`, `mov`, `sel`, `br`, `vote`) are *row
+//!   ops*: operands are resolved once per issue ([`Src`]), the issued
+//!   lanes grouped by frame base (one group unless lanes sit at
+//!   different call depths), and each operand row classified over those
+//!   lanes with one AND on its float word; `BinOp`/`UnOp` are matched
+//!   once per issue, and [`crate::alu::with_bin`] hands [`RowAlu`] the
+//!   op's monomorphic kernel, which inlines under the loop-constant tags
+//!   (`typed!`) to the bare `i64`/`f64` operation — the same kernels the
+//!   cohort's slot loops instantiate;
+//! - the straight-line batcher's fault pre-check reads float words, not
+//!   lanes ([`crate::cols::fault_free`]);
 //! - every buffer the loop needs (group keys, coalescing addresses)
 //!   lives in a per-[`Machine`] [`Scratch`] arena — after warm-up (the
 //!   register arena and frame stacks at the kernel's call depth),
@@ -36,6 +43,7 @@
 
 use crate::alu::AluLoop;
 use crate::barrier::{CtlEvent, Status, WarpCtl};
+use crate::cols::{encode, tagged, typed, Class, SlotCols, Src, FLOAT, INT, PER_SLOT};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
 use crate::error::{LaneFault, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
@@ -65,76 +73,73 @@ pub(crate) struct Frame {
     pub(crate) base: usize,
 }
 
-/// One warp's registers: a flat warp-major bump arena. Row `r` holds
-/// one register of every lane (`vals[r * width + lane]`); each lane
-/// stacks its frames' windows in its own column, so lanes at different
-/// call depths share rows without sharing cells. Windows are not
-/// bounds-checked against each other: register indices below the
-/// function's `num_regs` are the IR verifier's contract.
+/// One warp's registers: a warp-major bump arena of typed columns whose
+/// slots are the lanes. Row `r` holds one register of every lane
+/// (payload `cols.bits[r * width + lane]`, type bit `lane` of
+/// `cols.floats[r]`); each lane stacks its frames' windows in its own
+/// column, so lanes at different call depths share rows without sharing
+/// cells. Windows are not bounds-checked against each other: register
+/// indices below the function's `num_regs` are the IR verifier's
+/// contract.
 #[derive(Clone, Debug)]
 pub(crate) struct RegFile {
-    vals: Vec<Value>,
-    /// Per lane: index of register 0 of the live frame,
-    /// `frame.base * width + lane`.
+    cols: SlotCols,
+    /// Per lane: row of register 0 of the live frame.
     bases: Vec<usize>,
     /// Per lane: bump pointer, the first free row above the live frame.
     tops: Vec<usize>,
+    /// The live frame base of every lane, while all lanes share one —
+    /// always, unless lanes sit at different call depths. Recomputed
+    /// after each call and return, the only arms that move a base.
+    shared: Option<usize>,
 }
 
 impl RegFile {
     /// `width` lanes, each with a zeroed kernel frame of `num_regs`
     /// registers whose first ones hold `args`.
     fn new(width: usize, num_regs: usize, args: &[Value]) -> RegFile {
-        let mut vals = vec![Value::default(); num_regs * width];
-        for (row, a) in vals.chunks_mut(width).zip(args) {
-            row.fill(*a);
+        let mut cols = SlotCols::new(num_regs, width);
+        for (r, a) in args.iter().enumerate() {
+            cols.fill_rows(r, 1, *a, u64::MAX >> (64 - width));
         }
-        RegFile { vals, bases: (0..width).collect(), tops: vec![num_regs; width] }
+        RegFile { cols, bases: vec![0; width], tops: vec![num_regs; width], shared: Some(0) }
     }
 
+    /// Evaluates an operand of lane `l` against the window whose
+    /// register 0 sits at row `base` (a [`RegFile::bases`] entry, live
+    /// or saved).
     #[inline]
-    fn width(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// Evaluates an operand against the window whose register 0 sits
-    /// at index `at` (a [`RegFile::bases`] entry, live or saved).
-    #[inline]
-    fn read_at(&self, at: usize, op: Operand) -> Value {
+    fn read_at(&self, base: usize, l: usize, op: Operand) -> Value {
         match op {
             Operand::Imm(v) => v,
-            Operand::Reg(r) => self.vals[at + r.index() * self.width()],
+            Operand::Reg(r) => self.cols.get(base + r.index(), l),
         }
     }
 
     /// Evaluates an operand against lane `l`'s live frame.
     #[inline]
     fn read(&self, l: usize, op: Operand) -> Value {
-        self.read_at(self.bases[l], op)
+        self.read_at(self.bases[l], l, op)
     }
 
     /// Writes a register of lane `l`'s live frame.
     #[inline]
     fn write(&mut self, l: usize, dst: Reg, v: Value) {
-        let i = self.bases[l] + dst.index() * self.width();
-        self.vals[i] = v;
+        self.cols.set(self.bases[l] + dst.index(), l, v);
     }
 
     /// Opens a zeroed window of `num_regs` registers above lane `l`'s
     /// live frame and makes it live; returns its base row. The caller's
     /// window stays intact underneath.
     fn push(&mut self, l: usize, num_regs: usize) -> usize {
-        let width = self.width();
         let base = self.tops[l];
         let top = base + num_regs;
-        if self.vals.len() < top * width {
-            self.vals.resize(top * width, Value::default());
-        }
+        self.cols.grow(top);
         for r in base..top {
-            self.vals[r * width + l] = Value::default();
+            self.cols.set(r, l, Value::default());
         }
         self.tops[l] = top;
-        self.bases[l] = base * width + l;
+        self.bases[l] = base;
         base
     }
 
@@ -143,36 +148,140 @@ impl RegFile {
     /// keep their values until the next [`RegFile::push`].
     fn pop(&mut self, l: usize, base: usize, caller_base: usize) {
         self.tops[l] = base;
-        self.bases[l] = caller_base * self.width() + l;
+        self.bases[l] = caller_base;
+    }
+
+    /// Re-derives [`RegFile::shared`] once calls or returns moved bases.
+    fn reshare(&mut self) {
+        self.shared = shared_base(&self.bases);
+    }
+
+    /// `mask`'s lanes grouped by live frame base ([`BaseGroups`]).
+    #[inline(always)]
+    fn groups(&self, mask: u64) -> BaseGroups<'_> {
+        BaseGroups { bases: &self.bases, shared: self.shared, rest: mask }
+    }
+
+    /// [`RegFile::groups`] beside the columns, for an arm that writes
+    /// rows while it walks the groups; counts the issue in `split` when
+    /// its lanes sit at more than one base.
+    #[inline(always)]
+    fn by_base(&mut self, mask: u64, split: &mut u64) -> (&mut SlotCols, BaseGroups<'_>) {
+        if self.shared.is_none() {
+            let b = self.bases[mask.trailing_zeros() as usize];
+            *split += u64::from(lanes(mask).any(|l| self.bases[l] != b));
+        }
+        (&mut self.cols, BaseGroups { bases: &self.bases, shared: self.shared, rest: mask })
+    }
+}
+
+/// The base every lane of `bases` shares, if they share one.
+fn shared_base(bases: &[usize]) -> Option<usize> {
+    let b = bases[0];
+    bases.iter().all(|&x| x == b).then_some(b)
+}
+
+/// The lanes of an issue grouped by live frame base, lowest lane first:
+/// `(base, lanes)` pairs — a single pair while every lane shares its
+/// base, one per call depth otherwise. A data arm runs one row op per
+/// pair.
+struct BaseGroups<'a> {
+    bases: &'a [usize],
+    shared: Option<usize>,
+    rest: u64,
+}
+
+impl Iterator for BaseGroups<'_> {
+    type Item = (usize, u64);
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        if self.rest == 0 {
+            return None;
+        }
+        let (base, group) = match self.shared {
+            Some(base) => (base, self.rest),
+            None => {
+                let base = self.bases[self.rest.trailing_zeros() as usize];
+                let at_base = lanes(self.rest).filter(|&l| self.bases[l] == base);
+                (base, at_base.fold(0, |m, l| m | 1 << l))
+            }
+        };
+        self.rest &= !group;
+        Some((base, group))
     }
 }
 
 /// The decoded engine's loop shape for the ALU arms, handed to
-/// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): applies
-/// the kernel to each lane of the issue in lane order and stops at the
-/// first faulting lane, which it returns.
-struct LaneAlu<'a> {
-    warp: &'a mut Warp,
+/// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): one typed
+/// row op ([`alu_row`]) per frame-base group of the issued lanes, under
+/// the tags its operand rows' float words give over those lanes. Returns
+/// the first faulting lane in lane order.
+struct RowAlu<'a> {
+    regs: &'a mut RegFile,
+    stats: &'a mut EngineStats,
     mask: u64,
     dst: Reg,
     lhs: Operand,
     rhs: Operand,
 }
 
-impl AluLoop for LaneAlu<'_> {
+impl AluLoop for RowAlu<'_> {
     type Out = Result<(), LaneFault>;
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) -> Self::Out {
-        let Warp { regs, ctl, .. } = self.warp;
-        for l in lanes(self.mask) {
-            match k(regs.read(l, self.lhs), regs.read(l, self.rhs)) {
-                Ok(v) => regs.write(l, self.dst, v),
-                Err(message) => return Err(LaneFault::Arith { lane: l, message }),
+        let RowAlu { regs, stats, mask, dst, lhs, rhs } = self;
+        let (a, b) = (Src::of(lhs, 1), Src::of(rhs, 1));
+        let (cols, groups) = regs.by_base(mask, &mut stats.split_base_issues);
+        let mut first: Option<(usize, String)> = None;
+        for (base, live) in groups {
+            let ops = (base + dst.index(), a.at(base), b.at(base));
+            let classes = (ops.1.class(&cols.floats, 1, live), ops.2.class(&cols.floats, 1, live));
+            let (done, dense) = typed!(classes.0, classes.1, alu_row(cols, ops, live, &k));
+            stats.mixed_rows += u64::from(!dense);
+            // Groups interleave in lane order: the issue faults at the
+            // lowest faulting lane of any group.
+            if let Err(f) = done {
+                if first.as_ref().is_none_or(|(lane, _)| f.0 < *lane) {
+                    first = Some(f);
+                }
             }
-            ctl.pcs[l] += 1;
         }
-        Ok(())
+        first.map_or(Ok(()), |(lane, message)| Err(LaneFault::Arith { lane, message }))
     }
+}
+
+/// One ALU row op: row `rd` ← `k(a, b)` for the lanes of `live`, all at
+/// one frame base, in lane order under the operand tags `A`/`B`. Stops
+/// at the first faulting lane and returns it with the kernel's message;
+/// the lanes below it are written.
+#[inline(always)]
+fn alu_row<const A: u8, const B: u8>(
+    cols: &mut SlotCols,
+    (rd, a, b): (usize, Src, Src),
+    live: u64,
+    k: &impl Fn(Value, Value) -> Result<Value, String>,
+) -> Result<(), (usize, String)> {
+    let ((pa, ca, fa), (pb, cb, fb)) = (a.lane(cols, 0), b.lane(cols, 0));
+    let (pd, mut done, mut floats) = (rd * cols.ns, live, 0u64);
+    let mut out = Ok(());
+    for l in lanes(live) {
+        let x = pa.map_or(ca, |p| cols.bits[p + l]);
+        let y = pb.map_or(cb, |p| cols.bits[p + l]);
+        match k(tagged::<A>(x, fa, l), tagged::<B>(y, fb, l)) {
+            Ok(v) => {
+                let (bits, float) = encode(v);
+                cols.bits[pd + l] = bits;
+                floats |= u64::from(float) << l;
+            }
+            Err(message) => {
+                done &= (1 << l) - 1;
+                out = Err((l, message));
+                break;
+            }
+        }
+    }
+    cols.floats[rd] = cols.floats[rd] & !done | floats;
+    out
 }
 
 /// Cap on how many extra issues one scheduling slot may run ahead.
@@ -229,22 +338,21 @@ pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
 ///
 /// A batched issue must be infallible: errors surface in scheduling
 /// order, and an error raised from look-ahead could preempt another
-/// warp's earlier fault. The check mirrors [`crate::alu`]'s fault
-/// conditions by *reading* the operands — a faultable lane leaves the
-/// instruction to execute in its own round, where ordering is exact.
+/// warp's earlier fault. The check is [`crate::alu`]'s fault condition
+/// over each frame-base group's operand rows ([`crate::cols::fault_free`]:
+/// one AND on the float words, plus a zero scan of an integer divisor)
+/// — a faultable lane leaves the instruction to execute in its own
+/// round, where ordering is exact.
 ///
-/// Forced inline, with a plain lane loop: the batcher is instantiated
-/// in both round shapes, and with two call sites the compiler otherwise
-/// leaves this check — run before every batched issue — out of line.
+/// Forced inline: the batcher is instantiated in both round shapes, and
+/// with two call sites the compiler otherwise leaves this check — run
+/// before every batched issue — out of line.
 #[inline(always)]
-fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
-    let Some((lhs, rhs, ok)) = crate::alu::fault_free_when(inst) else { return true };
-    for l in lanes(mask) {
-        if !ok(warp.regs.read(l, lhs), warp.regs.read(l, rhs)) {
-            return false;
-        }
-    }
-    true
+fn batch_fault_free(regs: &RegFile, mask: u64, inst: &DecodedInst) -> bool {
+    let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
+    let (a, b) = (Src::of(lhs, 1), Src::of(rhs, 1));
+    regs.groups(mask)
+        .all(|(base, live)| crate::cols::fault_free(&regs.cols, cond, a.at(base), b.at(base), live))
 }
 
 #[derive(Clone, Debug)]
@@ -310,14 +418,14 @@ impl Warp {
     /// sits exactly above it (the live pc names the frame's function).
     #[cfg(debug_assertions)]
     fn check_frames(&self, image: &DecodedImage) {
-        let width = self.regs.width();
         for (l, t) in self.threads.iter().enumerate() {
             let top = t.frames.last().expect("thread has no frame");
             let func = image.origin[self.ctl.pcs[l]].func;
             let len = image.funcs[func.index()].num_regs as usize;
-            assert_eq!(self.regs.bases[l], top.base * width + l, "live base of lane {l}");
+            assert_eq!(self.regs.bases[l], top.base, "live base of lane {l}");
             assert_eq!(self.regs.tops[l], top.base + len, "bump pointer of lane {l}");
         }
+        assert_eq!(self.regs.shared, shared_base(&self.regs.bases), "stale shared frame base");
     }
 }
 
@@ -705,7 +813,9 @@ impl<'m> Machine<'m> {
                 intact = false;
                 break;
             }
-            if !(branch || is_warp_local(inst)) || !batch_fault_free(&self.warps[w], mask, inst) {
+            if !(branch || is_warp_local(inst))
+                || !batch_fault_free(&self.warps[w].regs, mask, inst)
+            {
                 break;
             }
             if bump_rr {
@@ -1321,31 +1431,40 @@ impl<'m> Machine<'m> {
         let mut cost = self.costs[pc];
         match *inst {
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                let alu = LaneAlu { warp: &mut self.warps[w], mask, dst, lhs, rhs };
+                let regs = &mut self.warps[w].regs;
+                let alu = RowAlu { regs, stats: &mut self.stats, mask, dst, lhs, rhs };
                 let done = crate::alu::with_bin(op, alu);
                 done.map_err(|f| f.into_error(|l| self.location(w, l)))?;
+                self.warps[w].ctl.advance(mask);
             }
             DecodedInst::Un { op, dst, src } => {
                 // Unary kernels ignore `rhs`; an immediate costs no read.
-                let rhs = Operand::Imm(Value::default());
-                let alu = LaneAlu { warp: &mut self.warps[w], mask, dst, lhs: src, rhs };
+                let (regs, rhs) = (&mut self.warps[w].regs, Operand::Imm(Value::default()));
+                let alu = RowAlu { regs, stats: &mut self.stats, mask, dst, lhs: src, rhs };
                 let done = crate::alu::with_un(op, alu);
                 done.map_err(|f| f.into_error(|l| self.location(w, l)))?;
+                self.warps[w].ctl.advance(mask);
             }
             DecodedInst::Mov { dst, src } => {
-                let Warp { regs, ctl, .. } = &mut self.warps[w];
-                for l in lanes(mask) {
-                    regs.write(l, dst, regs.read(l, src));
-                    ctl.pcs[l] += 1;
+                let (Warp { regs, ctl, .. }, src) = (&mut self.warps[w], Src::of(src, 1));
+                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
+                for (base, live) in groups {
+                    cols.assign_rows(base + dst.index(), 1, src.at(base), live);
                 }
+                ctl.advance(mask);
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
                 let Warp { regs, ctl, .. } = &mut self.warps[w];
-                for l in lanes(mask) {
-                    let pick = if regs.read(l, cond).is_truthy() { if_true } else { if_false };
-                    regs.write(l, dst, regs.read(l, pick));
-                    ctl.pcs[l] += 1;
+                let [cond, if_true, if_false] = [cond, if_true, if_false].map(|o| Src::of(o, 1));
+                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
+                for (base, live) in groups {
+                    // Payloads and type bits move untouched: two masked
+                    // row copies (`cond` is read before either writes).
+                    let (rd, t) = (base + dst.index(), cond.at(base).truthy(cols, live));
+                    cols.assign_rows(rd, 1, if_true.at(base), t);
+                    cols.assign_rows(rd, 1, if_false.at(base), live & !t);
                 }
+                ctl.advance(mask);
             }
             DecodedInst::Load { dst, space, addr } => {
                 cost = self.access(w, mask, space, addr, None, Some(dst), cost)?;
@@ -1423,17 +1542,15 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous: counts over the lanes issued together.
-                let warp = &mut self.warps[w];
-                let mut count = 0i64;
-                for l in lanes(mask) {
-                    if warp.regs.read(l, pred).is_truthy() {
-                        count += 1;
-                    }
+                let (Warp { regs, ctl, .. }, pred) = (&mut self.warps[w], Src::of(pred, 1));
+                let votes = regs.groups(mask);
+                let t = votes.fold(0, |t, (base, live)| t | pred.at(base).truthy(&regs.cols, live));
+                let count = Value::I64(i64::from(t.count_ones()));
+                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
+                for (base, live) in groups {
+                    cols.fill_rows(base + dst.index(), 1, count, live);
                 }
-                for l in lanes(mask) {
-                    warp.regs.write(l, dst, Value::I64(count));
-                    warp.ctl.pcs[l] += 1;
-                }
+                ctl.advance(mask);
             }
             DecodedInst::SeedRng { src } => {
                 let launch_mix = 0x5EED_u64; // stream domain separator
@@ -1458,11 +1575,12 @@ impl<'m> Machine<'m> {
                     let caller = regs.bases[l];
                     let base = regs.push(l, num_regs as usize);
                     for (i, a) in arg_ops.iter().enumerate() {
-                        regs.write(l, Reg(i as u32), regs.read_at(caller, *a));
+                        regs.write(l, Reg(i as u32), regs.read_at(caller, l, *a));
                     }
                     frames.push(Frame { pc: entry_pc as usize, ret_regs: rets, base });
                     ctl.pcs[l] = entry_pc as usize;
                 }
+                regs.reshare();
             }
             DecodedInst::UnresolvedCall { name } => {
                 return Err(SimError::UnresolvedCall {
@@ -1487,15 +1605,11 @@ impl<'m> Machine<'m> {
                 }
             }
             DecodedInst::Branch { cond, then_pc, else_pc } => {
-                let warp = &mut self.warps[w];
-                let mut taken = 0u64;
+                let (Warp { regs, ctl, .. }, cond) = (&mut self.warps[w], Src::of(cond, 1));
+                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
+                let taken = groups.fold(0, |t, (base, live)| t | cond.at(base).truthy(cols, live));
                 for l in lanes(mask) {
-                    warp.ctl.pcs[l] = if warp.regs.read(l, cond).is_truthy() {
-                        taken |= 1 << l;
-                        then_pc as usize
-                    } else {
-                        else_pc as usize
-                    };
+                    ctl.pcs[l] = if taken >> l & 1 != 0 { then_pc } else { else_pc } as usize;
                 }
                 let not_taken = mask & !taken;
                 if taken != 0 && not_taken != 0 {
@@ -1538,10 +1652,11 @@ impl<'m> Machine<'m> {
                     let callee = regs.bases[l];
                     regs.pop(l, frame.base, caller.base);
                     for (r, v) in image.regs(frame.ret_regs).iter().zip(value_ops) {
-                        regs.write(l, *r, regs.read_at(callee, *v));
+                        regs.write(l, *r, regs.read_at(callee, l, *v));
                     }
                     ctl.pcs[l] = caller.pc;
                 }
+                regs.reshare();
                 if exited != 0 {
                     self.exit_lanes(w, exited);
                 }
@@ -1773,16 +1888,259 @@ bb0:
         }
     }
 
+    /// Runs `src` at warp widths 1, 5, 32 and 64 under every policy and
+    /// demands the oracle's result bit for bit: final memory by payload
+    /// and type (so `-0.0` ≠ `0.0` and a NaN equals itself), metrics, or
+    /// the same error. Returns each run's width and result.
+    fn against_oracle(
+        src: &str,
+        launch: impl Fn(usize) -> Launch,
+    ) -> Vec<(usize, Result<SimOutput, SimError>)> {
+        let module = parse_and_link(src).expect("kernel parses");
+        let image = DecodedImage::decode(&module);
+        let bits = |mem: &[Value]| mem.iter().map(|&v| encode(v)).collect::<Vec<_>>();
+        let mut runs = Vec::new();
+        for warp_width in [1, 5, 32, 64] {
+            let launch = launch(warp_width);
+            for scheduler in SchedulerPolicy::ALL {
+                let cfg = SimConfig { warp_width, scheduler, ..SimConfig::default() };
+                let at = format!("width {warp_width} {scheduler:?}");
+                let got = run_image(&image, &cfg, &launch);
+                match (&got, crate::reference::run_reference(&module, &cfg, &launch)) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(bits(&got.global_mem), bits(&want.global_mem), "{at}");
+                        assert_eq!(got.metrics, want.metrics, "{at}");
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{at}"),
+                    (got, want) => {
+                        panic!("{at}: engines disagree: {:?} vs {want:?}", got.as_ref().err())
+                    }
+                }
+                runs.push((warp_width, got));
+            }
+        }
+        runs
+    }
+
+    /// `mem` cells of `init`, and `args`, for kernel `@k` on two warps.
+    fn launch_of(args: Vec<Value>, mem: usize, init: Value) -> Launch {
+        Launch {
+            kernel: "k".into(),
+            num_warps: 2,
+            args,
+            global_mem: vec![init; mem],
+            local_mem_size: 2,
+            seed: 9,
+        }
+    }
+
+    /// Operand types that depend on the lane: `sel` on lane parity puts
+    /// `0.5` in odd lanes and `3` in even ones, and the mixed register
+    /// then feeds arithmetic, a compare, a divisor, a bitwise op on a
+    /// value derived from it, global and local memory, a call argument
+    /// and a return value, a vote, a `sel` and a branch condition (`sub
+    /// 3` is an integer zero, falsy, in even lanes and `-2.5`, truthy, in
+    /// odd ones).
+    const MIXED_KERNEL: &str = "\
+kernel @k(params=0, regs=16, barriers=0, entry=bb0) {
+bb0:
+  %r0 = special.tid
+  %r1 = special.lane
+  %r2 = rem %r1, 2
+  %r3 = sel %r2, 0.5, 3
+  %r4 = add %r3, %r1
+  %r5 = lt %r3, 1
+  %r6 = div 7, %r3
+  %r7 = and %r5, %r1
+  %r8 = mul %r0, 8
+  store global[%r8], %r4
+  %r9 = add %r8, 1
+  store global[%r9], %r6
+  %r10 = load global[%r8]
+  store local[1], %r10
+  %r11 = load local[1]
+  call @f(%r11, %r3) -> (%r12, %r13)
+  %r14 = sub %r3, 3
+  %r15 = vote %r14
+  %r7 = sel %r14, %r7, %r6
+  brdiv %r14, bb1, bb2
+bb1:
+  %r12 = add %r12, %r15
+  jmp bb3
+bb2:
+  %r13 = mul %r13, 2
+  jmp bb3
+bb3:
+  %r9 = add %r8, 2
+  store global[%r9], %r12
+  %r9 = add %r8, 3
+  store global[%r9], %r13
+  %r9 = add %r8, 4
+  store global[%r9], %r7
+  %r9 = add %r8, 5
+  store global[%r9], %r5
+  exit
+}
+device @f(params=2, regs=3, barriers=0, entry=bb0) {
+bb0:
+  %r2 = mul %r0, %r1
+  ret %r2, %r1
+}
+";
+
+    /// The decoded engine keeps a lane's type through every data path of
+    /// [`MIXED_KERNEL`], bit-identical to the oracle, and the mixed rows
+    /// take the loop that reads each lane's type bit.
+    #[test]
+    fn lane_dependent_operand_types_match_the_oracle() {
+        let runs = against_oracle(MIXED_KERNEL, |w| launch_of(vec![], 16 * w, Value::I64(-1)));
+        for (width, out) in runs {
+            let out = out.expect("the kernel does not fault");
+            let mem = &out.global_mem;
+            // Lane 1 (thread 1): 0.5 + 1, 7 / 0.5, the call's product
+            // 1.5 * 0.5 plus the vote (every odd lane), 0.5 returned.
+            if width > 1 {
+                let odd = (width / 2) as f64;
+                assert_eq!(
+                    mem[8..12],
+                    [Value::F64(1.5), Value::F64(14.0), Value::F64(0.75 + odd), Value::F64(0.5)]
+                );
+                assert!(out.engine.mixed_rows > 0, "width {width}: {:?}", out.engine);
+            } else {
+                assert_eq!(out.engine.mixed_rows, 0, "one lane cannot mix: {:?}", out.engine);
+            }
+            // Lane 0: 3 + 0, 7 / 3, then 9 (the product) and 3 doubled.
+            assert_eq!(mem[..4], [Value::I64(3), Value::I64(2), Value::I64(9), Value::I64(6)]);
+        }
+    }
+
+    /// A NaN payload and `-0.0` in the kernel's two arguments, moved
+    /// through `mov`, `sel`, global and local memory, a call and its
+    /// return, and branch conditions (`-0.0` is falsy, the NaN truthy).
+    const PAYLOAD_KERNEL: &str = "\
+kernel @k(params=2, regs=12, barriers=0, entry=bb0) {
+bb0:
+  %r2 = special.tid
+  %r3 = special.lane
+  %r4 = rem %r3, 2
+  %r5 = mov %r0
+  %r6 = sel %r4, %r0, %r1
+  %r7 = mul %r2, 6
+  store global[%r7], %r5
+  %r8 = add %r7, 1
+  store global[%r8], %r6
+  %r9 = load global[%r8]
+  store local[0], %r9
+  %r9 = load local[0]
+  call @id(%r9, %r1) -> (%r10, %r11)
+  %r8 = add %r7, 2
+  store global[%r8], %r10
+  %r8 = add %r7, 3
+  store global[%r8], %r11
+  brdiv %r1, bb1, bb2
+bb1:
+  %r8 = add %r7, 4
+  store global[%r8], 1
+  jmp bb3
+bb2:
+  brdiv %r6, bb4, bb3
+bb4:
+  %r8 = add %r7, 5
+  store global[%r8], %r6
+  jmp bb3
+bb3:
+  exit
+}
+device @id(params=2, regs=2, barriers=0, entry=bb0) {
+bb0:
+  ret %r0, %r1
+}
+";
+
+    /// NaN payloads and `-0.0` survive every move bit-exact, and branch
+    /// conditions read them by type, not by payload.
+    #[test]
+    fn nan_payloads_and_negative_zero_survive_bit_exact() {
+        let (nan, neg) = (f64::from_bits(0x7ff8_0000_dead_beef), -0.0f64);
+        let args = vec![Value::F64(nan), Value::F64(neg)];
+        let runs =
+            against_oracle(PAYLOAD_KERNEL, |w| launch_of(args.clone(), 12 * w, Value::I64(-1)));
+        for (width, out) in runs {
+            let mem: Vec<_> =
+                out.expect("no fault").global_mem.iter().map(|&v| encode(v)).collect();
+            let (nan, neg, untouched) =
+                ((nan.to_bits(), true), (neg.to_bits(), true), encode(Value::I64(-1)));
+            for t in 0..2 * width {
+                let sel = if t % width % 2 == 1 { nan } else { neg };
+                let taken = if sel == nan { nan } else { untouched };
+                assert_eq!(
+                    mem[6 * t..6 * t + 6],
+                    [nan, sel, sel, neg, untouched, taken],
+                    "thread {t}"
+                );
+            }
+        }
+    }
+
+    /// A faultable op after a straight-line run on warp 0, where lanes of
+    /// the upper half (lane 0 at width 1) hold `bad` and the others
+    /// `good`; warp 1 reads out of bounds a few issues in.
+    fn fault_kernel(op: &str, bad: &str, good: &str) -> String {
+        format!(
+            "kernel @k(params=0, regs=8, barriers=0, entry=bb0) {{\n\
+             bb0:\n  %r0 = special.lane\n  %r1 = special.warpwidth\n  %r2 = mul %r0, 2\n\
+             \x20 %r2 = add %r2, 1\n  %r3 = ge %r2, %r1\n  %r4 = special.warp\n  br %r4, bb2, bb1\n\
+             bb1:\n  %r5 = sel %r3, {bad}, {good}\n  %r6 = add %r0, 1\n  %r6 = mul %r6, 3\n\
+             \x20 %r6 = sub %r6, 2\n  %r6 = xor %r6, 5\n  %r7 = {op} %r6, %r5\n\
+             \x20 store global[%r0], %r7\n  exit\n\
+             bb2:\n  %r5 = load global[-1]\n  exit\n}}\n"
+        )
+    }
+
+    /// Bitwise ops on a float and integer division by zero fault at the
+    /// first faulting lane with the oracle's exact message, and the
+    /// straight-line batcher never runs ahead through such an op: with a
+    /// second warp faulting earlier in simulated time, that earlier
+    /// fault is the one reported.
+    #[test]
+    fn faults_stop_at_the_first_lane_and_are_never_batched() {
+        let cases = [
+            ("and", "1.5", "1", "bitwise `and` applied to a float"),
+            ("div", "0", "2.5", "integer division by zero"),
+            ("rem", "0", "2.5", "integer remainder by zero"),
+        ];
+        for (op, bad, good, message) in cases {
+            let src = fault_kernel(op, bad, good);
+            let one_warp = |w| Launch { num_warps: 1, ..launch_of(vec![], w, Value::I64(0)) };
+            for (width, out) in against_oracle(&src, one_warp) {
+                match out.expect_err("warp 0 faults") {
+                    SimError::Arithmetic { at, message: m } => {
+                        assert_eq!((at.warp, at.lane, m.as_str()), (0, width / 2, message), "{op}");
+                    }
+                    other => panic!("{op}: expected an arithmetic fault, got {other}"),
+                }
+            }
+            let two_warps = |w| launch_of(vec![], w, Value::I64(0));
+            for (_, out) in against_oracle(&src, two_warps) {
+                let e = out.expect_err("warp 1 faults");
+                assert!(matches!(e, SimError::MemoryFault { at, .. } if at.warp == 1), "{op}: {e}");
+            }
+        }
+    }
+
     /// Odd lanes run a nested call chain (`@f` → `@g`, each returning
     /// two values into its caller's window) while even lanes stay in the
     /// kernel frame, then push `@g` over the arena rows the odd lanes
-    /// are using. The sum of every window's values is stored at the end.
+    /// are using. `%r7` is a float in odd lanes and an integer in even
+    /// ones, so the windows mix types too. The sum of every window's
+    /// values is stored at the end.
     const ARENA_KERNEL: &str = "\
 kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
 bb0:
   %r0 = special.tid
   %r1 = rem %r0, 2
-  %r7 = add %r0, 100
+  %r6 = sel %r1, 100.5, 100
+  %r7 = add %r0, %r6
   brdiv %r1, bb1, bb2
 bb1:
   call @f(%r0, %r7) -> (%r2, %r3)
@@ -1816,31 +2174,27 @@ bb0:
 ";
 
     /// Lanes at different call depths reuse the same arena rows without
-    /// clobbering each other, and multi-value returns land in the
-    /// caller's window — at warp widths 1, 5, 32 and 64, under every
-    /// policy (they interleave the two arms differently), bit-identical
-    /// to the tree-walking oracle. Debug builds also run
-    /// `Warp::check_frames` at every pick.
+    /// clobbering each other's payloads or type bits, and multi-value
+    /// returns land in the caller's window — at warp widths 1, 5, 32 and
+    /// 64, under every policy (they interleave the two arms
+    /// differently), bit-identical to the tree-walking oracle. Lanes at
+    /// two depths meet at one pc of `@g`, where the data arms run one
+    /// row op per frame base. Debug builds also run `Warp::check_frames`
+    /// at every pick.
     #[test]
     fn divergent_call_depths_share_the_arena_safely() {
-        let module = parse_and_link(ARENA_KERNEL).expect("kernel parses");
-        let image = DecodedImage::decode(&module);
-        for warp_width in [1, 5, 32, 64] {
-            for scheduler in SchedulerPolicy::ALL {
-                let cfg = SimConfig { warp_width, scheduler, ..SimConfig::default() };
-                let mut launch = steady_launch(0);
-                launch.args.clear();
-                launch.global_mem = vec![Value::I64(-1); 2 * warp_width];
-                let got = run_image(&image, &cfg, &launch).expect("decoded run");
-                let want = crate::reference::run_reference(&module, &cfg, &launch).expect("oracle");
-                assert_eq!(got.global_mem, want.global_mem, "width {warp_width} {scheduler:?}");
-                assert_eq!(got.metrics, want.metrics, "width {warp_width} {scheduler:?}");
-                // Thread 1 went through the nested chain: f(1, 101)
-                // calls g(102) -> (306, 113) and returns (306, 215), then
-                // g(306) -> (918, 317): 306 + 215 + 918 + 317 + 101.
-                assert_eq!(got.global_mem[1], Value::I64(1857));
-            }
+        let runs = against_oracle(ARENA_KERNEL, |w| launch_of(vec![], 2 * w, Value::I64(-1)));
+        let mut split = 0;
+        for (_, out) in runs {
+            let out = out.expect("decoded run");
+            // Thread 1 went through the nested chain: f(1, 101.5) calls
+            // g(102.5) -> (307.5, 113.5) and returns (307.5, 216), then
+            // g(307.5) -> (922.5, 318.5): the sum plus 101.5. Thread 0
+            // stays in integers: 0 + 99 + 0 + 11 + 100.
+            assert_eq!(out.global_mem[..2], [Value::I64(210), Value::F64(1866.0)]);
+            split += out.engine.split_base_issues;
         }
+        assert!(split > 0, "no issue met lanes at two call depths");
     }
 
     /// A divergent branch whose arms reconverge at `bb3`, with a

@@ -60,8 +60,9 @@ impl Launch {
 }
 
 /// Host-side work counts of the decoded engine: how its scheduling
-/// rounds were served. They describe the simulator, not the simulated
-/// machine — which is why they sit beside [`Metrics`], never inside it:
+/// rounds were served, and which shapes its data arms' row ops took.
+/// They describe the simulator, not the simulated machine — which is
+/// why they sit beside [`Metrics`], never inside it:
 /// the engines are compared on `metrics ==`, and the tree-walking
 /// reference and the sweep cohort (which have no hints or batches)
 /// report zeros. Exact for a given launch and configuration, so a test
@@ -78,6 +79,16 @@ pub struct EngineStats {
     /// Warp-split rounds that went through split normalization, fusion
     /// and the candidate scan (the rounds with something to arbitrate).
     pub general_split_rounds: u64,
+    /// `Bin`/`Un` row ops (one per frame-base group of an issue) whose
+    /// operand rows held an int in some issued lanes and a float in
+    /// others, evaluated by the loop that reads each lane's type bit
+    /// instead of a dense typed one. 0 unless a register's type depends
+    /// on the lane.
+    pub mixed_rows: u64,
+    /// Data-arm issues (`bin`/`un`, `mov`, `sel`, `br`, `vote`) whose
+    /// lanes sat at more than one frame base — different call depths —
+    /// and ran one row op per base.
+    pub split_base_issues: u64,
 }
 
 /// Result of a completed launch.

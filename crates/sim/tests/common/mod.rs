@@ -40,6 +40,19 @@ pub fn cfg_with_cache() -> SimConfig {
     SimConfig { mem: Some(l1()), ..SimConfig::default() }
 }
 
+/// The first cell where two memory images differ by bits — type and
+/// payload, so `-0.0` differs from `0.0` and a NaN matches itself, which
+/// `Value`'s `==` gets wrong both ways — or `None` when they agree,
+/// length included.
+pub fn mem_diff(a: &[Value], b: &[Value]) -> Option<usize> {
+    let bits = |v: &Value| match *v {
+        Value::I64(x) => (false, x as u64),
+        Value::F64(x) => (true, x.to_bits()),
+    };
+    let cell = a.iter().zip(b).position(|(x, y)| bits(x) != bits(y));
+    cell.or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))
+}
+
 /// Proptest strategy drawing uniformly from [`ALL_POLICIES`].
 pub fn any_policy() -> impl Strategy<Value = SchedulerPolicy> {
     (0..ALL_POLICIES.len()).prop_map(|i| ALL_POLICIES[i])

@@ -4,9 +4,10 @@
 //! pick hint or the straight-line batcher. Likewise a seed sweep of the
 //! Monte Carlo kernels must ride the cohort's dense paths: no operand
 //! type and no global address depends on the seed, and the lanes of an
-//! issue sit at one call depth, in a few runs. The counts are exact
-//! for a launch, so this notices a fast path falling off on a host too
-//! noisy to time it.
+//! issue sit at one call depth, in a few runs; and a single launch of
+//! any Table-2 kernel must ride the decoded engine's typed rows. The
+//! counts are exact for a launch, so this notices a fast path falling
+//! off on a host too noisy to time it.
 
 use simt_sim::{ReconvergenceModel, SimConfig, DEFAULT_SEED};
 use specrecon_core::RepairStrategy;
@@ -41,6 +42,26 @@ fn monte_carlo_sweeps_ride_the_dense_rows_and_row_copies() {
     assert!(s.forks > 0 && s.forks == s.merges, "seed-storm: {s:?}");
     assert_eq!((s.mixed_rows, s.scalar_steps, s.per_lane_issues), (0, 0, 0), "seed-storm: {s:?}");
     assert_eq!(s.lane_runs, s.hoisted_issues, "seed-storm: every lane issues, one run: {s:?}");
+}
+
+/// The images a figure regenerates — the Table-2 nine and `srad`, each
+/// under PDOM and SR — run every data-arm issue as one dense typed row
+/// op: no register's type depends on the lane, and the lanes of an issue
+/// always share their frame base.
+#[test]
+fn table2_launches_ride_the_typed_rows() {
+    let engine = Engine::new(1);
+    let cfg = SimConfig::default();
+    let mut kernels = workloads::registry();
+    kernels.push(workloads::srad::build(&workloads::srad::Params::default()));
+    assert_eq!(kernels.len(), 10);
+    for w in &kernels {
+        for repair in [RepairStrategy::Pdom, RepairStrategy::Sr] {
+            let e = engine.run_full(w, &repair.options(), &cfg).expect("runs").engine;
+            let at = format!("{}/{}", w.name, repair.spec());
+            assert_eq!((e.mixed_rows, e.split_base_issues), (0, 0), "{at}: {e:?}");
+        }
+    }
 }
 
 #[test]

@@ -375,8 +375,15 @@ fn run_cmd(module: &Module, args: &[String]) -> Result<(), String> {
     if want_hot {
         let e = &out.engine;
         println!(
-            "\nengine: {} rounds ({} hinted, {} general split rounds), {} of {} issues batched",
-            e.rounds, e.hinted_rounds, e.general_split_rounds, e.batched_issues, out.metrics.issues
+            "\nengine: {} rounds ({} hinted, {} general split rounds), {} of {} issues batched, \
+             {} mixed rows, {} split-base issues",
+            e.rounds,
+            e.hinted_rounds,
+            e.general_split_rounds,
+            e.batched_issues,
+            out.metrics.issues,
+            e.mixed_rows,
+            e.split_base_issues
         );
         if let Some(profile) = &out.profile {
             println!("\nhottest blocks:");

@@ -102,7 +102,7 @@ fn read_reply(stream: &mut TcpStream) -> (u16, String) {
 }
 
 /// An inline single-warp kernel spinning `iters` loop iterations —
-/// roughly 7µs per iteration in debug builds.
+/// roughly 9µs per iteration in debug builds, 0.4µs in release.
 fn spin_body(iters: u64, deadline_ms: u64) -> String {
     let kernel = format!(
         "kernel @spin(params=0, regs=4, barriers=0, entry=bb0) {{\n\
@@ -203,15 +203,32 @@ fn recon_model_knob_round_trips_and_reaches_metrics() {
     assert!(status.success(), "serve exited {status:?}");
 }
 
+/// The value of an unlabelled series in the server's `/metrics`.
+fn gauge(addr: &SocketAddr, series: &str) -> f64 {
+    let (code, metrics) = get(addr, "/metrics");
+    assert_eq!(code, 200);
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{series} missing from /metrics"))
+}
+
 #[test]
 fn sigterm_mid_flight_drains_without_dropping() {
     let (mut child, mut stdout, addr) = spawn_server(&["--workers", "1"]);
 
-    // Park a long request (several seconds of simulation) in the worker,
-    // then deliver SIGTERM while it is running.
-    let body = spin_body(300_000, 120_000);
+    // Park a long request (about two seconds of simulation in either
+    // build) in the worker, then deliver SIGTERM while it is running —
+    // once the server reports it running, not after a guessed sleep,
+    // which a fast build outruns.
+    let iters = if cfg!(debug_assertions) { 300_000 } else { 6_000_000 };
+    let body = spin_body(iters, 120_000);
     let in_flight = std::thread::spawn(move || post_eval(&addr, &body));
-    std::thread::sleep(Duration::from_millis(300));
+    let t0 = Instant::now();
+    while gauge(&addr, "specrecon_inflight_requests") < 1.0 {
+        assert!(t0.elapsed() < Duration::from_secs(30), "the request never reached a worker");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     sigterm(&child);
     let status = wait_with_timeout(&mut child, Duration::from_secs(30));
