@@ -254,7 +254,6 @@ pub fn threshold(scale: Scale) -> Vec<ThresholdRow> {
 /// [`threshold`] on a caller-provided [`Engine`], one job per workload
 /// (each job runs its own 5-point sweep).
 pub fn threshold_with(engine: &Engine, scale: Scale) -> Vec<ThresholdRow> {
-    use workloads::eval::with_threshold;
     let cfg = SimConfig::default();
     let grid = [4u32, 8, 16, 24, 32];
     let ws: Vec<Workload> = registry().iter().map(|w| scale.apply(w)).collect();
@@ -263,7 +262,7 @@ pub fn threshold_with(engine: &Engine, scale: Scale) -> Vec<ThresholdRow> {
         let mut full = 0.0f64;
         for &t in &grid {
             let c = engine
-                .compare_with(&with_threshold(w, t), &CompileOptions::speculative(), &cfg)
+                .compare_with(&w.rebind().threshold(t).done(), &CompileOptions::speculative(), &cfg)
                 .unwrap_or_else(|e| panic!("{} T={t} failed: {e}", w.name));
             let s = c.speedup();
             if s > best.1 {
@@ -507,7 +506,7 @@ pub fn meld_with(engine: &Engine, scale: Scale) -> Vec<MeldRow> {
         .collect();
     engine.par_map(&jobs, |(w, repair)| {
         let (summary, _) = engine
-            .run_repair(w, *repair, &SimConfig::default())
+            .run_config(w, &repair.options(), &SimConfig::default())
             .unwrap_or_else(|e| panic!("{} under {repair} failed: {e}", w.name));
         MeldRow {
             name: w.name.to_string(),

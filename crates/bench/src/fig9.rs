@@ -12,7 +12,7 @@
 use crate::Scale;
 use simt_sim::SimConfig;
 use specrecon_core::CompileOptions;
-use workloads::eval::{self, with_threshold, Engine};
+use workloads::eval::{self, Engine};
 use workloads::{pathtracer, xsbench, Workload};
 
 /// One point of a Figure 9 curve.
@@ -60,7 +60,7 @@ pub fn sweep(w: &Workload, thresholds: &[u32]) -> Vec<Point> {
 pub fn sweep_with(engine: &Engine, w: &Workload, thresholds: &[u32]) -> Vec<Point> {
     let cfg = SimConfig::default();
     engine.par_map(thresholds, |&t| {
-        let wt = with_threshold(w, t);
+        let wt = w.rebind().threshold(t).done();
         let c = engine
             .compare_with(&wt, &CompileOptions::speculative(), &cfg)
             .unwrap_or_else(|e| panic!("{} at threshold {t} failed: {e}", w.name));

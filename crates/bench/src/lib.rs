@@ -2,9 +2,8 @@
 //!
 //! Each module computes the data behind one artifact of the evaluation
 //! section of *Speculative Reconvergence for Improved SIMT Efficiency*
-//! (CGO 2020); the `figures` binary renders them as markdown/CSV, and the
-//! Criterion benches in `benches/` measure the compiler and simulator
-//! throughput on the same configurations.
+//! (CGO 2020); the `figures` binary renders them as markdown/CSV.
+//! Throughput is measured by the `benchmark/` ledger, not here.
 //!
 //! | artifact | module |
 //! |---|---|
@@ -23,7 +22,6 @@ pub mod ablate;
 pub mod fig10;
 pub mod fig7;
 pub mod fig9;
-pub mod perf;
 pub mod report;
 pub mod table2;
 
@@ -41,7 +39,7 @@ impl Scale {
     /// Applies the scale to a workload (shrinks the launch for `Quick`).
     pub fn apply(self, w: &workloads::Workload) -> workloads::Workload {
         match self {
-            Scale::Quick => workloads::eval::with_warps(w, 1),
+            Scale::Quick => w.rebind().warps(1).done(),
             Scale::Full => w.clone(),
         }
     }

@@ -35,7 +35,7 @@
 //! lockstep sweep engine via [`Engine::sweep_image_range`] (ranges wider
 //! than one cohort are chunked across the worker pool); the response
 //! then adds a `"sweep"` object with the engine's fork/merge/occupancy
-//! counters (plus the detach/rejoin escape-hatch counters). Both forms
+//! counters (plus the detach counter). Both forms
 //! answer with the same per-seed `"runs"` entries, and both are bounded
 //! by [`MAX_SEEDS`] seeds per request.
 //!
@@ -73,12 +73,15 @@ use workloads::eval::{Engine, EvalError};
 /// resource guard, not an engine limit.
 pub const MAX_SEEDS: u64 = 400;
 
-/// Register cells (`warps × lanes × regs` of the module's widest
-/// function) an inline kernel's launch may ask for. The simulators size
-/// their register arena from it up front, 16 bytes a cell — 256 MiB here,
-/// far above any launch the registry makes (the largest is ~70 000
-/// cells) and far below what `regs` at the verifier's limit times 4 096
-/// warps would reserve. A resource guard like [`MAX_SEEDS`].
+/// Arena cells one request may ask the engine for: `(warps × lanes ×
+/// regs + mem) × slots`, with `regs` of the module's widest function and
+/// `slots` the seeds of one lockstep cohort (at most
+/// [`COHORT_SLOTS`](simt_sim::sweep::COHORT_SLOTS); 1 for scalar
+/// launches). The simulators size their register and global-memory
+/// columns from it up front, 8 bytes a cell plus a float bit — 128 MiB
+/// here, far above any launch the registry makes and far below what
+/// `regs` at the verifier's limit times 4 096 warps would reserve. A
+/// resource guard like [`MAX_SEEDS`].
 pub const MAX_ARENA_CELLS: u64 = 1 << 24;
 
 /// A structured failure answering an eval request.
@@ -180,8 +183,10 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
             )))
         }
     }
-    if let Some(Json::Bool(b)) = doc.get("barrier_alloc") {
-        opts.barrier_allocation = *b;
+    match doc.get("barrier_alloc") {
+        None | Some(Json::Null) => {}
+        Some(Json::Bool(b)) => opts.barrier_allocation = *b,
+        Some(_) => return Err(ApiError::bad_request("`barrier_alloc` must be a boolean")),
     }
     // Requests are untrusted input: always lint the compiled module so a
     // soundness hole surfaces as a 400, not a wrong answer.
@@ -241,7 +246,13 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
         return Err(ApiError::bad_request("`warps` must be at least 1"));
     }
     let seed = field_u64("seed")?;
-    let threshold = field_u64("threshold")?.map(|t| t as u32);
+    let threshold = field_u64("threshold")?
+        .map(|t| {
+            u32::try_from(t).map_err(|_| {
+                ApiError::bad_request(format!("`threshold` must be at most {}", u32::MAX))
+            })
+        })
+        .transpose()?;
     let deadline_ms = field_u64("deadline_ms")?;
 
     let named = field_str("workload")?;
@@ -293,16 +304,21 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
     if let Some(w) = warps {
         launch.num_warps = w.min(4096);
     }
-    if inline.is_some() {
-        let regs = module.functions.iter().map(|(_, f)| f.num_regs as u64).max().unwrap_or(0);
-        let cells = (launch.num_warps as u64 * cfg.warp_width as u64).saturating_mul(regs);
-        if cells > MAX_ARENA_CELLS {
-            return Err(ApiError::bad_request(format!(
-                "launch needs {cells} register cells ({} warps x {} lanes x {regs} regs), \
-                 over the limit of {MAX_ARENA_CELLS}",
-                launch.num_warps, cfg.warp_width
-            )));
-        }
+    // A lockstep cohort keeps every register and global cell once per
+    // slot; a scalar launch keeps one copy.
+    let slots = sweep.map_or(1, |(lo, hi)| (hi - lo).min(simt_sim::sweep::COHORT_SLOTS as u64));
+    let regs = module.functions.iter().map(|(_, f)| f.num_regs as u64).max().unwrap_or(0);
+    let mem = launch.global_mem.len() as u64;
+    let cells = (launch.num_warps as u64 * cfg.warp_width as u64)
+        .saturating_mul(regs)
+        .saturating_add(mem)
+        .saturating_mul(slots);
+    if cells > MAX_ARENA_CELLS {
+        return Err(ApiError::bad_request(format!(
+            "launch needs {cells} arena cells (({} warps x {} lanes x {regs} regs + {mem} mem) \
+             x {slots} slots), over the limit of {MAX_ARENA_CELLS}",
+            launch.num_warps, cfg.warp_width
+        )));
     }
     if let Some(s) = seed {
         launch.seed = s;
@@ -578,6 +594,9 @@ mod tests {
             (br#"{"workload":"rsbench","warps":0}"#, "`warps`"),
             (br#"{"workload":"rsbench","kernel":"x"}"#, "not both"),
             (br#"{"kernel":"kernel @"}"#, "parse error"),
+            (br#"{"workload":"rsbench","threshold":4294967304}"#, "`threshold`"),
+            (br#"{"workload":"rsbench","barrier_alloc":"yes"}"#, "`barrier_alloc`"),
+            (br#"{"workload":"rsbench","barrier_alloc":1}"#, "`barrier_alloc`"),
         ] {
             let err = parse_request(body).unwrap_err();
             assert_eq!(err.status, 400, "{}", err.message);
@@ -627,6 +646,44 @@ mod tests {
             let err = parse_request(body).unwrap_err();
             assert_eq!(err.status, 400, "{:?}: {}", body, err.message);
             assert!(err.message.contains("`seeds`"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn arena_guard_counts_memory_and_every_cohort_slot() {
+        let src = "kernel @k(params=0, regs=65536, barriers=0, entry=bb0) {\nbb0:\n  exit\n}\n";
+        let body = |warps: u64, mem: u64, seeds: Json| {
+            Json::Obj(vec![
+                ("kernel".into(), Json::str(src)),
+                ("warps".into(), Json::u64(warps)),
+                ("mem".into(), Json::u64(mem)),
+                ("seeds".into(), seeds),
+            ])
+            .render()
+        };
+        let range = |lo, hi| Json::Arr(vec![Json::u64(lo), Json::u64(hi)]);
+        // 4 warps x 32 lanes x 65536 regs = 2^23 register cells: one
+        // scalar launch fits, two cohort slots do not.
+        assert!(parse_request(body(4, 1024, Json::u64(2)).as_bytes()).is_ok());
+        let err = parse_request(body(4, 1024, range(0, 2)).as_bytes()).unwrap_err();
+        assert_eq!(err.status, 400, "{}", err.message);
+        assert!(err.message.contains("x 2 slots"), "{}", err.message);
+        // Exactly 2^24 register cells plus any memory is over, and a
+        // 64-seed range (8 GiB of registers) names its cohort width.
+        for (warps, mem, seeds, needle) in
+            [(8, 1, Json::u64(1), "x 1 slots"), (8, 1024, range(0, 64), "x 64 slots")]
+        {
+            let err = parse_request(body(warps, mem, seeds).as_bytes()).unwrap_err();
+            assert_eq!(err.status, 400, "{}", err.message);
+            assert!(err.message.contains(needle), "{}", err.message);
+            assert!(err.message.contains("arena cells"), "{}", err.message);
+        }
+        // No built-in workload's default launch comes near the bound, even
+        // as a full cohort.
+        for name in known_workloads() {
+            let body = format!(r#"{{"workload":"{name}","seeds":[0,64]}}"#);
+            let req = parse_request(body.as_bytes()).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            assert_eq!(req.sweep, Some((0, 64)));
         }
     }
 

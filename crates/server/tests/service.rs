@@ -410,10 +410,13 @@ fn shutdown_mid_flight_drains_accepted_work() {
 
 /// Inline kernels whose text sizes an allocation — a block table from the
 /// largest `bb<N>`, the register arena from `regs=`, the barrier
-/// analyses' bit sets from `barriers=`, the arena again from `warps` —
-/// used to *abort* the process (an allocation failure is not a panic):
-/// connection reset, every later request refused. Each must answer 400,
-/// and the same connection must then serve a healthy request.
+/// analyses' bit sets from `barriers=`, the arena again from `warps` and
+/// once per cohort slot from a `seeds` range — used to *abort* the
+/// process (an allocation failure is not a panic): connection reset,
+/// every later request refused. Each must answer 400, as must fields that
+/// used to be silently mangled (`threshold` past `u32`, a non-bool
+/// `barrier_alloc`), and the same connection must then serve a healthy
+/// request.
 #[test]
 fn hostile_inline_kernels_answer_400_and_the_connection_lives() {
     let (addr, handle, runner) = start(local(8, 2));
@@ -424,16 +427,20 @@ fn hostile_inline_kernels_answer_400_and_the_connection_lives() {
     let hostile = [
         (
             kernel("regs=0, barriers=0", "  jmp bb4000000000\nbb4000000000:\n  exit\n"),
-            1,
+            r#""warps":1"#,
             "bb1 is missing",
         ),
-        (kernel("regs=4000000000000, barriers=0", diverge), 1, "num_regs"),
-        (kernel("regs=1, barriers=4000000000", diverge), 1, "num_barriers"),
-        (kernel("regs=65536, barriers=0", diverge), 4096, "register cells"),
+        (kernel("regs=4000000000000, barriers=0", diverge), r#""warps":1"#, "num_regs"),
+        (kernel("regs=1, barriers=4000000000", diverge), r#""warps":1"#, "num_barriers"),
+        (kernel("regs=65536, barriers=0", diverge), r#""warps":4096"#, "arena cells"),
+        // 2^24 register cells per slot, 64 slots: 8 GiB if it got through.
+        (kernel("regs=65536, barriers=0", diverge), r#""warps":8,"seeds":[0,64]"#, "x 64 slots"),
+        (kernel("regs=1, barriers=0", diverge), r#""threshold":4294967304"#, "`threshold`"),
+        (kernel("regs=1, barriers=0", diverge), r#""barrier_alloc":"yes""#, "`barrier_alloc`"),
     ];
     let mut stream = TcpStream::connect(addr).expect("connect");
-    for (src, warps, needle) in hostile {
-        send(&mut stream, "POST", "/v1/eval", &format!(r#"{{"kernel":{src:?},"warps":{warps}}}"#));
+    for (src, fields, needle) in hostile {
+        send(&mut stream, "POST", "/v1/eval", &format!(r#"{{"kernel":{src:?},{fields}}}"#));
         let reply = read_reply(&mut stream);
         assert_eq!(reply.status, 400, "{needle}: {}", reply.body);
         assert!(reply.body.contains(needle), "{needle}: {}", reply.body);

@@ -5,10 +5,8 @@
 //! The harness is built around [`Engine`], which caches compiled kernels
 //! as decoded execution images (keyed by module text and
 //! [`CompileOptions`]) and runs independent jobs on scoped worker
-//! threads. The module-level free functions ([`run_config`], [`compare`],
-//! [`compare_with`]) delegate to a process-wide single-job engine, so
-//! existing callers keep their exact behavior while repeated runs of the
-//! same kernel skip recompilation and redecoding.
+//! threads. [`shared`] is a process-wide single-job engine for callers
+//! that want the cache without constructing their own.
 
 use crate::Workload;
 use simt_ir::Module;
@@ -16,7 +14,7 @@ use simt_sim::{
     run_image, run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, Metrics,
     SimConfig, SimError, SimOutput, SweepLaunch, SweepOutput, SweepStats,
 };
-use specrecon_core::{compile, CompileOptions, PassError, RepairStrategy};
+use specrecon_core::{compile, CompileOptions, PassError};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -175,25 +173,6 @@ impl From<&Metrics> for RunSummary {
     }
 }
 
-/// One independent simulation job for [`Engine::run_batch`]: a workload
-/// compiled under `opts` and executed under `cfg`.
-#[derive(Clone, Debug)]
-pub struct EvalJob {
-    /// Workload to compile and run (its launch is used as-is).
-    pub workload: Workload,
-    /// Compiler configuration.
-    pub opts: CompileOptions,
-    /// Machine configuration.
-    pub cfg: SimConfig,
-}
-
-impl EvalJob {
-    /// Convenience constructor.
-    pub fn new(workload: Workload, opts: CompileOptions, cfg: SimConfig) -> Self {
-        Self { workload, opts, cfg }
-    }
-}
-
 /// Batch evaluation engine: a compiled-kernel cache plus a worker pool.
 ///
 /// Compilation and decode are deterministic, and a [`DecodedImage`] is
@@ -202,11 +181,11 @@ impl EvalJob {
 /// [`CompileOptions`] — two workloads that lower to the same kernel share
 /// one image.
 ///
-/// [`Engine::run_batch`] and [`Engine::par_map`] execute independent jobs
-/// on `std::thread::scope` worker threads. Results are merged by job
-/// index, so output order — and, because each simulation is a pure
-/// function of `(image, cfg, launch)`, every byte of every result — is
-/// identical no matter how many workers run.
+/// [`Engine::par_map`] executes independent jobs on `std::thread::scope`
+/// worker threads. Results are merged by job index, so output order —
+/// and, because each simulation is a pure function of `(image, cfg,
+/// launch)`, every byte of every result — is identical no matter how
+/// many workers run.
 pub struct Engine {
     jobs: usize,
     cache: Mutex<Cache>,
@@ -313,9 +292,8 @@ impl Engine {
     /// decoding on a miss.
     ///
     /// This is the entry for callers that drive
-    /// [`run_image`](simt_sim::run_image) themselves in a tight loop —
-    /// the perf harness, for one — and must not pay the cache lock per
-    /// run.
+    /// [`run_image`](simt_sim::run_image) themselves in a tight loop and
+    /// must not pay the cache lock per run.
     ///
     /// # Errors
     ///
@@ -394,27 +372,21 @@ impl Engine {
         Ok(((&out.metrics).into(), out.global_mem))
     }
 
-    /// Compiles the workload under the given divergence-repair strategy
-    /// and runs it — the `--repair` axis entry shared by the CLI, the
-    /// eval service, and the figures harness. Each strategy maps to a
-    /// distinct [`CompileOptions`], so every repair gets its own
-    /// compiled-image cache entry.
-    pub fn run_repair(
-        &self,
-        w: &Workload,
-        repair: RepairStrategy,
-        cfg: &SimConfig,
-    ) -> Result<(RunSummary, Vec<simt_ir::Value>), EvalError> {
-        self.run_config(w, &repair.options(), cfg)
-    }
-
-    /// Baseline-vs-speculative comparison (see the free [`compare`]).
+    /// Runs the workload under the baseline and the paper's speculative
+    /// configuration and checks result equality (the Figure 7/8
+    /// measurement).
+    ///
+    /// # Errors
+    ///
+    /// Any compile or simulation failure, or differing kernel output
+    /// between configurations.
     pub fn compare(&self, w: &Workload, cfg: &SimConfig) -> Result<Comparison, EvalError> {
         self.compare_with(w, &CompileOptions::speculative(), cfg)
     }
 
     /// Like [`Engine::compare`] but with a custom speculative-side
-    /// configuration.
+    /// configuration (soft-barrier thresholds, static deconfliction,
+    /// automatic mode, ...).
     pub fn compare_with(
         &self,
         w: &Workload,
@@ -427,25 +399,6 @@ impl Engine {
             return Err(EvalError::ResultMismatch { workload: w.name.to_string(), first_diff });
         }
         Ok(Comparison { name: w.name.to_string(), baseline: base, speculative: spec })
-    }
-
-    /// Runs independent jobs on the worker pool; the result vector is in
-    /// job order regardless of worker count.
-    pub fn run_batch(
-        &self,
-        jobs: &[EvalJob],
-    ) -> Vec<Result<(RunSummary, Vec<simt_ir::Value>), EvalError>> {
-        self.par_map(jobs, |j| self.run_config(&j.workload, &j.opts, &j.cfg))
-    }
-
-    /// Like [`Engine::run_batch`] but returning each job's full
-    /// [`SimOutput`] — traces, profiles, and journals included when the
-    /// job's config requests them. This is the batch entry for
-    /// observability sweeps (e.g. exporting a Chrome trace per workload);
-    /// journal writer callbacks run on the worker threads, which is why
-    /// [`simt_sim::JournalWriter`] requires `Send + Sync`.
-    pub fn run_batch_full(&self, jobs: &[EvalJob]) -> Vec<Result<SimOutput, EvalError>> {
-        self.par_map(jobs, |j| self.run_full(&j.workload, &j.opts, &j.cfg))
     }
 
     /// Runs the workload over the seed range `[seed_lo, seed_hi)` with
@@ -532,7 +485,10 @@ impl Engine {
     }
 
     /// Applies `f` to every item on the worker pool and returns results in
-    /// item order.
+    /// item order. Mapped over [`Engine::run_full`], this is the batch
+    /// entry for observability sweeps too: journal writer callbacks run on
+    /// the worker threads, which is why [`simt_sim::JournalWriter`]
+    /// requires `Send + Sync`.
     ///
     /// Work is distributed by an atomic cursor (dynamic load balancing);
     /// each worker records `(index, result)` pairs which are merged by
@@ -583,29 +539,12 @@ impl Default for Engine {
     }
 }
 
-/// The process-wide engine behind the module-level free functions:
-/// single-job (sequential), with the shared kernel cache. Exposed for
-/// callers that want the cache without constructing their own engine.
+/// The process-wide engine: single-job (sequential), with a shared
+/// kernel cache, so repeated runs of the same kernel anywhere in the
+/// process skip recompilation and redecoding.
 pub fn shared() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(|| Engine::new(1))
-}
-
-fn default_engine() -> &'static Engine {
-    shared()
-}
-
-/// Compiles the workload with `opts` and runs it; returns the metrics
-/// digest and the final memory (for cross-configuration checks).
-///
-/// Delegates to a process-wide sequential [`Engine`], so repeated runs of
-/// the same kernel hit its compiled-image cache.
-pub fn run_config(
-    w: &Workload,
-    opts: &CompileOptions,
-    cfg: &SimConfig,
-) -> Result<(RunSummary, Vec<simt_ir::Value>), EvalError> {
-    default_engine().run_config(w, opts, cfg)
 }
 
 /// Baseline-vs-speculative comparison for one workload (the Figure 7/8
@@ -632,27 +571,6 @@ impl Comparison {
     }
 }
 
-/// Runs the workload under the baseline and the paper's speculative
-/// configuration and checks result equality.
-///
-/// # Errors
-///
-/// Any compile or simulation failure, or differing kernel output between
-/// configurations.
-pub fn compare(w: &Workload, cfg: &SimConfig) -> Result<Comparison, EvalError> {
-    default_engine().compare(w, cfg)
-}
-
-/// Like [`compare`] but with a custom speculative-side configuration
-/// (soft-barrier thresholds, static deconfliction, automatic mode, ...).
-pub fn compare_with(
-    w: &Workload,
-    spec_opts: &CompileOptions,
-    cfg: &SimConfig,
-) -> Result<Comparison, EvalError> {
-    default_engine().compare_with(w, spec_opts, cfg)
-}
-
 fn first_difference(a: &[simt_ir::Value], b: &[simt_ir::Value]) -> Option<usize> {
     if a.len() != b.len() {
         return Some(a.len().min(b.len()));
@@ -668,10 +586,7 @@ fn first_difference(a: &[simt_ir::Value], b: &[simt_ir::Value]) -> Option<usize>
 }
 
 /// A builder over a cloned [`Workload`], started by [`Workload::rebind`]:
-/// the one place launch and annotation adjustments live. The historical
-/// helpers ([`with_threshold`], [`with_warps`], [`with_seed`]) are thin
-/// wrappers over it, and sweep partitioning uses it to stamp per-chunk
-/// seeds.
+/// the one place launch and annotation adjustments live.
 #[derive(Clone, Debug)]
 pub struct Rebind {
     w: Workload,
@@ -718,28 +633,15 @@ impl Workload {
     }
 }
 
-/// Applies the workload's recommended soft-barrier threshold to its
-/// predictions, returning a modified clone (used by the Figure 9 sweep).
-pub fn with_threshold(w: &Workload, threshold: u32) -> Workload {
-    w.rebind().threshold(threshold).done()
-}
-
-/// A reduced-size variant of the workload for fast tests: shrinks the warp
-/// count.
-pub fn with_warps(w: &Workload, warps: usize) -> Workload {
-    w.rebind().warps(warps).done()
-}
-
-/// Convenience: the default launch with a different seed (determinism and
-/// variance testing).
-pub fn with_seed(w: &Workload, seed: u64) -> Workload {
-    w.rebind().seed(seed).done()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rsbench;
+
+    /// RSBench shrunk to `warps` warps.
+    fn small(warps: usize) -> Workload {
+        rsbench::build(&rsbench::Params::default()).rebind().warps(warps).done()
+    }
 
     /// A panic while the cache lock is held (contained by the service's
     /// worker isolation) must not take the cache away from every later
@@ -783,7 +685,7 @@ mod tests {
     #[test]
     fn with_threshold_sets_every_prediction() {
         let w = rsbench::build(&rsbench::Params::default());
-        let wt = with_threshold(&w, 12);
+        let wt = w.rebind().threshold(12).done();
         for (_, f) in wt.module.functions.iter() {
             for p in &f.predictions {
                 assert_eq!(p.threshold, Some(12));
@@ -792,13 +694,6 @@ mod tests {
         // Original untouched.
         let kernel = w.module.function_by_name("rsbench").unwrap();
         assert_eq!(w.module.functions[kernel].predictions[0].threshold, None);
-    }
-
-    #[test]
-    fn with_helpers_adjust_launch() {
-        let w = rsbench::build(&rsbench::Params::default());
-        assert_eq!(with_warps(&w, 2).launch.num_warps, 2);
-        assert_eq!(with_seed(&w, 9).launch.seed, 9);
     }
 
     #[test]
@@ -821,7 +716,7 @@ mod tests {
     #[test]
     fn run_sweep_matches_per_seed_runs_and_compiles_once() {
         let engine = Engine::new(3);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 1);
+        let w = small(1);
         let cfg = SimConfig::default();
         let opts = CompileOptions::baseline();
         // 5 seeds over 3 workers: chunked (2, 2, 1), merged in seed order.
@@ -844,7 +739,7 @@ mod tests {
     #[test]
     fn run_sweep_empty_range_and_cancellation() {
         let engine = Engine::new(2);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 1);
+        let w = small(1);
         let cfg = SimConfig::default();
         let out = engine.run_sweep(&w, None, &cfg, 7, 7, None).unwrap();
         assert!(out.runs.is_empty());
@@ -857,7 +752,7 @@ mod tests {
     #[test]
     fn engine_caches_compiled_kernels() {
         let engine = Engine::new(1);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 2);
+        let w = small(2);
         let cfg = SimConfig::default();
         assert_eq!(engine.cached_images(), 0);
         let a = engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
@@ -868,17 +763,6 @@ mod tests {
         // A different compile configuration is a different cache entry.
         engine.run_config(&w, &CompileOptions::speculative(), &cfg).unwrap();
         assert_eq!(engine.cached_images(), 2);
-    }
-
-    #[test]
-    fn engine_matches_free_functions() {
-        let engine = Engine::new(2);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 2);
-        let cfg = SimConfig::default();
-        let via_engine = engine.compare(&w, &cfg).unwrap();
-        let via_free = compare(&w, &cfg).unwrap();
-        assert_eq!(via_engine.baseline, via_free.baseline);
-        assert_eq!(via_engine.speculative, via_free.speculative);
     }
 
     #[test]
@@ -894,47 +778,37 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_order_matches_job_order() {
+    fn par_map_order_matches_job_order() {
         let engine = Engine::new(4);
-        let base = rsbench::build(&rsbench::Params::default());
-        let jobs: Vec<EvalJob> = [1usize, 2, 3]
-            .iter()
-            .map(|&warps| {
-                EvalJob::new(
-                    with_warps(&base, warps),
-                    CompileOptions::baseline(),
-                    SimConfig::default(),
-                )
-            })
-            .collect();
-        let results = engine.run_batch(&jobs);
+        let opts = CompileOptions::baseline();
+        let cfg = SimConfig::default();
+        let jobs: Vec<Workload> = [1usize, 2, 3].iter().map(|&warps| small(warps)).collect();
+        let results = engine.par_map(&jobs, |w| engine.run_config(w, &opts, &cfg));
         assert_eq!(results.len(), 3);
-        for (job, result) in jobs.iter().zip(&results) {
+        for (w, result) in jobs.iter().zip(&results) {
             let (summary, _) = result.as_ref().unwrap();
-            let (expected, _) = run_config(&job.workload, &job.opts, &job.cfg).unwrap();
-            assert_eq!(summary, &expected, "warps={}", job.workload.launch.num_warps);
+            let (expected, _) = Engine::new(1).run_config(w, &opts, &cfg).unwrap();
+            assert_eq!(summary, &expected, "warps={}", w.launch.num_warps);
         }
     }
 
     #[test]
-    fn run_batch_full_threads_trace_and_journal_requests() {
+    fn par_map_threads_trace_and_journal_requests() {
         use simt_sim::JournalConfig;
         let engine = Engine::new(2);
-        let base = with_warps(&rsbench::build(&rsbench::Params::default()), 1);
+        let w = small(1);
+        let opts = CompileOptions::baseline();
         let observed = SimConfig {
             trace: true,
             journal: Some(JournalConfig::default()),
             ..SimConfig::default()
         };
-        let jobs = vec![
-            EvalJob::new(base.clone(), CompileOptions::baseline(), observed),
-            EvalJob::new(base.clone(), CompileOptions::baseline(), SimConfig::default()),
-        ];
-        let results = engine.run_batch_full(&jobs);
+        let cfgs = [observed, SimConfig::default()];
+        let results = engine.par_map(&cfgs, |cfg| engine.run_full(&w, &opts, cfg));
         assert_eq!(results.len(), 2);
         let traced = results[0].as_ref().unwrap();
-        assert!(traced.trace.is_some(), "trace request survives the batch path");
-        let journal = traced.journal.as_ref().expect("journal request survives the batch path");
+        assert!(traced.trace.is_some(), "trace request survives the worker pool");
+        let journal = traced.journal.as_ref().expect("journal request survives the worker pool");
         assert!(journal.recorded() > 0, "a divergent workload journals events");
         let plain = results[1].as_ref().unwrap();
         assert!(plain.trace.is_none() && plain.journal.is_none());
@@ -946,7 +820,7 @@ mod tests {
     #[test]
     fn cache_counts_hits_and_misses() {
         let engine = Engine::new(1);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 2);
+        let w = small(2);
         let cfg = SimConfig::default();
         assert_eq!(engine.cache_stats(), CacheStats::default());
         engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
@@ -964,7 +838,7 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
         let engine = Engine::with_capacity(1, 2);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 1);
+        let w = small(1);
         let cfg = SimConfig::default();
         let base = CompileOptions::baseline();
         let spec = CompileOptions::speculative();
@@ -988,7 +862,7 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_to_one_entry() {
         let engine = Engine::with_capacity(1, 0);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 1);
+        let w = small(1);
         let cfg = SimConfig::default();
         engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
         engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
@@ -999,7 +873,7 @@ mod tests {
     #[test]
     fn cancellation_mid_batch_leaves_cache_usable() {
         let engine = Engine::new(2);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 2);
+        let w = small(2);
         let cfg = SimConfig::default();
         let opts = CompileOptions::baseline();
         // Pre-cancelled token: the run compiles + caches, then stops at
@@ -1016,9 +890,8 @@ mod tests {
         let clean = fresh.run_config(&w, &opts, &cfg).unwrap();
         assert_eq!(cancelled_then_ok, clean);
         assert_eq!(engine.cache_stats().hits, 1, "the rerun hit the cache");
-        let jobs: Vec<EvalJob> =
-            (1..=3).map(|s| EvalJob::new(with_seed(&w, s), opts.clone(), cfg.clone())).collect();
-        for r in engine.run_batch(&jobs) {
+        let jobs: Vec<Workload> = (1..=3).map(|s| w.rebind().seed(s).done()).collect();
+        for r in engine.par_map(&jobs, |w| engine.run_config(w, &opts, &cfg)) {
             r.expect("batch after cancellation succeeds");
         }
     }
@@ -1026,7 +899,7 @@ mod tests {
     #[test]
     fn uncancelled_token_changes_nothing() {
         let engine = Engine::new(1);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 2);
+        let w = small(2);
         let cfg = SimConfig::default();
         let opts = CompileOptions::baseline();
         let token = CancelToken::new();
@@ -1034,19 +907,6 @@ mod tests {
         let without = engine.run_full(&w, &opts, &cfg).unwrap();
         assert_eq!(with_token.metrics, without.metrics);
         assert_eq!(with_token.global_mem, without.global_mem);
-    }
-
-    #[test]
-    fn run_repair_matches_explicit_options() {
-        let engine = Engine::new(1);
-        let w = with_warps(&rsbench::build(&rsbench::Params::default()), 1);
-        let cfg = SimConfig::default();
-        for r in RepairStrategy::ALL {
-            let (via_repair, mem_r) = engine.run_repair(&w, r, &cfg).unwrap();
-            let (via_opts, mem_o) = engine.run_config(&w, &r.options(), &cfg).unwrap();
-            assert_eq!(via_repair, via_opts, "{r}");
-            assert_eq!(mem_r, mem_o, "{r}");
-        }
     }
 
     #[test]

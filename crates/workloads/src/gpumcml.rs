@@ -157,7 +157,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn sr_substantially_improves_efficiency() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
             "eff: {} -> {}",
@@ -178,12 +178,9 @@ mod tests {
     #[test]
     fn absorption_grid_accumulates_weight() {
         let w = small();
-        let (_, mem) = crate::eval::run_config(
-            &w,
-            &specrecon_core::CompileOptions::baseline(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let (_, mem) = shared()
+            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
+            .unwrap();
         let p = Params { num_photons: 96, num_warps: 1, ..Params::default() };
         let l = layout(&p);
         let total: f64 =

@@ -17,8 +17,8 @@
 //!
 //! let workloads = registry();
 //! assert_eq!(workloads.len(), 9);
-//! let small = eval::with_warps(&workloads[0], 1);
-//! let cmp = eval::compare(&small, &SimConfig::default()).unwrap();
+//! let small = workloads[0].rebind().warps(1).done();
+//! let cmp = eval::shared().compare(&small, &SimConfig::default()).unwrap();
 //! assert!(cmp.speedup() > 0.0);
 //! ```
 
@@ -41,7 +41,7 @@ pub mod seedstorm;
 pub mod srad;
 pub mod xsbench;
 
-pub use eval::{Engine, EvalJob, Rebind};
+pub use eval::{Engine, Rebind};
 
 use simt_ir::Module;
 use simt_sim::Launch;

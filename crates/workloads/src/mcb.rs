@@ -136,7 +136,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn collision_block_converges_under_sr() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.2,
             "roi eff: {} -> {}",
@@ -158,7 +158,7 @@ mod tests {
     fn baseline_collision_mask_is_thin() {
         // ~30% of lanes collide per segment: the PDOM collision mask sits
         // around the collision probability.
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(cmp.baseline.roi_eff < 0.55, "baseline roi {}", cmp.baseline.roi_eff);
     }
 
@@ -167,7 +167,7 @@ mod tests {
         // Iteration Delay trades serialized prolog/epilog for collision
         // convergence; on this configuration it should at worst be mildly
         // slower and typically faster.
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(cmp.speedup() > 0.9, "speedup {}", cmp.speedup());
     }
 }

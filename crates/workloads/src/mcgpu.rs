@@ -156,7 +156,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn compton_converges_under_sr() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.15,
             "roi eff: {} -> {}",
@@ -177,12 +177,9 @@ mod tests {
     #[test]
     fn dose_grid_is_written() {
         let w = small();
-        let (_, mem) = crate::eval::run_config(
-            &w,
-            &specrecon_core::CompileOptions::baseline(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let (_, mem) = shared()
+            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
+            .unwrap();
         let l = layout(&Params { num_photons: 96, num_warps: 1, ..Params::default() });
         let touched =
             (0..1024).filter(|i| mem[(l.grid_base as usize) + i] != Value::I64(0)).count();

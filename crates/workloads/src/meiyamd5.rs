@@ -155,7 +155,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn sr_improves_efficiency_substantially() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
             "eff: {} -> {}",
@@ -176,12 +176,9 @@ mod tests {
     #[test]
     fn digests_stay_in_32_bits_and_are_nonzero() {
         let w = small();
-        let (_, mem) = crate::eval::run_config(
-            &w,
-            &specrecon_core::CompileOptions::baseline(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let (_, mem) = shared()
+            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
+            .unwrap();
         let l = layout(&Params::default());
         let mut nonzero = 0;
         for t in 0..96usize {
@@ -196,7 +193,7 @@ mod tests {
 
     #[test]
     fn quadratic_skew_makes_baseline_divergent() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(cmp.baseline.simt_eff < 0.55, "baseline eff {}", cmp.baseline.simt_eff);
     }
 }

@@ -256,13 +256,13 @@ pub fn build_fig2b(p: &Fig2Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     #[test]
     fn interprocedural_sr_converges_shared_body() {
         let w = build_common_call(&Params { num_warps: 1, ..Params::default() });
-        let cmp = compare(&w, &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.2,
             "roi eff: {} -> {}",
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn fig2a_improves_under_sr() {
         let w = build_fig2a(&Fig2Params { num_warps: 1, ..Fig2Params::default() });
-        let cmp = compare(&w, &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.2,
             "roi: {} -> {}",
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn fig2b_improves_under_sr() {
         let w = build_fig2b(&Fig2Params { num_warps: 1, ..Fig2Params::default() });
-        let cmp = compare(&w, &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.08,
             "eff: {} -> {}",
@@ -300,12 +300,9 @@ mod tests {
     #[test]
     fn kernel_writes_every_thread_slot() {
         let w = build_common_call(&Params { num_warps: 1, ..Params::default() });
-        let (_, mem) = crate::eval::run_config(
-            &w,
-            &specrecon_core::CompileOptions::baseline(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let (_, mem) = shared()
+            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
+            .unwrap();
         for t in 0..32usize {
             assert_ne!(mem[MEM_BASE as usize + t], Value::I64(0), "thread {t}");
         }

@@ -135,7 +135,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn sr_improves_match_loop_convergence() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.roi_eff > cmp.baseline.roi_eff,
             "roi eff: {} -> {}",
@@ -156,12 +156,9 @@ mod tests {
     #[test]
     fn match_lengths_are_plausible() {
         let w = small();
-        let (_, mem) = crate::eval::run_config(
-            &w,
-            &specrecon_core::CompileOptions::baseline(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let (_, mem) = shared()
+            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
+            .unwrap();
         let p = Params { num_queries: 96, num_warps: 1, ..Params::default() };
         let l = layout(&p);
         for t in 0..96usize {

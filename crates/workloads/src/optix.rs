@@ -157,7 +157,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::compare;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn leaf_intersections_converge_under_sr() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.15,
             "roi eff: {} -> {}",

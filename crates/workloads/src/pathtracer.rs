@@ -134,7 +134,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{compare, compare_with, with_threshold};
+    use crate::eval::shared;
     use simt_sim::SimConfig;
     use specrecon_core::CompileOptions;
 
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn speculative_improves_efficiency_and_speed() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
             "eff: {} -> {}",
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn roulette_produces_divergent_baseline() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(cmp.baseline.simt_eff < 0.6, "baseline eff {}", cmp.baseline.simt_eff);
     }
 
@@ -166,9 +166,10 @@ mod tests {
         // convergence wins; a tiny threshold (near-free-running) is worse.
         let w = small();
         let cfg = SimConfig::default();
-        let full = compare(&w, &cfg).unwrap();
-        let low =
-            compare_with(&with_threshold(&w, 2), &CompileOptions::speculative(), &cfg).unwrap();
+        let full = shared().compare(&w, &cfg).unwrap();
+        let low = shared()
+            .compare_with(&w.rebind().threshold(2).done(), &CompileOptions::speculative(), &cfg)
+            .unwrap();
         assert!(
             full.speculative.cycles < low.speculative.cycles,
             "full {} vs threshold-2 {}",

@@ -73,12 +73,12 @@ pub fn layout(p: &Params) -> MemLayout {
 ///
 /// ```
 /// use workloads::rsbench;
-/// use workloads::eval::compare;
+/// use workloads::eval;
 /// use simt_sim::SimConfig;
 ///
 /// let params = rsbench::Params { num_tasks: 64, num_warps: 1, ..Default::default() };
 /// let w = rsbench::build(&params);
-/// let cmp = compare(&w, &SimConfig::default()).unwrap();
+/// let cmp = eval::shared().compare(&w, &SimConfig::default()).unwrap();
 /// assert!(cmp.speedup() > 1.0);
 /// ```
 pub fn build(p: &Params) -> Workload {
@@ -159,7 +159,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{compare, with_warps};
+    use crate::eval::shared;
     use simt_sim::SimConfig;
 
     fn small() -> Workload {
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn speculative_improves_efficiency_and_speed() {
         let w = small();
-        let cmp = compare(&w, &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
             "eff: {} -> {}",
@@ -185,15 +185,15 @@ mod tests {
         // The 4..321 trip-count spread should leave the PDOM baseline well
         // under 50% efficiency, as in the paper's Figure 7.
         let w = small();
-        let cmp = compare(&w, &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
         assert!(cmp.baseline.simt_eff < 0.5, "baseline eff {}", cmp.baseline.simt_eff);
     }
 
     #[test]
     fn results_are_deterministic_across_runs() {
         let w = small();
-        let a = compare(&w, &SimConfig::default()).unwrap();
-        let b = compare(&w, &SimConfig::default()).unwrap();
+        let a = shared().compare(&w, &SimConfig::default()).unwrap();
+        let b = shared().compare(&w, &SimConfig::default()).unwrap();
         assert_eq!(a.baseline.cycles, b.baseline.cycles);
         assert_eq!(a.speculative.cycles, b.speculative.cycles);
     }
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn default_params_build_and_shrink() {
         let w = build(&Params::default());
-        let w1 = with_warps(&w, 1);
+        let w1 = w.rebind().warps(1).done();
         assert_eq!(w1.launch.num_warps, 1);
         simt_ir::assert_verified(&w1.module);
     }

@@ -28,9 +28,9 @@
 //!
 //! The kernel is *not* part of [`registry`](crate::registry) (that list
 //! mirrors Table 2 of the paper); it is exposed as a named workload to
-//! the CLI/server the same way the microbenchmark is, and the seed-sweep
-//! perf harness measures it alongside the Monte Carlo registry entries
-//! (the ledger's `seed-sweep` workload). The fork/merge engine burns no
+//! the CLI/server the same way the microbenchmark is, and the ledger's
+//! `seed-sweep` workload measures it alongside the Monte Carlo registry
+//! entries. The fork/merge engine burns no
 //! scalar-machine rounds here (the detach-to-scalar engine it replaced
 //! burned ~2k per 32-seed sweep). Against 32 independent launches of
 //! the decoded engine — re-measured at PR 15, same-process probe, best

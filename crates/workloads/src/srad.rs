@@ -143,7 +143,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::run_config;
+    use crate::eval::shared;
     use simt_sim::SimConfig;
     use specrecon_core::RepairStrategy;
 
@@ -155,9 +155,9 @@ mod tests {
     fn all_repairs_agree_on_results() {
         let w = small();
         let cfg = SimConfig::default();
-        let (_, base) = run_config(&w, &RepairStrategy::Pdom.options(), &cfg).unwrap();
+        let (_, base) = shared().run_config(&w, &RepairStrategy::Pdom.options(), &cfg).unwrap();
         for r in RepairStrategy::ALL {
-            let (_, mem) = run_config(&w, &r.options(), &cfg).unwrap();
+            let (_, mem) = shared().run_config(&w, &r.options(), &cfg).unwrap();
             assert_eq!(base, mem, "{r} diverged from pdom results");
         }
     }
@@ -166,7 +166,8 @@ mod tests {
     fn melding_beats_both_pdom_and_sr() {
         let w = small();
         let cfg = SimConfig::default();
-        let eff = |r: RepairStrategy| run_config(&w, &r.options(), &cfg).unwrap().0.simt_eff;
+        let eff =
+            |r: RepairStrategy| shared().run_config(&w, &r.options(), &cfg).unwrap().0.simt_eff;
         let (pdom, sr, meld) =
             (eff(RepairStrategy::Pdom), eff(RepairStrategy::Sr), eff(RepairStrategy::Meld));
         assert!(meld > pdom, "meld {meld} should beat pdom {pdom}");

@@ -167,7 +167,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{compare, compare_with, with_threshold};
+    use crate::eval::shared;
     use simt_sim::SimConfig;
     use specrecon_core::CompileOptions;
 
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn speculative_improves_efficiency() {
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(
             cmp.speculative.simt_eff > cmp.baseline.simt_eff,
             "eff: {} -> {}",
@@ -190,9 +190,10 @@ mod tests {
     fn soft_thresholds_run_and_preserve_results() {
         let w = small();
         for t in [4u32, 16, 28] {
-            let wt = with_threshold(&w, t);
-            let cmp =
-                compare_with(&wt, &CompileOptions::speculative(), &SimConfig::default()).unwrap();
+            let wt = w.rebind().threshold(t).done();
+            let cmp = shared()
+                .compare_with(&wt, &CompileOptions::speculative(), &SimConfig::default())
+                .unwrap();
             assert!(cmp.speculative.cycles > 0, "threshold {t}");
         }
     }
@@ -202,7 +203,7 @@ mod tests {
         // The grid loads dominate: the inner body issues more memory cost
         // than compute. Indirectly visible as lower speedup potential than
         // rsbench, but results must still be exact.
-        let cmp = compare(&small(), &SimConfig::default()).unwrap();
+        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
         assert!(cmp.speedup() > 0.8, "speedup collapsed: {}", cmp.speedup());
     }
 }

@@ -5,7 +5,7 @@
 
 use simt_sim::{run, SimConfig};
 use specrecon_core::{compile, CompileOptions, VOLTA_BARRIER_REGISTERS};
-use workloads::{eval::with_warps, microbench, registry};
+use workloads::{microbench, registry};
 
 #[test]
 fn all_workloads_fit_in_volta_barrier_registers() {
@@ -19,7 +19,7 @@ fn all_workloads_fit_in_volta_barrier_registers() {
     let mut all = registry();
     all.push(microbench::build_common_call(&microbench::Params::default()));
     for w in all {
-        let w = with_warps(&w, 1);
+        let w = w.rebind().warps(1).done();
         let plain = compile(&w.module, &CompileOptions::speculative())
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let allocated =

@@ -5,38 +5,32 @@
 
 use simt_sim::SimConfig;
 use specrecon_core::CompileOptions;
-use workloads::eval::{with_warps, Engine, EvalJob};
-use workloads::registry;
+use workloads::{registry, Engine, Workload};
 
-fn jobs_for(opts: CompileOptions) -> Vec<EvalJob> {
-    registry()
-        .iter()
-        .map(|w| EvalJob::new(with_warps(w, 2), opts.clone(), SimConfig::default()))
-        .collect()
+fn small_registry() -> Vec<Workload> {
+    registry().iter().map(|w| w.rebind().warps(2).done()).collect()
 }
 
 #[test]
 fn batch_results_are_identical_for_any_worker_count() {
+    let ws = small_registry();
+    let cfg = SimConfig::default();
     for opts in [CompileOptions::baseline(), CompileOptions::speculative()] {
-        let jobs = jobs_for(opts);
-        let sequential = Engine::new(1).run_batch(&jobs);
-        assert_eq!(sequential.len(), jobs.len());
+        let batch = |engine: &Engine| engine.par_map(&ws, |w| engine.run_config(w, &opts, &cfg));
+        let sequential = batch(&Engine::new(1));
+        assert_eq!(sequential.len(), ws.len());
         for n in [2, 4, 8] {
-            let parallel = Engine::new(n).run_batch(&jobs);
+            let parallel = batch(&Engine::new(n));
             assert_eq!(sequential.len(), parallel.len());
-            for ((s, p), job) in sequential.iter().zip(&parallel).zip(&jobs) {
+            for ((s, p), w) in sequential.iter().zip(&parallel).zip(&ws) {
                 let (s_summary, s_mem) = s.as_ref().expect("sequential run succeeded");
                 let (p_summary, p_mem) = p.as_ref().expect("parallel run succeeded");
                 assert_eq!(
                     s_summary, p_summary,
                     "{}: metrics digest diverged at {n} workers",
-                    job.workload.name
+                    w.name
                 );
-                assert_eq!(
-                    s_mem, p_mem,
-                    "{}: final memory diverged at {n} workers",
-                    job.workload.name
-                );
+                assert_eq!(s_mem, p_mem, "{}: final memory diverged at {n} workers", w.name);
             }
         }
     }
@@ -50,8 +44,7 @@ fn full_metrics_are_identical_across_engines() {
     let cfg = SimConfig::default();
     let a = Engine::new(1);
     let b = Engine::new(4);
-    for w in registry() {
-        let w = with_warps(&w, 2);
+    for w in small_registry() {
         let out_a = a.run_full(&w, &CompileOptions::speculative(), &cfg).expect("runs");
         let out_b = b.run_full(&w, &CompileOptions::speculative(), &cfg).expect("runs");
         assert_eq!(out_a.metrics, out_b.metrics, "{}", w.name);
@@ -65,7 +58,7 @@ fn cache_hits_do_not_change_results() {
     // must equal a run through a fresh engine.
     let cfg = SimConfig::default();
     let engine = Engine::new(2);
-    let w = with_warps(&registry().remove(0), 2);
+    let w = small_registry().remove(0);
     let first = engine.run_config(&w, &CompileOptions::speculative(), &cfg).expect("runs");
     let second = engine.run_config(&w, &CompileOptions::speculative(), &cfg).expect("runs");
     let fresh = Engine::new(1).run_config(&w, &CompileOptions::speculative(), &cfg).expect("runs");

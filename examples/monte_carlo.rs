@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example monte_carlo`
 
 use specrecon::passes::CompileOptions;
-use specrecon::workloads::eval::{compare, compare_with, with_threshold};
+use specrecon::workloads::eval;
 use specrecon::workloads::rsbench;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let cfg = specrecon::sim::SimConfig::default();
-    let cmp = compare(&workload, &cfg)?;
+    let engine = eval::shared();
+    let cmp = engine.compare(&workload, &cfg)?;
     println!(
         "baseline (PDOM):          SIMT efficiency {:>5.1}%, {:>8} cycles",
         cmp.baseline.simt_eff * 100.0,
@@ -43,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("soft-barrier thresholds (release once N threads arrive):");
     for t in [8u32, 16, 24, 32] {
-        let wt = with_threshold(&workload, t);
-        let c = compare_with(&wt, &CompileOptions::speculative(), &cfg)?;
+        let wt = workload.rebind().threshold(t).done();
+        let c = engine.compare_with(&wt, &CompileOptions::speculative(), &cfg)?;
         println!(
             "  T={t:>2}: SIMT efficiency {:>5.1}%, speedup {:.2}x",
             c.speculative.simt_eff * 100.0,

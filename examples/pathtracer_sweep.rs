@@ -6,7 +6,7 @@
 
 use specrecon::passes::CompileOptions;
 use specrecon::sim::SimConfig;
-use specrecon::workloads::eval::{compare_with, with_threshold};
+use specrecon::workloads::eval;
 use specrecon::workloads::{pathtracer, xsbench, Workload};
 
 fn sweep(w: &Workload) -> Result<(), Box<dyn std::error::Error>> {
@@ -15,8 +15,8 @@ fn sweep(w: &Workload) -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>9} {:>10} {:>8}", "threshold", "SIMT eff", "speedup");
     let mut best = (0u32, 0.0f64);
     for t in [2u32, 4, 8, 12, 16, 20, 24, 28, 32] {
-        let wt = with_threshold(w, t);
-        let c = compare_with(&wt, &CompileOptions::speculative(), &cfg)?;
+        let wt = w.rebind().threshold(t).done();
+        let c = eval::shared().compare_with(&wt, &CompileOptions::speculative(), &cfg)?;
         if c.speedup() > best.1 {
             best = (t, c.speedup());
         }

@@ -4,7 +4,7 @@
 
 use specrecon::passes::CompileOptions;
 use specrecon::sim::SimConfig;
-use specrecon::workloads::eval::{compare, compare_with, with_threshold, with_warps};
+use specrecon::workloads::eval::shared;
 use specrecon::workloads::{pathtracer, registry, xsbench};
 
 /// §5.2 / Figures 7–8: every workload gains SIMT efficiency (10%..3x) and
@@ -14,8 +14,8 @@ fn figure7_and_8_shapes_hold() {
     let cfg = SimConfig::default();
     let mut best_gain: f64 = 0.0;
     for w in registry() {
-        let w = with_warps(&w, 1);
-        let c = compare(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let w = w.rebind().warps(1).done();
+        let c = shared().compare(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let gain = c.efficiency_gain();
         let speedup = c.speedup();
         assert!(gain > 1.05, "{}: efficiency gain {gain:.2}", w.name);
@@ -40,7 +40,12 @@ fn figure9_crossover_holds() {
     let best_threshold = |w: &specrecon::workloads::Workload| -> (u32, f64) {
         grid.iter()
             .map(|&t| {
-                let c = compare_with(&with_threshold(w, t), &CompileOptions::speculative(), &cfg)
+                let c = shared()
+                    .compare_with(
+                        &w.rebind().threshold(t).done(),
+                        &CompileOptions::speculative(),
+                        &cfg,
+                    )
                     .unwrap_or_else(|e| panic!("{} T={t}: {e}", w.name));
                 (t, c.speedup())
             })
@@ -63,19 +68,20 @@ fn figure9_crossover_holds() {
     });
     let (xs_best, xs_peak) = best_threshold(&xs);
     assert_ne!(xs_best, 32, "xsbench should peak below the full barrier");
-    let xs_full = compare_with(&with_threshold(&xs, 32), &CompileOptions::speculative(), &cfg)
+    let xs_full = shared()
+        .compare_with(&xs.rebind().threshold(32).done(), &CompileOptions::speculative(), &cfg)
         .unwrap()
         .speedup();
     assert!(xs_peak > xs_full, "partial threshold {xs_peak:.3} must beat full {xs_full:.3}");
 }
 
 /// §5.2: SR never changes kernel results — checked here across every
-/// workload (compare() verifies output equality internally).
+/// workload (`Engine::compare` verifies output equality internally).
 #[test]
 fn results_preserved_across_the_whole_suite() {
     let cfg = SimConfig::default();
     for w in registry() {
-        let w = with_warps(&w, 2);
-        compare(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let w = w.rebind().warps(2).done();
+        shared().compare(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
     }
 }
