@@ -18,7 +18,7 @@ use specrecon_core::{
 };
 
 use workloads::eval::{self, Engine};
-use workloads::{corpus, registry, Workload};
+use workloads::{corpus, registry, RunSpec, Seeds, Workload};
 
 /// One Figure-10 bar: automatic SR on a de-annotated application.
 #[derive(Clone, Debug)]
@@ -182,15 +182,14 @@ fn funnel_stage(engine: &Engine, entry: &corpus::CorpusEntry, profiled: bool) ->
             &cfg,
             &entry.workload.launch,
         );
-        match pg {
-            Ok(compiled) => {
-                match engine.run_module(&compiled.module, &cfg, &entry.workload.launch) {
-                    Ok(out) => Some(base.cycles as f64 / out.metrics.cycles as f64),
-                    Err(_) => None,
-                }
-            }
-            Err(_) => None,
-        }
+        pg.ok().and_then(|compiled| {
+            let w = &entry.workload;
+            let workload = Workload { module: compiled.module, launch: w.launch.clone(), ..*w };
+            let spec =
+                RunSpec { workload, compile: None, cfg: cfg.clone(), seeds: Seeds::Count(1) };
+            let out = engine.run(&spec, None, |run| run).ok()?.runs.pop()?.result.ok()?;
+            Some(base.cycles as f64 / out.metrics.cycles as f64)
+        })
     } else {
         engine.compare_with(&entry.workload, &auto_opts, &cfg).ok().map(|c| c.speedup())
     };

@@ -14,7 +14,7 @@
 //!    and asserts final per-thread state is bit-identical across all
 //!    five scheduler policies and two launch seeds, that every run
 //!    terminates, and that the barrier-safety lint stays clean.
-//! 3. **Shrinker & corpora** ([`shrink`], [`corpus`], [`regressions`])
+//! 3. **Shrinker & corpora** ([`mod@shrink`], [`corpus`], [`regressions`])
 //!    — failing seeds are minimized at the genome level, a fixed named
 //!    corpus pins known-fragile shapes, and the root proptest
 //!    regression file is ingested and replayed against the dataflow

@@ -1,77 +1,25 @@
 //! The `/v1/eval` request/response schema and its execution against the
 //! shared batch engine.
 //!
-//! A request names either a built-in workload (`"workload"`) or carries
-//! kernel source text (`"kernel"`), plus configuration knobs:
-//!
-//! ```json
-//! {
-//!   "workload": "rsbench",            // or "kernel": "kernel @k(...) { ... }"
-//!   "mode": "speculative",            // baseline | speculative | auto
-//!   "repair": "sr+meld",              // pdom | sr | meld | sr+meld | auto
-//!                                     // (overrides `mode` when given)
-//!   "policy": "greedy",               // greedy | minpc | maxpc | mostthreads | roundrobin
-//!   "deconflict": "dynamic",          // dynamic | static
-//!   "barrier_alloc": false,           // run barrier register allocation
-//!   "threshold": 8,                   // soft-barrier threshold override
-//!   "warps": 4, "seed": 1, "seeds": 2,  // or "seeds": [lo, hi) for a lockstep sweep
-//!   "mem": 1024,                      // inline kernels only: global memory cells
-//!   "mem_hier": "l1:lines=64,cells=16,lat=2;dram:lat=24,extra=2",
-//!                                     // memory-hierarchy cost model (omit = flat)
-//!   "recon_model": "ipdom-stack",     // barrier-file (default) | ipdom-stack
-//!                                     // | warp-split[:window=N][,compact]
-//!   "entry": "k",                     // inline kernels only: kernel to launch
-//!   "deadline_ms": 1000
-//! }
-//! ```
-//!
-//! The response carries per-seed metrics, an aggregate, and the engine's
-//! cache counters. All execution flows through the compiled-image cache
-//! and honors a cooperative [`CancelToken`].
-//!
-//! `"seeds"` takes either a count `N` (runs seeds `seed..seed+N`, one
-//! scalar simulation each — the historical form) or a half-open range
-//! `[lo, hi]`, which compiles once and runs the whole range through the
-//! lockstep sweep engine via [`Engine::sweep_image_range`] (ranges wider
-//! than one cohort are chunked across the worker pool); the response
-//! then adds a `"sweep"` object with the engine's fork/merge/occupancy
-//! counters (plus the detach counter). Both forms
-//! answer with the same per-seed `"runs"` entries, and both are bounded
-//! by [`MAX_SEEDS`] seeds per request.
-//!
-//! `"mem_hier"` selects the L1/L2/DRAM hierarchy cost model (same spec
-//! syntax as the CLI's `--mem-hier`, parsed by
-//! [`simt_sim::MemHierarchy::parse`]); the response then adds a `"mem"`
-//! object with per-level hit/miss/MSHR counters summed over the
-//! request's runs.
-//!
-//! `"recon_model"` selects the hardware reconvergence model (same spec
-//! syntax as the CLI's `--recon-model`, parsed by
-//! [`simt_sim::ReconvergenceModel::parse`]); the canonical spec is
-//! echoed back as `"recon_model"`, and hardware-model runs add a
-//! `"recon"` object with the stack/split counters summed over the
-//! request's runs (also exported as `specrecon_recon_*` counters on
-//! `GET /metrics`). Unknown model names answer 400.
-//!
-//! `"repair"` selects a divergence-repair strategy by name (same axis
-//! as the CLI's `--repair`, parsed by
-//! [`specrecon_core::RepairStrategy::parse`]), replacing the compile
-//! options `"mode"` would have chosen; the canonical spec is echoed
-//! back as `"repair"`. Unknown strategies answer 400.
+//! A request's fields are the keys of the run-spec grammar
+//! ([`workloads::spec`]; `docs/SERVING.md` lists them): [`parse_request`]
+//! checks each field's JSON type against its key's kind and hands the
+//! values to [`RunSpec::parse`], so the command line and the service
+//! accept the same keys and values. Other fields are ignored, except the
+//! service's own `"deadline_ms"`. [`execute`] is one [`Engine::run`]
+//! plus the response: per-seed metrics, an aggregate, the cache
+//! counters, the echoed knobs, and `"sweep"`, `"mem"` and `"recon"`
+//! counter objects for ranges, hierarchies and hardware models.
 
 use crate::json::Json;
-use simt_ir::{parse_and_link, verify_module, FuncKind, Value};
-use simt_sim::{
-    run_image_with, CancelToken, Launch, MemHierarchy, MemStats, ReconStats, ReconvergenceModel,
-    SchedulerPolicy, SimConfig, SimError,
-};
-use specrecon_core::{CompileOptions, DeconflictMode, DetectOptions, RepairStrategy};
+use simt_sim::{CancelToken, MemStats, ReconStats, SeedRun, SimError};
+use specrecon_core::RepairStrategy;
+use std::borrow::Cow;
 use workloads::eval::{Engine, EvalError};
+use workloads::spec::{Key, Kind};
+use workloads::{RunSpec, Seeds};
 
-/// Sanity bound on seeds per request (count or range form). The sweep
-/// engine chunks arbitrary ranges across the worker pool, so this is a
-/// resource guard, not an engine limit.
-pub const MAX_SEEDS: u64 = 400;
+pub use workloads::spec::MAX_SEEDS;
 
 /// Arena cells one request may ask the engine for: `(warps × lanes ×
 /// regs + mem) × slots`, with `regs` of the module's widest function and
@@ -102,27 +50,14 @@ impl ApiError {
 /// A validated eval request, ready to run.
 #[derive(Clone, Debug)]
 pub struct EvalRequest {
-    /// Module to run and the name reported back.
-    pub name: String,
-    /// Kernel module (workload's or parsed from inline source).
-    pub module: simt_ir::Module,
-    /// Launch template (seed is rewritten per run).
-    pub launch: Launch,
-    /// Compile configuration.
-    pub opts: CompileOptions,
-    /// Machine configuration.
-    pub cfg: SimConfig,
-    /// Mode string echoed in the response.
+    /// The run, with `lint` forced on.
+    pub spec: RunSpec,
+    /// `"mode"` as sent (or its default), echoed in the response.
     pub mode: String,
-    /// Policy string echoed in the response.
+    /// `"policy"` as sent (or its default), echoed in the response.
     pub policy: String,
     /// Repair strategy, when the request pinned one (echoed back).
     pub repair: Option<RepairStrategy>,
-    /// Number of launches (seeds `seed..seed+n`).
-    pub seeds: u64,
-    /// When set, run the half-open seed range `[lo, hi)` as one lockstep
-    /// sweep instead of `seeds` scalar launches.
-    pub sweep: Option<(u64, u64)>,
     /// Client-requested deadline override, in milliseconds.
     pub deadline_ms: Option<u64>,
 }
@@ -135,181 +70,35 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
     if !matches!(doc, Json::Obj(_)) {
         return Err(ApiError::bad_request("request body must be a json object"));
     }
+    let field = |key: &str| doc.get(key).filter(|v| !matches!(v, Json::Null));
 
-    let field_str = |key: &str| -> Result<Option<&str>, ApiError> {
-        match doc.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| ApiError::bad_request(format!("`{key}` must be a string"))),
+    // `entry` and `mem` shape kernel source; beside a workload name the
+    // service has always ignored them, whatever their type.
+    let named = field(Key::Workload.name()).is_some();
+    let mut pairs = Vec::new();
+    for key in Key::all() {
+        if named && matches!(key, Key::Entry | Key::Mem) {
+            continue;
         }
-    };
-    let field_u64 = |key: &str| -> Result<Option<u64>, ApiError> {
-        match doc.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                ApiError::bad_request(format!("`{key}` must be a non-negative integer"))
-            }),
+        if let Some(value) = field(key.name()) {
+            pairs.push((key.name(), spelled(key, value)?));
         }
-    };
+    }
+    let mut spec = RunSpec::parse(&pairs).map_err(|e| ApiError::bad_request(e.to_string()))?;
+    let bad_deadline = || ApiError::bad_request("`deadline_ms` must be a non-negative integer");
+    let deadline_ms = field("deadline_ms").map(|v| v.as_u64().ok_or_else(bad_deadline));
+    let deadline_ms = deadline_ms.transpose()?;
 
-    let mode = field_str("mode")?.unwrap_or("speculative").to_string();
-    let policy = field_str("policy")?.unwrap_or("greedy").to_string();
-    let mut opts = match mode.as_str() {
-        "baseline" => CompileOptions::baseline(),
-        "speculative" => CompileOptions::speculative(),
-        "auto" => CompileOptions::automatic(DetectOptions::default()),
-        other => {
-            return Err(ApiError::bad_request(format!(
-                "unknown mode {other:?} (baseline | speculative | auto)"
-            )))
-        }
-    };
-    let mut repair = None;
-    if let Some(spec) = field_str("repair")? {
-        let r = RepairStrategy::parse(spec)
-            .map_err(|e| ApiError::bad_request(format!("bad `repair`: {e}")))?;
-        opts = r.options();
-        repair = Some(r);
-    }
-    match field_str("deconflict")? {
-        None => {}
-        Some("dynamic") => opts.deconflict = DeconflictMode::Dynamic,
-        Some("static") => opts.deconflict = DeconflictMode::Static,
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown deconflict {other:?} (dynamic | static)"
-            )))
-        }
-    }
-    match doc.get("barrier_alloc") {
-        None | Some(Json::Null) => {}
-        Some(Json::Bool(b)) => opts.barrier_allocation = *b,
-        Some(_) => return Err(ApiError::bad_request("`barrier_alloc` must be a boolean")),
-    }
-    // Requests are untrusted input: always lint the compiled module so a
-    // soundness hole surfaces as a 400, not a wrong answer.
-    opts.lint = true;
-
-    let scheduler = match policy.as_str() {
-        "greedy" => SchedulerPolicy::Greedy,
-        "minpc" | "min-pc" => SchedulerPolicy::MinPc,
-        "maxpc" | "max-pc" => SchedulerPolicy::MaxPc,
-        "mostthreads" | "most-threads" => SchedulerPolicy::MostThreads,
-        "roundrobin" | "round-robin" => SchedulerPolicy::RoundRobin,
-        other => {
-            return Err(ApiError::bad_request(format!(
-                "unknown policy {other:?} (greedy | minpc | maxpc | mostthreads | roundrobin)"
-            )))
-        }
-    };
-    let mut cfg = SimConfig { scheduler, ..SimConfig::default() };
-    if let Some(spec) = field_str("mem_hier")? {
-        cfg.mem = Some(
-            MemHierarchy::parse(spec, &cfg.latency)
-                .map_err(|e| ApiError::bad_request(format!("bad `mem_hier`: {e}")))?,
-        );
-    }
-    if let Some(spec) = field_str("recon_model")? {
-        cfg.recon = ReconvergenceModel::parse(spec)
-            .map_err(|e| ApiError::bad_request(format!("bad `recon_model`: {e}")))?;
-    }
-
-    // `seeds` is a count (historical) or a half-open `[lo, hi]` range
-    // that runs as one lockstep sweep (chunked across the pool when
-    // wider than a cohort).
-    let (seeds, sweep) = match doc.get("seeds") {
-        None | Some(Json::Null) => (1, None),
-        Some(Json::Arr(range)) => {
-            let bad = || {
-                ApiError::bad_request(format!(
-                    "`seeds` range must be [lo, hi] with lo < hi (half-open, at most {MAX_SEEDS} seeds)",
-                ))
-            };
-            let [lo, hi] = range.as_slice() else { return Err(bad()) };
-            let (lo, hi) = (lo.as_u64().ok_or_else(bad)?, hi.as_u64().ok_or_else(bad)?);
-            if lo >= hi || hi - lo > MAX_SEEDS {
-                return Err(bad());
-            }
-            (hi - lo, Some((lo, hi)))
-        }
-        Some(v) => {
-            let n = v.as_u64().ok_or_else(|| {
-                ApiError::bad_request("`seeds` must be a count or a [lo, hi] range")
-            })?;
-            (n.clamp(1, MAX_SEEDS), None)
-        }
-    };
-    let warps = field_u64("warps")?.map(|w| w as usize);
-    if warps == Some(0) {
-        return Err(ApiError::bad_request("`warps` must be at least 1"));
-    }
-    let seed = field_u64("seed")?;
-    let threshold = field_u64("threshold")?
-        .map(|t| {
-            u32::try_from(t).map_err(|_| {
-                ApiError::bad_request(format!("`threshold` must be at most {}", u32::MAX))
-            })
-        })
-        .transpose()?;
-    let deadline_ms = field_u64("deadline_ms")?;
-
-    let named = field_str("workload")?;
-    let inline = field_str("kernel")?;
-    let (name, mut module, mut launch) = match (named, inline) {
-        (Some(_), Some(_)) => {
-            return Err(ApiError::bad_request("give `workload` or `kernel`, not both"))
-        }
-        (None, None) => {
-            return Err(ApiError::bad_request("missing `workload` (name) or `kernel` (source)"))
-        }
-        (Some(name), None) => {
-            let w = workloads::by_name(name).ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "unknown workload {name:?} (known: {})",
-                    known_workloads().join(", ")
-                ))
-            })?;
-            // Echo the requested name (the microbench alias reports as
-            // asked, not as its internal "common-call" id).
-            (name.to_string(), w.module, w.launch)
-        }
-        (None, Some(src)) => {
-            let module = parse_and_link(src)
-                .map_err(|e| ApiError::bad_request(format!("kernel parse error: {e}")))?;
-            verify_module(&module).map_err(|errs| {
-                let lines: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-                ApiError::bad_request(format!("kernel verification failed: {}", lines.join("; ")))
-            })?;
-            let kernel = match field_str("entry")? {
-                Some(k) => k.to_string(),
-                None => module
-                    .functions
-                    .iter()
-                    .find(|(_, f)| f.kind == FuncKind::Kernel)
-                    .map(|(_, f)| f.name.clone())
-                    .ok_or_else(|| ApiError::bad_request("kernel source has no kernel"))?,
-            };
-            if module.function_by_name(&kernel).is_none() {
-                return Err(ApiError::bad_request(format!("no kernel named @{kernel}")));
-            }
-            let mut launch = Launch::new(kernel, 4);
-            let mem = field_u64("mem")?.unwrap_or(1024).min(1 << 22) as usize;
-            launch.global_mem = vec![Value::I64(0); mem];
-            ("inline".to_string(), module, launch)
-        }
-    };
-
-    if let Some(w) = warps {
-        launch.num_warps = w.min(4096);
-    }
     // A lockstep cohort keeps every register and global cell once per
     // slot; a scalar launch keeps one copy.
-    let slots = sweep.map_or(1, |(lo, hi)| (hi - lo).min(simt_sim::sweep::COHORT_SLOTS as u64));
+    let slots = match spec.seeds {
+        Seeds::Range(lo, hi) => (hi - lo).min(simt_sim::sweep::COHORT_SLOTS as u64),
+        Seeds::Count(_) => 1,
+    };
+    let (module, launch) = (&spec.workload.module, &spec.workload.launch);
     let regs = module.functions.iter().map(|(_, f)| f.num_regs as u64).max().unwrap_or(0);
     let mem = launch.global_mem.len() as u64;
-    let cells = (launch.num_warps as u64 * cfg.warp_width as u64)
+    let cells = (launch.num_warps as u64 * spec.cfg.warp_width as u64)
         .saturating_mul(regs)
         .saturating_add(mem)
         .saturating_mul(slots);
@@ -317,32 +106,49 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
         return Err(ApiError::bad_request(format!(
             "launch needs {cells} arena cells (({} warps x {} lanes x {regs} regs + {mem} mem) \
              x {slots} slots), over the limit of {MAX_ARENA_CELLS}",
-            launch.num_warps, cfg.warp_width
+            launch.num_warps, spec.cfg.warp_width
         )));
     }
-    if let Some(s) = seed {
-        launch.seed = s;
-    }
-    if let Some(t) = threshold {
-        for (_, f) in module.functions.iter_mut() {
-            for p in &mut f.predictions {
-                p.threshold = Some(t);
-            }
-        }
+    // Requests are untrusted input: always lint the compiled module so a
+    // soundness hole surfaces as a 400, not a wrong answer.
+    if let Some(opts) = &mut spec.compile {
+        opts.lint = true;
     }
 
+    let sent = |key: Key| field(key.name()).and_then(Json::as_str).or(key.default_value());
     Ok(EvalRequest {
-        name,
-        module,
-        launch,
-        opts,
-        cfg,
-        mode,
-        policy,
-        repair,
-        seeds,
-        sweep,
+        mode: sent(Key::Mode).unwrap_or_default().to_string(),
+        policy: sent(Key::Policy).unwrap_or_default().to_string(),
+        repair: sent(Key::Repair).and_then(|r| RepairStrategy::parse(r).ok()),
+        spec,
         deadline_ms,
+    })
+}
+
+/// A field's value as the grammar's text, once its JSON type matches the
+/// key's kind: strings borrowed, numbers and booleans written out, a
+/// `[lo, hi]` seed range as `lo..hi`.
+fn spelled(key: Key, value: &Json) -> Result<Cow<'_, str>, ApiError> {
+    let text = match (key.kind(), value) {
+        (Kind::Str, Json::Str(s)) => Some(Cow::Borrowed(s.as_str())),
+        (Kind::Uint { .. } | Kind::Seeds, Json::Num(_)) => {
+            value.as_u64().map(|n| n.to_string().into())
+        }
+        (Kind::Bool, Json::Bool(b)) => Some(Cow::Borrowed(if *b { "true" } else { "false" })),
+        (Kind::Seeds, Json::Arr(range)) => match range.as_slice() {
+            [lo, hi] => lo.as_u64().zip(hi.as_u64()).map(|(lo, hi)| format!("{lo}..{hi}").into()),
+            _ => None,
+        },
+        _ => None,
+    };
+    text.ok_or_else(|| {
+        let want = match key.kind() {
+            Kind::Str => "a string",
+            Kind::Uint { .. } => "a non-negative integer",
+            Kind::Bool => "a boolean",
+            Kind::Seeds => "a count or a [lo, hi] range",
+        };
+        ApiError::bad_request(format!("`{}` must be {want}", key.name()))
     })
 }
 
@@ -367,78 +173,44 @@ pub fn execute(
     cancel: &CancelToken,
     metrics: Option<&crate::metrics::ServerMetrics>,
 ) -> Result<Json, ApiError> {
-    let image = engine.decoded(&req.module, Some(&req.opts)).map_err(|e| match e {
+    let sim_error = |e: SimError| match e {
+        SimError::Cancelled { .. } => ApiError { status: 504, message: "deadline exceeded".into() },
+        SimError::SweepUnsupported { .. } => ApiError::bad_request(e.to_string()),
+        other => ApiError { status: 422, message: format!("simulation error: {other}") },
+    };
+    // Each seed's final memory is dropped as its launch finishes: a count
+    // holds one launch's worth at a time, as the arena guard assumes.
+    let metrics_of = |run: SeedRun| (run.seed, run.result.map(|out| out.metrics));
+    let out = engine.run(&req.spec, Some(cancel), metrics_of).map_err(|e| match e {
         EvalError::Compile(e) => ApiError::bad_request(format!("compile error: {e}")),
+        EvalError::Sim(e) => sim_error(e),
         other => ApiError { status: 500, message: other.to_string() },
     })?;
 
-    let sim_error = |e: &SimError| match e {
-        SimError::Cancelled { .. } => ApiError { status: 504, message: "deadline exceeded".into() },
-        other => ApiError { status: 422, message: format!("simulation error: {other}") },
-    };
-    let run_entry = |seed: u64, m: &simt_sim::Metrics| {
-        Json::Obj(vec![
+    let mut runs = Vec::with_capacity(out.runs.len());
+    let mut cycles = Vec::with_capacity(out.runs.len());
+    let mut effs = Vec::with_capacity(out.runs.len());
+    let mut mem = MemStats::default();
+    let mut recon = ReconStats::default();
+    for (seed, result) in out.runs {
+        let m = result.map_err(sim_error)?;
+        cycles.push(m.cycles);
+        effs.push(m.simt_efficiency());
+        mem = mem.saturating_add(&m.mem);
+        recon = recon.wrapping_add(&m.recon);
+        runs.push(Json::Obj(vec![
             ("seed".into(), Json::u64(seed)),
             ("cycles".into(), Json::u64(m.cycles)),
             ("simt_efficiency".into(), Json::num(m.simt_efficiency())),
             ("roi_simt_efficiency".into(), Json::num(m.roi_simt_efficiency())),
             ("barrier_ops".into(), Json::u64(m.barrier_ops)),
-        ])
-    };
-
-    let mut runs = Vec::with_capacity(req.seeds as usize);
-    let mut cycles = Vec::with_capacity(req.seeds as usize);
-    let mut effs = Vec::with_capacity(req.seeds as usize);
-    let mut mem = MemStats::default();
-    let mut recon = ReconStats::default();
-    let mut sweep_stats = None;
-    if let Some((lo, hi)) = req.sweep {
-        // The range runs as lockstep cohorts: compile once, step all
-        // seeds together (chunked across the worker pool when wider
-        // than one cohort), report each seed exactly as a standalone
-        // run.
-        let out = engine
-            .sweep_image_range(&image, &req.cfg, &req.launch, lo, hi, Some(cancel))
-            .map_err(|e| match e {
-                SimError::SweepUnsupported { .. } => ApiError::bad_request(e.to_string()),
-                other => sim_error(&other),
-            })?;
-        for entry in out.runs {
-            let seed_out = entry.result.map_err(|e| sim_error(&e))?;
-            let m = &seed_out.metrics;
-            cycles.push(m.cycles);
-            effs.push(m.simt_efficiency());
-            mem = mem.saturating_add(&m.mem);
-            recon = recon.wrapping_add(&m.recon);
-            runs.push(run_entry(entry.seed, m));
-        }
-        if let Some(m) = metrics {
-            let s = &out.stats;
-            m.record_sweep(s.forks, s.merges, s.scalar_steps, s.occupancy_sum, s.lockstep_issues);
-        }
-        sweep_stats = Some(out.stats);
-    } else {
-        for i in 0..req.seeds {
-            if cancel.is_cancelled() {
-                return Err(ApiError { status: 504, message: "deadline exceeded".into() });
-            }
-            let mut launch = req.launch.clone();
-            launch.seed = req.launch.seed.wrapping_add(i);
-            let out = run_image_with(&image, &req.cfg, &launch, Some(cancel))
-                .map_err(|e| sim_error(&e))?;
-            let m = &out.metrics;
-            cycles.push(m.cycles);
-            effs.push(m.simt_efficiency());
-            mem = mem.saturating_add(&m.mem);
-            recon = recon.wrapping_add(&m.recon);
-            runs.push(run_entry(launch.seed, m));
-        }
+        ]));
     }
+    if let (Some(m), Some(s)) = (metrics, &out.sweep) {
+        m.record_sweep(s.forks, s.merges, s.scalar_steps, s.occupancy_sum, s.lockstep_issues);
+    }
+    let levels = mem.levels.map(|l| [l.hits, l.misses, l.mshr_merges, l.mshr_stall_cycles]);
     if let (Some(sm), false) = (metrics, mem.is_zero()) {
-        let levels = [0, 1, 2].map(|i| {
-            let l = &mem.levels[i];
-            [l.hits, l.misses, l.mshr_merges, l.mshr_stall_cycles]
-        });
         sm.record_mem(&levels, mem.dram_accesses, mem.dram_segments);
     }
     if let (Some(sm), false) = (metrics, recon.is_zero()) {
@@ -459,15 +231,16 @@ pub fn execute(
         ("mean_simt_efficiency".into(), Json::num(effs.iter().sum::<f64>() / n)),
     ]);
     let cache = engine.cache_stats();
+    let spec = &req.spec;
     let mut body = vec![
-        ("workload".into(), Json::str(req.name.clone())),
-        ("mode".into(), Json::str(req.mode.clone())),
-        ("policy".into(), Json::str(req.policy.clone())),
-        ("recon_model".into(), Json::str(req.cfg.recon.spec())),
-        ("warps".into(), Json::u64(req.launch.num_warps as u64)),
+        (Key::Workload.name().into(), Json::str(spec.workload.name)),
+        (Key::Mode.name().into(), Json::str(req.mode.clone())),
+        (Key::Policy.name().into(), Json::str(req.policy.clone())),
+        (Key::ReconModel.name().into(), Json::str(spec.cfg.recon.spec())),
+        (Key::Warps.name().into(), Json::u64(spec.workload.launch.num_warps as u64)),
     ];
     if let Some(r) = req.repair {
-        body.insert(3, ("repair".into(), Json::str(r.spec())));
+        body.insert(3, (Key::Repair.name().into(), Json::str(r.spec())));
     }
     body.extend(vec![
         ("runs".into(), Json::Arr(runs)),
@@ -482,66 +255,52 @@ pub fn execute(
         ),
     ]);
     if !mem.is_zero() {
-        let mut fields = Vec::with_capacity(4);
-        for (i, l) in mem.levels.iter().enumerate() {
-            if l.hits == 0 && l.misses == 0 && l.mshr_merges == 0 && l.mshr_stall_cycles == 0 {
-                continue;
-            }
-            fields.push((
-                format!("l{}", i + 1),
-                Json::Obj(vec![
-                    ("hits".into(), Json::u64(l.hits)),
-                    ("misses".into(), Json::u64(l.misses)),
-                    ("mshr_merges".into(), Json::u64(l.mshr_merges)),
-                    ("mshr_stall_cycles".into(), Json::u64(l.mshr_stall_cycles)),
-                ]),
-            ));
-        }
-        fields.push((
-            "dram".into(),
-            Json::Obj(vec![
-                ("accesses".into(), Json::u64(mem.dram_accesses)),
-                ("segments".into(), Json::u64(mem.dram_segments)),
-            ]),
-        ));
+        let names = ["hits", "misses", "mshr_merges", "mshr_stall_cycles"];
+        let touched = levels.iter().enumerate().filter(|(_, l)| l.iter().any(|&n| n > 0));
+        let mut fields: Vec<_> = touched
+            .map(|(i, l)| (format!("l{}", i + 1), Json::Obj(counters(names.into_iter().zip(*l)))))
+            .collect();
+        let dram = [("accesses", mem.dram_accesses), ("segments", mem.dram_segments)];
+        fields.push(("dram".into(), Json::Obj(counters(dram))));
         body.push(("mem".into(), Json::Obj(fields)));
     }
     if !recon.is_zero() {
-        body.push((
-            "recon".into(),
-            Json::Obj(vec![
-                ("stack_pushes".into(), Json::u64(recon.stack_pushes)),
-                ("stack_pops".into(), Json::u64(recon.stack_pops)),
-                ("stack_max_depth".into(), Json::u64(recon.stack_max_depth)),
-                ("splits".into(), Json::u64(recon.splits)),
-                ("fusions".into(), Json::u64(recon.fusions)),
-                ("deferrals".into(), Json::u64(recon.deferrals)),
-            ]),
-        ));
+        let recon = counters([
+            ("stack_pushes", recon.stack_pushes),
+            ("stack_pops", recon.stack_pops),
+            ("stack_max_depth", recon.stack_max_depth),
+            ("splits", recon.splits),
+            ("fusions", recon.fusions),
+            ("deferrals", recon.deferrals),
+        ]);
+        body.push(("recon".into(), Json::Obj(recon)));
     }
-    if let Some(s) = sweep_stats {
-        body.push((
-            "sweep".into(),
-            Json::Obj(vec![
-                ("instances".into(), Json::u64(s.instances as u64)),
-                ("lockstep_issues".into(), Json::u64(s.lockstep_issues)),
-                ("forks".into(), Json::u64(s.forks)),
-                ("merges".into(), Json::u64(s.merges)),
-                ("peak_subcohorts".into(), Json::u64(u64::from(s.peak_subcohorts))),
-                ("mean_occupancy".into(), Json::num(s.mean_occupancy())),
-                ("detaches".into(), Json::u64(s.detaches)),
-                ("scalar_steps".into(), Json::u64(s.scalar_steps)),
-                ("dense_rows".into(), Json::u64(s.dense_rows)),
-                ("mixed_rows".into(), Json::u64(s.mixed_rows)),
-                ("uniform_accesses".into(), Json::u64(s.uniform_accesses)),
-                ("scattered_accesses".into(), Json::u64(s.scattered_accesses)),
-                ("hoisted_issues".into(), Json::u64(s.hoisted_issues)),
-                ("lane_runs".into(), Json::u64(s.lane_runs)),
-                ("per_lane_issues".into(), Json::u64(s.per_lane_issues)),
-            ]),
-        ));
+    if let Some(s) = out.sweep {
+        let mut sweep = counters([
+            ("instances", s.instances as u64),
+            ("lockstep_issues", s.lockstep_issues),
+            ("forks", s.forks),
+            ("merges", s.merges),
+            ("peak_subcohorts", u64::from(s.peak_subcohorts)),
+            ("detaches", s.detaches),
+            ("scalar_steps", s.scalar_steps),
+            ("dense_rows", s.dense_rows),
+            ("mixed_rows", s.mixed_rows),
+            ("uniform_accesses", s.uniform_accesses),
+            ("scattered_accesses", s.scattered_accesses),
+            ("hoisted_issues", s.hoisted_issues),
+            ("lane_runs", s.lane_runs),
+            ("per_lane_issues", s.per_lane_issues),
+        ]);
+        sweep.insert(5, ("mean_occupancy".into(), Json::num(s.mean_occupancy())));
+        body.push(("sweep".into(), Json::Obj(sweep)));
     }
     Ok(Json::Obj(body))
+}
+
+/// The fields of a JSON object of named counters, in order.
+fn counters<'a>(fields: impl IntoIterator<Item = (&'a str, u64)>) -> Vec<(String, Json)> {
+    fields.into_iter().map(|(k, n)| (k.to_string(), Json::u64(n))).collect()
 }
 
 /// Renders an [`ApiError`] as the `{"error": ...}` body.
@@ -552,6 +311,7 @@ pub fn error_body(e: &ApiError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simt_sim::{ReconvergenceModel, SchedulerPolicy};
 
     #[test]
     fn parses_named_workload_request() {
@@ -559,12 +319,24 @@ mod tests {
             br#"{"workload":"rsbench","mode":"baseline","policy":"minpc","warps":2,"seed":7,"seeds":3}"#,
         )
         .unwrap();
-        assert_eq!(req.name, "rsbench");
-        assert_eq!(req.launch.num_warps, 2);
-        assert_eq!(req.launch.seed, 7);
-        assert_eq!(req.seeds, 3);
-        assert_eq!(req.cfg.scheduler, SchedulerPolicy::MinPc);
-        assert!(!req.opts.speculative);
+        assert_eq!(req.spec.workload.name, "rsbench");
+        assert_eq!(req.spec.workload.launch.num_warps, 2);
+        assert_eq!(req.spec.workload.launch.seed, 7);
+        assert_eq!(req.spec.seeds, Seeds::Count(3));
+        assert_eq!(req.spec.cfg.scheduler, SchedulerPolicy::MinPc);
+        assert!(!req.spec.compile.as_ref().unwrap().speculative);
+
+        // `mem` and `entry` beside a name are ignored, whatever they hold.
+        let plain = parse_request(br#"{"workload":"rsbench"}"#).unwrap().spec.workload.launch;
+        for extra in [r#""mem":64"#, r#""mem":8388608"#, r#""mem":"lots""#, r#""entry":"k""#] {
+            let body = format!(r#"{{"workload":"rsbench",{extra}}}"#);
+            let req = parse_request(body.as_bytes()).unwrap_or_else(|e| panic!("{body}: {e:?}"));
+            let launch = req.spec.workload.launch;
+            assert_eq!(
+                (launch.kernel, launch.global_mem),
+                (plain.kernel.clone(), plain.global_mem.clone())
+            );
+        }
     }
 
     #[test]
@@ -577,9 +349,64 @@ mod tests {
         ])
         .render();
         let req = parse_request(body.as_bytes()).unwrap();
-        assert_eq!(req.name, "inline");
-        assert_eq!(req.launch.kernel, "k");
-        assert_eq!(req.launch.global_mem.len(), 64);
+        assert_eq!(req.spec.workload.name, "inline");
+        assert_eq!(req.spec.workload.launch.kernel, "k");
+        assert_eq!(req.spec.workload.launch.global_mem.len(), 64);
+    }
+
+    /// Every key of the grammar is a JSON field of its kind's type.
+    #[test]
+    fn every_key_has_a_json_spelling() {
+        let src = "kernel @k(params=0, regs=2, barriers=0, entry=bb0) {\nbb0:\n  exit\n}\n";
+        let hier = "l1:lines=8,cells=16,lat=2,mshrs=4;dram:lat=24,extra=2";
+        let body = Json::Obj(vec![
+            ("kernel".into(), Json::str(src)),
+            ("entry".into(), Json::str("k")),
+            ("mem".into(), Json::u64(64)),
+            ("warps".into(), Json::u64(2)),
+            ("seed".into(), Json::u64(9)),
+            ("seeds".into(), Json::Arr(vec![Json::u64(3), Json::u64(5)])),
+            ("threshold".into(), Json::u64(4)),
+            ("mode".into(), Json::str("auto")),
+            ("repair".into(), Json::str("sr")),
+            ("deconflict".into(), Json::str("static")),
+            ("barrier_alloc".into(), Json::Bool(true)),
+            ("policy".into(), Json::str("round-robin")),
+            ("mem_hier".into(), Json::str(hier)),
+            ("recon_model".into(), Json::str("warp-split")),
+        ]);
+        let Json::Obj(fields) = &body else { unreachable!() };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let mut keys: Vec<&str> = Key::all().map(Key::name).collect();
+        keys.retain(|k| *k != "workload");
+        assert_eq!(names, keys, "the body names every key but `workload`");
+
+        let req = parse_request(body.render().as_bytes()).unwrap();
+        let (l, opts) = (&req.spec.workload.launch, req.spec.compile.as_ref().unwrap());
+        assert_eq!((l.kernel.as_str(), l.global_mem.len(), l.num_warps, l.seed), ("k", 64, 2, 9));
+        assert_eq!(req.spec.seeds, Seeds::Range(3, 5));
+        assert_eq!((req.mode.as_str(), req.policy.as_str()), ("auto", "round-robin"));
+        assert_eq!(req.repair, Some(RepairStrategy::Sr));
+        assert_eq!(opts.deconflict, specrecon_core::DeconflictMode::Static);
+        assert!(opts.barrier_allocation && opts.lint, "{opts:?}");
+        assert_eq!(req.spec.cfg.scheduler, SchedulerPolicy::RoundRobin);
+        assert!(req.spec.cfg.mem.is_some());
+        assert_eq!(req.spec.cfg.recon, ReconvergenceModel::WarpSplit { window: 0, compact: false });
+
+        // Each kind rejects the other JSON types with the type it wants.
+        for (field, value, needle) in [
+            ("warps", "\"2\"", "`warps` must be a non-negative integer"),
+            ("warps", "-1", "`warps` must be a non-negative integer"),
+            ("policy", "3", "`policy` must be a string"),
+            ("barrier_alloc", "\"true\"", "`barrier_alloc` must be a boolean"),
+            ("seeds", "\"0..4\"", "`seeds` must be a count or a [lo, hi] range"),
+            ("seeds", "[1, \"2\"]", "`seeds` must be a count or a [lo, hi] range"),
+        ] {
+            let body = format!(r#"{{"workload":"rsbench","{field}":{value}}}"#);
+            let err = parse_request(body.as_bytes()).unwrap_err();
+            assert_eq!(err.status, 400, "{body}");
+            assert_eq!(err.message, needle, "{body}");
+        }
     }
 
     #[test]
@@ -597,6 +424,16 @@ mod tests {
             (br#"{"workload":"rsbench","threshold":4294967304}"#, "`threshold`"),
             (br#"{"workload":"rsbench","barrier_alloc":"yes"}"#, "`barrier_alloc`"),
             (br#"{"workload":"rsbench","barrier_alloc":1}"#, "`barrier_alloc`"),
+            // Out of a key's bound: answered, not clamped.
+            (br#"{"workload":"rsbench","seeds":0}"#, "`seeds`: must run 1..=400 seeds, got 0"),
+            (br#"{"workload":"rsbench","seeds":1000}"#, "`seeds`: must run 1..=400 seeds"),
+            (br#"{"workload":"rsbench","warps":4097}"#, "`warps`: must be in 1..=4096, got 4097"),
+            (
+                br#"{"kernel":"kernel @k(params=0, regs=1, barriers=0, entry=bb0) {\nbb0:\n  exit\n}\n","mem":4194305}"#,
+                "`mem`: must be in 0..=4194304",
+            ),
+            (br#"{"workload":"rsbench","deconflict":"eager"}"#, "unknown deconflict"),
+            (br#"{"workload":"rsbench","deadline_ms":"soon"}"#, "`deadline_ms`"),
         ] {
             let err = parse_request(body).unwrap_err();
             assert_eq!(err.status, 400, "{}", err.message);
@@ -625,12 +462,10 @@ mod tests {
     #[test]
     fn parses_seed_range_request() {
         let req = parse_request(br#"{"workload":"rsbench","seeds":[10,14]}"#).unwrap();
-        assert_eq!(req.sweep, Some((10, 14)));
-        assert_eq!(req.seeds, 4);
+        assert_eq!(req.spec.seeds, Seeds::Range(10, 14));
         // The count form stays a count.
         let req = parse_request(br#"{"workload":"rsbench","seeds":3}"#).unwrap();
-        assert_eq!(req.sweep, None);
-        assert_eq!(req.seeds, 3);
+        assert_eq!(req.spec.seeds, Seeds::Count(3));
     }
 
     #[test]
@@ -683,7 +518,7 @@ mod tests {
         for name in known_workloads() {
             let body = format!(r#"{{"workload":"{name}","seeds":[0,64]}}"#);
             let req = parse_request(body.as_bytes()).unwrap_or_else(|e| panic!("{name}: {e:?}"));
-            assert_eq!(req.sweep, Some((0, 64)));
+            assert_eq!(req.spec.seeds, Seeds::Range(0, 64));
         }
     }
 
@@ -692,10 +527,9 @@ mod tests {
         // The old hard cap was 64 seeds (one cohort); the engine chunks
         // wider ranges, so anything up to the sanity bound is accepted.
         let req = parse_request(br#"{"workload":"rsbench","seeds":[0,200]}"#).unwrap();
-        assert_eq!(req.sweep, Some((0, 200)));
-        assert_eq!(req.seeds, 200);
+        assert_eq!(req.spec.seeds, Seeds::Range(0, 200));
         let req = parse_request(br#"{"workload":"rsbench","seeds":[0,400]}"#).unwrap();
-        assert_eq!(req.sweep, Some((0, 400)));
+        assert_eq!(req.spec.seeds, Seeds::Range(0, 400));
     }
 
     #[test]
@@ -704,13 +538,13 @@ mod tests {
             br#"{"workload":"rsbench","mem_hier":"l1:lines=8,cells=16,lat=2,mshrs=4;dram:lat=24,extra=2"}"#,
         )
         .unwrap();
-        let hier = req.cfg.mem.expect("mem_hier sets the hierarchy model");
+        let hier = req.spec.cfg.mem.expect("mem_hier sets the hierarchy model");
         assert_eq!(hier.levels.len(), 1);
         assert_eq!(hier.levels[0].lines, 8);
         assert_eq!(hier.mem_latency, 24);
         // Omitted: flat model, as before.
         let req = parse_request(br#"{"workload":"rsbench"}"#).unwrap();
-        assert!(req.cfg.mem.is_none());
+        assert!(req.spec.cfg.mem.is_none());
         // Malformed specs answer 400 with the parser's reason.
         let err = parse_request(br#"{"workload":"rsbench","mem_hier":"l9:lines=1"}"#).unwrap_err();
         assert_eq!(err.status, 400);
@@ -777,10 +611,10 @@ mod tests {
         let req =
             parse_request(br#"{"workload":"rsbench","recon_model":"warp-split:window=4,compact"}"#)
                 .unwrap();
-        assert_eq!(req.cfg.recon, ReconvergenceModel::WarpSplit { window: 4, compact: true });
+        assert_eq!(req.spec.cfg.recon, ReconvergenceModel::WarpSplit { window: 4, compact: true });
         // Omitted: the default Volta barrier-file model.
         let req = parse_request(br#"{"workload":"rsbench"}"#).unwrap();
-        assert_eq!(req.cfg.recon, ReconvergenceModel::BarrierFile);
+        assert_eq!(req.spec.cfg.recon, ReconvergenceModel::BarrierFile);
         // Unknown names answer 400 with the parser's reason.
         let err = parse_request(br#"{"workload":"rsbench","recon_model":"volta"}"#).unwrap_err();
         assert_eq!(err.status, 400);
@@ -819,11 +653,12 @@ mod tests {
         // Each strategy parses and replaces the mode's compile options.
         let req = parse_request(br#"{"workload":"srad","repair":"sr+meld"}"#).unwrap();
         assert_eq!(req.repair, Some(RepairStrategy::SrMeld));
-        assert!(req.opts.speculative && req.opts.meld.is_some());
+        let opts = req.spec.compile.unwrap();
+        assert!(opts.speculative && opts.meld.is_some());
         let req =
             parse_request(br#"{"workload":"srad","mode":"speculative","repair":"pdom"}"#).unwrap();
         assert_eq!(req.repair, Some(RepairStrategy::Pdom));
-        assert!(!req.opts.speculative, "`repair` overrides `mode`");
+        assert!(!req.spec.compile.unwrap().speculative, "`repair` overrides `mode`");
         // Omitted: the mode's options stand and no echo is added.
         let req = parse_request(br#"{"workload":"srad"}"#).unwrap();
         assert_eq!(req.repair, None);

@@ -85,6 +85,24 @@ impl SchedulerPolicy {
     ];
 }
 
+impl SchedulerPolicy {
+    /// Parses a policy name: `greedy` | `minpc` | `maxpc` | `mostthreads`
+    /// | `roundrobin`, the multi-word ones also hyphenated (`min-pc`). An
+    /// unknown name is an error listing the accepted ones.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "greedy" => Ok(Self::Greedy),
+            "minpc" | "min-pc" => Ok(Self::MinPc),
+            "maxpc" | "max-pc" => Ok(Self::MaxPc),
+            "mostthreads" | "most-threads" => Ok(Self::MostThreads),
+            "roundrobin" | "round-robin" => Ok(Self::RoundRobin),
+            other => Err(format!(
+                "unknown policy {other:?} (greedy | minpc | maxpc | mostthreads | roundrobin)"
+            )),
+        }
+    }
+}
+
 impl ReconvergenceModel {
     /// Parses a spec string: `barrier-file` | `ipdom-stack` |
     /// `warp-split[:window=N[,compact]]`.
@@ -405,6 +423,32 @@ mod tests {
         for bad in ["volta", "warp-split:gap=3", "warp-split:window=x", "ipdom"] {
             let err = ReconvergenceModel::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn scheduler_policy_parses_every_spelling() {
+        let cases = [
+            ("greedy", SchedulerPolicy::Greedy),
+            ("minpc", SchedulerPolicy::MinPc),
+            ("min-pc", SchedulerPolicy::MinPc),
+            ("maxpc", SchedulerPolicy::MaxPc),
+            ("max-pc", SchedulerPolicy::MaxPc),
+            ("mostthreads", SchedulerPolicy::MostThreads),
+            ("most-threads", SchedulerPolicy::MostThreads),
+            ("roundrobin", SchedulerPolicy::RoundRobin),
+            ("round-robin", SchedulerPolicy::RoundRobin),
+        ];
+        for (name, want) in cases {
+            assert_eq!(SchedulerPolicy::parse(name), Ok(want), "{name}");
+        }
+        // Every policy has a spelling.
+        for p in SchedulerPolicy::ALL {
+            assert!(cases.iter().any(|&(_, q)| q == p), "{p:?}");
+        }
+        for bad in ["fifo", "MinPc", "min_pc", " greedy", ""] {
+            let err = SchedulerPolicy::parse(bad).unwrap_err();
+            assert!(err.contains("unknown policy"), "{bad}: {err}");
         }
     }
 

@@ -8,11 +8,11 @@
 //! threads. [`shared`] is a process-wide single-job engine for callers
 //! that want the cache without constructing their own.
 
-use crate::Workload;
+use crate::{RunSpec, Seeds, Workload};
 use simt_ir::Module;
 use simt_sim::{
-    run_image, run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, Metrics,
-    SimConfig, SimError, SimOutput, SweepLaunch, SweepOutput, SweepStats,
+    run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, Metrics, SeedRun,
+    SimConfig, SimError, SimOutput, SweepLaunch, SweepStats,
 };
 use specrecon_core::{compile, CompileOptions, PassError};
 use std::collections::HashMap;
@@ -247,10 +247,16 @@ impl Engine {
         self.cache().stats()
     }
 
-    /// Returns the cached decoded image for `(module, opts)`, compiling
-    /// and decoding on a miss. `opts: None` means "run the module as-is"
-    /// (the CLI path, which compiles itself).
-    fn image(
+    /// Returns the cached decoded execution image for `module` compiled
+    /// under `opts` (`None` runs the module as-is), compiling and
+    /// decoding on a miss. Every run goes through here; callers that
+    /// drive [`run_image`](simt_sim::run_image) themselves in a tight
+    /// loop use it so as not to pay the cache lock per run.
+    ///
+    /// # Errors
+    ///
+    /// Compilation failures (when `opts` is `Some`).
+    pub fn decoded(
         &self,
         module: &Module,
         opts: Option<&CompileOptions>,
@@ -287,65 +293,41 @@ impl Engine {
         Ok(img)
     }
 
-    /// Returns the cached decoded execution image for `module` compiled
-    /// under `opts` (`None` runs the module as-is), compiling and
-    /// decoding on a miss.
-    ///
-    /// This is the entry for callers that drive
-    /// [`run_image`](simt_sim::run_image) themselves in a tight loop and
-    /// must not pay the cache lock per run.
+    /// Runs `spec`: compiles its workload through the image cache, then
+    /// runs a [`Seeds::Count`] as scalar launches on the worker pool and
+    /// a [`Seeds::Range`] as lockstep cohorts. Each seed's [`SeedRun`]
+    /// goes through `keep` as its launch or cohort finishes, so what
+    /// `keep` drops (a final memory) is never held for the whole run;
+    /// results are in seed order. `cancel` is polled before each scalar
+    /// launch and between scheduling rounds.
     ///
     /// # Errors
     ///
-    /// Compilation failures (when `opts` is `Some`).
-    pub fn decoded(
+    /// Compile failures; for a range, [`SimError::SweepUnsupported`]
+    /// (trace, profile or journal asked for) and [`SimError::Cancelled`].
+    /// A seed's own fault, cancellation of a scalar launch included, is
+    /// reported in its [`SeedRun`].
+    pub fn run<R: Send>(
         &self,
-        module: &Module,
-        opts: Option<&CompileOptions>,
-    ) -> Result<Arc<DecodedImage>, EvalError> {
-        self.image(module, opts)
-    }
-
-    /// Runs an already-compiled module under `cfg`, caching its decoded
-    /// image. This is the entry for callers that drive compilation
-    /// themselves (the CLI, profile-guided flows).
-    pub fn run_module(
-        &self,
-        module: &Module,
-        cfg: &SimConfig,
-        launch: &Launch,
-    ) -> Result<SimOutput, EvalError> {
-        let image = self.image(module, None)?;
-        Ok(run_image(&image, cfg, launch)?)
-    }
-
-    /// [`Engine::run_module`] with a cooperative [`CancelToken`]: the
-    /// simulation polls the token between scheduling rounds and stops
-    /// with a [`SimError::Cancelled`] error once it flips. The cache is
-    /// untouched by cancellation — the image stays resident and the next
-    /// request for the same kernel hits.
-    pub fn run_module_with(
-        &self,
-        module: &Module,
-        cfg: &SimConfig,
-        launch: &Launch,
+        spec: &RunSpec,
         cancel: Option<&CancelToken>,
-    ) -> Result<SimOutput, EvalError> {
-        let image = self.image(module, None)?;
-        Ok(run_image_with(&image, cfg, launch, cancel)?)
-    }
-
-    /// [`Engine::run_full`] with a cooperative [`CancelToken`] (see
-    /// [`Engine::run_module_with`]).
-    pub fn run_full_with(
-        &self,
-        w: &Workload,
-        opts: &CompileOptions,
-        cfg: &SimConfig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SimOutput, EvalError> {
-        let image = self.image(&w.module, Some(opts))?;
-        Ok(run_image_with(&image, cfg, &w.launch, cancel)?)
+        keep: impl Fn(SeedRun) -> R + Sync,
+    ) -> Result<RunOutput<R>, EvalError> {
+        let image = self.decoded(&spec.workload.module, spec.compile.as_ref())?;
+        let (cfg, base) = (&spec.cfg, &spec.workload.launch);
+        match spec.seeds {
+            Seeds::Count(n) => {
+                let seeds: Vec<u64> = (0..n).map(|i| base.seed.wrapping_add(i)).collect();
+                let runs = self.par_map(&seeds, |&seed| {
+                    let result = run_seed(&image, cfg, &Launch { seed, ..base.clone() }, cancel);
+                    keep(SeedRun { seed, result })
+                });
+                Ok(RunOutput { runs, sweep: None })
+            }
+            Seeds::Range(lo, hi) => {
+                Ok(self.sweep_image_range(&image, spec, lo..hi, cancel, keep)?)
+            }
+        }
     }
 
     /// Compiles the workload with `opts` and runs it, returning the full
@@ -356,8 +338,8 @@ impl Engine {
         opts: &CompileOptions,
         cfg: &SimConfig,
     ) -> Result<SimOutput, EvalError> {
-        let image = self.image(&w.module, Some(opts))?;
-        Ok(run_image(&image, cfg, &w.launch)?)
+        let image = self.decoded(&w.module, Some(opts))?;
+        Ok(run_seed(&image, cfg, &w.launch, None)?)
     }
 
     /// Compiles the workload with `opts` and runs it; returns the metrics
@@ -401,87 +383,39 @@ impl Engine {
         Ok(Comparison { name: w.name.to_string(), baseline: base, speculative: spec })
     }
 
-    /// Runs the workload over the seed range `[seed_lo, seed_hi)` with
-    /// the lockstep sweep engine
-    /// ([`run_sweep_image`](simt_sim::run_sweep_image)): the kernel is
-    /// compiled and decoded **once** (through the compiled-image cache),
-    /// the range is partitioned into cohort-sized chunks balanced across
-    /// the worker pool, and per-seed results come back in seed order —
-    /// each bit-identical to a standalone run of that seed.
-    ///
-    /// `opts: None` runs the module as-is (the CLI path).
-    ///
-    /// # Errors
-    ///
-    /// Compile failures, [`SimError::SweepUnsupported`] when `cfg`
-    /// requests trace/profile/journal collection, and
-    /// [`SimError::Cancelled`] when the token fires. Per-seed faults are
-    /// *not* errors here — they are reported in the failing seed's
-    /// [`SeedRun`](simt_sim::SeedRun).
-    pub fn run_sweep(
-        &self,
-        w: &Workload,
-        opts: Option<&CompileOptions>,
-        cfg: &SimConfig,
-        seed_lo: u64,
-        seed_hi: u64,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SweepOutput, EvalError> {
-        let image = self.image(&w.module, opts)?;
-        self.sweep_image_range(&image, cfg, &w.launch, seed_lo, seed_hi, cancel)
-            .map_err(EvalError::Sim)
-    }
-
-    /// The image-level half of [`Engine::run_sweep`]: partitions the
-    /// seed range `[seed_lo, seed_hi)` into cohort-sized chunks balanced
-    /// across the worker pool and runs each through
-    /// [`run_sweep_image`](simt_sim::run_sweep_image). Callers that
-    /// already hold a decoded image (e.g. the HTTP eval path, which
-    /// decodes through its own cache) use this directly; ranges wider
-    /// than one cohort are handled transparently.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SweepUnsupported`] when `cfg` requests
-    /// trace/profile/journal collection, [`SimError::Cancelled`] when the
-    /// token fires. Per-seed faults are reported in the failing seed's
-    /// [`SeedRun`](simt_sim::SeedRun), not as errors.
-    pub fn sweep_image_range(
+    /// The [`Seeds::Range`] half of [`Engine::run`]: partitions `seeds`
+    /// into cohort-sized chunks balanced across the worker pool, runs each
+    /// through [`run_sweep_image`] and passes its seeds through `keep`
+    /// before the worker takes the next.
+    fn sweep_image_range<R: Send>(
         &self,
         image: &DecodedImage,
-        cfg: &SimConfig,
-        launch: &Launch,
-        seed_lo: u64,
-        seed_hi: u64,
+        spec: &RunSpec,
+        seeds: std::ops::Range<u64>,
         cancel: Option<&CancelToken>,
-    ) -> Result<SweepOutput, SimError> {
-        let n = seed_hi.saturating_sub(seed_lo);
-        if n == 0 {
-            return Ok(SweepOutput { runs: Vec::new(), stats: SweepStats::default() });
-        }
+        keep: impl Fn(SeedRun) -> R + Sync,
+    ) -> Result<RunOutput<R>, SimError> {
+        let (cfg, launch) = (&spec.cfg, &spec.workload.launch);
+        let n = seeds.end.saturating_sub(seeds.start);
         // Chunk the range to fill the worker pool, but never wider than
         // one cohort; a remainder chunk at the end is fine.
         let per_worker = n.div_ceil(self.jobs as u64);
         let chunk = per_worker.clamp(1, simt_sim::sweep::COHORT_SLOTS as u64);
-        let mut ranges = Vec::with_capacity(n.div_ceil(chunk) as usize);
-        let mut lo = seed_lo;
-        while lo < seed_hi {
-            let hi = seed_hi.min(lo.saturating_add(chunk));
-            ranges.push((lo, hi));
-            lo = hi;
-        }
-        let chunks = self.par_map(&ranges, |&(lo, hi)| {
+        let chunk_at = |lo: u64| (lo, seeds.end.min(lo.saturating_add(chunk)));
+        let ranges: Vec<_> = seeds.clone().step_by(chunk as usize).map(chunk_at).collect();
+        let chunks = self.par_map(&ranges, |&(lo, hi)| -> Result<_, SimError> {
             let sweep = SweepLaunch::new(launch.clone(), lo, hi);
-            run_sweep_image(image, cfg, &sweep, cancel)
+            let out = run_sweep_image(image, cfg, &sweep, cancel)?;
+            Ok((out.runs.into_iter().map(&keep).collect::<Vec<_>>(), out.stats))
         });
         let mut runs = Vec::with_capacity(n as usize);
         let mut stats = SweepStats::default();
         for chunk in chunks {
-            let out = chunk?;
-            runs.extend(out.runs);
-            stats.merge(&out.stats);
+            let (kept, chunk_stats) = chunk?;
+            runs.extend(kept);
+            stats.merge(&chunk_stats);
         }
-        Ok(SweepOutput { runs, stats })
+        Ok(RunOutput { runs, sweep: Some(stats) })
     }
 
     /// Applies `f` to every item on the worker pool and returns results in
@@ -537,6 +471,30 @@ impl Default for Engine {
     fn default() -> Self {
         Self::new(1)
     }
+}
+
+/// What [`Engine::run`] returns.
+#[derive(Debug)]
+pub struct RunOutput<R = SeedRun> {
+    /// What `keep` kept of each seed's run, in seed order; a seed's fault
+    /// is its own.
+    pub runs: Vec<R>,
+    /// The lockstep engine's counters, for a [`Seeds::Range`].
+    pub sweep: Option<SweepStats>,
+}
+
+/// One scalar launch: every [`Seeds::Count`] seed and [`Engine::run_full`]
+/// run here.
+fn run_seed(
+    image: &DecodedImage,
+    cfg: &SimConfig,
+    launch: &Launch,
+    cancel: Option<&CancelToken>,
+) -> Result<SimOutput, SimError> {
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Err(SimError::Cancelled { cycle: 0 });
+    }
+    run_image_with(image, cfg, launch, cancel)
 }
 
 /// The process-wide engine: single-job (sequential), with a shared
@@ -596,11 +554,7 @@ impl Rebind {
     /// Sets the soft-barrier threshold of every `Predict` annotation in
     /// the module (the Figure 9 sweep axis).
     pub fn threshold(mut self, threshold: u32) -> Self {
-        for (_, f) in self.w.module.functions.iter_mut() {
-            for p in &mut f.predictions {
-                p.threshold = Some(threshold);
-            }
-        }
+        set_threshold(&mut self.w.module, threshold);
         self
     }
 
@@ -621,6 +575,15 @@ impl Rebind {
     /// Finishes the rebind, yielding the adjusted workload.
     pub fn done(self) -> Workload {
         self.w
+    }
+}
+
+/// Sets the soft-barrier threshold of every `Predict` in `module`.
+pub(crate) fn set_threshold(module: &mut Module, threshold: u32) {
+    for (_, f) in module.functions.iter_mut() {
+        for p in &mut f.predictions {
+            p.threshold = Some(threshold);
+        }
     }
 }
 
@@ -713,22 +676,35 @@ mod tests {
         assert_ne!(w.launch.seed, 99);
     }
 
+    /// `w` under `opts` over `seeds`, on the default machine.
+    fn spec(w: &Workload, opts: Option<CompileOptions>, seeds: Seeds) -> RunSpec {
+        RunSpec { workload: w.clone(), compile: opts, cfg: SimConfig::default(), seeds }
+    }
+
     #[test]
     fn run_sweep_matches_per_seed_runs_and_compiles_once() {
         let engine = Engine::new(3);
-        let w = small(1);
-        let cfg = SimConfig::default();
+        let w = small(1).rebind().seed(10).done();
         let opts = CompileOptions::baseline();
         // 5 seeds over 3 workers: chunked (2, 2, 1), merged in seed order.
-        let out = engine.run_sweep(&w, Some(&opts), &cfg, 10, 15, None).unwrap();
+        let out = engine
+            .run(&spec(&w, Some(opts.clone()), Seeds::Range(10, 15)), None, |run| run)
+            .unwrap();
+        let stats = out.sweep.expect("a range runs as cohorts");
         assert_eq!(out.runs.len(), 5);
-        assert_eq!(out.stats.instances, 5);
+        assert_eq!(stats.instances, 5);
         assert_eq!(engine.cache_stats().misses, 1, "the sweep compiles once");
-        for run in &out.runs {
-            let scalar = engine.run_full(&w.rebind().seed(run.seed).done(), &opts, &cfg).unwrap();
+        // The same seeds as a count: scalar launches from `launch.seed`,
+        // bit-identical, and from the cache.
+        let scalar = engine.run(&spec(&w, Some(opts), Seeds::Count(5)), None, |run| run).unwrap();
+        assert!(scalar.sweep.is_none());
+        assert_eq!(engine.cache_stats().misses, 1, "the count hits the sweep's image");
+        for (run, alone) in out.runs.iter().zip(&scalar.runs) {
+            assert_eq!(run.seed, alone.seed);
             let swept = run.result.as_ref().expect("rsbench runs clean");
-            assert_eq!(swept.metrics, scalar.metrics, "seed {}", run.seed);
-            assert_eq!(swept.global_mem, scalar.global_mem, "seed {}", run.seed);
+            let alone = alone.result.as_ref().expect("rsbench runs clean");
+            assert_eq!(swept.metrics, alone.metrics, "seed {}", run.seed);
+            assert_eq!(swept.global_mem, alone.global_mem, "seed {}", run.seed);
         }
         assert_eq!(
             out.runs.iter().map(|r| r.seed).collect::<Vec<_>>(),
@@ -740,13 +716,51 @@ mod tests {
     fn run_sweep_empty_range_and_cancellation() {
         let engine = Engine::new(2);
         let w = small(1);
-        let cfg = SimConfig::default();
-        let out = engine.run_sweep(&w, None, &cfg, 7, 7, None).unwrap();
+        let out = engine.run(&spec(&w, None, Seeds::Range(7, 7)), None, |run| run).unwrap();
         assert!(out.runs.is_empty());
         let token = CancelToken::new();
         token.cancel();
-        let err = engine.run_sweep(&w, None, &cfg, 0, 4, Some(&token)).unwrap_err();
+        let err =
+            engine.run(&spec(&w, None, Seeds::Range(0, 4)), Some(&token), |run| run).unwrap_err();
         assert!(err.is_cancelled(), "got {err}");
+        // A count reports every seed cancelled without running it.
+        let out = engine.run(&spec(&w, None, Seeds::Count(3)), Some(&token), |run| run).unwrap();
+        assert_eq!(out.runs.len(), 3);
+        for run in out.runs {
+            assert!(matches!(run.result, Err(SimError::Cancelled { cycle: 0 })), "{run:?}");
+        }
+    }
+
+    /// `keep` sees each seed as its launch or cohort finishes, before the
+    /// worker starts the next, so what it drops is never held for the
+    /// whole run: a `keep` that cancels stops every later seed.
+    #[test]
+    fn keep_runs_as_each_seed_finishes() {
+        let engine = Engine::new(1);
+        let src = "kernel @k(params=0, regs=2, barriers=0, entry=bb0) {\nbb0:\n  %r0 = special.tid\n  %r1 = mul %r0, 2\n  store global[%r0], %r1\n  exit\n}\n";
+        let parse = |seeds: &str| {
+            RunSpec::parse(&[("kernel", src), ("warps", "1"), ("seeds", seeds)]).unwrap()
+        };
+        // A count: the first launch was kept, every later one saw the token.
+        let token = CancelToken::new();
+        let cycles = |run: SeedRun| {
+            token.cancel();
+            run.result.map(|o| o.metrics.cycles)
+        };
+        let runs = engine.run(&parse("3"), Some(&token), cycles).unwrap().runs;
+        assert!(runs[0].is_ok(), "{runs:?}");
+        for run in &runs[1..] {
+            assert!(matches!(run, Err(SimError::Cancelled { cycle: 0 })), "{runs:?}");
+        }
+        // A range one seed wider than a cohort: the first cohort was kept,
+        // the second never ran.
+        let token = CancelToken::new();
+        let range = format!("0..{}", simt_sim::sweep::COHORT_SLOTS + 1);
+        let err = engine.run(&parse(&range), Some(&token), |run| {
+            token.cancel();
+            run.seed
+        });
+        assert!(err.unwrap_err().is_cancelled());
     }
 
     #[test]
@@ -880,7 +894,10 @@ mod tests {
         // the first scheduling round.
         let token = CancelToken::new();
         token.cancel();
-        let err = engine.run_full_with(&w, &opts, &cfg, Some(&token)).unwrap_err();
+        let out = engine
+            .run(&spec(&w, Some(opts.clone()), Seeds::Count(1)), Some(&token), |run| run)
+            .unwrap();
+        let err = EvalError::from(out.runs[0].result.clone().unwrap_err());
         assert!(err.is_cancelled(), "got {err}");
         assert_eq!(engine.cached_images(), 1, "the image outlives the cancelled run");
         // The same kernel still runs to completion from the cache, and a
@@ -903,7 +920,9 @@ mod tests {
         let cfg = SimConfig::default();
         let opts = CompileOptions::baseline();
         let token = CancelToken::new();
-        let with_token = engine.run_full_with(&w, &opts, &cfg, Some(&token)).unwrap();
+        let out =
+            engine.run(&spec(&w, Some(opts.clone()), Seeds::Count(1)), Some(&token), |run| run);
+        let with_token = out.unwrap().runs.remove(0).result.unwrap();
         let without = engine.run_full(&w, &opts, &cfg).unwrap();
         assert_eq!(with_token.metrics, without.metrics);
         assert_eq!(with_token.global_mem, without.global_mem);

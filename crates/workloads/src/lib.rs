@@ -38,10 +38,12 @@ pub mod pathtracer;
 pub mod reference;
 pub mod rsbench;
 pub mod seedstorm;
+pub mod spec;
 pub mod srad;
 pub mod xsbench;
 
-pub use eval::{Engine, Rebind};
+pub use eval::{Engine, Rebind, RunOutput};
+pub use spec::{RunSpec, Seeds, SpecError};
 
 use simt_ir::Module;
 use simt_sim::Launch;
@@ -114,9 +116,11 @@ pub fn names() -> Vec<&'static str> {
 }
 
 /// Builds the one workload called `name` at its default parameters,
-/// without building the others (and their global memories).
+/// without building the others (and their global memories). It reports
+/// under that name: `microbench`'s module is the common-call kernel.
 pub fn by_name(name: &str) -> Option<Workload> {
-    BUILDERS.iter().find(|&&(n, _)| n == name).map(|(_, build)| build())
+    let &(name, build) = BUILDERS.iter().find(|&&(n, _)| n == name)?;
+    Some(Workload { name, ..build() })
 }
 
 #[cfg(test)]

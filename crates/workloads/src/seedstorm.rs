@@ -167,32 +167,40 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Engine;
+    use crate::{Engine, RunOutput, RunSpec, Seeds};
     use simt_sim::SimConfig;
+
+    /// Seeds `lo..hi` of the uncompiled kernel as lockstep cohorts.
+    fn sweep(lo: u64, hi: u64) -> RunOutput {
+        let workload = build(&Params::default());
+        let spec = RunSpec {
+            workload,
+            compile: None,
+            cfg: SimConfig::default(),
+            seeds: Seeds::Range(lo, hi),
+        };
+        Engine::new(1).run(&spec, None, |run| run).unwrap()
+    }
 
     #[test]
     fn sweep_forks_and_remerges_without_scalar_fallback() {
-        let w = build(&Params::default());
-        let engine = Engine::new(1);
-        let out = engine.run_sweep(&w, None, &SimConfig::default(), 0, 32, None).unwrap();
+        let out = sweep(0, 32);
         for run in &out.runs {
             run.result.as_ref().expect("no faults in seed-storm");
         }
-        assert!(out.stats.forks > 0, "seeds must disagree on votes: {:?}", out.stats);
-        assert!(out.stats.merges > 0, "forked sub-cohorts must re-merge: {:?}", out.stats);
-        assert_eq!(out.stats.scalar_steps, 0, "2^warps classes fit the cap: {:?}", out.stats);
+        let stats = out.sweep.expect("a range runs as cohorts");
+        assert!(stats.forks > 0, "seeds must disagree on votes: {stats:?}");
+        assert!(stats.merges > 0, "forked sub-cohorts must re-merge: {stats:?}");
+        assert_eq!(stats.scalar_steps, 0, "2^warps classes fit the cap: {stats:?}");
         assert!(
-            out.stats.mean_occupancy() > 4.0,
-            "divergent sweep still runs many slots per issue: {:?}",
-            out.stats
+            stats.mean_occupancy() > 4.0,
+            "divergent sweep still runs many slots per issue: {stats:?}"
         );
     }
 
     #[test]
     fn kernel_writes_every_thread_slot() {
-        let w = build(&Params::default());
-        let engine = Engine::new(1);
-        let out = engine.run_sweep(&w, None, &SimConfig::default(), 7, 8, None).unwrap();
+        let out = sweep(7, 8);
         let run = out.runs[0].result.as_ref().unwrap();
         let touched =
             run.global_mem.iter().skip(MEM_BASE as usize).filter(|v| **v != Value::I64(0)).count();

@@ -10,21 +10,26 @@
 //! off on a host too noisy to time it.
 
 use simt_sim::{ReconvergenceModel, SimConfig, DEFAULT_SEED};
-use specrecon_core::RepairStrategy;
-use workloads::eval::Engine;
+use specrecon_core::{CompileOptions, RepairStrategy};
+use workloads::{Engine, RunSpec, Seeds};
 
 #[test]
 fn monte_carlo_sweeps_ride_the_dense_rows_and_row_copies() {
     let engine = Engine::new(1);
-    let cfg = SimConfig::default();
-    let sr = RepairStrategy::Sr.options();
-    let sweep_with = |w: &workloads::Workload, opts| {
+    let sweep_with = |w: &workloads::Workload, compile: Option<CompileOptions>| {
+        let spec = RunSpec {
+            workload: w.clone(),
+            compile,
+            cfg: SimConfig::default(),
+            seeds: Seeds::Range(DEFAULT_SEED, DEFAULT_SEED + 32),
+        };
         engine
-            .run_sweep(w, opts, &cfg, DEFAULT_SEED, DEFAULT_SEED + 32, None)
+            .run(&spec, None, |run| run)
             .expect("sweep runs")
-            .stats
+            .sweep
+            .expect("a range runs as cohorts")
     };
-    let sweep = |w: &workloads::Workload| sweep_with(w, Some(&sr));
+    let sweep = |w: &workloads::Workload| sweep_with(w, Some(RepairStrategy::Sr.options()));
     for name in ["rsbench", "xsbench", "mcb", "mc-gpu", "gpu-mcml"] {
         let w = workloads::by_name(name).expect("registry workload");
         // The module as built, uncompiled, never leaves the cohort either.

@@ -76,6 +76,35 @@ fn sweep_matches_single_seed_runs() {
     assert_eq!(lines.len(), 2, "{text}");
 }
 
+/// `sweep` reads every run key `run` reads: a memory hierarchy changes
+/// the cycles of a memory-bound workload (8469 on the flat model).
+#[test]
+fn sweep_honours_the_memory_hierarchy() {
+    let cycles = |extra: &[&str]| {
+        let mut args = vec!["--workload", "pathtracer", "--seeds", "0..2", "--warps", "1"];
+        args.extend(extra);
+        let out = sweep(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let text = stdout(&out);
+        let seed0 = text.lines().find(|l| l.starts_with("  seed 0x0:")).expect("seed 0 line");
+        seed0.split(' ').nth(4).and_then(|n| n.parse::<u64>().ok()).expect("cycles")
+    };
+    assert_eq!(cycles(&[]), 8469);
+    let hier = "l1:lines=4,cells=16,lat=2,mshrs=2;dram:lat=24,extra=2";
+    assert_ne!(cycles(&["--mem-hier", hier]), 8469);
+}
+
+/// A misspelled flag is an error naming it, on a FILE subcommand too.
+#[test]
+fn misspelled_run_flags_are_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_specrecon"))
+        .args(["run", "examples/kernels/listing1.sr", "--mem-heir", "l1:lines=4"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "a typo must not run the default machine");
+    assert!(stderr(&out).contains("--mem-heir"), "{}", stderr(&out));
+}
+
 #[test]
 fn bad_arguments_are_rejected_with_reasons() {
     for (args, needle) in [
@@ -85,6 +114,7 @@ fn bad_arguments_are_rejected_with_reasons() {
         (&["--workload", "microbench", "--seeds", "9..3"], "empty"),
         (&["--workload", "microbench", "--seeds", "x..y"], "bad seed"),
         (&["--workload", "nope", "--seeds", "1..2"], "unknown workload"),
+        (&["--workload", "microbench", "--seeds", "0..2", "--polcy", "minpc"], "--polcy"),
     ] {
         let out = sweep(args);
         assert!(!out.status.success(), "{args:?} should fail");
