@@ -1,678 +1,488 @@
-//! Ablations: design choices DESIGN.md calls out.
+//! Ablations: the design choices DESIGN.md calls out and the mechanism
+//! axes the paper holds fixed.
 //!
 //! - §4.3 static vs dynamic deconfliction (the paper implemented both and
 //!   evaluated dynamic);
 //! - §6 partial unrolling of the inner loop under Loop Merge
 //!   (reconvergence once per N iterations);
-//! - scheduler-policy sensitivity of the headline result (a robustness
-//!   check of the simulator substrate, not a paper experiment).
+//! - sensitivity of the headline result to the scheduler policy, the warp
+//!   width, the memory model and the hardware reconvergence model (checks
+//!   of the simulator substrate, not paper experiments);
+//! - no sync at all, melding, and the soft-barrier threshold suite-wide.
 
-use crate::Scale;
-use simt_ir::BlockId;
-use simt_sim::{MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig};
-use specrecon_core::{unroll_self_loop, CompileOptions, DeconflictMode, RepairStrategy};
-use workloads::eval::{self, Engine};
-use workloads::{mummer, registry, rsbench, srad, xsbench, Workload};
+use crate::report::{pct, ratio};
+use crate::{cycles, eff, name, speedup, Body, Table, MODES};
+use simt_sim::ReconvergenceModel;
+use specrecon_core::{unroll_self_loop, CompileOptions};
+use workloads::{Cell, Grid, RunSpec};
 
-/// One row of the deconfliction ablation.
-#[derive(Clone, Debug)]
-pub struct DeconflictRow {
-    /// Workload name.
-    pub name: String,
-    /// Speedup with dynamic deconfliction (the paper's configuration).
-    pub dynamic_speedup: f64,
-    /// Speedup with static deconfliction.
-    pub static_speedup: f64,
-}
+/// Every Table-2 workload under both deconfliction modes.
+pub const DECONFLICT: Table = Table::new(
+    "ablate-deconflict",
+    "Ablation — §4.3 deconfliction strategy",
+    &["workload", "dynamic speedup", "static speedup"],
+    Body::Grid(
+        |scale| {
+            let grid = Grid::new(scale.registry()).axis("deconflict", ["dynamic", "static"]);
+            grid.axis("mode", MODES)
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                vec![name(&c[0]), ratio(speedup(&c[0], &c[1])), ratio(speedup(&c[2], &c[3]))]
+            };
+            cells.chunks(4).map(row).collect()
+        },
+    ),
+);
 
-/// Runs every Table-2 workload under both deconfliction modes.
-pub fn deconflict(scale: Scale) -> Vec<DeconflictRow> {
-    deconflict_with(eval::shared(), scale)
-}
+/// Unroll factors of RSBench's inner loop (1 = no unrolling).
+const UNROLL_FACTORS: [usize; 4] = [1, 2, 4, 8];
 
-/// [`deconflict`] on a caller-provided [`Engine`], one job per workload.
-pub fn deconflict_with(engine: &Engine, scale: Scale) -> Vec<DeconflictRow> {
-    let cfg = SimConfig::default();
-    let ws: Vec<Workload> = registry().iter().map(|w| scale.apply(w)).collect();
-    engine.par_map(&ws, |w| {
-        let dynamic = engine
-            .compare_with(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} dynamic failed: {e}", w.name));
-        let opts =
-            CompileOptions { deconflict: DeconflictMode::Static, ..CompileOptions::speculative() };
-        let stat = engine
-            .compare_with(w, &opts, &cfg)
-            .unwrap_or_else(|e| panic!("{} static failed: {e}", w.name));
-        DeconflictRow {
-            name: w.name.to_string(),
-            dynamic_speedup: dynamic.speedup(),
-            static_speedup: stat.speedup(),
-        }
-    })
-}
+/// RSBench's inner loop partially unrolled by each factor under Loop
+/// Merge: reconvergence happens once per `factor` iterations, so barrier
+/// overhead drops (§6).
+pub const UNROLL: Table = Table::new(
+    "ablate-unroll",
+    "Ablation — §6 partial unrolling × Loop Merge (RSBench)",
+    &["unroll factor", "cycles", "barrier ops", "SIMT efficiency"],
+    Body::Grid(
+        |scale| {
+            let unrolled = |factor: usize| {
+                let mut spec = scale.spec("rsbench");
+                let module = &mut spec.workload.module;
+                let kernel = module.function_by_name("rsbench").expect("kernel");
+                let f = &mut module.functions[kernel];
+                let inner = f.block_by_label("L1").expect("rsbench inner loop is labelled L1");
+                if factor > 1 {
+                    unroll_self_loop(f, inner, factor).expect("rsbench inner loop unrolls");
+                }
+                spec
+            };
+            Grid::new(UNROLL_FACTORS.map(unrolled).to_vec())
+        },
+        |cells| {
+            let row = |c: &Cell| {
+                let factor = format!("x{}", UNROLL_FACTORS[c.base]);
+                let ops = c.metrics().barrier_ops.to_string();
+                vec![factor, cycles(c).to_string(), ops, pct(eff(c))]
+            };
+            cells.iter().map(row).collect()
+        },
+    ),
+);
 
-/// One row of the unrolling ablation.
-#[derive(Clone, Debug)]
-pub struct UnrollRow {
-    /// Unroll factor (1 = no unrolling).
-    pub factor: usize,
-    /// Cycles under Loop Merge at this factor.
-    pub cycles: u64,
-    /// Dynamic barrier operations (synchronization overhead indicator).
-    pub barrier_ops: u64,
-    /// SIMT efficiency.
-    pub simt_eff: f64,
-}
-
-/// Partially unrolls RSBench's inner loop by each factor and re-applies
-/// Loop Merge: reconvergence happens once per `factor` iterations, so
-/// barrier overhead drops (§6).
-pub fn unroll(scale: Scale) -> Vec<UnrollRow> {
-    unroll_with(eval::shared(), scale)
-}
-
-/// [`unroll`] on a caller-provided [`Engine`], one job per unroll factor.
-pub fn unroll_with(engine: &Engine, scale: Scale) -> Vec<UnrollRow> {
-    let cfg = SimConfig::default();
-    let base = rsbench::build(&rsbench::Params::default());
-    let base = scale.apply(&base);
-    let kernel = base.module.function_by_name("rsbench").expect("kernel");
-    let inner: BlockId = base.module.functions[kernel]
-        .block_by_label("L1")
-        .expect("rsbench inner loop is labelled L1");
-
-    engine.par_map(&[1usize, 2, 4, 8], |&factor| {
-        let mut w = base.clone();
-        if factor > 1 {
-            let f = &mut w.module.functions[kernel];
-            unroll_self_loop(f, inner, factor).expect("rsbench inner loop unrolls");
-        }
-        let (summary, _) = engine
-            .run_config(&w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("unroll x{factor} failed: {e}"));
-        UnrollRow {
-            factor,
-            cycles: summary.cycles,
-            barrier_ops: summary.barrier_ops,
-            simt_eff: summary.simt_eff,
-        }
-    })
-}
-
-/// One row of the synchronization-variant ablation.
-#[derive(Clone, Debug)]
-pub struct SyncVariantRow {
-    /// Workload name.
-    pub name: String,
-    /// SIMT efficiency with no reconvergence sync at all (free-running
-    /// independent threads).
-    pub none_eff: f64,
-    /// SIMT efficiency under PDOM (the production-compiler baseline).
-    pub pdom_eff: f64,
-    /// SIMT efficiency under Speculative Reconvergence.
-    pub sr_eff: f64,
-    /// Cycles for each variant, in the same order.
-    pub cycles: [u64; 3],
-}
-
-/// Compares *no* reconvergence synchronization, PDOM, and SR on every
-/// workload — showing that PDOM itself earns its keep (free-running
-/// threads under a greedy scheduler serialize badly) and where SR goes
-/// beyond it.
-pub fn sync_variants(scale: Scale) -> Vec<SyncVariantRow> {
-    sync_variants_with(eval::shared(), scale)
-}
-
-/// [`sync_variants`] on a caller-provided [`Engine`], one job per
-/// workload.
-pub fn sync_variants_with(engine: &Engine, scale: Scale) -> Vec<SyncVariantRow> {
-    let cfg = SimConfig::default();
-    let ws: Vec<Workload> = registry().iter().map(|w| scale.apply(w)).collect();
-    engine.par_map(&ws, |w| {
-        let none_opts =
-            CompileOptions { pdom: false, speculative: false, ..CompileOptions::default() };
-        let (none, _) = engine
-            .run_config(w, &none_opts, &cfg)
-            .unwrap_or_else(|e| panic!("{} none failed: {e}", w.name));
-        let (pdom, _) = engine
-            .run_config(w, &CompileOptions::baseline(), &cfg)
-            .unwrap_or_else(|e| panic!("{} pdom failed: {e}", w.name));
-        let (sr, _) = engine
-            .run_config(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} sr failed: {e}", w.name));
-        SyncVariantRow {
-            name: w.name.to_string(),
-            none_eff: none.simt_eff,
-            pdom_eff: pdom.simt_eff,
-            sr_eff: sr.simt_eff,
-            cycles: [none.cycles, pdom.cycles, sr.cycles],
-        }
-    })
-}
-
-/// One row of the scheduler ablation.
-#[derive(Clone, Debug)]
-pub struct SchedRow {
-    /// Scheduler policy.
-    pub policy: SchedulerPolicy,
-    /// Baseline cycles.
-    pub base_cycles: u64,
-    /// SR cycles.
-    pub spec_cycles: u64,
-    /// SR speedup under this policy.
-    pub speedup: f64,
-}
-
-/// Runs RSBench under every scheduler policy: the SR win must not be an
+/// RSBench under every scheduler policy: the SR win must not be an
 /// artifact of one policy.
-pub fn scheduler(scale: Scale) -> Vec<SchedRow> {
-    scheduler_with(eval::shared(), scale)
-}
+pub const SCHED: Table = Table::new(
+    "ablate-sched",
+    "Ablation — scheduler-policy sensitivity (RSBench)",
+    &["policy", "baseline cycles", "SR cycles", "speedup"],
+    Body::Grid(
+        |scale| {
+            let policies = ["greedy", "min-pc", "max-pc", "most-threads", "round-robin"];
+            Grid::new(vec![scale.spec("rsbench")]).axis("policy", policies).axis("mode", MODES)
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                let policy = format!("{:?}", c[0].spec.cfg.scheduler);
+                let (base, sr) = (cycles(&c[0]).to_string(), cycles(&c[1]).to_string());
+                vec![policy, base, sr, ratio(speedup(&c[0], &c[1]))]
+            };
+            cells.chunks(2).map(row).collect()
+        },
+    ),
+);
 
-/// [`scheduler`] on a caller-provided [`Engine`], one job per policy.
-/// All five policies share one cached kernel image.
-pub fn scheduler_with(engine: &Engine, scale: Scale) -> Vec<SchedRow> {
-    let base = rsbench::build(&rsbench::Params::default());
-    let w = scale.apply(&base);
-    let policies = [
-        SchedulerPolicy::Greedy,
-        SchedulerPolicy::MinPc,
-        SchedulerPolicy::MaxPc,
-        SchedulerPolicy::MostThreads,
-        SchedulerPolicy::RoundRobin,
-    ];
-    engine.par_map(&policies, |&policy| {
-        let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
-        let c = engine
-            .compare_with(&w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("policy {policy:?} failed: {e}"));
-        SchedRow {
-            policy,
-            base_cycles: c.baseline.cycles,
-            spec_cycles: c.speculative.cycles,
-            speedup: c.speedup(),
-        }
-    })
-}
+/// *No* reconvergence synchronization, PDOM and SR on every workload:
+/// PDOM itself earns its keep (free-running threads under a greedy
+/// scheduler serialize badly), and SR goes beyond it.
+pub const SYNC: Table = Table::new(
+    "ablate-sync",
+    "Ablation — no sync vs PDOM vs Speculative Reconvergence",
+    &["workload", "none eff", "PDOM eff", "SR eff", "none cycles", "PDOM cycles", "SR cycles"],
+    Body::Grid(
+        |scale| {
+            let none = CompileOptions { pdom: false, speculative: false, ..Default::default() };
+            let variants = |sr: RunSpec| {
+                let mut free = sr.clone();
+                free.compile = Some(none.clone());
+                let mut pdom = sr.clone();
+                pdom.apply(&[("mode", "baseline")]).expect("a mode");
+                [free, pdom, sr]
+            };
+            Grid::new(scale.registry().into_iter().flat_map(variants).collect())
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                let effs = c.iter().map(|c| pct(eff(c)));
+                let cycles = c.iter().map(|c| cycles(c).to_string());
+                [name(&c[0])].into_iter().chain(effs).chain(cycles).collect()
+            };
+            cells.chunks(3).map(row).collect()
+        },
+    ),
+);
 
-/// One row of the warp-width ablation.
-#[derive(Clone, Debug)]
-pub struct WidthRow {
-    /// Lanes per warp.
-    pub width: usize,
-    /// Baseline SIMT efficiency at this width.
-    pub base_eff: f64,
-    /// SR speedup at this width.
-    pub speedup: f64,
-}
-
-/// Runs RSBench at warp widths 8/16/32/64. Wider warps diverge more
-/// (the max of more trip-count draws grows), so baseline efficiency falls
-/// with width; the *speedup*, interestingly, is largest for narrow warps
-/// in this simulator — collecting a full warp at the reconvergence point
+/// RSBench at warp widths 8/16/32/64. Wider warps diverge more (the max
+/// of more trip-count draws grows), so baseline efficiency falls with
+/// width; the *speedup*, interestingly, is largest for narrow warps in
+/// this simulator — collecting a full warp at the reconvergence point
 /// costs more as the warp widens (longer tails per round), partially
 /// offsetting the larger headroom.
-pub fn warp_width(scale: Scale) -> Vec<WidthRow> {
-    warp_width_with(eval::shared(), scale)
-}
+pub const WIDTH: Table = Table::new(
+    "ablate-width",
+    "Ablation — warp width sensitivity (RSBench)",
+    &["warp width", "baseline eff", "SR speedup"],
+    Body::Grid(
+        |scale| {
+            let at = |width| {
+                let mut spec = scale.spec("rsbench");
+                spec.cfg.warp_width = width;
+                spec
+            };
+            Grid::new([8, 16, 32, 64].map(at).to_vec()).axis("mode", MODES)
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                let width = c[0].spec.cfg.warp_width.to_string();
+                vec![width, pct(eff(&c[0])), ratio(speedup(&c[0], &c[1]))]
+            };
+            cells.chunks(2).map(row).collect()
+        },
+    ),
+);
 
-/// [`warp_width`] on a caller-provided [`Engine`], one job per width.
-pub fn warp_width_with(engine: &Engine, scale: Scale) -> Vec<WidthRow> {
-    let base = rsbench::build(&rsbench::Params::default());
-    let w = scale.apply(&base);
-    engine.par_map(&[8usize, 16, 32, 64], |&width| {
-        let cfg = SimConfig { warp_width: width, ..SimConfig::default() };
-        let opts = CompileOptions { warp_width: width as u32, ..CompileOptions::speculative() };
-        let c = engine
-            .compare_with(&w, &opts, &cfg)
-            .unwrap_or_else(|e| panic!("width {width} failed: {e}"));
-        WidthRow { width, base_eff: c.baseline.simt_eff, speedup: c.speedup() }
-    })
-}
-
-/// One row of the suite-wide threshold ablation.
-#[derive(Clone, Debug)]
-pub struct ThresholdRow {
-    /// Workload name.
-    pub name: String,
-    /// Best soft-barrier threshold (32 = full/hard barrier).
-    pub best_threshold: u32,
-    /// Speedup at the best threshold.
-    pub best_speedup: f64,
-    /// Speedup at the full barrier (threshold 32).
-    pub full_speedup: f64,
-}
-
-/// Sweeps the soft-barrier threshold for *every* workload — the
-/// suite-wide generalization of Figure 9. The paper leaves "automatically
-/// discovering the ideal threshold" to future work; this table shows how
-/// far from the full barrier each application's optimum sits.
-pub fn threshold(scale: Scale) -> Vec<ThresholdRow> {
-    threshold_with(eval::shared(), scale)
-}
-
-/// [`threshold`] on a caller-provided [`Engine`], one job per workload
-/// (each job runs its own 5-point sweep).
-pub fn threshold_with(engine: &Engine, scale: Scale) -> Vec<ThresholdRow> {
-    let cfg = SimConfig::default();
-    let grid = [4u32, 8, 16, 24, 32];
-    let ws: Vec<Workload> = registry().iter().map(|w| scale.apply(w)).collect();
-    engine.par_map(&ws, |w| {
-        let mut best = (32u32, 0.0f64);
-        let mut full = 0.0f64;
-        for &t in &grid {
-            let c = engine
-                .compare_with(&w.rebind().threshold(t).done(), &CompileOptions::speculative(), &cfg)
-                .unwrap_or_else(|e| panic!("{} T={t} failed: {e}", w.name));
-            let s = c.speedup();
-            if s > best.1 {
-                best = (t, s);
-            }
-            if t == 32 {
-                full = s;
-            }
-        }
-        ThresholdRow {
-            name: w.name.to_string(),
-            best_threshold: best.0,
-            best_speedup: best.1,
-            full_speedup: full,
-        }
-    })
-}
-
-/// One row of the cache ablation.
-#[derive(Clone, Debug)]
-pub struct CacheRow {
-    /// Workload name.
-    pub name: String,
-    /// SR speedup with the raw coalescing-only memory model.
-    pub speedup_no_cache: f64,
-    /// SR speedup with the L1 cache cost model enabled.
-    pub speedup_cache: f64,
-    /// Cache hit rate (hits / (hits+misses)) in the SR run.
-    pub hit_rate: f64,
-}
-
-/// Measures how an L1 cache cost model (§4.5's "caching behavior")
-/// changes the SR picture on the two memory-sensitive workloads.
-pub fn cache(scale: Scale) -> Vec<CacheRow> {
-    cache_with(eval::shared(), scale)
-}
-
-/// [`cache`] on a caller-provided [`Engine`], one job per workload.
-pub fn cache_with(engine: &Engine, scale: Scale) -> Vec<CacheRow> {
-    let workloads =
-        [xsbench::build(&xsbench::Params::default()), rsbench::build(&rsbench::Params::default())];
-    let ws: Vec<Workload> = workloads.iter().map(|w| scale.apply(w)).collect();
-    engine.par_map(&ws, |w| {
-        let plain = engine
-            .compare_with(w, &CompileOptions::speculative(), &SimConfig::default())
-            .unwrap_or_else(|e| panic!("{} plain failed: {e}", w.name));
-        // 64 lines of 16 cells (128-byte lines), hits cost 2.
-        let l1 = MemHierarchy::l1(64, 16, 2, &SimConfig::default().latency);
-        let cfg = SimConfig { mem: Some(l1), ..SimConfig::default() };
-        let cached = engine
-            .compare_with(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} cached failed: {e}", w.name));
-        // Hit rate from a dedicated SR run.
-        let out = engine
-            .run_full(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} hit-rate run failed: {e}", w.name));
-        let (h, m) = (out.metrics.cache_hits, out.metrics.cache_misses);
-        CacheRow {
-            name: w.name.to_string(),
-            speedup_no_cache: plain.speedup(),
-            speedup_cache: cached.speedup(),
-            hit_rate: h as f64 / (h + m).max(1) as f64,
-        }
-    })
-}
-
-/// One row of the memory-hierarchy L1-capacity sweep.
-#[derive(Clone, Debug)]
-pub struct MemHierRow {
-    /// Workload name.
-    pub name: String,
-    /// L1 capacity at this point, in 16-cell lines.
-    pub l1_lines: usize,
-    /// SR speedup under the hierarchy (baseline cycles / SR cycles).
-    pub speedup: f64,
-    /// L1 hit rate in the SR run.
-    pub l1_hit_rate: f64,
-    /// MSHR penalty cycles (all levels) in the SR run.
-    pub mshr_stall_cycles: u64,
-    /// MSHR penalty cycles (all levels) in the baseline run.
-    pub baseline_mshr_stall_cycles: u64,
-}
+/// How an L1 cache cost model (§4.5's "caching behavior") changes the SR
+/// picture on the two memory-sensitive workloads: 64 lines of 16 cells
+/// (128-byte lines), hits cost 2.
+pub const CACHE: Table = Table::new(
+    "ablate-cache",
+    "Ablation — L1 cache cost model (memory-sensitive workloads)",
+    &["workload", "SR speedup (no cache)", "SR speedup (cache)", "hit rate"],
+    Body::Grid(
+        |scale| {
+            let both = |name| {
+                let flat = scale.spec(name);
+                let mut cached = flat.clone();
+                cached.apply(&[("mem_hier", "l1:lines=64,cells=16,lat=2")]).expect("an L1");
+                [flat, cached]
+            };
+            Grid::new(["xsbench", "rsbench"].into_iter().flat_map(both).collect())
+                .axis("mode", MODES)
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                let m = c[3].metrics();
+                let hit_rate = m.cache_hits as f64 / (m.cache_hits + m.cache_misses).max(1) as f64;
+                let (flat, cached) = (speedup(&c[0], &c[1]), speedup(&c[2], &c[3]));
+                vec![name(&c[0]), ratio(flat), ratio(cached), pct(hit_rate)]
+            };
+            cells.chunks(4).map(row).collect()
+        },
+    ),
+);
 
 /// L1 capacities swept (16-cell lines), smallest first.
 pub const MEM_L1_POINTS: [usize; 5] = [2, 4, 8, 16, 64];
 
-/// Sweeps L1 capacity under the full L1/L2/DRAM hierarchy (tight MSHR
-/// files) on the memory-sensitive workloads and reports how the
-/// SR-vs-baseline verdict moves.
-pub fn mem_hier(scale: Scale) -> Vec<MemHierRow> {
-    mem_hier_with(eval::shared(), scale)
-}
+/// L1 capacity swept under the full L1/L2/DRAM hierarchy (tight MSHR
+/// files) on the memory-sensitive workloads: how the SR-vs-baseline
+/// verdict moves.
+pub const MEM: Table = Table::new(
+    "ablate-mem",
+    "Ablation — memory-hierarchy L1 capacity sweep (tight MSHRs)",
+    &["workload", "L1 lines", "SR speedup", "SR L1 hit rate", "SR mshr stalls", "base mshr stalls"],
+    Body::Grid(
+        |scale| {
+            let hier = MEM_L1_POINTS.map(|lines| {
+                format!(
+                    "l1:lines={lines},cells=16,lat=2,mshrs=1;\
+                     l2:lines=128,cells=16,lat=8,mshrs=2;\
+                     dram:lat=48,extra=4"
+                )
+            });
+            let bases = ["xsbench", "rsbench", "mummer"].map(|name| scale.spec(name));
+            Grid::new(bases.to_vec()).axis("mem_hier", hier).axis("mode", MODES)
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                let stalls = |c: &Cell| -> u64 {
+                    c.metrics().mem.levels.iter().map(|l| l.mshr_stall_cycles).sum()
+                };
+                let lines = c[0].spec.cfg.mem.as_ref().expect("a hierarchy").levels[0].lines;
+                vec![
+                    name(&c[0]),
+                    lines.to_string(),
+                    ratio(speedup(&c[0], &c[1])),
+                    pct(l1_hit_rate(&c[1])),
+                    stalls(&c[1]).to_string(),
+                    stalls(&c[0]).to_string(),
+                ]
+            };
+            cells.chunks(2).map(row).collect()
+        },
+    ),
+);
 
-/// [`mem_hier`] on a caller-provided [`Engine`], one job per point.
-pub fn mem_hier_with(engine: &Engine, scale: Scale) -> Vec<MemHierRow> {
-    let workloads = [
-        xsbench::build(&xsbench::Params::default()),
-        rsbench::build(&rsbench::Params::default()),
-        mummer::build(&mummer::Params::default()),
-    ];
-    let jobs: Vec<(Workload, usize)> = workloads
-        .iter()
-        .map(|w| scale.apply(w))
-        .flat_map(|w| MEM_L1_POINTS.map(|lines| (w.clone(), lines)))
-        .collect();
-    engine.par_map(&jobs, |(w, lines)| {
-        let lat = SimConfig::default().latency;
-        let spec = format!(
-            "l1:lines={lines},cells=16,lat=2,mshrs=1;\
-             l2:lines=128,cells=16,lat=8,mshrs=2;\
-             dram:lat=48,extra=4"
-        );
-        let hier = MemHierarchy::parse(&spec, &lat).expect("mem-hier ablation spec");
-        let cfg = SimConfig { mem: Some(hier), ..SimConfig::default() };
-        let cmp = engine
-            .compare_with(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} @ L1={lines} failed: {e}", w.name));
-        let stalls = |opts: &CompileOptions| {
-            let out = engine
-                .run_full(w, opts, &cfg)
-                .unwrap_or_else(|e| panic!("{} @ L1={lines} counter run failed: {e}", w.name));
-            let l1 = out.metrics.mem.levels[0];
-            let total: u64 = out.metrics.mem.levels.iter().map(|l| l.mshr_stall_cycles).sum();
-            (l1.hits as f64 / (l1.hits + l1.misses).max(1) as f64, total)
-        };
-        let (l1_hit_rate, mshr_stall_cycles) = stalls(&CompileOptions::speculative());
-        let (_, baseline_mshr_stall_cycles) = stalls(&CompileOptions::baseline());
-        MemHierRow {
-            name: w.name.to_string(),
-            l1_lines: *lines,
-            speedup: cmp.speedup(),
-            l1_hit_rate,
-            mshr_stall_cycles,
-            baseline_mshr_stall_cycles,
-        }
-    })
-}
-
-/// One row of the hardware-reconvergence ablation: one workload under
-/// one reconvergence model, compiled both ways.
-#[derive(Clone, Debug)]
-pub struct HwReconRow {
-    /// Workload name.
-    pub name: String,
-    /// Reconvergence model spec (`barrier-file`, `ipdom-stack`, ...).
-    pub model: String,
-    /// PDOM-baseline cycles under this model.
-    pub pdom_cycles: u64,
-    /// SR cycles under this model.
-    pub sr_cycles: u64,
-    /// SR speedup under this model (pdom / sr cycles).
-    pub speedup: f64,
-    /// PDOM whole-kernel SIMT efficiency under this model.
-    pub pdom_eff: f64,
-    /// SR whole-kernel SIMT efficiency under this model.
-    pub sr_eff: f64,
+/// A cell's L1 hit rate under a memory hierarchy.
+fn l1_hit_rate(c: &Cell) -> f64 {
+    let l1 = c.metrics().mem.levels[0];
+    l1.hits as f64 / (l1.hits + l1.misses).max(1) as f64
 }
 
 /// The reconvergence models the hardware ablation crosses: Volta's
 /// barrier file (the default everywhere else), the pre-Volta IPDOM
 /// stack, and warp splitting with a re-fusion window plus subwarp
 /// compaction.
-pub const HW_RECON_MODELS: [ReconvergenceModel; 3] = [
-    ReconvergenceModel::BarrierFile,
-    ReconvergenceModel::IpdomStack,
-    ReconvergenceModel::WarpSplit { window: 4, compact: true },
-];
+pub const HW_RECON_MODELS: [&str; 3] =
+    ["barrier-file", "ipdom-stack", "warp-split:window=4,compact"];
 
-/// Crosses {PDOM, SR} × every reconvergence model over the full
-/// workload registry: where does hardware-side divergence repair (warp
-/// splitting) close the gap that compiler-side repair (SR) closes, and
-/// where does it not?
-pub fn hw_recon(scale: Scale) -> Vec<HwReconRow> {
-    hw_recon_with(eval::shared(), scale)
-}
-
-/// [`hw_recon`] on a caller-provided [`Engine`], one job per
-/// (workload, model) pair.
-pub fn hw_recon_with(engine: &Engine, scale: Scale) -> Vec<HwReconRow> {
-    let jobs: Vec<(Workload, ReconvergenceModel)> = registry()
-        .iter()
-        .map(|w| scale.apply(w))
-        .flat_map(|w| HW_RECON_MODELS.map(|m| (w.clone(), m)))
-        .collect();
-    engine.par_map(&jobs, |(w, model)| {
-        let cfg = SimConfig { recon: *model, ..SimConfig::default() };
-        let c = engine
-            .compare_with(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} under {} failed: {e}", w.name, model.spec()));
-        HwReconRow {
-            name: w.name.to_string(),
-            model: model.spec(),
-            pdom_cycles: c.baseline.cycles,
-            sr_cycles: c.speculative.cycles,
-            speedup: c.speedup(),
-            pdom_eff: c.baseline.simt_eff,
-            sr_eff: c.speculative.simt_eff,
-        }
-    })
-}
-
-/// One row of the repair-strategy ablation: one workload under one
-/// divergence-repair strategy.
-#[derive(Clone, Debug)]
-pub struct MeldRow {
-    /// Workload name.
-    pub name: String,
-    /// Repair strategy spec (`pdom`, `sr`, `meld`, `sr+meld`).
-    pub repair: String,
-    /// Total cycles under this strategy.
-    pub cycles: u64,
-    /// Whole-kernel SIMT efficiency under this strategy.
-    pub simt_eff: f64,
-    /// Dynamic barrier operations (overhead indicator).
-    pub barrier_ops: u64,
-}
+/// {PDOM, SR} × every reconvergence model over the full workload
+/// registry: where does hardware-side divergence repair (warp splitting)
+/// close the gap that compiler-side repair (SR) closes, and where does it
+/// not?
+pub const HW: Table = Table {
+    note: "(gap closed = fraction of the barrier-file SR cycle win that the hardware \
+           model's PDOM run recovers on its own; negative = the model costs cycles)",
+    ..Table::new(
+        "ablate-hw",
+        "Ablation — hardware reconvergence models × {PDOM, SR}",
+        &[
+            "workload",
+            "model",
+            "PDOM cycles",
+            "SR cycles",
+            "SR speedup",
+            "PDOM eff",
+            "SR eff",
+            "gap closed",
+        ],
+        Body::Grid(
+            |scale| {
+                let grid = Grid::new(scale.registry()).axis("recon_model", HW_RECON_MODELS);
+                grid.axis("mode", MODES)
+            },
+            |cells| {
+                let models = |c: &[Cell]| {
+                    let pdom_bf = cycles(&c[0]) as f64;
+                    let gap = pdom_bf - cycles(&c[1]) as f64;
+                    let row = move |c: &[Cell]| {
+                        let recon = c[0].spec.cfg.recon;
+                        let closed = if recon == ReconvergenceModel::BarrierFile || gap.abs() < 1.0
+                        {
+                            "—".to_string()
+                        } else {
+                            pct((pdom_bf - cycles(&c[0]) as f64) / gap)
+                        };
+                        vec![
+                            name(&c[0]),
+                            recon.spec(),
+                            cycles(&c[0]).to_string(),
+                            cycles(&c[1]).to_string(),
+                            ratio(speedup(&c[0], &c[1])),
+                            pct(eff(&c[0])),
+                            pct(eff(&c[1])),
+                            closed,
+                        ]
+                    };
+                    c.chunks(2).map(row).collect::<Vec<_>>()
+                };
+                cells.chunks(2 * HW_RECON_MODELS.len()).flat_map(models).collect()
+            },
+        ),
+    )
+};
 
 /// The repair strategies the melding ablation crosses.
-pub const MELD_REPAIRS: [RepairStrategy; 4] =
-    [RepairStrategy::Pdom, RepairStrategy::Sr, RepairStrategy::Meld, RepairStrategy::SrMeld];
+pub const MELD_REPAIRS: [&str; 4] = ["pdom", "sr", "meld", "sr+meld"];
 
-/// Crosses every repair strategy over the two contrasting shapes:
-/// SRAD, whose unbalanced clamp/diffuse arms share an expensive update
-/// tail (melding territory — the lanes sit on *different* paths, so no
-/// reconvergence schedule de-duplicates the tail), and MUMmer, whose
-/// divergence is trip-count imbalance around common code (SR
-/// territory — there is nothing isomorphic to meld).
-pub fn meld(scale: Scale) -> Vec<MeldRow> {
-    meld_with(eval::shared(), scale)
-}
+/// Every repair strategy over the two contrasting shapes: SRAD, whose
+/// unbalanced clamp/diffuse arms share an expensive update tail (melding
+/// territory — the lanes sit on *different* paths, so no reconvergence
+/// schedule de-duplicates the tail), and MUMmer, whose divergence is
+/// trip-count imbalance around common code (SR territory — there is
+/// nothing isomorphic to meld).
+pub const MELD: Table = Table {
+    note: "(SRAD's clamp/diffuse arms share an expensive update tail — melding \
+           territory; MUMmer's divergence is trip-count imbalance — SR territory)",
+    ..Table::new(
+        "ablate-meld",
+        "Ablation — divergence-repair strategies (control-flow melding)",
+        &["workload", "repair", "cycles", "SIMT efficiency", "barrier ops"],
+        Body::Grid(
+            |scale| {
+                let bases = vec![scale.spec("srad"), scale.spec("mummer")];
+                Grid::new(bases).axis("repair", MELD_REPAIRS)
+            },
+            |cells| {
+                let row = |c: &Cell| {
+                    let (repair, ops) = (c.pairs[0].1.clone(), c.metrics().barrier_ops);
+                    vec![name(c), repair, cycles(c).to_string(), pct(eff(c)), ops.to_string()]
+                };
+                cells.iter().map(row).collect()
+            },
+        ),
+    )
+};
 
-/// [`meld`] on a caller-provided [`Engine`], one job per
-/// (workload, strategy) pair.
-pub fn meld_with(engine: &Engine, scale: Scale) -> Vec<MeldRow> {
-    let workloads =
-        [srad::build(&srad::Params::default()), mummer::build(&mummer::Params::default())];
-    let jobs: Vec<(Workload, RepairStrategy)> = workloads
-        .iter()
-        .map(|w| scale.apply(w))
-        .flat_map(|w| MELD_REPAIRS.map(|r| (w.clone(), r)))
-        .collect();
-    engine.par_map(&jobs, |(w, repair)| {
-        let (summary, _) = engine
-            .run_config(w, &repair.options(), &SimConfig::default())
-            .unwrap_or_else(|e| panic!("{} under {repair} failed: {e}", w.name));
-        MeldRow {
-            name: w.name.to_string(),
-            repair: repair.to_string(),
-            cycles: summary.cycles,
-            simt_eff: summary.simt_eff,
-            barrier_ops: summary.barrier_ops,
+/// Soft-barrier thresholds of the suite-wide sweep.
+const THRESHOLDS: [u32; 5] = [4, 8, 16, 24, 32];
+
+/// The soft-barrier threshold swept for *every* workload — the suite-wide
+/// generalization of Figure 9. The paper leaves "automatically
+/// discovering the ideal threshold" to future work; this table shows how
+/// far from the full barrier each application's optimum sits.
+pub const THRESHOLD: Table = Table::new(
+    "ablate-threshold",
+    "Ablation — best soft-barrier threshold per workload",
+    &["workload", "best threshold", "best speedup", "full-barrier speedup"],
+    Body::Grid(
+        |scale| Grid::new(scale.registry()).axis("threshold", THRESHOLDS).axis("mode", MODES),
+        |cells| {
+            let row = |c: &[Cell]| {
+                let (best, full) = best_threshold(c);
+                vec![name(&c[0]), best.0.to_string(), ratio(best.1), ratio(full)]
+            };
+            cells.chunks(2 * THRESHOLDS.len()).map(row).collect()
+        },
+    ),
+);
+
+/// One workload's threshold sweep as the best (threshold, speedup) — the
+/// first to reach the maximum — and the speedup at the full barrier.
+fn best_threshold(c: &[Cell]) -> ((u32, f64), f64) {
+    let speedups = c.chunks(2).map(|c| speedup(&c[0], &c[1]));
+    let points: Vec<(u32, f64)> = THRESHOLDS.into_iter().zip(speedups).collect();
+    let mut best = (32, 0.0);
+    for &(t, s) in &points {
+        if s > best.1 {
+            best = (t, s);
         }
-    })
+    }
+    (best, points[points.len() - 1].1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::cells;
 
     #[test]
     fn mem_hier_sweep_covers_every_point() {
-        let rows = mem_hier(Scale::Quick);
-        assert_eq!(rows.len(), MEM_L1_POINTS.len() * 3, "one row per workload per L1 point");
-        for chunk in rows.chunks(MEM_L1_POINTS.len()) {
-            let (first, last) = (&chunk[0], &chunk[chunk.len() - 1]);
-            assert_eq!(first.name, last.name);
+        let cells = cells("ablate-mem");
+        assert_eq!(cells.len(), MEM_L1_POINTS.len() * 3 * 2, "a pair per workload per L1 point");
+        for workload in cells.chunks(2 * MEM_L1_POINTS.len()) {
+            let (first, last) = (&workload[1], &workload[workload.len() - 1]);
+            assert_eq!(first.spec.workload.name, last.spec.workload.name);
+            let (small, large) = (l1_hit_rate(first), l1_hit_rate(last));
             assert!(
-                last.l1_hit_rate > first.l1_hit_rate,
-                "{}: a 32x larger L1 must hit more ({} -> {})",
-                first.name,
-                first.l1_hit_rate,
-                last.l1_hit_rate
+                large > small,
+                "{}: a 32x larger L1 must hit more ({small} -> {large})",
+                name(first)
             );
-            for r in chunk {
-                assert!(r.speedup > 0.0, "{} @ L1={}: degenerate speedup", r.name, r.l1_lines);
+            for c in workload.chunks(2) {
+                assert!(speedup(&c[0], &c[1]) > 0.0, "{}: degenerate speedup", c[1].name());
             }
         }
     }
 
     #[test]
     fn hw_recon_ablation_covers_the_matrix() {
-        let rows = hw_recon(Scale::Quick);
-        let workloads = workloads::registry().len();
-        assert_eq!(rows.len(), workloads * HW_RECON_MODELS.len(), "one row per (workload, model)");
-        for chunk in rows.chunks(HW_RECON_MODELS.len()) {
-            for (r, m) in chunk.iter().zip(HW_RECON_MODELS) {
-                assert_eq!(r.name, chunk[0].name);
-                assert_eq!(r.model, m.spec());
-                assert!(r.pdom_cycles > 0 && r.sr_cycles > 0, "{r:?}");
-                assert!((0.0..=1.0).contains(&r.pdom_eff), "{r:?}");
-            }
+        let cells = cells("ablate-hw");
+        assert_eq!(cells.len(), 9 * HW_RECON_MODELS.len() * 2, "a pair per (workload, model)");
+        for (i, c) in cells.chunks(2).enumerate() {
+            assert_eq!(c[0].spec.cfg.recon.spec(), HW_RECON_MODELS[i % HW_RECON_MODELS.len()]);
+            assert!(cycles(&c[0]) > 0 && cycles(&c[1]) > 0, "{}", c[0].name());
+            assert!((0.0..=1.0).contains(&eff(&c[0])), "{}", c[0].name());
         }
     }
 
     #[test]
     fn meld_ablation_covers_the_matrix_and_wins_on_srad() {
-        let rows = meld(Scale::Quick);
-        assert_eq!(rows.len(), 2 * MELD_REPAIRS.len(), "one row per (workload, strategy)");
+        let cells = cells("ablate-meld");
+        assert_eq!(cells.len(), 2 * MELD_REPAIRS.len(), "one cell per (workload, strategy)");
         let eff = |name: &str, repair: &str| {
-            rows.iter()
-                .find(|r| r.name == name && r.repair == repair)
-                .unwrap_or_else(|| panic!("missing row {name}/{repair}: {rows:?}"))
-                .simt_eff
+            let cell =
+                cells.iter().find(|c| c.spec.workload.name == name && c.pairs[0].1 == repair);
+            eff(cell.unwrap_or_else(|| panic!("missing cell {name}/{repair}")))
         };
-        for r in &rows {
-            assert!(r.cycles > 0 && (0.0..=1.0).contains(&r.simt_eff), "{r:?}");
+        for c in cells {
+            assert!(cycles(c) > 0 && (0.0..=1.0).contains(&super::eff(c)), "{}", c.name());
         }
         // The headline contrast: melding beats both PDOM and SR on the
         // shared-tail shape, while SR keeps its win on trip-count
         // imbalance where there is nothing to meld.
-        assert!(eff("srad", "meld") > eff("srad", "pdom"), "{rows:?}");
-        assert!(eff("srad", "meld") > eff("srad", "sr"), "{rows:?}");
-        assert!(eff("mummer", "sr") > eff("mummer", "pdom"), "{rows:?}");
+        assert!(eff("srad", "meld") > eff("srad", "pdom"));
+        assert!(eff("srad", "meld") > eff("srad", "sr"));
+        assert!(eff("mummer", "sr") > eff("mummer", "pdom"));
     }
 
     #[test]
     fn both_deconfliction_modes_work_everywhere() {
-        for row in deconflict(Scale::Quick) {
-            assert!(row.dynamic_speedup > 0.9, "{}: dynamic {}", row.name, row.dynamic_speedup);
-            assert!(row.static_speedup > 0.85, "{}: static {}", row.name, row.static_speedup);
+        for c in cells("ablate-deconflict").chunks(4) {
+            let (dynamic, stat) = (speedup(&c[0], &c[1]), speedup(&c[2], &c[3]));
+            assert!(dynamic > 0.9, "{}: dynamic {dynamic}", name(&c[0]));
+            assert!(stat > 0.85, "{}: static {stat}", name(&c[0]));
         }
     }
 
     #[test]
     fn unrolling_reduces_barrier_overhead() {
-        let rows = unroll(Scale::Quick);
-        assert_eq!(rows[0].factor, 1);
-        let x1 = &rows[0];
-        let x4 = rows.iter().find(|r| r.factor == 4).unwrap();
-        assert!(
-            x4.barrier_ops < x1.barrier_ops,
-            "barrier ops should drop with unrolling: {} -> {}",
-            x1.barrier_ops,
-            x4.barrier_ops
-        );
+        let cells = cells("ablate-unroll");
+        let (x1, x4) = (cells[0].metrics().barrier_ops, cells[2].metrics().barrier_ops);
+        assert_eq!(UNROLL_FACTORS[2], 4);
+        assert!(x4 < x1, "barrier ops should drop with unrolling: {x1} -> {x4}");
     }
 
     #[test]
     fn sync_variants_rank_sensibly() {
-        for row in sync_variants(Scale::Quick) {
-            assert!(
-                row.sr_eff > row.none_eff,
-                "{}: SR ({:.2}) must beat free-running ({:.2})",
-                row.name,
-                row.sr_eff,
-                row.none_eff
-            );
-            assert!(
-                row.sr_eff > row.pdom_eff,
-                "{}: SR ({:.2}) must beat PDOM ({:.2})",
-                row.name,
-                row.sr_eff,
-                row.pdom_eff
-            );
+        for c in cells("ablate-sync").chunks(3) {
+            let [none, pdom, sr] = [0, 1, 2].map(|i| eff(&c[i]));
+            let name = name(&c[0]);
+            assert!(sr > none, "{name}: SR ({sr:.2}) must beat free-running ({none:.2})");
+            assert!(sr > pdom, "{name}: SR ({sr:.2}) must beat PDOM ({pdom:.2})");
         }
     }
 
     #[test]
     fn warp_width_trends_hold() {
-        let rows = warp_width(Scale::Quick);
-        let w8 = rows.iter().find(|r| r.width == 8).unwrap();
-        let w64 = rows.iter().find(|r| r.width == 64).unwrap();
-        assert!(
-            w64.base_eff < w8.base_eff,
-            "wider warps diverge more: {} vs {}",
-            w8.base_eff,
-            w64.base_eff
-        );
-        for r in &rows {
-            assert!(
-                r.speedup > 1.3,
-                "SR wins at every width; width {} gave {}",
-                r.width,
-                r.speedup
-            );
+        let cells = cells("ablate-width");
+        let (w8, w64) = (eff(&cells[0]), eff(&cells[6]));
+        assert_eq!((cells[0].spec.cfg.warp_width, cells[6].spec.cfg.warp_width), (8, 64));
+        assert!(w64 < w8, "wider warps diverge more: {w8} vs {w64}");
+        for c in cells.chunks(2) {
+            let (width, s) = (c[0].spec.cfg.warp_width, speedup(&c[0], &c[1]));
+            assert!(s > 1.3, "SR wins at every width; width {width} gave {s}");
         }
     }
 
     #[test]
     fn threshold_sweep_covers_the_suite() {
-        let rows = threshold(Scale::Quick);
-        assert_eq!(rows.len(), 9);
-        for r in &rows {
-            assert!(r.best_speedup >= r.full_speedup - 1e-9, "{:?}", r);
+        let sweeps: Vec<_> = cells("ablate-threshold").chunks(2 * THRESHOLDS.len()).collect();
+        assert_eq!(sweeps.len(), 9);
+        let best: Vec<_> = sweeps.iter().map(|c| best_threshold(c)).collect();
+        for ((t, s), full) in &best {
+            assert!(*s >= full - 1e-9, "best {s} at {t} below the full barrier's {full}");
         }
         // At least one workload prefers a partial threshold (xsbench's
         // Figure-9 behavior).
-        assert!(
-            rows.iter().any(|r| r.best_threshold != 32),
-            "some workload should peak below the full barrier: {rows:?}"
-        );
+        assert!(best.iter().any(|b| b.0 .0 != 32), "some workload should peak below 32: {best:?}");
     }
 
     #[test]
     fn cache_ablation_runs_and_preserves_wins() {
-        for row in cache(Scale::Quick) {
-            assert!(row.speedup_cache > 0.95, "{}: {}", row.name, row.speedup_cache);
-            assert!((0.0..=1.0).contains(&row.hit_rate));
+        for c in cells("ablate-cache").chunks(4) {
+            assert!(speedup(&c[2], &c[3]) > 0.95, "{}", c[3].name());
+            let m = c[3].metrics();
+            assert!(m.cache_hits + m.cache_misses > 0, "{}: the L1 saw accesses", c[3].name());
         }
     }
 
     #[test]
     fn sr_wins_under_every_scheduler_policy() {
-        for row in scheduler(Scale::Quick) {
-            assert!(
-                row.speedup > 1.1,
-                "policy {:?}: speedup {:.2} — SR result is policy-sensitive",
-                row.policy,
-                row.speedup
-            );
+        for c in cells("ablate-sched").chunks(2) {
+            let (policy, s) = (c[0].spec.cfg.scheduler, speedup(&c[0], &c[1]));
+            assert!(s > 1.1, "policy {policy:?}: speedup {s:.2} — SR result is policy-sensitive");
         }
     }
 }

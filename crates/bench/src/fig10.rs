@@ -11,75 +11,80 @@
 //!   non-trivial opportunity, and kernels with significant improvement
 //!   when the detected annotation is applied.
 
-use crate::Scale;
+use crate::report::{pct, ratio};
+use crate::{eff, name, speedup, Body, Table};
 use simt_sim::SimConfig;
 use specrecon_core::{
-    compile_profile_guided, detect, detect_profiled, CompileOptions, DetectOptions,
+    compile, compile_profile_guided, detect, detect_profiled, CompileOptions, DetectOptions,
 };
+use workloads::{corpus, Cell, Engine, Grid, RunSpec, Seeds, Workload};
 
-use workloads::eval::{self, Engine};
-use workloads::{corpus, registry, RunSpec, Seeds, Workload};
+/// Figure 10: each Table-2 application as annotated and stripped of its
+/// annotations, compiled as the PDOM baseline and in automatic mode.
+/// Automatic detection defers to the predictions a kernel already
+/// carries, so on the annotated application `auto` is the user's SR.
+pub const TABLE: Table = Table::new(
+    "fig10",
+    "Figure 10 — automatic Speculative Reconvergence upside",
+    &["app", "applied candidates", "baseline eff", "auto-SR eff", "auto speedup", "user speedup"],
+    Body::Grid(
+        |scale| {
+            let bases = scale.registry().into_iter().flat_map(|user| {
+                let mut bare = user.clone();
+                for (_, f) in bare.workload.module.functions.iter_mut() {
+                    f.predictions.clear();
+                }
+                [user, bare]
+            });
+            Grid::new(bases.collect()).axis("mode", ["baseline", "auto"])
+        },
+        |cells| {
+            let row = |c: &[Cell]| {
+                let (applied, auto, user) = upside(c);
+                let (base, bare) = (pct(eff(&c[2])), pct(eff(&c[3])));
+                vec![name(&c[0]), applied.to_string(), base, bare, ratio(auto), ratio(user)]
+            };
+            cells.chunks(4).map(row).collect()
+        },
+    ),
+);
 
-/// One Figure-10 bar: automatic SR on a de-annotated application.
-#[derive(Clone, Debug)]
-pub struct UpsideRow {
-    /// Application name.
-    pub name: String,
-    /// Candidates the detector applied.
-    pub applied: usize,
-    /// Baseline SIMT efficiency.
-    pub base_eff: f64,
-    /// SIMT efficiency under automatic SR.
-    pub auto_eff: f64,
-    /// Speedup of automatic SR over the baseline.
-    pub speedup: f64,
-    /// Speedup of the *user-annotated* variant (for the "automatic matches
-    /// manual" claim).
-    pub user_speedup: f64,
+/// One application's four cells — annotated baseline and auto, then
+/// stripped baseline and auto — as the candidates the detector applied,
+/// the automatic speedup and the user-annotated one.
+fn upside(c: &[Cell]) -> (usize, f64, f64) {
+    let bare = &c[3].spec;
+    let opts = bare.compile.as_ref().expect("auto compiles the module");
+    let compiled = compile(&bare.workload.module, opts).expect("compiles");
+    let applied = compiled.reports.iter().map(|(_, r)| r.auto_applied.len()).sum();
+    (applied, speedup(&c[2], &c[3]), speedup(&c[0], &c[1]))
 }
 
-/// Strips user predictions from a workload.
-fn deannotate(w: &Workload) -> Workload {
-    let mut w2 = w.clone();
-    for (_, f) in w2.module.functions.iter_mut() {
-        f.predictions.clear();
-    }
-    w2
-}
-
-/// Runs automatic SR over every Table-2 workload, sequentially on the
-/// shared engine.
-pub fn upside(scale: Scale) -> Vec<UpsideRow> {
-    upside_with(eval::shared(), scale)
-}
-
-/// [`upside`] on a caller-provided [`Engine`], one job per workload.
-pub fn upside_with(engine: &Engine, scale: Scale) -> Vec<UpsideRow> {
-    let cfg = SimConfig::default();
-    let auto_opts = CompileOptions::automatic(DetectOptions::default());
-    let ws: Vec<Workload> = registry().iter().map(|w| scale.apply(w)).collect();
-    engine.par_map(&ws, |w| {
-        let user = engine
-            .compare_with(w, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} (user) failed: {e}", w.name));
-        let bare = deannotate(w);
-        let auto = engine
-            .compare_with(&bare, &auto_opts, &cfg)
-            .unwrap_or_else(|e| panic!("{} (auto) failed: {e}", w.name));
-        // Count what the detector applied by re-running compilation
-        // reports.
-        let compiled = specrecon_core::compile(&bare.module, &auto_opts).expect("compiles");
-        let applied: usize = compiled.reports.iter().map(|(_, r)| r.auto_applied.len()).sum();
-        UpsideRow {
-            name: w.name.to_string(),
-            applied,
-            base_eff: auto.baseline.simt_eff,
-            auto_eff: auto.speculative.simt_eff,
-            speedup: auto.speedup(),
-            user_speedup: user.speedup(),
-        }
-    })
-}
+/// The §5.4 funnel, static detection next to profile-guided.
+pub const FUNNEL: Table = Table {
+    footer: "(paper, static: 520 scanned, 75 low-efficiency, 16 detected, 5 significant)",
+    ..Table::new(
+        "funnel",
+        "§5.4 funnel — corpus scan ({corpus} synthetic applications)",
+        &["stage", "static (paper's §4.5)", "profile-guided"],
+        Body::Code(|engine, scale| {
+            let f = funnel(engine, scale.corpus(), 0x520, false);
+            if let Err(e) = sanity_funnel(&f) {
+                eprintln!("WARNING: funnel shape check failed: {e}");
+            }
+            let p = funnel(engine, scale.corpus(), 0x520, true);
+            let row = |stage: &str, n: fn(&Funnel) -> usize| {
+                vec![stage.to_string(), n(&f).to_string(), n(&p).to_string()]
+            };
+            vec![
+                row("applications scanned", |f| f.total),
+                row("SIMT efficiency < ~80%", |f| f.low_efficiency),
+                row("non-trivial opportunity detected", |f| f.detected),
+                row("significant improvement", |f| f.significant),
+            ]
+        }),
+    )
+};
 
 /// The §5.4 funnel statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -94,20 +99,8 @@ pub struct Funnel {
     pub significant: usize,
 }
 
-/// Scans a synthetic corpus of `size` kernels (the paper uses 520) with
-/// the static §4.5 heuristics, sequentially on the shared engine.
-pub fn funnel(size: usize, seed: u64) -> Funnel {
-    funnel_with(eval::shared(), size, seed, false)
-}
-
-/// Like [`funnel`], but detection and application use a per-kernel
-/// profiling run (the §4.5 "profile information may help" extension).
-pub fn funnel_profiled(size: usize, seed: u64) -> Funnel {
-    funnel_with(eval::shared(), size, seed, true)
-}
-
 /// How far one corpus kernel makes it down the funnel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd)]
 enum FunnelStage {
     Efficient,
     LowEfficiency,
@@ -115,39 +108,32 @@ enum FunnelStage {
     Significant,
 }
 
-/// The funnel scan on a caller-provided [`Engine`]: every corpus kernel
-/// is an independent job (scan, detect, apply, re-run), and the per-kernel
-/// outcomes are aggregated afterwards — so the counts are identical to
-/// the sequential scan for any worker count.
-pub fn funnel_with(engine: &Engine, size: usize, seed: u64, profiled: bool) -> Funnel {
+/// Scans a synthetic corpus of `size` kernels with the static §4.5
+/// heuristics or, if `profiled`, with detection and application driven by
+/// a per-kernel profiling run (the §4.5 "profile information may help"
+/// extension). Every corpus kernel is an independent job (scan, detect,
+/// apply, re-run) and the outcomes are aggregated afterwards, so the
+/// counts are the same for any worker count.
+pub fn funnel(engine: &Engine, size: usize, seed: u64, profiled: bool) -> Funnel {
     let entries = corpus::generate(size, seed);
     let stages = engine.par_map(&entries, |entry| funnel_stage(engine, entry, profiled));
-    let mut stats = Funnel { total: size, ..Funnel::default() };
-    for stage in stages {
-        if stage == FunnelStage::Efficient {
-            continue;
-        }
-        stats.low_efficiency += 1;
-        if stage == FunnelStage::LowEfficiency {
-            continue;
-        }
-        stats.detected += 1;
-        if stage == FunnelStage::Significant {
-            stats.significant += 1;
-        }
+    let past = |stage| stages.iter().filter(|&&s| s >= stage).count();
+    Funnel {
+        total: size,
+        low_efficiency: past(FunnelStage::LowEfficiency),
+        detected: past(FunnelStage::Detected),
+        significant: past(FunnelStage::Significant),
     }
-    stats
 }
 
 /// Runs one corpus kernel through the whole funnel.
 fn funnel_stage(engine: &Engine, entry: &corpus::CorpusEntry, profiled: bool) -> FunnelStage {
     let cfg = SimConfig::default();
-    let auto_opts = CompileOptions::automatic(DetectOptions::default());
-
-    let (base, _) = engine
-        .run_config(&entry.workload, &CompileOptions::baseline(), &cfg)
-        .unwrap_or_else(|e| panic!("corpus kernel {} failed: {e}", entry.id));
-    if base.simt_eff >= 0.8 {
+    let base = engine
+        .run_full(&entry.workload, &CompileOptions::baseline(), &cfg)
+        .unwrap_or_else(|e| panic!("corpus kernel {} failed: {e}", entry.id))
+        .metrics;
+    if base.simt_efficiency() >= 0.8 {
         return FunnelStage::Efficient;
     }
 
@@ -191,7 +177,9 @@ fn funnel_stage(engine: &Engine, entry: &corpus::CorpusEntry, profiled: bool) ->
             Some(base.cycles as f64 / out.metrics.cycles as f64)
         })
     } else {
-        engine.compare_with(&entry.workload, &auto_opts, &cfg).ok().map(|c| c.speedup())
+        let spec = RunSpec::of(entry.workload.clone());
+        let grid = Grid::new(vec![spec]).axis("mode", ["baseline", "auto"]);
+        engine.run_grid(&grid).ok().map(|c| speedup(&c[0], &c[1]))
     };
     match cmp {
         Some(speedup) if speedup > 1.10 => FunnelStage::Significant,
@@ -227,32 +215,27 @@ mod tests {
 
     #[test]
     fn automatic_matches_user_guided_on_applications() {
-        for row in upside(Scale::Quick) {
-            assert!(row.applied >= 1, "{}: detector found nothing", row.name);
+        for c in crate::golden::cells("fig10").chunks(4) {
+            let (applied, auto, user) = upside(c);
+            assert!(applied >= 1, "{}: detector found nothing", name(&c[0]));
             // §5.4: "automatic Speculative Reconvergence performs the same
             // as programmer-annotated variants" — allow modest drift since
             // auto may choose a slightly different region start.
-            assert!(
-                (row.speedup / row.user_speedup) > 0.85,
-                "{}: auto {:.2}x vs user {:.2}x",
-                row.name,
-                row.speedup,
-                row.user_speedup
-            );
+            assert!(auto / user > 0.85, "{}: auto {auto:.2}x vs user {user:.2}x", name(&c[0]));
         }
     }
 
     #[test]
     fn funnel_shape_holds_on_a_small_corpus() {
-        let f = funnel(80, 0xC3);
+        let f = funnel(workloads::eval::shared(), 80, 0xC3, false);
         assert_eq!(f.total, 80);
         sanity_funnel(&f).unwrap();
     }
 
     #[test]
     fn profiled_funnel_is_no_less_precise() {
-        let s = funnel(80, 0xC3);
-        let p = funnel_profiled(80, 0xC3);
+        let engine = workloads::eval::shared();
+        let (s, p) = (funnel(engine, 80, 0xC3, false), funnel(engine, 80, 0xC3, true));
         assert_eq!(s.low_efficiency, p.low_efficiency, "same corpus, same baseline");
         // Profile-guided detection is frequency-aware: it never fires on
         // more kernels than the static heuristics do on this corpus, and

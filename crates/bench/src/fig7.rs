@@ -1,95 +1,73 @@
 //! Figure 7 (SIMT efficiency before/after) and Figure 8 (relative
-//! efficiency improvement vs speedup), over the nine Table-2 workloads.
+//! efficiency improvement vs speedup): one grid of the nine Table-2
+//! workloads, each as the PDOM baseline and under Speculative
+//! Reconvergence.
 
-use crate::Scale;
-use simt_sim::SimConfig;
-use workloads::eval::{self, Comparison, Engine};
-use workloads::{registry, Workload};
+use crate::report::{pct, ratio};
+use crate::{eff, name, speedup, Body, Scale, Table, MODES};
+use workloads::{Cell, Grid};
 
-/// One bar pair of Figure 7 / one point of Figure 8.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Workload name.
-    pub name: String,
-    /// Baseline (PDOM) SIMT efficiency.
-    pub base_eff: f64,
-    /// Speculative-Reconvergence SIMT efficiency.
-    pub spec_eff: f64,
-    /// Baseline SIMT efficiency inside the expensive region.
-    pub base_roi_eff: f64,
-    /// SR SIMT efficiency inside the expensive region.
-    pub spec_roi_eff: f64,
-    /// Relative SIMT-efficiency improvement (Figure 8, left series).
-    pub eff_gain: f64,
-    /// Application speedup (Figure 8, right series).
-    pub speedup: f64,
+fn grid(scale: Scale) -> Grid {
+    Grid::new(scale.registry()).axis("mode", MODES)
 }
 
-impl From<Comparison> for Row {
-    fn from(c: Comparison) -> Self {
-        Row {
-            eff_gain: c.efficiency_gain(),
-            speedup: c.speedup(),
-            name: c.name,
-            base_eff: c.baseline.simt_eff,
-            spec_eff: c.speculative.simt_eff,
-            base_roi_eff: c.baseline.roi_eff,
-            spec_roi_eff: c.speculative.roi_eff,
-        }
-    }
-}
+/// Figure 7: whole-kernel and region-of-interest SIMT efficiency.
+pub const FIG7: Table = Table {
+    check: sanity,
+    ..Table::new(
+        "fig7",
+        "Figure 7 — SIMT efficiency (baseline vs Speculative Reconvergence)",
+        &["workload", "baseline eff", "SR eff", "baseline ROI eff", "SR ROI eff"],
+        Body::Grid(grid, |cells| {
+            let roi = |c: &Cell| pct(c.metrics().roi_simt_efficiency());
+            let row = |c: &[Cell]| {
+                vec![name(&c[0]), pct(eff(&c[0])), pct(eff(&c[1])), roi(&c[0]), roi(&c[1])]
+            };
+            cells.chunks(2).map(row).collect()
+        }),
+    )
+};
 
-/// Computes the Figure 7/8 data for every Table-2 workload, sequentially
-/// on the shared engine. See [`collect_with`] for parallel batches.
-///
-/// # Panics
-///
-/// Panics if any workload fails to compile, run, or preserve results —
-/// all of which the test suite guards.
-pub fn collect(scale: Scale) -> Vec<Row> {
-    collect_with(eval::shared(), scale)
-}
-
-/// [`collect`] on a caller-provided [`Engine`]: the nine workloads are
-/// independent jobs, so they run on the engine's worker pool. Row order
-/// (and every value) is identical regardless of worker count.
-pub fn collect_with(engine: &Engine, scale: Scale) -> Vec<Row> {
-    let cfg = SimConfig::default();
-    let ws: Vec<Workload> = registry().iter().map(|w| scale.apply(w)).collect();
-    engine.par_map(&ws, |w| {
-        let c =
-            engine.compare(w, &cfg).unwrap_or_else(|e| panic!("workload {} failed: {e}", w.name));
-        Row::from(c)
-    })
-}
+/// Figure 8: SIMT-efficiency gain next to speedup.
+pub const FIG8: Table = Table::new(
+    "fig8",
+    "Figure 8 — relative SIMT-efficiency improvement vs speedup",
+    &["workload", "SIMT efficiency gain", "speedup"],
+    Body::Grid(grid, |cells| {
+        let row = |c: &[Cell]| {
+            vec![name(&c[0]), ratio(eff(&c[1]) / eff(&c[0])), ratio(speedup(&c[0], &c[1]))]
+        };
+        cells.chunks(2).map(row).collect()
+    }),
+);
 
 /// The paper's headline check: every workload improves, the best by
 /// roughly 3x, and speedup is (approximately) bounded by the efficiency
 /// gain.
-pub fn sanity(rows: &[Row]) -> Result<(), String> {
-    if rows.len() != 9 {
-        return Err(format!("expected 9 workloads, got {}", rows.len()));
+pub fn sanity(cells: &[Cell]) -> Result<(), String> {
+    if cells.len() != 18 {
+        return Err(format!("expected 9 workloads, got {}", cells.len() / 2));
     }
-    for r in rows {
-        if r.eff_gain < 1.05 {
-            return Err(format!("{}: SIMT efficiency gain collapsed ({:.2}x)", r.name, r.eff_gain));
+    let mut best: f64 = 0.0;
+    for c in cells.chunks(2) {
+        let (name, gain, speedup) = (name(&c[0]), eff(&c[1]) / eff(&c[0]), speedup(&c[0], &c[1]));
+        if gain < 1.05 {
+            return Err(format!("{name}: SIMT efficiency gain collapsed ({gain:.2}x)"));
         }
-        if r.speedup < 0.95 {
+        if speedup < 0.95 {
             return Err(format!(
-                "{}: speculative reconvergence slowed it down ({:.2}x)",
-                r.name, r.speedup
+                "{name}: speculative reconvergence slowed it down ({speedup:.2}x)"
             ));
         }
         // "SIMT efficiency improvement serves roughly as an upper bound on
         // speedup" (§5.2) — allow slack for second-order effects.
-        if r.speedup > r.eff_gain * 1.35 {
+        if speedup > gain * 1.35 {
             return Err(format!(
-                "{}: speedup {:.2}x implausibly exceeds efficiency gain {:.2}x",
-                r.name, r.speedup, r.eff_gain
+                "{name}: speedup {speedup:.2}x implausibly exceeds efficiency gain {gain:.2}x"
             ));
         }
+        best = best.max(gain);
     }
-    let best = rows.iter().map(|r| r.eff_gain).fold(0.0, f64::max);
     if best < 2.0 {
         return Err(format!("best efficiency gain {best:.2}x; the paper reports up to ~3x"));
     }
@@ -99,10 +77,10 @@ pub fn sanity(rows: &[Row]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::cells;
 
     #[test]
     fn quick_scale_reproduces_figure_7_and_8_shapes() {
-        let rows = collect(Scale::Quick);
-        sanity(&rows).unwrap();
+        sanity(cells("fig7")).unwrap();
     }
 }

@@ -9,101 +9,60 @@
 //! claim is the same: PathTracer (cheap refill) peaks at full convergence,
 //! XSBench (expensive refill) peaks at a partial threshold.
 
-use crate::Scale;
-use simt_sim::SimConfig;
-use specrecon_core::CompileOptions;
-use workloads::eval::{self, Engine};
-use workloads::{pathtracer, xsbench, Workload};
+use crate::report::{pct, ratio};
+use crate::{eff, name, speedup, Body, Table, MODES};
+use workloads::{Cell, Grid};
 
-/// One point of a Figure 9 curve.
-#[derive(Clone, Debug)]
-pub struct Point {
-    /// Application name.
-    pub app: String,
-    /// Soft-barrier threshold (32 = hard/full barrier).
-    pub threshold: u32,
-    /// SIMT efficiency at this threshold.
-    pub simt_eff: f64,
-    /// Speedup over the PDOM baseline at this threshold.
-    pub speedup: f64,
-}
-
-/// The default threshold grid (matching the paper's 0..32 sweep at step
-/// 4, with 32 = full barrier).
+/// The threshold axis (the paper's 0..32 sweep at step 4, with 32 = full
+/// barrier).
 pub const THRESHOLDS: [u32; 9] = [2, 4, 8, 12, 16, 20, 24, 28, 32];
 
-/// Sweeps both Figure 9 applications over [`THRESHOLDS`], sequentially
-/// on the shared engine.
-pub fn collect(scale: Scale) -> Vec<Point> {
-    collect_with(eval::shared(), scale)
-}
-
-/// [`collect`] on a caller-provided [`Engine`]: every (app, threshold)
-/// point is an independent job on the engine's worker pool.
-pub fn collect_with(engine: &Engine, scale: Scale) -> Vec<Point> {
-    let mut out = Vec::new();
-    for w in [
-        pathtracer::build(&pathtracer::Params::default()),
-        xsbench::build(&xsbench::Params::default()),
-    ] {
-        out.extend(sweep_with(engine, &scale.apply(&w), &THRESHOLDS));
-    }
-    out
-}
-
-/// Sweeps one workload over the given thresholds.
-pub fn sweep(w: &Workload, thresholds: &[u32]) -> Vec<Point> {
-    sweep_with(eval::shared(), w, thresholds)
-}
-
-/// [`sweep`] on a caller-provided [`Engine`], one job per threshold.
-pub fn sweep_with(engine: &Engine, w: &Workload, thresholds: &[u32]) -> Vec<Point> {
-    let cfg = SimConfig::default();
-    engine.par_map(thresholds, |&t| {
-        let wt = w.rebind().threshold(t).done();
-        let c = engine
-            .compare_with(&wt, &CompileOptions::speculative(), &cfg)
-            .unwrap_or_else(|e| panic!("{} at threshold {t} failed: {e}", w.name));
-        Point {
-            app: w.name.to_string(),
-            threshold: t,
-            simt_eff: c.speculative.simt_eff,
-            speedup: c.speedup(),
-        }
-    })
-}
+/// Figure 9: both applications at every threshold, each against the PDOM
+/// baseline.
+pub const TABLE: Table = Table {
+    note: "(threshold = arrivals required to release; 32 = full/hard barrier)",
+    check: sanity,
+    ..Table::new(
+        "fig9",
+        "Figure 9 — soft-barrier threshold sweep (PathTracer, XSBench)",
+        &["app", "threshold", "SIMT efficiency", "speedup"],
+        Body::Grid(
+            |scale| {
+                let bases = vec![scale.spec("pathtracer"), scale.spec("xsbench")];
+                Grid::new(bases).axis("threshold", THRESHOLDS).axis("mode", MODES)
+            },
+            |cells| {
+                let point = |c: &[Cell]| {
+                    let threshold = c[1].pairs[0].1.clone();
+                    vec![name(&c[1]), threshold, pct(eff(&c[1])), ratio(speedup(&c[0], &c[1]))]
+                };
+                cells.chunks(2).map(point).collect()
+            },
+        ),
+    )
+};
 
 /// The paper's qualitative Figure-9 claim: PathTracer is best at the full
 /// barrier; XSBench peaks strictly below it.
-pub fn sanity(points: &[Point]) -> Result<(), String> {
-    let best = |app: &str| -> Result<(u32, f64), String> {
-        points
-            .iter()
-            .filter(|p| p.app == app)
-            .map(|p| (p.threshold, p.speedup))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .ok_or_else(|| format!("no points for {app}"))
+pub fn sanity(cells: &[Cell]) -> Result<(), String> {
+    // (threshold, speedup) along `app`'s curve, and its peak.
+    let curve = |app: &str| -> Vec<(&str, f64)> {
+        let points = cells.chunks(2).filter(|c| name(&c[0]) == app);
+        points.map(|c| (c[1].pairs[0].1.as_str(), speedup(&c[0], &c[1]))).collect()
     };
-    let at = |app: &str, t: u32| -> Result<f64, String> {
-        points
-            .iter()
-            .find(|p| p.app == app && p.threshold == t)
-            .map(|p| p.speedup)
-            .ok_or_else(|| format!("no point for {app} at {t}"))
-    };
-
-    let (pt_best, _) = best("pathtracer")?;
-    if pt_best != 32 {
+    fn peak<'a>(curve: &[(&'a str, f64)]) -> Option<(&'a str, f64)> {
+        curve.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))
+    }
+    let (pathtracer, xsbench) = (curve("pathtracer"), curve("xsbench"));
+    let (pt_best, _) = peak(&pathtracer).ok_or("no points for pathtracer")?;
+    if pt_best != "32" {
         return Err(format!("pathtracer should peak at the full barrier, peaked at {pt_best}"));
     }
-    let (xs_best, xs_speedup) = best("xsbench")?;
-    if xs_best == 32 {
-        return Err("xsbench should peak below the full barrier".to_string());
-    }
-    let xs_full = at("xsbench", 32)?;
-    if xs_speedup <= xs_full {
+    let (xs_best, xs_peak) = peak(&xsbench).ok_or("no points for xsbench")?;
+    let (_, xs_full) = xsbench.iter().find(|p| p.0 == "32").ok_or("no point for xsbench at 32")?;
+    if xs_best == "32" || xs_peak <= *xs_full {
         return Err(format!(
-            "xsbench partial-threshold peak ({xs_speedup:.3}) should beat the full barrier ({xs_full:.3})"
+            "xsbench should peak below the full barrier: {xs_peak:.3} at {xs_best}, {xs_full:.3} at 32"
         ));
     }
     Ok(())
@@ -112,26 +71,10 @@ pub fn sanity(points: &[Point]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::cells;
 
     #[test]
     fn quick_scale_reproduces_figure_9_crossover() {
-        // A coarser grid keeps the test fast while still showing the
-        // crossover.
-        let mut points = Vec::new();
-        for w in [
-            pathtracer::build(&pathtracer::Params {
-                num_samples: 192,
-                num_warps: 1,
-                ..pathtracer::Params::default()
-            }),
-            xsbench::build(&xsbench::Params {
-                num_tasks: 192,
-                num_warps: 1,
-                ..xsbench::Params::default()
-            }),
-        ] {
-            points.extend(sweep(&w, &[4, 8, 16, 24, 32]));
-        }
-        sanity(&points).unwrap();
+        sanity(cells("fig9")).unwrap();
     }
 }

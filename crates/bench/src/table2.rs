@@ -1,47 +1,33 @@
 //! Table 2: the benchmark inventory.
 
-use workloads::{microbench, registry, DivergencePattern};
+use crate::{Body, Scale, Table};
+use workloads::{microbench, registry, Engine};
 
-/// One row of Table 2 (plus the Figure 2(c) microbenchmark the paper
-/// mentions in §5.1).
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Divergence pattern exercised.
-    pub pattern: DivergencePattern,
-    /// Description (from the paper's Table 2).
-    pub description: String,
-}
+/// All Table-2 rows plus the common-function-call microbenchmark the
+/// paper mentions in §5.1.
+pub const TABLE: Table = Table::new(
+    "table2",
+    "Table 2 — benchmarks",
+    &["benchmark", "pattern", "description"],
+    Body::Code(rows),
+);
 
-/// All Table-2 rows plus the common-function-call microbenchmark.
-pub fn rows() -> Vec<Row> {
-    let mut out: Vec<Row> = registry()
-        .iter()
-        .map(|w| Row {
-            name: w.name.to_string(),
-            pattern: w.pattern,
-            description: w.description.to_string(),
-        })
-        .collect();
-    let mb = microbench::build_common_call(&microbench::Params::default());
-    out.push(Row {
-        name: mb.name.to_string(),
-        pattern: mb.pattern,
-        description: mb.description.to_string(),
-    });
-    out
+fn rows(_: &Engine, _: Scale) -> Vec<Vec<String>> {
+    let mut ws = registry();
+    ws.push(microbench::build_common_call(&microbench::Params::default()));
+    ws.iter().map(|w| vec![w.name.into(), w.pattern.to_string(), w.description.into()]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::DivergencePattern;
 
     #[test]
     fn table_has_nine_apps_plus_microbenchmark() {
-        let rows = rows();
+        let rows = rows(&Engine::new(1), Scale::Quick);
         assert_eq!(rows.len(), 10);
-        assert_eq!(rows[9].pattern, DivergencePattern::CommonFunctionCall);
-        assert!(rows.iter().all(|r| !r.description.is_empty()));
+        assert_eq!(rows[9][1], DivergencePattern::CommonFunctionCall.to_string());
+        assert!(rows.iter().all(|r| !r[2].is_empty()));
     }
 }

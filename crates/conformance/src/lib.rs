@@ -25,7 +25,8 @@
 //! cases (default 256 — see `docs/TESTING.md`), and
 //! `CONFORMANCE_RECON_MODELS=all` crosses the oracle's matrix with the
 //! simulator's hardware reconvergence models
-//! ([`oracle::recon_models`]).
+//! ([`oracle::recon_models`]) and a memory hierarchy
+//! ([`oracle::MEM_HIER`]).
 
 #![warn(missing_docs)]
 

@@ -24,12 +24,16 @@
 //! **reconvergence model** ([`recon_models`]). By default every run
 //! uses the Volta barrier register file; setting
 //! `CONFORMANCE_RECON_MODELS=all` crosses every (variant, policy,
-//! seed) cell with the IPDOM stack and warp-split models too. This is
-//! the triangulation between compiler-side repair (SR variants) and
+//! seed) cell with the IPDOM stack and warp-split models too, and with
+//! the memory hierarchy [`MEM_HIER`] next to the flat memory model. This
+//! is the triangulation between compiler-side repair (SR variants) and
 //! hardware-side repair (stack reconvergence, warp splitting): every
 //! combination must land on the same final memory. Generated programs
 //! only place `syncthreads` in uniform top-level control, so the
 //! pre-Volta models cannot legitimately deadlock — any hang is a bug.
+//!
+//! Each variant's matrix is one [`Grid`] over its compiled module, run
+//! as it is: the module is decoded once for all of its cells.
 //!
 //! And a fifth axis: the compiler-side **repair strategy**
 //! ([`repairs`]). Setting `CONFORMANCE_REPAIRS=all` appends a variant
@@ -40,11 +44,12 @@
 use crate::build::{build_module, mem_cells};
 use crate::program::ProgramSpec;
 use simt_ir::{Module, Value};
-use simt_sim::{run, Launch, ReconvergenceModel, SchedulerPolicy, SimConfig};
+use simt_sim::{Launch, ReconvergenceModel, SchedulerPolicy, SimConfig};
 use specrecon_core::{
     compile, lint_errors, CompileOptions, Compiled, DeconflictMode, DetectOptions, PassError,
     RepairStrategy,
 };
+use workloads::{DivergencePattern, Engine, Grid, RunSpec, Seeds, Workload};
 
 /// Every scheduler policy the simulator offers.
 pub const POLICIES: [SchedulerPolicy; 5] = [
@@ -68,9 +73,7 @@ pub const POLICIES: [SchedulerPolicy; 5] = [
 /// A malformed spec panics: a silently ignored model list would let CI
 /// believe it ran a matrix it did not.
 pub fn recon_models() -> Vec<ReconvergenceModel> {
-    let var = std::env::var("CONFORMANCE_RECON_MODELS").unwrap_or_default();
-    let var = var.trim();
-    match var {
+    match recon_models_var().as_str() {
         "" | "default" => vec![ReconvergenceModel::BarrierFile],
         "all" => vec![
             ReconvergenceModel::BarrierFile,
@@ -87,6 +90,15 @@ pub fn recon_models() -> Vec<ReconvergenceModel> {
             .collect(),
     }
 }
+
+fn recon_models_var() -> String {
+    std::env::var("CONFORMANCE_RECON_MODELS").unwrap_or_default().trim().to_string()
+}
+
+/// The memory hierarchy `CONFORMANCE_RECON_MODELS=all` crosses every cell
+/// with, next to the flat model: the `model-axes` benchmark's.
+pub const MEM_HIER: &str =
+    "l1:lines=64,cells=16,lat=2,mshrs=4;l2:lines=512,cells=16,lat=8,mshrs=16;dram:lat=24,extra=2";
 
 /// Repair strategies appended to the variant matrix, from the
 /// `CONFORMANCE_REPAIRS` environment variable:
@@ -130,16 +142,6 @@ pub struct OracleReport {
     pub variants_run: Vec<String>,
     /// Variant names skipped with the compiler's rejection reason.
     pub variants_skipped: Vec<(String, String)>,
-}
-
-fn sim_config(spec: &ProgramSpec, policy: SchedulerPolicy, recon: ReconvergenceModel) -> SimConfig {
-    SimConfig {
-        warp_width: spec.warp_width,
-        scheduler: policy,
-        max_cycles: MAX_CYCLES,
-        recon,
-        ..SimConfig::default()
-    }
 }
 
 fn launch(spec: &ProgramSpec, seed: u64) -> Launch {
@@ -255,63 +257,77 @@ fn render_mem(mem: &[Value]) -> String {
     mem.iter().map(|v| format!("{v:?}")).collect::<Vec<_>>().join(", ")
 }
 
-/// Runs `compiled` across the policy × seed × reconvergence-model
-/// matrix, comparing final memory against `reference` (one snapshot
-/// per launch seed). The snapshot for each seed is taken from the
-/// matrix's first cell (under the default and `all` model lists that
-/// is the barrier-file model); every other cell — including all
-/// hardware-model runs — must reproduce it exactly.
+/// Runs `compiled` as it is across the launch seed × policy ×
+/// reconvergence-model matrix (× memory model under
+/// `CONFORMANCE_RECON_MODELS=all`), comparing final memory against
+/// `reference` (one snapshot per launch seed). The snapshot for each seed
+/// is taken from the matrix's first cell with that seed (the flat memory
+/// model, [`POLICIES`]' first and the first model); every other cell —
+/// including all hardware-model and hierarchy runs — must reproduce it
+/// exactly.
 fn run_matrix(
+    engine: &Engine,
     name: &str,
     spec: &ProgramSpec,
     compiled: &Compiled,
     reference: Option<&[Vec<Value>]>,
 ) -> Result<Vec<Vec<Value>>, String> {
     let seeds = launch_seeds(spec);
-    let models = recon_models();
+    let workload = Workload {
+        name: "conformance",
+        description: "A generated program.",
+        pattern: DivergencePattern::IterationDelay,
+        module: compiled.module.clone(),
+        launch: launch(spec, seeds[0]),
+    };
+    let cfg =
+        SimConfig { warp_width: spec.warp_width, max_cycles: MAX_CYCLES, ..SimConfig::default() };
+    let flat = RunSpec { workload, compile: None, cfg, seeds: Seeds::Count(1) };
+    let mut bases = vec![flat.clone()];
+    if recon_models_var() == "all" {
+        let mut hier = flat;
+        hier.apply(&[("mem_hier", MEM_HIER)]).expect("the hierarchy parses");
+        bases.push(hier);
+    }
+    // A policy's Debug name, lowercased, is its spelling.
+    let policies = POLICIES.map(|p| format!("{p:?}").to_lowercase());
+    let grid = Grid::new(bases)
+        .axis("seed", seeds)
+        .axis("policy", policies)
+        .axis("recon_model", recon_models().iter().map(ReconvergenceModel::spec));
+    let cells = engine.run_grid(&grid).map_err(|e| {
+        format!("[{name}] run failed: {e}\ntransformed module:\n{}", compiled.module)
+    })?;
+
     let mut snapshots: Vec<Vec<Value>> = Vec::new();
-    for (si, &ls) in seeds.iter().enumerate() {
-        for &policy in &POLICIES {
-            for &model in &models {
-                let cfg = sim_config(spec, policy, model);
-                let out = run(&compiled.module, &cfg, &launch(spec, ls)).map_err(|e| {
-                    format!(
-                        "[{name}] run failed under {policy:?}/{} (launch seed {ls:#x}): {e}\n\
-                         transformed module:\n{}",
-                        model.spec(),
-                        compiled.module
-                    )
-                })?;
-                if let Some(reference) = reference {
-                    if out.global_mem != reference[si] {
-                        return Err(format!(
-                            "[{name}] memory mismatch vs baseline under {policy:?}/{} \
-                             (launch seed {ls:#x}):\n  baseline: {}\n  variant:  {}\n\
-                             transformed module:\n{}",
-                            model.spec(),
-                            render_mem(&reference[si]),
-                            render_mem(&out.global_mem),
-                            compiled.module
-                        ));
-                    }
-                }
-                match snapshots.get(si) {
-                    None => snapshots.push(out.global_mem),
-                    Some(first) => {
-                        if *first != out.global_mem {
-                            return Err(format!(
-                                "[{name}] not schedule-invariant: {policy:?}/{} disagrees \
-                                 with {:?}/{} (launch seed {ls:#x}):\n  first: {}\n  now:   {}",
-                                model.spec(),
-                                POLICIES[0],
-                                models[0].spec(),
-                                render_mem(first),
-                                render_mem(&out.global_mem)
-                            ));
-                        }
-                    }
-                }
+    for cell in &cells {
+        let ls = cell.spec.workload.launch.seed;
+        let si = seeds.iter().position(|&s| s == ls).expect("a launch seed of the matrix");
+        let mem = &cell.runs[0].global_mem;
+        if let Some(reference) = reference {
+            if *mem != reference[si] {
+                return Err(format!(
+                    "[{name}] memory mismatch vs baseline in {} (launch seed {ls:#x}):\n  \
+                     baseline: {}\n  variant:  {}\ntransformed module:\n{}",
+                    cell.name(),
+                    render_mem(&reference[si]),
+                    render_mem(mem),
+                    compiled.module
+                ));
             }
+        }
+        match snapshots.get(si) {
+            None => snapshots.push(mem.clone()),
+            Some(first) if first != mem => {
+                return Err(format!(
+                    "[{name}] not schedule-invariant: {} disagrees with the first cell of \
+                     launch seed {ls:#x}:\n  first: {}\n  now:   {}",
+                    cell.name(),
+                    render_mem(first),
+                    render_mem(mem)
+                ));
+            }
+            Some(_) => {}
         }
     }
     Ok(snapshots)
@@ -321,11 +337,14 @@ fn run_matrix(
 /// violation report (including the offending module text).
 pub fn check(spec: &ProgramSpec) -> Result<OracleReport, String> {
     let module = build_module(spec);
+    // One engine per spec: each variant's image is decoded once for its
+    // whole matrix, and nothing outlives the check.
+    let engine = Engine::new(1);
 
     let base_opts = with_warp_width(CompileOptions::baseline(), spec);
     let baseline = compile(&module, &base_opts)
         .map_err(|e| format!("[baseline] compile failed: {e}\nsource module:\n{module}"))?;
-    let reference = run_matrix("baseline", spec, &baseline, None)?;
+    let reference = run_matrix(&engine, "baseline", spec, &baseline, None)?;
 
     let mut report = OracleReport::default();
     for (name, source, opts) in variants(spec, &module) {
@@ -343,7 +362,7 @@ pub fn check(spec: &ProgramSpec) -> Result<OracleReport, String> {
                         compiled.module
                     ));
                 }
-                run_matrix(&name, spec, &compiled, Some(&reference))?;
+                run_matrix(&engine, &name, spec, &compiled, Some(&reference))?;
                 report.variants_run.push(name);
             }
         }

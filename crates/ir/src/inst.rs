@@ -71,7 +71,7 @@ impl fmt::Display for Operand {
 ///
 /// Operations are polymorphic over [`Value`]: integer inputs use wrapping
 /// integer semantics, and if either input is a float the operation is
-/// performed in `f64`. Comparisons always produce an integer 0/1.
+/// performed in `f64`. Relational ops always produce an integer 0/1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.

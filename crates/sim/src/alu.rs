@@ -4,7 +4,7 @@
 //!
 //! Operations are polymorphic over [`Value`]: integer inputs use wrapping
 //! integer semantics, and if either input is a float the operation is
-//! performed in `f64`. Comparisons always produce an integer 0/1.
+//! performed in `f64`. Relational ops always produce an integer 0/1.
 //!
 //! The semantics exist once, as small monomorphic per-op *kernels*.
 //! [`with_bin`]/[`with_un`] match the op **once** and hand the kernel to

@@ -1,6 +1,6 @@
-//! Evaluation harness: compile a workload under different configurations,
-//! run it, and compare — with an output-equality check, since Speculative
-//! Reconvergence must never change results.
+//! Evaluation harness: compile a workload, run it, and run grids of such
+//! runs ([`Grid`](crate::Grid)) with an output-equality check, since
+//! Speculative Reconvergence must never change results.
 //!
 //! The harness is built around [`Engine`], which caches compiled kernels
 //! as decoded execution images (keyed by module text and
@@ -8,11 +8,12 @@
 //! threads. [`shared`] is a process-wide single-job engine for callers
 //! that want the cache without constructing their own.
 
+use crate::spec::SpecError;
 use crate::{RunSpec, Seeds, Workload};
 use simt_ir::Module;
 use simt_sim::{
-    run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, Metrics, SeedRun,
-    SimConfig, SimError, SimOutput, SweepLaunch, SweepStats,
+    run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, SeedRun, SimConfig,
+    SimError, SimOutput, SweepLaunch, SweepStats,
 };
 use specrecon_core::{compile, CompileOptions, PassError};
 use std::collections::HashMap;
@@ -27,12 +28,16 @@ pub enum EvalError {
     Compile(PassError),
     /// Simulation failed.
     Sim(SimError),
-    /// The transformed kernel produced different memory contents than the
-    /// baseline — a correctness bug.
+    /// A grid axis value the key table refuses.
+    Spec(SpecError),
+    /// A grid cell, by name, failed.
+    Cell(String, Box<EvalError>),
+    /// Two grid cells that differ only in compile keys left different
+    /// memory contents — a correctness bug.
     ResultMismatch {
-        /// Workload name.
-        workload: String,
-        /// First differing cell.
+        /// The two cells, by name.
+        cells: [String; 2],
+        /// First differing global memory cell.
         first_diff: usize,
     },
 }
@@ -42,10 +47,11 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::Compile(e) => write!(f, "compile error: {e}"),
             EvalError::Sim(e) => write!(f, "simulation error: {e}"),
-            EvalError::ResultMismatch { workload, first_diff } => write!(
-                f,
-                "{workload}: transformed kernel changed results (first diff at cell {first_diff})"
-            ),
+            EvalError::Spec(e) => write!(f, "grid axis: {e}"),
+            EvalError::Cell(cell, e) => write!(f, "{cell}: {e}"),
+            EvalError::ResultMismatch { cells: [a, b], first_diff } => {
+                write!(f, "{a} and {b} changed results (first diff at global[{first_diff}])")
+            }
         }
     }
 }
@@ -68,7 +74,10 @@ impl EvalError {
     /// Whether this error is a cooperative cancellation (deadline expiry
     /// or shutdown), as opposed to a compile/simulation failure.
     pub fn is_cancelled(&self) -> bool {
-        matches!(self, EvalError::Sim(SimError::Cancelled { .. }))
+        match self {
+            EvalError::Cell(_, e) => e.is_cancelled(),
+            e => matches!(e, EvalError::Sim(SimError::Cancelled { .. })),
+        }
     }
 }
 
@@ -145,30 +154,6 @@ impl Cache {
             };
             self.map.remove(&oldest);
             self.evictions += 1;
-        }
-    }
-}
-
-/// Metrics digest of one run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunSummary {
-    /// Overall SIMT efficiency.
-    pub simt_eff: f64,
-    /// SIMT efficiency inside the workload's region of interest.
-    pub roi_eff: f64,
-    /// Total cycles.
-    pub cycles: u64,
-    /// Dynamic barrier operations (overhead indicator).
-    pub barrier_ops: u64,
-}
-
-impl From<&Metrics> for RunSummary {
-    fn from(m: &Metrics) -> Self {
-        Self {
-            simt_eff: m.simt_efficiency(),
-            roi_eff: m.roi_simt_efficiency(),
-            cycles: m.cycles,
-            barrier_ops: m.barrier_ops,
         }
     }
 }
@@ -293,9 +278,10 @@ impl Engine {
         Ok(img)
     }
 
-    /// Runs `spec`: compiles its workload through the image cache, then
-    /// runs a [`Seeds::Count`] as scalar launches on the worker pool and
-    /// a [`Seeds::Range`] as lockstep cohorts. Each seed's [`SeedRun`]
+    /// Runs `spec`: compiles its workload through the image cache for the
+    /// machine's warp width, then runs a [`Seeds::Count`] as scalar
+    /// launches on the worker pool and a [`Seeds::Range`] as lockstep
+    /// cohorts. Each seed's [`SeedRun`]
     /// goes through `keep` as its launch or cohort finishes, so what
     /// `keep` drops (a final memory) is never held for the whole run;
     /// results are in seed order. `cancel` is polled before each scalar
@@ -313,8 +299,8 @@ impl Engine {
         cancel: Option<&CancelToken>,
         keep: impl Fn(SeedRun) -> R + Sync,
     ) -> Result<RunOutput<R>, EvalError> {
-        let image = self.decoded(&spec.workload.module, spec.compile.as_ref())?;
         let (cfg, base) = (&spec.cfg, &spec.workload.launch);
+        let image = self.compiled(&spec.workload.module, spec.compile.as_ref(), cfg)?;
         match spec.seeds {
             Seeds::Count(n) => {
                 let seeds: Vec<u64> = (0..n).map(|i| base.seed.wrapping_add(i)).collect();
@@ -330,57 +316,29 @@ impl Engine {
         }
     }
 
-    /// Compiles the workload with `opts` and runs it, returning the full
-    /// [`SimOutput`] (including trace/profile when `cfg` requests them).
+    /// Compiles the workload with `opts` for `cfg`'s warp width and runs
+    /// it once, returning the full [`SimOutput`] (including trace/profile
+    /// when `cfg` requests them).
     pub fn run_full(
         &self,
         w: &Workload,
         opts: &CompileOptions,
         cfg: &SimConfig,
     ) -> Result<SimOutput, EvalError> {
-        let image = self.decoded(&w.module, Some(opts))?;
+        let image = self.compiled(&w.module, Some(opts), cfg)?;
         Ok(run_seed(&image, cfg, &w.launch, None)?)
     }
 
-    /// Compiles the workload with `opts` and runs it; returns the metrics
-    /// digest and the final memory (for cross-configuration checks).
-    pub fn run_config(
+    /// [`Engine::decoded`] with the options' warp width taken from `cfg`,
+    /// the machine the image will run on.
+    fn compiled(
         &self,
-        w: &Workload,
-        opts: &CompileOptions,
+        module: &Module,
+        opts: Option<&CompileOptions>,
         cfg: &SimConfig,
-    ) -> Result<(RunSummary, Vec<simt_ir::Value>), EvalError> {
-        let out = self.run_full(w, opts, cfg)?;
-        Ok(((&out.metrics).into(), out.global_mem))
-    }
-
-    /// Runs the workload under the baseline and the paper's speculative
-    /// configuration and checks result equality (the Figure 7/8
-    /// measurement).
-    ///
-    /// # Errors
-    ///
-    /// Any compile or simulation failure, or differing kernel output
-    /// between configurations.
-    pub fn compare(&self, w: &Workload, cfg: &SimConfig) -> Result<Comparison, EvalError> {
-        self.compare_with(w, &CompileOptions::speculative(), cfg)
-    }
-
-    /// Like [`Engine::compare`] but with a custom speculative-side
-    /// configuration (soft-barrier thresholds, static deconfliction,
-    /// automatic mode, ...).
-    pub fn compare_with(
-        &self,
-        w: &Workload,
-        spec_opts: &CompileOptions,
-        cfg: &SimConfig,
-    ) -> Result<Comparison, EvalError> {
-        let (base, base_mem) = self.run_config(w, &CompileOptions::baseline(), cfg)?;
-        let (spec, spec_mem) = self.run_config(w, spec_opts, cfg)?;
-        if let Some(first_diff) = first_difference(&base_mem, &spec_mem) {
-            return Err(EvalError::ResultMismatch { workload: w.name.to_string(), first_diff });
-        }
-        Ok(Comparison { name: w.name.to_string(), baseline: base, speculative: spec })
+    ) -> Result<Arc<DecodedImage>, EvalError> {
+        let opts = opts.map(|o| CompileOptions { warp_width: cfg.warp_width as u32, ..o.clone() });
+        self.decoded(module, opts.as_ref())
     }
 
     /// The [`Seeds::Range`] half of [`Engine::run`]: partitions `seeds`
@@ -505,31 +463,9 @@ pub fn shared() -> &'static Engine {
     ENGINE.get_or_init(|| Engine::new(1))
 }
 
-/// Baseline-vs-speculative comparison for one workload (the Figure 7/8
-/// measurement).
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Workload name.
-    pub name: String,
-    /// PDOM baseline run.
-    pub baseline: RunSummary,
-    /// Speculative Reconvergence run.
-    pub speculative: RunSummary,
-}
-
-impl Comparison {
-    /// Relative SIMT-efficiency improvement (1.0 = unchanged).
-    pub fn efficiency_gain(&self) -> f64 {
-        self.speculative.simt_eff / self.baseline.simt_eff
-    }
-
-    /// Speedup (1.0 = unchanged; above 1 = speculative is faster).
-    pub fn speedup(&self) -> f64 {
-        self.baseline.cycles as f64 / self.speculative.cycles as f64
-    }
-}
-
-fn first_difference(a: &[simt_ir::Value], b: &[simt_ir::Value]) -> Option<usize> {
+/// The first cell where two final memories differ, floats compared to one
+/// part in 10^9.
+pub(crate) fn first_difference(a: &[simt_ir::Value], b: &[simt_ir::Value]) -> Option<usize> {
     if a.len() != b.len() {
         return Some(a.len().min(b.len()));
     }
@@ -543,67 +479,24 @@ fn first_difference(a: &[simt_ir::Value], b: &[simt_ir::Value]) -> Option<usize>
     })
 }
 
-/// A builder over a cloned [`Workload`], started by [`Workload::rebind`]:
-/// the one place launch and annotation adjustments live.
-#[derive(Clone, Debug)]
-pub struct Rebind {
-    w: Workload,
-}
-
-impl Rebind {
-    /// Sets the soft-barrier threshold of every `Predict` annotation in
-    /// the module (the Figure 9 sweep axis).
-    pub fn threshold(mut self, threshold: u32) -> Self {
-        set_threshold(&mut self.w.module, threshold);
-        self
-    }
-
-    /// Sets the launch's warp count (reduced-size variants for fast
-    /// tests).
-    pub fn warps(mut self, warps: usize) -> Self {
-        self.w.launch.num_warps = warps;
-        self
-    }
-
-    /// Sets the launch seed (determinism / variance testing, per-seed
-    /// sweep baselines).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.w.launch.seed = seed;
-        self
-    }
-
-    /// Finishes the rebind, yielding the adjusted workload.
-    pub fn done(self) -> Workload {
-        self.w
-    }
-}
-
-/// Sets the soft-barrier threshold of every `Predict` in `module`.
-pub(crate) fn set_threshold(module: &mut Module, threshold: u32) {
-    for (_, f) in module.functions.iter_mut() {
-        for p in &mut f.predictions {
-            p.threshold = Some(threshold);
-        }
-    }
-}
-
-impl Workload {
-    /// Starts a builder-style rebind: a clone of this workload whose
-    /// launch (and prediction thresholds) can be adjusted fluently —
-    /// `w.rebind().warps(2).seed(7).done()`.
-    pub fn rebind(&self) -> Rebind {
-        Rebind { w: self.clone() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rsbench;
+    use simt_ir::Value;
+    use simt_sim::Metrics;
 
     /// RSBench shrunk to `warps` warps.
     fn small(warps: usize) -> Workload {
-        rsbench::build(&rsbench::Params::default()).rebind().warps(warps).done()
+        let mut w = rsbench::build(&rsbench::Params::default());
+        w.launch.num_warps = warps;
+        w
+    }
+
+    /// One launch of `w` under `opts` on the default machine.
+    fn run(engine: &Engine, w: &Workload, opts: &CompileOptions) -> (Metrics, Vec<Value>) {
+        let out = engine.run_full(w, opts, &SimConfig::default()).expect("rsbench runs");
+        (out.metrics, out.global_mem)
     }
 
     /// A panic while the cache lock is held (contained by the service's
@@ -629,13 +522,15 @@ mod tests {
 
     #[test]
     fn error_displays_are_informative() {
-        let e = EvalError::ResultMismatch { workload: "x".into(), first_diff: 7 };
-        assert!(e.to_string().contains("cell 7"));
+        let e = EvalError::ResultMismatch { cells: ["x".into(), "y".into()], first_diff: 7 };
+        assert_eq!(e.to_string(), "x and y changed results (first diff at global[7])");
+        let e = EvalError::Cell("x".into(), Box::new(SimError::Cancelled { cycle: 3 }.into()));
+        assert!(e.to_string().starts_with("x: simulation error"), "{e}");
+        assert!(e.is_cancelled());
     }
 
     #[test]
     fn first_difference_tolerates_float_rounding() {
-        use simt_ir::Value;
         let a = vec![Value::F64(1.0), Value::I64(2)];
         let b = vec![Value::F64(1.0 + 1e-12), Value::I64(2)];
         assert_eq!(first_difference(&a, &b), None);
@@ -647,30 +542,17 @@ mod tests {
 
     #[test]
     fn with_threshold_sets_every_prediction() {
-        let w = rsbench::build(&rsbench::Params::default());
-        let wt = w.rebind().threshold(12).done();
-        for (_, f) in wt.module.functions.iter() {
+        let base = RunSpec::of(rsbench::build(&rsbench::Params::default()));
+        let mut s = base.clone();
+        s.apply(&[("threshold", "12"), ("warps", "3"), ("seed", "99")]).unwrap();
+        assert_eq!((s.workload.launch.num_warps, s.workload.launch.seed), (3, 99));
+        for (_, f) in s.workload.module.functions.iter() {
             for p in &f.predictions {
                 assert_eq!(p.threshold, Some(12));
             }
         }
-        // Original untouched.
-        let kernel = w.module.function_by_name("rsbench").unwrap();
-        assert_eq!(w.module.functions[kernel].predictions[0].threshold, None);
-    }
-
-    #[test]
-    fn rebind_composes_and_leaves_the_original_untouched() {
-        let w = rsbench::build(&rsbench::Params::default());
-        let r = w.rebind().threshold(12).warps(3).seed(99).done();
-        assert_eq!(r.launch.num_warps, 3);
-        assert_eq!(r.launch.seed, 99);
-        for (_, f) in r.module.functions.iter() {
-            for p in &f.predictions {
-                assert_eq!(p.threshold, Some(12));
-            }
-        }
-        // One chain, one clone; the source workload is unchanged.
+        // The amended spec is a clone; the base is unchanged.
+        let w = &base.workload;
         let kernel = w.module.function_by_name("rsbench").unwrap();
         assert_eq!(w.module.functions[kernel].predictions[0].threshold, None);
         assert_ne!(w.launch.seed, 99);
@@ -684,7 +566,8 @@ mod tests {
     #[test]
     fn run_sweep_matches_per_seed_runs_and_compiles_once() {
         let engine = Engine::new(3);
-        let w = small(1).rebind().seed(10).done();
+        let mut w = small(1);
+        w.launch.seed = 10;
         let opts = CompileOptions::baseline();
         // 5 seeds over 3 workers: chunked (2, 2, 1), merged in seed order.
         let out = engine
@@ -767,16 +650,18 @@ mod tests {
     fn engine_caches_compiled_kernels() {
         let engine = Engine::new(1);
         let w = small(2);
-        let cfg = SimConfig::default();
         assert_eq!(engine.cached_images(), 0);
-        let a = engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
+        let a = run(&engine, &w, &CompileOptions::baseline());
         assert_eq!(engine.cached_images(), 1);
-        let b = engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
+        let b = run(&engine, &w, &CompileOptions::baseline());
         assert_eq!(engine.cached_images(), 1, "second run must hit the cache");
         assert_eq!(a, b);
-        // A different compile configuration is a different cache entry.
-        engine.run_config(&w, &CompileOptions::speculative(), &cfg).unwrap();
-        assert_eq!(engine.cached_images(), 2);
+        // A different compile configuration is a different cache entry,
+        // and so is the same one for the machine's other warp width.
+        run(&engine, &w, &CompileOptions::speculative());
+        let narrow = SimConfig { warp_width: 8, ..SimConfig::default() };
+        engine.run_full(&w, &CompileOptions::speculative(), &narrow).unwrap();
+        assert_eq!(engine.cached_images(), 3);
     }
 
     #[test]
@@ -795,14 +680,12 @@ mod tests {
     fn par_map_order_matches_job_order() {
         let engine = Engine::new(4);
         let opts = CompileOptions::baseline();
-        let cfg = SimConfig::default();
         let jobs: Vec<Workload> = [1usize, 2, 3].iter().map(|&warps| small(warps)).collect();
-        let results = engine.par_map(&jobs, |w| engine.run_config(w, &opts, &cfg));
+        let results = engine.par_map(&jobs, |w| run(&engine, w, &opts));
         assert_eq!(results.len(), 3);
         for (w, result) in jobs.iter().zip(&results) {
-            let (summary, _) = result.as_ref().unwrap();
-            let (expected, _) = Engine::new(1).run_config(w, &opts, &cfg).unwrap();
-            assert_eq!(summary, &expected, "warps={}", w.launch.num_warps);
+            let expected = run(&Engine::new(1), w, &opts);
+            assert_eq!(result, &expected, "warps={}", w.launch.num_warps);
         }
     }
 
@@ -835,17 +718,16 @@ mod tests {
     fn cache_counts_hits_and_misses() {
         let engine = Engine::new(1);
         let w = small(2);
-        let cfg = SimConfig::default();
         assert_eq!(engine.cache_stats(), CacheStats::default());
-        engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
+        run(&engine, &w, &CompileOptions::baseline());
         let s = engine.cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
-        engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
-        engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
+        run(&engine, &w, &CompileOptions::baseline());
+        run(&engine, &w, &CompileOptions::baseline());
         let s = engine.cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        engine.run_config(&w, &CompileOptions::speculative(), &cfg).unwrap();
+        run(&engine, &w, &CompileOptions::speculative());
         assert_eq!(engine.cache_stats().misses, 2);
     }
 
@@ -853,20 +735,19 @@ mod tests {
     fn bounded_cache_evicts_least_recently_used() {
         let engine = Engine::with_capacity(1, 2);
         let w = small(1);
-        let cfg = SimConfig::default();
         let base = CompileOptions::baseline();
         let spec = CompileOptions::speculative();
         let auto = CompileOptions::automatic(specrecon_core::DetectOptions::default());
-        engine.run_config(&w, &base, &cfg).unwrap(); // miss: {base}
-        engine.run_config(&w, &spec, &cfg).unwrap(); // miss: {base, spec}
-        engine.run_config(&w, &base, &cfg).unwrap(); // hit, refreshes base
-        engine.run_config(&w, &auto, &cfg).unwrap(); // miss: evicts spec (LRU)
+        run(&engine, &w, &base); // miss: {base}
+        run(&engine, &w, &spec); // miss: {base, spec}
+        run(&engine, &w, &base); // hit, refreshes base
+        run(&engine, &w, &auto); // miss: evicts spec (LRU)
         let s = engine.cache_stats();
         assert_eq!((s.entries, s.evictions), (2, 1));
         // base survived the eviction (it was refreshed), spec did not.
-        engine.run_config(&w, &base, &cfg).unwrap();
+        run(&engine, &w, &base);
         assert_eq!(engine.cache_stats().hits, 2, "base still resident");
-        engine.run_config(&w, &spec, &cfg).unwrap();
+        run(&engine, &w, &spec);
         let s = engine.cache_stats();
         assert_eq!(s.misses, 4, "spec was evicted and re-compiles");
         assert_eq!(s.entries, 2);
@@ -877,9 +758,8 @@ mod tests {
     fn zero_capacity_clamps_to_one_entry() {
         let engine = Engine::with_capacity(1, 0);
         let w = small(1);
-        let cfg = SimConfig::default();
-        engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
-        engine.run_config(&w, &CompileOptions::baseline(), &cfg).unwrap();
+        run(&engine, &w, &CompileOptions::baseline());
+        run(&engine, &w, &CompileOptions::baseline());
         let s = engine.cache_stats();
         assert_eq!((s.hits, s.entries), (1, 1));
     }
@@ -888,7 +768,6 @@ mod tests {
     fn cancellation_mid_batch_leaves_cache_usable() {
         let engine = Engine::new(2);
         let w = small(2);
-        let cfg = SimConfig::default();
         let opts = CompileOptions::baseline();
         // Pre-cancelled token: the run compiles + caches, then stops at
         // the first scheduling round.
@@ -902,14 +781,13 @@ mod tests {
         assert_eq!(engine.cached_images(), 1, "the image outlives the cancelled run");
         // The same kernel still runs to completion from the cache, and a
         // parallel batch over it matches an un-cancelled engine.
-        let fresh = Engine::new(1);
-        let cancelled_then_ok = engine.run_config(&w, &opts, &cfg).unwrap();
-        let clean = fresh.run_config(&w, &opts, &cfg).unwrap();
+        let cancelled_then_ok = run(&engine, &w, &opts);
+        let clean = run(&Engine::new(1), &w, &opts);
         assert_eq!(cancelled_then_ok, clean);
         assert_eq!(engine.cache_stats().hits, 1, "the rerun hit the cache");
-        let jobs: Vec<Workload> = (1..=3).map(|s| w.rebind().seed(s).done()).collect();
-        for r in engine.par_map(&jobs, |w| engine.run_config(w, &opts, &cfg)) {
-            r.expect("batch after cancellation succeeds");
+        let batch = engine.run(&spec(&w, Some(opts), Seeds::Count(3)), None, |run| run).unwrap();
+        for run in batch.runs {
+            run.result.expect("batch after cancellation succeeds");
         }
     }
 
@@ -926,13 +804,5 @@ mod tests {
         let without = engine.run_full(&w, &opts, &cfg).unwrap();
         assert_eq!(with_token.metrics, without.metrics);
         assert_eq!(with_token.global_mem, without.global_mem);
-    }
-
-    #[test]
-    fn comparison_ratios() {
-        let mk = |cycles, eff| RunSummary { simt_eff: eff, roi_eff: eff, cycles, barrier_ops: 0 };
-        let c = Comparison { name: "t".into(), baseline: mk(200, 0.2), speculative: mk(100, 0.5) };
-        assert!((c.speedup() - 2.0).abs() < 1e-12);
-        assert!((c.efficiency_gain() - 2.5).abs() < 1e-12);
     }
 }

@@ -157,8 +157,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{baseline_mem, pdom_vs_sr};
 
     fn small() -> Workload {
         build(&Params { num_photons: 96, num_warps: 1, ..Params::default() })
@@ -166,21 +165,19 @@ mod tests {
 
     #[test]
     fn sr_substantially_improves_efficiency() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
+            sr.simt_efficiency() > base.simt_efficiency() + 0.1,
             "eff: {} -> {}",
-            cmp.baseline.simt_eff,
-            cmp.speculative.simt_eff
+            base.simt_efficiency(),
+            sr.simt_efficiency()
         );
     }
 
     #[test]
     fn absorption_grid_accumulates_weight() {
         let w = small();
-        let (_, mem) = shared()
-            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
-            .unwrap();
+        let mem = baseline_mem(&w);
         let p = Params { num_photons: 96, num_warps: 1, ..Params::default() };
         let l = layout(&p);
         let total: f64 =

@@ -12,14 +12,16 @@
 //! its parameters; `DESIGN.md` records the substitution rationale.
 //!
 //! ```
-//! use workloads::{registry, eval};
-//! use simt_sim::SimConfig;
+//! use workloads::{eval, registry, Grid, RunSpec};
 //!
-//! let workloads = registry();
-//! assert_eq!(workloads.len(), 9);
-//! let small = workloads[0].rebind().warps(1).done();
-//! let cmp = eval::shared().compare(&small, &SimConfig::default()).unwrap();
-//! assert!(cmp.speedup() > 0.0);
+//! assert_eq!(registry().len(), 9);
+//! // RSBench at one warp, compiled both ways; the grid checks that both
+//! // runs leave the same memory.
+//! let base = RunSpec::parse(&[("workload", "rsbench"), ("warps", "1")]).unwrap();
+//! let grid = Grid::new(vec![base]).axis("mode", ["baseline", "speculative"]);
+//! let cells = eval::shared().run_grid(&grid).unwrap();
+//! let speedup = cells[0].metrics().cycles as f64 / cells[1].metrics().cycles as f64;
+//! assert!(speedup > 1.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -28,6 +30,7 @@ pub mod common;
 pub mod corpus;
 pub mod eval;
 pub mod gpumcml;
+pub mod grid;
 pub mod mcb;
 pub mod mcgpu;
 pub mod meiyamd5;
@@ -42,7 +45,8 @@ pub mod spec;
 pub mod srad;
 pub mod xsbench;
 
-pub use eval::{Engine, Rebind, RunOutput};
+pub use eval::{Engine, RunOutput};
+pub use grid::{Cell, Grid};
 pub use spec::{RunSpec, Seeds, SpecError};
 
 use simt_ir::Module;
@@ -113,6 +117,29 @@ pub fn registry() -> Vec<Workload> {
 /// The names [`by_name`] knows, in table order.
 pub fn names() -> Vec<&'static str> {
     BUILDERS.iter().map(|&(name, _)| name).collect()
+}
+
+/// The PDOM baseline's and Speculative Reconvergence's metrics for `w`,
+/// run as a grid on the shared engine, which checks that both left the
+/// same memory.
+#[cfg(test)]
+pub(crate) fn pdom_vs_sr(w: Workload) -> [simt_sim::Metrics; 2] {
+    let grid = Grid::new(vec![RunSpec::of(w)]).axis("mode", ["baseline", "speculative"]);
+    let cells = eval::shared().run_grid(&grid).expect("both modes run and agree");
+    [cells[0].metrics().clone(), cells[1].metrics().clone()]
+}
+
+/// Baseline cycles over SR cycles.
+#[cfg(test)]
+pub(crate) fn speedup(base: &simt_sim::Metrics, sr: &simt_sim::Metrics) -> f64 {
+    base.cycles as f64 / sr.cycles as f64
+}
+
+/// The final memory of one launch of `w` compiled as the PDOM baseline.
+#[cfg(test)]
+pub(crate) fn baseline_mem(w: &Workload) -> Vec<simt_ir::Value> {
+    let (opts, cfg) = (specrecon_core::CompileOptions::baseline(), simt_sim::SimConfig::default());
+    eval::shared().run_full(w, &opts, &cfg).expect("the baseline runs").global_mem
 }
 
 /// Builds the one workload called `name` at its default parameters,

@@ -136,8 +136,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{pdom_vs_sr, speedup};
 
     fn small() -> Workload {
         build(&Params { num_particles: 96, num_warps: 1, ..Params::default() })
@@ -145,12 +144,12 @@ mod tests {
 
     #[test]
     fn collision_block_converges_under_sr() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.2,
+            sr.roi_simt_efficiency() > base.roi_simt_efficiency() + 0.2,
             "roi eff: {} -> {}",
-            cmp.baseline.roi_eff,
-            cmp.speculative.roi_eff
+            base.roi_simt_efficiency(),
+            sr.roi_simt_efficiency()
         );
     }
 
@@ -158,8 +157,8 @@ mod tests {
     fn baseline_collision_mask_is_thin() {
         // ~30% of lanes collide per segment: the PDOM collision mask sits
         // around the collision probability.
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
-        assert!(cmp.baseline.roi_eff < 0.55, "baseline roi {}", cmp.baseline.roi_eff);
+        let [base, _] = pdom_vs_sr(small());
+        assert!(base.roi_simt_efficiency() < 0.55, "baseline roi {}", base.roi_simt_efficiency());
     }
 
     #[test]
@@ -167,7 +166,7 @@ mod tests {
         // Iteration Delay trades serialized prolog/epilog for collision
         // convergence; on this configuration it should at worst be mildly
         // slower and typically faster.
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
-        assert!(cmp.speedup() > 0.9, "speedup {}", cmp.speedup());
+        let [base, sr] = pdom_vs_sr(small());
+        assert!(speedup(&base, &sr) > 0.9, "speedup {}", speedup(&base, &sr));
     }
 }

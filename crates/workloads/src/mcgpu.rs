@@ -156,8 +156,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{baseline_mem, pdom_vs_sr};
 
     fn small() -> Workload {
         build(&Params { num_photons: 96, num_warps: 1, ..Params::default() })
@@ -165,21 +164,19 @@ mod tests {
 
     #[test]
     fn compton_converges_under_sr() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.15,
+            sr.roi_simt_efficiency() > base.roi_simt_efficiency() + 0.15,
             "roi eff: {} -> {}",
-            cmp.baseline.roi_eff,
-            cmp.speculative.roi_eff
+            base.roi_simt_efficiency(),
+            sr.roi_simt_efficiency()
         );
     }
 
     #[test]
     fn dose_grid_is_written() {
         let w = small();
-        let (_, mem) = shared()
-            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
-            .unwrap();
+        let mem = baseline_mem(&w);
         let l = layout(&Params { num_photons: 96, num_warps: 1, ..Params::default() });
         let touched =
             (0..1024).filter(|i| mem[(l.grid_base as usize) + i] != Value::I64(0)).count();

@@ -155,8 +155,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{baseline_mem, pdom_vs_sr};
 
     fn small() -> Workload {
         build(&Params { num_tasks: 96, num_warps: 1, ..Params::default() })
@@ -164,21 +163,19 @@ mod tests {
 
     #[test]
     fn sr_improves_efficiency_substantially() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
+            sr.simt_efficiency() > base.simt_efficiency() + 0.1,
             "eff: {} -> {}",
-            cmp.baseline.simt_eff,
-            cmp.speculative.simt_eff
+            base.simt_efficiency(),
+            sr.simt_efficiency()
         );
     }
 
     #[test]
     fn digests_stay_in_32_bits_and_are_nonzero() {
         let w = small();
-        let (_, mem) = shared()
-            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
-            .unwrap();
+        let mem = baseline_mem(&w);
         let l = layout(&Params::default());
         let mut nonzero = 0;
         for t in 0..96usize {
@@ -193,7 +190,7 @@ mod tests {
 
     #[test]
     fn quadratic_skew_makes_baseline_divergent() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
-        assert!(cmp.baseline.simt_eff < 0.55, "baseline eff {}", cmp.baseline.simt_eff);
+        let [base, _] = pdom_vs_sr(small());
+        assert!(base.simt_efficiency() < 0.55, "baseline eff {}", base.simt_efficiency());
     }
 }

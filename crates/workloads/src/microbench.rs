@@ -256,53 +256,50 @@ pub fn build_fig2b(p: &Fig2Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{baseline_mem, pdom_vs_sr, speedup};
 
     #[test]
     fn interprocedural_sr_converges_shared_body() {
         let w = build_common_call(&Params { num_warps: 1, ..Params::default() });
-        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(w);
         assert!(
-            cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.2,
+            sr.roi_simt_efficiency() > base.roi_simt_efficiency() + 0.2,
             "roi eff: {} -> {}",
-            cmp.baseline.roi_eff,
-            cmp.speculative.roi_eff
+            base.roi_simt_efficiency(),
+            sr.roi_simt_efficiency()
         );
-        assert!(cmp.speedup() > 1.0, "speedup {}", cmp.speedup());
+        assert!(speedup(&base, &sr) > 1.0, "speedup {}", speedup(&base, &sr));
     }
 
     #[test]
     fn fig2a_improves_under_sr() {
         let w = build_fig2a(&Fig2Params { num_warps: 1, ..Fig2Params::default() });
-        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(w);
         assert!(
-            cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.2,
+            sr.roi_simt_efficiency() > base.roi_simt_efficiency() + 0.2,
             "roi: {} -> {}",
-            cmp.baseline.roi_eff,
-            cmp.speculative.roi_eff
+            base.roi_simt_efficiency(),
+            sr.roi_simt_efficiency()
         );
     }
 
     #[test]
     fn fig2b_improves_under_sr() {
         let w = build_fig2b(&Fig2Params { num_warps: 1, ..Fig2Params::default() });
-        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(w);
         assert!(
-            cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.08,
+            sr.simt_efficiency() > base.simt_efficiency() + 0.08,
             "eff: {} -> {}",
-            cmp.baseline.simt_eff,
-            cmp.speculative.simt_eff
+            base.simt_efficiency(),
+            sr.simt_efficiency()
         );
-        assert!(cmp.speedup() > 1.0, "speedup {}", cmp.speedup());
+        assert!(speedup(&base, &sr) > 1.0, "speedup {}", speedup(&base, &sr));
     }
 
     #[test]
     fn kernel_writes_every_thread_slot() {
         let w = build_common_call(&Params { num_warps: 1, ..Params::default() });
-        let (_, mem) = shared()
-            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
-            .unwrap();
+        let mem = baseline_mem(&w);
         for t in 0..32usize {
             assert_ne!(mem[MEM_BASE as usize + t], Value::I64(0), "thread {t}");
         }

@@ -135,8 +135,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{baseline_mem, pdom_vs_sr};
 
     fn small() -> Workload {
         build(&Params { num_queries: 96, num_warps: 1, ..Params::default() })
@@ -144,21 +143,19 @@ mod tests {
 
     #[test]
     fn sr_improves_match_loop_convergence() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.roi_eff > cmp.baseline.roi_eff,
+            sr.roi_simt_efficiency() > base.roi_simt_efficiency(),
             "roi eff: {} -> {}",
-            cmp.baseline.roi_eff,
-            cmp.speculative.roi_eff
+            base.roi_simt_efficiency(),
+            sr.roi_simt_efficiency()
         );
     }
 
     #[test]
     fn match_lengths_are_plausible() {
         let w = small();
-        let (_, mem) = shared()
-            .run_config(&w, &specrecon_core::CompileOptions::baseline(), &SimConfig::default())
-            .unwrap();
+        let mem = baseline_mem(&w);
         let p = Params { num_queries: 96, num_warps: 1, ..Params::default() };
         let l = layout(&p);
         for t in 0..96usize {

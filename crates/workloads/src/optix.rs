@@ -157,8 +157,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::pdom_vs_sr;
 
     fn small() -> Workload {
         build(&Params { num_rays: 96, num_warps: 1, ..Params::default() })
@@ -166,12 +165,12 @@ mod tests {
 
     #[test]
     fn leaf_intersections_converge_under_sr() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.roi_eff > cmp.baseline.roi_eff + 0.15,
+            sr.roi_simt_efficiency() > base.roi_simt_efficiency() + 0.15,
             "roi eff: {} -> {}",
-            cmp.baseline.roi_eff,
-            cmp.speculative.roi_eff
+            base.roi_simt_efficiency(),
+            sr.roi_simt_efficiency()
         );
     }
 

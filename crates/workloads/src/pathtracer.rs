@@ -134,9 +134,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
-    use specrecon_core::CompileOptions;
+    use crate::{eval, pdom_vs_sr, speedup, Grid, RunSpec};
 
     fn small() -> Workload {
         build(&Params { num_samples: 96, num_warps: 1, ..Params::default() })
@@ -144,37 +142,30 @@ mod tests {
 
     #[test]
     fn speculative_improves_efficiency_and_speed() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
+            sr.simt_efficiency() > base.simt_efficiency() + 0.1,
             "eff: {} -> {}",
-            cmp.baseline.simt_eff,
-            cmp.speculative.simt_eff
+            base.simt_efficiency(),
+            sr.simt_efficiency()
         );
-        assert!(cmp.speedup() > 1.1, "speedup {}", cmp.speedup());
+        assert!(speedup(&base, &sr) > 1.1, "speedup {}", speedup(&base, &sr));
     }
 
     #[test]
     fn roulette_produces_divergent_baseline() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
-        assert!(cmp.baseline.simt_eff < 0.6, "baseline eff {}", cmp.baseline.simt_eff);
+        let [base, _] = pdom_vs_sr(small());
+        assert!(base.simt_efficiency() < 0.6, "baseline eff {}", base.simt_efficiency());
     }
 
     #[test]
     fn full_barrier_beats_low_threshold() {
         // PathTracer's Figure-9 shape: cheap refill means maximal
         // convergence wins; a tiny threshold (near-free-running) is worse.
-        let w = small();
-        let cfg = SimConfig::default();
-        let full = shared().compare(&w, &cfg).unwrap();
-        let low = shared()
-            .compare_with(&w.rebind().threshold(2).done(), &CompileOptions::speculative(), &cfg)
-            .unwrap();
-        assert!(
-            full.speculative.cycles < low.speculative.cycles,
-            "full {} vs threshold-2 {}",
-            full.speculative.cycles,
-            low.speculative.cycles
-        );
+        // Threshold 32, the warp width, is the full barrier.
+        let grid = Grid::new(vec![RunSpec::of(small())]).axis("threshold", ["32", "2"]);
+        let cells = eval::shared().run_grid(&grid).expect("both thresholds preserve results");
+        let (full, low) = (cells[0].metrics().cycles, cells[1].metrics().cycles);
+        assert!(full < low, "full {full} vs threshold-2 {low}");
     }
 }

@@ -72,14 +72,13 @@ pub fn layout(p: &Params) -> MemLayout {
 /// Builds the RSBench workload.
 ///
 /// ```
-/// use workloads::rsbench;
-/// use workloads::eval;
-/// use simt_sim::SimConfig;
+/// use workloads::{eval, rsbench, Grid, RunSpec};
 ///
 /// let params = rsbench::Params { num_tasks: 64, num_warps: 1, ..Default::default() };
 /// let w = rsbench::build(&params);
-/// let cmp = eval::shared().compare(&w, &SimConfig::default()).unwrap();
-/// assert!(cmp.speedup() > 1.0);
+/// let grid = Grid::new(vec![RunSpec::of(w)]).axis("mode", ["baseline", "speculative"]);
+/// let cells = eval::shared().run_grid(&grid).unwrap();
+/// assert!(cells[1].metrics().cycles < cells[0].metrics().cycles);
 /// ```
 pub fn build(p: &Params) -> Workload {
     let l = layout(p);
@@ -159,8 +158,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{pdom_vs_sr, speedup};
 
     fn small() -> Workload {
         let p = Params { num_tasks: 96, num_warps: 1, ..Params::default() };
@@ -170,14 +168,14 @@ mod tests {
     #[test]
     fn speculative_improves_efficiency_and_speed() {
         let w = small();
-        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(w);
         assert!(
-            cmp.speculative.simt_eff > cmp.baseline.simt_eff + 0.1,
+            sr.simt_efficiency() > base.simt_efficiency() + 0.1,
             "eff: {} -> {}",
-            cmp.baseline.simt_eff,
-            cmp.speculative.simt_eff
+            base.simt_efficiency(),
+            sr.simt_efficiency()
         );
-        assert!(cmp.speedup() > 1.2, "speedup {}", cmp.speedup());
+        assert!(speedup(&base, &sr) > 1.2, "speedup {}", speedup(&base, &sr));
     }
 
     #[test]
@@ -185,24 +183,24 @@ mod tests {
         // The 4..321 trip-count spread should leave the PDOM baseline well
         // under 50% efficiency, as in the paper's Figure 7.
         let w = small();
-        let cmp = shared().compare(&w, &SimConfig::default()).unwrap();
-        assert!(cmp.baseline.simt_eff < 0.5, "baseline eff {}", cmp.baseline.simt_eff);
+        let [base, _] = pdom_vs_sr(w);
+        assert!(base.simt_efficiency() < 0.5, "baseline eff {}", base.simt_efficiency());
     }
 
     #[test]
     fn results_are_deterministic_across_runs() {
         let w = small();
-        let a = shared().compare(&w, &SimConfig::default()).unwrap();
-        let b = shared().compare(&w, &SimConfig::default()).unwrap();
-        assert_eq!(a.baseline.cycles, b.baseline.cycles);
-        assert_eq!(a.speculative.cycles, b.speculative.cycles);
+        let [a_base, a_sr] = pdom_vs_sr(w.clone());
+        let [b_base, b_sr] = pdom_vs_sr(w);
+        assert_eq!(a_base.cycles, b_base.cycles);
+        assert_eq!(a_sr.cycles, b_sr.cycles);
     }
 
     #[test]
     fn default_params_build_and_shrink() {
-        let w = build(&Params::default());
-        let w1 = w.rebind().warps(1).done();
-        assert_eq!(w1.launch.num_warps, 1);
-        simt_ir::assert_verified(&w1.module);
+        let mut spec = crate::RunSpec::of(build(&Params::default()));
+        spec.apply(&[("warps", "1")]).unwrap();
+        assert_eq!(spec.workload.launch.num_warps, 1);
+        simt_ir::assert_verified(&spec.workload.module);
     }
 }

@@ -1,10 +1,11 @@
 //! One run of the evaluation matrix and the one grammar that describes
 //! it. A [`RunSpec`] is a target (built-in workload or kernel source),
 //! compile options, a machine and seeds; [`RunSpec::parse`] builds one
-//! from `(key, value)` text pairs, each key a row of one table ([`Key`]).
-//! The command line and `/v1/eval` are adapters over it, and
-//! [`Engine::run`](crate::Engine::run) executes it. `docs/SERVING.md`
-//! lists the keys with both spellings.
+//! from `(key, value)` text pairs, each key a row of one table ([`Key`]),
+//! and [`RunSpec::apply`] amends one with the same keys. The command line
+//! and `/v1/eval` are adapters over it, [`Engine::run`](crate::Engine::run)
+//! executes it, and a [`Grid`](crate::Grid) crosses runs with key values.
+//! `docs/SERVING.md` lists the keys with both spellings.
 
 use crate::{DivergencePattern, Workload};
 use simt_ir::{parse_and_link, verify_module, FuncKind, Module, Value};
@@ -120,8 +121,20 @@ impl Key {
         TABLE.iter().map(|row| row.0)
     }
 
-    fn named(name: &str) -> Option<Key> {
+    pub(crate) fn named(name: &str) -> Option<Key> {
         TABLE.iter().find(|row| row.1 == name).map(|row| row.0)
+    }
+
+    /// Whether the key names what to run, which only [`RunSpec::parse`]
+    /// takes: the table's first rows.
+    fn is_target(self) -> bool {
+        self as usize <= Key::Mem as usize
+    }
+
+    /// Whether the key sets the compile options or the module's
+    /// predictions, and so never changes what a correct kernel computes.
+    pub(crate) fn is_compile(self) -> bool {
+        (Key::Threshold as usize..=Key::BarrierAlloc as usize).contains(&(self as usize))
     }
 
     /// The key's name, as `/v1/eval` spells it.
@@ -194,8 +207,21 @@ impl<'a> Given<'a> {
         Ok(given)
     }
 
+    /// Every absent key at its default value, where it has one.
+    fn defaulted(mut self) -> Self {
+        for key in Key::all() {
+            self.0[key as usize] = self.0[key as usize].or(key.default_value());
+        }
+        self
+    }
+
+    /// The first key given that `pick` selects.
+    fn any(&self, pick: impl Fn(Key) -> bool) -> Option<Key> {
+        Key::all().find(|&k| self.0[k as usize].is_some() && pick(k))
+    }
+
     fn text(&self, key: Key) -> Option<&'a str> {
-        self.0[key as usize].or(key.default_value())
+        self.0[key as usize]
     }
 
     fn uint(&self, key: Key) -> Result<Option<u64>, SpecError> {
@@ -208,8 +234,8 @@ impl<'a> Given<'a> {
         Ok(Some(n))
     }
 
-    fn seeds(&self) -> Result<Seeds, SpecError> {
-        let Some(text) = self.text(Key::Seeds) else { return Ok(Seeds::Count(1)) };
+    fn seeds(&self) -> Result<Option<Seeds>, SpecError> {
+        let Some(text) = self.text(Key::Seeds) else { return Ok(None) };
         let seed = |v: &str| {
             number(v).ok_or_else(|| Key::Seeds.err(format!("bad seed `{v}` (expect N or LO..HI)")))
         };
@@ -231,20 +257,73 @@ impl<'a> Given<'a> {
         if !(1..=MAX_SEEDS).contains(&n) {
             return Err(Key::Seeds.err(format!("must run 1..={MAX_SEEDS} seeds, got {n}")));
         }
-        Ok(seeds)
+        Ok(Some(seeds))
     }
 
-    /// The compile keys: `threshold` set in `module`, options returned.
-    fn compile(&self, module: &mut Module) -> Result<CompileOptions, SpecError> {
-        if let Some(t) = self.uint(Key::Threshold)? {
-            crate::eval::set_threshold(module, t as u32);
+    /// The target keys: what to run, at its default launch.
+    fn target(&self) -> Result<Workload, SpecError> {
+        match (self.text(Key::Workload), self.text(Key::Kernel)) {
+            (Some(_), Some(_)) => {
+                Err(Key::Workload.err("give a workload name or kernel source, not both"))
+            }
+            (None, None) => {
+                let reason = "missing `workload` (name) or `kernel` (source)".into();
+                Err(SpecError { key: None, reason })
+            }
+            (Some(name), None) => named(name, self),
+            (None, Some(src)) => inline(src, self),
         }
-        let mode = self.text(Key::Mode).unwrap_or_default();
-        let mut opts = compile_mode(mode).ok_or_else(|| {
-            Key::Mode.err(format!("unknown mode {mode:?} (baseline | speculative | auto)"))
-        })?;
+    }
+
+    /// Every other key, in table order: each one given replaces what
+    /// `spec` had for it, and each one not given leaves it.
+    fn apply(&self, spec: &mut RunSpec) -> Result<(), SpecError> {
+        let launch = &mut spec.workload.launch;
+        if let Some(warps) = self.uint(Key::Warps)? {
+            launch.num_warps = warps as usize;
+        }
+        if let Some(seed) = self.uint(Key::Seed)? {
+            launch.seed = seed;
+        }
+        if let Some(seeds) = self.seeds()? {
+            spec.seeds = seeds;
+        }
+        match spec.compile.as_mut() {
+            Some(opts) => self.compile(&mut spec.workload.module, opts)?,
+            None => {
+                if let Some(key) = self.any(Key::is_compile) {
+                    return Err(key.err("the spec runs its module as it is"));
+                }
+            }
+        }
+
+        let cfg = &mut spec.cfg;
+        if let Some(policy) = self.text(Key::Policy) {
+            cfg.scheduler = SchedulerPolicy::parse(policy).map_err(|e| Key::Policy.err(e))?;
+        }
+        if let Some(text) = self.text(Key::MemHier) {
+            let hier = MemHierarchy::parse(text, &cfg.latency).map_err(|e| Key::MemHier.err(e))?;
+            cfg.mem = Some(hier);
+        }
+        if let Some(text) = self.text(Key::ReconModel) {
+            cfg.recon = ReconvergenceModel::parse(text).map_err(|e| Key::ReconModel.err(e))?;
+        }
+        Ok(())
+    }
+
+    /// The compile keys: `threshold` set in `module`, `opts` amended
+    /// (`mode` and `repair` replace them).
+    fn compile(&self, module: &mut Module, opts: &mut CompileOptions) -> Result<(), SpecError> {
+        if let Some(t) = self.uint(Key::Threshold)? {
+            set_threshold(module, t as u32);
+        }
+        if let Some(mode) = self.text(Key::Mode) {
+            *opts = compile_mode(mode).ok_or_else(|| {
+                Key::Mode.err(format!("unknown mode {mode:?} (baseline | speculative | auto)"))
+            })?;
+        }
         if let Some(repair) = self.text(Key::Repair) {
-            opts = RepairStrategy::parse(repair).map_err(|e| Key::Repair.err(e))?.options();
+            *opts = RepairStrategy::parse(repair).map_err(|e| Key::Repair.err(e))?.options();
         }
         opts.deconflict = match self.text(Key::Deconflict) {
             None => opts.deconflict,
@@ -260,7 +339,16 @@ impl<'a> Given<'a> {
             let bad = |_| Key::BarrierAlloc.err(format!("expects true or false, got `{on}`"));
             opts.barrier_allocation = on.parse().map_err(bad)?;
         }
-        Ok(opts)
+        Ok(())
+    }
+}
+
+/// Sets the soft-barrier threshold of every `Predict` in `module`.
+fn set_threshold(module: &mut Module, threshold: u32) {
+    for (_, f) in module.functions.iter_mut() {
+        for p in &mut f.predictions {
+            p.threshold = Some(threshold);
+        }
     }
 }
 
@@ -273,11 +361,12 @@ pub fn compile_options<K: AsRef<str>, V: AsRef<str>>(
     pairs: &[(K, V)],
 ) -> Result<CompileOptions, SpecError> {
     let given = Given::new(pairs)?;
-    let compile = Key::Threshold as usize..=Key::BarrierAlloc as usize;
-    match Key::all().find(|&k| given.0[k as usize].is_some() && !compile.contains(&(k as usize))) {
-        Some(key) => Err(key.err("not a compile key, and this command only compiles")),
-        None => given.compile(module),
+    if let Some(key) = given.any(|k| !k.is_compile()) {
+        return Err(key.err("not a compile key, and this command only compiles"));
     }
+    let mut opts = CompileOptions::default();
+    given.defaulted().compile(module, &mut opts)?;
+    Ok(opts)
 }
 
 /// A decimal or `0x`-prefixed hexadecimal unsigned integer.
@@ -296,43 +385,41 @@ impl RunSpec {
     /// verify, or no target or two.
     pub fn parse<K: AsRef<str>, V: AsRef<str>>(pairs: &[(K, V)]) -> Result<RunSpec, SpecError> {
         let given = Given::new(pairs)?;
-        let mut workload = match (given.text(Key::Workload), given.text(Key::Kernel)) {
-            (Some(_), Some(_)) => {
-                return Err(Key::Workload.err("give a workload name or kernel source, not both"))
-            }
-            (None, None) => {
-                let reason = "missing `workload` (name) or `kernel` (source)".into();
-                return Err(SpecError { key: None, reason });
-            }
-            (Some(name), None) => named(name, &given)?,
-            (None, Some(src)) => inline(src, &given)?,
-        };
-        if let Some(warps) = given.uint(Key::Warps)? {
-            workload.launch.num_warps = warps as usize;
-        }
-        if let Some(seed) = given.uint(Key::Seed)? {
-            workload.launch.seed = seed;
-        }
-        let seeds = given.seeds()?;
-        let opts = given.compile(&mut workload.module)?;
+        let mut spec = RunSpec::of(given.target()?);
+        given.apply(&mut spec)?;
+        Ok(spec)
+    }
 
-        let mut cfg = SimConfig::default();
-        let policy = given.text(Key::Policy).unwrap_or_default();
-        cfg.scheduler = SchedulerPolicy::parse(policy).map_err(|e| Key::Policy.err(e))?;
-        if let Some(spec) = given.text(Key::MemHier) {
-            let hier = MemHierarchy::parse(spec, &cfg.latency).map_err(|e| Key::MemHier.err(e))?;
-            cfg.mem = Some(hier);
+    /// `workload` at every key's default: one launch, compiled and run as
+    /// [`RunSpec::parse`] does when no other key is given.
+    pub fn of(workload: Workload) -> RunSpec {
+        let seeds = Seeds::Count(1);
+        let (compile, cfg) = (Some(CompileOptions::default()), SimConfig::default());
+        let mut spec = RunSpec { workload, compile, cfg, seeds };
+        Given([None; TABLE.len()]).defaulted().apply(&mut spec).expect("the defaults apply");
+        spec
+    }
+
+    /// Amends the spec with `(key, value)` pairs, each key as
+    /// [`RunSpec::parse`] applies it. A key not given keeps the spec's
+    /// value, so options or a machine set in code stand unless a pair sets
+    /// one of their keys. The target keys are refused, since the spec has
+    /// its target; on an error the spec may be partly amended.
+    pub fn apply<K: AsRef<str>, V: AsRef<str>>(
+        &mut self,
+        pairs: &[(K, V)],
+    ) -> Result<(), SpecError> {
+        let given = Given::new(pairs)?;
+        if let Some(key) = given.any(Key::is_target) {
+            return Err(key.err("names a target, and the spec has one"));
         }
-        if let Some(spec) = given.text(Key::ReconModel) {
-            cfg.recon = ReconvergenceModel::parse(spec).map_err(|e| Key::ReconModel.err(e))?;
-        }
-        Ok(RunSpec { workload, compile: Some(opts), cfg, seeds })
+        given.apply(self)
     }
 }
 
 /// The built-in workload `name`.
 fn named(name: &str, given: &Given) -> Result<Workload, SpecError> {
-    if let Some(key) = [Key::Entry, Key::Mem].into_iter().find(|&k| given.0[k as usize].is_some()) {
+    if let Some(key) = given.any(|k| matches!(k, Key::Entry | Key::Mem)) {
         return Err(key.err("applies to kernel source only"));
     }
     crate::by_name(name).ok_or_else(|| {

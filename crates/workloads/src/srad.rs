@@ -143,9 +143,17 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
+    use crate::{eval, Cell, Grid, RunSpec};
     use specrecon_core::RepairStrategy;
+
+    /// SRAD under every repair strategy, in [`RepairStrategy::ALL`]'s
+    /// order; the grid checks that all of them leave the same memory.
+    fn repairs() -> Vec<Cell> {
+        let names: Vec<String> = RepairStrategy::ALL.iter().map(|r| r.to_string()).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let grid = Grid::new(vec![RunSpec::of(small())]).axis("repair", &names);
+        eval::shared().run_grid(&grid).expect("every repair runs and agrees")
+    }
 
     fn small() -> Workload {
         build(&Params { num_warps: 1, ..Params::default() })
@@ -153,21 +161,21 @@ mod tests {
 
     #[test]
     fn all_repairs_agree_on_results() {
-        let w = small();
-        let cfg = SimConfig::default();
-        let (_, base) = shared().run_config(&w, &RepairStrategy::Pdom.options(), &cfg).unwrap();
-        for r in RepairStrategy::ALL {
-            let (_, mem) = shared().run_config(&w, &r.options(), &cfg).unwrap();
-            assert_eq!(base, mem, "{r} diverged from pdom results");
+        let cells = repairs();
+        assert_eq!(cells[0].pairs[0].1, "pdom");
+        for cell in &cells {
+            let (base, mem) = (&cells[0].runs[0].global_mem, &cell.runs[0].global_mem);
+            assert_eq!(base, mem, "{} diverged from pdom results", cell.name());
         }
     }
 
     #[test]
     fn melding_beats_both_pdom_and_sr() {
-        let w = small();
-        let cfg = SimConfig::default();
-        let eff =
-            |r: RepairStrategy| shared().run_config(&w, &r.options(), &cfg).unwrap().0.simt_eff;
+        let cells = repairs();
+        let eff = |r: RepairStrategy| {
+            let cell = cells.iter().find(|c| c.pairs[0].1 == r.to_string()).expect("every repair");
+            cell.metrics().simt_efficiency()
+        };
         let (pdom, sr, meld) =
             (eff(RepairStrategy::Pdom), eff(RepairStrategy::Sr), eff(RepairStrategy::Meld));
         assert!(meld > pdom, "meld {meld} should beat pdom {pdom}");

@@ -167,9 +167,7 @@ pub fn build(p: &Params) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::shared;
-    use simt_sim::SimConfig;
-    use specrecon_core::CompileOptions;
+    use crate::{eval, pdom_vs_sr, speedup, Grid, RunSpec};
 
     fn small() -> Workload {
         build(&Params { num_tasks: 96, num_warps: 1, ..Params::default() })
@@ -177,24 +175,22 @@ mod tests {
 
     #[test]
     fn speculative_improves_efficiency() {
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
+        let [base, sr] = pdom_vs_sr(small());
         assert!(
-            cmp.speculative.simt_eff > cmp.baseline.simt_eff,
+            sr.simt_efficiency() > base.simt_efficiency(),
             "eff: {} -> {}",
-            cmp.baseline.simt_eff,
-            cmp.speculative.simt_eff
+            base.simt_efficiency(),
+            sr.simt_efficiency()
         );
     }
 
     #[test]
     fn soft_thresholds_run_and_preserve_results() {
-        let w = small();
-        for t in [4u32, 16, 28] {
-            let wt = w.rebind().threshold(t).done();
-            let cmp = shared()
-                .compare_with(&wt, &CompileOptions::speculative(), &SimConfig::default())
-                .unwrap();
-            assert!(cmp.speculative.cycles > 0, "threshold {t}");
+        let grid = Grid::new(vec![RunSpec::of(small())])
+            .axis("threshold", ["4", "16", "28"])
+            .axis("mode", ["baseline", "speculative"]);
+        for cell in eval::shared().run_grid(&grid).expect("each threshold preserves results") {
+            assert!(cell.metrics().cycles > 0, "{}", cell.name());
         }
     }
 
@@ -203,7 +199,7 @@ mod tests {
         // The grid loads dominate: the inner body issues more memory cost
         // than compute. Indirectly visible as lower speedup potential than
         // rsbench, but results must still be exact.
-        let cmp = shared().compare(&small(), &SimConfig::default()).unwrap();
-        assert!(cmp.speedup() > 0.8, "speedup collapsed: {}", cmp.speedup());
+        let [base, sr] = pdom_vs_sr(small());
+        assert!(speedup(&base, &sr) > 0.8, "speedup collapsed: {}", speedup(&base, &sr));
     }
 }

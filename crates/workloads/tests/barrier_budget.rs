@@ -18,8 +18,8 @@ fn all_workloads_fit_in_volta_barrier_registers() {
 
     let mut all = registry();
     all.push(microbench::build_common_call(&microbench::Params::default()));
-    for w in all {
-        let w = w.rebind().warps(1).done();
+    for mut w in all {
+        w.launch.num_warps = 1;
         let plain = compile(&w.module, &CompileOptions::speculative())
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let allocated =

@@ -5,33 +5,30 @@
 
 use simt_sim::SimConfig;
 use specrecon_core::CompileOptions;
-use workloads::{registry, Engine, Workload};
+use workloads::{registry, Engine, Grid, RunSpec, Workload};
 
 fn small_registry() -> Vec<Workload> {
-    registry().iter().map(|w| w.rebind().warps(2).done()).collect()
+    let mut ws = registry();
+    for w in &mut ws {
+        w.launch.num_warps = 2;
+    }
+    ws
 }
 
 #[test]
 fn batch_results_are_identical_for_any_worker_count() {
-    let ws = small_registry();
-    let cfg = SimConfig::default();
-    for opts in [CompileOptions::baseline(), CompileOptions::speculative()] {
-        let batch = |engine: &Engine| engine.par_map(&ws, |w| engine.run_config(w, &opts, &cfg));
-        let sequential = batch(&Engine::new(1));
-        assert_eq!(sequential.len(), ws.len());
-        for n in [2, 4, 8] {
-            let parallel = batch(&Engine::new(n));
-            assert_eq!(sequential.len(), parallel.len());
-            for ((s, p), w) in sequential.iter().zip(&parallel).zip(&ws) {
-                let (s_summary, s_mem) = s.as_ref().expect("sequential run succeeded");
-                let (p_summary, p_mem) = p.as_ref().expect("parallel run succeeded");
-                assert_eq!(
-                    s_summary, p_summary,
-                    "{}: metrics digest diverged at {n} workers",
-                    w.name
-                );
-                assert_eq!(s_mem, p_mem, "{}: final memory diverged at {n} workers", w.name);
-            }
+    let bases = small_registry().into_iter().map(RunSpec::of).collect();
+    let grid = Grid::new(bases).axis("mode", ["baseline", "speculative"]);
+    let sequential = Engine::new(1).run_grid(&grid).expect("sequential grid runs");
+    assert_eq!(sequential.len(), 18);
+    for n in [2, 4, 8] {
+        let parallel = Engine::new(n).run_grid(&grid).expect("parallel grid runs");
+        assert_eq!(sequential.len(), parallel.len());
+        for (s, p) in sequential.iter().zip(&parallel) {
+            assert_eq!(s.name(), p.name(), "grid order at {n} workers");
+            let (s, p, cell) = (&s.runs[0], &p.runs[0], s.name());
+            assert_eq!(s.metrics, p.metrics, "{cell}: metrics diverged at {n} workers");
+            assert_eq!(s.global_mem, p.global_mem, "{cell}: final memory diverged at {n} workers");
         }
     }
 }
@@ -59,9 +56,12 @@ fn cache_hits_do_not_change_results() {
     let cfg = SimConfig::default();
     let engine = Engine::new(2);
     let w = small_registry().remove(0);
-    let first = engine.run_config(&w, &CompileOptions::speculative(), &cfg).expect("runs");
-    let second = engine.run_config(&w, &CompileOptions::speculative(), &cfg).expect("runs");
-    let fresh = Engine::new(1).run_config(&w, &CompileOptions::speculative(), &cfg).expect("runs");
+    let run = |engine: &Engine| {
+        let out = engine.run_full(&w, &CompileOptions::speculative(), &cfg).expect("runs");
+        (out.metrics, out.global_mem)
+    };
+    let (first, second, fresh) = (run(&engine), run(&engine), run(&Engine::new(1)));
+    assert_eq!(engine.cache_stats().hits, 1);
     assert_eq!(first, second);
     assert_eq!(first, fresh);
 }

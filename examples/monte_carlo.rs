@@ -10,9 +10,7 @@
 //!
 //! Run with: `cargo run --release --example monte_carlo`
 
-use specrecon::passes::CompileOptions;
-use specrecon::workloads::eval;
-use specrecon::workloads::rsbench;
+use specrecon::workloads::{eval, rsbench, Grid, RunSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = rsbench::Params::default();
@@ -23,33 +21,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rsbench::NUCLIDE_COUNTS
     );
 
-    let cfg = specrecon::sim::SimConfig::default();
+    // Each grid runs its cells both ways and checks that every pair left
+    // the same memory.
     let engine = eval::shared();
-    let cmp = engine.compare(&workload, &cfg)?;
+    let base = RunSpec::of(workload);
+    let modes = ["baseline", "speculative"];
+    let cells = engine.run_grid(&Grid::new(vec![base.clone()]).axis("mode", modes))?;
+    let (b, s) = (cells[0].metrics(), cells[1].metrics());
     println!(
         "baseline (PDOM):          SIMT efficiency {:>5.1}%, {:>8} cycles",
-        cmp.baseline.simt_eff * 100.0,
-        cmp.baseline.cycles
+        b.simt_efficiency() * 100.0,
+        b.cycles
     );
     println!(
         "speculative reconvergence: SIMT efficiency {:>5.1}%, {:>8} cycles",
-        cmp.speculative.simt_eff * 100.0,
-        cmp.speculative.cycles
+        s.simt_efficiency() * 100.0,
+        s.cycles
     );
     println!(
         "=> efficiency gain {:.2}x, speedup {:.2}x (results verified identical)\n",
-        cmp.efficiency_gain(),
-        cmp.speedup()
+        s.simt_efficiency() / b.simt_efficiency(),
+        b.cycles as f64 / s.cycles as f64
     );
 
     println!("soft-barrier thresholds (release once N threads arrive):");
-    for t in [8u32, 16, 24, 32] {
-        let wt = workload.rebind().threshold(t).done();
-        let c = engine.compare_with(&wt, &CompileOptions::speculative(), &cfg)?;
+    let sweep = Grid::new(vec![base]).axis("threshold", [8, 16, 24, 32]).axis("mode", modes);
+    for c in engine.run_grid(&sweep)?.chunks(2) {
+        let (b, s) = (c[0].metrics(), c[1].metrics());
         println!(
-            "  T={t:>2}: SIMT efficiency {:>5.1}%, speedup {:.2}x",
-            c.speculative.simt_eff * 100.0,
-            c.speedup()
+            "  T={:>2}: SIMT efficiency {:>5.1}%, speedup {:.2}x",
+            c[1].pairs[0].1,
+            s.simt_efficiency() * 100.0,
+            b.cycles as f64 / s.cycles as f64
         );
     }
     println!("\n(RSBench's inner loop is compute-dense and its refill cheap, so the\n full barrier — T=32 — is already near-optimal; compare XSBench in the\n pathtracer_sweep example.)");

@@ -1,29 +1,40 @@
 //! The paper's headline claims, checked at reduced scale against the
-//! whole benchmark suite. (The bench crate re-checks them at full scale;
-//! these keep `cargo test --workspace` honest.)
+//! whole benchmark suite. (The bench crate re-checks them on the quick
+//! render of its figures; these keep `cargo test --workspace` honest.)
 
-use specrecon::passes::CompileOptions;
-use specrecon::sim::SimConfig;
+use specrecon::sim::Metrics;
 use specrecon::workloads::eval::shared;
-use specrecon::workloads::{pathtracer, registry, xsbench};
+use specrecon::workloads::{pathtracer, registry, xsbench, Cell, Grid, RunSpec};
+
+/// Every registry workload at `warps` warps, as the PDOM baseline and
+/// under SR: one grid, which checks that both leave the same memory.
+fn suite(warps: usize) -> Vec<Cell> {
+    let bases = registry().into_iter().map(|mut w| {
+        w.launch.num_warps = warps;
+        RunSpec::of(w)
+    });
+    let grid = Grid::new(bases.collect()).axis("mode", ["baseline", "speculative"]);
+    shared().run_grid(&grid).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn speedup(base: &Metrics, sr: &Metrics) -> f64 {
+    base.cycles as f64 / sr.cycles as f64
+}
 
 /// §5.2 / Figures 7–8: every workload gains SIMT efficiency (10%..3x) and
 /// none slows down; speedup stays roughly bounded by the efficiency gain.
 #[test]
 fn figure7_and_8_shapes_hold() {
-    let cfg = SimConfig::default();
     let mut best_gain: f64 = 0.0;
-    for w in registry() {
-        let w = w.rebind().warps(1).done();
-        let c = shared().compare(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let gain = c.efficiency_gain();
-        let speedup = c.speedup();
-        assert!(gain > 1.05, "{}: efficiency gain {gain:.2}", w.name);
-        assert!(speedup > 0.95, "{}: speedup {speedup:.2}", w.name);
+    for c in suite(1).chunks(2) {
+        let (name, base, sr) = (c[0].spec.workload.name, c[0].metrics(), c[1].metrics());
+        let gain = sr.simt_efficiency() / base.simt_efficiency();
+        let speedup = speedup(base, sr);
+        assert!(gain > 1.05, "{name}: efficiency gain {gain:.2}");
+        assert!(speedup > 0.95, "{name}: speedup {speedup:.2}");
         assert!(
             speedup < gain * 1.35,
-            "{}: speedup {speedup:.2} exceeds efficiency gain {gain:.2} implausibly",
-            w.name
+            "{name}: speedup {speedup:.2} exceeds efficiency gain {gain:.2} implausibly"
         );
         best_gain = best_gain.max(gain);
     }
@@ -34,54 +45,42 @@ fn figure7_and_8_shapes_hold() {
 /// a partial soft-barrier threshold.
 #[test]
 fn figure9_crossover_holds() {
-    let cfg = SimConfig::default();
-    let grid = [4u32, 8, 16, 24, 32];
-
-    let best_threshold = |w: &specrecon::workloads::Workload| -> (u32, f64) {
-        grid.iter()
-            .map(|&t| {
-                let c = shared()
-                    .compare_with(
-                        &w.rebind().threshold(t).done(),
-                        &CompileOptions::speculative(),
-                        &cfg,
-                    )
-                    .unwrap_or_else(|e| panic!("{} T={t}: {e}", w.name));
-                (t, c.speedup())
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap()
-    };
-
+    let thresholds = [4u32, 8, 16, 24, 32];
     let pt = pathtracer::build(&pathtracer::Params {
         num_samples: 192,
         num_warps: 1,
         ..pathtracer::Params::default()
     });
-    let (pt_best, _) = best_threshold(&pt);
-    assert_eq!(pt_best, 32, "pathtracer should peak at the full barrier");
-
     let xs = xsbench::build(&xsbench::Params {
         num_tasks: 192,
         num_warps: 1,
         ..xsbench::Params::default()
     });
-    let (xs_best, xs_peak) = best_threshold(&xs);
+    let grid = Grid::new(vec![RunSpec::of(pt), RunSpec::of(xs)])
+        .axis("threshold", thresholds)
+        .axis("mode", ["baseline", "speculative"]);
+    let cells = shared().run_grid(&grid).unwrap_or_else(|e| panic!("{e}"));
+    // Each application's speedup at each threshold.
+    let curves: Vec<Vec<(u32, f64)>> = cells
+        .chunks(2 * thresholds.len())
+        .map(|app| {
+            let points = thresholds.iter().zip(app.chunks(2));
+            points.map(|(&t, c)| (t, speedup(c[0].metrics(), c[1].metrics()))).collect()
+        })
+        .collect();
+    let best = |curve: &[(u32, f64)]| *curve.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+
+    let (pt_best, _) = best(&curves[0]);
+    assert_eq!(pt_best, 32, "pathtracer should peak at the full barrier");
+    let (xs_best, xs_peak) = best(&curves[1]);
     assert_ne!(xs_best, 32, "xsbench should peak below the full barrier");
-    let xs_full = shared()
-        .compare_with(&xs.rebind().threshold(32).done(), &CompileOptions::speculative(), &cfg)
-        .unwrap()
-        .speedup();
+    let xs_full = curves[1].last().unwrap().1;
     assert!(xs_peak > xs_full, "partial threshold {xs_peak:.3} must beat full {xs_full:.3}");
 }
 
 /// §5.2: SR never changes kernel results — checked here across every
-/// workload (`Engine::compare` verifies output equality internally).
+/// workload (the grid compares the two modes' final memories).
 #[test]
 fn results_preserved_across_the_whole_suite() {
-    let cfg = SimConfig::default();
-    for w in registry() {
-        let w = w.rebind().warps(2).done();
-        shared().compare(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    }
+    assert_eq!(suite(2).len(), 18);
 }
