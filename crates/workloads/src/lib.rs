@@ -48,7 +48,7 @@ pub mod xsbench;
 
 pub use eval::{Engine, RunOutput};
 pub use grid::{Cell, Grid};
-pub use report::render_run;
+pub use report::{render_run, render_seeds, SeedMetrics};
 pub use spec::{RunSpec, Seeds, SpecError};
 
 use simt_ir::Module;

@@ -52,9 +52,9 @@ use specrecon::ir::{
 use specrecon::passes::compute_region;
 use specrecon::passes::{compile, compile_profile_guided, detect, DetectOptions};
 use specrecon::server::{self, LoadgenConfig, ServeConfig, Server};
-use specrecon::sim::{chrome_trace, jsonl, JournalConfig, Metrics, SeedRun, SimOutput, Trace};
+use specrecon::sim::{chrome_trace, jsonl, JournalConfig, SeedRun, SimOutput, Trace};
 use specrecon::workloads::spec::{compile_options, is_mode, Key};
-use specrecon::workloads::{render_run, Engine, RunSpec, Seeds, SpecError};
+use specrecon::workloads::{render_run, render_seeds, Engine, RunSpec, Seeds, SpecError};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -369,77 +369,15 @@ fn run_cmd(file: Option<(&str, &str)>, rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a multi-seed spec and prints each seed, an aggregate and, for a
-/// lockstep range, the sweep engine's counters; `name` heads a range.
-/// Fails with the first failing seed's error, after printing them all.
+/// Runs a multi-seed spec and prints [`render_seeds`]' report; `name`
+/// heads a range. Fails with the first failing seed's error, after
+/// printing them all.
 fn print_seeds(name: &str, engine: &Engine, spec: &RunSpec) -> Result<(), String> {
     let metrics_of = |run: SeedRun| (run.seed, run.result.map(|out| out.metrics));
     let out = engine.run(spec, None, metrics_of).map_err(|e| e.to_string())?;
-    match spec.seeds {
-        Seeds::Count(n) => println!("{n} seeds on {} worker(s):", engine.jobs()),
-        Seeds::Range(lo, hi) => {
-            println!("{name} over seeds {lo}..{hi} on {} worker(s):", engine.jobs())
-        }
-    }
-    let mut ok: Vec<&Metrics> = Vec::new();
-    let mut first_err = None;
-    for (seed, result) in &out.runs {
-        match result {
-            Ok(m) => {
-                println!(
-                    "  seed {seed:#x}: {} cycles, SIMT efficiency {:.1}%, {} barrier ops",
-                    m.cycles,
-                    100.0 * m.simt_efficiency(),
-                    m.barrier_ops
-                );
-                ok.push(m);
-            }
-            Err(e) => {
-                println!("  seed {seed:#x}: FAILED: {e}");
-                first_err.get_or_insert_with(|| format!("simulation error: {e}"));
-            }
-        }
-    }
-    if !ok.is_empty() {
-        let n = ok.len() as f64;
-        let mean_cycles = ok.iter().map(|m| m.cycles as f64).sum::<f64>() / n;
-        let mean_eff = ok.iter().map(|m| m.simt_efficiency()).sum::<f64>() / n;
-        let min = ok.iter().map(|m| m.cycles).min().unwrap_or(0);
-        let max = ok.iter().map(|m| m.cycles).max().unwrap_or(0);
-        println!(
-            "aggregate: mean {mean_cycles:.0} cycles (min {min}, max {max}), \
-             mean SIMT efficiency {:.1}%",
-            100.0 * mean_eff
-        );
-    }
-    if let Some(s) = out.sweep {
-        println!(
-            "sweep engine: {} instances, {} lockstep issues, {} forks, {} merges, \
-             mean occupancy {:.1} (peak {} sub-cohorts)",
-            s.instances,
-            s.lockstep_issues,
-            s.forks,
-            s.merges,
-            s.mean_occupancy(),
-            s.peak_subcohorts
-        );
-        println!(
-            "  data plane: {} dense / {} mixed operand rows, {} uniform / {} scattered global \
-             accesses",
-            s.dense_rows, s.mixed_rows, s.uniform_accesses, s.scattered_accesses
-        );
-        println!(
-            "  lane spans: {} hoisted / {} per-lane issues, {} lane runs",
-            s.hoisted_issues, s.per_lane_issues, s.lane_runs
-        );
-        if s.detaches > 0 || s.scalar_steps > 0 {
-            println!(
-                "  escape hatch: {} seeds re-run standalone, {} scalar steps",
-                s.detaches, s.scalar_steps
-            );
-        }
-    }
-    first_err.map_or(Ok(()), Err)
+    print!("{}", render_seeds(name, engine.jobs(), spec.seeds, &out));
+    let first_err = out.runs.iter().find_map(|(_, r)| r.as_ref().err());
+    first_err.map_or(Ok(()), |e| Err(format!("simulation error: {e}")))
 }
 
 /// The `lint` subcommand: run the barrier-safety lint over the compiled
