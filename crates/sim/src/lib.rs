@@ -34,6 +34,7 @@ mod alu;
 mod barrier;
 mod cols;
 pub mod config;
+pub mod counters;
 pub mod decode;
 pub mod error;
 pub mod exec;
