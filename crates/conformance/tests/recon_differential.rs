@@ -32,7 +32,9 @@ use conformance::program::spec_strategy;
 use conformance::{build_module, ProgramSpec};
 use proptest::prelude::*;
 use simt_ir::{Module, Value};
-use simt_sim::{run, run_reference, JournalConfig, Launch, ReconvergenceModel, SimConfig};
+use simt_sim::{
+    counters, run, run_reference, JournalConfig, Launch, ReconvergenceModel, SimConfig,
+};
 use specrecon_core::{compile, CompileOptions, PassError};
 
 /// Cycle budget per run (mirrors the oracle's).
@@ -113,7 +115,7 @@ fn check_models(spec: &ProgramSpec) -> Result<(), String> {
                                  diverges under barrier-file at cell {cell}"
                             ));
                         }
-                        if !d.metrics.recon.is_zero() {
+                        if !counters::is_zero(&d.metrics.recon) {
                             return Err(format!(
                                 "[{name}] {policy:?} seed {ls:#x}: barrier-file run touched \
                                  hardware-model counters: {:?}",

@@ -3,6 +3,7 @@
 //! `parse_request` and `execute` on a fresh engine (so the cache counters
 //! in the body are deterministic) and compared byte for byte with
 //! `golden/eval_responses.jsonl`, one response per line in table order.
+//! Regenerate it deliberately with `UPDATE_GOLDEN=1`.
 
 use simt_sim::CancelToken;
 use specrecon_server::api::{execute, parse_request};
@@ -60,8 +61,14 @@ fn respond(body: &str) -> String {
 
 #[test]
 fn eval_responses_match_the_golden_bytes() {
-    let golden: Vec<&str> = GOLDEN.lines().collect();
     let requests = requests();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let text: String = requests.iter().map(|body| respond(body) + "\n").collect();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/eval_responses.jsonl");
+        std::fs::write(path, text).expect("golden written");
+        return;
+    }
+    let golden: Vec<&str> = GOLDEN.lines().collect();
     assert_eq!(golden.len(), requests.len(), "one golden line per request");
     for (i, (body, want)) in requests.iter().zip(golden).enumerate() {
         let got = respond(body);

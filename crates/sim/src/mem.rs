@@ -230,11 +230,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Whether every counter is zero (hierarchy off or untouched).
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Folds one access outcome into the run totals.
     pub(crate) fn record(&mut self, out: &AccessOutcome) {
         for (l, o) in self.levels.iter_mut().zip(out.levels.iter()) {
@@ -247,29 +242,6 @@ impl MemStats {
             self.dram_accesses += 1;
             self.dram_segments += u64::from(out.dram_segments);
         }
-    }
-
-    /// Field-wise saturating sum, for aggregating counters across runs
-    /// (e.g. a multi-seed eval response).
-    #[must_use]
-    pub fn saturating_add(&self, o: &Self) -> Self {
-        self.combine(o, u64::saturating_add)
-    }
-
-    /// Field-wise combination under `f` (the sweep engine's per-slot
-    /// base arithmetic passes `u64::wrapping_add` / `wrapping_sub`).
-    pub(crate) fn combine(&self, o: &Self, f: fn(u64, u64) -> u64) -> Self {
-        let mut r = *self;
-        for (l, ol) in r.levels.iter_mut().zip(o.levels.iter()) {
-            let MemLevelStats { hits, misses, mshr_merges, mshr_stall_cycles } = l;
-            *hits = f(*hits, ol.hits);
-            *misses = f(*misses, ol.misses);
-            *mshr_merges = f(*mshr_merges, ol.mshr_merges);
-            *mshr_stall_cycles = f(*mshr_stall_cycles, ol.mshr_stall_cycles);
-        }
-        r.dram_accesses = f(r.dram_accesses, o.dram_accesses);
-        r.dram_segments = f(r.dram_segments, o.dram_segments);
-        r
     }
 }
 

@@ -47,34 +47,6 @@ pub struct ReconStats {
     pub deferrals: u64,
 }
 
-impl ReconStats {
-    /// True when every counter is zero (the `BarrierFile` steady state).
-    pub fn is_zero(&self) -> bool {
-        *self == ReconStats::default()
-    }
-
-    /// Componentwise wrapping sum, for aggregating counters across runs.
-    #[must_use]
-    pub fn wrapping_add(&self, o: &ReconStats) -> ReconStats {
-        self.combine(o, u64::wrapping_add)
-    }
-
-    /// Componentwise combination under `f` (the sweep engine's per-slot
-    /// base arithmetic passes `u64::wrapping_add` / `wrapping_sub`).
-    pub(crate) fn combine(&self, o: &ReconStats, f: fn(u64, u64) -> u64) -> ReconStats {
-        let ReconStats { stack_pushes, stack_pops, stack_max_depth, splits, fusions, deferrals } =
-            *self;
-        ReconStats {
-            stack_pushes: f(stack_pushes, o.stack_pushes),
-            stack_pops: f(stack_pops, o.stack_pops),
-            stack_max_depth: f(stack_max_depth, o.stack_max_depth),
-            splits: f(splits, o.splits),
-            fusions: f(fusions, o.fusions),
-            deferrals: f(deferrals, o.deferrals),
-        }
-    }
-}
-
 /// One entry of a warp's IPDOM reconvergence stack. Lanes in `pending`
 /// are the only schedulable lanes of the warp while the entry is on top;
 /// each one parks into `arrived` when it reaches `rpc` at the push-time

@@ -12,8 +12,8 @@ use crate::spec::SpecError;
 use crate::{RunSpec, Seeds, Workload};
 use simt_ir::Module;
 use simt_sim::{
-    run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, SeedRun, SimConfig,
-    SimError, SimOutput, SweepLaunch, SweepStats,
+    counters, run_image_with, run_sweep_image, CancelToken, DecodedImage, Launch, SeedRun,
+    SimConfig, SimError, SimOutput, SweepLaunch, SweepStats,
 };
 use specrecon_core::{compile, CompileOptions, PassError};
 use std::collections::HashMap;
@@ -371,7 +371,7 @@ impl Engine {
         for chunk in chunks {
             let (kept, chunk_stats) = chunk?;
             runs.extend(kept);
-            stats.merge(&chunk_stats);
+            stats = counters::fold(&stats, &chunk_stats);
         }
         Ok(RunOutput { runs, sweep: Some(stats) })
     }
