@@ -172,8 +172,8 @@ pub const CACHE: Table = Table::new(
         },
         |cells| {
             let row = |c: &[Cell]| {
-                let m = c[3].metrics();
-                let hit_rate = m.cache_hits as f64 / (m.cache_hits + m.cache_misses).max(1) as f64;
+                let l1 = c[3].metrics().mem.levels[0];
+                let hit_rate = l1.hits as f64 / (l1.hits + l1.misses).max(1) as f64;
                 let (flat, cached) = (speedup(&c[0], &c[1]), speedup(&c[2], &c[3]));
                 vec![name(&c[0]), ratio(flat), ratio(cached), pct(hit_rate)]
             };
@@ -473,8 +473,8 @@ mod tests {
     fn cache_ablation_runs_and_preserves_wins() {
         for c in cells("ablate-cache").chunks(4) {
             assert!(speedup(&c[2], &c[3]) > 0.95, "{}", c[3].name());
-            let m = c[3].metrics();
-            assert!(m.cache_hits + m.cache_misses > 0, "{}: the L1 saw accesses", c[3].name());
+            let l1 = c[3].metrics().mem.levels[0];
+            assert!(l1.hits + l1.misses > 0, "{}: the L1 saw accesses", c[3].name());
         }
     }
 

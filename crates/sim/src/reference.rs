@@ -893,8 +893,6 @@ impl<'m> Machine<'m> {
             let out =
                 crate::mem::commit(hier, &mut warps[w].mem_tags, mshrs, mem_scratch, addrs, now);
             metrics.mem.record(&out);
-            metrics.cache_hits += u64::from(out.levels[0].hits);
-            metrics.cache_misses += u64::from(out.levels[0].misses);
             *pending_mem = Some(out);
             return out.cost;
         }

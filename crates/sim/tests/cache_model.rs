@@ -28,8 +28,9 @@ fn repeated_loads_hit_and_get_cheaper() {
         warm.metrics.cycles,
         cold.metrics.cycles
     );
-    assert!(warm.metrics.cache_hits >= 49, "hits {}", warm.metrics.cache_hits);
-    assert_eq!(warm.metrics.cache_misses, 1);
+    let l1 = warm.metrics.mem.levels[0];
+    assert!(l1.hits >= 49, "hits {}", l1.hits);
+    assert_eq!(l1.misses, 1);
 }
 
 #[test]
@@ -66,8 +67,9 @@ fn conflicting_lines_evict() {
     let mut l = Launch::new("k", 1);
     l.global_mem = vec![Value::I64(0); 1025];
     let out = run(&m, &cfg, &l).unwrap();
-    assert_eq!(out.metrics.cache_hits, 0, "ping-pong eviction leaves no hits");
-    assert_eq!(out.metrics.cache_misses, 20);
+    let l1 = out.metrics.mem.levels[0];
+    assert_eq!(l1.hits, 0, "ping-pong eviction leaves no hits");
+    assert_eq!(l1.misses, 20);
 }
 
 #[test]
@@ -83,8 +85,9 @@ fn stores_invalidate_cached_lines() {
     let out = run(&m, &cfg_with_cache(), &l).unwrap();
     // load miss, load hit, store (hits the cached line, then
     // invalidates it), load miss again.
-    assert_eq!(out.metrics.cache_hits, 2, "hits {}", out.metrics.cache_hits);
-    assert_eq!(out.metrics.cache_misses, 2, "misses {}", out.metrics.cache_misses);
+    let l1 = out.metrics.mem.levels[0];
+    assert_eq!(l1.hits, 2, "hits {}", l1.hits);
+    assert_eq!(l1.misses, 2, "misses {}", l1.misses);
     assert_eq!(out.global_mem[5], Value::I64(9));
 }
 
