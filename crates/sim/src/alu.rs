@@ -1,6 +1,7 @@
 //! Scalar ALU semantics shared by every interpreter (the decoded engine
 //! in [`crate::exec`], the lockstep cohort in [`crate::sweep`] and the
-//! tree-walking oracle in [`crate::reference`]).
+//! tree-walking oracle in [`crate::reference`]), plus the `special`
+//! values both decoded engines read.
 //!
 //! Operations are polymorphic over [`Value`]: integer inputs use wrapping
 //! integer semantics, and if either input is a float the operation is
@@ -14,7 +15,7 @@
 //! element, and the loop body inlines to the one operation it runs.
 
 use crate::decode::DecodedInst;
-use simt_ir::{BinOp, Operand, UnOp, Value};
+use simt_ir::{BinOp, Operand, SpecialValue, UnOp, Value};
 
 /// A loop over the elements of one issue, waiting for the kernel it
 /// applies to each `(lhs, rhs)` pair. Unary kernels ignore `rhs`.
@@ -139,26 +140,13 @@ pub(crate) fn with_un<L: AluLoop>(op: UnOp, l: L) -> L::Out {
 
 /// How a faultable instruction faults — the one statement of the fault
 /// conditions the kernels above implement, for the straight-line
-/// batchers' pre-checks.
+/// batchers' pre-check ([`crate::cols::fault_free`]).
 #[derive(Clone, Copy)]
 pub(crate) enum FaultCond {
     /// `div`/`rem`: an integer pair with a zero divisor.
     ZeroIntDivisor,
     /// Bitwise ops and `not`: a float operand.
     FloatOperand,
-}
-
-impl FaultCond {
-    /// Whether the pair `(a, b)` is safe. With operand tags the caller
-    /// knows, this folds to the payload test that remains (a zero scan,
-    /// or nothing at all).
-    #[inline(always)]
-    pub(crate) fn ok(self, a: Value, b: Value) -> bool {
-        match self {
-            FaultCond::ZeroIntDivisor => !(a.is_int() && b.is_int() && b.as_i64() == 0),
-            FaultCond::FloatOperand => a.is_int() && b.is_int(),
-        }
-    }
 }
 
 /// For an instruction that can fault, its operands and its
@@ -176,6 +164,25 @@ pub(crate) fn fault_cond(inst: &DecodedInst) -> Option<(Operand, Operand, FaultC
         DecodedInst::Un { op: UnOp::Not, src, .. } => Some((src, src, FaultCond::FloatOperand)),
         _ => None,
     }
+}
+
+/// What `special` `kind` reads in lane `lane` of warp `warp`, in a launch
+/// of `warps` warps of `width` lanes.
+#[inline]
+pub(crate) fn special(
+    kind: SpecialValue,
+    warp: usize,
+    lane: usize,
+    width: usize,
+    warps: usize,
+) -> i64 {
+    (match kind {
+        SpecialValue::Tid => warp * width + lane,
+        SpecialValue::LaneId => lane,
+        SpecialValue::WarpId => warp,
+        SpecialValue::NumThreads => warps * width,
+        SpecialValue::WarpWidth => width,
+    }) as i64
 }
 
 /// The one-element loop behind [`eval_bin`] and [`eval_un`].

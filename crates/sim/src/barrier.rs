@@ -1,4 +1,4 @@
-//! The warp control plane: per-lane PCs and statuses, the
+//! The warp control plane: per-lane PCs, statuses and call frames, the
 //! convergence-barrier register file, `__syncthreads`, and group
 //! picking — everything the Speculative Reconvergence passes actually
 //! manipulate, defined once.
@@ -18,18 +18,23 @@
 //! maintained at each status transition so the scheduler never re-scans
 //! lane statuses.
 //!
-//! [`WarpCtl`] is pure control: it holds no register, memory or RNG
-//! state. The decoded engine ([`crate::exec`]) wraps it with each
-//! thread's data, the sweep cohort ([`crate::sweep`]) with frame
-//! metadata over its shared data plane; both drive the same transitions,
-//! so two equal control planes behave identically forever — the fact the
-//! cohort's merge test rests on. Transitions report the lanes they
-//! joined, parked or released through a sink of [`CtlEvent`]s: the
-//! decoded engine turns them into journal events, the cohort (which
-//! never journals) passes a no-op.
+//! [`WarpCtl`] is all of a warp's control, the call stack included: each
+//! lane's frames ([`Frame`]: saved pc, return registers, where the
+//! register window sits in the lane's stack) live in one flat table with
+//! per-lane bases, bump pointers and depths, pushed and popped by
+//! [`WarpCtl::call`] and [`WarpCtl::ret`]. It holds no register value,
+//! memory cell or RNG stream: the decoded engine ([`crate::exec`]) keeps
+//! those in columns with the lanes as slots, the sweep cohort
+//! ([`crate::sweep`]) in columns with the seeds as slots, and each maps a
+//! stack offset to its own rows. Both drive the same transitions, so two
+//! equal control planes behave identically forever — the fact the
+//! cohort's merge test (`==` on its planes) rests on. Transitions report
+//! the lanes they joined, parked or released through a sink of
+//! [`CtlEvent`]s: the decoded engine turns them into journal events, the
+//! cohort (which never journals) passes a no-op.
 
 use crate::config::{SchedulerPolicy, SimConfig};
-use crate::decode::{DecodedFunc, DecodedImage};
+use crate::decode::{DecodedFunc, DecodedImage, PoolRange};
 use crate::error::{BarrierState, SimError};
 use crate::machine::Launch;
 use crate::sched::{lanes, select_group_mask};
@@ -56,10 +61,25 @@ pub(crate) enum CtlEvent {
     SyncRelease { mask: u64 },
 }
 
+/// One call frame of a lane. Where its register window sits is control,
+/// shared by every slot of a cohort; the values inside it are data.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Frame {
+    /// Saved pc. Authoritative only while the frame is suspended (a call
+    /// is in flight above it); the live frame's pc is [`WarpCtl::pcs`],
+    /// the contiguous array the scheduler scans.
+    pub(crate) pc: usize,
+    /// Caller registers (a [`DecodedImage::reg_pool`] span) that receive
+    /// this frame's return values.
+    pub(crate) ret_regs: PoolRange,
+    /// Stack offset of the frame's register 0 in its lane's stack.
+    pub(crate) base: usize,
+}
+
 /// One warp's control state. Equality is the merge test of the sweep
-/// cohort: planes that compare equal (and whose frame shapes agree)
-/// schedule and transition identically from then on.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// cohort: planes that compare equal schedule, transition and address
+/// registers identically from then on.
+#[derive(Clone, Debug)]
 pub(crate) struct WarpCtl {
     /// Live pc of each lane's top frame: the grouping scan reads this
     /// contiguous array. Stale for exited lanes.
@@ -84,12 +104,67 @@ pub(crate) struct WarpCtl {
     /// Lanes of the group issued last (greedy scheduling state).
     pub(crate) last_lanes: u64,
     pub(crate) done: bool,
+    /// Per lane: stack offset of the live frame's register 0 (its
+    /// [`Frame::base`], cached).
+    pub(crate) bases: Vec<usize>,
+    /// Per lane: bump pointer, the first free stack offset above the live
+    /// frame.
+    pub(crate) tops: Vec<usize>,
+    /// Per lane: index of the live frame (0 = the kernel's).
+    pub(crate) depths: Vec<usize>,
+    /// Frame `d` of lane `l` at `[d * width + l]`, for `d <= depths[l]`;
+    /// entries above a lane's depth are stale.
+    pub(crate) frames: Vec<Frame>,
+    /// The live base every lane shares, while they share one — always,
+    /// unless lanes sit at different call depths. A cache of `bases`,
+    /// recomputed by [`WarpCtl::call`] and [`WarpCtl::ret`].
+    pub(crate) shared: Option<usize>,
+}
+
+/// Every field counts except what no transition reads: a lane's
+/// live-frame saved pc (stale by design; the live pc is in `pcs`), frame
+/// entries above its depth, and the `shared` cache.
+impl PartialEq for WarpCtl {
+    fn eq(&self, o: &Self) -> bool {
+        let WarpCtl {
+            pcs,
+            status,
+            masks,
+            lane_mask,
+            runnable,
+            waiting,
+            at_sync,
+            exited,
+            busy_until,
+            rr_cursor,
+            last_lanes,
+            done,
+            bases,
+            tops,
+            depths,
+            frames: _,
+            shared: _,
+        } = self;
+        // Scalars first: most unequal planes differ in a clock or a mask.
+        (busy_until, rr_cursor, last_lanes, done)
+            == (&o.busy_until, &o.rr_cursor, &o.last_lanes, &o.done)
+            && (lane_mask, runnable, waiting, at_sync, exited)
+                == (&o.lane_mask, &o.runnable, &o.waiting, &o.at_sync, &o.exited)
+            && (pcs, status, masks, bases, tops, depths)
+                == (&o.pcs, &o.status, &o.masks, &o.bases, &o.tops, &o.depths)
+            && depths.iter().enumerate().all(|(l, &top)| {
+                (0..=top).all(|d| {
+                    let (a, b) = (self.frame(l, d), o.frame(l, d));
+                    a.base == b.base && a.ret_regs == b.ret_regs && (d == top || a.pc == b.pc)
+                })
+            })
+    }
 }
 
 impl WarpCtl {
     /// Validates `launch` against the image and returns the kernel's
     /// function record plus the control plane every warp starts from
-    /// (all lanes runnable at the kernel entry).
+    /// (all lanes runnable at the kernel entry, in the kernel frame).
     pub(crate) fn for_launch(
         image: &DecodedImage,
         cfg: &SimConfig,
@@ -110,8 +185,9 @@ impl WarpCtl {
         cfg.check_warp_width()?;
         let width = cfg.warp_width;
         let lane_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        let kernel = Frame { pc: kfunc.entry_pc as usize, ret_regs: PoolRange::EMPTY, base: 0 };
         let ctl = WarpCtl {
-            pcs: vec![kfunc.entry_pc as usize; width],
+            pcs: vec![kernel.pc; width],
             status: vec![Status::Runnable; width],
             masks: vec![0; image.num_barriers],
             lane_mask,
@@ -123,8 +199,80 @@ impl WarpCtl {
             rr_cursor: 0,
             last_lanes: 0,
             done: false,
+            bases: vec![0; width],
+            tops: vec![kfunc.num_regs as usize; width],
+            depths: vec![0; width],
+            frames: vec![kernel; width],
+            shared: Some(0),
         };
         Ok((kfunc, ctl))
+    }
+
+    /// Lanes per warp.
+    #[inline(always)]
+    pub(crate) fn width(&self) -> usize {
+        self.pcs.len()
+    }
+
+    /// Lane `l`'s frame `d` (stale above its depth).
+    #[inline]
+    pub(crate) fn frame(&self, l: usize, d: usize) -> Frame {
+        self.frames[d * self.width() + l]
+    }
+
+    /// Lane `l`'s live frame.
+    #[inline]
+    pub(crate) fn top(&self, l: usize) -> Frame {
+        self.frame(l, self.depths[l])
+    }
+
+    /// Calls `entry` in every lane of `mask`: suspends each lane's live
+    /// frame at `ret_pc` and makes a frame of `num_regs` registers at its
+    /// bump pointer live. The engine fills the callee's window first (at
+    /// the old [`Self::tops`], arguments read at [`Self::bases`]).
+    pub(crate) fn call(
+        &mut self,
+        mask: u64,
+        ret_pc: usize,
+        entry: usize,
+        ret_regs: PoolRange,
+        num_regs: usize,
+    ) {
+        let width = self.width();
+        for l in lanes(mask) {
+            let (d, base) = (self.depths[l] + 1, self.tops[l]);
+            if self.frames.len() < (d + 1) * width {
+                let stale = self.frames[l];
+                self.frames.resize((d + 1) * width, stale);
+            }
+            self.frames[(d - 1) * width + l].pc = ret_pc;
+            self.frames[d * width + l] = Frame { pc: entry, ret_regs, base };
+            (self.depths[l], self.bases[l], self.tops[l], self.pcs[l]) =
+                (d, base, base + num_regs, entry);
+        }
+        self.shared = shared_base(&self.bases);
+    }
+
+    /// Returns every lane of `mask` from its live frame: pops it,
+    /// releasing its window, and resumes the caller at its saved pc. A
+    /// lane in its kernel frame exits instead ([`Self::exit`]). The engine
+    /// moves the return values first (callee window at [`Self::bases`],
+    /// the caller's one frame down).
+    pub(crate) fn ret(&mut self, mask: u64, sink: &mut impl FnMut(CtlEvent)) {
+        let mut exited = 0u64;
+        for l in lanes(mask) {
+            let Some(d) = self.depths[l].checked_sub(1) else {
+                exited |= 1 << l;
+                continue;
+            };
+            let caller = self.frame(l, d);
+            (self.depths[l], self.tops[l], self.bases[l], self.pcs[l]) =
+                (d, self.bases[l], caller.base, caller.pc);
+        }
+        self.shared = shared_base(&self.bases);
+        if exited != 0 {
+            self.exit(exited, sink);
+        }
     }
 
     /// Lanes that have not exited.
@@ -331,6 +479,21 @@ impl WarpCtl {
         );
     }
 
+    /// Debug-only invariant beside [`Self::check_masks`]: each lane's
+    /// cached base is its live frame's, the bump pointer sits exactly
+    /// above that frame's window (the live pc names the frame's
+    /// function), and `shared` is current.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_frames(&self, image: &DecodedImage) {
+        for l in 0..self.width() {
+            let func = image.origin[self.pcs[l]].func;
+            let len = image.funcs[func.index()].num_regs as usize;
+            assert_eq!(self.bases[l], self.top(l).base, "live base of lane {l}");
+            assert_eq!(self.tops[l], self.bases[l] + len, "bump pointer of lane {l}");
+        }
+        assert_eq!(self.shared, shared_base(&self.bases), "stale shared frame base");
+    }
+
     /// Groups the runnable lanes of `eligible` by flat PC and applies
     /// the scheduler policy. `groups` is scratch; `other_pcs` receives
     /// the pcs of the groups that were *not* chosen (empty after a
@@ -395,5 +558,100 @@ impl WarpCtl {
             other_pcs.extend(groups.iter().map(|&(p, _)| p).filter(|&p| p != pc));
         }
         picked
+    }
+}
+
+/// The base every lane of `bases` shares, if they share one.
+fn shared_base(bases: &[usize]) -> Option<usize> {
+    let b = bases[0];
+    bases.iter().all(|&x| x == b).then_some(b)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decode::DecodedInst;
+
+    /// A kernel with two call sites of `@f`, returning into different
+    /// registers.
+    const TWO_SITES: &str = "\
+kernel @k(params=0, regs=4, barriers=0, entry=bb0) {
+bb0:
+  call @f() -> (%r0)
+  call @f() -> (%r1)
+  exit
+}
+device @f(params=0, regs=2, barriers=0, entry=bb0) {
+bb0:
+  ret 1
+}
+";
+
+    /// The kernel's launch plane at width 4, and each call site's `(pc,
+    /// ret_regs)` plus the callee's entry and register count.
+    fn plane() -> (WarpCtl, [(usize, PoolRange); 2], usize, usize) {
+        let image = DecodedImage::decode(&simt_ir::parse_and_link(TWO_SITES).unwrap());
+        let cfg = SimConfig { warp_width: 4, ..SimConfig::default() };
+        let launch = Launch {
+            kernel: "k".into(),
+            num_warps: 1,
+            args: vec![],
+            global_mem: vec![],
+            local_mem_size: 0,
+            seed: 0,
+        };
+        let ctl = WarpCtl::for_launch(&image, &cfg, &launch).unwrap().1;
+        let mut callee = (0, 0);
+        let sites: Vec<_> = (image.insts.iter().enumerate())
+            .filter_map(|(pc, inst)| match *inst {
+                DecodedInst::Call { entry_pc, num_regs, rets, .. } => {
+                    callee = (entry_pc as usize, num_regs as usize);
+                    Some((pc, rets))
+                }
+                _ => None,
+            })
+            .collect();
+        (ctl, sites.try_into().unwrap(), callee.0, callee.1)
+    }
+
+    /// The merge test ignores what no transition reads — a live frame's
+    /// saved pc, entries above a lane's depth — and nothing else of the
+    /// frame table.
+    #[test]
+    fn frame_equality_ignores_only_stale_entries() {
+        let (launch, [(site_a, rets_a), (site_b, rets_b)], entry, n) = plane();
+        assert_ne!(rets_a, rets_b, "two call sites, two return spans");
+        let (m, sink) = (0b0110, &mut |_| {});
+        // Lanes 1 and 2 return from `@f` called at two different sites
+        // (one plane twice nested), then stand at the same pc again.
+        let (mut a, mut b) = (launch.clone(), launch.clone());
+        a.call(m, site_a + 1, entry, rets_a, n);
+        a.ret(m, sink);
+        b.call(m, site_b + 1, entry, rets_b, n);
+        b.call(m, entry + 1, entry, rets_a, n);
+        b.ret(m, sink);
+        b.ret(m, sink);
+        assert_ne!(a.frame(1, 0).pc, b.frame(1, 0).pc);
+        assert_ne!(a.frame(1, 1).ret_regs, b.frame(1, 1).ret_regs);
+        a.move_to(m, site_b + 1);
+        assert_eq!(a, b, "live saved pcs and stale frames are ignored");
+
+        // Inside two nested calls, every suspended field and base counts.
+        let mut deep = launch;
+        deep.call(m, site_a + 1, entry, rets_a, n);
+        deep.call(m, entry + 1, entry, rets_b, n);
+        // Frame `d` of lane `l` sits at `d * 4 + l`.
+        assert_ne!(deep.frame(2, 1).ret_regs, deep.frame(2, 2).ret_regs);
+        let differs = |what: &str, change: fn(&mut WarpCtl)| {
+            let mut other = deep.clone();
+            change(&mut other);
+            assert_ne!(deep, other, "{what} differs");
+        };
+        differs("a suspended frame's saved pc", |c| c.frames[1].pc += 1);
+        differs("a suspended frame's ret_regs", |c| {
+            c.frames[4 + 2].ret_regs = c.frames[8 + 2].ret_regs
+        });
+        differs("a suspended frame's base", |c| c.frames[4 + 1].base += 1);
+        differs("a live base", |c| c.bases[2] += 1);
     }
 }

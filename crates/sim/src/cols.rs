@@ -1,8 +1,9 @@
 //! Typed slot columns: the structure-of-arrays value store of both
-//! engines' registers — the lockstep cohort's ([`crate::sweep`]: slots
-//! are seeds; its local and global memory too) and the decoded engine's
-//! ([`crate::exec`]: slots are the lanes of a warp) — and the typed
-//! loops over their rows.
+//! engines — the lockstep cohort's ([`crate::sweep`]: slots are seeds)
+//! and the decoded engine's ([`crate::exec`]: slots are the lanes of a
+//! warp, or the one slot of its global memory) registers, local memory
+//! and global memory — and the typed loops and cell kernels over their
+//! rows.
 //!
 //! Values are stored untagged: a row of `u64` payload bits per register
 //! or memory cell plus one float-mask word per row. A row whose live
@@ -10,26 +11,31 @@
 //! over `&[u64]` with the tags as loop constants; a row typed differently
 //! by slot takes the same loop reading its mask per slot. The float words
 //! also answer the straight-line batchers' fault pre-check
-//! ([`fault_free`]) without reading a payload, except a divisor's.
+//! ([`fault_free`]) without reading a payload, except a divisor's. The
+//! memory arms' per-cell work — the bounds check ([`cell`]), the load or
+//! store ([`move_cell`]) and the atomic add ([`add_cell`]) — is written
+//! once here, and each engine's loop calls it with its own rows and slots.
 
 use crate::alu::FaultCond;
 use crate::sched::{lanes, mask_runs};
-use simt_ir::{Operand, Value};
+use simt_ir::{Operand, Reg, Value};
 use std::ops::Range;
 
-/// Typed slot columns — the cohort's one data representation, for
-/// registers, local memory and global memory alike, and the decoded
-/// engine's registers. A *row* is `ns` payload words — an `i64`
-/// reinterpreted, or `f64::to_bits`, so NaN payloads and `-0.0`
-/// round-trip — plus one float-mask word (bit `s` set ⇔ slot `s` holds
-/// an `f64`; there are at most 64 slots, a cohort's
-/// [`COHORT_SLOTS`](crate::sweep::COHORT_SLOTS) or a warp's lanes, so one
-/// word always suffices). [`Value`] exists only at the edges: launch
-/// inputs, immediates, fault messages and the final memory image.
+/// Typed slot columns — the one data representation of both engines. A
+/// *row* is `ns` payload words — an `i64` reinterpreted, or
+/// `f64::to_bits`, so NaN payloads and `-0.0` round-trip — plus one
+/// float-mask word (bit `s` set ⇔ slot `s` holds an `f64`; there are at
+/// most 64 slots, a cohort's [`COHORT_SLOTS`](crate::sweep::COHORT_SLOTS)
+/// or a warp's lanes, so one word always suffices). [`Value`] exists only
+/// at the edges: launch inputs, immediates, fault messages and the final
+/// memory image.
 ///
+/// Register windows sit in each lane's stack at the offsets the control
+/// plane's frame table gives
+/// ([`WarpCtl::bases`](crate::barrier::WarpCtl::bases)).
 /// In the cohort a row is one register (or memory cell) of one lane
 /// across every seed slot. Registers and local memory are *warp-major*,
-/// one column set per warp: register `r` of the frame based at arena row
+/// one column set per warp: register `r` of the frame based at offset
 /// `base` sits at row `(base + r) * width + lane`, local cell `c` at row
 /// `c * width + lane` — so a run of adjacent lanes at one frame base is a
 /// run of adjacent rows, `n * ns` contiguous payload words. Global memory
@@ -38,10 +44,11 @@ use std::ops::Range;
 /// bits under the writer's own slot mask only.
 ///
 /// In the decoded engine the slots are a warp's lanes: register `r` of
-/// the frame based at row `base` is row `base + r`, whose payload word
+/// the frame based at offset `base` is row `base + r`, whose payload word
 /// `l` is lane `l`'s — the same warp-major layout with the slot axis
-/// inside the row. Lanes at one frame base share every register row;
-/// each write commits under the issued lanes only.
+/// inside the row — and local cell `c` is row `c`. Lanes at one frame
+/// base share every register row; each write commits under the issued
+/// lanes only. Its global memory is one slot wide, one row per address.
 #[derive(Clone, Debug)]
 pub(crate) struct SlotCols {
     /// Slots per row (the cohort width, or the warp width).
@@ -153,6 +160,15 @@ impl Src {
         }
     }
 
+    /// Slot `s` of the operand (resolved to a row).
+    #[inline(always)]
+    pub(crate) fn get(self, cols: &SlotCols, s: usize) -> Value {
+        match self {
+            Src::Imm(bits, floats) => decode(bits, floats != 0),
+            Src::Row(r) => cols.get(r, s),
+        }
+    }
+
     /// Slots of `live` where the operand (resolved to a row) is truthy.
     #[inline]
     pub(crate) fn truthy(self, cols: &SlotCols, live: u64) -> u64 {
@@ -235,6 +251,27 @@ impl SlotCols {
     /// zero: zero bits, clear mask).
     pub(crate) fn new(rows: usize, ns: usize) -> SlotCols {
         SlotCols { ns, bits: vec![0; rows * ns], floats: vec![0; rows] }
+    }
+
+    /// One row per value, every slot holding it: a launch's memory image
+    /// as columns.
+    pub(crate) fn of_values(values: &[Value], ns: usize) -> SlotCols {
+        let mut cols = SlotCols::new(values.len(), ns);
+        let all = u64::MAX >> (64 - ns);
+        for (r, v) in values.iter().enumerate() {
+            cols.fill_rows(r, 1, *v, all);
+        }
+        cols
+    }
+
+    /// Slot `s` of every row: a final memory image.
+    pub(crate) fn column(&self, s: usize) -> Vec<Value> {
+        (0..self.rows()).map(|r| self.get(r, s)).collect()
+    }
+
+    #[inline(always)]
+    pub(crate) fn rows(&self) -> usize {
+        self.floats.len()
     }
 
     /// Grows to at least `rows` rows; never shrinks.
@@ -361,21 +398,67 @@ pub(crate) fn move_row(
     }
 }
 
-/// [`move_row`] for slot `s` alone.
+/// A memory instruction's data direction.
+#[derive(Clone, Copy)]
+pub(crate) enum MemOp {
+    Load(Reg),
+    Store(Operand),
+}
+
+impl MemOp {
+    pub(crate) fn is_load(self) -> bool {
+        matches!(self, MemOp::Load(_))
+    }
+
+    /// The access's register side, as an offset from a frame's register 0
+    /// ([`Src::of`]): a load's destination, a store's value.
+    pub(crate) fn reg(self, width: usize) -> Src {
+        match self {
+            MemOp::Load(dst) => Src::Row(dst.index() * width),
+            MemOp::Store(v) => Src::of(v, width),
+        }
+    }
+}
+
+/// The cell address `a` names in a memory of `len` cells; `None` when it
+/// is out of range, and the access faults.
+#[inline(always)]
+pub(crate) fn cell(a: i64, len: usize) -> Option<usize> {
+    usize::try_from(a).ok().filter(|&a| a < len)
+}
+
+/// One cell of a load or store: a load copies memory cell `(m, ms)`
+/// (row, slot) to register cell `(reg, rs)`, a store the register side
+/// (a register row, or an immediate) to the memory cell.
 #[inline]
 pub(crate) fn move_cell(
     regs: &mut SlotCols,
+    (reg, rs): (Src, usize),
     mem: &mut SlotCols,
+    (m, ms): (usize, usize),
     load: bool,
-    reg: Src,
-    m: usize,
-    s: usize,
-    imm: &[u64],
 ) {
     match reg {
-        Src::Row(dst) if load => regs.set(dst, s, mem.get(m, s)),
-        _ => mem.set(m, s, reg.row(regs, imm).get(s)),
+        Src::Row(dst) if load => regs.set(dst, rs, mem.get(m, ms)),
+        _ => mem.set(m, ms, reg.get(regs, rs)),
     }
+}
+
+/// One cell of `atomic_add`: memory cell `(m, ms)` ← `add(old, value)`,
+/// then register `dst` ← `old`, both at register slot `rs`. A faulting
+/// add writes neither and returns the kernel's message.
+#[inline]
+pub(crate) fn add_cell(
+    regs: &mut SlotCols,
+    (dst, value, rs): (usize, Src, usize),
+    mem: &mut SlotCols,
+    (m, ms): (usize, usize),
+    add: impl Fn(Value, Value) -> Result<Value, String>,
+) -> Result<(), String> {
+    let old = mem.get(m, ms);
+    mem.set(m, ms, add(old, value.get(regs, rs))?);
+    regs.set(dst, rs, old);
+    Ok(())
 }
 
 /// The one in-range integer address every live slot of `row` holds, if
@@ -391,8 +474,7 @@ pub(crate) fn uniform_addr(row: RowRef<'_>, live: u64, len: usize) -> Option<usi
         Some((lo, hi)) => row.bits[lo..hi].iter().fold(0, differs),
         None => lanes(live).map(|s| &row.bits[s]).fold(0, differs),
     };
-    (diff | (row.floats & live) == 0 && (a0 as i64) >= 0 && (a0 as usize) < len)
-        .then_some(a0 as usize)
+    cell(a0 as i64, len).filter(|_| diff | (row.floats & live) == 0)
 }
 
 /// How the live slots of a row (or of a span's rows) are typed.

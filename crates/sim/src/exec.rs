@@ -18,12 +18,14 @@
 //! - each warp carries incremental `runnable`/`waiting`/`at_sync`/
 //!   `exited` masks maintained at the status transition points, so an
 //!   issue slot never scans thread statuses;
-//! - registers live in one warp-major arena of typed columns per warp
-//!   ([`RegFile`], a [`SlotCols`] whose slots are the lanes): register
-//!   `r` of the frame based at row `base` is row `base + r`, lane `l`'s
+//! - a warp's data is typed columns ([`SlotCols`]) whose slots are its
+//!   lanes: registers in one warp-major arena — register `r` of the
+//!   frame based at stack offset `base` is row `base + r`, lane `l`'s
 //!   payload at `bits[(base + r) * warp_width + l]` and its type in bit
-//!   `l` of the row's float word; a call bumps the lane's window, a
-//!   return pops it, and [`Frame`] is metadata only;
+//!   `l` of the row's float word — and local memory, one row per cell;
+//!   global memory is one-slot columns, one row per address. The call
+//!   stack is control: the frames, bases and bump pointers live in the
+//!   shared [`WarpCtl`], whose `call`/`ret` the cohort drives too;
 //! - the data arms (`bin`/`un`, `mov`, `sel`, `br`, `vote`) are *row
 //!   ops*: operands are resolved once per issue ([`Src`]), the issued
 //!   lanes grouped by frame base (one group unless lanes sit at
@@ -32,7 +34,11 @@
 //!   once per issue, and [`crate::alu::with_bin`] hands [`RowAlu`] the
 //!   op's monomorphic kernel, which inlines under the loop-constant tags
 //!   (`typed!`) to the bare `i64`/`f64` operation — the same kernels the
-//!   cohort's slot loops instantiate;
+//!   cohort's slot loops instantiate; `special`, `rng` and `arrived`
+//!   fill a row per group;
+//! - loads, stores and atomics walk the issued lanes through the cell
+//!   kernels the cohort's per-slot paths call too ([`crate::cols::cell`],
+//!   [`move_cell`], [`add_cell`]);
 //! - the straight-line batcher's fault pre-check reads float words, not
 //!   lanes ([`crate::cols::fault_free`]);
 //! - the batcher pays per batch, not per issue, for what a batch cannot
@@ -43,15 +49,18 @@
 //!   profile stays per issue);
 //! - every buffer the loop needs (group keys, coalescing addresses)
 //!   lives in a per-[`Machine`] [`Scratch`] arena — after warm-up (the
-//!   register arena and frame stacks at the kernel's call depth),
+//!   register arena and frame table at the kernel's call depth),
 //!   [`Machine::step`] performs **zero heap allocations** in steady
 //!   state (a counting-allocator test enforces this).
 
 use crate::alu::AluLoop;
 use crate::barrier::{CtlEvent, Status, WarpCtl};
-use crate::cols::{encode, tagged, typed, Class, SlotCols, Src, FLOAT, INT, PER_SLOT};
+use crate::cols::{
+    add_cell, cell, encode, move_cell, tagged, typed, Class, MemOp, SlotCols, Src, FLOAT, INT,
+    PER_SLOT,
+};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
-use crate::decode::{DecodedImage, DecodedInst, PoolRange};
+use crate::decode::{DecodedImage, DecodedInst};
 use crate::error::{LaneFault, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
 use crate::journal::{Journal, JournalEvent};
 use crate::machine::{EngineStats, Launch, SimOutput};
@@ -61,130 +70,23 @@ use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, select_group_mask};
 use crate::trace::{Trace, TraceEvent};
-use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, Reg, RngKind, SpecialValue, Value};
+use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, Reg, RngKind, Value};
 
-/// Call-frame metadata; the registers themselves live in the warp's
-/// [`RegFile`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Frame {
-    /// Saved pc. Authoritative only while the frame is suspended (a call
-    /// is in flight above it); the *top* frame's live pc is tracked in
-    /// [`WarpCtl::pcs`] so the scheduler scans a flat array instead of
-    /// chasing `frames.last()` per lane.
-    pub(crate) pc: usize,
-    /// Caller registers (a [`DecodedImage::reg_pool`] span) that receive
-    /// this frame's return values.
-    pub(crate) ret_regs: PoolRange,
-    /// First arena row of this frame's register window.
-    pub(crate) base: usize,
+/// `mask`'s lanes grouped by live frame base ([`BaseGroups`]).
+#[inline(always)]
+fn groups(ctl: &WarpCtl, mask: u64) -> BaseGroups<'_> {
+    BaseGroups { bases: &ctl.bases, shared: ctl.shared, rest: mask }
 }
 
-/// One warp's registers: a warp-major bump arena of typed columns whose
-/// slots are the lanes. Row `r` holds one register of every lane
-/// (payload `cols.bits[r * width + lane]`, type bit `lane` of
-/// `cols.floats[r]`); each lane stacks its frames' windows in its own
-/// column, so lanes at different call depths share rows without sharing
-/// cells. Windows are not bounds-checked against each other: register
-/// indices below the function's `num_regs` are the IR verifier's
-/// contract.
-#[derive(Clone, Debug)]
-pub(crate) struct RegFile {
-    cols: SlotCols,
-    /// Per lane: row of register 0 of the live frame.
-    bases: Vec<usize>,
-    /// Per lane: bump pointer, the first free row above the live frame.
-    tops: Vec<usize>,
-    /// The live frame base of every lane, while all lanes share one —
-    /// always, unless lanes sit at different call depths. Recomputed
-    /// after each call and return, the only arms that move a base.
-    shared: Option<usize>,
-}
-
-impl RegFile {
-    /// `width` lanes, each with a zeroed kernel frame of `num_regs`
-    /// registers whose first ones hold `args`.
-    fn new(width: usize, num_regs: usize, args: &[Value]) -> RegFile {
-        let mut cols = SlotCols::new(num_regs, width);
-        for (r, a) in args.iter().enumerate() {
-            cols.fill_rows(r, 1, *a, u64::MAX >> (64 - width));
-        }
-        RegFile { cols, bases: vec![0; width], tops: vec![num_regs; width], shared: Some(0) }
+/// [`groups`] for a data arm, counting the issue in `split` when its
+/// lanes sit at more than one base.
+#[inline(always)]
+fn by_base<'a>(ctl: &'a WarpCtl, mask: u64, split: &mut u64) -> BaseGroups<'a> {
+    if ctl.shared.is_none() {
+        let b = ctl.bases[mask.trailing_zeros() as usize];
+        *split += u64::from(lanes(mask).any(|l| ctl.bases[l] != b));
     }
-
-    /// Evaluates an operand of lane `l` against the window whose
-    /// register 0 sits at row `base` (a [`RegFile::bases`] entry, live
-    /// or saved).
-    #[inline]
-    fn read_at(&self, base: usize, l: usize, op: Operand) -> Value {
-        match op {
-            Operand::Imm(v) => v,
-            Operand::Reg(r) => self.cols.get(base + r.index(), l),
-        }
-    }
-
-    /// Evaluates an operand against lane `l`'s live frame.
-    #[inline]
-    fn read(&self, l: usize, op: Operand) -> Value {
-        self.read_at(self.bases[l], l, op)
-    }
-
-    /// Writes a register of lane `l`'s live frame.
-    #[inline]
-    fn write(&mut self, l: usize, dst: Reg, v: Value) {
-        self.cols.set(self.bases[l] + dst.index(), l, v);
-    }
-
-    /// Opens a zeroed window of `num_regs` registers above lane `l`'s
-    /// live frame and makes it live; returns its base row. The caller's
-    /// window stays intact underneath.
-    fn push(&mut self, l: usize, num_regs: usize) -> usize {
-        let base = self.tops[l];
-        let top = base + num_regs;
-        self.cols.grow(top);
-        for r in base..top {
-            self.cols.set(r, l, Value::default());
-        }
-        self.tops[l] = top;
-        self.bases[l] = base;
-        base
-    }
-
-    /// Releases lane `l`'s live window (based at row `base`) and makes
-    /// the caller's, at `caller_base`, live again. The released cells
-    /// keep their values until the next [`RegFile::push`].
-    fn pop(&mut self, l: usize, base: usize, caller_base: usize) {
-        self.tops[l] = base;
-        self.bases[l] = caller_base;
-    }
-
-    /// Re-derives [`RegFile::shared`] once calls or returns moved bases.
-    fn reshare(&mut self) {
-        self.shared = shared_base(&self.bases);
-    }
-
-    /// `mask`'s lanes grouped by live frame base ([`BaseGroups`]).
-    #[inline(always)]
-    fn groups(&self, mask: u64) -> BaseGroups<'_> {
-        BaseGroups { bases: &self.bases, shared: self.shared, rest: mask }
-    }
-
-    /// [`RegFile::groups`] beside the columns, for an arm that writes
-    /// rows while it walks the groups; counts the issue in `split` when
-    /// its lanes sit at more than one base.
-    #[inline(always)]
-    fn by_base(&mut self, mask: u64, split: &mut u64) -> (&mut SlotCols, BaseGroups<'_>) {
-        if self.shared.is_none() {
-            let b = self.bases[mask.trailing_zeros() as usize];
-            *split += u64::from(lanes(mask).any(|l| self.bases[l] != b));
-        }
-        (&mut self.cols, BaseGroups { bases: &self.bases, shared: self.shared, rest: mask })
-    }
-}
-
-/// The base every lane of `bases` shares, if they share one.
-fn shared_base(bases: &[usize]) -> Option<usize> {
-    let b = bases[0];
-    bases.iter().all(|&x| x == b).then_some(b)
+    groups(ctl, mask)
 }
 
 /// The lanes of an issue grouped by live frame base, lowest lane first:
@@ -223,7 +125,8 @@ impl Iterator for BaseGroups<'_> {
 /// the tags its operand rows' float words give over those lanes. Returns
 /// the first faulting lane in lane order.
 struct RowAlu<'a> {
-    regs: &'a mut RegFile,
+    regs: &'a mut SlotCols,
+    ctl: &'a WarpCtl,
     stats: &'a mut EngineStats,
     mask: u64,
     dst: Reg,
@@ -235,11 +138,10 @@ impl AluLoop for RowAlu<'_> {
     type Out = Result<(), LaneFault>;
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) -> Self::Out {
-        let RowAlu { regs, stats, mask, dst, lhs, rhs } = self;
+        let RowAlu { regs: cols, ctl, stats, mask, dst, lhs, rhs } = self;
         let (a, b) = (Src::of(lhs, 1), Src::of(rhs, 1));
-        let (cols, groups) = regs.by_base(mask, &mut stats.split_base_issues);
         let mut first: Option<(usize, String)> = None;
-        for (base, live) in groups {
+        for (base, live) in by_base(ctl, mask, &mut stats.split_base_issues) {
             let ops = (base + dst.index(), a.at(base), b.at(base));
             let classes = (ops.1.class(&cols.floats, 1, live), ops.2.class(&cols.floats, 1, live));
             let (done, dense) = typed!(classes.0, classes.1, alu_row(cols, ops, live, &k));
@@ -354,28 +256,28 @@ pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
 /// with two call sites the compiler otherwise leaves this check — run
 /// before every batched issue — out of line.
 #[inline(always)]
-fn batch_fault_free(regs: &RegFile, mask: u64, inst: &DecodedInst) -> bool {
+fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
     let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
     let (a, b) = (Src::of(lhs, 1), Src::of(rhs, 1));
-    regs.groups(mask)
-        .all(|(base, live)| crate::cols::fault_free(&regs.cols, cond, a.at(base), b.at(base), live))
+    groups(&warp.ctl, mask)
+        .all(|(base, live)| crate::cols::fault_free(&warp.regs, cond, a.at(base), b.at(base), live))
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct Thread {
-    pub(crate) frames: Vec<Frame>,
-    pub(crate) rng: SplitMix64,
-    pub(crate) local: Vec<Value>,
-}
-
-/// One warp of the decoded engine: the shared control plane plus each
-/// thread's data and this engine's scheduling hints and model state.
+/// One warp of the decoded engine: the shared control plane plus its
+/// lanes' data and this engine's scheduling hints and model state.
 #[derive(Clone, Debug)]
 pub(crate) struct Warp {
-    /// PCs, statuses, barrier registers and scheduler state.
+    /// PCs, statuses, call frames, barrier registers and scheduler state.
     pub(crate) ctl: WarpCtl,
-    pub(crate) threads: Vec<Thread>,
-    pub(crate) regs: RegFile,
+    /// Registers: lanes as slots, register `r` of the frame based at
+    /// offset `base` ([`WarpCtl::bases`]) at row `base + r`. Windows are
+    /// not bounds-checked against each other: register indices below the
+    /// function's `num_regs` are the IR verifier's contract.
+    pub(crate) regs: SlotCols,
+    /// Local memory: lanes as slots, one row per cell.
+    pub(crate) local: SlotCols,
+    /// Each lane's RNG stream.
+    pub(crate) rng: Vec<SplitMix64>,
     /// What the next round's pick would provably return — under any
     /// reconvergence model — recorded when a straight-line batch ends
     /// with its group intact (it broke on a non-batchable instruction,
@@ -418,21 +320,6 @@ impl Warp {
     fn schedulable(&self) -> u64 {
         self.ctl.runnable & self.ipdom_stack.last().map_or(u64::MAX, |e| e.pending)
     }
-
-    /// Debug-build invariant, checked beside [`WarpCtl::check_masks`]:
-    /// each lane's live window is its top frame's, and the bump pointer
-    /// sits exactly above it (the live pc names the frame's function).
-    #[cfg(debug_assertions)]
-    fn check_frames(&self, image: &DecodedImage) {
-        for (l, t) in self.threads.iter().enumerate() {
-            let top = t.frames.last().expect("thread has no frame");
-            let func = image.origin[self.ctl.pcs[l]].func;
-            let len = image.funcs[func.index()].num_regs as usize;
-            assert_eq!(self.regs.bases[l], top.base, "live base of lane {l}");
-            assert_eq!(self.regs.tops[l], top.base + len, "bump pointer of lane {l}");
-        }
-        assert_eq!(self.regs.shared, shared_base(&self.regs.bases), "stale shared frame base");
-    }
 }
 
 /// Reusable hot-loop buffers owned by the [`Machine`].
@@ -462,7 +349,8 @@ pub(crate) struct Machine<'m> {
     /// Per-pc issue costs, `image.resolve_costs(&cfg.latency)`.
     pub(crate) costs: Vec<u32>,
     pub(crate) warps: Vec<Warp>,
-    pub(crate) global: Vec<Value>,
+    /// Global memory: one slot, one row per address.
+    pub(crate) global: SlotCols,
     pub(crate) metrics: Metrics,
     pub(crate) trace: Option<Trace>,
     pub(crate) profile: Option<Profile>,
@@ -574,24 +462,19 @@ impl<'m> Machine<'m> {
     ) -> Result<Machine<'m>, SimError> {
         let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
         let width = cfg.warp_width;
+        // Every lane's kernel frame: zeroed, its first registers the
+        // arguments.
+        let mut regs = SlotCols::new(kfunc.num_regs as usize, width);
+        for (r, a) in launch.args.iter().enumerate() {
+            regs.fill_rows(r, 1, *a, ctl.lane_mask);
+        }
         let mut warps = Vec::with_capacity(launch.num_warps);
         for w in 0..launch.num_warps {
-            let mut threads = Vec::with_capacity(width);
-            for lane in 0..width {
-                let tid = (w * width + lane) as u64;
-                threads.push(Thread {
-                    frames: vec![Frame {
-                        pc: kfunc.entry_pc as usize,
-                        ret_regs: PoolRange::EMPTY,
-                        base: 0,
-                    }],
-                    rng: SplitMix64::for_thread(launch.seed, tid),
-                    local: vec![Value::default(); launch.local_mem_size],
-                });
-            }
+            let tids = (w * width..(w + 1) * width).map(|tid| tid as u64);
             warps.push(Warp {
-                threads,
-                regs: RegFile::new(width, kfunc.num_regs as usize, &launch.args),
+                regs: regs.clone(),
+                local: SlotCols::new(launch.local_mem_size, width),
+                rng: tids.map(|tid| SplitMix64::for_thread(launch.seed, tid)).collect(),
                 pick_hint: None,
                 hint_split: 0,
                 other_pcs: Vec::new(),
@@ -611,7 +494,7 @@ impl<'m> Machine<'m> {
             cfg,
             costs: image.resolve_costs(&cfg.latency),
             warps,
-            global: launch.global_mem.clone(),
+            global: SlotCols::of_values(&launch.global_mem, 1),
             metrics: Metrics::new(launch.num_warps, width),
             trace: if cfg.trace { Some(Trace::new(width)) } else { None },
             profile: if cfg.profile { Some(Profile::new()) } else { None },
@@ -828,7 +711,7 @@ impl<'m> Machine<'m> {
             // but the group survives the issue only if every lane took
             // the same direction.
             if !(matches!(inst, DecodedInst::Branch { .. }) || is_warp_local(inst))
-                || !batch_fault_free(&self.warps[w].regs, mask, inst)
+                || !batch_fault_free(&self.warps[w], mask, inst)
             {
                 break;
             }
@@ -891,7 +774,7 @@ impl<'m> Machine<'m> {
     pub(crate) fn into_output(self) -> SimOutput {
         let Machine { global, mut metrics, trace, profile, journal, stats, cycle, .. } = self;
         metrics.cycles = cycle;
-        SimOutput { metrics, engine: stats, global_mem: global, trace, profile, journal }
+        SimOutput { metrics, engine: stats, global_mem: global.column(0), trace, profile, journal }
     }
 
     /// Records one journal event, if journaling is on.
@@ -922,7 +805,7 @@ impl<'m> Machine<'m> {
     /// Picks warp `w`'s next group through the shared control plane.
     fn pick_group(&mut self, w: usize) -> Option<(usize, u64)> {
         #[cfg(debug_assertions)]
-        self.warps[w].check_frames(self.image);
+        self.warps[w].ctl.check_frames(self.image);
         let eligible = self.warps[w].schedulable();
         let Warp { ctl, other_pcs, .. } = &mut self.warps[w];
         ctl.pick_group(self.cfg.scheduler, eligible, &mut self.scratch.groups, other_pcs)
@@ -996,8 +879,7 @@ impl<'m> Machine<'m> {
                 // them.
                 if rpc != NO_RPC {
                     let warp = &mut self.warps[w];
-                    let lead = taken.trailing_zeros() as usize;
-                    let depth = warp.threads[lead].frames.len() as u32;
+                    let depth = warp.ctl.depths[taken.trailing_zeros() as usize] as u32;
                     let entry = StackEntry { rpc, depth, pending: not_taken, arrived: 0 };
                     warp.ipdom_stack.push(entry);
                     warp.ipdom_stack.push(StackEntry { pending: taken, ..entry });
@@ -1020,15 +902,14 @@ impl<'m> Machine<'m> {
         }
         let warp = &mut self.warps[w];
         loop {
-            let pcs = &warp.ctl.pcs;
-            let threads = &warp.threads;
+            let ctl = &warp.ctl;
             let Some(top) = warp.ipdom_stack.last_mut() else { break };
             // A lane arrives when it reaches the reconvergence pc at the
             // push-time call depth while still runnable (a blocked lane
             // has not arrived — its pc has not passed the blocking op).
             let mut arrived = 0u64;
-            for l in lanes(top.pending & warp.ctl.runnable) {
-                if pcs[l] == top.rpc as usize && threads[l].frames.len() == top.depth as usize {
+            for l in lanes(top.pending & ctl.runnable) {
+                if ctl.pcs[l] == top.rpc as usize && ctl.depths[l] == top.depth as usize {
                     arrived |= 1 << l;
                 }
             }
@@ -1074,7 +955,7 @@ impl<'m> Machine<'m> {
         #[cfg(debug_assertions)]
         {
             self.warps[w].ctl.check_masks();
-            self.warps[w].check_frames(self.image);
+            self.warps[w].ctl.check_frames(self.image);
         }
         let cycle = self.cycle;
         if let Some((pc, mask)) = self.take_hint(w) {
@@ -1435,19 +1316,12 @@ impl<'m> Machine<'m> {
         let warp = &mut warps[w];
         if let BarrierOp::ArrivedCount { dst, bar } = op {
             let n = Value::I64(warp.ctl.arrived(bar));
-            for l in lanes(mask) {
-                warp.regs.write(l, dst, n);
+            for (base, live) in groups(&warp.ctl, mask) {
+                warp.regs.fill_rows(base + dst.index(), 1, n, live);
             }
         }
         matches!(cfg.recon, ReconvergenceModel::IpdomStack)
             || warp.ctl.barrier(mask, op, &mut |e| journal_ctl(journal, *cycle, w, e))
-    }
-
-    /// Exits the lanes of `mask` (kernel `exit`, or a return from the
-    /// kernel frame).
-    fn exit_lanes(&mut self, w: usize, mask: u64) {
-        let Machine { warps, journal, cycle, .. } = self;
-        warps[w].ctl.exit(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
     }
 
     /// Executes the instruction at `pc` for `mask`, whose lanes all stand
@@ -1468,49 +1342,46 @@ impl<'m> Machine<'m> {
         let mut cost = self.costs[pc];
         let next = match *inst {
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                let regs = &mut self.warps[w].regs;
-                let alu = RowAlu { regs, stats: &mut self.stats, mask, dst, lhs, rhs };
+                let Warp { regs, ctl, .. } = &mut self.warps[w];
+                let alu = RowAlu { regs, ctl, stats: &mut self.stats, mask, dst, lhs, rhs };
                 crate::alu::with_bin(op, alu).map_err(|f| f.into_error(at))?;
                 Some(pc + 1)
             }
             DecodedInst::Un { op, dst, src } => {
                 // Unary kernels ignore `rhs`; an immediate costs no read.
-                let (regs, rhs) = (&mut self.warps[w].regs, Operand::Imm(Value::default()));
-                let alu = RowAlu { regs, stats: &mut self.stats, mask, dst, lhs: src, rhs };
+                let (Warp { regs, ctl, .. }, rhs) =
+                    (&mut self.warps[w], Operand::Imm(Value::default()));
+                let alu = RowAlu { regs, ctl, stats: &mut self.stats, mask, dst, lhs: src, rhs };
                 crate::alu::with_un(op, alu).map_err(|f| f.into_error(at))?;
                 Some(pc + 1)
             }
             DecodedInst::Mov { dst, src } => {
-                let (regs, src) = (&mut self.warps[w].regs, Src::of(src, 1));
-                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
-                for (base, live) in groups {
-                    cols.assign_rows(base + dst.index(), 1, src.at(base), live);
+                let (Warp { regs, ctl, .. }, src) = (&mut self.warps[w], Src::of(src, 1));
+                for (base, live) in by_base(ctl, mask, &mut self.stats.split_base_issues) {
+                    regs.assign_rows(base + dst.index(), 1, src.at(base), live);
                 }
                 Some(pc + 1)
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
-                let regs = &mut self.warps[w].regs;
+                let Warp { regs, ctl, .. } = &mut self.warps[w];
                 let [cond, if_true, if_false] = [cond, if_true, if_false].map(|o| Src::of(o, 1));
-                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
-                for (base, live) in groups {
+                for (base, live) in by_base(ctl, mask, &mut self.stats.split_base_issues) {
                     // Payloads and type bits move untouched: two masked
                     // row copies (`cond` is read before either writes).
-                    let (rd, t) = (base + dst.index(), cond.at(base).truthy(cols, live));
-                    cols.assign_rows(rd, 1, if_true.at(base), t);
-                    cols.assign_rows(rd, 1, if_false.at(base), live & !t);
+                    let (rd, t) = (base + dst.index(), cond.at(base).truthy(regs, live));
+                    regs.assign_rows(rd, 1, if_true.at(base), t);
+                    regs.assign_rows(rd, 1, if_false.at(base), live & !t);
                 }
                 Some(pc + 1)
             }
             DecodedInst::Load { dst, space, addr } => {
-                cost = self
-                    .access(w, mask, space, addr, None, Some(dst), cost)
-                    .map_err(|f| f.into_error(at))?;
+                let op = MemOp::Load(dst);
+                cost = self.access(w, mask, space, addr, op, cost).map_err(|f| f.into_error(at))?;
                 Some(pc + 1)
             }
             DecodedInst::Store { space, addr, value } => {
-                cost = self
-                    .access(w, mask, space, addr, Some(value), None, cost)
-                    .map_err(|f| f.into_error(at))?;
+                let op = MemOp::Store(value);
+                cost = self.access(w, mask, space, addr, op, cost).map_err(|f| f.into_error(at))?;
                 Some(pc + 1)
             }
             DecodedInst::AtomicAdd { dst, addr, value } => {
@@ -1519,29 +1390,25 @@ impl<'m> Machine<'m> {
                 // invalidate the lines they touch.
                 let cfg = self.cfg;
                 let Machine { warps, global, scratch, .. } = self;
-                let warp = &mut warps[w];
-                let addrs = &mut scratch.addrs;
-                addrs.clear();
+                let Warp { regs, ctl, .. } = &mut warps[w];
+                let (addr, value, size) = (Src::of(addr, 1), Src::of(value, 1), global.rows());
+                let add = |a, b| crate::alu::eval_bin(BinOp::Add, a, b);
+                scratch.addrs.clear();
                 let mut failed: Option<LaneFault> = None;
-                let space = MemSpace::Global;
                 for l in lanes(mask) {
-                    let a = warp.regs.read(l, addr).as_i64();
-                    let v = warp.regs.read(l, value);
-                    if a < 0 || a as usize >= global.len() {
-                        failed =
-                            Some(LaneFault::Oob { lane: l, addr: a, size: global.len(), space });
+                    let base = ctl.bases[l];
+                    let a = addr.at(base).get(regs, l).as_i64();
+                    let Some(m) = cell(a, size) else {
+                        let space = MemSpace::Global;
+                        failed = Some(LaneFault::Oob { lane: l, addr: a, size, space });
+                        break;
+                    };
+                    let reg = (base + dst.index(), value.at(base), l);
+                    if let Err(message) = add_cell(regs, reg, global, (m, 0), add) {
+                        failed = Some(LaneFault::Arith { lane: l, message });
                         break;
                     }
-                    let old = global[a as usize];
-                    match crate::alu::eval_bin(BinOp::Add, old, v) {
-                        Ok(new) => global[a as usize] = new,
-                        Err(m) => {
-                            failed = Some(LaneFault::Arith { lane: l, message: m });
-                            break;
-                        }
-                    }
-                    warp.regs.write(l, dst, old);
-                    addrs.push(a);
+                    scratch.addrs.push(a);
                 }
                 Self::invalidate_lines(cfg, warps, &scratch.addrs);
                 if let Some(fault) = failed {
@@ -1550,30 +1417,23 @@ impl<'m> Machine<'m> {
                 Some(pc + 1)
             }
             DecodedInst::Special { dst, kind } => {
-                let width = self.cfg.warp_width;
-                let n_threads = (self.warps.len() * width) as i64;
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    let v = match kind {
-                        SpecialValue::Tid => Value::I64((w * width + l) as i64),
-                        SpecialValue::LaneId => Value::I64(l as i64),
-                        SpecialValue::WarpId => Value::I64(w as i64),
-                        SpecialValue::NumThreads => Value::I64(n_threads),
-                        SpecialValue::WarpWidth => Value::I64(width as i64),
-                    };
-                    warp.regs.write(l, dst, v);
+                let (width, warps) = (self.cfg.warp_width, self.warps.len());
+                let value = |l| crate::alu::special(kind, w, l, width, warps) as u64;
+                let Warp { regs, ctl, .. } = &mut self.warps[w];
+                for (base, live) in groups(ctl, mask) {
+                    regs.fill_rows_with(base + dst.index(), 1, false, live, |_, l| value(l));
                 }
                 Some(pc + 1)
             }
             DecodedInst::Rng { dst, kind } => {
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    let rng = &mut warp.threads[l].rng;
-                    let v = match kind {
-                        RngKind::U63 => Value::I64(rng.next_u63()),
-                        RngKind::Unit => Value::F64(rng.next_unit()),
-                    };
-                    warp.regs.write(l, dst, v);
+                let Warp { regs, ctl, rng, .. } = &mut self.warps[w];
+                let mut draw = |l: usize| match kind {
+                    RngKind::U63 => rng[l].next_u63() as u64,
+                    RngKind::Unit => rng[l].next_unit().to_bits(),
+                };
+                let float = matches!(kind, RngKind::Unit);
+                for (base, live) in groups(ctl, mask) {
+                    regs.fill_rows_with(base + dst.index(), 1, float, live, |_, l| draw(l));
                 }
                 Some(pc + 1)
             }
@@ -1584,45 +1444,38 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous: counts over the lanes issued together.
-                let (regs, pred) = (&mut self.warps[w].regs, Src::of(pred, 1));
-                let votes = regs.groups(mask);
-                let t = votes.fold(0, |t, (base, live)| t | pred.at(base).truthy(&regs.cols, live));
+                let (Warp { regs, ctl, .. }, pred) = (&mut self.warps[w], Src::of(pred, 1));
+                let votes = groups(ctl, mask);
+                let t = votes.fold(0, |t, (base, live)| t | pred.at(base).truthy(regs, live));
                 let count = Value::I64(i64::from(t.count_ones()));
-                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
-                for (base, live) in groups {
-                    cols.fill_rows(base + dst.index(), 1, count, live);
+                for (base, live) in by_base(ctl, mask, &mut self.stats.split_base_issues) {
+                    regs.fill_rows(base + dst.index(), 1, count, live);
                 }
                 Some(pc + 1)
             }
             DecodedInst::SeedRng { src } => {
-                let launch_mix = 0x5EED_u64; // stream domain separator
-                let warp = &mut self.warps[w];
+                let (Warp { regs, ctl, rng, .. }, src) = (&mut self.warps[w], Src::of(src, 1));
                 for l in lanes(mask) {
-                    let v = warp.regs.read(l, src).as_i64() as u64;
-                    warp.threads[l].rng = SplitMix64::for_thread(v ^ launch_mix, v);
+                    rng[l] = SplitMix64::for_seed_rng(src.at(ctl.bases[l]).get(regs, l).as_i64());
                 }
                 Some(pc + 1)
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
-                let arg_ops = image.operands(args);
-                let Warp { regs, ctl, threads, .. } = &mut self.warps[w];
+                let (arg_ops, num_regs) = (image.operands(args), num_regs as usize);
+                let Warp { regs, ctl, .. } = &mut self.warps[w];
                 for l in lanes(mask) {
-                    let frames = &mut threads[l].frames;
-                    // Suspend the caller: save its resume point (the
-                    // return lands after the call); the live pc moves
-                    // to the callee.
-                    frames.last_mut().expect("thread has no frame").pc = pc + 1;
-                    // Arguments evaluate in the caller window, which
-                    // stays intact under the callee's.
-                    let caller = regs.bases[l];
-                    let base = regs.push(l, num_regs as usize);
+                    // A zeroed window at the bump pointer; arguments
+                    // evaluate in the caller window, which stays intact
+                    // under the callee's.
+                    let (caller, callee) = (ctl.bases[l], ctl.tops[l]);
+                    regs.grow(callee + num_regs);
+                    regs.fill_rows(callee, num_regs, Value::default(), 1 << l);
                     for (i, a) in arg_ops.iter().enumerate() {
-                        regs.write(l, Reg(i as u32), regs.read_at(caller, l, *a));
+                        regs.set(callee + i, l, Src::of(*a, 1).at(caller).get(regs, l));
                     }
-                    frames.push(Frame { pc: entry_pc as usize, ret_regs: rets, base });
-                    ctl.pcs[l] = entry_pc as usize;
                 }
-                regs.reshare();
+                // The return lands after the call.
+                ctl.call(mask, pc + 1, entry_pc as usize, rets, num_regs);
                 None
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1639,8 +1492,8 @@ impl<'m> Machine<'m> {
             DecodedInst::Jump { target } => Some(target as usize),
             DecodedInst::Branch { cond, then_pc, else_pc } => {
                 let (Warp { regs, ctl, .. }, cond) = (&mut self.warps[w], Src::of(cond, 1));
-                let (cols, groups) = regs.by_base(mask, &mut self.stats.split_base_issues);
-                let taken = groups.fold(0, |t, (base, live)| t | cond.at(base).truthy(cols, live));
+                let groups = by_base(ctl, mask, &mut self.stats.split_base_issues);
+                let taken = groups.fold(0, |t, (base, live)| t | cond.at(base).truthy(regs, live));
                 let not_taken = mask & !taken;
                 if taken == 0 || not_taken == 0 {
                     Some(if taken != 0 { then_pc } else { else_pc } as usize)
@@ -1670,36 +1523,26 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Return { values } => {
                 let value_ops = image.operands(values);
-                let Warp { regs, ctl, threads, .. } = &mut self.warps[w];
-                let mut exited = 0u64;
+                let Machine { warps, journal, cycle, .. } = self;
+                let Warp { regs, ctl, .. } = &mut warps[w];
                 for l in lanes(mask) {
-                    let frames = &mut threads[l].frames;
-                    if frames.len() == 1 {
-                        // Returning from the kernel frame behaves as exit
-                        // (the verifier rejects this statically, but stay
-                        // safe at runtime).
-                        exited |= 1 << l;
-                        continue;
+                    // The values move from the callee window to the
+                    // caller's; a lane in its kernel frame exits instead
+                    // (the verifier rejects that statically, but stay
+                    // safe at runtime).
+                    let Some(d) = ctl.depths[l].checked_sub(1) else { continue };
+                    let (callee, caller) = (ctl.top(l), ctl.frame(l, d).base);
+                    for (r, v) in image.regs(callee.ret_regs).iter().zip(value_ops) {
+                        let value = Src::of(*v, 1).at(callee.base).get(regs, l);
+                        regs.set(caller + r.index(), l, value);
                     }
-                    let frame = frames.pop().expect("return without frame");
-                    let caller = frames.last().expect("caller frame");
-                    // Values evaluate in the callee window, which keeps
-                    // its cells after the pop makes the caller's live.
-                    let callee = regs.bases[l];
-                    regs.pop(l, frame.base, caller.base);
-                    for (r, v) in image.regs(frame.ret_regs).iter().zip(value_ops) {
-                        regs.write(l, *r, regs.read_at(callee, l, *v));
-                    }
-                    ctl.pcs[l] = caller.pc;
                 }
-                regs.reshare();
-                if exited != 0 {
-                    self.exit_lanes(w, exited);
-                }
+                ctl.ret(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
                 None
             }
             DecodedInst::Exit => {
-                self.exit_lanes(w, mask);
+                let Machine { warps, journal, cycle, .. } = self;
+                warps[w].ctl.exit(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
                 None
             }
         };
@@ -1709,42 +1552,39 @@ impl<'m> Machine<'m> {
     /// The shared load/store path: evaluates per-lane addresses,
     /// performs the access, and (for global space)
     /// folds the coalescing/cache cost model over the touched addresses.
-    /// `value` selects store semantics, `dst` load semantics. Leaves the
-    /// lanes at their pc, like every arm of [`Machine::exec`].
-    #[allow(clippy::too_many_arguments)]
+    /// Leaves the lanes at their pc, like every arm of [`Machine::exec`].
     fn access(
         &mut self,
         w: usize,
         mask: u64,
         space: MemSpace,
         addr: Operand,
-        value: Option<Operand>,
-        dst: Option<simt_ir::Reg>,
+        op: MemOp,
         base_cost: u32,
     ) -> Result<u32, LaneFault> {
         let cfg = self.cfg;
         let now = self.cycle;
         let Machine { warps, global, scratch, metrics, mshrs, pending_mem, .. } = self;
-        let Warp { regs, threads, mem_tags, .. } = &mut warps[w];
+        let Warp { regs, ctl, local, mem_tags, .. } = &mut warps[w];
         let addrs = &mut scratch.addrs;
         addrs.clear();
         let mut failed: Option<LaneFault> = None;
+        let (addr, reg) = (Src::of(addr, 1), op.reg(1));
+        // Global memory is one slot wide; local memory has one per lane.
+        let (mem, per_lane) = match space {
+            MemSpace::Global => (global, false),
+            MemSpace::Local => (local, true),
+        };
         for l in lanes(mask) {
-            let mem: &mut [Value] = match space {
-                MemSpace::Global => global,
-                MemSpace::Local => &mut threads[l].local,
-            };
-            let a = regs.read(l, addr).as_i64();
+            let base = ctl.bases[l];
+            let a = addr.at(base).get(regs, l).as_i64();
             addrs.push(a);
-            if a < 0 || a as usize >= mem.len() {
-                failed = Some(LaneFault::Oob { lane: l, addr: a, size: mem.len(), space });
+            let Some(m) = cell(a, mem.rows()) else {
+                failed = Some(LaneFault::Oob { lane: l, addr: a, size: mem.rows(), space });
                 break;
-            }
-            match (value, dst) {
-                (Some(v), _) => mem[a as usize] = regs.read(l, v),
-                (None, Some(dst)) => regs.write(l, dst, mem[a as usize]),
-                (None, None) => {}
-            }
+            };
+            let ms = if per_lane { l } else { 0 };
+            move_cell(regs, (reg.at(base), l), mem, (m, ms), op.is_load());
         }
         let mut cost = base_cost;
         if space == MemSpace::Global {
@@ -1768,7 +1608,7 @@ impl<'m> Machine<'m> {
                 let segs = lat.segments_in(&scratch.addrs, &mut scratch.lines);
                 base_cost + lat.mem_segment * segs.saturating_sub(1)
             };
-            if value.is_some() {
+            if !op.is_load() {
                 // Stores write through: cost like a load, but the
                 // touched lines are invalidated in every warp (they
                 // now differ from any cached copy).
@@ -1813,7 +1653,7 @@ fn journal_ctl(journal: &mut Option<Journal>, cycle: u64, warp: usize, e: CtlEve
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::alloc_count;
     use crate::machine::Launch;
@@ -2162,6 +2002,85 @@ bb0:
         }
     }
 
+    /// `atomic_add` at addresses that differ by lane and by seed: a
+    /// lane-typed value (`0.5` in odd lanes, `3` in even ones) into the
+    /// alternating integer (even) and float (odd) cells `0..9`, at
+    /// `tid % 8` and then one cell further in the seeds whose draw is odd;
+    /// the NaN argument into cell 10 by every lane; and, where the draw is
+    /// 3 mod 4, the middle lane's second add out of range. Each thread
+    /// stores its three old values at `16 + 3 * tid`.
+    pub(crate) const ATOMIC_KERNEL: &str = "\
+kernel @k(params=1, regs=14, barriers=0, entry=bb0) {
+bb0:
+  %r1 = special.tid
+  %r2 = special.lane
+  %r3 = rem %r2, 2
+  %r4 = sel %r3, 0.5, 3
+  %r5 = rem %r1, 8
+  %r6 = atomic_add [%r5], %r4
+  %r7 = atomic_add [10], %r0
+  %r8 = rng.u63
+  %r9 = rem %r8, 2
+  %r9 = add %r5, %r9
+  %r8 = rem %r8, 4
+  %r8 = eq %r8, 3
+  %r10 = special.warpwidth
+  %r10 = div %r10, 2
+  %r10 = eq %r2, %r10
+  %r10 = and %r10, %r8
+  %r10 = mul %r10, 100000
+  %r9 = add %r9, %r10
+  %r11 = atomic_add [%r9], %r4
+  %r12 = mul %r1, 3
+  %r12 = add %r12, 16
+  store global[%r12], %r6
+  %r12 = add %r12, 1
+  store global[%r12], %r7
+  %r12 = add %r12, 1
+  store global[%r12], %r11
+  exit
+}
+";
+
+    /// [`ATOMIC_KERNEL`]'s launch on two warps of `width` lanes.
+    pub(crate) fn atomic_launch(width: usize, seed: u64) -> Launch {
+        let cell = |i| match i {
+            i if i % 2 == 1 => Value::F64(i as f64 + 0.25),
+            i => Value::I64(i as i64),
+        };
+        let nan = Value::F64(f64::from_bits(0x7ff8_0000_dead_beef));
+        let outs = std::iter::repeat_n(Value::I64(-1), 6 * width);
+        Launch {
+            args: vec![nan],
+            global_mem: (0..16).map(cell).chain(outs).collect(),
+            seed,
+            ..launch_of(vec![], 0, Value::I64(0))
+        }
+    }
+
+    /// [`ATOMIC_KERNEL`] matches the oracle; the NaN survives the adds and
+    /// an out-of-range middle lane faults the run there.
+    #[test]
+    fn atomics_at_lane_and_seed_dependent_addresses_match_the_oracle() {
+        let (mut ok, mut faulted) = (0, 0);
+        for seed in 0..6 {
+            for (width, out) in against_oracle(ATOMIC_KERNEL, |w| atomic_launch(w, seed)) {
+                match out {
+                    Ok(out) => {
+                        ok += 1;
+                        assert!(matches!(out.global_mem[10], Value::F64(x) if x.is_nan()));
+                    }
+                    Err(SimError::MemoryFault { at, .. }) => {
+                        faulted += 1;
+                        assert_eq!(at.lane, width / 2, "seed {seed} width {width}");
+                    }
+                    Err(e) => panic!("seed {seed} width {width}: {e}"),
+                }
+            }
+        }
+        assert!(ok > 0 && faulted > 0, "{ok} clean runs, {faulted} faults");
+    }
+
     /// Runs `src` profiled on two warps of four lanes: batched, as its
     /// traced twin (tracing turns batches and hints off) and, under the
     /// barrier file (the only model the oracle has), on the oracle.
@@ -2400,7 +2319,7 @@ bb0:
     /// 64, under every policy (they interleave the two arms
     /// differently), bit-identical to the tree-walking oracle. Lanes at
     /// two depths meet at one pc of `@g`, where the data arms run one
-    /// row op per frame base. Debug builds also run `Warp::check_frames`
+    /// row op per frame base. Debug builds also run `WarpCtl::check_frames`
     /// at every pick.
     #[test]
     fn divergent_call_depths_share_the_arena_safely() {

@@ -55,9 +55,10 @@ pub struct ReconStats {
 pub(crate) struct StackEntry {
     /// Flat pc where this entry's lanes reconverge.
     pub rpc: u32,
-    /// Call depth (`frames.len()`) captured at push time; arrival
-    /// requires an equal depth so recursive re-entry into the rpc's
-    /// block does not park a lane early.
+    /// Frame depth (`WarpCtl::depths`, 0 in the kernel frame) of the
+    /// branching lanes, captured at push time; arrival requires an equal
+    /// depth so recursive re-entry into the rpc's block does not park a
+    /// lane early.
     pub depth: u32,
     /// Lanes that still have to arrive at `rpc`.
     pub pending: u64,

@@ -64,14 +64,14 @@ enum Status {
 }
 
 #[derive(Clone, Debug)]
-struct Thread {
+struct ThreadState {
     frames: Vec<Frame>,
     status: Status,
     rng: SplitMix64,
     local: Vec<Value>,
 }
 
-impl Thread {
+impl ThreadState {
     fn frame(&self) -> &Frame {
         self.frames.last().expect("thread has no frame")
     }
@@ -82,7 +82,7 @@ impl Thread {
 
 #[derive(Clone, Debug)]
 struct Warp {
-    threads: Vec<Thread>,
+    threads: Vec<ThreadState>,
     /// Barrier participation masks, one bit per lane.
     masks: Vec<u64>,
     busy_until: u64,
@@ -159,7 +159,7 @@ pub fn run_reference(
             for (i, a) in launch.args.iter().enumerate() {
                 regs[i] = *a;
             }
-            threads.push(Thread {
+            threads.push(ThreadState {
                 frames: vec![Frame {
                     func: kernel,
                     block: kfunc.entry,

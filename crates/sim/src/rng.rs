@@ -38,6 +38,13 @@ impl SplitMix64 {
         Self::for_thread(seed_lo.wrapping_add(instance), tid)
     }
 
+    /// The stream `seed_rng` installs from its operand's integer value
+    /// `v` (the decoded engines; the oracle spells it out as the spec).
+    pub(crate) fn for_seed_rng(v: i64) -> Self {
+        let v = v as u64;
+        Self::for_thread(v ^ 0x5EED, v) // stream domain separator
+    }
+
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

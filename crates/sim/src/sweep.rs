@@ -4,11 +4,12 @@
 //! Monte Carlo sweeps run one [`DecodedImage`] over many seeds that
 //! differ only in RNG-dependent data. This module executes up to 64
 //! seed-*instances* of one launch in lockstep: control state (PCs,
-//! status masks, barrier registers, the scheduler's pick state, the
-//! clock) is stored **once per sub-cohort** and shared by every
-//! instance in it, while data state (register files, local memory, RNG
-//! streams, global memory, memory-hierarchy tags) is stored
-//! structure-of-arrays — flat columns indexed
+//! status masks, call frames, barrier registers, the scheduler's pick
+//! state — one [`WarpCtl`] per warp — and the clock) is stored **once
+//! per sub-cohort** and shared by every instance in it, while data state
+//! (register files, local memory, RNG streams, global memory,
+//! memory-hierarchy tags) is stored structure-of-arrays — flat columns
+//! indexed
 //! `[cell * nslots + slot]` with no per-instance pointers. One
 //! scheduling decision, one instruction decode, one cost lookup, and
 //! one metrics update then serve every instance of a sub-cohort; only
@@ -20,7 +21,8 @@
 //! registers and local memory are warp-major, so the adjacent lanes of
 //! an issue are adjacent rows and a whole register of theirs is one run
 //! of memory. A memory access whose address is the same in every slot is
-//! one row copy per lane.
+//! one row copy per lane; any other goes cell by cell through the same
+//! bounds check and cell kernels the decoded engine calls.
 //!
 //! # Fork, masked execution, merge
 //!
@@ -43,10 +45,10 @@
 //! A fork is speculative reconvergence applied one axis up: instead of
 //! abandoning the vector unit for scalar replay, the diverging class
 //! keeps executing under its slot mask. Only the *control plane* is
-//! copied (pcs, status masks, frame metadata, scheduler state, the
-//! clock) — the SoA value columns are already slot-indexed, so the
-//! child reads and writes the same data plane through its own slot
-//! mask and **no data moves on fork**. The child's control snapshot is
+//! copied (the warps' [`WarpCtl`]s and the clock) — the SoA value
+//! columns are already slot-indexed, so the child reads and writes the
+//! same data plane through its own slot mask and **no data moves on
+//! fork**. The child's control snapshot is
 //! taken before the divergent issue applies, with the issuing warp's
 //! scheduler fields rewound to their pre-pick values, so the child
 //! re-picks and re-executes that issue itself on the exact unbatched
@@ -58,11 +60,13 @@
 //! sub-cohorts whose clocks and control planes re-agree are *merged*
 //! (slot-mask union; the shared data plane needs no reconciliation),
 //! restoring full-width lockstep after reconvergent divergence. The
-//! control-plane comparison is sound because every sub-cohort
-//! schedules through the same pick path (see [`crate::sched`]): equal
-//! control planes pick identically forever after — and both the
-//! cohort and the scalar engine drive one [`WarpCtl`], so there is one
-//! pick path and one set of barrier transitions to agree with.
+//! merge test is `==` on the two sub-cohorts' [`WarpCtl`]s, whose
+//! equality covers the call frames too. It is sound because every
+//! sub-cohort schedules through the same pick path (see
+//! [`crate::sched`]): equal control planes pick identically forever
+//! after — and both the cohort and the scalar engine drive one
+//! [`WarpCtl`], so there is one pick path, one call stack and one set of
+//! barrier transitions to agree with.
 //!
 //! When a fork would exceed [`MAX_SUBCOHORTS`], the minority class's
 //! slots are *set aside*: they leave the cohort, and once it drains each
@@ -85,18 +89,18 @@
 use crate::alu::AluLoop;
 use crate::barrier::WarpCtl;
 use crate::cols::{
-    class, decode, encode, move_cell, move_row, tagged, truthy, typed, uniform_addr, zip_rows,
-    Class, RowRef, SlotCols, Src, FLOAT, INT, PER_SLOT,
+    add_cell, cell, class, decode, encode, fault_free, move_cell, move_row, tagged, truthy, typed,
+    uniform_addr, zip_rows, Class, MemOp, RowRef, SlotCols, Src, FLOAT, INT, PER_SLOT,
 };
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
-use crate::decode::{DecodedImage, DecodedInst, PoolRange};
+use crate::decode::{DecodedImage, DecodedInst};
 use crate::error::{LaneFault, ReconDump, SimError};
-use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, Frame, BATCH_LIMIT};
+use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, BATCH_LIMIT};
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, Spans};
-use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, RngKind, SpecialValue, Value};
+use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, RngKind, Value};
 use std::cmp::Ordering;
 
 /// Width of one lockstep cohort: slots are tracked in a `u64` mask,
@@ -348,92 +352,11 @@ struct RowScratch {
     imm: [Vec<u64>; 2],
 }
 
-/// A memory instruction's data direction.
-#[derive(Clone, Copy)]
-enum MemOp {
-    Load(simt_ir::Reg),
-    Store(Operand),
-}
-
-impl MemOp {
-    fn is_load(self) -> bool {
-        matches!(self, MemOp::Load(_))
-    }
-
-    /// The access's register side: a load's destination, a store's value.
-    fn reg(self, width: usize) -> Src {
-        match self {
-            MemOp::Load(dst) => Src::Row(dst.index() * width),
-            MemOp::Store(v) => Src::of(v, width),
-        }
-    }
-}
-
-/// One warp's control plane, owned per sub-cohort: the shared
-/// [`WarpCtl`] plus every lane's frame structure, flat. Structure (where
-/// a frame's register window sits in the arena — the [`Frame`] metadata
-/// the decoded engine keeps) is control and is shared by every slot of
-/// the sub-cohort; the register *values* inside the window are data.
-#[derive(Clone, Debug)]
-struct CWarp {
-    ctl: WarpCtl,
-    /// Per lane: row of register 0 of the live frame, `base * width +
-    /// lane`.
-    bases: Vec<usize>,
-    /// Per lane: arena bump pointer, the first free base above the live
-    /// frame.
-    tops: Vec<usize>,
-    /// Per lane: index of the live frame (0 = the kernel's).
-    depths: Vec<usize>,
-    /// Frame `d` of lane `l` at `[d * width + l]`, for `d <=
-    /// depths[l]`; entries above a lane's depth are stale.
-    frames: Vec<Frame>,
-}
-
-impl CWarp {
-    #[inline]
-    fn width(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// Lane `l`'s live frame.
-    #[inline]
-    fn top(&self, l: usize) -> Frame {
-        self.frames[self.depths[l] * self.width() + l]
-    }
-
-    /// Suspends lane `l`'s frame at `ret_pc` and stacks a callee frame of
-    /// `num_regs` registers at the bump pointer.
-    fn push_frame(
-        &mut self,
-        l: usize,
-        ret_pc: usize,
-        pc: usize,
-        ret_regs: PoolRange,
-        num_regs: usize,
-    ) {
-        let (width, d) = (self.width(), self.depths[l] + 1);
-        if self.frames.len() < (d + 1) * width {
-            self.frames
-                .resize((d + 1) * width, Frame { pc: 0, ret_regs: PoolRange::EMPTY, base: 0 });
-        }
-        self.frames[(d - 1) * width + l].pc = ret_pc;
-        self.frames[d * width + l] = Frame { pc, ret_regs, base: self.tops[l] };
-        self.depths[l] = d;
-        self.bases[l] = self.tops[l] * width + l;
-        self.tops[l] += num_regs;
-        self.ctl.pcs[l] = pc;
-    }
-
-    /// Pops lane `l`'s live frame, releasing its arena window, and
-    /// resumes the caller.
-    fn pop_frame(&mut self, l: usize) {
-        self.tops[l] = self.top(l).base;
-        self.depths[l] -= 1;
-        let caller = self.top(l);
-        self.bases[l] = caller.base * self.width() + l;
-        self.ctl.pcs[l] = caller.pc;
-    }
+/// Row of lane `l`'s live register 0 in the warp-major arena: stack
+/// offset `base` of lane `l` is row `base * width + l`.
+#[inline(always)]
+fn row0(ctl: &WarpCtl, l: usize) -> usize {
+    ctl.bases[l] * ctl.width() + l
 }
 
 /// One warp's data plane, shared by every sub-cohort: sub-cohorts
@@ -471,7 +394,8 @@ struct SubCohort {
     /// metrics are `metrics + bases[slot]`. `cycles` stays 0 until
     /// finalization.
     metrics: Metrics,
-    warps: Vec<CWarp>,
+    /// Each warp's control plane, call frames included.
+    warps: Vec<WarpCtl>,
 }
 
 /// What one issue needs to know to fork a child sub-cohort mid-round:
@@ -512,7 +436,6 @@ struct Cohort<'m> {
     data: Vec<DWarp>,
     /// Global memory, one row per address.
     global: SlotCols,
-    global_len: usize,
     local_len: usize,
     /// Per-slot metrics deltas (wrapping) relative to the owning
     /// sub-cohort's accumulator: a slot's true metrics are
@@ -561,7 +484,6 @@ impl<'m> Cohort<'m> {
         let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
         let width = cfg.warp_width;
         let num_regs = kfunc.num_regs as usize;
-        let kernel = Frame { pc: kfunc.entry_pc as usize, ret_regs: PoolRange::EMPTY, base: 0 };
 
         let slots = if nslots == 64 { u64::MAX } else { (1u64 << nslots) - 1 };
         // Every warp starts from the same columns: the arguments
@@ -571,14 +493,6 @@ impl<'m> Cohort<'m> {
             regs.fill_rows(i * width, width, *a, slots);
         }
         let local = SlotCols::new(launch.local_mem_size * width, nslots);
-
-        let warp = CWarp {
-            ctl,
-            bases: (0..width).collect(),
-            tops: vec![num_regs; width],
-            depths: vec![0; width],
-            frames: vec![kernel; width],
-        };
         let data = (0..launch.num_warps)
             .map(|w| DWarp {
                 regs: regs.clone(),
@@ -593,11 +507,6 @@ impl<'m> Cohort<'m> {
             })
             .collect();
 
-        let mut global = SlotCols::new(launch.global_mem.len(), nslots);
-        for (a, v) in launch.global_mem.iter().enumerate() {
-            global.fill_rows(a, 1, *v, slots);
-        }
-
         Ok(Cohort {
             image,
             cfg,
@@ -610,11 +519,10 @@ impl<'m> Cohort<'m> {
                 slots,
                 cycle: 0,
                 metrics: Metrics::new(launch.num_warps, width),
-                warps: vec![warp; launch.num_warps],
+                warps: vec![ctl; launch.num_warps],
             }],
             data,
-            global,
-            global_len: launch.global_mem.len(),
+            global: SlotCols::of_values(&launch.global_mem, nslots),
             local_len: launch.local_mem_size,
             bases: vec![Metrics::new(launch.num_warps, width); nslots],
             set_aside: 0,
@@ -732,7 +640,7 @@ impl<'m> Cohort<'m> {
             }
             let mut j = i + 1;
             while j < self.subs.len() {
-                if self.subs[j].cycle == t && subs_match(&self.subs[i], &self.subs[j]) {
+                if self.subs[j].cycle == t && self.subs[i].warps == self.subs[j].warps {
                     let b = self.subs.swap_remove(j);
                     let d = b.metrics.combine(&self.subs[i].metrics, u64::wrapping_sub);
                     for s in lanes(b.slots) {
@@ -762,21 +670,23 @@ impl<'m> Cohort<'m> {
         let mut next_ready = u64::MAX;
         let mut all_done = true;
         for w in 0..sub.warps.len() {
-            if sub.warps[w].ctl.done {
+            if sub.warps[w].done {
                 continue;
             }
             all_done = false;
-            if sub.warps[w].ctl.busy_until > sub.cycle {
-                next_ready = next_ready.min(sub.warps[w].ctl.busy_until);
+            if sub.warps[w].busy_until > sub.cycle {
+                next_ready = next_ready.min(sub.warps[w].busy_until);
                 continue;
             }
             let ctx = IssueCtx {
                 w,
-                pre_last_lanes: sub.warps[w].ctl.last_lanes,
-                pre_rr_cursor: sub.warps[w].ctl.rr_cursor,
-                pre_busy_until: sub.warps[w].ctl.busy_until,
+                pre_last_lanes: sub.warps[w].last_lanes,
+                pre_rr_cursor: sub.warps[w].rr_cursor,
+                pre_busy_until: sub.warps[w].busy_until,
             };
-            let picked = sub.warps[w].ctl.pick_group(
+            #[cfg(debug_assertions)]
+            sub.warps[w].check_frames(self.image);
+            let picked = sub.warps[w].pick_group(
                 self.cfg.scheduler,
                 u64::MAX,
                 &mut self.groups,
@@ -784,10 +694,10 @@ impl<'m> Cohort<'m> {
             );
             match picked {
                 Some((pc, mask)) => {
-                    sub.warps[w].ctl.last_lanes = mask;
+                    sub.warps[w].last_lanes = mask;
                     // Stall pressure samples before execution, exactly
                     // like the scalar engine's issue path.
-                    let waiting_lanes = sub.warps[w].ctl.waiting.count_ones();
+                    let waiting_lanes = sub.warps[w].waiting.count_ones();
                     let div0 = self.stats.forks + self.stats.detaches;
                     let cost = self.exec_c(sub, pc, mask, ctx);
                     if sub.slots == 0 {
@@ -831,13 +741,13 @@ impl<'m> Cohort<'m> {
                     // equivalent to unbatched execution.
                     if self.stats.forks + self.stats.detaches == div0
                         && keeps_lockstep(&self.image.insts[pc])
-                        && (mask == sub.warps[w].ctl.runnable
+                        && (mask == sub.warps[w].runnable
                             || self.cfg.scheduler == SchedulerPolicy::Greedy)
                     {
                         let lead = mask.trailing_zeros() as usize;
                         let round_robin = self.cfg.scheduler == SchedulerPolicy::RoundRobin;
                         for _ in 0..BATCH_LIMIT {
-                            let npc = sub.warps[w].ctl.pcs[lead];
+                            let npc = sub.warps[w].pcs[lead];
                             let inst = &self.image.insts[npc];
                             let branch = matches!(inst, DecodedInst::Branch { .. });
                             if branch && split {
@@ -865,11 +775,11 @@ impl<'m> Cohort<'m> {
                             let bctx = IssueCtx {
                                 w,
                                 pre_last_lanes: mask,
-                                pre_rr_cursor: sub.warps[w].ctl.rr_cursor,
+                                pre_rr_cursor: sub.warps[w].rr_cursor,
                                 pre_busy_until: busy,
                             };
                             if round_robin {
-                                let rr = &mut sub.warps[w].ctl.rr_cursor;
+                                let rr = &mut sub.warps[w].rr_cursor;
                                 *rr = rr.wrapping_add(1);
                             }
                             let divb = self.stats.forks + self.stats.detaches;
@@ -894,9 +804,8 @@ impl<'m> Cohort<'m> {
                                 break;
                             }
                             if branch {
-                                let warp = &sub.warps[w];
-                                let tpc = warp.ctl.pcs[lead];
-                                if lanes(mask).any(|l| warp.ctl.pcs[l] != tpc) {
+                                let pcs = &sub.warps[w].pcs;
+                                if lanes(mask).any(|l| pcs[l] != pcs[lead]) {
                                     // The group split; the next round
                                     // re-groups exactly as unbatched
                                     // execution would here.
@@ -905,13 +814,13 @@ impl<'m> Cohort<'m> {
                             }
                         }
                     }
-                    sub.warps[w].ctl.busy_until = busy;
+                    sub.warps[w].busy_until = busy;
                     next_ready = next_ready.min(busy);
                 }
                 None => {
-                    let ctl = &sub.warps[w].ctl;
+                    let ctl = &sub.warps[w];
                     if ctl.live() == 0 {
-                        sub.warps[w].ctl.done = true;
+                        sub.warps[w].done = true;
                     } else {
                         // Deadlock is a property of shared control:
                         // every live instance fails with the identical
@@ -950,7 +859,7 @@ impl<'m> Cohort<'m> {
         for s in lanes(sub.slots) {
             let mut metrics = sub.metrics.combine(&self.bases[s], u64::wrapping_add);
             metrics.cycles = sub.cycle;
-            let global_mem = (0..self.global_len).map(|a| self.global.get(a, s)).collect();
+            let global_mem = self.global.column(s);
             self.results[s] = Some(Ok(SimOutput {
                 metrics,
                 engine: Default::default(),
@@ -1003,63 +912,22 @@ fn partition_classes<K: PartialEq, F: Fn(usize) -> K>(live: u64, key: F) -> Clas
     Classes { rest: live & !winner, key }
 }
 
-/// Whether two sub-cohorts' control planes are equal — the merge test:
-/// per warp, [`WarpCtl`] equality (pcs, statuses and their masks,
-/// barrier registers, `busy_until`, `rr_cursor`, `last_lanes`, `done`)
-/// plus the frame shape: the live windows and bump pointers (slice
-/// equality of `bases`, `tops` and `depths`, so both planes address the
-/// same rows), then each live frame's window, return-register span and
-/// — for *suspended* frames — saved pc; the top frame's [`Frame::pc`] is
-/// stale by design on both sides and never read.
-fn subs_match(a: &SubCohort, b: &SubCohort) -> bool {
-    a.warps.iter().zip(b.warps.iter()).all(|(aw, bw)| {
-        aw.ctl == bw.ctl
-            && aw.bases == bw.bases
-            && aw.tops == bw.tops
-            && aw.depths == bw.depths
-            && aw.depths.iter().enumerate().all(|(l, &top)| {
-                (0..=top).all(|d| {
-                    let (af, bf) = (aw.frames[d * aw.width() + l], bw.frames[d * aw.width() + l]);
-                    af.base == bf.base && af.ret_regs == bf.ret_regs && (d == top || af.pc == bf.pc)
-                })
-            })
-    })
-}
-
 // Data-plane reads the scheduler needs, and diagnostics.
 impl Cohort<'_> {
     /// Whether executing `inst` over `mask` is guaranteed not to fault
-    /// in *any* live slot of `sub` — the cohort twin of the scalar
-    /// engine's `batch_fault_free`, widened across the seed axis. A
-    /// batched issue must be infallible: a per-seed fault resolves that
-    /// slot with the exact error its scalar run would raise, and
-    /// look-ahead would misstamp its round. Faultable (lane, slot)
-    /// operands leave the instruction to execute in its own round.
-    fn batch_fault_free_c(
-        &mut self,
-        sub: &SubCohort,
-        w: usize,
-        mask: u64,
-        inst: &DecodedInst,
-    ) -> bool {
+    /// in *any* live slot of `sub` — the scalar engine's pre-check,
+    /// [`fault_free`] on each issued lane's operand rows, with the seeds
+    /// as slots. A batched issue must be infallible: a per-seed fault
+    /// resolves that slot with the exact error its scalar run would
+    /// raise, and look-ahead would misstamp its round. Faultable (lane,
+    /// slot) operands leave the instruction to execute in its own round.
+    fn batch_fault_free_c(&self, sub: &SubCohort, w: usize, mask: u64, inst: &DecodedInst) -> bool {
         let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
-        let (live, cw) = (sub.slots, &sub.warps[w]);
-        let Cohort { data, scratch: RowScratch { imm: [ia, ib], .. }, width, .. } = self;
-        let (regs, a, b) = (&data[w].regs, Src::of(lhs, *width), Src::of(rhs, *width));
-        a.broadcast(ia);
-        b.broadcast(ib);
+        let (regs, ctl) = (&self.data[w].regs, &sub.warps[w]);
+        let (a, b) = (Src::of(lhs, self.width), Src::of(rhs, self.width));
         lanes(mask).all(|l| {
-            let (x, y) = (a.at(cw.bases[l]).row(regs, ia), b.at(cw.bases[l]).row(regs, ib));
-            // On uniformly typed rows the tags are constants and the
-            // condition folds to what is left of it: nothing for the
-            // bitwise ops, a zero scan of the live divisors for div/rem.
-            let mut ok = true;
-            typed!(
-                class(x.floats, live),
-                class(y.floats, live),
-                zip_rows(x, y, live, |_, x, y| ok &= cond.ok(x, y))
-            );
-            ok
+            let at = row0(ctl, l);
+            fault_free(regs, cond, a.at(at), b.at(at), sub.slots)
         })
     }
 
@@ -1078,8 +946,8 @@ impl Cohort<'_> {
 
     /// [`Self::spans_by`] the live frame base: a span's registers are
     /// adjacent rows.
-    fn spans(&mut self, cw: &CWarp, mask: u64) -> Spans {
-        self.spans_by(mask, |l| cw.bases[l] - l)
+    fn spans(&mut self, ctl: &WarpCtl, mask: u64) -> Spans {
+        self.spans_by(mask, |l| ctl.bases[l])
     }
 
     /// Splits `class` off `sub` at a divergent issue: forks a child
@@ -1099,7 +967,7 @@ impl Cohort<'_> {
         sub.slots &= !class;
         if self.subs.len() + 2 <= MAX_SUBCOHORTS {
             let mut warps = sub.warps.clone();
-            let ctl = &mut warps[ctx.w].ctl;
+            let ctl = &mut warps[ctx.w];
             ctl.last_lanes = ctx.pre_last_lanes;
             ctl.rr_cursor = ctx.pre_rr_cursor;
             ctl.busy_until = ctx.pre_busy_until;
@@ -1254,13 +1122,13 @@ impl AluLoop for SlotAlu<'_, '_> {
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAlu { cohort, sub, pc, mask, w, dst, lhs, rhs } = self;
         let mut faults = Faults::default();
-        let (live, cw) = (sub.slots, &mut sub.warps[w]);
-        let spans = cohort.spans(cw, mask);
+        let (live, ctl) = (sub.slots, &mut sub.warps[w]);
+        let spans = cohort.spans(ctl, mask);
         let Cohort { data, width, stats, scratch: RowScratch { out, .. }, .. } = &mut *cohort;
         let regs = &mut data[w].regs;
         let (a, b, d) = (Src::of(lhs, *width), Src::of(rhs, *width), dst.index() * *width);
         for (lo, n) in spans {
-            let at = cw.bases[lo];
+            let at = row0(ctl, lo);
             let ops = (at + d, a.at(at), b.at(at));
             let classes = (ops.1.class(&regs.floats, n, live), ops.2.class(&regs.floats, n, live));
             let ((), dense) = typed!(
@@ -1271,7 +1139,7 @@ impl AluLoop for SlotAlu<'_, '_> {
             stats.dense_rows += if dense { n as u64 } else { 0 };
             stats.mixed_rows += if dense { 0 } else { n as u64 };
         }
-        cw.ctl.advance(mask);
+        ctl.advance(mask);
         cohort.resolve_faults(sub, w, pc, faults);
     }
 }
@@ -1300,8 +1168,8 @@ impl AddrStage {
 // slots). Control effects (pc updates, status transitions, barrier
 // bookkeeping) happen once per sub-cohort; value effects resolve their
 // operands once per issue and then run per span of adjacent lanes (whole
-// registers: ALU, moves, fills, calls) or per lane (`CWarp::bases[lane]`
-// is the lane's frame), as row operations over the sub-cohort's slots.
+// registers: ALU, moves, fills, calls) or per lane (`row0` is the lane's
+// frame), as row operations over the sub-cohort's slots.
 impl Cohort<'_> {
     /// Executes one decoded instruction for the issued group across
     /// every slot of `sub`; returns the (uniform) issue cost. Slots
@@ -1328,26 +1196,26 @@ impl Cohort<'_> {
                 crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
-                let (cw, src) = (&mut sub.warps[w], Src::of(src, width));
-                let spans = self.spans(cw, mask);
+                let (ctl, src) = (&mut sub.warps[w], Src::of(src, width));
+                let spans = self.spans(ctl, mask);
                 let regs = &mut self.data[w].regs;
                 for (lo, n) in spans {
-                    let at = cw.bases[lo];
+                    let at = row0(ctl, lo);
                     regs.assign_rows(at + dst.index() * width, n, src.at(at), live);
                 }
-                cw.ctl.advance(mask);
+                ctl.advance(mask);
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
                 let lane_t = self.truthy_c(sub, w, mask, cond);
                 let Cohort { data, scratch: RowScratch { out, imm: [it, ie] }, .. } = self;
-                let (regs, cw) = (&mut data[w].regs, &mut sub.warps[w]);
+                let (regs, ctl) = (&mut data[w].regs, &mut sub.warps[w]);
                 let (if_true, if_false) = (Src::of(if_true, width), Src::of(if_false, width));
                 if_true.broadcast(it);
                 if_false.broadcast(ie);
                 for l in lanes(mask) {
                     // A select moves payloads and type bits untouched, so
                     // it blends whole rows; the commit keeps to `live`.
-                    let (at, t) = (cw.bases[l], lane_t[l]);
+                    let (at, t) = (row0(ctl, l), lane_t[l]);
                     let (x, y) = (if_true.at(at).row(regs, it), if_false.at(at).row(regs, ie));
                     for (s, ((o, &x), &y)) in out.iter_mut().zip(x.bits).zip(y.bits).enumerate() {
                         *o = if t >> s & 1 != 0 { x } else { y };
@@ -1355,7 +1223,7 @@ impl Cohort<'_> {
                     let floats = x.floats & t | y.floats & !t;
                     regs.put(at + dst.index() * width, RowRef { bits: out, floats }, live);
                 }
-                cw.ctl.advance(mask);
+                ctl.advance(mask);
             }
             DecodedInst::Load { dst, space: MemSpace::Global, addr } => {
                 return self.access_global_c(sub, pc, mask, ctx, addr, MemOp::Load(dst), cost);
@@ -1375,15 +1243,9 @@ impl Cohort<'_> {
                 crate::alu::with_bin(BinOp::Add, atomic);
             }
             DecodedInst::Special { dst, kind } => {
-                let n_threads = (self.data.len() * width) as i64;
+                let warps = self.data.len();
                 self.fill_c(sub, w, mask, dst, false, |_, l, _| {
-                    (match kind {
-                        SpecialValue::Tid => (w * width + l) as i64,
-                        SpecialValue::LaneId => l as i64,
-                        SpecialValue::WarpId => w as i64,
-                        SpecialValue::NumThreads => n_threads,
-                        SpecialValue::WarpWidth => width as i64,
-                    }) as u64
+                    crate::alu::special(kind, w, l, width, warps) as u64
                 });
             }
             DecodedInst::Rng { dst, kind: RngKind::U63 } => {
@@ -1396,7 +1258,7 @@ impl Cohort<'_> {
                     rng[l * ns + s].next_unit().to_bits()
                 });
             }
-            DecodedInst::SyncThreads => sub.warps[w].ctl.sync_arrive(mask, &mut |_| {}),
+            DecodedInst::SyncThreads => sub.warps[w].sync_arrive(mask, &mut |_| {}),
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous count — per slot, over the same
                 // issued mask — written to every issued lane.
@@ -1407,39 +1269,35 @@ impl Cohort<'_> {
                         *c += lane_t[l] >> s & 1;
                     }
                 }
-                let (counts, cw) = (RowRef { bits: &counts[..ns], floats: 0 }, &mut sub.warps[w]);
+                let (counts, ctl) = (RowRef { bits: &counts[..ns], floats: 0 }, &mut sub.warps[w]);
                 for l in lanes(mask) {
-                    self.data[w].regs.put(cw.bases[l] + dst.index() * width, counts, live);
+                    self.data[w].regs.put(row0(ctl, l) + dst.index() * width, counts, live);
                 }
-                cw.ctl.advance(mask);
+                ctl.advance(mask);
             }
             DecodedInst::SeedRng { src } => {
-                let launch_mix = 0x5EED_u64; // stream domain separator
-                let (DWarp { regs, rng, .. }, src) = (&mut self.data[w], Src::of(src, width));
+                let (DWarp { regs, rng, .. }, ctl) = (&mut self.data[w], &mut sub.warps[w]);
                 for l in lanes(mask) {
-                    let (at, imm, floats) = src.at(sub.warps[w].bases[l]).lane(regs, 0);
+                    let src = Src::of(src, width).at(row0(ctl, l));
                     for s in lanes(live) {
-                        let bits = at.map_or(imm, |p| regs.bits[p + s]);
-                        let v = tagged::<PER_SLOT>(bits, floats, s).as_i64() as u64;
-                        rng[l * ns + s] = SplitMix64::for_thread(v ^ launch_mix, v);
+                        rng[l * ns + s] = SplitMix64::for_seed_rng(src.get(regs, s).as_i64());
                     }
                 }
-                sub.warps[w].ctl.advance(mask);
+                ctl.advance(mask);
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
-                let (entry_pc, num_regs) = (entry_pc as usize, num_regs as usize);
-                let cw = &mut sub.warps[w];
+                let (ctl, num_regs) = (&mut sub.warps[w], num_regs as usize);
                 // A span's lanes share the caller's window and bump
                 // pointer, hence the callee's window.
-                let spans = self.spans_by(mask, |l| (cw.bases[l] - l, cw.tops[l]));
+                let spans = self.spans_by(mask, |l| (ctl.bases[l], ctl.tops[l]));
                 let regs = &mut self.data[w].regs;
                 for (lo, n) in spans {
                     // The new window is default-initialized for `live`
                     // only: other sub-cohorts share the arena and may
                     // hold live values (and float-mask bits) in these
                     // rows' other slots.
-                    let (at, callee) = (cw.bases[lo], cw.tops[lo] * width + lo);
-                    regs.grow((cw.tops[lo] + num_regs) * width);
+                    let (at, callee) = (row0(ctl, lo), ctl.tops[lo] * width + lo);
+                    regs.grow((ctl.tops[lo] + num_regs) * width);
                     for r in 0..num_regs {
                         regs.fill_rows(callee + r * width, n, Value::default(), live);
                     }
@@ -1448,10 +1306,9 @@ impl Cohort<'_> {
                     for (i, a) in image.operands(args).iter().enumerate() {
                         regs.assign_rows(callee + i * width, n, Src::of(*a, width).at(at), live);
                     }
-                    for l in lo..lo + n {
-                        cw.push_frame(l, cw.ctl.pcs[l] + 1, entry_pc, rets, num_regs);
-                    }
                 }
+                // The return lands after the call.
+                ctl.call(mask, pc + 1, entry_pc as usize, rets, num_regs);
             }
             DecodedInst::UnresolvedCall { name } => {
                 let at = self.image.location(w, mask.trailing_zeros() as usize, pc);
@@ -1466,20 +1323,15 @@ impl Cohort<'_> {
                 // serves the whole sub-cohort; only `arrived` writes
                 // registers, broadcast to every live slot.
                 if let BarrierOp::ArrivedCount { dst, bar } = op {
-                    let n = sub.warps[w].ctl.arrived(bar) as u64;
+                    let n = sub.warps[w].arrived(bar) as u64;
                     self.fill_c(sub, w, mask, dst, false, |_, _, _| n);
-                } else if sub.warps[w].ctl.barrier(mask, op, &mut |_| {}) {
-                    sub.warps[w].ctl.advance(mask);
+                } else if sub.warps[w].barrier(mask, op, &mut |_| {}) {
+                    sub.warps[w].advance(mask);
                 }
                 sub.metrics.barrier_ops += u64::from(mask.count_ones());
             }
-            DecodedInst::Skip => sub.warps[w].ctl.advance(mask),
-            DecodedInst::Jump { target } => {
-                let warp = &mut sub.warps[w];
-                for l in lanes(mask) {
-                    warp.ctl.pcs[l] = target as usize;
-                }
-            }
+            DecodedInst::Skip => sub.warps[w].advance(mask),
+            DecodedInst::Jump { target } => sub.warps[w].move_to(mask, target as usize),
             DecodedInst::Branch { cond, then_pc, else_pc } => {
                 // One truthy slot-mask per lane. A lane whose slots all
                 // agree needs no per-slot state; only when some lane's
@@ -1505,43 +1357,34 @@ impl Cohort<'_> {
                     }
                     taken = takens[sub.slots.trailing_zeros() as usize];
                 }
-                let cw = &mut sub.warps[w];
+                let ctl = &mut sub.warps[w];
                 for l in lanes(mask) {
-                    cw.ctl.pcs[l] =
-                        if taken & (1 << l) != 0 { then_pc as usize } else { else_pc as usize };
+                    ctl.pcs[l] = if taken & (1 << l) != 0 { then_pc } else { else_pc } as usize;
                 }
             }
             DecodedInst::Return { values } => {
-                let cw = &mut sub.warps[w];
+                let ctl = &mut sub.warps[w];
                 // A span's lanes share the callee's window, the caller's
                 // and the registers the values land in.
                 let spans = self.spans_by(mask, |l| {
-                    let caller = cw.depths[l].checked_sub(1).map(|d| cw.frames[d * width + l].base);
-                    (cw.bases[l] - l, caller, cw.top(l).ret_regs)
+                    let caller = ctl.depths[l].checked_sub(1).map(|d| ctl.frame(l, d).base);
+                    (ctl.bases[l], caller, ctl.top(l).ret_regs)
                 });
                 let regs = &mut self.data[w].regs;
-                let mut exited = 0u64;
                 for (lo, n) in spans {
-                    if cw.depths[lo] == 0 {
-                        // Returning from the kernel frame behaves as
-                        // exit, like the scalar engine.
-                        exited |= (u64::MAX >> (64 - n)) << lo;
-                        continue;
-                    }
-                    // Values are row copies out of the callee window,
-                    // which keeps its cells after the pop.
-                    let (at, ret_regs) = (cw.bases[lo], image.regs(cw.top(lo).ret_regs));
-                    (lo..lo + n).for_each(|l| cw.pop_frame(l));
-                    for (r, v) in ret_regs.iter().zip(image.operands(values)) {
-                        let dst = cw.bases[lo] + r.index() * width;
+                    // Values are row copies out of the callee window into
+                    // the caller's; a kernel-frame lane exits instead.
+                    let Some(d) = ctl.depths[lo].checked_sub(1) else { continue };
+                    let (at, caller) = (row0(ctl, lo), ctl.frame(lo, d).base * width + lo);
+                    let rets = image.regs(ctl.top(lo).ret_regs);
+                    for (r, v) in rets.iter().zip(image.operands(values)) {
+                        let dst = caller + r.index() * width;
                         regs.assign_rows(dst, n, Src::of(*v, width).at(at), live);
                     }
                 }
-                if exited != 0 {
-                    cw.ctl.exit(exited, &mut |_| {});
-                }
+                ctl.ret(mask, &mut |_| {});
             }
-            DecodedInst::Exit => sub.warps[w].ctl.exit(mask, &mut |_| {}),
+            DecodedInst::Exit => sub.warps[w].exit(mask, &mut |_| {}),
         }
         cost
     }
@@ -1558,20 +1401,20 @@ impl Cohort<'_> {
         float: bool,
         mut bits: impl FnMut(&mut [SplitMix64], usize, usize) -> u64,
     ) {
-        let (live, cw) = (sub.slots, &mut sub.warps[w]);
-        let spans = self.spans(cw, mask);
+        let (live, ctl) = (sub.slots, &mut sub.warps[w]);
+        let spans = self.spans(ctl, mask);
         let DWarp { regs, rng, .. } = &mut self.data[w];
         for (lo, n) in spans {
-            let row = cw.bases[lo] + dst.index() * self.width;
+            let row = row0(ctl, lo) + dst.index() * self.width;
             regs.fill_rows_with(row, n, float, live, |i, s| bits(rng, lo + i, s));
         }
-        cw.ctl.advance(mask);
+        ctl.advance(mask);
     }
 
     /// Per issued lane, the live slots where `pred` is truthy (`Branch`,
     /// `Vote`, `Sel`).
     fn truthy_c(&self, sub: &SubCohort, w: usize, mask: u64, pred: Operand) -> [u64; 64] {
-        let (regs, cw, mut lane_t) = (&self.data[w].regs, &sub.warps[w], [0u64; 64]);
+        let (regs, ctl, mut lane_t) = (&self.data[w].regs, &sub.warps[w], [0u64; 64]);
         match Src::of(pred, self.width) {
             Src::Imm(c, f) if decode(c, f != 0).is_truthy() => {
                 lanes(mask).for_each(|l| lane_t[l] = sub.slots)
@@ -1579,7 +1422,7 @@ impl Cohort<'_> {
             Src::Imm(..) => {}
             Src::Row(off) => {
                 lanes(mask)
-                    .for_each(|l| lane_t[l] = truthy(regs.row(cw.bases[l] + off), sub.slots));
+                    .for_each(|l| lane_t[l] = truthy(regs.row(row0(ctl, l) + off), sub.slots));
             }
         }
         lane_t
@@ -1619,12 +1462,12 @@ impl Cohort<'_> {
         } else {
             self.stats.scattered_accesses += 1;
         }
-        let glen = self.global_len;
+        let glen = self.global.rows();
         let mut faults = Faults::default();
         for s in lanes(oob) {
             let (lane, &addr) = lanes(mask)
                 .zip(self.addrs.of(s))
-                .find(|&(_, &a)| a < 0 || a as usize >= glen)
+                .find(|&(_, &a)| cell(a, glen).is_none())
                 .expect("faulted slot has a faulting lane");
             faults.push(s, LaneFault::Oob { lane, addr, size: glen, space: MemSpace::Global });
         }
@@ -1639,20 +1482,21 @@ impl Cohort<'_> {
         // Phase 3: value movement for the slots that stayed.
         let (live, width) = (sub.slots, self.width);
         let Cohort { data, addrs, global, scratch: RowScratch { imm: [iv, _], .. }, .. } = self;
-        let (regs, cw) = (&mut data[w].regs, &mut sub.warps[w]);
+        let (regs, ctl) = (&mut data[w].regs, &mut sub.warps[w]);
         let reg = op.reg(width);
         reg.broadcast(iv);
         for (idx, l) in lanes(mask).enumerate() {
-            let reg = reg.at(cw.bases[l]);
+            let reg = reg.at(row0(ctl, l));
             if addrs.uniform {
                 move_row(regs, global, op.is_load(), reg, addrs.buf[idx] as usize, iv, live);
             } else {
                 for s in lanes(live) {
-                    move_cell(regs, global, op.is_load(), reg, addrs.of(s)[idx] as usize, s, iv);
+                    let m = addrs.of(s)[idx] as usize;
+                    move_cell(regs, (reg, s), global, (m, s), op.is_load());
                 }
             }
         }
-        cw.ctl.advance(mask);
+        ctl.advance(mask);
         cost
     }
 
@@ -1660,15 +1504,15 @@ impl Cohort<'_> {
     /// issued lanes' addresses and returns the slots holding an
     /// out-of-range one (always none when the stage comes out uniform).
     fn stage_addrs(&mut self, sub: &SubCohort, w: usize, mask: u64, addr: Operand) -> u64 {
-        let (ns, glen, live) = (self.nslots, self.global_len, sub.slots);
+        let (ns, glen, live) = (self.nslots, self.global.rows(), sub.slots);
         let k = mask.count_ones() as usize;
         let Cohort { data, addrs, scratch: RowScratch { imm: [ia, _], .. }, width, .. } = self;
-        let (regs, cw, addr) = (&data[w].regs, &sub.warps[w], Src::of(addr, *width));
+        let (regs, ctl, addr) = (&data[w].regs, &sub.warps[w], Src::of(addr, *width));
         addr.broadcast(ia);
         addrs.k = k;
         addrs.buf.clear();
         addrs.uniform = lanes(mask).all(|l| {
-            let a = uniform_addr(addr.at(cw.bases[l]).row(regs, ia), live, glen);
+            let a = uniform_addr(addr.at(row0(ctl, l)).row(regs, ia), live, glen);
             addrs.buf.extend(a.map(|a| a as i64));
             a.is_some()
         });
@@ -1679,7 +1523,7 @@ impl Cohort<'_> {
         addrs.buf.resize(ns * k, 0);
         let mut oob = 0u64;
         for (idx, l) in lanes(mask).enumerate() {
-            let row = addr.at(cw.bases[l]).row(regs, ia);
+            let row = addr.at(row0(ctl, l)).row(regs, ia);
             let c = class(row.floats, live);
             typed!(
                 c,
@@ -1687,7 +1531,7 @@ impl Cohort<'_> {
                 zip_rows(row, row, live, |s, x, _| {
                     let a = x.as_i64();
                     addrs.buf[s * k + idx] = a;
-                    oob |= u64::from(a < 0 || a as usize >= glen) << s;
+                    oob |= u64::from(cell(a, glen).is_none()) << s;
                 })
             );
         }
@@ -1792,27 +1636,27 @@ impl Cohort<'_> {
         let (llen, live, width) = (self.local_len, sub.slots, self.width);
         let mut faults = Faults::default();
         let Cohort { data, scratch: RowScratch { imm: [ia, iv], .. }, .. } = self;
-        let (DWarp { regs, local, .. }, cw) = (&mut data[w], &mut sub.warps[w]);
+        let (DWarp { regs, local, .. }, ctl) = (&mut data[w], &mut sub.warps[w]);
         let (addr, reg) = (Src::of(addr, width), op.reg(width));
         addr.broadcast(ia);
         reg.broadcast(iv);
         for l in lanes(mask) {
-            let (arow, reg) = (addr.at(cw.bases[l]).row(regs, ia), reg.at(cw.bases[l]));
-            if let Some(a) = uniform_addr(arow, live, llen) {
+            let (addr, reg) = (addr.at(row0(ctl, l)), reg.at(row0(ctl, l)));
+            if let Some(a) = uniform_addr(addr.row(regs, ia), live, llen) {
                 move_row(regs, local, op.is_load(), reg, a * width + l, iv, live);
                 continue;
             }
             for s in lanes(live) {
-                let a = addr.at(cw.bases[l]).row(regs, ia).get(s).as_i64();
-                if a < 0 || a as usize >= llen {
+                let a = addr.get(regs, s).as_i64();
+                let Some(m) = cell(a, llen) else {
                     let space = MemSpace::Local;
                     faults.push(s, LaneFault::Oob { lane: l, addr: a, size: llen, space });
                     continue;
-                }
-                move_cell(regs, local, op.is_load(), reg, a as usize * width + l, s, iv);
+                };
+                move_cell(regs, (reg, s), local, (m * width + l, s), op.is_load());
             }
         }
-        cw.ctl.advance(mask);
+        ctl.advance(mask);
         self.resolve_faults(sub, w, pc, faults);
     }
 }
@@ -1841,14 +1685,15 @@ impl AluLoop for SlotAtomic<'_, '_> {
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAtomic { cohort, sub, pc, mask, w, dst, addr, value } = self;
-        let (ns, glen, live, width) = (cohort.nslots, cohort.global_len, sub.slots, cohort.width);
+        let (ns, glen, live, width) =
+            (cohort.nslots, cohort.global.rows(), sub.slots, cohort.width);
         let lanes_k = mask.count_ones() as usize;
         let mut faults = Faults::default();
         {
             let Cohort {
                 data, global, addrs, cfg, scratch: RowScratch { out, imm: [ia, iv] }, ..
             } = &mut *cohort;
-            let (regs, cw) = (&mut data[w].regs, &sub.warps[w]);
+            let (regs, ctl) = (&mut data[w].regs, &sub.warps[w]);
             let (addr, value) = (Src::of(addr, width), Src::of(value, width));
             addr.broadcast(ia);
             value.broadcast(iv);
@@ -1862,7 +1707,8 @@ impl AluLoop for SlotAtomic<'_, '_> {
                 addrs.buf.resize(ns * lanes_k, 0);
             }
             for (idx, l) in lanes(mask).enumerate() {
-                let (at, dst) = (cw.bases[l], cw.bases[l] + dst.index() * width);
+                let at = row0(ctl, l);
+                let dst = at + dst.index() * width;
                 if let Some(a) = uniform_addr(addr.at(at).row(regs, ia), live, glen) {
                     let (cell, v, mut floats) = (global.row(a), value.at(at).row(regs, iv), 0u64);
                     typed!(
@@ -1885,20 +1731,18 @@ impl AluLoop for SlotAtomic<'_, '_> {
                     }
                 } else {
                     for s in lanes(live) {
-                        let a = addr.at(at).row(regs, ia).get(s).as_i64();
-                        let old = match usize::try_from(a) {
-                            Ok(a) if a < glen => global.get(a, s),
-                            _ => {
-                                let space = MemSpace::Global;
-                                let fault = LaneFault::Oob { lane: l, addr: a, size: glen, space };
-                                faults.push(s, fault);
-                                continue;
-                            }
+                        let a = addr.at(at).get(regs, s).as_i64();
+                        let Some(m) = cell(a, glen) else {
+                            let space = MemSpace::Global;
+                            faults.push(s, LaneFault::Oob { lane: l, addr: a, size: glen, space });
+                            continue;
                         };
-                        let v = value.at(at).row(regs, iv).get(s);
-                        let Some(new) = faults.value(s, l, k(old, v)) else { continue };
-                        global.set(a as usize, s, new);
-                        regs.set(dst, s, old);
+                        if let Err(message) =
+                            add_cell(regs, (dst, value.at(at), s), global, (m, s), &k)
+                        {
+                            faults.push(s, LaneFault::Arith { lane: l, message });
+                            continue;
+                        }
                         if staged {
                             addrs.buf[s * lanes_k + idx] = a;
                         }
@@ -1906,7 +1750,7 @@ impl AluLoop for SlotAtomic<'_, '_> {
                 }
             }
         }
-        sub.warps[w].ctl.advance(mask);
+        sub.warps[w].advance(mask);
         // Faulted slots' runs discard all state, so only the survivors'
         // write-through invalidation is observable.
         cohort.invalidate_lines_c(live & !faults.mask);
@@ -2602,6 +2446,25 @@ bb2:
         assert!(faults > 0, "rem 33 over 32 cells faults some seed");
         assert!(faults < 24, "and spares some seed");
         assert_matches_scalar(FAULTY_KERNEL, &SimConfig::default(), &sweep);
+    }
+
+    /// [`ATOMIC_KERNEL`](crate::exec::tests::ATOMIC_KERNEL) over 32
+    /// seeds, flat and with an L1: the seed-independent adds move rows,
+    /// the seed-dependent ones take the per-slot path (integer and float
+    /// cells, lane-typed values), and a seed whose middle lane lands out
+    /// of range faults alone.
+    #[test]
+    fn atomics_at_seed_dependent_addresses_match_scalar() {
+        use crate::exec::tests::{atomic_launch, ATOMIC_KERNEL};
+        let sweep = SweepLaunch::new(atomic_launch(32, 0), 0, 32);
+        let image = DecodedImage::decode(&parse_and_link(ATOMIC_KERNEL).unwrap());
+        for mem in [None, Some(l1())] {
+            let cfg = SimConfig { mem, ..SimConfig::default() };
+            assert_matches_scalar(ATOMIC_KERNEL, &cfg, &sweep);
+            let out = run_sweep_image(&image, &cfg, &sweep, None).unwrap();
+            let faults = out.runs.iter().filter(|r| r.result.is_err()).count();
+            assert!(faults > 0 && faults < 32, "{faults} of 32 seeds fault");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt::Write;
 /// Blocks listed by each of the hot report's rankings.
 const HOT_BLOCKS: usize = 8;
 
-/// The report of one launch of `module`: the [`Metrics`](simt_sim::Metrics)
+/// The report of one launch of `module`: the [`Metrics`]
 /// block and, when the launch was profiled (`run --hot`), how the engine
 /// served its rounds, the hottest blocks and the divergence attribution.
 /// Every line ends in a newline.
