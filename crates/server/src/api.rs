@@ -53,7 +53,7 @@ impl ApiError {
 /// A validated eval request, ready to run.
 #[derive(Clone, Debug)]
 pub struct EvalRequest {
-    /// The run, with `lint` forced on.
+    /// The run, with `lint` forced on and final memory off.
     pub spec: RunSpec,
     /// `"mode"` as sent (or its default), echoed in the response.
     pub mode: String,
@@ -117,6 +117,8 @@ pub fn parse_request(body: &[u8]) -> Result<EvalRequest, ApiError> {
     if let Some(opts) = &mut spec.compile {
         opts.lint = true;
     }
+    // Responses carry counters only: no engine decodes a final memory.
+    spec.cfg.final_mem = false;
 
     let sent = |key: Key| field(key.name()).and_then(Json::as_str).or(key.default_value());
     Ok(EvalRequest {
@@ -181,8 +183,8 @@ pub fn execute(
         SimError::SweepUnsupported { .. } => ApiError::bad_request(e.to_string()),
         other => ApiError { status: 422, message: format!("simulation error: {other}") },
     };
-    // Each seed's final memory is dropped as its launch finishes: a count
-    // holds one launch's worth at a time, as the arena guard assumes.
+    // No seed decodes a final memory (`parse_request` turned it off), so
+    // a launch holds only its columns, as the arena guard assumes.
     let counters_of = |run: SeedRun| (run.seed, run.result.map(|out| (out.metrics, out.engine)));
     let out = engine.run(&req.spec, Some(cancel), counters_of).map_err(|e| match e {
         EvalError::Compile(e) => ApiError::bad_request(format!("compile error: {e}")),
@@ -309,6 +311,8 @@ mod tests {
         assert_eq!(req.spec.seeds, Seeds::Count(3));
         assert_eq!(req.spec.cfg.scheduler, SchedulerPolicy::MinPc);
         assert!(!req.spec.compile.as_ref().unwrap().speculative);
+        assert!(req.spec.compile.as_ref().unwrap().lint);
+        assert!(!req.spec.cfg.final_mem, "responses never read final memory");
 
         // `mem` and `entry` beside a name are ignored, whatever they hold.
         let plain = parse_request(br#"{"workload":"rsbench"}"#).unwrap().spec.workload.launch;
@@ -373,6 +377,7 @@ mod tests {
         assert_eq!(req.repair, Some(RepairStrategy::Sr));
         assert_eq!(opts.deconflict, specrecon_core::DeconflictMode::Static);
         assert!(opts.barrier_allocation && opts.lint, "{opts:?}");
+        assert!(!req.spec.cfg.final_mem, "responses never read final memory");
         assert_eq!(req.spec.cfg.scheduler, SchedulerPolicy::RoundRobin);
         assert!(req.spec.cfg.mem.is_some());
         assert_eq!(req.spec.cfg.recon, ReconvergenceModel::WarpSplit { window: 0, compact: false });

@@ -28,7 +28,7 @@ pub enum Json {
 impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -161,6 +161,8 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    /// The document; `pos` stays on a char boundary of it.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -294,13 +296,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or backslash in
+                    // one go: both are ASCII, so the run ends on a char
+                    // boundary of the document.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -371,5 +374,26 @@ mod tests {
     fn unicode_escapes_parse() {
         let v = Json::parse(r#""a\u0041b""#).unwrap();
         assert_eq!(v.as_str(), Some("aAb"));
+    }
+
+    /// A body at the size cap holding one string of about 1 MiB — plain
+    /// runs, escapes and multi-byte characters — parses in linear time
+    /// and round-trips byte for byte.
+    #[test]
+    fn a_body_at_the_cap_parses_in_linear_time() {
+        let cap = crate::http::MAX_BODY_BYTES;
+        let unit = "  %r1 = mul %r0, 2 \u{e9}\u{2713}\t\"q\"\\\n";
+        let mut s = unit.repeat(cap / (unit.len() + 8));
+        let doc = |s: &str| Json::Obj(vec![("kernel".into(), Json::str(s))]);
+        s.push_str(&"x".repeat(cap - doc(&s).render().len()));
+        let body = doc(&s).render();
+        assert_eq!(body.len(), cap);
+
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&body).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.get("kernel").and_then(Json::as_str), Some(s.as_str()));
+        assert_eq!(parsed.render(), body);
+        assert!(elapsed < std::time::Duration::from_secs(1), "parse took {elapsed:?}");
     }
 }

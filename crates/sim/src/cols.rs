@@ -264,9 +264,17 @@ impl SlotCols {
         cols
     }
 
-    /// Slot `s` of every row: a final memory image.
-    pub(crate) fn column(&self, s: usize) -> Vec<Value> {
-        (0..self.rows()).map(|r| self.get(r, s)).collect()
+    /// The final memory images of `slots` (each slot's value in every
+    /// row), in ascending slot order, decoded in one row-major pass.
+    pub(crate) fn columns(&self, slots: u64) -> Vec<Vec<Value>> {
+        let mut images: Vec<Vec<Value>> =
+            lanes(slots).map(|_| Vec::with_capacity(self.rows())).collect();
+        for (row, &floats) in self.bits.chunks_exact(self.ns).zip(&self.floats) {
+            for (image, s) in images.iter_mut().zip(lanes(slots)) {
+                image.push(decode(row[s], floats >> s & 1 != 0));
+            }
+        }
+        images
     }
 
     #[inline(always)]

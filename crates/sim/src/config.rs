@@ -316,6 +316,11 @@ pub struct SimConfig {
     /// disable straight-line batching (their scheduling decisions are
     /// per-round) and are timing models only — values never change.
     pub recon: ReconvergenceModel,
+    /// Decode the final global memory into
+    /// [`SimOutput::global_mem`](crate::SimOutput::global_mem) (on by
+    /// default). Callers that read only metrics turn it off: the output's
+    /// memory is then empty, and nothing else about the run changes.
+    pub final_mem: bool,
 }
 
 impl SimConfig {
@@ -344,6 +349,7 @@ impl Default for SimConfig {
             mem: None,
             journal: None,
             recon: ReconvergenceModel::default(),
+            final_mem: true,
         }
     }
 }

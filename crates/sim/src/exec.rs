@@ -770,11 +770,14 @@ impl<'m> Machine<'m> {
         Ok(busy + weight)
     }
 
-    /// Finalizes the run into its output (consumes the machine).
+    /// Finalizes the run into its output (consumes the machine); the
+    /// final memory only when [`SimConfig::final_mem`] asks for it.
     pub(crate) fn into_output(self) -> SimOutput {
-        let Machine { global, mut metrics, trace, profile, journal, stats, cycle, .. } = self;
+        let Machine { cfg, global, mut metrics, trace, profile, journal, stats, cycle, .. } = self;
         metrics.cycles = cycle;
-        SimOutput { metrics, engine: stats, global_mem: global.column(0), trace, profile, journal }
+        let global_mem =
+            if cfg.final_mem { global.columns(1).pop().expect("one slot") } else { Vec::new() };
+        SimOutput { metrics, engine: stats, global_mem, trace, profile, journal }
     }
 
     /// Records one journal event, if journaling is on.

@@ -99,7 +99,8 @@ pub struct SimOutput {
     /// How the decoded engine served its rounds (zeros from the other
     /// engines).
     pub engine: EngineStats,
-    /// Final global memory contents.
+    /// Final global memory contents; empty when [`SimConfig::final_mem`]
+    /// is off.
     pub global_mem: Vec<Value>,
     /// Issue trace, when [`SimConfig::trace`] was set.
     pub trace: Option<Trace>,

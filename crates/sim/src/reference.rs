@@ -204,7 +204,7 @@ pub fn run_reference(
     Ok(SimOutput {
         metrics,
         engine: Default::default(),
-        global_mem: global,
+        global_mem: if cfg.final_mem { global } else { Vec::new() },
         trace,
         profile,
         journal,

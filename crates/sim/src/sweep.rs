@@ -854,16 +854,18 @@ impl<'m> Cohort<'m> {
     }
 
     /// Finalizes every slot of a finished sub-cohort into its output at
-    /// the sub-cohort's finish cycle.
+    /// the sub-cohort's finish cycle, decoding their final memories in
+    /// one pass when [`SimConfig::final_mem`] asks for them.
     fn finalize_sub(&mut self, sub: &SubCohort) {
+        let images = if self.cfg.final_mem { self.global.columns(sub.slots) } else { Vec::new() };
+        let mut images = images.into_iter();
         for s in lanes(sub.slots) {
             let mut metrics = sub.metrics.combine(&self.bases[s], u64::wrapping_add);
             metrics.cycles = sub.cycle;
-            let global_mem = self.global.column(s);
             self.results[s] = Some(Ok(SimOutput {
                 metrics,
                 engine: Default::default(),
-                global_mem,
+                global_mem: images.next().unwrap_or_default(),
                 trace: None,
                 profile: None,
                 journal: None,
@@ -2180,13 +2182,36 @@ bb2:
         }
     }
 
+    /// `off` is `on` run with [`SimConfig::final_mem`] off: the same
+    /// metrics, engine counters and error, and no memory image.
+    fn assert_same_but_memory(
+        on: &Result<SimOutput, SimError>,
+        off: &Result<SimOutput, SimError>,
+        what: &str,
+    ) {
+        match (on, off) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!((&a.metrics, a.engine), (&b.metrics, b.engine), "{what}");
+                assert!(b.global_mem.is_empty(), "{what}: final memory decoded");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+            (a, b) => panic!("{what}: {a:?} with final memory, {b:?} without"),
+        }
+    }
+
     /// Runs the sweep and asserts every [`SeedRun`] is bit-identical to
-    /// an independent scalar run of that seed. Returns the stats so
-    /// callers can assert on the fork/merge/occupancy counters.
+    /// an independent scalar run of that seed, and that turning final
+    /// memory off changes nothing else — in the cohort, the scalar
+    /// engine and (under the barrier file, its one model) the oracle.
+    /// Returns the stats so callers can assert on the
+    /// fork/merge/occupancy counters.
     fn assert_matches_scalar(src: &str, cfg: &SimConfig, sweep: &SweepLaunch) -> SweepStats {
         let module = parse_and_link(src).expect("kernel parses");
         let image = DecodedImage::decode(&module);
         let out = run_sweep_image(&image, cfg, sweep, None).expect("sweep runs");
+        let bare = SimConfig { final_mem: false, ..cfg.clone() };
+        let off = run_sweep_image(&image, &bare, sweep, None).expect("sweep runs");
+        assert_eq!(off.stats, out.stats, "sweep counters without final memory");
         assert_eq!(out.runs.len(), sweep.instances() as usize);
         assert_eq!(out.stats.instances, sweep.instances());
         let s = &out.stats;
@@ -2201,6 +2226,15 @@ bb2:
             let mut launch = sweep.base.clone();
             launch.seed = seed;
             let scalar = crate::exec::run_image(&image, cfg, &launch);
+            let what = format!("seed {seed}");
+            assert_same_but_memory(&run.result, &off.runs[i].result, &format!("cohort {what}"));
+            let scalar_off = crate::exec::run_image(&image, &bare, &launch);
+            assert_same_but_memory(&scalar, &scalar_off, &format!("decoded engine {what}"));
+            if cfg.recon == ReconvergenceModel::BarrierFile {
+                let oracle = crate::reference::run_reference(&module, cfg, &launch);
+                let oracle_off = crate::reference::run_reference(&module, &bare, &launch);
+                assert_same_but_memory(&oracle, &oracle_off, &format!("oracle {what}"));
+            }
             match (&run.result, &scalar) {
                 (Ok(s), Ok(r)) => {
                     assert_eq!(s.metrics, r.metrics, "metrics differ for seed {seed}");

@@ -96,8 +96,17 @@ impl Engine {
     /// compile or run, after which the cells still running are cancelled
     /// ([`EvalError::Cell`]); two cells that disagree
     /// ([`EvalError::ResultMismatch`]).
+    ///
+    /// # Panics
+    ///
+    /// When a base turns [`SimConfig::final_mem`](simt_sim::SimConfig::final_mem)
+    /// off: its cells would compare empty memories and always agree.
     pub fn run_grid(&self, grid: &Grid) -> Result<Vec<Cell>, EvalError> {
         let mut cells = grid.expand().map_err(EvalError::Spec)?;
+        assert!(
+            cells.iter().all(|c| c.spec.cfg.final_mem),
+            "grid cells compare final memories; keep `SimConfig::final_mem` on"
+        );
         let cancel = CancelToken::new();
         let mut outs = self.par_map(&cells, |cell| {
             let out = self.run(&cell.spec, Some(&cancel), |run| run.result);
@@ -161,6 +170,14 @@ mod tests {
         }
         assert_eq!(names, want);
         assert_eq!(Engine::new(1).run_grid(&Grid::new(vec![rsbench()])).unwrap().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid cells compare final memories")]
+    fn a_base_without_final_memory_is_refused() {
+        let mut base = rsbench();
+        base.cfg.final_mem = false;
+        let _ = Engine::new(1).run_grid(&Grid::new(vec![rsbench(), base]));
     }
 
     #[test]

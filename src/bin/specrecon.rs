@@ -354,7 +354,7 @@ fn run_cmd(file: Option<(&str, &str)>, rest: &[String]) -> Result<(), String> {
     compile_here(&mut spec, args.has("--pgo"))?;
     let engine = args.engine()?;
     if spec.seeds != Seeds::Count(1) {
-        return print_seeds(file.map_or(spec.workload.name, |(path, _)| path), &engine, &spec);
+        return print_seeds(file.map_or(spec.workload.name, |(path, _)| path), &engine, spec);
     }
 
     let out = run_once(&engine, &spec)?;
@@ -370,11 +370,13 @@ fn run_cmd(file: Option<(&str, &str)>, rest: &[String]) -> Result<(), String> {
 }
 
 /// Runs a multi-seed spec and prints [`render_seeds`]' report; `name`
-/// heads a range. Fails with the first failing seed's error, after
+/// heads a range. The report reads metrics only, so no seed decodes its
+/// final memory. Fails with the first failing seed's error, after
 /// printing them all.
-fn print_seeds(name: &str, engine: &Engine, spec: &RunSpec) -> Result<(), String> {
+fn print_seeds(name: &str, engine: &Engine, mut spec: RunSpec) -> Result<(), String> {
+    spec.cfg.final_mem = false;
     let metrics_of = |run: SeedRun| (run.seed, run.result.map(|out| out.metrics));
-    let out = engine.run(spec, None, metrics_of).map_err(|e| e.to_string())?;
+    let out = engine.run(&spec, None, metrics_of).map_err(|e| e.to_string())?;
     print!("{}", render_seeds(name, engine.jobs(), spec.seeds, &out));
     let first_err = out.runs.iter().find_map(|(_, r)| r.as_ref().err());
     first_err.map_or(Ok(()), |e| Err(format!("simulation error: {e}")))
@@ -470,7 +472,7 @@ fn sweep_cmd(rest: &[String]) -> Result<(), String> {
     let Seeds::Range(..) = spec.seeds else {
         return Err("--seeds expects a half-open range LO..HI".to_string());
     };
-    print_seeds(spec.workload.name, &args.engine()?, &spec)
+    print_seeds(spec.workload.name, &args.engine()?, spec)
 }
 
 /// The `serve` subcommand: boot the HTTP evaluation service and run its
