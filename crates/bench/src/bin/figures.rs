@@ -2,30 +2,30 @@
 //! under `results/` when `--csv` is passed).
 //!
 //! ```text
-//! figures [--quick] [--csv] [--jobs N] [TARGET ...]
+//! figures [--csv] [--jobs N] [TARGET ...]
 //! ```
 //!
 //! A target is `all` (the default) or the name of one table in
-//! `specrecon_bench::TABLES`; an unknown target prints the list.
+//! `specrecon_bench::TABLES`; an unknown target prints the list. Each
+//! table's section is the one EXPERIMENTS.md holds between its markers; a
+//! claim of the prose that the render breaks is a warning on stderr.
 //! `--jobs N` sets the evaluation engine's worker count (default: the
 //! machine's available parallelism). Stdout is byte-identical for every
 //! `N`; the job count and each table's wall-clock time go to stderr.
 
-use specrecon_bench::{Scale, Table, TABLES};
+use specrecon_bench::{Table, TABLES};
 use std::path::Path;
 use std::process::exit;
 use std::time::Instant;
 use workloads::Engine;
 
 fn main() {
-    let mut scale = Scale::Full;
     let mut write_csv = false;
     let mut jobs: Option<usize> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => scale = Scale::Quick,
             "--csv" => write_csv = true,
             "--jobs" => jobs = Some(job_count(args.next())),
             _ => match arg.strip_prefix("--jobs=") {
@@ -47,7 +47,7 @@ fn main() {
             usage_error(&format!("unknown target `{target}`"));
         }
         for table in tables {
-            emit(table, &engine, scale, write_csv);
+            emit(table, &engine, write_csv);
         }
     }
 }
@@ -62,22 +62,22 @@ fn job_count(value: Option<String>) -> usize {
 fn usage_error(message: &str) -> ! {
     let names: Vec<&str> = TABLES.iter().map(|t| t.name).collect();
     eprintln!("{message}");
-    eprintln!("usage: figures [--quick] [--csv] [--jobs N] [TARGET ...]");
+    eprintln!("usage: figures [--csv] [--jobs N] [TARGET ...]");
     eprintln!("targets: {} all", names.join(" "));
     exit(2)
 }
 
 /// Runs one table, prints it, writes its CSV if asked and reports the
 /// wall-clock time.
-fn emit(table: &Table, engine: &Engine, scale: Scale, write_csv: bool) {
+fn emit(table: &Table, engine: &Engine, write_csv: bool) {
     let t0 = Instant::now();
-    let (cells, rows) = table.run(engine, scale);
-    if let Err(e) = (table.check)(&cells) {
-        eprintln!("WARNING: {} shape check failed: {e}", table.name);
+    let rendered = table.run(engine);
+    for claim in table.broken_claims(&rendered) {
+        eprintln!("WARNING: {}: the render breaks the claim `{claim}`", table.name);
     }
-    print!("{}", table.markdown(scale, &rows));
+    print!("{}", table.markdown(&rendered.rows));
     if write_csv {
-        let (file, text) = table.csv(&rows);
+        let (file, text) = table.csv(&rendered.rows);
         let path = Path::new("results").join(file);
         match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, text)) {
             Ok(()) => println!("(wrote {})", path.display()),

@@ -4,16 +4,32 @@
 //! Reconvergence.
 
 use crate::report::{pct, ratio};
-use crate::{eff, name, speedup, Body, Scale, Table, MODES};
+use crate::{eff, name, registry, speedup, Body, Rendered, Table, MODES};
 use workloads::{Cell, Grid};
 
-fn grid(scale: Scale) -> Grid {
-    Grid::new(scale.registry()).axis("mode", MODES)
+fn grid() -> Grid {
+    Grid::new(registry()).axis("mode", MODES)
+}
+
+/// Each workload's (baseline, SR) cells.
+fn pairs(r: &Rendered) -> impl Iterator<Item = &[Cell]> {
+    r.cells.chunks(2)
+}
+
+/// A workload's SIMT-efficiency gain under SR.
+fn gain(c: &[Cell]) -> f64 {
+    eff(&c[1]) / eff(&c[0])
 }
 
 /// Figure 7: whole-kernel and region-of-interest SIMT efficiency.
 pub const FIG7: Table = Table {
-    check: sanity,
+    claims: &[
+        ("SR efficiency > baseline on every workload", |r| pairs(r).all(|c| gain(c) > 1.0)),
+        ("SR ROI efficiency > baseline ROI efficiency on every workload", |r| {
+            let roi = |c: &Cell| c.metrics().roi_simt_efficiency();
+            pairs(r).all(|c| roi(&c[1]) > roi(&c[0]))
+        }),
+    ],
     ..Table::new(
         "fig7",
         "Figure 7 — SIMT efficiency (baseline vs Speculative Reconvergence)",
@@ -29,58 +45,33 @@ pub const FIG7: Table = Table {
 };
 
 /// Figure 8: SIMT-efficiency gain next to speedup.
-pub const FIG8: Table = Table::new(
-    "fig8",
-    "Figure 8 — relative SIMT-efficiency improvement vs speedup",
-    &["workload", "SIMT efficiency gain", "speedup"],
-    Body::Grid(grid, |cells| {
-        let row = |c: &[Cell]| {
-            vec![name(&c[0]), ratio(eff(&c[1]) / eff(&c[0])), ratio(speedup(&c[0], &c[1]))]
-        };
-        cells.chunks(2).map(row).collect()
-    }),
-);
-
-/// The paper's headline check: every workload improves, the best by
-/// roughly 3x, and speedup is (approximately) bounded by the efficiency
-/// gain.
-pub fn sanity(cells: &[Cell]) -> Result<(), String> {
-    if cells.len() != 18 {
-        return Err(format!("expected 9 workloads, got {}", cells.len() / 2));
-    }
-    let mut best: f64 = 0.0;
-    for c in cells.chunks(2) {
-        let (name, gain, speedup) = (name(&c[0]), eff(&c[1]) / eff(&c[0]), speedup(&c[0], &c[1]));
-        if gain < 1.05 {
-            return Err(format!("{name}: SIMT efficiency gain collapsed ({gain:.2}x)"));
-        }
-        if speedup < 0.95 {
-            return Err(format!(
-                "{name}: speculative reconvergence slowed it down ({speedup:.2}x)"
-            ));
-        }
-        // "SIMT efficiency improvement serves roughly as an upper bound on
-        // speedup" (§5.2) — allow slack for second-order effects.
-        if speedup > gain * 1.35 {
-            return Err(format!(
-                "{name}: speedup {speedup:.2}x implausibly exceeds efficiency gain {gain:.2}x"
-            ));
-        }
-        best = best.max(gain);
-    }
-    if best < 2.0 {
-        return Err(format!("best efficiency gain {best:.2}x; the paper reports up to ~3x"));
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::golden::cells;
-
-    #[test]
-    fn quick_scale_reproduces_figure_7_and_8_shapes() {
-        sanity(cells("fig7")).unwrap();
-    }
-}
+pub const FIG8: Table = Table {
+    claims: &[
+        ("efficiency gain between 10% and 3x on every workload", |r| {
+            pairs(r).all(|c| (1.1..=3.0).contains(&gain(c)))
+        }),
+        ("the best efficiency gain is over 2x (the paper: up to 3x)", |r| {
+            pairs(r).any(|c| gain(c) > 2.0)
+        }),
+        ("SR speeds up every workload", |r| pairs(r).all(|c| speedup(&c[0], &c[1]) > 1.0)),
+        ("speedup <= efficiency gain on every workload except optix", |r| {
+            pairs(r).all(|c| (speedup(&c[0], &c[1]) <= gain(c)) == (name(&c[0]) != "optix"))
+        }),
+        ("rsbench has the largest efficiency gain and the largest speedup", |r| {
+            let best = |key: fn(&[Cell]) -> f64| {
+                pairs(r).max_by(|a, b| key(a).total_cmp(&key(b))).map(|c| name(&c[0]))
+            };
+            let rsbench = Some("rsbench".to_string());
+            best(gain) == rsbench && best(|c| speedup(&c[0], &c[1])) == rsbench
+        }),
+    ],
+    ..Table::new(
+        "fig8",
+        "Figure 8 — relative SIMT-efficiency improvement vs speedup",
+        &["workload", "SIMT efficiency gain", "speedup"],
+        Body::Grid(grid, |cells| {
+            let row = |c: &[Cell]| vec![name(&c[0]), ratio(gain(c)), ratio(speedup(&c[0], &c[1]))];
+            cells.chunks(2).map(row).collect()
+        }),
+    )
+};

@@ -10,7 +10,7 @@
 //! XSBench (expensive refill) peaks at a partial threshold.
 
 use crate::report::{pct, ratio};
-use crate::{eff, name, speedup, Body, Table, MODES};
+use crate::{eff, name, spec, speedup, Body, Rendered, Table, MODES};
 use workloads::{Cell, Grid};
 
 /// The threshold axis (the paper's 0..32 sweep at step 4, with 32 = full
@@ -21,14 +21,23 @@ pub const THRESHOLDS: [u32; 9] = [2, 4, 8, 12, 16, 20, 24, 28, 32];
 /// baseline.
 pub const TABLE: Table = Table {
     note: "(threshold = arrivals required to release; 32 = full/hard barrier)",
-    check: sanity,
+    claims: &[
+        ("pathtracer peaks at the full barrier (T = 32)", |r| peak(r, "pathtracer") == "32"),
+        ("xsbench peaks below the full barrier, faster than at it", |r| peak(r, "xsbench") != "32"),
+        ("both curves are lowest at T = 2", |r| {
+            ["pathtracer", "xsbench"].iter().all(|app| {
+                let curve = curve(r, app);
+                curve.iter().min_by(|a, b| a.1.total_cmp(&b.1)).map(|p| p.0) == Some("2")
+            })
+        }),
+    ],
     ..Table::new(
         "fig9",
         "Figure 9 — soft-barrier threshold sweep (PathTracer, XSBench)",
         &["app", "threshold", "SIMT efficiency", "speedup"],
         Body::Grid(
-            |scale| {
-                let bases = vec![scale.spec("pathtracer"), scale.spec("xsbench")];
+            || {
+                let bases = vec![spec("pathtracer"), spec("xsbench")];
                 Grid::new(bases).axis("threshold", THRESHOLDS).axis("mode", MODES)
             },
             |cells| {
@@ -42,39 +51,13 @@ pub const TABLE: Table = Table {
     )
 };
 
-/// The paper's qualitative Figure-9 claim: PathTracer is best at the full
-/// barrier; XSBench peaks strictly below it.
-pub fn sanity(cells: &[Cell]) -> Result<(), String> {
-    // (threshold, speedup) along `app`'s curve, and its peak.
-    let curve = |app: &str| -> Vec<(&str, f64)> {
-        let points = cells.chunks(2).filter(|c| name(&c[0]) == app);
-        points.map(|c| (c[1].pairs[0].1.as_str(), speedup(&c[0], &c[1]))).collect()
-    };
-    fn peak<'a>(curve: &[(&'a str, f64)]) -> Option<(&'a str, f64)> {
-        curve.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-    let (pathtracer, xsbench) = (curve("pathtracer"), curve("xsbench"));
-    let (pt_best, _) = peak(&pathtracer).ok_or("no points for pathtracer")?;
-    if pt_best != "32" {
-        return Err(format!("pathtracer should peak at the full barrier, peaked at {pt_best}"));
-    }
-    let (xs_best, xs_peak) = peak(&xsbench).ok_or("no points for xsbench")?;
-    let (_, xs_full) = xsbench.iter().find(|p| p.0 == "32").ok_or("no point for xsbench at 32")?;
-    if xs_best == "32" || xs_peak <= *xs_full {
-        return Err(format!(
-            "xsbench should peak below the full barrier: {xs_peak:.3} at {xs_best}, {xs_full:.3} at 32"
-        ));
-    }
-    Ok(())
+/// `app`'s (threshold, speedup) points.
+fn curve<'a>(r: &'a Rendered, app: &str) -> Vec<(&'a str, f64)> {
+    let points = r.cells.chunks(2).filter(|c| name(&c[0]) == app);
+    points.map(|c| (c[1].pairs[0].1.as_str(), speedup(&c[0], &c[1]))).collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::golden::cells;
-
-    #[test]
-    fn quick_scale_reproduces_figure_9_crossover() {
-        sanity(cells("fig9")).unwrap();
-    }
+/// The threshold of `app`'s fastest point (the last, on a tie).
+fn peak<'a>(r: &'a Rendered, app: &str) -> &'a str {
+    curve(r, app).into_iter().max_by(|a, b| a.1.total_cmp(&b.1)).map_or("", |p| p.0)
 }

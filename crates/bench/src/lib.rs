@@ -6,7 +6,13 @@
 //! row formatter over its cells or, where the experiment is not a grid,
 //! rows computed in code. [`TABLES`] lists them in the order `figures
 //! all` prints them; the `figures` binary renders them as markdown/CSV.
-//! Throughput is measured by the `benchmark/` ledger, not here.
+//!
+//! EXPERIMENTS.md holds each table's markdown between
+//! `<!-- figures:NAME -->` and `<!-- /figures -->` markers, and its prose
+//! states what each table shows: those statements are the table's
+//! [`Claim`]s. The crate's `experiments` test renders every table once and
+//! fails on a block that differs from the render or a claim the render
+//! breaks. Throughput is measured by the `benchmark/` ledger, not here.
 //!
 //! | `figures` target | artifact | module |
 //! |---|---|---|
@@ -57,41 +63,20 @@ pub const TABLES: [Table; 16] = [
     ablate::THRESHOLD,
 ];
 
-/// Problem-size selector: `Quick` shrinks launches for CI/tests, `Full`
-/// uses the workloads' default parameters (what EXPERIMENTS.md records).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Small launches (1 warp) for fast iteration.
-    Quick,
-    /// Default workload parameters.
-    Full,
+/// The built-in workload `name`, compiled and run at the run grammar's
+/// defaults.
+fn spec(name: &str) -> RunSpec {
+    RunSpec::parse(&[("workload", name)]).expect("a built-in workload")
 }
 
-impl Scale {
-    /// The built-in workload `name` at this scale, compiled and run at the
-    /// run grammar's defaults.
-    pub fn spec(self, name: &str) -> RunSpec {
-        let mut spec = RunSpec::parse(&[("workload", name)]).expect("a built-in workload");
-        if self == Scale::Quick {
-            spec.apply(&[("warps", "1")]).expect("one warp");
-        }
-        spec
-    }
-
-    /// The nine Table-2 workloads at this scale, in the paper's order.
-    pub fn registry(self) -> Vec<RunSpec> {
-        workloads::names()[..9].iter().map(|name| self.spec(name)).collect()
-    }
-
-    /// Kernels in the synthetic corpus the §5.4 funnel scans (the paper
-    /// scans 520 applications).
-    pub fn corpus(self) -> usize {
-        match self {
-            Scale::Quick => 120,
-            Scale::Full => 520,
-        }
-    }
+/// The nine Table-2 workloads, in the paper's order.
+fn registry() -> Vec<RunSpec> {
+    workloads::names()[..9].iter().map(|name| spec(name)).collect()
 }
+
+/// A claim EXPERIMENTS.md makes about a table: its wording and a
+/// predicate over what the table rendered.
+pub type Claim = (&'static str, fn(&Rendered) -> bool);
 
 /// One table or figure: what `figures` prints under a heading and writes
 /// as a CSV.
@@ -99,7 +84,7 @@ impl Scale {
 pub struct Table {
     /// The `figures` target; with `_` for `-`, the CSV's file name.
     pub name: &'static str,
-    /// The heading; `{corpus}` stands for [`Scale::corpus`].
+    /// The heading.
     pub title: &'static str,
     /// A paragraph under the heading, or empty.
     pub note: &'static str,
@@ -109,54 +94,64 @@ pub struct Table {
     pub headers: &'static [&'static str],
     /// Where the rows come from.
     pub body: Body,
-    /// The paper's qualitative claim over the grid's cells; `Ok` where the
-    /// table makes none.
-    pub check: fn(&[Cell]) -> Result<(), String>,
+    /// What EXPERIMENTS.md's prose says the table shows.
+    pub claims: &'static [Claim],
 }
 
 /// Where a table's rows come from.
 #[derive(Clone, Copy)]
 pub enum Body {
-    /// The grid at a scale, and the rows formatted from its cells.
-    Grid(fn(Scale) -> Grid, fn(&[Cell]) -> Vec<Vec<String>>),
+    /// The grid, and the rows formatted from its cells.
+    Grid(fn() -> Grid, fn(&[Cell]) -> Vec<Vec<String>>),
     /// Rows computed in code, for an experiment that is not a grid.
-    Code(fn(&Engine, Scale) -> Vec<Vec<String>>),
+    Code(fn(&Engine) -> Vec<Vec<String>>),
+}
+
+/// What a table rendered.
+pub struct Rendered {
+    /// Its grid's cells, in grid order; none for rows computed in code.
+    pub cells: Vec<Cell>,
+    /// Its rows.
+    pub rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// A table with no note, footer or check.
+    /// A table with no note, footer or claims.
     pub const fn new(
         name: &'static str,
         title: &'static str,
         headers: &'static [&'static str],
         body: Body,
     ) -> Table {
-        Table { name, title, note: "", footer: "", headers, body, check: |_| Ok(()) }
+        Table { name, title, note: "", footer: "", headers, body, claims: &[] }
     }
 
-    /// Runs the table at `scale`: its grid's cells (none for rows computed
-    /// in code) and its rows.
+    /// Runs the table.
     ///
     /// # Panics
     ///
     /// If a cell fails to compile or run, or two cells that must agree
-    /// leave different memory: the test suite guards all three.
-    pub fn run(&self, engine: &Engine, scale: Scale) -> (Vec<Cell>, Vec<Vec<String>>) {
+    /// leave different memory.
+    pub fn run(&self, engine: &Engine) -> Rendered {
         match self.body {
             Body::Grid(grid, rows) => {
                 let cells =
-                    engine.run_grid(&grid(scale)).unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                    engine.run_grid(&grid()).unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 let rows = rows(&cells);
-                (cells, rows)
+                Rendered { cells, rows }
             }
-            Body::Code(rows) => (Vec::new(), rows(engine, scale)),
+            Body::Code(rows) => Rendered { cells: Vec::new(), rows: rows(engine) },
         }
     }
 
+    /// The wording of each claim `rendered` breaks.
+    pub fn broken_claims(&self, rendered: &Rendered) -> Vec<&'static str> {
+        self.claims.iter().filter(|(_, holds)| !holds(rendered)).map(|(claim, _)| *claim).collect()
+    }
+
     /// The markdown section `figures` prints for `rows`.
-    pub fn markdown(&self, scale: Scale, rows: &[Vec<String>]) -> String {
-        let title = self.title.replace("{corpus}", &scale.corpus().to_string());
-        let mut out = format!("\n## {title}\n\n");
+    pub fn markdown(&self, rows: &[Vec<String>]) -> String {
+        let mut out = format!("\n## {}\n\n", self.title);
         if !self.note.is_empty() {
             out += &format!("{}\n\n", self.note);
         }
@@ -194,70 +189,16 @@ fn speedup(base: &Cell, sr: &Cell) -> f64 {
     cycles(base) as f64 / cycles(sr) as f64
 }
 
+/// The speedup of each (baseline, SR) pair of `cells`.
+fn speedups(cells: &[Cell]) -> Vec<f64> {
+    cells.chunks(2).map(|c| speedup(&c[0], &c[1])).collect()
+}
+
+/// Whether `values` fall strictly, first to last.
+fn falling<T: PartialOrd>(values: impl IntoIterator<Item = T>) -> bool {
+    let values: Vec<T> = values.into_iter().collect();
+    values.windows(2).all(|w| w[1] < w[0])
+}
+
 /// The `mode` axis of a PDOM-vs-SR comparison.
 const MODES: [&str; 2] = ["baseline", "speculative"];
-
-/// Every table rendered once at quick scale: the golden CSVs and each
-/// table's shape tests read this one render, so the suite simulates each
-/// grid once.
-#[cfg(test)]
-pub(crate) mod golden {
-    use super::*;
-    use std::sync::OnceLock;
-
-    const DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-
-    type Rendered = (Table, Vec<Cell>, Vec<Vec<String>>);
-
-    fn render() -> &'static [Rendered] {
-        static RENDER: OnceLock<Vec<Rendered>> = OnceLock::new();
-        RENDER.get_or_init(|| {
-            let engine = Engine::with_default_parallelism();
-            TABLES
-                .iter()
-                .map(|t| {
-                    let (cells, rows) = t.run(&engine, Scale::Quick);
-                    (*t, cells, rows)
-                })
-                .collect()
-        })
-    }
-
-    /// The cells of the table called `name`, at quick scale.
-    pub(crate) fn cells(name: &str) -> &'static [Cell] {
-        &render().iter().find(|r| r.0.name == name).expect("a table of that name").1
-    }
-
-    /// The first line where `got` and `want` differ, 1-based.
-    fn first_difference(got: &str, want: &str) -> Option<String> {
-        if got == want {
-            return None;
-        }
-        let (g, w): (Vec<_>, Vec<_>) = (got.lines().collect(), want.lines().collect());
-        let i = (0..g.len().max(w.len())).find(|&i| g.get(i) != w.get(i)).unwrap_or(g.len());
-        Some(format!("line {}: got {:?}, golden {:?}", i + 1, g.get(i), w.get(i)))
-    }
-
-    /// The CSVs of `figures all --quick --csv` are byte-identical to
-    /// `tests/golden/`. A difference is a real change in a figure or
-    /// ablation (a cost model, the scheduler, a pass, the rendering);
-    /// regenerate the goldens deliberately with `UPDATE_GOLDEN=1`.
-    #[test]
-    fn csvs_match_the_goldens() {
-        let dir = std::path::Path::new(DIR);
-        for (table, _, rows) in render() {
-            let (file, got) = table.csv(rows);
-            if std::env::var_os("UPDATE_GOLDEN").is_some() {
-                std::fs::write(dir.join(&file), &got).expect("golden written");
-                continue;
-            }
-            let want = std::fs::read_to_string(dir.join(&file));
-            let want = want.unwrap_or_else(|e| panic!("{file}: {e} (UPDATE_GOLDEN=1 writes it)"));
-            if let Some(diff) = first_difference(&got, &want) {
-                panic!("{file}: {diff}");
-            }
-        }
-        let goldens = std::fs::read_dir(dir).expect("the golden directory").count();
-        assert_eq!(goldens, TABLES.len(), "a golden CSV no table writes");
-    }
-}
