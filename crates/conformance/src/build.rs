@@ -1,9 +1,9 @@
 //! Lowers a [`ProgramSpec`] to a well-formed [`simt_ir::Module`].
 //!
 //! The lowering is intentionally boring: each `Stmt` maps to a fixed
-//! instruction sequence, so any behavioural difference the oracle sees
+//! instruction sequence, so any behavioural difference the grid sees
 //! is attributable to the SR transforms, not to the generator. Two
-//! invariants matter for the oracle:
+//! invariants matter for the grid:
 //!
 //! - **RNG alignment** — every transform variant executes the same
 //!   `rng.*` instructions in the same per-thread order, so the
@@ -29,9 +29,10 @@ pub fn mem_cells(spec: &ProgramSpec) -> usize {
 }
 
 /// How a recursive callee's depth argument is chosen at each call site.
-/// The genome itself only draws [`DepthBy::Uniform`]; the other arms are
-/// set by differentials that want lanes of one issue at *different* call
-/// depths (the same pc inside `helper`, different frames).
+/// The genome itself only draws [`DepthBy::Uniform`]; the other arms
+/// build the grid's call-depth programs, whose lanes of one issue sit at
+/// *different* call depths (the same pc inside `helper`, different
+/// frames).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DepthBy {
     /// Every thread passes the spec's depth.

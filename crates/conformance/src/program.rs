@@ -173,7 +173,7 @@ impl Gen {
         // Biased 4/6 toward `RngLt`: the RNG stream is the only
         // launch-seed-dependent input, so these are the branches where a
         // seed sweep's instances disagree — the sub-cohort fork/merge
-        // paths the sweep differential exists to cross-check. `TidBit`
+        // paths the grid's cohort twins exist to cross-check. `TidBit`
         // and `AccBit` stay in the mix for launch-stable and
         // data-dependent divergence.
         match self.rng.gen_range(0u32..6) {
@@ -207,7 +207,7 @@ impl Gen {
     /// 3 so branches-in-branches (and branches inside data-dependent
     /// loops) are routine: nested divergence multiplies the sweep
     /// engine's sub-cohort classes, which is exactly the regime the
-    /// sweep differential needs to stress.
+    /// grid's cohort twins need to stress.
     fn stmt(&mut self, depth: u32, top_level: bool, in_callee: bool) -> Stmt {
         let roll = self.rng.gen_range(0u32..100);
         if depth >= 3 || roll < 45 {

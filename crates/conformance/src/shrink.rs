@@ -5,14 +5,13 @@
 //! [`ProgramSpec`] genome directly: greedily try structure-reducing
 //! mutations (drop a statement, inline a branch arm, collapse a loop,
 //! drop a prediction, shrink the launch), keep any mutation under which
-//! the oracle still fails, and repeat to a fixpoint or until the
-//! oracle-call budget runs out. Every intermediate candidate is a
+//! the grid still fails, and repeat to a fixpoint or until the
+//! check budget runs out. Every intermediate candidate is a
 //! well-formed spec, so the final result is a minimal *valid* program.
 
-use crate::oracle;
 use crate::program::{collect_constructs, contains_call, PredTarget, ProgramSpec, Stmt};
 
-/// Default number of oracle invocations a shrink may spend.
+/// Default number of grid checks a shrink may spend.
 pub const DEFAULT_BUDGET: usize = 150;
 
 /// All single-step reductions of a statement list: per index, removal,
@@ -137,7 +136,7 @@ fn normalize(mut spec: ProgramSpec) -> ProgramSpec {
     spec
 }
 
-/// Greedily shrinks a failing spec, spending at most `budget` oracle
+/// Greedily shrinks a failing spec, spending at most `budget` grid
 /// calls. Returns the smallest spec found that still fails (which is
 /// `spec` itself if no reduction reproduces the failure).
 pub fn shrink(spec: &ProgramSpec, budget: usize) -> ProgramSpec {
@@ -153,7 +152,7 @@ pub fn shrink(spec: &ProgramSpec, budget: usize) -> ProgramSpec {
                 continue;
             }
             calls += 1;
-            if oracle::check(&cand).is_err() {
+            if crate::check(&cand).is_err() {
                 best = cand;
                 continue 'outer;
             }

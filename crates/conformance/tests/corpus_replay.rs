@@ -2,8 +2,8 @@
 //! case schedule: the named edge-case specs and the ingested proptest
 //! regression file.
 
+use conformance::check;
 use conformance::corpus::corpus;
-use conformance::oracle::check;
 use conformance::regressions;
 
 #[test]
@@ -32,26 +32,15 @@ fn interproc_corpus_case_actually_runs_the_interproc_variant() {
 }
 
 #[test]
-fn repair_variants_pass_the_oracle_when_enabled() {
-    // Env mutation is process-global: any concurrently running check()
-    // simply gains the melding variants, which must pass regardless.
-    std::env::set_var("CONFORMANCE_REPAIRS", "meld sr+meld");
-    let outcome = (|| {
-        for (name, spec) in corpus().into_iter().take(4) {
-            let report = check(&spec).map_err(|v| format!("corpus case {name:?}:\n{v}"))?;
-            for repair in ["repair-meld", "repair-sr+meld"] {
-                if !report.variants_run.iter().any(|v| v == repair) {
-                    return Err(format!(
-                        "corpus case {name:?} never ran the {repair} variant: {report:?}"
-                    ));
-                }
-            }
+fn repair_variants_pass_the_oracle() {
+    for (name, spec) in corpus().into_iter().take(4) {
+        let report = check(&spec).unwrap_or_else(|v| panic!("corpus case {name:?}:\n{v}"));
+        for repair in ["repair-meld", "repair-sr+meld"] {
+            assert!(
+                report.variants_run.iter().any(|v| v == repair),
+                "corpus case {name:?} never ran the {repair} variant: {report:?}"
+            );
         }
-        Ok(())
-    })();
-    std::env::remove_var("CONFORMANCE_REPAIRS");
-    if let Err(msg) = outcome {
-        panic!("{msg}");
     }
 }
 

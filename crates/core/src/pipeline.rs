@@ -108,8 +108,8 @@ impl CompileOptions {
 /// The divergence-repair axis: which repair (or composition of repairs)
 /// the pipeline applies to divergent control flow.
 ///
-/// Parsed from `--repair` on the CLI, the `repair` knob of `/v1/eval`,
-/// and `CONFORMANCE_REPAIRS` in the conformance harness.
+/// Parsed from `--repair` on the CLI and the `repair` knob of
+/// `/v1/eval`; the conformance grid runs every melding strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RepairStrategy {
     /// Baseline PDOM reconvergence only.

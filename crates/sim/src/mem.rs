@@ -32,11 +32,11 @@
 //! round's cycle, visiting warps in index order — so the shared MSHR
 //! file sees the identical access sequence in the reference walker,
 //! the decoded hot loop, and each slot of a sweep cohort, and the
-//! differential proptests keep passing. The depth-0 constructor
+//! conformance grid keeps passing. The depth-0 constructor
 //! [`MemHierarchy::flat`] reproduces the hierarchy-off coalescing cost
 //! bit-exactly and [`MemHierarchy::l1`] is the single-level L1 cache
-//! (both pinned across all three engines by
-//! `crates/conformance/tests/hier_flat_differential.rs`).
+//! (both pinned across all three engines by the conformance grid,
+//! `crates/conformance/src/grid.rs`).
 
 use crate::config::LatencyModel;
 

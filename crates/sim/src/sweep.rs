@@ -79,8 +79,8 @@
 //!
 //! Sweep outputs are **bit-identical** to N independent scalar runs —
 //! metrics, final global memory, RNG streams, and errors — which the
-//! conformance differential suite enforces across the generative kernel
-//! genome and every scheduler policy. Per-instance observability
+//! conformance grid enforces across the generative kernel genome, every
+//! scheduler policy and reconvergence model, and two memory hierarchies. Per-instance observability
 //! (trace, profile, journal) cannot be attributed exactly from shared
 //! control, so sweeps of more than one instance reject those configs
 //! with [`SimError::SweepUnsupported`] instead of emitting misstamped

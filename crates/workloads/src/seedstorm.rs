@@ -1,7 +1,7 @@
 //! Seed-storm: a seed-divergent sweep stressor.
 //!
-//! Promoted from the shapes the `sweep_differential` conformance genome
-//! generates most often: *seed-dependent uniform branches*. Each round,
+//! Promoted from the shapes the conformance genome's seed sweeps
+//! generate most often: *seed-dependent uniform branches*. Each round,
 //! every lane draws from its RNG and the warp votes; the vote count is
 //! warp-uniform but a pure function of the launch seed, so under a seed
 //! sweep whole instances disagree on the branch on nearly every round.
