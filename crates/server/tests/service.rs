@@ -392,11 +392,21 @@ fn deadline_expiry_returns_504_and_cancels() {
 fn shutdown_mid_flight_drains_accepted_work() {
     let (addr, handle, runner) = start(local(4, 1));
 
-    // Park one slow-but-finite request in the worker.
-    let body = spin_body(300_000, 120_000);
+    // Park one slow-but-finite request in the worker: long enough at
+    // release speed to outlast the poll below, short enough in a debug
+    // build, and bounded by its deadline either way.
+    let deadline_ms = 120_000;
+    let body = spin_body(600_000, deadline_ms);
     let in_flight = std::thread::spawn(move || request(&addr, "POST", "/v1/eval", &body));
-    // Give it time to be admitted and picked up.
-    std::thread::sleep(Duration::from_millis(200));
+    // Shut down only once a worker is running it: a fixed sleep outlasts
+    // the whole spin in a release build.
+    let start = Instant::now();
+    while scrape_gauge(&request(&addr, "GET", "/metrics", "").body, "specrecon_inflight_requests")
+        < 1.0
+    {
+        assert!(start.elapsed() < Duration::from_millis(deadline_ms), "the spin never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     handle.shutdown();
     let report = runner.join().unwrap().unwrap();

@@ -211,6 +211,7 @@ pub(crate) fn eval_un(op: UnOp, a: Value) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Value::{F64, I64};
 
     #[test]
     fn eval_bin_int_and_float() {
@@ -228,5 +229,377 @@ mod tests {
         assert_eq!(eval_un(UnOp::Sqrt, Value::F64(4.0)).unwrap(), Value::F64(2.0));
         assert_eq!(eval_un(UnOp::FtoI, Value::F64(2.9)).unwrap(), Value::I64(2));
         assert!(eval_un(UnOp::Not, Value::F64(1.0)).is_err());
+    }
+
+    // The edge semantics docs/SYNTAX.md states ("ALU edge semantics"),
+    // one literal table per op. A row expects a value — its type and,
+    // for floats, its bits (`-0.0` is not `0.0`; any NaN matches NaN) —
+    // or an error whose message contains the given text.
+
+    const NAN: f64 = f64::NAN;
+    const INF: f64 = f64::INFINITY;
+    const MIN: i64 = i64::MIN;
+    const MAX: i64 = i64::MAX;
+    const FLOAT: Result<Value, &str> = Err("applied to a float");
+
+    fn same(x: Value, y: Value) -> bool {
+        match (x, y) {
+            (I64(a), I64(b)) => a == b,
+            (F64(a), F64(b)) => a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan(),
+            _ => false,
+        }
+    }
+
+    fn check(what: String, got: Result<Value, String>, want: Result<Value, &str>) {
+        match (&got, want) {
+            (Ok(g), Ok(w)) if same(*g, w) => {}
+            (Err(g), Err(w)) if g.contains(w) => {}
+            _ => panic!("{what}: got {got:?}, want {want:?}"),
+        }
+    }
+
+    fn bin(op: BinOp, rows: &[(Value, Value, Result<Value, &str>)]) {
+        for &(a, b, want) in rows {
+            check(format!("{a:?} {} {b:?}", op.mnemonic()), eval_bin(op, a, b), want);
+        }
+    }
+
+    fn un(op: UnOp, rows: &[(Value, Result<Value, &str>)]) {
+        for &(a, want) in rows {
+            check(format!("{op:?} {a:?}"), eval_un(op, a), want);
+        }
+    }
+
+    #[test]
+    fn add_wraps_and_promotes() {
+        bin(
+            BinOp::Add,
+            &[
+                (I64(2), I64(3), Ok(I64(5))),
+                (I64(MAX), I64(1), Ok(I64(MIN))),
+                (I64(1), F64(0.5), Ok(F64(1.5))),
+                (F64(0.5), I64(1), Ok(F64(1.5))),
+                // An integer past 2^53 rounds on promotion.
+                (I64((1 << 53) + 1), F64(0.0), Ok(F64(9007199254740992.0))),
+                (F64(INF), F64(-INF), Ok(F64(NAN))),
+            ],
+        );
+    }
+
+    #[test]
+    fn sub_wraps_and_promotes() {
+        bin(
+            BinOp::Sub,
+            &[
+                (I64(2), I64(3), Ok(I64(-1))),
+                (I64(MIN), I64(1), Ok(I64(MAX))),
+                (I64(1), F64(0.25), Ok(F64(0.75))),
+                (F64(0.0), F64(0.0), Ok(F64(0.0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn mul_wraps_and_promotes() {
+        bin(
+            BinOp::Mul,
+            &[
+                (I64(-4), I64(3), Ok(I64(-12))),
+                (I64(MAX), I64(2), Ok(I64(-2))),
+                (I64(MIN), I64(-1), Ok(I64(MIN))),
+                (I64(3), F64(0.5), Ok(F64(1.5))),
+                (F64(-0.0), I64(5), Ok(F64(-0.0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn div_truncates_and_faults_on_an_integer_zero() {
+        bin(
+            BinOp::Div,
+            &[
+                (I64(7), I64(2), Ok(I64(3))),
+                (I64(-7), I64(2), Ok(I64(-3))),
+                (I64(7), I64(-2), Ok(I64(-3))),
+                (I64(MIN), I64(-1), Ok(I64(MIN))),
+                (I64(1), I64(0), Err("integer division by zero")),
+                (I64(7), F64(2.0), Ok(F64(3.5))),
+                (I64(1), F64(0.0), Ok(F64(INF))),
+                (F64(0.0), I64(0), Ok(F64(NAN))),
+            ],
+        );
+    }
+
+    #[test]
+    fn rem_truncates_and_faults_on_an_integer_zero() {
+        bin(
+            BinOp::Rem,
+            &[
+                (I64(7), I64(2), Ok(I64(1))),
+                (I64(-7), I64(2), Ok(I64(-1))),
+                (I64(7), I64(-2), Ok(I64(1))),
+                (I64(-7), I64(-2), Ok(I64(-1))),
+                (I64(MIN), I64(-1), Ok(I64(0))),
+                (I64(1), I64(0), Err("integer remainder by zero")),
+                (F64(-7.5), I64(2), Ok(F64(-1.5))),
+                (I64(1), F64(0.0), Ok(F64(NAN))),
+            ],
+        );
+    }
+
+    #[test]
+    fn and_is_bitwise_on_integers_only() {
+        bin(
+            BinOp::And,
+            &[
+                (I64(0b1100), I64(0b1010), Ok(I64(0b1000))),
+                (I64(-1), I64(MIN), Ok(I64(MIN))),
+                (F64(1.0), I64(1), FLOAT),
+                (I64(1), F64(1.0), FLOAT),
+            ],
+        );
+    }
+
+    #[test]
+    fn or_is_bitwise_on_integers_only() {
+        bin(
+            BinOp::Or,
+            &[
+                (I64(0b1100), I64(0b1010), Ok(I64(0b1110))),
+                (I64(MIN), I64(1), Ok(I64(MIN + 1))),
+                (F64(0.0), I64(0), FLOAT),
+            ],
+        );
+    }
+
+    #[test]
+    fn xor_is_bitwise_on_integers_only() {
+        bin(
+            BinOp::Xor,
+            &[
+                (I64(0b1100), I64(0b1010), Ok(I64(0b0110))),
+                (I64(-1), I64(0), Ok(I64(-1))),
+                (I64(0), F64(0.0), FLOAT),
+            ],
+        );
+    }
+
+    #[test]
+    fn shl_masks_its_amount_to_six_bits() {
+        bin(
+            BinOp::Shl,
+            &[
+                (I64(1), I64(4), Ok(I64(16))),
+                (I64(1), I64(40), Ok(I64(1 << 40))),
+                (I64(1), I64(63), Ok(I64(MIN))),
+                (I64(1), I64(64), Ok(I64(1))),
+                (I64(1), I64(70), Ok(I64(64))),
+                (I64(1), I64(-1), Ok(I64(MIN))),
+                (I64(-1), I64(1), Ok(I64(-2))),
+                (F64(1.0), I64(1), FLOAT),
+            ],
+        );
+    }
+
+    #[test]
+    fn shr_is_logical_and_masks_its_amount_to_six_bits() {
+        bin(
+            BinOp::Shr,
+            &[
+                (I64(16), I64(4), Ok(I64(1))),
+                (I64(-8), I64(1), Ok(I64(MAX - 3))),
+                (I64(MIN), I64(63), Ok(I64(1))),
+                (I64(1 << 40), I64(40), Ok(I64(1))),
+                (I64(16), I64(64), Ok(I64(16))),
+                (I64(16), I64(68), Ok(I64(1))),
+                (I64(16), F64(1.0), FLOAT),
+            ],
+        );
+    }
+
+    #[test]
+    fn min_prefers_a_number_to_nan() {
+        bin(
+            BinOp::Min,
+            &[
+                (I64(-3), I64(2), Ok(I64(-3))),
+                (I64(MIN), I64(MAX), Ok(I64(MIN))),
+                (I64(2), F64(2.5), Ok(F64(2.0))),
+                (F64(NAN), I64(1), Ok(F64(1.0))),
+                (F64(1.0), F64(NAN), Ok(F64(1.0))),
+                (F64(NAN), F64(NAN), Ok(F64(NAN))),
+            ],
+        );
+    }
+
+    #[test]
+    fn max_prefers_a_number_to_nan() {
+        bin(
+            BinOp::Max,
+            &[
+                (I64(-3), I64(2), Ok(I64(2))),
+                (I64(2), F64(1.5), Ok(F64(2.0))),
+                (F64(NAN), I64(1), Ok(F64(1.0))),
+                (F64(1.0), F64(NAN), Ok(F64(1.0))),
+                (F64(NAN), F64(NAN), Ok(F64(NAN))),
+            ],
+        );
+    }
+
+    #[test]
+    fn eq_compares_promoted_values_and_nan_equals_nothing() {
+        bin(
+            BinOp::Eq,
+            &[
+                (I64(2), I64(2), Ok(I64(1))),
+                (I64(2), F64(2.0), Ok(I64(1))),
+                (F64(0.0), F64(-0.0), Ok(I64(1))),
+                (F64(NAN), F64(NAN), Ok(I64(0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn ne_compares_promoted_values_and_nan_differs_from_everything() {
+        bin(
+            BinOp::Ne,
+            &[
+                (I64(2), I64(3), Ok(I64(1))),
+                (I64(2), F64(2.0), Ok(I64(0))),
+                (F64(NAN), F64(NAN), Ok(I64(1))),
+            ],
+        );
+    }
+
+    #[test]
+    fn lt_compares_promoted_values_and_is_false_on_nan() {
+        bin(
+            BinOp::Lt,
+            &[
+                (I64(MIN), I64(MAX), Ok(I64(1))),
+                (I64(1), F64(1.5), Ok(I64(1))),
+                (F64(NAN), I64(1), Ok(I64(0))),
+                (I64(1), F64(NAN), Ok(I64(0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn le_compares_promoted_values_and_is_false_on_nan() {
+        bin(
+            BinOp::Le,
+            &[
+                (I64(2), I64(2), Ok(I64(1))),
+                (F64(2.5), I64(2), Ok(I64(0))),
+                (F64(NAN), F64(NAN), Ok(I64(0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn gt_compares_promoted_values_and_is_false_on_nan() {
+        bin(
+            BinOp::Gt,
+            &[
+                (I64(3), I64(2), Ok(I64(1))),
+                (F64(-0.0), F64(0.0), Ok(I64(0))),
+                (F64(NAN), I64(0), Ok(I64(0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn ge_compares_promoted_values_and_is_false_on_nan() {
+        bin(
+            BinOp::Ge,
+            &[
+                (I64(2), I64(2), Ok(I64(1))),
+                (I64(2), F64(2.5), Ok(I64(0))),
+                (F64(INF), F64(NAN), Ok(I64(0))),
+            ],
+        );
+    }
+
+    #[test]
+    fn not_is_bitwise_on_integers_only() {
+        un(UnOp::Not, &[(I64(0), Ok(I64(-1))), (I64(MIN), Ok(I64(MAX))), (F64(0.0), FLOAT)]);
+    }
+
+    #[test]
+    fn neg_wraps_and_flips_a_float_sign() {
+        un(
+            UnOp::Neg,
+            &[
+                (I64(3), Ok(I64(-3))),
+                (I64(MIN), Ok(I64(MIN))),
+                (F64(0.0), Ok(F64(-0.0))),
+                (F64(NAN), Ok(F64(NAN))),
+            ],
+        );
+    }
+
+    #[test]
+    fn sqrt_promotes_and_is_nan_below_zero() {
+        un(
+            UnOp::Sqrt,
+            &[(I64(9), Ok(F64(3.0))), (F64(-0.0), Ok(F64(-0.0))), (I64(-1), Ok(F64(NAN)))],
+        );
+    }
+
+    #[test]
+    fn exp_promotes() {
+        un(
+            UnOp::Exp,
+            &[(I64(0), Ok(F64(1.0))), (F64(-INF), Ok(F64(0.0))), (F64(INF), Ok(F64(INF)))],
+        );
+    }
+
+    #[test]
+    fn log_promotes_and_is_minus_infinity_at_zero() {
+        un(
+            UnOp::Log,
+            &[(I64(1), Ok(F64(0.0))), (I64(0), Ok(F64(-INF))), (F64(-1.0), Ok(F64(NAN)))],
+        );
+    }
+
+    #[test]
+    fn abs_wraps_at_the_integer_minimum() {
+        un(
+            UnOp::Abs,
+            &[
+                (I64(-3), Ok(I64(3))),
+                (I64(MIN), Ok(I64(MIN))),
+                (F64(-0.0), Ok(F64(0.0))),
+                (F64(-INF), Ok(F64(INF))),
+            ],
+        );
+    }
+
+    #[test]
+    fn itof_rounds_to_the_nearest_float() {
+        un(
+            UnOp::ItoF,
+            &[
+                (I64(-3), Ok(F64(-3.0))),
+                (I64(MAX), Ok(F64(9223372036854775808.0))),
+                (I64((1 << 53) + 1), Ok(F64(9007199254740992.0))),
+                (F64(0.5), Ok(F64(0.5))),
+            ],
+        );
+    }
+
+    #[test]
+    fn ftoi_truncates_and_saturates() {
+        un(
+            UnOp::FtoI,
+            &[
+                (F64(2.9), Ok(I64(2))),
+                (F64(-2.9), Ok(I64(-2))),
+                (F64(1e300), Ok(I64(MAX))),
+                (F64(-INF), Ok(I64(MIN))),
+                (F64(NAN), Ok(I64(0))),
+                (I64(-7), Ok(I64(-7))),
+            ],
+        );
     }
 }

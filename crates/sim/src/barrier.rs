@@ -35,7 +35,7 @@
 
 use crate::config::{SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedFunc, DecodedImage, PoolRange};
-use crate::error::{BarrierState, SimError};
+use crate::error::{BarrierState, ReconDump, SimError};
 use crate::machine::Launch;
 use crate::sched::{lanes, select_group_mask};
 use simt_ir::{BarrierId, BarrierOp};
@@ -281,14 +281,6 @@ impl WarpCtl {
         self.lane_mask & !self.exited
     }
 
-    /// Moves every lane of `mask` to the next instruction.
-    #[inline(always)]
-    pub(crate) fn advance(&mut self, mask: u64) {
-        for l in lanes(mask) {
-            self.pcs[l] += 1;
-        }
-    }
-
     /// Moves every lane of `mask` to `pc`.
     #[inline]
     pub(crate) fn move_to(&mut self, mask: u64, pc: usize) {
@@ -301,16 +293,6 @@ impl WarpCtl {
     #[inline]
     pub(crate) fn arrived(&self, b: BarrierId) -> i64 {
         i64::from(self.masks[b.index()].count_ones())
-    }
-
-    /// The barrier a blocked lane is parked on, for deadlock reports.
-    /// `WaitingSync` reports as barrier 0 (the diagnostic text carries
-    /// the real story).
-    pub(crate) fn blocked_on(&self, lane: usize) -> BarrierId {
-        match self.status[lane] {
-            Status::Waiting(b) => b,
-            _ => BarrierId(0),
-        }
     }
 
     /// Lanes parked on barrier `b`: scans only the waiting mask
@@ -440,20 +422,30 @@ impl WarpCtl {
         self.sync_release_check(sink);
     }
 
-    /// Snapshot of every barrier register that still has live
-    /// participants or waiters (the deadlock diagnostic dump).
-    pub(crate) fn barrier_dump(&self) -> Vec<BarrierState> {
-        let live = self.live();
-        let mut out = Vec::new();
-        for (i, &m) in self.masks.iter().enumerate() {
-            let b = BarrierId::new(i);
-            let waiters = self.waiters(b);
-            let participants = m & live;
-            if participants != 0 || waiters != 0 {
-                out.push(BarrierState { barrier: b, participants, waiters });
-            }
+    /// Both engines' deadlock report of warp `w` at `cycle`, whose live
+    /// lanes all block with the release checks run; `recon` is the model's
+    /// part. Each lane names the barrier it is parked on (`WaitingSync` as
+    /// barrier 0: the diagnostic text carries the real story), and every
+    /// barrier register with live participants or waiters is dumped.
+    pub(crate) fn deadlock(
+        &self,
+        image: &DecodedImage,
+        w: usize,
+        cycle: u64,
+        recon: ReconDump,
+    ) -> SimError {
+        let (live, at) = (self.live(), |l| image.location(w, l, self.pcs[l]));
+        let parked = |l| if let Status::Waiting(b) = self.status[l] { b } else { BarrierId(0) };
+        let barriers = self.masks.iter().enumerate().map(|(i, &m)| {
+            let barrier = BarrierId::new(i);
+            BarrierState { barrier, participants: m & live, waiters: self.waiters(barrier) }
+        });
+        SimError::Deadlock {
+            cycle,
+            waiting: lanes(live).map(|l| (at(l), parked(l))).collect(),
+            barriers: barriers.filter(|b| b.participants != 0 || b.waiters != 0).collect(),
+            recon,
         }
-        out
     }
 
     /// Debug-only invariant: the incremental status masks must agree

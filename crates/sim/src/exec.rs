@@ -39,14 +39,11 @@
 //! - loads, stores and atomics walk the issued lanes through the cell
 //!   kernels the cohort's per-slot paths call too ([`crate::cols::cell`],
 //!   [`move_cell`], [`add_cell`]);
-//! - the straight-line batcher's fault pre-check reads float words, not
-//!   lanes ([`crate::cols::fault_free`]);
-//! - the batcher pays per batch, not per issue, for what a batch cannot
-//!   change: [`Machine::exec`] returns where a group that moves together
-//!   goes next instead of moving its lanes, so a batch carries the
-//!   group's pc in a local and writes the lanes' pcs once, and records
-//!   its issues with one [`Metrics::record_issues`] (the per-block
-//!   profile stays per issue);
+//! - the straight-line batcher ([`crate::sched::run_ahead`]) pre-checks
+//!   faults on float words ([`crate::cols::fault_free`]) and pays per
+//!   batch for what a batch cannot change: [`Machine::exec`] returns where
+//!   a group that moves together goes next instead of moving its lanes,
+//!   so the lanes' pcs and [`Metrics::record_issues`] are written once;
 //! - every buffer the loop needs (group keys, coalescing addresses)
 //!   lives in a per-[`Machine`] [`Scratch`] arena — after warm-up (the
 //!   register arena and frame table at the kernel's call depth),
@@ -59,16 +56,16 @@ use crate::cols::{
     add_cell, cell, encode, move_cell, tagged, typed, Class, MemOp, SlotCols, Src, FLOAT, INT,
     PER_SLOT,
 };
-use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
+use crate::config::{ReconvergenceModel, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst};
-use crate::error::{LaneFault, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
+use crate::error::{LaneFault, ReconDump, SimError, SplitDump, StackEntryDump};
 use crate::journal::{Journal, JournalEvent};
 use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::profile::Profile;
 use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
 use crate::rng::SplitMix64;
-use crate::sched::{lanes, select_group_mask};
+use crate::sched::{keeps_lockstep, lanes, pick_bumps_rr, select_group_mask, Batcher, Issued, Run};
 use crate::trace::{Trace, TraceEvent};
 use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, Reg, RngKind, Value};
 
@@ -190,56 +187,6 @@ fn alu_row<const A: u8, const B: u8>(
     }
     cols.floats[rd] = cols.floats[rd] & !done | floats;
     out
-}
-
-/// Cap on how many extra issues one scheduling slot may run ahead.
-/// Bounds how far the clock can overshoot the per-round `max_cycles`
-/// check (the error raised is identical either way).
-pub(crate) const BATCH_LIMIT: usize = 64;
-
-/// Ops the straight-line batcher may run ahead through. They must be
-/// warp-local (no global-memory traffic another warp could observe),
-/// keep the warp converged (every lane moves to the same next pc), and
-/// leave every lane runnable — so the next scheduling round would
-/// provably re-pick the same group.
-///
-/// Barrier bookkeeping qualifies for `join`/`rejoin`/`arrived`: they
-/// mutate only this warp's participation masks and advance every lane,
-/// and — unlike `cancel`/`copy`/`wait` — never run a release check, so
-/// no blocked lane can become runnable mid-batch.
-pub(crate) fn is_warp_local(inst: &DecodedInst) -> bool {
-    matches!(
-        inst,
-        DecodedInst::Bin { .. }
-            | DecodedInst::Un { .. }
-            | DecodedInst::Mov { .. }
-            | DecodedInst::Sel { .. }
-            | DecodedInst::Special { .. }
-            | DecodedInst::Rng { .. }
-            | DecodedInst::SeedRng { .. }
-            | DecodedInst::Skip
-            | DecodedInst::Jump { .. }
-            | DecodedInst::Vote { .. }
-            | DecodedInst::Barrier(
-                BarrierOp::Join(_) | BarrierOp::Rejoin(_) | BarrierOp::ArrivedCount { .. }
-            )
-    )
-}
-
-/// Whether an issued instruction leaves every lane of its group at one
-/// common next pc with statuses untouched — the precondition for the
-/// straight-line batcher to trust `pcs[lead]` for the whole group.
-/// Branches (lanes may split), returns (per-lane call sites), and
-/// anything that blocks or exits lanes disqualify the slot.
-pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
-    is_warp_local(inst)
-        || matches!(
-            inst,
-            DecodedInst::Load { .. }
-                | DecodedInst::Store { .. }
-                | DecodedInst::AtomicAdd { .. }
-                | DecodedInst::Call { .. }
-        )
 }
 
 /// Whether executing `inst` over `mask` is guaranteed not to fault.
@@ -565,29 +512,15 @@ impl<'m> Machine<'m> {
                             });
                         }
                     }
-                    self.warps[w].ctl.last_lanes = mask;
-                    let cost = self.issue(w, pc, mask)?;
-                    let mut busy = self.cycle + u64::from(cost.max(1));
-                    // A stack that moved (pushed, parked or popped)
-                    // changed what the next pick chooses among.
-                    let stack_moved = self.ipdom.is_some() && self.ipdom_post_issue(w, pc, mask);
-                    if !stack_moved && self.can_run_ahead(w, pc, mask) {
-                        busy = self.run_ahead(w, mask, busy)?;
-                    }
+                    let busy = self.issue_round(w, pc, mask)?;
                     self.warps[w].ctl.busy_until = busy;
                     next_ready = next_ready.min(busy);
                 }
-                None => {
-                    // No runnable group. Either everyone exited, or
-                    // every live thread is blocked — since barriers
-                    // are warp-local and release checks already ran,
-                    // that is a deadlock.
-                    if self.warps[w].ctl.live() == 0 {
-                        self.warps[w].ctl.done = true;
-                    } else {
-                        return Err(self.deadlock(w));
-                    }
-                }
+                // No runnable group. Either everyone exited, or every
+                // live thread is blocked — since barriers are warp-local
+                // and release checks already ran, that is a deadlock.
+                None if self.warps[w].ctl.live() == 0 => self.warps[w].ctl.done = true,
+                None => return Err(self.deadlock(w)),
             }
         }
         if all_done {
@@ -604,16 +537,6 @@ impl<'m> Machine<'m> {
         Ok(false)
     }
 
-    /// Whether a pick advances the RoundRobin cursor — and so whether a
-    /// hinted round or a batched issue, which stand in for one, must.
-    /// Every pick goes through the policy except under compacting
-    /// warp-split, which issues every ready split without arbitration.
-    #[inline]
-    fn pick_bumps_rr(&self) -> bool {
-        self.cfg.scheduler == SchedulerPolicy::RoundRobin
-            && !matches!(self.cfg.recon, ReconvergenceModel::WarpSplit { compact: true, .. })
-    }
-
     /// Consumes warp `w`'s pick hint, if the previous round left one:
     /// the hinted round stands in for the pick it skips, down to the
     /// RoundRobin cursor slot that pick would have taken.
@@ -621,153 +544,38 @@ impl<'m> Machine<'m> {
     fn take_hint(&mut self, w: usize) -> Option<(usize, u64)> {
         let hint = self.warps[w].pick_hint.take()?;
         self.stats.hinted_rounds += 1;
-        if self.pick_bumps_rr() {
+        if pick_bumps_rr(self.cfg) {
             let rr = &mut self.warps[w].ctl.rr_cursor;
             *rr = rr.wrapping_add(1);
         }
         Some(hint)
     }
 
-    /// Whether, having just issued `pc` for `mask`, the next round of
-    /// warp `w` would provably re-pick the same lanes — the gate of the
-    /// straight-line batcher under every reconvergence model.
-    ///
-    /// The one condition that proves it anywhere: the issue kept its
-    /// lanes in lockstep with statuses untouched, and `mask` is the
-    /// warp's whole [`Warp::schedulable`] set, so there is no second
-    /// path to arbitrate — the barrier file's converged warp, the IPDOM
-    /// top entry's pending lanes at one pc, warp-split's sole split with
-    /// runnable lanes (every other split is fully blocked and stays so:
-    /// nothing that runs a release check batches).
-    ///
-    /// A *divergent* group also qualifies under the barrier file with
-    /// Greedy: its full overlap with `last_lanes` beats every disjoint
-    /// group's zero overlap, so Greedy provably re-picks it — until its
-    /// pc lands on another group's pc, where the unbatched scheduler
-    /// would merge the two ([`Warp::other_pcs`] guards that; the other
-    /// groups' lanes are frozen for the whole batch, so the pc set is
-    /// stable). Other policies re-rank groups as pcs move.
-    ///
+    /// Issues the picked `(pc, mask)` of warp `w`, runs the group ahead
+    /// ([`run_ahead`](crate::sched::run_ahead)) leaving [`Warp::pick_hint`]
+    /// when it stays intact, and returns the cycle the unbatched rounds
+    /// would have reached, which the caller charges to the warp
+    /// (warp-split: to the owning split, so children of a batched
+    /// divergent branch inherit the clock they would have been forked at).
     /// Tracing and journaling disable batching — their events carry the
     /// issue cycle, which running ahead would misstamp — and with it the
     /// hints, so a traced run is the unbatched, unhinted reference.
-    #[inline]
-    fn can_run_ahead(&self, w: usize, pc: usize, mask: u64) -> bool {
-        self.trace.is_none()
-            && self.journal.is_none()
-            && keeps_lockstep(&self.image.insts[pc])
-            && (mask == self.warps[w].schedulable()
-                || (self.cfg.scheduler == SchedulerPolicy::Greedy
-                    && matches!(self.cfg.recon, ReconvergenceModel::BarrierFile)))
-    }
-
-    /// Straight-line batching, shared by the three reconvergence models:
-    /// after an issue that passed [`Machine::can_run_ahead`], the same
-    /// lanes would be re-picked unchanged at every following round while
-    /// they execute warp-local ops (no memory traffic, no control
-    /// divergence, no status changes), so run ahead within this slot.
-    /// Warps only interact through global memory, so cross-warp
-    /// interleaving is unobservable for these ops.
-    ///
-    /// A batch runs the round issue's [`Machine::exec`] arms but keeps the
-    /// group's pc and issue accounting in locals: the lanes' pcs are
-    /// written once, when the batch ends or before the IPDOM hook scans
-    /// them, and [`Metrics::record_issues`] records the batch at once —
-    /// exact, as batched ops never touch a status, so the mask and the
-    /// stall sample hold throughout. The profile is still recorded per
-    /// issue; `last_lanes` re-sticks to the same mask; the RoundRobin
-    /// cursor moves wherever the skipped pick would have moved it; the
-    /// IPDOM hook runs wherever it could act and ends the batch the
-    /// moment the stack moves.
-    ///
-    /// Takes the cycle the slot's first issue completes at and returns
-    /// the accumulated one — the cycle the unbatched rounds would have
-    /// reached, which the caller charges to the warp (warp-split: to the
-    /// owning split, so children of a batched divergent branch inherit
-    /// the clock they would have been forked at). When the batch ends
-    /// with its group intact, leaves [`Warp::pick_hint`] for the next
-    /// round.
     #[inline(always)]
-    fn run_ahead(&mut self, w: usize, mask: u64, busy: u64) -> Result<u64, SimError> {
-        let bump_rr = self.pick_bumps_rr();
-        let ipdom = self.ipdom.is_some();
-        let waiting = self.warps[w].ctl.waiting.count_ones();
-        // The group's pc, which the lanes hold unless `unwritten`.
-        let mut at = self.warps[w].ctl.pcs[mask.trailing_zeros() as usize];
-        let mut unwritten = false;
-        let (mut batched, mut weight, mut roi_weight) = (0, 0, 0);
-        // Whether the group is still (at, mask) when the loop exits —
-        // false only after a branch split, a pending merge or a moved
-        // IPDOM stack, the stops where the next pick must re-group.
-        let mut intact = true;
-        for _ in 0..BATCH_LIMIT {
-            let pc = at;
-            let inst = &self.image.insts[pc];
-            if self.warps[w].other_pcs.contains(&pc) {
-                intact = false;
-                break;
-            }
-            // Branches batch too — they are warp-local and infallible —
-            // but the group survives the issue only if every lane took
-            // the same direction.
-            if !(matches!(inst, DecodedInst::Branch { .. }) || is_warp_local(inst))
-                || !batch_fault_free(&self.warps[w], mask, inst)
-            {
-                break;
-            }
-            if bump_rr {
-                let rr = &mut self.warps[w].ctl.rr_cursor;
-                *rr = rr.wrapping_add(1);
-            }
-            let (cost, next) = self.exec(w, pc, mask)?;
-            let c = u64::from(cost.max(1));
-            batched += 1;
-            weight += c;
-            roi_weight += if self.image.roi[pc] { c } else { 0 };
-            if let Some(profile) = &mut self.profile {
-                let o = self.image.origin[pc];
-                profile.record(o.func, o.block, o.inst as usize, mask.count_ones().into(), cost);
-            }
-            // `None`: a divergent branch split the group and moved its
-            // lanes. The next real round re-groups (warp-split:
-            // re-normalizes) and re-picks exactly as unbatched execution
-            // would, after the IPDOM hook pushed the split.
-            let Some(next) = next else {
-                unwritten = false;
-                intact = false;
-                if ipdom {
-                    self.ipdom_post_issue(w, pc, mask);
-                }
-                break;
-            };
-            at = next;
-            unwritten = true;
-            // The hook acts only on a group that reached the top entry's
-            // reconvergence pc, and then it scans the lanes' pcs.
-            if ipdom && self.warps[w].ipdom_stack.last().is_some_and(|e| e.rpc as usize == at) {
-                self.warps[w].ctl.move_to(mask, at);
-                unwritten = false;
-                if self.ipdom_post_issue(w, pc, mask) {
-                    intact = false;
-                    break;
-                }
-            }
+    fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, SimError> {
+        self.warps[w].ctl.last_lanes = mask;
+        let busy = self.cycle + u64::from(self.issue(w, pc, mask)?.max(1));
+        // A stack that moved (pushed, parked or popped) changed what the
+        // next pick chooses among.
+        let stack_moved = self.ipdom.is_some() && self.ipdom_post_issue(w, pc, mask);
+        if stack_moved || self.trace.is_some() || self.journal.is_some() {
+            return Ok(busy);
         }
-        if unwritten {
-            self.warps[w].ctl.move_to(mask, at);
-        }
-        self.stats.batched_issues += batched;
-        self.metrics.record_issues(w, mask, batched, weight, roi_weight, waiting);
-        // Batched ops never touch statuses, so an intact group is
-        // exactly what the next pick would return (the only schedulable
-        // group; or divergent Greedy, where full overlap with
-        // `last_lanes` wins and the merge guard above vetoed the hint
-        // otherwise): leave it as a hint and skip that scan. The guard is
-        // re-checked because the loop can also exit at `BATCH_LIMIT`.
-        if intact && !self.warps[w].other_pcs.contains(&at) {
-            self.warps[w].pick_hint = Some((at, mask));
-        }
-        Ok(busy + weight)
+        let (cfg, image, issue) =
+            (self.cfg, self.image, (w, pc, mask, self.warps[w].schedulable()));
+        let (run, intact) = crate::sched::run_ahead(&mut WarpRun(self, w), cfg, image, issue)?;
+        self.stats.batched_issues += run.issues;
+        self.warps[w].pick_hint = intact.then_some((run.at, mask));
+        Ok(busy + run.weight)
     }
 
     /// Finalizes the run into its output (consumes the machine); the
@@ -788,21 +596,10 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The deadlock report of warp `w`: every live lane is blocked and
-    /// the release checks already ran.
+    /// The deadlock report of warp `w` ([`WarpCtl::deadlock`]), journaled.
     fn deadlock(&mut self, w: usize) -> SimError {
         self.journal_push(JournalEvent::DeadlockOnset { cycle: self.cycle, warp: w });
-        let ctl = &self.warps[w].ctl;
-        SimError::Deadlock {
-            cycle: self.cycle,
-            waiting: lanes(ctl.live()).map(|l| (self.location(w, l), ctl.blocked_on(l))).collect(),
-            barriers: ctl.barrier_dump(),
-            recon: self.recon_dump(w),
-        }
-    }
-
-    fn location(&self, warp: usize, lane: usize) -> ThreadLocation {
-        self.image.location(warp, lane, self.warps[warp].ctl.pcs[lane])
+        self.warps[w].ctl.deadlock(self.image, w, self.cycle, self.recon_dump(w))
     }
 
     /// Picks warp `w`'s next group through the shared control plane.
@@ -1005,13 +802,8 @@ impl<'m> Machine<'m> {
     /// split's issue clock — with everything the batcher ran ahead
     /// through when `run` turned out to be the warp's only frontier.
     fn issue_split(&mut self, w: usize, idx: usize, pc: usize, run: u64) -> Result<(), SimError> {
-        self.warps[w].ctl.last_lanes = run;
-        let cost = self.issue(w, pc, run)?;
-        let mut busy = self.cycle + u64::from(cost.max(1));
-        if self.can_run_ahead(w, pc, run) {
-            busy = self.run_ahead(w, run, busy)?;
-            self.warps[w].hint_split = idx;
-        }
+        let busy = self.issue_round(w, pc, run)?;
+        self.warps[w].hint_split = idx;
         self.warps[w].splits[idx].busy_until = busy;
         Ok(())
     }
@@ -1632,6 +1424,49 @@ impl<'m> Machine<'m> {
     }
 }
 
+/// The decoded engine's side of the straight-line batcher for warp `.1`:
+/// [`Machine::exec`] moves the data after [`batch_fault_free`], the
+/// per-block profile stays per issue, and the IPDOM hook runs wherever
+/// it could act and ends the batch the moment the stack moves.
+struct WarpRun<'a, 'm>(&'a mut Machine<'m>, usize);
+
+impl Batcher for WarpRun<'_, '_> {
+    type Error = SimError;
+
+    #[inline(always)]
+    fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics) {
+        let Warp { ctl, other_pcs, .. } = &mut self.0.warps[self.1];
+        (ctl, other_pcs, &mut self.0.metrics)
+    }
+
+    #[inline(always)]
+    fn issue(&mut self, mask: u64, inst: &DecodedInst, run: &Run) -> Issued<SimError> {
+        let (m, w, pc) = (&mut *self.0, self.1, run.at);
+        if !batch_fault_free(&m.warps[w], mask, inst) {
+            return Ok(None);
+        }
+        let (cost, next) = m.exec(w, pc, mask)?;
+        if let Some(profile) = &mut m.profile {
+            let o = m.image.origin[pc];
+            profile.record(o.func, o.block, o.inst as usize, mask.count_ones().into(), cost);
+        }
+        // `None`: a divergent branch split the group and moved its lanes,
+        // and the IPDOM hook pushes the split. Otherwise the hook acts only
+        // on a group that reached the top entry's reconvergence pc, and
+        // then it scans the lanes' pcs.
+        let top = |at| m.warps[w].ipdom_stack.last().is_some_and(|e| e.rpc as usize == at);
+        if m.ipdom.is_some() && next.is_none_or(top) {
+            if let Some(at) = next {
+                m.warps[w].ctl.move_to(mask, at);
+            }
+            if m.ipdom_post_issue(w, pc, mask) {
+                return Ok(Some((cost, None)));
+            }
+        }
+        Ok(Some((cost, next)))
+    }
+}
+
 /// Stamps a control-plane transition with its cycle and warp and
 /// records it, if journaling is on.
 #[inline]
@@ -1659,6 +1494,7 @@ fn journal_ctl(journal: &mut Option<Journal>, cycle: u64, warp: usize, e: CtlEve
 pub(crate) mod tests {
     use super::*;
     use crate::alloc_count;
+    use crate::config::SchedulerPolicy;
     use crate::machine::Launch;
     use simt_ir::parse_and_link;
 

@@ -65,7 +65,7 @@ pub use error::{BarrierState, ReconDump, SimError, SplitDump, StackEntryDump, Th
 pub use exec::{run_image, run_image_with, CancelToken};
 pub use export::{chrome_trace, jsonl};
 pub use journal::{BarrierStats, Journal, JournalConfig, JournalEvent, JournalWriter};
-pub use machine::{run, run_sequence, EngineStats, Launch, SimOutput, DEFAULT_SEED};
+pub use machine::{run, EngineStats, Launch, SimOutput, DEFAULT_SEED};
 pub use mem::{
     AccessOutcome, LevelOutcome, MemHierarchy, MemLevel, MemLevelStats, MemStats, MAX_MEM_LEVELS,
 };

@@ -120,36 +120,3 @@ pub fn run(module: &Module, cfg: &SimConfig, launch: &Launch) -> Result<SimOutpu
     let image = DecodedImage::decode(module);
     crate::exec::run_image(&image, cfg, launch)
 }
-
-/// Runs several launches back to back, threading global memory from each
-/// launch into the next — the software equivalent of a multi-kernel GPU
-/// pipeline over persistent device buffers.
-///
-/// The first launch's [`Launch::global_mem`] seeds the memory; later
-/// launches' own `global_mem` fields are ignored and replaced by the
-/// previous launch's final memory.
-///
-/// The module is decoded once and shared by every launch.
-///
-/// # Errors
-///
-/// Stops at the first failing launch and returns its [`SimError`].
-pub fn run_sequence(
-    module: &Module,
-    cfg: &SimConfig,
-    launches: &[Launch],
-) -> Result<Vec<SimOutput>, SimError> {
-    let image = DecodedImage::decode(module);
-    let mut outputs = Vec::with_capacity(launches.len());
-    let mut memory: Option<Vec<Value>> = None;
-    for launch in launches {
-        let mut l = launch.clone();
-        if let Some(m) = memory.take() {
-            l.global_mem = m;
-        }
-        let out = crate::exec::run_image(&image, cfg, &l)?;
-        memory = Some(out.global_mem.clone());
-        outputs.push(out);
-    }
-    Ok(outputs)
-}

@@ -1,5 +1,6 @@
 //! Warp scheduling: the policy that picks which PC-group of runnable
-//! lanes issues next.
+//! lanes issues next, and the straight-line batcher that runs a picked
+//! group ahead while that pick provably repeats.
 //!
 //! Both interpreters group runnable lanes by program counter and
 //! delegate the choice to a selection function. The decoded engine
@@ -12,19 +13,21 @@
 //! and a property test below pins the two formulations to the same
 //! choice for every policy.
 //!
-//! The seed-sweep cohort ([`crate::sweep`]) schedules every sub-cohort
-//! control plane through the same [`select_group_mask`] (its
-//! `pick_group_c` mirrors the decoded engine's grouping and converged
-//! fast path exactly). That pick-equivalence is the invariant the
-//! sweep's fork/merge machinery rests on: two sub-cohorts (or a
-//! sub-cohort and a last-resort detached scalar machine) whose control
-//! planes are equal are guaranteed to pick identically forever after,
-//! so comparing control planes once at a round boundary is a sound
-//! merge test. The cohort's masked row operations take a contiguous
-//! slot mask as one slice ([`mask_runs`], the contiguous-run twin of
-//! [`lanes`]) and walk any other mask slot by slot.
+//! The seed-sweep cohort ([`crate::sweep`]) picks through the decoded
+//! engine's [`WarpCtl::pick_group`] and runs ahead through the same
+//! [`run_ahead`]. That pick-equivalence is the invariant the sweep's
+//! fork/merge machinery rests on: two sub-cohorts whose control planes
+//! are equal are guaranteed to pick identically forever after, so
+//! comparing control planes once at a round boundary is a sound merge
+//! test. The cohort's masked row operations take a contiguous slot mask
+//! as one slice ([`mask_runs`], the contiguous-run twin of [`lanes`]) and
+//! walk any other mask slot by slot.
 
-use crate::config::SchedulerPolicy;
+use crate::barrier::WarpCtl;
+use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
+use crate::decode::{DecodedImage, DecodedInst};
+use crate::metrics::Metrics;
+use simt_ir::BarrierOp;
 
 /// Iterates the set lanes of a mask in ascending order.
 ///
@@ -188,6 +191,177 @@ pub(crate) fn select_group_mask(
         }
     };
     Some(groups[idx])
+}
+
+/// Cap on how many extra issues one scheduling slot may run ahead.
+/// Bounds how far the clock can overshoot the per-round `max_cycles`
+/// check (the error raised is identical either way).
+pub(crate) const BATCH_LIMIT: usize = 64;
+
+/// Ops the straight-line batcher may run ahead through. They must be
+/// warp-local (no global-memory traffic another warp could observe),
+/// keep the warp converged (every lane moves to the same next pc), and
+/// leave every lane runnable — so the next scheduling round would
+/// provably re-pick the same group.
+///
+/// Barrier bookkeeping qualifies for `join`/`rejoin`/`arrived`: they
+/// mutate only this warp's participation masks and advance every lane,
+/// and — unlike `cancel`/`copy`/`wait` — never run a release check, so
+/// no blocked lane can become runnable mid-batch.
+pub(crate) fn is_warp_local(inst: &DecodedInst) -> bool {
+    matches!(
+        inst,
+        DecodedInst::Bin { .. }
+            | DecodedInst::Un { .. }
+            | DecodedInst::Mov { .. }
+            | DecodedInst::Sel { .. }
+            | DecodedInst::Special { .. }
+            | DecodedInst::Rng { .. }
+            | DecodedInst::SeedRng { .. }
+            | DecodedInst::Skip
+            | DecodedInst::Jump { .. }
+            | DecodedInst::Vote { .. }
+            | DecodedInst::Barrier(
+                BarrierOp::Join(_) | BarrierOp::Rejoin(_) | BarrierOp::ArrivedCount { .. }
+            )
+    )
+}
+
+/// Whether an issued instruction leaves every lane of its group at one
+/// common next pc with statuses untouched — the precondition for the
+/// straight-line batcher to trust `pcs[lead]` for the whole group.
+/// Branches (lanes may split), returns (per-lane call sites), and
+/// anything that blocks or exits lanes disqualify the slot.
+pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
+    is_warp_local(inst)
+        || matches!(
+            inst,
+            DecodedInst::Load { .. }
+                | DecodedInst::Store { .. }
+                | DecodedInst::AtomicAdd { .. }
+                | DecodedInst::Call { .. }
+        )
+}
+
+/// Whether a pick advances the RoundRobin cursor — and so whether a
+/// hinted round or a batched issue, which stand in for one, must.
+/// Every pick goes through the policy except under compacting
+/// warp-split, which issues every ready split without arbitration.
+#[inline]
+pub(crate) fn pick_bumps_rr(cfg: &SimConfig) -> bool {
+    cfg.scheduler == SchedulerPolicy::RoundRobin
+        && !matches!(cfg.recon, ReconvergenceModel::WarpSplit { compact: true, .. })
+}
+
+/// A straight-line batch so far: the group's pc, which its lanes hold only
+/// once the batch ends, and its issues with their summed `cost.max(1)`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Run {
+    pub(crate) at: usize,
+    pub(crate) issues: u64,
+    pub(crate) weight: u64,
+    pub(crate) roi_weight: u64,
+}
+
+/// One engine's side of [`run_ahead`] for one warp.
+pub(crate) trait Batcher {
+    type Error;
+    /// The warp's control plane, the pcs of the groups its last pick
+    /// did not choose, and where the batch is recorded.
+    fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics);
+    /// Executes `inst` (at `run.at`) for `mask` after the batch `run` and
+    /// returns its cost and the group's next pc: `None` when the issue
+    /// split the group or the engine ends the batch, pcs written. Returns
+    /// `Ok(None)`, issuing nothing, when the engine stops the batch first.
+    fn issue(&mut self, mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error>;
+}
+
+/// What [`Batcher::issue`] returns.
+pub(crate) type Issued<E> = Result<Option<(u32, Option<usize>)>, E>;
+
+/// Straight-line batching, shared by both engines and every
+/// reconvergence model: after warp `w` issued `pc` for `mask` in a round
+/// of its own, the same lanes would be re-picked unchanged while they
+/// execute warp-local ops (no memory traffic, no control divergence, no
+/// status changes), so they run ahead within this slot. Warps only
+/// interact through global memory, so cross-warp interleaving is
+/// unobservable for these ops.
+///
+/// The gate is the one condition that proves the re-pick anywhere: the
+/// issue kept its lanes in lockstep with statuses untouched, and `mask`
+/// is the warp's whole `schedulable` set, so there is no second path to
+/// arbitrate — the barrier file's converged warp, the IPDOM top entry's
+/// pending lanes at one pc, warp-split's sole split with runnable lanes
+/// (every other split is fully blocked and stays so: nothing that runs a
+/// release check batches). A *divergent* group also qualifies under the
+/// barrier file with Greedy: its full overlap with `last_lanes` beats
+/// every disjoint group's zero overlap, so Greedy provably re-picks it —
+/// until its pc lands on another group's pc, where the unbatched
+/// scheduler would merge the two (the merge guard; the other groups'
+/// lanes are frozen for the whole batch, so their pcs are stable). Other
+/// policies re-rank groups as pcs move.
+///
+/// The batch carries the group's pc and its accounting in a [`Run`]:
+/// the lanes' pcs are written once, when it ends, and
+/// [`Metrics::record_issues`] records it at once — exact, as batched ops
+/// never touch a status, so the mask and the stall sample hold
+/// throughout. `last_lanes` re-sticks to the same mask; the RoundRobin
+/// cursor moves wherever each skipped pick would have moved it.
+///
+/// Returns the batch and whether its group ended intact — not split,
+/// merged or stopped by the engine — so that `(run.at, mask)` is what
+/// the next pick provably returns.
+#[inline(always)]
+pub(crate) fn run_ahead<B: Batcher>(
+    b: &mut B,
+    cfg: &SimConfig,
+    image: &DecodedImage,
+    (w, pc, mask, schedulable): (usize, usize, u64, u64),
+) -> Result<(Run, bool), B::Error> {
+    let greedy = cfg.scheduler == SchedulerPolicy::Greedy
+        && matches!(cfg.recon, ReconvergenceModel::BarrierFile);
+    if !keeps_lockstep(&image.insts[pc]) || !(mask == schedulable || greedy) {
+        return Ok((Run::default(), false));
+    }
+    let bump_rr = pick_bumps_rr(cfg);
+    let (ctl, ..) = b.state();
+    let waiting = ctl.waiting.count_ones();
+    let mut run = Run { at: ctl.pcs[mask.trailing_zeros() as usize], ..Run::default() };
+    // Whether an issue ended the batch (`None`), its lanes' pcs written.
+    let mut ended = false;
+    for _ in 0..BATCH_LIMIT {
+        let inst = &image.insts[run.at];
+        // Branches batch too — they are warp-local and infallible — but
+        // the group survives the issue only if every lane took the same
+        // direction.
+        let batchable = matches!(inst, DecodedInst::Branch { .. }) || is_warp_local(inst);
+        if b.state().1.contains(&run.at) || !batchable {
+            break;
+        }
+        let Some((cost, next)) = b.issue(mask, inst, &run)? else { break };
+        if bump_rr {
+            let rr = &mut b.state().0.rr_cursor;
+            *rr = rr.wrapping_add(1);
+        }
+        let c = u64::from(cost.max(1));
+        run.issues += 1;
+        run.weight += c;
+        run.roi_weight += if image.roi[run.at] { c } else { 0 };
+        // After `None` the next real round re-groups (warp-split:
+        // re-normalizes) and re-picks exactly as unbatched execution would.
+        (run.at, ended) = (next.unwrap_or(run.at), next.is_none());
+        if ended {
+            break;
+        }
+    }
+    let (ctl, other_pcs, metrics) = b.state();
+    if run.issues > 0 && !ended {
+        ctl.move_to(mask, run.at);
+    }
+    metrics.record_issues(w, mask, run.issues, run.weight, run.roi_weight, waiting);
+    // A group whose pc landed on another group's is a pending merge with
+    // that frozen group: the next pick must re-group.
+    Ok((run, !ended && !other_pcs.contains(&run.at)))
 }
 
 /// Applies `policy` to the candidate groups and returns the chosen one.

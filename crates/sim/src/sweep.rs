@@ -48,12 +48,12 @@
 //! copied (the warps' [`WarpCtl`]s and the clock) — the SoA value
 //! columns are already slot-indexed, so the child reads and writes the
 //! same data plane through its own slot mask and **no data moves on
-//! fork**. The child's control snapshot is
-//! taken before the divergent issue applies, with the issuing warp's
-//! scheduler fields rewound to their pre-pick values, so the child
+//! fork**. The child's control snapshot is taken before the divergent
+//! issue applies, with the issuing warp's scheduler fields rewound to
+//! their pre-pick values and, inside a straight-line batch, the prefix
+//! the parent writes only when its batch ends applied, so the child
 //! re-picks and re-executes that issue itself on the exact unbatched
-//! clock — the same replay argument the engine uses for mid-batch
-//! divergence.
+//! clock.
 //!
 //! Sub-cohorts are scheduled min-clock-first: the sub-cohort with the
 //! smallest cycle runs its next round. At every round boundary,
@@ -65,8 +65,9 @@
 //! sub-cohort schedules through the same pick path (see
 //! [`crate::sched`]): equal control planes pick identically forever
 //! after — and both the cohort and the scalar engine drive one
-//! [`WarpCtl`], so there is one pick path, one call stack and one set of
-//! barrier transitions to agree with.
+//! [`WarpCtl`] and run ahead through one batcher
+//! ([`crate::sched::run_ahead`]), so there is one pick path, one batch
+//! rule, one call stack and one set of barrier transitions to agree with.
 //!
 //! When a fork would exceed [`MAX_SUBCOHORTS`], the minority class's
 //! slots are *set aside*: they leave the cohort, and once it drains each
@@ -92,14 +93,14 @@ use crate::cols::{
     add_cell, cell, class, decode, encode, fault_free, move_cell, move_row, tagged, truthy, typed,
     uniform_addr, zip_rows, Class, MemOp, RowRef, SlotCols, Src, FLOAT, INT, PER_SLOT,
 };
-use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
+use crate::config::{ReconvergenceModel, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst};
 use crate::error::{LaneFault, ReconDump, SimError};
-use crate::exec::{is_warp_local, keeps_lockstep, run_image_with, CancelToken, BATCH_LIMIT};
+use crate::exec::{run_image_with, CancelToken};
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::rng::SplitMix64;
-use crate::sched::{lanes, Spans};
+use crate::sched::{lanes, Batcher, Issued, Run, Spans};
 use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, RngKind, Value};
 use std::cmp::Ordering;
 
@@ -398,21 +399,26 @@ struct SubCohort {
     warps: Vec<WarpCtl>,
 }
 
-/// What one issue needs to know to fork a child sub-cohort mid-round:
-/// which warp is issuing and its pre-pick scheduler fields (the pick
-/// already advanced them; the child must re-run the pick itself).
+/// [`Cohort::issue_c`]'s cost, next pc and whether slots split off.
+type Issue = (u32, Option<usize>, bool);
+
+/// One issue — warp `w`'s lanes `mask` at `run.at` — and what it needs to
+/// fork a child sub-cohort mid-round: the pre-pick scheduler fields (the
+/// pick already advanced them; the child must re-run the pick itself)
+/// and the batch prefix.
 #[derive(Clone, Copy)]
 struct IssueCtx {
     w: usize,
-    pre_last_lanes: u64,
-    pre_rr_cursor: usize,
-    /// The issuing warp's `busy_until` at the moment an *unbatched*
-    /// scalar run would pick this instruction. For the round's first
-    /// issue that is the warp's stored value; for the i-th batched
-    /// issue it is `round cycle + Σ costs of the batch prefix` — the
-    /// exact cycle the unbatched timeline reaches that pick, so a class
-    /// forking mid-batch replays on the true clock.
-    pre_busy_until: u64,
+    mask: u64,
+    /// `last_lanes`, `rr_cursor` and `busy_until` before the pick; with the
+    /// prefix's weight, that `busy_until` (stored for the round's first
+    /// issue, the round issue's completion for a batched one) is the
+    /// warp's when an *unbatched* scalar run would pick this instruction,
+    /// so a class forking mid-batch replays on the true clock.
+    pre: (u64, usize, u64),
+    /// The batch before the issue (none for the round's first), which the
+    /// parent writes and records only once it ends and a child applies.
+    run: Run,
 }
 
 /// The lockstep sweep machine: forked control planes over one SoA data
@@ -591,17 +597,13 @@ impl<'m> Cohort<'m> {
         Ok(SweepOutput { runs, stats: self.stats })
     }
 
-    /// Marks a slot of `sub` resolved with its own terminal error.
-    fn resolve_err(&mut self, sub: &mut SubCohort, s: usize, e: SimError) {
-        sub.slots &= !(1u64 << s);
-        self.results[s] = Some(Err(e));
-    }
-
-    /// Resolves the slots that faulted in warp `w`'s issue at `pc`.
-    fn resolve_faults(&mut self, sub: &mut SubCohort, w: usize, pc: usize, faults: Faults) {
+    /// Resolves the slots that faulted in an issue, each with its own
+    /// terminal error.
+    fn resolve_faults(&mut self, sub: &mut SubCohort, ctx: IssueCtx, faults: Faults) {
         for (s, fault) in faults.list {
-            let e = fault.into_error(|l| self.image.location(w, l, pc));
-            self.resolve_err(sub, s, e);
+            sub.slots &= !(1u64 << s);
+            let at = |l| self.image.location(ctx.w, l, ctx.run.at);
+            self.results[s] = Some(Err(fault.into_error(at)));
         }
     }
 
@@ -615,12 +617,23 @@ impl<'m> Cohort<'m> {
         sub.slots = 0;
     }
 
-    /// Records one lockstep issue by the sub-cohort currently `width`
-    /// slots wide.
-    #[inline]
-    fn note_issue(&mut self, width: u32) {
+    /// One lockstep issue ([`Cohort::exec_c`]) of `sub`, counted: its
+    /// cost, where the group goes next and whether slots split off —
+    /// `None` once `sub` has none left. A divergent issue ends the batch
+    /// it is in (see [`Cohort::round`]), so it moves its lanes at once.
+    fn issue_c(&mut self, sub: &mut SubCohort, ctx: IssueCtx) -> Option<Issue> {
+        let forks = self.stats.forks + self.stats.detaches;
+        let (cost, mut next) = self.exec_c(sub, ctx);
+        if sub.slots == 0 {
+            return None;
+        }
         self.stats.lockstep_issues += 1;
-        self.stats.occupancy_sum += u64::from(width);
+        self.stats.occupancy_sum += u64::from(sub.slots.count_ones());
+        let forked = self.stats.forks + self.stats.detaches != forks;
+        if let Some(at) = next.take_if(|_| forked) {
+            sub.warps[ctx.w].move_to(ctx.mask, at);
+        }
+        Some((cost, next, forked))
     }
 
     /// Merges every pair of sub-cohorts sitting at cycle `t` whose
@@ -657,8 +670,8 @@ impl<'m> Cohort<'m> {
     }
 
     /// One scheduling round of `sub` over its control plane — the
-    /// cohort mirror of the scalar engine's `step`, including the
-    /// straight-line batcher (batched and unbatched execution are
+    /// cohort mirror of the scalar engine's `step`, with the same batcher
+    /// ([`crate::sched::run_ahead`]; batched and unbatched execution are
     /// equivalent in every observable; the cohort batches so the
     /// per-round scheduling cost it amortizes across slots matches the
     /// scalar baseline's).
@@ -674,16 +687,12 @@ impl<'m> Cohort<'m> {
                 continue;
             }
             all_done = false;
-            if sub.warps[w].busy_until > sub.cycle {
-                next_ready = next_ready.min(sub.warps[w].busy_until);
+            let ctl = &sub.warps[w];
+            if ctl.busy_until > sub.cycle {
+                next_ready = next_ready.min(ctl.busy_until);
                 continue;
             }
-            let ctx = IssueCtx {
-                w,
-                pre_last_lanes: sub.warps[w].last_lanes,
-                pre_rr_cursor: sub.warps[w].rr_cursor,
-                pre_busy_until: sub.warps[w].busy_until,
-            };
+            let pre = (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until);
             #[cfg(debug_assertions)]
             sub.warps[w].check_frames(self.image);
             let picked = sub.warps[w].pick_group(
@@ -694,148 +703,53 @@ impl<'m> Cohort<'m> {
             );
             match picked {
                 Some((pc, mask)) => {
+                    let ctx = IssueCtx { w, mask, pre, run: Run { at: pc, ..Run::default() } };
                     sub.warps[w].last_lanes = mask;
                     // Stall pressure samples before execution, exactly
                     // like the scalar engine's issue path.
                     let waiting_lanes = sub.warps[w].waiting.count_ones();
-                    let div0 = self.stats.forks + self.stats.detaches;
-                    let cost = self.exec_c(sub, pc, mask, ctx);
-                    if sub.slots == 0 {
-                        // Every instance of this sub-cohort forked, was
-                        // set aside, or faulted mid-round; its plane is
-                        // abandoned and the children replay from their
-                        // own consistent snapshots.
-                        return false;
+                    // `None`: every instance of this sub-cohort forked,
+                    // was set aside, or faulted mid-round; its plane is
+                    // abandoned and the children replay from their own
+                    // consistent snapshots.
+                    let Some((cost, next, forked)) = self.issue_c(sub, ctx) else { return false };
+                    if let Some(next) = next {
+                        sub.warps[w].move_to(mask, next);
                     }
                     let weight = u64::from(cost.max(1));
                     let roi_weight = if self.image.roi[pc] { weight } else { 0 };
                     sub.metrics.record_issues(w, mask, 1, weight, roi_weight, waiting_lanes);
-                    self.note_issue(sub.slots.count_ones());
-                    let mut busy = sub.cycle + u64::from(cost.max(1));
-                    // Straight-line batching, mirroring the scalar
-                    // engine's run-ahead (see `step` in [`crate::exec`]): a
-                    // group that is provably re-picked unchanged
-                    // executes warp-local ops within this slot. The
-                    // cohort never carries trace/journal (multi-
-                    // instance sweeps reject them), so those disablers
-                    // don't apply; batched ops never touch statuses, so
-                    // the stall-pressure sample stays valid for every
-                    // issue in the batch. Each batched issue builds its
-                    // own [`IssueCtx`] — `last_lanes` re-sticks to the
-                    // mask, the RoundRobin cursor is consumed per issue
-                    // exactly as the converged pick would, and
-                    // `pre_busy_until` carries the unbatched clock — so
-                    // a class forking mid-batch (cross-seed branch
-                    // divergence) still snapshots the exact control
-                    // state an unbatched run would reach at that pick.
-                    // Faultable ops only batch when every (lane, slot)
-                    // operand is provably safe: per-seed faults must
-                    // surface at their precise round.
-                    // A divergent issue ends the batch (and skips
-                    // starting one): the sooner this sub returns to the
-                    // run loop, the sooner its frontier lines up with
-                    // the sibling it just forked from — letting
-                    // re-agreeing sub-cohorts merge after one arm
-                    // instead of forking again rounds ahead of the
-                    // merge scan. Cutting a batch short is always
-                    // equivalent to unbatched execution.
-                    if self.stats.forks + self.stats.detaches == div0
-                        && keeps_lockstep(&self.image.insts[pc])
-                        && (mask == sub.warps[w].runnable
-                            || self.cfg.scheduler == SchedulerPolicy::Greedy)
-                    {
-                        let lead = mask.trailing_zeros() as usize;
-                        let round_robin = self.cfg.scheduler == SchedulerPolicy::RoundRobin;
-                        for _ in 0..BATCH_LIMIT {
-                            let npc = sub.warps[w].pcs[lead];
-                            let inst = &self.image.insts[npc];
-                            let branch = matches!(inst, DecodedInst::Branch { .. });
-                            if branch && split {
-                                // While the cohort is split, every sub
-                                // stops at every branch: forks and the
-                                // code between branches cost the same
-                                // in every sibling, so this keeps the
-                                // sub-cohorts' round boundaries on one
-                                // cadence — equal-cycle frontiers recur
-                                // and re-agreeing planes actually meet
-                                // in the merge scan instead of
-                                // leapfrogging each other forever.
-                                break;
-                            }
-                            if self.other_pcs.contains(&npc) {
-                                // Pending merge with a frozen group:
-                                // the next real round must re-group.
-                                break;
-                            }
-                            if !(branch || is_warp_local(inst))
-                                || !self.batch_fault_free_c(sub, w, mask, inst)
-                            {
-                                break;
-                            }
-                            let bctx = IssueCtx {
-                                w,
-                                pre_last_lanes: mask,
-                                pre_rr_cursor: sub.warps[w].rr_cursor,
-                                pre_busy_until: busy,
-                            };
-                            if round_robin {
-                                let rr = &mut sub.warps[w].rr_cursor;
-                                *rr = rr.wrapping_add(1);
-                            }
-                            let divb = self.stats.forks + self.stats.detaches;
-                            let c = self.exec_c(sub, npc, mask, bctx);
-                            if sub.slots == 0 {
-                                return false;
-                            }
-                            let diverged = self.stats.forks + self.stats.detaches != divb;
-                            let weight = u64::from(c.max(1));
-                            let roi_weight = if self.image.roi[npc] { weight } else { 0 };
-                            sub.metrics.record_issues(
-                                w,
-                                mask,
-                                1,
-                                weight,
-                                roi_weight,
-                                waiting_lanes,
-                            );
-                            self.note_issue(sub.slots.count_ones());
-                            busy += weight;
-                            if diverged {
-                                break;
-                            }
-                            if branch {
-                                let pcs = &sub.warps[w].pcs;
-                                if lanes(mask).any(|l| pcs[l] != pcs[lead]) {
-                                    // The group split; the next round
-                                    // re-groups exactly as unbatched
-                                    // execution would here.
-                                    break;
-                                }
-                            }
+                    let mut busy = sub.cycle + weight;
+                    // A divergent issue skips starting a batch (and ends
+                    // one, [`SubRun`]): the sooner this sub returns to the
+                    // run loop, the sooner its frontier lines up with the
+                    // sibling it just forked from — letting re-agreeing
+                    // sub-cohorts merge after one arm instead of forking
+                    // again rounds ahead of the merge scan. Cutting a
+                    // batch short is always equivalent to unbatched
+                    // execution.
+                    if !forked {
+                        let (cfg, image) = (self.cfg, self.image);
+                        let issue = (w, pc, mask, sub.warps[w].runnable);
+                        let ctx = IssueCtx { pre: (mask, 0, busy), ..ctx };
+                        let mut ahead = SubRun { cohort: self, sub, ctx, split };
+                        let Ok((run, _)) = crate::sched::run_ahead(&mut ahead, cfg, image, issue);
+                        if sub.slots == 0 {
+                            return false;
                         }
+                        busy += run.weight;
                     }
                     sub.warps[w].busy_until = busy;
                     next_ready = next_ready.min(busy);
                 }
+                None if sub.warps[w].live() == 0 => sub.warps[w].done = true,
                 None => {
-                    let ctl = &sub.warps[w];
-                    if ctl.live() == 0 {
-                        sub.warps[w].done = true;
-                    } else {
-                        // Deadlock is a property of shared control:
-                        // every live instance fails with the identical
-                        // diagnostic its scalar run would build here.
-                        let e = SimError::Deadlock {
-                            cycle: sub.cycle,
-                            waiting: lanes(ctl.live())
-                                .map(|l| (self.image.location(w, l, ctl.pcs[l]), ctl.blocked_on(l)))
-                                .collect(),
-                            barriers: ctl.barrier_dump(),
-                            recon: ReconDump::BarrierFile,
-                        };
-                        self.resolve_all(sub, &e);
-                        return false;
-                    }
+                    // Deadlock is a property of shared control: every
+                    // live instance fails with the identical diagnostic
+                    // its scalar run would build here.
+                    let e = sub.warps[w].deadlock(self.image, w, sub.cycle, ReconDump::BarrierFile);
+                    self.resolve_all(sub, &e);
+                    return false;
                 }
             }
         }
@@ -962,29 +876,76 @@ impl Cohort<'_> {
     /// cycle), the issuing warp's scheduler fields are restored to their
     /// pre-pick values (`ctx`), and later warps are untouched — exactly
     /// the state an independent run of those slots would be in when its
-    /// round reaches the issuing warp. The shared SoA data plane is
-    /// untouched: the child simply reads and writes it under its own
-    /// slot mask.
+    /// round reaches the issuing warp, batch prefix (`ctx.run`) applied.
+    /// The shared SoA data plane is untouched: the child simply reads and
+    /// writes it under its own slot mask.
     fn split_off(&mut self, sub: &mut SubCohort, class: u64, ctx: IssueCtx) {
         sub.slots &= !class;
         if self.subs.len() + 2 <= MAX_SUBCOHORTS {
-            let mut warps = sub.warps.clone();
-            let ctl = &mut warps[ctx.w];
-            ctl.last_lanes = ctx.pre_last_lanes;
-            ctl.rr_cursor = ctx.pre_rr_cursor;
-            ctl.busy_until = ctx.pre_busy_until;
-            self.subs.push(SubCohort {
-                slots: class,
-                cycle: sub.cycle,
-                metrics: sub.metrics.clone(),
-                warps,
-            });
+            let (mut warps, mut metrics) = (sub.warps.clone(), sub.metrics.clone());
+            let (ctl, Run { at, issues, weight, roi_weight }) = (&mut warps[ctx.w], ctx.run);
+            (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until) = ctx.pre;
+            ctl.busy_until += weight;
+            ctl.move_to(ctx.mask, at);
+            let waiting = ctl.waiting.count_ones();
+            metrics.record_issues(ctx.w, ctx.mask, issues, weight, roi_weight, waiting);
+            self.subs.push(SubCohort { slots: class, cycle: sub.cycle, metrics, warps });
             self.stats.forks += 1;
             self.stats.peak_subcohorts = self.stats.peak_subcohorts.max(self.subs.len() as u64 + 1);
         } else {
             self.set_aside |= class;
             self.stats.detaches += u64::from(class.count_ones());
         }
+    }
+}
+
+/// The cohort's side of the straight-line batcher: [`Cohort::exec_c`]
+/// moves the data after [`Cohort::batch_fault_free_c`]. The cohort never
+/// carries trace or journal (multi-instance sweeps reject them), so it
+/// batches under the shared gate alone.
+struct SubRun<'a, 'm> {
+    cohort: &'a mut Cohort<'m>,
+    sub: &'a mut SubCohort,
+    /// The batched issues' context but for the cursor and the prefix: the
+    /// clock is the round issue's completion.
+    ctx: IssueCtx,
+    /// Whether the cohort is split.
+    split: bool,
+}
+
+impl Batcher for SubRun<'_, '_> {
+    type Error = std::convert::Infallible;
+
+    fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics) {
+        let SubCohort { warps, metrics, .. } = &mut *self.sub;
+        (&mut warps[self.ctx.w], &self.cohort.other_pcs, metrics)
+    }
+
+    fn issue(&mut self, mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error> {
+        let SubRun { cohort, sub, ctx, split } = self;
+        // While the cohort is split, every sub stops at every branch:
+        // forks and the code between branches cost the same in every
+        // sibling, so this keeps the sub-cohorts' round boundaries on one
+        // cadence — equal-cycle frontiers recur and re-agreeing planes
+        // actually meet in the merge scan instead of leapfrogging each
+        // other forever.
+        if *split && matches!(inst, DecodedInst::Branch { .. })
+            || !cohort.batch_fault_free_c(sub, ctx.w, mask, inst)
+        {
+            return Ok(None);
+        }
+        // Each batched issue builds its own [`IssueCtx`] — `last_lanes`
+        // re-sticks to the mask, the RoundRobin cursor is the one the
+        // converged pick would consume, the clock with the prefix's
+        // weight is the unbatched one and `run` is the prefix — so a
+        // class forking mid-batch (cross-seed branch divergence) still
+        // snapshots the exact control state an unbatched run would reach
+        // at that pick.
+        let ctx =
+            IssueCtx { pre: (mask, sub.warps[ctx.w].rr_cursor, ctx.pre.2), run: *run, ..*ctx };
+        // A sub-cohort left with no slot ends the batch; it is abandoned,
+        // so what the batch records there is never read.
+        Ok(Some(cohort.issue_c(sub, ctx).map_or((0, None), |(cost, next, _)| (cost, next))))
     }
 }
 
@@ -1027,9 +988,7 @@ impl Faults {
 struct SlotAlu<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
-    pc: usize,
-    mask: u64,
-    w: usize,
+    ctx: IssueCtx,
     dst: simt_ir::Reg,
     lhs: Operand,
     rhs: Operand,
@@ -1122,9 +1081,9 @@ impl AluLoop for SlotAlu<'_, '_> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
-        let SlotAlu { cohort, sub, pc, mask, w, dst, lhs, rhs } = self;
-        let mut faults = Faults::default();
-        let (live, ctl) = (sub.slots, &mut sub.warps[w]);
+        let SlotAlu { cohort, sub, ctx, dst, lhs, rhs } = self;
+        let (w, mask, mut faults) = (ctx.w, ctx.mask, Faults::default());
+        let (live, ctl) = (sub.slots, &sub.warps[w]);
         let spans = cohort.spans(ctl, mask);
         let Cohort { data, width, stats, scratch: RowScratch { out, .. }, .. } = &mut *cohort;
         let regs = &mut data[w].regs;
@@ -1141,8 +1100,7 @@ impl AluLoop for SlotAlu<'_, '_> {
             stats.dense_rows += if dense { n as u64 } else { 0 };
             stats.mixed_rows += if dense { 0 } else { n as u64 };
         }
-        ctl.advance(mask);
-        cohort.resolve_faults(sub, w, pc, faults);
+        cohort.resolve_faults(sub, ctx, faults);
     }
 }
 
@@ -1173,16 +1131,18 @@ impl AddrStage {
 // registers: ALU, moves, fills, calls) or per lane (`row0` is the lane's
 // frame), as row operations over the sub-cohort's slots.
 impl Cohort<'_> {
-    /// Executes one decoded instruction for the issued group across
-    /// every slot of `sub`; returns the (uniform) issue cost. Slots
-    /// whose data would make the issue non-uniform fork (or, past the
-    /// cap, are set aside) and faulting slots resolve to their own error
-    /// inside the arm — callers re-check `sub.slots`.
-    fn exec_c(&mut self, sub: &mut SubCohort, pc: usize, mask: u64, ctx: IssueCtx) -> u32 {
+    /// Executes the instruction at `ctx.run.at` for the issued group
+    /// across every slot of `sub`; returns the (uniform) issue cost and,
+    /// like [`Machine::exec`](crate::exec), where a group that moves
+    /// together goes next — `None` when the arm moved its lanes itself.
+    /// Slots whose data would make the issue non-uniform fork (or, past
+    /// the cap, are set aside) and faulting slots resolve to their own
+    /// error inside the arm — callers re-check `sub.slots`.
+    fn exec_c(&mut self, sub: &mut SubCohort, ctx: IssueCtx) -> (u32, Option<usize>) {
         let image = self.image;
+        let (w, pc, mask) = (ctx.w, ctx.run.at, ctx.mask);
         let inst = &image.insts[pc];
-        let w = ctx.w;
-        let cost = self.costs[pc];
+        let mut cost = self.costs[pc];
         let (live, width, ns) = (sub.slots, self.width, self.nslots);
         match *inst {
             // The op is invariant across the slot columns, so it is
@@ -1190,11 +1150,11 @@ impl Cohort<'_> {
             // kernel its typed loops can inline. Unary kernels ignore
             // `rhs`.
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                crate::alu::with_bin(op, SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs, rhs });
+                crate::alu::with_bin(op, SlotAlu { cohort: self, sub, ctx, dst, lhs, rhs });
             }
             DecodedInst::Un { op, dst, src } => {
                 let rhs = Operand::Imm(Value::default());
-                let alu = SlotAlu { cohort: self, sub, pc, mask, w, dst, lhs: src, rhs };
+                let alu = SlotAlu { cohort: self, sub, ctx, dst, lhs: src, rhs };
                 crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
@@ -1205,7 +1165,6 @@ impl Cohort<'_> {
                     let at = row0(ctl, lo);
                     regs.assign_rows(at + dst.index() * width, n, src.at(at), live);
                 }
-                ctl.advance(mask);
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
                 let lane_t = self.truthy_c(sub, w, mask, cond);
@@ -1225,23 +1184,21 @@ impl Cohort<'_> {
                     let floats = x.floats & t | y.floats & !t;
                     regs.put(at + dst.index() * width, RowRef { bits: out, floats }, live);
                 }
-                ctl.advance(mask);
             }
             DecodedInst::Load { dst, space: MemSpace::Global, addr } => {
-                return self.access_global_c(sub, pc, mask, ctx, addr, MemOp::Load(dst), cost);
+                cost = self.access_global_c(sub, ctx, addr, MemOp::Load(dst), cost);
             }
             DecodedInst::Store { space: MemSpace::Global, addr, value } => {
-                let op = MemOp::Store(value);
-                return self.access_global_c(sub, pc, mask, ctx, addr, op, cost);
+                cost = self.access_global_c(sub, ctx, addr, MemOp::Store(value), cost);
             }
             DecodedInst::Load { dst, space: MemSpace::Local, addr } => {
-                self.access_local_c(sub, pc, mask, w, addr, MemOp::Load(dst));
+                self.access_local_c(sub, ctx, addr, MemOp::Load(dst));
             }
             DecodedInst::Store { space: MemSpace::Local, addr, value } => {
-                self.access_local_c(sub, pc, mask, w, addr, MemOp::Store(value));
+                self.access_local_c(sub, ctx, addr, MemOp::Store(value));
             }
             DecodedInst::AtomicAdd { dst, addr, value } => {
-                let atomic = SlotAtomic { cohort: self, sub, pc, mask, w, dst, addr, value };
+                let atomic = SlotAtomic { cohort: self, sub, ctx, dst, addr, value };
                 crate::alu::with_bin(BinOp::Add, atomic);
             }
             DecodedInst::Special { dst, kind } => {
@@ -1260,7 +1217,10 @@ impl Cohort<'_> {
                     rng[l * ns + s].next_unit().to_bits()
                 });
             }
-            DecodedInst::SyncThreads => sub.warps[w].sync_arrive(mask, &mut |_| {}),
+            DecodedInst::SyncThreads => {
+                sub.warps[w].sync_arrive(mask, &mut |_| {});
+                return (cost, None);
+            }
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous count — per slot, over the same
                 // issued mask — written to every issued lane.
@@ -1275,7 +1235,6 @@ impl Cohort<'_> {
                 for l in lanes(mask) {
                     self.data[w].regs.put(row0(ctl, l) + dst.index() * width, counts, live);
                 }
-                ctl.advance(mask);
             }
             DecodedInst::SeedRng { src } => {
                 let (DWarp { regs, rng, .. }, ctl) = (&mut self.data[w], &mut sub.warps[w]);
@@ -1285,7 +1244,6 @@ impl Cohort<'_> {
                         rng[l * ns + s] = SplitMix64::for_seed_rng(src.get(regs, s).as_i64());
                     }
                 }
-                ctl.advance(mask);
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
                 let (ctl, num_regs) = (&mut sub.warps[w], num_regs as usize);
@@ -1311,6 +1269,7 @@ impl Cohort<'_> {
                 }
                 // The return lands after the call.
                 ctl.call(mask, pc + 1, entry_pc as usize, rets, num_regs);
+                return (cost, None);
             }
             DecodedInst::UnresolvedCall { name } => {
                 let at = self.image.location(w, mask.trailing_zeros() as usize, pc);
@@ -1319,21 +1278,22 @@ impl Cohort<'_> {
                     callee: image.callee_names[name as usize].clone(),
                 };
                 self.resolve_all(sub, &e);
+                return (cost, None);
             }
             DecodedInst::Barrier(op) => {
                 // Barrier semantics are pure control, so one execution
                 // serves the whole sub-cohort; only `arrived` writes
                 // registers, broadcast to every live slot.
+                sub.metrics.barrier_ops += u64::from(mask.count_ones());
                 if let BarrierOp::ArrivedCount { dst, bar } = op {
                     let n = sub.warps[w].arrived(bar) as u64;
                     self.fill_c(sub, w, mask, dst, false, |_, _, _| n);
-                } else if sub.warps[w].barrier(mask, op, &mut |_| {}) {
-                    sub.warps[w].advance(mask);
+                } else {
+                    return (cost, sub.warps[w].barrier(mask, op, &mut |_| {}).then_some(pc + 1));
                 }
-                sub.metrics.barrier_ops += u64::from(mask.count_ones());
             }
-            DecodedInst::Skip => sub.warps[w].advance(mask),
-            DecodedInst::Jump { target } => sub.warps[w].move_to(mask, target as usize),
+            DecodedInst::Skip => {}
+            DecodedInst::Jump { target } => return (cost, Some(target as usize)),
             DecodedInst::Branch { cond, then_pc, else_pc } => {
                 // One truthy slot-mask per lane. A lane whose slots all
                 // agree needs no per-slot state; only when some lane's
@@ -1359,10 +1319,14 @@ impl Cohort<'_> {
                     }
                     taken = takens[sub.slots.trailing_zeros() as usize];
                 }
+                if taken == 0 || taken == mask {
+                    return (cost, Some(if taken != 0 { then_pc } else { else_pc } as usize));
+                }
                 let ctl = &mut sub.warps[w];
                 for l in lanes(mask) {
                     ctl.pcs[l] = if taken & (1 << l) != 0 { then_pc } else { else_pc } as usize;
                 }
+                return (cost, None);
             }
             DecodedInst::Return { values } => {
                 let ctl = &mut sub.warps[w];
@@ -1385,10 +1349,14 @@ impl Cohort<'_> {
                     }
                 }
                 ctl.ret(mask, &mut |_| {});
+                return (cost, None);
             }
-            DecodedInst::Exit => sub.warps[w].exit(mask, &mut |_| {}),
+            DecodedInst::Exit => {
+                sub.warps[w].exit(mask, &mut |_| {});
+                return (cost, None);
+            }
         }
-        cost
+        (cost, Some(pc + 1))
     }
 
     /// Shared shape of the arms that set `dst` to one type from a
@@ -1403,14 +1371,13 @@ impl Cohort<'_> {
         float: bool,
         mut bits: impl FnMut(&mut [SplitMix64], usize, usize) -> u64,
     ) {
-        let (live, ctl) = (sub.slots, &mut sub.warps[w]);
+        let (live, ctl) = (sub.slots, &sub.warps[w]);
         let spans = self.spans(ctl, mask);
         let DWarp { regs, rng, .. } = &mut self.data[w];
         for (lo, n) in spans {
             let row = row0(ctl, lo) + dst.index() * self.width;
             regs.fill_rows_with(row, n, float, live, |i, s| bits(rng, lo + i, s));
         }
-        ctl.advance(mask);
     }
 
     /// Per issued lane, the live slots where `pred` is truthy (`Branch`,
@@ -1446,18 +1413,15 @@ impl Cohort<'_> {
     /// slots — all of them, on seed-independent access streams — there
     /// is one address list: no slot can fault, the flat fold runs once
     /// and cannot fork, and phase 3 is one row copy per lane.
-    #[allow(clippy::too_many_arguments)]
     fn access_global_c(
         &mut self,
         sub: &mut SubCohort,
-        pc: usize,
-        mask: u64,
         ctx: IssueCtx,
         addr: Operand,
         op: MemOp,
         base_cost: u32,
     ) -> u32 {
-        let w = ctx.w;
+        let (w, mask) = (ctx.w, ctx.mask);
         let oob = self.stage_addrs(sub, w, mask, addr);
         if self.addrs.uniform {
             self.stats.uniform_accesses += 1;
@@ -1473,7 +1437,7 @@ impl Cohort<'_> {
                 .expect("faulted slot has a faulting lane");
             faults.push(s, LaneFault::Oob { lane, addr, size: glen, space: MemSpace::Global });
         }
-        self.resolve_faults(sub, w, pc, faults);
+        self.resolve_faults(sub, ctx, faults);
         if sub.slots == 0 {
             return base_cost;
         }
@@ -1498,7 +1462,6 @@ impl Cohort<'_> {
                 }
             }
         }
-        ctl.advance(mask);
         cost
     }
 
@@ -1626,16 +1589,8 @@ impl Cohort<'_> {
     /// Local load/store: flat cost, so only per-slot OOB faults can
     /// split the sub-cohort (and they resolve, not fork). A lane whose
     /// slots agree on one in-range address moves its row in one copy.
-    fn access_local_c(
-        &mut self,
-        sub: &mut SubCohort,
-        pc: usize,
-        mask: u64,
-        w: usize,
-        addr: Operand,
-        op: MemOp,
-    ) {
-        let (llen, live, width) = (self.local_len, sub.slots, self.width);
+    fn access_local_c(&mut self, sub: &mut SubCohort, ctx: IssueCtx, addr: Operand, op: MemOp) {
+        let (w, mask, llen, live, width) = (ctx.w, ctx.mask, self.local_len, sub.slots, self.width);
         let mut faults = Faults::default();
         let Cohort { data, scratch: RowScratch { imm: [ia, iv], .. }, .. } = self;
         let (DWarp { regs, local, .. }, ctl) = (&mut data[w], &mut sub.warps[w]);
@@ -1658,8 +1613,7 @@ impl Cohort<'_> {
                 move_cell(regs, (reg, s), local, (m * width + l, s), op.is_load());
             }
         }
-        ctl.advance(mask);
-        self.resolve_faults(sub, w, pc, faults);
+        self.resolve_faults(sub, ctx, faults);
     }
 }
 
@@ -1674,9 +1628,7 @@ impl Cohort<'_> {
 struct SlotAtomic<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
-    pc: usize,
-    mask: u64,
-    w: usize,
+    ctx: IssueCtx,
     dst: simt_ir::Reg,
     addr: Operand,
     value: Operand,
@@ -1686,7 +1638,8 @@ impl AluLoop for SlotAtomic<'_, '_> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
-        let SlotAtomic { cohort, sub, pc, mask, w, dst, addr, value } = self;
+        let SlotAtomic { cohort, sub, ctx, dst, addr, value } = self;
+        let (w, mask) = (ctx.w, ctx.mask);
         let (ns, glen, live, width) =
             (cohort.nslots, cohort.global.rows(), sub.slots, cohort.width);
         let lanes_k = mask.count_ones() as usize;
@@ -1752,18 +1705,17 @@ impl AluLoop for SlotAtomic<'_, '_> {
                 }
             }
         }
-        sub.warps[w].advance(mask);
         // Faulted slots' runs discard all state, so only the survivors'
         // write-through invalidation is observable.
         cohort.invalidate_lines_c(live & !faults.mask);
-        cohort.resolve_faults(sub, w, pc, faults);
+        cohort.resolve_faults(sub, ctx, faults);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LatencyModel;
+    use crate::config::{LatencyModel, SchedulerPolicy};
     use crate::mem::MemHierarchy;
     use simt_ir::parse_and_link;
 
@@ -2364,19 +2316,55 @@ bb2:
         }
     }
 
+    /// The seeds disagree on the vote's parity at a branch reached inside
+    /// a straight-line batch: the round issues `rng.u63` and the batch
+    /// runs `rem`, `vote` and `rem` up to the `brdiv`. The forked class
+    /// must start from the state an unbatched run has at that pick — the
+    /// lanes at the branch, the three batched issues recorded, the clock
+    /// past them — which the parent itself writes and records only when
+    /// its batch ends. Under every policy, flat and with an L1.
     #[test]
     fn uniform_divergence_forks_and_merges_without_scalar_fallback() {
-        let sweep = SweepLaunch::new(launch("k", 1, 32, vec![]), 0, 32);
-        let stats = assert_matches_scalar(VOTE_DIVERGE_KERNEL, &SimConfig::default(), &sweep);
-        assert!(stats.forks > 0, "seeds disagree on the vote parity: {stats:?}");
-        assert!(stats.merges > 0, "cost-symmetric arms must realign: {stats:?}");
-        assert_eq!(stats.detaches, 0, "two classes never exceed the cap: {stats:?}");
-        assert_eq!(stats.scalar_steps, 0, "{stats:?}");
-        assert!(stats.peak_subcohorts >= 2, "{stats:?}");
-        assert!(
-            stats.mean_occupancy() > 1.0,
-            "masked execution keeps width above scalar: {stats:?}"
+        for policy in SchedulerPolicy::ALL {
+            for mem in [None, Some(l1())] {
+                let cfg = SimConfig { scheduler: policy, mem, ..SimConfig::default() };
+                let sweep = SweepLaunch::new(launch("k", 1, 32, vec![]), 0, 32);
+                let stats = assert_matches_scalar(VOTE_DIVERGE_KERNEL, &cfg, &sweep);
+                assert!(stats.forks > 0, "{cfg:?}: seeds disagree on the vote parity: {stats:?}");
+                assert!(stats.merges > 0, "{cfg:?}: cost-symmetric arms must realign: {stats:?}");
+                assert_eq!(stats.detaches, 0, "{cfg:?}: two classes never exceed the cap");
+                assert_eq!(stats.scalar_steps, 0, "{cfg:?}: {stats:?}");
+                assert!(stats.peak_subcohorts >= 2, "{cfg:?}: {stats:?}");
+                assert!(
+                    stats.mean_occupancy() > 1.0,
+                    "{cfg:?}: masked execution keeps width above scalar: {stats:?}"
+                );
+            }
+        }
+    }
+
+    /// The cohort runs a straight-line warp ahead through the shared
+    /// batcher: a round issues up to `BATCH_LIMIT + 1` instructions per
+    /// warp, so the rounds are far fewer than the lockstep issues.
+    #[test]
+    fn a_straight_line_cohort_batches() {
+        let adds = "  %r0 = add %r0, 1\n".repeat(200);
+        let src = format!(
+            "kernel @k(params=0, regs=1, barriers=0, entry=bb0) {{\nbb0:\n{adds}  exit\n}}\n"
         );
+        let image = DecodedImage::decode(&parse_and_link(&src).unwrap());
+        let cfg = SimConfig::default();
+        let sweep = SweepLaunch::new(launch("k", 2, 4, vec![]), 0, 8);
+        let mut cohort = Cohort::new(&image, &cfg, &sweep, 8).expect("cohort builds");
+        let mut sub = cohort.subs.pop().expect("root sub-cohort");
+        let mut rounds = 1;
+        while !cohort.round(&mut sub) {
+            rounds += 1;
+        }
+        let issues = cohort.stats.lockstep_issues;
+        assert_eq!(issues, 2 * 201, "two warps of 200 adds and an exit");
+        assert!(rounds * 16 < issues, "{rounds} rounds for {issues} lockstep issues");
+        assert_matches_scalar(&src, &cfg, &sweep);
     }
 
     #[test]
@@ -2757,7 +2745,8 @@ bb2:
             let sweep = SweepLaunch::new(launch("k", warps, 32, vec![]), 0, 8);
             let mut cohort = Cohort::new(&image, &cfg, &sweep, 8).expect("cohort builds");
             let mut sub = cohort.subs.pop().expect("root sub-cohort");
-            let ctx = IssueCtx { w: 0, pre_last_lanes: 0, pre_rr_cursor: 0, pre_busy_until: 0 };
+            let (w, mask, run) = (0, 0, Run::default());
+            let ctx = IssueCtx { w, mask, pre: (0, 0, 0), run };
             cohort.subs.reserve(2);
             let allocs =
                 crate::alloc_count::allocations_during(|| cohort.split_off(&mut sub, 0b1100, ctx));

@@ -166,41 +166,6 @@ fn stall_accounting_counts_waiting_lanes() {
 }
 
 #[test]
-fn run_sequence_threads_memory_between_kernels() {
-    // producer writes tid*2 into cells; consumer sums pairs into the
-    // upper half. Classic two-kernel pipeline on a persistent buffer.
-    let m = module(
-        "kernel @producer(params=0, regs=3, barriers=0, entry=bb0) {\n\
-         bb0:\n  %r0 = special.tid\n  %r1 = mul %r0, 2\n  store global[%r0], %r1\n  exit\n}\n\
-         kernel @consumer(params=0, regs=5, barriers=0, entry=bb0) {\n\
-         bb0:\n  %r0 = special.tid\n  %r1 = load global[%r0]\n  %r2 = add %r1, 1\n  %r3 = add %r0, 32\n  store global[%r3], %r2\n  exit\n}\n",
-    );
-    let mut first = simt_sim::Launch::new("producer", 1);
-    first.global_mem = vec![Value::I64(0); 64];
-    let second = simt_sim::Launch::new("consumer", 1);
-    let outs = simt_sim::run_sequence(&m, &SimConfig::default(), &[first, second]).unwrap();
-    assert_eq!(outs.len(), 2);
-    let final_mem = &outs[1].global_mem;
-    for t in 0..32 {
-        assert_eq!(final_mem[t], Value::I64(2 * t as i64));
-        assert_eq!(final_mem[t + 32], Value::I64(2 * t as i64 + 1));
-    }
-}
-
-#[test]
-fn run_sequence_stops_on_first_failure() {
-    let m = module(
-        "kernel @ok(params=0, regs=1, barriers=0, entry=bb0) {\nbb0:\n  exit\n}\n\
-         kernel @bad(params=0, regs=1, barriers=0, entry=bb0) {\nbb0:\n  store global[999], 1\n  exit\n}\n",
-    );
-    let mut first = simt_sim::Launch::new("ok", 1);
-    first.global_mem = vec![Value::I64(0); 4];
-    let second = simt_sim::Launch::new("bad", 1);
-    let err = simt_sim::run_sequence(&m, &SimConfig::default(), &[first, second]).unwrap_err();
-    assert!(matches!(err, SimError::MemoryFault { .. }));
-}
-
-#[test]
 fn syncthreads_converges_all_live_threads() {
     // Staggered arrival at syncthreads; the block after runs converged.
     let m = module(
