@@ -3,7 +3,8 @@
 //! Provides the program analyses that the compiler passes in
 //! `specrecon-core` are built from:
 //!
-//! - [`DomTree`] — dominator and post-dominator trees ([`dom`]);
+//! - [`DomTree`] — dominator and post-dominator trees (defined in
+//!   `simt_ir::dom`, next to the CFG, and re-exported here);
 //! - [`LoopForest`] — natural loops and nesting depth ([`loops`]);
 //! - a generic union-meet bit-set dataflow solver ([`dataflow`]);
 //! - if/else diamond detection for control-flow melding ([`diamonds`]);
@@ -33,12 +34,11 @@ pub mod barriers;
 pub mod bitset;
 pub mod dataflow;
 pub mod diamonds;
-pub mod dom;
 pub mod loops;
 
 pub use barriers::{find_conflicts, BarrierConflict, BarrierJoined, BarrierLiveness};
 pub use bitset::BitSet;
 pub use dataflow::{solve, DataflowProblem, DataflowResult, Direction};
 pub use diamonds::{find_diamonds, Diamond};
-pub use dom::DomTree;
 pub use loops::{Loop, LoopForest};
+pub use simt_ir::DomTree;

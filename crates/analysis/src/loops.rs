@@ -6,8 +6,7 @@
 //! depth per block feeds the §4.5 cost heuristics.
 
 use crate::bitset::BitSet;
-use crate::dom::DomTree;
-use simt_ir::{BlockId, Function};
+use simt_ir::{BlockId, DomTree, Function};
 
 /// One natural loop.
 #[derive(Clone, Debug)]

@@ -17,8 +17,8 @@
 //! 3. **Shrinker & corpora** ([`mod@shrink`], [`corpus`], [`regressions`])
 //!    — a violating seed is minimized at the genome level and dumped
 //!    ([`conform`]), a fixed named corpus pins known-fragile shapes, and
-//!    the root proptest regression file is ingested and replayed against
-//!    the dataflow oracles.
+//!    the barrier-oracle proptest's regression file is ingested and
+//!    replayed against the one brute-force dataflow oracle.
 //!
 //! The entry point is `tests/fuzz_equivalence.rs`; `sweep_differential`,
 //! `hier_flat_differential` and `recon_differential` run slices of the

@@ -1,14 +1,19 @@
-//! Regression-corpus ingestion (satellite of the conformance suite).
+//! The brute-force barrier oracle and its regression corpus.
 //!
-//! The repository's root proptest suite persists minimized failure
-//! cases to `tests/proptest_barrier_oracle.proptest-regressions`. The
-//! vendored proptest core replays the *seed hashes* in that file, but
-//! the hashes are only meaningful to the strategy that produced them.
-//! The human-readable `# shrinks to …` annotation, however, fully
-//! describes the minimized CFG — so this module parses those
-//! annotations, rebuilds each CFG exactly as the original test did,
-//! and re-checks both §4.2.1 dataflow analyses against the same
-//! path-enumeration oracles. The corpus is embedded at compile time;
+//! [`check_joined`] and [`check_live`] compare the two §4.2.1 dataflow
+//! analyses with path enumeration on one CFG; they are the only copy of
+//! that oracle, and `tests/proptest_barrier_oracle.rs` drives them over
+//! random CFGs built by [`build_cfg`].
+//!
+//! That proptest's failure cases live in
+//! `crates/conformance/tests/proptest_barrier_oracle.proptest-regressions`,
+//! beside the test, where proptest persists them; a failure message
+//! carries the case's `# shrinks to …` text ([`RegressionCase`]'s
+//! `Display`) to add there by hand. A line's seed hash is only
+//! meaningful to the strategy that produced it, but its `# shrinks to …`
+//! annotation fully describes the CFG — so this module parses those
+//! annotations, rebuilds each CFG with [`build_cfg`], and re-checks both
+//! analyses against the oracle. The corpus is embedded at compile time;
 //! regressions stay pinned even if the proptest seed format changes.
 
 use simt_analysis::{BarrierJoined, BarrierLiveness};
@@ -18,7 +23,7 @@ use simt_ir::{BarrierId, BarrierOp, BlockId, FuncKind, Function, Inst, Operand, 
 pub const NB: usize = 3;
 
 /// The embedded regression corpus file.
-const CORPUS: &str = include_str!("../../../tests/proptest_barrier_oracle.proptest-regressions");
+const CORPUS: &str = include_str!("../tests/proptest_barrier_oracle.proptest-regressions");
 
 /// One minimized regression case: the arguments the shrunk test ran
 /// with.
@@ -30,6 +35,13 @@ pub struct RegressionCase {
     pub blocks: Vec<Vec<Inst>>,
     /// `(then, else, is_branch)` link templates, indexed modulo length.
     pub links: Vec<(usize, usize, bool)>,
+}
+
+/// The `# shrinks to …` annotation text, which [`cases`] parses back.
+impl std::fmt::Display for RegressionCase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n = {}, blocks = {:?}, links = {:?}", self.n, self.blocks, self.links)
+    }
 }
 
 fn parse_inst(tok: &str) -> Result<Inst, String> {
@@ -176,7 +188,8 @@ pub fn cases() -> Result<Vec<RegressionCase>, String> {
     Ok(out)
 }
 
-/// Rebuilds the CFG exactly as `tests/proptest_barrier_oracle.rs` does.
+/// Builds the CFG a case describes: `n` blocks, block `i` taking
+/// `blocks[i % len]` and `links[i % len]`, the last block exiting.
 pub fn build_cfg(case: &RegressionCase) -> Function {
     let RegressionCase { n, blocks, links } = case;
     let n = *n;
@@ -281,28 +294,47 @@ fn brute_live_in(f: &Function, max_visits: usize) -> Vec<[bool; NB]> {
 
 /// Re-checks one regression case against both analyses; `Err` carries
 /// the first disagreement.
-#[allow(clippy::needless_range_loop)] // indices name blocks/barriers in the error text
 pub fn replay(case: &RegressionCase) -> Result<(), String> {
     let f = build_cfg(case);
-    let joined = BarrierJoined::analyze(&f);
-    let brute_joined = brute_joined_in(&f, 4);
-    for b in 0..case.n {
+    check_joined(&f)?;
+    check_live(&f)
+}
+
+/// Checks the joined-barrier analysis (Eq. 1) of `f` against path
+/// enumeration: a barrier is joined at a block entry iff some
+/// entry→block path leaves it joined. `Err` names the first mismatch.
+#[allow(clippy::needless_range_loop)] // indices name blocks/barriers in the error text
+pub fn check_joined(f: &Function) -> Result<(), String> {
+    let joined = BarrierJoined::analyze(f);
+    // Four visits per block expose everything a union fixpoint can
+    // accumulate for 3 barriers (each extra lap can only add bits, and
+    // bits saturate after |B| laps).
+    let brute = brute_joined_in(f, 4);
+    for b in 0..f.blocks.len() {
         let id = BlockId::new(b);
-        if brute_joined[b] == [false; NB] && joined.joined_in(id).is_empty() {
+        if brute[b] == [false; NB] && joined.joined_in(id).is_empty() {
             continue;
         }
         for bar in 0..NB {
-            if joined.joined_in(id).contains(bar) != brute_joined[b][bar] {
+            if joined.joined_in(id).contains(bar) != brute[b][bar] {
                 return Err(format!("joined_in(bb{b}, b{bar}) mismatch on:\n{f}"));
             }
         }
     }
-    let live = BarrierLiveness::analyze(&f);
-    let brute_live = brute_live_in(&f, 3);
-    for b in 0..case.n {
-        let id = BlockId::new(b);
-        for bar in 0..NB {
-            if brute_live[b][bar] && !live.live_in(id).contains(bar) {
+    Ok(())
+}
+
+/// Checks barrier liveness (Eq. 2) of `f` against path enumeration: a
+/// barrier live on some enumerated block→exit path (a wait before any
+/// join) must be live at that block's entry. One-sided: the enumeration
+/// only sees paths that reach an exit within its visit bound, and the
+/// analysis may be a superset on longer cycles.
+pub fn check_live(f: &Function) -> Result<(), String> {
+    let live = BarrierLiveness::analyze(f);
+    let brute = brute_live_in(f, 3);
+    for (b, brute) in brute.iter().enumerate() {
+        for (bar, &on) in brute.iter().enumerate() {
+            if on && !live.live_in(BlockId::new(b)).contains(bar) {
                 return Err(format!("live_in(bb{b}, b{bar}) missing on:\n{f}"));
             }
         }
@@ -323,6 +355,13 @@ mod tests {
         assert_eq!(first.blocks, vec![vec![Inst::Barrier(BarrierOp::Join(BarrierId(0)))]]);
         assert_eq!(first.links.len(), 6);
         assert_eq!(first.links[0], (3, 3, false));
+    }
+
+    #[test]
+    fn a_case_prints_the_annotation_it_parses_from() {
+        for case in cases().unwrap() {
+            assert_eq!(parse_case(&case.to_string()), Ok(case));
+        }
     }
 
     #[test]

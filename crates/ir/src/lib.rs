@@ -14,7 +14,9 @@
 //! - [`FunctionBuilder`] — fluent construction ([`builder`]);
 //! - a textual syntax with a printer ([`display`]) and parser ([`parse`])
 //!   that round-trip;
-//! - a structural verifier ([`verify`]).
+//! - a structural verifier ([`verify`]);
+//! - dominator and post-dominator trees ([`dom`]), shared by the
+//!   compiler passes and the simulator's IPDOM reconvergence table.
 //!
 //! ```
 //! use simt_ir::{FunctionBuilder, FuncKind, BinOp, Module, verify_module};
@@ -35,6 +37,7 @@
 
 pub mod builder;
 pub mod display;
+pub mod dom;
 pub mod dot;
 pub mod function;
 pub mod ids;
@@ -44,6 +47,7 @@ pub mod value;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
+pub use dom::DomTree;
 pub use dot::{function_to_dot, module_to_dot};
 pub use function::{Block, FuncKind, Function, Module, PredictTarget, Prediction};
 pub use ids::{BarrierId, BlockId, FuncId, IdVec, Reg};

@@ -1,20 +1,25 @@
 //! A deliberately small HTTP/1.1 subset: enough for the eval service and
-//! its load generator, nothing more.
+//! its clients (the load generator and the socket tests), nothing more.
 //!
 //! Supported: request line + headers + `Content-Length` bodies,
 //! keep-alive (the HTTP/1.1 default) and `Connection: close`, and
 //! responses with a fixed header set. Not supported: chunked encoding,
 //! trailers, pipelining beyond one in-flight request per connection,
 //! TLS. Limits guard the parser: oversized request heads or bodies are
-//! rejected before buffering them.
+//! rejected before buffering them. [`Client`] reads responses through
+//! the same bounded head and body readers.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body; kernels are text, so this is generous.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Upper bound on a response body [`Client`] accepts: a guard against a
+/// garbage `Content-Length`, far above any reply the service sends.
+const MAX_REPLY_BYTES: usize = 64 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Clone, Debug)]
@@ -32,8 +37,7 @@ pub struct Request {
 impl Request {
     /// First value of a header (name compared case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Whether the client asked to close the connection after this
@@ -79,15 +83,36 @@ impl std::fmt::Display for ReadError {
 /// [`ReadError::TimedOut`] — the server's connection loop uses that as
 /// its shutdown poll point.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+    let head = read_head(reader, "request head")?;
+    let mut lines = head.lines();
+    let request_line = lines.next().ok_or_else(|| ReadError::Malformed("empty head".into()))?;
+    let mut parts = request_line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| ReadError::Malformed("missing method".into()))?
+        .to_ascii_uppercase();
+    let path = parts.next().ok_or_else(|| ReadError::Malformed("missing path".into()))?.to_string();
+    let version = parts.next().unwrap_or("HTTP/1.1");
+    if !version.starts_with("HTTP/1.") {
+        return Err(ReadError::Malformed(format!("unsupported version {version}")));
+    }
+    let headers = parse_headers(lines)?;
+    let body = read_body(reader, &headers, MAX_BODY_BYTES, "request body")?;
+    Ok(Request { method, path, headers, body })
+}
+
+/// Reads one message head (start line and headers, up to the blank
+/// line) as text, one line per `\n`.
+fn read_head(reader: &mut BufReader<TcpStream>, what: &'static str) -> Result<String, ReadError> {
     let mut head = Vec::new();
     // Read byte-wise until the blank line; BufReader makes this cheap,
     // and it never over-reads into the body.
     loop {
         let mut line = Vec::new();
-        match read_line(reader, &mut line, MAX_HEAD_BYTES) {
+        match read_line(reader, &mut line, MAX_HEAD_BYTES, what) {
             Ok(()) => {}
             // A timeout on an idle connection (nothing consumed yet) is
-            // the server's shutdown poll point; a timeout mid-request
+            // the server's shutdown poll point; a timeout mid-message
             // leaves the parser desynchronized, so the connection must
             // be torn down instead of re-parsed.
             Err(ReadError::TimedOut) if head.is_empty() && line.is_empty() => {
@@ -105,26 +130,25 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
             break;
         }
         if head.len() + line.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::TooLarge("request head"));
+            return Err(ReadError::TooLarge(what));
         }
         head.extend_from_slice(&line);
         head.push(b'\n');
     }
-    let head = String::from_utf8(head)
-        .map_err(|_| ReadError::Malformed("non-utf8 request head".into()))?;
-    let mut lines = head.lines();
-    let request_line = lines.next().ok_or_else(|| ReadError::Malformed("empty head".into()))?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| ReadError::Malformed("missing method".into()))?
-        .to_ascii_uppercase();
-    let path = parts.next().ok_or_else(|| ReadError::Malformed("missing path".into()))?.to_string();
-    let version = parts.next().unwrap_or("HTTP/1.1");
-    if !version.starts_with("HTTP/1.") {
-        return Err(ReadError::Malformed(format!("unsupported version {version}")));
-    }
+    String::from_utf8(head).map_err(|_| ReadError::Malformed(format!("non-utf8 {what}")))
+}
 
+/// First value of header `name` (compared case-insensitively) among
+/// `(lowercased-name, value)` pairs.
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    let name = name.to_ascii_lowercase();
+    headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+}
+
+/// Parses header lines into `(lowercased-name, value)` pairs.
+fn parse_headers<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(String, String)>, ReadError> {
     let mut headers = Vec::new();
     for line in lines {
         let line = line.trim_end_matches('\r');
@@ -136,24 +160,31 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
             .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+    Ok(headers)
+}
 
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
+/// Reads the `Content-Length` body `headers` announce, refusing one
+/// longer than `cap` before buffering it.
+fn read_body(
+    reader: &mut BufReader<TcpStream>,
+    headers: &[(String, String)],
+    cap: usize,
+    what: &'static str,
+) -> Result<Vec<u8>, ReadError> {
+    let content_length = header(headers, "content-length")
+        .map(|v| v.parse::<usize>())
         .transpose()
         .map_err(|_| ReadError::Malformed("bad content-length".into()))?
         .unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(ReadError::TooLarge("request body"));
+    if content_length > cap {
+        return Err(ReadError::TooLarge(what));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| match io_to_read_error(e) {
         ReadError::TimedOut => ReadError::Malformed("stalled mid-body".into()),
         other => other,
     })?;
-
-    Ok(Request { method, path, headers, body })
+    Ok(body)
 }
 
 /// Reads one `\n`-terminated line (terminator stripped) with a length cap.
@@ -161,6 +192,7 @@ fn read_line(
     reader: &mut BufReader<TcpStream>,
     out: &mut Vec<u8>,
     cap: usize,
+    what: &'static str,
 ) -> Result<(), ReadError> {
     loop {
         let available = match reader.fill_buf() {
@@ -186,7 +218,7 @@ fn read_line(
                 let n = available.len();
                 reader.consume(n);
                 if out.len() > cap {
-                    return Err(ReadError::TooLarge("request head"));
+                    return Err(ReadError::TooLarge(what));
                 }
             }
         }
@@ -277,6 +309,82 @@ pub fn reason(status: u16) -> &'static str {
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
+    }
+}
+
+/// A parsed HTTP response, as [`Client`] reads it.
+#[derive(Clone, Debug)]
+pub struct Reply {
+    /// Status code.
+    pub status: u16,
+    /// Headers as `(lowercased-name, value)` pairs.
+    pub headers: Vec<(String, String)>,
+    /// The body, decoded as UTF-8 (lossily).
+    pub body: String,
+}
+
+impl Reply {
+    /// First value of a header (name compared case-insensitively).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header(&self.headers, name)
+    }
+}
+
+/// One keep-alive client connection to the service: each request goes
+/// out as one write with Nagle off (a head and a body in two small
+/// segments stall on Nagle plus delayed ACK, see [`Response::write`]),
+/// and every response is read through one [`BufReader`] kept for the
+/// life of the connection, so bytes read ahead are never dropped.
+pub struct Client {
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    /// Connects to `addr` with `TCP_NODELAY` set.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { reader: BufReader::new(stream) })
+    }
+
+    /// Bounds how long [`Client::read_reply`] waits for the server.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
+    /// Sends one request, head and body in one frame, and reads its
+    /// response.
+    pub fn request(&mut self, method: &str, path: &str, body: &str) -> Result<Reply, ReadError> {
+        let frame = format!(
+            "{method} {path} HTTP/1.1\r\nHost: specrecon\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        self.write_frame(frame.as_bytes()).map_err(ReadError::Io)?;
+        self.read_reply()
+    }
+
+    /// Writes raw bytes in one write (the tests' malformed requests).
+    pub fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+        let stream = self.reader.get_mut();
+        stream.write_all(frame)?;
+        stream.flush()
+    }
+
+    /// Reads one response: status line, headers and `Content-Length`
+    /// body. [`ReadError::Eof`] when the server closed the connection at
+    /// a response boundary.
+    pub fn read_reply(&mut self) -> Result<Reply, ReadError> {
+        let head = read_head(&mut self.reader, "response head")?;
+        let mut lines = head.lines();
+        let status_line = lines.next().unwrap_or_default();
+        let status = status_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| ReadError::Malformed(format!("bad status line {status_line:?}")))?;
+        let headers = parse_headers(lines)?;
+        let body = read_body(&mut self.reader, &headers, MAX_REPLY_BYTES, "response body")?;
+        Ok(Reply { status, headers, body: String::from_utf8_lossy(&body).into_owned() })
     }
 }
 

@@ -7,9 +7,8 @@
 //! for its response before sending the next request — throughput is
 //! `completed / wall-clock`, the number the CI smoke gate checks.
 
+use crate::http::Client;
 use crate::json::Json;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Load-generator configuration (the `specrecon loadgen` flags).
@@ -181,25 +180,21 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
 /// requests failed (the server may be draining).
 fn drive_connection(addr: &str, body: &str, requests: usize) -> LoadgenReport {
     let mut report = LoadgenReport::default();
-    let mut stream: Option<TcpStream> = None;
+    let mut client: Option<Client> = None;
     for _ in 0..requests {
         // (Re)connect lazily; a dropped keep-alive reconnects once per
         // request at most.
-        if stream.is_none() {
-            stream = TcpStream::connect(addr).ok();
-            if let Some(s) = &stream {
-                // Small latency-bound exchanges: disable Nagle.
-                let _ = s.set_nodelay(true);
-            }
+        if client.is_none() {
+            client = Client::connect(addr).ok();
         }
-        let Some(s) = stream.as_mut() else {
+        let Some(c) = client.as_mut() else {
             report.failed += 1;
             continue;
         };
         let t0 = Instant::now();
-        match exchange(s, body) {
-            Ok(status) => {
-                match status {
+        match c.request("POST", "/v1/eval", body) {
+            Ok(reply) => {
+                match reply.status {
                     200..=299 => {
                         report.ok += 1;
                         report.latencies_us.push(t0.elapsed().as_micros() as u64);
@@ -208,7 +203,7 @@ fn drive_connection(addr: &str, body: &str, requests: usize) -> LoadgenReport {
                     504 => report.timed_out += 1,
                     _ => report.failed += 1,
                 }
-                if status == 503 {
+                if reply.status == 503 {
                     // Honor backpressure: brief pause before retrying the
                     // connection's next request.
                     std::thread::sleep(Duration::from_millis(10));
@@ -216,57 +211,11 @@ fn drive_connection(addr: &str, body: &str, requests: usize) -> LoadgenReport {
             }
             Err(_) => {
                 report.failed += 1;
-                stream = None;
+                client = None;
             }
         }
     }
     report
-}
-
-/// Sends one request and reads one response; returns the status code.
-fn exchange(stream: &mut TcpStream, body: &str) -> Result<u16, String> {
-    // One write per request (see the matching note in `http::Response::
-    // write`): split writes stall on Nagle + delayed ACK.
-    let frame = format!(
-        "POST /v1/eval HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(frame.as_bytes()).map_err(|e| e.to_string())?;
-    stream.flush().map_err(|e| e.to_string())?;
-    read_status(stream)
-}
-
-/// Reads one HTTP response off the stream (status line + headers +
-/// `Content-Length` body), returning the status.
-pub fn read_status(stream: &mut TcpStream) -> Result<u16, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {line:?}"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = header.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().map_err(|_| "bad content-length")?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    // Drain nothing further: the BufReader is dropped, but because the
-    // response was fully consumed the underlying stream is positioned at
-    // the next response boundary.
-    Ok(status)
 }
 
 #[cfg(test)]

@@ -4,68 +4,20 @@
 //! backpressure with `Retry-After`, deadline expiry, and graceful
 //! drain with no silent drops.
 
+use specrecon_server::http::{Client, ReadError, Reply};
 use specrecon_server::{ServeConfig, Server};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// One parsed HTTP response.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
+/// A client connection that gives up on a silent server after a minute.
+fn connect(addr: &std::net::SocketAddr) -> Client {
+    let client = Client::connect(addr).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(60))).expect("set client read timeout");
+    client
 }
 
 /// Sends one request on a fresh connection and reads the reply.
 fn request(addr: &std::net::SocketAddr, method: &str, path: &str, body: &str) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    send(&mut stream, method, path, body);
-    read_reply(&mut stream)
-}
-
-fn send(stream: &mut TcpStream, method: &str, path: &str, body: &str) {
-    let head =
-        format!("{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n", body.len());
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
-}
-
-fn read_reply(stream: &mut TcpStream) -> Reply {
-    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("set client read timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {line:?}"));
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).expect("header line");
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            let (k, v) = (k.trim().to_string(), v.trim().to_string());
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.parse().expect("content-length");
-            }
-            headers.push((k, v));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    Reply { status, headers, body: String::from_utf8_lossy(&body).into_owned() }
+    connect(addr).request(method, path, body).expect("reply")
 }
 
 fn start(
@@ -246,22 +198,21 @@ fn error_statuses_are_mapped() {
 fn oversized_body_closes_the_connection() {
     let (addr, handle, runner) = start(local(8, 2));
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut client = connect(&addr);
     // Declare an oversized body but never send it — the server must
     // reject on the Content-Length alone.
     let head = format!(
         "POST /v1/eval HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
         3 * 1024 * 1024
     );
-    stream.write_all(head.as_bytes()).expect("write head");
-    let reply = read_reply(&mut stream);
+    client.write_frame(head.as_bytes()).expect("write head");
+    let reply = client.read_reply().expect("413 reply");
     assert_eq!(reply.status, 413);
     assert_eq!(reply.header("Connection"), Some("close"), "413 must advertise close");
-    // The server actually closed: the next read reaches EOF rather than
-    // hanging on a half-open keep-alive connection.
-    let mut rest = Vec::new();
-    let n = stream.read_to_end(&mut rest).expect("read to end");
-    assert_eq!(n, 0, "socket must be closed after a 413, got {n} extra bytes");
+    // The server actually closed: the next read reaches EOF, no extra
+    // bytes, rather than hanging on a half-open keep-alive connection.
+    let next = client.read_reply();
+    assert!(matches!(next, Err(ReadError::Eof)), "socket must be closed after a 413: {next:?}");
 
     handle.shutdown();
     runner.join().unwrap().unwrap();
@@ -448,14 +399,13 @@ fn hostile_inline_kernels_answer_400_and_the_connection_lives() {
         (kernel("regs=1, barriers=0", diverge), r#""threshold":4294967304"#, "`threshold`"),
         (kernel("regs=1, barriers=0", diverge), r#""barrier_alloc":"yes""#, "`barrier_alloc`"),
     ];
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut client = connect(&addr);
     for (src, fields, needle) in hostile {
-        send(&mut stream, "POST", "/v1/eval", &format!(r#"{{"kernel":{src:?},{fields}}}"#));
-        let reply = read_reply(&mut stream);
+        let body = format!(r#"{{"kernel":{src:?},{fields}}}"#);
+        let reply = client.request("POST", "/v1/eval", &body).expect("reply");
         assert_eq!(reply.status, 400, "{needle}: {}", reply.body);
         assert!(reply.body.contains(needle), "{needle}: {}", reply.body);
-        send(&mut stream, "POST", "/v1/eval", r#"{"workload":"microbench"}"#);
-        let healthy = read_reply(&mut stream);
+        let healthy = client.request("POST", "/v1/eval", r#"{"workload":"microbench"}"#).unwrap();
         assert_eq!(healthy.status, 200, "after {needle}: {}", healthy.body);
     }
     handle.shutdown();

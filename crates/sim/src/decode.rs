@@ -22,7 +22,12 @@
 //! - each pc carries a [`CostClass`] rather than a resolved cycle count,
 //!   keeping the image independent of the [`SimConfig`](crate::SimConfig)
 //!   it later runs under — [`DecodedImage::resolve_costs`] bakes a
-//!   [`LatencyModel`] into a flat `Vec<u32>` per run.
+//!   [`LatencyModel`] into a flat `Vec<u32>` per run;
+//! - the image keeps every block's entry pc (its block graph), from which
+//!   [`DecodedImage::reconvergence_pc`] derives the IPDOM stack's
+//!   reconvergence table with the compiler's `DomTree` on its first
+//!   query — once per image, not per launch, and never in `decode`,
+//!   which compile-only callers time.
 //!
 //! Decoding cannot fail: the one module-level error the interpreter can
 //! hit mid-run (a call left unresolved by name) is preserved as a
@@ -35,6 +40,7 @@ use simt_ir::{
     BarrierOp, BinOp, BlockId, FuncId, FuncRef, Inst, MemSpace, Module, Operand, Reg, RngKind,
     SpecialValue, Terminator, UnOp,
 };
+use std::sync::OnceLock;
 
 /// A span in one of the image's side pools ([`DecodedImage::operand_pool`]
 /// or [`DecodedImage::reg_pool`]).
@@ -280,6 +286,13 @@ pub struct DecodedImage {
     pub(crate) callee_names: Vec<String>,
     /// Barrier registers per warp: the module-wide maximum, at least 1.
     pub(crate) num_barriers: usize,
+    /// Entry pc of every block, indexed by [`FuncId`] then [`BlockId`]:
+    /// the image's block graph.
+    pub(crate) block_starts: Vec<Vec<u32>>,
+    /// The IPDOM stack's branch-pc → reconvergence-pc table
+    /// ([`recon::ipdom_table`](crate::recon::ipdom_table)), built on the
+    /// first [`DecodedImage::reconvergence_pc`] query and kept.
+    ipdom: OnceLock<Vec<u32>>,
 }
 
 impl DecodedImage {
@@ -288,7 +301,7 @@ impl DecodedImage {
         // Pass 1: lay out functions in id order, blocks in id order, the
         // terminator after each block's instructions, and record every
         // block's starting pc.
-        let mut block_start: Vec<Vec<u32>> = Vec::with_capacity(module.functions.len());
+        let mut block_starts: Vec<Vec<u32>> = Vec::with_capacity(module.functions.len());
         let mut pc = 0u32;
         for (_, f) in module.functions.iter() {
             let mut starts = Vec::with_capacity(f.blocks.len());
@@ -296,7 +309,7 @@ impl DecodedImage {
                 starts.push(pc);
                 pc += b.insts.len() as u32 + 1;
             }
-            block_start.push(starts);
+            block_starts.push(starts);
         }
 
         let total = pc as usize;
@@ -317,24 +330,27 @@ impl DecodedImage {
                 .max()
                 .unwrap_or(0)
                 .max(1),
+            block_starts: Vec::new(),
+            ipdom: OnceLock::new(),
         };
 
         // Pass 2: emit, resolving targets through the layout.
         for (fid, f) in module.functions.iter() {
             image.funcs.push(DecodedFunc {
-                entry_pc: block_start[fid.index()][f.entry.index()],
+                entry_pc: block_starts[fid.index()][f.entry.index()],
                 num_regs: f.num_regs as u32,
                 num_params: f.num_params as u32,
             });
             image.func_names.push(f.name.clone());
             for (bid, b) in f.blocks.iter() {
                 for (i, inst) in b.insts.iter().enumerate() {
-                    image.emit(fid, bid, i as u32, b.roi, module, &block_start, inst);
+                    image.emit(fid, bid, i as u32, b.roi, module, &block_starts, inst);
                 }
-                image.emit_term(fid, bid, b.insts.len() as u32, b.roi, &block_start, &b.term);
+                image.emit_term(fid, bid, b.insts.len() as u32, b.roi, &block_starts, &b.term);
             }
         }
         debug_assert_eq!(image.insts.len(), total);
+        image.block_starts = block_starts;
         image
     }
 
@@ -518,6 +534,16 @@ impl DecodedImage {
     /// Looks up a function id by name (kernel resolution at launch).
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
         self.func_names.iter().position(|n| n == name).map(FuncId::new)
+    }
+
+    /// Where the arms of the conditional branch at `pc` reconverge under
+    /// the IPDOM stack: the entry pc of its block's immediate
+    /// post-dominator. `None` when the arms meet only at function exit,
+    /// when the block cannot reach an exit, or when `pc` holds no branch.
+    /// The first query builds the table for the whole image.
+    pub fn reconvergence_pc(&self, pc: usize) -> Option<usize> {
+        let rpc = self.ipdom.get_or_init(|| crate::recon::ipdom_table(self))[pc];
+        (rpc != crate::recon::NO_RPC).then_some(rpc as usize)
     }
 
     /// Number of decoded pcs (instructions plus terminators).

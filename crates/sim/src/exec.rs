@@ -63,7 +63,7 @@ use crate::journal::{Journal, JournalEvent};
 use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::profile::Profile;
-use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
+use crate::recon::{Split, StackEntry, NO_RPC};
 use crate::rng::SplitMix64;
 use crate::sched::{keeps_lockstep, lanes, pick_bumps_rr, select_group_mask, Batcher, Issued, Run};
 use crate::trace::{Trace, TraceEvent};
@@ -310,9 +310,6 @@ pub(crate) struct Machine<'m> {
     /// by [`Machine::access`] for [`Machine::issue`] to attribute
     /// (journal event, per-block profile) after the hot borrows end.
     pub(crate) pending_mem: Option<crate::mem::AccessOutcome>,
-    /// Branch-pc → reconvergence-pc table, built at launch only under
-    /// [`ReconvergenceModel::IpdomStack`].
-    pub(crate) ipdom: Option<IpdomTable>,
     /// Divergent branch the current issue executed, parked by the
     /// `Branch` arm (mirroring [`Machine::pending_mem`]) for the
     /// post-issue IPDOM hook to turn into stack pushes after the hot
@@ -449,8 +446,6 @@ impl<'m> Machine<'m> {
             scratch: Scratch::default(),
             mshrs: crate::mem::MemMshrs::new(cfg.mem.as_ref()),
             pending_mem: None,
-            ipdom: matches!(cfg.recon, ReconvergenceModel::IpdomStack)
-                .then(|| IpdomTable::build(image)),
             pending_split: None,
             stats: EngineStats::default(),
             cycle: 0,
@@ -566,7 +561,8 @@ impl<'m> Machine<'m> {
         let busy = self.cycle + u64::from(self.issue(w, pc, mask)?.max(1));
         // A stack that moved (pushed, parked or popped) changed what the
         // next pick chooses among.
-        let stack_moved = self.ipdom.is_some() && self.ipdom_post_issue(w, pc, mask);
+        let stack_moved = matches!(self.cfg.recon, ReconvergenceModel::IpdomStack)
+            && self.ipdom_post_issue(w, pc, mask);
         if stack_moved || self.trace.is_some() || self.journal.is_some() {
             return Ok(busy);
         }
@@ -672,12 +668,12 @@ impl<'m> Machine<'m> {
             }
         } else {
             if let Some((bpc, taken, not_taken)) = self.pending_split.take() {
-                let rpc = self.ipdom.as_ref().expect("ipdom table built at launch").rpc_of(bpc);
                 // When the arms only meet at function exit there is
                 // nothing to push: both groups stay schedulable under
                 // the current entry and the policy arbitrates between
                 // them.
-                if rpc != NO_RPC {
+                if let Some(rpc) = self.image.reconvergence_pc(bpc) {
+                    let rpc = rpc as u32;
                     let warp = &mut self.warps[w];
                     let depth = warp.ctl.depths[taken.trailing_zeros() as usize] as u32;
                     let entry = StackEntry { rpc, depth, pending: not_taken, arrived: 0 };
@@ -1455,7 +1451,7 @@ impl Batcher for WarpRun<'_, '_> {
         // on a group that reached the top entry's reconvergence pc, and
         // then it scans the lanes' pcs.
         let top = |at| m.warps[w].ipdom_stack.last().is_some_and(|e| e.rpc as usize == at);
-        if m.ipdom.is_some() && next.is_none_or(top) {
+        if matches!(m.cfg.recon, ReconvergenceModel::IpdomStack) && next.is_none_or(top) {
             if let Some(at) = next {
                 m.warps[w].ctl.move_to(mask, at);
             }

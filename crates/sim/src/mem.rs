@@ -681,6 +681,27 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_miss_takes_the_entry_that_retires_within_its_stall() {
+        let l = lat();
+        let h = MemHierarchy::parse("l1:lines=64,cells=16,lat=2,mshrs=2;dram:lat=20,extra=2", &l)
+            .unwrap();
+        let mut tags = MemTags::new(Some(&h));
+        let mut mshrs = MemMshrs::new(Some(&h));
+        let mut scratch = MemScratch::default();
+        let mut miss = |line: i64, now| {
+            commit(&h, &mut tags, &mut mshrs, &mut scratch, &[line * 16], now).levels[0].mshr_stall
+        };
+        // Line 0 takes entry 0 until 20, line 1 entry 1 until 21; at 20
+        // entry 0 is free again and line 2 holds it until 40.
+        assert_eq!([miss(0, 0), miss(1, 1), miss(2, 20)], [0, 0, 0]);
+        // Line 3 at 20 finds both busy, stalls until entry 1 retires at
+        // 21 and takes that entry, not the one busy until 40.
+        assert_eq!(miss(3, 20), 1);
+        assert_eq!(mshrs.levels[0].line, [2, 3]);
+        assert_eq!(mshrs.levels[0].release, [40, 41]);
+    }
+
+    #[test]
     fn probe_commit_agree_and_commit_mutates() {
         let l = lat();
         let h =

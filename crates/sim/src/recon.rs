@@ -1,4 +1,4 @@
-//! Hardware reconvergence models: IPDOM table construction and the
+//! Hardware reconvergence models: the IPDOM reconvergence table and the
 //! per-warp stack / split state used by the execution engine.
 //!
 //! The engine's default model ([`ReconvergenceModel::BarrierFile`]) needs
@@ -6,12 +6,12 @@
 //! reconvergence through the control plane in `barrier.rs`. The two
 //! hardware models do:
 //!
-//! * [`ReconvergenceModel::IpdomStack`] consults an [`IpdomTable`] mapping
-//!   every conditional-branch pc to the flat pc where its arms reconverge —
-//!   the entry pc of the branch block's immediate post-dominator, computed
-//!   here from the decoded image's CFG (block layout is recoverable from
-//!   [`PcOrigin`](crate::decode) because blocks are laid out contiguously
-//!   in id order).
+//! * [`ReconvergenceModel::IpdomStack`] reads
+//!   [`DecodedImage::reconvergence_pc`]: every conditional-branch pc maps
+//!   to the flat pc where its arms reconverge, the entry pc of the branch
+//!   block's immediate post-dominator. [`ipdom_table`] computes it with
+//!   the compiler's [`DomTree`] over the image's block graph, once per
+//!   image on the first query; the image keeps it for every later launch.
 //! * [`ReconvergenceModel::WarpSplit`] keeps per-warp [`Split`] lists; the
 //!   table is not needed because splits re-fuse opportunistically whenever
 //!   their frontiers re-align.
@@ -21,6 +21,7 @@
 //! [`ReconvergenceModel::WarpSplit`]: crate::config::ReconvergenceModel::WarpSplit
 
 use crate::decode::{DecodedImage, DecodedInst};
+use simt_ir::{BlockId, DomTree};
 
 /// Sentinel reconvergence pc: the branch's arms only meet at function
 /// exit, so the IPDOM stack pushes nothing and the arms run to the end
@@ -78,179 +79,40 @@ pub(crate) struct Split {
     pub busy_until: u64,
 }
 
-/// Branch-pc → reconvergence-pc table for the IPDOM stack model.
-///
-/// Built once per launch from the decoded image; immutable afterwards.
-#[derive(Clone, Debug)]
-pub(crate) struct IpdomTable {
-    /// Parallel to the instruction stream: `NO_RPC` everywhere except at
-    /// conditional-branch pcs whose block has a real immediate
-    /// post-dominator.
-    rpc: Vec<u32>,
-}
-
-impl IpdomTable {
-    /// Computes immediate post-dominators for every function in the
-    /// image and records the reconvergence pc of each conditional branch.
-    pub(crate) fn build(image: &DecodedImage) -> IpdomTable {
-        let n = image.insts.len();
-        let mut rpc = vec![NO_RPC; n];
-        // Functions occupy contiguous pc ranges in id order.
-        let mut start = 0usize;
-        while start < n {
-            let func = image.origin[start].func;
-            let mut end = start;
-            while end < n && image.origin[end].func == func {
-                end += 1;
-            }
-            build_function(image, start, end, &mut rpc);
-            start = end;
-        }
-        IpdomTable { rpc }
-    }
-
-    /// Reconvergence pc of the branch at `pc` (`NO_RPC` when its arms
-    /// only meet at function exit).
-    pub(crate) fn rpc_of(&self, pc: usize) -> u32 {
-        self.rpc[pc]
-    }
-}
-
-/// Dense bitset over CFG nodes, sized at build time. Build-time only —
-/// nothing here runs in the hot loop.
-#[derive(Clone, PartialEq)]
-struct NodeSet {
-    words: Vec<u64>,
-}
-
-impl NodeSet {
-    /// All nodes `0..n` present.
-    fn full(n: usize) -> NodeSet {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
-        if !n.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (n % 64)) - 1;
-            }
-        }
-        NodeSet { words }
-    }
-
-    /// Only node `i` present (sized for `n` nodes).
-    fn singleton(n: usize, i: usize) -> NodeSet {
-        let mut words = vec![0u64; n.div_ceil(64)];
-        words[i / 64] |= 1u64 << (i % 64);
-        NodeSet { words }
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    fn intersect_with(&mut self, o: &NodeSet) {
-        for (w, ow) in self.words.iter_mut().zip(&o.words) {
-            *w &= ow;
-        }
-    }
-
-    fn len(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-}
-
-/// Post-dominator computation for one function's pc range `[lo, hi)`.
-fn build_function(image: &DecodedImage, lo: usize, hi: usize, rpc: &mut [u32]) {
-    // Recover block starts: blocks are contiguous in id order, so a new
-    // block begins wherever the origin's block id changes.
-    let mut starts: Vec<u32> = Vec::new();
-    for pc in lo..hi {
-        if pc == lo || image.origin[pc].block != image.origin[pc - 1].block {
-            starts.push(pc as u32);
-        }
-    }
-    let nb = starts.len();
-    let exit = nb; // virtual exit node
-    let block_of = |pc: u32| -> usize {
-        debug_assert!((lo as u32..hi as u32).contains(&pc));
-        starts.partition_point(|&s| s <= pc) - 1
-    };
-
-    // Terminator of block b sits on the last pc of the block.
-    let term_pc = |b: usize| -> usize {
-        if b + 1 < nb {
-            starts[b + 1] as usize - 1
-        } else {
-            hi - 1
-        }
-    };
-    let succs = |b: usize| -> [Option<usize>; 2] {
-        match image.insts[term_pc(b)] {
-            DecodedInst::Jump { target } => [Some(block_of(target)), None],
-            DecodedInst::Branch { then_pc, else_pc, .. } => {
-                [Some(block_of(then_pc)), Some(block_of(else_pc))]
-            }
-            _ => [Some(exit), None], // Return / Exit
-        }
-    };
-
-    // Iterative post-dominator sets over the reverse CFG: nb real blocks
-    // plus the virtual exit. pdom[b] = {b} ∪ ⋂ pdom[succ(b)].
-    let nodes = nb + 1;
-    let mut pdom: Vec<NodeSet> = (0..nb).map(|_| NodeSet::full(nodes)).collect();
-    pdom.push(NodeSet::singleton(nodes, exit));
-    let mut changed = true;
-    let mut scratch = NodeSet::full(nodes);
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            scratch.words.iter_mut().for_each(|w| *w = u64::MAX);
-            for s in succs(b).into_iter().flatten() {
-                scratch.intersect_with(&pdom[s]);
-            }
-            scratch.insert(b);
-            // Re-mask the tail word (the u64::MAX refill sets stray bits).
-            if !nodes.is_multiple_of(64) {
-                if let Some(last) = scratch.words.last_mut() {
-                    *last &= (1u64 << (nodes % 64)) - 1;
+/// The IPDOM stack's branch-pc → reconvergence-pc table, parallel to the
+/// instruction stream: `NO_RPC` everywhere except at conditional branches
+/// whose block has an immediate post-dominator, which get that block's
+/// entry pc. One [`DomTree`] per function over the image's own block
+/// graph — the tree every compiler pass reads, so the stack reconverges
+/// where `pdom` places its barriers.
+pub(crate) fn ipdom_table(image: &DecodedImage) -> Vec<u32> {
+    let mut rpc = vec![NO_RPC; image.len()];
+    for (f, starts) in image.block_starts.iter().enumerate() {
+        let end = image.block_starts.get(f + 1).map_or(image.len(), |next| next[0] as usize);
+        // Each block's terminator sits on its last pc.
+        let terms: Vec<usize> =
+            starts.iter().skip(1).map(|&s| s as usize).chain([end]).map(|e| e - 1).collect();
+        let block = |pc: u32| image.origin[pc as usize].block;
+        let succs: Vec<Vec<BlockId>> = terms
+            .iter()
+            .map(|&t| match image.insts[t] {
+                DecodedInst::Jump { target } => vec![block(target)],
+                DecodedInst::Branch { then_pc, else_pc, .. } => {
+                    vec![block(then_pc), block(else_pc)]
                 }
-            }
-            if scratch != pdom[b] {
-                std::mem::swap(&mut scratch.words, &mut pdom[b].words);
-                changed = true;
+                _ => Vec::new(), // Return / Exit
+            })
+            .collect();
+        let pdom = DomTree::from_successors(&succs, None);
+        for (b, &t) in terms.iter().enumerate() {
+            if let (DecodedInst::Branch { .. }, Some(p)) =
+                (image.insts[t], pdom.idom(BlockId::new(b)))
+            {
+                rpc[t] = starts[p.index()];
             }
         }
     }
-
-    // The post-dominators of b form a chain; the immediate one is the
-    // candidate whose own pdom set is largest (closest to b).
-    for b in 0..nb {
-        let t = term_pc(b);
-        if !matches!(image.insts[t], DecodedInst::Branch { .. }) {
-            continue;
-        }
-        let mut cands = pdom[b].clone();
-        cands.remove(b);
-        let mut best: Option<(usize, u32)> = None;
-        for (c, c_pdom) in pdom.iter().enumerate() {
-            if cands.contains(c) {
-                let size = c_pdom.len();
-                if best.is_none_or(|(_, s)| size > s) {
-                    best = Some((c, size));
-                }
-            }
-        }
-        match best {
-            Some((c, _)) if c != exit => rpc[t] = starts[c],
-            _ => {} // reconverges only at function exit
-        }
-    }
+    rpc
 }
 
 #[cfg(test)]
@@ -258,11 +120,8 @@ mod tests {
     use super::*;
     use simt_ir::parse_and_link;
 
-    fn table_for(src: &str) -> (DecodedImage, IpdomTable) {
-        let module = parse_and_link(src).expect("kernel parses");
-        let image = DecodedImage::decode(&module);
-        let table = IpdomTable::build(&image);
-        (image, table)
+    fn image_for(src: &str) -> DecodedImage {
+        DecodedImage::decode(&parse_and_link(src).expect("kernel parses"))
     }
 
     /// Finds the pc of the `idx`-th conditional branch in the image.
@@ -275,7 +134,7 @@ mod tests {
 
     #[test]
     fn diamond_reconverges_at_join_block() {
-        let (image, table) = table_for(
+        let image = image_for(
             "kernel @k(params=0, regs=4, barriers=1, entry=bb0) {\n\
              bb0:\n  %r0 = special.tid\n  brdiv %r0, bb1, bb2\n\
              bb1:\n  %r1 = add %r0, 1\n  jmp bb3\n\
@@ -283,22 +142,21 @@ mod tests {
              bb3:\n  exit\n}\n",
         );
         let br = branch_pc(&image, 0);
-        let rpc = table.rpc_of(br);
-        assert_ne!(rpc, NO_RPC);
+        let rpc = image.reconvergence_pc(br).expect("the arms meet");
         // The rpc is bb3's first pc: the `exit` terminator.
-        assert!(matches!(image.insts[rpc as usize], DecodedInst::Exit));
+        assert!(matches!(image.insts[rpc], DecodedInst::Exit));
     }
 
     #[test]
     fn if_then_reconverges_at_fallthrough() {
-        let (image, table) = table_for(
+        let image = image_for(
             "kernel @k(params=0, regs=4, barriers=1, entry=bb0) {\n\
              bb0:\n  %r0 = special.tid\n  brdiv %r0, bb1, bb2\n\
              bb1:\n  %r1 = add %r0, 1\n  jmp bb2\n\
              bb2:\n  %r2 = add %r0, 3\n  exit\n}\n",
         );
         let br = branch_pc(&image, 0);
-        let rpc = table.rpc_of(br) as usize;
+        let rpc = image.reconvergence_pc(br).expect("the arms meet");
         // Reconverges at bb2's first instruction.
         assert_eq!(image.origin[rpc].inst, 0);
         assert!(matches!(image.insts[rpc], DecodedInst::Bin { .. }));
@@ -306,45 +164,44 @@ mod tests {
 
     #[test]
     fn loop_back_edge_reconverges_at_loop_exit() {
-        let (image, table) = table_for(
+        let image = image_for(
             "kernel @k(params=1, regs=4, barriers=1, entry=bb0) {\n\
              bb0:\n  %r1 = special.tid\n  jmp bb1\n\
              bb1:\n  %r1 = sub %r1, 1\n  brdiv %r1, bb1, bb2\n\
              bb2:\n  exit\n}\n",
         );
         let br = branch_pc(&image, 0);
-        let rpc = table.rpc_of(br);
-        assert_ne!(rpc, NO_RPC);
+        let rpc = image.reconvergence_pc(br).expect("the loop exits");
         // The loop branch reconverges at the loop exit block bb2.
-        assert!(matches!(image.insts[rpc as usize], DecodedInst::Exit));
+        assert!(matches!(image.insts[rpc], DecodedInst::Exit));
     }
 
     #[test]
     fn divergent_exit_has_no_rpc() {
-        let (image, table) = table_for(
+        let image = image_for(
             "kernel @k(params=0, regs=4, barriers=1, entry=bb0) {\n\
              bb0:\n  %r0 = special.tid\n  brdiv %r0, bb1, bb2\n\
              bb1:\n  exit\n\
              bb2:\n  exit\n}\n",
         );
         let br = branch_pc(&image, 0);
-        assert_eq!(table.rpc_of(br), NO_RPC);
+        assert_eq!(image.reconvergence_pc(br), None);
     }
 
     #[test]
     fn non_branch_pcs_have_no_rpc() {
-        let (image, table) = table_for(
+        let image = image_for(
             "kernel @k(params=0, regs=4, barriers=1, entry=bb0) {\n\
              bb0:\n  %r0 = special.tid\n  exit\n}\n",
         );
         for pc in 0..image.len() {
-            assert_eq!(table.rpc_of(pc), NO_RPC);
+            assert_eq!(image.reconvergence_pc(pc), None);
         }
     }
 
     #[test]
     fn per_function_tables_are_independent() {
-        let (image, table) = table_for(
+        let image = image_for(
             "kernel @k(params=0, regs=4, barriers=1, entry=bb0) {\n\
              bb0:\n  %r0 = special.tid\n  call @f(%r0) -> (%r1)\n  brdiv %r0, bb1, bb2\n\
              bb1:\n  jmp bb3\n\
@@ -358,12 +215,30 @@ mod tests {
         );
         let kernel_br = branch_pc(&image, 0);
         let callee_br = branch_pc(&image, 1);
-        let (k_rpc, f_rpc) = (table.rpc_of(kernel_br), table.rpc_of(callee_br));
-        assert_ne!(k_rpc, NO_RPC);
-        assert_ne!(f_rpc, NO_RPC);
+        let k_rpc = image.reconvergence_pc(kernel_br).expect("kernel arms meet");
+        let f_rpc = image.reconvergence_pc(callee_br).expect("callee arms meet");
         // Each rpc lies inside its own function's pc range.
-        assert_eq!(image.origin[k_rpc as usize].func, image.origin[kernel_br].func);
-        assert_eq!(image.origin[f_rpc as usize].func, image.origin[callee_br].func);
-        assert!(matches!(image.insts[f_rpc as usize], DecodedInst::Return { .. }));
+        assert_eq!(image.origin[k_rpc].func, image.origin[kernel_br].func);
+        assert_eq!(image.origin[f_rpc].func, image.origin[callee_br].func);
+        assert!(matches!(image.insts[f_rpc], DecodedInst::Return { .. }));
+    }
+
+    /// A divergent branch inside a loop that no path leaves: its block has
+    /// no post-dominator, so the stack pushes nothing and both arms stay
+    /// schedulable under the current entry.
+    #[test]
+    fn branch_in_a_loop_without_an_exit_has_no_rpc() {
+        let image = image_for(
+            "kernel @k(params=0, regs=4, barriers=1, entry=bb0) {\n\
+             bb0:\n  %r0 = special.tid\n  brdiv %r0, bb1, bb3\n\
+             bb1:\n  %r1 = add %r1, 1\n  brdiv %r0, bb2, bb1\n\
+             bb2:\n  jmp bb1\n\
+             bb3:\n  exit\n}\n",
+        );
+        assert_eq!(image.reconvergence_pc(branch_pc(&image, 1)), None);
+        // The entry branch's arms meet at the exit block: the arm that
+        // enters the loop never reaches an exit, so it constrains nothing.
+        let rpc = image.reconvergence_pc(branch_pc(&image, 0)).expect("bb3 post-dominates");
+        assert!(matches!(image.insts[rpc], DecodedInst::Exit));
     }
 }

@@ -6,8 +6,9 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use specrecon::server::http::Client;
+use std::io::{BufRead, BufReader, Read};
+use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -55,50 +56,19 @@ fn wait_with_timeout(child: &mut Child, limit: Duration) -> std::process::ExitSt
 }
 
 /// One full HTTP exchange on a fresh connection; returns (status, body).
+fn exchange(addr: &SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut client = Client::connect(addr).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let reply = client.request(method, path, body).expect("reply");
+    (reply.status, reply.body)
+}
+
 fn post_eval(addr: &SocketAddr, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
-    let head =
-        format!("POST /v1/eval HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", body.len());
-    stream.write_all(head.as_bytes()).expect("write");
-    stream.write_all(body.as_bytes()).expect("write");
-    read_reply(&mut stream)
+    exchange(addr, "POST", "/v1/eval", body)
 }
 
 fn get(addr: &SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
-    let head = format!("GET {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
-    stream.write_all(head.as_bytes()).expect("write");
-    read_reply(&mut stream)
-}
-
-fn read_reply(stream: &mut TcpStream) -> (u16, String) {
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).expect("header");
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().expect("content-length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8_lossy(&body).into_owned())
+    exchange(addr, "GET", path, "")
 }
 
 /// An inline single-warp kernel spinning `iters` loop iterations —
