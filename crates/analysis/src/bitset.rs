@@ -1,6 +1,8 @@
 //! A dense, fixed-capacity bit set used as the lattice element of the
-//! dataflow analyses.
+//! dataflow analyses, and the one CFG reachability walk
+//! ([`BitSet::reach`]) the analyses and passes share.
 
+use simt_ir::BlockId;
 use std::fmt;
 
 /// A fixed-capacity set of small integers backed by `u64` words.
@@ -139,6 +141,29 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
+    /// The blocks reachable from `seeds` along `next` (a block's
+    /// successors, or its predecessors for a backward walk) without
+    /// entering a block `keep` rejects. Seeds are members unless `keep`
+    /// rejects them; `capacity` is the function's block count. Every
+    /// CFG reachability question of the passes goes through this one
+    /// walk.
+    pub fn reach<E: IntoIterator<Item = BlockId>>(
+        capacity: usize,
+        seeds: impl IntoIterator<Item = BlockId>,
+        mut next: impl FnMut(BlockId) -> E,
+        mut keep: impl FnMut(BlockId) -> bool,
+    ) -> BitSet {
+        let mut seen = BitSet::new(capacity);
+        let mut stack: Vec<BlockId> = seeds.into_iter().collect();
+        while let Some(b) = stack.pop() {
+            if !seen.contains(b.index()) && keep(b) {
+                seen.insert(b.index());
+                stack.extend(next(b));
+            }
+        }
+        seen
+    }
+
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -224,6 +249,29 @@ mod tests {
         let s: BitSet = [2usize, 7, 4].into_iter().collect();
         assert_eq!(s.capacity(), 8);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 4, 7]);
+    }
+
+    #[test]
+    fn reach_walks_either_direction_and_never_enters_a_rejected_block() {
+        // 0 -> 1 -> 2 -> 1, 2 -> 3, and 4 -> 3 off to the side.
+        let succs = [vec![1], vec![2], vec![1, 3], vec![], vec![3]];
+        let mut preds = vec![Vec::new(); succs.len()];
+        for (b, ss) in succs.iter().enumerate() {
+            for &s in ss {
+                preds[s].push(BlockId::new(b));
+            }
+        }
+        let next = |b: BlockId| succs[b.index()].iter().map(|&s| BlockId::new(s));
+        let ids = |s: BitSet| s.iter().collect::<Vec<_>>();
+        assert_eq!(ids(BitSet::reach(5, [BlockId(0)], next, |_| true)), [0, 1, 2, 3]);
+        let back = |b: BlockId| preds[b.index()].clone();
+        assert_eq!(ids(BitSet::reach(5, [BlockId(3)], back, |_| true)), [0, 1, 2, 3, 4]);
+        // A rejected block is neither a member nor walked through, even
+        // as a seed.
+        let not_2 = |b: BlockId| b != BlockId(2);
+        assert_eq!(ids(BitSet::reach(5, [BlockId(0)], next, not_2)), [0, 1]);
+        assert_eq!(ids(BitSet::reach(5, [BlockId(3)], back, not_2)), [3, 4]);
+        assert!(BitSet::reach(5, [BlockId(2)], next, not_2).is_empty());
     }
 
     #[test]

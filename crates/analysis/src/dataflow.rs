@@ -43,6 +43,9 @@ pub struct DataflowResult {
     pub entry: IdVec<BlockId, BitSet>,
     /// Value at block exit in program order.
     pub exit: IdVec<BlockId, BitSet>,
+    /// Blocks reachable from the entry: the only blocks the solve
+    /// propagates over (the others keep empty values).
+    pub reachable: BitSet,
 }
 
 /// Solves the problem to a fixpoint with a worklist, seeded in (reverse)
@@ -64,19 +67,7 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
     // executions, so unreachable predecessors must not contaminate the
     // meet (their transfer functions still "generate" facts from an empty
     // input).
-    let mut reachable = vec![false; n];
-    {
-        let mut stack = vec![func.entry];
-        reachable[func.entry.index()] = true;
-        while let Some(b) = stack.pop() {
-            for s in func.successors(b) {
-                if !reachable[s.index()] {
-                    reachable[s.index()] = true;
-                    stack.push(s);
-                }
-            }
-        }
-    }
+    let reachable = BitSet::reach(n, [func.entry], |b| func.successors(b), |_| true);
 
     match problem.direction() {
         Direction::Forward => {
@@ -85,13 +76,13 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
             while changed {
                 changed = false;
                 for &b in &rpo {
-                    if !reachable[b.index()] {
+                    if !reachable.contains(b.index()) {
                         continue;
                     }
                     let mut input =
                         if b == func.entry { problem.boundary() } else { BitSet::new(size) };
                     for &p in &preds[b] {
-                        if reachable[p.index()] {
+                        if reachable.contains(p.index()) {
                             input.union_with(&exit[p]);
                         }
                     }
@@ -109,7 +100,7 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
             while changed {
                 changed = false;
                 for &b in rpo.iter().rev() {
-                    if !reachable[b.index()] {
+                    if !reachable.contains(b.index()) {
                         continue;
                     }
                     let succs = func.successors(b);
@@ -133,7 +124,7 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
         }
     }
 
-    DataflowResult { entry, exit }
+    DataflowResult { entry, exit, reachable }
 }
 
 #[cfg(test)]

@@ -80,21 +80,9 @@ impl LoopForest {
         // stopping at the header.
         let mut loops: Vec<Loop> = Vec::new();
         for (hi, &header) in headers.iter().enumerate() {
-            let mut body = BitSet::new(n);
+            let latches = latches_of[hi].iter().copied();
+            let mut body = BitSet::reach(n, latches, |b| preds[b].iter().copied(), |b| b != header);
             body.insert(header.index());
-            let mut stack: Vec<BlockId> = Vec::new();
-            for &latch in &latches_of[hi] {
-                if body.insert(latch.index()) {
-                    stack.push(latch);
-                }
-            }
-            while let Some(b) = stack.pop() {
-                for &p in &preds[b] {
-                    if body.insert(p.index()) {
-                        stack.push(p);
-                    }
-                }
-            }
             loops.push(Loop { header, body, latches: latches_of[hi].clone(), parent: None });
         }
 

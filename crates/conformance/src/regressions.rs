@@ -7,14 +7,15 @@
 //!
 //! That proptest's failure cases live in
 //! `crates/conformance/tests/proptest_barrier_oracle.proptest-regressions`,
-//! beside the test, where proptest persists them; a failure message
-//! carries the case's `# shrinks to …` text ([`RegressionCase`]'s
-//! `Display`) to add there by hand. A line's seed hash is only
-//! meaningful to the strategy that produced it, but its `# shrinks to …`
-//! annotation fully describes the CFG — so this module parses those
-//! annotations, rebuilds each CFG with [`build_cfg`], and re-checks both
-//! analyses against the oracle. The corpus is embedded at compile time;
-//! regressions stay pinned even if the proptest seed format changes.
+//! beside the test. The vendored proptest neither shrinks a failing case
+//! nor reads or writes that file, so this module does both halves: a
+//! failing property reports through [`failure_report`], which shrinks
+//! the case greedily (`shrink`) while the same check still fails and
+//! prints a complete `cc … # shrinks to …` line (`regression_line`)
+//! to paste into the file; [`cases`] parses the file's annotations back
+//! (the file is embedded with `include_str!`), and `corpus_replay`'s
+//! `regression_file_cases_replay_clean` rebuilds each CFG with
+//! [`build_cfg`] and re-checks both analyses against the oracle.
 
 use simt_analysis::{BarrierJoined, BarrierLiveness};
 use simt_ir::{BarrierId, BarrierOp, BlockId, FuncKind, Function, Inst, Operand, Terminator};
@@ -186,6 +187,86 @@ pub fn cases() -> Result<Vec<RegressionCase>, String> {
         out.push(parse_case(annotation)?);
     }
     Ok(out)
+}
+
+/// Greedily shrinks a case `fails` holds for: it tries one-step
+/// simplifications — fewer blocks (`n`), fewer instruction and link
+/// templates, fewer instructions, a jump for a branch, smaller link
+/// targets — takes the first that still fails, and repeats until none
+/// does. Every step lowers the case's size, so it terminates.
+fn shrink(case: &RegressionCase, fails: impl Fn(&RegressionCase) -> bool) -> RegressionCase {
+    let mut best = case.clone();
+    while let Some(smaller) = simpler(&best).into_iter().find(|c| fails(c)) {
+        best = smaller;
+    }
+    best
+}
+
+/// The one-step simplifications of `case`, boldest first.
+fn simpler(case: &RegressionCase) -> Vec<RegressionCase> {
+    let mut out = Vec::new();
+    let mut with = |edit: &dyn Fn(&mut RegressionCase)| {
+        let mut c = case.clone();
+        edit(&mut c);
+        out.push(c);
+    };
+    if case.n > 1 {
+        with(&|c| c.n -= 1);
+    }
+    for (i, insts) in case.blocks.iter().enumerate() {
+        if case.blocks.len() > 1 {
+            with(&|c| {
+                c.blocks.remove(i);
+            });
+        }
+        for j in 0..insts.len() {
+            with(&|c| {
+                c.blocks[i].remove(j);
+            });
+        }
+    }
+    for (i, &(a, b, branch)) in case.links.iter().enumerate() {
+        if case.links.len() > 1 {
+            with(&|c| {
+                c.links.remove(i);
+            });
+        }
+        if branch {
+            with(&|c| c.links[i].2 = false);
+        }
+        // Smaller targets: `build_cfg` reads them modulo `n`, and a jump
+        // ignores its else target.
+        let lower_b = if branch { b.saturating_sub(1) } else { 0 };
+        for t in [(a % case.n, b), (a.saturating_sub(1), b), (a, b % case.n), (a, lower_b)] {
+            if t != (a, b) {
+                with(&|c| (c.links[i].0, c.links[i].1) = t);
+            }
+        }
+    }
+    out
+}
+
+/// The regression-file line for `case`: `cc <hash> # shrinks to <case>`.
+/// [`cases`] reads only the annotation; the hash (FNV-1a of the
+/// annotation) just keeps the line's shape and names it.
+fn regression_line(case: &RegressionCase) -> String {
+    let text = case.to_string();
+    let hash = text
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    format!("cc {hash:016x} # shrinks to {text}")
+}
+
+/// What a property reports for a case `check` rejects: `check`'s message
+/// on the case `shrink` reduces it to while `check` still fails, then
+/// its `regression_line` to paste into the regression file.
+pub fn failure_report(
+    case: &RegressionCase,
+    check: impl Fn(&Function) -> Result<(), String>,
+) -> String {
+    let small = shrink(case, |c| check(&build_cfg(c)).is_err());
+    let err = check(&build_cfg(&small)).expect_err("a shrunk case still fails");
+    format!("{err}\n{}", regression_line(&small))
 }
 
 /// Builds the CFG a case describes: `n` blocks, block `i` taking
@@ -362,6 +443,32 @@ mod tests {
         for case in cases().unwrap() {
             assert_eq!(parse_case(&case.to_string()), Ok(case));
         }
+    }
+
+    #[test]
+    fn a_failing_case_shrinks_to_its_minimal_cause() {
+        let (join, wait, cancel) = (BarrierOp::Join, BarrierOp::Wait, BarrierOp::Cancel);
+        let op = |f: fn(BarrierId) -> BarrierOp, b| Inst::Barrier(f(BarrierId(b)));
+        let big = RegressionCase {
+            n: 5,
+            blocks: vec![vec![op(join, 0), Inst::Nop], vec![op(wait, 1), op(cancel, 2)], vec![]],
+            links: vec![(3, 4, true), (1, 2, false), (5, 0, true)],
+        };
+        // The synthetic failure: some block of the CFG waits on b1.
+        let fails = |c: &RegressionCase| {
+            build_cfg(c).blocks.iter().any(|(_, b)| b.insts.contains(&op(wait, 1)))
+        };
+        let small = shrink(&big, fails);
+        let minimal =
+            RegressionCase { n: 1, blocks: vec![vec![op(wait, 1)]], links: vec![(0, 0, false)] };
+        assert_eq!(small, minimal);
+        // A passing case stays as it is.
+        assert_eq!(shrink(&minimal, |_| false), minimal);
+        // The report's line parses back to the shrunk case.
+        let line = regression_line(&small);
+        assert!(line.starts_with("cc ") && line.contains(" # shrinks to "), "{line}");
+        let annotation = line.split_once("# shrinks to ").unwrap().1;
+        assert_eq!(parse_case(annotation), Ok(small));
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //!   path hits a wait before any join.
 //!
 //! Paths are enumerated with bounded repetition so loops contribute the
-//! extra iterations the union-meet fixpoint can see. A failure goes into
-//! `proptest_barrier_oracle.proptest-regressions` beside this file as a
-//! `cc <hash> # shrinks to …` line (the message prints the case's text),
-//! which `corpus_replay`'s `regression_file_cases_replay_clean` replays.
+//! extra iterations the union-meet fixpoint can see. A failing case is
+//! shrunk while the same check still fails, and the message ends with a
+//! complete `cc <hash> # shrinks to …` line
+//! (`regressions::failure_report`): paste it into
+//! `proptest_barrier_oracle.proptest-regressions` beside this file, which
+//! `corpus_replay`'s `regression_file_cases_replay_clean` replays.
 
-use conformance::regressions::{build_cfg, check_joined, check_live, RegressionCase, NB};
+use conformance::regressions::{
+    build_cfg, check_joined, check_live, failure_report, RegressionCase, NB,
+};
 use proptest::prelude::*;
 use simt_ir::{BarrierId, BarrierOp, Inst};
 
@@ -43,8 +47,8 @@ proptest! {
         links in prop::collection::vec((0usize..6, 0usize..6, any::<bool>()), 6),
     ) {
         let case = RegressionCase { n, blocks, links };
-        if let Err(mismatch) = check_joined(&build_cfg(&case)) {
-            prop_assert!(false, "{}\n# shrinks to {}", mismatch, case);
+        if check_joined(&build_cfg(&case)).is_err() {
+            prop_assert!(false, "{}", failure_report(&case, check_joined));
         }
     }
 
@@ -55,8 +59,8 @@ proptest! {
         links in prop::collection::vec((0usize..5, 0usize..5, any::<bool>()), 5),
     ) {
         let case = RegressionCase { n, blocks, links };
-        if let Err(missing) = check_live(&build_cfg(&case)) {
-            prop_assert!(false, "{}\n# shrinks to {}", missing, case);
+        if check_live(&build_cfg(&case)).is_err() {
+            prop_assert!(false, "{}", failure_report(&case, check_live));
         }
     }
 }

@@ -79,28 +79,6 @@ fn region_start_for(func: &Function, loops: &LoopForest, loop_idx: usize) -> Blo
     loops.preheader(func, loop_idx).unwrap_or(func.entry)
 }
 
-/// Blocks reachable from `from` staying inside `within`, stopping at (and
-/// excluding) `stop`.
-fn side_blocks(func: &Function, from: BlockId, within: &BitSet, stop: Option<BlockId>) -> BitSet {
-    let mut seen = BitSet::new(func.blocks.len());
-    if Some(from) == stop || !within.contains(from.index()) {
-        return seen;
-    }
-    seen.insert(from.index());
-    let mut stack = vec![from];
-    while let Some(b) = stack.pop() {
-        for s in func.successors(b) {
-            if Some(s) == stop || !within.contains(s.index()) {
-                continue;
-            }
-            if seen.insert(s.index()) {
-                stack.push(s);
-            }
-        }
-    }
-    seen
-}
-
 /// Detects all candidates in `func` using the static cost heuristics.
 ///
 /// ```
@@ -248,6 +226,12 @@ fn detect_impl(
                 continue;
             }
             let pdom = pdt.idom(b);
+            // A side's blocks: reachable from its first block inside the
+            // loop body, stopping at (and excluding) the post-dominator.
+            let side_blocks = |from| {
+                let inside = |s: BlockId| Some(s) != pdom && l.contains(s);
+                BitSet::reach(func.blocks.len(), [from], |s| func.successors(s), inside)
+            };
             // One-sided condition: the side that is not the post-dominator
             // is the common-code candidate.
             let side = if Some(then_bb) == pdom {
@@ -256,8 +240,8 @@ fn detect_impl(
                 then_bb
             } else {
                 // Two-sided: pick the costlier side.
-                let tc = side_blocks(func, then_bb, &l.body, pdom);
-                let ec = side_blocks(func, else_bb, &l.body, pdom);
+                let tc = side_blocks(then_bb);
+                let ec = side_blocks(else_bb);
                 if region_cost(func, &opts.latency, &loops, &tc, loops.depth(b))
                     >= region_cost(func, &opts.latency, &loops, &ec, loops.depth(b))
                 {
@@ -272,7 +256,7 @@ fn detect_impl(
             if has_existing_sync(func, &l.body) {
                 continue;
             }
-            let expensive_blocks = side_blocks(func, side, &l.body, pdom);
+            let expensive_blocks = side_blocks(side);
             if expensive_blocks.is_empty() {
                 continue;
             }

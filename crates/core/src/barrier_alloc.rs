@@ -140,20 +140,6 @@ fn collect_refs(func: &Function, nb: usize) -> BarrierRefs {
     r
 }
 
-/// Blocks reachable from `from`'s terminator (i.e. strictly after the
-/// end of `from`), as a dense membership vector.
-fn reachable_after(func: &Function, from: BlockId) -> Vec<bool> {
-    let mut seen = vec![false; func.blocks.len()];
-    let mut work: Vec<BlockId> = func.successors(from);
-    while let Some(b) = work.pop() {
-        if !seen[b.index()] {
-            seen[b.index()] = true;
-            work.extend(func.successors(b));
-        }
-    }
-    seen
-}
-
 /// A warp-wide fence: the `wait` of a barrier every thread joins exactly
 /// once beforehand and can neither skip nor revisit.
 struct Fence {
@@ -162,7 +148,7 @@ struct Fence {
     /// The wait instruction's location.
     at: Point,
     /// Blocks strictly after the fence.
-    after: Vec<bool>,
+    after: BitSet,
     /// May-populated registers at the fence (cancel-insensitive).
     populated: BitSet,
 }
@@ -170,7 +156,7 @@ struct Fence {
 impl Fence {
     /// Is `pt` strictly after this fence in warp time?
     fn is_after(&self, pt: Point) -> bool {
-        self.after[pt.0.index()] || (pt.0 == self.at.0 && pt.1 > self.at.1)
+        self.after.contains(pt.0.index()) || (pt.0 == self.at.0 && pt.1 > self.at.1)
     }
 
     /// Is `pt` strictly before this fence (every path to it then passes
@@ -213,8 +199,9 @@ fn mark_interference(func: &Function, nb: usize, interferes: &mut [Vec<bool>]) {
             if !join_dominates || !pdt.dominates(wb, func.entry) {
                 continue;
             }
-            let after = reachable_after(func, wb);
-            if after[wb.index()] {
+            let succs = |b| func.successors(b);
+            let after = BitSet::reach(func.blocks.len(), succs(wb), succs, |_| true);
+            if after.contains(wb.index()) {
                 continue;
             }
             let mut populated = ranges.entry[wb].clone();

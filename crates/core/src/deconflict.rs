@@ -182,7 +182,7 @@ fn cancel_before_waits(func: &mut Function, s: BarrierId, p: BarrierId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pdom::{insert_pdom_sync, PdomOptions};
+    use crate::pdom::insert_pdom_sync;
     use crate::specrecon::apply_speculative;
     use simt_ir::{parse_module, BlockId, Module};
     use simt_sim::{run, Launch, SimConfig};
@@ -213,7 +213,7 @@ bb4:
 "#;
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let pdom_report = insert_pdom_sync(&mut f, &PdomOptions::default());
+        let pdom_report = insert_pdom_sync(&mut f);
         let spec_report = apply_speculative(&mut f, 32).unwrap();
         let pdom_bars: Vec<BarrierId> = pdom_report.inserted.iter().map(|(_, _, b)| *b).collect();
         let report = deconflict(&mut f, &spec_report.barriers(), &pdom_bars, mode);
@@ -286,7 +286,7 @@ bb4:
              bb3:\n  exit\n}\n";
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let pdom_report = insert_pdom_sync(&mut f, &PdomOptions::default());
+        let pdom_report = insert_pdom_sync(&mut f);
         let pdom_bars: Vec<BarrierId> = pdom_report.inserted.iter().map(|(_, _, b)| *b).collect();
         let report = deconflict(&mut f, &[], &pdom_bars, DeconflictMode::Dynamic);
         assert!(report.resolved.is_empty());

@@ -19,7 +19,7 @@
 
 use crate::error::PassError;
 use crate::region::compute_region;
-use simt_analysis::DomTree;
+use simt_analysis::{BitSet, DomTree};
 use simt_ir::{
     BarrierId, BarrierOp, BlockId, FuncId, FuncKind, FuncRef, Function, Inst, Module,
     PredictTarget, Terminator,
@@ -162,7 +162,7 @@ fn apply_one(
     // Cancel at region-escape targets where no call lies ahead.
     let mut cancels = Vec::new();
     for &(_, to) in &region.escape_edges {
-        if !call_ahead_in[to.index()] && !cancels.contains(&to) {
+        if !call_ahead_in.contains(to.index()) && !cancels.contains(&to) {
             caller.blocks[to].insts.insert(0, Inst::Barrier(BarrierOp::Cancel(bar)));
             cancels.push(to);
         }
@@ -173,22 +173,10 @@ fn apply_one(
 
 /// Per-block "a call to `callee` lies at or after this block's entry" —
 /// block-level backward reachability over the caller's CFG.
-pub(crate) fn call_ahead_map(caller: &Function, callee: FuncId) -> Vec<bool> {
-    let mut ahead = vec![false; caller.blocks.len()];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in caller.blocks.ids() {
-            let here = block_calls(caller, b, callee) > 0;
-            let out = caller.successors(b).iter().any(|s| ahead[s.index()]);
-            let v = here || out;
-            if v != ahead[b.index()] {
-                ahead[b.index()] = v;
-                changed = true;
-            }
-        }
-    }
-    ahead
+pub(crate) fn call_ahead_map(caller: &Function, callee: FuncId) -> BitSet {
+    let preds = caller.predecessors();
+    let sites = caller.blocks.ids().filter(|&b| block_calls(caller, b, callee) > 0);
+    BitSet::reach(caller.blocks.len(), sites, |b| preds[b].iter().copied(), |_| true)
 }
 
 /// Whether any call site in `caller` can reach another call to `callee`
@@ -199,7 +187,7 @@ pub(crate) fn calls_again(caller: &Function, callee: FuncId) -> bool {
     let ahead = call_ahead_map(caller, callee);
     caller.blocks.ids().any(|b| {
         let sites = block_calls(caller, b, callee);
-        sites > 1 || (sites > 0 && caller.successors(b).iter().any(|s| ahead[s.index()]))
+        sites > 1 || (sites > 0 && caller.successors(b).iter().any(|s| ahead.contains(s.index())))
     })
 }
 

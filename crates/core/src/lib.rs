@@ -67,7 +67,7 @@ pub use meld::{
     apply_melds, apply_melds_profiled, detect_melds, MeldCandidate, MeldOptions, MeldReport,
     MeldedRegion,
 };
-pub use pdom::{insert_pdom_sync, PdomOptions, PdomReport};
+pub use pdom::{insert_pdom_sync, PdomReport};
 pub use pipeline::{
     compile, compile_profile_guided, CompileOptions, Compiled, FunctionReport, RepairStrategy,
 };

@@ -264,21 +264,6 @@ impl DataflowProblem for FlowProblem<'_> {
     }
 }
 
-fn reachable_blocks(func: &Function) -> Vec<bool> {
-    let mut seen = vec![false; func.blocks.len()];
-    let mut stack = vec![func.entry];
-    seen[func.entry.index()] = true;
-    while let Some(b) = stack.pop() {
-        for s in func.successors(b) {
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    seen
-}
-
 /// Lints an arbitrary module. Flow findings are errors; conflict pairs
 /// are warnings (without pass reports the lint cannot tell speculative
 /// barriers from nested-by-construction ones).
@@ -356,7 +341,6 @@ fn lint_with_spec(
     while changed {
         changed = false;
         for (fid, func) in module.functions.iter() {
-            let reach = reachable_blocks(func);
             for plane in [Plane::MayEstablished, Plane::MayUnjoined] {
                 let boundary = match plane {
                     Plane::MayEstablished => entry_est[fid.index()].clone(),
@@ -364,7 +348,7 @@ fn lint_with_spec(
                 };
                 let result = solve(func, &FlowProblem { func, sums: &sums, boundary, plane });
                 for (bid, block) in func.blocks.iter() {
-                    if !reach[bid.index()] {
+                    if !result.reachable.contains(bid.index()) {
                         continue;
                     }
                     let mut state = result.entry[bid].clone();
@@ -387,7 +371,6 @@ fn lint_with_spec(
     // and check every barrier instruction.
     let mut findings = Vec::new();
     for (fid, func) in module.functions.iter() {
-        let reach = reachable_blocks(func);
         let est = solve(
             func,
             &FlowProblem {
@@ -407,7 +390,7 @@ fn lint_with_spec(
             },
         );
         for (bid, block) in func.blocks.iter() {
-            if !reach[bid.index()] {
+            if !est.reachable.contains(bid.index()) {
                 continue;
             }
             let mut s_est = est.entry[bid].clone();

@@ -12,21 +12,6 @@
 use simt_analysis::DomTree;
 use simt_ir::{BarrierId, BarrierOp, BlockId, Function, Inst, Terminator};
 
-/// Options for the PDOM pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PdomOptions {
-    /// Insert barriers for every conditional branch, not just those hinted
-    /// divergent. Real compilers must assume any branch may diverge; the
-    /// default follows them.
-    pub all_branches: bool,
-}
-
-impl Default for PdomOptions {
-    fn default() -> Self {
-        Self { all_branches: true }
-    }
-}
-
 /// Barriers inserted by the PDOM pass for one function.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PdomReport {
@@ -42,7 +27,7 @@ pub struct PdomReport {
 /// Branches whose two targets are the same block and branches already
 /// followed by a `Join` in the same block (idempotence guard) are left
 /// alone.
-pub fn insert_pdom_sync(func: &mut Function, opts: &PdomOptions) -> PdomReport {
+pub fn insert_pdom_sync(func: &mut Function) -> PdomReport {
     let mut report = PdomReport::default();
     let pdt = DomTree::post_dominators(func);
 
@@ -52,11 +37,8 @@ pub fn insert_pdom_sync(func: &mut Function, opts: &PdomOptions) -> PdomReport {
     let rpo = func.reverse_post_order();
     let mut sites: Vec<(BlockId, BlockId)> = Vec::new();
     for &b in &rpo {
-        if let Terminator::Branch { then_bb, else_bb, divergent, .. } = func.blocks[b].term {
+        if let Terminator::Branch { then_bb, else_bb, .. } = func.blocks[b].term {
             if then_bb == else_bb {
-                continue;
-            }
-            if !opts.all_branches && !divergent {
                 continue;
             }
             match pdt.idom(b) {
@@ -97,7 +79,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        let report = insert_pdom_sync(&mut f, &PdomOptions::default());
+        let report = insert_pdom_sync(&mut f);
         assert_eq!(report.inserted.len(), 1);
         let (branch, pdom, bar) = report.inserted[0];
         assert_eq!(branch, BlockId(0));
@@ -117,24 +99,9 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        let report = insert_pdom_sync(&mut f, &PdomOptions::default());
+        let report = insert_pdom_sync(&mut f);
         assert!(report.inserted.is_empty());
         assert_eq!(report.skipped, vec![BlockId(0)]);
-    }
-
-    #[test]
-    fn divergent_only_mode_respects_hints() {
-        let m = parse_module(
-            "kernel @k(params=0, regs=2, barriers=0, entry=bb0) {\n\
-             bb0:\n  %r0 = special.lane\n  %r1 = and %r0, 1\n  br %r1, bb1, bb2\n\
-             bb1:\n  nop\n  jmp bb3\n\
-             bb2:\n  nop\n  jmp bb3\n\
-             bb3:\n  exit\n}\n",
-        )
-        .unwrap();
-        let mut f = first_fn(&m);
-        let report = insert_pdom_sync(&mut f, &PdomOptions { all_branches: false });
-        assert!(report.inserted.is_empty());
     }
 
     #[test]
@@ -152,7 +119,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        insert_pdom_sync(&mut f, &PdomOptions::default());
+        insert_pdom_sync(&mut f);
         let mut module = Module::new();
         module.add_function(f);
         simt_ir::assert_verified(&module);
@@ -173,7 +140,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        insert_pdom_sync(&mut f, &PdomOptions::default());
+        insert_pdom_sync(&mut f);
         let mut module = Module::new();
         module.add_function(f);
         let out = run(&module, &SimConfig::default(), &Launch::new("k", 4)).unwrap();

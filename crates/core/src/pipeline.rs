@@ -16,7 +16,7 @@ use crate::deconflict::{deconflict_with_calls, DeconflictMode, DeconflictReport}
 use crate::error::PassError;
 use crate::interproc::{apply_interprocedural, InterprocReport};
 use crate::meld::{apply_melds, MeldOptions, MeldReport};
-use crate::pdom::{insert_pdom_sync, PdomOptions, PdomReport};
+use crate::pdom::{insert_pdom_sync, PdomReport};
 use crate::specrecon::{apply_speculative, SpecReport};
 use simt_analysis::find_conflicts;
 use simt_ir::{verify_module, BarrierId, FuncId, FuncKind, Module};
@@ -26,8 +26,6 @@ use simt_ir::{verify_module, BarrierId, FuncId, FuncKind, Module};
 pub struct CompileOptions {
     /// Insert baseline PDOM synchronization.
     pub pdom: bool,
-    /// PDOM pass options.
-    pub pdom_options: PdomOptions,
     /// Honor `Predict` annotations (the paper's user-guided mode).
     pub speculative: bool,
     /// Run §4.5 automatic detection before the speculative pass.
@@ -58,9 +56,6 @@ pub struct CompileOptions {
     /// [`CompileOptions::barrier_allocation`] is on
     /// ([`crate::barrier_alloc::VOLTA_BARRIER_REGISTERS`] by default).
     pub barrier_limit: Option<usize>,
-    /// Verify the IR after the pipeline (always recommended; tests rely
-    /// on it).
-    pub verify: bool,
     /// Run the barrier-safety lint ([`crate::lint`]) after verification
     /// and fail with [`PassError::Lint`] on error-severity findings. On
     /// by default in debug builds (a debug-assert stage), off in release
@@ -72,7 +67,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         Self {
             pdom: true,
-            pdom_options: PdomOptions::default(),
             speculative: true,
             auto_detect: None,
             meld: None,
@@ -81,7 +75,6 @@ impl Default for CompileOptions {
             spec_deconflict: false,
             barrier_allocation: false,
             barrier_limit: Some(crate::barrier_alloc::VOLTA_BARRIER_REGISTERS),
-            verify: true,
             lint: cfg!(debug_assertions),
         }
     }
@@ -227,8 +220,8 @@ pub struct Compiled {
 /// # Errors
 ///
 /// Returns a [`PassError`] on bad predictions, module problems,
-/// irreducible speculative-speculative conflicts, or (if
-/// [`CompileOptions::verify`]) IR verification failures.
+/// irreducible speculative-speculative conflicts, or IR verification
+/// failures (the output is always verified).
 pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassError> {
     let mut m = module.clone();
     m.resolve_calls().map_err(|n| PassError::Module(format!("call to undefined function @{n}")))?;
@@ -274,7 +267,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
         }
 
         if opts.pdom {
-            report.pdom = insert_pdom_sync(&mut m.functions[id], &opts.pdom_options);
+            report.pdom = insert_pdom_sync(&mut m.functions[id]);
         }
 
         let mut spec_barriers: Vec<BarrierId> = Vec::new();
@@ -377,9 +370,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
         None
     };
 
-    if opts.verify {
-        verify_module(&m).map_err(|e| PassError::Verify("pipeline".to_string(), e))?;
-    }
+    verify_module(&m).map_err(|e| PassError::Verify("pipeline".to_string(), e))?;
 
     let compiled = Compiled { module: m, reports, barrier_alloc };
     if opts.lint {

@@ -29,39 +29,6 @@ pub struct Region {
     pub exit_convergence: Option<BlockId>,
 }
 
-fn forward_reachable(func: &Function, from: BlockId) -> BitSet {
-    let mut seen = BitSet::new(func.blocks.len());
-    let mut stack = vec![from];
-    seen.insert(from.index());
-    while let Some(b) = stack.pop() {
-        for s in func.successors(b) {
-            if seen.insert(s.index()) {
-                stack.push(s);
-            }
-        }
-    }
-    seen
-}
-
-fn backward_reachable(func: &Function, to: &[BlockId]) -> BitSet {
-    let preds = func.predecessors();
-    let mut seen = BitSet::new(func.blocks.len());
-    let mut stack: Vec<BlockId> = Vec::new();
-    for &t in to {
-        if seen.insert(t.index()) {
-            stack.push(t);
-        }
-    }
-    while let Some(b) = stack.pop() {
-        for &p in &preds[b] {
-            if seen.insert(p.index()) {
-                stack.push(p);
-            }
-        }
-    }
-    seen
-}
-
 /// Computes the prediction region for `start` and the given target
 /// blocks.
 ///
@@ -72,8 +39,19 @@ pub fn compute_region(
     start: BlockId,
     targets: &[BlockId],
 ) -> Region {
-    let mut blocks = forward_reachable(func, start);
-    blocks.intersect_with(&backward_reachable(func, targets));
+    // Walking back from the targets only through blocks reachable from
+    // `start` is the intersection of the two reachabilities: the forward
+    // set is closed under successors, so every path from one of its
+    // blocks to a target stays inside it.
+    let n = func.blocks.len();
+    let ahead = BitSet::reach(n, [start], |b| func.successors(b), |_| true);
+    let preds = func.predecessors();
+    let blocks = BitSet::reach(
+        n,
+        targets.iter().copied(),
+        |b| preds[b].iter().copied(),
+        |b| ahead.contains(b.index()),
+    );
 
     let mut escape_edges = Vec::new();
     for idx in blocks.iter() {

@@ -204,43 +204,6 @@ impl Function {
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|(_, b)| b.insts.len()).sum()
     }
-
-    /// Replaces the bodies of blocks unreachable from the entry with a
-    /// bare `exit` and strips their labels, so they cannot confuse later
-    /// passes or readers. Block ids are preserved (the table stays dense,
-    /// so no references need rewriting). Returns the ids that were
-    /// cleared.
-    pub fn clear_unreachable_blocks(&mut self) -> Vec<BlockId> {
-        let n = self.blocks.len();
-        let mut reachable = vec![false; n];
-        let mut stack = vec![self.entry];
-        reachable[self.entry.index()] = true;
-        while let Some(b) = stack.pop() {
-            for s in self.successors(b) {
-                if !reachable[s.index()] {
-                    reachable[s.index()] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        let mut cleared = Vec::new();
-        for id in self.blocks.ids().collect::<Vec<BlockId>>() {
-            if !reachable[id.index()] {
-                let block = &mut self.blocks[id];
-                if !block.insts.is_empty()
-                    || block.term != Terminator::Exit
-                    || block.label.is_some()
-                {
-                    block.insts.clear();
-                    block.term = Terminator::Exit;
-                    block.label = None;
-                    block.roi = false;
-                    cleared.push(id);
-                }
-            }
-        }
-        cleared
-    }
 }
 
 /// A module: a set of functions with unique names.
@@ -416,23 +379,6 @@ mod tests {
         });
         m.add_function(caller);
         assert_eq!(m.resolve_calls(), Err("ghost".to_string()));
-    }
-
-    #[test]
-    fn clear_unreachable_blocks_keeps_reachable() {
-        let mut f = diamond();
-        // Add a detached block with content.
-        let dead = f.add_block(Some("dead".into()));
-        f.blocks[dead].insts.push(Inst::Nop);
-        f.blocks[dead].roi = true;
-        let cleared = f.clear_unreachable_blocks();
-        assert_eq!(cleared, vec![dead]);
-        assert!(f.blocks[dead].insts.is_empty());
-        assert_eq!(f.blocks[dead].label, None);
-        assert!(!f.blocks[dead].roi);
-        // Reachable blocks untouched; re-running is a no-op.
-        assert!(f.block_by_label("join").is_some());
-        assert!(f.clear_unreachable_blocks().is_empty());
     }
 
     #[test]

@@ -178,7 +178,6 @@ impl Counters for SweepStats {
             merges,
             occupancy_sum,
             peak_subcohorts,
-            detaches,
             scalar_steps,
             dense_rows,
             mixed_rows,
@@ -194,7 +193,6 @@ impl Counters for SweepStats {
             Sum forks: "Sub-cohort forks",
             Sum merges: "Sub-cohort merges",
             Max peak_subcohorts: "Most sub-cohorts live at once in one cohort",
-            Sum detaches: "Seeds set aside for a standalone scalar re-run",
             Sum scalar_steps: "Rounds stepped by standalone scalar machines",
             Sum dense_rows: "Operand rows evaluated by a dense typed loop",
             Sum mixed_rows: "Operand rows with an int in some slots and a float in others",

@@ -28,9 +28,13 @@
 //! Warps only interact through global memory (including the atomic
 //! work-queue counter used by thread coarsening); barrier state is
 //! strictly per-warp.
+//!
+//! The oracle models the barrier register file only: a configuration
+//! naming a hardware reconvergence model is refused, not run as if it
+//! were the barrier file.
 
 use crate::alu::{eval_bin, eval_un};
-use crate::config::SimConfig;
+use crate::config::{ReconvergenceModel, SimConfig};
 use crate::error::{BarrierState, ReconDump, SimError, ThreadLocation};
 use crate::journal::{Journal, JournalEvent};
 use crate::machine::{Launch, SimOutput};
@@ -126,7 +130,9 @@ struct Machine<'m> {
 /// # Errors
 ///
 /// Returns a [`SimError`] on deadlock, memory/arithmetic faults, cycle
-/// budget exhaustion, or an invalid/unlinked module.
+/// budget exhaustion, or an invalid/unlinked module, and
+/// [`SimError::InvalidModule`] when `cfg.recon` is a hardware
+/// reconvergence model, which the oracle does not model.
 pub fn run_reference(
     module: &Module,
     cfg: &SimConfig,
@@ -149,6 +155,12 @@ pub fn run_reference(
         module.functions.iter().map(|(_, f)| f.num_barriers).max().unwrap_or(0).max(1);
 
     cfg.check_warp_width()?;
+    if cfg.recon != ReconvergenceModel::BarrierFile {
+        return Err(SimError::InvalidModule(format!(
+            "the reference interpreter models the barrier file only, not {}",
+            cfg.recon.spec()
+        )));
+    }
     let width = cfg.warp_width;
     let mut warps = Vec::with_capacity(launch.num_warps);
     for w in 0..launch.num_warps {
@@ -955,5 +967,30 @@ impl<'m> Machine<'m> {
         }
         mem[addr as usize] = value;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simt_ir::parse_and_link;
+
+    #[test]
+    fn the_oracle_refuses_the_hardware_reconvergence_models() {
+        let module = parse_and_link(
+            "kernel @k(params=0, regs=1, barriers=0, entry=bb0) {\nbb0:\n  exit\n}\n",
+        )
+        .unwrap();
+        let launch = Launch::new("k", 1);
+        assert!(run_reference(&module, &SimConfig::default(), &launch).is_ok());
+        for recon in [
+            ReconvergenceModel::IpdomStack,
+            ReconvergenceModel::WarpSplit { window: 4, compact: true },
+        ] {
+            let cfg = SimConfig { recon, ..SimConfig::default() };
+            let err = run_reference(&module, &cfg, &launch).unwrap_err();
+            let SimError::InvalidModule(msg) = &err else { panic!("{err:?}") };
+            assert!(msg.contains(&recon.spec()), "{msg}");
+        }
     }
 }

@@ -69,12 +69,11 @@
 //! ([`crate::sched::run_ahead`]), so there is one pick path, one batch
 //! rule, one call stack and one set of barrier transitions to agree with.
 //!
-//! When a fork would exceed [`MAX_SUBCOHORTS`], the minority class's
-//! slots are *set aside*: they leave the cohort, and once it drains each
-//! is re-run from cycle 0 as a standalone scalar launch of its seed —
-//! exact by construction, no state projected in either direction. The
-//! same counted loop serves configurations the cohort cannot run at all
-//! (the hardware reconvergence models).
+//! Every divergent class forks into a sub-cohort of its own, however
+//! many there are: a cohort keeps every seed in lockstep until it
+//! resolves. The configurations the cohort cannot run at all (the
+//! hardware reconvergence models) take a counted loop of standalone
+//! scalar launches instead, one per seed — exact by construction.
 //!
 //! # Exactness
 //!
@@ -107,17 +106,6 @@ use std::cmp::Ordering;
 /// Width of one lockstep cohort: slots are tracked in a `u64` mask,
 /// mirroring the lane-mask machinery one level down.
 pub const COHORT_SLOTS: usize = 64;
-
-/// Cap on concurrently live sub-cohorts. Beyond it, a fork's minority
-/// class is set aside for standalone scalar re-runs instead: with
-/// divergence this pathological, the masked rounds' per-sub control
-/// overhead stops amortizing, and bounding the count keeps the merge
-/// scan O(cap²) in the worst round. The cap leaves headroom above the
-/// steady state for the fork/merge oscillation within one scheduling
-/// round: with `k` independently-diverging warps a sub-cohort can
-/// transiently split into `2^k` classes per branch level before the
-/// frontier merge scan folds the re-agreeing planes back together.
-pub const MAX_SUBCOHORTS: usize = 32;
 
 /// A seed sweep: one launch template run over the half-open seed range
 /// `[seed_lo, seed_hi)`. The template's own [`Launch::seed`] is ignored
@@ -171,12 +159,8 @@ pub struct SweepStats {
     pub occupancy_sum: u64,
     /// Most sub-cohorts ever live at once.
     pub peak_subcohorts: u64,
-    /// Instances set aside for a standalone scalar re-run (a fork past
-    /// [`MAX_SUBCOHORTS`]).
-    pub detaches: u64,
-    /// Scheduling rounds stepped by standalone scalar machines: the
-    /// set-aside instances' re-runs, and every round of a sweep under a
-    /// hardware reconvergence model.
+    /// Scheduling rounds stepped by standalone scalar machines: every
+    /// round of a sweep under a hardware reconvergence model.
     pub scalar_steps: u64,
     /// Operand-row pairs of lockstep `Bin`/`Un` issues (one per issued
     /// lane) whose live slots were uniformly typed, evaluated by a dense
@@ -434,8 +418,6 @@ struct Cohort<'m> {
     /// Lanes per warp: the row stride of the warp-major columns.
     width: usize,
     seed_lo: u64,
-    /// The launch every instance shares (set-aside slots re-run it).
-    base: &'m Launch,
     /// Live sub-cohorts, unordered (the run loop picks min-clock).
     subs: Vec<SubCohort>,
     /// The shared data plane, one entry per warp.
@@ -447,9 +429,6 @@ struct Cohort<'m> {
     /// sub-cohort's accumulator: a slot's true metrics are
     /// `sub.metrics + bases[slot]`. Zero until the slot's first merge.
     bases: Vec<Metrics>,
-    /// Slots set aside by a fork past [`MAX_SUBCOHORTS`]: out of every
-    /// sub-cohort, re-run standalone once the cohort drains.
-    set_aside: u64,
     /// Final per-seed results, filled as instances resolve.
     results: Vec<Option<Result<SimOutput, SimError>>>,
     stats: SweepStats,
@@ -520,7 +499,6 @@ impl<'m> Cohort<'m> {
             nslots,
             width,
             seed_lo: sweep.seed_lo,
-            base: launch,
             subs: vec![SubCohort {
                 slots,
                 cycle: 0,
@@ -531,7 +509,6 @@ impl<'m> Cohort<'m> {
             global: SlotCols::of_values(&launch.global_mem, nslots),
             local_len: launch.local_mem_size,
             bases: vec![Metrics::new(launch.num_warps, width); nslots],
-            set_aside: 0,
             results: vec![None; nslots],
             stats: SweepStats {
                 instances: nslots as u64,
@@ -552,8 +529,7 @@ impl<'m> Cohort<'m> {
     }
 
     /// Drives every sub-cohort to completion, min-clock-first with a
-    /// merge check at each visited round boundary, then re-runs the
-    /// set-aside slots standalone.
+    /// merge check at each visited round boundary.
     fn run(mut self, cancel: Option<&CancelToken>) -> Result<SweepOutput, SimError> {
         while !self.subs.is_empty() {
             let t = self.subs.iter().map(|sc| sc.cycle).min().expect("subs non-empty");
@@ -579,11 +555,6 @@ impl<'m> Cohort<'m> {
             } else if sub.slots != 0 {
                 self.subs.push(sub);
             }
-        }
-        for s in lanes(self.set_aside) {
-            let seed = self.seed_lo.wrapping_add(s as u64);
-            let r = run_standalone(self.image, self.cfg, self.base, seed, cancel, &mut self.stats)?;
-            self.results[s] = Some(r);
         }
         let runs = self
             .results
@@ -622,14 +593,14 @@ impl<'m> Cohort<'m> {
     /// `None` once `sub` has none left. A divergent issue ends the batch
     /// it is in (see [`Cohort::round`]), so it moves its lanes at once.
     fn issue_c(&mut self, sub: &mut SubCohort, ctx: IssueCtx) -> Option<Issue> {
-        let forks = self.stats.forks + self.stats.detaches;
+        let forks = self.stats.forks;
         let (cost, mut next) = self.exec_c(sub, ctx);
         if sub.slots == 0 {
             return None;
         }
         self.stats.lockstep_issues += 1;
         self.stats.occupancy_sum += u64::from(sub.slots.count_ones());
-        let forked = self.stats.forks + self.stats.detaches != forks;
+        let forked = self.stats.forks != forks;
         if let Some(at) = next.take_if(|_| forked) {
             sub.warps[ctx.w].move_to(ctx.mask, at);
         }
@@ -708,10 +679,10 @@ impl<'m> Cohort<'m> {
                     // Stall pressure samples before execution, exactly
                     // like the scalar engine's issue path.
                     let waiting_lanes = sub.warps[w].waiting.count_ones();
-                    // `None`: every instance of this sub-cohort forked,
-                    // was set aside, or faulted mid-round; its plane is
-                    // abandoned and the children replay from their own
-                    // consistent snapshots.
+                    // `None`: every instance of this sub-cohort forked
+                    // or faulted mid-round; its plane is abandoned and
+                    // the children replay from their own consistent
+                    // snapshots.
                     let Some((cost, next, forked)) = self.issue_c(sub, ctx) else { return false };
                     if let Some(next) = next {
                         sub.warps[w].move_to(mask, next);
@@ -866,36 +837,29 @@ impl Cohort<'_> {
         self.spans_by(mask, |l| ctl.bases[l])
     }
 
-    /// Splits `class` off `sub` at a divergent issue: forks a child
-    /// sub-cohort when under the cap, else sets the slots aside for a
-    /// standalone scalar re-run once the cohort drains (their columns of
-    /// the data plane are simply never touched again). Called *before*
-    /// the divergent instruction mutates any state, so the child replays
-    /// the in-progress round from a consistent snapshot: warps earlier
-    /// in warp order already issued (their `busy_until` moved past this
-    /// cycle), the issuing warp's scheduler fields are restored to their
-    /// pre-pick values (`ctx`), and later warps are untouched — exactly
-    /// the state an independent run of those slots would be in when its
-    /// round reaches the issuing warp, batch prefix (`ctx.run`) applied.
-    /// The shared SoA data plane is untouched: the child simply reads and
-    /// writes it under its own slot mask.
+    /// Splits `class` off `sub` at a divergent issue into a child
+    /// sub-cohort. Called *before* the divergent instruction mutates any
+    /// state, so the child replays the in-progress round from a
+    /// consistent snapshot: warps earlier in warp order already issued
+    /// (their `busy_until` moved past this cycle), the issuing warp's
+    /// scheduler fields are restored to their pre-pick values (`ctx`),
+    /// and later warps are untouched — exactly the state an independent
+    /// run of those slots would be in when its round reaches the issuing
+    /// warp, batch prefix (`ctx.run`) applied. The shared SoA data plane
+    /// is untouched: the child simply reads and writes it under its own
+    /// slot mask.
     fn split_off(&mut self, sub: &mut SubCohort, class: u64, ctx: IssueCtx) {
         sub.slots &= !class;
-        if self.subs.len() + 2 <= MAX_SUBCOHORTS {
-            let (mut warps, mut metrics) = (sub.warps.clone(), sub.metrics.clone());
-            let (ctl, Run { at, issues, weight, roi_weight }) = (&mut warps[ctx.w], ctx.run);
-            (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until) = ctx.pre;
-            ctl.busy_until += weight;
-            ctl.move_to(ctx.mask, at);
-            let waiting = ctl.waiting.count_ones();
-            metrics.record_issues(ctx.w, ctx.mask, issues, weight, roi_weight, waiting);
-            self.subs.push(SubCohort { slots: class, cycle: sub.cycle, metrics, warps });
-            self.stats.forks += 1;
-            self.stats.peak_subcohorts = self.stats.peak_subcohorts.max(self.subs.len() as u64 + 1);
-        } else {
-            self.set_aside |= class;
-            self.stats.detaches += u64::from(class.count_ones());
-        }
+        let (mut warps, mut metrics) = (sub.warps.clone(), sub.metrics.clone());
+        let (ctl, Run { at, issues, weight, roi_weight }) = (&mut warps[ctx.w], ctx.run);
+        (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until) = ctx.pre;
+        ctl.busy_until += weight;
+        ctl.move_to(ctx.mask, at);
+        let waiting = ctl.waiting.count_ones();
+        metrics.record_issues(ctx.w, ctx.mask, issues, weight, roi_weight, waiting);
+        self.subs.push(SubCohort { slots: class, cycle: sub.cycle, metrics, warps });
+        self.stats.forks += 1;
+        self.stats.peak_subcohorts = self.stats.peak_subcohorts.max(self.subs.len() as u64 + 1);
     }
 }
 
@@ -1135,8 +1099,8 @@ impl Cohort<'_> {
     /// across every slot of `sub`; returns the (uniform) issue cost and,
     /// like [`Machine::exec`](crate::exec), where a group that moves
     /// together goes next — `None` when the arm moved its lanes itself.
-    /// Slots whose data would make the issue non-uniform fork (or, past
-    /// the cap, are set aside) and faulting slots resolve to their own
+    /// Slots whose data would make the issue non-uniform fork, and
+    /// faulting slots resolve to their own
     /// error inside the arm — callers re-check `sub.slots`.
     fn exec_c(&mut self, sub: &mut SubCohort, ctx: IssueCtx) -> (u32, Option<usize>) {
         let image = self.image;
@@ -1787,8 +1751,7 @@ bb3:
 
     /// Seed-dependent *lane-level* branch: per-lane RNG decides each
     /// lane's direction, so the taken masks differ across nearly every
-    /// seed — far more classes than [`MAX_SUBCOHORTS`], driving the
-    /// scalar escape hatch alongside forking. The two arms are
+    /// seed — one class, and one sub-cohort, per seed. The two arms are
     /// cost-symmetric and reconverge through a barrier wait, so forked
     /// sub-cohorts merge.
     const LANE_DIVERGE_KERNEL: &str = "\
@@ -2300,7 +2263,6 @@ bb2:
             let stats = assert_matches_scalar(LOCKSTEP_KERNEL, &cfg, &sweep);
             assert!(stats.lockstep_issues > 0, "{policy:?}: cohort never issued");
             assert_eq!(stats.forks, 0, "{policy:?}: uniform control never forks");
-            assert_eq!(stats.detaches, 0, "{policy:?}: {stats:?}");
             assert_eq!(stats.scalar_steps, 0, "{policy:?}: {stats:?}");
             assert_eq!(stats.peak_subcohorts, 1, "{policy:?}: {stats:?}");
             assert_eq!(stats.mixed_rows, 0, "{policy:?}: no type depends on the seed: {stats:?}");
@@ -2332,7 +2294,6 @@ bb2:
                 let stats = assert_matches_scalar(VOTE_DIVERGE_KERNEL, &cfg, &sweep);
                 assert!(stats.forks > 0, "{cfg:?}: seeds disagree on the vote parity: {stats:?}");
                 assert!(stats.merges > 0, "{cfg:?}: cost-symmetric arms must realign: {stats:?}");
-                assert_eq!(stats.detaches, 0, "{cfg:?}: two classes never exceed the cap");
                 assert_eq!(stats.scalar_steps, 0, "{cfg:?}: {stats:?}");
                 assert!(stats.peak_subcohorts >= 2, "{cfg:?}: {stats:?}");
                 assert!(
@@ -2399,13 +2360,12 @@ bb2:
     }
 
     #[test]
-    fn class_explosion_past_the_cap_takes_the_scalar_escape_hatch() {
+    fn class_explosion_stays_in_lockstep() {
         // 48 seeds × per-lane random taken masks ≈ 48 distinct classes
-        // at one branch: far more than MAX_SUBCOHORTS, so the engine
-        // must fork up to the cap and set the rest aside for standalone
-        // re-runs — and still be bit-identical, under every policy, with
-        // and without per-slot hierarchy state (tags, MSHR files) that
-        // the set-aside slots leave behind in the data plane.
+        // at one branch: every class forks into a sub-cohort of its own
+        // and no seed leaves the cohort — still bit-identical, under
+        // every policy, with and without per-slot hierarchy state (tags,
+        // MSHR files) in the shared data plane.
         let hier = MemHierarchy::parse(
             "l1:lines=4,cells=16,lat=2,mshrs=2;dram:lat=24,extra=2",
             &LatencyModel::default(),
@@ -2417,16 +2377,13 @@ bb2:
                 let cfg = SimConfig { scheduler: policy, mem, ..SimConfig::default() };
                 let stats = assert_matches_scalar(LANE_DIVERGE_KERNEL, &cfg, &sweep);
                 assert!(stats.forks > 0, "{cfg:?}: {stats:?}");
-                assert!(stats.detaches > 0, "{cfg:?}: class count exceeds the cap: {stats:?}");
-                assert!(stats.scalar_steps > 0, "{cfg:?}: {stats:?}");
-                assert!(
-                    stats.peak_subcohorts as usize <= MAX_SUBCOHORTS,
-                    "{cfg:?}: the cap bounds live sub-cohorts: {stats:?}"
-                );
+                assert_eq!(stats.scalar_steps, 0, "{cfg:?}: no seed leaves the cohort: {stats:?}");
+                assert!(stats.peak_subcohorts > 32, "{cfg:?}: a class per seed: {stats:?}");
             }
         }
-        // The standalone re-run polls the token every round: a set-aside
-        // seed cancelled mid-drain fails the whole sweep.
+        // The standalone scalar launch (the hardware models' path) polls
+        // the token every round: a seed cancelled mid-run fails the whole
+        // sweep.
         let cancel = CancelToken::new();
         cancel.cancel();
         let image = DecodedImage::decode(&parse_and_link(LANE_DIVERGE_KERNEL).unwrap());
@@ -2453,7 +2410,6 @@ bb2:
             let sweep = SweepLaunch::new(launch("k", 1, 64, vec![]), 0, 32);
             let stats = assert_matches_scalar(LOOP_DIVERGE_KERNEL, &cfg, &sweep);
             assert!(stats.forks > 0, "{policy:?}: trip counts differ: {stats:?}");
-            assert_eq!(stats.detaches, 0, "{policy:?}: four classes fit the cap: {stats:?}");
             assert_eq!(stats.scalar_steps, 0, "{policy:?}: {stats:?}");
         }
     }

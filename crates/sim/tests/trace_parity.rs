@@ -17,7 +17,10 @@
 //!    batch boundary (equal [`EngineStats`](simt_sim::EngineStats)).
 //! 2. The decoded engine and the tree-walking reference emit
 //!    *identical* journals (same events in the same order, same
-//!    per-barrier attribution) and identical traces.
+//!    per-barrier attribution), traces and per-block profiles — on flat
+//!    memory, and behind a one-entry MSHR file that makes every run
+//!    record memory stalls (`JournalEvent::MemStall`,
+//!    `BlockStats::mem_stall_cycles`).
 //! 3. A deadlocking kernel reports the same enriched error — including
 //!    the barrier-register dump — and streams the same journal events
 //!    through the writer callback from both engines.
@@ -27,8 +30,8 @@ mod common;
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, Value};
 use simt_sim::{
-    run, run_reference, JournalConfig, JournalEvent, JournalWriter, Launch, ReconvergenceModel,
-    SchedulerPolicy, SimConfig,
+    run, run_reference, JournalConfig, JournalEvent, JournalWriter, LatencyModel, Launch,
+    MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig,
 };
 use std::sync::{Arc, Mutex};
 
@@ -137,6 +140,18 @@ const MODELS: [ReconvergenceModel; 4] = [
     ReconvergenceModel::WarpSplit { window: 4, compact: true },
 ];
 
+/// One L1 whose MSHR file holds a single miss: a warp's final store
+/// spans two lines, so every run stalls on it at least once — the
+/// journal's `MemStall` events and the profile's per-block stall cycles,
+/// which each engine derives on its own, are then compared for real.
+fn one_mshr() -> MemHierarchy {
+    MemHierarchy::parse(
+        "l1:lines=4,cells=16,lat=2,mshrs=1;dram:lat=24,extra=2",
+        &LatencyModel::default(),
+    )
+    .expect("hierarchy spec parses")
+}
+
 fn launch_for(c: &Case) -> Launch {
     let mut launch = Launch::new("k", c.warps);
     launch.seed = c.seed;
@@ -215,25 +230,40 @@ proptest! {
         let module = parse_and_link(&kernel_src(&case))
             .unwrap_or_else(|e| panic!("generated kernel must parse: {e}"));
         let launch = launch_for(&case);
-        let cfg = SimConfig {
-            trace: true,
-            journal: Some(JournalConfig::default()),
-            ..base_config(&case)
-        };
-        let decoded = run(&module, &cfg, &launch)
-            .unwrap_or_else(|e| panic!("decoded run failed on {case:?}: {e}"));
-        let reference = run_reference(&module, &cfg, &launch)
-            .unwrap_or_else(|e| panic!("reference run failed on {case:?}: {e}"));
-        prop_assert_eq!(
-            &decoded.metrics, &reference.metrics,
-            "metrics diverged on {:?}", &case
-        );
-        let dt = decoded.trace.as_ref().expect("decoded trace");
-        let rt = reference.trace.as_ref().expect("reference trace");
-        prop_assert_eq!(dt.events(), rt.events(), "traces diverged on {:?}", &case);
-        let dj = decoded.journal.as_ref().expect("decoded journal");
-        let rj = reference.journal.as_ref().expect("reference journal");
-        prop_assert_eq!(dj, rj, "journals diverged on {:?}", &case);
+        for mem in [None, Some(one_mshr())] {
+            let stalls = mem.is_some();
+            let cfg = SimConfig {
+                trace: true,
+                profile: true,
+                journal: Some(JournalConfig::default()),
+                mem,
+                ..base_config(&case)
+            };
+            let decoded = run(&module, &cfg, &launch)
+                .unwrap_or_else(|e| panic!("decoded run failed on {case:?}: {e}"));
+            let reference = run_reference(&module, &cfg, &launch)
+                .unwrap_or_else(|e| panic!("reference run failed on {case:?}: {e}"));
+            prop_assert_eq!(
+                &decoded.metrics, &reference.metrics,
+                "metrics diverged on {:?} (MSHRs: {})", &case, stalls
+            );
+            let dt = decoded.trace.as_ref().expect("decoded trace");
+            let rt = reference.trace.as_ref().expect("reference trace");
+            prop_assert_eq!(dt.events(), rt.events(), "traces diverged on {:?}", &case);
+            let dj = decoded.journal.as_ref().expect("decoded journal");
+            let rj = reference.journal.as_ref().expect("reference journal");
+            prop_assert_eq!(dj, rj, "journals diverged on {:?} (MSHRs: {})", &case, stalls);
+            prop_assert_eq!(
+                &decoded.profile, &reference.profile,
+                "profiles diverged on {:?} (MSHRs: {})", &case, stalls
+            );
+            let mem_stalls =
+                dj.events().filter(|e| matches!(e, JournalEvent::MemStall { .. })).count();
+            prop_assert_eq!(
+                mem_stalls > 0, stalls,
+                "{} MemStall events on {:?} (MSHRs: {})", mem_stalls, &case, stalls
+            );
+        }
     }
 }
 

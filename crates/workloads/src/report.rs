@@ -108,8 +108,9 @@ pub fn render_seeds(name: &str, jobs: usize, seeds: Seeds, out: &RunOutput<SeedM
 }
 
 /// The sweep engine's counters: the `sweep engine:` line, the `data
-/// plane:` and `lane spans:` lines, and the `escape hatch:` line when a
-/// seed left the cohort.
+/// plane:` and `lane spans:` lines, and the `escape hatch:` line when the
+/// seeds ran as standalone scalar launches (a hardware reconvergence
+/// model).
 fn render_sweep(s: &SweepStats) -> String {
     let mut text = format!(
         "sweep engine: {} instances, {} lockstep issues, {} forks, {} merges, \
@@ -132,12 +133,8 @@ fn render_sweep(s: &SweepStats) -> String {
         "  lane spans: {} hoisted / {} per-lane issues, {} lane runs",
         s.hoisted_issues, s.per_lane_issues, s.lane_runs
     );
-    if s.detaches > 0 || s.scalar_steps > 0 {
-        let _ = writeln!(
-            text,
-            "  escape hatch: {} seeds re-run standalone, {} scalar steps",
-            s.detaches, s.scalar_steps
-        );
+    if s.scalar_steps > 0 {
+        let _ = writeln!(text, "  escape hatch: {} scalar steps", s.scalar_steps);
     }
     text
 }

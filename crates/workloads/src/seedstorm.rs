@@ -22,8 +22,8 @@
 //! - One branch per warp per round: each warp votes independently, so a
 //!   cohort splits into (at most) 2^warps classes per round and merges
 //!   back at the join. Nesting branches would *multiply* per-warp path
-//!   counts past [`MAX_SUBCOHORTS`](simt_sim::sweep::MAX_SUBCOHORTS)
-//!   and turn the measurement into a cap benchmark; nested-divergence
+//!   counts until nearly every seed ran as a sub-cohort of its own and
+//!   turn the measurement into a fork benchmark; nested-divergence
 //!   coverage lives in the conformance genome instead.
 //!
 //! The kernel is *not* part of [`registry`](crate::registry) (that list

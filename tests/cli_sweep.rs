@@ -32,8 +32,8 @@ fn sweeps_a_workload_and_reports_per_seed_and_aggregate() {
     assert!(text.contains("aggregate: mean"), "{text}");
     assert!(text.contains("sweep engine: 4 instances"), "{text}");
     assert!(text.contains("forks") && text.contains("mean occupancy"), "{text}");
-    // Lockstep microbench sweeps never take the scalar escape hatch, so
-    // the detach/rejoin line stays suppressed.
+    // Barrier-file sweeps never take the scalar escape hatch (that is the
+    // hardware models' path), so its line stays suppressed.
     assert!(!text.contains("escape hatch"), "{text}");
 }
 
@@ -53,7 +53,7 @@ fn divergent_sweeps_report_fork_merge_occupancy() {
     };
     assert!(grab(" forks") > 0, "{engine_line}");
     assert!(grab(" merges") > 0, "{engine_line}");
-    assert!(!text.contains("escape hatch"), "seed-storm fits the cap:\n{text}");
+    assert!(!text.contains("escape hatch"), "seed-storm stays in the cohort:\n{text}");
 }
 
 #[test]
