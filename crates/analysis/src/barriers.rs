@@ -19,15 +19,8 @@
 
 use crate::bitset::BitSet;
 use crate::dataflow::{solve, DataflowProblem, DataflowResult, Direction};
+use crate::FunctionAnalyses;
 use simt_ir::{BarrierId, BarrierOp, BlockId, Function, Inst};
-
-fn scan_forward(func: &Function, block: BlockId, input: &BitSet) -> BitSet {
-    let mut state = input.clone();
-    for inst in &func.blocks[block].insts {
-        apply_forward(inst, &mut state);
-    }
-    state
-}
 
 fn apply_forward(inst: &Inst, state: &mut BitSet) {
     if let Inst::Barrier(op) = inst {
@@ -51,14 +44,6 @@ fn apply_forward(inst: &Inst, state: &mut BitSet) {
             BarrierOp::ArrivedCount { .. } => {}
         }
     }
-}
-
-fn scan_backward(func: &Function, block: BlockId, output: &BitSet) -> BitSet {
-    let mut state = output.clone();
-    for inst in func.blocks[block].insts.iter().rev() {
-        apply_backward(inst, &mut state);
-    }
-    state
 }
 
 fn apply_backward(inst: &Inst, state: &mut BitSet) {
@@ -87,7 +72,9 @@ impl DataflowProblem for JoinedProblem<'_> {
         self.func.num_barriers
     }
     fn transfer(&self, block: BlockId, input: &BitSet) -> BitSet {
-        scan_forward(self.func, block, input)
+        let mut state = input.clone();
+        self.func.blocks[block].insts.iter().for_each(|i| apply_forward(i, &mut state));
+        state
     }
 }
 
@@ -103,7 +90,9 @@ impl DataflowProblem for LivenessProblem<'_> {
         self.func.num_barriers
     }
     fn transfer(&self, block: BlockId, output: &BitSet) -> BitSet {
-        scan_backward(self.func, block, output)
+        let mut state = output.clone();
+        self.func.blocks[block].insts.iter().rev().for_each(|i| apply_backward(i, &mut state));
+        state
     }
 }
 
@@ -115,8 +104,8 @@ pub struct BarrierJoined {
 
 impl BarrierJoined {
     /// Runs the analysis.
-    pub fn analyze(func: &Function) -> BarrierJoined {
-        BarrierJoined { result: solve(func, &JoinedProblem { func }) }
+    pub fn analyze(func: &Function, fa: &mut FunctionAnalyses) -> BarrierJoined {
+        BarrierJoined { result: solve(func, fa, &JoinedProblem { func }) }
     }
 
     /// Barriers joined at the entry of `block`.
@@ -149,8 +138,8 @@ pub struct BarrierLiveness {
 
 impl BarrierLiveness {
     /// Runs the analysis.
-    pub fn analyze(func: &Function) -> BarrierLiveness {
-        BarrierLiveness { result: solve(func, &LivenessProblem { func }) }
+    pub fn analyze(func: &Function, fa: &mut FunctionAnalyses) -> BarrierLiveness {
+        BarrierLiveness { result: solve(func, fa, &LivenessProblem { func }) }
     }
 
     /// Barriers live at the entry of `block`.
@@ -196,7 +185,12 @@ pub struct BarrierConflict {
 /// (inclusive) ranges only one direction holds, because the inner wait
 /// clears the inner barrier before the outer wait is reached.
 pub fn find_conflicts(func: &Function) -> Vec<BarrierConflict> {
-    let joined = BarrierJoined::analyze(func);
+    find_conflicts_with(func, &mut FunctionAnalyses::default())
+}
+
+/// [`find_conflicts`], reading the caller's analyses of `func`.
+pub fn find_conflicts_with(func: &Function, fa: &mut FunctionAnalyses) -> Vec<BarrierConflict> {
+    let joined = BarrierJoined::analyze(func, fa);
     let nb = func.num_barriers;
 
     // waits_within[x][y]: some Wait(x) executes while y is joined.
@@ -272,7 +266,7 @@ bb4:
     #[test]
     fn joined_analysis_matches_figure_4b() {
         let f = figure4(true);
-        let joined = BarrierJoined::analyze(&f);
+        let joined = BarrierJoined::analyze(&f, &mut FunctionAnalyses::default());
         let b0 = 0usize;
         // Joined everywhere after bb0 except immediately after the wait in
         // bb3 — the paper's Figure 4(b): JoinedOut = {b0} for BB0, BB1,
@@ -287,7 +281,7 @@ bb4:
     #[test]
     fn liveness_analysis_matches_figure_4c() {
         let f = figure4(true);
-        let live = BarrierLiveness::analyze(&f);
+        let live = BarrierLiveness::analyze(&f, &mut FunctionAnalyses::default());
         let b0 = 0usize;
         // Figure 4(c): LiveOut = {b0} for BB0, BB1, BB2, BB3 (via the loop
         // back edge), BB4; {} for BB5.
@@ -304,8 +298,8 @@ bb4:
     #[test]
     fn instruction_level_queries() {
         let f = figure4(true);
-        let joined = BarrierJoined::analyze(&f);
-        let live = BarrierLiveness::analyze(&f);
+        let joined = BarrierJoined::analyze(&f, &mut FunctionAnalyses::default());
+        let live = BarrierLiveness::analyze(&f, &mut FunctionAnalyses::default());
         // In bb2: before inst 0 (the wait) the barrier is joined; after
         // the wait it is not joined but is live again via the loop.
         assert!(joined.joined_before(&f, BlockId(2), 0).contains(0));
@@ -319,8 +313,8 @@ bb4:
     #[test]
     fn no_sync_means_nothing_joined_or_live() {
         let f = figure4(false);
-        let joined = BarrierJoined::analyze(&f);
-        let live = BarrierLiveness::analyze(&f);
+        let joined = BarrierJoined::analyze(&f, &mut FunctionAnalyses::default());
+        let live = BarrierLiveness::analyze(&f, &mut FunctionAnalyses::default());
         for b in f.blocks.ids() {
             assert!(joined.joined_out(b).is_empty());
             assert!(live.live_in(b).is_empty());

@@ -6,6 +6,7 @@
 //! and per-block transfer functions.
 
 use crate::bitset::BitSet;
+use crate::FunctionAnalyses;
 use simt_ir::{BlockId, Function, IdVec};
 
 /// Direction of propagation.
@@ -48,13 +49,19 @@ pub struct DataflowResult {
     pub reachable: BitSet,
 }
 
-/// Solves the problem to a fixpoint with a worklist, seeded in (reverse)
-/// post-order for fast convergence.
-pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
+/// Solves the problem to a fixpoint, sweeping in (reverse) post-order for
+/// fast convergence. Values flow only along blocks the entry reaches: an
+/// unreachable predecessor's transfer still "generates" facts from an
+/// empty input, which must not contaminate a meet.
+pub fn solve(
+    func: &Function,
+    fa: &mut FunctionAnalyses,
+    problem: &dyn DataflowProblem,
+) -> DataflowResult {
+    let cfg = fa.of(func);
     let n = func.blocks.len();
     let size = problem.domain_size();
-    let preds = func.predecessors();
-    let rpo = func.reverse_post_order();
+    let (rpo, reachable) = (cfg.rpo(), cfg.reachable());
 
     let mut entry: IdVec<BlockId, BitSet> = IdVec::with_capacity(n);
     let mut exit: IdVec<BlockId, BitSet> = IdVec::with_capacity(n);
@@ -63,25 +70,19 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
         exit.push(BitSet::new(size));
     }
 
-    // Blocks reachable from the entry: values may only flow along real
-    // executions, so unreachable predecessors must not contaminate the
-    // meet (their transfer functions still "generate" facts from an empty
-    // input).
-    let reachable = BitSet::reach(n, [func.entry], |b| func.successors(b), |_| true);
-
     match problem.direction() {
         Direction::Forward => {
             entry[func.entry] = problem.boundary();
             let mut changed = true;
             while changed {
                 changed = false;
-                for &b in &rpo {
+                for &b in rpo {
                     if !reachable.contains(b.index()) {
                         continue;
                     }
                     let mut input =
                         if b == func.entry { problem.boundary() } else { BitSet::new(size) };
-                    for &p in &preds[b] {
+                    for &p in cfg.preds(b) {
                         if reachable.contains(p.index()) {
                             input.union_with(&exit[p]);
                         }
@@ -103,12 +104,12 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
                     if !reachable.contains(b.index()) {
                         continue;
                     }
-                    let succs = func.successors(b);
+                    let succs = cfg.succs(b);
                     let output = if succs.is_empty() {
                         problem.boundary()
                     } else {
                         let mut acc = BitSet::new(size);
-                        for s in succs {
+                        for &s in succs {
                             acc.union_with(&entry[s]);
                         }
                         acc
@@ -124,7 +125,7 @@ pub fn solve(func: &Function, problem: &dyn DataflowProblem) -> DataflowResult {
         }
     }
 
-    DataflowResult { entry, exit, reachable }
+    DataflowResult { entry, exit, reachable: reachable.clone() }
 }
 
 #[cfg(test)]
@@ -171,7 +172,7 @@ mod tests {
         f.blocks[b].term = Terminator::Jump(c);
         f.blocks[c].term = Terminator::Exit;
 
-        let r = solve(&f, &TokenProblem { gen_in: a });
+        let r = solve(&f, &mut FunctionAnalyses::default(), &TokenProblem { gen_in: a });
         assert!(!r.entry[a].contains(0));
         assert!(r.exit[a].contains(0));
         assert!(!r.exit[b].contains(0));
@@ -217,7 +218,7 @@ mod tests {
         f.blocks[body].term = Terminator::Jump(h);
         f.blocks[out].term = Terminator::Exit;
 
-        let r = solve(&f, &UseAheadProblem { use_in: body });
+        let r = solve(&f, &mut FunctionAnalyses::default(), &UseAheadProblem { use_in: body });
         assert!(r.entry[f.entry].contains(0));
         assert!(r.entry[h].contains(0));
         assert!(r.entry[body].contains(0));

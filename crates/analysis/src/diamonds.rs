@@ -7,6 +7,7 @@
 //! into an arm) is left to PDOM or Speculative Reconvergence, which
 //! handle general region shapes.
 
+use crate::FunctionAnalyses;
 use simt_ir::{BlockId, Function, Terminator};
 
 /// One divergent if/else diamond: `branch` splits into `then_arm` /
@@ -48,7 +49,12 @@ pub struct Diamond {
 /// assert_eq!(ds[0].join.index(), 3);
 /// ```
 pub fn find_diamonds(func: &Function) -> Vec<Diamond> {
-    let preds = func.predecessors();
+    find_diamonds_with(func, &mut FunctionAnalyses::default())
+}
+
+/// [`find_diamonds`], reading the caller's analyses of `func`.
+pub fn find_diamonds_with(func: &Function, fa: &mut FunctionAnalyses) -> Vec<Diamond> {
+    let cfg = fa.of(func);
     let mut out = Vec::new();
     for (b, block) in func.blocks.iter() {
         let Terminator::Branch { then_bb, else_bb, divergent: true, .. } = block.term else {
@@ -57,7 +63,7 @@ pub fn find_diamonds(func: &Function) -> Vec<Diamond> {
         if then_bb == else_bb || then_bb == b || else_bb == b {
             continue;
         }
-        if preds[then_bb].len() != 1 || preds[else_bb].len() != 1 {
+        if cfg.preds(then_bb).len() != 1 || cfg.preds(else_bb).len() != 1 {
             continue;
         }
         let (Terminator::Jump(tj), Terminator::Jump(ej)) =

@@ -3,6 +3,8 @@
 //! Provides the program analyses that the compiler passes in
 //! `specrecon-core` are built from:
 //!
+//! - [`FunctionAnalyses`] — one function's CFG analyses, built once per
+//!   CFG shape and shared by every pass ([`analyses`]);
 //! - [`DomTree`] — dominator and post-dominator trees (defined in
 //!   `simt_ir::dom`, next to the CFG, and re-exported here);
 //! - [`LoopForest`] — natural loops and nesting depth ([`loops`]);
@@ -14,7 +16,7 @@
 //!
 //! ```
 //! use simt_ir::parse_module;
-//! use simt_analysis::{DomTree, LoopForest};
+//! use simt_analysis::FunctionAnalyses;
 //!
 //! let m = parse_module(
 //!     "kernel @k(params=0, regs=1, barriers=0, entry=bb0) {\n\
@@ -23,22 +25,27 @@
 //!      bb2:\n  exit\n}\n",
 //! ).unwrap();
 //! let f = m.functions.iter().next().unwrap().1;
-//! let dom = DomTree::dominators(f);
-//! let loops = LoopForest::new(f, &dom);
-//! assert_eq!(loops.loops.len(), 1);
+//! let mut fa = FunctionAnalyses::default();
+//! let cfg = fa.of(f);
+//! assert_eq!(cfg.loops().loops.len(), 1);
+//! assert!(cfg.dom().dominates(cfg.rpo()[0], cfg.loops().loops[0].header));
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod analyses;
 pub mod barriers;
 pub mod bitset;
 pub mod dataflow;
 pub mod diamonds;
 pub mod loops;
 
-pub use barriers::{find_conflicts, BarrierConflict, BarrierJoined, BarrierLiveness};
+pub use analyses::{Cfg, FunctionAnalyses};
+pub use barriers::{
+    find_conflicts, find_conflicts_with, BarrierConflict, BarrierJoined, BarrierLiveness,
+};
 pub use bitset::BitSet;
 pub use dataflow::{solve, DataflowProblem, DataflowResult, Direction};
-pub use diamonds::{find_diamonds, Diamond};
+pub use diamonds::{find_diamonds, find_diamonds_with, Diamond};
 pub use loops::{Loop, LoopForest};
 pub use simt_ir::DomTree;

@@ -5,6 +5,7 @@
 //! passing through `header`. Loops sharing a header are merged. The nest
 //! depth per block feeds the §4.5 cost heuristics.
 
+use crate::analyses::{Cfg, FunctionAnalyses};
 use crate::bitset::BitSet;
 use simt_ir::{BlockId, DomTree, Function};
 
@@ -51,19 +52,25 @@ pub struct LoopForest {
     pub loops: Vec<Loop>,
     depth: Vec<u32>,
     innermost: Vec<Option<usize>>,
+    preheaders: Vec<Option<BlockId>>,
 }
 
 impl LoopForest {
-    /// Discovers the natural loops of `func` using its dominator tree.
+    /// Discovers the natural loops of `func` using its dominator tree
+    /// (passes read [`Cfg::loops`] instead).
     pub fn new(func: &Function, dom: &DomTree) -> LoopForest {
-        let n = func.blocks.len();
-        let preds = func.predecessors();
+        Self::build(FunctionAnalyses::default().of(func), dom)
+    }
+
+    /// Discovers the natural loops of `cfg` using its dominator tree.
+    pub(crate) fn build(cfg: &Cfg, dom: &DomTree) -> LoopForest {
+        let n = cfg.num_blocks();
 
         // Find back edges and group them by header.
         let mut headers: Vec<BlockId> = Vec::new();
         let mut latches_of: Vec<Vec<BlockId>> = Vec::new();
-        for b in func.blocks.ids() {
-            for s in func.successors(b) {
+        for b in (0..n).map(BlockId::new) {
+            for &s in cfg.succs(b) {
                 if dom.dominates(s, b) {
                     match headers.iter().position(|&h| h == s) {
                         Some(i) => latches_of[i].push(b),
@@ -81,7 +88,8 @@ impl LoopForest {
         let mut loops: Vec<Loop> = Vec::new();
         for (hi, &header) in headers.iter().enumerate() {
             let latches = latches_of[hi].iter().copied();
-            let mut body = BitSet::reach(n, latches, |b| preds[b].iter().copied(), |b| b != header);
+            let mut body =
+                BitSet::reach(n, latches, |b| cfg.preds(b).iter().copied(), |b| b != header);
             body.insert(header.index());
             loops.push(Loop { header, body, latches: latches_of[hi].clone(), parent: None });
         }
@@ -125,7 +133,18 @@ impl LoopForest {
             innermost[b] = best;
         }
 
-        LoopForest { loops, depth, innermost }
+        let preheaders = loops
+            .iter()
+            .map(|l| {
+                let mut outside = cfg.preds(l.header).iter().filter(|p| !l.contains(**p));
+                match (outside.next(), outside.next()) {
+                    (Some(&p), None) => Some(p),
+                    _ => None,
+                }
+            })
+            .collect();
+
+        LoopForest { loops, depth, innermost, preheaders }
     }
 
     /// Loop nest depth of a block (0 = not in any loop).
@@ -145,15 +164,8 @@ impl LoopForest {
 
     /// The preheader of loop `idx`: the unique out-of-loop predecessor of
     /// its header, if there is exactly one.
-    pub fn preheader(&self, func: &Function, idx: usize) -> Option<BlockId> {
-        let l = &self.loops[idx];
-        let preds = func.predecessors();
-        let outside: Vec<BlockId> =
-            preds[l.header].iter().copied().filter(|p| !l.contains(*p)).collect();
-        match outside.as_slice() {
-            [single] => Some(*single),
-            _ => None,
-        }
+    pub fn preheader(&self, idx: usize) -> Option<BlockId> {
+        self.preheaders[idx]
     }
 }
 
@@ -235,10 +247,10 @@ mod tests {
         let ih = f.block_by_label("inner_header").unwrap();
         let outer_idx = forest.loops.iter().position(|l| l.header == oh).unwrap();
         let inner_idx = forest.loops.iter().position(|l| l.header == ih).unwrap();
-        assert_eq!(forest.preheader(&f, outer_idx), Some(f.entry));
+        assert_eq!(forest.preheader(outer_idx), Some(f.entry));
         // The inner loop's header is entered only from inside the outer
         // loop (oh), which is outside the *inner* loop — a valid preheader.
-        assert_eq!(forest.preheader(&f, inner_idx), Some(oh));
+        assert_eq!(forest.preheader(inner_idx), Some(oh));
     }
 
     #[test]

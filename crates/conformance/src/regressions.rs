@@ -17,7 +17,7 @@
 //! `regression_file_cases_replay_clean` rebuilds each CFG with
 //! [`build_cfg`] and re-checks both analyses against the oracle.
 
-use simt_analysis::{BarrierJoined, BarrierLiveness};
+use simt_analysis::{BarrierJoined, BarrierLiveness, FunctionAnalyses};
 use simt_ir::{BarrierId, BarrierOp, BlockId, FuncKind, Function, Inst, Operand, Terminator};
 
 /// Barriers per CFG, matching the original test's `NB`.
@@ -386,7 +386,7 @@ pub fn replay(case: &RegressionCase) -> Result<(), String> {
 /// entry→block path leaves it joined. `Err` names the first mismatch.
 #[allow(clippy::needless_range_loop)] // indices name blocks/barriers in the error text
 pub fn check_joined(f: &Function) -> Result<(), String> {
-    let joined = BarrierJoined::analyze(f);
+    let joined = BarrierJoined::analyze(f, &mut FunctionAnalyses::default());
     // Four visits per block expose everything a union fixpoint can
     // accumulate for 3 barriers (each extra lap can only add bits, and
     // bits saturate after |B| laps).
@@ -411,7 +411,7 @@ pub fn check_joined(f: &Function) -> Result<(), String> {
 /// only sees paths that reach an exit within its visit bound, and the
 /// analysis may be a superset on longer cycles.
 pub fn check_live(f: &Function) -> Result<(), String> {
-    let live = BarrierLiveness::analyze(f);
+    let live = BarrierLiveness::analyze(f, &mut FunctionAnalyses::default());
     let brute = brute_live_in(f, 3);
     for (b, brute) in brute.iter().enumerate() {
         for (bar, &on) in brute.iter().enumerate() {

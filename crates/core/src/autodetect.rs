@@ -19,7 +19,7 @@
 //! speculative-speculative conflicts).
 
 use crate::cost::{block_cost, global_mem_ops, has_existing_sync, region_cost};
-use simt_analysis::{BitSet, DomTree, LoopForest};
+use simt_analysis::{BitSet, FunctionAnalyses};
 use simt_ir::{BlockId, FuncId, Function, PredictTarget, Prediction, Terminator};
 use simt_sim::{LatencyModel, Profile};
 
@@ -72,13 +72,6 @@ impl Default for DetectOptions {
     }
 }
 
-/// The region start for a loop-anchored candidate: the loop's preheader,
-/// or the function entry when the header has several outside
-/// predecessors.
-fn region_start_for(func: &Function, loops: &LoopForest, loop_idx: usize) -> BlockId {
-    loops.preheader(func, loop_idx).unwrap_or(func.entry)
-}
-
 /// Detects all candidates in `func` using the static cost heuristics.
 ///
 /// ```
@@ -99,7 +92,7 @@ fn region_start_for(func: &Function, loops: &LoopForest, loop_idx: usize) -> Blo
 /// assert!(candidates[0].score > 1.0);
 /// ```
 pub fn detect(func: &Function, opts: &DetectOptions) -> Vec<Candidate> {
-    detect_impl(func, opts, None)
+    detect_impl(func, &mut FunctionAnalyses::default(), opts, None)
 }
 
 /// Detects candidates using *measured* block execution counts instead of
@@ -115,7 +108,7 @@ pub fn detect_profiled(
     profile: &Profile,
     opts: &DetectOptions,
 ) -> Vec<Candidate> {
-    detect_impl(func, opts, Some((profile, func_id)))
+    detect_impl(func, &mut FunctionAnalyses::default(), opts, Some((profile, func_id)))
 }
 
 /// Cost of `blocks` normalized per visit of `norm_block`, from measured
@@ -143,13 +136,19 @@ fn profiled_region_cost(
 
 fn detect_impl(
     func: &Function,
+    fa: &mut FunctionAnalyses,
     opts: &DetectOptions,
     profile: Option<(&Profile, FuncId)>,
 ) -> Vec<Candidate> {
-    let dom = DomTree::dominators(func);
-    let pdt = DomTree::post_dominators(func);
-    let loops = LoopForest::new(func, &dom);
+    let cfg = fa.of(func);
+    let (pdt, loops) = (cfg.post_dom(), cfg.loops());
     let mut out = Vec::new();
+    // A region's cost per visit of `header`: measured when there is a
+    // profile, otherwise the static estimate at nest depth `depth`.
+    let cost = |blocks: &BitSet, header: BlockId, depth: u32| match profile {
+        Some((prof, fid)) => profiled_region_cost(func, &opts.latency, blocks, prof, fid, header),
+        None => region_cost(func, &opts.latency, loops, blocks, depth),
+    };
 
     // ---- Loop Merge: inner loop with a divergent exit branch ------------
     for l in loops.loops.iter() {
@@ -169,34 +168,14 @@ fn detect_impl(
         // with a profile, by its measured visit counts.
         let mut overhead_blocks = outer.body.clone();
         overhead_blocks.subtract(&l.body);
-        let (inner_cost, overhead_cost) = match profile {
-            Some((prof, fid)) => (
-                profiled_region_cost(func, &opts.latency, &l.body, prof, fid, outer.header),
-                profiled_region_cost(
-                    func,
-                    &opts.latency,
-                    &overhead_blocks,
-                    prof,
-                    fid,
-                    outer.header,
-                ),
-            ),
-            None => (
-                region_cost(func, &opts.latency, &loops, &l.body, loops.depth(outer.header)),
-                region_cost(
-                    func,
-                    &opts.latency,
-                    &loops,
-                    &overhead_blocks,
-                    loops.depth(outer.header),
-                ),
-            ),
-        };
+        let depth = loops.depth(outer.header);
+        let inner_cost = cost(&l.body, outer.header, depth);
+        let overhead_cost = cost(&overhead_blocks, outer.header, depth);
         let mem_penalty = global_mem_ops(func, &overhead_blocks);
         let denom = overhead_cost + opts.mem_penalty_weight * mem_penalty + 1;
         out.push(Candidate {
             kind: PatternKind::LoopMerge,
-            region_start: region_start_for(func, &loops, parent),
+            region_start: loops.preheader(parent).unwrap_or(func.entry),
             target: l.header,
             expensive_cost: inner_cost,
             overhead_cost,
@@ -230,7 +209,7 @@ fn detect_impl(
             // loop body, stopping at (and excluding) the post-dominator.
             let side_blocks = |from| {
                 let inside = |s: BlockId| Some(s) != pdom && l.contains(s);
-                BitSet::reach(func.blocks.len(), [from], |s| func.successors(s), inside)
+                BitSet::reach(func.blocks.len(), [from], |s| cfg.succs(s).iter().copied(), inside)
             };
             // One-sided condition: the side that is not the post-dominator
             // is the common-code candidate.
@@ -242,8 +221,8 @@ fn detect_impl(
                 // Two-sided: pick the costlier side.
                 let tc = side_blocks(then_bb);
                 let ec = side_blocks(else_bb);
-                if region_cost(func, &opts.latency, &loops, &tc, loops.depth(b))
-                    >= region_cost(func, &opts.latency, &loops, &ec, loops.depth(b))
+                if region_cost(func, &opts.latency, loops, &tc, loops.depth(b))
+                    >= region_cost(func, &opts.latency, loops, &ec, loops.depth(b))
                 {
                     then_bb
                 } else {
@@ -262,41 +241,13 @@ fn detect_impl(
             }
             let mut overhead_blocks = l.body.clone();
             overhead_blocks.subtract(&expensive_blocks);
-            let (expensive_cost, overhead_cost) = match profile {
-                Some((prof, fid)) => (
-                    profiled_region_cost(
-                        func,
-                        &opts.latency,
-                        &expensive_blocks,
-                        prof,
-                        fid,
-                        l.header,
-                    ),
-                    profiled_region_cost(
-                        func,
-                        &opts.latency,
-                        &overhead_blocks,
-                        prof,
-                        fid,
-                        l.header,
-                    ),
-                ),
-                None => (
-                    region_cost(func, &opts.latency, &loops, &expensive_blocks, loops.depth(b)),
-                    region_cost(
-                        func,
-                        &opts.latency,
-                        &loops,
-                        &overhead_blocks,
-                        loops.depth(l.header),
-                    ),
-                ),
-            };
+            let expensive_cost = cost(&expensive_blocks, l.header, loops.depth(b));
+            let overhead_cost = cost(&overhead_blocks, l.header, loops.depth(l.header));
             let mem_penalty = global_mem_ops(func, &overhead_blocks);
             let denom = overhead_cost + opts.mem_penalty_weight * mem_penalty + 1;
             out.push(Candidate {
                 kind: PatternKind::IterationDelay,
-                region_start: region_start_for(func, &loops, li),
+                region_start: loops.preheader(li).unwrap_or(func.entry),
                 target: side,
                 expensive_cost,
                 overhead_cost,
@@ -316,8 +267,12 @@ fn detect_impl(
 ///
 /// Targets without a label get one generated (`auto_reconv_<n>`), since
 /// predictions name their point by label exactly as a user would.
-pub fn auto_annotate(func: &mut Function, opts: &DetectOptions) -> Vec<Candidate> {
-    let candidates = detect(func, opts);
+pub fn auto_annotate(
+    func: &mut Function,
+    fa: &mut FunctionAnalyses,
+    opts: &DetectOptions,
+) -> Vec<Candidate> {
+    let candidates = detect_impl(func, fa, opts, None);
     apply_candidates(func, opts, candidates)
 }
 
@@ -428,7 +383,8 @@ mod tests {
     #[test]
     fn auto_annotate_adds_prediction_and_label() {
         let mut f = loop_merge_kernel();
-        let applied = auto_annotate(&mut f, &DetectOptions::default());
+        let applied =
+            auto_annotate(&mut f, &mut FunctionAnalyses::default(), &DetectOptions::default());
         assert_eq!(applied.len(), 1);
         assert_eq!(f.predictions.len(), 1);
         // The target already had a label? bb2 had none beyond roi — a
@@ -444,7 +400,8 @@ mod tests {
     #[test]
     fn min_score_filters_candidates() {
         let mut f = iteration_delay_kernel(1);
-        let applied = auto_annotate(&mut f, &DetectOptions::default());
+        let applied =
+            auto_annotate(&mut f, &mut FunctionAnalyses::default(), &DetectOptions::default());
         assert!(applied.is_empty());
         assert!(f.predictions.is_empty());
     }
@@ -483,7 +440,8 @@ mod tests {
         let mut f = m.functions.iter().next().unwrap().1.clone();
         let cands = detect(&f, &DetectOptions::default());
         assert!(cands.len() >= 2, "both patterns present: {cands:?}");
-        let applied = auto_annotate(&mut f, &DetectOptions::default());
+        let applied =
+            auto_annotate(&mut f, &mut FunctionAnalyses::default(), &DetectOptions::default());
         assert_eq!(applied.len(), 1, "overlapping candidates must not stack");
     }
 }

@@ -30,7 +30,7 @@
 //! verifiable.
 
 use crate::error::PassError;
-use simt_analysis::{solve, BitSet, DataflowProblem, Direction, DomTree};
+use simt_analysis::{solve, BitSet, DataflowProblem, Direction, DomTree, FunctionAnalyses};
 use simt_ir::{BarrierId, BarrierOp, BlockId, FuncKind, Function, Inst, Module};
 
 /// The number of convergence-barrier registers a Volta warp exposes.
@@ -110,34 +110,28 @@ fn collect_refs(func: &Function, nb: usize) -> BarrierRefs {
     };
     for (block, data) in func.blocks.iter() {
         for (i, inst) in data.insts.iter().enumerate() {
-            let pt = (block, i);
-            if let Inst::Barrier(op) = inst {
-                match op {
-                    BarrierOp::Join(b) => {
-                        r.joins[b.index()].push(pt);
-                        r.refs[b.index()].push(pt);
-                    }
-                    BarrierOp::Wait(b) => {
-                        r.waits[b.index()].push(pt);
-                        r.refs[b.index()].push(pt);
-                    }
-                    BarrierOp::Rejoin(b) | BarrierOp::Cancel(b) => {
-                        r.dirty[b.index()] = true;
-                        r.refs[b.index()].push(pt);
-                    }
-                    BarrierOp::Copy { dst, src } => {
-                        r.dirty[dst.index()] = true;
-                        r.refs[dst.index()].push(pt);
-                        r.refs[src.index()].push(pt);
-                    }
-                    BarrierOp::ArrivedCount { bar, .. } => {
-                        r.refs[bar.index()].push(pt);
-                    }
+            let Inst::Barrier(op) = *inst else { continue };
+            match op {
+                BarrierOp::Join(b) => r.joins[b.index()].push((block, i)),
+                BarrierOp::Wait(b) => r.waits[b.index()].push((block, i)),
+                BarrierOp::Rejoin(b) | BarrierOp::Cancel(b) | BarrierOp::Copy { dst: b, .. } => {
+                    r.dirty[b.index()] = true;
                 }
+                BarrierOp::ArrivedCount { .. } => {}
             }
+            registers(op).for_each(|b| r.refs[b.index()].push((block, i)));
         }
     }
     r
+}
+
+/// Every barrier register `op` names (a copy names two).
+fn registers(op: BarrierOp) -> impl Iterator<Item = BarrierId> {
+    let copy = match op {
+        BarrierOp::Copy { dst, src } => [Some(dst), Some(src)],
+        _ => [None, None],
+    };
+    op.barrier().into_iter().chain(copy.into_iter().flatten())
 }
 
 /// A warp-wide fence: the `wait` of a barrier every thread joins exactly
@@ -176,30 +170,34 @@ impl Fence {
 /// separates their lifetimes. Path-based liveness alone would be unsound
 /// here — registers live on opposite sides of a divergent branch never
 /// meet on a path but coexist in the machine.
-fn mark_interference(func: &Function, nb: usize, interferes: &mut [Vec<bool>]) {
+fn mark_interference(
+    func: &Function,
+    fa: &mut FunctionAnalyses,
+    nb: usize,
+    interferes: &mut [Vec<bool>],
+) {
     let refs = collect_refs(func, nb);
-    let ranges = solve(func, &AllocRanges { func, nb });
+    let ranges = solve(func, fa, &AllocRanges { func, nb });
+    let cfg = fa.of(func);
 
     // Fences only make sense in kernels: a wait inside a device function
     // synchronizes only the lanes that happen to call it.
     let mut fences: Vec<Fence> = Vec::new();
     if func.kind == FuncKind::Kernel {
-        let dom = DomTree::dominators(func);
-        let pdt = DomTree::post_dominators(func);
         for b in 0..nb {
             if refs.dirty[b] || refs.joins[b].len() != 1 || refs.waits[b].len() != 1 {
                 continue;
             }
             let (jb, ji) = refs.joins[b][0];
             let (wb, wi) = refs.waits[b][0];
-            let join_dominates = if jb == wb { ji < wi } else { dom.dominates(jb, wb) };
+            let join_dominates = if jb == wb { ji < wi } else { cfg.dom().dominates(jb, wb) };
             // Every thread joins before arriving, every thread arrives
             // (the wait post-dominates entry), and the wait runs once
             // (its block is outside any cycle).
-            if !join_dominates || !pdt.dominates(wb, func.entry) {
+            if !join_dominates || !cfg.post_dom().dominates(wb, func.entry) {
                 continue;
             }
-            let succs = |b| func.successors(b);
+            let succs = |b| cfg.succs(b).iter().copied();
             let after = BitSet::reach(func.blocks.len(), succs(wb), succs, |_| true);
             if after.contains(wb.index()) {
                 continue;
@@ -212,7 +210,6 @@ fn mark_interference(func: &Function, nb: usize, interferes: &mut [Vec<bool>]) {
         }
     }
 
-    let dom = DomTree::dominators(func);
     // `a` may precede `b` across fence `f` when all of `a`'s references
     // are pre-fence and its mask is drained there, and all of `b`'s
     // references execute strictly after the fence.
@@ -221,7 +218,7 @@ fn mark_interference(func: &Function, nb: usize, interferes: &mut [Vec<bool>]) {
             let drained = a == f.bar || !f.populated.contains(a);
             drained
                 && refs.refs[a].iter().all(|&pt| !f.is_after(pt))
-                && refs.refs[b].iter().all(|&pt| f.is_dominated(&dom, pt))
+                && refs.refs[b].iter().all(|&pt| f.is_dominated(cfg.dom(), pt))
         })
     };
 
@@ -267,6 +264,7 @@ pub struct BarrierAllocReport {
 ///
 /// ```
 /// use simt_ir::parse_module;
+/// use simt_analysis::FunctionAnalyses;
 /// use specrecon_core::allocate_barriers;
 ///
 /// // Two sequential barriered regions can share one register pair.
@@ -278,11 +276,12 @@ pub struct BarrierAllocReport {
 ///      bb3:\n  wait b1\n  exit\n}\n",
 /// ).unwrap();
 /// let mut f = m.functions.iter().next().unwrap().1.clone();
-/// let report = allocate_barriers(&mut f, Some(16)).unwrap();
+/// let report = allocate_barriers(&mut f, &mut FunctionAnalyses::default(), Some(16)).unwrap();
 /// assert_eq!(report.after, 1);
 /// ```
 pub fn allocate_barriers(
     func: &mut Function,
+    fa: &mut FunctionAnalyses,
     limit: Option<usize>,
 ) -> Result<BarrierAllocReport, PassError> {
     let nb = func.num_barriers;
@@ -294,10 +293,26 @@ pub fn allocate_barriers(
     // ranges (see `alloc_range_step` for why `cancel` must not end a
     // range under divergence).
     let mut interferes = vec![vec![false; nb]; nb];
-    mark_interference(func, nb, &mut interferes);
-
-    // Which barriers are ever populated?
+    mark_interference(func, fa, nb, &mut interferes);
     let mut used = vec![false; nb];
+    mark_used(func, &mut used);
+
+    let (mapping, after) = color(&interferes, &used);
+    if let Some(max) = limit {
+        if after > max {
+            return Err(PassError::Module(format!(
+                "@{}: needs {after} barrier registers, hardware provides {max}",
+                func.name
+            )));
+        }
+    }
+    rewrite_function(func, &mapping, after);
+    Ok(BarrierAllocReport { before: nb, after, mapping })
+}
+
+/// Marks the barriers `func` ever populates (join, rejoin, copy
+/// destination).
+fn mark_used(func: &Function, used: &mut [bool]) {
     for (_, block) in func.blocks.iter() {
         for inst in &block.insts {
             match inst {
@@ -309,18 +324,19 @@ pub fn allocate_barriers(
             }
         }
     }
+}
 
-    // Greedy coloring in id order (insertion order ≈ region nesting, which
-    // colors well in practice).
+/// Greedy coloring in id order (insertion order ≈ region nesting, which
+/// colors well in practice); unpopulated barriers get fresh colors after
+/// the used ones. Returns `mapping[old] = new` and the color count.
+fn color(interferes: &[Vec<bool>], used: &[bool]) -> (Vec<BarrierId>, usize) {
+    let nb = used.len();
     let mut color: Vec<Option<usize>> = vec![None; nb];
     let mut next_free = 0usize;
-    for b in 0..nb {
-        if !used[b] {
-            continue;
-        }
-        let mut taken: Vec<bool> = vec![false; nb];
-        for other in 0..nb {
-            if interferes[b][other] {
+    for b in (0..nb).filter(|&b| used[b]) {
+        let mut taken = vec![false; nb];
+        for (other, row) in interferes[b].iter().enumerate() {
+            if *row {
                 if let Some(c) = color[other] {
                     taken[c] = true;
                 }
@@ -330,48 +346,11 @@ pub fn allocate_barriers(
         color[b] = Some(c);
         next_free = next_free.max(c + 1);
     }
-    // Unpopulated barriers get fresh colors after the used ones.
-    for c in color.iter_mut() {
-        if c.is_none() {
-            *c = Some(next_free);
-            next_free += 1;
-        }
+    for c in color.iter_mut().filter(|c| c.is_none()) {
+        *c = Some(next_free);
+        next_free += 1;
     }
-
-    let after = next_free;
-    if let Some(max) = limit {
-        if after > max {
-            return Err(PassError::Module(format!(
-                "@{}: needs {after} barrier registers, hardware provides {max}",
-                func.name
-            )));
-        }
-    }
-
-    // Rewrite.
-    let mapping: Vec<BarrierId> =
-        color.iter().map(|c| BarrierId::new(c.expect("colored"))).collect();
-    for (_, block) in func.blocks.iter_mut() {
-        for inst in &mut block.insts {
-            if let Inst::Barrier(op) = inst {
-                *op = match *op {
-                    BarrierOp::Join(b) => BarrierOp::Join(mapping[b.index()]),
-                    BarrierOp::Wait(b) => BarrierOp::Wait(mapping[b.index()]),
-                    BarrierOp::Cancel(b) => BarrierOp::Cancel(mapping[b.index()]),
-                    BarrierOp::Rejoin(b) => BarrierOp::Rejoin(mapping[b.index()]),
-                    BarrierOp::Copy { dst, src } => {
-                        BarrierOp::Copy { dst: mapping[dst.index()], src: mapping[src.index()] }
-                    }
-                    BarrierOp::ArrivedCount { dst, bar } => {
-                        BarrierOp::ArrivedCount { dst, bar: mapping[bar.index()] }
-                    }
-                };
-            }
-        }
-    }
-    func.num_barriers = after;
-
-    Ok(BarrierAllocReport { before: nb, after, mapping })
+    (color.into_iter().map(|c| BarrierId::new(c.expect("colored"))).collect(), next_free)
 }
 
 /// Rewrites one function's barrier operands through a mapping.
@@ -417,6 +396,17 @@ pub fn allocate_barriers_module(
     module: &mut Module,
     limit: Option<usize>,
 ) -> Result<BarrierAllocReport, PassError> {
+    let views = &mut vec![FunctionAnalyses::default(); module.functions.len()];
+    allocate_module(module, views, limit)
+}
+
+/// [`allocate_barriers_module`], reading the caller's analyses (indexed
+/// like `module.functions`).
+pub(crate) fn allocate_module(
+    module: &mut Module,
+    views: &mut [FunctionAnalyses],
+    limit: Option<usize>,
+) -> Result<BarrierAllocReport, PassError> {
     let nb = module.functions.iter().map(|(_, f)| f.num_barriers).max().unwrap_or(0);
     if nb == 0 {
         return Ok(BarrierAllocReport { before: 0, after: 0, mapping: Vec::new() });
@@ -426,27 +416,17 @@ pub fn allocate_barriers_module(
     let mut used = vec![false; nb];
     let mut device_touched: Vec<usize> = Vec::new();
 
-    for (_, func) in module.functions.iter() {
+    for (fid, func) in module.functions.iter() {
         if func.num_barriers == 0 {
             continue;
         }
-        mark_interference(func, nb, &mut interferes);
-        for (_, block) in func.blocks.iter() {
-            for inst in &block.insts {
-                if let Inst::Barrier(op) = inst {
-                    match op {
-                        BarrierOp::Join(b) | BarrierOp::Rejoin(b) => used[b.index()] = true,
-                        BarrierOp::Copy { dst, .. } => used[dst.index()] = true,
-                        _ => {}
-                    }
-                    if func.kind == FuncKind::Device {
-                        if let Some(b) = op.barrier() {
-                            device_touched.push(b.index());
-                        }
-                        if let BarrierOp::Copy { dst, src } = op {
-                            device_touched.push(dst.index());
-                            device_touched.push(src.index());
-                        }
+        mark_interference(func, &mut views[fid.index()], nb, &mut interferes);
+        mark_used(func, &mut used);
+        if func.kind == FuncKind::Device {
+            for (_, block) in func.blocks.iter() {
+                for inst in &block.insts {
+                    if let Inst::Barrier(op) = *inst {
+                        device_touched.extend(registers(op).map(BarrierId::index));
                     }
                 }
             }
@@ -465,32 +445,7 @@ pub fn allocate_barriers_module(
         used[d] = true;
     }
 
-    // Greedy coloring (same scheme as the per-function path).
-    let mut color: Vec<Option<usize>> = vec![None; nb];
-    let mut next_free = 0usize;
-    for b in 0..nb {
-        if !used[b] {
-            continue;
-        }
-        let mut taken = vec![false; nb];
-        for (other, row) in interferes[b].iter().enumerate() {
-            if *row {
-                if let Some(c) = color[other] {
-                    taken[c] = true;
-                }
-            }
-        }
-        let c = (0..nb).find(|&c| !taken[c]).expect("nb colors always suffice");
-        color[b] = Some(c);
-        next_free = next_free.max(c + 1);
-    }
-    for c in color.iter_mut() {
-        if c.is_none() {
-            *c = Some(next_free);
-            next_free += 1;
-        }
-    }
-    let after = next_free;
+    let (mapping, after) = color(&interferes, &used);
     if let Some(max) = limit {
         if after > max {
             return Err(PassError::Module(format!(
@@ -498,13 +453,9 @@ pub fn allocate_barriers_module(
             )));
         }
     }
-
-    let mapping: Vec<BarrierId> =
-        color.iter().map(|c| BarrierId::new(c.expect("colored"))).collect();
     for (_, func) in module.functions.iter_mut() {
         rewrite_function(func, &mapping, after);
     }
-
     Ok(BarrierAllocReport { before: nb, after, mapping })
 }
 
@@ -541,7 +492,7 @@ bb3:
     fn disjoint_regions_share_registers() {
         let m = parse_module(DISJOINT).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let report = allocate_barriers(&mut f, None).unwrap();
+        let report = allocate_barriers(&mut f, &mut FunctionAnalyses::default(), None).unwrap();
         assert_eq!(report.before, 4);
         assert_eq!(report.after, 2, "two live at a time");
         assert_eq!(f.num_barriers, 2);
@@ -562,7 +513,7 @@ bb3:
              bb2:\n  wait b0\n  exit\n}\n";
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let report = allocate_barriers(&mut f, None).unwrap();
+        let report = allocate_barriers(&mut f, &mut FunctionAnalyses::default(), None).unwrap();
         assert_eq!(report.after, 2, "nested live ranges cannot share");
     }
 
@@ -574,7 +525,7 @@ bb3:
              bb2:\n  wait b0\n  exit\n}\n";
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let err = allocate_barriers(&mut f, Some(1)).unwrap_err();
+        let err = allocate_barriers(&mut f, &mut FunctionAnalyses::default(), Some(1)).unwrap_err();
         assert!(matches!(err, PassError::Module(msg) if msg.contains("hardware provides 1")));
     }
 
@@ -610,7 +561,12 @@ bb4:
         let compiled = compile(&m, &CompileOptions::speculative()).unwrap();
         let mut allocated = compiled.module.clone();
         let kernel = allocated.function_by_name("k").unwrap();
-        let report = allocate_barriers(&mut allocated.functions[kernel], Some(16)).unwrap();
+        let report = allocate_barriers(
+            &mut allocated.functions[kernel],
+            &mut FunctionAnalyses::default(),
+            Some(16),
+        )
+        .unwrap();
         assert!(report.after <= report.before);
         simt_ir::assert_verified(&allocated);
 
@@ -631,7 +587,7 @@ bb4:
              bb0:\n  join b0\n  wait b0\n  cancel b1\n  exit\n}\n";
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let report = allocate_barriers(&mut f, None).unwrap();
+        let report = allocate_barriers(&mut f, &mut FunctionAnalyses::default(), None).unwrap();
         assert_eq!(report.after, 2);
     }
 }

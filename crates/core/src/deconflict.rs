@@ -14,7 +14,7 @@
 //!   wait on the speculative barrier, eliminating the conflict only when
 //!   the speculative point actually executes.
 
-use simt_analysis::find_conflicts;
+use simt_analysis::{find_conflicts_with, BarrierConflict, Cfg, FunctionAnalyses};
 use simt_ir::{BarrierId, BarrierOp, FuncId, FuncRef, Function, Inst};
 
 /// Deconfliction strategy (§4.3).
@@ -44,11 +44,27 @@ pub struct DeconflictReport {
 /// respective passes; barriers in neither list are ignored.
 pub fn deconflict(
     func: &mut Function,
+    fa: &mut FunctionAnalyses,
     speculative: &[BarrierId],
     pdom: &[BarrierId],
     mode: DeconflictMode,
 ) -> DeconflictReport {
-    deconflict_with_calls(func, speculative, pdom, &[], mode)
+    deconflict_with_calls(func, fa, speculative, pdom, &[], mode)
+}
+
+/// The §4.3 conflicts of `func`, seen through the [`call_wait_view`] when
+/// it has §4.4 predictions. The view rewrites instructions only, so it
+/// reads `func`'s analyses.
+pub(crate) fn conflicts(
+    func: &Function,
+    fa: &mut FunctionAnalyses,
+    interproc: &[(FuncId, BarrierId)],
+) -> Vec<BarrierConflict> {
+    if interproc.is_empty() {
+        find_conflicts_with(func, fa)
+    } else {
+        find_conflicts_with(&call_wait_view(func, fa.of(func), interproc), fa)
+    }
 }
 
 /// An interprocedural (§4.4) barrier waits at the *callee's entry*, so
@@ -57,13 +73,15 @@ pub fn deconflict(
 /// `func` with every call to a predicted callee replaced by an explicit
 /// wait on that prediction's barrier — from the caller's perspective,
 /// the call *is* where the thread may block.
-pub(crate) fn call_wait_view(func: &Function, interproc: &[(FuncId, BarrierId)]) -> Function {
+fn call_wait_view(func: &Function, cfg: &Cfg, interproc: &[(FuncId, BarrierId)]) -> Function {
     // When the §4.4 pass armed the callee-entry Rejoin (some call site
     // calls again), each call is a wait *followed by a rejoin* from the
     // caller's perspective — the membership stays live across loop back
     // edges, and the conflict analysis must see that.
-    let rejoining: Vec<bool> =
-        interproc.iter().map(|&(callee, _)| crate::interproc::calls_again(func, callee)).collect();
+    let rejoining: Vec<bool> = interproc
+        .iter()
+        .map(|&(callee, _)| crate::interproc::calls_again(func, cfg, callee))
+        .collect();
     let mut view = func.clone();
     for (_, block) in view.blocks.iter_mut() {
         let insts = std::mem::take(&mut block.insts);
@@ -92,18 +110,14 @@ pub(crate) fn call_wait_view(func: &Function, interproc: &[(FuncId, BarrierId)])
 /// PDOM barrier before it can block inside the callee.
 pub fn deconflict_with_calls(
     func: &mut Function,
+    fa: &mut FunctionAnalyses,
     speculative: &[BarrierId],
     pdom: &[BarrierId],
     interproc: &[(FuncId, BarrierId)],
     mode: DeconflictMode,
 ) -> DeconflictReport {
     let mut report = DeconflictReport::default();
-    let conflicts = if interproc.is_empty() {
-        find_conflicts(func)
-    } else {
-        find_conflicts(&call_wait_view(func, interproc))
-    };
-    for c in conflicts {
+    for c in conflicts(func, fa, interproc) {
         let pair = if speculative.contains(&c.a) && pdom.contains(&c.b) {
             Some((c.a, c.b))
         } else if speculative.contains(&c.b) && pdom.contains(&c.a) {
@@ -116,9 +130,12 @@ pub fn deconflict_with_calls(
                 match mode {
                     DeconflictMode::Static => remove_barrier_ops(func, p),
                     DeconflictMode::Dynamic => {
-                        cancel_before_waits(func, s, p);
+                        cancel_before(func, p, |i| *i == Inst::Barrier(BarrierOp::Wait(s)));
                         if let Some(&(callee, _)) = interproc.iter().find(|(_, b)| *b == s) {
-                            cancel_before_calls(func, callee, p);
+                            cancel_before(func, p, |i| match i {
+                                Inst::Call { func: FuncRef::Id(id), .. } => *id == callee,
+                                _ => false,
+                            });
                         }
                     }
                 }
@@ -140,34 +157,16 @@ fn remove_barrier_ops(func: &mut Function, b: BarrierId) {
     }
 }
 
-/// Inserts `Cancel(p)` immediately before every call to `callee` — the
-/// interprocedural analogue of [`cancel_before_waits`]: the thread may
-/// block at the callee-entry wait, so it must leave the losing PDOM
-/// barrier before calling.
-fn cancel_before_calls(func: &mut Function, callee: FuncId, p: BarrierId) {
+/// Inserts `Cancel(p)` immediately before every instruction `at` picks,
+/// unless one is already there: before each `Wait(s)` (dynamic
+/// deconfliction, Figure 5(c)), or before each call to a §4.4 callee,
+/// whose entry wait may block the thread, so it must leave the losing
+/// PDOM barrier before calling.
+fn cancel_before(func: &mut Function, p: BarrierId, at: impl Fn(&Inst) -> bool) {
     for (_, block) in func.blocks.iter_mut() {
         let mut i = 0;
         while i < block.insts.len() {
-            if matches!(&block.insts[i], Inst::Call { func: FuncRef::Id(id), .. } if *id == callee)
-            {
-                let already = i > 0 && block.insts[i - 1] == Inst::Barrier(BarrierOp::Cancel(p));
-                if !already {
-                    block.insts.insert(i, Inst::Barrier(BarrierOp::Cancel(p)));
-                    i += 1;
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Inserts `Cancel(p)` immediately before every `Wait(s)` (dynamic
-/// deconfliction, Figure 5(c)).
-fn cancel_before_waits(func: &mut Function, s: BarrierId, p: BarrierId) {
-    for (_, block) in func.blocks.iter_mut() {
-        let mut i = 0;
-        while i < block.insts.len() {
-            if block.insts[i] == Inst::Barrier(BarrierOp::Wait(s)) {
+            if at(&block.insts[i]) {
                 let already = i > 0 && block.insts[i - 1] == Inst::Barrier(BarrierOp::Cancel(p));
                 if !already {
                     block.insts.insert(i, Inst::Barrier(BarrierOp::Cancel(p)));
@@ -213,10 +212,11 @@ bb4:
 "#;
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let pdom_report = insert_pdom_sync(&mut f);
-        let spec_report = apply_speculative(&mut f, 32).unwrap();
+        let fa = &mut FunctionAnalyses::default();
+        let pdom_report = insert_pdom_sync(&mut f, fa);
+        let spec_report = apply_speculative(&mut f, fa, 32).unwrap();
         let pdom_bars: Vec<BarrierId> = pdom_report.inserted.iter().map(|(_, _, b)| *b).collect();
-        let report = deconflict(&mut f, &spec_report.barriers(), &pdom_bars, mode);
+        let report = deconflict(&mut f, fa, &spec_report.barriers(), &pdom_bars, mode);
         (f, report)
     }
 
@@ -286,9 +286,10 @@ bb4:
              bb3:\n  exit\n}\n";
         let m = parse_module(src).unwrap();
         let mut f = m.functions.iter().next().unwrap().1.clone();
-        let pdom_report = insert_pdom_sync(&mut f);
+        let fa = &mut FunctionAnalyses::default();
+        let pdom_report = insert_pdom_sync(&mut f, fa);
         let pdom_bars: Vec<BarrierId> = pdom_report.inserted.iter().map(|(_, _, b)| *b).collect();
-        let report = deconflict(&mut f, &[], &pdom_bars, DeconflictMode::Dynamic);
+        let report = deconflict(&mut f, fa, &[], &pdom_bars, DeconflictMode::Dynamic);
         assert!(report.resolved.is_empty());
         assert!(report.unhandled.is_empty());
     }

@@ -19,7 +19,7 @@
 
 use crate::error::PassError;
 use crate::region::compute_region;
-use simt_analysis::{BitSet, DomTree};
+use simt_analysis::{BitSet, Cfg, FunctionAnalyses};
 use simt_ir::{
     BarrierId, BarrierOp, BlockId, FuncId, FuncKind, FuncRef, Function, Inst, Module,
     PredictTarget, Terminator,
@@ -41,7 +41,8 @@ pub struct InterprocReport {
     pub cancels: Vec<BlockId>,
 }
 
-/// Applies every function-target prediction in `caller_id`'s function.
+/// Applies every function-target prediction in `caller_id`'s function;
+/// `fa` holds the caller's analyses.
 ///
 /// # Errors
 ///
@@ -50,6 +51,7 @@ pub struct InterprocReport {
 pub fn apply_interprocedural(
     module: &mut Module,
     caller_id: FuncId,
+    fa: &mut FunctionAnalyses,
 ) -> Result<Vec<InterprocReport>, PassError> {
     let mut reports = Vec::new();
     let predictions = module.functions[caller_id].predictions.clone();
@@ -63,7 +65,7 @@ pub fn apply_interprocedural(
             }
             PredictTarget::Label(_) => continue,
         };
-        reports.push(apply_one(module, caller_id, callee, p.region_start)?);
+        reports.push(apply_one(module, caller_id, fa, callee, p.region_start)?);
     }
     Ok(reports)
 }
@@ -71,6 +73,7 @@ pub fn apply_interprocedural(
 fn apply_one(
     module: &mut Module,
     caller_id: FuncId,
+    fa: &mut FunctionAnalyses,
     callee: FuncId,
     region_start: BlockId,
 ) -> Result<InterprocReport, PassError> {
@@ -82,19 +85,9 @@ fn apply_one(
     }
 
     // Call sites in the caller.
-    let call_blocks: Vec<BlockId> = {
-        let caller = &module.functions[caller_id];
-        caller
-            .blocks
-            .iter()
-            .filter(|(_, b)| {
-                b.insts
-                    .iter()
-                    .any(|i| matches!(i, Inst::Call { func: FuncRef::Id(id), .. } if *id == callee))
-            })
-            .map(|(id, _)| id)
-            .collect()
-    };
+    let caller = &module.functions[caller_id];
+    let call_blocks: Vec<BlockId> =
+        caller.blocks.ids().filter(|&b| block_calls(caller, b, callee) > 0).collect();
     if call_blocks.is_empty() {
         return Err(PassError::BadPrediction(format!(
             "@{} never calls predicted function @{}",
@@ -102,9 +95,7 @@ fn apply_one(
         )));
     }
 
-    let caller = &module.functions[caller_id];
-    let pdt = DomTree::post_dominators(caller);
-    let region = compute_region(caller, &pdt, region_start, &call_blocks);
+    let region = compute_region(&module.functions[caller_id], fa, region_start, &call_blocks);
     if call_blocks.iter().all(|c| !region.blocks.contains(c.index())) {
         return Err(PassError::BadPrediction(format!(
             "no call to @{} is reachable from the region start {region_start}",
@@ -137,7 +128,7 @@ fn apply_one(
     // "Call to callee lies ahead" — block-level backward reachability used
     // for both Rejoin (will some site call again?) and Cancel (no call
     // ahead at a region-escape target).
-    let call_ahead_in = call_ahead_map(caller, callee);
+    let call_ahead_in = call_ahead_map(caller, fa.of(caller), callee);
 
     // Rejoin when some call site will call again (loops over the call
     // site). The rejoin must sit in the *callee*, immediately after the
@@ -150,7 +141,7 @@ fn apply_one(
     // Lanes whose current call was their last leave through a region
     // escape, where the Cancel below withdraws them.
     let mut rejoins = Vec::new();
-    if calls_again(caller, callee) {
+    if calls_again(caller, fa.of(caller), callee) {
         let callee_func = &mut module.functions[callee];
         callee_func.blocks[callee_func.entry]
             .insts
@@ -173,21 +164,20 @@ fn apply_one(
 
 /// Per-block "a call to `callee` lies at or after this block's entry" —
 /// block-level backward reachability over the caller's CFG.
-pub(crate) fn call_ahead_map(caller: &Function, callee: FuncId) -> BitSet {
-    let preds = caller.predecessors();
+pub(crate) fn call_ahead_map(caller: &Function, cfg: &Cfg, callee: FuncId) -> BitSet {
     let sites = caller.blocks.ids().filter(|&b| block_calls(caller, b, callee) > 0);
-    BitSet::reach(caller.blocks.len(), sites, |b| preds[b].iter().copied(), |_| true)
+    BitSet::reach(caller.blocks.len(), sites, |b| cfg.preds(b).iter().copied(), |_| true)
 }
 
 /// Whether any call site in `caller` can reach another call to `callee`
 /// — the condition under which the §4.4 pass arms the callee-entry
 /// `Rejoin`. Shared with the call-wait view so per-function analyses
 /// model the same membership lifetime the pass emitted.
-pub(crate) fn calls_again(caller: &Function, callee: FuncId) -> bool {
-    let ahead = call_ahead_map(caller, callee);
+pub(crate) fn calls_again(caller: &Function, cfg: &Cfg, callee: FuncId) -> bool {
+    let ahead = call_ahead_map(caller, cfg, callee);
     caller.blocks.ids().any(|b| {
         let sites = block_calls(caller, b, callee);
-        sites > 1 || (sites > 0 && caller.successors(b).iter().any(|s| ahead.contains(s.index())))
+        sites > 1 || (sites > 0 && cfg.succs(b).iter().any(|s| ahead.contains(s.index())))
     })
 }
 
@@ -289,7 +279,8 @@ bb1 (roi):
     fn fig2c_reconverges_inside_function_body() {
         let mut m = fig2c();
         let caller = m.function_by_name("main").unwrap();
-        let reports = apply_interprocedural(&mut m, caller).unwrap();
+        let reports =
+            apply_interprocedural(&mut m, caller, &mut FunctionAnalyses::default()).unwrap();
         assert_eq!(reports.len(), 1);
         let rep = &reports[0];
         assert_eq!(rep.call_blocks.len(), 2);
@@ -347,7 +338,8 @@ bb0:
         )
         .unwrap();
         let caller = m.function_by_name("main").unwrap();
-        let reports = apply_interprocedural(&mut m, caller).unwrap();
+        let reports =
+            apply_interprocedural(&mut m, caller, &mut FunctionAnalyses::default()).unwrap();
         assert_eq!(reports[0].rejoins.len(), 1, "loop call must rejoin");
         assert_eq!(reports[0].cancels.len(), 1, "loop exit must cancel");
         // The rejoin sits in the callee, right after the entry wait —
@@ -379,7 +371,8 @@ bb0:
         )
         .unwrap();
         let caller = m.function_by_name("main").unwrap();
-        let err = apply_interprocedural(&mut m, caller).unwrap_err();
+        let err =
+            apply_interprocedural(&mut m, caller, &mut FunctionAnalyses::default()).unwrap_err();
         assert!(matches!(err, PassError::BadPrediction(msg) if msg.contains("never calls")));
     }
 

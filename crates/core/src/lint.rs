@@ -41,7 +41,9 @@
 //! `specrecon lint` CLI subcommand.
 
 use crate::pipeline::Compiled;
-use simt_analysis::{find_conflicts, solve, BitSet, DataflowProblem, Direction};
+use simt_analysis::{
+    find_conflicts_with, solve, BitSet, DataflowProblem, Direction, FunctionAnalyses,
+};
 use simt_ir::{BarrierId, BarrierOp, BlockId, FuncId, FuncKind, FuncRef, Function, Inst, Module};
 use std::fmt;
 
@@ -307,32 +309,31 @@ fn lint_with_spec(
 ) -> Vec<LintFinding> {
     let sums = compute_summaries(module);
     let nf = module.functions.len();
+    let mut views = vec![FunctionAnalyses::default(); nf];
 
     // Entry boundaries per function and plane. Kernels (and device
     // functions without call sites, linted standalone) start with nothing
     // joined; called device functions accumulate the union of their call
     // sites' states below.
     let mut has_call_site = vec![false; nf];
-    for (_, func) in module.functions.iter() {
-        for (_, block) in func.blocks.iter() {
-            for inst in &block.insts {
-                if let Some(callee) = call_target(inst) {
-                    has_call_site[callee.index()] = true;
-                }
-            }
+    let blocks = module.functions.iter().flat_map(|(_, f)| f.blocks.iter());
+    for callee in blocks.flat_map(|(_, b)| &b.insts).filter_map(call_target) {
+        has_call_site[callee.index()] = true;
+    }
+    // `entries[p][f]`: function `f`'s entry boundary in plane `planes[p]`.
+    let planes = [Plane::MayEstablished, Plane::MayUnjoined];
+    let mut entries = [vec![BitSet::new(sums.domain); nf], vec![BitSet::new(sums.domain); nf]];
+    for (fid, func) in module.functions.iter() {
+        if func.kind == FuncKind::Kernel || !has_call_site[fid.index()] {
+            entries[1][fid.index()] = BitSet::full(sums.domain);
         }
     }
-    let mut entry_est: Vec<BitSet> = Vec::with_capacity(nf);
-    let mut entry_unj: Vec<BitSet> = Vec::with_capacity(nf);
-    for (fid, func) in module.functions.iter() {
-        let standalone = func.kind == FuncKind::Kernel || !has_call_site[fid.index()];
-        entry_est.push(BitSet::new(sums.domain));
-        entry_unj.push(if standalone {
-            BitSet::full(sums.domain)
-        } else {
-            BitSet::new(sums.domain)
-        });
-    }
+    let flow = |fid: FuncId, func, p: usize, entries: &[Vec<BitSet>; 2]| FlowProblem {
+        func,
+        sums: &sums,
+        boundary: entries[p][fid.index()].clone(),
+        plane: planes[p],
+    };
 
     // Call-graph fixpoint: push the state just before each call into the
     // callee's entry boundary. Union-only, so it terminates (recursion
@@ -341,12 +342,8 @@ fn lint_with_spec(
     while changed {
         changed = false;
         for (fid, func) in module.functions.iter() {
-            for plane in [Plane::MayEstablished, Plane::MayUnjoined] {
-                let boundary = match plane {
-                    Plane::MayEstablished => entry_est[fid.index()].clone(),
-                    Plane::MayUnjoined => entry_unj[fid.index()].clone(),
-                };
-                let result = solve(func, &FlowProblem { func, sums: &sums, boundary, plane });
+            for p in 0..planes.len() {
+                let result = solve(func, &mut views[fid.index()], &flow(fid, func, p, &entries));
                 for (bid, block) in func.blocks.iter() {
                     if !result.reachable.contains(bid.index()) {
                         continue;
@@ -354,13 +351,9 @@ fn lint_with_spec(
                     let mut state = result.entry[bid].clone();
                     for inst in &block.insts {
                         if let Some(callee) = call_target(inst) {
-                            let dst = match plane {
-                                Plane::MayEstablished => &mut entry_est[callee.index()],
-                                Plane::MayUnjoined => &mut entry_unj[callee.index()],
-                            };
-                            changed |= dst.union_with(&state);
+                            changed |= entries[p][callee.index()].union_with(&state);
                         }
-                        step(plane, &sums, inst, &mut state);
+                        step(planes[p], &sums, inst, &mut state);
                     }
                 }
             }
@@ -371,24 +364,9 @@ fn lint_with_spec(
     // and check every barrier instruction.
     let mut findings = Vec::new();
     for (fid, func) in module.functions.iter() {
-        let est = solve(
-            func,
-            &FlowProblem {
-                func,
-                sums: &sums,
-                boundary: entry_est[fid.index()].clone(),
-                plane: Plane::MayEstablished,
-            },
-        );
-        let unj = solve(
-            func,
-            &FlowProblem {
-                func,
-                sums: &sums,
-                boundary: entry_unj[fid.index()].clone(),
-                plane: Plane::MayUnjoined,
-            },
-        );
+        let fa = &mut views[fid.index()];
+        let est = solve(func, fa, &flow(fid, func, 0, &entries));
+        let unj = solve(func, fa, &flow(fid, func, 1, &entries));
         for (bid, block) in func.blocks.iter() {
             if !est.reachable.contains(bid.index()) {
                 continue;
@@ -449,7 +427,7 @@ fn lint_with_spec(
                 step(Plane::MayUnjoined, &sums, inst, &mut s_unj);
             }
         }
-        for c in find_conflicts(func) {
+        for c in find_conflicts_with(func, fa) {
             findings.push(LintFinding {
                 severity: conflict_severity(fid, c.a, c.b),
                 rule: LintRule::UnresolvedConflict,

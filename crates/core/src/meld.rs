@@ -36,7 +36,7 @@
 //! convergence-sensitive instruction inside a `meld_*`-labelled block is
 //! an error ([`crate::lint::LintRule::ConvergenceOpInMeld`]).
 
-use simt_analysis::{find_diamonds, Diamond};
+use simt_analysis::{find_diamonds, find_diamonds_with, Diamond, FunctionAnalyses};
 use simt_ir::{BlockId, FuncId, Function, Inst, Operand, Reg, Terminator};
 use simt_sim::{LatencyModel, Profile};
 
@@ -394,12 +394,13 @@ fn apply_one(func: &mut Function, cand: &MeldCandidate) -> MeldedRegion {
     }
 }
 
+/// Applies the candidates scoring `min_score` or more; the other `diamonds` are rejected.
 fn apply_filtered(
     func: &mut Function,
     opts: &MeldOptions,
     mut cands: Vec<MeldCandidate>,
+    diamonds: usize,
 ) -> MeldReport {
-    let total = find_diamonds(func).len();
     cands.retain(|c| c.score >= opts.min_score);
     // Candidates of distinct diamonds touch disjoint blocks, so they all
     // apply independently, in deterministic (branch-id) order.
@@ -407,15 +408,20 @@ fn apply_filtered(
     for c in &cands {
         report.melded.push(apply_one(func, c));
     }
-    report.rejected = total - report.melded.len();
+    report.rejected = diamonds - report.melded.len();
     report
 }
 
 /// Detects and applies every profitable meld in `func` using the static
 /// cost model. Returns what was done.
-pub fn apply_melds(func: &mut Function, opts: &MeldOptions) -> MeldReport {
-    let cands = detect_melds(func, opts);
-    apply_filtered(func, opts, cands)
+pub fn apply_melds(
+    func: &mut Function,
+    fa: &mut FunctionAnalyses,
+    opts: &MeldOptions,
+) -> MeldReport {
+    let diamonds = find_diamonds_with(func, fa);
+    let cands = diamonds.iter().filter_map(|&d| best_window(func, d, opts)).collect();
+    apply_filtered(func, opts, cands, diamonds.len())
 }
 
 /// Profile-guided [`apply_melds`]: rescales each candidate's score with
@@ -438,8 +444,10 @@ pub fn apply_melds_profiled(
             .find(|((f, blk), _)| *f == func_id && *blk == b)
             .map_or(0, |(_, s)| s.lost_lane_cycles(warp_width))
     };
-    let cands: Vec<MeldCandidate> = detect_melds(func, opts)
-        .into_iter()
+    let diamonds = find_diamonds(func);
+    let cands: Vec<MeldCandidate> = diamonds
+        .iter()
+        .filter_map(|&d| best_window(func, d, opts))
         .filter_map(|mut c| {
             let d = c.diamond;
             if lost(d.then_arm) + lost(d.else_arm) == 0 {
@@ -453,7 +461,7 @@ pub fn apply_melds_profiled(
             Some(c)
         })
         .collect();
-    apply_filtered(func, opts, cands)
+    apply_filtered(func, opts, cands, diamonds.len())
 }
 
 #[cfg(test)]
@@ -550,7 +558,11 @@ bb5:
         let m = kernel(DIAMOND_LOOP);
         let mut melded = m.clone();
         let id = melded.function_by_name("k").unwrap();
-        let report = apply_melds(&mut melded.functions[id], &MeldOptions::default());
+        let report = apply_melds(
+            &mut melded.functions[id],
+            &mut FunctionAnalyses::default(),
+            &MeldOptions::default(),
+        );
         let region = &report.melded[0];
         let f = &melded.functions[id];
         assert_eq!(f.blocks[region.meld_block].label.as_deref(), Some("meld_0"));
@@ -613,7 +625,11 @@ bb3:
         let id = melded.function_by_name("k").unwrap();
         // Two cheap ALU pairs needing 2 operand sels + 2 writebacks each:
         // the guards cost more than the de-duplication saves.
-        let report = apply_melds(&mut melded.functions[id], &MeldOptions::default());
+        let report = apply_melds(
+            &mut melded.functions[id],
+            &mut FunctionAnalyses::default(),
+            &MeldOptions::default(),
+        );
         assert!(report.melded.is_empty());
         assert_eq!(report.rejected, 1);
     }
@@ -652,7 +668,11 @@ bb3:
         let profile = out.profile.unwrap();
 
         let mut statically = m.clone();
-        let s = apply_melds(&mut statically.functions[id], &MeldOptions::default());
+        let s = apply_melds(
+            &mut statically.functions[id],
+            &mut FunctionAnalyses::default(),
+            &MeldOptions::default(),
+        );
         assert_eq!(s.melded.len(), 1, "static model melds the shared tail");
 
         let mut profiled = m.clone();
@@ -698,7 +718,11 @@ bb3:
         let m = kernel(src);
         let mut melded = m.clone();
         let id = melded.function_by_name("k").unwrap();
-        let report = apply_melds(&mut melded.functions[id], &MeldOptions::default());
+        let report = apply_melds(
+            &mut melded.functions[id],
+            &mut FunctionAnalyses::default(),
+            &MeldOptions::default(),
+        );
         assert_eq!(report.melded.len(), 1);
         assert!(report.melded[0].guards >= 2, "differing dsts need writebacks");
         verify_module(&melded).unwrap();

@@ -9,7 +9,7 @@
 //! the exit until every straggler has finished iterating (threads re-join
 //! the barrier each time they pass the branch).
 
-use simt_analysis::DomTree;
+use simt_analysis::FunctionAnalyses;
 use simt_ir::{BarrierId, BarrierOp, BlockId, Function, Inst, Terminator};
 
 /// Barriers inserted by the PDOM pass for one function.
@@ -24,24 +24,24 @@ pub struct PdomReport {
 
 /// Runs PDOM reconvergence insertion on one function.
 ///
-/// Branches whose two targets are the same block and branches already
-/// followed by a `Join` in the same block (idempotence guard) are left
-/// alone.
-pub fn insert_pdom_sync(func: &mut Function) -> PdomReport {
+/// Every conditional branch whose two targets differ gets a fresh
+/// barrier, whatever its block already holds. The pass is not idempotent
+/// (a second run adds a second join/wait pair per branch), so the
+/// pipeline runs it once per function.
+pub fn insert_pdom_sync(func: &mut Function, fa: &mut FunctionAnalyses) -> PdomReport {
     let mut report = PdomReport::default();
-    let pdt = DomTree::post_dominators(func);
+    let cfg = fa.of(func);
 
     // Collect instrumentation sites first (RPO so outer branches get their
     // waits pushed before inner ones, keeping inner waits first at shared
     // post-dominators).
-    let rpo = func.reverse_post_order();
     let mut sites: Vec<(BlockId, BlockId)> = Vec::new();
-    for &b in &rpo {
+    for &b in cfg.rpo() {
         if let Terminator::Branch { then_bb, else_bb, .. } = func.blocks[b].term {
             if then_bb == else_bb {
                 continue;
             }
-            match pdt.idom(b) {
+            match cfg.post_dom().idom(b) {
                 Some(p) => sites.push((b, p)),
                 None => report.skipped.push(b),
             }
@@ -79,7 +79,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        let report = insert_pdom_sync(&mut f);
+        let report = insert_pdom_sync(&mut f, &mut FunctionAnalyses::default());
         assert_eq!(report.inserted.len(), 1);
         let (branch, pdom, bar) = report.inserted[0];
         assert_eq!(branch, BlockId(0));
@@ -87,6 +87,31 @@ mod tests {
         assert_eq!(f.blocks[branch].insts.last(), Some(&Inst::Barrier(BarrierOp::Join(bar))));
         assert_eq!(f.blocks[pdom].insts.first(), Some(&Inst::Barrier(BarrierOp::Wait(bar))));
         assert_eq!(f.num_barriers, 1);
+    }
+
+    #[test]
+    fn a_second_run_adds_a_second_pair_even_after_a_source_join() {
+        // bb0 already ends in a source-written join before its branch: the
+        // pass still instruments the branch, and running it again
+        // instruments it again.
+        let m = parse_module(
+            "kernel @k(params=0, regs=2, barriers=1, entry=bb0) {\n\
+             bb0:\n  %r0 = special.lane\n  %r1 = and %r0, 1\n  join b0\n  brdiv %r1, bb1, bb2\n\
+             bb1:\n  nop\n  jmp bb3\n\
+             bb2:\n  nop\n  jmp bb3\n\
+             bb3:\n  wait b0\n  exit\n}\n",
+        )
+        .unwrap();
+        let mut f = first_fn(&m);
+        let mut fa = FunctionAnalyses::default();
+        let first = insert_pdom_sync(&mut f, &mut fa);
+        assert_eq!(first.inserted, vec![(BlockId(0), BlockId(3), BarrierId(1))]);
+        let second = insert_pdom_sync(&mut f, &mut fa);
+        assert_eq!(second.inserted, vec![(BlockId(0), BlockId(3), BarrierId(2))]);
+        let join = |b| Inst::Barrier(BarrierOp::Join(BarrierId(b)));
+        let wait = |b| Inst::Barrier(BarrierOp::Wait(BarrierId(b)));
+        assert_eq!(f.blocks[BlockId(0)].insts[2..], [join(0), join(1), join(2)]);
+        assert_eq!(f.blocks[BlockId(3)].insts, [wait(2), wait(1), wait(0)]);
     }
 
     #[test]
@@ -99,7 +124,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        let report = insert_pdom_sync(&mut f);
+        let report = insert_pdom_sync(&mut f, &mut FunctionAnalyses::default());
         assert!(report.inserted.is_empty());
         assert_eq!(report.skipped, vec![BlockId(0)]);
     }
@@ -119,7 +144,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        insert_pdom_sync(&mut f);
+        insert_pdom_sync(&mut f, &mut FunctionAnalyses::default());
         let mut module = Module::new();
         module.add_function(f);
         simt_ir::assert_verified(&module);
@@ -140,7 +165,7 @@ mod tests {
         )
         .unwrap();
         let mut f = first_fn(&m);
-        insert_pdom_sync(&mut f);
+        insert_pdom_sync(&mut f, &mut FunctionAnalyses::default());
         let mut module = Module::new();
         module.add_function(f);
         let out = run(&module, &SimConfig::default(), &Launch::new("k", 4)).unwrap();

@@ -11,14 +11,14 @@
 //!   annotations, then proceed as speculative.
 
 use crate::autodetect::{auto_annotate, Candidate, DetectOptions};
-use crate::barrier_alloc::{allocate_barriers_module, BarrierAllocReport};
-use crate::deconflict::{deconflict_with_calls, DeconflictMode, DeconflictReport};
+use crate::barrier_alloc::{allocate_module, BarrierAllocReport};
+use crate::deconflict::{conflicts, deconflict_with_calls, DeconflictMode, DeconflictReport};
 use crate::error::PassError;
 use crate::interproc::{apply_interprocedural, InterprocReport};
 use crate::meld::{apply_melds, MeldOptions, MeldReport};
 use crate::pdom::{insert_pdom_sync, PdomReport};
 use crate::specrecon::{apply_speculative, SpecReport};
-use simt_analysis::find_conflicts;
+use simt_analysis::FunctionAnalyses;
 use simt_ir::{verify_module, BarrierId, FuncId, FuncKind, Module};
 
 /// Pipeline configuration.
@@ -136,16 +136,9 @@ impl RepairStrategy {
     ///
     /// Returns a message naming the accepted spellings.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "pdom" => Ok(RepairStrategy::Pdom),
-            "sr" => Ok(RepairStrategy::Sr),
-            "meld" => Ok(RepairStrategy::Meld),
-            "sr+meld" => Ok(RepairStrategy::SrMeld),
-            "auto" => Ok(RepairStrategy::Auto),
-            other => Err(format!(
-                "unknown repair strategy `{other}` (expected pdom | sr | meld | sr+meld | auto)"
-            )),
-        }
+        Self::ALL.into_iter().find(|r| r.spec() == s).ok_or_else(|| {
+            format!("unknown repair strategy `{s}` (expected pdom | sr | meld | sr+meld | auto)")
+        })
     }
 
     /// The canonical spec string ([`RepairStrategy::parse`] inverse).
@@ -221,13 +214,21 @@ pub struct Compiled {
 ///
 /// Returns a [`PassError`] on bad predictions, module problems,
 /// irreducible speculative-speculative conflicts, or IR verification
-/// failures (the output is always verified).
+/// failures (the output is always verified; debug builds verify after
+/// every pass and name the pass that broke it).
 pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassError> {
     let mut m = module.clone();
     m.resolve_calls().map_err(|n| PassError::Module(format!("call to undefined function @{n}")))?;
 
     let func_ids: Vec<FuncId> = m.functions.ids().collect();
     let mut reports: Vec<(FuncId, FunctionReport)> = Vec::new();
+    // One analysis view per function; it rebuilds when a pass edits the CFG.
+    let mut views = vec![FunctionAnalyses::default(); m.functions.len()];
+    let verify = |m: &Module, pass: &str| {
+        verify_module(m).map_err(|e| PassError::Verify(pass.to_string(), e))
+    };
+    let check =
+        |m: &Module, pass: &str| if cfg!(debug_assertions) { verify(m, pass) } else { Ok(()) };
 
     // Barrier registers are warp-global and shared across call frames, so
     // compiler-inserted barriers must be numbered module-globally: if a
@@ -242,6 +243,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
     let mut next_barrier = 0usize;
 
     for id in func_ids {
+        let fa = &mut views[id.index()];
         let mut report = FunctionReport::default();
         let orig_barriers = m.functions[id].num_barriers;
         let preseeded = orig_barriers.max(next_barrier);
@@ -252,7 +254,8 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
             // then reconverges at the melded block (the branch's ipdom)
             // and SR detection sees only the residual divergence.
             if m.functions[id].kind == FuncKind::Kernel {
-                report.meld = apply_melds(&mut m.functions[id], meld_opts);
+                report.meld = apply_melds(&mut m.functions[id], fa, meld_opts);
+                check(&m, "meld")?;
             }
         }
 
@@ -262,19 +265,23 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
             // region on a user region would create a speculative-vs-
             // speculative conflict §4.3 cannot arbitrate).
             if m.functions[id].kind == FuncKind::Kernel && m.functions[id].predictions.is_empty() {
-                report.auto_applied = auto_annotate(&mut m.functions[id], detect_opts);
+                report.auto_applied = auto_annotate(&mut m.functions[id], fa, detect_opts);
+                check(&m, "auto")?;
             }
         }
 
         if opts.pdom {
-            report.pdom = insert_pdom_sync(&mut m.functions[id]);
+            report.pdom = insert_pdom_sync(&mut m.functions[id], fa);
+            check(&m, "pdom")?;
         }
 
         let mut spec_barriers: Vec<BarrierId> = Vec::new();
         if opts.speculative {
-            report.speculative = apply_speculative(&mut m.functions[id], opts.warp_width)?;
+            report.speculative = apply_speculative(&mut m.functions[id], fa, opts.warp_width)?;
+            check(&m, "speculative")?;
             spec_barriers.extend(report.speculative.barriers());
-            report.interproc = apply_interprocedural(&mut m, id)?;
+            report.interproc = apply_interprocedural(&mut m, id, fa)?;
+            check(&m, "interproc")?;
             spec_barriers.extend(report.interproc.iter().map(|r| r.barrier));
         }
 
@@ -286,15 +293,9 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
             // barrier's wait (the call-wait view).
             let interproc_calls: Vec<(FuncId, BarrierId)> =
                 report.interproc.iter().map(|r| (r.callee, r.barrier)).collect();
-            let conflicts_in = |f: &simt_ir::Function| {
-                if interproc_calls.is_empty() {
-                    find_conflicts(f)
-                } else {
-                    find_conflicts(&crate::deconflict::call_wait_view(f, &interproc_calls))
-                }
-            };
             report.deconflict = deconflict_with_calls(
                 &mut m.functions[id],
+                fa,
                 &spec_barriers,
                 &pdom_barriers,
                 &interproc_calls,
@@ -309,7 +310,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
                     |b: &BarrierId| spec_barriers.iter().position(|x| x == b).unwrap_or(usize::MAX);
                 let soft_regs = report.speculative.soft_registers();
                 loop {
-                    let pair = conflicts_in(&m.functions[id])
+                    let pair = conflicts(&m.functions[id], fa, &interproc_calls)
                         .into_iter()
                         .find(|c| spec_barriers.contains(&c.a) && spec_barriers.contains(&c.b));
                     let Some(c) = pair else { break };
@@ -327,6 +328,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
                         if priority(&c.a) <= priority(&c.b) { (c.a, c.b) } else { (c.b, c.a) };
                     let r = deconflict_with_calls(
                         &mut m.functions[id],
+                        fa,
                         &[winner],
                         &[loser],
                         &interproc_calls,
@@ -342,7 +344,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
                     report.deconflict.resolved.extend(r.resolved);
                 }
             }
-            let spec_spec: Vec<String> = conflicts_in(&m.functions[id])
+            let spec_spec: Vec<String> = conflicts(&m.functions[id], fa, &interproc_calls)
                 .into_iter()
                 .filter(|c| spec_barriers.contains(&c.a) && spec_barriers.contains(&c.b))
                 .map(|c| format!("@{}: {} vs {}", m.functions[id].name, c.a, c.b))
@@ -350,6 +352,7 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
             if !spec_spec.is_empty() {
                 return Err(PassError::SpeculativeConflict(spec_spec.join(", ")));
             }
+            check(&m, "deconflict")?;
         }
 
         // If no pass allocated a barrier here, restore the original count
@@ -365,12 +368,14 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
     }
 
     let barrier_alloc = if opts.barrier_allocation {
-        Some(allocate_barriers_module(&mut m, opts.barrier_limit)?)
+        let report = allocate_module(&mut m, &mut views, opts.barrier_limit)?;
+        check(&m, "barrier-allocation")?;
+        Some(report)
     } else {
         None
     };
 
-    verify_module(&m).map_err(|e| PassError::Verify("pipeline".to_string(), e))?;
+    verify(&m, "pipeline")?;
 
     let compiled = Compiled { module: m, reports, barrier_alloc };
     if opts.lint {

@@ -7,7 +7,7 @@
 //! withdraw from the barrier; the region's exit convergence point is the
 //! first post-dominator of `R` outside the region.
 
-use simt_analysis::{BitSet, DomTree};
+use simt_analysis::{BitSet, FunctionAnalyses};
 use simt_ir::{BlockId, Function};
 
 /// The resolved prediction region of one prediction.
@@ -31,11 +31,9 @@ pub struct Region {
 
 /// Computes the prediction region for `start` and the given target
 /// blocks.
-///
-/// `post_dom` must be the post-dominator tree of `func`.
 pub fn compute_region(
     func: &Function,
-    post_dom: &DomTree,
+    fa: &mut FunctionAnalyses,
     start: BlockId,
     targets: &[BlockId],
 ) -> Region {
@@ -43,20 +41,19 @@ pub fn compute_region(
     // `start` is the intersection of the two reachabilities: the forward
     // set is closed under successors, so every path from one of its
     // blocks to a target stays inside it.
-    let n = func.blocks.len();
-    let ahead = BitSet::reach(n, [start], |b| func.successors(b), |_| true);
-    let preds = func.predecessors();
+    let (cfg, n) = (fa.of(func), func.blocks.len());
+    let ahead = BitSet::reach(n, [start], |b| cfg.succs(b).iter().copied(), |_| true);
     let blocks = BitSet::reach(
         n,
         targets.iter().copied(),
-        |b| preds[b].iter().copied(),
+        |b| cfg.preds(b).iter().copied(),
         |b| ahead.contains(b.index()),
     );
 
     let mut escape_edges = Vec::new();
     for idx in blocks.iter() {
         let b = BlockId::new(idx);
-        for s in func.successors(b) {
+        for &s in cfg.succs(b) {
             if !blocks.contains(s.index()) {
                 escape_edges.push((b, s));
             }
@@ -65,13 +62,13 @@ pub fn compute_region(
 
     // Walk the post-dominator chain of `start` until outside the region.
     let mut exit_convergence = None;
-    let mut cur = post_dom.idom(start);
+    let mut cur = cfg.post_dom().idom(start);
     while let Some(pd) = cur {
         if !blocks.contains(pd.index()) {
             exit_convergence = Some(pd);
             break;
         }
-        cur = post_dom.idom(pd);
+        cur = cfg.post_dom().idom(pd);
     }
 
     Region { start, targets: targets.to_vec(), blocks, escape_edges, exit_convergence }
@@ -113,8 +110,8 @@ bb4:
     #[test]
     fn region_covers_loop_but_not_exit() {
         let f = fig4();
-        let pdt = DomTree::post_dominators(&f);
-        let region = compute_region(&f, &pdt, BlockId(0), &[BlockId(2)]);
+        let region =
+            compute_region(&f, &mut FunctionAnalyses::default(), BlockId(0), &[BlockId(2)]);
         for b in 0..4 {
             assert!(region.blocks.contains(b), "bb{b} should be in region");
         }
@@ -126,9 +123,9 @@ bb4:
     #[test]
     fn region_of_unreachable_target_is_empty() {
         let f = fig4();
-        let pdt = DomTree::post_dominators(&f);
         // Start at the exit block: the expensive block is unreachable.
-        let region = compute_region(&f, &pdt, BlockId(4), &[BlockId(2)]);
+        let region =
+            compute_region(&f, &mut FunctionAnalyses::default(), BlockId(4), &[BlockId(2)]);
         assert!(region.blocks.is_empty());
         assert!(region.escape_edges.is_empty());
     }
@@ -157,8 +154,7 @@ bb4:
 "#;
         let m = parse_module(src).unwrap();
         let f = m.functions.iter().next().unwrap().1;
-        let pdt = DomTree::post_dominators(f);
-        let region = compute_region(f, &pdt, BlockId(0), &[BlockId(3)]);
+        let region = compute_region(f, &mut FunctionAnalyses::default(), BlockId(0), &[BlockId(3)]);
         assert!(region.blocks.contains(0));
         assert!(region.blocks.contains(1));
         assert!(region.blocks.contains(2));

@@ -27,7 +27,7 @@
 
 use crate::error::PassError;
 use crate::region::{compute_region, Region};
-use simt_analysis::{BarrierJoined, BarrierLiveness, DomTree};
+use simt_analysis::{BarrierJoined, BarrierLiveness, FunctionAnalyses};
 use simt_ir::{
     BarrierId, BarrierOp, BinOp, BlockId, Function, Inst, Operand, PredictTarget, Terminator, Value,
 };
@@ -114,7 +114,11 @@ impl SpecReport {
 ///
 /// Returns [`PassError::BadPrediction`] if a prediction's label does not
 /// exist or its reconvergence point is unreachable from the region start.
-pub fn apply_speculative(func: &mut Function, warp_width: u32) -> Result<SpecReport, PassError> {
+pub fn apply_speculative(
+    func: &mut Function,
+    fa: &mut FunctionAnalyses,
+    warp_width: u32,
+) -> Result<SpecReport, PassError> {
     let mut report = SpecReport::default();
     let predictions = func.predictions.clone();
     for p in &predictions {
@@ -125,7 +129,7 @@ pub fn apply_speculative(func: &mut Function, warp_width: u32) -> Result<SpecRep
         let target = func.block_by_label(&label).ok_or_else(|| {
             PassError::BadPrediction(format!("@{}: no block labelled `{label}`", func.name))
         })?;
-        let pr = apply_one(func, p.region_start, target, p.threshold, warp_width)
+        let pr = apply_one(func, fa, p.region_start, target, p.threshold, warp_width)
             .map_err(|m| PassError::BadPrediction(format!("@{}: {m}", func.name)))?;
         report.predictions.push(pr);
     }
@@ -134,13 +138,13 @@ pub fn apply_speculative(func: &mut Function, warp_width: u32) -> Result<SpecRep
 
 fn apply_one(
     func: &mut Function,
+    fa: &mut FunctionAnalyses,
     region_start: BlockId,
     target: BlockId,
     threshold: Option<u32>,
     warp_width: u32,
 ) -> Result<PredictionReport, String> {
-    let pdt = DomTree::post_dominators(func);
-    let region = compute_region(func, &pdt, region_start, &[target]);
+    let region = compute_region(func, fa, region_start, &[target]);
     if !region.blocks.contains(target.index()) {
         return Err(format!(
             "reconvergence point {target} is not reachable from region start {region_start}"
@@ -171,7 +175,7 @@ fn apply_one(
             func.blocks[target].insts.insert(0, Inst::Barrier(BarrierOp::Wait(b0)));
 
             // (3) Rejoin/Cancel placement from the two dataflow analyses.
-            let live = BarrierLiveness::analyze(func);
+            let live = BarrierLiveness::analyze(func, fa);
 
             // Rejoin right after each Wait(b0) whose barrier is live again
             // afterwards (the loop case, Figure 4(d)).
@@ -196,7 +200,7 @@ fn apply_one(
             // barrier again, so escape paths downstream of the wait still
             // need their cancel (Figure 4(d) has both BB3's Rejoin and
             // BB5's Cancel).
-            let joined = BarrierJoined::analyze(func);
+            let joined = BarrierJoined::analyze(func, fa);
             let mut cancel_targets: Vec<BlockId> = Vec::new();
             for &(from, to) in &region.escape_edges {
                 if joined.joined_out(from).contains(b0.index()) && !cancel_targets.contains(&to) {
@@ -370,7 +374,7 @@ bb4:
     #[test]
     fn listing1_placement_matches_figure_4d() {
         let mut f = listing1(None);
-        let report = apply_speculative(&mut f, 32).unwrap();
+        let report = apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap();
         assert_eq!(report.predictions.len(), 1);
         let p = &report.predictions[0];
         let b0 = p.main_barrier;
@@ -400,7 +404,7 @@ bb4:
     #[test]
     fn listing1_executes_expensive_block_convergently() {
         let mut f = listing1(None);
-        apply_speculative(&mut f, 32).unwrap();
+        apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap();
         let mut m = Module::new();
         m.add_function(f);
         simt_ir::assert_verified(&m);
@@ -417,7 +421,7 @@ bb4:
     #[test]
     fn find_wait_locates_the_speculative_wait() {
         let mut f = listing1(None);
-        let report = apply_speculative(&mut f, 32).unwrap();
+        let report = apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap();
         let b0 = report.predictions[0].main_barrier;
         let (block, idx) = find_wait(&f, b0).expect("wait exists");
         assert_eq!(block, BlockId(2));
@@ -429,7 +433,7 @@ bb4:
     fn bad_label_is_reported() {
         let mut f = listing1(None);
         f.predictions[0].target = PredictTarget::Label("nope".into());
-        let err = apply_speculative(&mut f, 32).unwrap_err();
+        let err = apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap_err();
         assert!(matches!(err, PassError::BadPrediction(m) if m.contains("nope")));
     }
 
@@ -438,14 +442,14 @@ bb4:
         // Region starts at the exit block: L1 unreachable from there.
         let mut f = listing1(None);
         f.predictions[0].region_start = BlockId(4);
-        let err = apply_speculative(&mut f, 32).unwrap_err();
+        let err = apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap_err();
         assert!(matches!(err, PassError::BadPrediction(m) if m.contains("not reachable")));
     }
 
     #[test]
     fn soft_barrier_structure_and_execution() {
         let mut f = listing1(Some(16));
-        let report = apply_speculative(&mut f, 32).unwrap();
+        let report = apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap();
         let p = &report.predictions[0];
         let soft = p.soft.expect("threshold lowers to a soft barrier");
         assert_ne!(soft.count, soft.temp);
@@ -474,7 +478,7 @@ bb4:
     fn soft_threshold_degenerate_values_fall_back_to_hard() {
         for t in [0u32, 1, 32, 100] {
             let mut f = listing1(Some(t));
-            let report = apply_speculative(&mut f, 32).unwrap();
+            let report = apply_speculative(&mut f, &mut FunctionAnalyses::default(), 32).unwrap();
             assert!(
                 report.predictions[0].soft.is_none(),
                 "threshold {t} should use the hard barrier"
@@ -517,7 +521,7 @@ bb4:
             f
         };
         let mut spec = m.functions.iter().next().unwrap().1.clone();
-        apply_speculative(&mut spec, 32).unwrap();
+        apply_speculative(&mut spec, &mut FunctionAnalyses::default(), 32).unwrap();
 
         let mk = |f: Function| {
             let mut m = Module::new();

@@ -5,6 +5,7 @@
 //! regression tests for cross-function barrier numbering and the
 //! interprocedural call-wait conflict view.
 
+use simt_analysis::FunctionAnalyses;
 use simt_ir::{parse_and_link, BarrierId, BarrierOp, Inst, Module, Value};
 use simt_sim::{run, Launch, SchedulerPolicy, SimConfig};
 use specrecon_core::deconflict::{deconflict_with_calls, DeconflictMode};
@@ -179,12 +180,14 @@ bb3:\n  wait b0\n  exit\n}\n";
     // Without the call-wait view there is no explicit Wait(b1), so the
     // crossing with b0 is undetectable.
     let mut plain = m.functions[kernel].clone();
-    let r = deconflict_with_calls(&mut plain, &spec, &pdom, &[], DeconflictMode::Dynamic);
+    let fa = &mut FunctionAnalyses::default();
+    let r = deconflict_with_calls(&mut plain, fa, &spec, &pdom, &[], DeconflictMode::Dynamic);
     assert!(r.resolved.is_empty(), "no conflict should be visible without the view");
 
     let mut viewed = m.functions[kernel].clone();
     let r = deconflict_with_calls(
         &mut viewed,
+        fa,
         &spec,
         &pdom,
         &[(callee, BarrierId(1))],

@@ -5,6 +5,7 @@
 //! lint must reject a module where a convergence-sensitive instruction
 //! *did* end up under merged per-arm predicates.
 
+use simt_analysis::FunctionAnalyses;
 use simt_ir::{parse_module, Inst, Module, Value};
 use simt_sim::{run, Launch, SimConfig};
 use specrecon_core::{
@@ -201,7 +202,7 @@ fn residual_prologue_survives_application() {
     let m = parse_module(UNBALANCED_LOOP).unwrap();
     let mut f = m.functions.iter().next().unwrap().1.clone();
     let diamond = detect_melds(&f, &MeldOptions::default())[0].diamond;
-    let report = apply_melds(&mut f, &MeldOptions::default());
+    let report = apply_melds(&mut f, &mut FunctionAnalyses::default(), &MeldOptions::default());
     assert_eq!(report.melded.len(), 1, "{report:?}");
     let region = &report.melded[0];
     assert_eq!(region.then_residual.0, 1, "then prologue keeps one instruction");

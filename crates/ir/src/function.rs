@@ -136,53 +136,6 @@ impl Function {
         self.blocks[b].term.successors()
     }
 
-    /// Computes the predecessor lists for every block.
-    pub fn predecessors(&self) -> IdVec<BlockId, Vec<BlockId>> {
-        let mut preds: IdVec<BlockId, Vec<BlockId>> = IdVec::with_capacity(self.blocks.len());
-        for _ in 0..self.blocks.len() {
-            preds.push(Vec::new());
-        }
-        for (id, block) in self.blocks.iter() {
-            for succ in block.term.successors() {
-                preds[succ].push(id);
-            }
-        }
-        preds
-    }
-
-    /// Blocks in reverse post-order from the entry (a forward-analysis
-    /// friendly iteration order). Unreachable blocks are appended at the
-    /// end in id order so every block is visited exactly once.
-    pub fn reverse_post_order(&self) -> Vec<BlockId> {
-        let n = self.blocks.len();
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        // Iterative DFS computing post-order.
-        let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
-        visited[self.entry.index()] = true;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = self.successors(b);
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        for id in self.blocks.ids() {
-            if !visited[id.index()] {
-                post.push(id);
-            }
-        }
-        post
-    }
-
     /// Splits the edge `from -> to`, inserting a fresh empty block on it,
     /// and returns the new block's id.
     ///
@@ -301,30 +254,6 @@ mod tests {
         f.blocks[b].term = Terminator::Jump(join);
         f.blocks[join].term = Terminator::Exit;
         f
-    }
-
-    #[test]
-    fn predecessors_of_diamond() {
-        let f = diamond();
-        let preds = f.predecessors();
-        let join = f.block_by_label("join").unwrap();
-        let mut p = preds[join].clone();
-        p.sort();
-        assert_eq!(p, vec![BlockId(1), BlockId(2)]);
-        assert!(preds[f.entry].is_empty());
-    }
-
-    #[test]
-    fn rpo_starts_at_entry_and_visits_all() {
-        let f = diamond();
-        let rpo = f.reverse_post_order();
-        assert_eq!(rpo[0], f.entry);
-        assert_eq!(rpo.len(), f.blocks.len());
-        // join must come after both a and b
-        let pos = |b: BlockId| rpo.iter().position(|&x| x == b).unwrap();
-        let join = f.block_by_label("join").unwrap();
-        assert!(pos(join) > pos(BlockId(1)));
-        assert!(pos(join) > pos(BlockId(2)));
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! keys' launch, then applies profile-guided §4.5 detection. `serve` and
 //! `loadgen` are described in docs/SERVING.md.
 
-use specrecon::analysis::DomTree;
+use specrecon::analysis::FunctionAnalyses;
 use specrecon::ir::{
     module_to_dot, parse_and_link, verify_module, FuncKind, Module, PredictTarget,
 };
@@ -287,7 +287,7 @@ fn explain_cmd(module: &Module) -> Result<(), String> {
             continue;
         }
         println!("kernel @{} ({} blocks, {} regs)", f.name, f.blocks.len(), f.num_regs);
-        let pdt = DomTree::post_dominators(f);
+        let mut fa = FunctionAnalyses::default();
 
         if f.predictions.is_empty() {
             println!("  no user predictions");
@@ -299,7 +299,7 @@ fn explain_cmd(module: &Module) -> Result<(), String> {
                         println!("  prediction {i}: label `{l}` NOT FOUND");
                         continue;
                     };
-                    let region = compute_region(f, &pdt, p.region_start, &[target]);
+                    let region = compute_region(f, &mut fa, p.region_start, &[target]);
                     let blocks: Vec<String> =
                         region.blocks.iter().map(|b| format!("bb{b}")).collect();
                     println!(
