@@ -11,7 +11,19 @@
 
 use crate::{BitSet, LoopForest};
 use simt_ir::{BlockId, DomTree, Function, Terminator};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
+
+thread_local! {
+    static RPO_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many reverse post-orders [`Cfg`]s have built on this thread: one
+/// per CFG shape a view was asked about, so a count above the number of
+/// shapes means some caller analysed a CFG afresh instead of sharing the
+/// view that had it.
+pub fn rpo_builds() -> usize {
+    RPO_BUILDS.with(Cell::get)
+}
 
 /// The analyses of one function, rebuilt whenever its CFG changes shape.
 /// Start from `FunctionAnalyses::default()`: the first read builds.
@@ -70,13 +82,17 @@ impl Cfg {
 
     /// The predecessors of `b`, in block-id order.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds.get_or_init(|| {
+        &self.pred_table()[b.index()]
+    }
+
+    fn pred_table(&self) -> &[Vec<BlockId>] {
+        self.preds.get_or_init(|| {
             let mut preds = vec![Vec::new(); self.succs.len()];
             for (p, ss) in self.succs.iter().enumerate() {
                 ss.iter().for_each(|s| preds[s.index()].push(BlockId::new(p)));
             }
             preds
-        })[b.index()]
+        })
     }
 
     /// Every block, in reverse post-order from the entry, then the blocks
@@ -92,6 +108,7 @@ impl Cfg {
 
     fn order(&self) -> &(Vec<BlockId>, BitSet) {
         self.order.get_or_init(|| {
+            RPO_BUILDS.with(|n| n.set(n.get() + 1));
             let (n, entry) = (self.succs.len(), self.entry.expect("built by `of`"));
             let mut seen = BitSet::new(n);
             seen.insert(entry.index());
@@ -113,9 +130,12 @@ impl Cfg {
         })
     }
 
-    /// The dominator tree.
+    /// The dominator tree, from the predecessors and the reverse
+    /// post-order this view holds.
     pub fn dom(&self) -> &DomTree {
-        self.dom.get_or_init(|| DomTree::from_successors(&self.succs, self.entry))
+        self.dom.get_or_init(|| {
+            DomTree::from_predecessors(self.pred_table(), &self.rpo()[..self.reachable().len()])
+        })
     }
 
     /// The post-dominator tree.
@@ -180,6 +200,30 @@ mod tests {
         f.blocks[BlockId(2)].term = Terminator::Exit;
         assert_eq!(fa.of(&f).post_dom().idom(BlockId(0)), None);
         assert_eq!(builds() - start, 3, "a direct terminator write rebuilds the tree");
+    }
+
+    /// The view's dominators come from its predecessors and RPO; the tree
+    /// is the one the successor table gives, dead blocks and loops too.
+    #[test]
+    fn dominators_from_the_view_match_the_successor_table() {
+        let m = parse_module(
+            "kernel @k(params=0, regs=2, barriers=0, entry=bb0) {\n\
+             bb0:\n  %r0 = special.lane\n  brdiv %r0, bb1, bb4\n\
+             bb1:\n  %r1 = and %r0, 1\n  brdiv %r1, bb2, bb3\n\
+             bb2:\n  jmp bb1\n\
+             bb3:\n  jmp bb4\n\
+             bb4:\n  exit\n\
+             bb5:\n  jmp bb2\n}\n",
+        )
+        .unwrap();
+        for f in [m.functions.iter().next().unwrap().1.clone(), diamond()] {
+            let mut fa = FunctionAnalyses::default();
+            let (view, table) = (fa.of(&f).dom(), DomTree::dominators(&f));
+            for (b, _) in f.blocks.iter() {
+                assert_eq!(view.idom(b), table.idom(b), "idom of {b}");
+                assert_eq!(view.is_reachable(b), table.is_reachable(b), "{b} reachable");
+            }
+        }
     }
 
     #[test]

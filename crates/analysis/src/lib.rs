@@ -40,7 +40,7 @@ pub mod dataflow;
 pub mod diamonds;
 pub mod loops;
 
-pub use analyses::{Cfg, FunctionAnalyses};
+pub use analyses::{rpo_builds, Cfg, FunctionAnalyses};
 pub use barriers::{
     find_conflicts, find_conflicts_with, BarrierConflict, BarrierJoined, BarrierLiveness,
 };

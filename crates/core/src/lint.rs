@@ -270,7 +270,7 @@ impl DataflowProblem for FlowProblem<'_> {
 /// are warnings (without pass reports the lint cannot tell speculative
 /// barriers from nested-by-construction ones).
 pub fn lint_module(module: &Module) -> Vec<LintFinding> {
-    lint_with_spec(module, |_, _, _| LintSeverity::Warning)
+    lint_with_spec(module, &mut fresh_views(module), |_, _, _| LintSeverity::Warning)
 }
 
 /// Lints pipeline output. Conflict pairs involving a barrier the
@@ -282,6 +282,16 @@ pub fn lint_module(module: &Module) -> Vec<LintFinding> {
 /// warnings only (genuine speculative conflicts were already rejected
 /// pre-allocation, when deconfliction ran).
 pub fn lint_compiled(compiled: &Compiled) -> Vec<LintFinding> {
+    lint_compiled_with(compiled, &mut fresh_views(&compiled.module))
+}
+
+/// [`lint_compiled`] reading `views`, one per function of the module in
+/// function order: the pipeline passes the views its passes kept, so a
+/// CFG they already analysed is not analysed again.
+pub(crate) fn lint_compiled_with(
+    compiled: &Compiled,
+    views: &mut [FunctionAnalyses],
+) -> Vec<LintFinding> {
     let renumbered = compiled.barrier_alloc.is_some();
     let spec: Vec<(FuncId, Vec<BarrierId>)> = compiled
         .reports
@@ -292,7 +302,7 @@ pub fn lint_compiled(compiled: &Compiled) -> Vec<LintFinding> {
             (*id, bars)
         })
         .collect();
-    lint_with_spec(&compiled.module, |fid, a, b| {
+    lint_with_spec(&compiled.module, views, |fid, a, b| {
         let is_spec =
             spec.iter().any(|(id, bars)| *id == fid && (bars.contains(&a) || bars.contains(&b)));
         if is_spec && !renumbered {
@@ -303,13 +313,17 @@ pub fn lint_compiled(compiled: &Compiled) -> Vec<LintFinding> {
     })
 }
 
+fn fresh_views(module: &Module) -> Vec<FunctionAnalyses> {
+    vec![FunctionAnalyses::default(); module.functions.len()]
+}
+
 fn lint_with_spec(
     module: &Module,
+    views: &mut [FunctionAnalyses],
     conflict_severity: impl Fn(FuncId, BarrierId, BarrierId) -> LintSeverity,
 ) -> Vec<LintFinding> {
     let sums = compute_summaries(module);
     let nf = module.functions.len();
-    let mut views = vec![FunctionAnalyses::default(); nf];
 
     // Entry boundaries per function and plane. Kernels (and device
     // functions without call sites, linted standalone) start with nothing
@@ -450,11 +464,12 @@ fn lint_with_spec(
 /// Convenience: the error-severity findings of [`lint_compiled`],
 /// rendered — what the pipeline's lint stage reports on failure.
 pub fn lint_errors(compiled: &Compiled) -> Vec<String> {
-    lint_compiled(compiled)
-        .iter()
-        .filter(|f| f.severity == LintSeverity::Error)
-        .map(|f| f.to_string())
-        .collect()
+    errors_of(&lint_compiled(compiled))
+}
+
+/// The error-severity findings among `findings`, rendered.
+pub(crate) fn errors_of(findings: &[LintFinding]) -> Vec<String> {
+    findings.iter().filter(|f| f.severity == LintSeverity::Error).map(|f| f.to_string()).collect()
 }
 
 #[cfg(test)]

@@ -379,7 +379,8 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
 
     let compiled = Compiled { module: m, reports, barrier_alloc };
     if opts.lint {
-        let errors = crate::lint::lint_errors(&compiled);
+        let findings = crate::lint::lint_compiled_with(&compiled, &mut views);
+        let errors = crate::lint::errors_of(&findings);
         if !errors.is_empty() {
             return Err(PassError::Lint(errors.join("\n")));
         }

@@ -49,73 +49,89 @@ impl DomTree {
     /// otherwise the post-dominator tree rooted at the virtual exit.
     pub fn from_successors(succs: &[Vec<BlockId>], entry: Option<BlockId>) -> DomTree {
         let n = succs.len();
-        let post = entry.is_none();
-        let succs: Vec<Vec<usize>> =
-            succs.iter().map(|ss| ss.iter().map(|s| s.index()).collect()).collect();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         for (b, ss) in succs.iter().enumerate() {
-            for &s in ss {
-                preds[s].push(b);
-            }
+            ss.iter().for_each(|s| preds[s.index()].push(BlockId::new(b)));
         }
         // Edges along the traversal direction and against it.
-        let (out, inc) = if post { (&preds, &succs) } else { (&succs, &preds) };
+        let (out, inc) = if entry.is_some() { (succs, &preds[..]) } else { (&preds[..], succs) };
 
         // Roots: entry, or all exit blocks (blocks with no successors).
-        let mut is_root = vec![false; n];
-        let roots: Vec<usize> = match entry {
-            Some(e) => vec![e.index()],
-            None => (0..n).filter(|&b| succs[b].is_empty()).collect(),
+        let roots: Vec<BlockId> = match entry {
+            Some(e) => vec![e],
+            None => (0..n).filter(|&b| succs[b].is_empty()).map(BlockId::new).collect(),
         };
-        for &r in &roots {
-            is_root[r] = true;
-        }
 
         // Post-order over the traversal direction, from the roots.
         let mut visited = vec![false; n];
-        let mut post_order: Vec<usize> = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, usize)> = Vec::new();
+        let mut order: Vec<BlockId> = Vec::with_capacity(n);
+        let mut stack: Vec<(BlockId, usize)> = Vec::new();
         for &root in &roots {
-            if visited[root] {
+            if std::mem::replace(&mut visited[root.index()], true) {
                 continue;
             }
-            visited[root] = true;
             stack.push((root, 0));
             while let Some((b, next)) = stack.last_mut() {
-                if let Some(&s) = out[*b].get(*next) {
+                if let Some(&s) = out[b.index()].get(*next) {
                     *next += 1;
-                    if !visited[s] {
-                        visited[s] = true;
+                    if !std::mem::replace(&mut visited[s.index()], true) {
                         stack.push((s, 0));
                     }
                 } else {
-                    post_order.push(*b);
+                    order.push(*b);
                     stack.pop();
                 }
             }
         }
+        order.reverse();
+        Self::solve(inc, &order, &roots, entry)
+    }
+
+    /// The dominator tree of a graph given by its predecessors `preds`
+    /// and `rpo`: the blocks its entry `rpo[0]` reaches, in a reverse
+    /// post-order of a depth-first walk from it. What a caller that
+    /// already holds both pays is the fixpoint alone.
+    pub fn from_predecessors(preds: &[Vec<BlockId>], rpo: &[BlockId]) -> DomTree {
+        Self::solve(preds, rpo, &rpo[..1], Some(rpo[0]))
+    }
+
+    /// The Cooper–Harvey–Kennedy fixpoint: `inc[b]` are the edges into
+    /// `b` along the traversal direction, `rpo` the blocks the traversal
+    /// reaches from `roots`, in reverse post-order.
+    fn solve(
+        inc: &[Vec<BlockId>],
+        rpo: &[BlockId],
+        roots: &[BlockId],
+        entry: Option<BlockId>,
+    ) -> DomTree {
+        let n = inc.len();
+        let post = entry.is_none();
 
         // rpo_number: higher = earlier in reverse post-order.
         let mut rpo_number = vec![usize::MAX; n];
-        for (i, &b) in post_order.iter().enumerate() {
-            rpo_number[b] = i;
+        let mut reachable = vec![false; n];
+        for (i, &b) in rpo.iter().rev().enumerate() {
+            rpo_number[b.index()] = i;
+            reachable[b.index()] = true;
         }
 
         // Iterative CHK. `idom[b]` uses VIRTUAL_EXIT as the sentinel root
         // parent for multi-rooted post-dominance.
+        let mut is_root = vec![false; n];
         let mut idom: Vec<Option<usize>> = vec![None; n];
-        for &root in &roots {
-            idom[root] = Some(if post { VIRTUAL_EXIT } else { root });
+        for &root in roots {
+            is_root[root.index()] = true;
+            idom[root.index()] = Some(if post { VIRTUAL_EXIT } else { root.index() });
         }
 
         // The virtual exit is an ancestor of every root, so it absorbs.
         let intersect =
-            |idom: &[Option<usize>], rpo: &[usize], mut a: usize, mut b: usize| -> usize {
+            |idom: &[Option<usize>], num: &[usize], mut a: usize, mut b: usize| -> usize {
                 while a != b {
                     if a == VIRTUAL_EXIT || b == VIRTUAL_EXIT {
                         return VIRTUAL_EXIT;
                     }
-                    while rpo[a] < rpo[b] {
+                    while num[a] < num[b] {
                         a = idom[a].expect("processed node without idom");
                         if a == VIRTUAL_EXIT || a == b {
                             break;
@@ -124,7 +140,7 @@ impl DomTree {
                     if a == b || a == VIRTUAL_EXIT {
                         continue;
                     }
-                    while rpo[b] < rpo[a] {
+                    while num[b] < num[a] {
                         b = idom[b].expect("processed node without idom");
                         if b == VIRTUAL_EXIT || b == a {
                             break;
@@ -137,12 +153,12 @@ impl DomTree {
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in post_order.iter().rev() {
+            for b in rpo.iter().map(|b| b.index()) {
                 if is_root[b] {
                     continue;
                 }
                 let mut new_idom: Option<usize> = None;
-                for &p in &inc[b] {
+                for p in inc[b].iter().map(|p| p.index()) {
                     if idom[p].is_none() {
                         continue;
                     }
@@ -167,7 +183,7 @@ impl DomTree {
             })
             .collect();
 
-        DomTree { idom, root: entry, reachable: visited }
+        DomTree { idom, root: entry, reachable }
     }
 
     /// The immediate (post-)dominator of `b`, or `None` for the root /

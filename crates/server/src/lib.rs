@@ -10,8 +10,8 @@
 //!   per-seed metrics JSON. See [`api`] for the request schema.
 //! - `GET /healthz` — liveness (`ok` / `draining`).
 //! - `GET /metrics` — Prometheus text exposition: request counts by
-//!   status, queue depth/peak, latency histogram, compiled-image cache
-//!   hit rate.
+//!   status, evals waiting for a slot (now and peak), latency histogram,
+//!   compiled-image cache hit rate.
 //!
 //! The service is built from small, separately tested parts:
 //!
@@ -19,31 +19,32 @@
 //! |-------------|-----------------------------------------------------|
 //! | [`http`]    | minimal HTTP/1.1 framing (requests and responses)   |
 //! | [`json`]    | parse/render for the API payloads                   |
-//! | [`queue`]   | bounded MPMC work queue — admission == acceptance   |
+//! | [`gate`]    | admission gate — at most N run, at most M wait      |
 //! | [`metrics`] | atomic counters + Prometheus rendering              |
 //! | [`signal`]  | SIGINT/SIGTERM → atomic flag, no crates             |
 //! | [`api`]     | request validation and engine invocation            |
-//! | [`server`]  | accept loop, worker pool, deadlines, graceful drain |
+//! | [`server`]  | accept loop, connections, deadlines, graceful drain |
 //! | [`loadgen`] | closed-loop benchmark client (`specrecon loadgen`)  |
 //!
 //! ## Backpressure and shutdown contract
 //!
-//! A request is *accepted* exactly when it is admitted to the bounded
-//! queue. A full queue answers `503` with `Retry-After` immediately;
-//! once shutdown begins, new work gets `503` while everything already
-//! accepted is drained to completion (or its deadline) before the
-//! process exits. Deadlines cancel in-flight simulation cooperatively
+//! A request is *accepted* exactly when the admission gate lets it run
+//! or wait: at most `--workers` evals run, each on the connection thread
+//! that read it, and at most `--queue-depth` wait for a slot. A full gate
+//! answers `503` with `Retry-After` immediately; once shutdown begins,
+//! new work gets `503` while everything already accepted is drained to
+//! completion (or its deadline) before the process exits. Deadlines cancel in-flight simulation cooperatively
 //! via [`simt_sim::CancelToken`]. `docs/SERVING.md` is the operator-
 //! facing version of this contract.
 
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod gate;
 pub mod http;
 pub mod json;
 pub mod loadgen;
 pub mod metrics;
-pub mod queue;
 pub mod server;
 pub mod signal;
 

@@ -3,36 +3,37 @@
 //! ## Architecture
 //!
 //! ```text
-//!            accept loop (non-blocking poll, owns shutdown)
-//!                 │ spawn per connection
-//!            connection threads ──try_push──► Bounded<Job> ──pop──► worker pool
-//!                 ▲                               (503 when full)        │
-//!                 └────────── per-job mpsc reply channel ◄──────────────┘
+//!   accept loop (non-blocking poll, owns shutdown; every wake cancels
+//!        │       the running evals past their deadline)
+//!        │ spawn per connection
+//!   connection threads ──admit──► Gate ──slot──► api::execute on the same thread
+//!                          (503 when full, 504 when a waiter's deadline passes)
 //! ```
 //!
-//! - **Backpressure**: `POST /v1/eval` is admitted through a bounded
-//!   queue; a full queue answers `503` with `Retry-After` immediately —
-//!   the queue depth can never exceed `--queue-depth`.
-//! - **Deadlines**: the connection thread creates a [`CancelToken`] per
-//!   request and waits on the reply channel with a timeout; at the
-//!   deadline it cancels the token (the simulator stops at its next
-//!   scheduling round) and answers `504`.
+//! - **Backpressure**: `POST /v1/eval` passes the admission [`Gate`]: at
+//!   most `--workers` evals run and at most `--queue-depth` wait for a
+//!   slot; past that the request is answered `503` with `Retry-After`
+//!   immediately.
+//! - **Deadlines**: each request carries a [`CancelToken`] the gate keeps
+//!   while its eval runs; the accept loop cancels it once the deadline
+//!   has passed (the simulator stops at its next scheduling round) and
+//!   the eval answers `504`. A request still waiting at its deadline
+//!   answers `504` from the gate.
 //! - **Graceful drain**: SIGTERM/SIGINT (or the in-process
-//!   [`ServerHandle::shutdown`]) stops the accept loop, closes the
-//!   queue, and lets workers finish every admitted job; connection
-//!   threads deliver those replies, answer anything newly read with
-//!   `503`, and exit. Nothing admitted is dropped without a response.
+//!   [`ServerHandle::shutdown`]) stops the accept loop and closes the
+//!   gate; connection threads finish every admitted eval, answer
+//!   anything newly read with `503`, and exit. Nothing admitted is
+//!   dropped without a response.
 
 use crate::api::{self, ApiError};
+use crate::gate::{Gate, Refused};
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::metrics::ServerMetrics;
-use crate::queue::{Bounded, PushError};
 use crate::signal;
 use simt_sim::CancelToken;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 use workloads::eval::Engine;
@@ -42,9 +43,10 @@ use workloads::eval::Engine;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8077` (`:0` picks a free port).
     pub addr: String,
-    /// Evaluation worker threads.
+    /// Evals that run at once, each on the connection thread that read
+    /// its request.
     pub workers: usize,
-    /// Bound on queued (admitted, not yet running) eval jobs.
+    /// Bound on evals waiting for a running slot.
     pub queue_depth: usize,
     /// Deadline applied when a request does not carry `deadline_ms`.
     pub default_deadline_ms: u64,
@@ -67,25 +69,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted eval job travelling from a connection thread to a
-/// worker.
-struct Job {
-    request: api::EvalRequest,
-    token: CancelToken,
-    deadline: Instant,
-    reply: mpsc::Sender<Result<String, ApiError>>,
-}
-
-/// Shared state between the accept loop, connections, and workers.
+/// Shared state between the accept loop and the connections.
 struct Shared {
     engine: Engine,
-    queue: Bounded<Job>,
+    gate: Gate,
     metrics: ServerMetrics,
     /// Set once shutdown begins; connections answer 503 from then on.
     draining: AtomicBool,
-    /// In-flight `/v1/eval` exchanges (admitted, response not yet
-    /// written). The drain waits for this to reach zero.
-    in_flight: AtomicU64,
     cfg: ServeConfig,
 }
 
@@ -98,7 +88,7 @@ impl Shared {
             .duration_since(SystemTime::UNIX_EPOCH)
             .map_or(0.0, |d| d.as_secs_f64());
         let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-        let depth = self.queue.depth();
+        let depth = self.gate.waiting();
         eprintln!(
             "{{\"ts\":{ts:.3},\"peer\":{},\"method\":{},\"path\":{},\"status\":{status},\"latency_ms\":{latency_ms:.3},\"queue_depth\":{depth}}}",
             crate::json::escape(peer),
@@ -133,7 +123,6 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     handle: ServerHandle,
-    workers: Vec<std::thread::JoinHandle<()>>,
     connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -142,14 +131,14 @@ pub struct Server {
 pub struct DrainReport {
     /// Requests answered 2xx over the server's lifetime.
     pub ok: u64,
-    /// Eval jobs still queued or running when shutdown began — all of
-    /// them were completed (or answered 504) before exit.
+    /// Evals still waiting or running when shutdown began — all of them
+    /// were completed (or answered 504) before exit.
     pub drained: u64,
 }
 
 impl Server {
-    /// Binds the listener and starts the worker pool. The accept loop
-    /// does not run until [`Server::run`].
+    /// Binds the listener. The accept loop does not run until
+    /// [`Server::run`].
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -157,31 +146,14 @@ impl Server {
 
         let shared = Arc::new(Shared {
             engine: Engine::with_capacity(1, cfg.cache_capacity),
-            queue: Bounded::new(cfg.queue_depth),
+            gate: Gate::new(cfg.workers, cfg.queue_depth),
             metrics: ServerMetrics::default(),
             draining: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
-            cfg: cfg.clone(),
+            cfg,
         });
 
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("eval-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-
         let handle = ServerHandle { stop: Arc::new(AtomicBool::new(false)), addr };
-        Ok(Server {
-            listener,
-            shared,
-            handle,
-            workers,
-            connections: Arc::new(Mutex::new(Vec::new())),
-        })
+        Ok(Server { listener, shared, handle, connections: Arc::new(Mutex::new(Vec::new())) })
     }
 
     /// The bound address.
@@ -196,10 +168,11 @@ impl Server {
 
     /// Runs the accept loop until SIGTERM/SIGINT or
     /// [`ServerHandle::shutdown`], then drains: stops accepting, lets
-    /// workers finish every admitted job, joins every thread.
+    /// connections finish every admitted eval, joins every thread.
     pub fn run(self) -> std::io::Result<DrainReport> {
-        let Server { listener, shared, handle, workers, connections } = self;
+        let Server { listener, shared, handle, connections } = self;
         loop {
+            shared.gate.cancel_expired(Instant::now());
             if handle.stop.load(Ordering::Relaxed) || signal::shutdown_requested() {
                 break;
             }
@@ -225,19 +198,19 @@ impl Server {
         }
 
         // Drain: no new connections (loop exited), no new admissions
-        // (queue closed + draining flag), workers finish what was
-        // admitted, connection threads deliver it. `in_flight` already
-        // counts queued jobs (admitted but unanswered).
-        let drained = shared.in_flight.load(Ordering::Relaxed);
+        // (gate closed + draining flag); connection threads finish what
+        // was admitted, see `draining` at their next read timeout
+        // (bounded by the read-timeout interval) and exit. Deadlines are
+        // still enforced on the same tick meanwhile.
+        let drained = shared.gate.in_flight() as u64;
         shared.draining.store(true, Ordering::Relaxed);
-        shared.queue.close();
-        for w in workers {
-            let _ = w.join();
-        }
-        // Connection threads see `draining` at their next read timeout
-        // (bounded by the read-timeout interval) and exit.
+        shared.gate.close();
         let conns = std::mem::take(&mut *connections.lock().expect("registry poisoned"));
         for c in conns {
+            while !c.is_finished() {
+                shared.gate.cancel_expired(Instant::now());
+                std::thread::sleep(Duration::from_millis(10));
+            }
             let _ = c.join();
         }
         Ok(DrainReport { ok: shared.metrics.ok_count(), drained })
@@ -249,11 +222,12 @@ impl Server {
 /// connections.
 const READ_POLL: Duration = Duration::from_millis(200);
 
-/// Runs one job with a panic contained to it: the worker answers 500,
-/// counts it, and lives to take the next job. What a job shares with the
-/// rest of the server stays usable across the unwind — the metrics are
-/// atomics, the engine's image cache recovers a poisoned lock (every
-/// update leaves it valid) — hence `AssertUnwindSafe`.
+/// Runs one eval with a panic contained to it: the connection answers
+/// 500, counts it, and lives to read the next request. What an eval
+/// shares with the rest of the server stays usable across the unwind —
+/// the metrics are atomics, the engine's image cache and the gate recover
+/// a poisoned lock (every update leaves them valid) — hence
+/// `AssertUnwindSafe`.
 fn isolated<T>(
     metrics: &ServerMetrics,
     job: impl FnOnce() -> Result<T, ApiError>,
@@ -267,25 +241,6 @@ fn isolated<T>(
             .unwrap_or("no message");
         Err(ApiError { status: 500, message: format!("internal error: eval panicked: {what}") })
     })
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        let result = if Instant::now() >= job.deadline || job.token.is_cancelled() {
-            // Expired while queued: don't burn a worker on it.
-            Err(ApiError { status: 504, message: "deadline exceeded while queued".into() })
-        } else {
-            shared.metrics.running(|| {
-                isolated(&shared.metrics, || {
-                    api::execute(&shared.engine, &job.request, &job.token, Some(&shared.metrics))
-                        .map(|json| json.render())
-                })
-            })
-        };
-        // The connection thread may have timed out and moved on; a dead
-        // receiver is fine (it already answered 504).
-        let _ = job.reply.send(result);
-    }
 }
 
 fn connection_loop(stream: TcpStream, peer: SocketAddr, shared: &Shared) {
@@ -361,9 +316,9 @@ fn route(request: &Request, shared: &Shared, start: Instant) -> (u16, Response) 
         }
         ("GET", "/metrics") => {
             let text = shared.metrics.render(
-                shared.queue.depth(),
-                shared.queue.peak(),
-                shared.queue.capacity(),
+                shared.gate.waiting(),
+                shared.gate.peak(),
+                shared.gate.capacity(),
                 shared.engine.cache_stats(),
             );
             (200, Response::text(200, text))
@@ -375,73 +330,51 @@ fn route(request: &Request, shared: &Shared, start: Instant) -> (u16, Response) 
 }
 
 fn eval_route(request: &Request, shared: &Shared, start: Instant) -> (u16, Response) {
-    let parsed = match api::parse_request(&request.body) {
-        Ok(p) => p,
-        Err(e) => return (e.status, Response::json(e.status, api::error_body(&e))),
-    };
-    if shared.draining.load(Ordering::Relaxed) {
-        shared.metrics.record_rejected_draining();
-        return (503, error_response(503, "draining").with_status_headers());
-    }
-
-    let deadline_ms = parsed.deadline_ms.unwrap_or(shared.cfg.default_deadline_ms).max(1);
-    let deadline = start + Duration::from_millis(deadline_ms);
-    let token = CancelToken::new();
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job { request: parsed, token: token.clone(), deadline, reply: reply_tx };
-
-    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-    let outcome = match shared.queue.try_push(job) {
-        Err(PushError::Full(_)) => {
-            shared.metrics.record_rejected_full();
-            (503, error_response(503, "queue full").with_status_headers())
-        }
-        Err(PushError::Closed(_)) => {
-            shared.metrics.record_rejected_draining();
-            (503, error_response(503, "draining").with_status_headers())
-        }
-        Ok(()) => {
-            // Block until the worker answers or the deadline passes;
-            // cancellation stops the simulation cooperatively.
-            match reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(Ok(body)) => {
-                    shared.metrics.record_latency(start.elapsed().as_secs_f64());
-                    (200, Response::json(200, body))
-                }
-                Ok(Err(e)) => {
-                    if e.status == 504 {
-                        shared.metrics.record_deadline_expired();
-                    }
-                    (e.status, Response::json(e.status, api::error_body(&e)))
-                }
-                Err(_) => {
-                    // Deadline hit (or the worker pool vanished mid-
-                    // drain, which cancels the same way): stop the run.
-                    token.cancel();
-                    shared.metrics.record_deadline_expired();
-                    let e = ApiError { status: 504, message: "deadline exceeded".into() };
-                    (504, Response::json(504, api::error_body(&e)))
-                }
+    let result = api::parse_request(&request.body).and_then(|parsed| {
+        let deadline_ms = parsed.deadline_ms.unwrap_or(shared.cfg.default_deadline_ms).max(1);
+        let token = CancelToken::new();
+        let refused = |status, message: &str| ApiError { status, message: message.into() };
+        // Held until the eval's answer exists; dropping it frees the slot.
+        let _slot = match shared.gate.admit(start + Duration::from_millis(deadline_ms), &token) {
+            Ok(slot) => slot,
+            Err(Refused::Full) => {
+                shared.metrics.record_rejected_full();
+                return Err(refused(503, "queue full"));
             }
+            Err(Refused::Closed) => {
+                shared.metrics.record_rejected_draining();
+                return Err(refused(503, "draining"));
+            }
+            Err(Refused::Expired) => return Err(refused(504, "deadline exceeded while queued")),
+        };
+        shared.metrics.running(|| {
+            isolated(&shared.metrics, || {
+                api::execute(&shared.engine, &parsed, &token, Some(&shared.metrics))
+                    .map(|json| json.render())
+            })
+        })
+    });
+    match result {
+        Ok(body) => {
+            shared.metrics.record_latency(start.elapsed().as_secs_f64());
+            (200, Response::json(200, body))
         }
-    };
-    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-    outcome
+        Err(e) => {
+            if e.status == 504 {
+                shared.metrics.record_deadline_expired();
+            }
+            let mut response = Response::json(e.status, api::error_body(&e));
+            if e.status == 503 {
+                // 503s carry `Retry-After` so well-behaved clients back off.
+                response = response.with_header("Retry-After", "1");
+            }
+            (e.status, response)
+        }
+    }
 }
 
 fn error_response(status: u16, message: &str) -> Response {
     Response::json(status, format!("{{\"error\":{}}}", crate::json::escape(message)))
-}
-
-trait RetryAfter {
-    fn with_status_headers(self) -> Response;
-}
-
-impl RetryAfter for Response {
-    /// 503s carry `Retry-After` so well-behaved clients back off.
-    fn with_status_headers(self) -> Response {
-        self.with_header("Retry-After", "1")
-    }
 }
 
 #[cfg(test)]
@@ -449,9 +382,9 @@ mod tests {
     use super::*;
     use workloads::eval::CacheStats;
 
-    /// A job that panics — an index slip in an engine, say — costs its
-    /// request a 500 and one count, not the worker: the same wrapper runs
-    /// the next job.
+    /// An eval that panics — an index slip in an engine, say — costs its
+    /// request a 500 and one count, not the connection: the same wrapper
+    /// runs the next eval.
     #[test]
     fn a_panicking_job_answers_500_and_the_worker_survives() {
         let metrics = ServerMetrics::default();

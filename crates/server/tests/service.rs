@@ -339,6 +339,44 @@ fn deadline_expiry_returns_504_and_cancels() {
     runner.join().unwrap().unwrap();
 }
 
+/// A request that waits behind a slow eval until its deadline passes
+/// leaves the line with `504 "deadline exceeded while queued"` while the
+/// slow eval still runs; the line it left and the slot stay usable, so
+/// the next request runs once the slow eval is cancelled at its own
+/// deadline.
+#[test]
+fn a_waiter_past_its_deadline_answers_504_and_the_next_request_runs() {
+    let (addr, handle, runner) = start(local(4, 1));
+    let slow = std::thread::spawn(move || {
+        request(&addr, "POST", "/v1/eval", &spin_body(30_000_000, 3_000))
+    });
+    let start = Instant::now();
+    while scrape_gauge(&request(&addr, "GET", "/metrics", "").body, "specrecon_inflight_requests")
+        < 1.0
+    {
+        assert!(start.elapsed() < Duration::from_secs(60), "the slow eval never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let queued = request(&addr, "POST", "/v1/eval", &spin_body(10, 200));
+    assert_eq!(queued.status, 504, "expected expiry in the line: {}", queued.body);
+    assert!(queued.body.contains("deadline exceeded while queued"), "{}", queued.body);
+    assert!(!slow.is_finished(), "the slow eval should still hold the slot");
+    let metrics = request(&addr, "GET", "/metrics", "");
+    assert_eq!(scrape_gauge(&metrics.body, "specrecon_queue_depth"), 0.0, "the waiter left");
+
+    let next = request(&addr, "POST", "/v1/eval", r#"{"workload":"microbench"}"#);
+    assert_eq!(next.status, 200, "the slot never came back: {}", next.body);
+    let slow = slow.join().expect("client thread");
+    assert_eq!(slow.status, 504, "the slow eval should be cancelled: {}", slow.body);
+    assert!(!slow.body.contains("queued"), "{}", slow.body);
+    let metrics = request(&addr, "GET", "/metrics", "");
+    assert!(metrics.body.contains("specrecon_requests_total{code=\"504\"} 2"), "{}", metrics.body);
+
+    handle.shutdown();
+    runner.join().unwrap().unwrap();
+}
+
 #[test]
 fn shutdown_mid_flight_drains_accepted_work() {
     let (addr, handle, runner) = start(local(4, 1));

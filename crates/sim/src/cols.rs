@@ -254,14 +254,17 @@ impl SlotCols {
     }
 
     /// One row per value, every slot holding it: a launch's memory image
-    /// as columns.
+    /// as columns, built in one pass (each value encoded once).
     pub(crate) fn of_values(values: &[Value], ns: usize) -> SlotCols {
-        let mut cols = SlotCols::new(values.len(), ns);
         let all = u64::MAX >> (64 - ns);
-        for (r, v) in values.iter().enumerate() {
-            cols.fill_rows(r, 1, *v, all);
+        let mut bits = Vec::with_capacity(values.len() * ns);
+        let mut floats = Vec::with_capacity(values.len());
+        for v in values {
+            let (payload, float) = encode(*v);
+            bits.resize(bits.len() + ns, payload);
+            floats.push(if float { all } else { 0 });
         }
-        cols
+        SlotCols { ns, bits, floats }
     }
 
     /// The final memory images of `slots` (each slot's value in every
@@ -580,6 +583,23 @@ pub(crate) use typed;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A launch's memory image as columns: every slot of a row holds its
+    /// value bit for bit (NaN, `-0.0`, `i64::MIN`), at 1, 5 and 64 slots.
+    #[test]
+    fn of_values_broadcasts_each_value_bit_exactly() {
+        let values = [Value::I64(i64::MIN), Value::F64(-0.0), Value::F64(f64::NAN), Value::I64(7)];
+        for ns in [1, 5, 64] {
+            let cols = SlotCols::of_values(&values, ns);
+            assert_eq!(cols.rows(), values.len());
+            for (r, v) in values.iter().enumerate() {
+                for s in 0..ns {
+                    assert_eq!(encode(cols.get(r, s)), encode(*v), "row {r} slot {s} of {ns}");
+                }
+            }
+        }
+        assert_eq!(SlotCols::of_values(&[], 3).rows(), 0);
+    }
 
     /// The dense form of [`truthy`] (one run of one type, shifted in from
     /// the top) agrees with [`Value::is_truthy`] slot by slot: `-0.0` and

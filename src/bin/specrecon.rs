@@ -476,7 +476,9 @@ fn sweep_cmd(rest: &[String]) -> Result<(), String> {
 }
 
 /// The `serve` subcommand: boot the HTTP evaluation service and run its
-/// accept loop until SIGTERM/SIGINT, then drain gracefully.
+/// accept loop until SIGTERM/SIGINT, then drain gracefully. `--workers`
+/// bounds the evals that run at once (each on its connection's thread),
+/// `--queue-depth` the requests that wait for one.
 fn serve_cmd(rest: &[String]) -> Result<(), String> {
     let args = Args::split(
         rest,

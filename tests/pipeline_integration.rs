@@ -131,3 +131,30 @@ fn warp_width_is_configurable() {
     assert!(out.metrics.simt_efficiency() > 0.0);
     assert_eq!(out.metrics.warp_width, 16);
 }
+
+/// Compile's lint stage reads the analyses compile already built: over
+/// the registry and the 520-kernel corpus under every repair, each
+/// function gets one reverse post-order, not a second one for the lint.
+/// Lint findings are a function of the CFG alone, so sharing the views
+/// cannot change them.
+#[test]
+fn the_lint_reuses_the_views_compile_built() {
+    use specrecon::analysis::rpo_builds;
+    use specrecon::passes::RepairStrategy;
+    use specrecon::workloads::{corpus, registry};
+
+    let corpus = corpus::generate(520, 0x5eed).into_iter().map(|e| e.workload);
+    let (mut builds, mut functions) = (0, 0);
+    for w in registry().into_iter().chain(corpus) {
+        for repair in RepairStrategy::ALL {
+            let opts = CompileOptions { lint: true, ..repair.options() };
+            let start = rpo_builds();
+            let compiled = compile(&w.module, &opts)
+                .unwrap_or_else(|e| panic!("{} under {repair}: {e}", w.name));
+            builds += rpo_builds() - start;
+            functions += compiled.module.functions.len();
+        }
+    }
+    let per_function = builds as f64 / functions as f64;
+    assert_eq!(per_function, 1.0, "{builds} RPO builds over {functions} compiled functions");
+}
