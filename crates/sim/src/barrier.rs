@@ -88,6 +88,10 @@ pub(crate) struct WarpCtl {
     pub(crate) status: Vec<Status>,
     /// Barrier participation masks, one bit per lane.
     pub(crate) masks: Vec<u64>,
+    /// Per barrier, the lanes parked on it ([`Status::Waiting`]): a cache
+    /// of `status`, set where a lane parks and cleared at its release or
+    /// exit, so a release check reads one word.
+    pub(crate) waiters: Vec<u64>,
     /// All lanes of this warp (`warp_width` low bits set).
     pub(crate) lane_mask: u64,
     /// Lanes whose status is [`Status::Runnable`]. The scheduler reads
@@ -123,13 +127,14 @@ pub(crate) struct WarpCtl {
 
 /// Every field counts except what no transition reads: a lane's
 /// live-frame saved pc (stale by design; the live pc is in `pcs`), frame
-/// entries above its depth, and the `shared` cache.
+/// entries above its depth, and the two caches, `waiters` and `shared`.
 impl PartialEq for WarpCtl {
     fn eq(&self, o: &Self) -> bool {
         let WarpCtl {
             pcs,
             status,
             masks,
+            waiters: _,
             lane_mask,
             runnable,
             waiting,
@@ -190,6 +195,7 @@ impl WarpCtl {
             pcs: vec![kernel.pc; width],
             status: vec![Status::Runnable; width],
             masks: vec![0; image.num_barriers],
+            waiters: vec![0; image.num_barriers],
             lane_mask,
             runnable: lane_mask,
             waiting: 0,
@@ -295,18 +301,6 @@ impl WarpCtl {
         i64::from(self.masks[b.index()].count_ones())
     }
 
-    /// Lanes parked on barrier `b`: scans only the waiting mask
-    /// (statuses carry which barrier each waiting lane is parked on).
-    fn waiters(&self, b: BarrierId) -> u64 {
-        let mut waiters = 0u64;
-        for l in lanes(self.waiting) {
-            if self.status[l] == Status::Waiting(b) {
-                waiters |= 1 << l;
-            }
-        }
-        waiters
-    }
-
     /// Executes the control effects of one barrier operation for the
     /// issued lane mask. Returns whether the issued lanes move on to the
     /// next instruction, which the caller then does: all but a `wait`'s,
@@ -341,6 +335,7 @@ impl WarpCtl {
                 }
                 self.runnable &= !mask;
                 self.waiting |= mask;
+                self.waiters[b.index()] |= mask;
                 sink(CtlEvent::Wait { barrier: b, mask });
                 self.release_check(b, sink);
                 return false;
@@ -381,7 +376,7 @@ impl WarpCtl {
 
     /// Releases barrier `b` if every live participant is blocked on it.
     fn release_check(&mut self, b: BarrierId, sink: &mut impl FnMut(CtlEvent)) {
-        let waiting_b = self.waiters(b);
+        let waiting_b = self.waiters[b.index()];
         if waiting_b == 0 {
             return;
         }
@@ -390,6 +385,7 @@ impl WarpCtl {
             // Release: all waiting lanes advance past their wait; the
             // barrier register is consumed.
             self.masks[b.index()] = 0;
+            self.waiters[b.index()] = 0;
             for l in lanes(waiting_b) {
                 self.status[l] = Status::Runnable;
                 self.pcs[l] += 1;
@@ -413,7 +409,7 @@ impl WarpCtl {
         self.waiting &= !mask;
         self.at_sync &= !mask;
         self.exited |= mask;
-        for m in &mut self.masks {
+        for m in self.masks.iter_mut().chain(&mut self.waiters) {
             *m &= !mask;
         }
         for b in 0..self.masks.len() {
@@ -438,7 +434,7 @@ impl WarpCtl {
         let parked = |l| if let Status::Waiting(b) = self.status[l] { b } else { BarrierId(0) };
         let barriers = self.masks.iter().enumerate().map(|(i, &m)| {
             let barrier = BarrierId::new(i);
-            BarrierState { barrier, participants: m & live, waiters: self.waiters(barrier) }
+            BarrierState { barrier, participants: m & live, waiters: self.waiters[i] }
         });
         SimError::Deadlock {
             cycle,
@@ -448,10 +444,11 @@ impl WarpCtl {
         }
     }
 
-    /// Debug-only invariant: the incremental status masks must agree
-    /// with the per-lane statuses they cache. Runs under every test
-    /// (including the differential proptests of both engines), so any
-    /// missed transition point fails loudly.
+    /// Debug-only invariant: the incremental status masks and the
+    /// per-barrier waiter masks must agree with the per-lane statuses
+    /// they cache. Runs under every test (including the differential
+    /// proptests of both engines), so any missed transition point fails
+    /// loudly.
     #[cfg(debug_assertions)]
     pub(crate) fn check_masks(&self) {
         let mut expect = (0u64, 0u64, 0u64, 0u64);
@@ -469,6 +466,15 @@ impl WarpCtl {
             expect,
             "status masks out of sync with lane statuses"
         );
+        for (b, &waiters) in self.waiters.iter().enumerate() {
+            let parked = lanes(self.waiting)
+                .filter(|&l| self.status[l] == Status::Waiting(BarrierId::new(b)))
+                .fold(0, |m, l| m | 1 << l);
+            assert_eq!(
+                waiters, parked,
+                "waiter mask of barrier {b} out of sync with lane statuses"
+            );
+        }
     }
 
     /// Debug-only invariant beside [`Self::check_masks`]: each lane's
@@ -645,5 +651,45 @@ bb0:
         });
         differs("a suspended frame's base", |c| c.frames[4 + 1].base += 1);
         differs("a live base", |c| c.bases[2] += 1);
+    }
+
+    /// Each barrier's waiter mask follows its lanes through a wait, a
+    /// release and an exit (debug builds' `check_masks` re-derives every
+    /// mask from the statuses), and the merge test leaves the cache out.
+    #[test]
+    fn waiter_masks_follow_wait_release_and_exit() {
+        let kernel = "kernel @k(params=0, regs=1, barriers=2, entry=bb0) {\nbb0:\n  exit\n}\n";
+        let image = DecodedImage::decode(&simt_ir::parse_and_link(kernel).unwrap());
+        let cfg = SimConfig { warp_width: 4, ..SimConfig::default() };
+        let launch = Launch {
+            kernel: "k".into(),
+            num_warps: 1,
+            args: vec![],
+            global_mem: vec![],
+            local_mem_size: 0,
+            seed: 0,
+        };
+        let mut ctl = WarpCtl::for_launch(&image, &cfg, &launch).unwrap().1;
+        let (b0, b1, sink) = (BarrierId::new(0), BarrierId::new(1), &mut |_| {});
+        ctl.barrier(0b1111, BarrierOp::Join(b0), sink);
+        ctl.barrier(0b0011, BarrierOp::Join(b1), sink);
+        assert!(!ctl.barrier(0b0001, BarrierOp::Wait(b1), sink));
+        assert!(!ctl.barrier(0b0100, BarrierOp::Wait(b0), sink));
+        #[cfg(debug_assertions)]
+        ctl.check_masks();
+        assert_eq!(ctl.waiters, [0b0100, 0b0001]);
+        // Lane 1 leaves both barriers: `b1` releases lane 0, `b0` still
+        // waits for lanes 0 and 3.
+        ctl.exit(0b0010, sink);
+        #[cfg(debug_assertions)]
+        ctl.check_masks();
+        assert_eq!((ctl.waiters.clone(), ctl.runnable), (vec![0b0100, 0], 0b1001));
+        let mut stale = ctl.clone();
+        stale.waiters[0] = 0b1000;
+        assert_eq!(ctl, stale, "the waiter masks are a cache of the statuses");
+        assert!(!ctl.barrier(0b1001, BarrierOp::Wait(b0), sink));
+        #[cfg(debug_assertions)]
+        ctl.check_masks();
+        assert_eq!((ctl.waiters.clone(), ctl.runnable), (vec![0, 0], 0b1101));
     }
 }

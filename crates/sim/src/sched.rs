@@ -112,9 +112,21 @@ pub(crate) struct Spans {
 impl Spans {
     #[inline]
     pub(crate) fn by<K: PartialEq>(mask: u64, key: impl Fn(usize) -> K) -> Spans {
-        let runs = mask & !(mask << 1);
+        let runs = Spans::runs(mask).starts;
         let breaks = lanes(mask & !runs).filter(|&l| key(l) != key(l - 1));
         Spans { mask, starts: breaks.fold(runs, |starts, l| starts | 1 << l) }
+    }
+
+    /// The spans of lanes that all share the key: the mask's runs.
+    #[inline]
+    pub(crate) fn runs(mask: u64) -> Spans {
+        Spans { mask, starts: mask & !(mask << 1) }
+    }
+
+    /// Whether each run of the mask is one span.
+    #[inline]
+    pub(crate) fn hoisted(&self) -> bool {
+        self.starts == Spans::runs(self.mask).starts
     }
 }
 
