@@ -1,9 +1,8 @@
 //! The grid's cohort slices, on four programs each pinned by genome
 //! seed: the lockstep seed sweep is unobservable. Every cohort twin
 //! reproduces its decoded cell's runs bit for bit — metrics, memory,
-//! errors — under every policy and reconvergence model; the barrier file
-//! takes no scalar step, and a hardware model falls back to per-seed
-//! runs without a lockstep issue or a fork. `fuzz_equivalence` checks
+//! errors — under every policy and reconvergence model, each cohort in
+//! lockstep (lockstep issues, no scalar step). `fuzz_equivalence` checks
 //! the same cells on random programs.
 
 use conformance::grid::deepened;

@@ -270,7 +270,8 @@ impl DataflowProblem for FlowProblem<'_> {
 /// are warnings (without pass reports the lint cannot tell speculative
 /// barriers from nested-by-construction ones).
 pub fn lint_module(module: &Module) -> Vec<LintFinding> {
-    lint_with_spec(module, &mut fresh_views(module), |_, _, _| LintSeverity::Warning)
+    let mut views = vec![FunctionAnalyses::default(); module.functions.len()];
+    lint_with_spec(module, &mut views, |_, _, _| LintSeverity::Warning)
 }
 
 /// Lints pipeline output. Conflict pairs involving a barrier the
@@ -280,18 +281,9 @@ pub fn lint_module(module: &Module) -> Vec<LintFinding> {
 /// recycling makes ranges of unrelated barriers share a register, so
 /// attribution is lost and surviving conflicts are reported as
 /// warnings only (genuine speculative conflicts were already rejected
-/// pre-allocation, when deconfliction ran).
+/// pre-allocation, when deconfliction ran). It reads the analysis views
+/// the passes kept, so a CFG they already analysed is not analysed again.
 pub fn lint_compiled(compiled: &Compiled) -> Vec<LintFinding> {
-    lint_compiled_with(compiled, &mut fresh_views(&compiled.module))
-}
-
-/// [`lint_compiled`] reading `views`, one per function of the module in
-/// function order: the pipeline passes the views its passes kept, so a
-/// CFG they already analysed is not analysed again.
-pub(crate) fn lint_compiled_with(
-    compiled: &Compiled,
-    views: &mut [FunctionAnalyses],
-) -> Vec<LintFinding> {
     let renumbered = compiled.barrier_alloc.is_some();
     let spec: Vec<(FuncId, Vec<BarrierId>)> = compiled
         .reports
@@ -302,7 +294,7 @@ pub(crate) fn lint_compiled_with(
             (*id, bars)
         })
         .collect();
-    lint_with_spec(&compiled.module, views, |fid, a, b| {
+    lint_with_spec(&compiled.module, &mut compiled.views.borrow_mut(), |fid, a, b| {
         let is_spec =
             spec.iter().any(|(id, bars)| *id == fid && (bars.contains(&a) || bars.contains(&b)));
         if is_spec && !renumbered {
@@ -311,10 +303,6 @@ pub(crate) fn lint_compiled_with(
             LintSeverity::Warning
         }
     })
-}
-
-fn fresh_views(module: &Module) -> Vec<FunctionAnalyses> {
-    vec![FunctionAnalyses::default(); module.functions.len()]
 }
 
 fn lint_with_spec(

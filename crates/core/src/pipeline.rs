@@ -206,6 +206,10 @@ pub struct Compiled {
     /// Module-wide barrier allocation report, when
     /// [`CompileOptions::barrier_allocation`] ran.
     pub barrier_alloc: Option<BarrierAllocReport>,
+    /// The passes' analysis views, one per function of `module`, which
+    /// [`lint_compiled`](crate::lint_compiled) reads instead of analysing
+    /// the module again (each view builds what it lacks on first use).
+    pub(crate) views: std::cell::RefCell<Vec<FunctionAnalyses>>,
 }
 
 /// Runs the pipeline over every function of `module`.
@@ -377,10 +381,9 @@ pub fn compile(module: &Module, opts: &CompileOptions) -> Result<Compiled, PassE
 
     verify(&m, "pipeline")?;
 
-    let compiled = Compiled { module: m, reports, barrier_alloc };
+    let compiled = Compiled { module: m, reports, barrier_alloc, views: views.into() };
     if opts.lint {
-        let findings = crate::lint::lint_compiled_with(&compiled, &mut views);
-        let errors = crate::lint::errors_of(&findings);
+        let errors = crate::lint::errors_of(&crate::lint::lint_compiled(&compiled));
         if !errors.is_empty() {
             return Err(PassError::Lint(errors.join("\n")));
         }

@@ -33,10 +33,11 @@
 //! [`CtlEvent`]s: the decoded engine turns them into journal events, the
 //! cohort (which never journals) passes a no-op.
 
-use crate::config::{SchedulerPolicy, SimConfig};
+use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedFunc, DecodedImage, PoolRange};
-use crate::error::{BarrierState, ReconDump, SimError};
+use crate::error::{BarrierState, SimError};
 use crate::machine::Launch;
+use crate::recon::{Split, StackEntry};
 use crate::sched::{lanes, select_group_mask};
 use simt_ir::{BarrierId, BarrierOp};
 
@@ -123,11 +124,21 @@ pub(crate) struct WarpCtl {
     /// unless lanes sit at different call depths. A cache of `bases`,
     /// recomputed by [`WarpCtl::call`] and [`WarpCtl::ret`].
     pub(crate) shared: Option<usize>,
+    /// The IPDOM stack (empty under the other models): while the top entry
+    /// exists, only its `pending` lanes are [`schedulable`](WarpCtl::schedulable).
+    pub(crate) ipdom_stack: Vec<StackEntry>,
+    /// Under the IPDOM stack, the divergent branch the current issue ran,
+    /// `(branch pc, taken, not taken)`, until the stack pushes it.
+    pub(crate) branch: Option<(usize, u64, u64)>,
+    /// Warp splits (empty unless warp-split): they partition the warp's
+    /// unexited lanes.
+    pub(crate) splits: Vec<Split>,
 }
 
 /// Every field counts except what no transition reads: a lane's
 /// live-frame saved pc (stale by design; the live pc is in `pcs`), frame
-/// entries above its depth, and the two caches, `waiters` and `shared`.
+/// entries above its depth, the two caches, `waiters` and `shared`, and
+/// `branch`, which lives only between an issue and its IPDOM hook.
 impl PartialEq for WarpCtl {
     fn eq(&self, o: &Self) -> bool {
         let WarpCtl {
@@ -149,6 +160,9 @@ impl PartialEq for WarpCtl {
             depths,
             frames: _,
             shared: _,
+            ipdom_stack,
+            branch: _,
+            splits,
         } = self;
         // Scalars first: most unequal planes differ in a clock or a mask.
         (busy_until, rr_cursor, last_lanes, done)
@@ -157,6 +171,7 @@ impl PartialEq for WarpCtl {
                 == (&o.lane_mask, &o.runnable, &o.waiting, &o.at_sync, &o.exited)
             && (pcs, status, masks, bases, tops, depths)
                 == (&o.pcs, &o.status, &o.masks, &o.bases, &o.tops, &o.depths)
+            && (ipdom_stack, splits) == (&o.ipdom_stack, &o.splits)
             && depths.iter().enumerate().all(|(l, &top)| {
                 (0..=top).all(|d| {
                     let (a, b) = (self.frame(l, d), o.frame(l, d));
@@ -210,6 +225,14 @@ impl WarpCtl {
             depths: vec![0; width],
             frames: vec![kernel; width],
             shared: Some(0),
+            ipdom_stack: Vec::new(),
+            branch: None,
+            splits: match cfg.recon {
+                ReconvergenceModel::WarpSplit { .. } => {
+                    vec![Split { mask: lane_mask, busy_until: 0 }]
+                }
+                _ => Vec::new(),
+            },
         };
         Ok((kfunc, ctl))
     }
@@ -419,16 +442,17 @@ impl WarpCtl {
     }
 
     /// Both engines' deadlock report of warp `w` at `cycle`, whose live
-    /// lanes all block with the release checks run; `recon` is the model's
-    /// part. Each lane names the barrier it is parked on (`WaitingSync` as
-    /// barrier 0: the diagnostic text carries the real story), and every
-    /// barrier register with live participants or waiters is dumped.
+    /// lanes all block with the release checks run; `model` adds its state
+    /// ([`WarpCtl::recon_dump`]). Each lane names the barrier it is parked
+    /// on (`WaitingSync` as barrier 0: the diagnostic text carries the
+    /// real story), and every barrier register with live participants or
+    /// waiters is dumped.
     pub(crate) fn deadlock(
         &self,
         image: &DecodedImage,
         w: usize,
         cycle: u64,
-        recon: ReconDump,
+        model: ReconvergenceModel,
     ) -> SimError {
         let (live, at) = (self.live(), |l| image.location(w, l, self.pcs[l]));
         let parked = |l| if let Status::Waiting(b) = self.status[l] { b } else { BarrierId(0) };
@@ -440,7 +464,7 @@ impl WarpCtl {
             cycle,
             waiting: lanes(live).map(|l| (at(l), parked(l))).collect(),
             barriers: barriers.filter(|b| b.participants != 0 || b.waiters != 0).collect(),
-            recon,
+            recon: self.recon_dump(model),
         }
     }
 
@@ -492,10 +516,10 @@ impl WarpCtl {
         assert_eq!(self.shared, shared_base(&self.bases), "stale shared frame base");
     }
 
-    /// Groups the runnable lanes of `eligible` by flat PC and applies
-    /// the scheduler policy. `groups` is scratch; `other_pcs` receives
-    /// the pcs of the groups that were *not* chosen (empty after a
-    /// converged pick) for the straight-line batcher's merge guard.
+    /// Groups the [`schedulable`](WarpCtl::schedulable) lanes by flat PC
+    /// and applies the scheduler policy. `groups` is scratch; `other_pcs`
+    /// receives the pcs of the groups that were *not* chosen (empty after
+    /// a converged pick) for the straight-line batcher's merge guard.
     ///
     /// A converged warp (all runnable lanes at one pc — the common
     /// case) is detected in the first pass and short-circuits to a
@@ -509,13 +533,12 @@ impl WarpCtl {
     pub(crate) fn pick_group(
         &mut self,
         policy: SchedulerPolicy,
-        eligible: u64,
         groups: &mut Vec<(usize, u64)>,
         other_pcs: &mut Vec<usize>,
     ) -> Option<(usize, u64)> {
         #[cfg(debug_assertions)]
         self.check_masks();
-        let runnable = self.runnable & eligible;
+        let runnable = self.schedulable();
         if runnable == 0 {
             return None;
         }

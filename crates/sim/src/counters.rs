@@ -76,13 +76,19 @@ pub fn fold<T: Counters>(a: &T, b: &T) -> T {
     r
 }
 
-/// `a` and `b` combined field by field under `f`, whatever the kind: the
-/// sweep engine's per-slot base arithmetic (`u64::wrapping_add` to apply
-/// a base, `u64::wrapping_sub` to take one).
+/// `a` and `b` combined field by field, a [`CounterKind::Sum`] under `sum`
+/// and a [`CounterKind::Max`] under `max`: the sweep engine's per-slot
+/// bases, where sums ride wrapping deltas (`u64::wrapping_add` applies
+/// one, `u64::wrapping_sub` takes one) and maxima fold (`u64::max`).
 #[must_use]
-pub fn combine<T: Counters>(a: &T, b: &T, f: fn(u64, u64) -> u64) -> T {
+pub fn combine<T: Counters>(a: &T, b: &T, sum: fn(u64, u64) -> u64, max: fn(u64, u64) -> u64) -> T {
     let mut r = *a;
-    r.zip(b, |_, x, y| *x = f(*x, y));
+    r.zip(b, |c, x, y| {
+        *x = match c.kind {
+            CounterKind::Sum => sum(*x, y),
+            CounterKind::Max => max(*x, y),
+        }
+    });
     r
 }
 
@@ -193,7 +199,7 @@ impl Counters for SweepStats {
             Sum forks: "Sub-cohort forks",
             Sum merges: "Sub-cohort merges",
             Max peak_subcohorts: "Most sub-cohorts live at once in one cohort",
-            Sum scalar_steps: "Rounds stepped by standalone scalar machines",
+            Sum scalar_steps: "Rounds stepped by standalone scalar machines (always 0)",
             Sum dense_rows: "Operand rows evaluated by a dense typed loop",
             Sum mixed_rows: "Operand rows with an int in some slots and a float in others",
             Sum uniform_accesses: "Global accesses priced once for the sub-cohort",
@@ -264,9 +270,15 @@ mod tests {
     fn combine_applies_and_takes_bases_field_by_field() {
         let a = distinct::<MemStats>(100);
         let b = distinct::<MemStats>(7);
-        let d = combine(&a, &b, u64::wrapping_sub);
-        assert_eq!(combine(&d, &b, u64::wrapping_add), a);
+        let d = combine(&a, &b, u64::wrapping_sub, u64::max);
+        assert_eq!(combine(&d, &b, u64::wrapping_add, u64::max), a);
         assert_eq!(d.levels[2].mshr_stall_cycles, 93);
-        assert_eq!(combine(&b, &a, u64::wrapping_sub).dram_segments, 93u64.wrapping_neg());
+        let neg = combine(&b, &a, u64::wrapping_sub, u64::max).dram_segments;
+        assert_eq!(neg, 93u64.wrapping_neg());
+        // A high-water mark never rides the delta.
+        let a = ReconStats { stack_pushes: 9, stack_max_depth: 3, ..ReconStats::default() };
+        let b = ReconStats { stack_pushes: 4, stack_max_depth: 5, ..ReconStats::default() };
+        let d = combine(&a, &b, u64::wrapping_sub, u64::max);
+        assert_eq!((d.stack_pushes, d.stack_max_depth), (5, 5));
     }
 }

@@ -110,13 +110,19 @@ impl Metrics {
         pw.1 += active * weight;
     }
 
-    /// Field-wise combination of two snapshots of one launch shape
-    /// under `f` — the sweep engine's per-slot base arithmetic
+    /// Field-wise combination of two snapshots of one launch shape — the
+    /// sweep engine's per-slot base arithmetic: `f` on every event count
     /// (`u64::wrapping_add` to apply a base, `u64::wrapping_sub` to take
-    /// one). `warp_width` is kept from `self`. The destructuring is
+    /// one), `max` on the high-water marks ([`counters::combine`]).
+    /// `warp_width` is kept from `self`. The destructuring is
     /// exhaustive on purpose: a field added to [`Metrics`] fails to
     /// compile here until it is handled.
-    pub(crate) fn combine(&self, o: &Metrics, f: fn(u64, u64) -> u64) -> Metrics {
+    pub(crate) fn combine(
+        &self,
+        o: &Metrics,
+        f: fn(u64, u64) -> u64,
+        max: fn(u64, u64) -> u64,
+    ) -> Metrics {
         let Metrics {
             cycles,
             issues,
@@ -141,8 +147,8 @@ impl Metrics {
             roi_active_lane_sum: f(*roi_active_lane_sum, o.roi_active_lane_sum),
             stall_cycles: f(*stall_cycles, o.stall_cycles),
             barrier_ops: f(*barrier_ops, o.barrier_ops),
-            mem: counters::combine(mem, &o.mem, f),
-            recon: counters::combine(recon, &o.recon, f),
+            mem: counters::combine(mem, &o.mem, f, max),
+            recon: counters::combine(recon, &o.recon, f, max),
             lane_insts: f(*lane_insts, o.lane_insts),
             per_warp: per_warp
                 .iter()

@@ -335,7 +335,7 @@ pub(crate) fn run_ahead<B: Batcher>(
     if !keeps_lockstep(&image.insts[pc]) || !(mask == schedulable || greedy) {
         return Ok((Run::default(), false));
     }
-    let bump_rr = pick_bumps_rr(cfg);
+    let (bump_rr, ipdom) = (pick_bumps_rr(cfg), cfg.recon == ReconvergenceModel::IpdomStack);
     let (ctl, ..) = b.state();
     let waiting = ctl.waiting.count_ones();
     let mut run = Run { at: ctl.pcs[mask.trailing_zeros() as usize], ..Run::default() };
@@ -350,7 +350,21 @@ pub(crate) fn run_ahead<B: Batcher>(
         if b.state().1.contains(&run.at) || !batchable {
             break;
         }
-        let Some((cost, next)) = b.issue(mask, inst, &run)? else { break };
+        let Some((cost, mut next)) = b.issue(mask, inst, &run)? else { break };
+        // Under the IPDOM stack an issue that split the group (`None`) or
+        // brought it to the top entry's reconvergence pc runs the stack's
+        // hook, and ends the batch if the stack moved.
+        if ipdom {
+            let (ctl, _, metrics) = b.state();
+            if next.is_none() || next == ctl.ipdom_stack.last().map(|e| e.rpc as usize) {
+                if let Some(at) = next {
+                    ctl.move_to(mask, at);
+                }
+                if ctl.ipdom_post_issue(image, (run.at, mask), &mut metrics.recon) {
+                    next = None;
+                }
+            }
+        }
         if bump_rr {
             let rr = &mut b.state().0.rr_cursor;
             *rr = rr.wrapping_add(1);

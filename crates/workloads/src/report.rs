@@ -108,9 +108,9 @@ pub fn render_seeds(name: &str, jobs: usize, seeds: Seeds, out: &RunOutput<SeedM
 }
 
 /// The sweep engine's counters: the `sweep engine:` line, the `data
-/// plane:` and `lane spans:` lines, and the `escape hatch:` line when the
-/// seeds ran as standalone scalar launches (a hardware reconvergence
-/// model).
+/// plane:` and `lane spans:` lines, and the `escape hatch:` line if a
+/// seed ever stepped a standalone scalar machine (none does: every
+/// reconvergence model runs in the cohort).
 fn render_sweep(s: &SweepStats) -> String {
     let mut text = format!(
         "sweep engine: {} instances, {} lockstep issues, {} forks, {} merges, \

@@ -5,9 +5,9 @@
 //! every lane draws from its RNG and the warp votes; the vote count is
 //! warp-uniform but a pure function of the launch seed, so under a seed
 //! sweep whole instances disagree on the branch on nearly every round.
-//! This is the worst case for a lockstep sweep with a scalar fallback —
-//! the old engine spent most of its time replaying minority seeds on
-//! scalar machines — and the best case for masked sub-cohort forking,
+//! This was the worst case for the detach-to-scalar engine the cohort
+//! replaced — it spent most of its time replaying minority seeds on
+//! scalar machines — and is the best case for masked sub-cohort forking,
 //! which keeps each disagreeing class executing SIMD-style under its
 //! own slot mask and merges the sub-cohorts back at every join.
 //!

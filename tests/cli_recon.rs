@@ -70,25 +70,27 @@ fn run_rejects_unknown_recon_models() {
 }
 
 #[test]
-fn sweep_accepts_recon_model_and_reports_scalar_fallback() {
-    let out = specrecon(&[
-        "sweep",
-        "--workload",
-        "microbench",
-        "--seeds",
-        "0..4",
-        "--warps",
-        "1",
-        "--recon-model",
-        "ipdom-stack",
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("sweep engine: 4 instances"), "{text}");
-    // Non-default models bypass the lockstep cohort: each seed runs on
-    // a scalar machine and the escape-hatch line reports the steps.
-    assert!(text.contains("scalar steps"), "{text}");
-    assert!(text.contains("0 lockstep issues"), "{text}");
+fn sweep_accepts_recon_model_and_runs_in_lockstep() {
+    for model in ["ipdom-stack", "warp-split:window=4,compact"] {
+        let out = specrecon(&[
+            "sweep",
+            "--workload",
+            "microbench",
+            "--seeds",
+            "0..4",
+            "--warps",
+            "1",
+            "--recon-model",
+            model,
+        ]);
+        assert!(out.status.success(), "{model}: stderr: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("sweep engine: 4 instances"), "{model}: {text}");
+        // Every model runs in the lockstep cohort: no seed steps a scalar
+        // machine, so there is no escape-hatch line.
+        assert!(!text.contains("instances, 0 lockstep issues"), "{model}: {text}");
+        assert!(!text.contains("escape hatch"), "{model}: {text}");
+    }
 }
 
 #[test]

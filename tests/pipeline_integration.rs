@@ -132,9 +132,10 @@ fn warp_width_is_configurable() {
     assert_eq!(out.metrics.warp_width, 16);
 }
 
-/// Compile's lint stage reads the analyses compile already built: over
-/// the registry and the 520-kernel corpus under every repair, each
-/// function gets one reverse post-order, not a second one for the lint.
+/// The lint reads the analyses compile already built — in compile's own
+/// lint stage and in a standalone `lint_compiled` after it: over the
+/// registry and the 520-kernel corpus under every repair, each function
+/// gets one reverse post-order, not a second one for the lint.
 /// Lint findings are a function of the CFG alone, so sharing the views
 /// cannot change them.
 #[test]
@@ -143,18 +144,26 @@ fn the_lint_reuses_the_views_compile_built() {
     use specrecon::passes::RepairStrategy;
     use specrecon::workloads::{corpus, registry};
 
-    let corpus = corpus::generate(520, 0x5eed).into_iter().map(|e| e.workload);
-    let (mut builds, mut functions) = (0, 0);
-    for w in registry().into_iter().chain(corpus) {
-        for repair in RepairStrategy::ALL {
-            let opts = CompileOptions { lint: true, ..repair.options() };
-            let start = rpo_builds();
-            let compiled = compile(&w.module, &opts)
-                .unwrap_or_else(|e| panic!("{} under {repair}: {e}", w.name));
-            builds += rpo_builds() - start;
-            functions += compiled.module.functions.len();
+    let corpus: Vec<_> = corpus::generate(520, 0x5eed).into_iter().map(|e| e.workload).collect();
+    // `compile`'s own lint stage, and a standalone `lint_compiled` after a
+    // compile without one (the `specrecon lint` command's path).
+    for lint in [true, false] {
+        let (mut builds, mut functions) = (0, 0);
+        for w in registry().into_iter().chain(corpus.clone()) {
+            for repair in RepairStrategy::ALL {
+                let opts = CompileOptions { lint, ..repair.options() };
+                let start = rpo_builds();
+                let compiled = compile(&w.module, &opts)
+                    .unwrap_or_else(|e| panic!("{} under {repair}: {e}", w.name));
+                if !lint {
+                    specrecon::passes::lint_compiled(&compiled);
+                }
+                builds += rpo_builds() - start;
+                functions += compiled.module.functions.len();
+            }
         }
+        let per_function = builds as f64 / functions as f64;
+        let at = format!("lint in compile: {lint}");
+        assert_eq!(per_function, 1.0, "{at}: {builds} RPO builds over {functions} functions");
     }
-    let per_function = builds as f64 / functions as f64;
-    assert_eq!(per_function, 1.0, "{builds} RPO builds over {functions} compiled functions");
 }

@@ -1,7 +1,7 @@
 //! The sweep golden: what `specrecon sweep` (and `run --seeds N`) prints
 //! for the six cohorts of the `seed-sweep` ledger workload (compiled SR,
-//! flat memory, seeds `0..32`), one range under the IPDOM stack (the
-//! scalar fallback, which prints the escape-hatch line) and one
+//! flat memory, seeds `0..32`), one range under the IPDOM stack (a
+//! lockstep cohort like the others: its stack is control state) and one
 //! count-form run — rendered in process through the printer the commands
 //! use ([`render_seeds`]) and compared with `tests/golden/sweep.txt`.
 //! Every count in it is exact (per-seed cycles, forks, merges, the data
