@@ -30,12 +30,13 @@
 //! equal control planes behave identically forever — the fact the
 //! cohort's merge test (`==` on its planes) rests on. Transitions report
 //! the lanes they joined, parked or released through a sink of
-//! [`CtlEvent`]s: the decoded engine turns them into journal events, the
-//! cohort (which never journals) passes a no-op.
+//! [`JournalKind`]s: the decoded engine's observer stamps them with cycle
+//! and warp, the cohort (which never journals) passes a no-op.
 
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedFunc, DecodedImage, PoolRange};
 use crate::error::{BarrierState, SimError};
+use crate::journal::JournalKind;
 use crate::machine::Launch;
 use crate::recon::{Split, StackEntry};
 use crate::sched::{lanes, select_group_mask};
@@ -48,18 +49,6 @@ pub(crate) enum Status {
     /// Blocked at `__syncthreads` until every live thread arrives.
     WaitingSync,
     Exited,
-}
-
-/// A control transition the journal records, minus the cycle and warp
-/// index the control plane does not know.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum CtlEvent {
-    Join { barrier: BarrierId, mask: u64 },
-    Cancel { barrier: BarrierId, mask: u64 },
-    Wait { barrier: BarrierId, mask: u64 },
-    Release { barrier: BarrierId, mask: u64 },
-    SyncArrive { mask: u64 },
-    SyncRelease { mask: u64 },
 }
 
 /// One call frame of a lane. Where its register window sits is control,
@@ -287,7 +276,7 @@ impl WarpCtl {
     /// lane in its kernel frame exits instead ([`Self::exit`]). The engine
     /// moves the return values first (callee window at [`Self::bases`],
     /// the caller's one frame down).
-    pub(crate) fn ret(&mut self, mask: u64, sink: &mut impl FnMut(CtlEvent)) {
+    pub(crate) fn ret(&mut self, mask: u64, sink: &mut impl FnMut(JournalKind)) {
         let mut exited = 0u64;
         for l in lanes(mask) {
             let Some(d) = self.depths[l].checked_sub(1) else {
@@ -333,16 +322,16 @@ impl WarpCtl {
         &mut self,
         mask: u64,
         op: BarrierOp,
-        sink: &mut impl FnMut(CtlEvent),
+        sink: &mut impl FnMut(JournalKind),
     ) -> bool {
         match op {
             BarrierOp::Join(b) | BarrierOp::Rejoin(b) => {
                 self.masks[b.index()] |= mask;
-                sink(CtlEvent::Join { barrier: b, mask });
+                sink(JournalKind::BarrierJoin { barrier: b, mask });
             }
             BarrierOp::Cancel(b) => {
                 self.masks[b.index()] &= !mask;
-                sink(CtlEvent::Cancel { barrier: b, mask });
+                sink(JournalKind::BarrierCancel { barrier: b, mask });
                 self.release_check(b, sink);
             }
             BarrierOp::Copy { dst, src } => {
@@ -359,7 +348,7 @@ impl WarpCtl {
                 self.runnable &= !mask;
                 self.waiting |= mask;
                 self.waiters[b.index()] |= mask;
-                sink(CtlEvent::Wait { barrier: b, mask });
+                sink(JournalKind::BarrierWait { barrier: b, mask });
                 self.release_check(b, sink);
                 return false;
             }
@@ -369,19 +358,19 @@ impl WarpCtl {
 
     /// Parks the issued lanes at `__syncthreads` and releases the warp
     /// if they were the last to arrive.
-    pub(crate) fn sync_arrive(&mut self, mask: u64, sink: &mut impl FnMut(CtlEvent)) {
+    pub(crate) fn sync_arrive(&mut self, mask: u64, sink: &mut impl FnMut(JournalKind)) {
         for l in lanes(mask) {
             self.status[l] = Status::WaitingSync;
         }
         self.runnable &= !mask;
         self.at_sync |= mask;
-        sink(CtlEvent::SyncArrive { mask });
+        sink(JournalKind::SyncArrive { mask });
         self.sync_release_check(sink);
     }
 
     /// Releases the `__syncthreads` cohort once every live thread is at
     /// one.
-    fn sync_release_check(&mut self, sink: &mut impl FnMut(CtlEvent)) {
+    fn sync_release_check(&mut self, sink: &mut impl FnMut(JournalKind)) {
         // All live threads are at the sync exactly when nothing is
         // runnable or barrier-blocked and at least one lane arrived.
         if self.runnable != 0 || self.waiting != 0 || self.at_sync == 0 {
@@ -394,11 +383,11 @@ impl WarpCtl {
         }
         self.at_sync = 0;
         self.runnable |= releasing;
-        sink(CtlEvent::SyncRelease { mask: releasing });
+        sink(JournalKind::SyncRelease { mask: releasing });
     }
 
     /// Releases barrier `b` if every live participant is blocked on it.
-    fn release_check(&mut self, b: BarrierId, sink: &mut impl FnMut(CtlEvent)) {
+    fn release_check(&mut self, b: BarrierId, sink: &mut impl FnMut(JournalKind)) {
         let waiting_b = self.waiters[b.index()];
         if waiting_b == 0 {
             return;
@@ -415,7 +404,7 @@ impl WarpCtl {
             }
             self.waiting &= !waiting_b;
             self.runnable |= waiting_b;
-            sink(CtlEvent::Release { barrier: b, mask: waiting_b });
+            sink(JournalKind::BarrierRelease { barrier: b, mask: waiting_b });
         }
     }
 
@@ -424,7 +413,7 @@ impl WarpCtl {
     /// mask: releases are monotone in removed participants, so clearing
     /// the whole cohort before one re-check pass releases exactly the
     /// barriers that per-lane processing would.
-    pub(crate) fn exit(&mut self, mask: u64, sink: &mut impl FnMut(CtlEvent)) {
+    pub(crate) fn exit(&mut self, mask: u64, sink: &mut impl FnMut(JournalKind)) {
         for l in lanes(mask) {
             self.status[l] = Status::Exited;
         }

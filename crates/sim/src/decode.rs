@@ -59,8 +59,10 @@ impl PoolRange {
 }
 
 /// Where a flat pc came from in the structured IR. Used for error
-/// locations, the per-block profile, and trace events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// locations, the per-block profile, and trace events, and as the
+/// tree-walker's pc-group key: the field order makes it sort like the
+/// `(func, block, inst)` triple, which is flat-pc order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct PcOrigin {
     /// Function containing this pc.
     pub func: FuncId,

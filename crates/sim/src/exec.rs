@@ -51,7 +51,7 @@
 //!   state (a counting-allocator test enforces this).
 
 use crate::alu::AluLoop;
-use crate::barrier::{CtlEvent, Status, WarpCtl};
+use crate::barrier::{Status, WarpCtl};
 use crate::cols::{
     add_cell, cell, encode, move_cell, tagged, typed, Class, MemOp, SlotCols, Src, FLOAT, INT,
     PER_SLOT,
@@ -59,14 +59,13 @@ use crate::cols::{
 use crate::config::{ReconvergenceModel, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst};
 use crate::error::{LaneFault, SimError};
-use crate::journal::{Journal, JournalEvent};
+use crate::journal::JournalKind;
 use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
-use crate::profile::Profile;
+use crate::observe::Observer;
 use crate::recon::{Pick, ReconStats, RoundBufs, Rounds};
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, Batcher, Issued, Run};
-use crate::trace::{Trace, TraceEvent};
 use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, Reg, RngKind, Value};
 
 /// `mask`'s lanes grouped by live frame base ([`BaseGroups`]).
@@ -261,17 +260,11 @@ pub(crate) struct Machine<'m> {
     /// Global memory: one slot, one row per address.
     pub(crate) global: SlotCols,
     pub(crate) metrics: Metrics,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) profile: Option<Profile>,
-    pub(crate) journal: Option<Journal>,
+    pub(crate) obs: Observer,
     pub(crate) scratch: Scratch,
     /// Machine-wide MSHR files of the memory-hierarchy cost model
     /// (empty when [`SimConfig::mem`] is off).
     pub(crate) mshrs: crate::mem::MemMshrs,
-    /// Outcome of the global access the current issue performed, parked
-    /// by [`Machine::access`] for [`Machine::issue`] to attribute
-    /// (journal event, per-block profile) after the hot borrows end.
-    pub(crate) pending_mem: Option<crate::mem::AccessOutcome>,
     /// How the rounds were served; see [`EngineStats`].
     pub(crate) stats: EngineStats,
     pub(crate) cycle: u64,
@@ -389,12 +382,9 @@ impl<'m> Machine<'m> {
             warps,
             global: SlotCols::of_values(&launch.global_mem, 1),
             metrics: Metrics::new(launch.num_warps, width),
-            trace: if cfg.trace { Some(Trace::new(width)) } else { None },
-            profile: if cfg.profile { Some(Profile::new()) } else { None },
-            journal: cfg.journal.as_ref().map(Journal::new),
+            obs: Observer::new(cfg),
             scratch: Scratch::default(),
             mshrs: crate::mem::MemMshrs::new(cfg.mem.as_ref()),
-            pending_mem: None,
             stats: EngineStats::default(),
             cycle: 0,
         })
@@ -410,19 +400,11 @@ impl<'m> Machine<'m> {
     /// Finalizes the run into its output (consumes the machine); the
     /// final memory only when [`SimConfig::final_mem`] asks for it.
     pub(crate) fn into_output(self) -> SimOutput {
-        let Machine { cfg, global, mut metrics, trace, profile, journal, stats, cycle, .. } = self;
+        let Machine { cfg, global, mut metrics, obs, stats, cycle, .. } = self;
         metrics.cycles = cycle;
         let global_mem =
             if cfg.final_mem { global.columns(1).pop().expect("one slot") } else { Vec::new() };
-        SimOutput { metrics, engine: stats, global_mem, trace, profile, journal }
-    }
-
-    /// Records one journal event, if journaling is on.
-    #[inline]
-    pub(crate) fn journal_push(&mut self, e: JournalEvent) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(e);
-        }
+        obs.finish(metrics, stats, global_mem)
     }
 
     /// Issues one decoded instruction for the given group in a round of
@@ -432,74 +414,21 @@ impl<'m> Machine<'m> {
         // Stall pressure is sampled before execution, matching the
         // reference engine: lanes parked on a convergence barrier at
         // the moment this group issues.
-        let waiting_lanes = self.warps[w].ctl.waiting.count_ones();
-        if self.journal.is_some() {
-            // Split the same sample by barrier for the journal's
-            // attribution (which barrier keeps lanes parked).
-            let Machine { warps, journal, .. } = &mut *self;
-            let warp = &warps[w];
-            let j = journal.as_mut().expect("journal is on");
-            for l in lanes(warp.ctl.waiting) {
-                if let Status::Waiting(b) = warp.ctl.status[l] {
-                    j.note_stall(b, 1);
-                }
-            }
-        }
+        let ctl = &self.warps[w].ctl;
+        let waiting_lanes = ctl.waiting.count_ones();
+        self.obs.waits(lanes(ctl.waiting).filter_map(|l| match ctl.status[l] {
+            Status::Waiting(b) => Some(b),
+            _ => None,
+        }));
 
         let (cost, next) = self.exec(w, pc, mask)?;
         if let Some(next) = next {
             self.warps[w].ctl.move_to(mask, next);
         }
 
-        // Attribute the memory-hierarchy outcome the access parked (if
-        // any): an MSHR penalty becomes a journal event and a per-block
-        // profile entry, after the access loop's borrows ended.
-        if let Some(out) = self.pending_mem.take() {
-            let stall = out.total_stall();
-            if stall > 0 {
-                if self.journal.is_some() {
-                    let level = out.levels.iter().position(|l| l.mshr_stall == stall).unwrap_or(0);
-                    self.journal_push(JournalEvent::MemStall {
-                        cycle: self.cycle,
-                        warp: w,
-                        level,
-                        stall,
-                    });
-                }
-                if let Some(profile) = &mut self.profile {
-                    let o = self.image.origin[pc];
-                    profile.record_mem_stall(o.func, o.block, stall);
-                }
-            }
-        }
-
         let (roi, weight) = (self.image.roi[pc], u64::from(cost.max(1)));
         self.metrics.record_issues(w, mask, 1, weight, if roi { weight } else { 0 }, waiting_lanes);
-
-        if self.profile.is_some() || self.trace.is_some() {
-            let o = self.image.origin[pc];
-            if let Some(profile) = &mut self.profile {
-                profile.record(
-                    o.func,
-                    o.block,
-                    o.inst as usize,
-                    u64::from(mask.count_ones()),
-                    cost,
-                );
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent {
-                    cycle: self.cycle,
-                    warp: w,
-                    func: o.func,
-                    block: o.block,
-                    inst: o.inst as usize,
-                    mask,
-                    cost,
-                    roi,
-                });
-            }
-        }
+        self.obs.issue(self.cycle, w, self.image.origin[pc], mask, cost, roi);
         Ok(cost)
     }
 
@@ -513,7 +442,7 @@ impl<'m> Machine<'m> {
     /// semantics. Returns whether the issued lanes move on to the next
     /// instruction ([`WarpCtl::barrier`]); they are left where they are.
     fn exec_barrier(&mut self, w: usize, mask: u64, op: BarrierOp) -> bool {
-        let Machine { warps, journal, cycle, cfg, .. } = self;
+        let Machine { warps, obs, cycle, cfg, .. } = self;
         let warp = &mut warps[w];
         if let BarrierOp::ArrivedCount { dst, bar } = op {
             let n = Value::I64(warp.ctl.arrived(bar));
@@ -522,7 +451,7 @@ impl<'m> Machine<'m> {
             }
         }
         matches!(cfg.recon, ReconvergenceModel::IpdomStack)
-            || warp.ctl.barrier(mask, op, &mut |e| journal_ctl(journal, *cycle, w, e))
+            || warp.ctl.barrier(mask, op, &mut |k| obs.event(*cycle, w, k))
     }
 
     /// Executes the instruction at `pc` for `mask`, whose lanes all stand
@@ -577,12 +506,12 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Load { dst, space, addr } => {
                 let op = MemOp::Load(dst);
-                cost = self.access(w, mask, space, addr, op, cost).map_err(|f| f.into_error(at))?;
+                cost = self.access(w, pc, mask, space, addr, op).map_err(|f| f.into_error(at))?;
                 Some(pc + 1)
             }
             DecodedInst::Store { space, addr, value } => {
                 let op = MemOp::Store(value);
-                cost = self.access(w, mask, space, addr, op, cost).map_err(|f| f.into_error(at))?;
+                cost = self.access(w, pc, mask, space, addr, op).map_err(|f| f.into_error(at))?;
                 Some(pc + 1)
             }
             DecodedInst::AtomicAdd { dst, addr, value } => {
@@ -639,8 +568,8 @@ impl<'m> Machine<'m> {
                 Some(pc + 1)
             }
             DecodedInst::SyncThreads => {
-                let Machine { warps, journal, cycle, .. } = self;
-                warps[w].ctl.sync_arrive(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
+                let Machine { warps, obs, cycle, .. } = self;
+                warps[w].ctl.sync_arrive(mask, &mut |k| obs.event(*cycle, w, k));
                 None
             }
             DecodedInst::Vote { dst, pred } => {
@@ -707,24 +636,17 @@ impl<'m> Machine<'m> {
                     if matches!(self.cfg.recon, ReconvergenceModel::IpdomStack) {
                         ctl.branch = Some((pc, taken, not_taken));
                     }
-                    if self.journal.is_some() {
-                        let o = image.origin[pc];
-                        self.journal_push(JournalEvent::BranchDiverge {
-                            cycle: self.cycle,
-                            warp: w,
-                            func: o.func,
-                            block: o.block,
-                            inst: o.inst as usize,
-                            taken,
-                            not_taken,
-                        });
-                    }
+                    let o = image.origin[pc];
+                    let (func, block, inst) = (o.func, o.block, o.inst as usize);
+                    let diverge =
+                        JournalKind::BranchDiverge { func, block, inst, taken, not_taken };
+                    self.obs.event(self.cycle, w, diverge);
                     None
                 }
             }
             DecodedInst::Return { values } => {
                 let value_ops = image.operands(values);
-                let Machine { warps, journal, cycle, .. } = self;
+                let Machine { warps, obs, cycle, .. } = self;
                 let Warp { regs, ctl, .. } = &mut warps[w];
                 for l in lanes(mask) {
                     // The values move from the callee window to the
@@ -738,38 +660,37 @@ impl<'m> Machine<'m> {
                         regs.set(caller + r.index(), l, value);
                     }
                 }
-                ctl.ret(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
+                ctl.ret(mask, &mut |k| obs.event(*cycle, w, k));
                 None
             }
             DecodedInst::Exit => {
-                let Machine { warps, journal, cycle, .. } = self;
-                warps[w].ctl.exit(mask, &mut |e| journal_ctl(journal, *cycle, w, e));
+                let Machine { warps, obs, cycle, .. } = self;
+                warps[w].ctl.exit(mask, &mut |k| obs.event(*cycle, w, k));
                 None
             }
         };
         Ok((cost, next))
     }
 
-    /// The shared load/store path: evaluates per-lane addresses,
-    /// performs the access, and (for global space)
-    /// folds the coalescing/cache cost model over the touched addresses.
-    /// Leaves the lanes at their pc, like every arm of [`Machine::exec`].
+    /// The shared load/store path of the instruction at `pc`: evaluates
+    /// per-lane addresses, performs the access, and (for global space)
+    /// folds the coalescing/cache cost model over the touched addresses,
+    /// recording a memory-hierarchy stall. Leaves the lanes at their pc,
+    /// like every arm of [`Machine::exec`].
     fn access(
         &mut self,
         w: usize,
+        pc: usize,
         mask: u64,
         space: MemSpace,
         addr: Operand,
         op: MemOp,
-        base_cost: u32,
     ) -> Result<u32, LaneFault> {
-        let cfg = self.cfg;
-        let now = self.cycle;
-        let Machine { warps, global, scratch, metrics, mshrs, pending_mem, .. } = self;
+        let (cfg, image, now) = (self.cfg, self.image, self.cycle);
+        let Machine { warps, global, scratch, metrics, mshrs, obs, costs, .. } = self;
         let Warp { regs, ctl, local, mem_tags, .. } = &mut warps[w];
         let addrs = &mut scratch.addrs;
         addrs.clear();
-        let mut failed: Option<LaneFault> = None;
         let (addr, reg) = (Src::of(addr, 1), op.reg(1));
         // Global memory is one slot wide; local memory has one per lane.
         let (mem, per_lane) = match space {
@@ -781,18 +702,16 @@ impl<'m> Machine<'m> {
             let a = addr.at(base).get(regs, l).as_i64();
             addrs.push(a);
             let Some(m) = cell(a, mem.rows()) else {
-                failed = Some(LaneFault::Oob { lane: l, addr: a, size: mem.rows(), space });
-                break;
+                return Err(LaneFault::Oob { lane: l, addr: a, size: mem.rows(), space });
             };
             let ms = if per_lane { l } else { 0 };
             move_cell(regs, (reg.at(base), l), mem, (m, ms), op.is_load());
         }
-        let mut cost = base_cost;
+        let mut cost = costs[pc];
         if space == MemSpace::Global {
             cost = if let Some(hier) = &cfg.mem {
                 // Hierarchy walk at the issue cycle: tag fills and MSHR
-                // allocation commit here; the outcome is parked so
-                // `issue` can attribute the stall once borrows end.
+                // allocation commit here.
                 let out = crate::mem::commit(
                     hier,
                     mem_tags,
@@ -802,12 +721,12 @@ impl<'m> Machine<'m> {
                     now,
                 );
                 metrics.mem.record(&out);
-                *pending_mem = Some(out);
+                obs.mem(now, w, image.origin[pc], &out);
                 out.cost
             } else {
                 let lat = &cfg.latency;
                 let segs = lat.segments_in(&scratch.addrs, &mut scratch.lines);
-                base_cost + lat.mem_segment * segs.saturating_sub(1)
+                cost + lat.mem_segment * segs.saturating_sub(1)
             };
             if !op.is_load() {
                 // Stores write through: cost like a load, but the
@@ -816,7 +735,7 @@ impl<'m> Machine<'m> {
                 Self::invalidate_lines(cfg, warps, &scratch.addrs);
             }
         }
-        failed.map_or(Ok(cost), Err)
+        Ok(cost)
     }
 
     /// Drops the lines covering `addrs` from every warp's tag state
@@ -859,39 +778,22 @@ impl Rounds for Machine<'_> {
 
     /// Issues the picked `(pc, mask)` of warp `w` and runs the group ahead
     /// ([`run_ahead`](crate::sched::run_ahead)), leaving [`Pick::hint`]
-    /// when it stays intact. Tracing and journaling disable batching —
-    /// their events carry the issue cycle, which running ahead would
-    /// misstamp — and with it the hints, so a traced run is the unbatched,
-    /// unhinted reference. The journal records a merge where a picked
-    /// group strictly grew the group issued last (not under warp-split,
-    /// whose rounds pick among splits).
+    /// when it stays intact. Tracing and journaling disable batching
+    /// ([`Observer::stamps_issues`]) and with it the hints, so a traced
+    /// run is the unbatched, unhinted reference.
     #[inline(always)]
     fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, SimError> {
         #[cfg(debug_assertions)]
         self.warps[w].ctl.check_frames(self.image);
         let last = std::mem::replace(&mut self.warps[w].ctl.last_lanes, mask);
-        let split = matches!(self.cfg.recon, ReconvergenceModel::WarpSplit { .. });
-        if self.journal.is_some() && !split && last != 0 && mask != last && mask & last == last {
-            let o = self.image.origin[pc];
-            let (cycle, absorbed) = (self.cycle, mask & !last);
-            let (func, block, inst) = (o.func, o.block, o.inst as usize);
-            self.journal_push(JournalEvent::GroupMerge {
-                cycle,
-                warp: w,
-                func,
-                block,
-                inst,
-                mask,
-                absorbed,
-            });
-        }
+        self.obs.pick(self.cycle, w, self.image.origin[pc], last, mask);
         let busy = self.cycle + u64::from(self.issue(w, pc, mask)?.max(1));
         // A stack that moved (pushed, parked or popped) changed what the
         // next pick chooses among.
         let Machine { warps, image, metrics, cfg, .. } = self;
         let stack_moved = matches!(cfg.recon, ReconvergenceModel::IpdomStack)
             && warps[w].ctl.ipdom_post_issue(image, (pc, mask), &mut metrics.recon);
-        if stack_moved || self.trace.is_some() || self.journal.is_some() {
+        if stack_moved || self.obs.stamps_issues() {
             return Ok(busy);
         }
         let (cfg, image, issue) =
@@ -904,7 +806,7 @@ impl Rounds for Machine<'_> {
 
     /// The deadlock report of warp `w` ([`WarpCtl::deadlock`]), journaled.
     fn deadlock(&mut self, w: usize) -> SimError {
-        self.journal_push(JournalEvent::DeadlockOnset { cycle: self.cycle, warp: w });
+        self.obs.event(self.cycle, w, JournalKind::DeadlockOnset);
         self.warps[w].ctl.deadlock(self.image, w, self.cycle, self.cfg.recon)
     }
 
@@ -934,35 +836,9 @@ impl Batcher for WarpRun<'_, '_> {
             return Ok(None);
         }
         let (cost, next) = m.exec(w, pc, mask)?;
-        if let Some(profile) = &mut m.profile {
-            let o = m.image.origin[pc];
-            profile.record(o.func, o.block, o.inst as usize, mask.count_ones().into(), cost);
-        }
+        m.obs.batched(m.image.origin[pc], mask, cost);
         Ok(Some((cost, next)))
     }
-}
-
-/// Stamps a control-plane transition with its cycle and warp and
-/// records it, if journaling is on.
-#[inline]
-fn journal_ctl(journal: &mut Option<Journal>, cycle: u64, warp: usize, e: CtlEvent) {
-    let Some(j) = journal else { return };
-    j.push(match e {
-        CtlEvent::Join { barrier, mask } => {
-            JournalEvent::BarrierJoin { cycle, warp, barrier, mask }
-        }
-        CtlEvent::Cancel { barrier, mask } => {
-            JournalEvent::BarrierCancel { cycle, warp, barrier, mask }
-        }
-        CtlEvent::Wait { barrier, mask } => {
-            JournalEvent::BarrierWait { cycle, warp, barrier, mask }
-        }
-        CtlEvent::Release { barrier, mask } => {
-            JournalEvent::BarrierRelease { cycle, warp, barrier, mask }
-        }
-        CtlEvent::SyncArrive { mask } => JournalEvent::SyncArrive { cycle, warp, mask },
-        CtlEvent::SyncRelease { mask } => JournalEvent::SyncRelease { cycle, warp, mask },
-    });
 }
 
 #[cfg(test)]

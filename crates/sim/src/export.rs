@@ -1,8 +1,8 @@
 //! Trace and journal exporters: JSON Lines and Chrome trace format.
 //!
 //! Both exporters are hand-rolled (this workspace deliberately has no
-//! serde dependency; see the bench crate's JSON reader for the same
-//! choice on the parse side) and deterministic: the same [`SimOutput`]
+//! serde dependency; the service's reader, `specrecon_server::json`,
+//! makes the same choice on the parse side) and deterministic: the same [`SimOutput`]
 //! always renders byte-identical text, which the golden-file test
 //! relies on.
 //!
@@ -15,7 +15,7 @@
 //!   lane-occupancy counter series, and an instant marker per journal
 //!   event.
 
-use crate::journal::JournalEvent;
+use crate::journal::{JournalEvent, JournalKind};
 use crate::machine::SimOutput;
 use crate::trace::TraceEvent;
 use std::fmt::Write as _;
@@ -29,30 +29,30 @@ fn included(warps: Option<&[usize]>, w: usize) -> bool {
 /// `"key":value` pairs (no braces), shared by both exporters.
 fn journal_fields(e: &JournalEvent) -> String {
     let mut s = String::new();
-    match *e {
-        JournalEvent::BranchDiverge { func, block, inst, taken, not_taken, .. } => {
+    match e.kind {
+        JournalKind::BranchDiverge { func, block, inst, taken, not_taken } => {
             let _ = write!(
                 s,
                 r#""loc":"{func}/{block}:{inst}","taken":"{taken:#x}","not_taken":"{not_taken:#x}""#
             );
         }
-        JournalEvent::BarrierJoin { barrier, mask, .. }
-        | JournalEvent::BarrierCancel { barrier, mask, .. }
-        | JournalEvent::BarrierWait { barrier, mask, .. }
-        | JournalEvent::BarrierRelease { barrier, mask, .. } => {
+        JournalKind::BarrierJoin { barrier, mask }
+        | JournalKind::BarrierCancel { barrier, mask }
+        | JournalKind::BarrierWait { barrier, mask }
+        | JournalKind::BarrierRelease { barrier, mask } => {
             let _ = write!(s, r#""barrier":"{barrier}","mask":"{mask:#x}""#);
         }
-        JournalEvent::SyncArrive { mask, .. } | JournalEvent::SyncRelease { mask, .. } => {
+        JournalKind::SyncArrive { mask } | JournalKind::SyncRelease { mask } => {
             let _ = write!(s, r#""mask":"{mask:#x}""#);
         }
-        JournalEvent::GroupMerge { func, block, inst, mask, absorbed, .. } => {
+        JournalKind::GroupMerge { func, block, inst, mask, absorbed } => {
             let _ = write!(
                 s,
                 r#""loc":"{func}/{block}:{inst}","mask":"{mask:#x}","absorbed":"{absorbed:#x}""#
             );
         }
-        JournalEvent::DeadlockOnset { .. } => {}
-        JournalEvent::MemStall { level, stall, .. } => {
+        JournalKind::DeadlockOnset => {}
+        JournalKind::MemStall { level, stall } => {
             let _ = write!(s, r#""level":"L{}","stall":{stall}"#, level + 1);
         }
     }
@@ -74,9 +74,9 @@ fn jsonl_journal(out: &mut String, e: &JournalEvent) {
     let _ = writeln!(
         out,
         r#"{{"type":"{}","cycle":{},"warp":{}{sep}{fields}}}"#,
-        e.kind(),
-        e.cycle(),
-        e.warp()
+        e.kind.name(),
+        e.cycle,
+        e.warp
     );
 }
 
@@ -97,7 +97,7 @@ pub fn jsonl(out: &SimOutput, warps: Option<&[usize]>) -> String {
     // two-pointer merge keeps the combined stream ordered.
     while ti < trace.len() || ji < journal.len() {
         let take_trace = match (trace.get(ti), journal.get(ji)) {
-            (Some(t), Some(j)) => t.cycle <= j.cycle(),
+            (Some(t), Some(j)) => t.cycle <= j.cycle,
             (Some(_), None) => true,
             _ => false,
         };
@@ -110,7 +110,7 @@ pub fn jsonl(out: &SimOutput, warps: Option<&[usize]>) -> String {
         } else {
             let e = journal[ji];
             ji += 1;
-            if included(warps, e.warp()) {
+            if included(warps, e.warp) {
                 jsonl_journal(&mut s, e);
             }
         }
@@ -132,7 +132,7 @@ pub fn chrome_trace(out: &SimOutput, warps: Option<&[usize]>) -> String {
     let mut tracked: Vec<usize> = trace
         .iter()
         .map(|e| e.warp)
-        .chain(journal.iter().map(|e| e.warp()))
+        .chain(journal.iter().map(|e| e.warp))
         .filter(|&w| included(warps, w))
         .collect();
     tracked.sort_unstable();
@@ -180,7 +180,7 @@ pub fn chrome_trace(out: &SimOutput, warps: Option<&[usize]>) -> String {
         );
     }
     for e in &journal {
-        if !included(warps, e.warp()) {
+        if !included(warps, e.warp) {
             continue;
         }
         let fields = journal_fields(e);
@@ -189,9 +189,9 @@ pub fn chrome_trace(out: &SimOutput, warps: Option<&[usize]>) -> String {
         let _ = write!(
             s,
             r#"{{"name":"{}","ph":"i","s":"t","pid":0,"tid":{},"ts":{},"args":{args}}}"#,
-            e.kind(),
-            e.warp(),
-            e.cycle()
+            e.kind.name(),
+            e.warp,
+            e.cycle
         );
     }
     s.push_str("\n]}\n");
@@ -236,7 +236,8 @@ mod tests {
         t.push(issue(0, 0, 0b1111));
         t.push(issue(5, 0, 0b0011));
         let mut j = Journal::new(&JournalConfig::default());
-        j.push(JournalEvent::BarrierWait { cycle: 5, warp: 0, barrier: BarrierId(0), mask: 0b11 });
+        let kind = JournalKind::BarrierWait { barrier: BarrierId(0), mask: 0b11 };
+        j.push(JournalEvent { cycle: 5, warp: 0, kind });
         let s = jsonl(&output_with(Some(t), Some(j)), None);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -265,7 +266,7 @@ mod tests {
         let mut t = Trace::new(4);
         t.push(issue(0, 0, 0b0111));
         let mut j = Journal::new(&JournalConfig::default());
-        j.push(JournalEvent::SyncArrive { cycle: 0, warp: 0, mask: 0b0111 });
+        j.push(JournalEvent { cycle: 0, warp: 0, kind: JournalKind::SyncArrive { mask: 0b0111 } });
         let s = chrome_trace(&output_with(Some(t), Some(j)), None);
         assert!(s.starts_with("{\"traceEvents\":["), "{s}");
         assert!(s.trim_end().ends_with("]}"), "{s}");

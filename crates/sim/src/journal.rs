@@ -32,18 +32,26 @@ use std::sync::Arc;
 
 /// One divergence-relevant event, in issue order.
 ///
-/// All masks are lane bitmasks of the event's warp. `cycle` is the issue
-/// cycle of the instruction that caused the event (releases carry the
-/// cycle of the issue that completed the barrier).
+/// `cycle` is the issue cycle of the instruction that caused the event
+/// (releases carry the cycle of the issue that completed the barrier);
+/// `warp` is the warp index. What happened is the [`JournalKind`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalEvent {
+pub struct JournalEvent {
+    /// Issue cycle.
+    pub cycle: u64,
+    /// Warp index.
+    pub warp: usize,
+    /// What happened.
+    pub kind: JournalKind,
+}
+
+/// What a [`JournalEvent`] records. All masks are lane bitmasks of the
+/// event's warp.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JournalKind {
     /// A branch split its group: some lanes took the branch, some did
     /// not. Only emitted when both masks are non-empty.
     BranchDiverge {
-        /// Issue cycle.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Function containing the branch.
         func: FuncId,
         /// Block whose terminator branched.
@@ -57,10 +65,6 @@ pub enum JournalEvent {
     },
     /// Lanes joined (or re-joined) a convergence barrier.
     BarrierJoin {
-        /// Issue cycle.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Barrier register.
         barrier: BarrierId,
         /// Lanes that joined.
@@ -68,10 +72,6 @@ pub enum JournalEvent {
     },
     /// Lanes cancelled their barrier participation (an escape edge).
     BarrierCancel {
-        /// Issue cycle.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Barrier register.
         barrier: BarrierId,
         /// Lanes that cancelled.
@@ -79,10 +79,6 @@ pub enum JournalEvent {
     },
     /// Lanes blocked at a barrier wait.
     BarrierWait {
-        /// Issue cycle.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Barrier register.
         barrier: BarrierId,
         /// Lanes that blocked.
@@ -90,10 +86,6 @@ pub enum JournalEvent {
     },
     /// A barrier released its waiters together — reconvergence.
     BarrierRelease {
-        /// Issue cycle of the instruction that completed the barrier.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Barrier register.
         barrier: BarrierId,
         /// Lanes released.
@@ -101,19 +93,11 @@ pub enum JournalEvent {
     },
     /// Lanes arrived at `__syncthreads`.
     SyncArrive {
-        /// Issue cycle.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Lanes that arrived.
         mask: u64,
     },
     /// A `__syncthreads` cohort released.
     SyncRelease {
-        /// Issue cycle of the arrival that completed the cohort.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Lanes released.
         mask: u64,
     },
@@ -121,10 +105,6 @@ pub enum JournalEvent {
     /// issued last: straggler lanes reached the same PC and merged back
     /// in (reconvergence by PC collision rather than by barrier).
     GroupMerge {
-        /// Issue cycle of the merged pick.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Function at the merge point.
         func: FuncId,
         /// Block at the merge point.
@@ -141,19 +121,10 @@ pub enum JournalEvent {
     /// [`crate::SimError::Deadlock`] right after this event. The ring
     /// buffer is lost with the failed run, so this is primarily a
     /// [`JournalConfig::writer`] signal.
-    DeadlockOnset {
-        /// Detection cycle.
-        cycle: u64,
-        /// The deadlocked warp.
-        warp: usize,
-    },
+    DeadlockOnset,
     /// A global access paid an MSHR penalty (merge wait or full-file
     /// stall) under the memory-hierarchy cost model.
     MemStall {
-        /// Issue cycle of the stalled access.
-        cycle: u64,
-        /// Warp index.
-        warp: usize,
         /// Deepest-penalty cache level (0 = L1).
         level: usize,
         /// Penalty cycles folded into the access cost.
@@ -161,52 +132,20 @@ pub enum JournalEvent {
     },
 }
 
-impl JournalEvent {
-    /// The event's issue cycle.
-    pub fn cycle(&self) -> u64 {
-        match *self {
-            JournalEvent::BranchDiverge { cycle, .. }
-            | JournalEvent::BarrierJoin { cycle, .. }
-            | JournalEvent::BarrierCancel { cycle, .. }
-            | JournalEvent::BarrierWait { cycle, .. }
-            | JournalEvent::BarrierRelease { cycle, .. }
-            | JournalEvent::SyncArrive { cycle, .. }
-            | JournalEvent::SyncRelease { cycle, .. }
-            | JournalEvent::GroupMerge { cycle, .. }
-            | JournalEvent::DeadlockOnset { cycle, .. }
-            | JournalEvent::MemStall { cycle, .. } => cycle,
-        }
-    }
-
-    /// The event's warp index.
-    pub fn warp(&self) -> usize {
-        match *self {
-            JournalEvent::BranchDiverge { warp, .. }
-            | JournalEvent::BarrierJoin { warp, .. }
-            | JournalEvent::BarrierCancel { warp, .. }
-            | JournalEvent::BarrierWait { warp, .. }
-            | JournalEvent::BarrierRelease { warp, .. }
-            | JournalEvent::SyncArrive { warp, .. }
-            | JournalEvent::SyncRelease { warp, .. }
-            | JournalEvent::GroupMerge { warp, .. }
-            | JournalEvent::DeadlockOnset { warp, .. }
-            | JournalEvent::MemStall { warp, .. } => warp,
-        }
-    }
-
+impl JournalKind {
     /// A stable kebab-case name for the event kind (used by exporters).
-    pub fn kind(&self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         match self {
-            JournalEvent::BranchDiverge { .. } => "branch-diverge",
-            JournalEvent::BarrierJoin { .. } => "barrier-join",
-            JournalEvent::BarrierCancel { .. } => "barrier-cancel",
-            JournalEvent::BarrierWait { .. } => "barrier-wait",
-            JournalEvent::BarrierRelease { .. } => "barrier-release",
-            JournalEvent::SyncArrive { .. } => "sync-arrive",
-            JournalEvent::SyncRelease { .. } => "sync-release",
-            JournalEvent::GroupMerge { .. } => "group-merge",
-            JournalEvent::DeadlockOnset { .. } => "deadlock-onset",
-            JournalEvent::MemStall { .. } => "mem-stall",
+            JournalKind::BranchDiverge { .. } => "branch-diverge",
+            JournalKind::BarrierJoin { .. } => "barrier-join",
+            JournalKind::BarrierCancel { .. } => "barrier-cancel",
+            JournalKind::BarrierWait { .. } => "barrier-wait",
+            JournalKind::BarrierRelease { .. } => "barrier-release",
+            JournalKind::SyncArrive { .. } => "sync-arrive",
+            JournalKind::SyncRelease { .. } => "sync-release",
+            JournalKind::GroupMerge { .. } => "group-merge",
+            JournalKind::DeadlockOnset => "deadlock-onset",
+            JournalKind::MemStall { .. } => "mem-stall",
         }
     }
 }
@@ -338,17 +277,17 @@ impl Journal {
         if let Some(w) = &self.writer {
             w(&e);
         }
-        match e {
-            JournalEvent::BarrierJoin { barrier, mask, .. } => {
+        match e.kind {
+            JournalKind::BarrierJoin { barrier, mask } => {
                 self.stat_mut(barrier).joins += u64::from(mask.count_ones());
             }
-            JournalEvent::BarrierCancel { barrier, mask, .. } => {
+            JournalKind::BarrierCancel { barrier, mask } => {
                 self.stat_mut(barrier).cancels += u64::from(mask.count_ones());
             }
-            JournalEvent::BarrierWait { barrier, mask, .. } => {
+            JournalKind::BarrierWait { barrier, mask } => {
                 self.stat_mut(barrier).waits += u64::from(mask.count_ones());
             }
-            JournalEvent::BarrierRelease { barrier, mask, .. } => {
+            JournalKind::BarrierRelease { barrier, mask } => {
                 let s = self.stat_mut(barrier);
                 s.releases += 1;
                 s.released_lanes += u64::from(mask.count_ones());
@@ -424,9 +363,9 @@ impl Journal {
         );
         let mut kinds: Vec<(&'static str, u64)> = Vec::new();
         for e in &self.events {
-            match kinds.iter_mut().find(|(k, _)| *k == e.kind()) {
+            match kinds.iter_mut().find(|(k, _)| *k == e.kind.name()) {
                 Some((_, n)) => *n += 1,
-                None => kinds.push((e.kind(), 1)),
+                None => kinds.push((e.kind.name(), 1)),
             }
         }
         kinds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
@@ -456,8 +395,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    fn at(cycle: u64, kind: JournalKind) -> JournalEvent {
+        JournalEvent { cycle, warp: 0, kind }
+    }
+
     fn join(cycle: u64, b: u32, mask: u64) -> JournalEvent {
-        JournalEvent::BarrierJoin { cycle, warp: 0, barrier: BarrierId(b), mask }
+        at(cycle, JournalKind::BarrierJoin { barrier: BarrierId(b), mask })
     }
 
     #[test]
@@ -469,7 +412,7 @@ mod tests {
         assert_eq!(j.len(), 3);
         assert_eq!(j.dropped(), 2);
         assert_eq!(j.recorded(), 5);
-        let cycles: Vec<u64> = j.events().map(|e| e.cycle()).collect();
+        let cycles: Vec<u64> = j.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4], "oldest events evicted first");
         // Attribution survives eviction.
         assert_eq!(j.barrier_stats()[0].joins, 5);
@@ -494,14 +437,9 @@ mod tests {
     fn barrier_stats_accumulate_by_kind() {
         let mut j = Journal::new(&JournalConfig::default());
         j.push(join(0, 1, 0b1111));
-        j.push(JournalEvent::BarrierWait { cycle: 1, warp: 0, barrier: BarrierId(1), mask: 0b11 });
-        j.push(JournalEvent::BarrierCancel { cycle: 2, warp: 0, barrier: BarrierId(1), mask: 0b1 });
-        j.push(JournalEvent::BarrierRelease {
-            cycle: 3,
-            warp: 0,
-            barrier: BarrierId(1),
-            mask: 0b11,
-        });
+        j.push(at(1, JournalKind::BarrierWait { barrier: BarrierId(1), mask: 0b11 }));
+        j.push(at(2, JournalKind::BarrierCancel { barrier: BarrierId(1), mask: 0b1 }));
+        j.push(at(3, JournalKind::BarrierRelease { barrier: BarrierId(1), mask: 0b11 }));
         j.note_stall(BarrierId(1), 2);
         let s = j.barrier_stats()[1];
         assert_eq!(s.joins, 4);

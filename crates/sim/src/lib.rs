@@ -43,6 +43,7 @@ pub mod journal;
 pub mod machine;
 pub mod mem;
 pub mod metrics;
+mod observe;
 pub mod profile;
 pub mod recon;
 pub mod reference;
@@ -64,7 +65,7 @@ pub use decode::DecodedImage;
 pub use error::{BarrierState, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
 pub use exec::{run_image, run_image_with, CancelToken};
 pub use export::{chrome_trace, jsonl};
-pub use journal::{BarrierStats, Journal, JournalConfig, JournalEvent, JournalWriter};
+pub use journal::{BarrierStats, Journal, JournalConfig, JournalEvent, JournalKind, JournalWriter};
 pub use machine::{run, EngineStats, Launch, SimOutput, DEFAULT_SEED};
 pub use mem::{
     AccessOutcome, LevelOutcome, MemHierarchy, MemLevel, MemLevelStats, MemStats, MAX_MEM_LEVELS,

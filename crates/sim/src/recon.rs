@@ -163,6 +163,7 @@ pub(crate) trait Rounds {
     /// sub-cohort with no slot left.
     type Error;
     /// Whether debug builds check each hint against the pick it skips.
+    #[cfg(debug_assertions)]
     const CHECK_HINTS: bool = false;
     fn cfg(&self) -> &SimConfig;
     fn warps(&self) -> usize;

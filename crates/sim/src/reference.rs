@@ -35,14 +35,14 @@
 
 use crate::alu::{eval_bin, eval_un};
 use crate::config::{ReconvergenceModel, SimConfig};
+use crate::decode::PcOrigin;
 use crate::error::{BarrierState, ReconDump, SimError, ThreadLocation};
-use crate::journal::{Journal, JournalEvent};
+use crate::journal::JournalKind;
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
-use crate::profile::Profile;
+use crate::observe::Observer;
 use crate::rng::SplitMix64;
 use crate::sched::select_group;
-use crate::trace::{Trace, TraceEvent};
 use simt_ir::{
     BarrierId, BarrierOp, BinOp, BlockId, FuncId, FuncRef, Inst, MemSpace, Module, Operand, Reg,
     RngKind, SpecialValue, Terminator, Value,
@@ -99,25 +99,17 @@ struct Warp {
     done: bool,
 }
 
-/// Key identifying a PC group: (function, block, instruction index).
-type GroupKey = (u32, u32, usize);
-
 struct Machine<'m> {
     module: &'m Module,
     cfg: &'m SimConfig,
     warps: Vec<Warp>,
     global: Vec<Value>,
     metrics: Metrics,
-    trace: Option<Trace>,
-    profile: Option<Profile>,
-    journal: Option<Journal>,
+    obs: Observer,
     /// Machine-wide MSHR files of the memory-hierarchy cost model.
     mshrs: crate::mem::MemMshrs,
     /// Hierarchy walk staging buffers.
     mem_scratch: crate::mem::MemScratch,
-    /// Outcome of the global access the current issue performed, parked
-    /// for `issue` to attribute (journal event, per-block profile).
-    pending_mem: Option<crate::mem::AccessOutcome>,
     cycle: u64,
 }
 
@@ -201,26 +193,16 @@ pub fn run_reference(
         warps,
         global: launch.global_mem.clone(),
         metrics: Metrics::new(launch.num_warps, width),
-        trace: if cfg.trace { Some(Trace::new(width)) } else { None },
-        profile: if cfg.profile { Some(Profile::new()) } else { None },
-        journal: cfg.journal.as_ref().map(Journal::new),
+        obs: Observer::new(cfg),
         mshrs: crate::mem::MemMshrs::new(cfg.mem.as_ref()),
         mem_scratch: crate::mem::MemScratch::default(),
-        pending_mem: None,
         cycle: 0,
     };
     machine.run_to_completion()?;
 
-    let Machine { global, mut metrics, trace, profile, journal, cycle, .. } = machine;
+    let Machine { global, mut metrics, obs, cycle, .. } = machine;
     metrics.cycles = cycle;
-    Ok(SimOutput {
-        metrics,
-        engine: Default::default(),
-        global_mem: if cfg.final_mem { global } else { Vec::new() },
-        trace,
-        profile,
-        journal,
-    })
+    Ok(obs.finish(metrics, Default::default(), if cfg.final_mem { global } else { Vec::new() }))
 }
 
 impl<'m> Machine<'m> {
@@ -238,30 +220,14 @@ impl<'m> Machine<'m> {
                     continue;
                 }
                 match self.pick_group(w) {
-                    Some((key, lanes)) => {
+                    Some((at, lanes)) => {
                         let mut mask = 0u64;
                         for &l in &lanes {
                             mask |= 1 << l;
                         }
-                        // Reconvergence by pc collision: the pick strictly
-                        // grew the group issued last — stragglers reached
-                        // the same pc and merged back in.
-                        if self.journal.is_some() {
-                            let last = self.warps[w].last_lanes;
-                            if last != 0 && mask != last && mask & last == last {
-                                self.journal_push(JournalEvent::GroupMerge {
-                                    cycle: self.cycle,
-                                    warp: w,
-                                    func: FuncId(key.0),
-                                    block: BlockId(key.1),
-                                    inst: key.2,
-                                    mask,
-                                    absorbed: mask & !last,
-                                });
-                            }
-                        }
-                        self.warps[w].last_lanes = mask;
-                        let cost = self.issue(w, key, &lanes)?;
+                        let last = std::mem::replace(&mut self.warps[w].last_lanes, mask);
+                        self.obs.pick(self.cycle, w, at, last, mask);
+                        let cost = self.issue(w, at, mask, &lanes)?;
                         self.warps[w].busy_until = self.cycle + u64::from(cost.max(1));
                         next_ready = next_ready.min(self.warps[w].busy_until);
                     }
@@ -290,10 +256,7 @@ impl<'m> Machine<'m> {
                                     (self.location(w, l), b)
                                 })
                                 .collect();
-                            self.journal_push(JournalEvent::DeadlockOnset {
-                                cycle: self.cycle,
-                                warp: w,
-                            });
+                            self.obs.event(self.cycle, w, JournalKind::DeadlockOnset);
                             let barriers = self.barrier_dump(w);
                             return Err(SimError::Deadlock {
                                 cycle: self.cycle,
@@ -316,13 +279,6 @@ impl<'m> Machine<'m> {
                 continue;
             }
             self.cycle = next_ready.max(self.cycle + 1);
-        }
-    }
-
-    /// Records one journal event, if journaling is on.
-    fn journal_push(&mut self, e: JournalEvent) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(e);
         }
     }
 
@@ -362,15 +318,15 @@ impl<'m> Machine<'m> {
     }
 
     /// Groups runnable lanes by PC and applies the scheduler policy.
-    fn pick_group(&mut self, w: usize) -> Option<(GroupKey, Vec<usize>)> {
+    fn pick_group(&mut self, w: usize) -> Option<(PcOrigin, Vec<usize>)> {
         let warp = &mut self.warps[w];
-        let mut groups: Vec<(GroupKey, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(PcOrigin, Vec<usize>)> = Vec::new();
         for (lane, t) in warp.threads.iter().enumerate() {
             if t.status != Status::Runnable {
                 continue;
             }
             let f = t.frame();
-            let key = (f.func.0, f.block.0, f.inst);
+            let key = PcOrigin { func: f.func, block: f.block, inst: f.inst as u32 };
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, lanes)) => lanes.push(lane),
                 None => groups.push((key, vec![lane])),
@@ -381,53 +337,33 @@ impl<'m> Machine<'m> {
 
     /// Issues one instruction (or terminator) for the given group; returns
     /// its cycle cost.
-    fn issue(&mut self, w: usize, key: GroupKey, lanes: &[usize]) -> Result<u32, SimError> {
-        let (func_id, block_id, inst_idx) = (FuncId(key.0), BlockId(key.1), key.2);
+    fn issue(
+        &mut self,
+        w: usize,
+        at: PcOrigin,
+        mask: u64,
+        lanes: &[usize],
+    ) -> Result<u32, SimError> {
         // Reborrow through the module's own lifetime so the instruction
         // stays borrowed (not cloned) across the &mut self calls below.
         let module: &'m Module = self.module;
-        let block = &module.functions[func_id].blocks[block_id];
+        let block = &module.functions[at.func].blocks[at.block];
 
-        let waiting_lanes =
-            self.warps[w].threads.iter().filter(|t| matches!(t.status, Status::Waiting(_))).count()
-                as u64;
-        self.metrics.stall_cycles += waiting_lanes;
-        if self.journal.is_some() {
-            let Machine { warps, journal, .. } = &mut *self;
-            let j = journal.as_mut().expect("journal is on");
-            for t in &warps[w].threads {
-                if let Status::Waiting(b) = t.status {
-                    j.note_stall(b, 1);
-                }
-            }
-        }
+        let threads = &self.warps[w].threads;
+        let parked = threads.iter().filter_map(|t| match t.status {
+            Status::Waiting(b) => Some(b),
+            _ => None,
+        });
+        self.metrics.stall_cycles += parked.clone().count() as u64;
+        self.obs.waits(parked);
 
+        let inst_idx = at.inst as usize;
         let cost = if inst_idx < block.insts.len() {
-            self.exec_inst(w, lanes, &block.insts[inst_idx])?
+            self.exec_inst(w, at, lanes, &block.insts[inst_idx])?
         } else {
-            self.exec_term(w, key, lanes, &block.term)?;
+            self.exec_term(w, at, lanes, &block.term)?;
             self.cfg.latency.control
         };
-
-        // Attribute the memory-hierarchy outcome the access parked (if
-        // any), identically to the decoded engine.
-        if let Some(out) = self.pending_mem.take() {
-            let stall = out.total_stall();
-            if stall > 0 {
-                if self.journal.is_some() {
-                    let level = out.levels.iter().position(|l| l.mshr_stall == stall).unwrap_or(0);
-                    self.journal_push(JournalEvent::MemStall {
-                        cycle: self.cycle,
-                        warp: w,
-                        level,
-                        stall,
-                    });
-                }
-                if let Some(profile) = &mut self.profile {
-                    profile.record_mem_stall(func_id, block_id, stall);
-                }
-            }
-        }
 
         // Metrics (cost-weighted: see `Metrics::active_lane_sum`).
         let weight = u64::from(cost.max(1));
@@ -443,25 +379,7 @@ impl<'m> Machine<'m> {
             self.metrics.roi_active_lane_sum += active;
         }
 
-        if let Some(profile) = &mut self.profile {
-            profile.record(func_id, block_id, inst_idx, lanes.len() as u64, cost);
-        }
-        if let Some(trace) = &mut self.trace {
-            let mut mask = 0u64;
-            for &l in lanes {
-                mask |= 1 << l;
-            }
-            trace.push(TraceEvent {
-                cycle: self.cycle,
-                warp: w,
-                func: func_id,
-                block: block_id,
-                inst: inst_idx,
-                mask,
-                cost,
-                roi: block.roi,
-            });
-        }
+        self.obs.issue(self.cycle, w, at, mask, cost, block.roi);
         Ok(cost)
     }
 
@@ -480,7 +398,13 @@ impl<'m> Machine<'m> {
         self.warps[w].threads[lane].frame_mut().inst += 1;
     }
 
-    fn exec_inst(&mut self, w: usize, lanes: &[usize], inst: &Inst) -> Result<u32, SimError> {
+    fn exec_inst(
+        &mut self,
+        w: usize,
+        at: PcOrigin,
+        lanes: &[usize],
+        inst: &Inst,
+    ) -> Result<u32, SimError> {
         let lat = &self.cfg.latency;
         let mut cost = lat.issue_cost(inst);
         match inst {
@@ -536,7 +460,7 @@ impl<'m> Machine<'m> {
                     self.advance(w, l);
                 }
                 if *space == MemSpace::Global {
-                    cost = self.global_access_cost(w, &addrs, cost);
+                    cost = self.global_access_cost(w, at, &addrs, cost);
                 }
             }
             Inst::Store { space, addr, value } => {
@@ -552,7 +476,7 @@ impl<'m> Machine<'m> {
                     // Stores write through: cost like a load, but the
                     // touched lines are invalidated in every warp (they
                     // now differ from any cached copy).
-                    cost = self.global_access_cost(w, &addrs, cost);
+                    cost = self.global_access_cost(w, at, &addrs, cost);
                     self.invalidate_lines(&addrs);
                 }
             }
@@ -607,7 +531,7 @@ impl<'m> Machine<'m> {
                     self.warps[w].threads[l].status = Status::WaitingSync;
                     mask |= 1 << l;
                 }
-                self.journal_push(JournalEvent::SyncArrive { cycle: self.cycle, warp: w, mask });
+                self.obs.event(self.cycle, w, JournalKind::SyncArrive { mask });
                 self.sync_release_check(w);
             }
             Inst::Vote { dst, pred } => {
@@ -683,24 +607,14 @@ impl<'m> Machine<'m> {
                     self.warps[w].masks[b.index()] |= 1 << l;
                     self.advance(w, l);
                 }
-                self.journal_push(JournalEvent::BarrierJoin {
-                    cycle: self.cycle,
-                    warp: w,
-                    barrier: b,
-                    mask,
-                });
+                self.obs.event(self.cycle, w, JournalKind::BarrierJoin { barrier: b, mask });
             }
             BarrierOp::Cancel(b) => {
                 for &l in lanes {
                     self.warps[w].masks[b.index()] &= !(1 << l);
                     self.advance(w, l);
                 }
-                self.journal_push(JournalEvent::BarrierCancel {
-                    cycle: self.cycle,
-                    warp: w,
-                    barrier: b,
-                    mask,
-                });
+                self.obs.event(self.cycle, w, JournalKind::BarrierCancel { barrier: b, mask });
                 self.release_check(w, b);
             }
             BarrierOp::Copy { dst, src } => {
@@ -723,12 +637,7 @@ impl<'m> Machine<'m> {
                 for &l in lanes {
                     self.warps[w].threads[l].status = Status::Waiting(b);
                 }
-                self.journal_push(JournalEvent::BarrierWait {
-                    cycle: self.cycle,
-                    warp: w,
-                    barrier: b,
-                    mask,
-                });
+                self.obs.event(self.cycle, w, JournalKind::BarrierWait { barrier: b, mask });
                 self.release_check(w, b);
             }
         }
@@ -750,11 +659,7 @@ impl<'m> Machine<'m> {
                     releasing |= 1 << l;
                 }
             }
-            self.journal_push(JournalEvent::SyncRelease {
-                cycle: self.cycle,
-                warp: w,
-                mask: releasing,
-            });
+            self.obs.event(self.cycle, w, JournalKind::SyncRelease { mask: releasing });
         }
     }
 
@@ -785,19 +690,15 @@ impl<'m> Machine<'m> {
                     warp.threads[l].frame_mut().inst += 1;
                 }
             }
-            self.journal_push(JournalEvent::BarrierRelease {
-                cycle: self.cycle,
-                warp: w,
-                barrier: b,
-                mask: waiting_mask,
-            });
+            let release = JournalKind::BarrierRelease { barrier: b, mask: waiting_mask };
+            self.obs.event(self.cycle, w, release);
         }
     }
 
     fn exec_term(
         &mut self,
         w: usize,
-        key: GroupKey,
+        at: PcOrigin,
         lanes: &[usize],
         term: &Terminator,
     ) -> Result<(), SimError> {
@@ -825,16 +726,11 @@ impl<'m> Machine<'m> {
                     f.inst = 0;
                 }
                 let not_taken = mask & !taken;
-                if taken != 0 && not_taken != 0 && self.journal.is_some() {
-                    self.journal_push(JournalEvent::BranchDiverge {
-                        cycle: self.cycle,
-                        warp: w,
-                        func: FuncId(key.0),
-                        block: BlockId(key.1),
-                        inst: key.2,
-                        taken,
-                        not_taken,
-                    });
+                if taken != 0 && not_taken != 0 {
+                    let (func, block, inst) = (at.func, at.block, at.inst as usize);
+                    let diverge =
+                        JournalKind::BranchDiverge { func, block, inst, taken, not_taken };
+                    self.obs.event(self.cycle, w, diverge);
                 }
             }
             Terminator::Return(values) => {
@@ -890,22 +786,21 @@ impl<'m> Machine<'m> {
         self.sync_release_check(w);
     }
 
-    /// Cost of a global access over the given cell addresses: the
-    /// memory-hierarchy walk when one is configured, else the flat
-    /// coalescing fold (no model serves data — values always come from
-    /// memory).
-    fn global_access_cost(&mut self, w: usize, addrs: &[i64], base_cost: u32) -> u32 {
+    /// Cost of a global access of the instruction at `at` over the given
+    /// cell addresses: the memory-hierarchy walk when one is configured
+    /// (recording its stall), else the flat coalescing fold (no model
+    /// serves data — values always come from memory).
+    fn global_access_cost(&mut self, w: usize, at: PcOrigin, addrs: &[i64], base_cost: u32) -> u32 {
         let cfg = self.cfg;
         let now = self.cycle;
         if let Some(hier) = &cfg.mem {
             // Hierarchy walk at the issue cycle, identical to the
-            // decoded engine's: tag fills and MSHR allocation commit
-            // here; the outcome is parked for `issue` to attribute.
-            let Machine { warps, metrics, mshrs, mem_scratch, pending_mem, .. } = self;
+            // decoded engine's: tag fills and MSHR allocation commit here.
+            let Machine { warps, metrics, mshrs, mem_scratch, obs, .. } = self;
             let out =
                 crate::mem::commit(hier, &mut warps[w].mem_tags, mshrs, mem_scratch, addrs, now);
             metrics.mem.record(&out);
-            *pending_mem = Some(out);
+            obs.mem(now, w, at, &out);
             return out.cost;
         }
         let lat = &cfg.latency;

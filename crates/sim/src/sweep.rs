@@ -100,6 +100,7 @@ use crate::error::{LaneFault, SimError};
 use crate::exec::{run_image_with, CancelToken};
 use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
+use crate::observe::Observer;
 use crate::recon::{Cand, Pick, ReconStats, RoundBufs, Rounds};
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, Batcher, Issued, Run, Spans};
@@ -672,14 +673,8 @@ impl<'m> Cohort<'m> {
         for s in lanes(sub.slots) {
             let mut metrics = sub.metrics.combine(&self.bases[s], u64::wrapping_add, u64::max);
             metrics.cycles = sub.cycle;
-            self.results[s] = Some(Ok(SimOutput {
-                metrics,
-                engine: Default::default(),
-                global_mem: images.next().unwrap_or_default(),
-                trace: None,
-                profile: None,
-                journal: None,
-            }));
+            let (engine, global_mem) = (EngineStats::default(), images.next().unwrap_or_default());
+            self.results[s] = Some(Ok(Observer::default().finish(metrics, engine, global_mem)));
         }
     }
 }
@@ -855,6 +850,7 @@ struct SubRound<'a, 'm> {
 
 impl Rounds for SubRound<'_, '_> {
     type Error = ();
+    #[cfg(debug_assertions)]
     const CHECK_HINTS: bool = true;
 
     fn cfg(&self) -> &SimConfig {

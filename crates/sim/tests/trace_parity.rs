@@ -19,8 +19,11 @@
 //!    *identical* journals (same events in the same order, same
 //!    per-barrier attribution), traces and per-block profiles — on flat
 //!    memory, and behind a one-entry MSHR file that makes every run
-//!    record memory stalls (`JournalEvent::MemStall`,
-//!    `BlockStats::mem_stall_cycles`).
+//!    record memory stalls (`JournalKind::MemStall`,
+//!    `BlockStats::mem_stall_cycles`). Both engines record through one
+//!    observer, so its folds are checked against independent totals too:
+//!    the journal's per-barrier stalls sum to `Metrics::stall_cycles`, and
+//!    the profile's memory stalls to the journal's `MemStall` cycles.
 //! 3. A deadlocking kernel reports the same enriched error — including
 //!    the barrier-register dump — and streams the same journal events
 //!    through the writer callback from both engines.
@@ -30,8 +33,8 @@ mod common;
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, Value};
 use simt_sim::{
-    run, run_reference, JournalConfig, JournalEvent, JournalWriter, LatencyModel, Launch,
-    MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig,
+    run, run_reference, JournalConfig, JournalEvent, JournalKind, JournalWriter, LatencyModel,
+    Launch, MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig,
 };
 use std::sync::{Arc, Mutex};
 
@@ -142,8 +145,8 @@ const MODELS: [ReconvergenceModel; 4] = [
 
 /// One L1 whose MSHR file holds a single miss: a warp's final store
 /// spans two lines, so every run stalls on it at least once — the
-/// journal's `MemStall` events and the profile's per-block stall cycles,
-/// which each engine derives on its own, are then compared for real.
+/// journal's `MemStall` events and the profile's per-block stall cycles
+/// are then compared for real.
 fn one_mshr() -> MemHierarchy {
     MemHierarchy::parse(
         "l1:lines=4,cells=16,lat=2,mshrs=1;dram:lat=24,extra=2",
@@ -257,8 +260,27 @@ proptest! {
                 &decoded.profile, &reference.profile,
                 "profiles diverged on {:?} (MSHRs: {})", &case, stalls
             );
-            let mem_stalls =
-                dj.events().filter(|e| matches!(e, JournalEvent::MemStall { .. })).count();
+            for (engine, out) in [("decoded", &decoded), ("reference", &reference)] {
+                let journal = out.journal.as_ref().expect("journal");
+                let parked: u64 = journal.barrier_stats().iter().map(|s| s.stall_issues).sum();
+                prop_assert_eq!(
+                    parked, out.metrics.stall_cycles,
+                    "{} per-barrier stalls on {:?} (MSHRs: {})", engine, &case, stalls
+                );
+                let mem_stall = |e: &JournalEvent| match e.kind {
+                    JournalKind::MemStall { stall, .. } => Some(u64::from(stall)),
+                    _ => None,
+                };
+                let journaled: u64 = journal.events().filter_map(mem_stall).sum();
+                let profile = out.profile.as_ref().expect("profile");
+                let profiled: u64 = profile.iter().map(|(_, b)| b.mem_stall_cycles).sum();
+                prop_assert_eq!(
+                    profiled, journaled,
+                    "{} memory stalls on {:?} (MSHRs: {})", engine, &case, stalls
+                );
+            }
+            let mem_stalls = dj.events().filter(|e| matches!(e.kind, JournalKind::MemStall { .. }));
+            let mem_stalls = mem_stalls.count();
             prop_assert_eq!(
                 mem_stalls > 0, stalls,
                 "{} MemStall events on {:?} (MSHRs: {})", mem_stalls, &case, stalls
@@ -306,7 +328,7 @@ fn deadlock_reports_and_journals_identically() {
     assert!(!de.is_empty(), "the writer saw events");
     assert_eq!(*de, *re, "journal streams diverged");
     assert!(
-        matches!(de.last(), Some(JournalEvent::DeadlockOnset { .. })),
+        matches!(de.last(), Some(JournalEvent { kind: JournalKind::DeadlockOnset, .. })),
         "the last event is the deadlock onset: {:?}",
         de.last()
     );
