@@ -2,7 +2,8 @@
 # Mutation check over the rows of .github/mutants.tsv (file, literal
 # pattern, literal replacement, `cargo test` arguments).
 #
-#   bash .github/mutants.sh check        # each pattern occurs exactly once in its file
+#   bash .github/mutants.sh check        # each pattern occurs exactly once in its file,
+#                                        # and each row's test arguments select a test
 #   bash .github/mutants.sh run [DIR]    # each mutant, applied to a copy in DIR, fails its test
 #
 # `run` copies the working tree once, checks that every row's test passes
@@ -29,7 +30,17 @@ check() {
             bad=1
         fi
     done < <(rows)
-    [ "$bad" -eq 0 ] && echo "mutants: $(rows | wc -l) patterns, each found once"
+    # A row whose arguments select no test would only show up in `run`,
+    # as a mutant that survives; the test lists catch it here.
+    while IFS=$'\t' read -r file pattern replacement test; do
+        # shellcheck disable=SC2086 # the test column is an argument list
+        n=$(cd "$root" && cargo test -q $test -- --list 2>/dev/null | grep -c ': test$' || true)
+        if [ "$n" -eq 0 ]; then
+            echo "$file: cargo test $test selects no test"
+            bad=1
+        fi
+    done < <(rows | sort -t$'\t' -k4,4 -u)
+    [ "$bad" -eq 0 ] && echo "mutants: $(rows | wc -l) patterns, each found once and tested"
     return "$bad"
 }
 

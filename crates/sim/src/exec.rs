@@ -988,7 +988,7 @@ bb0:
     }
 
     /// `mem` cells of `init`, and `args`, for kernel `@k` on two warps.
-    fn launch_of(args: Vec<Value>, mem: usize, init: Value) -> Launch {
+    pub(crate) fn launch_of(args: Vec<Value>, mem: usize, init: Value) -> Launch {
         Launch {
             kernel: "k".into(),
             num_warps: 2,
@@ -1006,7 +1006,7 @@ bb0:
     /// and a return value, a vote, a `sel` and a branch condition (`sub
     /// 3` is an integer zero, falsy, in even lanes and `-2.5`, truthy, in
     /// odd ones).
-    const MIXED_KERNEL: &str = "\
+    pub(crate) const MIXED_KERNEL: &str = "\
 kernel @k(params=0, regs=16, barriers=0, entry=bb0) {
 bb0:
   %r0 = special.tid
@@ -1082,7 +1082,7 @@ bb0:
     /// A NaN payload and `-0.0` in the kernel's two arguments, moved
     /// through `mov`, `sel`, global and local memory, a call and its
     /// return, and branch conditions (`-0.0` is falsy, the NaN truthy).
-    const PAYLOAD_KERNEL: &str = "\
+    pub(crate) const PAYLOAD_KERNEL: &str = "\
 kernel @k(params=2, regs=12, barriers=0, entry=bb0) {
 bb0:
   %r2 = special.tid
@@ -1150,7 +1150,7 @@ bb0:
     /// A faultable op after a straight-line run on warp 0, where lanes of
     /// the upper half (lane 0 at width 1) hold `bad` and the others
     /// `good`; warp 1 reads out of bounds a few issues in.
-    fn fault_kernel(op: &str, bad: &str, good: &str) -> String {
+    pub(crate) fn fault_kernel(op: &str, bad: &str, good: &str) -> String {
         format!(
             "kernel @k(params=0, regs=8, barriers=0, entry=bb0) {{\n\
              bb0:\n  %r0 = special.lane\n  %r1 = special.warpwidth\n  %r2 = mul %r0, 2\n\

@@ -359,10 +359,11 @@ struct SubCohort {
 /// [`Cohort::issue_c`]'s cost, next pc and whether slots split off.
 type Issue = (u32, Option<usize>, bool);
 
-/// One issue — warp `w`'s lanes `mask` at `run.at` — and what it needs to
-/// fork a child sub-cohort mid-round: the pre-pick scheduler fields (the
-/// pick already advanced them; the child must re-run the pick itself)
-/// and the batch prefix.
+/// One issue — warp `w`'s lanes `mask` — and what it needs to fork a
+/// child sub-cohort mid-round: the pre-pick scheduler fields (the pick
+/// already advanced them; the child must re-run the pick itself). The pc
+/// and the batch prefix travel beside it as the batcher's own [`Run`],
+/// read only when a fork happens.
 #[derive(Clone, Copy)]
 struct IssueCtx {
     w: usize,
@@ -371,11 +372,12 @@ struct IssueCtx {
     /// prefix's weight, that `busy_until` (stored for the round's first
     /// issue, the round issue's completion for a batched one) is the
     /// warp's when an *unbatched* scalar run would pick this instruction,
-    /// so a class forking mid-batch replays on the true clock.
+    /// so a class forking mid-batch replays on the true clock. Inside a
+    /// batch `last_lanes` is the mask and the RoundRobin cursor the warp's
+    /// own at the fork ([`IssueCtx::batched`]).
     pre: (u64, usize, u64),
-    /// The batch before the issue (none for the round's first), which the
-    /// parent writes and records only once it ends and a child applies.
-    run: Run,
+    /// Whether the issue runs ahead inside a batch.
+    batched: bool,
     /// The issued lanes' spans by frame base, worked out once for the
     /// round's issue and once for its batch, which cannot change the mask
     /// or a base.
@@ -567,17 +569,17 @@ impl<'m> Cohort<'m> {
     /// Resolves the slots that faulted in an issue, each with its own
     /// terminal error; out of line, as almost no issue has one.
     #[inline]
-    fn resolve_faults(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, faults: Faults) {
+    fn resolve_faults(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, pc: usize, faults: Faults) {
         if faults.mask != 0 {
-            self.resolve_faulted(sub, ctx, faults);
+            self.resolve_faulted(sub, ctx, pc, faults);
         }
     }
 
     #[cold]
-    fn resolve_faulted(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, faults: Faults) {
+    fn resolve_faulted(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, pc: usize, faults: Faults) {
         for (s, fault) in faults.list {
             sub.slots &= !(1u64 << s);
-            let at = |l| self.image.location(ctx.w, l, ctx.run.at);
+            let at = |l| self.image.location(ctx.w, l, pc);
             self.results[s] = Some(Err(fault.into_error(at)));
         }
     }
@@ -597,9 +599,9 @@ impl<'m> Cohort<'m> {
     /// `None` once `sub` has none left. A divergent issue ends the batch
     /// it is in (see [`Cohort::round`]), so it moves its lanes at once.
     #[inline]
-    fn issue_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx) -> Option<Issue> {
+    fn issue_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, run: &Run) -> Option<Issue> {
         let forks = self.stats.forks;
-        let (cost, mut next) = self.exec_c(sub, ctx);
+        let (cost, mut next) = self.exec_c(sub, ctx, run);
         if sub.slots == 0 {
             return None;
         }
@@ -765,14 +767,19 @@ impl Cohort<'_> {
     /// scheduler fields are restored to their pre-pick values (`ctx`),
     /// and later warps are untouched — exactly the state an independent
     /// run of those slots would be in when its round reaches the issuing
-    /// warp, batch prefix (`ctx.run`) applied. The shared SoA data plane
-    /// is untouched: the child simply reads and writes it under its own
-    /// slot mask.
-    fn split_off(&mut self, sub: &mut SubCohort, class: u64, ctx: &IssueCtx) {
+    /// warp, batch prefix (`run`) applied. The shared SoA data plane is
+    /// untouched: the child simply reads and writes it under its own slot
+    /// mask.
+    fn split_off(&mut self, sub: &mut SubCohort, class: u64, ctx: &IssueCtx, run: &Run) {
         sub.slots &= !class;
         let (mut warps, mut metrics) = (sub.warps.clone(), sub.metrics.clone());
-        let (ctl, Run { at, issues, weight, roi_weight }) = (&mut warps[ctx.w], ctx.run);
-        (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until) = ctx.pre;
+        let (ctl, Run { at, issues, weight, roi_weight }) = (&mut warps[ctx.w], *run);
+        (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until) = match ctx.batched {
+            // The cursor the converged pick would consume: the batcher
+            // bumps it only once the issue returns.
+            true => (ctx.mask, ctl.rr_cursor, ctx.pre.2),
+            false => ctx.pre,
+        };
         ctl.busy_until += weight;
         ctl.move_to(ctx.mask, at);
         let waiting = ctl.waiting.count_ones();
@@ -792,8 +799,10 @@ impl Cohort<'_> {
 struct SubRun<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
-    /// The batched issues' context but for the cursor and the prefix: the
-    /// clock is the round issue's completion.
+    /// The batched issues' context: `last_lanes` re-sticks to the mask,
+    /// the clock with the prefix's weight is the unbatched one, and the
+    /// RoundRobin cursor and the prefix are read at a fork, from the
+    /// warp and the batcher's [`Run`].
     ctx: IssueCtx,
     /// Whether the cohort is split.
     split: bool,
@@ -807,7 +816,7 @@ impl Batcher for SubRun<'_, '_> {
         (&mut warps[self.ctx.w], &picks[self.ctx.w].other_pcs, metrics)
     }
 
-    fn issue(&mut self, mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error> {
+    fn issue(&mut self, _mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error> {
         let SubRun { cohort, sub, ctx, split } = self;
         // While the cohort is split, every sub stops at every branch:
         // forks and the code between branches cost the same in every
@@ -820,17 +829,13 @@ impl Batcher for SubRun<'_, '_> {
         {
             return Ok(None);
         }
-        // Each batched issue sets the batch's [`IssueCtx`] to its own —
-        // `last_lanes` re-sticks to the mask, the RoundRobin cursor is the
-        // one the converged pick would consume, the clock with the prefix's
-        // weight is the unbatched one and `run` is the prefix — so a
-        // class forking mid-batch (cross-seed branch divergence) still
+        // A class forking mid-batch (cross-seed branch divergence) still
         // snapshots the exact control state an unbatched run would reach
-        // at that pick.
-        (ctx.pre, ctx.run) = ((mask, sub.warps[ctx.w].rr_cursor, ctx.pre.2), *run);
-        // A sub-cohort left with no slot ends the batch; it is abandoned,
+        // at that pick: the batched context and `run`, the prefix. A
+        // sub-cohort left with no slot ends the batch; it is abandoned,
         // so what the batch records there is never read.
-        Ok(Some(cohort.issue_c(sub, ctx).map_or((0, None), |(cost, next, _)| (cost, next))))
+        let issued = cohort.issue_c(sub, ctx, run);
+        Ok(Some(issued.map_or((0, None), |(cost, next, _)| (cost, next))))
     }
 }
 
@@ -892,7 +897,7 @@ impl Rounds for SubRound<'_, '_> {
     fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, ()> {
         let SubRound { cohort, sub, split, pre } = self;
         let (run, spans) = (Run { at: pc, ..Run::default() }, frame_spans(&sub.warps[w], mask));
-        let ctx = IssueCtx { w, mask, pre: *pre, run, spans };
+        let ctx = IssueCtx { w, mask, pre: *pre, batched: false, spans };
         sub.warps[w].last_lanes = mask;
         // Stall pressure samples before execution, exactly like the scalar
         // engine's issue path.
@@ -900,7 +905,7 @@ impl Rounds for SubRound<'_, '_> {
         // `None`: every instance of this sub-cohort forked or faulted
         // mid-round; its plane is abandoned and the children replay (or
         // resume) from their own consistent snapshots.
-        let (cost, next, forked) = cohort.issue_c(sub, &ctx).ok_or(())?;
+        let (cost, next, forked) = cohort.issue_c(sub, &ctx, &run).ok_or(())?;
         if let Some(next) = next {
             sub.warps[w].move_to(mask, next);
         }
@@ -926,7 +931,7 @@ impl Rounds for SubRound<'_, '_> {
         let (cfg, image) = (cohort.cfg, cohort.image);
         let issue = (w, pc, mask, sub.warps[w].schedulable());
         let spans = frame_spans(&sub.warps[w], mask);
-        let ctx = IssueCtx { pre: (mask, 0, busy), spans, ..ctx };
+        let ctx = IssueCtx { pre: (mask, 0, busy), batched: true, spans, ..ctx };
         let mut ahead = SubRun { cohort, sub, ctx, split: *split };
         let Ok((run, intact)) = crate::sched::run_ahead(&mut ahead, cfg, image, issue);
         if sub.slots == 0 {
@@ -990,6 +995,7 @@ struct SlotAlu<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
     ctx: &'a IssueCtx,
+    pc: usize,
     dst: simt_ir::Reg,
     lhs: Operand,
     rhs: Operand,
@@ -1122,7 +1128,7 @@ impl AluLoop for SlotAlu<'_, '_> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
-        let SlotAlu { cohort, sub, ctx, dst, lhs, rhs, once } = self;
+        let SlotAlu { cohort, sub, ctx, pc, dst, lhs, rhs, once } = self;
         let (w, mut faults) = (ctx.w, Faults::default());
         let (live, ctl) = (sub.slots, &sub.warps[w]);
         let spans = cohort.spans(ctx.spans);
@@ -1149,7 +1155,7 @@ impl AluLoop for SlotAlu<'_, '_> {
             stats.dense_rows += if dense { n as u64 } else { 0 };
             stats.mixed_rows += if dense { 0 } else { n as u64 };
         }
-        cohort.resolve_faults(sub, ctx, faults);
+        cohort.resolve_faults(sub, ctx, pc, faults);
     }
 }
 
@@ -1187,9 +1193,9 @@ impl Cohort<'_> {
     /// Slots whose data would make the issue non-uniform fork, and
     /// faulting slots resolve to their own
     /// error inside the arm — callers re-check `sub.slots`.
-    fn exec_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx) -> (u32, Option<usize>) {
+    fn exec_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, run: &Run) -> (u32, Option<usize>) {
         let image = self.image;
-        let (w, pc, mask) = (ctx.w, ctx.run.at, ctx.mask);
+        let (w, pc, mask) = (ctx.w, run.at, ctx.mask);
         let inst = &image.insts[pc];
         let mut cost = self.costs[pc];
         let (live, width, ns) = (sub.slots, self.width, self.nslots);
@@ -1200,13 +1206,13 @@ impl Cohort<'_> {
             // `rhs`.
             DecodedInst::Bin { op, dst, lhs, rhs } => {
                 let once = matches!(op, BinOp::Div | BinOp::Rem);
-                let alu = SlotAlu { cohort: self, sub, ctx, dst, lhs, rhs, once };
+                let alu = SlotAlu { cohort: self, sub, ctx, pc, dst, lhs, rhs, once };
                 crate::alu::with_bin(op, alu);
             }
             DecodedInst::Un { op, dst, src } => {
                 let rhs = Operand::Imm(Value::default());
                 let once = matches!(op, UnOp::Sqrt | UnOp::Exp | UnOp::Log);
-                let alu = SlotAlu { cohort: self, sub, ctx, dst, lhs: src, rhs, once };
+                let alu = SlotAlu { cohort: self, sub, ctx, pc, dst, lhs: src, rhs, once };
                 crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
@@ -1239,19 +1245,19 @@ impl Cohort<'_> {
                 }
             }
             DecodedInst::Load { dst, space: MemSpace::Global, addr } => {
-                cost = self.access_global_c(sub, ctx, addr, MemOp::Load(dst), cost);
+                cost = self.access_global_c(sub, ctx, run, addr, MemOp::Load(dst), cost);
             }
             DecodedInst::Store { space: MemSpace::Global, addr, value } => {
-                cost = self.access_global_c(sub, ctx, addr, MemOp::Store(value), cost);
+                cost = self.access_global_c(sub, ctx, run, addr, MemOp::Store(value), cost);
             }
             DecodedInst::Load { dst, space: MemSpace::Local, addr } => {
-                self.access_local_c(sub, ctx, addr, MemOp::Load(dst));
+                self.access_local_c(sub, ctx, pc, addr, MemOp::Load(dst));
             }
             DecodedInst::Store { space: MemSpace::Local, addr, value } => {
-                self.access_local_c(sub, ctx, addr, MemOp::Store(value));
+                self.access_local_c(sub, ctx, pc, addr, MemOp::Store(value));
             }
             DecodedInst::AtomicAdd { dst, addr, value } => {
-                let atomic = SlotAtomic { cohort: self, sub, ctx, dst, addr, value };
+                let atomic = SlotAtomic { cohort: self, sub, ctx, pc, dst, addr, value };
                 crate::alu::with_bin(BinOp::Add, atomic);
             }
             DecodedInst::Special { dst, kind } => {
@@ -1371,7 +1377,7 @@ impl Cohort<'_> {
                         }
                     }
                     for class in partition_classes(live, |s| takens[s]) {
-                        self.split_off(sub, class, ctx);
+                        self.split_off(sub, class, ctx, run);
                     }
                     taken = takens[sub.slots.trailing_zeros() as usize];
                 }
@@ -1458,6 +1464,7 @@ impl Cohort<'_> {
         &mut self,
         sub: &mut SubCohort,
         ctx: &IssueCtx,
+        run: &Run,
         addr: Operand,
         op: MemOp,
         base_cost: u32,
@@ -1478,13 +1485,13 @@ impl Cohort<'_> {
                 .expect("faulted slot has a faulting lane");
             faults.push(s, LaneFault::Oob { lane, addr, size: glen, space: MemSpace::Global });
         }
-        self.resolve_faults(sub, ctx, faults);
+        self.resolve_faults(sub, ctx, run.at, faults);
         if sub.slots == 0 {
             return base_cost;
         }
         let cost = match &self.cfg.mem {
-            Some(hier) => self.walk_hier_c(sub, ctx, hier, matches!(op, MemOp::Store(_))),
-            None => self.fold_flat_c(sub, ctx, base_cost),
+            Some(hier) => self.walk_hier_c(sub, ctx, run, hier, matches!(op, MemOp::Store(_))),
+            None => self.fold_flat_c(sub, ctx, run, base_cost),
         };
         // Phase 3: value movement for the slots that stayed.
         let (live, width) = (sub.slots, self.width);
@@ -1545,22 +1552,23 @@ impl Cohort<'_> {
     }
 
     /// Phase 2 under the flat model: the coalescing-segment fold per
-    /// slot as the fork key (one fold for a uniform stage).
-    fn fold_flat_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, base_cost: u32) -> u32 {
+    /// slot as the fork key — one fold for a uniform stage, or for a
+    /// single live slot, which has no class to fork from.
+    fn fold_flat_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, run: &Run, base: u32) -> u32 {
         let Cohort { addrs, lines_buf, cfg, .. } = self;
         let lat = &cfg.latency;
         let mut cost_of = |s: usize| {
-            base_cost + lat.mem_segment * lat.segments_in(addrs.of(s), lines_buf).saturating_sub(1)
+            base + lat.mem_segment * lat.segments_in(addrs.of(s), lines_buf).saturating_sub(1)
         };
-        if addrs.uniform {
-            return cost_of(0);
+        if addrs.uniform || sub.slots.is_power_of_two() {
+            return cost_of(sub.slots.trailing_zeros() as usize);
         }
         let mut costs = [0u32; COHORT_SLOTS];
         for s in lanes(sub.slots) {
             costs[s] = cost_of(s);
         }
         for class in partition_classes(sub.slots, |s| costs[s]) {
-            self.split_off(sub, class, ctx);
+            self.split_off(sub, class, ctx, run);
         }
         costs[sub.slots.trailing_zeros() as usize]
     }
@@ -1573,10 +1581,12 @@ impl Cohort<'_> {
     /// diverging slot's state intact for its fork to replay, and the
     /// winners then re-run the walk as [`commit`](crate::mem::commit),
     /// which reproduces the probed outcome over the unchanged pre-state.
+    /// A single live slot has no class to fork from and commits at once.
     fn walk_hier_c(
         &mut self,
         sub: &mut SubCohort,
         ctx: &IssueCtx,
+        run: &Run,
         hier: &crate::mem::MemHierarchy,
         store: bool,
     ) -> u32 {
@@ -1585,28 +1595,26 @@ impl Cohort<'_> {
         // so the issue cycle of every engine is its round clock.
         let now = sub.cycle;
         let mut outs = [crate::mem::AccessOutcome::default(); COHORT_SLOTS];
-        for s in lanes(sub.slots) {
-            let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
-            outs[s] = crate::mem::probe(
-                hier,
-                &data[w].hier_tags[s],
-                &mshrs[s],
-                mem_scratch,
-                addrs.of(s),
-                now,
-            );
-        }
-        for class in partition_classes(sub.slots, |s| outs[s]) {
-            self.split_off(sub, class, ctx);
+        let one = sub.slots.is_power_of_two();
+        if !one {
+            for s in lanes(sub.slots) {
+                let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
+                let (tags, at) = (&data[w].hier_tags[s], addrs.of(s));
+                outs[s] = crate::mem::probe(hier, tags, &mshrs[s], mem_scratch, at, now);
+            }
+            for class in partition_classes(sub.slots, |s| outs[s]) {
+                self.split_off(sub, class, ctx, run);
+            }
         }
         let winners = sub.slots;
-        let out = outs[winners.trailing_zeros() as usize];
+        let mut out = outs[winners.trailing_zeros() as usize];
         for s in lanes(winners) {
             let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
             let tags = &mut data[w].hier_tags[s];
             let applied =
                 crate::mem::commit(hier, tags, &mut mshrs[s], mem_scratch, addrs.of(s), now);
-            debug_assert_eq!(applied, out, "commit must replay the probed outcome");
+            debug_assert!(one || applied == out, "commit must replay the probed outcome");
+            out = applied;
         }
         if store {
             self.invalidate_lines_c(winners);
@@ -1630,7 +1638,14 @@ impl Cohort<'_> {
     /// Local load/store: flat cost, so only per-slot OOB faults can
     /// split the sub-cohort (and they resolve, not fork). A lane whose
     /// slots agree on one in-range address moves its row in one copy.
-    fn access_local_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, addr: Operand, op: MemOp) {
+    fn access_local_c(
+        &mut self,
+        sub: &mut SubCohort,
+        ctx: &IssueCtx,
+        pc: usize,
+        addr: Operand,
+        op: MemOp,
+    ) {
         let (w, mask, llen, live, width) = (ctx.w, ctx.mask, self.local_len, sub.slots, self.width);
         let mut faults = Faults::default();
         let Cohort { data, scratch: RowScratch { imm: [ia, iv], .. }, .. } = self;
@@ -1654,7 +1669,7 @@ impl Cohort<'_> {
                 move_cell(regs, (reg, s), local, (m * width + l, s), op.is_load());
             }
         }
-        self.resolve_faults(sub, ctx, faults);
+        self.resolve_faults(sub, ctx, pc, faults);
     }
 }
 
@@ -1670,6 +1685,7 @@ struct SlotAtomic<'a, 'm> {
     cohort: &'a mut Cohort<'m>,
     sub: &'a mut SubCohort,
     ctx: &'a IssueCtx,
+    pc: usize,
     dst: simt_ir::Reg,
     addr: Operand,
     value: Operand,
@@ -1679,7 +1695,7 @@ impl AluLoop for SlotAtomic<'_, '_> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
-        let SlotAtomic { cohort, sub, ctx, dst, addr, value } = self;
+        let SlotAtomic { cohort, sub, ctx, pc, dst, addr, value } = self;
         let (w, mask) = (ctx.w, ctx.mask);
         let (ns, glen, live, width) =
             (cohort.nslots, cohort.global.rows(), sub.slots, cohort.width);
@@ -1749,7 +1765,7 @@ impl AluLoop for SlotAtomic<'_, '_> {
         // Faulted slots' runs discard all state, so only the survivors'
         // write-through invalidation is observable.
         cohort.invalidate_lines_c(live & !faults.mask);
-        cohort.resolve_faults(sub, ctx, faults);
+        cohort.resolve_faults(sub, ctx, pc, faults);
     }
 }
 
@@ -3023,6 +3039,90 @@ bb5:
         }
     }
 
+    /// Seeds that agree on control but load different addresses through
+    /// an L1 see different hits and misses: the walk outcome forks them
+    /// (probe, then commit), and each seed still equals its scalar run. A
+    /// lone slot commits without probing, which only a fork could need.
+    #[test]
+    fn hierarchy_outcomes_fork_seeds_that_share_control() {
+        let src = "\
+kernel @k(params=0, regs=5, barriers=0, entry=bb0) {
+bb0:
+  %r0 = special.tid
+  %r1 = rng.u63
+  %r1 = rem %r1, 1024
+  %r2 = load global[%r1]
+  %r3 = load global[%r0]
+  %r4 = add %r2, %r3
+  store global[%r0], %r4
+  exit
+}
+";
+        let cfg = SimConfig { mem: Some(l1()), ..SimConfig::default() };
+        let sweep = SweepLaunch::new(launch("k", 2, 1024, vec![]), 0, 8);
+        let stats = assert_matches_scalar(src, &cfg, &sweep);
+        assert!(stats.forks > 0, "the L1's outcome never split the seeds: {stats:?}");
+    }
+
+    /// Cohorts of 1, 3, 33 and 64 seeds at warp widths 5 and 32 over the
+    /// decoded engine's oracle kernels — lane-mixed types, NaN and `-0.0`
+    /// payloads, lane- and seed-dependent atomics, faults at the first
+    /// faulting lane on one warp and on two: every seed is bit-identical
+    /// (memory by payload and type, metrics, or the error) to its one-slot
+    /// run and to the tree-walker's.
+    #[test]
+    fn cohorts_of_every_width_match_one_slot_runs_and_the_oracle() {
+        use crate::exec::tests::{
+            atomic_launch, fault_kernel, launch_of, ATOMIC_KERNEL, MIXED_KERNEL, PAYLOAD_KERNEL,
+        };
+        let (nan, int) = (Value::F64(f64::from_bits(0x7ff8_0000_dead_beef)), Value::I64(-1));
+        let faults = [("and", "1.5", "1"), ("div", "0", "2.5"), ("rem", "0", "2.5")];
+        let mut kernels: Vec<(String, Box<dyn Fn(usize) -> Launch>)> = vec![
+            (MIXED_KERNEL.into(), Box::new(move |w| launch_of(vec![], 16 * w, int))),
+            (
+                PAYLOAD_KERNEL.into(),
+                Box::new(move |w| launch_of(vec![nan, Value::F64(-0.0)], 12 * w, int)),
+            ),
+            (ATOMIC_KERNEL.into(), Box::new(|w| atomic_launch(w, 0))),
+        ];
+        for (op, bad, good) in faults {
+            let one_warp = |w| Launch { num_warps: 1, ..launch_of(vec![], w, Value::I64(0)) };
+            kernels.push((fault_kernel(op, bad, good), Box::new(one_warp)));
+            kernels.push((fault_kernel(op, bad, good), Box::new(|w| launch_of(vec![], w, int))));
+        }
+        let bits = |mem: &[Value]| mem.iter().map(|&v| encode(v)).collect::<Vec<_>>();
+        for (src, launch) in &kernels {
+            let module = parse_and_link(src).expect("kernel parses");
+            let image = DecodedImage::decode(&module);
+            for warp_width in [5, 32] {
+                let cfg = SimConfig { warp_width, ..SimConfig::default() };
+                for seeds in [1, 3, 33, 64] {
+                    let sweep = SweepLaunch::new(launch(warp_width), 40, 40 + seeds);
+                    let out = run_sweep_image(&image, &cfg, &sweep, None).expect("sweep runs");
+                    for run in out.runs {
+                        let at = format!("width {warp_width}, {seeds} seeds, seed {}", run.seed);
+                        let launch = Launch { seed: run.seed, ..sweep.base.clone() };
+                        let one = crate::exec::run_image(&image, &cfg, &launch);
+                        let oracle = crate::reference::run_reference(&module, &cfg, &launch);
+                        for (twin, want) in [("one-slot run", one), ("oracle", oracle)] {
+                            match (&run.result, want) {
+                                (Ok(got), Ok(want)) => {
+                                    let mem = (bits(&got.global_mem), bits(&want.global_mem));
+                                    assert_eq!(mem.0, mem.1, "{at}: memory vs {twin}\n{src}");
+                                    assert_eq!(got.metrics, want.metrics, "{at}: vs {twin}");
+                                }
+                                (Err(got), Err(want)) => {
+                                    assert_eq!(got.to_string(), want.to_string(), "{at}: {twin}")
+                                }
+                                (got, want) => panic!("{at}: {got:?} vs {twin} {want:?}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// A fork copies the control plane — per warp one [`WarpCtl`] and
     /// four flat per-lane vectors — and no data: the allocation count is
     /// a small multiple of the warp count, whatever the warp width.
@@ -3035,10 +3135,12 @@ bb5:
             let mut cohort = Cohort::new(&image, &cfg, &sweep, 8).expect("cohort builds");
             let mut sub = cohort.subs.pop().expect("root sub-cohort");
             let (w, mask, run) = (0, 0, Run::default());
-            let ctx = IssueCtx { w, mask, pre: (0, 0, 0), run, spans: Spans::runs(mask) };
+            let spans = Spans::runs(mask);
+            let ctx = IssueCtx { w, mask, pre: (0, 0, 0), batched: false, spans };
             cohort.subs.reserve(2);
-            let allocs =
-                crate::alloc_count::allocations_during(|| cohort.split_off(&mut sub, 0b1100, &ctx));
+            let allocs = crate::alloc_count::allocations_during(|| {
+                cohort.split_off(&mut sub, 0b1100, &ctx, &run)
+            });
             assert_eq!(
                 (cohort.stats.forks, cohort.subs[0].slots, sub.slots),
                 (1, 0b1100, 0b1111_0011)
