@@ -1,10 +1,10 @@
 //! Test-only counting global allocator.
 //!
 //! The unit-test binary installs [`CountingAllocator`] as its
-//! `#[global_allocator]` (see `lib.rs`) so the steady-state test in
-//! [`crate::exec`] can assert that `Machine::step()` performs **zero**
-//! heap allocations after warm-up — the tentpole invariant of the
-//! scratch-arena design.
+//! `#[global_allocator]` (see `lib.rs`) so the steady-state tests in
+//! [`crate::exec`] and [`crate::sweep`] can assert that a cohort's round —
+//! a scalar launch's at one slot — performs **zero** heap allocations
+//! after warm-up, the invariant of the scratch-arena design.
 //!
 //! The counter is thread-local so proptest/libtest running suites in
 //! parallel cannot pollute another test's window, and `const`-initialized

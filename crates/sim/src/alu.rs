@@ -1,7 +1,7 @@
-//! Scalar ALU semantics shared by every interpreter (the decoded engine
-//! in [`crate::exec`], the lockstep cohort in [`crate::sweep`] and the
-//! tree-walking oracle in [`crate::reference`]), plus the `special`
-//! values both decoded engines read.
+//! Scalar ALU semantics shared by both interpreters (the lockstep cohort
+//! in [`crate::sweep`], which runs every scalar launch at one slot, and
+//! the tree-walking oracle in [`crate::reference`]), plus the `special`
+//! values they read.
 //!
 //! Operations are polymorphic over [`Value`]: integer inputs use wrapping
 //! integer semantics, and if either input is a float the operation is

@@ -23,15 +23,14 @@
 //! register window sits in the lane's stack) live in one flat table with
 //! per-lane bases, bump pointers and depths, pushed and popped by
 //! [`WarpCtl::call`] and [`WarpCtl::ret`]. It holds no register value,
-//! memory cell or RNG stream: the decoded engine ([`crate::exec`]) keeps
-//! those in columns with the lanes as slots, the sweep cohort
-//! ([`crate::sweep`]) in columns with the seeds as slots, and each maps a
-//! stack offset to its own rows. Both drive the same transitions, so two
-//! equal control planes behave identically forever — the fact the
-//! cohort's merge test (`==` on its planes) rests on. Transitions report
-//! the lanes they joined, parked or released through a sink of
-//! [`JournalKind`]s: the decoded engine's observer stamps them with cycle
-//! and warp, the cohort (which never journals) passes a no-op.
+//! memory cell or RNG stream: the cohort ([`crate::sweep`]) keeps those
+//! in columns — the lanes as columns at one slot, the seeds at more — and
+//! maps a stack offset to its rows. Every sub-cohort drives the same
+//! transitions, so two equal control planes behave identically forever —
+//! the fact the cohort's merge test (`==` on its planes) rests on.
+//! Transitions report the lanes they joined, parked or released through
+//! a sink of [`JournalKind`]s, which the observer stamps with cycle and
+//! warp (it records nothing unless one slot runs).
 
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedFunc, DecodedImage, PoolRange};

@@ -1,9 +1,9 @@
-//! Typed slot columns: the structure-of-arrays value store of both
-//! engines — the lockstep cohort's ([`crate::sweep`]: slots are seeds)
-//! and the decoded engine's ([`crate::exec`]: slots are the lanes of a
-//! warp, or the one slot of its global memory) registers, local memory
-//! and global memory — and the typed loops and cell kernels over their
-//! rows.
+//! Typed slot columns: the structure-of-arrays value store of the
+//! lockstep cohort ([`crate::sweep`]) — its registers, local memory and
+//! global memory, whose columns are the seeds, or at one slot (every
+//! scalar launch, [`crate::exec::run_image`]) a warp's lanes and the one
+//! slot of global memory — and the typed loops and cell kernels over
+//! their rows.
 //!
 //! Values are stored untagged: a row of `u64` payload bits per register
 //! or memory cell plus one float-mask word per row. A row whose live
@@ -14,14 +14,15 @@
 //! ([`fault_free`]) without reading a payload, except a divisor's. The
 //! memory arms' per-cell work — the bounds check ([`cell`]), the load or
 //! store ([`move_cell`]) and the atomic add ([`add_cell`]) — is written
-//! once here, and each engine's loop calls it with its own rows and slots.
+//! once here, and each layout's cell map calls it with its own rows and
+//! columns.
 
 use crate::alu::FaultCond;
 use crate::sched::{lanes, mask_runs};
 use simt_ir::{Operand, Reg, Value};
 use std::ops::Range;
 
-/// Typed slot columns — the one data representation of both engines. A
+/// Typed slot columns — the one data representation of the cohort. A
 /// *row* is `ns` payload words — an `i64` reinterpreted, or
 /// `f64::to_bits`, so NaN payloads and `-0.0` round-trip — plus one
 /// float-mask word (bit `s` set ⇔ slot `s` holds an `f64`; there are at
@@ -43,12 +44,12 @@ use std::ops::Range;
 /// owning a disjoint slot set: every write commits payload *and* mask
 /// bits under the writer's own slot mask only.
 ///
-/// In the decoded engine the slots are a warp's lanes: register `r` of
-/// the frame based at offset `base` is row `base + r`, whose payload word
-/// `l` is lane `l`'s — the same warp-major layout with the slot axis
-/// inside the row — and local cell `c` is row `c`. Lanes at one frame
-/// base share every register row; each write commits under the issued
-/// lanes only. Its global memory is one slot wide, one row per address.
+/// At one slot the columns are a warp's lanes: register `r` of the frame
+/// based at offset `base` is row `base + r`, whose payload word `l` is
+/// lane `l`'s — the same warp-major layout with the lane axis inside the
+/// row — and local cell `c` is row `c`. Lanes at one frame base share
+/// every register row; each write commits under the issued lanes only.
+/// Global memory is one slot wide then, one row per address.
 #[derive(Clone, Debug)]
 pub(crate) struct SlotCols {
     /// Slots per row (the cohort width, or the warp width).
@@ -248,10 +249,14 @@ pub(crate) fn single_run(live: u64) -> Option<(usize, usize)> {
     }
 }
 
-/// `dst[s] = src[s]` for every live slot.
+/// `dst[s] = src[s]` for every live slot: a lone slot (a one-slot
+/// sub-cohort, a single issued lane) as one word, a run as one slice copy.
 #[inline(always)]
 pub(crate) fn store_live(dst: &mut [u64], src: &[u64], live: u64) {
-    if let Some((lo, hi)) = single_run(live) {
+    if live.is_power_of_two() {
+        let s = live.trailing_zeros() as usize;
+        dst[s] = src[s];
+    } else if let Some((lo, hi)) = single_run(live) {
         dst[lo..hi].copy_from_slice(&src[lo..hi]);
     } else {
         for s in lanes(live) {
@@ -406,8 +411,10 @@ impl SlotCols {
 
 /// One lane's memory access with every live slot at row `m` of `mem`: a
 /// load commits that row to register row `reg`, a store commits `reg`
-/// (a register row, or an immediate broadcast in `imm`) to it.
-#[inline]
+/// (a register row, or an immediate broadcast in `imm`) to it. Forced
+/// inline, like the other per-lane memory helpers: out of line, each
+/// costs a call per lane, more than the move itself.
+#[inline(always)]
 pub(crate) fn move_row(
     regs: &mut SlotCols,
     mem: &mut SlotCols,
@@ -455,7 +462,7 @@ pub(crate) fn cell(a: i64, len: usize) -> Option<usize> {
 /// One cell of a load or store: a load copies memory cell `(m, ms)`
 /// (row, slot) to register cell `(reg, rs)`, a store the register side
 /// (a register row, or an immediate) to the memory cell.
-#[inline]
+#[inline(always)]
 pub(crate) fn move_cell(
     regs: &mut SlotCols,
     (reg, rs): (Src, usize),
@@ -472,7 +479,7 @@ pub(crate) fn move_cell(
 /// One cell of `atomic_add`: memory cell `(m, ms)` ← `add(old, value)`,
 /// then register `dst` ← `old`, both at register slot `rs`. A faulting
 /// add writes neither and returns the kernel's message.
-#[inline]
+#[inline(always)]
 pub(crate) fn add_cell(
     regs: &mut SlotCols,
     (dst, value, rs): (usize, Src, usize),
@@ -488,7 +495,7 @@ pub(crate) fn add_cell(
 
 /// The one in-range integer address every live slot of `row` holds, if
 /// there is one — the precondition of the row-copy memory paths.
-#[inline]
+#[inline(always)]
 pub(crate) fn uniform_addr(row: RowRef<'_>, live: u64, len: usize) -> Option<usize> {
     if live == 0 {
         return None;

@@ -262,7 +262,8 @@ pub(crate) struct DecodedFunc {
 /// A [`Module`] lowered to a flat, dense-pc instruction stream.
 ///
 /// Build one with [`DecodedImage::decode`] and execute it with
-/// [`run_image`](crate::exec::run_image). The image borrows nothing: it can
+/// [`run_image`](crate::exec::run_image) (a one-slot cohort of
+/// [`crate::sweep`]). The image borrows nothing: it can
 /// be cached and shared across any number of runs and threads (it is `Send`
 /// and `Sync`), which is what the batch evaluation engine in the
 /// `workloads` crate does.

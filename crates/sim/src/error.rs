@@ -90,7 +90,7 @@ pub enum ReconDump {
 
 /// What went wrong for one lane inside a hot execute loop, recorded so
 /// the error (and its location lookup) is built after the loop's
-/// borrows end. Shared by the decoded engine and the cohort.
+/// borrows end: by the cohort's arms, in both layouts.
 pub(crate) enum LaneFault {
     Oob { lane: usize, addr: i64, size: usize, space: MemSpace },
     Arith { lane: usize, message: String },
@@ -136,7 +136,9 @@ pub enum SimError {
         limit: u64,
     },
     /// The run was cancelled cooperatively via a
-    /// [`CancelToken`](crate::exec::CancelToken) (deadline expiry,
+    /// [`CancelToken`](crate::exec::CancelToken), which both
+    /// [`run_image_with`](crate::exec::run_image_with) and the sweeps poll
+    /// (deadline expiry,
     /// client disconnect, shutdown).
     Cancelled {
         /// Cycle at which the cancellation was observed.

@@ -1,274 +1,23 @@
-//! The decoded SIMT warp interpreter.
+//! The scalar entry points: one launch of a decoded image.
 //!
-//! This is the production execution engine: it runs a
-//! [`DecodedImage`] produced by [`DecodedImage::decode`] instead of
-//! walking the structured IR. The execution model is identical to the
-//! tree-walking oracle in [`crate::reference`] (Volta-style independent
-//! thread scheduling with convergence-barrier registers; see the module
-//! docs there), and the two are kept bit-for-bit equivalent — same
-//! metrics, memory, traces, profiles, RNG streams, and errors — which a
-//! property test enforces. What changes is the hot loop:
-//!
-//! - a thread's PC is one flat `usize` and issuing indexes a dense
-//!   `Vec<DecodedInst>` of `Copy` instructions with pre-resolved costs;
-//! - thread groups are `(pc, u64 lane mask)` pairs end to end: grouping
-//!   is one pass over packed `(pc << 6) | lane` keys with a fast path for
-//!   converged warps, scheduling is [`crate::sched::select_group_mask`],
-//!   and lane iteration is `trailing_zeros`/clear-lowest-bit ([`lanes`]);
-//! - each warp carries incremental `runnable`/`waiting`/`at_sync`/
-//!   `exited` masks maintained at the status transition points, so an
-//!   issue slot never scans thread statuses;
-//! - a warp's data is typed columns ([`SlotCols`]) whose slots are its
-//!   lanes: registers in one warp-major arena — register `r` of the
-//!   frame based at stack offset `base` is row `base + r`, lane `l`'s
-//!   payload at `bits[(base + r) * warp_width + l]` and its type in bit
-//!   `l` of the row's float word — and local memory, one row per cell;
-//!   global memory is one-slot columns, one row per address. The call
-//!   stack is control: the frames, bases and bump pointers live in the
-//!   shared [`WarpCtl`], whose `call`/`ret` the cohort drives too;
-//! - the data arms (`bin`/`un`, `mov`, `sel`, `br`, `vote`) are *row
-//!   ops*: operands are resolved once per issue ([`Src`]), the issued
-//!   lanes grouped by frame base (one group unless lanes sit at
-//!   different call depths), and each operand row classified over those
-//!   lanes with one AND on its float word; `BinOp`/`UnOp` are matched
-//!   once per issue, and [`crate::alu::with_bin`] hands [`RowAlu`] the
-//!   op's monomorphic kernel, which inlines under the loop-constant tags
-//!   (`typed!`) to the bare `i64`/`f64` operation — the same kernels the
-//!   cohort's slot loops instantiate; `special`, `rng` and `arrived`
-//!   fill a row per group;
-//! - loads, stores and atomics walk the issued lanes through the cell
-//!   kernels the cohort's per-slot paths call too ([`crate::cols::cell`],
-//!   [`move_cell`], [`add_cell`]);
-//! - the straight-line batcher ([`crate::sched::run_ahead`]) pre-checks
-//!   faults on float words ([`crate::cols::fault_free`]) and pays per
-//!   batch for what a batch cannot change: [`Machine::exec`] returns where
-//!   a group that moves together goes next instead of moving its lanes,
-//!   so the lanes' pcs and [`Metrics::record_issues`] are written once;
-//! - every buffer the loop needs (group keys, coalescing addresses)
-//!   lives in a per-[`Machine`] [`Scratch`] arena — after warm-up (the
-//!   register arena and frame table at the kernel's call depth),
-//!   [`Machine::step`] performs **zero heap allocations** in steady
-//!   state (a counting-allocator test enforces this).
+//! A scalar launch runs on the lockstep cohort of [`crate::sweep`] at one
+//! slot. There the cohort keeps the warp's lanes as the columns of its
+//! value store — register `r` of the frame based at stack offset `base`
+//! is row `base + r`, lane `l`'s payload in column `l` and its type in
+//! bit `l` of the row's float word — so a data arm's row op is one read
+//! and one write of that word per frame-base group, and the launch
+//! records its trace, profile and journal through [`crate::observe`]'s
+//! observer and counts its [`EngineStats`](crate::EngineStats). Its
+//! execution model is the tree-walking oracle's in [`crate::reference`]
+//! (Volta-style independent thread scheduling with convergence-barrier
+//! registers; see the module docs there), and the two are kept
+//! bit-for-bit equivalent — same metrics, memory, traces, profiles, RNG
+//! streams, and errors — which a property test enforces.
 
-use crate::alu::AluLoop;
-use crate::barrier::{Status, WarpCtl};
-use crate::cols::{
-    add_cell, cell, encode, move_cell, tagged, typed, Class, MemOp, SlotCols, Src, FLOAT, INT,
-    PER_SLOT,
-};
-use crate::config::{ReconvergenceModel, SimConfig};
-use crate::decode::{DecodedImage, DecodedInst};
-use crate::error::{LaneFault, SimError};
-use crate::journal::JournalKind;
-use crate::machine::{EngineStats, Launch, SimOutput};
-use crate::metrics::Metrics;
-use crate::observe::Observer;
-use crate::recon::{Pick, ReconStats, RoundBufs, Rounds};
-use crate::rng::SplitMix64;
-use crate::sched::{lanes, Batcher, Issued, Run};
-use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, Reg, RngKind, Value};
-
-/// `mask`'s lanes grouped by live frame base ([`BaseGroups`]).
-#[inline(always)]
-fn groups(ctl: &WarpCtl, mask: u64) -> BaseGroups<'_> {
-    BaseGroups { bases: &ctl.bases, shared: ctl.shared, rest: mask }
-}
-
-/// [`groups`] for a data arm, counting the issue in `split` when its
-/// lanes sit at more than one base.
-#[inline(always)]
-fn by_base<'a>(ctl: &'a WarpCtl, mask: u64, split: &mut u64) -> BaseGroups<'a> {
-    if ctl.shared.is_none() {
-        let b = ctl.bases[mask.trailing_zeros() as usize];
-        *split += u64::from(lanes(mask).any(|l| ctl.bases[l] != b));
-    }
-    groups(ctl, mask)
-}
-
-/// The lanes of an issue grouped by live frame base, lowest lane first:
-/// `(base, lanes)` pairs — a single pair while every lane shares its
-/// base, one per call depth otherwise. A data arm runs one row op per
-/// pair.
-struct BaseGroups<'a> {
-    bases: &'a [usize],
-    shared: Option<usize>,
-    rest: u64,
-}
-
-impl Iterator for BaseGroups<'_> {
-    type Item = (usize, u64);
-    #[inline(always)]
-    fn next(&mut self) -> Option<(usize, u64)> {
-        if self.rest == 0 {
-            return None;
-        }
-        let (base, group) = match self.shared {
-            Some(base) => (base, self.rest),
-            None => {
-                let base = self.bases[self.rest.trailing_zeros() as usize];
-                let at_base = lanes(self.rest).filter(|&l| self.bases[l] == base);
-                (base, at_base.fold(0, |m, l| m | 1 << l))
-            }
-        };
-        self.rest &= !group;
-        Some((base, group))
-    }
-}
-
-/// The decoded engine's loop shape for the ALU arms, handed to
-/// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): one typed
-/// row op ([`alu_row`]) per frame-base group of the issued lanes, under
-/// the tags its operand rows' float words give over those lanes. Returns
-/// the first faulting lane in lane order.
-struct RowAlu<'a> {
-    regs: &'a mut SlotCols,
-    ctl: &'a WarpCtl,
-    stats: &'a mut EngineStats,
-    mask: u64,
-    dst: Reg,
-    lhs: Operand,
-    rhs: Operand,
-}
-
-impl AluLoop for RowAlu<'_> {
-    type Out = Result<(), LaneFault>;
-    #[inline]
-    fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) -> Self::Out {
-        let RowAlu { regs: cols, ctl, stats, mask, dst, lhs, rhs } = self;
-        let (a, b) = (Src::of(lhs, 1), Src::of(rhs, 1));
-        let mut first: Option<(usize, String)> = None;
-        for (base, live) in by_base(ctl, mask, &mut stats.split_base_issues) {
-            let ops = (base + dst.index(), a.at(base), b.at(base));
-            let classes = (ops.1.class(&cols.floats, 1, live), ops.2.class(&cols.floats, 1, live));
-            let (done, dense) = typed!(classes.0, classes.1, alu_row(cols, ops, live, &k));
-            stats.mixed_rows += u64::from(!dense);
-            // Groups interleave in lane order: the issue faults at the
-            // lowest faulting lane of any group.
-            if let Err(f) = done {
-                if first.as_ref().is_none_or(|(lane, _)| f.0 < *lane) {
-                    first = Some(f);
-                }
-            }
-        }
-        first.map_or(Ok(()), |(lane, message)| Err(LaneFault::Arith { lane, message }))
-    }
-}
-
-/// One ALU row op: row `rd` ← `k(a, b)` for the lanes of `live`, all at
-/// one frame base, in lane order under the operand tags `A`/`B`. Stops
-/// at the first faulting lane and returns it with the kernel's message;
-/// the lanes below it are written.
-#[inline(always)]
-fn alu_row<const A: u8, const B: u8>(
-    cols: &mut SlotCols,
-    (rd, a, b): (usize, Src, Src),
-    live: u64,
-    k: &impl Fn(Value, Value) -> Result<Value, String>,
-) -> Result<(), (usize, String)> {
-    let ((pa, ca, fa), (pb, cb, fb)) = (a.lane(cols, 0), b.lane(cols, 0));
-    let (pd, mut done, mut floats) = (rd * cols.ns, live, 0u64);
-    let mut out = Ok(());
-    for l in lanes(live) {
-        let x = pa.map_or(ca, |p| cols.bits[p + l]);
-        let y = pb.map_or(cb, |p| cols.bits[p + l]);
-        match k(tagged::<A>(x, fa, l), tagged::<B>(y, fb, l)) {
-            Ok(v) => {
-                let (bits, float) = encode(v);
-                cols.bits[pd + l] = bits;
-                floats |= u64::from(float) << l;
-            }
-            Err(message) => {
-                done &= (1 << l) - 1;
-                out = Err((l, message));
-                break;
-            }
-        }
-    }
-    cols.floats[rd] = cols.floats[rd] & !done | floats;
-    out
-}
-
-/// Whether executing `inst` over `mask` is guaranteed not to fault.
-///
-/// A batched issue must be infallible: errors surface in scheduling
-/// order, and an error raised from look-ahead could preempt another
-/// warp's earlier fault. The check is [`crate::alu`]'s fault condition
-/// over each frame-base group's operand rows ([`crate::cols::fault_free`]:
-/// one AND on the float words, plus a zero scan of an integer divisor)
-/// — a faultable lane leaves the instruction to execute in its own
-/// round, where ordering is exact.
-///
-/// Forced inline: the batcher is instantiated in both round shapes, and
-/// with two call sites the compiler otherwise leaves this check — run
-/// before every batched issue — out of line.
-#[inline(always)]
-fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
-    let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
-    let (a, b) = (Src::of(lhs, 1), Src::of(rhs, 1));
-    groups(&warp.ctl, mask).all(|(base, live)| {
-        crate::cols::fault_free(&warp.regs, cond, a.at(base), b.at(base), 1, live)
-    })
-}
-
-/// One warp of the decoded engine: the shared control plane plus its
-/// lanes' data and this engine's scheduling hints and model state.
-#[derive(Clone, Debug)]
-pub(crate) struct Warp {
-    /// PCs, statuses, call frames, barrier registers and scheduler state.
-    pub(crate) ctl: WarpCtl,
-    /// Registers: lanes as slots, register `r` of the frame based at
-    /// offset `base` ([`WarpCtl::bases`]) at row `base + r`. Windows are
-    /// not bounds-checked against each other: register indices below the
-    /// function's `num_regs` are the IR verifier's contract.
-    pub(crate) regs: SlotCols,
-    /// Local memory: lanes as slots, one row per cell.
-    pub(crate) local: SlotCols,
-    /// Each lane's RNG stream.
-    pub(crate) rng: Vec<SplitMix64>,
-    /// Its scheduler memory between rounds: the pick hint and the pcs the
-    /// last pick did not choose.
-    pub(crate) pick: Pick,
-    /// Per-level tag arrays of the memory-hierarchy cost model, when
-    /// [`SimConfig::mem`] is on (empty otherwise).
-    pub(crate) mem_tags: crate::mem::MemTags,
-}
-
-/// Reusable hot-loop buffers owned by the [`Machine`].
-///
-/// Everything the steady-state loop needs to stage variable-length data
-/// lives here and is cleared — never dropped — between uses, so `step()`
-/// stops allocating once each buffer has grown to its high-water mark.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// The rounds' pick groups and warp-split candidates.
-    round: RoundBufs,
-    /// Per-access cell addresses for the coalescing/cache cost model.
-    addrs: Vec<i64>,
-    /// Segment/line ids derived from `addrs`.
-    lines: Vec<i64>,
-    /// Memory-hierarchy walk staging (line sets per level, MSHR sort
-    /// buffer).
-    mem: crate::mem::MemScratch,
-}
-
-pub(crate) struct Machine<'m> {
-    pub(crate) image: &'m DecodedImage,
-    pub(crate) cfg: &'m SimConfig,
-    /// Per-pc issue costs, `image.resolve_costs(&cfg.latency)`.
-    pub(crate) costs: Vec<u32>,
-    pub(crate) warps: Vec<Warp>,
-    /// Global memory: one slot, one row per address.
-    pub(crate) global: SlotCols,
-    pub(crate) metrics: Metrics,
-    pub(crate) obs: Observer,
-    pub(crate) scratch: Scratch,
-    /// Machine-wide MSHR files of the memory-hierarchy cost model
-    /// (empty when [`SimConfig::mem`] is off).
-    pub(crate) mshrs: crate::mem::MemMshrs,
-    /// How the rounds were served; see [`EngineStats`].
-    pub(crate) stats: EngineStats,
-    pub(crate) cycle: u64,
-}
+use crate::config::SimConfig;
+use crate::decode::DecodedImage;
+use crate::error::SimError;
+use crate::machine::{Launch, SimOutput};
 
 /// A cloneable cooperative-cancellation flag for in-flight simulations.
 ///
@@ -333,522 +82,18 @@ pub fn run_image_with(
     launch: &Launch,
     cancel: Option<&CancelToken>,
 ) -> Result<SimOutput, SimError> {
-    let mut machine = Machine::new(image, cfg, launch)?;
-    match cancel {
-        None => while !machine.step()? {},
-        Some(token) => {
-            while !machine.step()? {
-                if token.is_cancelled() {
-                    return Err(SimError::Cancelled { cycle: machine.cycle });
-                }
-            }
-        }
-    }
-    Ok(machine.into_output())
-}
-
-impl<'m> Machine<'m> {
-    /// Validates the launch and builds the initial machine state.
-    pub(crate) fn new(
-        image: &'m DecodedImage,
-        cfg: &'m SimConfig,
-        launch: &Launch,
-    ) -> Result<Machine<'m>, SimError> {
-        let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
-        let width = cfg.warp_width;
-        // Every lane's kernel frame: zeroed, its first registers the
-        // arguments.
-        let mut regs = SlotCols::new(kfunc.num_regs as usize, width);
-        for (r, a) in launch.args.iter().enumerate() {
-            regs.fill_rows(r, 1, *a, ctl.lane_mask);
-        }
-        let mut warps = Vec::with_capacity(launch.num_warps);
-        for w in 0..launch.num_warps {
-            let tids = (w * width..(w + 1) * width).map(|tid| tid as u64);
-            warps.push(Warp {
-                regs: regs.clone(),
-                local: SlotCols::new(launch.local_mem_size, width),
-                rng: tids.map(|tid| SplitMix64::for_thread(launch.seed, tid)).collect(),
-                pick: Pick::default(),
-                mem_tags: crate::mem::MemTags::new(cfg.mem.as_ref()),
-                ctl: ctl.clone(),
-            });
-        }
-
-        Ok(Machine {
-            image,
-            cfg,
-            costs: image.resolve_costs(&cfg.latency),
-            warps,
-            global: SlotCols::of_values(&launch.global_mem, 1),
-            metrics: Metrics::new(launch.num_warps, width),
-            obs: Observer::new(cfg),
-            scratch: Scratch::default(),
-            mshrs: crate::mem::MemMshrs::new(cfg.mem.as_ref()),
-            stats: EngineStats::default(),
-            cycle: 0,
-        })
-    }
-
-    /// One scheduling round ([`crate::recon::step`]); `Ok(true)` once every
-    /// warp has finished. After warm-up it allocates only on cold paths —
-    /// buffer growth to a new high-water mark, terminal errors.
-    pub(crate) fn step(&mut self) -> Result<bool, SimError> {
-        crate::recon::step(self)
-    }
-
-    /// Finalizes the run into its output (consumes the machine); the
-    /// final memory only when [`SimConfig::final_mem`] asks for it.
-    pub(crate) fn into_output(self) -> SimOutput {
-        let Machine { cfg, global, mut metrics, obs, stats, cycle, .. } = self;
-        metrics.cycles = cycle;
-        let global_mem =
-            if cfg.final_mem { global.columns(1).pop().expect("one slot") } else { Vec::new() };
-        obs.finish(metrics, stats, global_mem)
-    }
-
-    /// Issues one decoded instruction for the given group in a round of
-    /// its own: executes it, moves the lanes where it sends them and
-    /// records the issue. Returns its cycle cost.
-    fn issue(&mut self, w: usize, pc: usize, mask: u64) -> Result<u32, SimError> {
-        // Stall pressure is sampled before execution, matching the
-        // reference engine: lanes parked on a convergence barrier at
-        // the moment this group issues.
-        let ctl = &self.warps[w].ctl;
-        let waiting_lanes = ctl.waiting.count_ones();
-        self.obs.waits(lanes(ctl.waiting).filter_map(|l| match ctl.status[l] {
-            Status::Waiting(b) => Some(b),
-            _ => None,
-        }));
-
-        let (cost, next) = self.exec(w, pc, mask)?;
-        if let Some(next) = next {
-            self.warps[w].ctl.move_to(mask, next);
-        }
-
-        let (roi, weight) = (self.image.roi[pc], u64::from(cost.max(1)));
-        self.metrics.record_issues(w, mask, 1, weight, if roi { weight } else { 0 }, waiting_lanes);
-        self.obs.issue(self.cycle, w, self.image.origin[pc], mask, cost, roi);
-        Ok(cost)
-    }
-
-    /// Executes one barrier operation for the issued lane mask. Under
-    /// the IPDOM stack model — pre-Volta hardware with no barrier
-    /// register file — every compiler soft-barrier is an inert op that
-    /// advances its lanes (the issue cost still accrues: the
-    /// instruction occupies a slot). Registers stay zero there, so
-    /// `arrived` reads 0 and reconvergence is the stack's job;
-    /// `__syncthreads` is a separate instruction and keeps its real
-    /// semantics. Returns whether the issued lanes move on to the next
-    /// instruction ([`WarpCtl::barrier`]); they are left where they are.
-    fn exec_barrier(&mut self, w: usize, mask: u64, op: BarrierOp) -> bool {
-        let Machine { warps, obs, cycle, cfg, .. } = self;
-        let warp = &mut warps[w];
-        if let BarrierOp::ArrivedCount { dst, bar } = op {
-            let n = Value::I64(warp.ctl.arrived(bar));
-            for (base, live) in groups(&warp.ctl, mask) {
-                warp.regs.fill_rows(base + dst.index(), 1, n, live);
-            }
-        }
-        matches!(cfg.recon, ReconvergenceModel::IpdomStack)
-            || warp.ctl.barrier(mask, op, &mut |k| obs.event(*cycle, w, k))
-    }
-
-    /// Executes the instruction at `pc` for `mask`, whose lanes all stand
-    /// at `pc`; returns its cycle cost and where the group goes next. A
-    /// group that moves together (to `pc + 1`, a jump target or a uniform
-    /// branch's target) is left for the caller to move; `None` says the
-    /// arm moved its lanes itself: a divergent branch, call, return,
-    /// exit or blocking barrier. No arm reads the lanes' pcs, which lag
-    /// behind inside a batch.
-    fn exec(&mut self, w: usize, pc: usize, mask: u64) -> Result<(u32, Option<usize>), SimError> {
-        // Reborrow through the image's own lifetime so instruction/pool
-        // reads don't conflict with &mut self calls below; matching on the
-        // place copies only the fields each arm binds, never the whole
-        // instruction.
-        let image = self.image;
-        let inst = &image.insts[pc];
-        let at = |l| image.location(w, l, pc);
-        let mut cost = self.costs[pc];
-        let next = match *inst {
-            DecodedInst::Bin { op, dst, lhs, rhs } => {
-                let Warp { regs, ctl, .. } = &mut self.warps[w];
-                let alu = RowAlu { regs, ctl, stats: &mut self.stats, mask, dst, lhs, rhs };
-                crate::alu::with_bin(op, alu).map_err(|f| f.into_error(at))?;
-                Some(pc + 1)
-            }
-            DecodedInst::Un { op, dst, src } => {
-                // Unary kernels ignore `rhs`; an immediate costs no read.
-                let (Warp { regs, ctl, .. }, rhs) =
-                    (&mut self.warps[w], Operand::Imm(Value::default()));
-                let alu = RowAlu { regs, ctl, stats: &mut self.stats, mask, dst, lhs: src, rhs };
-                crate::alu::with_un(op, alu).map_err(|f| f.into_error(at))?;
-                Some(pc + 1)
-            }
-            DecodedInst::Mov { dst, src } => {
-                let (Warp { regs, ctl, .. }, src) = (&mut self.warps[w], Src::of(src, 1));
-                for (base, live) in by_base(ctl, mask, &mut self.stats.split_base_issues) {
-                    regs.assign_rows(base + dst.index(), 1, src.at(base), live);
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::Sel { dst, cond, if_true, if_false } => {
-                let Warp { regs, ctl, .. } = &mut self.warps[w];
-                let [cond, if_true, if_false] = [cond, if_true, if_false].map(|o| Src::of(o, 1));
-                for (base, live) in by_base(ctl, mask, &mut self.stats.split_base_issues) {
-                    // Payloads and type bits move untouched: two masked
-                    // row copies (`cond` is read before either writes).
-                    let (rd, t) = (base + dst.index(), cond.at(base).truthy(regs, live));
-                    regs.assign_rows(rd, 1, if_true.at(base), t);
-                    regs.assign_rows(rd, 1, if_false.at(base), live & !t);
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::Load { dst, space, addr } => {
-                let op = MemOp::Load(dst);
-                cost = self.access(w, pc, mask, space, addr, op).map_err(|f| f.into_error(at))?;
-                Some(pc + 1)
-            }
-            DecodedInst::Store { space, addr, value } => {
-                let op = MemOp::Store(value);
-                cost = self.access(w, pc, mask, space, addr, op).map_err(|f| f.into_error(at))?;
-                Some(pc + 1)
-            }
-            DecodedInst::AtomicAdd { dst, addr, value } => {
-                // Lanes are serialized in lane order, like hardware atomics
-                // to the same address. Atomics bypass the cache and
-                // invalidate the lines they touch.
-                let cfg = self.cfg;
-                let Machine { warps, global, scratch, .. } = self;
-                let Warp { regs, ctl, .. } = &mut warps[w];
-                let (addr, value, size) = (Src::of(addr, 1), Src::of(value, 1), global.rows());
-                let add = |a, b| crate::alu::eval_bin(BinOp::Add, a, b);
-                scratch.addrs.clear();
-                let mut failed: Option<LaneFault> = None;
-                for l in lanes(mask) {
-                    let base = ctl.bases[l];
-                    let a = addr.at(base).get(regs, l).as_i64();
-                    let Some(m) = cell(a, size) else {
-                        let space = MemSpace::Global;
-                        failed = Some(LaneFault::Oob { lane: l, addr: a, size, space });
-                        break;
-                    };
-                    let reg = (base + dst.index(), value.at(base), l);
-                    if let Err(message) = add_cell(regs, reg, global, (m, 0), add) {
-                        failed = Some(LaneFault::Arith { lane: l, message });
-                        break;
-                    }
-                    scratch.addrs.push(a);
-                }
-                Self::invalidate_lines(cfg, warps, &scratch.addrs);
-                if let Some(fault) = failed {
-                    return Err(fault.into_error(at));
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::Special { dst, kind } => {
-                let (width, warps) = (self.cfg.warp_width, self.warps.len());
-                let value = |l| crate::alu::special(kind, w, l, width, warps) as u64;
-                let Warp { regs, ctl, .. } = &mut self.warps[w];
-                for (base, live) in groups(ctl, mask) {
-                    regs.fill_rows_with(base + dst.index(), 1, false, live, |_, l| value(l));
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::Rng { dst, kind } => {
-                let Warp { regs, ctl, rng, .. } = &mut self.warps[w];
-                let mut draw = |l: usize| match kind {
-                    RngKind::U63 => rng[l].next_u63() as u64,
-                    RngKind::Unit => rng[l].next_unit().to_bits(),
-                };
-                let float = matches!(kind, RngKind::Unit);
-                for (base, live) in groups(ctl, mask) {
-                    regs.fill_rows_with(base + dst.index(), 1, float, live, |_, l| draw(l));
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::SyncThreads => {
-                let Machine { warps, obs, cycle, .. } = self;
-                warps[w].ctl.sync_arrive(mask, &mut |k| obs.event(*cycle, w, k));
-                None
-            }
-            DecodedInst::Vote { dst, pred } => {
-                // Warp-synchronous: counts over the lanes issued together.
-                let (Warp { regs, ctl, .. }, pred) = (&mut self.warps[w], Src::of(pred, 1));
-                let votes = groups(ctl, mask);
-                let t = votes.fold(0, |t, (base, live)| t | pred.at(base).truthy(regs, live));
-                let count = Value::I64(i64::from(t.count_ones()));
-                for (base, live) in by_base(ctl, mask, &mut self.stats.split_base_issues) {
-                    regs.fill_rows(base + dst.index(), 1, count, live);
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::SeedRng { src } => {
-                let (Warp { regs, ctl, rng, .. }, src) = (&mut self.warps[w], Src::of(src, 1));
-                for l in lanes(mask) {
-                    rng[l] = SplitMix64::for_seed_rng(src.at(ctl.bases[l]).get(regs, l).as_i64());
-                }
-                Some(pc + 1)
-            }
-            DecodedInst::Call { entry_pc, num_regs, args, rets } => {
-                let (arg_ops, num_regs) = (image.operands(args), num_regs as usize);
-                let Warp { regs, ctl, .. } = &mut self.warps[w];
-                for l in lanes(mask) {
-                    // A zeroed window at the bump pointer; arguments
-                    // evaluate in the caller window, which stays intact
-                    // under the callee's.
-                    let (caller, callee) = (ctl.bases[l], ctl.tops[l]);
-                    regs.grow(callee + num_regs);
-                    regs.fill_rows(callee, num_regs, Value::default(), 1 << l);
-                    for (i, a) in arg_ops.iter().enumerate() {
-                        regs.set(callee + i, l, Src::of(*a, 1).at(caller).get(regs, l));
-                    }
-                }
-                // The return lands after the call.
-                ctl.call(mask, pc + 1, entry_pc as usize, rets, num_regs);
-                None
-            }
-            DecodedInst::UnresolvedCall { name } => {
-                return Err(SimError::UnresolvedCall {
-                    at: at(mask.trailing_zeros() as usize),
-                    callee: image.callee_names[name as usize].clone(),
-                });
-            }
-            DecodedInst::Barrier(op) => {
-                self.metrics.barrier_ops += u64::from(mask.count_ones());
-                self.exec_barrier(w, mask, op).then_some(pc + 1)
-            }
-            DecodedInst::Skip => Some(pc + 1),
-            DecodedInst::Jump { target } => Some(target as usize),
-            DecodedInst::Branch { cond, then_pc, else_pc } => {
-                let (Warp { regs, ctl, .. }, cond) = (&mut self.warps[w], Src::of(cond, 1));
-                let groups = by_base(ctl, mask, &mut self.stats.split_base_issues);
-                let taken = groups.fold(0, |t, (base, live)| t | cond.at(base).truthy(regs, live));
-                let not_taken = mask & !taken;
-                if taken == 0 || not_taken == 0 {
-                    Some(if taken != 0 { then_pc } else { else_pc } as usize)
-                } else {
-                    for l in lanes(mask) {
-                        ctl.pcs[l] = if taken >> l & 1 != 0 { then_pc } else { else_pc } as usize;
-                    }
-                    // Park the divergence for the IPDOM post-issue hook
-                    // (the stack push happens after the hot borrows end).
-                    if matches!(self.cfg.recon, ReconvergenceModel::IpdomStack) {
-                        ctl.branch = Some((pc, taken, not_taken));
-                    }
-                    let o = image.origin[pc];
-                    let (func, block, inst) = (o.func, o.block, o.inst as usize);
-                    let diverge =
-                        JournalKind::BranchDiverge { func, block, inst, taken, not_taken };
-                    self.obs.event(self.cycle, w, diverge);
-                    None
-                }
-            }
-            DecodedInst::Return { values } => {
-                let value_ops = image.operands(values);
-                let Machine { warps, obs, cycle, .. } = self;
-                let Warp { regs, ctl, .. } = &mut warps[w];
-                for l in lanes(mask) {
-                    // The values move from the callee window to the
-                    // caller's; a lane in its kernel frame exits instead
-                    // (the verifier rejects that statically, but stay
-                    // safe at runtime).
-                    let Some(d) = ctl.depths[l].checked_sub(1) else { continue };
-                    let (callee, caller) = (ctl.top(l), ctl.frame(l, d).base);
-                    for (r, v) in image.regs(callee.ret_regs).iter().zip(value_ops) {
-                        let value = Src::of(*v, 1).at(callee.base).get(regs, l);
-                        regs.set(caller + r.index(), l, value);
-                    }
-                }
-                ctl.ret(mask, &mut |k| obs.event(*cycle, w, k));
-                None
-            }
-            DecodedInst::Exit => {
-                let Machine { warps, obs, cycle, .. } = self;
-                warps[w].ctl.exit(mask, &mut |k| obs.event(*cycle, w, k));
-                None
-            }
-        };
-        Ok((cost, next))
-    }
-
-    /// The shared load/store path of the instruction at `pc`: evaluates
-    /// per-lane addresses, performs the access, and (for global space)
-    /// folds the coalescing/cache cost model over the touched addresses,
-    /// recording a memory-hierarchy stall. Leaves the lanes at their pc,
-    /// like every arm of [`Machine::exec`].
-    fn access(
-        &mut self,
-        w: usize,
-        pc: usize,
-        mask: u64,
-        space: MemSpace,
-        addr: Operand,
-        op: MemOp,
-    ) -> Result<u32, LaneFault> {
-        let (cfg, image, now) = (self.cfg, self.image, self.cycle);
-        let Machine { warps, global, scratch, metrics, mshrs, obs, costs, .. } = self;
-        let Warp { regs, ctl, local, mem_tags, .. } = &mut warps[w];
-        let addrs = &mut scratch.addrs;
-        addrs.clear();
-        let (addr, reg) = (Src::of(addr, 1), op.reg(1));
-        // Global memory is one slot wide; local memory has one per lane.
-        let (mem, per_lane) = match space {
-            MemSpace::Global => (global, false),
-            MemSpace::Local => (local, true),
-        };
-        for l in lanes(mask) {
-            let base = ctl.bases[l];
-            let a = addr.at(base).get(regs, l).as_i64();
-            addrs.push(a);
-            let Some(m) = cell(a, mem.rows()) else {
-                return Err(LaneFault::Oob { lane: l, addr: a, size: mem.rows(), space });
-            };
-            let ms = if per_lane { l } else { 0 };
-            move_cell(regs, (reg.at(base), l), mem, (m, ms), op.is_load());
-        }
-        let mut cost = costs[pc];
-        if space == MemSpace::Global {
-            cost = if let Some(hier) = &cfg.mem {
-                // Hierarchy walk at the issue cycle: tag fills and MSHR
-                // allocation commit here.
-                let out = crate::mem::commit(
-                    hier,
-                    mem_tags,
-                    mshrs,
-                    &mut scratch.mem,
-                    &scratch.addrs,
-                    now,
-                );
-                metrics.mem.record(&out);
-                obs.mem(now, w, image.origin[pc], &out);
-                out.cost
-            } else {
-                let lat = &cfg.latency;
-                let segs = lat.segments_in(&scratch.addrs, &mut scratch.lines);
-                cost + lat.mem_segment * segs.saturating_sub(1)
-            };
-            if !op.is_load() {
-                // Stores write through: cost like a load, but the
-                // touched lines are invalidated in every warp (they
-                // now differ from any cached copy).
-                Self::invalidate_lines(cfg, warps, &scratch.addrs);
-            }
-        }
-        Ok(cost)
-    }
-
-    /// Drops the lines covering `addrs` from every warp's tag state
-    /// (stores and atomics write through).
-    fn invalidate_lines(cfg: &SimConfig, warps: &mut [Warp], addrs: &[i64]) {
-        if let Some(hier) = &cfg.mem {
-            for warp in warps.iter_mut() {
-                crate::mem::invalidate(hier, &mut warp.mem_tags, addrs);
-            }
-        }
-    }
-}
-
-/// The decoded engine's side of the rounds ([`crate::recon::step`]): it
-/// batches and leaves pick hints under every model, and journals the
-/// merges its picks make.
-impl Rounds for Machine<'_> {
-    type Error = SimError;
-
-    fn cfg(&self) -> &SimConfig {
-        self.cfg
-    }
-
-    fn warps(&self) -> usize {
-        self.warps.len()
-    }
-
-    fn clock(&mut self) -> &mut u64 {
-        &mut self.cycle
-    }
-
-    fn plane(&mut self, w: usize) -> (&mut WarpCtl, &mut Pick, &mut ReconStats, &mut RoundBufs) {
-        let Warp { ctl, pick, .. } = &mut self.warps[w];
-        (ctl, pick, &mut self.metrics.recon, &mut self.scratch.round)
-    }
-
-    fn engine(&mut self) -> &mut EngineStats {
-        &mut self.stats
-    }
-
-    /// Issues the picked `(pc, mask)` of warp `w` and runs the group ahead
-    /// ([`run_ahead`](crate::sched::run_ahead)), leaving [`Pick::hint`]
-    /// when it stays intact. Tracing and journaling disable batching
-    /// ([`Observer::stamps_issues`]) and with it the hints, so a traced
-    /// run is the unbatched, unhinted reference.
-    #[inline(always)]
-    fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, SimError> {
-        #[cfg(debug_assertions)]
-        self.warps[w].ctl.check_frames(self.image);
-        let last = std::mem::replace(&mut self.warps[w].ctl.last_lanes, mask);
-        self.obs.pick(self.cycle, w, self.image.origin[pc], last, mask);
-        let busy = self.cycle + u64::from(self.issue(w, pc, mask)?.max(1));
-        // A stack that moved (pushed, parked or popped) changed what the
-        // next pick chooses among.
-        let Machine { warps, image, metrics, cfg, .. } = self;
-        let stack_moved = matches!(cfg.recon, ReconvergenceModel::IpdomStack)
-            && warps[w].ctl.ipdom_post_issue(image, (pc, mask), &mut metrics.recon);
-        if stack_moved || self.obs.stamps_issues() {
-            return Ok(busy);
-        }
-        let (cfg, image, issue) =
-            (self.cfg, self.image, (w, pc, mask, self.warps[w].ctl.schedulable()));
-        let (run, intact) = crate::sched::run_ahead(&mut WarpRun(self, w), cfg, image, issue)?;
-        self.stats.batched_issues += run.issues;
-        self.warps[w].pick.hint = intact.then_some((run.at, mask));
-        Ok(busy + run.weight)
-    }
-
-    /// The deadlock report of warp `w` ([`WarpCtl::deadlock`]), journaled.
-    fn deadlock(&mut self, w: usize) -> SimError {
-        self.obs.event(self.cycle, w, JournalKind::DeadlockOnset);
-        self.warps[w].ctl.deadlock(self.image, w, self.cycle, self.cfg.recon)
-    }
-
-    fn timeout(&mut self) -> SimError {
-        SimError::MaxCyclesExceeded { limit: self.cfg.max_cycles }
-    }
-}
-
-/// The decoded engine's side of the straight-line batcher for warp `.1`:
-/// [`Machine::exec`] moves the data after [`batch_fault_free`], and the
-/// per-block profile stays per issue.
-struct WarpRun<'a, 'm>(&'a mut Machine<'m>, usize);
-
-impl Batcher for WarpRun<'_, '_> {
-    type Error = SimError;
-
-    #[inline(always)]
-    fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics) {
-        let Warp { ctl, pick, .. } = &mut self.0.warps[self.1];
-        (ctl, &pick.other_pcs, &mut self.0.metrics)
-    }
-
-    #[inline(always)]
-    fn issue(&mut self, mask: u64, inst: &DecodedInst, run: &Run) -> Issued<SimError> {
-        let (m, w, pc) = (&mut *self.0, self.1, run.at);
-        if !batch_fault_free(&m.warps[w], mask, inst) {
-            return Ok(None);
-        }
-        let (cost, next) = m.exec(w, pc, mask)?;
-        m.obs.batched(m.image.origin[pc], mask, cost);
-        Ok(Some((cost, next)))
-    }
+    crate::sweep::run_one(image, cfg, launch, cancel)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::alloc_count;
-    use crate::config::SchedulerPolicy;
+    use crate::cols::encode;
+    use crate::config::{ReconvergenceModel, SchedulerPolicy};
     use crate::error::ReconDump;
-    use crate::machine::Launch;
-    use simt_ir::parse_and_link;
+    use crate::sweep::Cohort;
+    use simt_ir::{parse_and_link, Value};
 
     /// A deliberately busy kernel: divergent branches, a loop, global
     /// loads/stores, an atomic, a depth-2 device-function call chain,
@@ -893,13 +138,13 @@ bb0:
 }
 ";
 
-    /// After warm-up, `step()` does not touch the heap — under the
-    /// barrier file and under the hardware models, whose split list
-    /// (forks push, fusions and exits remove) and reconvergence stack
-    /// must stop allocating at their high-water marks, and whose hinted
-    /// rounds must allocate nothing. Counts allocations via the test
-    /// binary's counting global allocator across a window of
-    /// steady-state steps.
+    /// After warm-up, a scalar launch's round (the one-slot cohort's)
+    /// does not touch the heap — under the barrier file and under the
+    /// hardware models, whose split list (forks push, fusions and exits
+    /// remove) and reconvergence stack must stop allocating at their
+    /// high-water marks, and whose hinted rounds must allocate nothing.
+    /// Counts allocations via the test binary's counting global allocator
+    /// across a window of steady-state rounds.
     #[test]
     fn step_is_allocation_free_in_steady_state() {
         let module = parse_and_link(STEADY_KERNEL).expect("kernel parses");
@@ -912,44 +157,46 @@ bb0:
             let cfg = SimConfig { recon, ..SimConfig::default() };
             let at = recon.spec();
             let launch = steady_launch(400);
-            let mut m = Machine::new(&image, &cfg, &launch).expect("machine builds");
+            let mut m =
+                Cohort::<true>::new(&image, &cfg, &launch, launch.seed, 1).expect("cohort builds");
+            let mut sub = m.subs.pop().expect("root sub-cohort");
 
             // Warm-up: grow every scratch buffer, the register arena and
             // frame stacks (to the call chain's depth), the split list or
             // reconvergence stack, and the per-warp busy schedule to
             // their high-water marks.
             for _ in 0..500 {
-                if m.step().expect("warm-up step") {
+                if m.round(&mut sub) {
                     panic!("kernel finished during warm-up under {at}; enlarge the loop bound");
                 }
             }
 
             let mut steps = 0u32;
-            let before = m.stats;
+            let before = m.engine;
             let allocs = alloc_count::allocations_during(|| {
                 for _ in 0..2000 {
-                    if m.step().expect("steady-state step") {
+                    if m.round(&mut sub) {
                         break;
                     }
                     steps += 1;
                 }
             });
+            assert_eq!(sub.slots, 1, "the launch faulted under {at}");
             assert!(
                 steps >= 1000,
                 "kernel too short to observe steady state ({steps} steps, {at})"
             );
             assert_eq!(allocs, 0, "step allocated {allocs} times over {steps} steps under {at}");
             assert!(
-                m.stats.hinted_rounds > before.hinted_rounds
-                    && m.stats.batched_issues > before.batched_issues,
+                m.engine.hinted_rounds > before.hinted_rounds
+                    && m.engine.batched_issues > before.batched_issues,
                 "the window exercised no hinted round under {at}: {:?}",
-                m.stats
+                m.engine
             );
 
             // And the run still completes correctly afterwards.
-            while !m.step().expect("tail step") {}
-            let out = m.into_output();
-            assert!(out.metrics.cycles > 0);
+            while !m.round(&mut sub) {}
+            assert!(sub.cycle > 0 && sub.slots == 1, "the launch finishes under {at}");
         }
     }
 

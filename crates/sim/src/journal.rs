@@ -6,9 +6,10 @@
 //! the releases that reconverge a warp), `__syncthreads` arrivals and
 //! releases, group merges (the scheduler reabsorbing a straggler group —
 //! the paper's reconvergence moment), and deadlock onset. Both execution
-//! engines — the decoded executor in [`crate::exec`] and the
-//! tree-walking oracle in [`crate::reference`] — emit bit-identical
-//! journals, which the differential proptest enforces.
+//! engines — a scalar launch ([`crate::exec::run_image`], the one-slot
+//! cohort of [`crate::sweep`]) and the tree-walking oracle in
+//! [`crate::reference`] — emit bit-identical journals, which the
+//! differential proptest enforces.
 //!
 //! Events flow into a bounded ring buffer: once
 //! [`JournalConfig::capacity`] is reached the oldest event is dropped

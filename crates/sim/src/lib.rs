@@ -52,10 +52,10 @@ mod sched;
 pub mod sweep;
 pub mod trace;
 
-/// The unit-test binary counts heap allocations to prove the decoded
-/// engine's steady-state loop never touches the allocator; see
-/// [`alloc_count`] and the `step_is_allocation_free_in_steady_state`
-/// test in [`exec`].
+/// The unit-test binary counts heap allocations to prove a cohort's
+/// steady-state round — a scalar launch's at one slot — never touches
+/// the allocator; see [`alloc_count`] and the
+/// `step_is_allocation_free_in_steady_state` test in [`exec`].
 #[cfg(test)]
 #[global_allocator]
 static COUNTING_ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;

@@ -4,13 +4,14 @@
 //! [`run`] is implemented as *decode once, then execute*: the module is
 //! lowered by [`DecodedImage::decode`](crate::decode::DecodedImage::decode)
 //! into a flat instruction stream and executed by
-//! [`run_image`](crate::exec::run_image). Callers that launch the same
+//! [`run_image`](crate::exec::run_image), the lockstep cohort of
+//! [`crate::sweep`] at one slot. Callers that launch the same
 //! module repeatedly should decode once themselves (or use the batch
 //! evaluation engine in the `workloads` crate, which caches images).
 //!
 //! The original tree-walking interpreter survives as
 //! [`run_reference`](crate::reference::run_reference), the semantic oracle
-//! the decoded engine is differentially tested against.
+//! the decoded image's runs are differentially tested against.
 
 use crate::config::SimConfig;
 use crate::decode::DecodedImage;
@@ -59,13 +60,12 @@ impl Launch {
     }
 }
 
-/// Host-side work counts of the decoded engine: how its scheduling
-/// rounds were served, and which shapes its data arms' row ops took.
-/// They describe the simulator, not the simulated machine — which is
-/// why they sit beside [`Metrics`], never inside it:
-/// the engines are compared on `metrics ==`, and the tree-walking
-/// reference and the sweep cohort (which have no hints or batches)
-/// report zeros. Exact for a given launch and configuration, so a test
+/// Host-side work counts of a scalar launch (the one-slot cohort): how
+/// its scheduling rounds were served, and which shapes its data arms' row
+/// ops took. They describe the simulator, not the simulated machine —
+/// which is why they sit beside [`Metrics`], never inside it: the engines
+/// are compared on `metrics ==`, and the tree-walking reference and the
+/// seeds of a multi-seed sweep report zeros. Exact for a given launch and configuration, so a test
 /// can notice the fast path falling off where a timing cannot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -96,8 +96,8 @@ pub struct EngineStats {
 pub struct SimOutput {
     /// Execution metrics.
     pub metrics: Metrics,
-    /// How the decoded engine served its rounds (zeros from the other
-    /// engines).
+    /// How a scalar launch served its rounds (zeros from the oracle and
+    /// from the seeds of a multi-seed sweep).
     pub engine: EngineStats,
     /// Final global memory contents; empty when [`SimConfig::final_mem`]
     /// is off.

@@ -4,8 +4,9 @@
 //! collectors: the issue [`Trace`] (the lane cartoons of the paper's
 //! Figures 1 and 3), the per-block [`Profile`] (§4.5's profitability
 //! feedback) and the divergence [`Journal`] (the reconvergence moments).
-//! The decoded engine ([`crate::exec`]) and the tree-walking oracle
-//! ([`crate::reference`]) make one call per recording site, so what is
+//! A scalar launch (the one-slot cohort of [`crate::sweep`], behind
+//! [`crate::exec`]) and the tree-walking oracle ([`crate::reference`])
+//! make one call per recording site, so what is
 //! recorded, and when, is written here once; the control plane
 //! ([`crate::barrier::WarpCtl`]) reports its transitions as
 //! [`JournalKind`]s, which [`Observer::event`] stamps.

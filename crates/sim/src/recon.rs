@@ -1,6 +1,6 @@
 //! Reconvergence models and the scheduling rounds that apply them, written
-//! once for both fast engines ([`Rounds`]): the decoded engine and each
-//! sub-cohort of the lockstep sweep.
+//! once ([`Rounds`]) for each sub-cohort of the lockstep cohort — a scalar
+//! launch's at one slot.
 //!
 //! The default model ([`ReconvergenceModel::BarrierFile`]) keeps no state
 //! here — compiler-placed barrier ops drive reconvergence through the
@@ -153,8 +153,8 @@ pub(crate) struct Pick {
     pub(crate) other_pcs: Vec<usize>,
 }
 
-/// One engine's side of the rounds ([`step`]) — the decoded engine
-/// ([`crate::exec`]) or one sub-cohort of the sweep ([`crate::sweep`]), as
+/// The cohort's side of the rounds ([`step`]) — one sub-cohort of
+/// [`crate::sweep`], a scalar launch's at one slot — as
 /// [`Batcher`](crate::sched::Batcher) serves [`run_ahead`](crate::sched::run_ahead).
 /// The engine owns the data plane, the issue and the pick hints; the
 /// rounds drive the control plane and the model state in it.

@@ -1,7 +1,8 @@
 //! The tree-walking reference interpreter (the semantic oracle).
 //!
-//! This is the original interpreter the decoded engine in [`crate::exec`]
-//! was refactored from. It executes the structured [`Module`] directly —
+//! This is the original interpreter the decoded engine — now the one-slot
+//! cohort of [`crate::sweep`] behind [`crate::exec`] — was refactored
+//! from. It executes the structured [`Module`] directly —
 //! frames carry `(func, block, inst)` triples and every issue slot walks
 //! the `IdVec`s — and is kept as the executable specification of the
 //! execution model: a property test asserts that
@@ -85,7 +86,7 @@ impl ThreadState {
 }
 
 #[derive(Clone, Debug)]
-struct Warp {
+struct OracleWarp {
     threads: Vec<ThreadState>,
     /// Barrier participation masks, one bit per lane.
     masks: Vec<u64>,
@@ -99,10 +100,10 @@ struct Warp {
     done: bool,
 }
 
-struct Machine<'m> {
+struct Oracle<'m> {
     module: &'m Module,
     cfg: &'m SimConfig,
-    warps: Vec<Warp>,
+    warps: Vec<OracleWarp>,
     global: Vec<Value>,
     metrics: Metrics,
     obs: Observer,
@@ -176,7 +177,7 @@ pub fn run_reference(
                 local: vec![Value::default(); launch.local_mem_size],
             });
         }
-        warps.push(Warp {
+        warps.push(OracleWarp {
             threads,
             masks: vec![0; num_barriers],
             busy_until: 0,
@@ -187,7 +188,7 @@ pub fn run_reference(
         });
     }
 
-    let mut machine = Machine {
+    let mut machine = Oracle {
         module,
         cfg,
         warps,
@@ -200,12 +201,12 @@ pub fn run_reference(
     };
     machine.run_to_completion()?;
 
-    let Machine { global, mut metrics, obs, cycle, .. } = machine;
+    let Oracle { global, mut metrics, obs, cycle, .. } = machine;
     metrics.cycles = cycle;
     Ok(obs.finish(metrics, Default::default(), if cfg.final_mem { global } else { Vec::new() }))
 }
 
-impl<'m> Machine<'m> {
+impl<'m> Oracle<'m> {
     fn run_to_completion(&mut self) -> Result<(), SimError> {
         loop {
             let mut next_ready = u64::MAX;
@@ -796,7 +797,7 @@ impl<'m> Machine<'m> {
         if let Some(hier) = &cfg.mem {
             // Hierarchy walk at the issue cycle, identical to the
             // decoded engine's: tag fills and MSHR allocation commit here.
-            let Machine { warps, metrics, mshrs, mem_scratch, obs, .. } = self;
+            let Oracle { warps, metrics, mshrs, mem_scratch, obs, .. } = self;
             let out =
                 crate::mem::commit(hier, &mut warps[w].mem_tags, mshrs, mem_scratch, addrs, now);
             metrics.mem.record(&out);

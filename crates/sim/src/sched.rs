@@ -3,8 +3,9 @@
 //! group ahead while that pick provably repeats.
 //!
 //! Both interpreters group runnable lanes by program counter and
-//! delegate the choice to a selection function. The decoded engine
-//! ([`crate::exec`]) is bitmask-native: its groups are `(flat pc,
+//! delegate the choice to a selection function. The decoded cohort
+//! ([`crate::sweep`], every scalar launch at one slot) is bitmask-native:
+//! its groups are `(flat pc,
 //! u64 lane mask)` pairs, pre-sorted by pc, chosen by
 //! [`select_group_mask`] without allocating. The tree-walking oracle
 //! ([`crate::reference`]) keeps the original [`select_group`] over
@@ -31,7 +32,7 @@ use simt_ir::BarrierOp;
 
 /// Iterates the set lanes of a mask in ascending order.
 ///
-/// `trailing_zeros` plus clear-lowest-bit: the decoded engine's
+/// `trailing_zeros` plus clear-lowest-bit: the decoded cohort's
 /// replacement for walking `Vec<usize>` lane lists. Ascending order is
 /// load-bearing — atomics serialize in lane order.
 pub(crate) fn lanes(mask: u64) -> Lanes {

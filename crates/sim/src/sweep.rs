@@ -13,16 +13,30 @@
 //! `[cell * nslots + slot]` with no per-instance pointers. One
 //! scheduling decision, one instruction decode, one cost lookup, and
 //! one metrics update then serve every instance of a sub-cohort; only
-//! the raw value compute is paid per `(lane, slot)` — through the same
-//! per-op kernels ([`crate::alu::with_bin`]) the decoded engine's lane
-//! loop instantiates, under this module's own loop shape (`SlotAlu`).
+//! the raw value compute is paid per `(lane, slot)` — through the per-op
+//! kernels of [`crate::alu::with_bin`], under this module's loop shape
+//! (`SlotAlu`).
 //!
-//! Values are stored untagged, in typed slot columns (`cols.rs`);
-//! registers and local memory are warp-major, so the adjacent lanes of
-//! an issue are adjacent rows and a whole register of theirs is one run
-//! of memory. A memory access whose address is the same in every slot is
-//! one row copy per lane; any other goes cell by cell through the same
-//! bounds check and cell kernels the decoded engine calls.
+//! Values are stored untagged, in typed slot columns (`cols.rs`), in one
+//! of two layouts the slot count fixes ([`Geom`]):
+//!
+//! - **one slot** — every scalar launch ([`crate::exec::run_image`]): the
+//!   warp's lanes are the columns. Register `r` of the frame based at
+//!   stack offset `base` is row `base + r`, lane `l` its column `l`, and
+//!   one float word types the row; local cell `c` is row `c`;
+//! - **two or more**: the seeds are the columns. Registers and local
+//!   memory are warp-major — register `r` is row `(base + r) * width +
+//!   lane`, local cell `c` row `c * width + lane` — so the adjacent lanes
+//!   of an issue are adjacent rows and a whole register of theirs is one
+//!   run of memory.
+//!
+//! Each data arm is written once, over an issue's row runs ([`RowRun`]:
+//! first row, row count, column mask) — one per frame-base group at one
+//! slot, one per span of adjacent lanes over the live slots otherwise —
+//! and the memory arms map a `(lane, slot)` cell to its register cell and
+//! its memory cell through the same geometry. A memory access whose
+//! address is the same in every slot is one row copy per lane; any other
+//! goes cell by cell through the same bounds check and cell kernels.
 //!
 //! # Fork, masked execution, merge
 //!
@@ -65,13 +79,13 @@
 //! equality covers the call frames too. It is sound because every
 //! sub-cohort schedules through the same pick path (see
 //! [`crate::sched`]): equal control planes pick identically forever
-//! after — and both the cohort and the scalar engine drive one
-//! [`WarpCtl`] and run ahead through one batcher
+//! after — and every sub-cohort, a scalar launch's one-slot cohort
+//! included, drives one [`WarpCtl`] and runs ahead through one batcher
 //! ([`crate::sched::run_ahead`]), so there is one pick path, one batch
 //! rule, one call stack and one set of barrier transitions to agree with.
-//! A batch that ends with its group intact leaves a pick hint, as in the
-//! scalar engine; hints live beside the control plane, outside the merge
-//! test, and only ever save a pick.
+//! A batch that ends with its group intact leaves a pick hint; hints live
+//! beside the control plane, outside the merge test, and only ever save a
+//! pick.
 //!
 //! Every divergent class forks into a sub-cohort of its own, however
 //! many there are: a cohort keeps every seed in lockstep until it
@@ -82,14 +96,15 @@
 //! Sweep outputs are **bit-identical** to N independent scalar runs —
 //! metrics, final global memory, RNG streams, and errors — which the
 //! conformance grid enforces across the generative kernel genome, every
-//! scheduler policy and reconvergence model, and two memory hierarchies. Per-instance observability
-//! (trace, profile, journal) cannot be attributed exactly from shared
-//! control, so sweeps of more than one instance reject those configs
-//! with [`SimError::SweepUnsupported`] instead of emitting misstamped
-//! events.
+//! scheduler policy and reconvergence model, and two memory hierarchies.
+//! A one-slot cohort records its trace, profile and journal through
+//! [`Observer`] and counts its [`EngineStats`]. Per-instance
+//! observability cannot be attributed exactly from shared control, so
+//! sweeps of more than one instance reject those configs with
+//! [`SimError::SweepUnsupported`] instead of emitting misstamped events.
 
 use crate::alu::AluLoop;
-use crate::barrier::WarpCtl;
+use crate::barrier::{Status, WarpCtl};
 use crate::cols::{
     add_cell, cell, class, decode, encode, fault_free, move_cell, move_row, tagged, typed,
     uniform_addr, zip_rows, Class, MemOp, RowRef, SlotCols, Src, FLOAT, INT, PER_SLOT,
@@ -97,7 +112,8 @@ use crate::cols::{
 use crate::config::{ReconvergenceModel, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst};
 use crate::error::{LaneFault, SimError};
-use crate::exec::{run_image_with, CancelToken};
+use crate::exec::CancelToken;
+use crate::journal::JournalKind;
 use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::observe::Observer;
@@ -241,18 +257,6 @@ pub fn run_sweep_image(
     if n == 0 {
         return Ok(SweepOutput { runs: Vec::new(), stats: SweepStats::default() });
     }
-    if n == 1 {
-        // A single instance is an ordinary run: full observability is
-        // allowed and exactness is trivial.
-        let mut launch = sweep.base.clone();
-        launch.seed = sweep.seed_lo;
-        let result = match run_image_with(image, cfg, &launch, cancel) {
-            Err(e @ SimError::Cancelled { .. }) => return Err(e),
-            r => r,
-        };
-        let stats = SweepStats { instances: 1, ..SweepStats::default() };
-        return Ok(SweepOutput { runs: vec![SeedRun { seed: sweep.seed_lo, result }], stats });
-    }
     if n > COHORT_SLOTS as u64 {
         return Err(SimError::SweepUnsupported {
             reason: format!(
@@ -260,7 +264,7 @@ pub fn run_sweep_image(
             ),
         });
     }
-    if cfg.trace || cfg.profile || cfg.journal.is_some() {
+    if n > 1 && (cfg.trace || cfg.profile || cfg.journal.is_some()) {
         return Err(SimError::SweepUnsupported {
             reason: format!(
                 "trace/profile/journal collection is per-instance; \
@@ -268,7 +272,22 @@ pub fn run_sweep_image(
             ),
         });
     }
-    Cohort::new(image, cfg, sweep, n as usize)?.run(cancel)
+    match n {
+        1 => Cohort::<true>::new(image, cfg, &sweep.base, sweep.seed_lo, 1)?.run(cancel),
+        _ => Cohort::<false>::new(image, cfg, &sweep.base, sweep.seed_lo, n as usize)?.run(cancel),
+    }
+}
+
+/// One launch of `image` at its own seed: the cohort at one slot, in the
+/// lanes-as-columns layout ([`Geom`]).
+pub(crate) fn run_one(
+    image: &DecodedImage,
+    cfg: &SimConfig,
+    launch: &Launch,
+    cancel: Option<&CancelToken>,
+) -> Result<SimOutput, SimError> {
+    let mut out = Cohort::<true>::new(image, cfg, launch, launch.seed, 1)?.run(cancel)?;
+    out.runs.pop().expect("one seed").result
 }
 
 /// [`run_sweep_image`] for callers that have not decoded the module
@@ -295,20 +314,179 @@ struct RowScratch {
     imm: [Vec<u64>; 2],
 }
 
-/// Row of lane `l`'s live register 0 in the warp-major arena: stack
-/// offset `base` of lane `l` is row `base * width + l`.
+/// Where a warp's cells sit in its columns; the slot count fixes it (see
+/// the module docs). Everything else about an arm is the same in both
+/// layouts.
+#[derive(Clone, Copy)]
+struct Geom {
+    width: usize,
+    /// One slot: the lanes are the columns.
+    lanes: bool,
+}
+
+impl Geom {
+    /// Rows between two registers of a frame: an operand's offset from
+    /// the frame's register 0 is `reg * stride` ([`Src::of`]).
+    #[inline(always)]
+    fn stride(self) -> usize {
+        match self.lanes {
+            true => 1,
+            false => self.width,
+        }
+    }
+
+    /// Row of register 0 of lane `l`'s frame at stack offset `base`.
+    #[inline(always)]
+    fn frame(self, base: usize, l: usize) -> usize {
+        match self.lanes {
+            true => base,
+            false => base * self.width + l,
+        }
+    }
+
+    /// Row of register 0 of lane `l`'s live frame.
+    #[inline(always)]
+    fn row0(self, ctl: &WarpCtl, l: usize) -> usize {
+        self.frame(ctl.bases[l], l)
+    }
+
+    /// Column of lane `l`'s slot `s` in its register and local rows.
+    #[inline(always)]
+    fn col(self, l: usize, s: usize) -> usize {
+        match self.lanes {
+            true => l,
+            false => s,
+        }
+    }
+
+    /// Row of lane `l`'s local cell `c`.
+    #[inline(always)]
+    fn local(self, c: usize, l: usize) -> usize {
+        match self.lanes {
+            true => c,
+            false => c * self.width + l,
+        }
+    }
+
+    /// The `(lane, slot)` of column `c` of row `i` of `run`.
+    #[inline(always)]
+    fn cell(self, run: &RowRun, i: usize, c: usize) -> (usize, usize) {
+        match self.lanes {
+            true => (c, 0),
+            false => (run.lo + i, c),
+        }
+    }
+
+    /// What a truthy mask `t` over the columns of row `i` of `run` says
+    /// of the lanes: those taken in every live slot, and whether the
+    /// slots agree.
+    #[inline(always)]
+    fn truth(self, run: &RowRun, i: usize, t: u64) -> (u64, bool) {
+        match self.lanes {
+            true => (t, true),
+            false => (u64::from(t == run.cols) << (run.lo + i), t == run.cols || t == 0),
+        }
+    }
+
+    /// The row runs of the issued lanes `mask` by live frame base over
+    /// the slots `live`: one per base group at one slot; at more, one per
+    /// span of `spans` (the issue's, [`frame_spans`]).
+    #[inline(always)]
+    fn runs(self, ctl: &WarpCtl, mask: u64, spans: Spans, live: u64) -> RowRuns<'_> {
+        match self.lanes {
+            true => RowRuns::Groups { bases: &ctl.bases, shared: ctl.shared, rest: mask },
+            false => RowRuns::Spans { spans, bases: &ctl.bases, geom: self, live },
+        }
+    }
+
+    /// The row runs of the issued lanes `mask` by `key`, which the frame
+    /// base must be part of: one per span of adjacent lanes with one key
+    /// (its lanes as one row's columns at one slot).
+    fn runs_by<K: PartialEq>(
+        self,
+        ctl: &WarpCtl,
+        mask: u64,
+        live: u64,
+        key: impl Fn(usize) -> K,
+    ) -> (Spans, RowRuns<'_>) {
+        let spans = Spans::by(mask, key);
+        (spans, RowRuns::Spans { spans, bases: &ctl.bases, geom: self, live })
+    }
+}
+
+/// One row op of an issue: rows `at .. at + n` hold register 0 of its
+/// lanes' frame (an operand's rows are offset from them), `cols` are the
+/// columns it writes, and `lo` is its lowest lane.
+#[derive(Clone, Copy)]
+struct RowRun {
+    at: usize,
+    n: usize,
+    cols: u64,
+    lo: usize,
+}
+
+/// An issue's [`RowRun`]s, lowest lane first ([`Geom::runs`]).
+enum RowRuns<'a> {
+    /// One slot: a row per group of lanes at one frame base — a single
+    /// group while every lane shares its base, one per call depth
+    /// otherwise — its lanes as the columns.
+    Groups { bases: &'a [usize], shared: Option<usize>, rest: u64 },
+    /// A run per span of adjacent lanes sharing a frame: at one slot a
+    /// row under the span's lanes, at more `n` rows under the live slots.
+    Spans { spans: Spans, bases: &'a [usize], geom: Geom, live: u64 },
+}
+
+impl Iterator for RowRuns<'_> {
+    type Item = RowRun;
+    #[inline(always)]
+    fn next(&mut self) -> Option<RowRun> {
+        match self {
+            RowRuns::Groups { bases, shared, rest } => {
+                if *rest == 0 {
+                    return None;
+                }
+                let lo = rest.trailing_zeros() as usize;
+                let (at, cols) = match *shared {
+                    Some(base) => (base, *rest),
+                    None => {
+                        let base = bases[lo];
+                        let at_base = lanes(*rest).filter(|&l| bases[l] == base);
+                        (base, at_base.fold(0, |m, l| m | 1 << l))
+                    }
+                };
+                *rest &= !cols;
+                Some(RowRun { at, n: 1, cols, lo })
+            }
+            RowRuns::Spans { spans, bases, geom, live } => {
+                let (lo, n) = spans.next()?;
+                let at = geom.frame(bases[lo], lo);
+                Some(match geom.lanes {
+                    true => RowRun { at, n: 1, cols: u64::MAX >> (64 - n) << lo, lo },
+                    false => RowRun { at, n, cols: *live, lo },
+                })
+            }
+        }
+    }
+}
+
+/// Whether the lanes of `mask` sit at more than one frame base.
 #[inline(always)]
-fn row0(ctl: &WarpCtl, l: usize) -> usize {
-    ctl.bases[l] * ctl.width() + l
+fn split_bases(ctl: &WarpCtl, mask: u64) -> bool {
+    ctl.shared.is_none() && {
+        let b = ctl.bases[mask.trailing_zeros() as usize];
+        lanes(mask).any(|l| ctl.bases[l] != b)
+    }
 }
 
 /// The spans of an issue by live frame base: the mask's runs while every
-/// lane shares its base ([`WarpCtl::shared`]), else a walk.
+/// lane shares its base ([`WarpCtl::shared`]), else a walk. The one-slot
+/// layout's row runs are base groups ([`Geom::runs`]), which read no
+/// spans: the mask's runs stand in.
 #[inline(always)]
-fn frame_spans(ctl: &WarpCtl, mask: u64) -> Spans {
-    match ctl.shared {
-        Some(_) => Spans::runs(mask),
-        None => Spans::by(mask, |l| ctl.bases[l]),
+fn frame_spans<const L: bool>(ctl: &WarpCtl, mask: u64) -> Spans {
+    match L || ctl.shared.is_some() {
+        true => Spans::runs(mask),
+        false => Spans::by(mask, |l| ctl.bases[l]),
     }
 }
 
@@ -317,13 +495,13 @@ fn frame_spans(ctl: &WarpCtl, mask: u64) -> Spans {
 /// fork moves nothing.
 #[derive(Clone, Debug)]
 struct DWarp {
-    /// Registers: a warp-major bump arena over every sub-cohort's frame
-    /// stacks, row `(base + reg) * width + lane`. Sized to the deepest
-    /// lane of any sub-cohort; never shrinks.
+    /// Registers: a bump arena over every sub-cohort's frame stacks, in
+    /// the layout of [`Geom`]. Sized to the deepest lane of any
+    /// sub-cohort; never shrinks.
     regs: SlotCols,
     /// RNG streams, `[lane * ns + slot]`.
     rng: Vec<SplitMix64>,
-    /// Local memory, row `cell * width + lane`.
+    /// Local memory, row [`Geom::local`].
     local: SlotCols,
     /// Memory-hierarchy tag state, one [`MemTags`](crate::mem) per
     /// slot (empty unless [`SimConfig::mem`] is on). Tag *contents* are
@@ -337,11 +515,11 @@ struct DWarp {
 /// governs and its own clock and metrics accumulator. Forked from its
 /// parent on control divergence; merged back when control re-agrees.
 #[derive(Clone, Debug)]
-struct SubCohort {
+pub(crate) struct SubCohort {
     /// Slots executing under this control plane (disjoint across
     /// sub-cohorts).
-    slots: u64,
-    cycle: u64,
+    pub(crate) slots: u64,
+    pub(crate) cycle: u64,
     /// Shared metrics accumulator: every counter a scalar run would
     /// bump is bumped once here for the whole sub-cohort. A slot's true
     /// metrics are `metrics + bases[slot]`. `cycles` stays 0 until
@@ -386,7 +564,7 @@ struct IssueCtx {
 
 /// The lockstep sweep machine: forked control planes over one SoA data
 /// plane.
-struct Cohort<'m> {
+pub(crate) struct Cohort<'m, const L: bool> {
     image: &'m DecodedImage,
     cfg: &'m SimConfig,
     /// Per-pc issue costs, shared by every sub-cohort.
@@ -394,11 +572,11 @@ struct Cohort<'m> {
     /// Cohort width (number of seed instances), fixed for the whole
     /// run: columns keep stride `nslots` even as slots fork and resolve.
     nslots: usize,
-    /// Lanes per warp: the row stride of the warp-major columns.
+    /// Lanes per warp.
     width: usize,
     seed_lo: u64,
     /// Live sub-cohorts, unordered (the run loop picks min-clock).
-    subs: Vec<SubCohort>,
+    pub(crate) subs: Vec<SubCohort>,
     /// The shared data plane, one entry per warp.
     data: Vec<DWarp>,
     /// Global memory, one row per address.
@@ -416,8 +594,11 @@ struct Cohort<'m> {
     /// The issuing warp-split round's candidates not issued yet, which a
     /// fork hands its child ([`Rounds::pre_pick`]).
     rest: Vec<Cand>,
-    /// What the shared rounds count; a sweep reports none of it.
-    engine: EngineStats,
+    /// What the shared rounds and the data arms count by the scalar
+    /// rules; a sweep of more than one seed reports none of it.
+    pub(crate) engine: EngineStats,
+    /// The trace, profile and journal: inert unless one slot runs.
+    obs: Observer,
     /// Lane-address staging for global accesses.
     addrs: AddrStage,
     /// Row staging for the typed loops.
@@ -433,37 +614,42 @@ struct Cohort<'m> {
     mem_scratch: crate::mem::MemScratch,
 }
 
-impl<'m> Cohort<'m> {
-    /// Validates the launch (through the same [`WarpCtl::for_launch`]
-    /// as the scalar engine) and builds the initial SoA state for
-    /// `nslots` instances: one root sub-cohort owning every slot, over
-    /// one shared data plane.
-    fn new(
+impl<'m, const L: bool> Cohort<'m, L> {
+    /// Validates the launch (through [`WarpCtl::for_launch`]) and builds
+    /// the initial state for `nslots` instances of `launch` at seeds
+    /// `seed_lo..`: one root sub-cohort owning every slot, over one
+    /// shared data plane.
+    pub(crate) fn new(
         image: &'m DecodedImage,
         cfg: &'m SimConfig,
-        sweep: &'m SweepLaunch,
+        launch: &Launch,
+        seed_lo: u64,
         nslots: usize,
-    ) -> Result<Cohort<'m>, SimError> {
-        let launch = &sweep.base;
+    ) -> Result<Cohort<'m, L>, SimError> {
         let (kfunc, ctl) = WarpCtl::for_launch(image, cfg, launch)?;
         let width = cfg.warp_width;
         let num_regs = kfunc.num_regs as usize;
+        debug_assert_eq!(L, nslots == 1, "the lanes layout is the one-slot one");
 
         let slots = if nslots == 64 { u64::MAX } else { (1u64 << nslots) - 1 };
         // Every warp starts from the same columns: the arguments
         // broadcast over the kernel frame, zeroed local memory.
-        let mut regs = SlotCols::new(num_regs * width, nslots);
+        let (stride, cols, all) = match L {
+            true => (1, width, ctl.lane_mask),
+            false => (width, nslots, slots),
+        };
+        let mut regs = SlotCols::new(num_regs * stride, cols);
         for (i, a) in launch.args.iter().enumerate() {
-            regs.fill_rows(i * width, width, *a, slots);
+            regs.fill_rows(i * stride, stride, *a, all);
         }
-        let local = SlotCols::new(launch.local_mem_size * width, nslots);
+        let local = SlotCols::new(launch.local_mem_size * stride, cols);
         let data = (0..launch.num_warps)
             .map(|w| DWarp {
                 regs: regs.clone(),
                 rng: (0..width * nslots)
                     .map(|i| {
                         let (tid, s) = (w * width + i / nslots, i % nslots);
-                        SplitMix64::for_sweep_instance(sweep.seed_lo, s as u64, tid as u64)
+                        SplitMix64::for_sweep_instance(seed_lo, s as u64, tid as u64)
                     })
                     .collect(),
                 local: local.clone(),
@@ -479,7 +665,7 @@ impl<'m> Cohort<'m> {
             costs: image.resolve_costs(&cfg.latency),
             nslots,
             width,
-            seed_lo: sweep.seed_lo,
+            seed_lo,
             subs: vec![SubCohort {
                 slots,
                 cycle: 0,
@@ -501,10 +687,11 @@ impl<'m> Cohort<'m> {
             bufs: RoundBufs::default(),
             rest: Vec::new(),
             engine: EngineStats::default(),
+            obs: Observer::new(cfg),
             addrs: AddrStage::default(),
             scratch: RowScratch {
                 out: vec![0; width * nslots],
-                imm: [vec![0; nslots], vec![0; nslots]],
+                imm: [vec![0; cols], vec![0; cols]],
             },
             lines_buf: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
@@ -512,16 +699,29 @@ impl<'m> Cohort<'m> {
         })
     }
 
+    /// The layout of the registers and local memory: the lanes as columns
+    /// at one slot ([`Geom`]), a constant of the instantiation.
+    #[inline(always)]
+    fn geom(&self) -> Geom {
+        Geom { width: self.width, lanes: L }
+    }
+
+    /// The live slots of `sub` while it issues and the slot count: at one
+    /// slot both constants, so the arms' per-slot loops run once, unrolled.
+    #[inline(always)]
+    fn live(&self, sub: &SubCohort) -> (u64, usize) {
+        if L {
+            (1, 1)
+        } else {
+            (sub.slots, self.nslots)
+        }
+    }
+
     /// Drives every sub-cohort to completion, min-clock-first with a
     /// merge check at each visited round boundary.
     fn run(mut self, cancel: Option<&CancelToken>) -> Result<SweepOutput, SimError> {
         while !self.subs.is_empty() {
             let t = self.subs.iter().map(|sc| sc.cycle).min().expect("subs non-empty");
-            if let Some(tok) = cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled { cycle: t });
-                }
-            }
             // The reconvergence check happens at the frontier cycle
             // before anything at it executes: merge sub-cohorts whose
             // control re-agreed.
@@ -541,11 +741,11 @@ impl<'m> Cohort<'m> {
                 if self.round(&mut sub) {
                     break true;
                 }
+                if sub.slots != 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+                    return Err(SimError::Cancelled { cycle: sub.cycle });
+                }
                 if sub.slots == 0 || !self.subs.is_empty() {
                     break false;
-                }
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return Err(SimError::Cancelled { cycle: sub.cycle });
                 }
             };
             if finished {
@@ -563,7 +763,13 @@ impl<'m> Cohort<'m> {
                 result: r.take().expect("every slot resolved"),
             })
             .collect();
-        Ok(SweepOutput { runs, stats: self.stats })
+        // One slot is a scalar launch: its host work is its EngineStats,
+        // and as a sweep it counts one instance and no lockstep work.
+        let stats = match L {
+            true => SweepStats { instances: 1, ..SweepStats::default() },
+            false => self.stats,
+        };
+        Ok(SweepOutput { runs, stats })
     }
 
     /// Resolves the slots that faulted in an issue, each with its own
@@ -605,9 +811,11 @@ impl<'m> Cohort<'m> {
         if sub.slots == 0 {
             return None;
         }
-        self.stats.lockstep_issues += 1;
-        self.stats.occupancy_sum += u64::from(sub.slots.count_ones());
-        let forked = self.stats.forks != forks;
+        if !L {
+            self.stats.lockstep_issues += 1;
+            self.stats.occupancy_sum += u64::from(sub.slots.count_ones());
+        }
+        let forked = !L && self.stats.forks != forks;
         if let Some(at) = next.take_if(|_| forked) {
             sub.warps[ctx.w].move_to(ctx.mask, at);
         }
@@ -657,9 +865,9 @@ impl<'m> Cohort<'m> {
         }
     }
 
-    /// One scheduling round of `sub`: the rounds the decoded engine runs
-    /// ([`crate::recon::step`]). Returns `true` once every warp finished.
-    fn round(&mut self, sub: &mut SubCohort) -> bool {
+    /// One scheduling round of `sub` ([`crate::recon::step`]). Returns
+    /// `true` once every warp finished.
+    pub(crate) fn round(&mut self, sub: &mut SubCohort) -> bool {
         // `sub` is popped off `self.subs` while it runs, so a non-empty
         // `subs` means the cohort is split.
         let split = !self.subs.is_empty();
@@ -672,11 +880,13 @@ impl<'m> Cohort<'m> {
     fn finalize_sub(&mut self, sub: &SubCohort) {
         let images = if self.cfg.final_mem { self.global.columns(sub.slots) } else { Vec::new() };
         let mut images = images.into_iter();
+        let engine = if L { self.engine } else { EngineStats::default() };
         for s in lanes(sub.slots) {
             let mut metrics = sub.metrics.combine(&self.bases[s], u64::wrapping_add, u64::max);
             metrics.cycles = sub.cycle;
-            let (engine, global_mem) = (EngineStats::default(), images.next().unwrap_or_default());
-            self.results[s] = Some(Ok(Observer::default().finish(metrics, engine, global_mem)));
+            let (obs, global_mem) =
+                (std::mem::take(&mut self.obs), images.next().unwrap_or_default());
+            self.results[s] = Some(Ok(obs.finish(metrics, engine, global_mem)));
         }
     }
 }
@@ -722,41 +932,40 @@ fn partition_classes<K: PartialEq, F: Fn(usize) -> K>(live: u64, key: F) -> Clas
 }
 
 // Data-plane reads the scheduler needs, and diagnostics.
-impl Cohort<'_> {
+impl<const L: bool> Cohort<'_, L> {
     /// Whether executing `inst` for the issue `ctx` is guaranteed not to
-    /// fault in *any* live slot of `sub` — the scalar engine's
-    /// pre-check, [`fault_free`] on the issued lanes' operand rows, with
-    /// the seeds as slots, once per span. A batched issue must be
+    /// fault in *any* live slot of `sub`: [`fault_free`] on the issued
+    /// lanes' operand rows, once per row run. A batched issue must be
     /// infallible: a per-seed fault resolves that slot with the exact
     /// error its scalar run would raise, and look-ahead would misstamp
     /// its round. Faultable (lane, slot) operands leave the instruction
     /// to execute in its own round.
+    ///
+    /// Forced inline: the batcher is instantiated in both round shapes, and
+    /// with two call sites the compiler otherwise leaves this check — run
+    /// before every batched issue — out of line.
+    #[inline(always)]
     fn batch_fault_free_c(&self, sub: &SubCohort, ctx: &IssueCtx, inst: &DecodedInst) -> bool {
         let Some((lhs, rhs, cond)) = crate::alu::fault_cond(inst) else { return true };
-        let (regs, ctl) = (&self.data[ctx.w].regs, &sub.warps[ctx.w]);
-        let (a, b) = (Src::of(lhs, self.width), Src::of(rhs, self.width));
-        { ctx.spans }.all(|(lo, n)| {
-            let at = row0(ctl, lo);
-            fault_free(regs, cond, a.at(at), b.at(at), n, sub.slots)
-        })
+        let (regs, ctl, geom) = (&self.data[ctx.w].regs, &sub.warps[ctx.w], self.geom());
+        let (a, b) = (Src::of(lhs, geom.stride()), Src::of(rhs, geom.stride()));
+        geom.runs(ctl, ctx.mask, ctx.spans, sub.slots)
+            .all(|RowRun { at, n, cols, .. }| fault_free(regs, cond, a.at(at), b.at(at), n, cols))
     }
 
-    /// An issue's lane spans, counted: hoisted when every run of adjacent
-    /// issued lanes is one span.
-    fn spans(&mut self, spans: Spans) -> Spans {
+    /// Counts an issue's lane spans: hoisted when every run of adjacent
+    /// issued lanes is one span. A one-slot run counts no sweep work.
+    #[inline(always)]
+    fn spans(&mut self, spans: Spans) {
+        if L {
+            return;
+        }
         self.stats.lane_runs += u64::from(spans.starts.count_ones());
         if spans.hoisted() {
             self.stats.hoisted_issues += 1;
         } else {
             self.stats.per_lane_issues += 1;
         }
-        spans
-    }
-
-    /// [`Self::spans`] of an issue's lanes by `key`, for the arms whose
-    /// spans need more than a shared frame base.
-    fn spans_by<K: PartialEq>(&mut self, mask: u64, key: impl Fn(usize) -> K) -> Spans {
-        self.spans(Spans::by(mask, key))
     }
 
     /// Splits `class` off `sub` at a divergent issue into a child
@@ -793,11 +1002,11 @@ impl Cohort<'_> {
 }
 
 /// The cohort's side of the straight-line batcher: [`Cohort::exec_c`]
-/// moves the data after [`Cohort::batch_fault_free_c`]. The cohort never
-/// carries trace or journal (multi-instance sweeps reject them), so it
-/// batches under the shared gate alone.
-struct SubRun<'a, 'm> {
-    cohort: &'a mut Cohort<'m>,
+/// moves the data after [`Cohort::batch_fault_free_c`], and the per-block
+/// profile stays per issue. Nothing that stamps issues is on while a
+/// batch runs ([`Observer::stamps_issues`]).
+struct SubRun<'a, 'm, const L: bool> {
+    cohort: &'a mut Cohort<'m, L>,
     sub: &'a mut SubCohort,
     /// The batched issues' context: `last_lanes` re-sticks to the mask,
     /// the clock with the prefix's weight is the unbatched one, and the
@@ -808,14 +1017,16 @@ struct SubRun<'a, 'm> {
     split: bool,
 }
 
-impl Batcher for SubRun<'_, '_> {
+impl<const L: bool> Batcher for SubRun<'_, '_, L> {
     type Error = std::convert::Infallible;
 
+    #[inline(always)]
     fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics) {
         let SubCohort { warps, metrics, picks, .. } = &mut *self.sub;
         (&mut warps[self.ctx.w], &picks[self.ctx.w].other_pcs, metrics)
     }
 
+    #[inline(always)]
     fn issue(&mut self, _mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error> {
         let SubRun { cohort, sub, ctx, split } = self;
         // While the cohort is split, every sub stops at every branch:
@@ -834,17 +1045,20 @@ impl Batcher for SubRun<'_, '_> {
         // at that pick: the batched context and `run`, the prefix. A
         // sub-cohort left with no slot ends the batch; it is abandoned,
         // so what the batch records there is never read.
-        let issued = cohort.issue_c(sub, ctx, run);
-        Ok(Some(issued.map_or((0, None), |(cost, next, _)| (cost, next))))
+        let Some((cost, next, _)) = cohort.issue_c(sub, ctx, run) else {
+            return Ok(Some((0, None)));
+        };
+        cohort.obs.batched(cohort.image.origin[run.at], ctx.mask, cost);
+        Ok(Some((cost, next)))
     }
 }
 
 /// One sub-cohort's side of the rounds ([`crate::recon::step`]): the
-/// lockstep issue and its forks, batched and hinted under every model as
-/// in the decoded engine, so the per-round scheduling cost the cohort
-/// amortizes across slots matches the scalar baseline's.
-struct SubRound<'a, 'm> {
-    cohort: &'a mut Cohort<'m>,
+/// lockstep issue and its forks, batched and hinted under every model, so
+/// a one-slot cohort's round is a scalar launch's and a wider one
+/// amortizes that cost across its slots.
+struct SubRound<'a, 'm, const L: bool> {
+    cohort: &'a mut Cohort<'m, L>,
     sub: &'a mut SubCohort,
     /// Whether the cohort is split.
     split: bool,
@@ -853,7 +1067,7 @@ struct SubRound<'a, 'm> {
     pre: (u64, usize, u64),
 }
 
-impl Rounds for SubRound<'_, '_> {
+impl<const L: bool> Rounds for SubRound<'_, '_, L> {
     type Error = ();
     #[cfg(debug_assertions)]
     const CHECK_HINTS: bool = true;
@@ -884,6 +1098,10 @@ impl Rounds for SubRound<'_, '_> {
         let ctl = &self.sub.warps[w];
         #[cfg(debug_assertions)]
         ctl.check_frames(self.cohort.image);
+        // Only a fork reads them, and one slot never forks.
+        if L {
+            return;
+        }
         self.pre = (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until);
         self.cohort.rest.clear();
         self.cohort.rest.extend_from_slice(rest);
@@ -893,15 +1111,25 @@ impl Rounds for SubRound<'_, '_> {
         self.sub.resume.take_if(|r| r.0 == w).map(|r| r.1)
     }
 
+    /// Tracing and journaling disable batching ([`Observer::stamps_issues`])
+    /// and with it the hints, so a traced run is the unbatched, unhinted
+    /// reference.
     #[inline(always)]
     fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, ()> {
         let SubRound { cohort, sub, split, pre } = self;
-        let (run, spans) = (Run { at: pc, ..Run::default() }, frame_spans(&sub.warps[w], mask));
+        let (run, spans) =
+            (Run { at: pc, ..Run::default() }, frame_spans::<L>(&sub.warps[w], mask));
         let ctx = IssueCtx { w, mask, pre: *pre, batched: false, spans };
-        sub.warps[w].last_lanes = mask;
-        // Stall pressure samples before execution, exactly like the scalar
-        // engine's issue path.
-        let waiting_lanes = sub.warps[w].waiting.count_ones();
+        let (ctl, at, cycle) = (&mut sub.warps[w], cohort.image.origin[pc], sub.cycle);
+        let last = std::mem::replace(&mut ctl.last_lanes, mask);
+        cohort.obs.pick(cycle, w, at, last, mask);
+        // Stall pressure samples before execution: lanes parked on a
+        // convergence barrier at the moment this group issues.
+        let waiting_lanes = ctl.waiting.count_ones();
+        cohort.obs.waits(lanes(ctl.waiting).filter_map(|l| match ctl.status[l] {
+            Status::Waiting(b) => Some(b),
+            _ => None,
+        }));
         // `None`: every instance of this sub-cohort forked or faulted
         // mid-round; its plane is abandoned and the children replay (or
         // resume) from their own consistent snapshots.
@@ -909,9 +1137,10 @@ impl Rounds for SubRound<'_, '_> {
         if let Some(next) = next {
             sub.warps[w].move_to(mask, next);
         }
-        let weight = u64::from(cost.max(1));
-        let roi_weight = if cohort.image.roi[pc] { weight } else { 0 };
+        let (weight, roi) = (u64::from(cost.max(1)), cohort.image.roi[pc]);
+        let roi_weight = if roi { weight } else { 0 };
         sub.metrics.record_issues(w, mask, 1, weight, roi_weight, waiting_lanes);
+        cohort.obs.issue(cycle, w, at, mask, cost, roi);
         let busy = sub.cycle + weight;
         // A stack that moved changed what the next pick chooses among. A
         // divergent issue skips starting a batch (and ends one, [`SubRun`]):
@@ -923,20 +1152,21 @@ impl Rounds for SubRound<'_, '_> {
         let ipdom = cohort.cfg.recon == ReconvergenceModel::IpdomStack;
         let (ctl, recon) = (&mut sub.warps[w], &mut sub.metrics.recon);
         let moved = ipdom && ctl.ipdom_post_issue(cohort.image, (pc, mask), recon);
-        if moved || forked {
+        if moved || forked || cohort.obs.stamps_issues() {
             return Ok(busy);
         }
         // A fork inside the batch is past the round's candidates.
         cohort.rest.clear();
         let (cfg, image) = (cohort.cfg, cohort.image);
         let issue = (w, pc, mask, sub.warps[w].schedulable());
-        let spans = frame_spans(&sub.warps[w], mask);
+        let spans = frame_spans::<L>(&sub.warps[w], mask);
         let ctx = IssueCtx { pre: (mask, 0, busy), batched: true, spans, ..ctx };
         let mut ahead = SubRun { cohort, sub, ctx, split: *split };
         let Ok((run, intact)) = crate::sched::run_ahead(&mut ahead, cfg, image, issue);
         if sub.slots == 0 {
             return Err(());
         }
+        cohort.engine.batched_issues += run.issues;
         sub.picks[w].hint = intact.then_some((run.at, mask));
         Ok(busy + run.weight)
     }
@@ -944,6 +1174,7 @@ impl Rounds for SubRound<'_, '_> {
     /// Deadlock is a property of shared control: every live instance
     /// fails with the identical diagnostic its scalar run would build.
     fn deadlock(&mut self, w: usize) {
+        self.cohort.obs.event(self.sub.cycle, w, JournalKind::DeadlockOnset);
         let (image, model) = (self.cohort.image, self.cohort.cfg.recon);
         let e = self.sub.warps[w].deadlock(image, w, self.sub.cycle, model);
         self.cohort.resolve_all(self.sub, &e);
@@ -965,14 +1196,21 @@ struct Faults {
 }
 
 impl Faults {
-    /// Records slot `s`'s fault unless it already has one: arms walk
-    /// lanes in ascending order and keep computing a faulted slot (its
-    /// state is discarded with it), so the first fault pushed is the one
-    /// its scalar run stops at.
+    /// Records slot `s`'s fault unless it already has one at a lower
+    /// lane: arms keep computing a faulted slot (its state is discarded
+    /// with it), and the issue faults at its lowest faulting lane — which
+    /// at one slot may come in a later frame-base group.
     fn push(&mut self, s: usize, fault: LaneFault) {
+        let lane = |f: &LaneFault| match f {
+            LaneFault::Oob { lane, .. } | LaneFault::Arith { lane, .. } => *lane,
+        };
         if self.mask >> s & 1 == 0 {
             self.mask |= 1 << s;
             self.list.push((s, fault));
+        } else if let Some(kept) = self.list.iter_mut().find(|(t, _)| *t == s) {
+            if lane(&fault) < lane(&kept.1) {
+                kept.1 = fault;
+            }
         }
     }
 
@@ -988,11 +1226,10 @@ impl Faults {
 /// [`crate::alu::with_bin`]/[`with_un`](crate::alu::with_un): a failing
 /// slot resolves to its own `Arithmetic` error at the first faulting
 /// lane in lane order, exactly like its scalar run. The operands are
-/// resolved once per issue; each span of adjacent lanes at one frame
-/// base then classifies its operand rows over the live slots and runs
-/// the kernel under those tags ([`alu_span`]).
-struct SlotAlu<'a, 'm> {
-    cohort: &'a mut Cohort<'m>,
+/// resolved once per issue; each row run then classifies its operand rows
+/// over its columns and runs the kernel under those tags ([`alu_span`]).
+struct SlotAlu<'a, 'm, const L: bool> {
+    cohort: &'a mut Cohort<'m, L>,
     sub: &'a mut SubCohort,
     ctx: &'a IssueCtx,
     pc: usize,
@@ -1062,22 +1299,26 @@ fn map_cells<'d, const A: u8, const B: u8>(
     float
 }
 
-/// One ALU span: rows `rd .. rd + n` ← `k(a, b)`, for lanes `lo .. lo +
-/// n`, written in place (a faulting cell keeps its old payload).
+/// One ALU row run: rows `rd .. rd + n` ← `k(a, b)` under the run's
+/// columns, written in place (a faulting cell keeps its old payload).
 #[inline(always)]
 fn alu_span<const A: u8, const B: u8>(
     regs: &mut SlotCols,
     stage: &mut [u64],
     (rd, a, b): (usize, Src, Src),
-    (lo, n): (usize, usize),
-    live: u64,
+    (geom, run): (Geom, &RowRun),
     faults: &mut Faults,
     k: &impl Fn(Value, Value) -> Result<Value, String>,
 ) {
-    let (ns, d) = (regs.ns, regs.span(rd, n));
-    // Under a whole-cohort mask and loop-constant tags the span is one
-    // loop over adjacent memory, written straight into the destination
-    // rows; an operand that *is* the destination is read from a copy.
+    let (ns, n, live) = (regs.ns, run.n, run.cols);
+    let d = regs.span(rd, n);
+    let fault = |faults: &mut Faults, i: usize, c: usize, message| {
+        let (lane, s) = geom.cell(run, i, c);
+        faults.push(s, LaneFault::Arith { lane, message });
+    };
+    // Under a whole-row mask and loop-constant tags the run is one loop
+    // over adjacent memory, written straight into the destination rows;
+    // an operand that *is* the destination is read from a copy.
     if let (Src::Row(ra), true) = (a, A != PER_SLOT && regs.whole(live)) {
         let stage = &mut stage[..d.len()];
         if [a, b].iter().any(|o| matches!(o, Src::Row(r) if *r == rd)) {
@@ -1090,11 +1331,7 @@ fn alu_span<const A: u8, const B: u8>(
             Ordering::Equal => &*stage,
             Ordering::Greater => &above[r * ns - d.end..][..d.len()],
         };
-        let cell = |i: usize, x, y| {
-            let fault =
-                |message| faults.push(i % ns, LaneFault::Arith { lane: lo + i / ns, message });
-            k(x, y).map_err(fault).ok()
-        };
+        let cell = |i: usize, x, y| k(x, y).map_err(|m| fault(faults, i / ns, i % ns, m)).ok();
         let x = dst.iter_mut().zip(rows(ra));
         let float = match b {
             Src::Row(rb) => map_cells::<A, B>(x.zip(rows(rb)).map(|((o, &x), &y)| (o, x, y)), cell),
@@ -1102,45 +1339,46 @@ fn alu_span<const A: u8, const B: u8>(
         };
         return regs.floats[rd..rd + n].fill(if float { live } else { 0 });
     }
-    // Any other mask or shape: lane by lane over the live slots — listed
-    // once, so a fragmented mask costs no bit scan per cell — each cell
-    // read and written through its index.
-    let mut slots = [0u8; COHORT_SLOTS];
-    let count = lanes(live).zip(&mut slots).map(|(s, slot)| *slot = s as u8).count();
+    // Any other mask or shape: row by row over the run's columns, each
+    // cell read and written through its index.
     for i in 0..n {
         let ((pa, ca, fa), (pb, cb, fb)) = (a.lane(regs, i), b.lane(regs, i));
         let (pd, mut floats) = ((rd + i) * ns, 0u64);
-        for s in slots[..count].iter().map(|&s| usize::from(s)) {
-            let x = pa.map_or(ca, |p| regs.bits[p + s]);
-            let y = pb.map_or(cb, |p| regs.bits[p + s]);
-            let v = k(tagged::<A>(x, fa, s), tagged::<B>(y, fb, s));
-            if let Some(v) = faults.value(s, lo + i, v) {
-                let (bits, float) = encode(v);
-                regs.bits[pd + s] = bits;
-                floats |= u64::from(float) << s;
+        for c in lanes(live) {
+            let x = pa.map_or(ca, |p| regs.bits[p + c]);
+            let y = pb.map_or(cb, |p| regs.bits[p + c]);
+            match k(tagged::<A>(x, fa, c), tagged::<B>(y, fb, c)) {
+                Ok(v) => {
+                    let (bits, float) = encode(v);
+                    regs.bits[pd + c] = bits;
+                    floats |= u64::from(float) << c;
+                }
+                Err(message) => fault(faults, i, c, message),
             }
         }
         regs.floats[rd + i] = regs.floats[rd + i] & !live | floats;
     }
 }
 
-impl AluLoop for SlotAlu<'_, '_> {
+impl<const L: bool> AluLoop for SlotAlu<'_, '_, L> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAlu { cohort, sub, ctx, pc, dst, lhs, rhs, once } = self;
         let (w, mut faults) = (ctx.w, Faults::default());
-        let (live, ctl) = (sub.slots, &sub.warps[w]);
-        let spans = cohort.spans(ctx.spans);
-        let Cohort { data, width, stats, scratch: RowScratch { out, .. }, .. } = &mut *cohort;
+        let ctl = &sub.warps[w];
+        cohort.spans(ctx.spans);
+        let geom = cohort.geom();
+        let Cohort { data, stats, engine, scratch: RowScratch { out, .. }, .. } = &mut *cohort;
         let regs = &mut data[w].regs;
-        let (a, b, d) = (Src::of(lhs, *width), Src::of(rhs, *width), dst.index() * *width);
-        for (lo, n) in spans {
-            let at = row0(ctl, lo);
+        let stride = geom.stride();
+        let (a, b, d) = (Src::of(lhs, stride), Src::of(rhs, stride), dst.index() * stride);
+        for run in geom.runs(ctl, ctx.mask, ctx.spans, sub.slots) {
+            let RowRun { at, n, cols, .. } = run;
             let ops = (at + d, a.at(at), b.at(at));
-            let classes = (ops.1.class(&regs.floats, n, live), ops.2.class(&regs.floats, n, live));
+            let classes = (ops.1.class(&regs.floats, n, cols), ops.2.class(&regs.floats, n, cols));
             let one_type = |c| !matches!(c, Class::Mixed);
-            if once && regs.whole(live) && one_type(classes.0) && one_type(classes.1) {
+            if once && regs.whole(cols) && one_type(classes.0) && one_type(classes.1) {
                 let (done, _) = typed!(classes.0, classes.1, uniform_span(regs, out, ops, n, &k));
                 if done {
                     stats.dense_rows += n as u64;
@@ -1150,10 +1388,11 @@ impl AluLoop for SlotAlu<'_, '_> {
             let ((), dense) = typed!(
                 classes.0,
                 classes.1,
-                alu_span(regs, out, ops, (lo, n), live, &mut faults, &k)
+                alu_span(regs, out, ops, (geom, &run), &mut faults, &k)
             );
             stats.dense_rows += if dense { n as u64 } else { 0 };
             stats.mixed_rows += if dense { 0 } else { n as u64 };
+            engine.mixed_rows += u64::from(!dense);
         }
         cohort.resolve_faults(sub, ctx, pc, faults);
     }
@@ -1182,28 +1421,42 @@ impl AddrStage {
 // The cohort execute path: one instruction over (lane mask × live
 // slots). Control effects (pc updates, status transitions, barrier
 // bookkeeping) happen once per sub-cohort; value effects resolve their
-// operands once per issue and then run per span of adjacent lanes (whole
-// registers: ALU, moves, fills, calls) or per lane (`row0` is the lane's
-// frame), as row operations over the sub-cohort's slots.
-impl Cohort<'_> {
-    /// Executes the instruction at `ctx.run.at` for the issued group
-    /// across every slot of `sub`; returns the (uniform) issue cost and,
-    /// like [`Machine::exec`](crate::exec), where a group that moves
-    /// together goes next — `None` when the arm moved its lanes itself.
-    /// Slots whose data would make the issue non-uniform fork, and
-    /// faulting slots resolve to their own
-    /// error inside the arm — callers re-check `sub.slots`.
+// operands once per issue and then run per row run (whole registers: ALU,
+// moves, selects, fills, votes, branches, calls) or per lane through the
+// cell maps of [`Geom`] (memory, atomics).
+impl<const L: bool> Cohort<'_, L> {
+    /// Executes the instruction at `run.at` for the issued group across
+    /// every slot of `sub`; returns the (uniform) issue cost and where a
+    /// group that moves together (to `pc + 1`, a jump target or a uniform
+    /// branch's target) goes next — `None` when the arm moved its lanes
+    /// itself: a divergent branch, call, return, exit or blocking
+    /// barrier. No arm reads the lanes' pcs, which lag behind inside a
+    /// batch. Slots whose data would make the issue non-uniform fork, and
+    /// faulting slots resolve to their own error inside the arm — callers
+    /// re-check `sub.slots`.
     fn exec_c(&mut self, sub: &mut SubCohort, ctx: &IssueCtx, run: &Run) -> (u32, Option<usize>) {
         let image = self.image;
         let (w, pc, mask) = (ctx.w, run.at, ctx.mask);
         let inst = &image.insts[pc];
         let mut cost = self.costs[pc];
-        let (live, width, ns) = (sub.slots, self.width, self.nslots);
+        let ((live, ns), geom, cycle) = (self.live(sub), self.geom(), sub.cycle);
+        let stride = geom.stride();
+        // The scalar count of data arms whose lanes sit at more than one
+        // frame base.
+        let data_arm = {
+            use DecodedInst::{Bin, Branch, Mov, Sel, Un, Vote};
+            matches!(
+                inst,
+                Bin { .. } | Un { .. } | Mov { .. } | Sel { .. } | Vote { .. } | Branch { .. }
+            )
+        };
+        if L && data_arm {
+            self.engine.split_base_issues += u64::from(split_bases(&sub.warps[w], mask));
+        }
         match *inst {
-            // The op is invariant across the slot columns, so it is
-            // matched once out here: `SlotAlu` gets a tiny monomorphic
-            // kernel its typed loops can inline. Unary kernels ignore
-            // `rhs`.
+            // The op is invariant across the columns, so it is matched
+            // once out here: `SlotAlu` gets a tiny monomorphic kernel its
+            // typed loops can inline. Unary kernels ignore `rhs`.
             DecodedInst::Bin { op, dst, lhs, rhs } => {
                 let once = matches!(op, BinOp::Div | BinOp::Rem);
                 let alu = SlotAlu { cohort: self, sub, ctx, pc, dst, lhs, rhs, once };
@@ -1216,32 +1469,25 @@ impl Cohort<'_> {
                 crate::alu::with_un(op, alu);
             }
             DecodedInst::Mov { dst, src } => {
-                let (ctl, src) = (&mut sub.warps[w], Src::of(src, width));
-                let spans = self.spans(ctx.spans);
+                let (ctl, src) = (&sub.warps[w], Src::of(src, stride));
+                self.spans(ctx.spans);
                 let regs = &mut self.data[w].regs;
-                for (lo, n) in spans {
-                    let at = row0(ctl, lo);
-                    regs.assign_rows(at + dst.index() * width, n, src.at(at), live);
+                for RowRun { at, n, cols, .. } in geom.runs(ctl, mask, ctx.spans, live) {
+                    regs.assign_rows(at + dst.index() * stride, n, src.at(at), cols);
                 }
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
-                let Cohort { data, scratch: RowScratch { out, imm: [it, ie] }, .. } = self;
-                let (regs, ctl) = (&mut data[w].regs, &mut sub.warps[w]);
-                let (if_true, if_false) = (Src::of(if_true, width), Src::of(if_false, width));
-                let cond = Src::of(cond, width);
-                if_true.broadcast(it);
-                if_false.broadcast(ie);
-                for l in lanes(mask) {
-                    // A select moves payloads and type bits untouched, so
-                    // it blends whole rows; the commit keeps to `live`.
-                    let at = row0(ctl, l);
-                    let t = cond.at(at).truthy(regs, live);
-                    let (x, y) = (if_true.at(at).row(regs, it), if_false.at(at).row(regs, ie));
-                    for (s, ((o, &x), &y)) in out.iter_mut().zip(x.bits).zip(y.bits).enumerate() {
-                        *o = if t >> s & 1 != 0 { x } else { y };
+                let (regs, ctl) = (&mut self.data[w].regs, &sub.warps[w]);
+                let [cond, if_true, if_false] =
+                    [cond, if_true, if_false].map(|o| Src::of(o, stride));
+                for RowRun { at, n, cols, .. } in geom.runs(ctl, mask, ctx.spans, live) {
+                    for at in at..at + n {
+                        // Payloads and type bits move untouched: two masked
+                        // row copies (`cond` is read before either writes).
+                        let (rd, t) = (at + dst.index() * stride, cond.at(at).truthy(regs, cols));
+                        regs.assign_rows(rd, 1, if_true.at(at), t);
+                        regs.assign_rows(rd, 1, if_false.at(at), cols & !t);
                     }
-                    let floats = x.floats & t | y.floats & !t;
-                    regs.put(at + dst.index() * width, RowRef { bits: out, floats }, live);
                 }
             }
             DecodedInst::Load { dst, space: MemSpace::Global, addr } => {
@@ -1261,7 +1507,7 @@ impl Cohort<'_> {
                 crate::alu::with_bin(BinOp::Add, atomic);
             }
             DecodedInst::Special { dst, kind } => {
-                let warps = self.data.len();
+                let (warps, width) = (self.data.len(), geom.width);
                 self.fill_c(sub, ctx, dst, false, |_, l, _| {
                     crate::alu::special(kind, w, l, width, warps) as u64
                 });
@@ -1273,60 +1519,67 @@ impl Cohort<'_> {
                 self.fill_c(sub, ctx, dst, true, |rng, l, s| rng[l * ns + s].next_unit().to_bits());
             }
             DecodedInst::SyncThreads => {
-                sub.warps[w].sync_arrive(mask, &mut |_| {});
+                sub.warps[w].sync_arrive(mask, &mut |k| self.obs.event(cycle, w, k));
                 return (cost, None);
             }
             DecodedInst::Vote { dst, pred } => {
-                // Warp-synchronous count — per slot, over the same
-                // issued mask — written to every issued lane.
+                // Warp-synchronous: per slot, a count over the lanes
+                // issued together, written to every issued lane.
                 let Cohort { data, scratch: RowScratch { out, .. }, .. } = self;
-                let (regs, ctl, pred) = (&mut data[w].regs, &sub.warps[w], Src::of(pred, width));
+                let (regs, ctl, pred) = (&mut data[w].regs, &sub.warps[w], Src::of(pred, stride));
                 let counts = &mut out[..ns];
                 counts.fill(0);
-                for l in lanes(mask) {
-                    let t = pred.at(row0(ctl, l)).truthy(regs, live);
-                    for (s, c) in counts.iter_mut().enumerate() {
-                        *c += t >> s & 1;
+                for run in geom.runs(ctl, mask, ctx.spans, live) {
+                    for i in 0..run.n {
+                        for c in lanes(pred.at(run.at + i).truthy(regs, run.cols)) {
+                            counts[geom.cell(&run, i, c).1] += 1;
+                        }
                     }
                 }
-                let counts = RowRef { bits: counts, floats: 0 };
-                for l in lanes(mask) {
-                    regs.put(row0(ctl, l) + dst.index() * width, counts, live);
+                for run in geom.runs(ctl, mask, ctx.spans, live) {
+                    let rd = run.at + dst.index() * stride;
+                    let count = |i, c| counts[geom.cell(&run, i, c).1];
+                    regs.fill_rows_with(rd, run.n, false, run.cols, count);
                 }
             }
             DecodedInst::SeedRng { src } => {
-                let (DWarp { regs, rng, .. }, ctl) = (&mut self.data[w], &mut sub.warps[w]);
-                for l in lanes(mask) {
-                    let src = Src::of(src, width).at(row0(ctl, l));
-                    for s in lanes(live) {
-                        rng[l * ns + s] = SplitMix64::for_seed_rng(src.get(regs, s).as_i64());
+                let (DWarp { regs, rng, .. }, ctl) = (&mut self.data[w], &sub.warps[w]);
+                let src = Src::of(src, stride);
+                for run in geom.runs(ctl, mask, ctx.spans, live) {
+                    for i in 0..run.n {
+                        for c in lanes(run.cols) {
+                            let ((l, s), v) =
+                                (geom.cell(&run, i, c), src.at(run.at + i).get(regs, c));
+                            rng[l * ns + s] = SplitMix64::for_seed_rng(v.as_i64());
+                        }
                     }
                 }
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
-                let (ctl, num_regs) = (&mut sub.warps[w], num_regs as usize);
-                // A span's lanes share the caller's window and bump
+                let (ctl, num_regs) = (&sub.warps[w], num_regs as usize);
+                // A run's lanes share the caller's window and bump
                 // pointer, hence the callee's window.
-                let spans = self.spans_by(mask, |l| (ctl.bases[l], ctl.tops[l]));
+                let (spans, runs) = geom.runs_by(ctl, mask, live, |l| (ctl.bases[l], ctl.tops[l]));
+                self.spans(spans);
                 let regs = &mut self.data[w].regs;
-                for (lo, n) in spans {
-                    // The new window is default-initialized for `live`
-                    // only: other sub-cohorts share the arena and may
-                    // hold live values (and float-mask bits) in these
-                    // rows' other slots.
-                    let (at, callee) = (row0(ctl, lo), ctl.tops[lo] * width + lo);
-                    regs.grow((ctl.tops[lo] + num_regs) * width);
+                for RowRun { at, n, cols, lo } in runs {
+                    // The new window is default-initialized under `cols`
+                    // only: other lanes and sub-cohorts share the arena
+                    // and may hold live values (and float-mask bits) in
+                    // these rows' other columns.
+                    let callee = geom.frame(ctl.tops[lo], lo);
+                    regs.grow(geom.frame(ctl.tops[lo] + num_regs, 0));
                     for r in 0..num_regs {
-                        regs.fill_rows(callee + r * width, n, Value::default(), live);
+                        regs.fill_rows(callee + r * stride, n, Value::default(), cols);
                     }
                     // Arguments are row copies out of the caller window,
                     // which stays intact under the callee's.
                     for (i, a) in image.operands(args).iter().enumerate() {
-                        regs.assign_rows(callee + i * width, n, Src::of(*a, width).at(at), live);
+                        regs.assign_rows(callee + i * stride, n, Src::of(*a, stride).at(at), cols);
                     }
                 }
                 // The return lands after the call.
-                ctl.call(mask, pc + 1, entry_pc as usize, rets, num_regs);
+                sub.warps[w].call(mask, pc + 1, entry_pc as usize, rets, num_regs);
                 return (cost, None);
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1341,39 +1594,45 @@ impl Cohort<'_> {
             DecodedInst::Barrier(op) => {
                 // Barrier semantics are pure control, so one execution
                 // serves the whole sub-cohort; only `arrived` writes
-                // registers, broadcast to every live slot.
+                // registers. Under the IPDOM stack model — pre-Volta
+                // hardware with no barrier register file — every soft
+                // barrier is an inert op that advances its lanes:
+                // registers stay zero, so `arrived` reads 0.
                 sub.metrics.barrier_ops += u64::from(mask.count_ones());
-                // Under the IPDOM stack every soft barrier is inert, as
-                // in the decoded engine.
                 if let BarrierOp::ArrivedCount { dst, bar } = op {
                     let n = sub.warps[w].arrived(bar) as u64;
                     self.fill_c(sub, ctx, dst, false, |_, _, _| n);
                 } else if self.cfg.recon != ReconvergenceModel::IpdomStack {
-                    return (cost, sub.warps[w].barrier(mask, op, &mut |_| {}).then_some(pc + 1));
+                    let sink = &mut |k| self.obs.event(cycle, w, k);
+                    return (cost, sub.warps[w].barrier(mask, op, sink).then_some(pc + 1));
                 }
             }
             DecodedInst::Skip => {}
             DecodedInst::Jump { target } => return (cost, Some(target as usize)),
             DecodedInst::Branch { cond, then_pc, else_pc } => {
-                // One truthy slot-mask per lane. A lane whose slots all
-                // agree needs no per-slot state; only when some lane's
+                // One truthy mask per row: the taken lanes at one slot;
+                // at more, one lane's slots, and only when some lane's
                 // slots disagree are the per-slot taken masks built, and
                 // each class disagreeing with the largest one forks off
                 // *before* the branch applies.
-                let (regs, ctl, cond) = (&self.data[w].regs, &sub.warps[w], Src::of(cond, width));
-                let lane_t = |l| cond.at(row0(ctl, l)).truthy(regs, live);
-                let mut taken = 0u64;
-                let mut agree = true;
-                for l in lanes(mask) {
-                    let t = lane_t(l);
-                    taken |= u64::from(t == live) << l;
-                    agree &= t == live || t == 0;
+                let (regs, ctl, cond) = (&self.data[w].regs, &sub.warps[w], Src::of(cond, stride));
+                let (mut taken, mut agree) = (0u64, true);
+                for run in geom.runs(ctl, mask, ctx.spans, live) {
+                    for i in 0..run.n {
+                        let t = cond.at(run.at + i).truthy(regs, run.cols);
+                        let (all, one) = geom.truth(&run, i, t);
+                        taken |= all;
+                        agree &= one;
+                    }
                 }
                 if !agree {
                     let mut takens = [0u64; COHORT_SLOTS];
-                    for l in lanes(mask) {
-                        for s in lanes(lane_t(l)) {
-                            takens[s] |= 1 << l;
+                    for run in geom.runs(ctl, mask, ctx.spans, live) {
+                        for i in 0..run.n {
+                            for c in lanes(cond.at(run.at + i).truthy(regs, run.cols)) {
+                                let (l, s) = geom.cell(&run, i, c);
+                                takens[s] |= 1 << l;
+                            }
                         }
                     }
                     for class in partition_classes(live, |s| takens[s]) {
@@ -1381,43 +1640,52 @@ impl Cohort<'_> {
                     }
                     taken = takens[sub.slots.trailing_zeros() as usize];
                 }
-                if taken == 0 || taken == mask {
+                let not_taken = mask & !taken;
+                if taken == 0 || not_taken == 0 {
                     return (cost, Some(if taken != 0 { then_pc } else { else_pc } as usize));
                 }
                 let ctl = &mut sub.warps[w];
                 for l in lanes(mask) {
                     ctl.pcs[l] = if taken & (1 << l) != 0 { then_pc } else { else_pc } as usize;
                 }
+                // Park the divergence for the IPDOM post-issue hook.
                 if self.cfg.recon == ReconvergenceModel::IpdomStack {
-                    ctl.branch = Some((pc, taken, mask & !taken));
+                    ctl.branch = Some((pc, taken, not_taken));
                 }
+                let o = image.origin[pc];
+                let (func, block, inst) = (o.func, o.block, o.inst as usize);
+                let diverge = JournalKind::BranchDiverge { func, block, inst, taken, not_taken };
+                self.obs.event(cycle, w, diverge);
                 return (cost, None);
             }
             DecodedInst::Return { values } => {
-                let ctl = &mut sub.warps[w];
-                // A span's lanes share the callee's window, the caller's
+                let ctl = &sub.warps[w];
+                // A run's lanes share the callee's window, the caller's
                 // and the registers the values land in.
-                let spans = self.spans_by(mask, |l| {
+                let (spans, runs) = geom.runs_by(ctl, mask, live, |l| {
                     let caller = ctl.depths[l].checked_sub(1).map(|d| ctl.frame(l, d).base);
                     (ctl.bases[l], caller, ctl.top(l).ret_regs)
                 });
+                self.spans(spans);
                 let regs = &mut self.data[w].regs;
-                for (lo, n) in spans {
+                for RowRun { at, n, cols, lo } in runs {
                     // Values are row copies out of the callee window into
-                    // the caller's; a kernel-frame lane exits instead.
+                    // the caller's; a kernel-frame lane exits instead (the
+                    // verifier rejects that statically, but stay safe at
+                    // runtime).
                     let Some(d) = ctl.depths[lo].checked_sub(1) else { continue };
-                    let (at, caller) = (row0(ctl, lo), ctl.frame(lo, d).base * width + lo);
+                    let caller = geom.frame(ctl.frame(lo, d).base, lo);
                     let rets = image.regs(ctl.top(lo).ret_regs);
                     for (r, v) in rets.iter().zip(image.operands(values)) {
-                        let dst = caller + r.index() * width;
-                        regs.assign_rows(dst, n, Src::of(*v, width).at(at), live);
+                        let dst = caller + r.index() * stride;
+                        regs.assign_rows(dst, n, Src::of(*v, stride).at(at), cols);
                     }
                 }
-                ctl.ret(mask, &mut |_| {});
+                sub.warps[w].ret(mask, &mut |k| self.obs.event(cycle, w, k));
                 return (cost, None);
             }
             DecodedInst::Exit => {
-                sub.warps[w].exit(mask, &mut |_| {});
+                sub.warps[w].exit(mask, &mut |k| self.obs.event(cycle, w, k));
                 return (cost, None);
             }
         }
@@ -1435,12 +1703,15 @@ impl Cohort<'_> {
         float: bool,
         mut bits: impl FnMut(&mut [SplitMix64], usize, usize) -> u64,
     ) {
-        let (live, ctl) = (sub.slots, &sub.warps[ctx.w]);
-        let spans = self.spans(ctx.spans);
+        let (ctl, geom) = (&sub.warps[ctx.w], self.geom());
+        self.spans(ctx.spans);
         let DWarp { regs, rng, .. } = &mut self.data[ctx.w];
-        for (lo, n) in spans {
-            let row = row0(ctl, lo) + dst.index() * self.width;
-            regs.fill_rows_with(row, n, float, live, |i, s| bits(rng, lo + i, s));
+        for run in geom.runs(ctl, ctx.mask, ctx.spans, sub.slots) {
+            let row = run.at + dst.index() * geom.stride();
+            regs.fill_rows_with(row, run.n, float, run.cols, |i, c| {
+                let (l, s) = geom.cell(&run, i, c);
+                bits(rng, l, s)
+            });
         }
     }
 
@@ -1456,10 +1727,10 @@ impl Cohort<'_> {
     /// 3. Move the data for the surviving slots and return the
     ///    now-uniform cost.
     ///
-    /// When every lane's address is one in-range integer across the
-    /// slots — all of them, on seed-independent access streams — there
-    /// is one address list: no slot can fault, the flat fold runs once
-    /// and cannot fork, and phase 3 is one row copy per lane.
+    /// When every lane's address is one in-range integer across two or
+    /// more slots — all of them, on seed-independent access streams —
+    /// there is one address list: no slot can fault, the flat fold runs
+    /// once and cannot fork, and phase 3 is one row copy per lane.
     fn access_global_c(
         &mut self,
         sub: &mut SubCohort,
@@ -1471,10 +1742,10 @@ impl Cohort<'_> {
     ) -> u32 {
         let (w, mask) = (ctx.w, ctx.mask);
         let oob = self.stage_addrs(sub, w, mask, addr);
-        if self.addrs.uniform {
-            self.stats.uniform_accesses += 1;
-        } else {
-            self.stats.scattered_accesses += 1;
+        if !L {
+            let uniform = u64::from(self.addrs.uniform);
+            self.stats.uniform_accesses += uniform;
+            self.stats.scattered_accesses += 1 - uniform;
         }
         let glen = self.global.rows();
         let mut faults = Faults::default();
@@ -1494,19 +1765,21 @@ impl Cohort<'_> {
             None => self.fold_flat_c(sub, ctx, run, base_cost),
         };
         // Phase 3: value movement for the slots that stayed.
-        let (live, width) = (sub.slots, self.width);
+        let ((live, _), geom) = (self.live(sub), self.geom());
         let Cohort { data, addrs, global, scratch: RowScratch { imm: [iv, _], .. }, .. } = self;
-        let (regs, ctl) = (&mut data[w].regs, &mut sub.warps[w]);
-        let reg = op.reg(width);
-        reg.broadcast(iv);
+        let (regs, ctl) = (&mut data[w].regs, &sub.warps[w]);
+        let reg = op.reg(geom.stride());
+        if addrs.uniform {
+            reg.broadcast(iv);
+        }
         for (idx, l) in lanes(mask).enumerate() {
-            let reg = reg.at(row0(ctl, l));
-            if addrs.uniform {
+            let reg = reg.at(geom.row0(ctl, l));
+            if !L && addrs.uniform {
                 move_row(regs, global, op.is_load(), reg, addrs.buf[idx] as usize, iv, live);
             } else {
                 for s in lanes(live) {
                     let m = addrs.of(s)[idx] as usize;
-                    move_cell(regs, (reg, s), global, (m, s), op.is_load());
+                    move_cell(regs, (reg, geom.col(l, s)), global, (m, s), op.is_load());
                 }
             }
         }
@@ -1517,18 +1790,21 @@ impl Cohort<'_> {
     /// issued lanes' addresses and returns the slots holding an
     /// out-of-range one (always none when the stage comes out uniform).
     fn stage_addrs(&mut self, sub: &SubCohort, w: usize, mask: u64, addr: Operand) -> u64 {
-        let (ns, glen, live) = (self.nslots, self.global.rows(), sub.slots);
+        let ((live, ns), glen, geom) = (self.live(sub), self.global.rows(), self.geom());
         let k = mask.count_ones() as usize;
-        let Cohort { data, addrs, scratch: RowScratch { imm: [ia, _], .. }, width, .. } = self;
-        let (regs, ctl, addr) = (&data[w].regs, &sub.warps[w], Src::of(addr, *width));
-        addr.broadcast(ia);
+        let Cohort { data, addrs, scratch: RowScratch { imm: [ia, _], .. }, .. } = self;
+        let (regs, ctl, addr) = (&data[w].regs, &sub.warps[w], Src::of(addr, geom.stride()));
         addrs.k = k;
         addrs.buf.clear();
-        addrs.uniform = lanes(mask).all(|l| {
-            let a = uniform_addr(addr.at(row0(ctl, l)).row(regs, ia), live, glen);
-            addrs.buf.extend(a.map(|a| a as i64));
-            a.is_some()
-        });
+        // At two or more slots a lane's address is a row of its own.
+        addrs.uniform = !geom.lanes && {
+            addr.broadcast(ia);
+            lanes(mask).all(|l| {
+                let a = uniform_addr(addr.at(geom.row0(ctl, l)).row(regs, ia), live, glen);
+                addrs.buf.extend(a.map(|a| a as i64));
+                a.is_some()
+            })
+        };
         if addrs.uniform {
             return 0;
         }
@@ -1536,17 +1812,12 @@ impl Cohort<'_> {
         addrs.buf.resize(ns * k, 0);
         let mut oob = 0u64;
         for (idx, l) in lanes(mask).enumerate() {
-            let row = addr.at(row0(ctl, l)).row(regs, ia);
-            let c = class(row.floats, live);
-            typed!(
-                c,
-                c,
-                zip_rows(row, row, live, |s, x, _| {
-                    let a = x.as_i64();
-                    addrs.buf[s * k + idx] = a;
-                    oob |= u64::from(cell(a, glen).is_none()) << s;
-                })
-            );
+            let row = addr.at(geom.row0(ctl, l));
+            for s in lanes(live) {
+                let a = row.get(regs, geom.col(l, s)).as_i64();
+                addrs.buf[s * k + idx] = a;
+                oob |= u64::from(cell(a, glen).is_none()) << s;
+            }
         }
         oob
     }
@@ -1560,7 +1831,7 @@ impl Cohort<'_> {
         let mut cost_of = |s: usize| {
             base + lat.mem_segment * lat.segments_in(addrs.of(s), lines_buf).saturating_sub(1)
         };
-        if addrs.uniform || sub.slots.is_power_of_two() {
+        if L || addrs.uniform || sub.slots.is_power_of_two() {
             return cost_of(sub.slots.trailing_zeros() as usize);
         }
         let mut costs = [0u32; COHORT_SLOTS];
@@ -1594,9 +1865,10 @@ impl Cohort<'_> {
         // Global accesses never batch (`is_warp_local` excludes them),
         // so the issue cycle of every engine is its round clock.
         let now = sub.cycle;
-        let mut outs = [crate::mem::AccessOutcome::default(); COHORT_SLOTS];
+        let mut probed = None;
         let one = sub.slots.is_power_of_two();
         if !one {
+            let mut outs = [crate::mem::AccessOutcome::default(); COHORT_SLOTS];
             for s in lanes(sub.slots) {
                 let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
                 let (tags, at) = (&data[w].hier_tags[s], addrs.of(s));
@@ -1605,21 +1877,20 @@ impl Cohort<'_> {
             for class in partition_classes(sub.slots, |s| outs[s]) {
                 self.split_off(sub, class, ctx, run);
             }
+            probed = Some(outs[sub.slots.trailing_zeros() as usize]);
         }
-        let winners = sub.slots;
-        let mut out = outs[winners.trailing_zeros() as usize];
+        let (winners, mut out) = (sub.slots, crate::mem::AccessOutcome::default());
         for s in lanes(winners) {
             let Cohort { data, addrs, mshrs, mem_scratch, .. } = &mut *self;
             let tags = &mut data[w].hier_tags[s];
-            let applied =
-                crate::mem::commit(hier, tags, &mut mshrs[s], mem_scratch, addrs.of(s), now);
-            debug_assert!(one || applied == out, "commit must replay the probed outcome");
-            out = applied;
+            out = crate::mem::commit(hier, tags, &mut mshrs[s], mem_scratch, addrs.of(s), now);
+            debug_assert!(probed.is_none_or(|p| p == out), "commit must replay the probed outcome");
         }
         if store {
             self.invalidate_lines_c(winners);
         }
         sub.metrics.mem.record(&out);
+        self.obs.mem(now, w, self.image.origin[run.at], &out);
         out.cost
     }
 
@@ -1636,8 +1907,9 @@ impl Cohort<'_> {
     }
 
     /// Local load/store: flat cost, so only per-slot OOB faults can
-    /// split the sub-cohort (and they resolve, not fork). A lane whose
-    /// slots agree on one in-range address moves its row in one copy.
+    /// split the sub-cohort (and they resolve, not fork). At two or more
+    /// slots, a lane whose slots agree on one in-range address moves its
+    /// row in one copy.
     fn access_local_c(
         &mut self,
         sub: &mut SubCohort,
@@ -1646,27 +1918,32 @@ impl Cohort<'_> {
         addr: Operand,
         op: MemOp,
     ) {
-        let (w, mask, llen, live, width) = (ctx.w, ctx.mask, self.local_len, sub.slots, self.width);
+        let (w, mask, llen, geom) = (ctx.w, ctx.mask, self.local_len, self.geom());
+        let (live, _) = self.live(sub);
         let mut faults = Faults::default();
         let Cohort { data, scratch: RowScratch { imm: [ia, iv], .. }, .. } = self;
-        let (DWarp { regs, local, .. }, ctl) = (&mut data[w], &mut sub.warps[w]);
-        let (addr, reg) = (Src::of(addr, width), op.reg(width));
-        addr.broadcast(ia);
-        reg.broadcast(iv);
+        let (DWarp { regs, local, .. }, ctl) = (&mut data[w], &sub.warps[w]);
+        let (addr, reg) = (Src::of(addr, geom.stride()), op.reg(geom.stride()));
+        if !geom.lanes {
+            addr.broadcast(ia);
+            reg.broadcast(iv);
+        }
         for l in lanes(mask) {
-            let (addr, reg) = (addr.at(row0(ctl, l)), reg.at(row0(ctl, l)));
-            if let Some(a) = uniform_addr(addr.row(regs, ia), live, llen) {
-                move_row(regs, local, op.is_load(), reg, a * width + l, iv, live);
+            let (addr, reg) = (addr.at(geom.row0(ctl, l)), reg.at(geom.row0(ctl, l)));
+            let uniform = (!geom.lanes).then(|| uniform_addr(addr.row(regs, ia), live, llen));
+            if let Some(a) = uniform.flatten() {
+                move_row(regs, local, op.is_load(), reg, geom.local(a, l), iv, live);
                 continue;
             }
             for s in lanes(live) {
-                let a = addr.get(regs, s).as_i64();
+                let c = geom.col(l, s);
+                let a = addr.get(regs, c).as_i64();
                 let Some(m) = cell(a, llen) else {
                     let space = MemSpace::Local;
                     faults.push(s, LaneFault::Oob { lane: l, addr: a, size: llen, space });
                     continue;
                 };
-                move_cell(regs, (reg, s), local, (m * width + l, s), op.is_load());
+                move_cell(regs, (reg, c), local, (geom.local(m, l), c), op.is_load());
             }
         }
         self.resolve_faults(sub, ctx, pc, faults);
@@ -1677,12 +1954,13 @@ impl Cohort<'_> {
 /// [`crate::alu::with_bin`]. Static cost (no coalescing model), touched
 /// lines invalidated per slot. Walked lane-major: each slot owns its own
 /// global column, so every slot still sees its lanes serialized in lane
-/// order and stops at its first fault. A lane whose slots agree on one
+/// order, like hardware atomics to the same address, and stops at its
+/// first fault. At two or more slots a lane whose slots agree on one
 /// in-range address — a seed-independent tally bin — adds its value row
 /// into that cell's row as one typed row operation; any other lane goes
 /// slot by slot.
-struct SlotAtomic<'a, 'm> {
-    cohort: &'a mut Cohort<'m>,
+struct SlotAtomic<'a, 'm, const L: bool> {
+    cohort: &'a mut Cohort<'m, L>,
     sub: &'a mut SubCohort,
     ctx: &'a IssueCtx,
     pc: usize,
@@ -1691,14 +1969,13 @@ struct SlotAtomic<'a, 'm> {
     value: Operand,
 }
 
-impl AluLoop for SlotAtomic<'_, '_> {
+impl<const L: bool> AluLoop for SlotAtomic<'_, '_, L> {
     type Out = ();
     #[inline]
     fn run(self, k: impl Fn(Value, Value) -> Result<Value, String>) {
         let SlotAtomic { cohort, sub, ctx, pc, dst, addr, value } = self;
-        let (w, mask) = (ctx.w, ctx.mask);
-        let (ns, glen, live, width) =
-            (cohort.nslots, cohort.global.rows(), sub.slots, cohort.width);
+        let (w, mask, geom) = (ctx.w, ctx.mask, cohort.geom());
+        let ((live, ns), glen, stride) = (cohort.live(sub), cohort.global.rows(), geom.stride());
         let lanes_k = mask.count_ones() as usize;
         let mut faults = Faults::default();
         {
@@ -1706,9 +1983,11 @@ impl AluLoop for SlotAtomic<'_, '_> {
                 data, global, addrs, cfg, scratch: RowScratch { out, imm: [ia, iv] }, ..
             } = &mut *cohort;
             let (regs, ctl) = (&mut data[w].regs, &sub.warps[w]);
-            let (addr, value) = (Src::of(addr, width), Src::of(value, width));
-            addr.broadcast(ia);
-            value.broadcast(iv);
+            let (addr, value) = (Src::of(addr, stride), Src::of(value, stride));
+            if !geom.lanes {
+                addr.broadcast(ia);
+                value.broadcast(iv);
+            }
             // The addresses are staged for the write-through invalidation
             // alone, which only a memory hierarchy has.
             let staged = cfg.mem.is_some();
@@ -1719,9 +1998,11 @@ impl AluLoop for SlotAtomic<'_, '_> {
                 addrs.buf.resize(ns * lanes_k, 0);
             }
             for (idx, l) in lanes(mask).enumerate() {
-                let at = row0(ctl, l);
-                let dst = at + dst.index() * width;
-                if let Some(a) = uniform_addr(addr.at(at).row(regs, ia), live, glen) {
+                let at = geom.row0(ctl, l);
+                let dst = at + dst.index() * stride;
+                let uniform =
+                    (!geom.lanes).then(|| uniform_addr(addr.at(at).row(regs, ia), live, glen));
+                if let Some(a) = uniform.flatten() {
                     let (cell, v, mut floats) = (global.row(a), value.at(at).row(regs, iv), 0u64);
                     typed!(
                         class(cell.floats, live),
@@ -1743,14 +2024,15 @@ impl AluLoop for SlotAtomic<'_, '_> {
                     }
                 } else {
                     for s in lanes(live) {
-                        let a = addr.at(at).get(regs, s).as_i64();
+                        let c = geom.col(l, s);
+                        let a = addr.at(at).get(regs, c).as_i64();
                         let Some(m) = cell(a, glen) else {
                             let space = MemSpace::Global;
                             faults.push(s, LaneFault::Oob { lane: l, addr: a, size: glen, space });
                             continue;
                         };
                         if let Err(message) =
-                            add_cell(regs, (dst, value.at(at), s), global, (m, s), &k)
+                            add_cell(regs, (dst, value.at(at), c), global, (m, s), &k)
                         {
                             faults.push(s, LaneFault::Arith { lane: l, message });
                             continue;
@@ -2292,26 +2574,33 @@ bb2:
             assert_same_but_memory(&run.result, &off.runs[i].result, &format!("cohort {what}"));
             let scalar_off = crate::exec::run_image(&image, &bare, &launch);
             assert_same_but_memory(&scalar, &scalar_off, &format!("decoded engine {what}"));
+            // A scalar launch is the one-slot cohort, so only the oracle
+            // sees a fault both layouts share (the hierarchy's
+            // write-through invalidation, say).
+            let mut twins = vec![("scalar", scalar)];
             if cfg.recon == ReconvergenceModel::BarrierFile {
                 let oracle = crate::reference::run_reference(&module, cfg, &launch);
                 let oracle_off = crate::reference::run_reference(&module, &bare, &launch);
                 assert_same_but_memory(&oracle, &oracle_off, &format!("oracle {what}"));
+                twins.push(("oracle", oracle));
             }
-            match (&run.result, &scalar) {
-                (Ok(s), Ok(r)) => {
-                    assert_eq!(s.metrics, r.metrics, "metrics differ for seed {seed}");
-                    // Bits, not `PartialEq`: a NaN must equal itself and
-                    // `-0.0` must not equal `0.0`.
-                    let bits = |m: &[Value]| m.iter().map(|&v| encode(v)).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&s.global_mem),
-                        bits(&r.global_mem),
-                        "global memory differs for seed {seed}"
-                    );
-                    assert!(s.trace.is_none() && s.profile.is_none() && s.journal.is_none());
+            for (twin, want) in &twins {
+                match (&run.result, want) {
+                    (Ok(s), Ok(r)) => {
+                        assert_eq!(s.metrics, r.metrics, "metrics differ for seed {seed} ({twin})");
+                        // Bits, not `PartialEq`: a NaN must equal itself and
+                        // `-0.0` must not equal `0.0`.
+                        let bits = |m: &[Value]| m.iter().map(|&v| encode(v)).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&s.global_mem),
+                            bits(&r.global_mem),
+                            "global memory differs for seed {seed} ({twin})"
+                        );
+                        assert!(s.trace.is_none() && s.profile.is_none() && s.journal.is_none());
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "errors differ for seed {seed} ({twin})"),
+                    (a, b) => panic!("seed {seed}: sweep returned {a:?}, {twin} returned {b:?}"),
                 }
-                (Err(a), Err(b)) => assert_eq!(a, b, "errors differ for seed {seed}"),
-                (a, b) => panic!("seed {seed}: sweep returned {a:?}, scalar returned {b:?}"),
             }
         }
         out.stats
@@ -2466,7 +2755,8 @@ bb2:
             let sweep = SweepLaunch::new(launch("k", 2, 64, vec![Value::I64(6)]), 0, 12);
             let stats = assert_matches_scalar(HINT_KERNEL, &cfg, &sweep);
             assert!(stats.forks > 0 && stats.merges > 0, "{policy:?}: {stats:?}");
-            let mut cohort = Cohort::new(&image, &cfg, &sweep, 12).expect("cohort builds");
+            let mut cohort = Cohort::<false>::new(&image, &cfg, &sweep.base, sweep.seed_lo, 12)
+                .expect("cohort builds");
             let mut sub = cohort.subs.pop().expect("root sub-cohort");
             let mut hinted = 0;
             while cohort.subs.is_empty() {
@@ -2478,7 +2768,8 @@ bb2:
 
             let sweep = SweepLaunch::new(launch("k", 1, 64, vec![Value::I64(6)]), 0, 12);
             assert_matches_scalar(HINT_KERNEL, &cfg, &sweep);
-            let mut cohort = Cohort::new(&image, &cfg, &sweep, 12).expect("cohort builds");
+            let mut cohort = Cohort::<false>::new(&image, &cfg, &sweep.base, sweep.seed_lo, 12)
+                .expect("cohort builds");
             let mut sub = cohort.subs.pop().expect("root sub-cohort");
             let (mut forks, mut hinted_forks) = (0, 0);
             loop {
@@ -2549,7 +2840,8 @@ bb0:
         let image = DecodedImage::decode(&parse_and_link(&src).unwrap());
         let cfg = SimConfig::default();
         let sweep = SweepLaunch::new(launch("k", 2, 4, vec![]), 0, 8);
-        let mut cohort = Cohort::new(&image, &cfg, &sweep, 8).expect("cohort builds");
+        let mut cohort = Cohort::<false>::new(&image, &cfg, &sweep.base, sweep.seed_lo, 8)
+            .expect("cohort builds");
         let mut sub = cohort.subs.pop().expect("root sub-cohort");
         let mut rounds = 1;
         while !cohort.round(&mut sub) {
@@ -2922,7 +3214,8 @@ bb5:
             for mem in [None, Some(l1())] {
                 let cfg = SimConfig { mem, ..SimConfig::default() };
                 let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(400)]), 0, 32);
-                let mut cohort = Cohort::new(&image, &cfg, &sweep, 32).expect("cohort builds");
+                let mut cohort = Cohort::<false>::new(&image, &cfg, &sweep.base, sweep.seed_lo, 32)
+                    .expect("cohort builds");
                 let mut sub = cohort.subs.pop().expect("root sub-cohort");
                 for _ in 0..200 {
                     assert!(!cohort.round(&mut sub), "kernel finished during warm-up");
@@ -3016,11 +3309,12 @@ bb5:
                             let k = |a, b| crate::alu::eval_bin(op, a, b);
                             let ca = ops.1.class(&cols.floats, n, live);
                             let cb = ops.2.class(&cols.floats, n, live);
-                            let span = (lo, n);
+                            let (geom, run) =
+                                (Geom { width, lanes: false }, RowRun { at: 0, n, cols: live, lo });
                             typed!(
                                 ca,
                                 cb,
-                                alu_span(&mut cols, &mut stage, ops, span, live, &mut faults, &k)
+                                alu_span(&mut cols, &mut stage, ops, (geom, &run), &mut faults, &k)
                             );
                         }
                         cols.assign_rows(3 * width + lo, n, rows(a).at(lo), live);
@@ -3065,11 +3359,13 @@ bb0:
     }
 
     /// Cohorts of 1, 3, 33 and 64 seeds at warp widths 5 and 32 over the
-    /// decoded engine's oracle kernels — lane-mixed types, NaN and `-0.0`
-    /// payloads, lane- and seed-dependent atomics, faults at the first
-    /// faulting lane on one warp and on two: every seed is bit-identical
-    /// (memory by payload and type, metrics, or the error) to its one-slot
-    /// run and to the tree-walker's.
+    /// scalar launch's oracle kernels — lane-mixed types (which reach the
+    /// mixed-row loop at one slot), NaN and `-0.0` payloads, lane- and
+    /// seed-dependent atomics, faults at the first faulting lane on one
+    /// warp and on two: every seed is bit-identical (memory by payload and
+    /// type, metrics, or the error) to its one-slot run and to the
+    /// tree-walker's — the two layouts ([`Geom`]) against each other and
+    /// against the oracle.
     #[test]
     fn cohorts_of_every_width_match_one_slot_runs_and_the_oracle() {
         use crate::exec::tests::{
@@ -3077,7 +3373,8 @@ bb0:
         };
         let (nan, int) = (Value::F64(f64::from_bits(0x7ff8_0000_dead_beef)), Value::I64(-1));
         let faults = [("and", "1.5", "1"), ("div", "0", "2.5"), ("rem", "0", "2.5")];
-        let mut kernels: Vec<(String, Box<dyn Fn(usize) -> Launch>)> = vec![
+        type LaunchAt<'a> = Box<dyn Fn(usize) -> Launch + 'a>;
+        let mut kernels: Vec<(String, LaunchAt<'_>)> = vec![
             (MIXED_KERNEL.into(), Box::new(move |w| launch_of(vec![], 16 * w, int))),
             (
                 PAYLOAD_KERNEL.into(),
@@ -3132,7 +3429,8 @@ bb0:
         let forks = |warp_width, warps| {
             let cfg = SimConfig { warp_width, ..SimConfig::default() };
             let sweep = SweepLaunch::new(launch("k", warps, 32, vec![]), 0, 8);
-            let mut cohort = Cohort::new(&image, &cfg, &sweep, 8).expect("cohort builds");
+            let mut cohort = Cohort::<false>::new(&image, &cfg, &sweep.base, sweep.seed_lo, 8)
+                .expect("cohort builds");
             let mut sub = cohort.subs.pop().expect("root sub-cohort");
             let (w, mask, run) = (0, 0, Run::default());
             let spans = Spans::runs(mask);
