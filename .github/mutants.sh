@@ -51,7 +51,10 @@ run() {
     copy="$dir/tree"
     rm -rf "$copy"
     mkdir -p "$copy"
-    (cd "$root" && git ls-files -z -co --exclude-standard | xargs -0 tar -cf -) | tar -xf - -C "$copy"
+    # Extract with fresh mtimes (`-m`): an earlier run in DIR last built a
+    # mutant, and with the repository's older mtimes cargo would keep that
+    # build.
+    (cd "$root" && git ls-files -z -co --exclude-standard | xargs -0 tar -cf -) | tar -xmf - -C "$copy"
     export CARGO_TARGET_DIR="$dir/target"
     while IFS=$'\t' read -r file pattern replacement test; do
         # shellcheck disable=SC2086 # the test column is an argument list

@@ -459,8 +459,8 @@ impl WarpCtl {
     /// Debug-only invariant: the incremental status masks and the
     /// per-barrier waiter masks must agree with the per-lane statuses
     /// they cache. Runs under every test (including the differential
-    /// proptests of both engines), so any missed transition point fails
-    /// loudly.
+    /// proptests of the cohort against the oracle), so any missed
+    /// transition point fails loudly.
     #[cfg(debug_assertions)]
     pub(crate) fn check_masks(&self) {
         let mut expect = (0u64, 0u64, 0u64, 0u64);

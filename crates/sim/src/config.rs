@@ -312,9 +312,12 @@ pub struct SimConfig {
     /// issue cycles — so leave it off for timing-sensitive runs.
     pub journal: Option<JournalConfig>,
     /// Hardware reconvergence model. The default, [`ReconvergenceModel::BarrierFile`],
-    /// is bit-identical to every pre-axis release; the other models
-    /// disable straight-line batching (their scheduling decisions are
-    /// per-round) and are timing models only — values never change.
+    /// is bit-identical to every pre-axis release; the other models are
+    /// timing models only — values never change. Every model batches
+    /// straight-line code alike: an issue whose group is the warp's whole
+    /// schedulable set (under the IPDOM stack the top entry's pending
+    /// lanes, under warp-split the sole split with runnable lanes) runs
+    /// ahead while its pick provably repeats.
     pub recon: ReconvergenceModel,
     /// Decode the final global memory into
     /// [`SimOutput::global_mem`](crate::SimOutput::global_mem) (on by

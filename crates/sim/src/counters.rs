@@ -163,7 +163,7 @@ impl Counters for EngineStats {
             split_base_issues,
         } = self;
         fields!(f, o, None;
-            Sum rounds: "Scheduling rounds of the decoded engine",
+            Sum rounds: "Scheduling rounds in which a ready warp got its issue slot",
             Sum hinted_rounds: "Rounds picked from the previous batch's hint",
             Sum batched_issues: "Issues run ahead by the straight-line batcher",
             Sum general_split_rounds: "Warp-split rounds with something to arbitrate",

@@ -82,7 +82,10 @@ pub fn run_image_with(
     launch: &Launch,
     cancel: Option<&CancelToken>,
 ) -> Result<SimOutput, SimError> {
-    crate::sweep::run_one(image, cfg, launch, cancel)
+    // The cohort at one slot, in the lanes-as-columns layout.
+    let mut out =
+        crate::sweep::Cohort::<true>::new(image, cfg, launch, launch.seed, 1)?.run(cancel)?;
+    out.runs.pop().expect("one seed").result
 }
 
 #[cfg(test)]
@@ -300,7 +303,7 @@ bb0:
 }
 ";
 
-    /// The decoded engine keeps a lane's type through every data path of
+    /// A scalar launch keeps a lane's type through every data path of
     /// [`MIXED_KERNEL`], bit-identical to the oracle, and the mixed rows
     /// take the loop that reads each lane's type bit.
     #[test]

@@ -74,5 +74,5 @@ pub use metrics::Metrics;
 pub use profile::{BlockStats, Profile};
 pub use recon::ReconStats;
 pub use reference::run_reference;
-pub use sweep::{run_sweep, run_sweep_image, SeedRun, SweepLaunch, SweepOutput, SweepStats};
+pub use sweep::{run_sweep_image, SeedRun, SweepLaunch, SweepOutput, SweepStats};
 pub use trace::{Trace, TraceEvent};

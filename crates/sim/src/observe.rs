@@ -1,4 +1,4 @@
-//! The one observer both engines record through.
+//! The one observer the cohort and the oracle record through.
 //!
 //! What a run shows of itself beyond its metrics is three optional
 //! collectors: the issue [`Trace`] (the lane cartoons of the paper's

@@ -1,6 +1,6 @@
 //! Reconvergence models and the scheduling rounds that apply them, written
-//! once ([`Rounds`]) for each sub-cohort of the lockstep cohort — a scalar
-//! launch's at one slot.
+//! once ([`SubRound::step`]) for each sub-cohort of the lockstep cohort — a
+//! scalar launch's at one slot.
 //!
 //! The default model ([`ReconvergenceModel::BarrierFile`]) keeps no state
 //! here — compiler-placed barrier ops drive reconvergence through the
@@ -23,11 +23,11 @@
 //! [`ReconvergenceModel::WarpSplit`]: crate::config::ReconvergenceModel::WarpSplit
 
 use crate::barrier::WarpCtl;
-use crate::config::{ReconvergenceModel, SimConfig};
+use crate::config::ReconvergenceModel;
 use crate::decode::{DecodedImage, DecodedInst};
 use crate::error::{ReconDump, SplitDump, StackEntryDump};
-use crate::machine::EngineStats;
 use crate::sched::{keeps_lockstep, lanes, pick_bumps_rr, select_group_mask};
+use crate::sweep::SubRound;
 use simt_ir::{BlockId, DomTree};
 
 /// Sentinel reconvergence pc: the branch's arms only meet at function
@@ -129,9 +129,9 @@ pub(crate) type Cand = (usize, u64, usize);
 /// The rounds' reusable buffers.
 #[derive(Debug, Default)]
 pub(crate) struct RoundBufs {
-    pub(crate) groups: Vec<(usize, u64)>,
-    pub(crate) cands: Vec<Cand>,
-    /// Debug builds' re-pick of a hinted round ([`take_hint`]).
+    groups: Vec<(usize, u64)>,
+    cands: Vec<Cand>,
+    /// Debug builds' re-pick of a hinted round ([`SubRound::take_hint`]).
     #[cfg(debug_assertions)]
     check: Vec<usize>,
 }
@@ -143,7 +143,7 @@ pub(crate) struct RoundBufs {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Pick {
     /// What the next round's pick provably returns, left by a batch that
-    /// ended with its group intact ([`run_ahead`](crate::sched::run_ahead)):
+    /// ended with its group intact ([`SubRound::run_ahead`]):
     /// only the warp's own issues can change its scheduling state, so the
     /// next round issues it without the grouping scan (warp-split: without
     /// normalization, fusion and the candidate scan).
@@ -153,252 +153,230 @@ pub(crate) struct Pick {
     pub(crate) other_pcs: Vec<usize>,
 }
 
-/// The cohort's side of the rounds ([`step`]) — one sub-cohort of
-/// [`crate::sweep`], a scalar launch's at one slot — as
-/// [`Batcher`](crate::sched::Batcher) serves [`run_ahead`](crate::sched::run_ahead).
-/// The engine owns the data plane, the issue and the pick hints; the
-/// rounds drive the control plane and the model state in it.
-pub(crate) trait Rounds {
-    /// What ends a round early: the run's error; in the cohort, a
-    /// sub-cohort with no slot left.
-    type Error;
-    /// Whether debug builds check each hint against the pick it skips.
-    #[cfg(debug_assertions)]
-    const CHECK_HINTS: bool = false;
-    fn cfg(&self) -> &SimConfig;
-    fn warps(&self) -> usize;
-    fn clock(&mut self) -> &mut u64;
-    fn plane(&mut self, w: usize) -> (&mut WarpCtl, &mut Pick, &mut ReconStats, &mut RoundBufs);
-    fn engine(&mut self) -> &mut EngineStats;
-    /// Called before every pick of warp `w` with the warp-split candidates
-    /// not issued yet, this pick's first: where a fork during the issue
-    /// must resume.
-    fn pre_pick(&mut self, _w: usize, _rest: &[Cand]) {}
-    /// The candidates a child forked in warp `w`'s warp-split round issues
-    /// first.
-    fn resume(&mut self, _w: usize) -> Option<Vec<Cand>> {
-        None
-    }
-    /// Issues `(pc, mask)` of warp `w` (and runs ahead, IPDOM hook
-    /// included); returns the cycle the unbatched rounds would reach.
-    fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, Self::Error>;
-    fn deadlock(&mut self, w: usize) -> Self::Error;
-    fn timeout(&mut self) -> Self::Error;
-}
-
-/// One scheduling round: every ready warp gets one issue slot under the
-/// configured model, then the clock moves to the next event. Returns
-/// `Ok(true)` once every warp has finished.
-#[inline(always)]
-pub(crate) fn step<R: Rounds>(r: &mut R) -> Result<bool, R::Error> {
-    let (model, max_cycles, now) = (r.cfg().recon, r.cfg().max_cycles, *r.clock());
-    let (mut next_ready, mut all_done) = (u64::MAX, true);
-    for w in 0..r.warps() {
-        let ctl = r.plane(w).0;
-        if ctl.done {
-            continue;
-        }
-        all_done = false;
-        if ctl.busy_until > now {
-            next_ready = next_ready.min(ctl.busy_until);
-            continue;
-        }
-        r.engine().rounds += 1;
-        // The warp-split model schedules per split, not per warp (the
-        // batcher and the hints are shared).
-        let wake = match model {
-            ReconvergenceModel::WarpSplit { window, compact } => {
-                split_round(r, w, window, compact)?
+/// The rounds of one sub-cohort of [`crate::sweep`] — a scalar launch's
+/// at one slot. These methods drive the control plane and the model state
+/// in it; the issue and its forks are written in `sweep.rs`
+/// ([`SubRound::issue_round`]), the batcher in `sched.rs`. `Err` ends a
+/// round early: the sub-cohort has no slot left.
+impl<const L: bool> SubRound<'_, '_, L> {
+    /// One scheduling round: every ready warp gets one issue slot under
+    /// the configured model, then the clock moves to the next event.
+    /// Returns `Ok(true)` once every warp has finished.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> Result<bool, ()> {
+        let (cfg, now) = (self.cohort.cfg, self.sub.cycle);
+        let (mut next_ready, mut all_done) = (u64::MAX, true);
+        for w in 0..self.sub.warps.len() {
+            let ctl = &self.sub.warps[w];
+            if ctl.done {
+                continue;
             }
-            _ => warp_round(r, w)?,
-        };
-        next_ready = next_ready.min(wake);
-    }
-    if all_done {
-        return Ok(true);
-    }
-    if now >= max_cycles {
-        return Err(r.timeout());
-    }
-    // MAX: every remaining warp became done this round; the next step
-    // observes it without advancing time.
-    if next_ready != u64::MAX {
-        *r.clock() = next_ready.max(now + 1);
-    }
-    Ok(false)
-}
-
-/// Warp `w`'s round under the barrier file and the IPDOM stack: the hint
-/// or the pick over the [`schedulable`](WarpCtl::schedulable) lanes, then
-/// its issue. Returns when the warp wakes (`u64::MAX`: it finished).
-#[inline(always)]
-fn warp_round<R: Rounds>(r: &mut R, w: usize) -> Result<u64, R::Error> {
-    r.pre_pick(w, &[]);
-    let policy = r.cfg().scheduler;
-    let picked = take_hint(r, w).or_else(|| {
-        let (ctl, pick, _, bufs) = r.plane(w);
-        ctl.pick_group(policy, &mut bufs.groups, &mut pick.other_pcs)
-    });
-    match picked {
-        Some((pc, mask)) => {
-            let busy = r.issue_round(w, pc, mask)?;
-            r.plane(w).0.busy_until = busy;
-            Ok(busy)
-        }
-        None => idle(r, w),
-    }
-}
-
-/// Warp `w` has nothing to issue: it finished (`u64::MAX`), or every live
-/// lane blocks — barriers are warp-local and the release checks already
-/// ran, so that is a deadlock.
-fn idle<R: Rounds>(r: &mut R, w: usize) -> Result<u64, R::Error> {
-    let ctl = r.plane(w).0;
-    if ctl.live() != 0 {
-        return Err(r.deadlock(w));
-    }
-    ctl.done = true;
-    Ok(u64::MAX)
-}
-
-/// Consumes warp `w`'s pick hint: the hinted round stands in for the pick
-/// it skips, down to the RoundRobin cursor slot that pick would have
-/// taken. Debug builds of the cohort make that pick as well (not under
-/// warp-split, which picks among splits) and check it returns the hint,
-/// leaves the other pcs the round's batch reads and moves the cursor alike.
-#[inline(always)]
-fn take_hint<R: Rounds>(r: &mut R, w: usize) -> Option<(usize, u64)> {
-    let (bump, _policy, _model) = (pick_bumps_rr(r.cfg()), r.cfg().scheduler, r.cfg().recon);
-    let (ctl, pick, _, _bufs) = r.plane(w);
-    let hint = pick.hint.take()?;
-    #[cfg(debug_assertions)]
-    if R::CHECK_HINTS && !matches!(_model, ReconvergenceModel::WarpSplit { .. }) {
-        let rr = ctl.rr_cursor;
-        let picked = ctl.pick_group(_policy, &mut _bufs.groups, &mut _bufs.check);
-        assert_eq!(picked, Some(hint), "a hint is not the pick it stands in for");
-        assert_eq!(_bufs.check, pick.other_pcs, "a hinted round's other pcs are stale");
-        let moved = if bump { rr.wrapping_add(1) } else { rr };
-        assert_eq!(ctl.rr_cursor, moved, "a hinted round moved the cursor differently");
-        ctl.rr_cursor = rr;
-    }
-    if bump {
-        ctl.rr_cursor = ctl.rr_cursor.wrapping_add(1);
-    }
-    r.engine().hinted_rounds += 1;
-    Some(hint)
-}
-
-/// Warp `w`'s round under the warp-split model.
-///
-/// The general round arbitrates: normalize the splits, re-fuse ready
-/// splits whose frontiers re-aligned, then issue — one ready split chosen
-/// by the scheduler policy, or every ready split when subwarp compaction
-/// is on. A ready split defers its slot when a busy split with the same
-/// frontier pc finishes within the re-fusion window.
-///
-/// A round that arrives with a pick hint has nothing to arbitrate: one
-/// split holds every runnable lane at one pc, so normalization, fusion,
-/// the window scan and the policy would all be no-ops and it issues
-/// directly. Exited lanes of other splits are dropped by the next general
-/// round instead — nothing reads them in between. A child forked during
-/// a round resumes it ([`Rounds::resume`]): re-running it would see the
-/// splits its issued candidates moved and defer or count again.
-fn split_round<R: Rounds>(
-    r: &mut R,
-    w: usize,
-    window: u32,
-    compact: bool,
-) -> Result<u64, R::Error> {
-    let cycle = *r.clock();
-    #[cfg(debug_assertions)]
-    r.plane(w).0.check_masks();
-    r.pre_pick(w, &[]);
-    if let Some((pc, mask)) = take_hint(r, w) {
-        let ctl = r.plane(w).0;
-        let idx =
-            ctl.splits.iter().position(|s| s.mask & mask != 0).expect("a split owns the hint");
-        #[cfg(debug_assertions)]
-        {
-            let live = ctl.live();
-            assert_eq!(ctl.split_union() & live, live, "splits lost a live lane");
-            assert_eq!(mask, ctl.runnable, "hinted split is not the sole frontier");
-            assert_eq!(mask, ctl.splits[idx].mask & ctl.runnable);
-            assert!(lanes(mask).all(|l| ctl.pcs[l] == pc), "hinted split diverged");
-            assert!(ctl.splits[idx].busy_until <= cycle, "hinted split is busy");
-        }
-        let busy = r.issue_round(w, pc, mask)?;
-        r.plane(w).0.splits[idx].busy_until = busy;
-    } else {
-        let cands = match r.resume(w) {
-            Some(cands) => cands,
-            None => {
-                r.engine().general_split_rounds += 1;
-                let (ctl, _, stats, bufs) = r.plane(w);
-                let mut cands = std::mem::take(&mut bufs.cands);
-                let min_busy = ctl.split_candidates(cycle, window, &mut cands, stats);
-                if cands.is_empty() {
-                    bufs.cands = cands;
-                    // Everything runnable is busy (or deferring): sleep
-                    // until the earliest split wakes.
-                    if min_busy == u64::MAX {
-                        return idle(r, w);
-                    }
-                    ctl.busy_until = min_busy;
-                    return Ok(min_busy);
+            all_done = false;
+            if ctl.busy_until > now {
+                next_ready = next_ready.min(ctl.busy_until);
+                continue;
+            }
+            self.cohort.engine.rounds += 1;
+            // The warp-split model schedules per split, not per warp (the
+            // batcher and the hints are shared).
+            let wake = match cfg.recon {
+                ReconvergenceModel::WarpSplit { window, compact } => {
+                    self.split_round(w, window, compact)?
                 }
-                cands
-            }
-        };
-        let issued = issue_cands(r, w, compact, &cands);
-        r.plane(w).3.cands = cands;
-        issued?;
+                _ => self.warp_round(w)?,
+            };
+            next_ready = next_ready.min(wake);
+        }
+        if all_done {
+            return Ok(true);
+        }
+        if now >= cfg.max_cycles {
+            self.timeout();
+            return Err(());
+        }
+        // MAX: every remaining warp became done this round; the next step
+        // observes it without advancing time.
+        if next_ready != u64::MAX {
+            self.sub.cycle = next_ready.max(now + 1);
+        }
+        Ok(false)
     }
-    // The warp wakes when its earliest-busy runnable split does. With no
-    // runnable lane left it re-examines next round, where it finishes,
-    // deadlocks, or a release revived it.
-    let ctl = r.plane(w).0;
-    let runnable = ctl.splits.iter().filter(|s| s.mask & ctl.runnable != 0);
-    let wake = runnable.map(|s| s.busy_until.max(cycle + 1)).min().unwrap_or(cycle + 1);
-    ctl.busy_until = wake;
-    Ok(wake)
-}
 
-/// Issues a general warp-split round's candidates: without compaction
-/// one split wins the warp's issue port (arbitrated by the policy over
-/// the ready frontiers), with it every candidate issues in pc order.
-/// Charges each issue to its split.
-fn issue_cands<R: Rounds>(
-    r: &mut R,
-    w: usize,
-    compact: bool,
-    cands: &[Cand],
-) -> Result<(), R::Error> {
-    let policy = r.cfg().scheduler;
-    for c in 0..cands.len() {
-        r.pre_pick(w, &cands[c..]);
-        let (pc, run, idx) = if compact {
-            cands[c]
-        } else {
-            // Candidate pcs are unique (fusion merged ready duplicates),
-            // as `select_group_mask` requires.
-            let (ctl, _, _, RoundBufs { groups, .. }) = r.plane(w);
-            groups.clear();
-            groups.extend(cands.iter().map(|&(pc, run, _)| (pc, run)));
-            let (pc, run) = select_group_mask(policy, groups, ctl.last_lanes, &mut ctl.rr_cursor)
-                .expect("non-empty candidate list always yields a pick");
-            let idx = cands.iter().find(|c| c.0 == pc).expect("picked pc is a candidate").2;
-            (pc, run, idx)
-        };
-        let busy = r.issue_round(w, pc, run)?;
-        r.plane(w).0.splits[idx].busy_until = busy;
-        if !compact {
-            break;
+    /// Warp `w`'s round under the barrier file and the IPDOM stack: the
+    /// hint or the pick over the [`schedulable`](WarpCtl::schedulable)
+    /// lanes, then its issue. Returns when the warp wakes (`u64::MAX`: it
+    /// finished).
+    #[inline(always)]
+    fn warp_round(&mut self, w: usize) -> Result<u64, ()> {
+        self.pre_pick(w, &[]);
+        let picked = self.take_hint(w).or_else(|| {
+            let (ctl, pick) = (&mut self.sub.warps[w], &mut self.sub.picks[w]);
+            let policy = self.cohort.cfg.scheduler;
+            ctl.pick_group(policy, &mut self.cohort.bufs.groups, &mut pick.other_pcs)
+        });
+        match picked {
+            Some((pc, mask)) => {
+                let busy = self.issue_round(w, pc, mask)?;
+                self.sub.warps[w].busy_until = busy;
+                Ok(busy)
+            }
+            None => self.idle(w),
         }
     }
-    Ok(())
+
+    /// Warp `w` has nothing to issue: it finished (`u64::MAX`), or every
+    /// live lane blocks — barriers are warp-local and the release checks
+    /// already ran, so that is a deadlock.
+    fn idle(&mut self, w: usize) -> Result<u64, ()> {
+        let ctl = &mut self.sub.warps[w];
+        if ctl.live() != 0 {
+            self.deadlock(w);
+            return Err(());
+        }
+        ctl.done = true;
+        Ok(u64::MAX)
+    }
+
+    /// Consumes warp `w`'s pick hint: the hinted round stands in for the
+    /// pick it skips, down to the RoundRobin cursor slot that pick would
+    /// have taken. Debug builds make that pick as well (not under
+    /// warp-split, which picks among splits) and check it returns the
+    /// hint, leaves the other pcs the round's batch reads and moves the
+    /// cursor alike.
+    #[inline(always)]
+    fn take_hint(&mut self, w: usize) -> Option<(usize, u64)> {
+        let cfg = self.cohort.cfg;
+        let (ctl, pick) = (&mut self.sub.warps[w], &mut self.sub.picks[w]);
+        let hint = pick.hint.take()?;
+        let bump = pick_bumps_rr(cfg);
+        #[cfg(debug_assertions)]
+        if !matches!(cfg.recon, ReconvergenceModel::WarpSplit { .. }) {
+            let (rr, bufs) = (ctl.rr_cursor, &mut self.cohort.bufs);
+            let picked = ctl.pick_group(cfg.scheduler, &mut bufs.groups, &mut bufs.check);
+            assert_eq!(picked, Some(hint), "a hint is not the pick it stands in for");
+            assert_eq!(bufs.check, pick.other_pcs, "a hinted round's other pcs are stale");
+            let moved = if bump { rr.wrapping_add(1) } else { rr };
+            assert_eq!(ctl.rr_cursor, moved, "a hinted round moved the cursor differently");
+            ctl.rr_cursor = rr;
+        }
+        if bump {
+            ctl.rr_cursor = ctl.rr_cursor.wrapping_add(1);
+        }
+        self.cohort.engine.hinted_rounds += 1;
+        Some(hint)
+    }
+
+    /// Warp `w`'s round under the warp-split model.
+    ///
+    /// The general round arbitrates: normalize the splits, re-fuse ready
+    /// splits whose frontiers re-aligned, then issue — one ready split
+    /// chosen by the scheduler policy, or every ready split when subwarp
+    /// compaction is on. A ready split defers its slot when a busy split
+    /// with the same frontier pc finishes within the re-fusion window.
+    ///
+    /// A round that arrives with a pick hint has nothing to arbitrate: one
+    /// split holds every runnable lane at one pc, so normalization,
+    /// fusion, the window scan and the policy would all be no-ops and it
+    /// issues directly. Exited lanes of other splits are dropped by the
+    /// next general round instead — nothing reads them in between. A child
+    /// forked during a round resumes it
+    /// ([`SubCohort::resume`](crate::sweep::SubCohort::resume)): re-running
+    /// it would see the splits its issued candidates moved and defer or
+    /// count again.
+    ///
+    /// Out of line, so that the barrier file's and the IPDOM stack's rounds
+    /// keep the batch loop in a smaller function (about 1 % per issue of a
+    /// scalar launch, docs/PERF.md §6).
+    #[inline(never)]
+    fn split_round(&mut self, w: usize, window: u32, compact: bool) -> Result<u64, ()> {
+        let cycle = self.sub.cycle;
+        #[cfg(debug_assertions)]
+        self.sub.warps[w].check_masks();
+        self.pre_pick(w, &[]);
+        if let Some((pc, mask)) = self.take_hint(w) {
+            let ctl = &self.sub.warps[w];
+            let idx =
+                ctl.splits.iter().position(|s| s.mask & mask != 0).expect("a split owns the hint");
+            #[cfg(debug_assertions)]
+            {
+                let live = ctl.live();
+                assert_eq!(ctl.split_union() & live, live, "splits lost a live lane");
+                assert_eq!(mask, ctl.runnable, "hinted split is not the sole frontier");
+                assert_eq!(mask, ctl.splits[idx].mask & ctl.runnable);
+                assert!(lanes(mask).all(|l| ctl.pcs[l] == pc), "hinted split diverged");
+                assert!(ctl.splits[idx].busy_until <= cycle, "hinted split is busy");
+            }
+            let busy = self.issue_round(w, pc, mask)?;
+            self.sub.warps[w].splits[idx].busy_until = busy;
+        } else {
+            let cands = match self.sub.resume.take_if(|r| r.0 == w) {
+                Some((_, cands)) => cands,
+                None => {
+                    self.cohort.engine.general_split_rounds += 1;
+                    let (ctl, bufs) = (&mut self.sub.warps[w], &mut self.cohort.bufs);
+                    let mut cands = std::mem::take(&mut bufs.cands);
+                    let stats = &mut self.sub.metrics.recon;
+                    let min_busy = ctl.split_candidates(cycle, window, &mut cands, stats);
+                    if cands.is_empty() {
+                        bufs.cands = cands;
+                        // Everything runnable is busy (or deferring): sleep
+                        // until the earliest split wakes.
+                        if min_busy == u64::MAX {
+                            return self.idle(w);
+                        }
+                        ctl.busy_until = min_busy;
+                        return Ok(min_busy);
+                    }
+                    cands
+                }
+            };
+            let issued = self.issue_cands(w, compact, &cands);
+            self.cohort.bufs.cands = cands;
+            issued?;
+        }
+        // The warp wakes when its earliest-busy runnable split does. With
+        // no runnable lane left it re-examines next round, where it
+        // finishes, deadlocks, or a release revived it.
+        let ctl = &mut self.sub.warps[w];
+        let runnable = ctl.splits.iter().filter(|s| s.mask & ctl.runnable != 0);
+        let wake = runnable.map(|s| s.busy_until.max(cycle + 1)).min().unwrap_or(cycle + 1);
+        ctl.busy_until = wake;
+        Ok(wake)
+    }
+
+    /// Issues a general warp-split round's candidates: without compaction
+    /// one split wins the warp's issue port (arbitrated by the policy over
+    /// the ready frontiers), with it every candidate issues in pc order.
+    /// Charges each issue to its split.
+    fn issue_cands(&mut self, w: usize, compact: bool, cands: &[Cand]) -> Result<(), ()> {
+        let policy = self.cohort.cfg.scheduler;
+        for c in 0..cands.len() {
+            self.pre_pick(w, &cands[c..]);
+            let (pc, run, idx) = if compact {
+                cands[c]
+            } else {
+                // Candidate pcs are unique (fusion merged ready duplicates),
+                // as `select_group_mask` requires.
+                let (ctl, groups) = (&mut self.sub.warps[w], &mut self.cohort.bufs.groups);
+                groups.clear();
+                groups.extend(cands.iter().map(|&(pc, run, _)| (pc, run)));
+                let (pc, run) =
+                    select_group_mask(policy, groups, ctl.last_lanes, &mut ctl.rr_cursor)
+                        .expect("non-empty candidate list always yields a pick");
+                let idx = cands.iter().find(|c| c.0 == pc).expect("picked pc is a candidate").2;
+                (pc, run, idx)
+            };
+            let busy = self.issue_round(w, pc, run)?;
+            self.sub.warps[w].splits[idx].busy_until = busy;
+            if !compact {
+                break;
+            }
+        }
+        Ok(())
+    }
 }
 
-// The model transitions, on the control plane both engines drive.
+// The model transitions, on the control plane every sub-cohort drives.
 impl WarpCtl {
     /// The lanes this round's pick chooses among — what a reconvergence
     /// model contributes to a round. The IPDOM stack exposes only its

@@ -1,10 +1,10 @@
 //! The tree-walking reference interpreter (the semantic oracle).
 //!
-//! This is the original interpreter the decoded engine — now the one-slot
-//! cohort of [`crate::sweep`] behind [`crate::exec`] — was refactored
-//! from. It executes the structured [`Module`] directly —
-//! frames carry `(func, block, inst)` triples and every issue slot walks
-//! the `IdVec`s — and is kept as the executable specification of the
+//! This is the original interpreter the simulator's fast engine — the
+//! lockstep cohort of [`crate::sweep`], a scalar launch's at one slot
+//! behind [`crate::exec`] — was refactored from. It executes the
+//! structured [`Module`] directly — frames carry `(func, block, inst)`
+//! triples and every issue slot walks the `IdVec`s — and is kept as the executable specification of the
 //! execution model: a property test asserts that
 //! [`run_image`](crate::exec::run_image) on a decoded image produces
 //! bit-identical metrics, memory, traces, profiles, and errors to
@@ -116,7 +116,7 @@ struct Oracle<'m> {
 
 /// Runs a kernel launch to completion on the tree-walking interpreter.
 ///
-/// Prefer [`run`](crate::machine::run) (the decoded engine) — this entry
+/// Prefer [`run`](crate::machine::run) (the one-slot cohort) — this entry
 /// point exists for differential testing and as the baseline side of the
 /// decoded-vs-reference benchmark.
 ///
@@ -796,7 +796,7 @@ impl<'m> Oracle<'m> {
         let now = self.cycle;
         if let Some(hier) = &cfg.mem {
             // Hierarchy walk at the issue cycle, identical to the
-            // decoded engine's: tag fills and MSHR allocation commit here.
+            // cohort's: tag fills and MSHR allocation commit here.
             let Oracle { warps, metrics, mshrs, mem_scratch, obs, .. } = self;
             let out =
                 crate::mem::commit(hier, &mut warps[w].mem_tags, mshrs, mem_scratch, addrs, now);

@@ -39,7 +39,7 @@ impl SplitMix64 {
     }
 
     /// The stream `seed_rng` installs from its operand's integer value
-    /// `v` (the decoded engines; the oracle spells it out as the spec).
+    /// `v` (the cohort; the oracle spells it out as the spec).
     pub(crate) fn for_seed_rng(v: i64) -> Self {
         let v = v as u64;
         Self::for_thread(v ^ 0x5EED, v) // stream domain separator

@@ -1,33 +1,32 @@
 //! Warp scheduling: the policy that picks which PC-group of runnable
-//! lanes issues next, and the straight-line batcher that runs a picked
-//! group ahead while that pick provably repeats.
+//! lanes issues next, and the straight-line batcher
+//! ([`SubRound::run_ahead`]) that runs a picked group ahead while that
+//! pick provably repeats.
 //!
-//! Both interpreters group runnable lanes by program counter and
-//! delegate the choice to a selection function. The decoded cohort
-//! ([`crate::sweep`], every scalar launch at one slot) is bitmask-native:
-//! its groups are `(flat pc,
-//! u64 lane mask)` pairs, pre-sorted by pc, chosen by
-//! [`select_group_mask`] without allocating. The tree-walking oracle
-//! ([`crate::reference`]) keeps the original [`select_group`] over
+//! The cohort ([`crate::sweep`], every scalar launch at one slot) and the
+//! tree-walking oracle ([`crate::reference`]) group runnable lanes by
+//! program counter and delegate the choice to a selection function. The
+//! cohort is bitmask-native: its groups are `(flat pc, u64 lane mask)`
+//! pairs, pre-sorted by pc, chosen by [`select_group_mask`] without
+//! allocating. The oracle keeps the original [`select_group`] over
 //! `(key, Vec<usize>)` groups with `(func, block, inst)` keys. Flat-pc
 //! order equals the tuple order by construction of the image layout,
 //! and a property test below pins the two formulations to the same
 //! choice for every policy.
 //!
-//! The seed-sweep cohort ([`crate::sweep`]) picks through the decoded
-//! engine's [`WarpCtl::pick_group`] and runs ahead through the same
-//! [`run_ahead`]. That pick-equivalence is the invariant the sweep's
-//! fork/merge machinery rests on: two sub-cohorts whose control planes
-//! are equal are guaranteed to pick identically forever after, so
-//! comparing control planes once at a round boundary is a sound merge
-//! test. The cohort's masked row operations take a contiguous slot mask
-//! as one slice ([`mask_runs`], the contiguous-run twin of [`lanes`]) and
-//! walk any other mask slot by slot.
+//! Every sub-cohort picks through one
+//! [`WarpCtl::pick_group`](crate::barrier::WarpCtl::pick_group) and runs
+//! ahead through one [`SubRound::run_ahead`]. That pick-equivalence is the
+//! invariant the sweep's fork/merge machinery rests on: two sub-cohorts
+//! whose control planes are equal are guaranteed to pick identically
+//! forever after, so comparing control planes once at a round boundary is
+//! a sound merge test. The cohort's masked row operations take a
+//! contiguous slot mask as one slice ([`mask_runs`], the contiguous-run
+//! twin of [`lanes`]) and walk any other mask slot by slot.
 
-use crate::barrier::WarpCtl;
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
-use crate::decode::{DecodedImage, DecodedInst};
-use crate::metrics::Metrics;
+use crate::decode::DecodedInst;
+use crate::sweep::{IssueCtx, SubCohort, SubRound};
 use simt_ir::BarrierOp;
 
 /// Iterates the set lanes of a mask in ascending order.
@@ -102,7 +101,7 @@ impl Iterator for MaskRuns {
 /// measured traffic and the spans are the mask's runs; a run whose lanes
 /// differ breaks down as far as single lanes, which is the same loops at
 /// `n == 1`.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct Spans {
     /// Issued lanes not yet yielded.
     mask: u64,
@@ -276,29 +275,12 @@ pub(crate) struct Run {
     pub(crate) roi_weight: u64,
 }
 
-/// One engine's side of [`run_ahead`] for one warp.
-pub(crate) trait Batcher {
-    type Error;
-    /// The warp's control plane, the pcs of the groups its last pick
-    /// did not choose, and where the batch is recorded.
-    fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics);
-    /// Executes `inst` (at `run.at`) for `mask` after the batch `run` and
-    /// returns its cost and the group's next pc: `None` when the issue
-    /// split the group or the engine ends the batch, pcs written. Returns
-    /// `Ok(None)`, issuing nothing, when the engine stops the batch first.
-    fn issue(&mut self, mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error>;
-}
-
-/// What [`Batcher::issue`] returns.
-pub(crate) type Issued<E> = Result<Option<(u32, Option<usize>)>, E>;
-
-/// Straight-line batching, shared by both engines and every
-/// reconvergence model: after warp `w` issued `pc` for `mask` in a round
-/// of its own, the same lanes would be re-picked unchanged while they
-/// execute warp-local ops (no memory traffic, no control divergence, no
-/// status changes), so they run ahead within this slot. Warps only
-/// interact through global memory, so cross-warp interleaving is
-/// unobservable for these ops.
+/// Straight-line batching under every reconvergence model: after warp
+/// `w` issued `pc` for `mask` in a round of its own, the same lanes would
+/// be re-picked unchanged while they execute warp-local ops (no memory
+/// traffic, no control divergence, no status changes), so they run ahead
+/// within this slot. Warps only interact through global memory, so
+/// cross-warp interleaving is unobservable for these ops.
 ///
 /// The gate is the one condition that proves the re-pick anywhere: the
 /// issue kept its lanes in lockstep with statuses untouched, and `mask`
@@ -316,79 +298,87 @@ pub(crate) type Issued<E> = Result<Option<(u32, Option<usize>)>, E>;
 ///
 /// The batch carries the group's pc and its accounting in a [`Run`]:
 /// the lanes' pcs are written once, when it ends, and
-/// [`Metrics::record_issues`] records it at once — exact, as batched ops
-/// never touch a status, so the mask and the stall sample hold
-/// throughout. `last_lanes` re-sticks to the same mask; the RoundRobin
-/// cursor moves wherever each skipped pick would have moved it.
-///
-/// Returns the batch and whether its group ended intact — not split,
-/// merged or stopped by the engine — so that `(run.at, mask)` is what
-/// the next pick provably returns.
-#[inline(always)]
-pub(crate) fn run_ahead<B: Batcher>(
-    b: &mut B,
-    cfg: &SimConfig,
-    image: &DecodedImage,
-    (w, pc, mask, schedulable): (usize, usize, u64, u64),
-) -> Result<(Run, bool), B::Error> {
-    let greedy = cfg.scheduler == SchedulerPolicy::Greedy
-        && matches!(cfg.recon, ReconvergenceModel::BarrierFile);
-    if !keeps_lockstep(&image.insts[pc]) || !(mask == schedulable || greedy) {
-        return Ok((Run::default(), false));
-    }
-    let (bump_rr, ipdom) = (pick_bumps_rr(cfg), cfg.recon == ReconvergenceModel::IpdomStack);
-    let (ctl, ..) = b.state();
-    let waiting = ctl.waiting.count_ones();
-    let mut run = Run { at: ctl.pcs[mask.trailing_zeros() as usize], ..Run::default() };
-    // Whether an issue ended the batch (`None`), its lanes' pcs written.
-    let mut ended = false;
-    for _ in 0..BATCH_LIMIT {
-        let inst = &image.insts[run.at];
-        // Branches batch too — they are warp-local and infallible — but
-        // the group survives the issue only if every lane took the same
-        // direction.
-        let batchable = matches!(inst, DecodedInst::Branch { .. }) || is_warp_local(inst);
-        if b.state().1.contains(&run.at) || !batchable {
-            break;
+/// [`Metrics::record_issues`](crate::Metrics::record_issues) records it
+/// at once — exact, as batched ops never touch a status, so the mask and
+/// the stall sample hold throughout. `last_lanes` re-sticks to the same
+/// mask; the RoundRobin cursor moves wherever each skipped pick would
+/// have moved it.
+impl<const L: bool> SubRound<'_, '_, L> {
+    /// Runs the issue in flight ([`SubRound::ctx`], its warp and mask)
+    /// ahead of the round issue at `pc`. Returns the batch and whether its
+    /// group ended intact — not split, merged or stopped — so that
+    /// `(run.at, mask)` is what the next pick provably returns.
+    #[inline(always)]
+    pub(crate) fn run_ahead(&mut self, pc: usize) -> (Run, bool) {
+        let (cfg, image, IssueCtx { w, mask, .. }) = (self.cohort.cfg, self.cohort.image, self.ctx);
+        let greedy = cfg.scheduler == SchedulerPolicy::Greedy
+            && matches!(cfg.recon, ReconvergenceModel::BarrierFile);
+        let ctl = &self.sub.warps[w];
+        if !keeps_lockstep(&image.insts[pc]) || !(mask == ctl.schedulable() || greedy) {
+            return (Run::default(), false);
         }
-        let Some((cost, mut next)) = b.issue(mask, inst, &run)? else { break };
-        // Under the IPDOM stack an issue that split the group (`None`) or
-        // brought it to the top entry's reconvergence pc runs the stack's
-        // hook, and ends the batch if the stack moved.
-        if ipdom {
-            let (ctl, _, metrics) = b.state();
-            if next.is_none() || next == ctl.ipdom_stack.last().map(|e| e.rpc as usize) {
-                if let Some(at) = next {
-                    ctl.move_to(mask, at);
-                }
-                if ctl.ipdom_post_issue(image, (run.at, mask), &mut metrics.recon) {
-                    next = None;
+        let (bump_rr, ipdom) = (pick_bumps_rr(cfg), cfg.recon == ReconvergenceModel::IpdomStack);
+        let waiting = ctl.waiting.count_ones();
+        let mut run = Run { at: ctl.pcs[mask.trailing_zeros() as usize], ..Run::default() };
+        // Whether an issue ended the batch (`None`), its lanes' pcs written.
+        let mut ended = false;
+        for _ in 0..BATCH_LIMIT {
+            let inst = &image.insts[run.at];
+            let batchable = match inst {
+                // Branches batch too — they are warp-local and infallible —
+                // but the group survives the issue only if every lane took
+                // the same direction. While the cohort is split, every sub
+                // stops at every branch: forks and the code between
+                // branches cost the same in every sibling, so this keeps
+                // the sub-cohorts' round boundaries on one cadence —
+                // equal-cycle frontiers recur and re-agreeing planes
+                // actually meet in the merge scan instead of leapfrogging
+                // each other forever.
+                DecodedInst::Branch { .. } => !self.split,
+                _ => is_warp_local(inst),
+            };
+            if self.sub.picks[w].other_pcs.contains(&run.at) || !batchable {
+                break;
+            }
+            let Some((cost, mut next)) = self.batch_issue(inst, &run) else { break };
+            // Under the IPDOM stack an issue that split the group (`None`) or
+            // brought it to the top entry's reconvergence pc runs the stack's
+            // hook, and ends the batch if the stack moved.
+            if ipdom {
+                let (ctl, recon) = (&mut self.sub.warps[w], &mut self.sub.metrics.recon);
+                if next.is_none() || next == ctl.ipdom_stack.last().map(|e| e.rpc as usize) {
+                    if let Some(at) = next {
+                        ctl.move_to(mask, at);
+                    }
+                    if ctl.ipdom_post_issue(image, (run.at, mask), recon) {
+                        next = None;
+                    }
                 }
             }
+            if bump_rr {
+                let rr = &mut self.sub.warps[w].rr_cursor;
+                *rr = rr.wrapping_add(1);
+            }
+            let c = u64::from(cost.max(1));
+            run.issues += 1;
+            run.weight += c;
+            run.roi_weight += if image.roi[run.at] { c } else { 0 };
+            // After `None` the next real round re-groups (warp-split:
+            // re-normalizes) and re-picks exactly as unbatched execution would.
+            (run.at, ended) = (next.unwrap_or(run.at), next.is_none());
+            if ended {
+                break;
+            }
         }
-        if bump_rr {
-            let rr = &mut b.state().0.rr_cursor;
-            *rr = rr.wrapping_add(1);
+        let SubCohort { warps, picks, metrics, .. } = &mut *self.sub;
+        if run.issues > 0 && !ended {
+            warps[w].move_to(mask, run.at);
         }
-        let c = u64::from(cost.max(1));
-        run.issues += 1;
-        run.weight += c;
-        run.roi_weight += if image.roi[run.at] { c } else { 0 };
-        // After `None` the next real round re-groups (warp-split:
-        // re-normalizes) and re-picks exactly as unbatched execution would.
-        (run.at, ended) = (next.unwrap_or(run.at), next.is_none());
-        if ended {
-            break;
-        }
+        metrics.record_issues(w, mask, run.issues, run.weight, run.roi_weight, waiting);
+        // A group whose pc landed on another group's is a pending merge with
+        // that frozen group: the next pick must re-group.
+        (run, !ended && !picks[w].other_pcs.contains(&run.at))
     }
-    let (ctl, other_pcs, metrics) = b.state();
-    if run.issues > 0 && !ended {
-        ctl.move_to(mask, run.at);
-    }
-    metrics.record_issues(w, mask, run.issues, run.weight, run.roi_weight, waiting);
-    // A group whose pc landed on another group's is a pending merge with
-    // that frozen group: the next pick must re-group.
-    Ok((run, !ended && !other_pcs.contains(&run.at)))
 }
 
 /// Applies `policy` to the candidate groups and returns the chosen one.

@@ -68,7 +68,7 @@
 //! the parent writes only when its batch ends applied, so the child
 //! re-picks and re-executes that issue itself on the exact unbatched
 //! clock. A child forked inside a warp-split round resumes the round at
-//! the candidate that forked ([`Rounds::resume`]) instead.
+//! the candidate that forked ([`SubCohort::resume`]) instead.
 //!
 //! Sub-cohorts are scheduled min-clock-first: the sub-cohort with the
 //! smallest cycle runs its next round. At every round boundary,
@@ -81,7 +81,7 @@
 //! [`crate::sched`]): equal control planes pick identically forever
 //! after — and every sub-cohort, a scalar launch's one-slot cohort
 //! included, drives one [`WarpCtl`] and runs ahead through one batcher
-//! ([`crate::sched::run_ahead`]), so there is one pick path, one batch
+//! ([`SubRound::run_ahead`]), so there is one pick path, one batch
 //! rule, one call stack and one set of barrier transitions to agree with.
 //! A batch that ends with its group intact leaves a pick hint; hints live
 //! beside the control plane, outside the merge test, and only ever save a
@@ -117,9 +117,9 @@ use crate::journal::JournalKind;
 use crate::machine::{EngineStats, Launch, SimOutput};
 use crate::metrics::Metrics;
 use crate::observe::Observer;
-use crate::recon::{Cand, Pick, ReconStats, RoundBufs, Rounds};
+use crate::recon::{Cand, Pick, RoundBufs};
 use crate::rng::SplitMix64;
-use crate::sched::{lanes, Batcher, Issued, Run, Spans};
+use crate::sched::{lanes, Run, Spans};
 use simt_ir::{BarrierOp, BinOp, MemSpace, Operand, RngKind, UnOp, Value};
 use std::cmp::Ordering;
 
@@ -276,33 +276,6 @@ pub fn run_sweep_image(
         1 => Cohort::<true>::new(image, cfg, &sweep.base, sweep.seed_lo, 1)?.run(cancel),
         _ => Cohort::<false>::new(image, cfg, &sweep.base, sweep.seed_lo, n as usize)?.run(cancel),
     }
-}
-
-/// One launch of `image` at its own seed: the cohort at one slot, in the
-/// lanes-as-columns layout ([`Geom`]).
-pub(crate) fn run_one(
-    image: &DecodedImage,
-    cfg: &SimConfig,
-    launch: &Launch,
-    cancel: Option<&CancelToken>,
-) -> Result<SimOutput, SimError> {
-    let mut out = Cohort::<true>::new(image, cfg, launch, launch.seed, 1)?.run(cancel)?;
-    out.runs.pop().expect("one seed").result
-}
-
-/// [`run_sweep_image`] for callers that have not decoded the module
-/// themselves.
-///
-/// # Errors
-///
-/// Everything [`run_sweep_image`] returns.
-pub fn run_sweep(
-    module: &simt_ir::Module,
-    cfg: &SimConfig,
-    sweep: &SweepLaunch,
-) -> Result<SweepOutput, SimError> {
-    let image = DecodedImage::decode(module);
-    run_sweep_image(&image, cfg, sweep, None)
 }
 
 /// Staging shared by the row operations: one broadcast row per immediate
@@ -524,14 +497,15 @@ pub(crate) struct SubCohort {
     /// bump is bumped once here for the whole sub-cohort. A slot's true
     /// metrics are `metrics + bases[slot]`. `cycles` stays 0 until
     /// finalization.
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// Each warp's control plane, call frames included.
-    warps: Vec<WarpCtl>,
+    pub(crate) warps: Vec<WarpCtl>,
     /// Each warp's scheduler memory beside its plane.
-    picks: Vec<Pick>,
+    pub(crate) picks: Vec<Pick>,
     /// Warp `.0`'s split round, forked mid-way: the candidates this child
-    /// issues first ([`Rounds::resume`]); until then it does not merge.
-    resume: Option<(usize, Vec<Cand>)>,
+    /// issues first, in place of the round's scan; until then it does not
+    /// merge.
+    pub(crate) resume: Option<(usize, Vec<Cand>)>,
 }
 
 /// [`Cohort::issue_c`]'s cost, next pc and whether slots split off.
@@ -542,10 +516,10 @@ type Issue = (u32, Option<usize>, bool);
 /// already advanced them; the child must re-run the pick itself). The pc
 /// and the batch prefix travel beside it as the batcher's own [`Run`],
 /// read only when a fork happens.
-#[derive(Clone, Copy)]
-struct IssueCtx {
-    w: usize,
-    mask: u64,
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IssueCtx {
+    pub(crate) w: usize,
+    pub(crate) mask: u64,
     /// `last_lanes`, `rr_cursor` and `busy_until` before the pick; with the
     /// prefix's weight, that `busy_until` (stored for the round's first
     /// issue, the round issue's completion for a batched one) is the
@@ -565,8 +539,8 @@ struct IssueCtx {
 /// The lockstep sweep machine: forked control planes over one SoA data
 /// plane.
 pub(crate) struct Cohort<'m, const L: bool> {
-    image: &'m DecodedImage,
-    cfg: &'m SimConfig,
+    pub(crate) image: &'m DecodedImage,
+    pub(crate) cfg: &'m SimConfig,
     /// Per-pc issue costs, shared by every sub-cohort.
     costs: Vec<u32>,
     /// Cohort width (number of seed instances), fixed for the whole
@@ -590,9 +564,9 @@ pub(crate) struct Cohort<'m, const L: bool> {
     results: Vec<Option<Result<SimOutput, SimError>>>,
     stats: SweepStats,
     // Reusable hot-loop buffers.
-    bufs: RoundBufs,
+    pub(crate) bufs: RoundBufs,
     /// The issuing warp-split round's candidates not issued yet, which a
-    /// fork hands its child ([`Rounds::pre_pick`]).
+    /// fork hands its child ([`SubRound::pre_pick`]).
     rest: Vec<Cand>,
     /// What the shared rounds and the data arms count by the scalar
     /// rules; a sweep of more than one seed reports none of it.
@@ -719,7 +693,7 @@ impl<'m, const L: bool> Cohort<'m, L> {
 
     /// Drives every sub-cohort to completion, min-clock-first with a
     /// merge check at each visited round boundary.
-    fn run(mut self, cancel: Option<&CancelToken>) -> Result<SweepOutput, SimError> {
+    pub(crate) fn run(mut self, cancel: Option<&CancelToken>) -> Result<SweepOutput, SimError> {
         while !self.subs.is_empty() {
             let t = self.subs.iter().map(|sc| sc.cycle).min().expect("subs non-empty");
             // The reconvergence check happens at the frontier cycle
@@ -865,13 +839,13 @@ impl<'m, const L: bool> Cohort<'m, L> {
         }
     }
 
-    /// One scheduling round of `sub` ([`crate::recon::step`]). Returns
-    /// `true` once every warp finished.
+    /// One scheduling round of `sub` ([`SubRound::step`]). Returns `true`
+    /// once every warp finished.
     pub(crate) fn round(&mut self, sub: &mut SubCohort) -> bool {
         // `sub` is popped off `self.subs` while it runs, so a non-empty
         // `subs` means the cohort is split.
         let split = !self.subs.is_empty();
-        crate::recon::step(&mut SubRound { cohort: self, sub, split, pre: (0, 0, 0) }) == Ok(true)
+        SubRound { cohort: self, sub, split, ctx: IssueCtx::default() }.step() == Ok(true)
     }
 
     /// Finalizes every slot of a finished sub-cohort into its output at
@@ -1001,100 +975,28 @@ impl<const L: bool> Cohort<'_, L> {
     }
 }
 
-/// The cohort's side of the straight-line batcher: [`Cohort::exec_c`]
-/// moves the data after [`Cohort::batch_fault_free_c`], and the per-block
-/// profile stays per issue. Nothing that stamps issues is on while a
-/// batch runs ([`Observer::stamps_issues`]).
-struct SubRun<'a, 'm, const L: bool> {
-    cohort: &'a mut Cohort<'m, L>,
-    sub: &'a mut SubCohort,
-    /// The batched issues' context: `last_lanes` re-sticks to the mask,
-    /// the clock with the prefix's weight is the unbatched one, and the
-    /// RoundRobin cursor and the prefix are read at a fork, from the
-    /// warp and the batcher's [`Run`].
-    ctx: IssueCtx,
+/// One round of a sub-cohort: the rounds ([`SubRound::step`], in
+/// `recon.rs`) pick and issue under the configured model, the batcher
+/// ([`SubRound::run_ahead`], in `sched.rs`) runs a picked group ahead, and
+/// the issues here fork, batched and hinted under every model — so a
+/// one-slot cohort's round is a scalar launch's and a wider one amortizes
+/// that cost across its slots.
+pub(crate) struct SubRound<'a, 'm, const L: bool> {
+    pub(crate) cohort: &'a mut Cohort<'m, L>,
+    pub(crate) sub: &'a mut SubCohort,
     /// Whether the cohort is split.
-    split: bool,
+    pub(crate) split: bool,
+    /// The issue in flight: the round's, then its batch's. Its `pre` holds
+    /// the picking warp's fields from before the pick ([`SubRound::pre_pick`]).
+    pub(crate) ctx: IssueCtx,
 }
 
-impl<const L: bool> Batcher for SubRun<'_, '_, L> {
-    type Error = std::convert::Infallible;
-
+impl<const L: bool> SubRound<'_, '_, L> {
+    /// Called before every pick of warp `w` with the warp-split candidates
+    /// not issued yet, this pick's first: where a fork during the issue
+    /// must resume.
     #[inline(always)]
-    fn state(&mut self) -> (&mut WarpCtl, &[usize], &mut Metrics) {
-        let SubCohort { warps, metrics, picks, .. } = &mut *self.sub;
-        (&mut warps[self.ctx.w], &picks[self.ctx.w].other_pcs, metrics)
-    }
-
-    #[inline(always)]
-    fn issue(&mut self, _mask: u64, inst: &DecodedInst, run: &Run) -> Issued<Self::Error> {
-        let SubRun { cohort, sub, ctx, split } = self;
-        // While the cohort is split, every sub stops at every branch:
-        // forks and the code between branches cost the same in every
-        // sibling, so this keeps the sub-cohorts' round boundaries on one
-        // cadence — equal-cycle frontiers recur and re-agreeing planes
-        // actually meet in the merge scan instead of leapfrogging each
-        // other forever.
-        if *split && matches!(inst, DecodedInst::Branch { .. })
-            || !cohort.batch_fault_free_c(sub, ctx, inst)
-        {
-            return Ok(None);
-        }
-        // A class forking mid-batch (cross-seed branch divergence) still
-        // snapshots the exact control state an unbatched run would reach
-        // at that pick: the batched context and `run`, the prefix. A
-        // sub-cohort left with no slot ends the batch; it is abandoned,
-        // so what the batch records there is never read.
-        let Some((cost, next, _)) = cohort.issue_c(sub, ctx, run) else {
-            return Ok(Some((0, None)));
-        };
-        cohort.obs.batched(cohort.image.origin[run.at], ctx.mask, cost);
-        Ok(Some((cost, next)))
-    }
-}
-
-/// One sub-cohort's side of the rounds ([`crate::recon::step`]): the
-/// lockstep issue and its forks, batched and hinted under every model, so
-/// a one-slot cohort's round is a scalar launch's and a wider one
-/// amortizes that cost across its slots.
-struct SubRound<'a, 'm, const L: bool> {
-    cohort: &'a mut Cohort<'m, L>,
-    sub: &'a mut SubCohort,
-    /// Whether the cohort is split.
-    split: bool,
-    /// The picking warp's `last_lanes`, `rr_cursor` and `busy_until` before
-    /// its pick ([`IssueCtx::pre`]).
-    pre: (u64, usize, u64),
-}
-
-impl<const L: bool> Rounds for SubRound<'_, '_, L> {
-    type Error = ();
-    #[cfg(debug_assertions)]
-    const CHECK_HINTS: bool = true;
-
-    fn cfg(&self) -> &SimConfig {
-        self.cohort.cfg
-    }
-
-    fn warps(&self) -> usize {
-        self.sub.warps.len()
-    }
-
-    fn clock(&mut self) -> &mut u64 {
-        &mut self.sub.cycle
-    }
-
-    fn plane(&mut self, w: usize) -> (&mut WarpCtl, &mut Pick, &mut ReconStats, &mut RoundBufs) {
-        let SubCohort { warps, picks, metrics, .. } = &mut *self.sub;
-        (&mut warps[w], &mut picks[w], &mut metrics.recon, &mut self.cohort.bufs)
-    }
-
-    fn engine(&mut self) -> &mut EngineStats {
-        &mut self.cohort.engine
-    }
-
-    #[inline(always)]
-    fn pre_pick(&mut self, w: usize, rest: &[Cand]) {
+    pub(crate) fn pre_pick(&mut self, w: usize, rest: &[Cand]) {
         let ctl = &self.sub.warps[w];
         #[cfg(debug_assertions)]
         ctl.check_frames(self.cohort.image);
@@ -1102,24 +1004,24 @@ impl<const L: bool> Rounds for SubRound<'_, '_, L> {
         if L {
             return;
         }
-        self.pre = (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until);
+        self.ctx.pre = (ctl.last_lanes, ctl.rr_cursor, ctl.busy_until);
         self.cohort.rest.clear();
         self.cohort.rest.extend_from_slice(rest);
     }
 
-    fn resume(&mut self, w: usize) -> Option<Vec<Cand>> {
-        self.sub.resume.take_if(|r| r.0 == w).map(|r| r.1)
-    }
-
+    /// Issues `(pc, mask)` of warp `w` and runs ahead, IPDOM hook included;
+    /// returns the cycle the unbatched rounds would reach. `Err` once the
+    /// sub-cohort has no slot left.
+    ///
     /// Tracing and journaling disable batching ([`Observer::stamps_issues`])
     /// and with it the hints, so a traced run is the unbatched, unhinted
     /// reference.
     #[inline(always)]
-    fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, ()> {
-        let SubRound { cohort, sub, split, pre } = self;
-        let (run, spans) =
-            (Run { at: pc, ..Run::default() }, frame_spans::<L>(&sub.warps[w], mask));
-        let ctx = IssueCtx { w, mask, pre: *pre, batched: false, spans };
+    pub(crate) fn issue_round(&mut self, w: usize, pc: usize, mask: u64) -> Result<u64, ()> {
+        let spans = frame_spans::<L>(&self.sub.warps[w], mask);
+        self.ctx = IssueCtx { w, mask, batched: false, spans, ..self.ctx };
+        let SubRound { cohort, sub, ctx, .. } = self;
+        let run = Run { at: pc, ..Run::default() };
         let (ctl, at, cycle) = (&mut sub.warps[w], cohort.image.origin[pc], sub.cycle);
         let last = std::mem::replace(&mut ctl.last_lanes, mask);
         cohort.obs.pick(cycle, w, at, last, mask);
@@ -1133,7 +1035,7 @@ impl<const L: bool> Rounds for SubRound<'_, '_, L> {
         // `None`: every instance of this sub-cohort forked or faulted
         // mid-round; its plane is abandoned and the children replay (or
         // resume) from their own consistent snapshots.
-        let (cost, next, forked) = cohort.issue_c(sub, &ctx, &run).ok_or(())?;
+        let (cost, next, forked) = cohort.issue_c(sub, ctx, &run).ok_or(())?;
         if let Some(next) = next {
             sub.warps[w].move_to(mask, next);
         }
@@ -1143,12 +1045,12 @@ impl<const L: bool> Rounds for SubRound<'_, '_, L> {
         cohort.obs.issue(cycle, w, at, mask, cost, roi);
         let busy = sub.cycle + weight;
         // A stack that moved changed what the next pick chooses among. A
-        // divergent issue skips starting a batch (and ends one, [`SubRun`]):
-        // the sooner this sub returns to the run loop, the sooner its
-        // frontier lines up with the sibling it just forked from — letting
-        // re-agreeing sub-cohorts merge after one arm instead of forking
-        // again rounds ahead of the merge scan. Cutting a batch short is
-        // always equivalent to unbatched execution.
+        // divergent issue skips starting a batch (and ends one,
+        // [`SubRound::batch_issue`]): the sooner this sub returns to the run
+        // loop, the sooner its frontier lines up with the sibling it just
+        // forked from — letting re-agreeing sub-cohorts merge after one arm
+        // instead of forking again rounds ahead of the merge scan. Cutting a
+        // batch short is always equivalent to unbatched execution.
         let ipdom = cohort.cfg.recon == ReconvergenceModel::IpdomStack;
         let (ctl, recon) = (&mut sub.warps[w], &mut sub.metrics.recon);
         let moved = ipdom && ctl.ipdom_post_issue(cohort.image, (pc, mask), recon);
@@ -1157,30 +1059,61 @@ impl<const L: bool> Rounds for SubRound<'_, '_, L> {
         }
         // A fork inside the batch is past the round's candidates.
         cohort.rest.clear();
-        let (cfg, image) = (cohort.cfg, cohort.image);
-        let issue = (w, pc, mask, sub.warps[w].schedulable());
+        // The batched issues' context: `last_lanes` re-sticks to the mask,
+        // the clock with the prefix's weight is the unbatched one, and the
+        // RoundRobin cursor and the prefix are read at a fork, from the
+        // warp and the batcher's [`Run`].
         let spans = frame_spans::<L>(&sub.warps[w], mask);
-        let ctx = IssueCtx { pre: (mask, 0, busy), batched: true, spans, ..ctx };
-        let mut ahead = SubRun { cohort, sub, ctx, split: *split };
-        let Ok((run, intact)) = crate::sched::run_ahead(&mut ahead, cfg, image, issue);
-        if sub.slots == 0 {
+        self.ctx = IssueCtx { pre: (mask, 0, busy), batched: true, spans, ..self.ctx };
+        let (run, intact) = self.run_ahead(pc);
+        if self.sub.slots == 0 {
             return Err(());
         }
-        cohort.engine.batched_issues += run.issues;
-        sub.picks[w].hint = intact.then_some((run.at, mask));
+        self.cohort.engine.batched_issues += run.issues;
+        self.sub.picks[w].hint = intact.then_some((run.at, mask));
         Ok(busy + run.weight)
+    }
+
+    /// Executes `inst` (at `run.at`) for the batch's mask after its prefix
+    /// `run` and returns its cost and the group's next pc: `None` when the
+    /// issue split the group or left the sub-cohort no slot, pcs written.
+    /// Returns `None`, issuing nothing, when a live slot could fault:
+    /// [`Cohort::exec_c`] moves the data after
+    /// [`Cohort::batch_fault_free_c`], and the per-block profile stays per
+    /// issue. Nothing that stamps issues is on while a batch runs
+    /// ([`Observer::stamps_issues`]).
+    #[inline(always)]
+    pub(crate) fn batch_issue(
+        &mut self,
+        inst: &DecodedInst,
+        run: &Run,
+    ) -> Option<(u32, Option<usize>)> {
+        let SubRound { cohort, sub, ctx, .. } = self;
+        if !cohort.batch_fault_free_c(sub, ctx, inst) {
+            return None;
+        }
+        // A class forking mid-batch (cross-seed branch divergence) still
+        // snapshots the exact control state an unbatched run would reach
+        // at that pick: the batched context and `run`, the prefix. A
+        // sub-cohort left with no slot ends the batch; it is abandoned,
+        // so what the batch records there is never read.
+        let Some((cost, next, _)) = cohort.issue_c(sub, ctx, run) else {
+            return Some((0, None));
+        };
+        cohort.obs.batched(cohort.image.origin[run.at], ctx.mask, cost);
+        Some((cost, next))
     }
 
     /// Deadlock is a property of shared control: every live instance
     /// fails with the identical diagnostic its scalar run would build.
-    fn deadlock(&mut self, w: usize) {
+    pub(crate) fn deadlock(&mut self, w: usize) {
         self.cohort.obs.event(self.sub.cycle, w, JournalKind::DeadlockOnset);
         let (image, model) = (self.cohort.image, self.cohort.cfg.recon);
         let e = self.sub.warps[w].deadlock(image, w, self.sub.cycle, model);
         self.cohort.resolve_all(self.sub, &e);
     }
 
-    fn timeout(&mut self) {
+    pub(crate) fn timeout(&mut self) {
         let e = SimError::MaxCyclesExceeded { limit: self.cohort.cfg.max_cycles };
         self.cohort.resolve_all(self.sub, &e);
     }
@@ -2573,7 +2506,7 @@ bb2:
             let what = format!("seed {seed}");
             assert_same_but_memory(&run.result, &off.runs[i].result, &format!("cohort {what}"));
             let scalar_off = crate::exec::run_image(&image, &bare, &launch);
-            assert_same_but_memory(&scalar, &scalar_off, &format!("decoded engine {what}"));
+            assert_same_but_memory(&scalar, &scalar_off, &format!("scalar launch {what}"));
             // A scalar launch is the one-slot cohort, so only the oracle
             // sees a fault both layouts share (the hierarchy's
             // write-through invalidation, say).
@@ -2743,7 +2676,7 @@ bb2:
     /// A hinted round stands in for the pick it skips, under every
     /// policy: every seed of [`HINT_KERNEL`] matches its scalar run, and
     /// debug builds check each consumed hint against that pick
-    /// (`recon::take_hint`), down to the RoundRobin cursor. Hints are
+    /// (`SubRound::take_hint`), down to the RoundRobin cursor. Hints are
     /// left on the whole cohort before its first fork, and a one-warp
     /// cohort (whose forks are all its one warp's) forks in rounds that
     /// warp entered holding a hint.

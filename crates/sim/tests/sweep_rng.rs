@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, Value};
-use simt_sim::{run, run_sweep, Launch, SimConfig, SweepLaunch};
+use simt_sim::{run, run_sweep_image, DecodedImage, Launch, SimConfig, SweepLaunch};
 
 /// Four RNG draws per thread, stored to `global[tid*4 ..= tid*4+3]`.
 const RNG_DUMP_KERNEL: &str = "\
@@ -46,7 +46,8 @@ proptest! {
         let mut base = Launch::new("k", warps);
         base.global_mem = vec![Value::I64(0); warps * 32 * 4];
         let sweep = SweepLaunch::new(base.clone(), seed_lo, seed_lo + n);
-        let out = run_sweep(&module, &cfg, &sweep).expect("sweep runs");
+        let image = DecodedImage::decode(&module);
+        let out = run_sweep_image(&image, &cfg, &sweep, None).expect("sweep runs");
         prop_assert_eq!(out.runs.len(), n as usize);
         for entry in &out.runs {
             let mut launch = base.clone();
