@@ -25,7 +25,7 @@
 use crate::barrier::WarpCtl;
 use crate::config::ReconvergenceModel;
 use crate::decode::{DecodedImage, DecodedInst};
-use crate::error::{ReconDump, SplitDump, StackEntryDump};
+use crate::error::{ReconDump, SimError, SplitDump, StackEntryDump};
 use crate::sched::{keeps_lockstep, lanes, pick_bumps_rr, select_group_mask};
 use crate::sweep::SubRound;
 use simt_ir::{BlockId, DomTree};
@@ -191,7 +191,8 @@ impl<const L: bool> SubRound<'_, '_, L> {
             return Ok(true);
         }
         if now >= cfg.max_cycles {
-            self.timeout();
+            let e = SimError::MaxCyclesExceeded { limit: cfg.max_cycles };
+            self.cohort.resolve_all(self.sub, &e);
             return Err(());
         }
         // MAX: every remaining warp became done this round; the next step

@@ -4,11 +4,11 @@
 //! lockstep cohort of [`crate::sweep`], a scalar launch's at one slot
 //! behind [`crate::exec`] — was refactored from. It executes the
 //! structured [`Module`] directly — frames carry `(func, block, inst)`
-//! triples and every issue slot walks the `IdVec`s — and is kept as the executable specification of the
-//! execution model: a property test asserts that
-//! [`run_image`](crate::exec::run_image) on a decoded image produces
-//! bit-identical metrics, memory, traces, profiles, and errors to
-//! [`run_reference`] on the same module.
+//! triples and every issue slot walks the `IdVec`s — and is kept as the
+//! executable specification of the execution model: a property test
+//! asserts that [`run_image`](crate::exec::run_image) on a decoded image
+//! produces bit-identical metrics, memory, traces, profiles, and errors
+//! to [`run_reference`] on the same module.
 //!
 //! Execution model (a software rendition of Volta's *independent thread
 //! scheduling*):
